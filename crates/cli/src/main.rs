@@ -228,26 +228,16 @@ fn run_command(cli: &mut Cli, cmd: &[String]) -> Result<String, String> {
         }
         ["kvs", "commit"] => {
             let m = cli.rpc(KvsMethod::Commit.topic(), Value::object())?;
-            // A sharded session answers with the per-shard frontier
+            // An N-shard session answers with the per-shard frontier
             // instead of a single version/root pair.
-            if let Some(frontier) = m.payload.get("frontier").and_then(Value::as_array) {
-                let slots: Vec<String> = frontier
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "shard {} version {}",
-                            s.get("shard").cloned().unwrap_or(Value::Null),
-                            s.get("version").cloned().unwrap_or(Value::Null),
-                        )
-                    })
-                    .collect();
+            let cut = flux_kvs::msg::decode_cut(&m.payload);
+            if cut.shards.is_some() {
+                let slots: Vec<String> =
+                    cut.roots.iter().map(|r| format!("shard {} version {}", r.shard, r.version)).collect();
                 return Ok(format!("committed: {}", slots.join(", ")));
             }
-            Ok(format!(
-                "committed: version {} root {}",
-                m.payload.get("version").cloned().unwrap_or(Value::Null),
-                m.payload.get("root").and_then(Value::as_str).unwrap_or("?")
-            ))
+            let at = cut.roots.first().cloned().unwrap_or_default();
+            Ok(format!("committed: version {} root {}", at.version, at.root))
         }
         ["kvs", "version"] => {
             let m = cli.rpc(KvsMethod::GetVersion.topic(), Value::object())?;

@@ -67,11 +67,11 @@ const HOT_ROOTS: &[(&str, &str)] = &[
     ("crates/sim/src/queue.rs", "locate_min"),
     ("crates/sim/src/queue.rs", "peek_min"),
     ("crates/sim/src/queue.rs", "pop_min"),
-    // kvs batch apply and shard push
-    ("crates/kvs/src/module.rs", "shard_apply"),
-    ("crates/kvs/src/module.rs", "note_push"),
-    ("crates/kvs/src/module.rs", "handle_shard_push"),
-    ("crates/kvs/src/module.rs", "flush_batch"),
+    // kvs master role: the one apply, push dedup, park and flush
+    ("crates/kvs/src/authority.rs", "apply"),
+    ("crates/kvs/src/authority.rs", "note_push"),
+    ("crates/kvs/src/authority.rs", "accept_push"),
+    ("crates/kvs/src/authority.rs", "flush_batch"),
     // broker route
     ("crates/broker/src/broker.rs", "send_tree"),
     ("crates/broker/src/broker.rs", "route_response"),

@@ -409,9 +409,7 @@ pub fn lint_sources(files: &[(String, String)], allowlist: &str) -> LintReport {
 
     let t = std::time::Instant::now();
     let kinds = reply::kind_table();
-    for pf in &parsed {
-        violations.extend(reply::check_reply(pf, &kinds));
-    }
+    violations.extend(reply::check_reply_all(&parsed, &kinds));
     timings.push(("reply", t.elapsed()));
 
     let t = std::time::Instant::now();

@@ -8,7 +8,8 @@
 //! bodies with a three-valued outcome:
 //!
 //! * **Discharged** — a respond/error call (or a call to a local helper
-//!   that always discharges, or parking the request via
+//!   that always discharges, or to a *taker* in a sibling file of the
+//!   crate — see [`check_reply_all`] — or parking the request via
 //!   `<msg>.clone()` for a later reply) happens on this path.
 //! * **Escaped** — a path leaves the function without discharging
 //!   (`return` before any respond).
@@ -78,25 +79,89 @@ pub(crate) fn normalize(s: &str) -> String {
     s.chars().filter(|c| c.is_ascii_alphanumeric()).map(|c| c.to_ascii_lowercase()).collect()
 }
 
-/// Runs the lint over one parsed file.
+/// Runs the lint over one parsed file, on its own (fixtures, tests).
 pub(crate) fn check_reply(
     pf: &ParsedFile,
     kinds: &BTreeMap<(String, String), MethodKind>,
 ) -> Vec<Violation> {
+    check_file(pf, kinds, &BTreeSet::new())
+}
+
+/// Runs the lint over a whole tree. A dispatcher may hand a request to
+/// a *taker* — a function in a sibling file of the same crate whose
+/// signature carries both the responder context and the request, and
+/// whose body discharges on every path (a role struct's entry point).
+/// Takers are found per crate by iterating the per-file helper
+/// classification to a fixpoint, since one taker may rely on another
+/// (a push handler answering through the slots' `respond_version`). A
+/// name some definition of which does not discharge is never a taker.
+pub(crate) fn check_reply_all(
+    files: &[ParsedFile],
+    kinds: &BTreeMap<(String, String), MethodKind>,
+) -> Vec<Violation> {
+    let mut takers: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    for _ in 0..10 {
+        let mut next: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        let mut refuted: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+        for pf in files {
+            let known = takers.get(pf.crate_name()).cloned().unwrap_or_default();
+            let ctx = classify(pf, kinds, &known);
+            for f in &pf.fns {
+                if !(is_responder(&f.sig) && f.sig.contains("Message")) {
+                    continue;
+                }
+                let side = if ctx.discharging.contains(&f.name) { &mut next } else { &mut refuted };
+                side.entry(pf.crate_name().to_owned()).or_default().insert(f.name.clone());
+            }
+        }
+        for (krate, bad) in &refuted {
+            if let Some(good) = next.get_mut(krate) {
+                good.retain(|name| !bad.contains(name));
+            }
+        }
+        if next == takers {
+            break;
+        }
+        takers = next;
+    }
+    let none = BTreeSet::new();
+    files.iter().flat_map(|pf| check_file(pf, kinds, takers.get(pf.crate_name()).unwrap_or(&none))).collect()
+}
+
+/// Only responders are analyzed: a Ctx/Broker-typed parameter means the
+/// function can actually answer. Decoders are skipped.
+fn is_responder(sig: &str) -> bool {
+    sig.contains("Ctx") || sig.contains("Broker")
+}
+
+/// Classifies `pf`'s helpers, treating `takers` (names defined in other
+/// files; a local definition of the same name governs) as discharging.
+fn classify<'a>(
+    pf: &'a ParsedFile,
+    kinds: &'a BTreeMap<(String, String), MethodKind>,
+    takers: &BTreeSet<String>,
+) -> FileCtx<'a> {
+    let local: BTreeSet<&str> = pf.fns.iter().map(|f| f.name.as_str()).collect();
     let mut ctx = FileCtx {
         rel: &pf.rel,
         raw_lines: pf.raw.lines().collect(),
         blanked: &pf.stripped,
         kinds,
-        discharging: BTreeSet::new(),
+        discharging: takers.iter().filter(|t| !local.contains(t.as_str())).cloned().collect(),
     };
     ctx.helper_fixpoint(&pf.fns);
+    ctx
+}
 
+fn check_file(
+    pf: &ParsedFile,
+    kinds: &BTreeMap<(String, String), MethodKind>,
+    takers: &BTreeSet<String>,
+) -> Vec<Violation> {
+    let ctx = classify(pf, kinds, takers);
     let mut out = Vec::new();
     for f in &pf.fns {
-        // Only responders: a Ctx/Broker-typed parameter means this
-        // function can actually answer. Decoders are skipped.
-        if !(f.sig.contains("Ctx") || f.sig.contains("Broker")) {
+        if !is_responder(&f.sig) {
             continue;
         }
         let msg_param = message_param(&f.sig);
@@ -575,6 +640,49 @@ impl Demo {
     }
 }
 "#;
+
+    #[test]
+    fn a_taker_in_a_sibling_file_discharges_and_a_doubtful_one_does_not() {
+        let dispatch = r#"
+impl Demo {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+        match KvsMethod::from_method(msg.header.topic.method()) {
+            Some(KvsMethod::Get) => self.reads.lookup(ctx, msg),
+            Some(KvsMethod::Load) => self.reads.maybe(ctx, msg),
+            _ => {}
+        }
+    }
+}
+"#;
+        let role = r#"
+impl Reads {
+    pub(crate) fn lookup(&mut self, ctx: &mut ModuleCtx<'_>, req: &Message) {
+        if self.hit {
+            self.slots.answer(ctx, req);
+            return;
+        }
+        self.parked.push(req.clone());
+    }
+    pub(crate) fn maybe(&mut self, ctx: &mut ModuleCtx<'_>, req: &Message) {
+        if self.hit {
+            ctx.respond(req, Value::object());
+        }
+    }
+    fn answer(&self, ctx: &mut ModuleCtx<'_>, req: &Message) {
+        ctx.respond(req, Value::object());
+    }
+}
+"#;
+        let files = [
+            ParsedFile::parse("crates/modules/src/demo.rs", dispatch),
+            ParsedFile::parse("crates/modules/src/reads.rs", role),
+        ];
+        let v = check_reply_all(&files, &kind_table());
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].message.contains("KvsMethod::Load"), "{}", v[0]);
+        // Alone, the dispatcher cannot see the taker at all.
+        assert_eq!(check_reply(&files[0], &kind_table()).len(), 2);
+    }
 
     #[test]
     fn discharged_arms_are_clean() {

@@ -57,12 +57,12 @@ const MUTATIONS: &[Mutation] = &[
             })
         },
     },
-    // Shard safety: the push-join consumption compares against a bare
-    // integer, erasing the EINVAL wrong-master discrimination.
+    // Shard safety: the coordinator's join consumption compares against
+    // a bare integer, erasing the EINVAL wrong-master discrimination.
     Mutation {
         name: "einval-discrimination-erased",
         rule: "shard-safety",
-        file: "crates/kvs/src/module.rs",
+        file: "crates/kvs/src/coordinator.rs",
         apply: |src| {
             let pat = "msg.header.errnum == errnum::EINVAL";
             src.contains(pat)

@@ -212,35 +212,15 @@ pub fn decode_reply(msg: &Message) -> KvsReply {
             | KvsMethod::Push
             | KvsMethod::ShardPush,
         ) => {
-            // Sharded commits and fences answer with a per-shard
+            // N-shard commits and fences answer with a per-shard
             // frontier instead of one version.
-            if let Some(entries) = msg.payload.get("frontier").and_then(Value::as_array) {
-                let shards =
-                    msg.payload.get("shards").and_then(Value::as_uint).unwrap_or(0) as u32;
-                let entries = entries
-                    .iter()
-                    .map(|e| {
-                        (
-                            e.get("shard").and_then(Value::as_uint).unwrap_or(0) as u32,
-                            e.get("version").and_then(Value::as_uint).unwrap_or(0),
-                            e.get("root")
-                                .and_then(Value::as_str)
-                                .unwrap_or_default()
-                                .to_owned(),
-                        )
-                    })
-                    .collect();
+            let cut = crate::msg::decode_cut(&msg.payload);
+            if let Some(shards) = cut.shards {
+                let entries = cut.roots.into_iter().map(|r| (r.shard, r.version, r.root)).collect();
                 return KvsReply::Frontier { shards, entries };
             }
-            KvsReply::Version {
-                version: msg.payload.get("version").and_then(Value::as_uint).unwrap_or(0),
-                root: msg
-                    .payload
-                    .get("root")
-                    .and_then(Value::as_str)
-                    .unwrap_or_default()
-                    .to_owned(),
-            }
+            let only = cut.roots.into_iter().next().unwrap_or_default();
+            KvsReply::Version { version: only.version, root: only.root }
         }
         Some(KvsMethod::Get) => {
             if let Some(dir) = msg.payload.get("dir") {

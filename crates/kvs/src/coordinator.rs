@@ -1,0 +1,460 @@
+//! The commit / fence coordinator.
+//!
+//! A commit (at the committer's broker) and a completed fence (at the
+//! tree root) are the same job: split the write set by shard, apply the
+//! part this broker masters, send every other part toward its master,
+//! collect the acknowledged roots into a frontier, and answer once it is
+//! complete. One [`Join`] table serves both; a relayed `kvs.push` is a
+//! join whose single part arrived already encoded.
+//!
+//! How a remote part travels is this file's one selection
+//! ([`Coordinator::route`]), keyed on the session's shard count. With
+//! one shard it climbs the tree as `kvs.push`, every hop adopting the
+//! new root on the unwind — the paper's design, and on a ring overlay
+//! the only route that is not O(ranks) hops. With N shards it goes
+//! rank-addressed to its master as `kvs.shard.push`, and because a
+//! rank-addressed request can bounce off a blacked-out master or vanish
+//! with it, those parts are re-sent on the heartbeat.
+
+use crate::authority::Authority;
+use crate::master::Tuple;
+use crate::module::Replica;
+use crate::msg::{self, Objects, RootRef};
+use crate::shard;
+use flux_broker::ModuleCtx;
+use flux_hash::ObjectId;
+use flux_proto::{Event, KvsMethod};
+use flux_wire::{errnum, Message, MsgId, Payload, Rank};
+use std::collections::{BTreeMap, HashMap};
+
+/// One part of a join on its way to a master.
+struct Part {
+    /// `Some(master)`: rank-addressed `kvs.shard.push`; `None`:
+    /// `kvs.push` up the tree.
+    to: Option<Rank>,
+    payload: Payload,
+    /// The request in flight, if any. `None` is unsent or failed.
+    sent: Option<MsgId>,
+    /// Already in flight at the previous heartbeat.
+    stale: bool,
+}
+
+/// One commit or fence fan-out awaiting its masters' acknowledgements.
+#[derive(Default)]
+struct Join {
+    waiters: Vec<Message>,
+    /// The fence this join completes; `None` for a commit.
+    fence: Option<String>,
+    /// shard → root acknowledged so far.
+    frontier: BTreeMap<u32, RootRef>,
+    /// shard → part not yet acknowledged.
+    outstanding: BTreeMap<u32, Part>,
+}
+
+#[derive(Default)]
+pub(crate) struct Coordinator {
+    /// Deterministically ordered: the heartbeat retry iterates it.
+    joins: BTreeMap<u64, Join>,
+    next_join: u64,
+    /// Parts in flight: request id → (join, shard).
+    sent: HashMap<MsgId, (u64, u32)>,
+}
+
+impl Coordinator {
+    /// Selection 1 (module docs): where a part for `shard` goes and how
+    /// its batch is spelled on that route.
+    fn route(
+        shards: u32,
+        shard: u32,
+        fence: Option<&str>,
+        tuples: &[Tuple],
+        objects: &Objects,
+    ) -> Part {
+        let (to, tag) = if shard::sharded(shards) {
+            (Some(shard::master_of(shard)), Some(shard))
+        } else {
+            (None, None)
+        };
+        let payload = msg::push_payload(tag, fence, tuples, objects).into();
+        Part { to, payload, sent: None, stale: false }
+    }
+
+    /// Coordinates one write set: `waiters` are answered with the cut it
+    /// produced. An all-empty set still bumps shard 0, so a no-op commit
+    /// or fence advances the version whatever the shard count.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn start(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        rep: &mut Replica,
+        authority: &mut Authority,
+        waiters: Vec<Message>,
+        tuples: Vec<Tuple>,
+        objects: Objects,
+        fence: Option<&str>,
+    ) {
+        let parts = shard::partition_tuples(tuples, rep.slots.shards());
+        let any = parts.iter().any(|p| !p.is_empty());
+        // Each part travels with exactly the value objects its tuples
+        // name. The shared map is dropped before anything applies, so
+        // the local part moves its objects into the cache, not copies.
+        let parts: Vec<(u32, Vec<Tuple>, Objects)> = parts
+            .into_iter()
+            .enumerate()
+            .filter(|(s, part)| !part.is_empty() || (!any && *s == 0))
+            .map(|(s, part)| {
+                let objs = part
+                    .iter()
+                    .filter_map(|(_, id)| {
+                        id.and_then(|id| objects.get(&id).map(|obj| (id, obj.clone())))
+                    })
+                    .collect();
+                (s as u32, part, objs)
+            })
+            .collect();
+        drop(objects);
+        let mut join = Join { waiters, fence: fence.map(str::to_owned), ..Join::default() };
+        for (s, part, objs) in parts {
+            if rep.slots.masters(s) {
+                join.frontier.insert(s, authority.apply(ctx, rep, &part, objs, fence));
+            } else {
+                join.outstanding.insert(s, Self::route(rep.slots.shards(), s, fence, &part, &objs));
+            }
+        }
+        self.launch(ctx, rep, join);
+    }
+
+    /// Relays a `kvs.push` one hop further up the tree; the answer's
+    /// root is adopted here before it unwinds to `msg`'s sender, so
+    /// every broker on the path is at least as new as the committer.
+    pub(crate) fn relay(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica, msg: &Message) {
+        let part = Part { to: None, payload: msg.payload.clone(), sent: None, stale: false };
+        let outstanding = BTreeMap::from([(0, part)]);
+        let join = Join { waiters: vec![msg.clone()], outstanding, ..Join::default() };
+        self.launch(ctx, rep, join);
+    }
+
+    fn launch(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica, join: Join) {
+        self.next_join += 1;
+        let key = self.next_join;
+        let shards: Vec<u32> = join.outstanding.keys().copied().collect();
+        self.joins.insert(key, join);
+        for s in shards {
+            self.send(ctx, key, s);
+        }
+        self.finish_if_complete(ctx, rep, key);
+    }
+
+    /// (Re-)sends one part. A rank-addressed part forgets the copy in
+    /// flight first: masters answer a duplicated fence part from their
+    /// memo, and re-applying an identical commit part onto the same
+    /// tree yields the same root. A tree-relayed part in flight is owned
+    /// by the next hop and never re-sent.
+    fn send(&mut self, ctx: &mut ModuleCtx<'_>, key: u64, shard: u32) {
+        let Some(part) = self.joins.get_mut(&key).and_then(|j| j.outstanding.get_mut(&shard))
+        else {
+            return;
+        };
+        part.stale = false;
+        let payload = part.payload.clone();
+        match part.to {
+            Some(master) => {
+                if let Some(old) = part.sent.take() {
+                    ctx.forget_request(old);
+                    self.sent.remove(&old);
+                }
+                let id = ctx.request_to_rank(master, KvsMethod::ShardPush.topic(), payload);
+                self.sent.insert(id, (key, shard));
+                part.sent = Some(id);
+            }
+            None if part.sent.is_some() => {}
+            None => match ctx.request_upstream(KvsMethod::Push.topic(), payload) {
+                Ok(id) => {
+                    self.sent.insert(id, (key, shard));
+                    part.sent = Some(id);
+                }
+                Err(e) => self.fail(ctx, key, e),
+            },
+        }
+    }
+
+    /// Claims `msg` if it answers a part; returns whether it did.
+    pub(crate) fn handle_response(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        rep: &mut Replica,
+        msg: &Message,
+    ) -> bool {
+        let Some((key, shard)) = self.sent.remove(&msg.header.id) else { return false };
+        if msg.is_error() {
+            if msg.header.errnum == errnum::EINVAL {
+                // The master refused the part (wrong master, malformed
+                // batch): re-sending it can never succeed, so the join
+                // fails as a whole. Parts already applied stay applied
+                // (the client's history treats an errored commit as
+                // staged-uncertain).
+                self.fail(ctx, key, msg.header.errnum);
+            } else if let Some(part) =
+                self.joins.get_mut(&key).and_then(|j| j.outstanding.get_mut(&shard))
+            {
+                // Transient (e.g. the master is blacked out): the next
+                // heartbeat re-sends it. The join stays pending — never
+                // answered with a missing shard.
+                part.sent = None;
+            }
+            return true;
+        }
+        let ack = msg::decode_cut(&msg.payload).roots.into_iter().next().unwrap_or_default();
+        if let Ok(root) = ObjectId::from_hex(&ack.root) {
+            // Read-your-writes: adopt the new root before any waiter
+            // can be answered.
+            rep.slots.apply_root(ctx, shard, ack.version, root);
+        }
+        if let Some(join) = self.joins.get_mut(&key) {
+            join.outstanding.remove(&shard);
+            join.frontier.insert(shard, RootRef { shard, ..ack });
+        }
+        self.finish_if_complete(ctx, rep, key);
+        true
+    }
+
+    /// Every part acknowledged: a fence is announced with one
+    /// `kvs.setroot` carrying the whole cut (every broker adopts it,
+    /// then releases its own waiters), and the local waiters get the cut.
+    fn finish_if_complete(&mut self, ctx: &mut ModuleCtx<'_>, rep: &Replica, key: u64) {
+        if self.joins.get(&key).is_some_and(|j| !j.outstanding.is_empty()) {
+            return;
+        }
+        let Some(join) = self.joins.remove(&key) else { return };
+        let cut: Vec<RootRef> = join.frontier.into_values().collect();
+        if let Some(name) = &join.fence {
+            ctx.publish(Event::KvsSetroot.topic(), rep.slots.spelling().fence_event(&cut, name));
+        }
+        let reply = Payload::from(rep.slots.spelling().cut_reply(&cut));
+        for req in &join.waiters {
+            ctx.respond(req, reply.clone());
+        }
+    }
+
+    /// Fails join `key` with `errnum`. Waiters of a fence parked on
+    /// other brokers are failed through the broadcast, mirroring the
+    /// release path.
+    fn fail(&mut self, ctx: &mut ModuleCtx<'_>, key: u64, errnum: u32) {
+        let Some(join) = self.joins.remove(&key) else { return };
+        for part in join.outstanding.values() {
+            if let Some(id) = part.sent {
+                self.sent.remove(&id);
+            }
+        }
+        for req in &join.waiters {
+            ctx.respond_err(req, errnum);
+        }
+        if let Some(name) = &join.fence {
+            ctx.publish(Event::KvsSetroot.topic(), msg::fence_failed_event(name, errnum));
+        }
+    }
+
+    /// Re-sends every part that is unsent, failed, or was already in
+    /// flight at the previous heartbeat; a part merely in flight is left
+    /// alone for one more period, so a healthy commit is applied once.
+    pub(crate) fn on_heartbeat(&mut self, ctx: &mut ModuleCtx<'_>) {
+        let mut due = Vec::new();
+        for (key, join) in &mut self.joins {
+            for (shard, part) in &mut join.outstanding {
+                if part.sent.is_none() || part.stale {
+                    due.push((*key, *shard));
+                } else {
+                    part.stale = true;
+                }
+            }
+        }
+        for (key, shard) in due {
+            self.send(ctx, key, shard);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::object::KvsObject;
+    use crate::shard::key_on_shard;
+    use crate::testutil::{messages, request, with_ctx};
+    use flux_value::Value;
+    use std::sync::Arc;
+
+    struct Fixture {
+        co: Coordinator,
+        auth: Authority,
+        rep: Replica,
+    }
+
+    fn broker(shards: u32, mine: Option<u32>) -> Fixture {
+        let mut rep = Replica::new(shards);
+        rep.slots.start(shards, mine);
+        Fixture { co: Coordinator::default(), auth: Authority::default(), rep }
+    }
+
+    /// One put per key, each with its own value object.
+    fn writes(keys: &[String]) -> (Vec<Tuple>, Objects) {
+        let mut objects = Objects::new();
+        let tuples = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| {
+                let obj = KvsObject::Val(Value::Int(i as i64));
+                let id = obj.id();
+                objects.insert(id, Arc::new(obj));
+                (k.clone(), Some(id))
+            })
+            .collect();
+        (tuples, objects)
+    }
+
+    impl Fixture {
+        fn start(
+            &mut self,
+            ctx: &mut ModuleCtx<'_>,
+            req: &Message,
+            keys: &[String],
+            fence: Option<&str>,
+        ) {
+            let (tuples, objects) = writes(keys);
+            self.co.start(
+                ctx,
+                &mut self.rep,
+                &mut self.auth,
+                vec![req.clone()],
+                tuples,
+                objects,
+                fence,
+            );
+        }
+    }
+
+    fn ack(to: &Message, version: u64) -> Message {
+        let root = KvsObject::Val(Value::Int(version as i64)).id().to_hex();
+        Message::response_to(
+            to,
+            Value::from_pairs([
+                ("version", Value::from(version as i64)),
+                ("root", Value::from(root)),
+            ]),
+        )
+    }
+
+    #[test]
+    fn one_shard_commit_is_one_untagged_push_up_the_tree() {
+        let req = request(KvsMethod::Commit, Value::object());
+        let keys = vec!["a.b".to_owned(), "c".to_owned()];
+        let (f, outs) = with_ctx(2, 3, move |ctx| {
+            let mut f = broker(1, None);
+            f.start(ctx, &req, &keys, None);
+            f
+        });
+        assert_eq!(f.co.joins.len(), 1, "parked until the master answers");
+        let sent = messages(&outs);
+        assert_eq!(sent.len(), 1);
+        assert_eq!(sent[0].header.topic.as_str(), KvsMethod::Push.topic_str());
+        assert_eq!(sent[0].header.dst, None, "tree-routed");
+        assert!(sent[0].payload.get("shard").is_none());
+        assert_eq!(msg::tuples_from_value(sent[0].payload.get("tuples")).map(|t| t.len()), Some(2));
+    }
+
+    #[test]
+    fn three_shard_commit_applies_its_own_part_and_addresses_the_rest() {
+        let req = request(KvsMethod::Commit, Value::object());
+        let keys: Vec<String> = (0..3).map(|s| key_on_shard("co.k", s, 3)).collect();
+        let (f, outs) = with_ctx(1, 4, move |ctx| {
+            let mut f = broker(3, Some(1));
+            f.start(ctx, &req, &keys, None);
+            f
+        });
+        assert_eq!(f.rep.slots.version(1), 1, "the locally mastered part applied inline");
+        let pushes: Vec<_> = messages(&outs)
+            .into_iter()
+            .filter(|m| m.header.topic.as_str() == KvsMethod::ShardPush.topic_str())
+            .collect();
+        let routed: Vec<_> = pushes
+            .iter()
+            .map(|m| (m.header.dst.map(|r| r.0), m.payload.get("shard").and_then(Value::as_uint)))
+            .collect();
+        assert_eq!(routed, vec![(Some(0), Some(0)), (Some(2), Some(2))]);
+        for p in &pushes {
+            assert_eq!(msg::tuples_from_value(p.payload.get("tuples")).map(|t| t.len()), Some(1));
+            assert_eq!(msg::objects_from_value(p.payload.get("objects")).map(|o| o.len()), Some(1));
+        }
+    }
+
+    #[test]
+    fn frontier_assembles_in_shard_order_whatever_the_ack_order() {
+        let req = request(KvsMethod::Commit, Value::object());
+        let req_id = req.header.id;
+        let keys: Vec<String> = (0..3).map(|s| key_on_shard("co.k", s, 3)).collect();
+        let (_, outs) = with_ctx(3, 4, move |ctx| {
+            let mut f = broker(3, None);
+            f.start(ctx, &req, &keys, None);
+            let mut ids: Vec<(u32, MsgId)> =
+                f.co.sent.iter().map(|(id, (_, s))| (*s, *id)).collect();
+            ids.sort();
+            for (shard, id) in ids.into_iter().rev() {
+                let mut push = request(KvsMethod::ShardPush, Value::object());
+                push.header.id = id;
+                assert!(f.co.handle_response(ctx, &mut f.rep, &ack(&push, u64::from(shard) + 10)));
+            }
+            assert!(f.co.joins.is_empty());
+            assert_eq!(f.rep.slots.version(2), 12, "acknowledged roots are adopted");
+        });
+        let reply = messages(&outs)
+            .into_iter()
+            .find(|m| m.header.id == req_id)
+            .expect("committer answered");
+        let cut = msg::decode_cut(&reply.payload);
+        assert_eq!(cut.shards, Some(3));
+        let order: Vec<_> = cut.roots.iter().map(|r| (r.shard, r.version)).collect();
+        assert_eq!(order, vec![(0, 10), (1, 11), (2, 12)]);
+    }
+
+    #[test]
+    fn einval_fails_the_join_and_other_errors_mark_the_part_for_retry() {
+        let (refused, retried) = (
+            request(KvsMethod::Commit, Value::object()),
+            request(KvsMethod::Commit, Value::object()),
+        );
+        let refused_id = refused.header.id;
+        let keys = vec![key_on_shard("co.k", 1, 2)];
+        let (_, outs) = with_ctx(0, 3, move |ctx| {
+            let mut f = broker(2, Some(0));
+            for (req, code) in [(&retried, errnum::EHOSTDOWN), (&refused, errnum::EINVAL)] {
+                f.start(ctx, req, &keys, None);
+                let (&id, &(key, _)) = f.co.sent.iter().next().expect("one part in flight");
+                let mut push = request(KvsMethod::ShardPush, Value::object());
+                push.header.id = id;
+                assert!(f.co.handle_response(
+                    ctx,
+                    &mut f.rep,
+                    &Message::error_response_to(&push, code)
+                ));
+                assert_eq!(f.co.joins.contains_key(&key), code != errnum::EINVAL);
+                assert!(f.co.sent.is_empty());
+            }
+            // The transiently failed part goes out again on the next
+            // heartbeat — and only once: merely in flight, it then waits
+            // a full period before it counts as lost.
+            f.co.on_heartbeat(ctx);
+            assert_eq!(f.co.sent.len(), 1);
+            let first = *f.co.sent.keys().next().expect("re-sent");
+            f.co.on_heartbeat(ctx);
+            assert!(f.co.sent.contains_key(&first), "in flight for less than a period: left alone");
+            f.co.on_heartbeat(ctx);
+            assert!(!f.co.sent.contains_key(&first), "in flight for a whole period: re-sent");
+            assert_eq!(f.co.sent.len(), 1);
+        });
+        let failed: Vec<_> = messages(&outs)
+            .into_iter()
+            .filter(|m| m.is_error())
+            .map(|m| (m.header.id, m.header.errnum))
+            .collect();
+        assert_eq!(failed, vec![(refused_id, errnum::EINVAL)]);
+    }
+}

@@ -32,18 +32,35 @@
 //! fault-in through the slave-cache chain — whole objects only, which is
 //! the Fig. 4 single-directory effect), `get_version`, `wait_version`,
 //! `watch`, `unlink`, and `dir`.
-
+//!
+//! ## Layout
+//!
+//! The namespace can be split by key hash across several masters
+//! ([`shard`]; [`KvsConfig::shards`]); the paper's single master is the
+//! one-shard case of the same code. [`KvsModule`] is a dispatcher over
+//! role structs that each own one piece of state — `slots` (per-shard
+//! roots), `authority` (the master's apply), `coordinator` (commit and
+//! fence fan-out), `fence` (the tree reduction), `reads` and `watch`
+//! (lookups, fault-in, watchers) — and [`msg`] is the only code that
+//! knows the wire shapes. The module's own docs hold the role map.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+mod authority;
 pub mod client;
+mod coordinator;
+mod fence;
 pub mod history;
 mod master;
 mod module;
+pub mod msg;
 mod object;
 mod path;
+mod reads;
 pub mod shard;
+mod slots;
 mod store;
+mod watch;
 
 pub use master::{apply_tuples, resolve};
 pub use module::{KvsConfig, KvsModule};
@@ -53,3 +70,64 @@ pub use store::{CacheStats, ObjectCache};
 
 #[cfg(test)]
 mod proptests;
+/// Unit-test scaffolding: a live [`ModuleCtx`] without a session.
+///
+/// The role structs take `&mut ModuleCtx`, which only a broker can
+/// mint. [`with_ctx`] hosts a closure as the sole comms module of one
+/// stand-alone broker, runs it once, and hands back what it returned
+/// plus everything the broker emitted on its behalf.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use flux_broker::{Broker, BrokerConfig, CommsModule, Input, ModuleCtx, Output};
+    use flux_proto::KvsMethod;
+    use flux_value::Value;
+    use flux_wire::{Message, MsgId, Rank};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
+
+    type Job = Box<dyn FnOnce(&mut ModuleCtx<'_>) + Send>;
+
+    struct Probe(Option<Job>);
+
+    impl CommsModule for Probe {
+        fn name(&self) -> &'static str {
+            "kvs"
+        }
+        fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, _msg: &Message) {
+            if let Some(job) = self.0.take() {
+                job(ctx);
+            }
+        }
+    }
+
+    /// Runs `f` inside the broker at `rank` of a `size`-wide session
+    /// (binary tree, no peers attached: sends surface as outputs).
+    pub(crate) fn with_ctx<R, F>(rank: u32, size: u32, f: F) -> (R, Vec<Output>)
+    where
+        R: Send + 'static,
+        F: FnOnce(&mut ModuleCtx<'_>) -> R + Send + 'static,
+    {
+        let (tx, rx) = mpsc::channel();
+        let job: Job = Box::new(move |ctx| tx.send(f(ctx)).expect("result receiver alive"));
+        let mut broker = Broker::new(BrokerConfig::new(Rank(rank), size), vec![Box::new(Probe(Some(job)))]);
+        broker.start(0);
+        let kick = request(KvsMethod::Stats, Value::object());
+        let outs = broker.handle(0, Input::FromClient { client: 0, msg: kick });
+        (rx.recv().expect("probe ran"), outs)
+    }
+
+    /// A request as a local client would have sent it: unique id, one
+    /// client hop, so `ctx.respond` surfaces as [`Output::ToClient`].
+    pub(crate) fn request(method: KvsMethod, payload: Value) -> Message {
+        static SEQ: AtomicU64 = AtomicU64::new(1);
+        let id = MsgId { origin: Rank(9_999), seq: SEQ.fetch_add(1, Ordering::Relaxed) };
+        let mut msg = Message::request(method.topic(), id, Rank(9_999), payload);
+        msg.header.hops.push(Rank::client_hop(7));
+        msg
+    }
+
+    /// The messages among `outs` (responses, sends, events), in order.
+    pub(crate) fn messages(outs: &[Output]) -> Vec<&Message> {
+        outs.iter().filter_map(Output::message).collect()
+    }
+}

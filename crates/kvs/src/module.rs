@@ -1,4 +1,5 @@
-//! The `kvs` comms module: master on rank 0, caching slave elsewhere.
+//! The `kvs` comms module: one instance per broker, every instance the
+//! same code.
 //!
 //! Protocol topics (all under the `kvs` service):
 //!
@@ -19,26 +20,43 @@
 //! | `kvs.unwatch`      | `{k}`                                 | cancel this requester's watch |
 //! | `kvs.stats`        | `{}`                                  | cache statistics (tooling) |
 //!
-//! With `shards = N > 1` the namespace splits across N masters (ranks
-//! `0..N`, one hash-tree root / version stream / batching window each;
-//! see [`crate::shard`]). Commits partition by key hash and go
-//! rank-addressed to the owning masters; the response is a **frontier**
-//! (`{shards, frontier: [{shard, version, root}…]}`). Fences still
-//! reduce up the tree, but the root then fans the merged batch out to
-//! every contributing shard master and only releases waiters once all
-//! contributions committed — the cross-shard fence frontier protocol.
+//! The namespace is split by key hash across `shards` masters (ranks
+//! `0..shards`, one hash-tree root / version stream / batching window
+//! each; see [`crate::shard`]). The paper's single master is the
+//! one-shard case — one slot, mastered by the tree root — and runs the
+//! same code as N shards. This file only decodes requests and routes
+//! them to the role structs that own the state:
+//!
+//! | role | file | owns |
+//! |------|------|------|
+//! | slots | `slots.rs` | per-shard root, version, `wait_version` parking lot, lookup memo; the only root switch |
+//! | master | `authority.rs` | push dedup, the batch window, the applied-fence memo; the one apply |
+//! | coordinator | `coordinator.rs` | the join table of commits and fence fan-outs, part routing and retry |
+//! | fence | `fence.rs` | the tree reduction of fence contributions |
+//! | reads | `reads.rs`, `watch.rs` | walks, fault-in and its retry, load-reply memo, watchers |
+//!
+//! [`crate::msg`] is the only code that knows how any of it is spelled
+//! on the wire. The shard count decides two things and nothing else: how
+//! a write part travels to a master that is not this broker
+//! (`coordinator.rs`) and which of the two wire spellings is spoken
+//! (`msg.rs`).
 
-use crate::master::{apply_tuples, Tuple};
+use crate::authority::{Authority, BATCH_TOKEN};
+use crate::coordinator::Coordinator;
+use crate::fence::{FenceAcc, FenceTree};
+use crate::master::Tuple;
+use crate::msg::{self, Objects};
 use crate::object::KvsObject;
 use crate::path::validate_key;
-use crate::shard;
+use crate::reads::Reads;
+use crate::slots::Slots;
 use crate::store::ObjectCache;
 use flux_broker::{CommsModule, ModuleCtx};
 use flux_hash::ObjectId;
 use flux_proto::{Event, KvsMethod};
-use flux_value::{Map, Value};
-use flux_wire::{errnum, Message, MsgId, Payload};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use flux_value::Value;
+use flux_wire::{errnum, Message, Payload, Rank};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// KVS tuning knobs.
@@ -55,13 +73,12 @@ pub struct KvsConfig {
     /// re-introduce the historical fence/push double-apply bug and prove
     /// the explorer still catches that bug class.
     pub dedup: bool,
-    /// Master-side commit batching window: concurrent `kvs.push`
-    /// requests arriving within this window coalesce into **one**
-    /// hash-tree walk, one version bump, and one `kvs.setroot`
-    /// broadcast (tuples concatenate in arrival order, so the result
-    /// equals applying them sequentially; content-addressed objects
-    /// dedup in the merge). `0` disables batching — every push applies
-    /// immediately, the pre-batching behaviour.
+    /// Master-side commit batching window: concurrent pushes arriving
+    /// within this window coalesce into **one** hash-tree walk, one
+    /// version bump, and one `kvs.setroot` broadcast (tuples concatenate
+    /// in arrival order, so the result equals applying them
+    /// sequentially; content-addressed objects dedup in the merge). `0`
+    /// disables batching — every push applies immediately.
     pub batch_window_ns: u64,
     /// Pushes parked in the batch before it flushes without waiting for
     /// the window timer.
@@ -69,25 +86,15 @@ pub struct KvsConfig {
     /// Slave-side key→object lookup memo: a successful `kvs.get`
     /// resolution is remembered and served directly (no tree walk)
     /// until the root changes. Invalidated on every root switch — the
-    /// same `apply_root` path that wakes `wait_version` waiters, so a
-    /// get after `wait_version` can never see a stale memo.
+    /// same path that wakes `wait_version` waiters, so a get after
+    /// `wait_version` can never see a stale memo.
     pub lookup_cache: bool,
-    /// Number of namespace shards. `1` (the default) is the classic
-    /// single-master KVS and takes exactly the legacy code paths.
-    /// `N > 1` splits the namespace by key hash across masters on ranks
-    /// `0..N` (the session must be at least `N` brokers wide; the value
-    /// is clamped to the session size on start).
+    /// Number of namespace shards: the namespace splits by key hash
+    /// across masters on ranks `0..shards` (clamped to the session size
+    /// on start). `1` (the default) is the paper's single master at the
+    /// tree root — the one-shard case of the same code, not a separate
+    /// path.
     pub shards: u32,
-    /// Maximum concurrent per-shard pushes one commit fans out
-    /// (`0` = unbounded). Lower values trade commit latency for bounded
-    /// burst load on the shard masters.
-    pub write_fanout: usize,
-    /// Layered read path: `true` (default) faults objects up the tree —
-    /// every ancestor is an L1 cache tier, and the root forwards
-    /// rank-addressed to the owning shard master. `false` makes slaves
-    /// fault straight from the shard master (read–write separated, no
-    /// intermediate tiers).
-    pub read_through_tree: bool,
 }
 
 impl Default for KvsConfig {
@@ -100,19 +107,13 @@ impl Default for KvsConfig {
             batch_max: 64,
             lookup_cache: true,
             shards: 1,
-            write_fanout: 0,
-            read_through_tree: true,
         }
     }
 }
 
 /// A requester identity local to this broker: the bottom hop entry
 /// (client hop for local clients, absent for module-local requests).
-type Requester = Option<flux_wire::Rank>;
-
-/// One `kvs.push` parked at the master awaiting a coalesced apply:
-/// the request to answer, its tuples, and its value objects.
-type ParkedPush = (Message, Vec<Tuple>, BTreeMap<ObjectId, Arc<KvsObject>>);
+type Requester = Option<Rank>;
 
 fn requester_of(msg: &Message) -> Requester {
     msg.header.hops.first().copied()
@@ -122,206 +123,32 @@ fn requester_of(msg: &Message) -> Requester {
 #[derive(Default)]
 struct PendingWrites {
     tuples: Vec<Tuple>,
-    objects: BTreeMap<ObjectId, Arc<KvsObject>>,
+    objects: Objects,
 }
 
-/// Per-shard replicated state: one independent root, version stream,
-/// `wait_version` parking lot, and lookup memo. Slot 0 doubles as the
-/// classic single-master state when `shards == 1`.
-struct ShardSlot {
-    version: u64,
-    root: ObjectId,
-    version_waiters: Vec<(u64, Message)>,
-    /// `(key, want_dir)` → resolved object id, valid for this slot's
-    /// current root only (cleared on every root switch).
-    lookup: HashMap<(String, bool), ObjectId>,
+/// This broker's copy of the store: the content-addressed objects it
+/// holds and the per-shard roots it has adopted.
+pub(crate) struct Replica {
+    pub(crate) cache: ObjectCache,
+    pub(crate) slots: Slots,
 }
 
-impl ShardSlot {
-    fn new(root: ObjectId) -> ShardSlot {
-        ShardSlot { version: 0, root, version_waiters: Vec::new(), lookup: HashMap::new() }
+impl Replica {
+    pub(crate) fn new(shards: u32) -> Replica {
+        Replica { cache: ObjectCache::new(), slots: Slots::new(shards) }
     }
 }
 
-/// One sharded commit in flight: per-shard pushes fan out (bounded by
-/// `write_fanout`) and the committer is answered with the assembled
-/// frontier once every shard acknowledged.
-struct CommitJoin {
-    req: Message,
-    /// shard → `(version, root hex)` acknowledged so far.
-    frontier: BTreeMap<u32, (u64, String)>,
-    /// shard → (push payload, in-flight request id). `None` means not
-    /// yet sent (write fan-out throttle) or transiently failed; the
-    /// pump and the heartbeat (re-)send. Applying an identical tuple
-    /// batch twice yields the same root, so a retried push whose first
-    /// copy actually landed is harmless.
-    outstanding: BTreeMap<u32, (Value, Option<MsgId>)>,
-}
-
-/// One cross-shard fence at the root coordinator: the merged batch,
-/// partitioned per shard, fans out to the shard masters; waiters are
-/// released only when **all** contributing shards committed (the
-/// frontier is complete). Keyed deterministically (BTreeMap) because
-/// the heartbeat retry loop iterates it.
-struct FenceJoin {
-    waiters: Vec<Message>,
-    /// shard → `(version, root hex)` committed so far.
-    frontier: BTreeMap<u32, (u64, String)>,
-    /// shard → (push payload, in-flight request id). `None` after an
-    /// error (e.g. the master is blacked out); the heartbeat re-sends.
-    outstanding: BTreeMap<u32, (Value, Option<MsgId>)>,
-}
-
-/// One parked lookup walking the hash tree.
-struct Walk {
-    kind: WalkKind,
-    components: Vec<String>,
-    /// Next component index to consume.
-    idx: usize,
-    /// Object id to load next.
-    cur: ObjectId,
-    /// Directory listing requested instead of a value.
-    want_dir: bool,
-    /// Store version the walk started under. A walk can park on a
-    /// fault-in and resume after a root switch; its (correct, but old)
-    /// resolution must then not poison the lookup memo.
-    version: u64,
-    /// Shard whose tree this walk descends (0 when unsharded).
-    shard: u32,
-}
-
-enum WalkKind {
-    /// Answer this request with the final value.
-    Get(Message),
-    /// Re-check a watcher after a root switch.
-    WatchCheck(u64),
-}
-
-/// How a walk ended.
-enum WalkEnd {
-    Value(Value),
-    DirListing(Value),
-    Err(u32),
-}
-
-struct Watcher {
-    req: Message,
-    key: String,
-    requester: Requester,
-    last: Option<Value>,
-    /// Shard owning the watched key: only that slot's root switches
-    /// re-walk this watcher.
-    shard: u32,
-}
-
-/// Fence accumulation state at one broker.
-#[derive(Default)]
-struct FenceAcc {
-    nprocs: u64,
-    /// Total contributions seen here (at the master: session-wide total).
-    count: u64,
-    /// Contributions not yet flushed upstream (slaves only).
-    unflushed_count: u64,
-    tuples: Vec<Tuple>,
-    objects: BTreeMap<ObjectId, Arc<KvsObject>>,
-    /// Local client fence requests awaiting completion.
-    waiters: Vec<Message>,
-    /// Local requesters that already contributed: a process fencing the
-    /// same name twice must not count as two of `nprocs` participants.
-    contributors: HashSet<Requester>,
-    /// `(source rank, batch id)` of child batches already merged here:
-    /// a transport-duplicated `kvs.fence.up` frame must not double-count
-    /// its contributions and complete the fence early.
-    seen_batches: HashSet<(u32, u64)>,
-    /// A flush window timer is pending.
-    window_armed: bool,
-}
-
-/// The KVS comms module. Instantiate one per broker; the instance on
-/// rank 0 becomes the master automatically.
+/// The KVS comms module. Instantiate one per broker; the instances on
+/// ranks `0..shards` become the shard masters automatically.
 pub struct KvsModule {
     cfg: KvsConfig,
-    cache: ObjectCache,
-    master: bool,
-    /// The shard this broker masters (`rank < shards`), if any. In an
-    /// unsharded session the root holds `Some(0)`.
-    master_shard: Option<u32>,
-    /// Per-shard root/version/waiter/memo state; exactly one slot when
-    /// unsharded.
-    slots: Vec<ShardSlot>,
+    rep: Replica,
+    authority: Authority,
+    coordinator: Coordinator,
+    fence: FenceTree,
+    reads: Reads,
     pending: HashMap<Requester, PendingWrites>,
-    walks: HashMap<u64, Walk>,
-    next_walk: u64,
-    /// Object id → (walks parked on it, child `kvs.load` requests for it).
-    load_waiters: HashMap<ObjectId, (Vec<u64>, Vec<Message>)>,
-    /// Outstanding upstream load RPCs: response id → (object id, shard
-    /// whose tree wants it).
-    inflight_loads: HashMap<MsgId, (ObjectId, u32)>,
-    /// Sharded loads that failed transiently (e.g. the shard master is
-    /// blacked out): retried on the next heartbeat instead of reporting
-    /// a false ENOENT, preserving monotonic reads across restarts.
-    load_retries: Vec<(ObjectId, u32)>,
-    /// Outstanding relayed pushes: our upstream request id → the original
-    /// request to answer when the response unwinds.
-    push_relays: HashMap<MsgId, Message>,
-    /// Sharded commits awaiting their per-shard acknowledgements.
-    commit_joins: BTreeMap<u64, CommitJoin>,
-    next_join: u64,
-    /// Outstanding `kvs.shard.push` requests of commits: response id →
-    /// (commit join, shard).
-    push_joins: HashMap<MsgId, (u64, u32)>,
-    /// Cross-shard fences fanning out at the root coordinator.
-    fence_joins: BTreeMap<String, FenceJoin>,
-    /// Outstanding fence `kvs.shard.push` requests: response id →
-    /// (fence name, shard).
-    fence_push_joins: HashMap<MsgId, (String, u32)>,
-    /// Shard-master memo of applied fence batches: fence name →
-    /// (version, root hex). A root-side retry (its first push or our
-    /// reply was lost in a blackout window) is answered from here
-    /// instead of double-applying. Bounded FIFO.
-    fence_applied: HashMap<String, (u64, String)>,
-    fence_applied_order: VecDeque<String>,
-    fences: HashMap<String, FenceAcc>,
-    /// Fence window timer tokens.
-    fence_tokens: HashMap<u64, String>,
-    /// Monotonic id stamped on every flushed fence batch, so parents can
-    /// recognise (and discard) transport-duplicated batches.
-    next_fence_batch: u64,
-    /// Recently handled `kvs.push` request ids, so a transport-duplicated
-    /// push frame is applied (and relayed) at most once. Bounded FIFO.
-    seen_pushes: HashSet<MsgId>,
-    seen_push_order: VecDeque<MsgId>,
-    next_token: u64,
-    /// Watchers in a deterministic (BTreeMap) order: root switches
-    /// re-walk them in insertion-id order, never HashMap order.
-    watchers: BTreeMap<u64, Watcher>,
-    next_watcher: u64,
-    /// Commits applied at the master (for stats/tests). With batching,
-    /// one application may cover many coalesced pushes.
-    commits_applied: u64,
-    /// Master-side push batch: parked `(request, tuples, objects)`
-    /// entries awaiting one coalesced hash-tree walk.
-    batch: Vec<ParkedPush>,
-    /// Request ids currently parked in `batch`: a transport-duplicated
-    /// push whose original is still parked must be dropped (the parked
-    /// copy carries the reply obligation) rather than answered with the
-    /// current — pre-apply — version.
-    batch_ids: HashSet<MsgId>,
-    /// A batch flush window timer is pending.
-    batch_armed: bool,
-    /// Timer tokens that mean "flush the push batch".
-    batch_tokens: HashSet<u64>,
-    /// Pushes that went through the batch path (stats/tests).
-    pushes_batched: u64,
-    /// Lookup-memo hits (stats/tests; the memos live in the slots).
-    lookup_hits: u64,
-    /// Serialized `kvs.load` reply payloads by object id. Objects are
-    /// content-addressed and immutable, so a reply built once is valid
-    /// forever; memoizing it turns the per-child re-serialization of a
-    /// fan-out (each level of the cache chain answering every child with
-    /// a fresh `to_value` of the same directory) into one build plus
-    /// refcount bumps. Capped to bound memory on long-lived brokers.
-    load_replies: HashMap<ObjectId, Payload>,
 }
 
 impl KvsModule {
@@ -332,71 +159,15 @@ impl KvsModule {
 
     /// Creates a module with explicit tuning.
     pub fn with_config(cfg: KvsConfig) -> KvsModule {
-        let cache = ObjectCache::new();
-        let root = KvsObject::empty_dir().id();
-        let slots = (0..cfg.shards.max(1)).map(|_| ShardSlot::new(root)).collect();
         KvsModule {
             cfg,
-            cache,
-            master: false,
-            master_shard: None,
-            slots,
+            rep: Replica::new(cfg.shards),
+            authority: Authority::default(),
+            coordinator: Coordinator::default(),
+            fence: FenceTree::default(),
+            reads: Reads::new(cfg.lookup_cache),
             pending: HashMap::new(),
-            walks: HashMap::new(),
-            next_walk: 0,
-            load_waiters: HashMap::new(),
-            inflight_loads: HashMap::new(),
-            load_retries: Vec::new(),
-            push_relays: HashMap::new(),
-            commit_joins: BTreeMap::new(),
-            next_join: 0,
-            push_joins: HashMap::new(),
-            fence_joins: BTreeMap::new(),
-            fence_push_joins: HashMap::new(),
-            fence_applied: HashMap::new(),
-            fence_applied_order: VecDeque::new(),
-            fences: HashMap::new(),
-            fence_tokens: HashMap::new(),
-            next_fence_batch: 0,
-            seen_pushes: HashSet::new(),
-            seen_push_order: VecDeque::new(),
-            next_token: 0,
-            watchers: BTreeMap::new(),
-            next_watcher: 0,
-            commits_applied: 0,
-            batch: Vec::new(),
-            batch_ids: HashSet::new(),
-            batch_armed: false,
-            batch_tokens: HashSet::new(),
-            pushes_batched: 0,
-            lookup_hits: 0,
-            load_replies: HashMap::new(),
         }
-    }
-
-    // ----- shard helpers ---------------------------------------------------
-
-    fn sharded(&self) -> bool {
-        self.cfg.shards > 1
-    }
-
-    /// Whether this broker is the authoritative store for `shard` (the
-    /// shard master, or the classic master when unsharded).
-    fn is_authoritative(&self, shard: u32) -> bool {
-        if self.sharded() {
-            self.master_shard == Some(shard)
-        } else {
-            self.master
-        }
-    }
-
-    /// Shard owning `key` (0 when unsharded or for keys validation will
-    /// reject anyway — those error out before touching shard state).
-    fn shard_of(&self, key: &str) -> u32 {
-        if !self.sharded() {
-            return 0;
-        }
-        shard::shard_of_key(key, self.cfg.shards).unwrap_or(0)
     }
 
     /// Parses an optional `shard` request parameter (absent → 0).
@@ -404,272 +175,13 @@ impl KvsModule {
         match msg.payload.get("shard") {
             None => Ok(0),
             Some(v) => match v.as_uint() {
-                Some(s) if s < u64::from(self.cfg.shards.max(1)) => Ok(s as u32),
+                Some(s) if s < u64::from(self.rep.slots.shards()) => Ok(s as u32),
                 _ => Err(()),
             },
         }
     }
 
-    /// Builds (or reuses) the shared `kvs.load` reply payload for `id`.
-    fn load_reply(&mut self, id: ObjectId, obj: &KvsObject) -> Payload {
-        if self.load_replies.len() > 8192 {
-            self.load_replies.clear();
-        }
-        self.load_replies
-            .entry(id)
-            .or_insert_with(|| {
-                Payload::from(Value::from_pairs([
-                    ("id", Value::from(id.to_hex())),
-                    ("obj", obj.to_value()),
-                ]))
-            })
-            .clone()
-    }
-
-    // ----- payload helpers -------------------------------------------------
-
-    fn tuples_to_value(tuples: &[Tuple]) -> Value {
-        Value::Array(
-            tuples
-                .iter()
-                .map(|(k, id)| {
-                    Value::from_pairs([
-                        ("k", Value::from(k.as_str())),
-                        ("s", id.map(|i| Value::from(i.to_hex())).unwrap_or(Value::Null)),
-                    ])
-                })
-                .collect(),
-        )
-    }
-
-    fn tuples_from_value(v: Option<&Value>) -> Option<Vec<Tuple>> {
-        let arr = v?.as_array()?;
-        let mut out = Vec::with_capacity(arr.len());
-        for t in arr {
-            // flux-lint: allow(hotalloc) — decodes the wire batch into
-            // the owned tuple list the apply walk consumes; the tuples
-            // outlive the message, so the keys must be owned.
-            let k = t.get("k")?.as_str()?.to_owned();
-            let s = match t.get("s") {
-                Some(Value::Null) | None => None,
-                Some(sv) => Some(ObjectId::from_hex(sv.as_str()?).ok()?),
-            };
-            out.push((k, s));
-        }
-        Some(out)
-    }
-
-    fn objects_to_value(objects: &BTreeMap<ObjectId, Arc<KvsObject>>) -> Value {
-        let mut m = Map::new();
-        for (id, obj) in objects {
-            m.insert(id.to_hex(), obj.to_value());
-        }
-        Value::Object(m)
-    }
-
-    fn objects_from_value(v: Option<&Value>) -> Option<BTreeMap<ObjectId, Arc<KvsObject>>> {
-        let m = v?.as_object()?;
-        let mut out = BTreeMap::new();
-        for (hex, objv) in m {
-            let id = ObjectId::from_hex(hex).ok()?;
-            let obj = KvsObject::from_value(objv).ok()?;
-            if obj.id() != id {
-                return None;
-            }
-            out.insert(id, Arc::new(obj));
-        }
-        Some(out)
-    }
-
-    fn setroot_payload(&self, fences: Vec<String>) -> Value {
-        Value::from_pairs([
-            ("version", Value::from(self.slots[0].version as i64)),
-            ("root", Value::from(self.slots[0].root.to_hex())),
-            // flux-lint: allow(hotalloc) — builds the once-per-flush
-            // setroot event payload; amortized over the whole batch.
-            ("fences", Value::Array(fences.into_iter().map(Value::from).collect())),
-        ])
-    }
-
-    /// Applies a newer root reference for `shard`; stale/duplicate
-    /// versions are ignored, which (with the total event order) gives
-    /// per-shard monotonic reads.
-    fn apply_root_shard(&mut self, ctx: &mut ModuleCtx<'_>, shard: u32, version: u64, root: ObjectId) {
-        let Some(slot) = self.slots.get_mut(shard as usize) else { return };
-        if version <= slot.version {
-            return;
-        }
-        slot.version = version;
-        slot.root = root;
-        // Root switch invalidates the key→object memo *before* any
-        // wait_version waiter wakes below: a get issued after a
-        // satisfied wait_version can never observe a stale memo entry.
-        slot.lookup.clear();
-        // Causal consistency: wake wait_version callers on this slot.
-        let (ready, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut slot.version_waiters)
-            .into_iter()
-            .partition(|(v, _)| *v <= version);
-        slot.version_waiters = rest;
-        for (_, req) in ready {
-            self.respond_slot_version(ctx, shard, &req);
-        }
-        // Re-check this shard's watchers against the new tree
-        // (deterministic insertion-id order).
-        // flux-lint: allow(hotalloc) — watcher-id snapshot, once per
-        // root switch (per flushed batch, not per message): start_walk
-        // below re-enters &mut self, so iterating the map directly
-        // would hold its borrow across the walk.
-        let ids: Vec<u64> = self
-            .watchers
-            .iter()
-            .filter(|(_, w)| w.shard == shard)
-            .map(|(id, _)| *id)
-            .collect();
-        for w in ids {
-            let key = match self.watchers.get(&w) {
-                // flux-lint: allow(hotalloc) — watched keys are short
-                // and this runs once per watcher per root switch; the
-                // walk parks the key in its own state.
-                Some(watcher) => watcher.key.clone(),
-                None => continue,
-            };
-            self.start_walk(ctx, WalkKind::WatchCheck(w), &key, false);
-        }
-    }
-
-    /// Legacy single-slot root switch (slot 0).
-    fn apply_root(&mut self, ctx: &mut ModuleCtx<'_>, version: u64, root: ObjectId) {
-        self.apply_root_shard(ctx, 0, version, root);
-    }
-
-    fn respond_slot_version(&mut self, ctx: &mut ModuleCtx<'_>, shard: u32, req: &Message) {
-        // Shard indices are validated before they reach here; clamping
-        // (slots is never empty) keeps this total — a reply is always
-        // produced.
-        let si = (shard as usize).min(self.slots.len() - 1);
-        let slot = &self.slots[si];
-        let version = Value::from(slot.version as i64);
-        let root = Value::from(slot.root.to_hex());
-        if self.sharded() {
-            ctx.respond(
-                req,
-                Value::from_pairs([
-                    ("version", version),
-                    ("root", root),
-                    ("shard", Value::from(shard as i64)),
-                ]),
-            );
-        } else {
-            ctx.respond(req, Value::from_pairs([("version", version), ("root", root)]));
-        }
-    }
-
-    fn respond_version(&mut self, ctx: &mut ModuleCtx<'_>, req: &Message) {
-        self.respond_slot_version(ctx, 0, req);
-    }
-
-    /// Builds the frontier response payload: the consistent per-shard
-    /// `(version, root)` cut a commit or fence observed.
-    fn frontier_payload(&self, frontier: &BTreeMap<u32, (u64, String)>) -> Value {
-        Value::from_pairs([
-            ("shards", Value::from(self.cfg.shards as i64)),
-            ("frontier", Self::frontier_entries(frontier)),
-        ])
-    }
-
-    fn frontier_entries(frontier: &BTreeMap<u32, (u64, String)>) -> Value {
-        Value::Array(
-            frontier
-                .iter()
-                .map(|(s, (v, r))| {
-                    Value::from_pairs([
-                        ("shard", Value::from(*s as i64)),
-                        ("version", Value::from(*v as i64)),
-                        ("root", Value::from(r.as_str())),
-                    ])
-                })
-                .collect(),
-        )
-    }
-
-    /// Master only: apply a batch and announce the new root.
-    fn master_apply(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        tuples: &[Tuple],
-        objects: BTreeMap<ObjectId, Arc<KvsObject>>,
-        fences: Vec<String>,
-    ) {
-        debug_assert!(self.master);
-        for (id, obj) in objects {
-            // Decoded objects are usually uniquely held here, so this is
-            // a move, not a copy; the clone only runs for a shared Arc.
-            self.cache.insert_with_id(id, Arc::try_unwrap(obj).unwrap_or_else(|a| (*a).clone()));
-        }
-        let new_root = apply_tuples(&mut self.cache, self.slots[0].root, tuples);
-        let new_version = self.slots[0].version + 1;
-        self.commits_applied += 1;
-        // apply_root handles waiter/watcher wake-up uniformly.
-        self.apply_root(ctx, new_version, new_root);
-        ctx.publish(Event::KvsSetroot.topic(), self.setroot_payload(fences));
-    }
-
-    /// Shard master only: apply a batch to the owned slot. Quiet fence
-    /// applies (`publish = false`) surface through the root's combined
-    /// frontier event instead of a per-shard setroot.
-    fn shard_apply(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        tuples: &[Tuple],
-        objects: BTreeMap<ObjectId, Arc<KvsObject>>,
-        fence: Option<&str>,
-        publish: bool,
-    ) -> (u64, ObjectId) {
-        let shard = self.master_shard.unwrap_or(0);
-        for (id, obj) in objects {
-            // As in `master_apply`: move out of a uniquely-held Arc.
-            self.cache.insert_with_id(id, Arc::try_unwrap(obj).unwrap_or_else(|a| (*a).clone()));
-        }
-        let si = shard as usize;
-        let new_root = apply_tuples(&mut self.cache, self.slots[si].root, tuples);
-        let new_version = self.slots[si].version + 1;
-        self.commits_applied += 1;
-        self.apply_root_shard(ctx, shard, new_version, new_root);
-        if let Some(name) = fence {
-            self.note_fence_applied(name, new_version, new_root.to_hex());
-        }
-        if publish {
-            ctx.publish(
-                Event::KvsSetroot.topic(),
-                Value::from_pairs([
-                    ("version", Value::from(new_version as i64)),
-                    ("root", Value::from(new_root.to_hex())),
-                    ("shard", Value::from(shard as i64)),
-                    // flux-lint: allow(hotalloc) — an empty Vec::new
-                    // never touches the allocator (capacity 0).
-                    ("fences", Value::Array(Vec::new())),
-                ]),
-            );
-        }
-        (new_version, new_root)
-    }
-
-    fn note_fence_applied(&mut self, name: &str, version: u64, root_hex: String) {
-        // flux-lint: allow(hotalloc) — once per collective fence, not
-        // per commit; the applied-fence dedup memo owns its keys.
-        if self.fence_applied.insert(name.to_owned(), (version, root_hex)).is_none() {
-            // flux-lint: allow(hotalloc) — same: eviction order needs
-            // its own owned copy of the fence name.
-            self.fence_applied_order.push_back(name.to_owned());
-            if self.fence_applied_order.len() > 64 {
-                if let Some(old) = self.fence_applied_order.pop_front() {
-                    self.fence_applied.remove(&old);
-                }
-            }
-        }
-    }
-
-    // ----- put / commit ----------------------------------------------------
+    // ----- writes ----------------------------------------------------------
 
     fn handle_put(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message, unlink: bool) {
         let Some(key) = msg.payload.get("k").and_then(Value::as_str) else {
@@ -682,8 +194,7 @@ impl KvsModule {
             ctx.respond_err(msg, e.errnum());
             return;
         }
-        let requester = requester_of(msg);
-        let pend = self.pending.entry(requester).or_default();
+        let pend = self.pending.entry(requester_of(msg)).or_default();
         if unlink {
             pend.tuples.push((key.to_owned(), None));
         } else {
@@ -696,525 +207,106 @@ impl KvsModule {
         ctx.respond(msg, Value::object());
     }
 
+    /// Hands a write set to the coordinator; `waiters` get the cut.
+    fn coordinate(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        waiters: Vec<Message>,
+        tuples: Vec<Tuple>,
+        objects: Objects,
+        fence: Option<&str>,
+    ) {
+        self.coordinator.start(
+            ctx,
+            &mut self.rep,
+            &mut self.authority,
+            waiters,
+            tuples,
+            objects,
+            fence,
+        );
+    }
+
     fn handle_commit(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
-        let requester = requester_of(msg);
-        let pend = self.pending.remove(&requester).unwrap_or_default();
-        if self.sharded() {
-            self.commit_sharded(ctx, msg, pend);
-            return;
-        }
-        if self.master {
-            self.master_apply(ctx, &pend.tuples, pend.objects, Vec::new());
-            self.respond_version(ctx, msg);
-            return;
-        }
-        let payload = Value::from_pairs([
-            ("tuples", Self::tuples_to_value(&pend.tuples)),
-            ("objects", Self::objects_to_value(&pend.objects)),
-        ]);
-        match ctx.request_upstream(KvsMethod::Push.topic(), payload) {
-            Ok(id) => {
-                self.push_relays.insert(id, msg.clone());
-            }
-            Err(e) => ctx.respond_err(msg, e),
-        }
+        let pend = self.pending.remove(&requester_of(msg)).unwrap_or_default();
+        self.coordinate(ctx, vec![msg.clone()], pend.tuples, pend.objects, None);
     }
 
-    /// Sharded commit: partition the write set by key hash and push each
-    /// part rank-addressed to its owning master — writes never funnel
-    /// through one root. The local shard (if this broker masters one)
-    /// applies inline; the committer is answered with the assembled
-    /// per-shard frontier once every part acknowledged.
-    fn commit_sharded(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message, pend: PendingWrites) {
-        let parts = shard::partition_tuples(pend.tuples, self.cfg.shards);
-        let any = parts.iter().any(|p| !p.is_empty());
-        let mut frontier = BTreeMap::new();
-        let mut outstanding: BTreeMap<u32, (Value, Option<MsgId>)> = BTreeMap::new();
-        for (s, part) in parts.into_iter().enumerate() {
-            let s32 = s as u32;
-            // An all-empty commit still bumps shard 0 — parity with the
-            // unsharded no-op commit, which bumps the single version.
-            if part.is_empty() && (any || s32 != 0) {
-                continue;
-            }
-            let ids: HashSet<ObjectId> = part.iter().filter_map(|(_, id)| *id).collect();
-            let objs: BTreeMap<ObjectId, Arc<KvsObject>> = pend
-                .objects
-                .iter()
-                .filter(|(id, _)| ids.contains(id))
-                .map(|(id, obj)| (*id, obj.clone()))
-                .collect();
-            if self.is_authoritative(s32) {
-                let (v, root) = self.shard_apply(ctx, &part, objs, None, true);
-                frontier.insert(s32, (v, root.to_hex()));
-            } else {
-                let payload = Value::from_pairs([
-                    ("shard", Value::from(s32 as i64)),
-                    ("tuples", Self::tuples_to_value(&part)),
-                    ("objects", Self::objects_to_value(&objs)),
-                ]);
-                outstanding.insert(s32, (payload, None));
-            }
-        }
-        self.next_join += 1;
-        let join_id = self.next_join;
-        self.commit_joins
-            .insert(join_id, CommitJoin { req: msg.clone(), frontier, outstanding });
-        self.pump_commit_join(ctx, join_id);
-    }
-
-    /// Sends unsent per-shard pushes while the write fan-out allows and
-    /// answers the committer once the frontier is complete.
-    fn pump_commit_join(&mut self, ctx: &mut ModuleCtx<'_>, join_id: u64) {
-        let limit = if self.cfg.write_fanout == 0 { usize::MAX } else { self.cfg.write_fanout };
-        loop {
-            let Some(join) = self.commit_joins.get_mut(&join_id) else { return };
-            let inflight = join.outstanding.values().filter(|(_, id)| id.is_some()).count();
-            if inflight >= limit {
-                break;
-            }
-            let next = join
-                .outstanding
-                .iter()
-                .find(|(_, (_, id))| id.is_none())
-                .map(|(s, (p, _))| (*s, p.clone()));
-            let Some((s, payload)) = next else { break };
-            let id = ctx.request_to_rank(shard::master_of(s), KvsMethod::ShardPush.topic(), payload);
-            self.push_joins.insert(id, (join_id, s));
-            if let Some(join) = self.commit_joins.get_mut(&join_id) {
-                if let Some(ent) = join.outstanding.get_mut(&s) {
-                    ent.1 = Some(id);
-                }
-            }
-        }
-        let Some(join) = self.commit_joins.get(&join_id) else { return };
-        if join.outstanding.is_empty() {
-            let Some(join) = self.commit_joins.remove(&join_id) else { return };
-            let payload = self.frontier_payload(&join.frontier);
-            ctx.respond(&join.req, payload);
-        }
-    }
-
-    /// Heartbeat retry for a pending sharded commit: in-flight parts are
-    /// forgotten and re-issued (bounded by the fan-out), so a commit
-    /// caught in a shard-master blackout completes once the master is
-    /// back instead of stalling forever. Safe to call repeatedly — a
-    /// duplicate push re-applies an identical batch onto the same tree,
-    /// producing the same root.
-    fn retry_commit_pushes(&mut self, ctx: &mut ModuleCtx<'_>, join_id: u64) {
-        let olds: Vec<MsgId> = match self.commit_joins.get_mut(&join_id) {
-            Some(join) => join.outstanding.values_mut().filter_map(|ent| ent.1.take()).collect(),
-            None => return,
-        };
-        for old in olds {
-            ctx.forget_request(old);
-            self.push_joins.remove(&old);
-        }
-        self.pump_commit_join(ctx, join_id);
-    }
-
-    /// Records a push request id; returns false if it was already seen
-    /// (a transport-level duplicate — the fault layer can duplicate
-    /// frames, and a late duplicate re-applying an old batch after newer
-    /// commits would silently rewind keys).
-    fn note_push(&mut self, id: MsgId) -> bool {
-        if !self.seen_pushes.insert(id) {
-            return false;
-        }
-        self.seen_push_order.push_back(id);
-        if self.seen_push_order.len() > 4096 {
-            if let Some(old) = self.seen_push_order.pop_front() {
-                self.seen_pushes.remove(&old);
-            }
-        }
-        true
-    }
-
+    /// `kvs.push`, the tree-routed batch of a one-shard session: it is
+    /// for shard 0, and a broker that does not master shard 0 passes it
+    /// one hop further up.
     fn handle_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
-        if self.cfg.dedup && !self.note_push(msg.header.id) {
-            if self.master {
-                if self.batch_ids.contains(&msg.header.id) {
-                    // The original is still parked in the push batch; its
-                    // reply comes with the batch flush. Answering the
-                    // duplicate now would expose the pre-apply version
-                    // (a read-your-writes violation for the committer).
-                    // flux-lint: allow(reply)
-                    return;
-                }
-                // Re-answer with the current version: the response to the
-                // first copy may itself have been lost in transit.
-                self.respond_version(ctx, msg);
-            }
-            // A duplicate at a relay is dropped without a reply on
-            // purpose: the first copy's forwarded request already
-            // carries the response obligation.
-            // flux-lint: allow(reply)
-            return;
-        }
-        if self.master {
-            let (Some(tuples), Some(objects)) = (
-                Self::tuples_from_value(msg.payload.get("tuples")),
-                Self::objects_from_value(msg.payload.get("objects")),
-            ) else {
-                ctx.respond_err(msg, errnum::EINVAL);
-                return;
-            };
-            if self.cfg.batch_window_ns == 0 {
-                // Batching disabled: apply immediately (the pre-batching
-                // behaviour, and what the model checker's legacy
-                // scenarios pin to keep per-push version counts exact).
-                self.master_apply(ctx, &tuples, objects, Vec::new());
-                self.respond_version(ctx, msg);
+        if !self.rep.slots.masters(0) {
+            if self.cfg.dedup && !self.authority.note_push(msg.header.id) {
+                // A transport duplicate at a relay is dropped without a
+                // reply on purpose: the first copy's forwarded request
+                // already carries the response obligation.
+                // flux-lint: allow(reply)
                 return;
             }
-            // Park the push: concurrent pushes inside the window share
-            // one hash-tree walk, one version bump, and one setroot
-            // broadcast. Tuples later concatenate in arrival order, so
-            // the merged application equals applying them sequentially.
-            self.pushes_batched += 1;
-            self.batch_ids.insert(msg.header.id);
-            self.batch.push((msg.clone(), tuples, objects));
-            if self.batch.len() >= self.cfg.batch_max {
-                self.flush_batch(ctx);
-            } else if !self.batch_armed {
-                self.batch_armed = true;
-                self.next_token += 1;
-                let token = self.next_token;
-                self.batch_tokens.insert(token);
-                ctx.set_timer(self.cfg.batch_window_ns, token);
-            }
+            self.coordinator.relay(ctx, &mut self.rep, msg);
             return;
         }
-        // Interior: relay upstream; the response's root is applied here
-        // before unwinding, so every broker on the path is at least as new
-        // as the committer.
-        match ctx.request_upstream(KvsMethod::Push.topic(), msg.payload.clone()) {
-            Ok(id) => {
-                self.push_relays.insert(id, msg.clone());
-            }
-            Err(e) => ctx.respond_err(msg, e),
-        }
+        self.authority.accept_push(ctx, &self.cfg, &mut self.rep, msg, None);
     }
 
-    /// A rank-addressed commit batch for one shard this broker masters.
+    /// `kvs.shard.push`, a rank-addressed batch for the shard this
+    /// broker masters.
     fn handle_shard_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
-        let shard = msg.payload.get("shard").and_then(Value::as_uint).map(|s| s as u32);
-        let Some(shard) = shard else {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
-        };
-        if !self.sharded() || self.master_shard != Some(shard) {
+        let shard = msg.payload.get("shard").and_then(Value::as_uint);
+        if shard.is_none() || shard != self.rep.slots.mine().map(u64::from) {
             // Batches addressed to a non-master rank are rejected, not
             // silently applied to the wrong tree.
             ctx.respond_err(msg, errnum::EINVAL);
             return;
         }
-        let fence = msg.payload.get("fence").and_then(Value::as_str).map(str::to_owned);
-        if let Some(name) = &fence {
-            if let Some((v, root_hex)) = self.fence_applied.get(name).cloned() {
-                // A coordinator retry of an already-applied fence batch
-                // (our reply, or its first push, was lost to a blackout):
-                // re-answer the recorded result, never double-apply.
-                ctx.respond(
-                    msg,
-                    Value::from_pairs([
-                        ("version", Value::from(v as i64)),
-                        ("root", Value::from(root_hex)),
-                        ("shard", Value::from(shard as i64)),
-                    ]),
-                );
-                return;
-            }
-        }
-        if self.cfg.dedup && !self.note_push(msg.header.id) {
-            if self.batch_ids.contains(&msg.header.id) {
-                // Original still parked in the batch; its reply comes
-                // with the flush. flux-lint: allow(reply)
-                return;
-            }
-            self.respond_slot_version(ctx, shard, msg);
-            return;
-        }
-        let (Some(tuples), Some(objects)) = (
-            Self::tuples_from_value(msg.payload.get("tuples")),
-            Self::objects_from_value(msg.payload.get("objects")),
-        ) else {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
-        };
-        if fence.is_some() || self.cfg.batch_window_ns == 0 {
-            // Fence parts apply immediately and quietly: the root's
-            // combined frontier event is the one announcement, so a
-            // fence can never be released against a half-applied cut.
-            let quiet = fence.is_some();
-            self.shard_apply(ctx, &tuples, objects, fence.as_deref(), !quiet);
-            self.respond_slot_version(ctx, shard, msg);
-            return;
-        }
-        // Ordinary commit batches coalesce exactly like legacy pushes.
-        self.pushes_batched += 1;
-        self.batch_ids.insert(msg.header.id);
-        // flux-lint: allow(hotalloc) — parks the request so the batch
-        // flush can answer it; Message clones are header-shallow (Arc'd
-        // topic and payload), so this is refcount bumps, not a copy.
-        self.batch.push((msg.clone(), tuples, objects));
-        if self.batch.len() >= self.cfg.batch_max {
-            self.flush_batch(ctx);
-        } else if !self.batch_armed {
-            self.batch_armed = true;
-            self.next_token += 1;
-            let token = self.next_token;
-            self.batch_tokens.insert(token);
-            ctx.set_timer(self.cfg.batch_window_ns, token);
-        }
-    }
-
-    /// Master only: apply every parked push in one hash-tree walk and
-    /// answer each committer with the single resulting version.
-    fn flush_batch(&mut self, ctx: &mut ModuleCtx<'_>) {
-        debug_assert!(self.master || self.master_shard.is_some());
-        self.batch_armed = false;
-        if self.batch.is_empty() {
-            return;
-        }
-        let parked = std::mem::take(&mut self.batch);
-        self.batch_ids.clear();
-        let mut tuples = Vec::new();
-        let mut objects: BTreeMap<ObjectId, Arc<KvsObject>> = BTreeMap::new();
-        let mut reqs = Vec::with_capacity(parked.len());
-        for (req, t, o) in parked {
-            tuples.extend(t);
-            // Content-addressed objects: identical values across pushes
-            // merge to one entry, exactly like the fence-side dedup.
-            objects.extend(o);
-            reqs.push(req);
-        }
-        if self.sharded() {
-            let shard = self.master_shard.unwrap_or(0);
-            self.shard_apply(ctx, &tuples, objects, None, true);
-            for req in reqs {
-                self.respond_slot_version(ctx, shard, &req);
-            }
-            return;
-        }
-        // flux-lint: allow(hotalloc) — an empty Vec::new never touches
-        // the allocator (capacity 0).
-        self.master_apply(ctx, &tuples, objects, Vec::new());
-        for req in reqs {
-            self.respond_version(ctx, &req);
-        }
+        let fence = msg.payload.get("fence").and_then(Value::as_str);
+        self.authority.accept_push(ctx, &self.cfg, &mut self.rep, msg, fence);
     }
 
     // ----- fence -----------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
-    fn fence_contribute(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        name: &str,
-        nprocs: u64,
-        count: u64,
-        tuples: Vec<Tuple>,
-        objects: BTreeMap<ObjectId, Arc<KvsObject>>,
-        waiter: Option<Message>,
-    ) {
-        let acc = self.fences.entry(name.to_owned()).or_default();
-        if acc.nprocs == 0 {
-            acc.nprocs = nprocs;
+    /// At the tree root a complete fence (`done`) becomes one
+    /// coordinated write set.
+    fn fence_merged(&mut self, ctx: &mut ModuleCtx<'_>, name: &str, done: Option<FenceAcc>) {
+        if let Some(acc) = done {
+            self.coordinate(ctx, acc.waiters, acc.tuples, acc.objects, Some(name));
         }
-        acc.count += count;
-        acc.unflushed_count += count;
-        acc.tuples.extend(tuples);
-        // Objects dedup here: identical (redundant) values merge to one
-        // entry at every hop of the tree — the paper's Fig. 3 effect.
-        acc.objects.extend(objects);
-        if let Some(w) = waiter {
-            acc.waiters.push(w);
-        }
-        if self.master {
-            self.check_fence_complete(ctx, name);
-        } else {
-            self.next_token += 1;
-            let token = self.next_token;
-            if let Some(acc) = self.fences.get_mut(name) {
-                if !acc.window_armed {
-                    acc.window_armed = true;
-                    self.fence_tokens.insert(token, name.to_owned());
-                    ctx.set_timer(self.cfg.window_ns, token);
-                }
-            }
-        }
-    }
-
-    fn check_fence_complete(&mut self, ctx: &mut ModuleCtx<'_>, name: &str) {
-        debug_assert!(self.master);
-        let Some(acc) = self.fences.get(name) else { return };
-        if acc.nprocs == 0 || acc.count < acc.nprocs {
-            return;
-        }
-        let Some(acc) = self.fences.remove(name) else { return };
-        if self.sharded() {
-            self.fence_join_start(ctx, name, acc);
-            return;
-        }
-        self.master_apply(ctx, &acc.tuples, acc.objects, vec![name.to_owned()]);
-        // Local waiters at the master complete immediately.
-        for req in acc.waiters {
-            self.respond_version(ctx, &req);
-        }
-    }
-
-    /// Root coordinator, sharded: fan the merged fence batch out to the
-    /// contributing shard masters. Waiters release only when every
-    /// contribution committed — a fence can never be released with a
-    /// missing shard contribution, even across master blackouts (the
-    /// heartbeat re-sends unacknowledged parts; masters dedup retries
-    /// through the `fence_applied` memo).
-    fn fence_join_start(&mut self, ctx: &mut ModuleCtx<'_>, name: &str, acc: FenceAcc) {
-        let parts = shard::partition_tuples(acc.tuples, self.cfg.shards);
-        let any = parts.iter().any(|p| !p.is_empty());
-        let mut frontier = BTreeMap::new();
-        let mut outstanding: BTreeMap<u32, (Value, Option<MsgId>)> = BTreeMap::new();
-        for (s, part) in parts.into_iter().enumerate() {
-            let s32 = s as u32;
-            // A contribution-free fence still bumps shard 0, matching
-            // the unsharded fence's unconditional version bump.
-            if part.is_empty() && (any || s32 != 0) {
-                continue;
-            }
-            let ids: HashSet<ObjectId> = part.iter().filter_map(|(_, id)| *id).collect();
-            let objs: BTreeMap<ObjectId, Arc<KvsObject>> = acc
-                .objects
-                .iter()
-                .filter(|(id, _)| ids.contains(id))
-                .map(|(id, obj)| (*id, obj.clone()))
-                .collect();
-            if self.is_authoritative(s32) {
-                let (v, root) = self.shard_apply(ctx, &part, objs, Some(name), false);
-                frontier.insert(s32, (v, root.to_hex()));
-            } else {
-                let payload = Value::from_pairs([
-                    ("shard", Value::from(s32 as i64)),
-                    ("fence", Value::from(name)),
-                    ("tuples", Self::tuples_to_value(&part)),
-                    ("objects", Self::objects_to_value(&objs)),
-                ]);
-                outstanding.insert(s32, (payload, None));
-            }
-        }
-        let done = outstanding.is_empty();
-        self.fence_joins
-            .insert(name.to_owned(), FenceJoin { waiters: acc.waiters, frontier, outstanding });
-        if done {
-            self.finish_fence_join(ctx, name);
-        } else {
-            self.send_fence_pushes(ctx, name);
-        }
-    }
-
-    /// (Re-)sends every unacknowledged per-shard part of a fence join.
-    /// Safe to call repeatedly: in-flight requests are forgotten and
-    /// re-issued, and shard masters answer duplicates from the
-    /// `fence_applied` memo.
-    fn send_fence_pushes(&mut self, ctx: &mut ModuleCtx<'_>, name: &str) {
-        let Some(join) = self.fence_joins.get(name) else { return };
-        let sends: Vec<(u32, Value, Option<MsgId>)> =
-            join.outstanding.iter().map(|(s, (p, old))| (*s, p.clone(), *old)).collect();
-        for (s, payload, old) in sends {
-            if let Some(old) = old {
-                ctx.forget_request(old);
-                self.fence_push_joins.remove(&old);
-            }
-            let id = ctx.request_to_rank(shard::master_of(s), KvsMethod::ShardPush.topic(), payload);
-            self.fence_push_joins.insert(id, (name.to_owned(), s));
-            if let Some(join) = self.fence_joins.get_mut(name) {
-                if let Some(ent) = join.outstanding.get_mut(&s) {
-                    ent.1 = Some(id);
-                }
-            }
-        }
-    }
-
-    /// All shard contributions committed: answer waiters with the
-    /// frontier and broadcast it as one combined setroot event (slaves
-    /// adopt every slot and release their local waiters atomically).
-    fn finish_fence_join(&mut self, ctx: &mut ModuleCtx<'_>, name: &str) {
-        let Some(join) = self.fence_joins.remove(name) else { return };
-        let reply = self.frontier_payload(&join.frontier);
-        for req in join.waiters {
-            ctx.respond(&req, reply.clone());
-        }
-        ctx.publish(
-            Event::KvsSetroot.topic(),
-            Value::from_pairs([
-                ("shards", Self::frontier_entries(&join.frontier)),
-                ("fences", Value::Array(vec![Value::from(name)])),
-            ]),
-        );
-    }
-
-    fn flush_fence(&mut self, ctx: &mut ModuleCtx<'_>, name: &str) {
-        debug_assert!(!self.master);
-        self.next_fence_batch += 1;
-        let batch = self.next_fence_batch;
-        let Some(acc) = self.fences.get_mut(name) else { return };
-        acc.window_armed = false;
-        if acc.unflushed_count == 0 {
-            return;
-        }
-        let count = std::mem::take(&mut acc.unflushed_count);
-        let tuples = std::mem::take(&mut acc.tuples);
-        let objects = std::mem::take(&mut acc.objects);
-        let payload = Value::from_pairs([
-            ("name", Value::from(name)),
-            ("nprocs", Value::from(acc.nprocs as i64)),
-            ("count", Value::from(count as i64)),
-            ("src", Value::from(ctx.rank().0)),
-            ("batch", Value::from(batch as i64)),
-            ("tuples", Self::tuples_to_value(&tuples)),
-            ("objects", Self::objects_to_value(&objects)),
-        ]);
-        let _ = ctx.notify_upstream(KvsMethod::FenceUp.topic(), payload);
     }
 
     fn handle_fence(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
         let (Some(name), Some(nprocs)) = (
-            msg.payload.get("name").and_then(Value::as_str).map(str::to_owned),
+            msg.payload.get("name").and_then(Value::as_str),
             msg.payload.get("nprocs").and_then(Value::as_uint),
         ) else {
             ctx.respond_err(msg, errnum::EINVAL);
             return;
         };
-        // nprocs == 0 can never be satisfied (`count < nprocs` starts
-        // false but the accumulator is skipped while nprocs is 0): the
-        // caller would hang forever, so reject it up front.
+        // nprocs == 0 can never be satisfied: the caller would hang
+        // forever, so reject it up front.
         if nprocs == 0 {
             ctx.respond_err(msg, errnum::EINVAL);
             return;
         }
         let requester = requester_of(msg);
-        let acc = self.fences.entry(name.clone()).or_default();
-        if acc.nprocs != 0 && acc.nprocs != nprocs {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
-        }
-        if !acc.contributors.insert(requester) {
-            // A duplicate contribution from the same process would
-            // complete the fence one real participant early.
-            ctx.respond_err(msg, errnum::EINVAL);
+        if let Err(e) = self.fence.enlist(name, nprocs, requester) {
+            ctx.respond_err(msg, e);
             return;
         }
         let pend = self.pending.remove(&requester).unwrap_or_default();
-        self.fence_contribute(ctx, &name, nprocs, 1, pend.tuples, pend.objects, Some(msg.clone()));
+        let (window, waiter) = (self.cfg.window_ns, Some(msg.clone()));
+        let done =
+            self.fence.contribute(ctx, window, name, nprocs, 1, pend.tuples, pend.objects, waiter);
+        self.fence_merged(ctx, name, done);
     }
 
     fn handle_fence_up(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
         let (Some(name), Some(nprocs), Some(count), Some(tuples), Some(objects)) = (
-            msg.payload.get("name").and_then(Value::as_str).map(str::to_owned),
+            msg.payload.get("name").and_then(Value::as_str),
             msg.payload.get("nprocs").and_then(Value::as_uint),
             msg.payload.get("count").and_then(Value::as_uint),
-            Self::tuples_from_value(msg.payload.get("tuples")),
-            Self::objects_from_value(msg.payload.get("objects")),
+            msg::tuples_from_value(msg.payload.get("tuples")),
+            msg::objects_from_value(msg.payload.get("objects")),
         ) else {
             // One-way message: nothing to answer; drop.
             return;
@@ -1230,319 +322,52 @@ impl KvsModule {
             msg.payload.get("src").and_then(Value::as_uint),
             msg.payload.get("batch").and_then(Value::as_uint),
         ) {
-            let acc = self.fences.entry(name.clone()).or_default();
-            if !acc.seen_batches.insert((src as u32, batch)) {
-                return; // already merged this batch
-            }
-        }
-        self.fence_contribute(ctx, &name, nprocs, count, tuples, objects, None);
-    }
-
-    // ----- get / load ------------------------------------------------------
-
-    fn start_walk(&mut self, ctx: &mut ModuleCtx<'_>, kind: WalkKind, key: &str, want_dir: bool) {
-        let components = match crate::path::key_components(key) {
-            Ok(c) => c,
-            Err(e) => {
-                if let WalkKind::Get(req) = kind {
-                    ctx.respond_err(&req, e.errnum());
-                }
+            if !self.fence.note_batch(name, src as u32, batch) {
                 return;
             }
-        };
-        let shard = self.shard_of(key);
-        let (cur, version) = match self.slots.get(shard as usize) {
-            Some(slot) => (slot.root, slot.version),
-            None => return,
-        };
-        self.next_walk += 1;
-        let id = self.next_walk;
-        self.walks.insert(id, Walk { kind, components, idx: 0, cur, want_dir, version, shard });
-        self.step_walk(ctx, id);
+        }
+        let window = self.cfg.window_ns;
+        let done = self.fence.contribute(ctx, window, name, nprocs, count, tuples, objects, None);
+        self.fence_merged(ctx, name, done);
     }
 
-    /// Advances a walk until it finishes or parks on a missing object.
-    fn step_walk(&mut self, ctx: &mut ModuleCtx<'_>, walk_id: u64) {
-        loop {
-            let Some(walk) = self.walks.get(&walk_id) else { return };
-            let cur = walk.cur;
-            let Some(obj) = self.cache.get(cur) else {
-                self.park_walk(ctx, walk_id, cur);
-                return;
-            };
-            let Some(walk) = self.walks.get_mut(&walk_id) else { return };
-            if walk.idx == walk.components.len() {
-                // Watch checks accept either kind: a watched directory's
-                // listing changes whenever any key under it (at any path
-                // depth) changes, because child hashes cascade upward —
-                // the paper's directory-watch semantics for free.
-                let watching = matches!(walk.kind, WalkKind::WatchCheck(_));
-                let end = match (&*obj, walk.want_dir || watching) {
-                    (KvsObject::Val(v), _) if !walk.want_dir => WalkEnd::Value(v.clone()),
-                    (KvsObject::Val(_), _) => WalkEnd::Err(errnum::ENOTDIR),
-                    (KvsObject::Dir(_), false) => WalkEnd::Err(errnum::EISDIR),
-                    (KvsObject::Dir(entries), true) => {
-                        let mut listing = Map::new();
-                        for (name, child) in entries {
-                            listing.insert(name.clone(), Value::from(child.to_hex()));
-                        }
-                        WalkEnd::DirListing(Value::Object(listing))
-                    }
-                };
-                // Memoize successful get resolutions under the current
-                // root: repeat gets of the same key skip the walk. A walk
-                // that parked across a root switch resolved against the
-                // old tree — its answer is legal for the caller (the get
-                // predates the switch) but must not enter the memo, or a
-                // get issued *after* a satisfied wait_version could read
-                // the stale object.
-                let shard = walk.shard;
-                let walk_version = walk.version;
-                let memo_key = (matches!(walk.kind, WalkKind::Get(_))
-                    && matches!(end, WalkEnd::Value(_) | WalkEnd::DirListing(_)))
-                .then(|| (walk.components.join("."), walk.want_dir));
-                let slot_version =
-                    self.slots.get(shard as usize).map(|s| s.version).unwrap_or(0);
-                if let Some(memo) = memo_key {
-                    if self.cfg.lookup_cache
-                        && !self.is_authoritative(shard)
-                        && walk_version == slot_version
-                    {
-                        if let Some(slot) = self.slots.get_mut(shard as usize) {
-                            slot.lookup.insert(memo, cur);
-                        }
-                    }
-                }
-                self.finish_walk(ctx, walk_id, end);
-                return;
-            }
-            match &*obj {
-                KvsObject::Dir(entries) => {
-                    let comp = &walk.components[walk.idx];
-                    match entries.get(comp) {
-                        Some(next) => {
-                            walk.cur = *next;
-                            walk.idx += 1;
-                        }
-                        None => {
-                            self.finish_walk(ctx, walk_id, WalkEnd::Err(errnum::ENOENT));
-                            return;
-                        }
-                    }
-                }
-                KvsObject::Val(_) => {
-                    self.finish_walk(ctx, walk_id, WalkEnd::Err(errnum::ENOTDIR));
-                    return;
-                }
-            }
-        }
-    }
-
-    fn park_walk(&mut self, ctx: &mut ModuleCtx<'_>, walk_id: u64, missing: ObjectId) {
-        let shard = match self.walks.get(&walk_id) {
-            Some(w) => w.shard,
-            None => return,
-        };
-        if self.is_authoritative(shard) {
-            // Authoritative store: a miss is a hard ENOENT.
-            self.finish_walk(ctx, walk_id, WalkEnd::Err(errnum::ENOENT));
-            return;
-        }
-        let entry = self.load_waiters.entry(missing).or_default();
-        entry.0.push(walk_id);
-        let need_request = entry.0.len() == 1 && entry.1.is_empty();
-        if need_request {
-            self.request_load(ctx, missing, shard);
-        }
-    }
-
-    /// Faults one object in through the layered read path. Unsharded:
-    /// always up the tree (legacy bytes). Sharded with
-    /// `read_through_tree`: up the tree — ancestors are L1 tiers — and
-    /// the root forwards rank-addressed to the owning master; without
-    /// it, straight to the shard master.
-    fn request_load(&mut self, ctx: &mut ModuleCtx<'_>, id: ObjectId, shard: u32) {
-        if !self.sharded() {
-            let payload = Value::from_pairs([("id", Value::from(id.to_hex()))]);
-            match ctx.request_upstream(KvsMethod::Load.topic(), payload) {
-                Ok(req_id) => {
-                    self.inflight_loads.insert(req_id, (id, 0));
-                }
-                Err(_) => {
-                    self.complete_load(ctx, id, None);
-                }
-            }
-            return;
-        }
-        let payload = Value::from_pairs([
-            ("id", Value::from(id.to_hex())),
-            ("shard", Value::from(shard as i64)),
-        ]);
-        if self.cfg.read_through_tree {
-            if let Ok(req_id) = ctx.request_upstream(KvsMethod::Load.topic(), payload.clone()) {
-                self.inflight_loads.insert(req_id, (id, shard));
-                return;
-            }
-            // No parent (we are the root): fall through to the direct
-            // rank-addressed tier below.
-        }
-        if self.is_authoritative(shard) {
-            self.complete_load(ctx, id, None);
-            return;
-        }
-        let req_id = ctx.request_to_rank(shard::master_of(shard), KvsMethod::Load.topic(), payload);
-        self.inflight_loads.insert(req_id, (id, shard));
-    }
-
-    /// Resolves a load: `obj = None` means the object does not exist.
-    fn complete_load(&mut self, ctx: &mut ModuleCtx<'_>, id: ObjectId, obj: Option<KvsObject>) {
-        if let Some(obj) = obj {
-            // Read-path caching at every level of the chain: this is what
-            // lets C consumers share log2(C) transfers (Fig. 4 model).
-            self.cache.insert_with_id(id, obj);
-        }
-        let Some((walks, requests)) = self.load_waiters.remove(&id) else { return };
-        let available = self.cache.contains(id);
-        // One shared reply payload answers every child waiting on this id.
-        let reply = self.cache.get(id).map(|obj| self.load_reply(id, &obj));
-        for req in requests {
-            match &reply {
-                Some(payload) => ctx.respond(&req, payload.clone()),
-                None => ctx.respond_err(&req, errnum::ENOENT),
-            }
-        }
-        for walk_id in walks {
-            if available {
-                self.step_walk(ctx, walk_id);
-            } else {
-                self.finish_walk(ctx, walk_id, WalkEnd::Err(errnum::ENOENT));
-            }
-        }
-    }
-
-    fn finish_walk(&mut self, ctx: &mut ModuleCtx<'_>, walk_id: u64, end: WalkEnd) {
-        let Some(walk) = self.walks.remove(&walk_id) else { return };
-        match walk.kind {
-            WalkKind::Get(req) => match end {
-                WalkEnd::Value(v) => ctx.respond(&req, Value::from_pairs([("v", v)])),
-                WalkEnd::DirListing(l) => ctx.respond(&req, Value::from_pairs([("dir", l)])),
-                WalkEnd::Err(e) => ctx.respond_err(&req, e),
-            },
-            WalkKind::WatchCheck(watcher_id) => {
-                let new_val = match end {
-                    WalkEnd::Value(v) => Some(v),
-                    WalkEnd::DirListing(l) => Some(l),
-                    WalkEnd::Err(_) => None,
-                };
-                let Some(w) = self.watchers.get_mut(&watcher_id) else { return };
-                if w.last != new_val {
-                    w.last = new_val.clone();
-                    let payload = Value::from_pairs([
-                        ("k", Value::from(w.key.as_str())),
-                        ("v", new_val.unwrap_or(Value::Null)),
-                    ]);
-                    let req = w.req.clone();
-                    ctx.respond(&req, payload);
-                }
-            }
-        }
-    }
+    // ----- reads -----------------------------------------------------------
 
     fn handle_get(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
-        let Some(key) = msg.payload.get("k").and_then(Value::as_str).map(str::to_owned) else {
+        let Some(key) = msg.payload.get("k").and_then(Value::as_str) else {
             ctx.respond_err(msg, errnum::EINVAL);
             return;
         };
         let want_dir = msg.payload.get("dir").and_then(Value::as_bool).unwrap_or(false);
-        let shard = self.shard_of(&key);
-        // Memo fast path: a prior resolution under the current root maps
-        // the key straight to its object — no per-component tree walk.
-        if self.cfg.lookup_cache && !self.is_authoritative(shard) {
-            let memo = (key.clone(), want_dir);
-            let hit = self.slots.get(shard as usize).and_then(|s| s.lookup.get(&memo).copied());
-            if let Some(id) = hit {
-                if let Some(obj) = self.cache.get(id) {
-                    let payload = match (&*obj, want_dir) {
-                        (KvsObject::Val(v), false) => {
-                            Some(Value::from_pairs([("v", v.clone())]))
-                        }
-                        (KvsObject::Dir(entries), true) => {
-                            let mut listing = Map::new();
-                            for (name, child) in entries {
-                                listing.insert(name.clone(), Value::from(child.to_hex()));
-                            }
-                            Some(Value::from_pairs([("dir", Value::Object(listing))]))
-                        }
-                        _ => None,
-                    };
-                    if let Some(p) = payload {
-                        self.lookup_hits += 1;
-                        ctx.respond(msg, p);
-                        return;
-                    }
-                }
-                // The memoized object expired from the cache (or shape
-                // mismatch): drop the entry and fault it back in through
-                // the normal walk.
-                if let Some(slot) = self.slots.get_mut(shard as usize) {
-                    slot.lookup.remove(&memo);
-                }
-            }
-        }
-        self.start_walk(ctx, WalkKind::Get(msg.clone()), &key, want_dir);
+        self.reads.lookup(ctx, &mut self.rep, msg, key, want_dir);
     }
 
     fn handle_load(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
-        let id = msg
-            .payload
-            .get("id")
-            .and_then(Value::as_str)
-            .and_then(|h| ObjectId::from_hex(h).ok());
-        let Some(id) = id else {
+        let id =
+            msg.payload.get("id").and_then(Value::as_str).and_then(|h| ObjectId::from_hex(h).ok());
+        let (Some(id), Ok(shard)) = (id, self.shard_param(msg)) else {
             ctx.respond_err(msg, errnum::EINVAL);
             return;
         };
-        if let Some(obj) = self.cache.get(id) {
-            let payload = self.load_reply(id, &obj);
-            ctx.respond(msg, payload);
-            return;
-        }
-        let shard = msg.payload.get("shard").and_then(Value::as_uint).unwrap_or(0) as u32;
-        if self.is_authoritative(shard) {
-            ctx.respond_err(msg, errnum::ENOENT);
-            return;
-        }
-        let entry = self.load_waiters.entry(id).or_default();
-        entry.1.push(msg.clone());
-        let need_request = entry.0.is_empty() && entry.1.len() == 1;
-        if need_request {
-            self.request_load(ctx, id, shard);
-        }
+        self.reads.serve_load(ctx, &mut self.rep, msg, id, shard);
     }
 
-    // ----- watch -----------------------------------------------------------
-
-    fn handle_watch(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
-        let Some(key) = msg.payload.get("k").and_then(Value::as_str).map(str::to_owned) else {
+    fn handle_wait_version(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+        let (Some(target), Ok(shard)) =
+            (msg.payload.get("version").and_then(Value::as_uint), self.shard_param(msg))
+        else {
             ctx.respond_err(msg, errnum::EINVAL);
             return;
         };
-        self.next_watcher += 1;
-        let id = self.next_watcher;
-        let shard = self.shard_of(&key);
-        self.watchers.insert(
-            id,
-            Watcher {
-                req: msg.clone(),
-                key: key.clone(),
-                requester: requester_of(msg),
-                // Sentinel distinct from any real state so the initial
-                // check always responds (even for a missing key -> null).
-                last: Some(Value::from("\u{0}__kvs_unset__")),
-                shard,
-            },
-        );
-        self.start_walk(ctx, WalkKind::WatchCheck(id), &key, false);
+        self.rep.slots.wait_version(ctx, shard, target, msg);
+    }
+
+    fn handle_watch(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+        let Some(key) = msg.payload.get("k").and_then(Value::as_str) else {
+            ctx.respond_err(msg, errnum::EINVAL);
+            return;
+        };
+        self.reads.watch(ctx, &mut self.rep, msg, key, requester_of(msg));
     }
 
     fn handle_unwatch(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
@@ -1550,8 +375,7 @@ impl KvsModule {
             ctx.respond_err(msg, errnum::EINVAL);
             return;
         };
-        let requester = requester_of(msg);
-        self.watchers.retain(|_, w| !(w.key == key && w.requester == requester));
+        self.reads.watch.remove(key, requester_of(msg));
         ctx.respond(msg, Value::object());
     }
 
@@ -1559,38 +383,38 @@ impl KvsModule {
 
     /// Current root version of shard 0 (for tests and tools).
     pub fn version(&self) -> u64 {
-        self.slots[0].version
+        self.rep.slots.version(0)
     }
 
     /// Current root version of one shard (for tests and tools).
     pub fn shard_version(&self, shard: u32) -> u64 {
-        self.slots.get(shard as usize).map(|s| s.version).unwrap_or(0)
+        self.rep.slots.version(shard)
     }
 
     /// Number of namespace shards this module is configured for.
     pub fn shards(&self) -> u32 {
-        self.cfg.shards.max(1)
+        self.rep.slots.shards()
     }
 
     /// Cache statistics (for tests and tools).
     pub fn cache_stats(&self) -> crate::store::CacheStats {
-        self.cache.stats()
+        self.rep.cache.stats()
     }
 
     /// Pushes that went through the master batch path (for tests).
     pub fn pushes_batched(&self) -> u64 {
-        self.pushes_batched
+        self.authority.pushes_batched
     }
 
     /// Gets served from the slave lookup memo (for tests).
     pub fn lookup_hits(&self) -> u64 {
-        self.lookup_hits
+        self.reads.lookup_hits
     }
 
     /// Commits applied at the master; with batching one application may
     /// cover many pushes (for tests).
     pub fn commits_applied(&self) -> u64 {
-        self.commits_applied
+        self.authority.commits_applied
     }
 }
 
@@ -1613,17 +437,8 @@ impl CommsModule for KvsModule {
         // A session narrower than the shard count degrades gracefully:
         // clamp, so every shard master actually exists.
         self.cfg.shards = self.cfg.shards.max(1).min(ctx.size());
-        if self.slots.len() != self.cfg.shards as usize {
-            let root = KvsObject::empty_dir().id();
-            self.slots = (0..self.cfg.shards).map(|_| ShardSlot::new(root)).collect();
-        }
-        self.master = ctx.is_root();
-        self.master_shard = if self.sharded() {
-            let rank = ctx.rank().0;
-            (rank < self.cfg.shards).then_some(rank)
-        } else {
-            self.master.then_some(0)
-        };
+        let rank = ctx.rank().0;
+        self.rep.slots.start(self.cfg.shards, (rank < self.cfg.shards).then_some(rank));
     }
 
     fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
@@ -1638,328 +453,90 @@ impl CommsModule for KvsModule {
             Some(KvsMethod::Get) => self.handle_get(ctx, msg),
             Some(KvsMethod::Load) => self.handle_load(ctx, msg),
             Some(KvsMethod::GetVersion) => match self.shard_param(msg) {
-                Ok(shard) => self.respond_slot_version(ctx, shard, msg),
+                Ok(shard) => self.rep.slots.respond_version(ctx, shard, msg),
                 Err(()) => ctx.respond_err(msg, errnum::EINVAL),
             },
-            Some(KvsMethod::WaitVersion) => {
-                let Some(v) = msg.payload.get("version").and_then(Value::as_uint) else {
-                    ctx.respond_err(msg, errnum::EINVAL);
-                    return;
-                };
-                let Ok(shard) = self.shard_param(msg) else {
-                    ctx.respond_err(msg, errnum::EINVAL);
-                    return;
-                };
-                let Some(slot) = self.slots.get_mut(shard as usize) else {
-                    ctx.respond_err(msg, errnum::EINVAL);
-                    return;
-                };
-                if slot.version >= v {
-                    self.respond_slot_version(ctx, shard, msg);
-                } else {
-                    slot.version_waiters.push((v, msg.clone()));
-                }
-            }
+            Some(KvsMethod::WaitVersion) => self.handle_wait_version(ctx, msg),
             Some(KvsMethod::Watch) => self.handle_watch(ctx, msg),
             Some(KvsMethod::Unwatch) => self.handle_unwatch(ctx, msg),
             Some(KvsMethod::Stats) => {
-                let s = self.cache.stats();
+                let s = self.rep.cache.stats();
                 let mut pairs = vec![
                     ("entries", Value::from(s.entries)),
                     ("bytes", Value::from(s.bytes)),
                     ("hits", Value::from(s.hits as i64)),
                     ("misses", Value::from(s.misses as i64)),
                     ("expired", Value::from(s.expired as i64)),
-                    ("version", Value::from(self.slots[0].version as i64)),
-                    ("commits", Value::from(self.commits_applied as i64)),
-                    ("pushes_batched", Value::from(self.pushes_batched as i64)),
-                    ("lookup_hits", Value::from(self.lookup_hits as i64)),
+                    ("version", Value::from(self.rep.slots.version(0) as i64)),
+                    ("commits", Value::from(self.authority.commits_applied as i64)),
+                    ("pushes_batched", Value::from(self.authority.pushes_batched as i64)),
+                    ("lookup_hits", Value::from(self.reads.lookup_hits as i64)),
                 ];
-                if self.sharded() {
-                    pairs.push(("shards", Value::from(self.cfg.shards as i64)));
-                }
+                let shards = self.rep.slots.spelling().shards();
+                pairs.extend(shards.map(|n| ("shards", Value::from(n as i64))));
                 ctx.respond(msg, Value::from_pairs(pairs));
             }
             None => ctx.respond_err(msg, errnum::ENOSYS),
         }
+        self.reads.recheck(ctx, &mut self.rep);
     }
 
     fn handle_response(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
-        let id = msg.header.id;
-        if let Some((obj_id, shard)) = self.inflight_loads.remove(&id) {
-            if msg.is_error() && self.sharded() && msg.header.errnum != errnum::ENOENT {
-                // Transient failure (e.g. the shard master is blacked
-                // out): a false ENOENT here would violate monotonic
-                // reads, so keep the waiters parked and retry on the
-                // next heartbeat.
-                self.load_retries.push((obj_id, shard));
-                return;
-            }
-            let obj = if msg.is_error() {
-                None
-            } else {
-                msg.payload.get("obj").and_then(|v| KvsObject::from_value(v).ok())
-            };
-            // Verify the content address before trusting a loaded object.
-            let obj = obj.filter(|o| o.id() == obj_id);
-            if obj.is_some() {
-                // The upstream reply payload is exactly the reply this
-                // broker would build for its own children — seed the memo
-                // with it so the object is serialized once session-wide
-                // (at the master), not once per level of the cache chain.
-                self.load_replies.entry(obj_id).or_insert_with(|| msg.payload.clone());
-            }
-            self.complete_load(ctx, obj_id, obj);
-            return;
+        if !self.reads.handle_response(ctx, &mut self.rep, msg) {
+            self.coordinator.handle_response(ctx, &mut self.rep, msg);
         }
-        if let Some(original) = self.push_relays.remove(&id) {
-            if msg.is_error() {
-                ctx.respond_err(&original, msg.header.errnum);
-                return;
-            }
-            let version = msg.payload.get("version").and_then(Value::as_uint).unwrap_or(0);
-            let root = msg
-                .payload
-                .get("root")
-                .and_then(Value::as_str)
-                .and_then(|h| ObjectId::from_hex(h).ok());
-            if let Some(root) = root {
-                // Read-your-writes: adopt the new root before answering.
-                self.apply_root(ctx, version, root);
-            }
-            ctx.respond(&original, msg.payload.clone());
-            return;
-        }
-        if let Some((join_id, pshard)) = self.push_joins.remove(&id) {
-            if msg.is_error() {
-                if msg.header.errnum == errnum::EINVAL {
-                    // Validation failure: retrying cannot succeed, the
-                    // commit fails as a whole. Parts already applied stay
-                    // applied (the client's history treats an errored
-                    // commit as staged-uncertain).
-                    if let Some(join) = self.commit_joins.remove(&join_id) {
-                        ctx.respond_err(&join.req, msg.header.errnum);
-                    }
-                    return;
-                }
-                // Transient failure (e.g. the shard master is blacked
-                // out): mark the part unacknowledged; the heartbeat
-                // re-sends it.
-                if let Some(join) = self.commit_joins.get_mut(&join_id) {
-                    if let Some(ent) = join.outstanding.get_mut(&pshard) {
-                        ent.1 = None;
-                    }
-                }
-                return;
-            }
-            let shard = msg.payload.get("shard").and_then(Value::as_uint).unwrap_or(0) as u32;
-            let version = msg.payload.get("version").and_then(Value::as_uint).unwrap_or(0);
-            let root_hex = msg
-                .payload
-                .get("root")
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .unwrap_or_default();
-            if let Ok(root) = ObjectId::from_hex(&root_hex) {
-                // Read-your-writes: adopt the shard's new root before the
-                // committer can be answered.
-                self.apply_root_shard(ctx, shard, version, root);
-            }
-            if let Some(join) = self.commit_joins.get_mut(&join_id) {
-                join.outstanding.remove(&pshard);
-                join.frontier.insert(shard, (version, root_hex));
-            }
-            self.pump_commit_join(ctx, join_id);
-            return;
-        }
-        if let Some((name, shard)) = self.fence_push_joins.remove(&id) {
-            if msg.is_error() {
-                if msg.header.errnum == errnum::EINVAL {
-                    // Validation failure from the shard master: re-sending
-                    // the same part can never succeed, so the fence fails
-                    // as a whole instead of retrying forever. Shards
-                    // already applied stay applied, like an errored
-                    // sharded commit. Waiters parked on other ranks are
-                    // failed through the broadcast, mirroring the release
-                    // path in `finish_fence_join`.
-                    if let Some(join) = self.fence_joins.remove(&name) {
-                        for req in join.waiters {
-                            ctx.respond_err(&req, msg.header.errnum);
-                        }
-                        ctx.publish(
-                            Event::KvsSetroot.topic(),
-                            Value::from_pairs([
-                                (
-                                    "fences_failed",
-                                    Value::Array(vec![Value::from(name.as_str())]),
-                                ),
-                                ("errnum", Value::from(msg.header.errnum as i64)),
-                            ]),
-                        );
-                    }
-                    return;
-                }
-                // Transient failure (e.g. the shard master is blacked
-                // out): mark the part unacknowledged; the heartbeat
-                // re-sends it. The fence stays pending — never released
-                // with a missing shard contribution.
-                if let Some(join) = self.fence_joins.get_mut(&name) {
-                    if let Some(ent) = join.outstanding.get_mut(&shard) {
-                        ent.1 = None;
-                    }
-                }
-                return;
-            }
-            let version = msg.payload.get("version").and_then(Value::as_uint).unwrap_or(0);
-            let root_hex = msg
-                .payload
-                .get("root")
-                .and_then(Value::as_str)
-                .map(str::to_owned)
-                .unwrap_or_default();
-            if let Ok(root) = ObjectId::from_hex(&root_hex) {
-                self.apply_root_shard(ctx, shard, version, root);
-            }
-            let done = match self.fence_joins.get_mut(&name) {
-                Some(join) => {
-                    join.outstanding.remove(&shard);
-                    join.frontier.insert(shard, (version, root_hex));
-                    join.outstanding.is_empty()
-                }
-                None => false,
-            };
-            if done {
-                self.finish_fence_join(ctx, &name);
-            }
-        }
+        self.reads.recheck(ctx, &mut self.rep);
     }
 
     fn handle_event(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
         if msg.header.topic.as_str() != Event::KvsSetroot.topic_str() {
             return;
         }
-        // Fence failure (a shard master answered a fence push with the
-        // permanent wrong-master EINVAL): fail local waiters with the
-        // coordinator's code instead of leaving them parked forever.
-        if let Some(failed) = msg.payload.get("fences_failed").and_then(Value::as_array) {
-            let code = msg
-                .payload
-                .get("errnum")
-                .and_then(Value::as_uint)
-                .unwrap_or(u64::from(errnum::EINVAL)) as u32;
-            for f in failed {
-                let Some(name) = f.as_str() else { continue };
-                if let Some(acc) = self.fences.remove(name) {
-                    for req in acc.waiters {
-                        ctx.respond_err(&req, code);
-                    }
-                }
+        let ev = msg::decode_setroot(&msg.payload);
+        if let Some(code) = ev.failed {
+            // The coordinator gave the fence up (a master refused its
+            // part): fail the local waiters with its code instead of
+            // leaving them parked forever.
+            for req in ev.fences.iter().flat_map(|name| self.fence.release(name)) {
+                ctx.respond_err(&req, code);
             }
             return;
         }
-        // Combined frontier event (cross-shard fence completion): adopt
-        // every listed slot first, then release fence waiters with the
-        // full frontier — waiters always read an applied cut.
-        if let Some(entries) = msg.payload.get("shards").and_then(Value::as_array) {
-            let entries = entries.to_vec();
-            for e in &entries {
-                let shard = e.get("shard").and_then(Value::as_uint).unwrap_or(0) as u32;
-                let version = e.get("version").and_then(Value::as_uint).unwrap_or(0);
-                let root = e
-                    .get("root")
-                    .and_then(Value::as_str)
-                    .and_then(|h| ObjectId::from_hex(h).ok());
-                if let Some(root) = root {
-                    self.apply_root_shard(ctx, shard, version, root);
-                }
-            }
-            if let Some(fences) = msg.payload.get("fences").and_then(Value::as_array) {
-                let reply = Value::from_pairs([
-                    ("shards", Value::from(self.cfg.shards as i64)),
-                    ("frontier", Value::Array(entries.clone())),
-                ]);
-                for f in fences {
-                    let Some(name) = f.as_str() else { continue };
-                    if let Some(acc) = self.fences.remove(name) {
-                        for req in acc.waiters {
-                            ctx.respond(&req, reply.clone());
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        let version = msg.payload.get("version").and_then(Value::as_uint).unwrap_or(0);
-        let root = msg
-            .payload
-            .get("root")
-            .and_then(Value::as_str)
-            .and_then(|h| ObjectId::from_hex(h).ok());
-        if let Some(root) = root {
-            // Per-shard commit announcements carry a `shard` field;
-            // legacy events apply to slot 0.
-            let shard = msg.payload.get("shard").and_then(Value::as_uint).unwrap_or(0) as u32;
-            self.apply_root_shard(ctx, shard, version, root);
-        }
-        // Fence completion: answer local waiters.
-        if let Some(fences) = msg.payload.get("fences").and_then(Value::as_array) {
-            for f in fences {
-                let Some(name) = f.as_str() else { continue };
-                if let Some(acc) = self.fences.remove(name) {
-                    for req in acc.waiters {
-                        self.respond_version(ctx, &req);
-                    }
-                }
+        // Adopt every root first, then release fence waiters with the
+        // cut the event carries — waiters always read an applied cut.
+        for r in &ev.roots {
+            if let Ok(root) = ObjectId::from_hex(&r.root) {
+                self.rep.slots.apply_root(ctx, r.shard, r.version, root);
             }
         }
+        if !ev.fences.is_empty() {
+            let reply = Payload::from(self.rep.slots.spelling().cut_reply(&ev.roots));
+            for req in ev.fences.iter().flat_map(|name| self.fence.release(name)) {
+                ctx.respond(&req, reply.clone());
+            }
+        }
+        self.reads.recheck(ctx, &mut self.rep);
     }
 
     fn on_heartbeat(&mut self, ctx: &mut ModuleCtx<'_>, epoch: u64) {
-        self.cache.set_epoch(epoch);
-        // Shard masters are authoritative for their slot's whole tree:
-        // they never expire. Everyone else pins the current roots.
-        let authoritative = if self.sharded() { self.master_shard.is_some() } else { self.master };
-        if !authoritative {
-            let pinned: Vec<ObjectId> = self.slots.iter().map(|s| s.root).collect();
+        self.rep.cache.set_epoch(epoch);
+        // A master is authoritative for its slot's whole tree: it never
+        // expires. Everyone else pins the current roots.
+        if self.rep.slots.mine().is_none() {
             let expiry = ctx.config().kvs_expiry_epochs.max(self.cfg.expiry_epochs);
-            self.cache.expire(expiry, &pinned);
+            self.rep.cache.expire(expiry, &self.rep.slots.roots());
         }
-        if self.sharded() {
-            // Retry transiently-failed loads (their waiters are still
-            // parked) — deterministic order, they were queued in order.
-            let retries = std::mem::take(&mut self.load_retries);
-            for (id, shard) in retries {
-                if self.load_waiters.contains_key(&id) {
-                    self.request_load(ctx, id, shard);
-                }
-            }
-            // Root coordinator: re-send unacknowledged fence parts, so a
-            // fence pending across a shard-master blackout completes
-            // once the master is back.
-            if self.master && !self.fence_joins.is_empty() {
-                let names: Vec<String> = self.fence_joins.keys().cloned().collect();
-                for name in names {
-                    self.send_fence_pushes(ctx, &name);
-                }
-            }
-            // Likewise for pending sharded commits: a part lost to a
-            // blacked-out master is re-issued until acknowledged.
-            if self.master && !self.commit_joins.is_empty() {
-                let ids: Vec<u64> = self.commit_joins.keys().copied().collect();
-                for jid in ids {
-                    self.retry_commit_pushes(ctx, jid);
-                }
-            }
-        }
+        self.reads.on_heartbeat(ctx, &mut self.rep);
+        self.coordinator.on_heartbeat(ctx);
+        self.reads.recheck(ctx, &mut self.rep);
     }
 
     fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, token: u64) {
-        if self.batch_tokens.remove(&token) {
-            self.flush_batch(ctx);
-            return;
+        if token == BATCH_TOKEN {
+            self.authority.flush_batch(ctx, &mut self.rep);
+        } else {
+            self.fence.on_timer(ctx, token);
         }
-        if let Some(name) = self.fence_tokens.remove(&token) {
-            self.flush_fence(ctx, &name);
-        }
+        self.reads.recheck(ctx, &mut self.rep);
     }
 }

@@ -1,0 +1,375 @@
+//! The KVS wire vocabulary — the one module that knows how a root
+//! reference, a frontier, a `kvs.setroot` event, a tuple batch or a load
+//! request is spelled. The role structs encode through it;
+//! [`crate::client`], the chaos harness in `flux-rt` and the CLI decode
+//! through it.
+//!
+//! A session speaks one of two spellings (`Spelling`), fixed when the
+//! module starts. With one shard a root reference is the paper's bare
+//! `{version, root}` and a commit is announced as
+//! `{version, root, fences}`. With N shards every slot-scoped message
+//! also names its `shard`, a commit or fence answers the whole cut it
+//! observed (`{shards: N, frontier: [{shard, version, root}…]}`) and a
+//! fence completes with one combined event
+//! (`{shards: [{shard, version, root}…], fences}`). The shapes are kept
+//! apart because every committed benchmark cell pins the one-shard
+//! bytes; decoding is shape-driven and needs no spelling.
+
+use crate::master::Tuple;
+use crate::object::KvsObject;
+use crate::shard;
+use flux_hash::ObjectId;
+use flux_value::{Map, Value};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// Value objects travelling with a tuple batch, by content address.
+pub(crate) type Objects = BTreeMap<ObjectId, Arc<KvsObject>>;
+
+/// One slot's root reference as replies and events carry it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct RootRef {
+    /// Shard the root belongs to (0 in a one-shard session).
+    pub shard: u32,
+    /// That shard's store version.
+    pub version: u64,
+    /// Root object id, hex.
+    pub root: String,
+}
+
+/// A decoded `commit`/`fence`/`get_version`/`wait_version` reply or
+/// `kvs.setroot` event body.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Cut {
+    /// Session shard count, stated by frontier replies only: `Some`
+    /// marks the N-shard reply shape, `None` a bare root reference (or
+    /// an event, whose `roots` are all a reader needs).
+    pub shards: Option<u32>,
+    /// The root references, in message order (shard order for lists).
+    pub roots: Vec<RootRef>,
+}
+
+fn root_ref(v: &Value) -> RootRef {
+    RootRef {
+        shard: v.get("shard").and_then(Value::as_uint).unwrap_or(0) as u32,
+        version: v.get("version").and_then(Value::as_uint).unwrap_or(0),
+        root: v.get("root").and_then(Value::as_str).unwrap_or_default().to_owned(),
+    }
+}
+
+/// Decodes the root references of a reply or event payload. Lenient
+/// like every reply decoder here: absent fields read as `0` / `""`.
+pub fn decode_cut(payload: &Value) -> Cut {
+    let count = payload.get("shards");
+    let list = payload.get("frontier").or(count).and_then(Value::as_array);
+    match list {
+        Some(entries) => Cut {
+            shards: count.and_then(Value::as_uint).map(|n| n as u32),
+            roots: entries.iter().map(root_ref).collect(),
+        },
+        None => Cut { shards: None, roots: vec![root_ref(payload)] },
+    }
+}
+
+/// A decoded `kvs.setroot` event.
+pub(crate) struct Setroot<'a> {
+    /// Roots to adopt (none for a failure announcement).
+    pub roots: Vec<RootRef>,
+    /// Fences this event completes — or fails, when `failed` is set.
+    pub fences: Vec<&'a str>,
+    /// Error number the named fences failed with.
+    pub failed: Option<u32>,
+}
+
+fn names(v: Option<&Value>) -> Vec<&str> {
+    v.and_then(Value::as_array)
+        .map(|a| a.iter().filter_map(Value::as_str).collect())
+        .unwrap_or_default()
+}
+
+pub(crate) fn decode_setroot(payload: &Value) -> Setroot<'_> {
+    if let Some(failed) = payload.get("fences_failed") {
+        let code = payload.get("errnum").and_then(Value::as_uint);
+        return Setroot {
+            roots: Vec::new(),
+            fences: names(Some(failed)),
+            failed: Some(code.unwrap_or(u64::from(flux_wire::errnum::EINVAL)) as u32),
+        };
+    }
+    Setroot { roots: decode_cut(payload).roots, fences: names(payload.get("fences")), failed: None }
+}
+
+/// Announces that fence `name` failed with `errnum` at the coordinator.
+pub(crate) fn fence_failed_event(name: &str, errnum: u32) -> Value {
+    Value::from_pairs([
+        ("fences_failed", Value::Array(vec![Value::from(name)])),
+        ("errnum", Value::from(errnum as i64)),
+    ])
+}
+
+fn root_fields(r: &RootRef, tagged: bool) -> Map {
+    let mut m = Map::new();
+    m.insert("version".to_owned(), Value::from(r.version as i64));
+    m.insert("root".to_owned(), Value::from(r.root.as_str()));
+    if tagged {
+        m.insert("shard".to_owned(), Value::from(r.shard as i64));
+    }
+    m
+}
+
+fn frontier_entries(cut: &[RootRef]) -> Value {
+    Value::Array(cut.iter().map(|r| Value::Object(root_fields(r, true))).collect())
+}
+
+/// Which of the two spellings this session speaks (module docs).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) enum Spelling {
+    /// One shard: the paper's single-master shapes.
+    #[default]
+    Single,
+    /// This many shards: shard-tagged references and frontier lists.
+    Sharded(u32),
+}
+
+impl Spelling {
+    /// The spelling of a session `shards` wide (after the start-up
+    /// clamp) — the codec's one selection.
+    pub(crate) fn of(shards: u32) -> Spelling {
+        if shard::sharded(shards) {
+            Spelling::Sharded(shards)
+        } else {
+            Spelling::Single
+        }
+    }
+
+    /// The shard count an N-shard session advertises (`kvs.stats`).
+    pub(crate) fn shards(self) -> Option<u32> {
+        match self {
+            Spelling::Single => None,
+            Spelling::Sharded(n) => Some(n),
+        }
+    }
+
+    fn slot_fields(self, r: &RootRef) -> Map {
+        root_fields(r, matches!(self, Spelling::Sharded(_)))
+    }
+
+    /// One slot's `(version, root)`: the `get_version`/`wait_version`
+    /// reply and the acknowledgement of a push.
+    pub(crate) fn version_reply(self, r: &RootRef) -> Value {
+        Value::Object(self.slot_fields(r))
+    }
+
+    /// The cut a commit or fence observed, in shard order.
+    pub(crate) fn cut_reply(self, cut: &[RootRef]) -> Value {
+        match self {
+            Spelling::Single => {
+                Value::Object(self.slot_fields(cut.first().unwrap_or(&RootRef::default())))
+            }
+            Spelling::Sharded(n) => Value::from_pairs([
+                ("shards", Value::from(n as i64)),
+                ("frontier", frontier_entries(cut)),
+            ]),
+        }
+    }
+
+    /// `kvs.setroot` for an ordinary commit applied on `r.shard`.
+    pub(crate) fn commit_event(self, r: &RootRef) -> Value {
+        let mut m = self.slot_fields(r);
+        // flux-lint: allow(hotalloc) — an empty Vec::new never touches
+        // the allocator (capacity 0).
+        m.insert("fences".to_owned(), Value::Array(Vec::new()));
+        Value::Object(m)
+    }
+
+    /// `kvs.setroot` completing fence `name` at the cut `cut`: every
+    /// broker adopts all listed roots, then releases its local waiters.
+    pub(crate) fn fence_event(self, cut: &[RootRef], name: &str) -> Value {
+        let mut m = match self {
+            Spelling::Single => self.slot_fields(cut.first().unwrap_or(&RootRef::default())),
+            Spelling::Sharded(_) => Map::from([("shards".to_owned(), frontier_entries(cut))]),
+        };
+        m.insert("fences".to_owned(), Value::Array(vec![Value::from(name)]));
+        Value::Object(m)
+    }
+
+    /// `kvs.load` request for object `id` of `shard`'s tree.
+    pub(crate) fn load_request(self, id: ObjectId, shard: u32) -> Value {
+        let mut m = Map::from([("id".to_owned(), Value::from(id.to_hex()))]);
+        if let Spelling::Sharded(_) = self {
+            m.insert("shard".to_owned(), Value::from(shard as i64));
+        }
+        Value::Object(m)
+    }
+}
+
+// ----- tuple batches -------------------------------------------------------
+
+pub(crate) fn tuples_to_value(tuples: &[Tuple]) -> Value {
+    Value::Array(
+        tuples
+            .iter()
+            .map(|(k, id)| {
+                Value::from_pairs([
+                    ("k", Value::from(k.as_str())),
+                    ("s", id.map(|i| Value::from(i.to_hex())).unwrap_or(Value::Null)),
+                ])
+            })
+            .collect(),
+    )
+}
+
+pub(crate) fn tuples_from_value(v: Option<&Value>) -> Option<Vec<Tuple>> {
+    let arr = v?.as_array()?;
+    let mut out = Vec::with_capacity(arr.len());
+    for t in arr {
+        // flux-lint: allow(hotalloc) — decodes the wire batch into
+        // the owned tuple list the apply walk consumes; the tuples
+        // outlive the message, so the keys must be owned.
+        let k = t.get("k")?.as_str()?.to_owned();
+        let s = match t.get("s") {
+            Some(Value::Null) | None => None,
+            Some(sv) => Some(ObjectId::from_hex(sv.as_str()?).ok()?),
+        };
+        out.push((k, s));
+    }
+    Some(out)
+}
+
+pub(crate) fn objects_to_value(objects: &Objects) -> Value {
+    let mut m = Map::new();
+    for (id, obj) in objects {
+        m.insert(id.to_hex(), obj.to_value());
+    }
+    Value::Object(m)
+}
+
+/// Decodes an object manifest, verifying every content address.
+pub(crate) fn objects_from_value(v: Option<&Value>) -> Option<Objects> {
+    let m = v?.as_object()?;
+    let mut out = BTreeMap::new();
+    for (hex, objv) in m {
+        let id = ObjectId::from_hex(hex).ok()?;
+        let obj = KvsObject::from_value(objv).ok()?;
+        if obj.id() != id {
+            return None;
+        }
+        out.insert(id, Arc::new(obj));
+    }
+    Some(out)
+}
+
+/// A commit batch for one master: `kvs.push` carries no `shard` (it
+/// climbs the tree to the only master), `kvs.shard.push` names it;
+/// `fence` marks a part of a collective fence.
+pub(crate) fn push_payload(
+    shard: Option<u32>,
+    fence: Option<&str>,
+    tuples: &[Tuple],
+    objects: &Objects,
+) -> Value {
+    let mut m = Map::from([
+        ("tuples".to_owned(), tuples_to_value(tuples)),
+        ("objects".to_owned(), objects_to_value(objects)),
+    ]);
+    if let Some(s) = shard {
+        m.insert("shard".to_owned(), Value::from(s as i64));
+    }
+    if let Some(name) = fence {
+        m.insert("fence".to_owned(), Value::from(name));
+    }
+    Value::Object(m)
+}
+
+// ----- reads ---------------------------------------------------------------
+
+/// A directory's name → SHA1-hex listing.
+pub(crate) fn dir_listing(entries: &BTreeMap<String, ObjectId>) -> Value {
+    let mut listing = Map::new();
+    for (name, child) in entries {
+        listing.insert(name.clone(), Value::from(child.to_hex()));
+    }
+    Value::Object(listing)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn r(shard: u32, version: u64, root: &str) -> RootRef {
+        RootRef { shard, version, root: root.to_owned() }
+    }
+
+    #[test]
+    fn one_shard_shapes_are_the_pinned_bytes() {
+        let s = Spelling::of(1);
+        assert_eq!(s.version_reply(&r(0, 4, "ab")).to_json(), r#"{"root":"ab","version":4}"#);
+        assert_eq!(s.cut_reply(&[r(0, 4, "ab")]).to_json(), r#"{"root":"ab","version":4}"#);
+        assert_eq!(
+            s.fence_event(&[r(0, 4, "ab")], "f").to_json(),
+            r#"{"fences":["f"],"root":"ab","version":4}"#
+        );
+        assert_eq!(
+            s.commit_event(&r(0, 4, "ab")).to_json(),
+            r#"{"fences":[],"root":"ab","version":4}"#
+        );
+        let id = ObjectId::hash(b"x");
+        assert_eq!(s.load_request(id, 0).to_json(), format!(r#"{{"id":"{}"}}"#, id.to_hex()));
+    }
+
+    #[test]
+    fn every_shape_round_trips() {
+        let cut = vec![r(0, 3, "aa"), r(2, 7, "cc")];
+        for shards in [1u32, 4] {
+            let s = Spelling::of(shards);
+            let one = decode_cut(&s.version_reply(&cut[1]));
+            assert!(one.shards.is_none());
+            let want = if shards == 1 { r(0, 7, "cc") } else { cut[1].clone() };
+            assert_eq!(one.roots, vec![want]);
+
+            let whole = decode_cut(&s.cut_reply(&cut));
+            let event = s.fence_event(&cut, "f");
+            let ev = decode_setroot(&event);
+            assert_eq!(ev.fences, vec!["f"]);
+            assert_eq!(ev.failed, None);
+            if shards == 1 {
+                assert_eq!(whole.roots, vec![cut[0].clone()]);
+                assert_eq!(ev.roots, vec![cut[0].clone()]);
+            } else {
+                assert_eq!(whole.shards, Some(4));
+                assert_eq!(whole.roots, cut);
+                assert_eq!(ev.roots, cut);
+            }
+            let commit = s.commit_event(&cut[1]);
+            let ev = decode_setroot(&commit);
+            assert!(ev.fences.is_empty());
+            assert_eq!(ev.roots[0].version, 7);
+        }
+        let failed = fence_failed_event("f", 22);
+        let failed = decode_setroot(&failed);
+        assert_eq!((failed.fences, failed.failed), (vec!["f"], Some(22)));
+        assert!(failed.roots.is_empty());
+    }
+
+    #[test]
+    fn batches_round_trip_and_forged_objects_are_refused() {
+        let obj = KvsObject::Val(Value::Int(9));
+        let id = obj.id();
+        let tuples: Vec<Tuple> = vec![("a.b".to_owned(), Some(id)), ("gone".to_owned(), None)];
+        let objects: Objects = BTreeMap::from([(id, Arc::new(obj))]);
+        let plain = push_payload(None, None, &tuples, &objects);
+        assert!(plain.get("shard").is_none() && plain.get("fence").is_none());
+        let tagged = push_payload(Some(3), Some("f"), &tuples, &objects);
+        assert_eq!(tagged.get("shard").and_then(Value::as_uint), Some(3));
+        assert_eq!(tagged.get("fence").and_then(Value::as_str), Some("f"));
+        for p in [&plain, &tagged] {
+            assert_eq!(tuples_from_value(p.get("tuples")), Some(tuples.clone()));
+            assert_eq!(objects_from_value(p.get("objects")), Some(objects.clone()));
+        }
+        let forged = Value::from_pairs([(
+            ObjectId::hash(b"claimed").to_hex(),
+            KvsObject::Val(Value::Int(9)).to_value(),
+        )]);
+        assert_eq!(objects_from_value(Some(&forged)), None);
+    }
+}

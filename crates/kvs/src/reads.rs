@@ -1,0 +1,422 @@
+//! The read role: lookups, fault-in through the cache chain, watches.
+//!
+//! A `kvs.get` walks the hash tree from the root of the key's shard,
+//! one directory object per path component. A component missing from
+//! the local cache parks the walk and faults the object in: up the
+//! tree — every ancestor is a cache tier that shares one transfer among
+//! all its children (the Fig. 4 effect) — and from the tree root
+//! rank-addressed to the shard's master when the root does not master
+//! that shard itself. The authoritative copy never faults: a miss there
+//! is `ENOENT`. A transport failure is never reported as `ENOENT` (that
+//! would violate monotonic reads); the load is retried on the heartbeat.
+
+use crate::module::Replica;
+use crate::msg;
+use crate::object::KvsObject;
+use crate::path::key_components;
+use crate::shard;
+use crate::watch::Watches;
+use flux_broker::ModuleCtx;
+use flux_hash::ObjectId;
+use flux_proto::KvsMethod;
+use flux_value::Value;
+use flux_wire::{errnum, Message, MsgId, Payload, Rank};
+use std::collections::HashMap;
+
+/// One parked lookup walking the hash tree.
+struct Walk {
+    kind: WalkKind,
+    components: Vec<String>,
+    /// Next component index to consume.
+    idx: usize,
+    /// Object id to load next.
+    cur: ObjectId,
+    /// Directory listing requested instead of a value.
+    want_dir: bool,
+    /// Store version the walk started under. A walk can park on a
+    /// fault-in and resume after a root switch; its (correct, but old)
+    /// resolution must then not poison the lookup memo.
+    version: u64,
+    /// Shard whose tree this walk descends.
+    shard: u32,
+}
+
+enum WalkKind {
+    /// Answer this request with the final value.
+    Get(Message),
+    /// Re-check a watcher after a root switch.
+    WatchCheck(u64),
+}
+
+/// How a walk ended: the reply field and what it holds, or an errnum.
+type WalkEnd = Result<(&'static str, Value), u32>;
+
+/// What `obj` answers to a get (`want_dir`: its listing, else its
+/// value). A watch check accepts `either`: a watched directory's
+/// listing is its value.
+fn resolve(obj: &KvsObject, want_dir: bool, either: bool) -> WalkEnd {
+    match (obj, want_dir || either) {
+        (KvsObject::Val(v), _) if !want_dir => Ok(("v", v.clone())),
+        (KvsObject::Val(_), _) => Err(errnum::ENOTDIR),
+        (KvsObject::Dir(_), false) => Err(errnum::EISDIR),
+        (KvsObject::Dir(entries), true) => Ok(("dir", msg::dir_listing(entries))),
+    }
+}
+
+#[derive(Default)]
+pub(crate) struct Reads {
+    /// Serve repeat gets from the slots' key → object memo.
+    lookup_cache: bool,
+    walks: HashMap<u64, Walk>,
+    next_walk: u64,
+    /// Object id → (walks parked on it, child `kvs.load` requests for it).
+    load_waiters: HashMap<ObjectId, (Vec<u64>, Vec<Message>)>,
+    /// Outstanding load RPCs: response id → (object id, shard whose
+    /// tree wants it).
+    inflight_loads: HashMap<MsgId, (ObjectId, u32)>,
+    /// Loads that failed in transit (e.g. the shard master is blacked
+    /// out), re-issued on the next heartbeat; their waiters stay parked.
+    load_retries: Vec<(ObjectId, u32)>,
+    /// Serialized `kvs.load` reply payloads by object id. Objects are
+    /// content-addressed and immutable, so a reply built once is valid
+    /// forever; memoizing it turns the per-child re-serialization of a
+    /// fan-out (each level of the cache chain answering every child with
+    /// a fresh `to_value` of the same directory) into one build plus
+    /// refcount bumps. Capped to bound memory on long-lived brokers.
+    load_replies: HashMap<ObjectId, Payload>,
+    /// Gets served from the lookup memo.
+    pub(crate) lookup_hits: u64,
+    pub(crate) watch: Watches,
+}
+
+impl Reads {
+    pub(crate) fn new(lookup_cache: bool) -> Reads {
+        Reads { lookup_cache, ..Reads::default() }
+    }
+
+    /// Builds (or reuses) the shared `kvs.load` reply payload for `id`.
+    fn load_reply(&mut self, id: ObjectId, obj: &KvsObject) -> Payload {
+        if self.load_replies.len() > 8192 {
+            self.load_replies.clear();
+        }
+        let build = || Value::from_pairs([("id", id.to_hex().into()), ("obj", obj.to_value())]);
+        self.load_replies.entry(id).or_insert_with(|| build().into()).clone()
+    }
+
+    // ----- requests --------------------------------------------------------
+
+    pub(crate) fn lookup(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        rep: &mut Replica,
+        req: &Message,
+        key: &str,
+        want_dir: bool,
+    ) {
+        let shard = rep.slots.shard_of(key);
+        // Memo fast path: a prior resolution under the current root maps
+        // the key straight to its object — no per-component tree walk.
+        if self.lookup_cache && !rep.slots.masters(shard) {
+            let memo = (key.to_owned(), want_dir);
+            if let Some(id) = rep.slots.memo(shard).and_then(|m| m.get(&memo).copied()) {
+                let hit = rep.cache.get(id).and_then(|obj| resolve(&obj, want_dir, false).ok());
+                if let Some(reply) = hit {
+                    self.lookup_hits += 1;
+                    ctx.respond(req, Value::from_pairs([reply]));
+                    return;
+                }
+                // The memoized object expired from the cache: drop the
+                // entry and fault it back in through the normal walk.
+                rep.slots.memo(shard).and_then(|m| m.remove(&memo));
+            }
+        }
+        self.start_walk(ctx, rep, WalkKind::Get(req.clone()), key, want_dir);
+    }
+
+    /// A child's (or client's) `kvs.load` of object `id` of `shard`'s
+    /// tree; `shard` was validated by the dispatcher.
+    pub(crate) fn serve_load(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        rep: &mut Replica,
+        req: &Message,
+        id: ObjectId,
+        shard: u32,
+    ) {
+        if let Some(obj) = rep.cache.get(id) {
+            let payload = self.load_reply(id, &obj);
+            ctx.respond(req, payload);
+            return;
+        }
+        if rep.slots.masters(shard) {
+            ctx.respond_err(req, errnum::ENOENT);
+            return;
+        }
+        let entry = self.load_waiters.entry(id).or_default();
+        entry.1.push(req.clone());
+        if entry.0.is_empty() && entry.1.len() == 1 {
+            self.request_load(ctx, rep, id, shard);
+        }
+    }
+
+    pub(crate) fn watch(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        rep: &mut Replica,
+        req: &Message,
+        key: &str,
+        requester: Option<Rank>,
+    ) {
+        let shard = rep.slots.shard_of(key);
+        let id = self.watch.add(req, key, requester, shard);
+        self.start_walk(ctx, rep, WalkKind::WatchCheck(id), key, false);
+    }
+
+    /// Re-walks the watchers of every shard whose root moved since the
+    /// last call (deterministic registration order per shard).
+    pub(crate) fn recheck(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica) {
+        for shard in rep.slots.take_moved() {
+            for (id, key) in self.watch.on_shard(shard) {
+                self.start_walk(ctx, rep, WalkKind::WatchCheck(id), &key, false);
+            }
+        }
+    }
+
+    // ----- walks -----------------------------------------------------------
+
+    fn start_walk(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        rep: &mut Replica,
+        kind: WalkKind,
+        key: &str,
+        want_dir: bool,
+    ) {
+        let components = match key_components(key) {
+            Ok(c) => c,
+            Err(e) => {
+                if let WalkKind::Get(req) = kind {
+                    ctx.respond_err(&req, e.errnum());
+                }
+                return;
+            }
+        };
+        let shard = rep.slots.shard_of(key);
+        let (cur, version) = rep.slots.root(shard);
+        self.next_walk += 1;
+        let id = self.next_walk;
+        self.walks.insert(id, Walk { kind, components, idx: 0, cur, want_dir, version, shard });
+        self.step_walk(ctx, rep, id);
+    }
+
+    /// Advances a walk until it finishes or parks on a missing object.
+    fn step_walk(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica, walk_id: u64) {
+        loop {
+            let Some(walk) = self.walks.get_mut(&walk_id) else { return };
+            let cur = walk.cur;
+            let Some(obj) = rep.cache.get(cur) else {
+                self.park_walk(ctx, rep, walk_id, cur);
+                return;
+            };
+            if walk.idx == walk.components.len() {
+                let getting = matches!(walk.kind, WalkKind::Get(_));
+                let end = resolve(&obj, walk.want_dir, !getting);
+                // Memoize successful get resolutions under the current
+                // root: repeat gets of the same key skip the walk. A walk
+                // that parked across a root switch resolved against the
+                // old tree — its answer is legal for the caller (the get
+                // predates the switch) but must not enter the memo, or a
+                // get issued *after* a satisfied wait_version could read
+                // the stale object.
+                let memoize = self.lookup_cache
+                    && getting
+                    && end.is_ok()
+                    && !rep.slots.masters(walk.shard)
+                    && walk.version == rep.slots.version(walk.shard);
+                if let (true, Some(memo)) = (memoize, rep.slots.memo(walk.shard)) {
+                    memo.insert((walk.components.join("."), walk.want_dir), cur);
+                }
+                self.finish_walk(ctx, walk_id, end);
+                return;
+            }
+            let next = match &*obj {
+                KvsObject::Dir(entries) => {
+                    entries.get(&walk.components[walk.idx]).copied().ok_or(errnum::ENOENT)
+                }
+                KvsObject::Val(_) => Err(errnum::ENOTDIR),
+            };
+            match next {
+                Ok(next) => {
+                    walk.cur = next;
+                    walk.idx += 1;
+                }
+                Err(e) => {
+                    self.finish_walk(ctx, walk_id, Err(e));
+                    return;
+                }
+            }
+        }
+    }
+
+    fn park_walk(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        rep: &mut Replica,
+        walk_id: u64,
+        missing: ObjectId,
+    ) {
+        let Some(shard) = self.walks.get(&walk_id).map(|w| w.shard) else { return };
+        if rep.slots.masters(shard) {
+            // Authoritative store: a miss is a hard ENOENT.
+            self.finish_walk(ctx, walk_id, Err(errnum::ENOENT));
+            return;
+        }
+        let entry = self.load_waiters.entry(missing).or_default();
+        entry.0.push(walk_id);
+        if entry.0.len() == 1 && entry.1.is_empty() {
+            self.request_load(ctx, rep, missing, shard);
+        }
+    }
+
+    fn finish_walk(&mut self, ctx: &mut ModuleCtx<'_>, walk_id: u64, end: WalkEnd) {
+        let Some(walk) = self.walks.remove(&walk_id) else { return };
+        match (walk.kind, end) {
+            (WalkKind::Get(req), Ok(reply)) => ctx.respond(&req, Value::from_pairs([reply])),
+            (WalkKind::Get(req), Err(e)) => ctx.respond_err(&req, e),
+            (WalkKind::WatchCheck(id), end) => self.watch.observe(ctx, id, end.ok().map(|r| r.1)),
+        }
+    }
+
+    // ----- fault-in --------------------------------------------------------
+
+    /// Faults object `id` of `shard`'s tree in from the next tier.
+    fn request_load(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        rep: &mut Replica,
+        id: ObjectId,
+        shard: u32,
+    ) {
+        let payload = Payload::from(rep.slots.spelling().load_request(id, shard));
+        if let Ok(req_id) = ctx.request_upstream(KvsMethod::Load.topic(), payload.clone()) {
+            self.inflight_loads.insert(req_id, (id, shard));
+            return;
+        }
+        // No parent: this is the tree root, the last cache tier.
+        if rep.slots.masters(shard) {
+            self.complete_load(ctx, rep, id, None);
+            return;
+        }
+        let req_id = ctx.request_to_rank(shard::master_of(shard), KvsMethod::Load.topic(), payload);
+        self.inflight_loads.insert(req_id, (id, shard));
+    }
+
+    /// Resolves a load: `obj = None` means the object does not exist.
+    fn complete_load(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        rep: &mut Replica,
+        id: ObjectId,
+        obj: Option<KvsObject>,
+    ) {
+        if let Some(obj) = obj {
+            // Read-path caching at every level of the chain: this is what
+            // lets C consumers share log2(C) transfers (Fig. 4 model).
+            rep.cache.insert_with_id(id, obj);
+        }
+        let Some((walks, requests)) = self.load_waiters.remove(&id) else { return };
+        // One shared reply payload answers every child waiting on this id.
+        let reply = rep.cache.get(id).map(|obj| self.load_reply(id, &obj));
+        for req in requests {
+            match &reply {
+                Some(payload) => ctx.respond(&req, payload.clone()),
+                None => ctx.respond_err(&req, errnum::ENOENT),
+            }
+        }
+        for walk_id in walks {
+            if reply.is_some() {
+                self.step_walk(ctx, rep, walk_id);
+            } else {
+                self.finish_walk(ctx, walk_id, Err(errnum::ENOENT));
+            }
+        }
+    }
+
+    /// Claims `msg` if it answers a load; returns whether it did.
+    pub(crate) fn handle_response(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        rep: &mut Replica,
+        msg: &Message,
+    ) -> bool {
+        let Some((id, shard)) = self.inflight_loads.remove(&msg.header.id) else { return false };
+        if msg.is_error() && msg.header.errnum != errnum::ENOENT {
+            // Lost in transit, not absent: keep the waiters parked and
+            // try again on the next heartbeat.
+            self.load_retries.push((id, shard));
+            return true;
+        }
+        // Verify the content address before trusting a loaded object.
+        let obj = msg
+            .payload
+            .get("obj")
+            .and_then(|v| KvsObject::from_value(v).ok())
+            .filter(|o| o.id() == id);
+        if obj.is_some() {
+            // The upstream reply payload is exactly the reply this
+            // broker would build for its own children — seed the memo
+            // with it so the object is serialized once session-wide
+            // (at the master), not once per level of the cache chain.
+            self.load_replies.entry(id).or_insert_with(|| msg.payload.clone());
+        }
+        self.complete_load(ctx, rep, id, obj);
+        true
+    }
+
+    /// Re-issues the loads that failed in transit, in the order they
+    /// failed, for objects somebody still waits on.
+    pub(crate) fn on_heartbeat(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica) {
+        for (id, shard) in std::mem::take(&mut self.load_retries) {
+            if self.load_waiters.contains_key(&id) {
+                self.request_load(ctx, rep, id, shard);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::testutil::{messages, request, with_ctx};
+
+    #[test]
+    fn a_load_lost_in_transit_is_retried_and_only_a_real_enoent_is_reported() {
+        let get = request(KvsMethod::Get, Value::object());
+        let get_id = get.header.id;
+        // A one-shard slave: the miss on the root directory goes to the parent.
+        let (_, outs) = with_ctx(2, 3, move |ctx| {
+            let mut reads = Reads::new(true);
+            let mut rep = Replica::new(1);
+            let missing = ObjectId::hash(b"a root this slave never saw");
+            rep.slots.apply_root(ctx, 0, 1, missing);
+            reads.lookup(ctx, &mut rep, &get, "a.b", false);
+            let answer = |reads: &mut Reads, ctx: &mut ModuleCtx<'_>, rep: &mut Replica, code| {
+                let (&id, _) = reads.inflight_loads.iter().next().expect("one load in flight");
+                let mut load = request(KvsMethod::Load, Value::object());
+                load.header.id = id;
+                assert!(reads.handle_response(ctx, rep, &Message::error_response_to(&load, code)));
+            };
+            answer(&mut reads, ctx, &mut rep, errnum::EHOSTDOWN);
+            assert!(reads.inflight_loads.is_empty() && reads.walks.len() == 1, "still parked");
+            reads.on_heartbeat(ctx, &mut rep);
+            answer(&mut reads, ctx, &mut rep, errnum::ENOENT);
+            assert!(reads.walks.is_empty() && reads.load_waiters.is_empty());
+        });
+        let msgs = messages(&outs);
+        let loads = msgs.iter().filter(|m| m.header.topic.as_str() == KvsMethod::Load.topic_str());
+        assert_eq!(loads.count(), 2, "sent, then re-sent on the heartbeat");
+        let replies: Vec<_> = msgs.iter().filter(|m| m.header.id == get_id).collect();
+        assert_eq!(replies.len(), 1);
+        assert_eq!(replies[0].header.errnum, errnum::ENOENT);
+    }
+}

@@ -34,6 +34,14 @@ pub fn shard_of_key(key: &str, shards: u32) -> Result<u32, KeyError> {
     Ok(h % shards)
 }
 
+/// Whether a session `shards` wide has more than the paper's single
+/// master. Exactly two things depend on the answer: how a write part
+/// reaches a master on another broker, and which wire spelling the
+/// session speaks ([`crate::msg`]).
+pub fn sharded(shards: u32) -> bool {
+    shards > 1
+}
+
 /// The rank mastering `shard`: shard *s* lives on rank *s*. Sessions
 /// must therefore be at least `shards` brokers wide.
 pub fn master_of(shard: u32) -> Rank {

@@ -675,3 +675,77 @@ fn watch_on_directory_fires_for_nested_changes() {
     };
     assert_ne!(second_listing, first_listing, "hashes cascade upward");
 }
+
+/// Drives `hb` epochs from the root, as the live module would.
+fn heartbeats(net: &mut TestNet, epochs: std::ops::RangeInclusive<u64>) {
+    for epoch in epochs {
+        net.publish_from_root(
+            Topic::from_static("hb"),
+            Value::from_pairs([("epoch", Value::from(epoch as i64))]),
+        );
+    }
+}
+
+fn two_shard_net(size: u32) -> TestNet {
+    let cfg = KvsConfig { shards: 2, ..KvsConfig::default() };
+    TestNet::new(size, 2, move |_| vec![Box::new(KvsModule::with_config(cfg)) as Box<dyn CommsModule>])
+}
+
+#[test]
+fn commit_across_a_shard_master_blackout_is_answered_wherever_it_was_issued() {
+    // The commit is coordinated on the committer's own broker, so that is
+    // where the part lost to the blackout must be re-sent from — on the
+    // root and on a leaf alike.
+    for issuer in [Rank(0), Rank(5)] {
+        let mut net = two_shard_net(6);
+        let mut c = KvsClient::new(issuer, 0);
+        let key = flux_kvs::shard::key_on_shard("blackout.k", 1, 2);
+        assert_eq!(rpc(&mut net, issuer, 0, &mut c, |c| c.put(&key, Value::Int(1), 1)), KvsReply::Ack);
+        net.kill(Rank(1));
+        let commit = c.commit(2);
+        net.client_send(issuer, 0, commit);
+        assert!(net.take_client_msgs(issuer, 0).is_empty(), "shard 1's master is down");
+        net.revive(Rank(1));
+        heartbeats(&mut net, 1..=10);
+        let mut msgs = Vec::new();
+        pump_for(&mut net, issuer, 0, 1, &mut msgs);
+        assert_eq!(msgs.len(), 1, "commit issued at {issuer:?} must be answered after the restart");
+        match c.deliver(msgs.remove(0)) {
+            KvsDelivery::Reply { reply: KvsReply::Frontier { shards: 2, entries }, .. } => {
+                assert_eq!(entries.iter().map(|e| (e.0, e.1)).collect::<Vec<_>>(), vec![(1, 1)]);
+            }
+            other => panic!("unexpected delivery {other:?}"),
+        }
+        assert_eq!(rpc(&mut net, issuer, 0, &mut c, |c| c.get(&key, 3)), KvsReply::Value(Value::Int(1)));
+    }
+}
+
+#[test]
+fn a_commit_in_flight_for_less_than_a_heartbeat_is_sent_and_applied_once() {
+    // The push is parked in shard 1's batch window — healthy, merely in
+    // flight — when a heartbeat arrives. Re-sending it then would apply
+    // the commit twice (two version bumps once the first copy's window
+    // has closed); it must be left alone for one full period.
+    for issuer in [Rank(0), Rank(5)] {
+        let mut net = two_shard_net(6);
+        let mut c = KvsClient::new(issuer, 0);
+        let key = flux_kvs::shard::key_on_shard("inflight.k", 1, 2);
+        assert_eq!(rpc(&mut net, issuer, 0, &mut c, |c| c.put(&key, Value::Int(1), 1)), KvsReply::Ack);
+        let commit = c.commit(2);
+        net.client_send(issuer, 0, commit);
+        heartbeats(&mut net, 1..=1);
+        let mut msgs = Vec::new();
+        pump_for(&mut net, issuer, 0, 1, &mut msgs);
+        assert_eq!(msgs.len(), 1);
+        let mut probe = KvsClient::new(Rank(1), 1);
+        let KvsReply::Stats(s) = rpc(&mut net, Rank(1), 1, &mut probe, |p| p.stats(1)) else { panic!() };
+        let stat = |k: &str| s.get(k).and_then(Value::as_int);
+        assert_eq!((stat("pushes_batched"), stat("commits")), (Some(1), Some(1)), "issued at {issuer:?}: {s:?}");
+        let KvsReply::Version { version, .. } =
+            rpc(&mut net, Rank(1), 1, &mut probe, |p| p.get_version_shard(1, 2))
+        else {
+            panic!()
+        };
+        assert_eq!(version, 1);
+    }
+}

@@ -154,3 +154,22 @@ fn wrong_value_in_dirty_object_manifest_is_rejected() {
     let resp = rpc(&mut net, Rank(1), req(Rank(1), "kvs.push", push));
     assert_eq!(resp.header.errnum, errnum::EINVAL, "{resp:?}");
 }
+
+#[test]
+fn load_with_an_out_of_range_shard_fails_einval() {
+    // `shard` arrives from outside; trusting it sent the tree root a
+    // rank-addressed load to a rank that does not exist, re-sent on every
+    // heartbeat and never answered.
+    let cfg = flux_kvs::KvsConfig { shards: 2, ..Default::default() };
+    let mut net = TestNet::new(4, 2, move |_| {
+        vec![Box::new(KvsModule::with_config(cfg)) as Box<dyn CommsModule>]
+    });
+    let absent = flux_hash::ObjectId::hash(b"never stored").to_hex();
+    let load = |shard: i64| {
+        Value::from_pairs([("id", Value::from(absent.as_str())), ("shard", Value::Int(shard))])
+    };
+    let resp = rpc(&mut net, Rank(3), req(Rank(3), "kvs.load", load(99)));
+    assert_eq!(resp.header.errnum, errnum::EINVAL);
+    let resp = rpc(&mut net, Rank(3), req(Rank(3), "kvs.load", load(1)));
+    assert_eq!(resp.header.errnum, errnum::ENOENT, "in range: the master knows it is absent");
+}

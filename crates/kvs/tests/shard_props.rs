@@ -88,30 +88,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Concurrent commit storms against 1–8 shard masters. Whatever the
-    /// shard count, batch window, write fan-out, and read tiering, the
-    /// per-client histories must satisfy the cross-shard oracle.
+    /// shard count and batch window, the per-client histories must
+    /// satisfy the cross-shard oracle.
     #[test]
     fn sharded_commit_storms_stay_consistent(
         shards in 1u32..=8,
         writers in 2u32..5,
         rounds in 1u64..4,
         window_sel in 0usize..3,
-        write_fanout in 0usize..3,
-        through_sel in 0usize..2,
         salt in 0u32..1000,
     ) {
         let window = [0u64, 500, 50_000][window_sel];
-        let read_through_tree = through_sel == 1;
         // Masters live on ranks 0..shards; writers on the slave ranks
         // after them.
         let size = shards.max(1) + writers;
-        let cfg = KvsConfig {
-            shards,
-            write_fanout,
-            read_through_tree,
-            batch_window_ns: window,
-            ..KvsConfig::default()
-        };
+        let cfg = KvsConfig { shards, batch_window_ns: window, ..KvsConfig::default() };
         let mut net = TestNet::new(size, 2, move |_| {
             vec![Box::new(KvsModule::with_config(cfg)) as Box<dyn CommsModule>]
         });

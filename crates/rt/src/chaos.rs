@@ -327,14 +327,12 @@ pub fn histories_for(
                 }
                 Op::Commit => {
                     let ok = recorded && outcome.op_err[i] == 0;
-                    let reply = if ok { Some(&outcome.replies[i]) } else { None };
-                    let version = reply.and_then(|r| r.get("version").and_then(Value::as_uint));
-                    let frontier = reply.and_then(parse_frontier);
+                    let acked = ok.then(|| acked(&outcome.replies[i]));
                     for (key, gen) in staged.drain(..) {
-                        events.push(match (&frontier, version) {
-                            // Sharded reply: the key committed on its
+                        events.push(match &acked {
+                            // N-shard reply: the key committed on its
                             // shard at that shard's frontier version.
-                            (Some((shards, fmap)), _) => {
+                            Some(Acked::Frontier(shards, fmap)) => {
                                 match shard_of_key(&key, *shards)
                                     .ok()
                                     .and_then(|s| fmap.get(&s).map(|v| (s, *v)))
@@ -348,11 +346,11 @@ pub fn histories_for(
                                     None => Event::StagedOnly { key, gen },
                                 }
                             }
-                            (None, Some(v)) => Event::Committed { key, gen, version: v },
-                            (None, None) => Event::StagedOnly { key, gen },
+                            Some(Acked::Version(v)) => Event::Committed { key, gen, version: *v },
+                            None => Event::StagedOnly { key, gen },
                         });
                     }
-                    if let Some((_, fmap)) = &frontier {
+                    if let Some(Acked::Frontier(_, fmap)) = &acked {
                         for (s, v) in fmap {
                             events.push(Event::ShardVersion { shard: *s, v: *v });
                         }
@@ -374,7 +372,7 @@ pub fn histories_for(
                     }
                 }
                 Op::GetVersion if recorded && outcome.op_err[i] == 0 => {
-                    if let Some(v) = outcome.replies[i].get("version").and_then(Value::as_uint) {
+                    if let Acked::Version(v) = acked(&outcome.replies[i]) {
                         events.push(Event::Version { v });
                     }
                 }
@@ -390,46 +388,18 @@ pub fn histories_for(
                             events.push(Event::StagedOnly { key, gen });
                         }
                     } else if outcome.op_err[i] == 0 {
-                        let reply = &outcome.replies[i];
-                        if let Some((shards, fmap)) = parse_frontier(reply) {
-                            // Cross-shard release: each contribution is
-                            // fenced on its owning shard, and the reply's
-                            // frontier must agree across all clients.
-                            for (key, gen) in staged.drain(..) {
-                                let shard = shard_of_key(&key, shards).unwrap_or(0);
-                                events.push(Event::Fenced {
-                                    name: name.clone(),
-                                    key,
-                                    gen,
-                                    shard,
-                                });
-                            }
-                            events.push(Event::FenceDone {
-                                name: name.clone(),
-                                frontier: fmap.into_iter().collect(),
-                            });
-                        } else if let Some(v) =
-                            reply.get("version").and_then(Value::as_uint)
-                        {
-                            // Single-master release: everything fenced on
-                            // shard 0 at one version.
-                            for (key, gen) in staged.drain(..) {
-                                events.push(Event::Fenced {
-                                    name: name.clone(),
-                                    key,
-                                    gen,
-                                    shard: 0,
-                                });
-                            }
-                            events.push(Event::FenceDone {
-                                name: name.clone(),
-                                frontier: vec![(0, v)],
-                            });
-                        } else {
-                            for (key, gen) in staged.drain(..) {
-                                events.push(Event::StagedOnly { key, gen });
-                            }
+                        // The release names the cut every contribution
+                        // landed in: each is fenced on its owning shard,
+                        // and the frontier must agree across all clients.
+                        let (shards, frontier) = match acked(&outcome.replies[i]) {
+                            Acked::Frontier(shards, fmap) => (shards, fmap.into_iter().collect()),
+                            Acked::Version(v) => (1, vec![(0, v)]),
+                        };
+                        for (key, gen) in staged.drain(..) {
+                            let shard = shard_of_key(&key, shards).unwrap_or(0);
+                            events.push(Event::Fenced { name: name.clone(), key, gen, shard });
                         }
+                        events.push(Event::FenceDone { name: name.clone(), frontier });
                     }
                 }
                 _ => {}
@@ -448,20 +418,23 @@ pub fn histories_for(
     out
 }
 
-/// Decodes a sharded commit/fence reply's per-shard frontier:
-/// `(total shard count, shard → version)`. `None` for unsharded
-/// replies (no `frontier` field).
-fn parse_frontier(reply: &Value) -> Option<(u32, BTreeMap<u32, u64>)> {
-    let entries = reply.get("frontier").and_then(Value::as_array)?;
-    let shards = reply.get("shards").and_then(Value::as_uint)? as u32;
-    let mut fmap = BTreeMap::new();
-    for e in entries {
-        fmap.insert(
-            e.get("shard").and_then(Value::as_uint).unwrap_or(0) as u32,
-            e.get("version").and_then(Value::as_uint).unwrap_or(0),
-        );
+/// What a successful commit / fence / get_version reply acknowledges.
+enum Acked {
+    /// N-shard session: `(total shard count, shard → version)`.
+    Frontier(u32, BTreeMap<u32, u64>),
+    /// One-shard session (or one slot's `get_version`): the version.
+    Version(u64),
+}
+
+/// Decodes a reply through the KVS codec, the one owner of its shapes.
+fn acked(reply: &Value) -> Acked {
+    let cut = flux_kvs::msg::decode_cut(reply);
+    match cut.shards {
+        Some(shards) => {
+            Acked::Frontier(shards, cut.roots.iter().map(|r| (r.shard, r.version)).collect())
+        }
+        None => Acked::Version(cut.roots.first().map_or(0, |r| r.version)),
     }
-    Some((shards, fmap))
 }
 
 /// Convenience: run the mapping and the checker in one step.

@@ -92,6 +92,36 @@ fn sim_shard_master_blackout_during_fence() {
     }
 }
 
+/// A shard master blacked out while commits are in flight. A commit is
+/// coordinated on the committer's own broker — here always a slave rank,
+/// never the tree root — which sends each part rank-addressed to its
+/// master and must re-send, from there, the parts the blackout
+/// swallowed. A script may end early on a fence or a read whose tree
+/// path crossed the victim while it was down; it must never end on a
+/// commit, and whatever was answered must satisfy the history oracle.
+#[test]
+fn sim_shard_master_blackout_during_commit() {
+    let shards = 4u32;
+    let cfg = flux_kvs::KvsConfig { shards, ..flux_kvs::KvsConfig::default() };
+    for seed in seed_range() {
+        let w = chaos::shard_workload(seed, shards, 100_000_000, true);
+        let report = chaos::run_sim_kvs(&w, cfg);
+        for ((rank, ops), outcome) in w.scripts.iter().zip(&report.outcomes) {
+            let stalled_on = (!outcome.finished).then(|| &ops[outcome.op_err.len()]);
+            assert!(
+                !matches!(stalled_on, Some(flux_rt::script::Op::Commit)),
+                "seed {seed}: the commit at op {} of the script on {rank:?} was never answered; \
+                 repro with `FLUX_CHAOS_SEED={seed} cargo test -p flux-bench --test chaos_kvs`\n\
+                 plan: {}",
+                outcome.op_err.len(),
+                w.plan
+            );
+        }
+        let violations = chaos::check_run(&w, &report);
+        assert!(violations.is_empty(), "seed {seed}: {}\nplan: {}", violations.join("\n  "), w.plan);
+    }
+}
+
 /// A live runtime under the same seeded fault plans: every client
 /// history must pass the consistency checker.
 fn live_chaos_consistency_sweep(make: &dyn Fn() -> Box<dyn flux_rt::transport::Transport>) {
