@@ -1,5 +1,6 @@
-//! Generates `BENCH_rpc.json`: the sustained-RPC cell matrix comparing
-//! the poll-based reactor against the thread-per-link baseline.
+//! Generates `BENCH_rpc.json`: the sustained-RPC cell matrix of the
+//! socket runtime, plus the frozen record of its PR-10 head-to-head
+//! against the thread-per-link architecture it replaced.
 //!
 //! ```text
 //! rpc_bench [--smoke] [--out PATH]

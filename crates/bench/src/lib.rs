@@ -15,7 +15,6 @@
 #![deny(missing_docs)]
 
 pub mod rpc;
-pub mod threadlink;
 
 use flux_kap::{run_kap, KapParams};
 use std::time::Duration;

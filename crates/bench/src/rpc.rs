@@ -1,19 +1,20 @@
 //! Sustained-RPC benchmark: pipelined socket clients against a broker.
 //!
-//! The load driver multiplexes many nonblocking client connections on a
-//! few OS threads. Each connection keeps a window of `cmb.ping`
-//! requests in flight (matched back by [`ClientCore`]), so a window of
-//! 1 measures strict request/response round trips while deeper windows
-//! measure the pipelining the reactor's per-connection state machines
-//! exist to serve.
+//! The load driver multiplexes many nonblocking client connections on
+//! one OS thread. Each connection keeps a window of `cmb.ping` requests
+//! in flight (matched back by [`ClientCore`]), so a window of 1 measures
+//! strict request/response round trips while deeper windows measure the
+//! pipelining the socket link's per-connection state machines exist to
+//! serve.
 //!
 //! [`run_matrix`] produces the committed `BENCH_rpc.json`: wall-clock
 //! cells (never byte-reproducible), so the harness in
-//! `crates/bench/tests/rpc_harness.rs` pins *relations* — reactor above
-//! thread-per-link at the same load, deep windows above window 1 — not
-//! absolute numbers.
+//! `crates/bench/tests/rpc_harness.rs` pins *relations* — deep windows
+//! above window 1, every RPC of the 4k-client point answered — not
+//! absolute numbers. The head-to-head against the thread-per-link
+//! architecture the reactor replaced is a frozen record
+//! ([`frozen_architecture`]): that server no longer exists to re-run.
 
-use crate::threadlink::ThreadLinkServer;
 use flux_broker::client::{ClientCore, Delivery};
 use flux_modules::standard_modules;
 use flux_proto::CmbMethod;
@@ -209,53 +210,23 @@ pub fn drive(addr: SocketAddr, p: &RpcParams) -> io::Result<RpcReport> {
     })
 }
 
-/// Which server architecture a cell measures.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ServerKind {
-    /// The poll-based reactor runtime (`flux_rt::tcp`).
-    Reactor,
-    /// The pre-reactor thread-per-link architecture
-    /// ([`crate::threadlink`]).
-    ThreadLink,
-}
-
-impl ServerKind {
-    /// Stable name used in cell ids and the JSON.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServerKind::Reactor => "reactor",
-            ServerKind::ThreadLink => "tcpthreads",
-        }
-    }
-}
-
-/// Starts a server of `kind`, drives `p` against it, shuts the server
-/// down, and returns the report.
+/// Starts a one-broker [`TcpSession`], drives `p` against it, shuts the
+/// session down, and returns the report.
 ///
 /// # Errors
 /// Propagates driver failures (connect errors, wedged runs).
-pub fn run_server_cell(kind: ServerKind, p: &RpcParams) -> io::Result<RpcReport> {
-    match kind {
-        ServerKind::Reactor => {
-            let session = TcpSession::builder(1, 2, |_| standard_modules()).start();
-            let report = drive(session.addrs()[0], p);
-            session.shutdown();
-            report
-        }
-        ServerKind::ThreadLink => {
-            let server = ThreadLinkServer::start(standard_modules());
-            let report = drive(server.addr(), p);
-            server.shutdown();
-            report
-        }
-    }
+pub fn run_cell(p: &RpcParams) -> io::Result<RpcReport> {
+    let session = TcpSession::builder(1, 2, |_| standard_modules()).start();
+    let report = drive(session.addrs()[0], p);
+    session.shutdown();
+    report
 }
 
 /// Renders one cell as its JSON object.
-fn cell_json(name: &str, kind: ServerKind, p: &RpcParams, r: &RpcReport) -> Value {
+fn cell_json(name: &str, p: &RpcParams, r: &RpcReport) -> Value {
     Value::from_pairs([
         ("name", Value::from(name)),
-        ("transport", Value::from(kind.name())),
+        ("transport", Value::from("reactor")),
         ("deterministic", Value::from(false)),
         ("clients", Value::from(p.clients as i64)),
         ("window", Value::from(p.window as i64)),
@@ -274,35 +245,31 @@ fn cell_json(name: &str, kind: ServerKind, p: &RpcParams, r: &RpcReport) -> Valu
     ])
 }
 
-/// The cell list: `(name, server, params)`. The full matrix holds the
-/// acceptance cells — a ≥1k-client head-to-head at window 32, the
-/// window-1 pipelining ablation, and a 4k-client reactor scale point
-/// (4k × 2 sockets stays under the host's 20k fd ceiling; the
-/// thread-per-link server at 4k clients would need 8k OS threads, which
-/// is exactly the scaling wall the reactor removes, so that cell is
-/// reactor-only). Smoke cells keep CI minutes-fast.
-fn cells(smoke: bool) -> Vec<(String, ServerKind, RpcParams)> {
-    let mk = |kind: ServerKind, clients: usize, window: usize, per_client: usize| {
-        (
-            format!("{}/{}c/w{}", kind.name(), clients, window),
-            kind,
-            RpcParams { clients, window, per_client },
-        )
-    };
+/// The cell list, `(clients, window, per_client)`: the deep-window cell
+/// first, its window-1 ablation second. The full matrix adds a 4k-client
+/// scale point (4k × 2 sockets stays under the host's 20k fd ceiling);
+/// smoke cells keep CI minutes-fast.
+fn cells(smoke: bool) -> Vec<RpcParams> {
+    let mk = |clients, window, per_client| RpcParams { clients, window, per_client };
     if smoke {
-        vec![
-            mk(ServerKind::Reactor, 64, 16, 32),
-            mk(ServerKind::ThreadLink, 64, 16, 32),
-            mk(ServerKind::Reactor, 64, 1, 8),
-        ]
+        vec![mk(64, 16, 32), mk(64, 1, 8)]
     } else {
-        vec![
-            mk(ServerKind::Reactor, 1024, 32, 50),
-            mk(ServerKind::ThreadLink, 1024, 32, 50),
-            mk(ServerKind::Reactor, 1024, 1, 10),
-            mk(ServerKind::Reactor, 4096, 32, 32),
-        ]
+        vec![mk(1024, 32, 50), mk(1024, 1, 10), mk(4096, 32, 32)]
     }
+}
+
+/// The PR-10 head-to-head (1024 clients, window 32, same driver, same
+/// sans-io broker) of the reactor against the architecture it replaced:
+/// two blocking OS threads per connection. That server is deleted, so
+/// the measurement is a constant — emitted as recorded, never recomputed.
+pub fn frozen_architecture() -> Value {
+    Value::from_pairs([
+        ("frozen", Value::from(true)),
+        ("measured", Value::from("PR 10: reactor/1024c/w32 vs tcpthreads/1024c/w32")),
+        ("reactor_rpc_per_s", Value::Float(334_884.371_228_953_5)),
+        ("threadlink_rpc_per_s", Value::Float(75_268.768_786_072_16)),
+        ("reactor_over_threadlink", Value::Float(4.449_180_936_926_936)),
+    ])
 }
 
 /// Runs the cell matrix and returns the `BENCH_rpc.json` document.
@@ -312,39 +279,23 @@ fn cells(smoke: bool) -> Vec<(String, ServerKind, RpcParams)> {
 /// server has no useful partial output.
 pub fn run_matrix(smoke: bool) -> Value {
     let mut out = Vec::new();
-    for (name, kind, p) in cells(smoke) {
-        let r = run_server_cell(kind, &p)
-            .unwrap_or_else(|e| panic!("cell {name} failed: {e}"));
+    let mut tput = Vec::new();
+    for p in cells(smoke) {
+        let name = format!("reactor/{}c/w{}", p.clients, p.window);
+        let r = run_cell(&p).unwrap_or_else(|e| panic!("cell {name} failed: {e}"));
         assert_eq!(r.total_rpcs, p.total(), "cell {name}: lost replies");
-        out.push(cell_json(&name, kind, &p, &r));
+        out.push(cell_json(&name, &p, &r));
+        tput.push(r.throughput_per_s);
     }
-    let tput = |cells: &[Value], name: &str| {
-        cells
-            .iter()
-            .find(|c| c.get("name").and_then(Value::as_str) == Some(name))
-            .and_then(|c| c.get("throughput_rpc_per_s"))
-            .and_then(Value::as_float)
-            .unwrap_or_else(|| panic!("cell {name} missing from matrix"))
-    };
-    let (deep, shallow, rival) = if smoke {
-        ("reactor/64c/w16", "reactor/64c/w1", "tcpthreads/64c/w16")
-    } else {
-        ("reactor/1024c/w32", "reactor/1024c/w1", "tcpthreads/1024c/w32")
-    };
-    let pipelining = tput(&out, deep) / tput(&out, shallow);
-    let vs_threads = tput(&out, deep) / tput(&out, rival);
     Value::from_pairs([
         ("schema", Value::from(SCHEMA)),
         ("smoke", Value::from(smoke)),
         ("cells", Value::Array(out)),
         (
             "pipelining",
-            Value::from_pairs([("speedup_deep_over_w1", Value::Float(pipelining))]),
+            Value::from_pairs([("speedup_deep_over_w1", Value::Float(tput[0] / tput[1]))]),
         ),
-        (
-            "architecture",
-            Value::from_pairs([("reactor_over_threadlink", Value::Float(vs_threads))]),
-        ),
+        ("architecture", frozen_architecture()),
     ])
 }
 

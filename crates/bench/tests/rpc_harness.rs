@@ -5,16 +5,18 @@
 //! show — and what a regenerated file must reproduce — are the
 //! *relations* the reactor exists for:
 //!
-//! * at the ≥1k-client head-to-head, the pipelined reactor's throughput
-//!   is strictly above the thread-per-link baseline's;
+//! * the frozen PR-10 head-to-head record — the pipelined reactor
+//!   strictly above the thread-per-link architecture it replaced at 1k
+//!   clients — is present, unedited and self-consistent (the baseline
+//!   server is deleted, so the record is never regenerated);
 //! * deep request windows are strictly above window 1 (pipelining pays);
 //! * the 4k-client scale point exists and completed every RPC —
 //!   a population the thread-per-link architecture would need 8k OS
 //!   threads to serve.
 //!
-//! Plus a live smoke: a small cell of each architecture actually runs.
+//! Plus a live smoke: a small cell actually runs.
 
-use flux_bench::rpc::{self, RpcParams, ServerKind};
+use flux_bench::rpc::{self, RpcParams};
 use flux_value::Value;
 
 fn golden() -> Value {
@@ -52,25 +54,30 @@ fn golden_file_passes_the_schema_check() {
 }
 
 #[test]
-fn reactor_beats_thread_per_link_at_1k_clients() {
+fn frozen_thread_per_link_record_is_present_and_self_consistent() {
     let doc = golden();
-    let reactor = tput(&doc, "reactor/1024c/w32");
-    let threads = tput(&doc, "tcpthreads/1024c/w32");
+    let record = doc.get("architecture").expect("architecture record");
+    assert_eq!(record, &rpc::frozen_architecture(), "the frozen record was edited or regenerated");
+    assert_eq!(record.get("frozen").and_then(Value::as_bool), Some(true));
+    let field = |name: &str| {
+        record.get(name).and_then(Value::as_float).unwrap_or_else(|| panic!("architecture.{name}"))
+    };
+    let (reactor, threads) = (field("reactor_rpc_per_s"), field("threadlink_rpc_per_s"));
     assert!(
         reactor > threads,
         "pipelined reactor throughput ({reactor:.0}/s) must be strictly above \
-         thread-per-link ({threads:.0}/s) — regenerate with `rpc_bench --out BENCH_rpc.json`"
+         thread-per-link ({threads:.0}/s)"
     );
-    let margin = doc
-        .get("architecture")
-        .and_then(|a| a.get("reactor_over_threadlink"))
-        .and_then(Value::as_float)
-        .expect("architecture.reactor_over_threadlink");
+    let margin = field("reactor_over_threadlink");
     assert!(margin > 1.0);
     assert!(
         (margin - reactor / threads).abs() < 1e-9,
-        "derived margin disagrees with its cells"
+        "recorded margin disagrees with its throughputs"
     );
+    // Only regenerable cells live in `cells`.
+    for c in doc.get("cells").and_then(Value::as_array).expect("cells") {
+        assert_eq!(c.get("transport").and_then(Value::as_str), Some("reactor"));
+    }
 }
 
 #[test]
@@ -100,16 +107,13 @@ fn four_thousand_client_scale_point_is_committed() {
     assert_eq!(total, 4096 * per_client, "4k cell lost replies");
 }
 
-/// Both server architectures still run end to end: a small live cell
-/// each, every RPC answered. Wall-clock — nothing about relative speed
-/// is asserted here (machine load would make that flaky).
+/// The server still runs end to end: a small live cell, every RPC
+/// answered. Wall-clock — nothing about speed is asserted here (machine
+/// load would make that flaky).
 #[test]
-fn live_smoke_both_architectures_complete_all_rpcs() {
+fn live_smoke_completes_all_rpcs() {
     let p = RpcParams { clients: 16, window: 8, per_client: 16 };
-    for kind in [ServerKind::Reactor, ServerKind::ThreadLink] {
-        let r = rpc::run_server_cell(kind, &p)
-            .unwrap_or_else(|e| panic!("{} smoke failed: {e}", kind.name()));
-        assert_eq!(r.total_rpcs, p.total(), "{} lost replies", kind.name());
-        assert!(r.p50_ns > 0 && r.p50_ns <= r.p99_ns && r.p99_ns <= r.max_ns);
-    }
+    let r = rpc::run_cell(&p).unwrap_or_else(|e| panic!("reactor smoke failed: {e}"));
+    assert_eq!(r.total_rpcs, p.total(), "reactor lost replies");
+    assert!(r.p50_ns > 0 && r.p50_ns <= r.p99_ns && r.p99_ns <= r.max_ns);
 }

@@ -65,7 +65,7 @@ use flux_proto::{
     keys, BarrierMethod, CmbMethod, GroupMethod, KvsMethod, LiveMethod, LogMethod, MonMethod,
     ResvcMethod, WexecMethod,
 };
-use flux_rt::transport::{FaultyTransport, TransportKind};
+use flux_rt::transport::TransportKind;
 use flux_rt::{FaultPlan, LiveClient};
 use flux_value::Value;
 use flux_wire::{Message, Rank, Topic};
@@ -451,7 +451,7 @@ fn main() -> ExitCode {
         // period (the CLI does not override broker configs).
         let hb = flux_broker::BrokerConfig::new(Rank(0), size).hb_period_ns;
         match FaultPlan::parse_flag(&flag, hb) {
-            Ok(plan) => live = Box::new(FaultyTransport::new(live, plan)),
+            Ok(plan) => live = live.with_faults(plan),
             Err(e) => {
                 eprintln!("flux: {e}");
                 return ExitCode::from(2);
@@ -465,30 +465,29 @@ fn main() -> ExitCode {
             standard_modules()
         }
     };
-    let mut builder = live.open(size, arity, &factory);
     let leaf = Rank(size - 1);
-    let conn = builder.attach_client(leaf);
-    let session = builder.start();
-    let core = ClientCore::new(leaf, conn.client_id);
-    let mut cli = Cli { conn, core, tag: 0, size, transport };
+    live.with_session(size, arity, &factory, &[leaf], |mut clients| {
+        let conn = clients.pop().expect("with_session attaches one client per requested rank");
+        let core = ClientCore::new(leaf, conn.client_id);
+        let mut cli = Cli { conn, core, tag: 0, size, transport };
 
-    let mut status = ExitCode::SUCCESS;
-    for cmd in args.split(|a| a == ";") {
-        if cmd.is_empty() {
-            continue;
-        }
-        match run_command(&mut cli, cmd) {
-            Ok(out) => {
-                if !out.is_empty() {
-                    println!("{out}");
+        let mut status = ExitCode::SUCCESS;
+        for cmd in args.split(|a| a == ";") {
+            if cmd.is_empty() {
+                continue;
+            }
+            match run_command(&mut cli, cmd) {
+                Ok(out) => {
+                    if !out.is_empty() {
+                        println!("{out}");
+                    }
+                }
+                Err(e) => {
+                    eprintln!("flux: {}: {e}", cmd.join(" "));
+                    status = ExitCode::FAILURE;
                 }
             }
-            Err(e) => {
-                eprintln!("flux: {}: {e}", cmd.join(" "));
-                status = ExitCode::FAILURE;
-            }
         }
-    }
-    session.shutdown();
-    status
+        status
+    })
 }

@@ -22,34 +22,35 @@
 //! 6. **reply** — every request/response arm of a module dispatch match
 //!    must respond (or park the request) on all paths. See the
 //!    [`reply`] module docs.
-//! 7. **allowlist** — the legacy allowlist must stay empty: the
-//!    burn-down is complete, and any new entry is itself a violation.
-//!
-//! 8. **nondet** — determinism-taint analysis: nondeterminism sources
+//! 7. **nondet** — determinism-taint analysis: nondeterminism sources
 //!    (hash iteration, wall clock, thread ids, address ordering) may not
 //!    reach the deterministic crates, directly or through the call
 //!    graph, without a justified `allow(nondet)` waiver. See [`taint`].
-//! 9. **error-codes** — each dispatch arm's reachable error codes must
+//! 8. **error-codes** — each dispatch arm's reachable error codes must
 //!    match the `declared_errors` sets in the flux-proto registry, in
 //!    both directions. See [`errors`].
-//! 10. **shard-safety** — rank-addressed sends must register a retry
-//!     join, handle the EINVAL wrong-master reply, and be reachable from
-//!     the heartbeat-driven retry pump. See [`shard_safety`].
-//! 11. **block** — blocking-call taint: sleeps, deadline-free channel
+//! 9. **shard-safety** — rank-addressed sends must register a retry
+//!    join, handle the EINVAL wrong-master reply, and be reachable from
+//!    the heartbeat-driven retry pump. See [`shard_safety`].
+//! 10. **block** — blocking-call taint: sleeps, deadline-free channel
 //!     receives, thread joins, un-deadlined socket reads, and locks held
 //!     across I/O may not appear in (or be reached from) the sans-io
 //!     broker core without a justified `allow(block)` waiver. See
 //!     [`block`].
-//! 12. **hotalloc** — allocation accounting: per-message allocations
+//! 11. **hotalloc** — allocation accounting: per-message allocations
 //!     (`Vec::new`, `clone`, `format!`, fresh `collect`, …) may not
 //!     appear in the designated hot paths (framing chain, sim dispatch,
 //!     kvs batch apply, broker route) without a justified
 //!     `allow(hotalloc)` waiver. See [`hotalloc`].
 //!
+//! A violation is fixed, or waived at its site with a justified
+//! `// flux-lint: allow(...)` comment; there is no out-of-line
+//! suppression list.
+//!
 //! Rules 1–4 are line rules over *blanked* text (string/char/comment
 //! contents replaced with spaces by [`token::blank`], so a `panic!(`
-//! in an error message can't fire the panic rule). Rules 5–6 and 8–12
-//! are semantic passes over an AST-lite statement model, sharing one
+//! in an error message can't fire the panic rule). Rules 5–11 are
+//! semantic passes over an AST-lite statement model, sharing one
 //! [`analysis::ParsedFile`] cache per tree walk. The linter has no
 //! dependencies outside the workspace and never touches the network.
 
@@ -85,8 +86,6 @@ pub enum Rule {
     Wildcard,
     /// A crate root missing the agreed lint header.
     Header,
-    /// An allowlist entry that no longer suppresses anything.
-    StaleAllow,
     /// A cycle in the cross-crate lock acquisition graph.
     LockOrder,
     /// A request/response dispatch arm that can finish without a reply.
@@ -101,19 +100,16 @@ pub enum Rule {
     Block,
     /// A per-message allocation inside a designated hot path.
     HotAlloc,
-    /// Any entry at all in the (now permanently empty) allowlist.
-    AllowlistEntry,
 }
 
 impl Rule {
-    /// The rule's name as used in allowlist entries and diagnostics.
+    /// The rule's name as used in waivers and diagnostics.
     pub fn name(self) -> &'static str {
         match self {
             Rule::TopicLiteral => "topic-literal",
             Rule::Panic => "panic",
             Rule::Wildcard => "wildcard",
             Rule::Header => "header",
-            Rule::StaleAllow => "stale-allow",
             Rule::LockOrder => "lock-order",
             Rule::ReplyObligation => "reply",
             Rule::Nondet => "nondet",
@@ -121,7 +117,6 @@ impl Rule {
             Rule::ShardSafety => "shard-safety",
             Rule::Block => "block",
             Rule::HotAlloc => "hotalloc",
-            Rule::AllowlistEntry => "allowlist",
         }
     }
 
@@ -130,7 +125,6 @@ impl Rule {
     pub fn pass(self) -> &'static str {
         match self {
             Rule::TopicLiteral | Rule::Panic | Rule::Wildcard | Rule::Header => "line",
-            Rule::StaleAllow | Rule::AllowlistEntry => "allowlist",
             Rule::LockOrder => "lock-order",
             Rule::ReplyObligation => "reply",
             Rule::Nondet => "nondet",
@@ -377,7 +371,7 @@ pub fn lint_lock_order(files: &[(String, String)]) -> Vec<Violation> {
 /// The outcome of one whole-workspace lint: the surviving violations
 /// plus wall time per pass (for `flux-lint --timings`).
 pub struct LintReport {
-    /// Violations after allowlist application, sorted by file and line.
+    /// Every violation found, sorted by file and line.
     pub violations: Vec<Violation>,
     /// `(pass name, wall time)` in execution order.
     pub timings: Vec<(&'static str, Duration)>,
@@ -389,7 +383,7 @@ pub struct LintReport {
 /// exactly once, then the per-file rules and the four interprocedural
 /// passes run over the cache. This is the engine behind [`lint_tree`]
 /// and the `--self-mutate` smoke check.
-pub fn lint_sources(files: &[(String, String)], allowlist: &str) -> LintReport {
+pub fn lint_sources(files: &[(String, String)]) -> LintReport {
     let mut timings = Vec::new();
     let mut violations = Vec::new();
 
@@ -436,10 +430,8 @@ pub fn lint_sources(files: &[(String, String)], allowlist: &str) -> LintReport {
     violations.extend(hotalloc::check_hotalloc(&parsed));
     timings.push(("hotalloc", t.elapsed()));
 
-    let mut kept = apply_allowlist(violations, allowlist);
-    kept.extend(check_allowlist_empty(allowlist));
-    kept.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
-    LintReport { violations: kept, timings }
+    violations.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
+    LintReport { violations, timings }
 }
 
 /// Renders a report as the `flux-lint/v1` machine-readable document
@@ -496,27 +488,6 @@ pub fn to_json(report: &LintReport) -> String {
     out
 }
 
-/// Rule 7: the allowlist burn-down is complete; the empty list is the
-/// enforced steady state. Every non-comment entry is a violation in its
-/// own right (on top of whatever it tried to suppress).
-pub fn check_allowlist_empty(allowlist: &str) -> Vec<Violation> {
-    allowlist
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
-        .map(|(lineno, entry)| Violation {
-            file: "crates/flux-lint/allowlist.txt".to_owned(),
-            line: lineno,
-            rule: Rule::AllowlistEntry,
-            message: format!(
-                "entry `{entry}` — the allowlist is permanently empty; fix or waive the \
-                 violation at its site instead"
-            ),
-        })
-        .collect()
-}
-
 /// Rule 4: crate roots must carry the agreed lint headers.
 fn check_headers(rel: &str, content: &str) -> Vec<Violation> {
     let is_lib = rel.ends_with("/src/lib.rs");
@@ -542,39 +513,6 @@ fn check_headers(rel: &str, content: &str) -> Vec<Violation> {
         });
     }
     out
-}
-
-/// Applies an allowlist (the content of `allowlist.txt`) to a violation
-/// set: entries of the form `<rule>:<path>` suppress matching
-/// violations; an entry that suppresses nothing becomes a
-/// [`Rule::StaleAllow`] violation so dead entries fail the lint.
-pub fn apply_allowlist(violations: Vec<Violation>, allowlist: &str) -> Vec<Violation> {
-    let entries: Vec<(usize, &str)> = allowlist
-        .lines()
-        .enumerate()
-        .map(|(i, l)| (i + 1, l.trim()))
-        .filter(|(_, l)| !l.is_empty() && !l.starts_with('#'))
-        .collect();
-    let mut used = vec![false; entries.len()];
-    let mut kept = Vec::new();
-    for v in violations {
-        let tag = format!("{}:{}", v.rule.name(), v.file);
-        match entries.iter().position(|(_, e)| *e == tag) {
-            Some(i) => used[i] = true,
-            None => kept.push(v),
-        }
-    }
-    for (i, (lineno, entry)) in entries.iter().enumerate() {
-        if !used[i] {
-            kept.push(Violation {
-                file: "crates/flux-lint/allowlist.txt".to_owned(),
-                line: *lineno,
-                rule: Rule::StaleAllow,
-                message: format!("entry `{entry}` no longer matches any violation — remove it"),
-            });
-        }
-    }
-    kept
 }
 
 /// Recursively collects `.rs` files under `dir`, skipping fixture and
@@ -616,13 +554,9 @@ pub fn read_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
 }
 
 /// Lints the whole workspace rooted at `root` (the directory holding
-/// `crates/`), applying the allowlist if present. Returns the full
-/// report including per-pass timings.
+/// `crates/`). Returns the full report including per-pass timings.
 pub fn lint_tree_report(root: &Path) -> std::io::Result<LintReport> {
-    let sources = read_sources(root)?;
-    let allowlist = std::fs::read_to_string(root.join("crates/flux-lint/allowlist.txt"))
-        .unwrap_or_default();
-    Ok(lint_sources(&sources, &allowlist))
+    Ok(lint_sources(&read_sources(root)?))
 }
 
 /// Like [`lint_tree_report`], returning the surviving violations only.
@@ -748,17 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn allowlist_suppresses_and_reports_stale() {
-        let v = lint_file("crates/kvs/src/fake.rs", PANIC_FIXTURE);
-        let list = "# comment\npanic:crates/kvs/src/fake.rs\npanic:crates/kvs/src/gone.rs\n";
-        let kept = apply_allowlist(v, list);
-        assert!(!rules(&kept).contains(&Rule::Panic), "{kept:?}");
-        let stale: Vec<_> = kept.iter().filter(|x| x.rule == Rule::StaleAllow).collect();
-        assert_eq!(stale.len(), 1, "{kept:?}");
-        assert!(stale[0].message.contains("gone.rs"), "{kept:?}");
-    }
-
-    #[test]
     fn lock_order_fixture_fires() {
         let files = vec![("crates/fake/src/shared.rs".to_owned(), LOCK_FIXTURE.to_owned())];
         let v = lint_lock_order(&files);
@@ -776,14 +699,6 @@ mod tests {
         for (hit, variant) in hits.iter().zip(["Get", "Put", "Commit"]) {
             assert!(hit.message.contains(variant), "expected {variant}: {hit}");
         }
-    }
-
-    #[test]
-    fn empty_allowlist_is_enforced() {
-        assert!(check_allowlist_empty("# only comments\n\n# here\n").is_empty());
-        let v = check_allowlist_empty("# c\npanic:crates/kvs/src/module.rs\n");
-        assert_eq!(rules(&v), [Rule::AllowlistEntry], "{v:?}");
-        assert_eq!(v[0].line, 2);
     }
 
     #[test]

@@ -103,8 +103,6 @@ const MUTATIONS: &[Mutation] = &[
 /// first seeded violation the linter missed.
 pub fn self_mutate(root: &Path) -> Result<Vec<String>, String> {
     let sources = crate::read_sources(root).map_err(|e| format!("read workspace: {e}"))?;
-    let allowlist = std::fs::read_to_string(root.join("crates/flux-lint/allowlist.txt"))
-        .unwrap_or_default();
     let mut report = Vec::new();
     for m in MUTATIONS {
         let Some((_, original)) = sources.iter().find(|(rel, _)| rel == m.file) else {
@@ -126,7 +124,7 @@ pub fn self_mutate(root: &Path) -> Result<Vec<String>, String> {
                 }
             })
             .collect();
-        let caught = lint_sources(&mutated_sources, &allowlist)
+        let caught = lint_sources(&mutated_sources)
             .violations
             .into_iter()
             .find(|v| v.rule.name() == m.rule && v.file == m.file);

@@ -15,7 +15,7 @@
 //! Eligibility encodes what the transport actually guarantees: event
 //! plane links are FIFO (the broker's seq dedup depends on it, and the
 //! fault layer suppresses reordering there too — see
-//! `LinkFaults::fate_ordered`), so event-plane handles on the same
+//! `LinkFaults::fate_on`), so event-plane handles on the same
 //! `(from, to)` link must dispatch lowest-seq first. Everything else
 //! may reorder freely. Duplication choices are restricted to
 //! broker-to-broker frames, matching the fault layer's model (IPC

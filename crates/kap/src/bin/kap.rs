@@ -410,7 +410,7 @@ fn scale_smoke_cmd(args: &[String]) {
     // flux-lint: allow(nondet) — wall-clock smoke budget printed to stderr;
     // never enters the simulated run or its recorded results.
     let start = std::time::Instant::now();
-    let run = cell.transport.run(&cell.params);
+    let run = bench::run_on(cell.transport, &cell.params);
     let wall = start.elapsed();
     eprintln!(
         "scale-smoke {name}: wall {wall:.2?} (engine {:.2?}), {} events, \

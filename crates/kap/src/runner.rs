@@ -540,13 +540,14 @@ mod tests {
 
     #[test]
     fn same_workload_runs_on_live_transports() {
-        use flux_rt::transport::{TcpTransport, ThreadTransport};
+        use flux_rt::transport::TransportKind;
         let mut p = KapParams::fully_populated(2);
         p.procs_per_node = 2;
         p.producers = p.total_procs();
         p.consumers = p.total_procs();
-        for transport in [&ThreadTransport as &dyn ScriptTransport, &TcpTransport::default()] {
-            let r = run_kap_on(&p, transport);
+        for kind in [TransportKind::Threads, TransportKind::Tcp] {
+            let transport = kind.live().expect("a live transport kind");
+            let r = run_kap_on(&p, &transport);
             assert!(r.makespan_ns > 0, "{} ran", transport.name());
             assert_eq!(r.events, 0, "live transports have no engine stats");
         }

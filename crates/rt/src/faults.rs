@@ -22,7 +22,7 @@
 //! session's `hb_period_ns`.
 
 use flux_core::rng::Rng;
-use flux_wire::Rank;
+use flux_wire::{Plane, Rank};
 use std::fmt;
 use std::ops::Range;
 
@@ -346,21 +346,18 @@ impl LinkFaults {
     /// Consumes one slice of the link's random stream; call exactly once
     /// per message, in send order, for reproducible decisions.
     pub fn fate(&mut self, now_ns: u64, to: Rank) -> Fate {
-        self.fate_on(now_ns, to, false)
+        self.fate_on(Plane::Tree, now_ns, to)
     }
 
-    /// Like [`LinkFaults::fate`] for a plane that requires per-link FIFO
-    /// ordering (the event plane: its at-most-once sequence dedup means a
-    /// reordered event is lost forever, which production links — TCP
-    /// streams — never do). Injected delays are suppressed; drops,
-    /// duplicates, blackouts, and partitions still apply. Consumes the
-    /// same random draws as `fate`, so a link's stream does not depend on
-    /// the plane mix of its traffic.
-    pub fn fate_ordered(&mut self, now_ns: u64, to: Rank) -> Fate {
-        self.fate_on(now_ns, to, true)
-    }
-
-    fn fate_on(&mut self, now_ns: u64, to: Rank, ordered: bool) -> Fate {
+    /// Like [`LinkFaults::fate`] for a message travelling on `plane`. The
+    /// event plane requires per-link FIFO ordering (its at-most-once
+    /// sequence dedup means a reordered event is lost forever, which
+    /// production links — TCP streams — never do), so injected delays are
+    /// suppressed there; drops, duplicates, blackouts, and partitions
+    /// still apply. Consumes the same random draws on every plane, so a
+    /// link's stream does not depend on the plane mix of its traffic.
+    pub fn fate_on(&mut self, plane: Plane, now_ns: u64, to: Rank) -> Fate {
+        let ordered = matches!(plane, Plane::Event);
         if self.plan.cut(self.from, to, now_ns) {
             return Fate::default();
         }

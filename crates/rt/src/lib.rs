@@ -13,23 +13,26 @@
 //!   protocol stack is runtime-agnostic (nothing in broker/module/KVS
 //!   code knows which runtime it is on).
 //! * [`tcp::TcpSession`] — the brokers wired over real loopback TCP
-//!   sockets carrying length-prefixed `flux-wire` frames. One poll-based
-//!   reactor thread per broker drives every socket nonblocking (the
-//!   `reactor` module behind [`tcp`]): pooled broker→broker links,
-//!   pipelined socket clients, jittered nonblocking connect retry. The
-//!   closest analogue of the prototype's ØMQ TCP overlay.
+//!   sockets carrying length-prefixed `flux-wire` frames, every socket
+//!   nonblocking (the `reactor` module behind [`tcp`]): pooled
+//!   broker→broker links, pipelined socket clients, jittered nonblocking
+//!   connect retry. The closest analogue of the prototype's ØMQ TCP
+//!   overlay.
 //!
-//! The [`transport`] module abstracts over them: [`transport::Transport`]
-//! is the object-safe factory for live sessions (pick `threads` or `tcp`
-//! at runtime), and [`transport::ScriptTransport`] runs scripted client
-//! workloads on any of the three runtimes, including the simulator.
+//! The two live runtimes are one: one thread per broker running the one
+//! host loop, one [`Session`] / [`SessionBuilder`] pair, and a link
+//! (channel | nonblocking socket) that is the only thing they differ in.
+//! The [`transport`] module selects among them at runtime:
+//! [`transport::LiveTransport`] is a live runtime as a value (link, fault
+//! plan, op timeout), and [`transport::ScriptTransport`] runs scripted
+//! client workloads on any of the three runtimes, including the
+//! simulator.
 //!
 //! All runtimes load arbitrary [`flux_broker::CommsModule`] sets, attach
 //! any number of clients per broker, and reconstruct message planes from
 //! message shape (events → event plane, rank-addressed → ring, otherwise
 //! tree), so the wire behaviour matches the paper's three-plane wire-up.
-
-
+//!
 //! Fault injection ([`faults::FaultPlan`]) rides below all of this: the
 //! simulator applies a plan natively in virtual time, and the live
 //! runtimes apply the same plan per broker host, so one seeded fault
@@ -38,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 pub mod chaos;
-pub mod conformance;
 pub mod faults;
 pub(crate) mod live;
 pub(crate) mod reactor;
@@ -49,4 +51,18 @@ pub mod threads;
 pub mod transport;
 
 pub use faults::FaultPlan;
-pub use live::LiveClient;
+pub use live::{LiveClient, Session, SessionBuilder};
+
+use flux_wire::{Message, MsgType, Plane};
+
+/// Infers the plane a message travelled on from its shape: events use the
+/// event plane, rank-addressed requests/responses the ring, the rest the
+/// tree. (The sans-io broker only branches on message type and direction,
+/// so this reconstruction is exact.)
+pub(crate) fn plane_of(msg: &Message) -> Plane {
+    match msg.header.msg_type {
+        MsgType::Event => Plane::Event,
+        _ if msg.header.dst.is_some() => Plane::Ring,
+        _ => Plane::Tree,
+    }
+}

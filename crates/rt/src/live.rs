@@ -1,19 +1,24 @@
-//! Machinery shared by the live (wall-clock) runtimes.
+//! The one live (wall-clock) host.
 //!
 //! [`threads::ThreadSession`](crate::threads::ThreadSession) and
 //! [`tcp::TcpSession`](crate::tcp::TcpSession) differ only in how broker
 //! output reaches a peer broker — an in-process channel vs. a loopback
-//! TCP link. Everything else lives here: the per-broker event loop with
-//! its timer heap, the client attachment model (clients are in-process
-//! and talk to their local broker over a channel, the moral equivalent
-//! of the prototype's IPC sockets), and the event type flowing into a
+//! TCP link. That difference is the [`PeerSender`] link; everything else
+//! lives here, once: the per-broker event loop with its timer heap
+//! ([`BrokerHost::run`]), the session scaffolding ([`SessionBuilder`] →
+//! [`Session`]), the client attachment model (clients are in-process and
+//! talk to their local broker over a channel, the moral equivalent of
+//! the prototype's IPC sockets), and the event type flowing into a
 //! broker thread.
 
-use crate::faults::LinkFaults;
-use flux_broker::{Broker, ClientId, Input, Output};
-use flux_wire::{Message, MsgType, Plane, Rank};
+use crate::faults::{FaultPlan, LinkFaults};
+use crate::plane_of;
+use flux_broker::{Broker, BrokerConfig, ClientId, CommsModule, Input, Output};
+use flux_wire::{Message, Plane, Rank};
 use std::collections::BinaryHeap;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::marker::PhantomData;
+use std::net::SocketAddr;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::{Duration, Instant};
 
 /// What flows into a broker thread.
@@ -34,16 +39,6 @@ pub(crate) enum Event {
     },
     /// Stop the broker thread.
     Shutdown,
-}
-
-/// Infers the plane a message travelled on from its shape: events use
-/// the event plane, rank-addressed messages the ring, the rest the tree.
-pub(crate) fn plane_of(msg: &Message) -> Plane {
-    match msg.header.msg_type {
-        MsgType::Event => Plane::Event,
-        _ if msg.header.dst.is_some() => Plane::Ring,
-        _ => Plane::Tree,
-    }
 }
 
 /// A client connection to a broker in a live session.
@@ -79,44 +74,56 @@ impl LiveClient {
     }
 }
 
-/// How a broker host delivers a message to a peer broker. The one point
-/// where live transports differ.
-pub(crate) trait PeerSender {
+/// How a broker host reaches its peers — the one point where the live
+/// runtimes differ. A link carries broker→broker output, may own socket
+/// clients, and tells the host loop when its sockets made progress and
+/// how long it may sleep when they did not.
+pub(crate) trait PeerSender: Sized + Send + 'static {
+    /// Wires one link per rank for a session about to start: rank `r`'s
+    /// host is fed through `senders[r]` and has `channel_clients[r]`
+    /// channel-attached clients (link-owned clients are numbered above
+    /// them). Also returns the addresses the session listens on — none
+    /// for an in-process link.
+    fn wire(
+        senders: &[Sender<Event>],
+        channel_clients: &[ClientId],
+    ) -> (Vec<SocketAddr>, Vec<Self>);
+
     /// Delivers `msg` to the broker at `to`. `plane` is the plane the
-    /// message travels on: transports that pool several links per peer
-    /// (the reactor) pin the event plane to one link to preserve its
-    /// per-link FIFO contract.
+    /// message travels on: links that pool several connections per peer
+    /// pin the event plane to one of them to preserve its per-link FIFO
+    /// contract.
     fn send_to(&mut self, to: Rank, plane: Plane, msg: Message);
 
-    /// Delivers a broker→client message to a transport-owned client
-    /// connection (e.g. a reactor socket client). Returns `false` if the
-    /// transport does not own `client`; channel-attached clients are
-    /// handled by the host itself before this hook is consulted.
-    fn deliver_client(&mut self, _client: ClientId, _msg: Message) -> bool {
+    /// Delivers a broker→client message to a link-owned client
+    /// connection (a socket client); channel-attached clients are
+    /// handled by the host itself before this hook is consulted. A link
+    /// that owns no clients has nowhere to send it.
+    fn deliver_client(&mut self, _client: ClientId, _msg: Message) {}
+
+    /// One readiness pass over the link's sockets: inbound frames land in
+    /// `batch`. Returns whether any I/O progressed — never, for a link
+    /// with no sockets.
+    fn poll_io(&mut self, _batch: &mut Vec<Event>) -> bool {
         false
     }
 
-    /// Called once when the host's event loop exits, before the thread
-    /// terminates (e.g. to flush or close links).
-    fn close(&mut self) {}
-}
-
-/// In-process peer delivery over channels (the threads transport).
-pub(crate) struct ChannelPeers {
-    pub(crate) rank: Rank,
-    pub(crate) peers: Vec<Sender<Event>>,
-}
-
-impl PeerSender for ChannelPeers {
-    fn send_to(&mut self, to: Rank, _plane: Plane, msg: Message) {
-        let _ = self.peers[to.index()].send(Event::FromBroker { from: self.rank, msg });
+    /// How long the host may park in its channel after `idle_streak`
+    /// consecutive passes without progress. A link with no sockets has
+    /// nothing to poll for, so only the channel (or a deadline) wakes it.
+    fn park_budget(&self, _idle_streak: u32) -> Duration {
+        Duration::from_millis(250)
     }
+
+    /// Called once when the host's event loop exits, before the thread
+    /// terminates (e.g. to flush and close sockets).
+    fn close(&mut self) {}
 }
 
 /// A fault-delayed outbound message awaiting release. Ordered by
 /// `(at, seq)` so the host's `BinaryHeap` acts as a min-heap with FIFO
 /// tie-breaking.
-pub(crate) struct Delayed {
+struct Delayed {
     at: Instant,
     seq: u64,
     to: Rank,
@@ -143,27 +150,27 @@ impl Ord for Delayed {
 }
 
 /// The per-thread broker event loop: services due timers from a local
-/// heap, otherwise sleeps in `recv_timeout` until traffic arrives, so a
-/// broker thread is quiet when the session is quiet (the low-noise
-/// design goal).
+/// heap, drains its channel and its link's sockets, and otherwise sleeps
+/// in `recv_timeout` until traffic arrives, so a broker thread is quiet
+/// when the session is quiet (the low-noise design goal).
 ///
 /// With `faults` set, every outbound broker message consults the link's
 /// fault stream (drop/dup/delay), inbound traffic is discarded while
 /// this rank is inside a blackout window, and delayed copies sit in
 /// `delayed` until their release time.
-pub(crate) struct BrokerHost<P: PeerSender> {
-    pub(crate) broker: Broker,
-    pub(crate) rx: Receiver<Event>,
-    pub(crate) peers: P,
-    pub(crate) clients: Vec<Sender<Message>>,
-    pub(crate) epoch: Instant,
-    pub(crate) timers: BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
-    pub(crate) faults: Option<LinkFaults>,
-    pub(crate) delayed: BinaryHeap<Delayed>,
-    pub(crate) delay_seq: u64,
+pub(crate) struct BrokerHost<L: PeerSender> {
+    broker: Broker,
+    rx: Receiver<Event>,
+    link: L,
+    clients: Vec<Sender<Message>>,
+    epoch: Instant,
+    timers: BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
+    faults: Option<LinkFaults>,
+    delayed: BinaryHeap<Delayed>,
+    delay_seq: u64,
 }
 
-impl<P: PeerSender> BrokerHost<P> {
+impl<L: PeerSender> BrokerHost<L> {
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
@@ -174,19 +181,12 @@ impl<P: PeerSender> BrokerHost<P> {
 
     fn send_to_broker(&mut self, now_ns: u64, plane: Plane, to: Rank, msg: Message) {
         let Some(f) = &mut self.faults else {
-            self.peers.send_to(to, plane, msg);
+            self.link.send_to(to, plane, msg);
             return;
         };
-        // The event plane needs per-link FIFO (its seq dedup drops
-        // reordered events), so delays are suppressed there.
-        let fate = if matches!(plane, Plane::Event) {
-            f.fate_ordered(now_ns, to)
-        } else {
-            f.fate(now_ns, to)
-        };
-        for &extra in &fate.copies {
+        for &extra in &f.fate_on(plane, now_ns, to).copies {
             if extra == 0 {
-                self.peers.send_to(to, plane, msg.clone());
+                self.link.send_to(to, plane, msg.clone());
             } else {
                 self.delay_seq += 1;
                 self.delayed.push(Delayed {
@@ -215,9 +215,9 @@ impl<P: PeerSender> BrokerHost<P> {
                     if let Some(tx) = self.clients.get(client as usize) {
                         let _ = tx.send(msg);
                     } else {
-                        // Not channel-attached: a transport-owned client
-                        // connection (reactor socket client).
-                        self.peers.deliver_client(client, msg);
+                        // Not channel-attached: a link-owned client
+                        // connection (socket client).
+                        self.link.deliver_client(client, msg);
                     }
                 }
                 Output::SetTimer { delay_ns, token } => {
@@ -228,17 +228,10 @@ impl<P: PeerSender> BrokerHost<P> {
         }
     }
 
-    /// Runs `Broker::start` and routes its outputs. Call exactly once,
-    /// before the first loop iteration.
-    pub(crate) fn start_broker(&mut self) {
-        let outs = self.broker.start(self.now_ns());
-        self.absorb(outs);
-    }
-
     /// Fires every due timer. (Timers run even during a blackout —
     /// `absorb` suppresses their outputs — so periodic re-arm chains
     /// survive a simulated crash/restart.)
-    pub(crate) fn service_timers(&mut self) {
+    fn service_timers(&mut self) {
         let now = Instant::now();
         while let Some(&std::cmp::Reverse((at, token))) = self.timers.peek() {
             if at > now {
@@ -252,76 +245,272 @@ impl<P: PeerSender> BrokerHost<P> {
     }
 
     /// Releases fault-delayed messages that have come due.
-    pub(crate) fn release_delayed(&mut self) {
+    fn release_delayed(&mut self) {
         while let Some(d) = self.delayed.peek() {
             if d.at > Instant::now() {
                 break;
             }
             let Some(d) = self.delayed.pop() else { break };
-            self.peers.send_to(d.to, d.plane, d.msg);
+            self.link.send_to(d.to, d.plane, d.msg);
         }
     }
 
-    /// When the host next has scheduled work (timer fire or delayed
-    /// release), or `None` if it can sleep until traffic arrives.
-    pub(crate) fn next_deadline(&self) -> Option<Instant> {
+    /// How long to park at `now` after `idle_streak` passes without
+    /// progress: until the next scheduled work (timer fire or delayed
+    /// release), but never past the link's poll budget.
+    fn park_timeout(&self, idle_streak: u32, now: Instant) -> Duration {
+        let budget = self.link.park_budget(idle_streak);
         let timer = self.timers.peek().map(|&std::cmp::Reverse((at, _))| at);
         let release = self.delayed.peek().map(|d| d.at);
-        match (timer, release) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        match timer.into_iter().chain(release).min() {
+            Some(at) => at.saturating_duration_since(now).min(budget),
+            None => budget,
         }
     }
 
     /// Feeds one event into the broker; returns `false` on `Shutdown`.
-    pub(crate) fn handle_event(&mut self, ev: Event) -> bool {
-        match ev {
+    fn handle_event(&mut self, ev: Event) -> bool {
+        let now_ns = self.now_ns();
+        let input = match ev {
             Event::Shutdown => return false,
             Event::FromBroker { from, msg } => {
-                let now_ns = self.now_ns();
-                if self.silenced(now_ns) {
-                    return true; // crashed: inbound traffic is lost
-                }
-                let input = Input::FromBroker { plane: plane_of(&msg), from, msg };
-                let outs = self.broker.handle(now_ns, input);
-                self.absorb(outs);
+                Input::FromBroker { plane: plane_of(&msg), from, msg }
             }
-            Event::FromClient { client, msg } => {
-                let now_ns = self.now_ns();
-                if self.silenced(now_ns) {
-                    return true; // crashed: local clients get no service
-                }
-                let outs = self.broker.handle(now_ns, Input::FromClient { client, msg });
-                self.absorb(outs);
-            }
+            Event::FromClient { client, msg } => Input::FromClient { client, msg },
+        };
+        // Crashed: inbound traffic is lost, local clients get no service.
+        if !self.silenced(now_ns) {
+            let outs = self.broker.handle(now_ns, input);
+            self.absorb(outs);
         }
         true
     }
 
-    /// The channel-only event loop (threads transport): services due
-    /// timers and releases, otherwise sleeps in `recv_timeout` until
-    /// traffic arrives. The reactor drives the same steps from its own
-    /// loop (see [`crate::reactor`]), interleaving socket readiness.
+    /// Feeds every event of `batch`; returns `false` on `Shutdown`.
+    fn handle_batch(&mut self, batch: &mut Vec<Event>) -> bool {
+        batch.drain(..).all(|ev| self.handle_event(ev))
+    }
+
+    /// The event loop, one for every link: due timers and fault releases,
+    /// then the command channel (local clients, shutdown), then one
+    /// readiness pass over the link's sockets; it parks in the channel —
+    /// which doubles as the timer/fault-release alarm — only when a full
+    /// pass moved nothing.
     pub(crate) fn run(mut self) {
-        self.start_broker();
-        loop {
+        let outs = self.broker.start(self.now_ns());
+        self.absorb(outs);
+        let mut batch: Vec<Event> = Vec::new();
+        let mut idle_streak: u32 = 0;
+        'outer: loop {
             self.service_timers();
             self.release_delayed();
-            // Sleep until traffic, the next timer, or the next release.
-            let timeout = self
-                .next_deadline()
-                .map(|at| at.saturating_duration_since(Instant::now()))
-                .unwrap_or(Duration::from_millis(250));
-            match self.rx.recv_timeout(timeout) {
-                Err(RecvTimeoutError::Disconnected) => break,
-                Err(RecvTimeoutError::Timeout) => continue,
+            let mut channel_work = false;
+            loop {
+                match self.rx.try_recv() {
+                    Ok(ev) => {
+                        channel_work = true;
+                        if !self.handle_event(ev) {
+                            break 'outer;
+                        }
+                    }
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => break 'outer,
+                }
+            }
+            let io_progress = self.link.poll_io(&mut batch);
+            let had_frames = !batch.is_empty();
+            if !self.handle_batch(&mut batch) {
+                break;
+            }
+            if had_frames || channel_work {
+                // Replies produced this pass should hit the wire now, not
+                // a park later.
+                self.link.poll_io(&mut batch);
+                if !self.handle_batch(&mut batch) {
+                    break;
+                }
+            }
+            if io_progress || had_frames || channel_work {
+                idle_streak = 0;
+                continue;
+            }
+            idle_streak = idle_streak.saturating_add(1);
+            match self.rx.recv_timeout(self.park_timeout(idle_streak, Instant::now())) {
                 Ok(ev) => {
+                    idle_streak = 0;
                     if !self.handle_event(ev) {
                         break;
                     }
                 }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        self.peers.close();
+        self.link.close();
+    }
+}
+
+/// One rank of a session being assembled.
+struct Seat {
+    config: BrokerConfig,
+    modules: Vec<Box<dyn CommsModule>>,
+    rx: Receiver<Event>,
+    clients: Vec<Sender<Message>>,
+}
+
+/// A live session being assembled: override configs, attach clients,
+/// then [`start`](SessionBuilder::start). `L` is the link the brokers
+/// will be wired over; see the [`ThreadSession`](crate::threads) and
+/// [`TcpSession`](crate::tcp) aliases.
+pub struct SessionBuilder<L> {
+    seats: Vec<Seat>,
+    senders: Vec<Sender<Event>>,
+    faults: Option<FaultPlan>,
+    link: PhantomData<fn() -> L>,
+}
+
+/// A running live session: one thread per broker, each hosting the
+/// sans-io [`Broker`] in the one event loop over a link of type `L`.
+pub struct Session<L> {
+    pub(crate) addrs: Vec<SocketAddr>,
+    senders: Vec<Sender<Event>>,
+    handles: Vec<std::thread::JoinHandle<()>>,
+    link: PhantomData<fn() -> L>,
+}
+
+impl<L> Session<L> {
+    /// Starts building a session of `size` brokers with tree `arity`;
+    /// `factory` produces each rank's modules.
+    pub fn builder<F>(size: u32, arity: u32, factory: F) -> SessionBuilder<L>
+    where
+        F: Fn(Rank) -> Vec<Box<dyn CommsModule>>,
+    {
+        let (senders, seats) = (0..size)
+            .map(|r| {
+                let (tx, rx) = channel();
+                let config = BrokerConfig::new(Rank(r), size).with_arity(arity);
+                (tx, Seat { config, modules: factory(Rank(r)), rx, clients: Vec::new() })
+            })
+            .unzip();
+        SessionBuilder { seats, senders, faults: None, link: PhantomData }
+    }
+
+    /// Session size in brokers.
+    pub fn size(&self) -> u32 {
+        self.senders.len() as u32
+    }
+
+    /// Stops every broker thread and joins it. Each host closes its link
+    /// on the way out (a socket link flushes what it can without
+    /// blocking; socket clients observe EOF).
+    pub fn shutdown(self) {
+        for tx in &self.senders {
+            let _ = tx.send(Event::Shutdown);
+        }
+        for h in self.handles {
+            // flux-lint: allow(block) — ordered teardown: every broker
+            // was just sent Shutdown, so each join only waits for its
+            // thread to drain and exit.
+            let _ = h.join();
+        }
+    }
+}
+
+impl<L> SessionBuilder<L> {
+    /// Overrides one rank's broker config (e.g. a faster heartbeat).
+    pub fn set_config(&mut self, rank: Rank, config: BrokerConfig) -> &mut Self {
+        self.seats[rank.index()].config = config;
+        self
+    }
+
+    /// Applies a fault-injection plan to every broker's links.
+    pub fn set_faults(&mut self, plan: &FaultPlan) -> &mut Self {
+        self.faults = Some(plan.clone()).filter(|p| !p.is_empty());
+        self
+    }
+
+    /// Attaches an in-process channel client to `rank`'s broker,
+    /// returning its handle.
+    pub fn attach_client(&mut self, rank: Rank) -> LiveClient {
+        let (tx, rx) = channel();
+        let clients = &mut self.seats[rank.index()].clients;
+        let client_id = clients.len() as ClientId;
+        clients.push(tx);
+        LiveClient { rank, client_id, tx: self.senders[rank.index()].clone(), rx }
+    }
+}
+
+// The set of links is closed, so the bound stays crate-private.
+#[allow(private_bounds)]
+impl<L: PeerSender> SessionBuilder<L> {
+    /// Wires the links, then launches one thread per broker. The session
+    /// epoch (t = 0) is shared.
+    ///
+    /// # Panics
+    /// Panics if a link cannot be wired (a loopback listener cannot be
+    /// bound) or a thread cannot be spawned.
+    pub fn start(self) -> Session<L> {
+        let channel_clients: Vec<ClientId> =
+            self.seats.iter().map(|s| s.clients.len() as ClientId).collect();
+        let (addrs, links) = L::wire(&self.senders, &channel_clients);
+        let epoch = Instant::now();
+        let handles = self
+            .seats
+            .into_iter()
+            .zip(links)
+            .enumerate()
+            .map(|(idx, (seat, link))| {
+                let host = BrokerHost {
+                    broker: Broker::new(seat.config, seat.modules),
+                    rx: seat.rx,
+                    link,
+                    clients: seat.clients,
+                    epoch,
+                    timers: BinaryHeap::new(),
+                    faults: self.faults.as_ref().map(|p| p.for_sender(Rank::from(idx))),
+                    delayed: BinaryHeap::new(),
+                    delay_seq: 0,
+                };
+                std::thread::Builder::new()
+                    .name(format!("flux-broker-{idx}"))
+                    .spawn(move || host.run())
+                    // flux-lint: allow(panic) — setup-time thread spawn,
+                    // covered by the documented `# Panics` contract: a
+                    // session that cannot start has nothing to degrade to.
+                    .expect("spawn broker thread")
+            })
+            .collect();
+        Session { addrs, senders: self.senders, handles, link: PhantomData }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::threads::ChannelPeers;
+
+    #[test]
+    fn a_pending_timer_bounds_the_park_not_the_idle_budget() {
+        let (tx, rx) = channel();
+        let link = ChannelPeers::wire(&[tx], &[0]).1.remove(0);
+        let now = Instant::now();
+        let mut host = BrokerHost {
+            broker: Broker::new(BrokerConfig::new(Rank(0), 1), Vec::new()),
+            rx,
+            link,
+            clients: Vec::new(),
+            epoch: now,
+            timers: BinaryHeap::new(),
+            faults: None,
+            delayed: BinaryHeap::new(),
+            delay_seq: 0,
+        };
+        // Nothing scheduled: only the channel can wake a socketless host.
+        assert_eq!(host.park_timeout(1, now), Duration::from_millis(250));
+        host.timers.push(std::cmp::Reverse((now + Duration::from_millis(40), 7)));
+        assert_eq!(host.park_timeout(1, now), Duration::from_millis(40));
+        assert_eq!(host.park_timeout(9, now), Duration::from_millis(40));
+        // An overdue timer means no park at all.
+        assert_eq!(host.park_timeout(1, now + Duration::from_secs(1)), Duration::ZERO);
     }
 }

@@ -1,17 +1,19 @@
-//! The poll-based reactor behind [`crate::tcp`]: one thread per broker,
-//! every socket nonblocking, readiness discovered by level-triggered
-//! scanning (ROADMAP item 3).
+//! The nonblocking socket link behind [`crate::tcp`]: every socket of
+//! one broker, readiness discovered by level-triggered scanning from the
+//! shared host loop ([`crate::live`]).
 //!
 //! ## Shape
 //!
 //! `#![forbid(unsafe_code)]` rules out a raw `poll(2)`/`epoll` wrapper,
-//! so the reactor uses the portable safe equivalent: every stream and
-//! the listener run with `set_nonblocking(true)`, and one loop per
-//! broker drains whatever is ready — `WouldBlock` means "move on". When
-//! a full pass makes no progress the loop parks in the broker's command
-//! channel (`recv_timeout`), which doubles as the timer/fault-release
-//! alarm; the park duration backs off adaptively so an idle broker costs
-//! a few wakeups per second while an active one spins at full rate.
+//! so the link uses the portable safe equivalent: every stream and the
+//! listener run with `set_nonblocking(true)`, and each readiness pass of
+//! the host loop drains whatever is ready — `WouldBlock` means "move
+//! on". When a full pass makes no progress the host parks in the
+//! broker's command channel for this link's [`park_budget`], which backs
+//! off adaptively so an idle broker costs a few wakeups per second while
+//! an active one spins at full rate.
+//!
+//! [`park_budget`]: crate::live::PeerSender::park_budget
 //!
 //! ## State machines
 //!
@@ -27,17 +29,16 @@
 //! collision-free request ids.
 //!
 //! *Outbound* broker→broker traffic rides a small pool of connections
-//! per destination ([`crate::tcp::TcpConfig::pool_size`]): the event
+//! per destination ([`POOL_SIZE`]): the event
 //! plane is pinned to slot 0 — its seq-dedup requires per-link FIFO —
 //! while tree/ring traffic round-robins the remaining slots, so bulk
 //! frames cannot head-of-line-block liveness events. Writes buffer in a
 //! per-connection out-queue flushed to `WouldBlock` each pass; connects
-//! and reconnects follow the nonblocking
-//! [`crate::tcp::RetrySchedule`] (jittered exponential backoff, never a
-//! sleep).
+//! and reconnects follow the nonblocking `RetrySchedule` (jittered
+//! exponential backoff, never a sleep).
 
-use crate::live::{BrokerHost, Event};
-use crate::tcp::{RetrySchedule, TcpConfig, CLIENT_HELLO};
+use crate::live::{Event, PeerSender};
+use crate::tcp::{RetrySchedule, CLIENT_HELLO, RETRY};
 use flux_broker::ClientId;
 use flux_core::rng::Rng;
 use flux_wire::frame::{self, FrameDecoder};
@@ -45,8 +46,31 @@ use flux_wire::{Message, Plane, Rank};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::{RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
+
+/// Per-attempt connect timeout.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Deadline for an accepted connection to complete its 4-byte handshake
+/// (guards against a connector that never identifies itself).
+const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Outbound connections per peer broker. The event plane is pinned to
+/// slot 0 (it needs per-link FIFO); tree/ring traffic round-robins the
+/// remaining slots.
+const POOL_SIZE: usize = 2;
+
+/// The idle park duration when sockets were recently active.
+const POLL_INTERVAL: Duration = Duration::from_micros(500);
+
+/// Ceiling the idle park duration backs off to when nothing is happening.
+const MAX_POLL_INTERVAL: Duration = Duration::from_millis(10);
+
+/// Per-connection outbound buffer cap, bytes. A peer this far behind
+/// gets new frames dropped (frame-aligned) rather than buffering without
+/// bound.
+const MAX_OUTBUF: usize = 64 * 1024 * 1024;
 
 /// Bytes read from a ready stream per `read()` call.
 const READ_CHUNK: usize = 16 * 1024;
@@ -137,7 +161,7 @@ impl Uplink {
             hs_left: 0,
             out: Vec::new(),
             sent: 0,
-            retry: RetrySchedule::new(),
+            retry: RetrySchedule::default(),
         }
     }
 
@@ -150,28 +174,28 @@ impl Uplink {
         self.sent = 0;
     }
 
-    fn try_connect(&mut self, addr: SocketAddr, config: &TcpConfig, jitter: &mut Rng) {
+    fn try_connect(&mut self, addr: SocketAddr, jitter: &mut Rng) {
         if self.stream.is_some() || !self.retry.due(Instant::now()) {
             return;
         }
-        // `connect_timeout` is bounded by the configured per-attempt
-        // deadline; on loopback it resolves immediately either way.
-        match TcpStream::connect_timeout(&addr, config.connect_timeout) {
+        // Bounded by the per-attempt deadline; on loopback it resolves
+        // immediately either way.
+        match TcpStream::connect_timeout(&addr, CONNECT_TIMEOUT) {
             Ok(stream) => {
                 if stream.set_nodelay(true).is_err() || stream.set_nonblocking(true).is_err() {
-                    self.record_failure(config, jitter);
+                    self.record_failure(jitter);
                     return;
                 }
                 self.stream = Some(stream);
                 self.hs_left = 4;
                 self.retry.succeeded();
             }
-            Err(_) => self.record_failure(config, jitter),
+            Err(_) => self.record_failure(jitter),
         }
     }
 
-    fn record_failure(&mut self, config: &TcpConfig, jitter: &mut Rng) {
-        if !self.retry.failed(Instant::now(), config, jitter) {
+    fn record_failure(&mut self, jitter: &mut Rng) {
+        if !self.retry.failed(Instant::now(), &RETRY, jitter) {
             // Burst budget spent: this peer is gone for now. Queued
             // frames are dropped — the liveness layer repairs overlay
             // routes, the transport does not queue forever.
@@ -216,13 +240,11 @@ impl Uplink {
 
 /// All sockets of one broker: the listener, accepted connections
 /// (broker links and socket clients), and the per-destination outbound
-/// pools. Implements [`crate::live::PeerSender`] so the shared
-/// [`BrokerHost`] routes outputs through it.
-pub(crate) struct ReactorPeers {
+/// pools — the socket link of [`crate::tcp::TcpSession`].
+pub struct ReactorPeers {
     size: u32,
     addrs: Vec<SocketAddr>,
     listener: TcpListener,
-    config: TcpConfig,
     /// `uplinks[to] = pool` for each destination rank.
     uplinks: Vec<Vec<Uplink>>,
     /// Round-robin cursor over the bulk (non-event) pool slots.
@@ -243,16 +265,14 @@ pub(crate) struct ReactorPeers {
 }
 
 impl ReactorPeers {
-    pub(crate) fn new(
+    fn new(
         rank: Rank,
         addrs: Vec<SocketAddr>,
         listener: TcpListener,
-        config: TcpConfig,
         first_socket_client: ClientId,
     ) -> io::Result<ReactorPeers> {
         listener.set_nonblocking(true)?;
         let size = addrs.len() as u32;
-        let pool = config.pool_size.max(1);
         let clock_seed = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
             .map(|d| d.subsec_nanos() as u64)
@@ -261,8 +281,9 @@ impl ReactorPeers {
             size,
             addrs,
             listener,
-            config,
-            uplinks: (0..size).map(|_| (0..pool).map(|_| Uplink::new(rank)).collect()).collect(),
+            uplinks: (0..size)
+                .map(|_| (0..POOL_SIZE).map(|_| Uplink::new(rank)).collect())
+                .collect(),
             next_bulk: 0,
             conns: Vec::new(),
             free: Vec::new(),
@@ -272,6 +293,27 @@ impl ReactorPeers {
             read_buf: vec![0u8; READ_CHUNK],
             jitter: Rng::seeded(clock_seed ^ (u64::from(rank.0) << 32)),
         })
+    }
+
+    /// Binds every rank's listener before any broker runs, so every
+    /// rank's first outbound connect finds a live (if not yet accepting)
+    /// socket: the kernel backlog absorbs early connects.
+    fn bind_all(channel_clients: &[ClientId]) -> io::Result<(Vec<SocketAddr>, Vec<ReactorPeers>)> {
+        let listeners = channel_clients
+            .iter()
+            .map(|_| TcpListener::bind("127.0.0.1:0"))
+            .collect::<io::Result<Vec<_>>>()?;
+        let addrs =
+            listeners.iter().map(TcpListener::local_addr).collect::<io::Result<Vec<_>>>()?;
+        let links = listeners
+            .into_iter()
+            .zip(channel_clients)
+            .enumerate()
+            .map(|(idx, (listener, &first_socket_client))| {
+                ReactorPeers::new(Rank::from(idx), addrs.clone(), listener, first_socket_client)
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok((addrs, links))
     }
 
     /// Queues `msg` on the pool slot for `(to, plane)`. Event-plane
@@ -288,28 +330,16 @@ impl ReactorPeers {
         let link = &mut self.uplinks[to.index()][slot];
         if link.stream.is_none() {
             let addr = self.addrs[to.index()];
-            link.try_connect(addr, &self.config, &mut self.jitter);
+            link.try_connect(addr, &mut self.jitter);
             if link.stream.is_none() {
                 return; // unreachable right now: dropped, liveness repairs
             }
         }
-        if link.out.len() - link.sent > self.config.max_outbuf {
+        if link.out.len() - link.sent > MAX_OUTBUF {
             return; // backpressure: peer too far behind, drop the frame
         }
-        let _ = frame::write_frame_into(&mut link.out, msg, self.config.max_frame, &mut self.scratch);
+        let _ = frame::write_frame_into(&mut link.out, msg, frame::MAX_FRAME, &mut self.scratch);
         let _ = link.flush();
-    }
-
-    /// One readiness pass: due reconnects, accepts, reads (decoded
-    /// frames land in `batch`), and write flushes. Returns whether any
-    /// I/O progressed.
-    pub(crate) fn poll_io(&mut self, batch: &mut Vec<Event>) -> bool {
-        let mut progress = false;
-        progress |= self.service_uplinks();
-        progress |= self.accept_ready();
-        progress |= self.read_ready(batch);
-        progress |= self.flush_conns();
-        progress
     }
 
     /// Reconnects pools whose retry came due and flushes pending bytes.
@@ -320,7 +350,7 @@ impl ReactorPeers {
             for slot in 0..self.uplinks[to].len() {
                 let link = &mut self.uplinks[to][slot];
                 if link.stream.is_none() && !link.out.is_empty() {
-                    link.try_connect(addr, &self.config, &mut self.jitter);
+                    link.try_connect(addr, &mut self.jitter);
                 }
                 if link.stream.is_some() && (link.hs_left > 0 || link.out.len() > link.sent) {
                     progress |= link.flush();
@@ -386,7 +416,7 @@ impl ReactorPeers {
         // A half-open peer that never finishes identifying itself is
         // dropped at the handshake deadline.
         if matches!(conn.state, ConnState::Handshake { .. })
-            && conn.opened.elapsed() > self.config.handshake_timeout
+            && conn.opened.elapsed() > HANDSHAKE_TIMEOUT
         {
             conn.dead = true;
             return false;
@@ -435,7 +465,7 @@ impl ReactorPeers {
                 conn.decoder.feed(bytes);
             }
             loop {
-                match conn.decoder.next_message(self.config.max_frame) {
+                match conn.decoder.next_message(frame::MAX_FRAME) {
                     Ok(Some(msg)) => match conn.state {
                         ConnState::Broker(from) => batch.push(Event::FromBroker { from, msg }),
                         ConnState::Client(client) => {
@@ -482,18 +512,50 @@ impl ReactorPeers {
         }
         progress
     }
+}
 
-    /// How long the reactor may park given `idle_streak` consecutive
-    /// no-progress passes: the configured poll interval, backed off
-    /// exponentially to the idle ceiling.
-    pub(crate) fn park_budget(&self, idle_streak: u32) -> Duration {
-        let base = self.config.poll_interval.max(Duration::from_micros(50));
-        let scaled = base.saturating_mul(1u32 << idle_streak.min(10));
-        scaled.min(self.config.max_poll_interval)
+impl PeerSender for ReactorPeers {
+    fn wire(_: &[Sender<Event>], channel_clients: &[ClientId]) -> (Vec<SocketAddr>, Vec<Self>) {
+        // flux-lint: allow(panic) — session construction: without a bound
+        // nonblocking loopback listener per rank there is no session to
+        // run; `SessionBuilder::start` documents the panic.
+        ReactorPeers::bind_all(channel_clients).expect("bind a loopback listener per rank")
+    }
+
+    fn send_to(&mut self, to: Rank, plane: Plane, msg: Message) {
+        self.queue_to(to, plane, &msg);
+    }
+
+    fn deliver_client(&mut self, client: ClientId, msg: Message) {
+        // A client that disconnected (or never existed) has nowhere for
+        // the reply to go.
+        let Some(&slot) = self.client_conn.get(&client) else { return };
+        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
+            if conn.out.len() - conn.sent <= MAX_OUTBUF {
+                let _ =
+                    frame::write_frame_into(&mut conn.out, &msg, frame::MAX_FRAME, &mut self.scratch);
+            }
+        }
+    }
+
+    /// Due reconnects, accepts, reads (decoded frames land in `batch`),
+    /// and write flushes.
+    fn poll_io(&mut self, batch: &mut Vec<Event>) -> bool {
+        let mut progress = false;
+        progress |= self.service_uplinks();
+        progress |= self.accept_ready();
+        progress |= self.read_ready(batch);
+        progress |= self.flush_conns();
+        progress
+    }
+
+    /// The poll interval, backed off exponentially to the idle ceiling.
+    fn park_budget(&self, idle_streak: u32) -> Duration {
+        POLL_INTERVAL.saturating_mul(1u32 << idle_streak.min(10)).min(MAX_POLL_INTERVAL)
     }
 
     /// Closes every socket (best-effort final flush first).
-    pub(crate) fn close_all(&mut self) {
+    fn close(&mut self) {
         for pool in &mut self.uplinks {
             for link in pool {
                 link.flush();
@@ -502,104 +564,10 @@ impl ReactorPeers {
                 }
             }
         }
-        for conn in self.conns.iter_mut().filter_map(Option::take) {
-            let mut conn = conn;
+        for mut conn in self.conns.iter_mut().filter_map(Option::take) {
             let _ = flush_buf(&mut conn.stream, &mut conn.out, &mut conn.sent);
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
         }
         self.client_conn.clear();
     }
-}
-
-impl crate::live::PeerSender for ReactorPeers {
-    fn send_to(&mut self, to: Rank, plane: Plane, msg: Message) {
-        self.queue_to(to, plane, &msg);
-    }
-
-    fn deliver_client(&mut self, client: ClientId, msg: Message) -> bool {
-        let Some(&slot) = self.client_conn.get(&client) else {
-            // Disconnected (or never existed): the reply has nowhere to
-            // go. Report handled so the host does not retry.
-            return true;
-        };
-        if let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) {
-            if conn.out.len() - conn.sent <= self.config.max_outbuf {
-                let _ =
-                    frame::write_frame_into(&mut conn.out, &msg, self.config.max_frame, &mut self.scratch);
-            }
-        }
-        true
-    }
-
-    fn close(&mut self) {
-        self.close_all();
-    }
-}
-
-/// The reactor event loop: drives the shared [`BrokerHost`] steps
-/// (timers, fault releases, channel events) interleaved with socket
-/// readiness passes, parking only when a full pass made no progress.
-pub(crate) fn run_reactor(mut host: BrokerHost<ReactorPeers>) {
-    host.start_broker();
-    let mut batch: Vec<Event> = Vec::new();
-    let mut idle_streak: u32 = 0;
-    'outer: loop {
-        host.service_timers();
-        host.release_delayed();
-        // Drain the command channel (local clients, shutdown).
-        let mut channel_work = false;
-        loop {
-            match host.rx.try_recv() {
-                Ok(ev) => {
-                    channel_work = true;
-                    if !host.handle_event(ev) {
-                        break 'outer;
-                    }
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => break 'outer,
-            }
-        }
-        // Socket readiness: accept, read, reconnect, flush.
-        let io_progress = host.peers.poll_io(&mut batch);
-        let had_frames = !batch.is_empty();
-        for ev in batch.drain(..) {
-            if !host.handle_event(ev) {
-                break 'outer;
-            }
-        }
-        if had_frames || channel_work {
-            // Replies produced this pass should hit the wire now, not a
-            // park later.
-            host.peers.poll_io(&mut batch);
-            for ev in batch.drain(..) {
-                if !host.handle_event(ev) {
-                    break 'outer;
-                }
-            }
-        }
-        if io_progress || had_frames || channel_work {
-            idle_streak = 0;
-            continue;
-        }
-        // Nothing moved: park in the channel until the next deadline or
-        // the (backed-off) poll tick.
-        idle_streak = idle_streak.saturating_add(1);
-        let budget = host.peers.park_budget(idle_streak);
-        let timeout = match host.next_deadline() {
-            Some(at) => at.saturating_duration_since(Instant::now()).min(budget),
-            None => budget,
-        };
-        match host.rx.recv_timeout(timeout) {
-            Ok(ev) => {
-                idle_streak = 0;
-                if !host.handle_event(ev) {
-                    break;
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    host.peers.close_all();
 }

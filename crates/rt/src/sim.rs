@@ -1,9 +1,10 @@
 //! Comms sessions on the discrete-event simulator.
 
 use crate::faults::{FaultPlan, LinkFaults};
+use crate::plane_of;
 use flux_broker::{Broker, BrokerConfig, ClientId, CommsModule, Input, Output};
 use flux_sim::{Actor, ActorId, Ctx, Engine, NetParams, SimDuration, SimTime};
-use flux_wire::{Message, MsgType, Plane, Rank};
+use flux_wire::{Message, Rank};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -82,18 +83,6 @@ impl AddressBook {
     }
 }
 
-/// Infers the plane a message travelled on from its shape: events use the
-/// event plane, rank-addressed requests/responses the ring, the rest the
-/// tree. (The sans-io broker only branches on message type and direction,
-/// so this reconstruction is exact.)
-fn plane_of(msg: &Message) -> Plane {
-    match msg.header.msg_type {
-        MsgType::Event => Plane::Event,
-        _ if msg.header.dst.is_some() => Plane::Ring,
-        _ => Plane::Tree,
-    }
-}
-
 /// A bounded [`SimSession::run_until_quiet`] run exhausted its event
 /// budget with events still pending: the schedule livelocked.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,15 +122,7 @@ impl BrokerActor {
                     match &mut self.faults {
                         None => ctx.send(target, msg),
                         Some(f) => {
-                            // The event plane needs per-link FIFO (its
-                            // seq dedup drops reordered events), so
-                            // delays are suppressed there.
-                            let fate = if matches!(plane, Plane::Event) {
-                                f.fate_ordered(now_ns, to)
-                            } else {
-                                f.fate(now_ns, to)
-                            };
-                            for &extra in &fate.copies {
+                            for &extra in &f.fate_on(plane, now_ns, to).copies {
                                 ctx.send_delayed(
                                     target,
                                     msg.clone(),

@@ -1,139 +1,39 @@
-//! Comms sessions on real OS threads.
+//! Comms sessions over in-process channels.
 //!
 //! One thread per broker; std mpsc channels stand in for the prototype's
-//! ØMQ TCP/IPC sockets (same guarantees: reliable, per-link FIFO).
-//! The per-broker event loop (timers, client delivery) is shared with
-//! the TCP transport — see [`crate::live`].
+//! ØMQ TCP/IPC sockets (same guarantees: reliable, per-link FIFO). This
+//! file is only the link — the event loop and the session scaffolding
+//! are the shared ones in [`crate::live`].
 
-use crate::faults::FaultPlan;
-use crate::live::{BrokerHost, ChannelPeers, Event, LiveClient};
-use flux_broker::{Broker, BrokerConfig, ClientId, CommsModule};
-use flux_wire::{Message, Rank};
-use std::collections::BinaryHeap;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::time::Instant;
+use crate::live::{Event, LiveClient, PeerSender, Session};
+use flux_broker::ClientId;
+use flux_wire::{Message, Plane, Rank};
+use std::net::SocketAddr;
+use std::sync::mpsc::Sender;
 
 /// A client connection to a broker in a [`ThreadSession`].
 pub type ThreadClient = LiveClient;
 
-/// A comms session on OS threads: call [`ThreadSession::builder`], attach
-/// clients, then [`ThreadSessionBuilder::start`].
-pub struct ThreadSession {
-    size: u32,
-    senders: Vec<Sender<Event>>,
-    handles: Vec<std::thread::JoinHandle<()>>,
+/// A comms session on OS threads wired over channels: call
+/// [`ThreadSession::builder`], attach clients, then
+/// [`start`](crate::SessionBuilder::start).
+pub type ThreadSession = Session<ChannelPeers>;
+
+/// The in-process link: a peer is reached through its host's channel.
+pub struct ChannelPeers {
+    rank: Rank,
+    peers: Vec<Sender<Event>>,
 }
 
-/// Builder collecting brokers and client attachments before the threads
-/// launch.
-pub struct ThreadSessionBuilder {
-    configs: Vec<BrokerConfig>,
-    modules: Vec<Vec<Box<dyn CommsModule>>>,
-    senders: Vec<Sender<Event>>,
-    receivers: Vec<Option<Receiver<Event>>>,
-    clients: Vec<Vec<Sender<Message>>>,
-    faults: Option<FaultPlan>,
-}
-
-impl ThreadSession {
-    /// Starts building a session of `size` brokers with tree `arity`;
-    /// `factory` produces each rank's modules.
-    pub fn builder<F>(size: u32, arity: u32, factory: F) -> ThreadSessionBuilder
-    where
-        F: Fn(Rank) -> Vec<Box<dyn CommsModule>>,
-    {
-        let mut b = ThreadSessionBuilder {
-            configs: Vec::new(),
-            modules: Vec::new(),
-            senders: Vec::new(),
-            receivers: Vec::new(),
-            clients: Vec::new(),
-            faults: None,
-        };
-        for r in 0..size {
-            let rank = Rank(r);
-            let (tx, rx) = channel();
-            b.configs.push(BrokerConfig::new(rank, size).with_arity(arity));
-            b.modules.push(factory(rank));
-            b.senders.push(tx);
-            b.receivers.push(Some(rx));
-            b.clients.push(Vec::new());
-        }
-        b
+impl PeerSender for ChannelPeers {
+    fn wire(senders: &[Sender<Event>], _: &[ClientId]) -> (Vec<SocketAddr>, Vec<Self>) {
+        let links = (0..senders.len())
+            .map(|r| ChannelPeers { rank: Rank::from(r), peers: senders.to_vec() })
+            .collect();
+        (Vec::new(), links)
     }
 
-    /// Session size in brokers.
-    pub fn size(&self) -> u32 {
-        self.size
-    }
-
-    /// Stops all broker threads and joins them.
-    pub fn shutdown(self) {
-        for tx in &self.senders {
-            let _ = tx.send(Event::Shutdown);
-        }
-        for h in self.handles {
-            // flux-lint: allow(block) — ordered teardown: every broker
-            // was just sent Shutdown, so each join only waits for its
-            // thread to drain and exit.
-            let _ = h.join();
-        }
-    }
-}
-
-impl ThreadSessionBuilder {
-    /// Overrides one rank's broker config (e.g. a faster heartbeat).
-    pub fn set_config(&mut self, rank: Rank, config: BrokerConfig) -> &mut Self {
-        self.configs[rank.index()] = config;
-        self
-    }
-
-    /// Applies a fault-injection plan to every broker's links.
-    pub fn set_faults(&mut self, plan: &FaultPlan) -> &mut Self {
-        self.faults = Some(plan.clone()).filter(|p| !p.is_empty());
-        self
-    }
-
-    /// Attaches a client to `rank`'s broker, returning its handle.
-    pub fn attach_client(&mut self, rank: Rank) -> ThreadClient {
-        let (tx, rx) = channel();
-        let client_id = self.clients[rank.index()].len() as ClientId;
-        self.clients[rank.index()].push(tx);
-        LiveClient { rank, client_id, tx: self.senders[rank.index()].clone(), rx }
-    }
-
-    /// Launches all broker threads. The session epoch (t = 0) is shared.
-    pub fn start(mut self) -> ThreadSession {
-        let epoch = Instant::now();
-        let size = self.configs.len() as u32;
-        let mut handles = Vec::new();
-        for (idx, rx) in self.receivers.iter_mut().enumerate() {
-            let host = BrokerHost {
-                broker: Broker::new(
-                    self.configs[idx].clone(),
-                    std::mem::take(&mut self.modules[idx]),
-                ),
-                // flux-lint: allow(panic) — each receiver is taken exactly
-                // once here; a second take is a builder bug.
-                rx: rx.take().expect("receiver present"),
-                peers: ChannelPeers { rank: Rank::from(idx), peers: self.senders.clone() },
-                clients: std::mem::take(&mut self.clients[idx]),
-                epoch,
-                timers: BinaryHeap::new(),
-                faults: self.faults.as_ref().map(|p| p.for_sender(Rank::from(idx))),
-                delayed: BinaryHeap::new(),
-                delay_seq: 0,
-            };
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("flux-broker-{idx}"))
-                    .spawn(move || host.run())
-                    // flux-lint: allow(panic) — setup-time thread spawn;
-                    // a session that cannot start has nothing to degrade
-                    // to.
-                    .expect("spawn broker thread"),
-            );
-        }
-        ThreadSession { size, senders: self.senders, handles }
+    fn send_to(&mut self, to: Rank, _plane: Plane, msg: Message) {
+        let _ = self.peers[to.index()].send(Event::FromBroker { from: self.rank, msg });
     }
 }

@@ -1,24 +1,23 @@
 //! Runtime-selectable transports.
 //!
-//! Two levels of abstraction:
-//!
-//! * [`Transport`] — an object-safe factory for *live* (wall-clock)
-//!   sessions: implemented by [`ThreadTransport`] (in-process channels)
-//!   and [`TcpTransport`] (loopback TCP links). The `flux` CLI and
-//!   integration tests pick one at runtime via [`TransportKind`].
+//! * [`TransportKind`] names a runtime (`sim`, `threads`, `tcp`) on CLI
+//!   flags and in bench documents.
+//! * [`LiveTransport`] is the one value for a *live* (wall-clock)
+//!   runtime: which link hosts the session, an optional fault plan, and
+//!   the per-op script timeout. [`LiveTransport::with_session`] is where
+//!   the link is selected.
 //! * [`ScriptTransport`] — runs a batch of scripted client workloads
-//!   ([`Op`] sequences) to completion and reports per-op results. All
-//!   three runtimes implement it: [`SimTransport`] in virtual time, and
-//!   every live [`Transport`] via a blanket impl that drives each script
-//!   on its own thread. The KAP benchmark runner is written against this
-//!   trait, so the same workload runs on the simulator or over real
-//!   sockets.
+//!   ([`Op`] sequences) to completion and reports per-op results. Both
+//!   [`SimTransport`] (virtual time) and [`LiveTransport`] (each script
+//!   on its own thread) implement it. The KAP benchmark runner is written
+//!   against this trait, so the same workload runs on the simulator or
+//!   over real sockets.
 
 use crate::faults::FaultPlan;
-use crate::live::LiveClient;
+use crate::live::{LiveClient, PeerSender, SessionBuilder};
 use crate::script::{Op, ScriptClient};
 use crate::sim::SimSession;
-use crate::tcp::{TcpConfig, TcpSession};
+use crate::tcp::TcpSession;
 use crate::threads::ThreadSession;
 use flux_broker::client::{ClientCore, Delivery};
 use flux_broker::{BrokerConfig, CommsModule, RankOverlay};
@@ -31,169 +30,6 @@ use std::time::{Duration, Instant};
 /// The per-rank module factory every transport consumes.
 pub type ModuleFactory<'a> = &'a (dyn Fn(Rank) -> Vec<Box<dyn CommsModule>> + 'a);
 
-/// An object-safe factory for live comms sessions, so callers can pick
-/// the wire at runtime (`--transport tcp`).
-pub trait Transport {
-    /// Short name ("threads", "tcp").
-    fn name(&self) -> &'static str;
-
-    /// Opens a session builder for `size` brokers with tree `arity`.
-    fn open(&self, size: u32, arity: u32, factory: ModuleFactory<'_>) -> Box<dyn SessionBuilder>;
-
-    /// How long a script driver waits for any single op's reply on this
-    /// transport before recording `ETIMEDOUT`. Fault-injecting wrappers
-    /// shorten this so lossy runs don't stall for the full default.
-    fn op_timeout(&self) -> Duration {
-        LIVE_OP_TIMEOUT
-    }
-}
-
-/// A live session being assembled: attach clients, then start.
-pub trait SessionBuilder {
-    /// Attaches a client to `rank`'s broker.
-    fn attach_client(&mut self, rank: Rank) -> LiveClient;
-
-    /// Applies a fault-injection plan to the session's links.
-    fn set_faults(&mut self, plan: &FaultPlan);
-
-    /// Launches the session.
-    fn start(self: Box<Self>) -> Box<dyn LiveSession>;
-}
-
-/// A running live session.
-pub trait LiveSession {
-    /// Session size in brokers.
-    fn size(&self) -> u32;
-
-    /// Stops the session and joins its threads.
-    fn shutdown(self: Box<Self>);
-}
-
-/// The in-process channel transport ([`ThreadSession`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ThreadTransport;
-
-impl Transport for ThreadTransport {
-    fn name(&self) -> &'static str {
-        "threads"
-    }
-
-    fn open(&self, size: u32, arity: u32, factory: ModuleFactory<'_>) -> Box<dyn SessionBuilder> {
-        Box::new(ThreadSession::builder(size, arity, factory))
-    }
-}
-
-impl SessionBuilder for crate::threads::ThreadSessionBuilder {
-    fn attach_client(&mut self, rank: Rank) -> LiveClient {
-        crate::threads::ThreadSessionBuilder::attach_client(self, rank)
-    }
-
-    fn set_faults(&mut self, plan: &FaultPlan) {
-        crate::threads::ThreadSessionBuilder::set_faults(self, plan);
-    }
-
-    fn start(self: Box<Self>) -> Box<dyn LiveSession> {
-        Box::new((*self).start())
-    }
-}
-
-impl LiveSession for ThreadSession {
-    fn size(&self) -> u32 {
-        ThreadSession::size(self)
-    }
-
-    fn shutdown(self: Box<Self>) {
-        ThreadSession::shutdown(*self)
-    }
-}
-
-/// The loopback TCP transport ([`TcpSession`]).
-#[derive(Clone, Debug, Default)]
-pub struct TcpTransport {
-    /// Link tuning applied to every session this transport opens.
-    pub config: TcpConfig,
-}
-
-impl Transport for TcpTransport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn open(&self, size: u32, arity: u32, factory: ModuleFactory<'_>) -> Box<dyn SessionBuilder> {
-        Box::new(TcpSession::builder(size, arity, factory).with_config(self.config.clone()))
-    }
-}
-
-impl SessionBuilder for crate::tcp::TcpSessionBuilder {
-    fn attach_client(&mut self, rank: Rank) -> LiveClient {
-        crate::tcp::TcpSessionBuilder::attach_client(self, rank)
-    }
-
-    fn set_faults(&mut self, plan: &FaultPlan) {
-        crate::tcp::TcpSessionBuilder::set_faults(self, plan);
-    }
-
-    fn start(self: Box<Self>) -> Box<dyn LiveSession> {
-        Box::new((*self).start())
-    }
-}
-
-impl LiveSession for TcpSession {
-    fn size(&self) -> u32 {
-        TcpSession::size(self)
-    }
-
-    fn shutdown(self: Box<Self>) {
-        TcpSession::shutdown(*self)
-    }
-}
-
-/// A [`Transport`] decorator that applies a [`FaultPlan`] to every
-/// session the inner transport opens, so the same seeded fault schedule
-/// that drives a simulator run can wrap the threads or TCP runtime.
-pub struct FaultyTransport {
-    inner: Box<dyn Transport>,
-    plan: FaultPlan,
-    op_timeout: Duration,
-}
-
-impl FaultyTransport {
-    /// Wraps `inner` so every opened session runs under `plan`. The
-    /// per-op script timeout defaults to 2 seconds: lossy links make
-    /// lost ops routine, and waiting the full [`LIVE_OP_TIMEOUT`] for
-    /// each would stall chaos runs.
-    pub fn new(inner: Box<dyn Transport>, plan: FaultPlan) -> FaultyTransport {
-        FaultyTransport { inner, plan, op_timeout: Duration::from_secs(2) }
-    }
-
-    /// Overrides the per-op script timeout.
-    pub fn with_op_timeout(mut self, timeout: Duration) -> FaultyTransport {
-        self.op_timeout = timeout;
-        self
-    }
-
-    /// The plan applied to opened sessions.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-}
-
-impl Transport for FaultyTransport {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn open(&self, size: u32, arity: u32, factory: ModuleFactory<'_>) -> Box<dyn SessionBuilder> {
-        let mut builder = self.inner.open(size, arity, factory);
-        builder.set_faults(&self.plan);
-        builder
-    }
-
-    fn op_timeout(&self) -> Duration {
-        self.op_timeout
-    }
-}
-
 /// Which runtime hosts a session. Parsed from CLI flags and test
 /// environment variables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -202,20 +38,97 @@ pub enum TransportKind {
     Sim,
     /// OS threads with channel links.
     Threads,
-    /// One poll-based reactor thread per broker over loopback TCP links
-    /// (also parses as `"reactor"`).
+    /// OS threads with nonblocking loopback TCP links (also parses as
+    /// `"reactor"`).
     Tcp,
 }
 
 impl TransportKind {
+    /// Stable name used on the command line and in bench documents.
+    pub fn name(self) -> &'static str {
+        match self {
+            TransportKind::Sim => "sim",
+            TransportKind::Threads => "threads",
+            TransportKind::Tcp => "tcp",
+        }
+    }
+
     /// The live transport for this kind, or `None` for the simulator
     /// (which runs in virtual time and has no live session form).
-    pub fn live(&self) -> Option<Box<dyn Transport>> {
-        match self {
-            TransportKind::Sim => None,
-            TransportKind::Threads => Some(Box::new(ThreadTransport)),
-            TransportKind::Tcp => Some(Box::new(TcpTransport::default())),
+    pub fn live(self) -> Option<LiveTransport> {
+        (self != TransportKind::Sim).then_some(LiveTransport {
+            kind: self,
+            faults: None,
+            op_timeout: LIVE_OP_TIMEOUT,
+        })
+    }
+}
+
+/// A live (wall-clock) runtime as a value: the link that hosts the
+/// session ([`TransportKind::Threads`] or [`TransportKind::Tcp`]), the
+/// fault plan its sessions run under, and how long a script driver waits
+/// for any single op's reply before recording `ETIMEDOUT`. Built by
+/// [`TransportKind::live`].
+#[derive(Clone, Debug)]
+pub struct LiveTransport {
+    kind: TransportKind,
+    faults: Option<FaultPlan>,
+    op_timeout: Duration,
+}
+
+impl LiveTransport {
+    /// Runs every session this transport opens under `plan`, so the same
+    /// seeded fault schedule that drives a simulator run can wrap the
+    /// threads or TCP runtime. The per-op script timeout drops to 2
+    /// seconds: lossy links make lost ops routine, and waiting the full
+    /// [`LIVE_OP_TIMEOUT`] for each would stall chaos runs.
+    pub fn with_faults(mut self, plan: FaultPlan) -> LiveTransport {
+        self.faults = Some(plan);
+        self.op_timeout = Duration::from_secs(2);
+        self
+    }
+
+    /// Overrides the per-op script timeout.
+    pub fn with_op_timeout(mut self, timeout: Duration) -> LiveTransport {
+        self.op_timeout = timeout;
+        self
+    }
+
+    /// Hosts one session of `size` brokers with tree `arity` over this
+    /// transport's link: attaches one client per entry of `ranks`,
+    /// starts the session, hands the clients to `body`, and shuts the
+    /// session down when `body` returns.
+    pub fn with_session<R>(
+        &self,
+        size: u32,
+        arity: u32,
+        factory: ModuleFactory<'_>,
+        ranks: &[Rank],
+        body: impl FnOnce(Vec<LiveClient>) -> R,
+    ) -> R {
+        match self.kind {
+            TransportKind::Tcp => self.host(TcpSession::builder(size, arity, factory), ranks, body),
+            // `TransportKind::live` builds no `Sim` value.
+            TransportKind::Threads | TransportKind::Sim => {
+                self.host(ThreadSession::builder(size, arity, factory), ranks, body)
+            }
         }
+    }
+
+    fn host<L: PeerSender, R>(
+        &self,
+        mut builder: SessionBuilder<L>,
+        ranks: &[Rank],
+        body: impl FnOnce(Vec<LiveClient>) -> R,
+    ) -> R {
+        if let Some(plan) = &self.faults {
+            builder.set_faults(plan);
+        }
+        let clients = ranks.iter().map(|&rank| builder.attach_client(rank)).collect();
+        let session = builder.start();
+        let result = body(clients);
+        session.shutdown();
+        result
     }
 }
 
@@ -238,11 +151,7 @@ impl FromStr for TransportKind {
 
 impl fmt::Display for TransportKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            TransportKind::Sim => "sim",
-            TransportKind::Threads => "threads",
-            TransportKind::Tcp => "tcp",
-        })
+        f.write_str(self.name())
     }
 }
 
@@ -447,9 +356,9 @@ pub fn drive_script(
     out
 }
 
-impl<T: Transport + ?Sized> ScriptTransport for T {
+impl ScriptTransport for LiveTransport {
     fn name(&self) -> &'static str {
-        Transport::name(self)
+        self.kind.name()
     }
 
     fn run_scripts(
@@ -459,34 +368,33 @@ impl<T: Transport + ?Sized> ScriptTransport for T {
         factory: ModuleFactory<'_>,
         scripts: Vec<(Rank, Vec<Op>)>,
     ) -> ScriptReport {
-        let mut builder = self.open(size, arity, factory);
-        let clients: Vec<LiveClient> =
-            scripts.iter().map(|(rank, _)| builder.attach_client(*rank)).collect();
-        let epoch = Instant::now();
-        let op_timeout = self.op_timeout();
-        let session = builder.start();
-        let drivers: Vec<_> = clients
-            .into_iter()
-            .zip(scripts)
-            .map(|(client, (_, ops))| {
-                std::thread::Builder::new()
-                    .name(format!("flux-script-{}", client.rank.0))
-                    .spawn(move || drive_script(&client, &ops, epoch, op_timeout))
-                    // flux-lint: allow(panic) — benchmark-harness setup;
-                    // failing to spawn a driver invalidates the run.
-                    .expect("spawn script driver")
-            })
-            .collect();
-        // flux-lint: allow(panic) — propagating a driver thread's panic
-        // into the harness is the point: a crashed script must fail the
-        // benchmark run, not produce a partial report.
-        // flux-lint: allow(block) — harness barrier: run_scripts *is*
-        // the wait for every script driver to finish; nothing else runs
-        // on this thread until they do.
-        let outcomes: Vec<ScriptOutcome> =
-            drivers.into_iter().map(|d| d.join().expect("script driver panicked")).collect();
-        let makespan_ns = epoch.elapsed().as_nanos() as u64;
-        session.shutdown();
-        ScriptReport { outcomes, makespan_ns, ..ScriptReport::default() }
+        let (ranks, scripts): (Vec<Rank>, Vec<Vec<Op>>) = scripts.into_iter().unzip();
+        let op_timeout = self.op_timeout;
+        self.with_session(size, arity, factory, &ranks, |clients| {
+            let epoch = Instant::now();
+            let drivers: Vec<_> = clients
+                .into_iter()
+                .zip(scripts)
+                .map(|(client, ops)| {
+                    std::thread::Builder::new()
+                        .name(format!("flux-script-{}", client.rank.0))
+                        .spawn(move || drive_script(&client, &ops, epoch, op_timeout))
+                        // flux-lint: allow(panic) — benchmark-harness
+                        // setup; failing to spawn a driver invalidates the
+                        // run.
+                        .expect("spawn script driver")
+                })
+                .collect();
+            // flux-lint: allow(panic) — propagating a driver thread's
+            // panic into the harness is the point: a crashed script must
+            // fail the benchmark run, not produce a partial report.
+            // flux-lint: allow(block) — harness barrier: run_scripts *is*
+            // the wait for every script driver to finish; nothing else
+            // runs on this thread until they do.
+            let outcomes: Vec<ScriptOutcome> =
+                drivers.into_iter().map(|d| d.join().expect("script driver panicked")).collect();
+            let makespan_ns = epoch.elapsed().as_nanos() as u64;
+            ScriptReport { outcomes, makespan_ns, ..ScriptReport::default() }
+        })
     }
 }

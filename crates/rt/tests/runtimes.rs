@@ -1,7 +1,6 @@
 //! Simulator-specific runtime tests (virtual time, determinism,
 //! kill-broker semantics). The behavioural battery shared by every
-//! transport lives in `flux_rt::conformance` and is instantiated per
-//! transport in `tests/conformance.rs`.
+//! transport lives in `tests/conformance.rs`.
 
 use flux_broker::CommsModule;
 use flux_modules::standard_modules;

@@ -1,15 +1,13 @@
 //! Simulator-side stale-read coverage.
 //!
-//! The no-stale-reads check itself lives in `flux_rt::conformance` and
-//! runs against every live transport from `tests/conformance.rs`; this
-//! file keeps the simulator instantiation plus the deterministic
+//! The no-stale-reads check itself runs against every runtime from
+//! `tests/conformance.rs`; this file keeps the deterministic
 //! interleaving proof that the scenario really exercises the slave-side
 //! lookup memo (live schedules can't guarantee that).
 
 use flux_broker::CommsModule;
 use flux_kvs::{KvsConfig, KvsModule};
 use flux_modules::BarrierModule;
-use flux_rt::conformance::check_no_stale_reads;
 use flux_rt::script::Op;
 use flux_rt::transport::{ScriptTransport, SimTransport};
 use flux_value::Value;
@@ -22,11 +20,6 @@ fn modules(_r: Rank) -> Vec<Box<dyn CommsModule>> {
         Box::new(KvsModule::with_config(KvsConfig::default())),
         Box::new(BarrierModule::new()),
     ]
-}
-
-#[test]
-fn no_stale_reads_after_wait_version_on_sim() {
-    check_no_stale_reads(&SimTransport::default());
 }
 
 /// On the simulator the interleaving is fixed: the pause guarantees the

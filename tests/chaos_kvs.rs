@@ -3,7 +3,7 @@
 //! * The simulator is fully deterministic: the same (workload, fault
 //!   plan) pair must produce bit-identical reports run-to-run.
 //! * The threaded runtime runs the same seeded workloads under the same
-//!   fault plans via the `FaultyTransport` decorator; wall-clock timing
+//!   fault plans via `LiveTransport::with_faults`; wall-clock timing
 //!   varies, but every observed history must still satisfy the
 //!   consistency checker.
 //!
@@ -15,7 +15,7 @@
 
 use flux_modules::standard_modules;
 use flux_rt::chaos;
-use flux_rt::transport::{FaultyTransport, ScriptTransport, TcpTransport, ThreadTransport};
+use flux_rt::transport::{ScriptTransport, TransportKind};
 use std::time::Duration;
 
 fn seed_range() -> Vec<u64> {
@@ -124,10 +124,13 @@ fn sim_shard_master_blackout_during_commit() {
 
 /// A live runtime under the same seeded fault plans: every client
 /// history must pass the consistency checker.
-fn live_chaos_consistency_sweep(make: &dyn Fn() -> Box<dyn flux_rt::transport::Transport>) {
+fn live_chaos_consistency_sweep(kind: TransportKind) {
     for seed in seed_range() {
         let w = chaos::workload(seed, 2_000_000, false);
-        let transport = FaultyTransport::new(make(), w.plan.clone())
+        let transport = kind
+            .live()
+            .expect("a live transport kind")
+            .with_faults(w.plan.clone())
             .with_op_timeout(Duration::from_millis(200));
         let name = transport.name();
         let report =
@@ -146,7 +149,7 @@ fn live_chaos_consistency_sweep(make: &dyn Fn() -> Box<dyn flux_rt::transport::T
 
 #[test]
 fn threads_chaos_consistency_sweep() {
-    live_chaos_consistency_sweep(&|| Box::new(ThreadTransport));
+    live_chaos_consistency_sweep(TransportKind::Threads);
 }
 
 /// The poll-based reactor under the identical seeded fault plans: drops,
@@ -155,5 +158,5 @@ fn threads_chaos_consistency_sweep() {
 /// satisfy the consistency oracle.
 #[test]
 fn reactor_tcp_chaos_consistency_sweep() {
-    live_chaos_consistency_sweep(&|| Box::new(TcpTransport::default()));
+    live_chaos_consistency_sweep(TransportKind::Tcp);
 }

@@ -8,7 +8,7 @@ use flux_rt::script::{Op, ScriptClient};
 use flux_rt::sim::SimSession;
 use flux_rt::tcp::TcpSession;
 use flux_rt::threads::ThreadSession;
-use flux_rt::transport::{ScriptTransport, TcpTransport};
+use flux_rt::transport::{ScriptTransport, TransportKind};
 use flux_sim::{NetParams, SimTime};
 use flux_value::Value;
 use flux_wire::{Rank, Topic};
@@ -183,8 +183,8 @@ fn tcp_session_16_brokers_full_kvs_cycle() {
             )
         })
         .collect();
-    let report =
-        TcpTransport::default().run_scripts(size, 2, &|_| standard_modules(), scripts);
+    let tcp = TransportKind::Tcp.live().expect("tcp is a live transport");
+    let report = tcp.run_scripts(size, 2, &|_| standard_modules(), scripts);
     assert_eq!(report.outcomes.len(), size as usize);
     for (r, out) in report.outcomes.iter().enumerate() {
         assert!(out.finished, "rank {r} did not finish");
