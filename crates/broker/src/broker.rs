@@ -3,7 +3,7 @@
 use crate::builtin;
 use crate::config::BrokerConfig;
 use crate::io::{ClientId, Input, Output};
-use crate::module::{CommsModule, ModuleCtx};
+use crate::module::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{Event, Service};
 use flux_topo::{LiveSet, Ring, Tree};
 use flux_value::Value;
@@ -95,6 +95,31 @@ impl Core {
         self.outputs.push(Output::ToBroker { plane: Plane::Tree, to, msg });
     }
 
+    /// Answers `req`; with [`Core::respond_err`] and
+    /// [`Core::forward_upstream`] the only ways this crate disposes of a
+    /// request, for modules and the builtin service alike.
+    pub(crate) fn respond(&mut self, req: &Message, payload: impl Into<Payload>) -> Handled {
+        self.route_response(Message::response_to(req, payload));
+        Handled(())
+    }
+
+    pub(crate) fn respond_err(&mut self, req: &Message, errnum: u32) -> Handled {
+        self.route_response(Message::error_response_to(req, errnum));
+        Handled(())
+    }
+
+    /// Sends `msg` on to the effective parent; its hop stack unwinds the
+    /// reply. At the root nothing upstream can serve it: `ENOSYS`.
+    pub(crate) fn forward_upstream(&mut self, msg: Message) -> Handled {
+        match self.effective_parent() {
+            Some(parent) => {
+                self.send_tree(parent, msg);
+                Handled(())
+            }
+            None => self.respond_err(&msg, errnum::ENOSYS),
+        }
+    }
+
     /// Routes a response one step along its recorded hops (or completes a
     /// module-originated RPC if the hop stack is empty).
     pub(crate) fn route_response(&mut self, mut msg: Message) {
@@ -132,8 +157,7 @@ impl Core {
         let Some(dst) = msg.header.dst else { return };
         if !self.live.is_up(dst) {
             if msg.header.msg_type == MsgType::Request {
-                let resp = Message::error_response_to(&msg, errnum::EHOSTDOWN);
-                self.route_response(resp);
+                self.respond_err(&msg, errnum::EHOSTDOWN);
             }
             return;
         }
@@ -404,7 +428,7 @@ impl Broker {
     /// Dispatches to a local module, the broker's builtin `cmb` service,
     /// or forwards upstream; at the root an unmatched request fails with
     /// ENOSYS.
-    fn dispatch_request(&mut self, msg: Message) {
+    fn dispatch_request(&mut self, msg: Message) -> Handled {
         // Resolve the target while borrowing the topic, then release the
         // borrow before `msg` moves: no owned copy of the service name.
         enum Target {
@@ -423,29 +447,14 @@ impl Broker {
             }
         };
         match target {
-            Target::Builtin => {
-                builtin::handle(self, msg);
-                return;
-            }
-            Target::Module(idx) => {
-                self.with_module(idx, |m, ctx| m.handle_request(ctx, &msg));
-                return;
-            }
-            Target::Forward => {}
-        }
-        if msg.header.dst.is_some() {
+            Target::Builtin => builtin::handle(self, msg),
+            Target::Module(idx) => self.with_module(idx, |m, ctx| m.handle_request(ctx, &msg)),
             // Rank-addressed request reached its target but nothing serves
             // the topic here.
-            let resp = Message::error_response_to(&msg, errnum::ENOSYS);
-            self.core.route_response(resp);
-            return;
-        }
-        match self.core.effective_parent() {
-            Some(parent) => self.core.send_tree(parent, msg),
-            None => {
-                let resp = Message::error_response_to(&msg, errnum::ENOSYS);
-                self.core.route_response(resp);
+            Target::Forward if msg.header.dst.is_some() => {
+                self.core.respond_err(&msg, errnum::ENOSYS)
             }
+            Target::Forward => self.core.forward_upstream(msg),
         }
     }
 
@@ -534,19 +543,18 @@ impl Broker {
     }
 
     /// Runs `f` against module `idx` with a fresh context.
-    fn with_module<F>(&mut self, idx: usize, f: F)
-    where
-        F: FnOnce(&mut dyn CommsModule, &mut ModuleCtx<'_>),
-    {
+    fn with_module<R>(
+        &mut self,
+        idx: usize,
+        f: impl FnOnce(&mut dyn CommsModule, &mut ModuleCtx<'_>) -> R,
+    ) -> R {
         // flux-lint: allow(panic) — module re-entry is a broker bug, not
         // an input condition; continuing with a vanished module would
         // silently drop its traffic.
         let mut m = self.modules[idx].take().expect("module re-entered");
-        {
-            let mut ctx = ModuleCtx { core: &mut self.core, module_idx: idx };
-            f(&mut *m, &mut ctx);
-        }
+        let out = f(&mut *m, &mut ModuleCtx { core: &mut self.core, module_idx: idx });
         self.modules[idx] = Some(m);
+        out
     }
 
     /// Processes locally raised messages (module-originated local requests

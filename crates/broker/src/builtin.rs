@@ -10,11 +10,12 @@
 //! * `cmb.sub` / `cmb.unsub` — client event-subscription management.
 
 use crate::broker::Broker;
+use crate::module::Handled;
 use flux_proto::CmbMethod;
 use flux_value::Value;
 use flux_wire::{errnum, Message};
 
-pub(crate) fn handle(broker: &mut Broker, msg: Message) {
+pub(crate) fn handle(broker: &mut Broker, msg: Message) -> Handled {
     match CmbMethod::from_method(msg.header.topic.method()) {
         Some(CmbMethod::Ping) => {
             let rank = broker.core().rank();
@@ -26,8 +27,7 @@ pub(crate) fn handle(broker: &mut Broker, msg: Message) {
                 payload.insert("pong", Value::from(rank.0));
                 payload.insert("now_ns", Value::from(broker.core().now_ns as i64));
             }
-            let resp = Message::response_to(&msg, payload);
-            broker.core_mut().route_response(resp);
+            broker.core_mut().respond(&msg, payload)
         }
         Some(CmbMethod::Info) => {
             let core = broker.core();
@@ -44,8 +44,7 @@ pub(crate) fn handle(broker: &mut Broker, msg: Message) {
                         .collect::<Vec<_>>(),
                 )),
             ]);
-            let resp = Message::response_to(&msg, payload);
-            broker.core_mut().route_response(resp);
+            broker.core_mut().respond(&msg, payload)
         }
         Some(method @ (CmbMethod::Sub | CmbMethod::Unsub)) => {
             // Only valid directly from a local client: the hop stack must
@@ -55,14 +54,10 @@ pub(crate) fn handle(broker: &mut Broker, msg: Message) {
                 _ => None,
             };
             let Some(client) = client else {
-                let resp = Message::error_response_to(&msg, errnum::EINVAL);
-                broker.core_mut().route_response(resp);
-                return;
+                return broker.core_mut().respond_err(&msg, errnum::EINVAL);
             };
             let Some(prefix) = msg.payload.get("prefix").and_then(Value::as_str) else {
-                let resp = Message::error_response_to(&msg, errnum::EINVAL);
-                broker.core_mut().route_response(resp);
-                return;
+                return broker.core_mut().respond_err(&msg, errnum::EINVAL);
             };
             let prefix = prefix.to_owned();
             if method == CmbMethod::Sub {
@@ -70,12 +65,8 @@ pub(crate) fn handle(broker: &mut Broker, msg: Message) {
             } else {
                 broker.core_mut().unsubscribe_client(client, &prefix);
             }
-            let resp = Message::response_to(&msg, Value::object());
-            broker.core_mut().route_response(resp);
+            broker.core_mut().respond(&msg, Value::object())
         }
-        None => {
-            let resp = Message::error_response_to(&msg, errnum::ENOSYS);
-            broker.core_mut().route_response(resp);
-        }
+        None => broker.core_mut().respond_err(&msg, errnum::ENOSYS),
     }
 }

@@ -49,4 +49,4 @@ mod module;
 pub use broker::Broker;
 pub use config::{BrokerConfig, RankOverlay};
 pub use io::{ClientId, Input, Output};
-pub use module::{CommsModule, ModuleCtx};
+pub use module::{CommsModule, Handled, ModuleCtx};

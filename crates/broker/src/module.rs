@@ -8,7 +8,65 @@
 //! path where the module is loaded.
 
 use crate::broker::Core;
+use flux_proto::MethodKind;
 use flux_wire::{errnum, Message, MsgId, Payload, Rank, Topic};
+
+/// Proof that a request was disposed of: the return type of
+/// [`CommsModule::handle_request`], so rustc checks on every path —
+/// each early return, each `if` without `else`, the unknown-method arm —
+/// that the handler answered, forwarded, parked or knowingly dropped
+/// what it was given. Only [`ModuleCtx`] hands one out, through
+/// [`respond`](ModuleCtx::respond), [`respond_err`](ModuleCtx::respond_err),
+/// [`forward_upstream`](ModuleCtx::forward_upstream),
+/// [`park`](ModuleCtx::park), [`one_way`](ModuleCtx::one_way) and
+/// [`drop_duplicate`](ModuleCtx::drop_duplicate).
+///
+/// It is not `#[must_use]`: a reply sent later from a pending table
+/// yields a proof nobody needs.
+///
+/// A handler with a branch that falls through does not compile:
+///
+/// ```compile_fail
+/// use flux_broker::{CommsModule, Handled, ModuleCtx};
+/// use flux_wire::{errnum, Message};
+/// struct Gate(bool);
+/// impl CommsModule for Gate {
+///     fn name(&self) -> &'static str {
+///         "gate"
+///     }
+///     fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+///         if self.0 {
+///             return ctx.respond(msg, flux_value::Value::object());
+///         }
+///     }
+/// }
+/// ```
+///
+/// Its twin, which answers on that branch too, does:
+///
+/// ```
+/// use flux_broker::{CommsModule, Handled, ModuleCtx};
+/// use flux_wire::{errnum, Message};
+/// struct Gate(bool);
+/// impl CommsModule for Gate {
+///     fn name(&self) -> &'static str {
+///         "gate"
+///     }
+///     fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+///         if self.0 {
+///             return ctx.respond(msg, flux_value::Value::object());
+///         }
+///         ctx.respond_err(msg, errnum::EAGAIN)
+///     }
+/// }
+/// ```
+///
+/// And no code outside this crate can forge one:
+///
+/// ```compile_fail
+/// let forged = flux_broker::Handled(());
+/// ```
+pub struct Handled(pub(crate) ());
 
 /// A service plugin loaded into a broker.
 ///
@@ -32,8 +90,9 @@ pub trait CommsModule: Send {
     /// Called once when the broker starts.
     fn on_start(&mut self, _ctx: &mut ModuleCtx<'_>) {}
 
-    /// A request addressed to this module.
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message);
+    /// A request addressed to this module. The [`Handled`] it returns
+    /// is the proof that `msg` was disposed of on the path taken.
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled;
 
     /// The response to an RPC this module issued via
     /// [`ModuleCtx::request_upstream`] or [`ModuleCtx::request_to_rank`].
@@ -111,15 +170,49 @@ impl<'a> ModuleCtx<'a> {
     ///
     /// May be called more than once for the same request — `kvs.watch`
     /// uses repeated responses to stream updates to a client.
-    pub fn respond(&mut self, req: &Message, payload: impl Into<Payload>) {
-        let resp = Message::response_to(req, payload);
-        self.core.route_response(resp);
+    pub fn respond(&mut self, req: &Message, payload: impl Into<Payload>) -> Handled {
+        self.core.respond(req, payload)
     }
 
     /// Sends an error response to `req`.
-    pub fn respond_err(&mut self, req: &Message, errnum: u32) {
-        let resp = Message::error_response_to(req, errnum);
-        self.core.route_response(resp);
+    pub fn respond_err(&mut self, req: &Message, errnum: u32) -> Handled {
+        self.core.respond_err(req, errnum)
+    }
+
+    /// Passes `req` on to the effective parent, exactly as the broker
+    /// does for a topic no local module serves: the same request climbs
+    /// on, and the reply unwinds through its hop stack without coming
+    /// back to this module. At the root the requester gets `ENOSYS`.
+    pub fn forward_upstream(&mut self, req: &Message) -> Handled {
+        let mut fwd = req.clone();
+        // A rank-addressed request has arrived; from here it climbs.
+        fwd.header.dst = None;
+        self.core.forward_upstream(fwd)
+    }
+
+    /// Takes `req` over for a later reply: the proof comes only together
+    /// with the owned copy to keep (header-shallow: the topic and the
+    /// payload are shared, not copied).
+    pub fn park(&self, req: &Message) -> (Message, Handled) {
+        (req.clone(), Handled(()))
+    }
+
+    /// Disposes of a request that is never answered: a one-way
+    /// notification or an opened stream.
+    pub fn one_way(&self, req: &Message) -> Handled {
+        debug_assert!(
+            flux_proto::kind_of(req.header.topic.as_str()) != Some(MethodKind::Rpc),
+            "{} is an RPC: it must be answered",
+            req.header.topic
+        );
+        Handled(())
+    }
+
+    /// Drops a transport duplicate of a request whose first copy still
+    /// carries the reply obligation (parked, or forwarded and awaiting
+    /// its answer). Answering the copy too would reply twice, or early.
+    pub fn drop_duplicate(&self, _req: &Message) -> Handled {
+        Handled(())
     }
 
     /// Issues an RPC to this module's counterpart on the upstream path.

@@ -2,7 +2,9 @@
 
 use flux_broker::client::{ClientCore, Delivery};
 use flux_broker::testing::TestNet;
-use flux_broker::{Broker, BrokerConfig, ClientId, CommsModule, Input, ModuleCtx, Output};
+use flux_broker::{
+    Broker, BrokerConfig, ClientId, CommsModule, Handled, Input, ModuleCtx, Output,
+};
 use flux_value::Value;
 use flux_wire::{errnum, Message, Rank, Topic};
 
@@ -14,12 +16,12 @@ impl CommsModule for Echo {
         "echo"
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         let payload = Value::from_pairs([
             ("rank", Value::from(ctx.rank().0)),
             ("echo", msg.payload.value().clone()),
         ]);
-        ctx.respond(msg, payload);
+        ctx.respond(msg, payload)
     }
 }
 
@@ -31,9 +33,9 @@ impl CommsModule for Bell {
         "bell"
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         ctx.publish(Topic::from_static("bell.rung"), msg.payload.clone());
-        ctx.respond(msg, Value::object());
+        ctx.respond(msg, Value::object())
     }
 }
 
@@ -363,4 +365,24 @@ fn rank_addressed_request_to_dead_rank_fails_ehostdown() {
         let resp = roundtrip(&mut net, Rank(3), 0, req);
         assert_eq!(resp.header.errnum, errnum::EHOSTDOWN, "{overlay:?}");
     }
+}
+
+/// `one_way` disposes of requests nobody answers; the registry says
+/// `hb.epoch` is an RPC, so a handler that tries it there is caught.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "is an RPC")]
+fn one_way_on_an_rpc_method_trips() {
+    struct Mute;
+    impl CommsModule for Mute {
+        fn name(&self) -> &'static str {
+            "hb"
+        }
+        fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+            ctx.one_way(msg)
+        }
+    }
+    let mut net = TestNet::new(1, 2, |_| vec![Box::new(Mute)]);
+    let mut c = ClientCore::new(Rank(0), 0);
+    net.client_send(Rank(0), 0, c.request(topic("hb.epoch"), Value::object(), 1));
 }

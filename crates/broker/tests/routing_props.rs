@@ -4,7 +4,7 @@
 
 use flux_broker::client::ClientCore;
 use flux_broker::testing::TestNet;
-use flux_broker::{CommsModule, ModuleCtx};
+use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_value::Value;
 use flux_wire::{errnum, Message, Rank, Topic};
 use proptest::prelude::*;
@@ -17,8 +17,8 @@ impl CommsModule for Echo {
         "echo"
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
-        ctx.respond(msg, Value::from_pairs([("rank", Value::from(ctx.rank().0))]));
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+        ctx.respond(msg, Value::from_pairs([("rank", Value::from(ctx.rank().0))]))
     }
 }
 
@@ -103,9 +103,9 @@ proptest! {
             fn name(&self) -> &'static str {
                 "bell"
             }
-            fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+            fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
                 ctx.publish(Topic::from_static("bell.rang"), msg.payload.clone());
-                ctx.respond(msg, Value::object());
+                ctx.respond(msg, Value::object())
             }
         }
         let mut net = TestNet::new(size, arity, |_| vec![Box::new(Bell) as Box<dyn CommsModule>]);

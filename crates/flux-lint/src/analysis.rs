@@ -12,7 +12,7 @@
 
 /// One source file, parsed once and shared by every pass. The tree
 /// walk builds one `ParsedFile` per `.rs` file; all passes (token
-/// rules, lock-order, reply, taint, error-codes, shard-safety) read
+/// rules, lock-order, taint, error-codes, block, hotalloc) read
 /// from this cache instead of re-blanking and re-extracting per rule.
 pub(crate) struct ParsedFile {
     /// Workspace-relative path with `/` separators.
@@ -343,12 +343,6 @@ fn word_at(bytes: &[u8], idx: usize, word: &str) -> bool {
     before_ok && after_ok
 }
 
-/// Byte offset of the first word-boundary occurrence of `word`.
-pub(crate) fn find_word(text: &str, word: &str) -> Option<usize> {
-    let bytes = text.as_bytes();
-    (0..bytes.len().saturating_sub(word.len() - 1)).find(|&i| word_at(bytes, i, word))
-}
-
 /// Extracts every `fn` with a body from blanked source text. Trait
 /// method declarations (ending in `;`) are skipped.
 pub(crate) fn extract_fns(blanked: &str) -> Vec<FnDef> {
@@ -602,8 +596,9 @@ mod tests {
 
     #[test]
     fn word_boundaries() {
-        assert_eq!(find_word("x; return;", "return"), Some(3));
-        assert_eq!(find_word("returns;", "return"), None);
-        assert_eq!(find_word("my_return", "return"), None);
+        let at = |text: &str, idx| word_at(text.as_bytes(), idx, "return");
+        assert!(at("x; return;", 3));
+        assert!(!at("returns;", 0));
+        assert!(!at("my_return", 3));
     }
 }

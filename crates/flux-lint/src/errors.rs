@@ -34,8 +34,7 @@
 //! Waive a finding with `// flux-lint: allow(error-codes)` on or just
 //! above the arm.
 
-use crate::analysis::{calls_in, line_of, waiver_status, ParsedFile};
-use crate::reply::{find_dispatch_matches, normalize, split_arms, Arm, DispatchMatch};
+use crate::analysis::{calls_in, line_of, match_delim, waiver_status, FnDef, ParsedFile};
 use crate::{Rule, Violation};
 use flux_proto::MethodKind;
 use flux_wire::errnum;
@@ -214,7 +213,7 @@ fn has_relay(text: &str) -> bool {
         while let Some(p) = text[from..].find(tok) {
             let open = from + p + tok.len() - 1;
             from = open + 1;
-            let args_end = crate::analysis::match_delim(text.as_bytes(), open)
+            let args_end = match_delim(text.as_bytes(), open)
                 .unwrap_or(text.len());
             if !text[open..args_end].contains("errnum::") {
                 return true;
@@ -238,6 +237,163 @@ fn variants_in(pattern: &str, enum_name: &str) -> Vec<String> {
         from = vend;
     }
     out
+}
+
+/// One `match <Svc>Method::from_method(..) { .. }` site.
+struct DispatchMatch {
+    /// Lowercased service name (`KvsMethod` → `kvs`).
+    service: String,
+    /// Enum name (`KvsMethod`), for variant extraction from patterns.
+    enum_name: String,
+    /// Interior span of the match block.
+    block: (usize, usize),
+}
+
+/// Finds dispatch matches inside one function body.
+fn find_dispatch_matches(blanked: &str, f: &FnDef) -> Vec<DispatchMatch> {
+    const NEEDLE: &str = "Method::from_method";
+    let body = &blanked[f.body.0..f.body.1];
+    let bytes = blanked.as_bytes();
+    let mut out = Vec::new();
+    let mut from = 0;
+    while let Some(p) = body[from..].find(NEEDLE) {
+        let abs = f.body.0 + from + p;
+        from += p + NEEDLE.len();
+        // Enum name: the identifier run ending at the needle.
+        let mut start = abs;
+        while start > 0
+            && (bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_')
+        {
+            start -= 1;
+        }
+        let enum_name = format!("{}Method", &blanked[start..abs]);
+        let service = blanked[start..abs].to_ascii_lowercase();
+        if service.is_empty() {
+            continue;
+        }
+        // Must be the scrutinee of a `match`: a `match` keyword earlier
+        // on the same statement, with no intervening brace.
+        let lead = &blanked[f.body.0..start];
+        let Some(mpos) = lead.rfind("match ") else { continue };
+        if lead[mpos..].contains('{') {
+            continue;
+        }
+        // The match block opens at the next top-level `{`.
+        let mut j = abs;
+        let mut ok = None;
+        while j < f.body.1 {
+            match bytes[j] {
+                b'(' | b'[' => match match_delim(bytes, j) {
+                    Some(end) => j = end,
+                    None => break,
+                },
+                b'{' => {
+                    if let Some(end) = match_delim(bytes, j) {
+                        ok = Some((j + 1, end - 1));
+                    }
+                    break;
+                }
+                _ => j += 1,
+            }
+        }
+        if let Some(block) = ok {
+            out.push(DispatchMatch { service, enum_name, block });
+        }
+    }
+    out
+}
+
+/// One arm of a match block: pattern text plus either a block body or
+/// an expression body.
+struct Arm {
+    pattern: String,
+    /// Byte offset of the pattern start (for diagnostics).
+    at: usize,
+    /// Block-body interior span, if the body is `{ .. }`.
+    block: Option<(usize, usize)>,
+    /// Expression body text otherwise.
+    expr: String,
+}
+
+/// Splits a match block interior into arms. Arms are `pattern => body`
+/// where body is a block or an expression ending at a top-level `,`.
+fn split_arms(blanked: &str, span: (usize, usize)) -> Vec<Arm> {
+    let bytes = blanked.as_bytes();
+    let mut out = Vec::new();
+    let mut i = span.0;
+    while i < span.1 {
+        // Pattern: up to `=>` at top level.
+        let pat_start = i;
+        let mut pat_end = None;
+        while i < span.1 {
+            match bytes[i] {
+                b'(' | b'[' | b'{' => {
+                    i = match match_delim(bytes, i) {
+                        Some(end) => end,
+                        None => span.1,
+                    }
+                }
+                b'=' if bytes.get(i + 1) == Some(&b'>') => {
+                    pat_end = Some(i);
+                    i += 2;
+                    break;
+                }
+                _ => i += 1,
+            }
+        }
+        let Some(pat_end) = pat_end else { break };
+        let pattern = blanked[pat_start..pat_end].trim().to_owned();
+        // Body: skip whitespace, then block or expression.
+        while i < span.1 && (bytes[i] as char).is_whitespace() {
+            i += 1;
+        }
+        if i < span.1 && bytes[i] == b'{' {
+            let end = match match_delim(bytes, i) {
+                Some(end) => end,
+                None => span.1,
+            };
+            out.push(Arm {
+                pattern,
+                at: pat_start,
+                block: Some((i + 1, end.saturating_sub(1))),
+                expr: String::new(),
+            });
+            i = end;
+            if i < span.1 && bytes[i] == b',' {
+                i += 1;
+            }
+        } else {
+            let expr_start = i;
+            while i < span.1 {
+                match bytes[i] {
+                    b'(' | b'[' | b'{' => {
+                        i = match match_delim(bytes, i) {
+                            Some(end) => end,
+                            None => span.1,
+                        }
+                    }
+                    b',' => break,
+                    _ => i += 1,
+                }
+            }
+            out.push(Arm {
+                pattern,
+                at: pat_start,
+                block: None,
+                expr: blanked[expr_start..i].to_owned(),
+            });
+            if i < span.1 {
+                i += 1; // past the comma
+            }
+        }
+    }
+    out
+}
+
+/// Lowercases and strips separators so variant names and topic method
+/// parts meet in the middle (`FenceUp` == `fence.up` == `fenceup`).
+fn normalize(s: &str) -> String {
+    s.chars().filter(|c| c.is_ascii_alphanumeric()).map(|c| c.to_ascii_lowercase()).collect()
 }
 
 /// Runs the pass over the shared parsed-file cache.
@@ -293,7 +449,7 @@ pub(crate) fn check_error_codes(files: &[ParsedFile]) -> Vec<Violation> {
         let raw_lines: Vec<&str> = pf.raw.lines().collect();
         for f in &pf.fns {
             if !(f.sig.contains("Ctx") || f.sig.contains("Broker")) {
-                continue; // decoders: same responder gate as the reply pass
+                continue; // decoders cannot answer: only responders are checked
             }
             let (dispatch_codes, dispatch_relay) = crate_g.of_fn(&f.name);
             for m in find_dispatch_matches(&pf.stripped, f) {
@@ -366,7 +522,7 @@ fn check_arm(
         }
     }
     if !known_variant {
-        return; // registry drift: the reply pass already screams about it
+        return; // registry drift: rustc's exhaustiveness check owns that
     }
 
     // Direction 1: undeclared production (file-local, two call hops).

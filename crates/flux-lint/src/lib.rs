@@ -19,29 +19,29 @@
 //!    from `.lock()`/`.read()`/`.write()` sites, propagated through the
 //!    call graph) must be acyclic. See [`DESIGN.md §13`] and
 //!    the [`lockorder`] module docs.
-//! 6. **reply** — every request/response arm of a module dispatch match
-//!    must respond (or park the request) on all paths. See the
-//!    [`reply`] module docs.
-//! 7. **nondet** — determinism-taint analysis: nondeterminism sources
+//! 6. **nondet** — determinism-taint analysis: nondeterminism sources
 //!    (hash iteration, wall clock, thread ids, address ordering) may not
 //!    reach the deterministic crates, directly or through the call
 //!    graph, without a justified `allow(nondet)` waiver. See [`taint`].
-//! 8. **error-codes** — each dispatch arm's reachable error codes must
+//! 7. **error-codes** — each dispatch arm's reachable error codes must
 //!    match the `declared_errors` sets in the flux-proto registry, in
 //!    both directions. See [`errors`].
-//! 9. **shard-safety** — rank-addressed sends must register a retry
-//!    join, handle the EINVAL wrong-master reply, and be reachable from
-//!    the heartbeat-driven retry pump. See [`shard_safety`].
-//! 10. **block** — blocking-call taint: sleeps, deadline-free channel
-//!     receives, thread joins, un-deadlined socket reads, and locks held
-//!     across I/O may not appear in (or be reached from) the sans-io
-//!     broker core without a justified `allow(block)` waiver. See
-//!     [`block`].
-//! 11. **hotalloc** — allocation accounting: per-message allocations
-//!     (`Vec::new`, `clone`, `format!`, fresh `collect`, …) may not
-//!     appear in the designated hot paths (framing chain, sim dispatch,
-//!     kvs batch apply, broker route) without a justified
-//!     `allow(hotalloc)` waiver. See [`hotalloc`].
+//! 8. **block** — blocking-call taint: sleeps, deadline-free channel
+//!    receives, thread joins, un-deadlined socket reads, and locks held
+//!    across I/O may not appear in (or be reached from) the sans-io
+//!    broker core without a justified `allow(block)` waiver. See
+//!    [`block`].
+//! 9. **hotalloc** — allocation accounting: per-message allocations
+//!    (`Vec::new`, `clone`, `format!`, fresh `collect`, …) may not
+//!    appear in the designated hot paths (framing chain, sim dispatch,
+//!    kvs batch apply, broker route) without a justified
+//!    `allow(hotalloc)` waiver. See [`hotalloc`].
+//!
+//! Two invariants that used to be rules here are types now, checked by
+//! rustc: every request is answered on every path
+//! (`flux_broker::Handled`, the return type of a request handler), and
+//! every RPC the KVS sends is registered, its answer classified and the
+//! request retried (`flux-kvs`'s `inflight` table).
 //!
 //! A violation is fixed, or waived at its site with a justified
 //! `// flux-lint: allow(...)` comment; there is no out-of-line
@@ -49,7 +49,7 @@
 //!
 //! Rules 1–4 are line rules over *blanked* text (string/char/comment
 //! contents replaced with spaces by [`token::blank`], so a `panic!(`
-//! in an error message can't fire the panic rule). Rules 5–11 are
+//! in an error message can't fire the panic rule). Rules 5–9 are
 //! semantic passes over an AST-lite statement model, sharing one
 //! [`analysis::ParsedFile`] cache per tree walk. The linter has no
 //! dependencies outside the workspace and never touches the network.
@@ -62,9 +62,7 @@ mod block;
 mod errors;
 mod hotalloc;
 mod lockorder;
-mod reply;
 mod selfmutate;
-mod shard_safety;
 mod taint;
 pub mod token;
 
@@ -88,14 +86,10 @@ pub enum Rule {
     Header,
     /// A cycle in the cross-crate lock acquisition graph.
     LockOrder,
-    /// A request/response dispatch arm that can finish without a reply.
-    ReplyObligation,
     /// Nondeterminism reaching deterministic code without a waiver.
     Nondet,
     /// Error codes out of conformance with the proto registry.
     ErrorCodes,
-    /// A rank-addressed send outside the retry/EINVAL discipline.
-    ShardSafety,
     /// A blocking call or lock-held-across-I/O inside sans-io code.
     Block,
     /// A per-message allocation inside a designated hot path.
@@ -111,10 +105,8 @@ impl Rule {
             Rule::Wildcard => "wildcard",
             Rule::Header => "header",
             Rule::LockOrder => "lock-order",
-            Rule::ReplyObligation => "reply",
             Rule::Nondet => "nondet",
             Rule::ErrorCodes => "error-codes",
-            Rule::ShardSafety => "shard-safety",
             Rule::Block => "block",
             Rule::HotAlloc => "hotalloc",
         }
@@ -126,10 +118,8 @@ impl Rule {
         match self {
             Rule::TopicLiteral | Rule::Panic | Rule::Wildcard | Rule::Header => "line",
             Rule::LockOrder => "lock-order",
-            Rule::ReplyObligation => "reply",
             Rule::Nondet => "nondet",
             Rule::ErrorCodes => "error-codes",
-            Rule::ShardSafety => "shard-safety",
             Rule::Block => "block",
             Rule::HotAlloc => "hotalloc",
         }
@@ -257,20 +247,10 @@ impl ScanState {
 }
 
 /// Lints one file's content as if it lived at workspace-relative path
-/// `rel`: the per-file rules (1–4, 6) only. Tests feed it fixture
-/// content directly; the whole-workspace passes (lock-order, nondet,
-/// error-codes, shard-safety) need the full tree — see [`lint_sources`].
+/// `rel`: the token rules and header checks only (no parsing needed).
+/// Tests feed it fixture content directly; the semantic passes need the
+/// full tree — see [`lint_sources`].
 pub fn lint_file(rel: &str, content: &str) -> Vec<Violation> {
-    let mut out = lint_file_local(rel, content);
-    if rel.contains("/src/") {
-        let pf = ParsedFile::parse(rel, content);
-        out.extend(reply::check_reply(&pf, &reply::kind_table()));
-    }
-    out
-}
-
-/// The token rules and header checks (no parsing needed).
-fn lint_file_local(rel: &str, content: &str) -> Vec<Violation> {
     let mut out = Vec::new();
     let services: Vec<&str> = flux_proto::Service::ALL.iter().map(|s| s.name()).collect();
     let topic_scope = topic_rule_applies(rel);
@@ -380,8 +360,8 @@ pub struct LintReport {
 /// Lints a whole workspace already read into memory as `(relative
 /// path, raw source)` pairs. All passes share one parsed-file cache:
 /// every source file is blanked, test-stripped, and function-indexed
-/// exactly once, then the per-file rules and the four interprocedural
-/// passes run over the cache. This is the engine behind [`lint_tree`]
+/// exactly once, then the per-file rules and the five semantic passes
+/// run over the cache. This is the engine behind [`lint_tree`]
 /// and the `--self-mutate` smoke check.
 pub fn lint_sources(files: &[(String, String)]) -> LintReport {
     let mut timings = Vec::new();
@@ -397,14 +377,9 @@ pub fn lint_sources(files: &[(String, String)]) -> LintReport {
 
     let t = std::time::Instant::now();
     for (rel, content) in files {
-        violations.extend(lint_file_local(rel, content));
+        violations.extend(lint_file(rel, content));
     }
     timings.push(("tokens+headers", t.elapsed()));
-
-    let t = std::time::Instant::now();
-    let kinds = reply::kind_table();
-    violations.extend(reply::check_reply_all(&parsed, &kinds));
-    timings.push(("reply", t.elapsed()));
 
     let t = std::time::Instant::now();
     violations.extend(lockorder::check_lock_order(&parsed));
@@ -417,10 +392,6 @@ pub fn lint_sources(files: &[(String, String)]) -> LintReport {
     let t = std::time::Instant::now();
     violations.extend(errors::check_error_codes(&parsed));
     timings.push(("error-codes", t.elapsed()));
-
-    let t = std::time::Instant::now();
-    violations.extend(shard_safety::check_shard_safety(&parsed));
-    timings.push(("shard-safety", t.elapsed()));
 
     let t = std::time::Instant::now();
     violations.extend(block::check_block(&parsed));
@@ -579,7 +550,6 @@ mod tests {
     const WILDCARD_FIXTURE: &str = include_str!("../fixtures/wildcard_match.rs.bad");
     const HEADER_FIXTURE: &str = include_str!("../fixtures/missing_header.rs.bad");
     const LOCK_FIXTURE: &str = include_str!("../fixtures/lock_order.rs.bad");
-    const REPLY_FIXTURE: &str = include_str!("../fixtures/reply_obligation.rs.bad");
 
     fn rules(v: &[Violation]) -> Vec<Rule> {
         v.iter().map(|x| x.rule).collect()
@@ -687,18 +657,6 @@ mod tests {
         let v = lint_lock_order(&files);
         assert_eq!(rules(&v), [Rule::LockOrder], "{v:?}");
         assert!(v[0].message.contains("alpha") && v[0].message.contains("beta"), "{}", v[0]);
-    }
-
-    #[test]
-    fn reply_obligation_fixture_fires() {
-        let v = lint_file("crates/fake/src/sloppy.rs", REPLY_FIXTURE);
-        let hits: Vec<_> = v.iter().filter(|x| x.rule == Rule::ReplyObligation).collect();
-        // Exactly the three BAD arms: dropped Get, fall-through Put,
-        // early-return Commit. FenceUp (one-way) and None must not fire.
-        assert_eq!(hits.len(), 3, "{v:?}");
-        for (hit, variant) in hits.iter().zip(["Get", "Put", "Commit"]) {
-            assert!(hit.message.contains(variant), "expected {variant}: {hit}");
-        }
     }
 
     #[test]

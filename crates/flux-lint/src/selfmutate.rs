@@ -57,18 +57,6 @@ const MUTATIONS: &[Mutation] = &[
             })
         },
     },
-    // Shard safety: the coordinator's join consumption compares against
-    // a bare integer, erasing the EINVAL wrong-master discrimination.
-    Mutation {
-        name: "einval-discrimination-erased",
-        rule: "shard-safety",
-        file: "crates/kvs/src/coordinator.rs",
-        apply: |src| {
-            let pat = "msg.header.errnum == errnum::EINVAL";
-            src.contains(pat)
-                .then(|| src.replacen(pat, "msg.header.errnum == transient_code()", 1))
-        },
-    },
     // Blocking calls: a wall-clock sleep dropped into the sim engine
     // (sans-io scope, the future reactor's dispatch substrate).
     Mutation {

@@ -82,14 +82,6 @@ fn error_codes_good_fixture_is_clean() {
 }
 
 #[test]
-fn shard_safety_bad_fixture_fails_the_tree() {
-    // Discarded id, unregistered id, undiscriminated consume, and no
-    // heartbeat-reachable sender: four distinct holes.
-    let n = rule_count("shard_safety.rs.bad", "crates/kvs/src/fake.rs", Rule::ShardSafety);
-    assert_eq!(n, 4, "expected all four seeded shard-safety holes to fire");
-}
-
-#[test]
 fn block_bad_fixture_fails_the_tree() {
     // Sleep, bare recv, thread join, lock-across-write, bare waiver,
     // and an un-deadlined socket read: six distinct blocking shapes.
@@ -116,12 +108,6 @@ fn hotalloc_good_fixture_is_clean() {
     let n =
         rule_count("hotalloc.rs.good", "crates/wire/src/codec.rs", Rule::HotAlloc);
     assert_eq!(n, 0, "pre-reserved/amortized/waived shapes must stay silent");
-}
-
-#[test]
-fn shard_safety_good_fixture_is_clean() {
-    let n = rule_count("shard_safety.rs.good", "crates/kvs/src/fake.rs", Rule::ShardSafety);
-    assert_eq!(n, 0, "the full join-table discipline must stay silent");
 }
 
 /// Registry coverage: every Rpc/Stream method of every service must be

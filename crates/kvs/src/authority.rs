@@ -11,7 +11,7 @@
 use crate::master::{apply_tuples, Tuple};
 use crate::module::{KvsConfig, Replica};
 use crate::msg::{self, Objects, RootRef};
-use flux_broker::ModuleCtx;
+use flux_broker::{Handled, ModuleCtx};
 use flux_proto::Event;
 use flux_wire::{errnum, Message, MsgId};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -122,13 +122,12 @@ impl Authority {
         rep: &mut Replica,
         msg: &Message,
         fence: Option<&str>,
-    ) {
+    ) -> Handled {
         let shard = rep.slots.mine().unwrap_or(0);
         if let Some(at) = fence.and_then(|name| self.fence_applied.get(name)) {
             // A coordinator retry of an already-applied fence part:
             // re-answer the recorded result, never double-apply.
-            ctx.respond(msg, rep.slots.spelling().version_reply(at));
-            return;
+            return ctx.respond(msg, rep.slots.spelling().version_reply(at));
         }
         if cfg.dedup && !self.note_push(msg.header.id) {
             if self.batch_ids.contains(&msg.header.id) {
@@ -136,28 +135,24 @@ impl Authority {
                 // comes with the flush. Answering the duplicate now would
                 // expose the pre-apply version (a read-your-writes
                 // violation for the committer).
-                // flux-lint: allow(reply)
-                return;
+                return ctx.drop_duplicate(msg);
             }
             // Re-answer with the current version: the response to the
             // first copy may itself have been lost in transit.
-            rep.slots.respond_version(ctx, shard, msg);
-            return;
+            return rep.slots.respond_version(ctx, shard, msg);
         }
         let (Some(tuples), Some(objects)) = (
             msg::tuples_from_value(msg.payload.get("tuples")),
             msg::objects_from_value(msg.payload.get("objects")),
         ) else {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         };
         if fence.is_some() || cfg.batch_window_ns == 0 {
             // Fence parts never wait in the window (their coordinator
             // holds every waiter until all parts land); a zero window
             // turns batching off.
             self.apply(ctx, rep, &tuples, objects, fence);
-            rep.slots.respond_version(ctx, shard, msg);
-            return;
+            return rep.slots.respond_version(ctx, shard, msg);
         }
         // Park the push: concurrent pushes inside the window share one
         // hash-tree walk, one version bump, and one setroot broadcast.
@@ -165,16 +160,16 @@ impl Authority {
         // application equals applying them sequentially.
         self.pushes_batched += 1;
         self.batch_ids.insert(msg.header.id);
-        // flux-lint: allow(hotalloc) — parks the request so the batch
-        // flush can answer it; Message clones are header-shallow (Arc'd
-        // topic and payload), so this is refcount bumps, not a copy.
-        self.batch.push((msg.clone(), tuples, objects));
+        // Parked so the batch flush can answer it.
+        let (req, parked) = ctx.park(msg);
+        self.batch.push((req, tuples, objects));
         if self.batch.len() >= cfg.batch_max {
             self.flush_batch(ctx, rep);
         } else if !self.batch_armed {
             self.batch_armed = true;
             ctx.set_timer(cfg.batch_window_ns, BATCH_TOKEN);
         }
+        parked
     }
 
     /// Applies every parked push in one hash-tree walk and answers each

@@ -12,20 +12,22 @@
 //! one shard it climbs the tree as `kvs.push`, every hop adopting the
 //! new root on the unwind — the paper's design, and on a ring overlay
 //! the only route that is not O(ranks) hops. With N shards it goes
-//! rank-addressed to its master as `kvs.shard.push`, and because a
-//! rank-addressed request can bounce off a blacked-out master or vanish
-//! with it, those parts are re-sent on the heartbeat.
+//! rank-addressed to its master as `kvs.shard.push`. Either way the
+//! part is in the [`InFlight`] table until it is acknowledged: a part a
+//! master refuses fails the join, a part lost on the way goes out again
+//! on the heartbeat.
 
 use crate::authority::Authority;
+use crate::inflight::{Answer, InFlight};
 use crate::master::Tuple;
 use crate::module::Replica;
 use crate::msg::{self, Objects, RootRef};
 use crate::shard;
-use flux_broker::ModuleCtx;
+use flux_broker::{Handled, ModuleCtx};
 use flux_hash::ObjectId;
 use flux_proto::{Event, KvsMethod};
-use flux_wire::{errnum, Message, MsgId, Payload, Rank};
-use std::collections::{BTreeMap, HashMap};
+use flux_wire::{Message, Payload, Rank};
+use std::collections::BTreeMap;
 
 /// One part of a join on its way to a master.
 struct Part {
@@ -33,10 +35,6 @@ struct Part {
     /// `kvs.push` up the tree.
     to: Option<Rank>,
     payload: Payload,
-    /// The request in flight, if any. `None` is unsent or failed.
-    sent: Option<MsgId>,
-    /// Already in flight at the previous heartbeat.
-    stale: bool,
 }
 
 /// One commit or fence fan-out awaiting its masters' acknowledgements.
@@ -53,11 +51,10 @@ struct Join {
 
 #[derive(Default)]
 pub(crate) struct Coordinator {
-    /// Deterministically ordered: the heartbeat retry iterates it.
     joins: BTreeMap<u64, Join>,
     next_join: u64,
-    /// Parts in flight: request id → (join, shard).
-    sent: HashMap<MsgId, (u64, u32)>,
+    /// Parts in flight, tagged `(join, shard)`.
+    parts: InFlight<(u64, u32)>,
 }
 
 impl Coordinator {
@@ -75,8 +72,7 @@ impl Coordinator {
         } else {
             (None, None)
         };
-        let payload = msg::push_payload(tag, fence, tuples, objects).into();
-        Part { to, payload, sent: None, stale: false }
+        Part { to, payload: msg::push_payload(tag, fence, tuples, objects).into() }
     }
 
     /// Coordinates one write set: `waiters` are answered with the cut it
@@ -127,11 +123,17 @@ impl Coordinator {
     /// Relays a `kvs.push` one hop further up the tree; the answer's
     /// root is adopted here before it unwinds to `msg`'s sender, so
     /// every broker on the path is at least as new as the committer.
-    pub(crate) fn relay(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica, msg: &Message) {
-        let part = Part { to: None, payload: msg.payload.clone(), sent: None, stale: false };
-        let outstanding = BTreeMap::from([(0, part)]);
-        let join = Join { waiters: vec![msg.clone()], outstanding, ..Join::default() };
+    pub(crate) fn relay(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        rep: &mut Replica,
+        msg: &Message,
+    ) -> Handled {
+        let (waiter, parked) = ctx.park(msg);
+        let outstanding = BTreeMap::from([(0, Part { to: None, payload: msg.payload.clone() })]);
+        let join = Join { waiters: vec![waiter], outstanding, ..Join::default() };
         self.launch(ctx, rep, join);
+        parked
     }
 
     fn launch(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica, join: Join) {
@@ -145,36 +147,23 @@ impl Coordinator {
         self.finish_if_complete(ctx, rep, key);
     }
 
-    /// (Re-)sends one part. A rank-addressed part forgets the copy in
-    /// flight first: masters answer a duplicated fence part from their
-    /// memo, and re-applying an identical commit part onto the same
-    /// tree yields the same root. A tree-relayed part in flight is owned
-    /// by the next hop and never re-sent.
+    /// (Re-)sends one part, if its join still waits on it. Masters
+    /// answer a duplicated fence part from their memo, and re-applying an
+    /// identical commit part onto the same tree yields the same root.
     fn send(&mut self, ctx: &mut ModuleCtx<'_>, key: u64, shard: u32) {
-        let Some(part) = self.joins.get_mut(&key).and_then(|j| j.outstanding.get_mut(&shard))
-        else {
+        let Some(part) = self.joins.get(&key).and_then(|j| j.outstanding.get(&shard)) else {
             return;
         };
-        part.stale = false;
-        let payload = part.payload.clone();
+        let (payload, tag) = (part.payload.clone(), (key, shard));
         match part.to {
             Some(master) => {
-                if let Some(old) = part.sent.take() {
-                    ctx.forget_request(old);
-                    self.sent.remove(&old);
-                }
-                let id = ctx.request_to_rank(master, KvsMethod::ShardPush.topic(), payload);
-                self.sent.insert(id, (key, shard));
-                part.sent = Some(id);
+                self.parts.send_to(ctx, master, KvsMethod::ShardPush, payload, tag);
             }
-            None if part.sent.is_some() => {}
-            None => match ctx.request_upstream(KvsMethod::Push.topic(), payload) {
-                Ok(id) => {
-                    self.sent.insert(id, (key, shard));
-                    part.sent = Some(id);
+            None => {
+                if let Err(e) = self.parts.send_up(ctx, KvsMethod::Push, payload, tag) {
+                    self.fail(ctx, key, e);
                 }
-                Err(e) => self.fail(ctx, key, e),
-            },
+            }
         }
     }
 
@@ -185,36 +174,31 @@ impl Coordinator {
         rep: &mut Replica,
         msg: &Message,
     ) -> bool {
-        let Some((key, shard)) = self.sent.remove(&msg.header.id) else { return false };
-        if msg.is_error() {
-            if msg.header.errnum == errnum::EINVAL {
-                // The master refused the part (wrong master, malformed
-                // batch): re-sending it can never succeed, so the join
-                // fails as a whole. Parts already applied stay applied
-                // (the client's history treats an errored commit as
-                // staged-uncertain).
-                self.fail(ctx, key, msg.header.errnum);
-            } else if let Some(part) =
-                self.joins.get_mut(&key).and_then(|j| j.outstanding.get_mut(&shard))
-            {
-                // Transient (e.g. the master is blacked out): the next
-                // heartbeat re-sends it. The join stays pending — never
-                // answered with a missing shard.
-                part.sent = None;
+        let Some(((key, shard), answer)) = self.parts.claim(msg) else { return false };
+        match answer {
+            // The master refused the part (wrong master, malformed
+            // batch), so the join fails as a whole. Parts already
+            // applied stay applied (the client's history treats an
+            // errored commit as staged-uncertain).
+            Answer::Refused(code) => self.fail(ctx, key, code),
+            // E.g. the master is blacked out. The join stays pending —
+            // never answered with a missing shard.
+            Answer::Lost => {}
+            Answer::Ok => {
+                let ack =
+                    msg::decode_cut(&msg.payload).roots.into_iter().next().unwrap_or_default();
+                if let Ok(root) = ObjectId::from_hex(&ack.root) {
+                    // Read-your-writes: adopt the new root before any
+                    // waiter can be answered.
+                    rep.slots.apply_root(ctx, shard, ack.version, root);
+                }
+                if let Some(join) = self.joins.get_mut(&key) {
+                    join.outstanding.remove(&shard);
+                    join.frontier.insert(shard, RootRef { shard, ..ack });
+                }
+                self.finish_if_complete(ctx, rep, key);
             }
-            return true;
         }
-        let ack = msg::decode_cut(&msg.payload).roots.into_iter().next().unwrap_or_default();
-        if let Ok(root) = ObjectId::from_hex(&ack.root) {
-            // Read-your-writes: adopt the new root before any waiter
-            // can be answered.
-            rep.slots.apply_root(ctx, shard, ack.version, root);
-        }
-        if let Some(join) = self.joins.get_mut(&key) {
-            join.outstanding.remove(&shard);
-            join.frontier.insert(shard, RootRef { shard, ..ack });
-        }
-        self.finish_if_complete(ctx, rep, key);
         true
     }
 
@@ -241,11 +225,6 @@ impl Coordinator {
     /// release path.
     fn fail(&mut self, ctx: &mut ModuleCtx<'_>, key: u64, errnum: u32) {
         let Some(join) = self.joins.remove(&key) else { return };
-        for part in join.outstanding.values() {
-            if let Some(id) = part.sent {
-                self.sent.remove(&id);
-            }
-        }
         for req in &join.waiters {
             ctx.respond_err(req, errnum);
         }
@@ -254,21 +233,12 @@ impl Coordinator {
         }
     }
 
-    /// Re-sends every part that is unsent, failed, or was already in
-    /// flight at the previous heartbeat; a part merely in flight is left
-    /// alone for one more period, so a healthy commit is applied once.
+    /// Re-sends what the table's sweep says is due: parts whose answer
+    /// was lost or that were already in flight at the previous
+    /// heartbeat. A part merely in flight is left alone for one more
+    /// period, so a healthy commit is applied once.
     pub(crate) fn on_heartbeat(&mut self, ctx: &mut ModuleCtx<'_>) {
-        let mut due = Vec::new();
-        for (key, join) in &mut self.joins {
-            for (shard, part) in &mut join.outstanding {
-                if part.sent.is_none() || part.stale {
-                    due.push((*key, *shard));
-                } else {
-                    part.stale = true;
-                }
-            }
-        }
-        for (key, shard) in due {
+        for (key, shard) in self.parts.sweep(ctx) {
             self.send(ctx, key, shard);
         }
     }
@@ -281,6 +251,7 @@ mod tests {
     use crate::shard::key_on_shard;
     use crate::testutil::{messages, request, with_ctx};
     use flux_value::Value;
+    use flux_wire::errnum;
     use std::sync::Arc;
 
     struct Fixture {
@@ -394,9 +365,9 @@ mod tests {
         let (_, outs) = with_ctx(3, 4, move |ctx| {
             let mut f = broker(3, None);
             f.start(ctx, &req, &keys, None);
-            let mut ids: Vec<(u32, MsgId)> =
-                f.co.sent.iter().map(|(id, (_, s))| (*s, *id)).collect();
-            ids.sort();
+            let ids: Vec<_> =
+                f.co.parts.in_flight().into_iter().map(|(id, (_, s))| (s, id)).collect();
+            assert!(ids.is_sorted(), "sent in shard order");
             for (shard, id) in ids.into_iter().rev() {
                 let mut push = request(KvsMethod::ShardPush, Value::object());
                 push.header.id = id;
@@ -427,7 +398,7 @@ mod tests {
             let mut f = broker(2, Some(0));
             for (req, code) in [(&retried, errnum::EHOSTDOWN), (&refused, errnum::EINVAL)] {
                 f.start(ctx, req, &keys, None);
-                let (&id, &(key, _)) = f.co.sent.iter().next().expect("one part in flight");
+                let (id, (key, _)) = f.co.parts.in_flight()[0];
                 let mut push = request(KvsMethod::ShardPush, Value::object());
                 push.header.id = id;
                 assert!(f.co.handle_response(
@@ -436,19 +407,22 @@ mod tests {
                     &Message::error_response_to(&push, code)
                 ));
                 assert_eq!(f.co.joins.contains_key(&key), code != errnum::EINVAL);
-                assert!(f.co.sent.is_empty());
+                assert!(f.co.parts.in_flight().is_empty());
             }
             // The transiently failed part goes out again on the next
             // heartbeat — and only once: merely in flight, it then waits
             // a full period before it counts as lost.
             f.co.on_heartbeat(ctx);
-            assert_eq!(f.co.sent.len(), 1);
-            let first = *f.co.sent.keys().next().expect("re-sent");
+            let ids = |f: &Fixture| -> Vec<_> {
+                f.co.parts.in_flight().into_iter().map(|(id, _)| id).collect()
+            };
+            let first = ids(&f);
+            assert_eq!(first.len(), 1, "re-sent");
             f.co.on_heartbeat(ctx);
-            assert!(f.co.sent.contains_key(&first), "in flight for less than a period: left alone");
+            assert_eq!(ids(&f), first, "in flight for less than a period: left alone");
             f.co.on_heartbeat(ctx);
-            assert!(!f.co.sent.contains_key(&first), "in flight for a whole period: re-sent");
-            assert_eq!(f.co.sent.len(), 1);
+            assert_eq!(ids(&f).len(), 1);
+            assert_ne!(ids(&f), first, "in flight for a whole period: re-sent");
         });
         let failed: Vec<_> = messages(&outs)
             .into_iter()

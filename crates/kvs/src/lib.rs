@@ -51,6 +51,7 @@ pub mod client;
 mod coordinator;
 mod fence;
 pub mod history;
+mod inflight;
 mod master;
 mod module;
 pub mod msg;
@@ -78,7 +79,7 @@ mod proptests;
 /// plus everything the broker emitted on its behalf.
 #[cfg(test)]
 pub(crate) mod testutil {
-    use flux_broker::{Broker, BrokerConfig, CommsModule, Input, ModuleCtx, Output};
+    use flux_broker::{Broker, BrokerConfig, CommsModule, Handled, Input, ModuleCtx, Output};
     use flux_proto::KvsMethod;
     use flux_value::Value;
     use flux_wire::{Message, MsgId, Rank};
@@ -93,10 +94,11 @@ pub(crate) mod testutil {
         fn name(&self) -> &'static str {
             "kvs"
         }
-        fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, _msg: &Message) {
+        fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
             if let Some(job) = self.0.take() {
                 job(ctx);
             }
+            ctx.one_way(msg)
         }
     }
 
@@ -111,7 +113,8 @@ pub(crate) mod testutil {
         let job: Job = Box::new(move |ctx| tx.send(f(ctx)).expect("result receiver alive"));
         let mut broker = Broker::new(BrokerConfig::new(Rank(rank), size), vec![Box::new(Probe(Some(job)))]);
         broker.start(0);
-        let kick = request(KvsMethod::Stats, Value::object());
+        // A one-way kick: the probe emits nothing of its own.
+        let kick = request(KvsMethod::FenceUp, Value::object());
         let outs = broker.handle(0, Input::FromClient { client: 0, msg: kick });
         (rx.recv().expect("probe ran"), outs)
     }

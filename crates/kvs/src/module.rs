@@ -31,9 +31,10 @@
 //! |------|------|------|
 //! | slots | `slots.rs` | per-shard root, version, `wait_version` parking lot, lookup memo; the only root switch |
 //! | master | `authority.rs` | push dedup, the batch window, the applied-fence memo; the one apply |
-//! | coordinator | `coordinator.rs` | the join table of commits and fence fan-outs, part routing and retry |
+//! | coordinator | `coordinator.rs` | the join table of commits and fence fan-outs, part routing |
 //! | fence | `fence.rs` | the tree reduction of fence contributions |
-//! | reads | `reads.rs`, `watch.rs` | walks, fault-in and its retry, load-reply memo, watchers |
+//! | reads | `reads.rs`, `watch.rs` | walks, fault-in, load-reply memo, watchers |
+//! | in flight | `inflight.rs` | every RPC this module sends: registered, its answer classified, retried on the heartbeat |
 //!
 //! [`crate::msg`] is the only code that knows how any of it is spelled
 //! on the wire. The shard count decides two things and nothing else: how
@@ -51,7 +52,7 @@ use crate::path::validate_key;
 use crate::reads::Reads;
 use crate::slots::Slots;
 use crate::store::ObjectCache;
-use flux_broker::{CommsModule, ModuleCtx};
+use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_hash::ObjectId;
 use flux_proto::{Event, KvsMethod};
 use flux_value::Value;
@@ -183,16 +184,14 @@ impl KvsModule {
 
     // ----- writes ----------------------------------------------------------
 
-    fn handle_put(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message, unlink: bool) {
+    fn handle_put(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message, unlink: bool) -> Handled {
         let Some(key) = msg.payload.get("k").and_then(Value::as_str) else {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         };
         if let Err(e) = validate_key(key) {
             // Registry-aligned rejection: size/depth violations are
             // ENAMETOOLONG, shape violations EINVAL.
-            ctx.respond_err(msg, e.errnum());
-            return;
+            return ctx.respond_err(msg, e.errnum());
         }
         let pend = self.pending.entry(requester_of(msg)).or_default();
         if unlink {
@@ -204,7 +203,7 @@ impl KvsModule {
             pend.objects.insert(id, Arc::new(obj));
             pend.tuples.push((key.to_owned(), Some(id)));
         }
-        ctx.respond(msg, Value::object());
+        ctx.respond(msg, Value::object())
     }
 
     /// Hands a write set to the coordinator; `waiters` get the cut.
@@ -227,41 +226,40 @@ impl KvsModule {
         );
     }
 
-    fn handle_commit(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_commit(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         let pend = self.pending.remove(&requester_of(msg)).unwrap_or_default();
-        self.coordinate(ctx, vec![msg.clone()], pend.tuples, pend.objects, None);
+        let (waiter, parked) = ctx.park(msg);
+        self.coordinate(ctx, vec![waiter], pend.tuples, pend.objects, None);
+        parked
     }
 
     /// `kvs.push`, the tree-routed batch of a one-shard session: it is
     /// for shard 0, and a broker that does not master shard 0 passes it
     /// one hop further up.
-    fn handle_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         if !self.rep.slots.masters(0) {
             if self.cfg.dedup && !self.authority.note_push(msg.header.id) {
-                // A transport duplicate at a relay is dropped without a
-                // reply on purpose: the first copy's forwarded request
-                // already carries the response obligation.
-                // flux-lint: allow(reply)
-                return;
+                // A transport duplicate at a relay: the first copy's
+                // forwarded request already carries the response
+                // obligation.
+                return ctx.drop_duplicate(msg);
             }
-            self.coordinator.relay(ctx, &mut self.rep, msg);
-            return;
+            return self.coordinator.relay(ctx, &mut self.rep, msg);
         }
-        self.authority.accept_push(ctx, &self.cfg, &mut self.rep, msg, None);
+        self.authority.accept_push(ctx, &self.cfg, &mut self.rep, msg, None)
     }
 
     /// `kvs.shard.push`, a rank-addressed batch for the shard this
     /// broker masters.
-    fn handle_shard_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_shard_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         let shard = msg.payload.get("shard").and_then(Value::as_uint);
         if shard.is_none() || shard != self.rep.slots.mine().map(u64::from) {
             // Batches addressed to a non-master rank are rejected, not
             // silently applied to the wrong tree.
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         }
         let fence = msg.payload.get("fence").and_then(Value::as_str);
-        self.authority.accept_push(ctx, &self.cfg, &mut self.rep, msg, fence);
+        self.authority.accept_push(ctx, &self.cfg, &mut self.rep, msg, fence)
     }
 
     // ----- fence -----------------------------------------------------------
@@ -274,33 +272,32 @@ impl KvsModule {
         }
     }
 
-    fn handle_fence(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_fence(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         let (Some(name), Some(nprocs)) = (
             msg.payload.get("name").and_then(Value::as_str),
             msg.payload.get("nprocs").and_then(Value::as_uint),
         ) else {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         };
         // nprocs == 0 can never be satisfied: the caller would hang
         // forever, so reject it up front.
         if nprocs == 0 {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         }
         let requester = requester_of(msg);
         if let Err(e) = self.fence.enlist(name, nprocs, requester) {
-            ctx.respond_err(msg, e);
-            return;
+            return ctx.respond_err(msg, e);
         }
         let pend = self.pending.remove(&requester).unwrap_or_default();
-        let (window, waiter) = (self.cfg.window_ns, Some(msg.clone()));
+        let (waiter, parked) = ctx.park(msg);
+        let (window, waiter) = (self.cfg.window_ns, Some(waiter));
         let done =
             self.fence.contribute(ctx, window, name, nprocs, 1, pend.tuples, pend.objects, waiter);
         self.fence_merged(ctx, name, done);
+        parked
     }
 
-    fn handle_fence_up(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_fence_up(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         let (Some(name), Some(nprocs), Some(count), Some(tuples), Some(objects)) = (
             msg.payload.get("name").and_then(Value::as_str),
             msg.payload.get("nprocs").and_then(Value::as_uint),
@@ -309,11 +306,11 @@ impl KvsModule {
             msg::objects_from_value(msg.payload.get("objects")),
         ) else {
             // One-way message: nothing to answer; drop.
-            return;
+            return ctx.one_way(msg);
         };
         if nprocs == 0 {
             // Malformed child batch; merging it would park forever.
-            return;
+            return ctx.one_way(msg);
         }
         // Idempotence under duplicated frames: each flushed batch is
         // stamped (src, batch); merge any given batch at most once.
@@ -323,60 +320,56 @@ impl KvsModule {
             msg.payload.get("batch").and_then(Value::as_uint),
         ) {
             if !self.fence.note_batch(name, src as u32, batch) {
-                return;
+                return ctx.one_way(msg);
             }
         }
         let window = self.cfg.window_ns;
         let done = self.fence.contribute(ctx, window, name, nprocs, count, tuples, objects, None);
         self.fence_merged(ctx, name, done);
+        ctx.one_way(msg)
     }
 
     // ----- reads -----------------------------------------------------------
 
-    fn handle_get(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_get(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         let Some(key) = msg.payload.get("k").and_then(Value::as_str) else {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         };
         let want_dir = msg.payload.get("dir").and_then(Value::as_bool).unwrap_or(false);
-        self.reads.lookup(ctx, &mut self.rep, msg, key, want_dir);
+        self.reads.lookup(ctx, &mut self.rep, msg, key, want_dir)
     }
 
-    fn handle_load(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_load(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         let id =
             msg.payload.get("id").and_then(Value::as_str).and_then(|h| ObjectId::from_hex(h).ok());
         let (Some(id), Ok(shard)) = (id, self.shard_param(msg)) else {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         };
-        self.reads.serve_load(ctx, &mut self.rep, msg, id, shard);
+        self.reads.serve_load(ctx, &mut self.rep, msg, id, shard)
     }
 
-    fn handle_wait_version(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_wait_version(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         let (Some(target), Ok(shard)) =
             (msg.payload.get("version").and_then(Value::as_uint), self.shard_param(msg))
         else {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         };
-        self.rep.slots.wait_version(ctx, shard, target, msg);
+        self.rep.slots.wait_version(ctx, shard, target, msg)
     }
 
-    fn handle_watch(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_watch(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         let Some(key) = msg.payload.get("k").and_then(Value::as_str) else {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         };
-        self.reads.watch(ctx, &mut self.rep, msg, key, requester_of(msg));
+        self.reads.watch(ctx, &mut self.rep, msg, key, requester_of(msg))
     }
 
-    fn handle_unwatch(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_unwatch(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         let Some(key) = msg.payload.get("k").and_then(Value::as_str) else {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         };
         self.reads.watch.remove(key, requester_of(msg));
-        ctx.respond(msg, Value::object());
+        ctx.respond(msg, Value::object())
     }
 
     // ----- introspection ---------------------------------------------------
@@ -441,8 +434,8 @@ impl CommsModule for KvsModule {
         self.rep.slots.start(self.cfg.shards, (rank < self.cfg.shards).then_some(rank));
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
-        match KvsMethod::from_method(msg.header.topic.method()) {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+        let handled = match KvsMethod::from_method(msg.header.topic.method()) {
             Some(KvsMethod::Put) => self.handle_put(ctx, msg, false),
             Some(KvsMethod::Unlink) => self.handle_put(ctx, msg, true),
             Some(KvsMethod::Commit) => self.handle_commit(ctx, msg),
@@ -474,11 +467,12 @@ impl CommsModule for KvsModule {
                 ];
                 let shards = self.rep.slots.spelling().shards();
                 pairs.extend(shards.map(|n| ("shards", Value::from(n as i64))));
-                ctx.respond(msg, Value::from_pairs(pairs));
+                ctx.respond(msg, Value::from_pairs(pairs))
             }
             None => ctx.respond_err(msg, errnum::ENOSYS),
-        }
+        };
         self.reads.recheck(ctx, &mut self.rep);
+        handled
     }
 
     fn handle_response(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {

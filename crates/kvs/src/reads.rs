@@ -8,19 +8,22 @@
 //! rank-addressed to the shard's master when the root does not master
 //! that shard itself. The authoritative copy never faults: a miss there
 //! is `ENOENT`. A transport failure is never reported as `ENOENT` (that
-//! would violate monotonic reads); the load is retried on the heartbeat.
+//! would violate monotonic reads): every load is in the [`InFlight`]
+//! table, which retries a lost one on the heartbeat and reports only
+//! what the tier above itself refused.
 
+use crate::inflight::{Answer, InFlight};
 use crate::module::Replica;
 use crate::msg;
 use crate::object::KvsObject;
 use crate::path::key_components;
 use crate::shard;
 use crate::watch::Watches;
-use flux_broker::ModuleCtx;
+use flux_broker::{Handled, ModuleCtx};
 use flux_hash::ObjectId;
 use flux_proto::KvsMethod;
 use flux_value::Value;
-use flux_wire::{errnum, Message, MsgId, Payload, Rank};
+use flux_wire::{errnum, Message, Payload, Rank};
 use std::collections::HashMap;
 
 /// One parked lookup walking the hash tree.
@@ -71,12 +74,9 @@ pub(crate) struct Reads {
     next_walk: u64,
     /// Object id → (walks parked on it, child `kvs.load` requests for it).
     load_waiters: HashMap<ObjectId, (Vec<u64>, Vec<Message>)>,
-    /// Outstanding load RPCs: response id → (object id, shard whose
-    /// tree wants it).
-    inflight_loads: HashMap<MsgId, (ObjectId, u32)>,
-    /// Loads that failed in transit (e.g. the shard master is blacked
-    /// out), re-issued on the next heartbeat; their waiters stay parked.
-    load_retries: Vec<(ObjectId, u32)>,
+    /// Outstanding load RPCs, tagged (object id, shard whose tree wants
+    /// it). The waiters of a load lost in transit stay parked.
+    loads: InFlight<(ObjectId, u32)>,
     /// Serialized `kvs.load` reply payloads by object id. Objects are
     /// content-addressed and immutable, so a reply built once is valid
     /// forever; memoizing it turns the per-child re-serialization of a
@@ -112,7 +112,7 @@ impl Reads {
         req: &Message,
         key: &str,
         want_dir: bool,
-    ) {
+    ) -> Handled {
         let shard = rep.slots.shard_of(key);
         // Memo fast path: a prior resolution under the current root maps
         // the key straight to its object — no per-component tree walk.
@@ -122,15 +122,16 @@ impl Reads {
                 let hit = rep.cache.get(id).and_then(|obj| resolve(&obj, want_dir, false).ok());
                 if let Some(reply) = hit {
                     self.lookup_hits += 1;
-                    ctx.respond(req, Value::from_pairs([reply]));
-                    return;
+                    return ctx.respond(req, Value::from_pairs([reply]));
                 }
                 // The memoized object expired from the cache: drop the
                 // entry and fault it back in through the normal walk.
                 rep.slots.memo(shard).and_then(|m| m.remove(&memo));
             }
         }
-        self.start_walk(ctx, rep, WalkKind::Get(req.clone()), key, want_dir);
+        let (req, parked) = ctx.park(req);
+        self.start_walk(ctx, rep, WalkKind::Get(req), key, want_dir);
+        parked
     }
 
     /// A child's (or client's) `kvs.load` of object `id` of `shard`'s
@@ -142,21 +143,21 @@ impl Reads {
         req: &Message,
         id: ObjectId,
         shard: u32,
-    ) {
+    ) -> Handled {
         if let Some(obj) = rep.cache.get(id) {
             let payload = self.load_reply(id, &obj);
-            ctx.respond(req, payload);
-            return;
+            return ctx.respond(req, payload);
         }
         if rep.slots.masters(shard) {
-            ctx.respond_err(req, errnum::ENOENT);
-            return;
+            return ctx.respond_err(req, errnum::ENOENT);
         }
+        let (req, parked) = ctx.park(req);
         let entry = self.load_waiters.entry(id).or_default();
-        entry.1.push(req.clone());
+        entry.1.push(req);
         if entry.0.is_empty() && entry.1.len() == 1 {
             self.request_load(ctx, rep, id, shard);
         }
+        parked
     }
 
     pub(crate) fn watch(
@@ -166,10 +167,12 @@ impl Reads {
         req: &Message,
         key: &str,
         requester: Option<Rank>,
-    ) {
+    ) -> Handled {
         let shard = rep.slots.shard_of(key);
+        let (req, parked) = ctx.park(req);
         let id = self.watch.add(req, key, requester, shard);
         self.start_walk(ctx, rep, WalkKind::WatchCheck(id), key, false);
+        parked
     }
 
     /// Re-walks the watchers of every shard whose root moved since the
@@ -281,8 +284,12 @@ impl Reads {
     fn finish_walk(&mut self, ctx: &mut ModuleCtx<'_>, walk_id: u64, end: WalkEnd) {
         let Some(walk) = self.walks.remove(&walk_id) else { return };
         match (walk.kind, end) {
-            (WalkKind::Get(req), Ok(reply)) => ctx.respond(&req, Value::from_pairs([reply])),
-            (WalkKind::Get(req), Err(e)) => ctx.respond_err(&req, e),
+            (WalkKind::Get(req), Ok(reply)) => {
+                ctx.respond(&req, Value::from_pairs([reply]));
+            }
+            (WalkKind::Get(req), Err(e)) => {
+                ctx.respond_err(&req, e);
+            }
             (WalkKind::WatchCheck(id), end) => self.watch.observe(ctx, id, end.ok().map(|r| r.1)),
         }
     }
@@ -298,46 +305,47 @@ impl Reads {
         shard: u32,
     ) {
         let payload = Payload::from(rep.slots.spelling().load_request(id, shard));
-        if let Ok(req_id) = ctx.request_upstream(KvsMethod::Load.topic(), payload.clone()) {
-            self.inflight_loads.insert(req_id, (id, shard));
+        let tag = (id, shard);
+        if self.loads.send_up(ctx, KvsMethod::Load, payload.clone(), tag).is_ok() {
             return;
         }
         // No parent: this is the tree root, the last cache tier.
         if rep.slots.masters(shard) {
-            self.complete_load(ctx, rep, id, None);
+            self.complete_load(ctx, rep, id, Err(errnum::ENOENT));
             return;
         }
-        let req_id = ctx.request_to_rank(shard::master_of(shard), KvsMethod::Load.topic(), payload);
-        self.inflight_loads.insert(req_id, (id, shard));
+        self.loads.send_to(ctx, shard::master_of(shard), KvsMethod::Load, payload, tag);
     }
 
-    /// Resolves a load: `obj = None` means the object does not exist.
+    /// Resolves a load with the object, or with the code that says why
+    /// there is none.
     fn complete_load(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
         rep: &mut Replica,
         id: ObjectId,
-        obj: Option<KvsObject>,
+        loaded: Result<KvsObject, u32>,
     ) {
-        if let Some(obj) = obj {
-            // Read-path caching at every level of the chain: this is what
-            // lets C consumers share log2(C) transfers (Fig. 4 model).
-            rep.cache.insert_with_id(id, obj);
-        }
+        // Read-path caching at every level of the chain: this is what
+        // lets C consumers share log2(C) transfers (Fig. 4 model).
+        let why_not = loaded.map(|obj| rep.cache.insert_with_id(id, obj)).err();
         let Some((walks, requests)) = self.load_waiters.remove(&id) else { return };
         // One shared reply payload answers every child waiting on this id.
-        let reply = rep.cache.get(id).map(|obj| self.load_reply(id, &obj));
+        let reply = rep
+            .cache
+            .get(id)
+            .map(|obj| self.load_reply(id, &obj))
+            .ok_or(why_not.unwrap_or(errnum::ENOENT));
         for req in requests {
             match &reply {
-                Some(payload) => ctx.respond(&req, payload.clone()),
-                None => ctx.respond_err(&req, errnum::ENOENT),
-            }
+                Ok(payload) => ctx.respond(&req, payload.clone()),
+                Err(code) => ctx.respond_err(&req, *code),
+            };
         }
         for walk_id in walks {
-            if reply.is_some() {
-                self.step_walk(ctx, rep, walk_id);
-            } else {
-                self.finish_walk(ctx, walk_id, Err(errnum::ENOENT));
+            match &reply {
+                Ok(_) => self.step_walk(ctx, rep, walk_id),
+                Err(code) => self.finish_walk(ctx, walk_id, Err(*code)),
             }
         }
     }
@@ -349,34 +357,38 @@ impl Reads {
         rep: &mut Replica,
         msg: &Message,
     ) -> bool {
-        let Some((id, shard)) = self.inflight_loads.remove(&msg.header.id) else { return false };
-        if msg.is_error() && msg.header.errnum != errnum::ENOENT {
-            // Lost in transit, not absent: keep the waiters parked and
-            // try again on the next heartbeat.
-            self.load_retries.push((id, shard));
-            return true;
-        }
-        // Verify the content address before trusting a loaded object.
-        let obj = msg
-            .payload
-            .get("obj")
-            .and_then(|v| KvsObject::from_value(v).ok())
-            .filter(|o| o.id() == id);
-        if obj.is_some() {
+        let Some(((id, _), answer)) = self.loads.claim(msg) else { return false };
+        let loaded = match answer {
+            // Lost in transit, not absent: the waiters stay parked and
+            // the heartbeat tries again.
+            Answer::Lost => return true,
+            // The tier above has no such object (`ENOENT`) or cannot
+            // read the request (`EINVAL`); asking again changes neither.
+            Answer::Refused(code) => Err(code),
+            // Verify the content address before trusting a loaded object.
+            Answer::Ok => msg
+                .payload
+                .get("obj")
+                .and_then(|v| KvsObject::from_value(v).ok())
+                .filter(|o| o.id() == id)
+                .ok_or(errnum::ENOENT),
+        };
+        if loaded.is_ok() {
             // The upstream reply payload is exactly the reply this
             // broker would build for its own children — seed the memo
             // with it so the object is serialized once session-wide
             // (at the master), not once per level of the cache chain.
             self.load_replies.entry(id).or_insert_with(|| msg.payload.clone());
         }
-        self.complete_load(ctx, rep, id, obj);
+        self.complete_load(ctx, rep, id, loaded);
         true
     }
 
-    /// Re-issues the loads that failed in transit, in the order they
-    /// failed, for objects somebody still waits on.
+    /// Re-issues the loads the table's sweep says are due — lost in
+    /// transit, or unanswered for a whole heartbeat period — for objects
+    /// somebody still waits on.
     pub(crate) fn on_heartbeat(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica) {
-        for (id, shard) in std::mem::take(&mut self.load_retries) {
+        for (id, shard) in self.loads.sweep(ctx) {
             if self.load_waiters.contains_key(&id) {
                 self.request_load(ctx, rep, id, shard);
             }
@@ -388,35 +400,82 @@ impl Reads {
 mod tests {
     use super::*;
     use crate::testutil::{messages, request, with_ctx};
+    use flux_wire::MsgId;
+
+    /// The one load in flight, as the request the parent would answer.
+    fn load_in_flight(reads: &Reads) -> Message {
+        let ids: Vec<MsgId> = reads.loads.in_flight().into_iter().map(|(id, _)| id).collect();
+        assert_eq!(ids.len(), 1, "one load in flight");
+        let mut load = request(KvsMethod::Load, Value::object());
+        load.header.id = ids[0];
+        load
+    }
+
+    fn loads_sent(msgs: &[&Message]) -> usize {
+        msgs.iter().filter(|m| m.header.topic.as_str() == KvsMethod::Load.topic_str()).count()
+    }
 
     #[test]
     fn a_load_lost_in_transit_is_retried_and_only_a_real_enoent_is_reported() {
+        // The last answer is what the get reports: a declared code of
+        // the tier above, never the transport's.
+        for refusal in [errnum::ENOENT, errnum::EINVAL] {
+            let get = request(KvsMethod::Get, Value::object());
+            let get_id = get.header.id;
+            // A one-shard slave: the miss on the root directory goes to the parent.
+            let (_, outs) = with_ctx(2, 3, move |ctx| {
+                let (mut reads, mut rep) = (Reads::new(true), Replica::new(1));
+                rep.slots.apply_root(ctx, 0, 1, ObjectId::hash(b"a root this slave never saw"));
+                reads.lookup(ctx, &mut rep, &get, "a.b", false);
+                let mut answer = |reads: &mut Reads, ctx: &mut ModuleCtx<'_>, code| {
+                    let reply = Message::error_response_to(&load_in_flight(reads), code);
+                    assert!(reads.handle_response(ctx, &mut rep, &reply));
+                    reads.on_heartbeat(ctx, &mut rep);
+                };
+                answer(&mut reads, ctx, errnum::EHOSTDOWN);
+                assert_eq!(reads.walks.len(), 1, "still parked, and asked again");
+                answer(&mut reads, ctx, refusal);
+                assert!(reads.walks.is_empty() && reads.load_waiters.is_empty());
+                assert!(reads.loads.in_flight().is_empty(), "a refused load is not re-sent");
+            });
+            let msgs = messages(&outs);
+            assert_eq!(loads_sent(&msgs), 2, "sent, then re-sent on the heartbeat");
+            let replies: Vec<_> = msgs.iter().filter(|m| m.header.id == get_id).collect();
+            assert_eq!(replies.len(), 1);
+            assert_eq!(replies[0].header.errnum, refusal);
+        }
+    }
+
+    #[test]
+    fn a_load_that_is_never_answered_is_sent_again_after_two_heartbeats() {
         let get = request(KvsMethod::Get, Value::object());
         let get_id = get.header.id;
-        // A one-shard slave: the miss on the root directory goes to the parent.
+        let dir = KvsObject::Dir([("b".to_owned(), KvsObject::Val(Value::Int(7)).id())].into());
         let (_, outs) = with_ctx(2, 3, move |ctx| {
-            let mut reads = Reads::new(true);
             let mut rep = Replica::new(1);
-            let missing = ObjectId::hash(b"a root this slave never saw");
-            rep.slots.apply_root(ctx, 0, 1, missing);
-            reads.lookup(ctx, &mut rep, &get, "a.b", false);
-            let answer = |reads: &mut Reads, ctx: &mut ModuleCtx<'_>, rep: &mut Replica, code| {
-                let (&id, _) = reads.inflight_loads.iter().next().expect("one load in flight");
-                let mut load = request(KvsMethod::Load, Value::object());
-                load.header.id = id;
-                assert!(reads.handle_response(ctx, rep, &Message::error_response_to(&load, code)));
-            };
-            answer(&mut reads, ctx, &mut rep, errnum::EHOSTDOWN);
-            assert!(reads.inflight_loads.is_empty() && reads.walks.len() == 1, "still parked");
+            rep.cache.insert(KvsObject::Val(Value::Int(7)));
+            rep.slots.apply_root(ctx, 0, 1, dir.id());
+            let mut reads = Reads::new(true);
+            reads.lookup(ctx, &mut rep, &get, "b", false);
+            let first = load_in_flight(&reads);
             reads.on_heartbeat(ctx, &mut rep);
-            answer(&mut reads, ctx, &mut rep, errnum::ENOENT);
-            assert!(reads.walks.is_empty() && reads.load_waiters.is_empty());
+            assert_eq!(load_in_flight(&reads).header.id, first.header.id, "one beat: left alone");
+            reads.on_heartbeat(ctx, &mut rep);
+            let second = load_in_flight(&reads);
+            assert_ne!(second.header.id, first.header.id, "two beats: sent again");
+            let reply = |to: &Message| {
+                let obj = Value::from_pairs([("obj", dir.to_value())]);
+                Message::response_to(to, obj)
+            };
+            assert!(!reads.handle_response(ctx, &mut rep, &reply(&first)), "old id forgotten");
+            assert_eq!(reads.walks.len(), 1);
+            assert!(reads.handle_response(ctx, &mut rep, &reply(&second)));
+            assert!(reads.walks.is_empty() && reads.loads.in_flight().is_empty());
         });
         let msgs = messages(&outs);
-        let loads = msgs.iter().filter(|m| m.header.topic.as_str() == KvsMethod::Load.topic_str());
-        assert_eq!(loads.count(), 2, "sent, then re-sent on the heartbeat");
+        assert_eq!(loads_sent(&msgs), 2, "exactly one re-send");
         let replies: Vec<_> = msgs.iter().filter(|m| m.header.id == get_id).collect();
         assert_eq!(replies.len(), 1);
-        assert_eq!(replies[0].header.errnum, errnum::ENOENT);
+        assert_eq!(replies[0].payload.get("v"), Some(&Value::Int(7)));
     }
 }

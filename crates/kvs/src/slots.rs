@@ -10,7 +10,7 @@
 use crate::msg::{RootRef, Spelling};
 use crate::object::KvsObject;
 use crate::shard;
-use flux_broker::ModuleCtx;
+use flux_broker::{Handled, ModuleCtx};
 use flux_hash::ObjectId;
 use flux_wire::Message;
 use std::collections::HashMap;
@@ -143,8 +143,13 @@ impl Slots {
     }
 
     /// Answers `req` with `shard`'s current `(version, root)`.
-    pub(crate) fn respond_version(&self, ctx: &mut ModuleCtx<'_>, shard: u32, req: &Message) {
-        ctx.respond(req, self.spelling.version_reply(&self.root_ref(shard)));
+    pub(crate) fn respond_version(
+        &self,
+        ctx: &mut ModuleCtx<'_>,
+        shard: u32,
+        req: &Message,
+    ) -> Handled {
+        ctx.respond(req, self.spelling.version_reply(&self.root_ref(shard)))
     }
 
     /// Answers `req` once `shard` reaches version `target`.
@@ -154,9 +159,13 @@ impl Slots {
         shard: u32,
         target: u64,
         req: &Message,
-    ) {
+    ) -> Handled {
         match self.slots.get_mut(shard as usize) {
-            Some(slot) if slot.version < target => slot.waiters.push((target, req.clone())),
+            Some(slot) if slot.version < target => {
+                let (req, parked) = ctx.park(req);
+                slot.waiters.push((target, req));
+                parked
+            }
             _ => self.respond_version(ctx, shard, req),
         }
     }

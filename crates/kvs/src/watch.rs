@@ -31,10 +31,11 @@ pub(crate) struct Watches {
 }
 
 impl Watches {
-    /// Registers `req` as a watch on `key`; returns the watcher id.
+    /// Registers the parked `req` as a watch on `key`; returns the
+    /// watcher id.
     pub(crate) fn add(
         &mut self,
-        req: &Message,
+        req: Message,
         key: &str,
         requester: Option<Rank>,
         shard: u32,
@@ -43,10 +44,8 @@ impl Watches {
         // The first observation always differs from this sentinel, so
         // the initial snapshot is sent even for a missing key (→ null).
         let last = Some(Value::from("\u{0}__kvs_unset__"));
-        self.watchers.insert(
-            self.next,
-            Watcher { req: req.clone(), key: key.to_owned(), requester, last, shard },
-        );
+        self.watchers
+            .insert(self.next, Watcher { req, key: key.to_owned(), requester, last, shard });
         self.next
     }
 
@@ -89,7 +88,7 @@ mod tests {
         let (_, outs) = with_ctx(0, 1, move |ctx| {
             let mut w = Watches::default();
             let me = Some(Rank::client_hop(7));
-            let id = w.add(&req, "a.b", me, 1);
+            let id = w.add(req, "a.b", me, 1);
             assert_eq!(w.on_shard(0), vec![]);
             assert_eq!(w.on_shard(1), vec![(id, "a.b".to_owned())]);
             w.observe(ctx, id, None); // initial snapshot: missing

@@ -8,7 +8,7 @@
 //! reduction/event shape as `kvs.fence` minus the data, and the module
 //! the paper's KAP uses for phase alignment.
 
-use flux_broker::{CommsModule, ModuleCtx};
+use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{BarrierMethod, Event};
 use flux_value::Value;
 use flux_wire::{errnum, Message};
@@ -154,21 +154,21 @@ impl CommsModule for BarrierModule {
         vec![Event::BarrierExit.topic_str().to_owned()]
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         match BarrierMethod::from_method(msg.header.topic.method()) {
             Some(BarrierMethod::Enter) => {
                 let (Some(name), Some(nprocs)) = (
                     msg.payload.get("name").and_then(Value::as_str).map(str::to_owned),
                     msg.payload.get("nprocs").and_then(Value::as_uint),
                 ) else {
-                    ctx.respond_err(msg, errnum::EINVAL);
-                    return;
+                    return ctx.respond_err(msg, errnum::EINVAL);
                 };
                 if nprocs == 0 {
-                    ctx.respond_err(msg, errnum::EINVAL);
-                    return;
+                    return ctx.respond_err(msg, errnum::EINVAL);
                 }
-                self.contribute(ctx, &name, nprocs, 1, Some(msg.clone()));
+                let (waiter, parked) = ctx.park(msg);
+                self.contribute(ctx, &name, nprocs, 1, Some(waiter));
+                parked
             }
             Some(BarrierMethod::Up) => {
                 let (Some(name), Some(nprocs), Some(count)) = (
@@ -176,7 +176,7 @@ impl CommsModule for BarrierModule {
                     msg.payload.get("nprocs").and_then(Value::as_uint),
                     msg.payload.get("count").and_then(Value::as_uint),
                 ) else {
-                    return; // one-way
+                    return ctx.one_way(msg);
                 };
                 // Idempotence under duplicated frames: merge any given
                 // child batch at most once.
@@ -186,10 +186,11 @@ impl CommsModule for BarrierModule {
                 ) {
                     let acc = self.barriers.entry(name.clone()).or_default();
                     if !acc.seen_batches.insert((src as u32, batch)) {
-                        return; // already merged this batch
+                        return ctx.one_way(msg); // already merged this batch
                     }
                 }
                 self.contribute(ctx, &name, nprocs, count, None);
+                ctx.one_way(msg)
             }
             None => ctx.respond_err(msg, errnum::ENOSYS),
         }

@@ -6,7 +6,7 @@
 //! local client id. Collective operations across a group use the group's
 //! size with the `barrier` module (`group.info` reports the size).
 
-use flux_broker::{CommsModule, ModuleCtx};
+use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{keys, GroupMethod, KvsMethod};
 use flux_value::Value;
 use flux_wire::{errnum, Message, MsgId};
@@ -62,15 +62,13 @@ impl CommsModule for GroupModule {
         "group"
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         let Some(name) = msg.payload.get("name").and_then(Value::as_str).map(str::to_owned)
         else {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         };
         if name.is_empty() || name.contains('.') {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         }
         match GroupMethod::from_method(msg.header.topic.method()) {
             Some(GroupMethod::Join) => {
@@ -87,14 +85,18 @@ impl CommsModule for GroupModule {
                 ]);
                 let _ = self.kvs(ctx, KvsMethod::Put, put);
                 let id = self.kvs(ctx, KvsMethod::Commit, Value::object());
-                self.pending.insert(id, PendingKind::Commit(msg.clone()));
+                let (original, parked) = ctx.park(msg);
+                self.pending.insert(id, PendingKind::Commit(original));
+                parked
             }
             Some(GroupMethod::Leave) => {
                 let key = Self::member_key(&name, msg);
                 let unlink = Value::from_pairs([("k", Value::from(key))]);
                 let _ = self.kvs(ctx, KvsMethod::Unlink, unlink);
                 let id = self.kvs(ctx, KvsMethod::Commit, Value::object());
-                self.pending.insert(id, PendingKind::Commit(msg.clone()));
+                let (original, parked) = ctx.park(msg);
+                self.pending.insert(id, PendingKind::Commit(original));
+                parked
             }
             Some(GroupMethod::Info) => {
                 let get = Value::from_pairs([
@@ -102,7 +104,9 @@ impl CommsModule for GroupModule {
                     ("dir", Value::Bool(true)),
                 ]);
                 let id = self.kvs(ctx, KvsMethod::Get, get);
-                self.pending.insert(id, PendingKind::Listing(msg.clone()));
+                let (original, parked) = ctx.park(msg);
+                self.pending.insert(id, PendingKind::Listing(original));
+                parked
             }
             None => ctx.respond_err(msg, errnum::ENOSYS),
         }

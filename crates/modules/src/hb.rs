@@ -6,7 +6,7 @@
 //! activity (liveness hellos, log flushes, monitoring samples, cache
 //! expiry) to one pulse is the paper's jitter-reduction mechanism.
 
-use flux_broker::{CommsModule, ModuleCtx};
+use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{Event, HbMethod};
 use flux_value::Value;
 use flux_wire::{errnum, Message};
@@ -65,7 +65,7 @@ impl CommsModule for HbModule {
         self.epoch = self.epoch.max(epoch);
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         match HbMethod::from_method(msg.header.topic.method()) {
             Some(HbMethod::Epoch) => ctx.respond(
                 msg,

@@ -9,7 +9,7 @@
 //! self-healing. A hello from a rank previously declared dead produces a
 //! `live.up` event (a replaced node re-joining).
 
-use flux_broker::{CommsModule, ModuleCtx};
+use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{Event, LiveMethod};
 use flux_value::Value;
 use flux_wire::{errnum, Message, Rank};
@@ -127,14 +127,14 @@ impl CommsModule for LiveModule {
         }
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         match LiveMethod::from_method(msg.header.topic.method()) {
             Some(LiveMethod::Hello) => {
                 let Some(rank) = msg.payload.get("rank").and_then(Value::as_uint) else {
-                    return; // one-way; malformed hellos are dropped
+                    return ctx.one_way(msg); // malformed hellos are dropped
                 };
                 if rank >= u64::from(ctx.size()) {
-                    return; // hello from a rank outside the session
+                    return ctx.one_way(msg); // hello from a rank outside the session
                 }
                 let rank = Rank(rank as u32);
                 let epoch = self.epoch;
@@ -151,6 +151,7 @@ impl CommsModule for LiveModule {
                         Value::from_pairs([("rank", Value::from(rank.0))]),
                     );
                 }
+                ctx.one_way(msg)
             }
             Some(LiveMethod::Status) => {
                 // Local liveness view for tools.
@@ -165,7 +166,7 @@ impl CommsModule for LiveModule {
                         ("up", Value::Array(up)),
                         ("downs_reported", Value::from(self.downs_reported as i64)),
                     ]),
-                );
+                )
             }
             None => ctx.respond_err(msg, errnum::ENOSYS),
         }

@@ -9,11 +9,10 @@
 //! response to a fault event". `log.dump` returns the local buffer
 //! (rank-addressable for debugging); `log.query` returns the root log.
 
-use flux_broker::{CommsModule, ModuleCtx};
+use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{Event, LogMethod};
 use flux_value::Value;
-use flux_wire::{errnum, Message, MsgId};
-use std::collections::HashMap;
+use flux_wire::{errnum, Message};
 use std::collections::VecDeque;
 
 /// Severity levels, syslog-flavoured: lower is more severe.
@@ -88,8 +87,6 @@ pub struct LogModule {
     batch: Vec<LogEntry>,
     /// Root only: the session log.
     session_log: VecDeque<LogEntry>,
-    /// Outstanding relayed queries: upstream id → original request.
-    query_relays: HashMap<MsgId, Message>,
 }
 
 impl LogModule {
@@ -105,7 +102,6 @@ impl LogModule {
             ring: VecDeque::new(),
             batch: Vec::new(),
             session_log: VecDeque::new(),
-            query_relays: HashMap::new(),
         }
     }
 
@@ -162,13 +158,12 @@ impl CommsModule for LogModule {
         vec![Event::LogFault.topic_str().to_owned()]
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         match LogMethod::from_method(msg.header.topic.method()) {
             Some(LogMethod::Msg) => {
                 let level = msg.payload.get("level").and_then(Value::as_int).unwrap_or(level::INFO);
                 let Some(text) = msg.payload.get("text").and_then(Value::as_str) else {
-                    ctx.respond_err(msg, errnum::EINVAL);
-                    return;
+                    return ctx.respond_err(msg, errnum::EINVAL);
                 };
                 let entry = LogEntry {
                     rank: ctx.rank().0,
@@ -177,13 +172,13 @@ impl CommsModule for LogModule {
                     time_ns: ctx.now_ns(),
                 };
                 self.append(ctx, entry);
-                ctx.respond(msg, Value::object());
+                ctx.respond(msg, Value::object())
             }
             Some(LogMethod::Batch) => {
                 // Merged entries climbing the tree (one-way). Interior
                 // brokers re-batch; the root stores.
                 let Some(arr) = msg.payload.get("entries").and_then(Value::as_array) else {
-                    return;
+                    return ctx.one_way(msg);
                 };
                 let entries: Vec<LogEntry> =
                     arr.iter().filter_map(LogEntry::from_value).collect();
@@ -194,6 +189,7 @@ impl CommsModule for LogModule {
                 } else {
                     self.batch.extend(entries);
                 }
+                ctx.one_way(msg)
             }
             Some(LogMethod::Dump) => {
                 // Local circular buffer (rank-addressable for debugging).
@@ -203,7 +199,7 @@ impl CommsModule for LogModule {
                         "entries",
                         Self::entries_value(self.ring.iter().cloned()),
                     )]),
-                );
+                )
             }
             Some(LogMethod::Query) => {
                 if ctx.is_root() {
@@ -217,28 +213,13 @@ impl CommsModule for LogModule {
                     ctx.respond(
                         msg,
                         Value::from_pairs([("entries", Self::entries_value(entries))]),
-                    );
+                    )
                 } else {
-                    // Relay to the root's instance.
-                    match ctx.request_upstream(LogMethod::Query.topic(), msg.payload.clone()) {
-                        Ok(id) => {
-                            self.query_relays.insert(id, msg.clone());
-                        }
-                        Err(e) => ctx.respond_err(msg, e),
-                    }
+                    // The root's instance holds the session log.
+                    ctx.forward_upstream(msg)
                 }
             }
             None => ctx.respond_err(msg, errnum::ENOSYS),
-        }
-    }
-
-    fn handle_response(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
-        if let Some(original) = self.query_relays.remove(&msg.header.id) {
-            if msg.is_error() {
-                ctx.respond_err(&original, msg.header.errnum);
-            } else {
-                ctx.respond(&original, msg.payload.clone());
-            }
         }
     }
 

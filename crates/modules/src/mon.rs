@@ -8,7 +8,7 @@
 //! the root stores the aggregate back into the KVS under
 //! `mon.data.<name>.e<epoch>`.
 
-use flux_broker::{CommsModule, ModuleCtx};
+use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{keys, KvsMethod, MonMethod};
 use flux_value::Value;
 use flux_wire::{errnum, Message, MsgId};
@@ -189,15 +189,14 @@ impl CommsModule for MonModule {
         "mon"
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         match MonMethod::from_method(msg.header.topic.method()) {
             Some(MonMethod::Add) => {
                 let (Some(name), Some(metric)) = (
                     msg.payload.get("name").and_then(Value::as_str),
                     msg.payload.get("metric").and_then(Value::as_str),
                 ) else {
-                    ctx.respond_err(msg, errnum::EINVAL);
-                    return;
+                    return ctx.respond_err(msg, errnum::EINVAL);
                 };
                 let period = msg.payload.get("period").and_then(Value::as_uint).unwrap_or(1);
                 let spec_val = Value::from_pairs([
@@ -209,12 +208,9 @@ impl CommsModule for MonModule {
                     ("v", spec_val),
                 ]);
                 self.kvs(ctx, KvsMethod::Put, put, PendingKind::Ignore);
-                self.kvs(
-                    ctx,
-                    KvsMethod::Commit,
-                    Value::object(),
-                    PendingKind::AddCommit(msg.clone()),
-                );
+                let (original, parked) = ctx.park(msg);
+                self.kvs(ctx, KvsMethod::Commit, Value::object(), PendingKind::AddCommit(original));
+                parked
             }
             Some(MonMethod::Up) => {
                 let (Some(name), Some(epoch), Some(sum), Some(min), Some(max), Some(count)) = (
@@ -225,9 +221,10 @@ impl CommsModule for MonModule {
                     msg.payload.get("max").and_then(Value::as_float),
                     msg.payload.get("count").and_then(Value::as_uint),
                 ) else {
-                    return; // one-way
+                    return ctx.one_way(msg);
                 };
                 self.contribute(ctx, &name, epoch, Agg { sum, min, max, count });
+                ctx.one_way(msg)
             }
             Some(MonMethod::List) => {
                 let mut specs = flux_value::Map::new();
@@ -242,7 +239,7 @@ impl CommsModule for MonModule {
                         ]),
                     );
                 }
-                ctx.respond(msg, Value::from_pairs([("samplers", Value::Object(specs))]));
+                ctx.respond(msg, Value::from_pairs([("samplers", Value::Object(specs))]))
             }
             None => ctx.respond_err(msg, errnum::ENOSYS),
         }

@@ -9,7 +9,7 @@
 //! ranks. `resvc.free {jobid}` returns them. The Flux framework layer
 //! (flux-core) drives this interface from its schedulers.
 
-use flux_broker::{CommsModule, ModuleCtx};
+use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{keys, KvsMethod, ResvcMethod};
 use flux_value::Value;
 use flux_wire::{errnum, Message};
@@ -39,8 +39,6 @@ pub struct ResvcModule {
     free: BTreeSet<u32>,
     /// Root only: jobid → allocated ranks.
     allocations: HashMap<u64, Vec<u32>>,
-    /// Non-root: relayed alloc/free requests awaiting the root.
-    relays: HashMap<flux_wire::MsgId, Message>,
 }
 
 impl ResvcModule {
@@ -51,39 +49,22 @@ impl ResvcModule {
 
     /// Creates the module with an explicit per-node inventory.
     pub fn with_inventory(inventory: NodeInventory) -> ResvcModule {
-        ResvcModule {
-            inventory,
-            free: BTreeSet::new(),
-            allocations: HashMap::new(),
-            relays: HashMap::new(),
-        }
+        ResvcModule { inventory, free: BTreeSet::new(), allocations: HashMap::new() }
     }
 
-    fn relay_to_root(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
-        match ctx.request_upstream(msg.header.topic.clone(), msg.payload.clone()) {
-            Ok(id) => {
-                self.relays.insert(id, msg.clone());
-            }
-            Err(e) => ctx.respond_err(msg, e),
-        }
-    }
-
-    fn handle_alloc(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_alloc(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         debug_assert!(ctx.is_root());
         let (Some(jobid), Some(nnodes)) = (
             msg.payload.get("jobid").and_then(Value::as_uint),
             msg.payload.get("nnodes").and_then(Value::as_uint),
         ) else {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         };
         if nnodes == 0 || self.allocations.contains_key(&jobid) {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         }
         if (self.free.len() as u64) < nnodes {
-            ctx.respond_err(msg, errnum::EAGAIN);
-            return;
+            return ctx.respond_err(msg, errnum::EAGAIN);
         }
         let granted: Vec<u32> = self.free.iter().take(nnodes as usize).copied().collect();
         for r in &granted {
@@ -107,18 +88,16 @@ impl ResvcModule {
                 ("jobid", Value::from(jobid as i64)),
                 ("ranks", ranks_val),
             ]),
-        );
+        )
     }
 
-    fn handle_free(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_free(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         debug_assert!(ctx.is_root());
         let Some(jobid) = msg.payload.get("jobid").and_then(Value::as_uint) else {
-            ctx.respond_err(msg, errnum::EINVAL);
-            return;
+            return ctx.respond_err(msg, errnum::EINVAL);
         };
         let Some(ranks) = self.allocations.remove(&jobid) else {
-            ctx.respond_err(msg, errnum::ENOENT);
-            return;
+            return ctx.respond_err(msg, errnum::ENOENT);
         };
         self.free.extend(ranks);
         let _ = ctx.local_request(
@@ -126,7 +105,7 @@ impl ResvcModule {
             Value::from_pairs([("k", Value::from(keys::lwj::ranks_key(jobid)))]),
         );
         let _ = ctx.local_request(KvsMethod::Commit.topic(), Value::object());
-        ctx.respond(msg, Value::object());
+        ctx.respond(msg, Value::object())
     }
 }
 
@@ -167,49 +146,22 @@ impl CommsModule for ResvcModule {
         }
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+        // The root's instance holds the free set; every other one passes
+        // a known method on.
         match ResvcMethod::from_method(msg.header.topic.method()) {
-            Some(ResvcMethod::Alloc) => {
-                if ctx.is_root() {
-                    self.handle_alloc(ctx, msg);
-                } else {
-                    self.relay_to_root(ctx, msg);
-                }
-            }
-            Some(ResvcMethod::Free) => {
-                if ctx.is_root() {
-                    self.handle_free(ctx, msg);
-                } else {
-                    self.relay_to_root(ctx, msg);
-                }
-            }
-            Some(ResvcMethod::Status) => {
-                if ctx.is_root() {
-                    ctx.respond(
-                        msg,
-                        Value::from_pairs([
-                            ("free", Value::from(self.free.len())),
-                            ("total", Value::from(ctx.size())),
-                            ("allocated_jobs", Value::from(self.allocations.len())),
-                        ]),
-                    );
-                } else {
-                    self.relay_to_root(ctx, msg);
-                }
-            }
+            Some(_) if !ctx.is_root() => ctx.forward_upstream(msg),
+            Some(ResvcMethod::Alloc) => self.handle_alloc(ctx, msg),
+            Some(ResvcMethod::Free) => self.handle_free(ctx, msg),
+            Some(ResvcMethod::Status) => ctx.respond(
+                msg,
+                Value::from_pairs([
+                    ("free", Value::from(self.free.len())),
+                    ("total", Value::from(ctx.size())),
+                    ("allocated_jobs", Value::from(self.allocations.len())),
+                ]),
+            ),
             None => ctx.respond_err(msg, errnum::ENOSYS),
         }
-    }
-
-    fn handle_response(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
-        if let Some(original) = self.relays.remove(&msg.header.id) {
-            if msg.is_error() {
-                ctx.respond_err(&original, msg.header.errnum);
-            } else {
-                ctx.respond(&original, msg.payload.clone());
-            }
-        }
-        // Responses to our own kvs put/commit/fence bookkeeping need no
-        // action.
     }
 }

@@ -23,7 +23,7 @@
 //! The protocol (bulk launch, monitoring, signals, I/O capture in the
 //! KVS) is exactly the paper's; only the process body is synthetic.
 
-use flux_broker::{CommsModule, ModuleCtx};
+use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{keys, Event, KvsMethod, WexecMethod};
 use flux_value::Value;
 use flux_wire::{errnum, Message, Rank};
@@ -218,7 +218,7 @@ impl CommsModule for WexecModule {
         ]
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         match WexecMethod::from_method(msg.header.topic.method()) {
             Some(WexecMethod::Run) => {
                 let (Some(jobid), Some(cmd), Some(targets)) = (
@@ -226,16 +226,12 @@ impl CommsModule for WexecModule {
                     msg.payload.get("cmd").and_then(Value::as_str),
                     msg.payload.get("targets"),
                 ) else {
-                    ctx.respond_err(msg, errnum::EINVAL);
-                    return;
+                    return ctx.respond_err(msg, errnum::EINVAL);
                 };
                 let ntasks = match targets {
                     Value::Str(s) if s == "all" => u64::from(ctx.size()),
                     Value::Array(a) => a.len() as u64,
-                    _ => {
-                        ctx.respond_err(msg, errnum::EINVAL);
-                        return;
-                    }
+                    _ => return ctx.respond_err(msg, errnum::EINVAL),
                 };
                 // Fan out as an event; every broker (including this one)
                 // sees it in the session total order.
@@ -254,18 +250,17 @@ impl CommsModule for WexecModule {
                         ("jobid", Value::from(jobid as i64)),
                         ("ntasks", Value::from(ntasks as i64)),
                     ]),
-                );
+                )
             }
             Some(WexecMethod::Kill) => {
                 let Some(jobid) = msg.payload.get("jobid").and_then(Value::as_uint) else {
-                    ctx.respond_err(msg, errnum::EINVAL);
-                    return;
+                    return ctx.respond_err(msg, errnum::EINVAL);
                 };
                 ctx.publish(
                     Event::WexecKill.topic(),
                     Value::from_pairs([("jobid", Value::from(jobid as i64))]),
                 );
-                ctx.respond(msg, Value::object());
+                ctx.respond(msg, Value::object())
             }
             Some(WexecMethod::StatusUp) => {
                 let (Some(jobid), Some(reported), Some(failed), Some(max_code)) = (
@@ -274,9 +269,10 @@ impl CommsModule for WexecModule {
                     msg.payload.get("failed").and_then(Value::as_uint),
                     msg.payload.get("max_code").and_then(Value::as_int),
                 ) else {
-                    return; // one-way
+                    return ctx.one_way(msg);
                 };
                 self.report_status(ctx, jobid, reported, failed, max_code);
+                ctx.one_way(msg)
             }
             Some(WexecMethod::Ps) => {
                 let running: Vec<Value> = self
@@ -290,7 +286,7 @@ impl CommsModule for WexecModule {
                         ])
                     })
                     .collect();
-                ctx.respond(msg, Value::from_pairs([("tasks", Value::Array(running))]));
+                ctx.respond(msg, Value::from_pairs([("tasks", Value::Array(running))]))
             }
             None => ctx.respond_err(msg, errnum::ENOSYS),
         }

@@ -23,7 +23,13 @@
 //! * [`Event`] — every session-wide event topic on the root-sequenced
 //!   event plane.
 //! * [`MethodKind`] — whether a method is request/response, one-way, or
-//!   a streaming subscription.
+//!   a streaming subscription; [`kind_of`] looks it up by topic (the
+//!   broker's `ModuleCtx::one_way` asserts on it).
+//! * Each method's `declared_errors()` — the codes its handler's own
+//!   rejection paths may answer. `flux-lint`'s error-code pass holds the
+//!   handlers to them, and they also drive behaviour: `flux-kvs` treats an
+//!   answer carrying a declared code as the handler's refusal (final)
+//!   and any other error as lost in transit (retried).
 //! * [`methods`]/[`events`] — the flattened registry, for tools and
 //!   conformance tests.
 //! * [`keys`] — KVS key-namespace helpers for the protocol's well-known
@@ -146,7 +152,8 @@ pub struct MethodSpec {
     /// `ENOSYS` for unknown methods. This is the registry side of the
     /// module/proto error-code alignment: `flux-lint`'s error-code
     /// conformance pass checks every handler's rejection paths against
-    /// these sets, in both directions.
+    /// these sets, in both directions. A sender may rely on them too:
+    /// `flux-kvs` never retries a request refused with a declared code.
     pub declared_errors: &'static [u32],
 }
 
@@ -210,8 +217,8 @@ macro_rules! methods {
 
             /// The validated [`Topic`] for this method.
             pub fn topic(self) -> Topic {
-                // flux-lint: allow(panic) — every topic_str is a declared
-                // literal, validated by the registry conformance test.
+                // Cannot panic: every topic_str is a declared literal,
+                // validated by the registry conformance test.
                 Topic::from_static(self.topic_str())
             }
 
@@ -456,8 +463,8 @@ impl Event {
 
     /// The validated [`Topic`] for this event.
     pub fn topic(self) -> Topic {
-        // flux-lint: allow(panic) — every topic_str is a declared
-        // literal, validated by the registry conformance test.
+        // Cannot panic: every topic_str is a declared literal,
+        // validated by the registry conformance test.
         Topic::from_static(self.topic_str())
     }
 
@@ -482,6 +489,12 @@ pub fn methods() -> Vec<MethodSpec> {
         .chain(WexecMethod::specs())
         .chain(ResvcMethod::specs())
         .collect()
+}
+
+/// The declared wire behaviour of `topic`; `None` if no table declares
+/// it.
+pub fn kind_of(topic: &str) -> Option<MethodKind> {
+    methods().into_iter().find(|spec| spec.topic == topic).map(|spec| spec.kind)
 }
 
 /// The flattened event registry.

@@ -91,7 +91,7 @@ impl CalendarQueue {
             if at.as_nanos() >= end {
                 break;
             }
-            // flux-lint: allow(unwrap) — peek above proved non-empty.
+            // Cannot panic: peek above proved non-empty.
             let Reverse((at, seq, idx)) = self.far.pop().unwrap();
             let t = at.as_nanos();
             let b = if t < self.base { self.cur } else { self.bucket_of(t) };
