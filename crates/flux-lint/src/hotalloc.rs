@@ -63,9 +63,6 @@ const HOT_ROOTS: &[(&str, &str)] = &[
     ("crates/sim/src/arena.rs", "insert"),
     ("crates/sim/src/arena.rs", "take"),
     ("crates/sim/src/queue.rs", "push"),
-    ("crates/sim/src/queue.rs", "migrate"),
-    ("crates/sim/src/queue.rs", "locate_min"),
-    ("crates/sim/src/queue.rs", "peek_min"),
     ("crates/sim/src/queue.rs", "pop_min"),
     // kvs master role: the one apply, push dedup, park and flush
     ("crates/kvs/src/authority.rs", "apply"),

@@ -15,7 +15,6 @@ use flux_broker::{Handled, ModuleCtx};
 use flux_proto::Event;
 use flux_wire::{errnum, Message, MsgId};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 /// Timer token of the batch window. Every firing flushes whatever is
 /// parked, so one token serves all windows; fence windows count from 1.
@@ -83,9 +82,7 @@ impl Authority {
     ) -> RootRef {
         let shard = rep.slots.mine().unwrap_or(0);
         for (id, obj) in objects {
-            // Decoded objects are usually uniquely held here, so this is
-            // a move, not a copy; the clone only runs for a shared Arc.
-            rep.cache.insert_with_id(id, Arc::try_unwrap(obj).unwrap_or_else(|a| (*a).clone()));
+            rep.cache.insert_with_id(id, obj);
         }
         let (root, version) = rep.slots.root(shard);
         let root = apply_tuples(&mut rep.cache, root, tuples);
@@ -205,6 +202,7 @@ mod tests {
     use crate::testutil::{messages, request, with_ctx};
     use flux_proto::KvsMethod;
     use flux_value::Value;
+    use std::sync::Arc;
 
     fn push(key: &str, val: i64) -> Message {
         let obj = KvsObject::Val(Value::Int(val));

@@ -25,6 +25,7 @@ use flux_proto::KvsMethod;
 use flux_value::Value;
 use flux_wire::{errnum, Message, Payload, Rank};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One parked lookup walking the hash tree.
 struct Walk {
@@ -66,6 +67,18 @@ fn resolve(obj: &KvsObject, want_dir: bool, either: bool) -> WalkEnd {
     }
 }
 
+/// What a `kvs.load` reply payload holds: the object decoded from its
+/// `obj` field, under the content address computed from that decoding
+/// (never the `id` the sender wrote beside it). `None` is a malformed
+/// `obj`. This is the view kept in the payload's memo slot, so brokers
+/// handed one payload decode and hash it once between them.
+type Loaded = Option<(ObjectId, Arc<KvsObject>)>;
+
+fn decode_load_reply(payload: &Value) -> Loaded {
+    let obj = KvsObject::from_value(payload.get("obj")?).ok()?;
+    Some((obj.id(), Arc::new(obj)))
+}
+
 #[derive(Default)]
 pub(crate) struct Reads {
     /// Serve repeat gets from the slots' key → object memo.
@@ -79,10 +92,11 @@ pub(crate) struct Reads {
     loads: InFlight<(ObjectId, u32)>,
     /// Serialized `kvs.load` reply payloads by object id. Objects are
     /// content-addressed and immutable, so a reply built once is valid
-    /// forever; memoizing it turns the per-child re-serialization of a
-    /// fan-out (each level of the cache chain answering every child with
-    /// a fresh `to_value` of the same directory) into one build plus
-    /// refcount bumps. Capped to bound memory on long-lived brokers.
+    /// as long as the object is held; memoizing it turns the per-child
+    /// re-serialization of a fan-out (each level of the cache chain
+    /// answering every child with a fresh `to_value` of the same
+    /// directory) into one build plus refcount bumps. An entry lives as
+    /// long as its object's cache entry ([`Reads::on_heartbeat`]).
     load_replies: HashMap<ObjectId, Payload>,
     /// Gets served from the lookup memo.
     pub(crate) lookup_hits: u64,
@@ -96,9 +110,6 @@ impl Reads {
 
     /// Builds (or reuses) the shared `kvs.load` reply payload for `id`.
     fn load_reply(&mut self, id: ObjectId, obj: &KvsObject) -> Payload {
-        if self.load_replies.len() > 8192 {
-            self.load_replies.clear();
-        }
         let build = || Value::from_pairs([("id", id.to_hex().into()), ("obj", obj.to_value())]);
         self.load_replies.entry(id).or_insert_with(|| build().into()).clone()
     }
@@ -324,7 +335,7 @@ impl Reads {
         ctx: &mut ModuleCtx<'_>,
         rep: &mut Replica,
         id: ObjectId,
-        loaded: Result<KvsObject, u32>,
+        loaded: Result<Arc<KvsObject>, u32>,
     ) {
         // Read-path caching at every level of the chain: this is what
         // lets C consumers share log2(C) transfers (Fig. 4 model).
@@ -365,13 +376,14 @@ impl Reads {
             // The tier above has no such object (`ENOENT`) or cannot
             // read the request (`EINVAL`); asking again changes neither.
             Answer::Refused(code) => Err(code),
-            // Verify the content address before trusting a loaded object.
-            Answer::Ok => msg
-                .payload
-                .get("obj")
-                .and_then(|v| KvsObject::from_value(v).ok())
-                .filter(|o| o.id() == id)
-                .ok_or(errnum::ENOENT),
+            // Verify the content address before trusting a loaded
+            // object. The decode and the hash are the payload's, made
+            // once for every broker handed this same payload; the
+            // comparison with the id *this* broker asked for is its own.
+            Answer::Ok => match &*msg.payload.memo(decode_load_reply) {
+                Some((hashed, obj)) if *hashed == id => Ok(Arc::clone(obj)),
+                _ => Err(errnum::ENOENT),
+            },
         };
         if loaded.is_ok() {
             // The upstream reply payload is exactly the reply this
@@ -384,10 +396,14 @@ impl Reads {
         true
     }
 
-    /// Re-issues the loads the table's sweep says are due — lost in
-    /// transit, or unanswered for a whole heartbeat period — for objects
-    /// somebody still waits on.
+    /// Runs after the cache expired its idle entries. Drops the reply
+    /// payload of every object the cache no longer holds — a payload pins
+    /// a serialized copy of its object and, in its memo slot, the decoded
+    /// object itself. Then re-issues the loads the table's sweep says are
+    /// due — lost in transit, or unanswered for a whole heartbeat period —
+    /// for objects somebody still waits on.
     pub(crate) fn on_heartbeat(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica) {
+        self.load_replies.retain(|id, _| rep.cache.contains(*id));
         for (id, shard) in self.loads.sweep(ctx) {
             if self.load_waiters.contains_key(&id) {
                 self.request_load(ctx, rep, id, shard);
@@ -413,6 +429,100 @@ mod tests {
 
     fn loads_sent(msgs: &[&Message]) -> usize {
         msgs.iter().filter(|m| m.header.topic.as_str() == KvsMethod::Load.topic_str()).count()
+    }
+
+    fn dir_b7() -> KvsObject {
+        KvsObject::Dir([("b".to_owned(), KvsObject::Val(Value::Int(7)).id())].into())
+    }
+
+    /// The `kvs.load` reply a parent builds: `obj`, said to be object `id`.
+    fn load_payload(id: ObjectId, obj: Value) -> Payload {
+        Value::from_pairs([("id", id.to_hex().into()), ("obj", obj)]).into()
+    }
+
+    /// One slave broker gets `b` under root `want`, faults the root in
+    /// and is answered with `payload`. Returns the errnum its get was
+    /// answered with (if it was) and what its cache holds under `want`.
+    fn slave_handed(want: ObjectId, payload: &Payload) -> (Option<u32>, Option<Arc<KvsObject>>) {
+        let get = request(KvsMethod::Get, Value::object());
+        let (get_id, payload) = (get.header.id, payload.clone());
+        let (cached, outs) = with_ctx(2, 3, move |ctx| {
+            let (mut reads, mut rep) = (Reads::new(true), Replica::new(1));
+            rep.slots.apply_root(ctx, 0, 1, want);
+            reads.lookup(ctx, &mut rep, &get, "b", false);
+            let reply = Message::response_to(&load_in_flight(&reads), payload);
+            assert!(reads.handle_response(ctx, &mut rep, &reply));
+            rep.cache.get(want)
+        });
+        let answer = messages(&outs).into_iter().find(|m| m.header.id == get_id);
+        (answer.map(|m| m.header.errnum), cached)
+    }
+
+    #[test]
+    fn brokers_handed_one_load_reply_share_one_decoded_object() {
+        let dir = dir_b7();
+        let payload = load_payload(dir.id(), dir.to_value());
+        let (_, a) = slave_handed(dir.id(), &payload);
+        let (_, b) = slave_handed(dir.id(), &payload);
+        let (a, b) = (a.expect("cached"), b.expect("cached"));
+        assert_eq!(*a, dir);
+        assert!(Arc::ptr_eq(&a, &b), "one allocation serves both caches");
+        // The same reply read off a socket is a fresh payload: that
+        // broker decodes and hashes for itself.
+        let framed = Message::response_to(&request(KvsMethod::Load, Value::object()), payload);
+        let (framed, _) = Message::decode(&framed.encode()).expect("round trip");
+        let (_, c) = slave_handed(dir.id(), &framed.payload);
+        assert!(!Arc::ptr_eq(&a, &c.expect("cached")));
+    }
+
+    #[test]
+    fn every_broker_checks_a_shared_load_reply_against_the_id_it_asked_for() {
+        let other = KvsObject::Val(Value::Int(8));
+        let (a, b) = (dir_b7().id(), other.id());
+        let refused = (Some(errnum::ENOENT), None);
+        // Forged (said to be `a`, hashes to `b`), malformed, absent.
+        let forged = load_payload(a, other.to_value());
+        let malformed = load_payload(a, Value::from_pairs([("t", "nope".into())]));
+        let absent = Payload::from(Value::from_pairs([("id", a.to_hex().into())]));
+        for bad in [&forged, &malformed, &absent] {
+            for _broker in 0..2 {
+                assert_eq!(slave_handed(a, bad), refused);
+            }
+        }
+        // A valid reply for `b`: whoever asked for `a` is refused, before
+        // and after the broker that asked for `b` accepted the payload.
+        let for_b = load_payload(b, other.to_value());
+        assert_eq!(slave_handed(a, &for_b), refused);
+        assert_eq!(slave_handed(b, &for_b).1.as_deref(), Some(&other));
+        assert_eq!(slave_handed(a, &for_b), refused);
+    }
+
+    #[test]
+    fn a_load_reply_is_dropped_when_its_object_expires() {
+        let get = request(KvsMethod::Get, Value::object());
+        let dir = dir_b7();
+        with_ctx(2, 3, move |ctx| {
+            let (mut reads, mut rep) = (Reads::new(true), Replica::new(1));
+            rep.slots.apply_root(ctx, 0, 1, dir.id());
+            reads.lookup(ctx, &mut rep, &get, "b", false);
+            let reply = Message::response_to(
+                &load_in_flight(&reads),
+                load_payload(dir.id(), dir.to_value()),
+            );
+            assert!(reads.handle_response(ctx, &mut rep, &reply));
+            drop(reply);
+            let obj = rep.cache.get(dir.id()).expect("cached");
+            assert!(reads.load_replies.contains_key(&dir.id()));
+            assert_eq!(Arc::strong_count(&obj), 3, "the cache, the payload's memo, this test");
+            // The root moves on and the directory idles past its expiry.
+            rep.slots.apply_root(ctx, 0, 2, KvsObject::empty_dir().id());
+            rep.cache.set_epoch(100);
+            rep.cache.expire(16, &rep.slots.roots());
+            reads.on_heartbeat(ctx, &mut rep);
+            assert!(!rep.cache.contains(dir.id()));
+            assert!(!reads.load_replies.contains_key(&dir.id()), "the reply went with it");
+            assert_eq!(Arc::strong_count(&obj), 1, "nothing else pins the object");
+        });
     }
 
     #[test]
@@ -450,7 +560,7 @@ mod tests {
     fn a_load_that_is_never_answered_is_sent_again_after_two_heartbeats() {
         let get = request(KvsMethod::Get, Value::object());
         let get_id = get.header.id;
-        let dir = KvsObject::Dir([("b".to_owned(), KvsObject::Val(Value::Int(7)).id())].into());
+        let dir = dir_b7();
         let (_, outs) = with_ctx(2, 3, move |ctx| {
             let mut rep = Replica::new(1);
             rep.cache.insert(KvsObject::Val(Value::Int(7)));

@@ -50,22 +50,24 @@ impl ObjectCache {
     /// Inserts an object, returning its content address. Idempotent.
     pub fn insert(&mut self, obj: KvsObject) -> ObjectId {
         let id = obj.id();
-        self.insert_with_id(id, obj);
+        self.insert_with_id(id, Arc::new(obj));
         id
     }
 
-    /// Inserts an object whose id the caller already computed.
+    /// Inserts an object whose id the caller already computed, sharing
+    /// the caller's allocation: brokers that decoded one payload together
+    /// hold one object together.
     ///
     /// # Panics
     /// In debug builds, panics if `id` does not match the content.
-    pub fn insert_with_id(&mut self, id: ObjectId, obj: KvsObject) {
+    pub fn insert_with_id(&mut self, id: ObjectId, obj: Arc<KvsObject>) {
         debug_assert_eq!(id, obj.id(), "content address mismatch");
         let epoch = self.epoch;
         let size = obj.approx_size();
         self.map.entry(id).or_insert_with(|| {
             self.stats.entries += 1;
             self.stats.bytes += size;
-            Entry { obj: Arc::new(obj), size, last_used_epoch: epoch }
+            Entry { obj, size, last_used_epoch: epoch }
         });
     }
 

@@ -3,7 +3,7 @@
 use crate::actor::{Action, Actor, ActorId, Ctx, NodeId};
 use crate::arena::EventArena;
 use crate::net::NetParams;
-use crate::queue::CalendarQueue;
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use flux_wire::{Message, MsgId, MsgType, Topic};
 
@@ -116,7 +116,7 @@ pub struct PendingEvent {
 }
 
 /// The discrete-event engine: owns actors, the clock, and the event queue
-/// (a flat [`EventArena`] for payloads plus a [`CalendarQueue`] ordering
+/// (a flat [`EventArena`] for payloads plus an [`EventQueue`] ordering
 /// `(time, seq, index)` triples).
 pub struct Engine {
     params: NetParams,
@@ -125,7 +125,7 @@ pub struct Engine {
     /// Pending event payloads, indexed by queue entries.
     arena: EventArena<EventKind>,
     /// Dispatch order over arena indices.
-    queue: CalendarQueue,
+    queue: EventQueue,
     seq: u64,
     now: SimTime,
     stopped: bool,
@@ -146,7 +146,7 @@ impl Engine {
             slots: Vec::new(),
             node_count: 0,
             arena: EventArena::new(),
-            queue: CalendarQueue::new(),
+            queue: EventQueue::default(),
             seq: 0,
             now: SimTime::ZERO,
             stopped: false,
@@ -257,22 +257,16 @@ impl Engine {
         // excluded from record equality and every simulated outcome.
         let wall = std::time::Instant::now();
         while !self.stopped {
-            let Some((t, _, _)) = self.queue.peek_min() else {
-                // Drained: a bounded run still accounts for the idle tail
-                // up to its deadline (an unbounded run keeps the time of
-                // the last event).
+            if !self.pop_dispatch(deadline) {
+                // Drained, or the next event lies past the deadline: a
+                // bounded run still accounts for the idle tail up to its
+                // deadline (an unbounded run keeps the time of the last
+                // event).
                 if let Some(d) = deadline {
                     self.now = self.now.max(d);
                 }
                 break;
-            };
-            if let Some(d) = deadline {
-                if t > d {
-                    self.now = self.now.max(d);
-                    break;
-                }
             }
-            self.pop_dispatch();
         }
         self.run_wall += wall.elapsed();
         self.now
@@ -296,19 +290,22 @@ impl Engine {
                 break false;
             }
             left -= 1;
-            self.pop_dispatch();
+            self.pop_dispatch(None);
         };
         self.run_wall += wall.elapsed();
         (self.now, quiet)
     }
 
-    /// Pops and dispatches the earliest pending event.
-    fn pop_dispatch(&mut self) {
-        let Some((t, _, idx)) = self.queue.pop_min() else { return };
-        let Some(kind) = self.arena.take(idx) else { return };
+    /// Pops and dispatches the earliest pending event, with one queue
+    /// lookup. Returns false, dispatching nothing, if the queue is empty
+    /// or that event is due after `until`.
+    fn pop_dispatch(&mut self, until: Option<SimTime>) -> bool {
+        let Some((t, _, idx)) = self.queue.pop_min(until) else { return false };
+        let Some(kind) = self.arena.take(idx) else { return true };
         self.now = t;
         self.count_event();
         self.dispatch(kind);
+        true
     }
 
     /// Counts one dispatched event against the livelock limit. Every

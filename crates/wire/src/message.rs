@@ -3,6 +3,7 @@
 use crate::errnum;
 use crate::{Rank, Topic};
 use flux_value::Value;
+use std::any::Any;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock};
@@ -102,6 +103,15 @@ pub struct Header {
 /// `Payload` is used exactly like a [`Value`]; to mutate, clone the inner
 /// value out ([`Payload::into_value`] or `value().clone()`) and build a
 /// fresh payload.
+///
+/// Beside the value a payload has one write-once **memo slot**
+/// ([`Payload::memo`]): a receiver's decoded view of the value, shared by
+/// every clone of this payload. It is a pure function of the value, so it
+/// is no part of the payload's identity — `==`, `Debug`, encoding and
+/// [`Payload::approx_size`] ignore it — and it never crosses a socket: a
+/// decoded frame is a fresh `Payload` with an empty slot. Only in-process
+/// links (the simulator, the channel link) hand the same payload, and so
+/// the same memo, to more than one broker.
 #[derive(Clone)]
 pub struct Payload {
     inner: Arc<PayloadInner>,
@@ -110,6 +120,8 @@ pub struct Payload {
 struct PayloadInner {
     value: Value,
     size: OnceLock<usize>,
+    /// `dyn Any` only because this crate cannot name its users' types.
+    memo: OnceLock<Arc<dyn Any + Send + Sync>>,
 }
 
 impl Payload {
@@ -132,11 +144,30 @@ impl Payload {
     pub fn approx_size(&self) -> usize {
         *self.inner.size.get_or_init(|| self.inner.value.approx_size())
     }
+
+    /// The memo slot's `T`, built from the value by `build` on first use.
+    ///
+    /// The first type stored wins the slot for the payload's lifetime; a
+    /// caller asking for another type gets its own `build` result,
+    /// un-memoized. `build` must depend on the value alone: whichever
+    /// holder of the payload calls first decides what all of them read.
+    pub fn memo<T: Any + Send + Sync>(&self, build: impl FnOnce(&Value) -> T) -> Arc<T> {
+        let value = &self.inner.value;
+        if let Some(held) = self.inner.memo.get() {
+            return Arc::clone(held).downcast().unwrap_or_else(|_| Arc::new(build(value)));
+        }
+        let built = Arc::new(build(value));
+        // A holder on another thread may have stored meanwhile: what the
+        // slot holds wins, so every holder reads one view.
+        let held = self.inner.memo.get_or_init(|| Arc::clone(&built) as _);
+        Arc::clone(held).downcast().unwrap_or(built)
+    }
 }
 
 impl From<Value> for Payload {
     fn from(value: Value) -> Payload {
-        Payload { inner: Arc::new(PayloadInner { value, size: OnceLock::new() }) }
+        let (size, memo) = (OnceLock::new(), OnceLock::new());
+        Payload { inner: Arc::new(PayloadInner { value, size, memo }) }
     }
 }
 
@@ -323,6 +354,30 @@ mod tests {
         }
         assert_eq!(MsgType::from_byte(0), None);
         assert_eq!(MsgType::from_byte(9), None);
+    }
+
+    #[test]
+    fn memo_is_built_once_shared_by_clones_and_never_crosses_the_codec() {
+        let m = Message::event(topic("hb"), id(0, 1), Rank(0), Value::Int(7));
+        let bare = m.clone();
+        let (bare_debug, bare_size) = (format!("{bare:?}"), bare.wire_size());
+        let first = m.payload.memo(|v| v.as_int().map(|n| n * 2));
+        assert_eq!(*first, Some(14));
+        // A clone shares the slot: its build never runs.
+        let again = m.clone().payload.memo(|_| -> Option<i64> { panic!("built twice") });
+        assert!(Arc::ptr_eq(&first, &again));
+        // The first type stored wins; another type builds un-memoized.
+        assert_eq!(*m.payload.memo(|_| "other"), "other");
+        assert!(Arc::ptr_eq(&first, &m.payload.memo(|_| None::<i64>)));
+        // Identity ignores the slot.
+        let fresh = Message::event(topic("hb"), id(0, 1), Rank(0), Value::Int(7));
+        assert_eq!(m, fresh);
+        assert_eq!((format!("{m:?}"), m.wire_size()), (bare_debug, bare_size));
+        assert_eq!(m.encode(), fresh.encode());
+        // A decoded frame is a fresh payload with an empty slot.
+        let (decoded, _) = Message::decode(&m.encode()).unwrap();
+        assert_eq!(decoded, m);
+        assert_eq!(*decoded.payload.memo(|_| None::<i64>), None);
     }
 
     #[test]
