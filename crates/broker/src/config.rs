@@ -45,10 +45,6 @@ pub struct BrokerConfig {
     /// declares a child dead ("after a configurable number of missed
     /// messages, a liveliness event is issued").
     pub live_miss_limit: u32,
-    /// KVS slave-cache entries unused for this many heartbeat epochs are
-    /// expired ("unused slave object cache entries are expired after a
-    /// period of disuse").
-    pub kvs_expiry_epochs: u64,
     /// Topology of the rank-addressed RPC overlay.
     pub rank_overlay: RankOverlay,
 }
@@ -63,7 +59,6 @@ impl BrokerConfig {
             arity: 2,
             hb_period_ns: 100_000_000,
             live_miss_limit: 3,
-            kvs_expiry_epochs: 16,
             rank_overlay: RankOverlay::default(),
         }
     }

@@ -19,7 +19,7 @@
 //! jobs complete when their walltime elapses, schedulers run, and
 //! sub-instances recurse. This makes the framework a deterministic
 //! scheduling engine — the substrate the scheduler-parallelism ablation
-//! (bench `ablate_sched`) measures.
+//! (A2, EXPERIMENTS.md) measures.
 
 use crate::jobspec::JobSpec;
 use crate::sched::{RunningView, Scheduler, Start};

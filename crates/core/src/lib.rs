@@ -19,7 +19,7 @@
 //!   EASY backfill, both power-aware. Hierarchical scheduling — a parent
 //!   leasing coarse resource blocks to child instances that schedule
 //!   their own workloads — is what the paper's "scheduler parallelism"
-//!   argument is about; the `ablate_sched` bench measures it.
+//!   argument is about; ablation A2 (EXPERIMENTS.md) measures it.
 //! * **Multilevel elasticity** ([`instance::Instance::request_grow`]) —
 //!   allocations can grow and shrink at run time, with different
 //!   elasticity for different resource types (power reshapes instantly;

@@ -8,11 +8,10 @@
 //! (`threads`, `tcp`) measure wall-clock latencies and vary run to run;
 //! regression checks therefore only compare `sim` cells.
 //!
-//! The harness also measures the KVS hot-path optimizations directly:
+//! The harness also measures the KVS hot-path optimization directly:
 //! [`optimization_report`] runs the redundant-consumer cell twice — once
-//! with master-side push batching and the slave lookup memo disabled
-//! (the pre-optimization KVS), once with the shipped defaults — and
-//! records the margin.
+//! with master-side push batching disabled, once with the shipped
+//! defaults — and records the margin.
 
 use crate::runner::{run_kap_full, KapParams, KapRun, ProducerMode, SyncMode};
 use flux_broker::RankOverlay;
@@ -139,10 +138,7 @@ fn cell_value(cell: &Cell, run: &KapRun) -> Value {
 }
 
 fn base_params(value_size: usize, redundant: bool) -> KapParams {
-    let mut p = KapParams::fully_populated(4);
-    p.procs_per_node = 4;
-    p.producers = p.total_procs();
-    p.consumers = p.total_procs();
+    let mut p = KapParams::populated(4, 4);
     p.value_size = value_size;
     p.redundant = redundant;
     p.nputs = 2;
@@ -310,12 +306,9 @@ pub fn run_scale_sweep() -> Value {
 
 /// The redundant-consumer margin cell: concurrent per-producer commits
 /// (the push-batching hot path) with redundant values and repeat
-/// consumer reads (the lookup-memo hot path).
+/// consumer reads.
 pub fn margin_params(kvs: KvsConfig) -> KapParams {
-    let mut p = KapParams::fully_populated(8);
-    p.procs_per_node = 4;
-    p.producers = p.total_procs();
-    p.consumers = p.total_procs();
+    let mut p = KapParams::populated(8, 4);
     p.value_size = 4096;
     p.redundant = true;
     p.nputs = 2;
@@ -325,10 +318,10 @@ pub fn margin_params(kvs: KvsConfig) -> KapParams {
     p
 }
 
-/// The pre-optimization KVS: no master-side push batching, no slave
-/// lookup memo — exactly the pre-PR hot path.
+/// The pre-optimization KVS: no master-side push batching — every push
+/// applies on arrival.
 pub fn baseline_kvs() -> KvsConfig {
-    KvsConfig { batch_window_ns: 0, lookup_cache: false, ..KvsConfig::default() }
+    KvsConfig { batch_window_ns: 0, ..KvsConfig::default() }
 }
 
 fn margin_side(kvs: KvsConfig) -> (KapRun, Value) {

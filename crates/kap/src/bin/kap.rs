@@ -1,14 +1,15 @@
-//! The KAP driver: regenerates every figure of the paper's evaluation.
+//! The KAP driver: regenerates every virtual-time figure of the paper's
+//! evaluation and every virtual-time ablation of ours.
 //!
 //! ```text
-//! kap [--quick] [fig2|fig3|fig4a|fig4b|model|table1|scaling|all]
+//! kap [--quick] [fig1|fig2|fig3|fig4a|fig4b|model|table1|scaling|ablate|all]
 //! kap bench [--quick] [--out FILE] [--check REF]
 //! kap scale-smoke [--ranks N] [--budget-secs S] [--shards N]
 //! ```
 //!
 //! Full mode sweeps the paper's scales (64–512 nodes × 16 processes =
 //! 1024–8192 testers). `--quick` runs a reduced sweep for smoke testing.
-//! Output is markdown; EXPERIMENTS.md embeds it.
+//! Output is markdown; `kap all` is the committed `kap_results.md`.
 //!
 //! `bench` runs the evaluation-harness matrix instead and emits the
 //! machine-readable `BENCH_kap.json` document (schema
@@ -19,6 +20,7 @@
 
 #![forbid(unsafe_code)]
 
+use flux_kap::ablate;
 use flux_kap::bench;
 use flux_kap::layout::DirLayout;
 use flux_kap::model;
@@ -34,6 +36,9 @@ struct Cfg {
     node_scales: Vec<u32>,
     procs_per_node: u32,
     vsizes: Vec<usize>,
+    /// Session sizes of the Fig. 1 wire-up sweep (no tester processes,
+    /// so the reduced sweep can afford more brokers than `node_scales`).
+    wireup_sizes: Vec<u32>,
 }
 
 impl Cfg {
@@ -43,10 +48,13 @@ impl Cfg {
                 node_scales: vec![8, 16, 32],
                 procs_per_node: 4,
                 vsizes: vec![8, 512, 8192],
+                wireup_sizes: vec![16, 64, 256],
             }
         } else {
+            let node_scales = vec![64, 128, 256, 512];
             Cfg {
-                node_scales: vec![64, 128, 256, 512],
+                wireup_sizes: node_scales.clone(),
+                node_scales,
                 procs_per_node: 16,
                 vsizes: VSIZES.to_vec(),
             }
@@ -54,12 +62,31 @@ impl Cfg {
     }
 
     fn params(&self, nodes: u32) -> KapParams {
-        let mut p = KapParams::fully_populated(nodes);
-        p.procs_per_node = self.procs_per_node;
-        p.producers = p.total_procs();
-        p.consumers = p.total_procs();
-        p
+        KapParams::populated(nodes, self.procs_per_node)
     }
+
+    /// The largest scale of the sweep: where the ablations run.
+    fn top_nodes(&self) -> u32 {
+        *self.node_scales.last().expect("nonempty sweep")
+    }
+}
+
+/// Fig. 1: virtual time for a fresh session to complete one
+/// session-wide barrier, vs session size, binary vs 16-ary tree.
+fn fig1(cfg: &Cfg) {
+    let mut t = Table::new(
+        "Fig. 1 — comms-session wire-up (first session-wide barrier)",
+        &["brokers", "arity-2 (ms)", "arity-16 (ms)"],
+    );
+    for &size in &cfg.wireup_sizes {
+        t.row(vec![
+            size.to_string(),
+            ms(ablate::wireup_ns(size, 2)),
+            ms(ablate::wireup_ns(size, 16)),
+        ]);
+        eprintln!("fig1: {size} brokers done");
+    }
+    println!("{}", t.render());
 }
 
 /// Fig. 2: maximum producer-phase latency (`kvs_put`) vs producer count,
@@ -246,6 +273,33 @@ fn scaling() {
         slope(&fence_consumer),
         slope(&waitv_consumer)
     );
+}
+
+/// Ablations A1 (tree arity) and A3 (KVS placement depth), both at the
+/// largest scale of the sweep.
+fn ablations(cfg: &Cfg) {
+    let (nodes, ppn) = (cfg.top_nodes(), cfg.procs_per_node);
+    let testers = nodes * ppn;
+    let mut t = Table::new(
+        format!("Ablation A1 — tree arity, {testers} testers, 2 KiB values (max latency)"),
+        &["arity", "fence (ms)", "consumer (ms)"],
+    );
+    for arity in ablate::ARITIES {
+        let r = ablate::arity_cell(nodes, ppn, arity);
+        t.row(vec![arity.to_string(), ms(r.sync_ns), ms(r.consumer_ns)]);
+        eprintln!("ablate A1: arity {arity} done");
+    }
+    println!("{}", t.render());
+    let mut t = Table::new(
+        format!("Ablation A3 — KVS placement depth, {testers} testers (put + fence + get makespan)"),
+        &["kvs loaded at", "makespan (ms)"],
+    );
+    for depth in ablate::PLACEMENTS {
+        let label = depth.map_or("every broker".to_owned(), |d| format!("depth <= {d}"));
+        t.row(vec![label, ms(ablate::placement_makespan_ns(nodes, ppn, depth))]);
+        eprintln!("ablate A3: {depth:?} done");
+    }
+    println!("{}", t.render());
 }
 
 /// Table I: the module inventory, each exercised in-process.
@@ -446,6 +500,7 @@ fn main() {
         if quick { "quick" } else { "full" }
     );
     match what {
+        "fig1" => fig1(&cfg),
         "fig2" => fig2(&cfg),
         "fig3" => fig3(&cfg),
         "fig4a" => fig4(&cfg, DirLayout::Single, "Fig. 4a — consumer phase max latency (kvs_get), single directory"),
@@ -453,6 +508,7 @@ fn main() {
         "model" => model_check(&cfg),
         "table1" => table1(),
         "scaling" => scaling(),
+        "ablate" => ablations(&cfg),
         "all" => {
             table1();
             fig2(&cfg);
@@ -461,9 +517,14 @@ fn main() {
             fig4(&cfg, DirLayout::Split128, "Fig. 4b — consumer phase max latency (kvs_get), directories of ≤128 objects");
             model_check(&cfg);
             scaling();
+            fig1(&cfg);
+            ablations(&cfg);
         }
         other => {
-            eprintln!("unknown sub-command {other}; use fig2|fig3|fig4a|fig4b|model|table1|scaling|all");
+            eprintln!(
+                "unknown sub-command {other}; use \
+                 fig1|fig2|fig3|fig4a|fig4b|model|table1|scaling|ablate|all"
+            );
             std::process::exit(2);
         }
     }

@@ -27,6 +27,7 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+pub mod ablate;
 pub mod bench;
 pub mod layout;
 pub mod model;

@@ -11,7 +11,7 @@ use flux_broker::CommsModule;
 use flux_kvs::{KvsConfig, KvsModule};
 use flux_modules::BarrierModule;
 use flux_rt::script::Op;
-use flux_rt::transport::{ScriptTransport, SimTransport};
+use flux_rt::transport::{ScriptReport, ScriptTransport, SimTransport};
 use flux_sim::NetParams;
 use flux_wire::Rank;
 
@@ -84,9 +84,9 @@ pub struct KapParams {
     pub producer_mode: ProducerMode,
     /// How consumers synchronize with the producers.
     pub sync_mode: SyncMode,
-    /// KVS tuning for every broker in the session (batching, lookup
-    /// memo, fence window) — the knob the optimization margin cell
-    /// flips between baseline and optimized.
+    /// KVS tuning for every broker in the session (batching, fence
+    /// window, shards) — the knob the optimization margin cell flips
+    /// between baseline and optimized.
     pub kvs: KvsConfig,
 }
 
@@ -95,10 +95,16 @@ impl KapParams {
     /// processes per node, every process both producer and consumer, one
     /// put each, one get each, 8-byte values, single directory.
     pub fn fully_populated(nodes: u32) -> KapParams {
-        let procs = u64::from(nodes) * 16;
+        KapParams::populated(nodes, 16)
+    }
+
+    /// The fully-populated configuration with `procs_per_node` testers
+    /// on every node (the reduced scales use 4).
+    pub fn populated(nodes: u32, procs_per_node: u32) -> KapParams {
+        let procs = u64::from(nodes) * u64::from(procs_per_node);
         KapParams {
             nodes,
-            procs_per_node: 16,
+            procs_per_node,
             producers: procs,
             consumers: procs,
             value_size: 8,
@@ -288,6 +294,24 @@ pub struct KapRun {
     pub events_per_sec: f64,
 }
 
+/// The module set every KAP broker loads.
+pub(crate) fn modules(kvs: KvsConfig) -> Vec<Box<dyn CommsModule>> {
+    vec![Box::new(KvsModule::with_config(kvs)), Box::new(BarrierModule::new())]
+}
+
+/// A measured run is a completed one: every process finished its script
+/// and every op of it succeeded.
+pub(crate) fn assert_completed(report: &ScriptReport) {
+    for (gid, out) in report.outcomes.iter().enumerate() {
+        assert!(out.finished, "process {gid} did not finish its script");
+        assert!(
+            out.op_err.iter().all(|&e| e == 0),
+            "process {gid} had op errors: {:?}",
+            out.op_err
+        );
+    }
+}
+
 /// Runs one KAP configuration to completion on the simulator (the
 /// paper's measurement setup: virtual time, modeled network).
 pub fn run_kap(params: &KapParams) -> KapResult {
@@ -339,21 +363,12 @@ pub fn run_kap_full(params: &KapParams, transport: &dyn ScriptTransport) -> KapR
         .collect();
 
     let kvs = params.kvs;
-    let report = transport.run_scripts(params.nodes, params.arity, &move |_| {
-        vec![
-            Box::new(KvsModule::with_config(kvs)) as Box<dyn CommsModule>,
-            Box::new(BarrierModule::new()),
-        ]
-    }, scripts);
+    let report =
+        transport.run_scripts(params.nodes, params.arity, &move |_| modules(kvs), scripts);
 
+    assert_completed(&report);
     let mut phases = Vec::with_capacity(procs as usize);
     for (gid, out) in report.outcomes.iter().enumerate() {
-        assert!(out.finished, "process {gid} did not finish its script");
-        assert!(
-            out.op_err.iter().all(|&e| e == 0),
-            "process {gid} had op errors: {:?}",
-            out.op_err
-        );
         let layout = layouts[gid];
         let barrier_done = out.op_done_ns[0];
         let produce_end = out.op_done_ns[layout.produce_end];
@@ -382,11 +397,7 @@ mod tests {
     use super::*;
 
     fn quick(nodes: u32) -> KapParams {
-        let mut p = KapParams::fully_populated(nodes);
-        p.procs_per_node = 4;
-        p.producers = p.total_procs();
-        p.consumers = p.total_procs();
-        p
+        KapParams::populated(nodes, 4)
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! * schema — the committed `BENCH_kap.json` golden file validates, and
 //!   a fresh run matches its deterministic cells' exact numbers;
 //! * regression — a fresh quick run stays within 2× of the golden file
-//!   (the same gate the CI bench-smoke job applies).
+//!   (the same gate the CI bench-smoke job applies);
+//! * figures — the `--quick` cells of `kap fig1` and `kap ablate` are
+//!   pinned to the nanosecond, with the shape each table exists to show.
 
-use flux_kap::bench;
+use flux_kap::{ablate, bench};
 use flux_kap::{run_kap_full, KapParams};
 use flux_rt::transport::SimTransport;
 use flux_value::Value;
@@ -208,4 +210,41 @@ fn golden_sim_cells_reproduce_exactly() {
             );
         }
     }
+}
+
+/// `kap --quick fig1`: wire-up time grows with session size, and the
+/// 16-ary tree is under the binary one at every size.
+#[test]
+fn fig1_wireup_grows_with_size_and_a_wider_tree_is_faster() {
+    let cells: Vec<(u64, u64)> = [16, 64, 256]
+        .iter()
+        .map(|&size| (ablate::wireup_ns(size, 2), ablate::wireup_ns(size, 16)))
+        .collect();
+    assert_eq!(cells, [(102_336, 40_366), (152_292, 61_484), (203_146, 72_596)]);
+    assert!(cells.windows(2).all(|w| w[1].0 > w[0].0 && w[1].1 > w[0].1), "{cells:?}");
+    assert!(cells.iter().all(|(binary, wide)| wide < binary), "{cells:?}");
+}
+
+/// `kap --quick ablate`, A1: a wider tree shortens the fence reduction
+/// and slows the consumer reads — the crossover EXPERIMENTS.md describes.
+#[test]
+fn a1_fence_falls_and_consumer_rises_with_arity() {
+    let cells: Vec<(u64, u64)> = ablate::ARITIES
+        .iter()
+        .map(|&arity| ablate::arity_cell(32, 4, arity))
+        .map(|r| (r.sync_ns, r.consumer_ns))
+        .collect();
+    assert_eq!(cells, [(162_181, 159_140), (131_008, 165_647), (106_842, 211_098)]);
+    assert!(cells.windows(2).all(|w| w[1].0 < w[0].0 && w[1].1 > w[0].1), "{cells:?}");
+}
+
+/// `kap --quick ablate`, A3: every placement completes (each op of each
+/// process `errnum == 0`, checked by the run itself), and the optimum
+/// is interior — depth ≤ 2 beats both root-only and every broker.
+#[test]
+fn a3_completes_at_every_depth_with_an_interior_optimum() {
+    let ns: Vec<u64> =
+        ablate::PLACEMENTS.iter().map(|&d| ablate::placement_makespan_ns(32, 4, d)).collect();
+    assert_eq!(ns, [257_184, 207_763, 191_995, 228_760]);
+    assert!(ns[2] < ns[0] && ns[2] < ns[3], "{ns:?}");
 }

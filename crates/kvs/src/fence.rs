@@ -8,11 +8,12 @@
 //! handed to the coordinator like any other commit.
 
 use crate::master::Tuple;
+use crate::module::Requester;
 use crate::msg::{self, Objects};
 use flux_broker::ModuleCtx;
 use flux_proto::KvsMethod;
 use flux_value::Value;
-use flux_wire::{errnum, Message, Rank};
+use flux_wire::{errnum, Message};
 use std::collections::{HashMap, HashSet};
 
 /// Fence accumulation state at one broker.
@@ -29,7 +30,7 @@ pub(crate) struct FenceAcc {
     pub(crate) waiters: Vec<Message>,
     /// Local requesters that already contributed: a process fencing the
     /// same name twice must not count as two of `nprocs` participants.
-    contributors: HashSet<Option<Rank>>,
+    contributors: HashSet<Requester>,
     /// `(source rank, batch id)` of child batches already merged here:
     /// a transport-duplicated `kvs.fence.up` frame must not double-count
     /// its contributions and complete the fence early.
@@ -56,7 +57,7 @@ impl FenceTree {
         &mut self,
         name: &str,
         nprocs: u64,
-        requester: Option<Rank>,
+        requester: Requester,
     ) -> Result<(), u32> {
         let acc = self.fences.entry(name.to_owned()).or_default();
         if acc.nprocs != 0 && acc.nprocs != nprocs {
@@ -150,6 +151,7 @@ mod tests {
     use super::*;
     use crate::testutil::{messages, with_ctx};
     use flux_broker::Output;
+    use flux_wire::Rank;
 
     fn put(key: &str) -> Vec<Tuple> {
         vec![(key.to_owned(), None)]
@@ -181,14 +183,16 @@ mod tests {
     #[test]
     fn duplicate_contributor_and_mismatched_nprocs_are_rejected() {
         let mut tree = FenceTree::default();
-        let (a, b) = (Some(Rank::client_hop(1)), Some(Rank::client_hop(2)));
+        let client = |id, broker| Requester(Some(Rank::client_hop(id)), broker);
+        let (a, b) = (client(1, None), client(2, None));
         assert_eq!(tree.enlist("f", 4, a), Ok(()));
         assert_eq!(tree.enlist("f", 4, a), Err(errnum::EINVAL), "same process twice");
         assert_eq!(tree.enlist("f", 4, b), Ok(()));
+        assert_eq!(tree.enlist("f", 4, client(1, Some(Rank(3)))), Ok(()), "a child's client 1");
         assert_eq!(tree.enlist("g", 4, a), Ok(()), "another fence is another roster");
         let _ = with_ctx(1, 2, move |ctx| {
             tree.contribute(ctx, 500, "f", 4, 1, Vec::new(), Objects::new(), None);
-            assert_eq!(tree.enlist("f", 5, Some(Rank::client_hop(3))), Err(errnum::EINVAL));
+            assert_eq!(tree.enlist("f", 5, client(3, None)), Err(errnum::EINVAL));
         });
     }
 

@@ -29,7 +29,7 @@
 //!
 //! | role | file | owns |
 //! |------|------|------|
-//! | slots | `slots.rs` | per-shard root, version, `wait_version` parking lot, lookup memo; the only root switch |
+//! | slots | `slots.rs` | per-shard root, version, `wait_version` parking lot; the only root switch |
 //! | master | `authority.rs` | push dedup, the batch window, the applied-fence memo; the one apply |
 //! | coordinator | `coordinator.rs` | the join table of commits and fence fan-outs, part routing |
 //! | fence | `fence.rs` | the tree reduction of fence contributions |
@@ -84,12 +84,6 @@ pub struct KvsConfig {
     /// Pushes parked in the batch before it flushes without waiting for
     /// the window timer.
     pub batch_max: usize,
-    /// Slave-side key→object lookup memo: a successful `kvs.get`
-    /// resolution is remembered and served directly (no tree walk)
-    /// until the root changes. Invalidated on every root switch — the
-    /// same path that wakes `wait_version` waiters, so a get after
-    /// `wait_version` can never see a stale memo.
-    pub lookup_cache: bool,
     /// Number of namespace shards: the namespace splits by key hash
     /// across masters on ranks `0..shards` (clamped to the session size
     /// on start). `1` (the default) is the paper's single master at the
@@ -106,18 +100,23 @@ impl Default for KvsConfig {
             dedup: true,
             batch_window_ns: 5_000,
             batch_max: 64,
-            lookup_cache: true,
             shards: 1,
         }
     }
 }
 
-/// A requester identity local to this broker: the bottom hop entry
-/// (client hop for local clients, absent for module-local requests).
-type Requester = Option<Rank>;
+/// Who sent a request, unique wherever this instance sits in the tree:
+/// the bottom hop entry (the client connection; absent for module-local
+/// requests) and the broker that connection is attached to (absent when
+/// it is this one). A client id alone is unique only among one broker's
+/// clients, and an instance loaded at a shallow tree depth serves the
+/// clients of every broker below it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub(crate) struct Requester(pub(crate) Option<Rank>, pub(crate) Option<Rank>);
 
 fn requester_of(msg: &Message) -> Requester {
-    msg.header.hops.first().copied()
+    let mut hops = msg.header.hops.iter().copied();
+    Requester(hops.next(), hops.next())
 }
 
 /// Per-requester write-back state (puts not yet committed/fenced).
@@ -166,7 +165,7 @@ impl KvsModule {
             authority: Authority::default(),
             coordinator: Coordinator::default(),
             fence: FenceTree::default(),
-            reads: Reads::new(cfg.lookup_cache),
+            reads: Reads::default(),
             pending: HashMap::new(),
         }
     }
@@ -399,11 +398,6 @@ impl KvsModule {
         self.authority.pushes_batched
     }
 
-    /// Gets served from the slave lookup memo (for tests).
-    pub fn lookup_hits(&self) -> u64 {
-        self.reads.lookup_hits
-    }
-
     /// Commits applied at the master; with batching one application may
     /// cover many pushes (for tests).
     pub fn commits_applied(&self) -> u64 {
@@ -463,7 +457,6 @@ impl CommsModule for KvsModule {
                     ("version", Value::from(self.rep.slots.version(0) as i64)),
                     ("commits", Value::from(self.authority.commits_applied as i64)),
                     ("pushes_batched", Value::from(self.authority.pushes_batched as i64)),
-                    ("lookup_hits", Value::from(self.reads.lookup_hits as i64)),
                 ];
                 let shards = self.rep.slots.spelling().shards();
                 pairs.extend(shards.map(|n| ("shards", Value::from(n as i64))));
@@ -517,8 +510,7 @@ impl CommsModule for KvsModule {
         // A master is authoritative for its slot's whole tree: it never
         // expires. Everyone else pins the current roots.
         if self.rep.slots.mine().is_none() {
-            let expiry = ctx.config().kvs_expiry_epochs.max(self.cfg.expiry_epochs);
-            self.rep.cache.expire(expiry, &self.rep.slots.roots());
+            self.rep.cache.expire(self.cfg.expiry_epochs, &self.rep.slots.roots());
         }
         self.reads.on_heartbeat(ctx, &mut self.rep);
         self.coordinator.on_heartbeat(ctx);

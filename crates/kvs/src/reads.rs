@@ -13,7 +13,7 @@
 //! what the tier above itself refused.
 
 use crate::inflight::{Answer, InFlight};
-use crate::module::Replica;
+use crate::module::{Replica, Requester};
 use crate::msg;
 use crate::object::KvsObject;
 use crate::path::key_components;
@@ -23,7 +23,7 @@ use flux_broker::{Handled, ModuleCtx};
 use flux_hash::ObjectId;
 use flux_proto::KvsMethod;
 use flux_value::Value;
-use flux_wire::{errnum, Message, Payload, Rank};
+use flux_wire::{errnum, Message, Payload};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -37,10 +37,6 @@ struct Walk {
     cur: ObjectId,
     /// Directory listing requested instead of a value.
     want_dir: bool,
-    /// Store version the walk started under. A walk can park on a
-    /// fault-in and resume after a root switch; its (correct, but old)
-    /// resolution must then not poison the lookup memo.
-    version: u64,
     /// Shard whose tree this walk descends.
     shard: u32,
 }
@@ -81,8 +77,6 @@ fn decode_load_reply(payload: &Value) -> Loaded {
 
 #[derive(Default)]
 pub(crate) struct Reads {
-    /// Serve repeat gets from the slots' key → object memo.
-    lookup_cache: bool,
     walks: HashMap<u64, Walk>,
     next_walk: u64,
     /// Object id → (walks parked on it, child `kvs.load` requests for it).
@@ -98,16 +92,10 @@ pub(crate) struct Reads {
     /// directory) into one build plus refcount bumps. An entry lives as
     /// long as its object's cache entry ([`Reads::on_heartbeat`]).
     load_replies: HashMap<ObjectId, Payload>,
-    /// Gets served from the lookup memo.
-    pub(crate) lookup_hits: u64,
     pub(crate) watch: Watches,
 }
 
 impl Reads {
-    pub(crate) fn new(lookup_cache: bool) -> Reads {
-        Reads { lookup_cache, ..Reads::default() }
-    }
-
     /// Builds (or reuses) the shared `kvs.load` reply payload for `id`.
     fn load_reply(&mut self, id: ObjectId, obj: &KvsObject) -> Payload {
         let build = || Value::from_pairs([("id", id.to_hex().into()), ("obj", obj.to_value())]);
@@ -124,22 +112,6 @@ impl Reads {
         key: &str,
         want_dir: bool,
     ) -> Handled {
-        let shard = rep.slots.shard_of(key);
-        // Memo fast path: a prior resolution under the current root maps
-        // the key straight to its object — no per-component tree walk.
-        if self.lookup_cache && !rep.slots.masters(shard) {
-            let memo = (key.to_owned(), want_dir);
-            if let Some(id) = rep.slots.memo(shard).and_then(|m| m.get(&memo).copied()) {
-                let hit = rep.cache.get(id).and_then(|obj| resolve(&obj, want_dir, false).ok());
-                if let Some(reply) = hit {
-                    self.lookup_hits += 1;
-                    return ctx.respond(req, Value::from_pairs([reply]));
-                }
-                // The memoized object expired from the cache: drop the
-                // entry and fault it back in through the normal walk.
-                rep.slots.memo(shard).and_then(|m| m.remove(&memo));
-            }
-        }
         let (req, parked) = ctx.park(req);
         self.start_walk(ctx, rep, WalkKind::Get(req), key, want_dir);
         parked
@@ -177,7 +149,7 @@ impl Reads {
         rep: &mut Replica,
         req: &Message,
         key: &str,
-        requester: Option<Rank>,
+        requester: Requester,
     ) -> Handled {
         let shard = rep.slots.shard_of(key);
         let (req, parked) = ctx.park(req);
@@ -216,10 +188,10 @@ impl Reads {
             }
         };
         let shard = rep.slots.shard_of(key);
-        let (cur, version) = rep.slots.root(shard);
+        let (cur, _) = rep.slots.root(shard);
         self.next_walk += 1;
         let id = self.next_walk;
-        self.walks.insert(id, Walk { kind, components, idx: 0, cur, want_dir, version, shard });
+        self.walks.insert(id, Walk { kind, components, idx: 0, cur, want_dir, shard });
         self.step_walk(ctx, rep, id);
     }
 
@@ -235,21 +207,6 @@ impl Reads {
             if walk.idx == walk.components.len() {
                 let getting = matches!(walk.kind, WalkKind::Get(_));
                 let end = resolve(&obj, walk.want_dir, !getting);
-                // Memoize successful get resolutions under the current
-                // root: repeat gets of the same key skip the walk. A walk
-                // that parked across a root switch resolved against the
-                // old tree — its answer is legal for the caller (the get
-                // predates the switch) but must not enter the memo, or a
-                // get issued *after* a satisfied wait_version could read
-                // the stale object.
-                let memoize = self.lookup_cache
-                    && getting
-                    && end.is_ok()
-                    && !rep.slots.masters(walk.shard)
-                    && walk.version == rep.slots.version(walk.shard);
-                if let (true, Some(memo)) = (memoize, rep.slots.memo(walk.shard)) {
-                    memo.insert((walk.components.join("."), walk.want_dir), cur);
-                }
                 self.finish_walk(ctx, walk_id, end);
                 return;
             }
@@ -447,7 +404,7 @@ mod tests {
         let get = request(KvsMethod::Get, Value::object());
         let (get_id, payload) = (get.header.id, payload.clone());
         let (cached, outs) = with_ctx(2, 3, move |ctx| {
-            let (mut reads, mut rep) = (Reads::new(true), Replica::new(1));
+            let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
             rep.slots.apply_root(ctx, 0, 1, want);
             reads.lookup(ctx, &mut rep, &get, "b", false);
             let reply = Message::response_to(&load_in_flight(&reads), payload);
@@ -502,7 +459,7 @@ mod tests {
         let get = request(KvsMethod::Get, Value::object());
         let dir = dir_b7();
         with_ctx(2, 3, move |ctx| {
-            let (mut reads, mut rep) = (Reads::new(true), Replica::new(1));
+            let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
             rep.slots.apply_root(ctx, 0, 1, dir.id());
             reads.lookup(ctx, &mut rep, &get, "b", false);
             let reply = Message::response_to(
@@ -534,7 +491,7 @@ mod tests {
             let get_id = get.header.id;
             // A one-shard slave: the miss on the root directory goes to the parent.
             let (_, outs) = with_ctx(2, 3, move |ctx| {
-                let (mut reads, mut rep) = (Reads::new(true), Replica::new(1));
+                let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
                 rep.slots.apply_root(ctx, 0, 1, ObjectId::hash(b"a root this slave never saw"));
                 reads.lookup(ctx, &mut rep, &get, "a.b", false);
                 let mut answer = |reads: &mut Reads, ctx: &mut ModuleCtx<'_>, code| {
@@ -565,7 +522,7 @@ mod tests {
             let mut rep = Replica::new(1);
             rep.cache.insert(KvsObject::Val(Value::Int(7)));
             rep.slots.apply_root(ctx, 0, 1, dir.id());
-            let mut reads = Reads::new(true);
+            let mut reads = Reads::default();
             reads.lookup(ctx, &mut rep, &get, "b", false);
             let first = load_in_flight(&reads);
             reads.on_heartbeat(ctx, &mut rep);

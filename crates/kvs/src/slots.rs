@@ -1,11 +1,10 @@
 //! Per-shard replicated root state, and the only root switch.
 //!
 //! Every broker keeps one slot per shard: the newest root reference it
-//! has adopted, the `wait_version` callers parked on that version
-//! stream, and the key → object lookup memo valid for that root. A
-//! one-shard session is simply the one-slot instance. The slot this
-//! broker masters (`rank < shards`; the tree root in a one-shard
-//! session), if any, is the authoritative copy.
+//! has adopted and the `wait_version` callers parked on that version
+//! stream. A one-shard session is simply the one-slot instance. The
+//! slot this broker masters (`rank < shards`; the tree root in a
+//! one-shard session), if any, is the authoritative copy.
 
 use crate::msg::{RootRef, Spelling};
 use crate::object::KvsObject;
@@ -13,14 +12,11 @@ use crate::shard;
 use flux_broker::{Handled, ModuleCtx};
 use flux_hash::ObjectId;
 use flux_wire::Message;
-use std::collections::HashMap;
 
 struct Slot {
     version: u64,
     root: ObjectId,
     waiters: Vec<(u64, Message)>,
-    /// `(key, want_dir)` → resolved object id, valid for `root` only.
-    lookup: HashMap<(String, bool), ObjectId>,
 }
 
 /// The per-shard slots of one broker.
@@ -46,9 +42,8 @@ impl Slots {
     pub(crate) fn start(&mut self, shards: u32, mine: Option<u32>) {
         if self.slots.len() != shards as usize {
             let root = KvsObject::empty_dir().id();
-            self.slots = (0..shards)
-                .map(|_| Slot { version: 0, root, waiters: Vec::new(), lookup: HashMap::new() })
-                .collect();
+            self.slots =
+                (0..shards).map(|_| Slot { version: 0, root, waiters: Vec::new() }).collect();
         }
         self.mine = mine;
         self.spelling = Spelling::of(shards);
@@ -119,10 +114,6 @@ impl Slots {
         }
         slot.version = version;
         slot.root = root;
-        // The memo goes *before* any wait_version waiter wakes below: a
-        // get issued after a satisfied wait_version can never observe a
-        // stale memo entry.
-        slot.lookup.clear();
         if !slot.waiters.is_empty() {
             // Causal consistency: wake wait_version callers on this slot.
             let (ready, rest): (Vec<_>, Vec<_>) =
@@ -169,11 +160,6 @@ impl Slots {
             _ => self.respond_version(ctx, shard, req),
         }
     }
-
-    /// `shard`'s lookup memo: `(key, want_dir)` → resolved object id.
-    pub(crate) fn memo(&mut self, shard: u32) -> Option<&mut HashMap<(String, bool), ObjectId>> {
-        self.slots.get_mut(shard as usize).map(|slot| &mut slot.lookup)
-    }
 }
 
 #[cfg(test)]
@@ -202,17 +188,15 @@ mod tests {
     }
 
     #[test]
-    fn memo_is_cleared_before_waiters_wake_and_only_ready_waiters_do() {
+    fn a_root_switch_wakes_only_the_waiters_it_satisfies() {
         let soon = request(KvsMethod::WaitVersion, Value::object());
         let later = request(KvsMethod::WaitVersion, Value::object());
         let (soon_id, later_id) = (soon.header.id, later.header.id);
         let (_, outs) = with_ctx(0, 1, move |ctx| {
             let mut slots = Slots::new(1);
-            slots.memo(0).expect("slot 0").insert(("k".to_owned(), false), ObjectId::hash(b"old"));
             slots.wait_version(ctx, 0, 1, &soon);
             slots.wait_version(ctx, 0, 5, &later);
             assert!(slots.apply_root(ctx, 0, 1, ObjectId::hash(b"new")));
-            assert!(slots.memo(0).expect("slot 0").is_empty());
         });
         let answered: Vec<_> =
             outs.iter().filter_map(|o| o.message()).map(|m| m.header.id).collect();

@@ -8,15 +8,16 @@
 //! child hashes cascade upward — the paper's directory-watch semantics
 //! for free.
 
+use crate::module::Requester;
 use flux_broker::ModuleCtx;
 use flux_value::Value;
-use flux_wire::{Message, Rank};
+use flux_wire::Message;
 use std::collections::BTreeMap;
 
 struct Watcher {
     req: Message,
     key: String,
-    requester: Option<Rank>,
+    requester: Requester,
     last: Option<Value>,
     /// Shard owning the key: only that slot's root switches matter.
     shard: u32,
@@ -33,13 +34,7 @@ pub(crate) struct Watches {
 impl Watches {
     /// Registers the parked `req` as a watch on `key`; returns the
     /// watcher id.
-    pub(crate) fn add(
-        &mut self,
-        req: Message,
-        key: &str,
-        requester: Option<Rank>,
-        shard: u32,
-    ) -> u64 {
+    pub(crate) fn add(&mut self, req: Message, key: &str, requester: Requester, shard: u32) -> u64 {
         self.next += 1;
         // The first observation always differs from this sentinel, so
         // the initial snapshot is sent even for a missing key (→ null).
@@ -50,7 +45,7 @@ impl Watches {
     }
 
     /// Cancels `requester`'s watches on `key`.
-    pub(crate) fn remove(&mut self, key: &str, requester: Option<Rank>) {
+    pub(crate) fn remove(&mut self, key: &str, requester: Requester) {
         self.watchers.retain(|_, w| !(w.key == key && w.requester == requester));
     }
 
@@ -81,13 +76,14 @@ impl Watches {
 mod tests {
     use super::*;
     use crate::testutil::{messages, request, with_ctx};
+    use flux_wire::Rank;
 
     #[test]
     fn only_changes_are_reported_and_unwatch_stops_them() {
         let req = request(flux_proto::KvsMethod::Watch, Value::object());
         let (_, outs) = with_ctx(0, 1, move |ctx| {
             let mut w = Watches::default();
-            let me = Some(Rank::client_hop(7));
+            let me = Requester(Some(Rank::client_hop(7)), None);
             let id = w.add(req, "a.b", me, 1);
             assert_eq!(w.on_shard(0), vec![]);
             assert_eq!(w.on_shard(1), vec![(id, "a.b".to_owned())]);
@@ -95,7 +91,7 @@ mod tests {
             w.observe(ctx, id, None); // unchanged
             w.observe(ctx, id, Some(Value::Int(1)));
             w.observe(ctx, id, Some(Value::Int(1))); // unchanged
-            w.remove("a.b", Some(Rank::client_hop(8))); // someone else's
+            w.remove("a.b", Requester(Some(Rank::client_hop(8)), None)); // someone else's
             w.observe(ctx, id, Some(Value::Int(2)));
             w.remove("a.b", me);
             w.observe(ctx, id, Some(Value::Int(3)));

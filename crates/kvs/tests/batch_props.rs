@@ -86,8 +86,7 @@ proptest! {
                 }
             }
         }
-        // Read-your-writes after the storm (repeat gets also exercise the
-        // slave lookup memo).
+        // Read-your-writes after the storm, each key read twice.
         for w in 0..writers {
             let rank = Rank(w + 1);
             let c = &mut clients[w as usize];

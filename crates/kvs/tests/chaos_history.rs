@@ -57,17 +57,16 @@ fn consistency_holds_under_broker_kills() {
     sweep(true);
 }
 
-/// The hot-path-optimization slice: an aggressive commit-batching window
-/// and the slave lookup memo, swept under fault plans that include
-/// broker blackout windows. A memo serving a stale object after a root
-/// switch, or a parked push surviving a blackout wrong, shows up as a
+/// The hot-path-optimization slice: an aggressive commit-batching
+/// window, swept under fault plans that include broker blackout
+/// windows. A read served from a stale root after a root switch, or a
+/// parked push surviving a blackout wrong, shows up as a
 /// read-your-writes or monotonic-reads violation here.
 #[test]
-fn consistency_holds_with_batching_and_lookup_memo_under_blackouts() {
+fn consistency_holds_with_aggressive_batching_under_blackouts() {
     let cfg = flux_kvs::KvsConfig {
         batch_window_ns: 200_000, // park pushes much longer than default
         batch_max: 4,
-        lookup_cache: true,
         ..flux_kvs::KvsConfig::default()
     };
     for seed in seed_range() {
@@ -76,7 +75,7 @@ fn consistency_holds_with_batching_and_lookup_memo_under_blackouts() {
         let violations = chaos::check_run(&w, &report);
         assert!(
             violations.is_empty(),
-            "seed {seed} (batching+memo, blackout) violated consistency; repro with \
+            "seed {seed} (batching, blackout) violated consistency; repro with \
              `FLUX_CHAOS_SEED={seed} cargo test -p flux-kvs --test chaos_history`\n\
              plan: {}\nviolations:\n  {}",
             w.plan,

@@ -482,28 +482,23 @@ fn slave_cache_expires_idle_entries_on_heartbeat() {
     let _ = rpc(&mut net, Rank(2), 0, &mut c, |c| c.put("e.k", Value::from("data"), 1));
     let _ = rpc(&mut net, Rank(2), 0, &mut c, |c| c.commit(2));
     let _ = rpc(&mut net, Rank(2), 0, &mut c, |c| c.get("e.k", 3));
-    let KvsReply::Stats(before) = rpc(&mut net, Rank(2), 0, &mut c, |c| c.stats(4)) else {
-        panic!()
+    let mut entries = |net: &mut TestNet, tag| {
+        let KvsReply::Stats(s) = rpc(net, Rank(2), 0, &mut c, |c| c.stats(tag)) else { panic!() };
+        let count = |key| s.get(key).and_then(Value::as_int).unwrap();
+        (count("entries"), count("expired"))
     };
-    // Heartbeats (injected as root events) advance cache epochs.
-    // The broker-config expiry (16 epochs) dominates the module config,
-    // so push past it.
-    for epoch in 1..=40u64 {
-        net.publish_from_root(
-            Topic::from_static("hb"),
-            Value::from_pairs([("epoch", Value::from(epoch as i64))]),
-        );
-    }
-    let KvsReply::Stats(after) = rpc(&mut net, Rank(2), 0, &mut c, |c| c.stats(5)) else {
-        panic!()
-    };
-    let before_n = before.get("entries").and_then(Value::as_int).unwrap();
-    let after_n = after.get("entries").and_then(Value::as_int).unwrap();
-    assert!(after_n < before_n, "cache shrank: {before_n} -> {after_n}");
-    assert!(after.get("expired").and_then(Value::as_int).unwrap() > 0);
+    let (before_n, _) = entries(&mut net, 4);
+    // Heartbeats (injected as root events) advance cache epochs. An
+    // entry idle for exactly `expiry_epochs` is still held.
+    heartbeats(&mut net, 1..=2);
+    assert_eq!(entries(&mut net, 5), (before_n, 0), "nothing expires by epoch 2");
+    heartbeats(&mut net, 3..=4);
+    let (after_n, expired) = entries(&mut net, 6);
+    assert!(after_n < before_n, "cache shrank by epoch 4: {before_n} -> {after_n}");
+    assert!(expired > 0);
     // Expired data faults back in on demand.
     assert_eq!(
-        rpc(&mut net, Rank(2), 0, &mut c, |c| c.get("e.k", 6)),
+        rpc(&mut net, Rank(2), 0, &mut c, |c| c.get("e.k", 7)),
         KvsReply::Value(Value::from("data"))
     );
 }
@@ -600,13 +595,13 @@ fn batch_max_flushes_without_waiting_for_the_window_timer() {
 }
 
 #[test]
-fn lookup_memo_hits_and_invalidates_on_root_switch() {
+fn a_get_after_a_new_commit_returns_the_new_value() {
     let mut net = net(5);
     let mut w = KvsClient::new(Rank(3), 0);
     let _ = rpc(&mut net, Rank(3), 0, &mut w, |c| c.put("lm.k", Value::Int(1), 1));
     let _ = rpc(&mut net, Rank(3), 0, &mut w, |c| c.commit(2));
     let mut r = KvsClient::new(Rank(4), 0);
-    // First get walks (and faults in); second is a pure memo hit.
+    // First get faults the path in; second walks the warm cache.
     assert_eq!(
         rpc(&mut net, Rank(4), 0, &mut r, |c| c.get("lm.k", 3)),
         KvsReply::Value(Value::Int(1))
@@ -615,18 +610,14 @@ fn lookup_memo_hits_and_invalidates_on_root_switch() {
         rpc(&mut net, Rank(4), 0, &mut r, |c| c.get("lm.k", 4)),
         KvsReply::Value(Value::Int(1))
     );
-    let KvsReply::Stats(s) = rpc(&mut net, Rank(4), 0, &mut r, |c| c.stats(5)) else {
-        panic!()
-    };
-    assert!(s.get("lookup_hits").and_then(Value::as_int).unwrap() >= 1, "memo served a get");
-    // A new commit switches the root: the memo must not serve the stale
-    // object (apply_root clears it before waking anyone).
+    // A new commit switches the root: the warm reader must not be
+    // served the old object.
     let _ = rpc(&mut net, Rank(3), 0, &mut w, |c| c.put("lm.k", Value::Int(2), 1));
     let _ = rpc(&mut net, Rank(3), 0, &mut w, |c| c.commit(6));
     assert_eq!(
         rpc(&mut net, Rank(4), 0, &mut r, |c| c.get("lm.k", 7)),
         KvsReply::Value(Value::Int(2)),
-        "root switch invalidated the memo"
+        "a get after the root switch reads the new tree"
     );
 }
 
@@ -748,4 +739,75 @@ fn a_commit_in_flight_for_less_than_a_heartbeat_is_sent_and_applied_once() {
         };
         assert_eq!(version, 1);
     }
+}
+
+/// Seven brokers with the KVS loaded at tree depth ≤ 1 only (paper
+/// §IV-A): ranks 3 and 4 have none, and their clients are served by the
+/// instance on their parent, rank 1.
+fn shallow_net() -> TestNet {
+    TestNet::new(7, 2, |rank| match rank.0 {
+        0..=2 => vec![Box::new(KvsModule::new()) as Box<dyn CommsModule>],
+        _ => Vec::new(),
+    })
+}
+
+#[test]
+fn an_instance_serving_two_brokers_clients_keeps_them_apart() {
+    // Client 0 of rank 3 and client 0 of rank 4 are two processes.
+    let mut net = shallow_net();
+    let (ra, rb) = (Rank(3), Rank(4));
+    let (mut a, mut b) = (KvsClient::new(ra, 0), KvsClient::new(rb, 0));
+    assert_eq!(rpc(&mut net, ra, 0, &mut a, |a| a.put("pl.a", Value::Int(3), 1)), KvsReply::Ack);
+    assert_eq!(rpc(&mut net, rb, 0, &mut b, |b| b.put("pl.b", Value::Int(4), 1)), KvsReply::Ack);
+    // One process's commit publishes its own write-back set only.
+    let commit = rpc(&mut net, ra, 0, &mut a, |a| a.commit(2));
+    assert!(matches!(commit, KvsReply::Version { version: 1, .. }), "{commit:?}");
+    assert_eq!(
+        rpc(&mut net, ra, 0, &mut a, |a| a.get("pl.b", 3)),
+        KvsReply::Err(errnum::ENOENT),
+        "rank 4's put is still uncommitted"
+    );
+    // Both count as fence participants.
+    let fence = a.fence("pl", 2, 4);
+    net.client_send(ra, 0, fence);
+    let fence = b.fence("pl", 2, 4);
+    net.client_send(rb, 0, fence);
+    for (rank, c) in [(ra, &mut a), (rb, &mut b)] {
+        let mut done = Vec::new();
+        pump_for(&mut net, rank, 0, 1, &mut done);
+        assert_eq!(done.len(), 1, "{rank:?}'s fence completes");
+        match c.deliver(done.remove(0)) {
+            KvsDelivery::Reply { reply: KvsReply::Version { version: 2, .. }, .. } => {}
+            other => panic!("{rank:?}: {other:?}"),
+        }
+    }
+    assert_eq!(rpc(&mut net, ra, 0, &mut a, |a| a.get("pl.b", 5)), KvsReply::Value(Value::Int(4)));
+    assert_eq!(rpc(&mut net, rb, 0, &mut b, |b| b.get("pl.a", 5)), KvsReply::Value(Value::Int(3)));
+}
+
+#[test]
+fn unwatch_cancels_only_the_watch_of_the_client_that_asked() {
+    let mut net = shallow_net();
+    let (ra, rb) = (Rank(3), Rank(4));
+    let (mut a, mut b) = (KvsClient::new(ra, 0), KvsClient::new(rb, 0));
+    let (watch_a, id_a) = a.watch("pl.w", 1);
+    net.client_send(ra, 0, watch_a);
+    let (watch_b, _) = b.watch("pl.w", 1);
+    net.client_send(rb, 0, watch_b);
+    assert_eq!(net.take_client_msgs(ra, 0).len(), 1, "rank 3's initial snapshot");
+    assert_eq!(net.take_client_msgs(rb, 0).len(), 1, "rank 4's initial snapshot");
+    assert_eq!(rpc(&mut net, ra, 0, &mut a, |a| a.unwatch("pl.w", id_a, 2)), KvsReply::Ack);
+    let mut w = KvsClient::new(Rank(0), 0);
+    let _ = rpc(&mut net, Rank(0), 0, &mut w, |w| w.put("pl.w", Value::Int(1), 1));
+    let _ = rpc(&mut net, Rank(0), 0, &mut w, |w| w.commit(2));
+    let mut updates = Vec::new();
+    pump_for(&mut net, rb, 0, 1, &mut updates);
+    assert_eq!(updates.len(), 1, "rank 4's client 0 is still watching");
+    match b.deliver(updates.remove(0)) {
+        KvsDelivery::Reply { reply: KvsReply::WatchUpdate { value, .. }, .. } => {
+            assert_eq!(value, Value::Int(1));
+        }
+        other => panic!("{other:?}"),
+    }
+    assert!(net.take_client_msgs(ra, 0).is_empty(), "rank 3's client 0 cancelled");
 }

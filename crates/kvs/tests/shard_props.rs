@@ -157,8 +157,7 @@ proptest! {
                 }
             }
         }
-        // Read-your-writes after the storm (repeat gets also exercise the
-        // slave lookup memo against per-shard roots).
+        // Read-your-writes after the storm, each key read twice.
         for w in 0..writers {
             let rank = Rank(base + w);
             let c = &mut clients[w as usize];

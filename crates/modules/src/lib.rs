@@ -46,8 +46,8 @@ pub fn standard_modules() -> Vec<Box<dyn CommsModule>> {
 }
 
 /// The standard module set with an explicit KVS configuration — the
-/// chaos suites use this to sweep batching/lookup-memo settings under
-/// faults without forking the rest of the stack.
+/// chaos suites use this to sweep batching settings under faults
+/// without forking the rest of the stack.
 pub fn standard_modules_with_kvs(kvs: flux_kvs::KvsConfig) -> Vec<Box<dyn CommsModule>> {
     vec![
         Box::new(HbModule::new()),

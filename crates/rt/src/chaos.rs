@@ -278,8 +278,8 @@ pub fn run_sim(w: &ChaosWorkload) -> ScriptReport {
 
 /// Runs the workload like [`run_sim`] but with an explicit KVS
 /// configuration on every broker — the sweep slice that pits the
-/// commit-batching window and the slave lookup memo against drops,
-/// duplicates, and blackout windows.
+/// commit-batching window against drops, duplicates, and blackout
+/// windows.
 pub fn run_sim_kvs(w: &ChaosWorkload, kvs: flux_kvs::KvsConfig) -> ScriptReport {
     let transport = SimTransport {
         net: NetParams::default(),

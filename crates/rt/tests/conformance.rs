@@ -270,10 +270,10 @@ fn check_sixteen_broker_fence(t: &dyn ScriptTransport) {
     }
 }
 
-/// No stale reads after `wait_version`: the slave-side lookup memo must
-/// be invalidated on root switch before any waiter is answered. A reader
-/// that waits for version N and then gets a key must see at least the
-/// version-N value, never a memoized older object.
+/// No stale reads after `wait_version`: a slave adopts the new root
+/// before any waiter is answered. A reader that waits for version N and
+/// then gets a key must see at least the version-N value, never an
+/// older object its broker still holds warm.
 fn check_no_stale_reads(t: &dyn ScriptTransport) {
     let writer = vec![
         Op::Put { key: "sr.k".into(), val: Value::Int(1) },
@@ -284,10 +284,10 @@ fn check_no_stale_reads(t: &dyn ScriptTransport) {
     ];
     let reader = vec![
         Op::WaitVersion(1),
-        Op::Get { key: "sr.k".into() }, // populates the lookup memo
-        Op::Get { key: "sr.k".into() }, // served from the memo
+        Op::Get { key: "sr.k".into() }, // faults the path in
+        Op::Get { key: "sr.k".into() }, // served from the warm cache
         Op::WaitVersion(2),
-        Op::Get { key: "sr.k".into() }, // must NOT be the memoized v1
+        Op::Get { key: "sr.k".into() }, // must NOT be the cached v1
     ];
     let scripts = vec![(Rank(1), writer), (Rank(3), reader)];
     let report = t.run_scripts(4, 2, &kvs_modules, scripts);
@@ -305,7 +305,7 @@ fn check_no_stale_reads(t: &dyn ScriptTransport) {
     // legal (the second commit may already have landed).
     let first = reader.replies[1].get("v").and_then(Value::as_int).unwrap_or(-1);
     assert!(first == 1 || first == 2, "{}: first read {first}", t.name());
-    // The memoized re-read must agree with the first (monotonic reads).
+    // The warm re-read must agree with the first (monotonic reads).
     let second = reader.replies[2].get("v").and_then(Value::as_int).unwrap_or(-1);
     assert!(second >= first, "{}: re-read went backwards", t.name());
     // After wait_version(2) only v2 is acceptable.

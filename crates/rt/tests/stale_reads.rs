@@ -2,8 +2,9 @@
 //!
 //! The no-stale-reads check itself runs against every runtime from
 //! `tests/conformance.rs`; this file keeps the deterministic
-//! interleaving proof that the scenario really exercises the slave-side
-//! lookup memo (live schedules can't guarantee that).
+//! interleaving proof that the scenario really reads the old value from
+//! a warm slave cache before the root switch (live schedules can't
+//! guarantee that).
 
 use flux_broker::CommsModule;
 use flux_kvs::{KvsConfig, KvsModule};
@@ -14,8 +15,6 @@ use flux_value::Value;
 use flux_wire::Rank;
 
 fn modules(_r: Rank) -> Vec<Box<dyn CommsModule>> {
-    // Defaults: master-side push batching on, slave lookup memo on —
-    // exactly the optimized hot path the invalidation rule protects.
     vec![
         Box::new(KvsModule::with_config(KvsConfig::default())),
         Box::new(BarrierModule::new()),
@@ -23,10 +22,10 @@ fn modules(_r: Rank) -> Vec<Box<dyn CommsModule>> {
 }
 
 /// On the simulator the interleaving is fixed: the pause guarantees the
-/// reader's first two gets land between the commits, so the memo is
-/// populated with v1 and *must* be invalidated by the v2 root switch.
+/// reader's first two gets land between the commits, so its broker
+/// holds v1's whole path warm when the v2 root switch arrives.
 #[test]
-fn sim_interleaving_actually_exercises_the_memo() {
+fn sim_interleaving_reads_v1_warm_before_the_root_switch() {
     let writer = vec![
         Op::Put { key: "sr.k".into(), val: Value::Int(1) },
         Op::Commit,
@@ -45,6 +44,6 @@ fn sim_interleaving_actually_exercises_the_memo() {
     let report = SimTransport::default().run_scripts(4, 2, &modules, scripts);
     let reader = &report.outcomes[1];
     assert_eq!(reader.replies[1].get("v"), Some(&Value::Int(1)), "first read sees v1");
-    assert_eq!(reader.replies[2].get("v"), Some(&Value::Int(1)), "memo re-read sees v1");
+    assert_eq!(reader.replies[2].get("v"), Some(&Value::Int(1)), "warm re-read sees v1");
     assert_eq!(reader.replies[4].get("v"), Some(&Value::Int(2)), "post-wait read sees v2");
 }
