@@ -12,7 +12,8 @@
 //! * a **tree plane** — the request/response k-ary tree used for RPCs,
 //!   barriers, and reductions: requests route *upstream* to the first
 //!   loaded comms module whose name matches the topic's service, and
-//!   responses retrace the recorded hops in reverse;
+//!   responses retrace the recorded hops in reverse; every reduction is
+//!   one [`reduce::Reduction`];
 //! * a **ring plane** — rank-addressed RPC without routing tables, used by
 //!   debugging tools (`cmb.ping` and friends).
 //!
@@ -45,6 +46,7 @@ pub mod client;
 mod config;
 mod io;
 mod module;
+pub mod reduce;
 
 pub use broker::Broker;
 pub use config::{BrokerConfig, RankOverlay};

@@ -234,9 +234,9 @@ impl<'a> ModuleCtx<'a> {
     }
 
     /// Sends a one-way request upstream (no response expected, nothing
-    /// registered). Used for reduction flows whose completion is signalled
-    /// out-of-band — e.g. `kvs.fence` contributions, whose completion
-    /// arrives as the `kvs.setroot` event.
+    /// registered). A duplicating transport may deliver it twice: a flow
+    /// that is not idempotent goes through [`crate::reduce::Reduction`],
+    /// which sends with this and lets the receiver tell a copy.
     ///
     /// Returns `Err(errnum)` at the root where there is no upstream.
     pub fn notify_upstream(&mut self, topic: Topic, payload: impl Into<Payload>) -> Result<(), u32> {

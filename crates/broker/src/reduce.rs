@@ -1,0 +1,301 @@
+//! Tree reductions.
+//!
+//! The tree plane carries "RPCs, barriers, and reductions" (paper
+//! §IV-A). A reduction is the flow behind `barrier.up`, `kvs.fence.up`,
+//! `mon.up`, `log.batch` and `wexec.status.up`: every broker merges what
+//! it and its subtree contribute under a key, now and then sends the
+//! merged partial one hop up as a one-way request, and the root acts on
+//! the total.
+//!
+//! A [`Reduction`] owns what those flows share: the partials waiting for
+//! the next flush, the `(src, batch)` stamp on every flushed message, and
+//! the record of stamps already merged, so a frame the transport
+//! delivers twice counts once. What to merge, when to flush (a
+//! [`WINDOW_NS`] timer for the two collectives, the heartbeat for the
+//! rest) and what the root does with a total stay with the module: it
+//! calls in, nothing is registered here.
+//!
+//! The record is kept per *sender* and outlives every key. A copy of the
+//! batch that completed a barrier may arrive after the barrier is
+//! forgotten, and a per-key record forgotten with it would let that copy
+//! open — and count toward — the next barrier of the same name.
+
+use crate::ModuleCtx;
+use flux_value::Value;
+use flux_wire::Topic;
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::{BTreeSet, HashMap};
+
+/// The aggregation window of the two collectives (`barrier.enter`,
+/// `kvs.fence`): contributions arriving within it leave as one message.
+pub const WINDOW_NS: u64 = 20_000;
+
+/// Batches a sender may run ahead of an id that never arrives — a frame
+/// lost for good, or the ids a child spent on the parent it had before
+/// the tree healed around a dead broker — before that id is given up,
+/// which bounds [`Seen::above`].
+const MAX_AHEAD: usize = 1024;
+
+/// What a reduction merges.
+pub trait Partial {
+    /// Folds `other` into `self`.
+    fn merge(&mut self, other: Self);
+}
+
+/// The batch ids of one sender merged so far: every id up to `floor`,
+/// and those `above` it that overtook a missing one.
+#[derive(Default)]
+struct Seen {
+    floor: u64,
+    above: BTreeSet<u64>,
+}
+
+impl Seen {
+    /// Records `batch`; false if it was recorded before.
+    fn admit(&mut self, batch: u64) -> bool {
+        if batch <= self.floor || !self.above.insert(batch) {
+            return false;
+        }
+        if self.above.len() > MAX_AHEAD {
+            // Stop waiting for the oldest missing ids.
+            self.floor = self.above.pop_first().unwrap_or(self.floor);
+        }
+        while self.above.remove(&(self.floor + 1)) {
+            self.floor += 1;
+        }
+        true
+    }
+}
+
+/// One tree reduction at one broker, keyed by `K`, merging `P`s.
+///
+/// At the root nothing is flushed: what waits there is the session-wide
+/// total, which the module takes out with [`Reduction::drain`] once its
+/// own rule says the total is complete.
+pub struct Reduction<K, P> {
+    /// Key order, so a flush of many keys sends in one order every run.
+    waiting: BTreeMap<K, P>,
+    /// Taken only when a message is sent: a skipped id would hold the
+    /// parent's floor down for the rest of the session.
+    next_batch: u64,
+    seen: HashMap<u64, Seen>,
+}
+
+impl<K, P> Default for Reduction<K, P> {
+    fn default() -> Self {
+        Reduction { waiting: BTreeMap::new(), next_batch: 0, seen: HashMap::new() }
+    }
+}
+
+impl<K: Ord, P: Partial> Reduction<K, P> {
+    /// Merges `part` into what waits under `key`; true if nothing
+    /// waited there — the caller's cue to arm a flush window.
+    pub fn contribute(&mut self, key: K, part: P) -> bool {
+        match self.waiting.entry(key) {
+            Entry::Occupied(mut waiting) => {
+                waiting.get_mut().merge(part);
+                false
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(part);
+                true
+            }
+        }
+    }
+
+    /// Takes out every waiting partial that `ready` accepts.
+    pub fn drain(&mut self, mut ready: impl FnMut(&K, &P) -> bool) -> Vec<(K, P)> {
+        self.waiting.extract_if(.., |k, p| ready(k, p)).collect()
+    }
+
+    /// Sends what waits under `key`, if anything, one hop up on `topic`
+    /// as the object `encode` returns plus the stamp.
+    pub fn flush(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        topic: &Topic,
+        key: &K,
+        encode: impl FnOnce(K, P) -> Value,
+    ) {
+        if let Some((key, part)) = self.waiting.remove_entry(key) {
+            self.send(ctx, topic, encode(key, part));
+        }
+    }
+
+    /// [`Reduction::flush`] for every key `ready` accepts, in key order.
+    pub fn flush_all(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        topic: &Topic,
+        ready: impl FnMut(&K, &P) -> bool,
+        mut encode: impl FnMut(K, P) -> Value,
+    ) {
+        for (key, part) in self.drain(ready) {
+            self.send(ctx, topic, encode(key, part));
+        }
+    }
+
+    fn send(&mut self, ctx: &mut ModuleCtx<'_>, topic: &Topic, mut payload: Value) {
+        self.next_batch += 1;
+        payload.insert("src", Value::from(ctx.rank().0));
+        payload.insert("batch", Value::from(self.next_batch as i64));
+        // The root has no upstream and never flushes.
+        let _ = ctx.notify_upstream(topic.clone(), payload);
+    }
+
+    /// True the first time the `(src, batch)` stamp of `payload` is
+    /// seen: merge it. False for a copy, and for a payload with no
+    /// stamp — it cannot be told from its copy, and every sender stamps.
+    pub fn admit(&mut self, payload: &Value) -> bool {
+        let (Some(src), Some(batch)) = (
+            payload.get("src").and_then(Value::as_uint),
+            payload.get("batch").and_then(Value::as_uint),
+        ) else {
+            return false;
+        };
+        self.seen.entry(src).or_default().admit(batch)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Broker, BrokerConfig, CommsModule, Handled, Input, Output};
+    use flux_wire::{Message, MsgId, Rank};
+    use proptest::prelude::*;
+
+    struct Sum(u64);
+
+    impl Partial for Sum {
+        fn merge(&mut self, other: Sum) {
+            self.0 += other.0;
+        }
+    }
+
+    fn topic() -> Topic {
+        Topic::from_static("probe.up")
+    }
+
+    #[test]
+    fn seen_admits_each_id_once_and_compacts() {
+        let mut seen = Seen::default();
+        assert!(seen.admit(1));
+        assert!(!seen.admit(1), "at the floor");
+        assert!(seen.admit(4) && seen.admit(3), "out of order, above a gap");
+        assert!(!seen.admit(3) && !seen.admit(4), "copies above the floor");
+        assert_eq!((seen.floor, seen.above.len()), (1, 2));
+        assert!(seen.admit(2), "the gap fills");
+        assert_eq!((seen.floor, seen.above.len()), (4, 0), "compacted: nothing kept above");
+        assert!((1..=4).all(|b| !seen.admit(b)));
+        assert!(!seen.admit(0), "ids count from 1");
+    }
+
+    #[test]
+    fn seen_gives_a_lost_id_up_instead_of_growing_forever() {
+        let mut seen = Seen::default();
+        // Batch 1 is lost for good; its successors keep arriving.
+        let last = MAX_AHEAD as u64 + 2;
+        assert!((2..=last).all(|b| seen.admit(b)));
+        assert_eq!((seen.floor, seen.above.len()), (last, 0));
+        assert!(!seen.admit(1), "given up: were it a copy, it would count twice");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever the transport does to the order and multiplicity of
+        /// several senders' batches, each is admitted exactly once: on
+        /// its first delivery.
+        #[test]
+        fn every_delivered_batch_is_admitted_exactly_once(
+            deliveries in prop::collection::vec((0u32..4, 1u64..40), 1..300),
+        ) {
+            let mut sink: Reduction<(), Sum> = Reduction::default();
+            let mut first = std::collections::HashSet::new();
+            for (src, batch) in deliveries {
+                let stamped = Value::from_pairs([
+                    ("src", Value::from(src)),
+                    ("batch", Value::from(batch as i64)),
+                ]);
+                prop_assert_eq!(sink.admit(&stamped), first.insert((src, batch)));
+            }
+        }
+    }
+
+    type Job = Box<dyn FnOnce(&mut ModuleCtx<'_>) + Send>;
+
+    /// Runs its job inside the first request it is handed.
+    struct Probe(Option<Job>);
+
+    impl CommsModule for Probe {
+        fn name(&self) -> &'static str {
+            "probe"
+        }
+        fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+            if let Some(job) = self.0.take() {
+                job(ctx);
+            }
+            ctx.one_way(msg)
+        }
+    }
+
+    /// What the broker at `rank` sent upstream while `job` ran.
+    fn sent_by(rank: u32, job: impl FnOnce(&mut ModuleCtx<'_>) + Send + 'static) -> Vec<Value> {
+        let probe = Probe(Some(Box::new(job)));
+        let mut broker = Broker::new(BrokerConfig::new(Rank(rank), 3), vec![Box::new(probe)]);
+        broker.start(0);
+        let id = MsgId { origin: Rank(rank), seq: 1 };
+        let kick = Message::request(topic(), id, Rank(rank), Value::object());
+        let outs = broker.handle(0, Input::FromClient { client: 0, msg: kick });
+        outs.iter()
+            .filter(|o| matches!(o, Output::ToBroker { to: Rank(0), .. }))
+            .filter_map(Output::message)
+            .map(|m| m.payload.value().clone())
+            .collect()
+    }
+
+    #[test]
+    fn flush_merges_stamps_and_takes_a_batch_id_only_when_it_sends() {
+        let sent = sent_by(2, |ctx| {
+            let mut up: Reduction<&str, Sum> = Reduction::default();
+            let encode = |key: &str, sum: Sum| {
+                Value::from_pairs([("key", Value::from(key)), ("sum", Value::from(sum.0 as i64))])
+            };
+            assert!(up.contribute("b", Sum(1)), "nothing waited: arm a window");
+            assert!(!up.contribute("b", Sum(2)));
+            assert!(up.contribute("a", Sum(5)));
+            up.flush(ctx, &topic(), &"b", encode);
+            up.flush(ctx, &topic(), &"b", encode);
+            up.flush(ctx, &topic(), &"none", encode);
+            assert!(up.contribute("c", Sum(7)));
+            up.flush_all(ctx, &topic(), |_, _| true, encode);
+            assert!(up.drain(|_, _| true).is_empty());
+        });
+        let read = |v: &Value, k: &str| v.get(k).and_then(Value::as_uint).unwrap();
+        let rows: Vec<_> = sent
+            .iter()
+            .map(|v| (v.get("key").and_then(Value::as_str).unwrap(), read(v, "sum")))
+            .collect();
+        assert_eq!(rows, [("b", 3), ("a", 5), ("c", 7)], "merged; then key order");
+        assert!(sent.iter().all(|v| read(v, "src") == 2));
+        let batches: Vec<_> = sent.iter().map(|v| read(v, "batch")).collect();
+        assert_eq!(batches, [1, 2, 3], "the two mute flushes took no id: no gap");
+        // The parent merges each once, whatever arrives again.
+        let mut parent: Reduction<&str, Sum> = Reduction::default();
+        let admitted = sent.iter().chain(&sent).filter(|v| parent.admit(v)).count();
+        assert_eq!(admitted, 3);
+    }
+
+    #[test]
+    fn drain_takes_what_is_ready_and_leaves_the_rest() {
+        let mut totals: Reduction<u64, Sum> = Reduction::default();
+        for (key, n) in [(1, 2), (2, 9), (3, 4), (2, 1)] {
+            totals.contribute(key, Sum(n));
+        }
+        let done: Vec<_> =
+            totals.drain(|_, s| s.0 >= 4).into_iter().map(|(k, s)| (k, s.0)).collect();
+        assert_eq!(done, [(2, 10), (3, 4)]);
+        assert!(!totals.contribute(1, Sum(2)), "key 1 still waits");
+        assert_eq!(totals.drain(|k, _| *k == 1)[0].1 .0, 4);
+    }
+}

@@ -35,7 +35,6 @@
 #![deny(missing_docs)]
 pub mod instance;
 pub mod jobspec;
-pub mod ordered_lock;
 pub mod resource;
 pub mod rng;
 pub mod sched;
@@ -44,7 +43,6 @@ pub mod workload;
 
 pub use instance::{GrowError, Instance, InstanceConfig, JobEvent, JobId, JobState};
 pub use jobspec::{Elasticity, JobSpec};
-pub use ordered_lock::{OrderedGuard, OrderedMutex};
 pub use resource::{Resource, ResourceId, ResourceKind, ResourcePool};
 pub use sched::{EasyBackfill, Fcfs, RunningView, Scheduler};
 pub use spec::SpecError;

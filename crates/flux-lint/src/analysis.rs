@@ -12,7 +12,7 @@
 
 /// One source file, parsed once and shared by every pass. The tree
 /// walk builds one `ParsedFile` per `.rs` file; all passes (token
-/// rules, lock-order, taint, error-codes, block, hotalloc) read
+/// rules, taint, error-codes, block, hotalloc) read
 /// from this cache instead of re-blanking and re-extracting per rule.
 pub(crate) struct ParsedFile {
     /// Workspace-relative path with `/` separators.
@@ -238,23 +238,6 @@ pub(crate) fn binding_of(head: &str) -> Option<&str> {
     let name = rest.split(['=', ':']).next()?.trim().trim_start_matches("mut ").trim();
     (!name.is_empty() && name != "_" && !name.starts_with('_') && !name.contains('('))
         .then_some(name)
-}
-
-/// The last field/binding identifier of the receiver expression that
-/// `text` ends with: `self.inner.readers` → `readers`.
-pub(crate) fn receiver_name(text: &str) -> Option<String> {
-    let bytes = text.as_bytes();
-    let mut end = bytes.len();
-    while end > 0 && !(bytes[end - 1].is_ascii_alphanumeric() || bytes[end - 1] == b'_') {
-        end -= 1;
-    }
-    let mut start = end;
-    while start > 0 && (bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_') {
-        start -= 1;
-    }
-    let name = &text[start..end];
-    (!name.is_empty() && name != "self" && !name.chars().next().is_some_and(|c| c.is_ascii_digit()))
-        .then(|| name.to_owned())
 }
 
 /// Names from `fn_names` that `text` calls (`name(`, `self.name(`,

@@ -15,23 +15,19 @@
 //!    justified by `// flux-lint: allow(wildcard)`.
 //! 4. **header** — every crate root carries `#![forbid(unsafe_code)]`,
 //!    and every library root additionally `#![deny(missing_docs)]`.
-//! 5. **lock-order** — the cross-crate lock acquisition graph (built
-//!    from `.lock()`/`.read()`/`.write()` sites, propagated through the
-//!    call graph) must be acyclic. See [`DESIGN.md §13`] and
-//!    the [`lockorder`] module docs.
-//! 6. **nondet** — determinism-taint analysis: nondeterminism sources
+//! 5. **nondet** — determinism-taint analysis: nondeterminism sources
 //!    (hash iteration, wall clock, thread ids, address ordering) may not
 //!    reach the deterministic crates, directly or through the call
 //!    graph, without a justified `allow(nondet)` waiver. See [`taint`].
-//! 7. **error-codes** — each dispatch arm's reachable error codes must
+//! 6. **error-codes** — each dispatch arm's reachable error codes must
 //!    match the `declared_errors` sets in the flux-proto registry, in
 //!    both directions. See [`errors`].
-//! 8. **block** — blocking-call taint: sleeps, deadline-free channel
+//! 7. **block** — blocking-call taint: sleeps, deadline-free channel
 //!    receives, thread joins, un-deadlined socket reads, and locks held
 //!    across I/O may not appear in (or be reached from) the sans-io
 //!    broker core without a justified `allow(block)` waiver. See
 //!    [`block`].
-//! 9. **hotalloc** — allocation accounting: per-message allocations
+//! 8. **hotalloc** — allocation accounting: per-message allocations
 //!    (`Vec::new`, `clone`, `format!`, fresh `collect`, …) may not
 //!    appear in the designated hot paths (framing chain, sim dispatch,
 //!    kvs batch apply, broker route) without a justified
@@ -41,7 +37,11 @@
 //! rustc: every request is answered on every path
 //! (`flux_broker::Handled`, the return type of a request handler), and
 //! every RPC the KVS sends is registered, its answer classified and the
-//! request retried (`flux-kvs`'s `inflight` table).
+//! request retried (`flux-kvs`'s `inflight` table). A third rule,
+//! lock-order, is gone because its subject is: the workspace has taken
+//! no lock since the reactor replaced the thread-per-link runtime, and
+//! **block**'s lock-held-across-I/O shape is the tripwire should one
+//! come back.
 //!
 //! A violation is fixed, or waived at its site with a justified
 //! `// flux-lint: allow(...)` comment; there is no out-of-line
@@ -49,7 +49,7 @@
 //!
 //! Rules 1–4 are line rules over *blanked* text (string/char/comment
 //! contents replaced with spaces by [`token::blank`], so a `panic!(`
-//! in an error message can't fire the panic rule). Rules 5–9 are
+//! in an error message can't fire the panic rule). Rules 5–8 are
 //! semantic passes over an AST-lite statement model, sharing one
 //! [`analysis::ParsedFile`] cache per tree walk. The linter has no
 //! dependencies outside the workspace and never touches the network.
@@ -61,7 +61,6 @@ mod analysis;
 mod block;
 mod errors;
 mod hotalloc;
-mod lockorder;
 mod selfmutate;
 mod taint;
 pub mod token;
@@ -84,8 +83,6 @@ pub enum Rule {
     Wildcard,
     /// A crate root missing the agreed lint header.
     Header,
-    /// A cycle in the cross-crate lock acquisition graph.
-    LockOrder,
     /// Nondeterminism reaching deterministic code without a waiver.
     Nondet,
     /// Error codes out of conformance with the proto registry.
@@ -104,7 +101,6 @@ impl Rule {
             Rule::Panic => "panic",
             Rule::Wildcard => "wildcard",
             Rule::Header => "header",
-            Rule::LockOrder => "lock-order",
             Rule::Nondet => "nondet",
             Rule::ErrorCodes => "error-codes",
             Rule::Block => "block",
@@ -117,7 +113,6 @@ impl Rule {
     pub fn pass(self) -> &'static str {
         match self {
             Rule::TopicLiteral | Rule::Panic | Rule::Wildcard | Rule::Header => "line",
-            Rule::LockOrder => "lock-order",
             Rule::Nondet => "nondet",
             Rule::ErrorCodes => "error-codes",
             Rule::Block => "block",
@@ -336,18 +331,6 @@ pub fn lint_file(rel: &str, content: &str) -> Vec<Violation> {
     out
 }
 
-/// Runs the cross-file lock-order analysis over `(relative path, raw
-/// source)` pairs. Exposed separately from [`lint_file`] because the
-/// acquisition graph only means something over the whole workspace.
-pub fn lint_lock_order(files: &[(String, String)]) -> Vec<Violation> {
-    let parsed: Vec<ParsedFile> = files
-        .iter()
-        .filter(|(rel, _)| rel.contains("/src/"))
-        .map(|(rel, content)| ParsedFile::parse(rel, content))
-        .collect();
-    lockorder::check_lock_order(&parsed)
-}
-
 /// The outcome of one whole-workspace lint: the surviving violations
 /// plus wall time per pass (for `flux-lint --timings`).
 pub struct LintReport {
@@ -360,7 +343,7 @@ pub struct LintReport {
 /// Lints a whole workspace already read into memory as `(relative
 /// path, raw source)` pairs. All passes share one parsed-file cache:
 /// every source file is blanked, test-stripped, and function-indexed
-/// exactly once, then the per-file rules and the five semantic passes
+/// exactly once, then the per-file rules and the four semantic passes
 /// run over the cache. This is the engine behind [`lint_tree`]
 /// and the `--self-mutate` smoke check.
 pub fn lint_sources(files: &[(String, String)]) -> LintReport {
@@ -380,10 +363,6 @@ pub fn lint_sources(files: &[(String, String)]) -> LintReport {
         violations.extend(lint_file(rel, content));
     }
     timings.push(("tokens+headers", t.elapsed()));
-
-    let t = std::time::Instant::now();
-    violations.extend(lockorder::check_lock_order(&parsed));
-    timings.push(("lock-order", t.elapsed()));
 
     let t = std::time::Instant::now();
     violations.extend(taint::check_taint(&parsed));
@@ -549,7 +528,6 @@ mod tests {
     const PANIC_FIXTURE: &str = include_str!("../fixtures/panic_unwrap.rs.bad");
     const WILDCARD_FIXTURE: &str = include_str!("../fixtures/wildcard_match.rs.bad");
     const HEADER_FIXTURE: &str = include_str!("../fixtures/missing_header.rs.bad");
-    const LOCK_FIXTURE: &str = include_str!("../fixtures/lock_order.rs.bad");
 
     fn rules(v: &[Violation]) -> Vec<Rule> {
         v.iter().map(|x| x.rule).collect()
@@ -649,14 +627,6 @@ mod tests {
         let clean = to_json(&LintReport { violations: vec![], timings: vec![] });
         assert!(clean.contains("\"clean\": true"), "{clean}");
         assert!(clean.contains("\"violations\": []"), "{clean}");
-    }
-
-    #[test]
-    fn lock_order_fixture_fires() {
-        let files = vec![("crates/fake/src/shared.rs".to_owned(), LOCK_FIXTURE.to_owned())];
-        let v = lint_lock_order(&files);
-        assert_eq!(rules(&v), [Rule::LockOrder], "{v:?}");
-        assert!(v[0].message.contains("alpha") && v[0].message.contains("beta"), "{}", v[0]);
     }
 
     #[test]

@@ -162,7 +162,7 @@ pub(crate) fn check_taint(files: &[ParsedFile]) -> Vec<Violation> {
 
     // Pass 1: classify every function in the workspace and flag direct
     // source sites inside the deterministic scope.
-    // Key: `crate::fn_name` (same scheme as the lock-order pass).
+    // Key: `crate::fn_name`.
     let mut state: BTreeMap<String, State> = BTreeMap::new();
     let mut site: BTreeMap<String, (String, usize)> = BTreeMap::new(); // key → (file, line)
     let mut def_file: BTreeMap<String, String> = BTreeMap::new(); // key → defining file

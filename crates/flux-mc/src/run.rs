@@ -351,29 +351,14 @@ fn step_info(session: &SimSession, frontier: &[PendingEvent]) -> StepInfo {
     StepInfo { eligible: frontier.len() as u16, prunable, dupable }
 }
 
-/// Converts script outcome handles into transport-layer outcomes (the
-/// shape `histories_for` consumes).
-fn outcomes_of(handles: &[flux_rt::script::OutcomeHandle]) -> Vec<ScriptOutcome> {
-    handles
-        .iter()
-        .map(|h| {
-            let o = h.borrow();
-            ScriptOutcome {
-                op_done_ns: o.op_done.iter().map(|t| t.as_nanos()).collect(),
-                op_err: o.op_err.clone(),
-                replies: o.replies.clone(),
-                finished: o.finished,
-            }
-        })
-        .collect()
-}
-
 fn post_checks(
     scenario: &Scenario,
     handles: &[flux_rt::script::OutcomeHandle],
     observer: &ReplyObserver,
 ) -> Option<Violation> {
-    let outcomes = outcomes_of(handles);
+    // Transport-layer outcomes: the shape `histories_for` consumes.
+    let outcomes: Vec<ScriptOutcome> =
+        handles.iter().map(|h| ScriptOutcome::from(&*h.borrow())).collect();
 
     for (i, outcome) in outcomes.iter().enumerate() {
         if !outcome.finished {

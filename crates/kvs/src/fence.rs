@@ -2,52 +2,59 @@
 //!
 //! `kvs.fence` contributions merge upstream one window at a time:
 //! value objects deduplicate at every hop while `(key, SHA1)` tuples
-//! concatenate — the paper's Fig. 3 effect. This role owns only the
-//! reduction (who contributed, what is merged, when to flush); once the
+//! concatenate — the paper's Fig. 3 effect. This role owns only what is
+//! the fence's own (who contributed here, what merges, when to flush);
+//! the flow itself is a [`flux_broker::reduce::Reduction`]. Once the
 //! tree root has counted `nprocs` contributions the merged batch is
 //! handed to the coordinator like any other commit.
 
 use crate::master::Tuple;
 use crate::module::Requester;
 use crate::msg::{self, Objects};
+use flux_broker::reduce::{Partial, Reduction, WINDOW_NS};
 use flux_broker::ModuleCtx;
 use flux_proto::KvsMethod;
 use flux_value::Value;
 use flux_wire::{errnum, Message};
 use std::collections::{HashMap, HashSet};
 
-/// Fence accumulation state at one broker.
-#[derive(Default)]
+/// Contributions to one fence: the partial that climbs the tree and,
+/// at the root, the session-wide total.
 pub(crate) struct FenceAcc {
-    nprocs: u64,
-    /// Total contributions seen here (at the root: session-wide total).
-    count: u64,
-    /// Contributions not yet flushed upstream (non-root only).
-    unflushed: u64,
+    pub(crate) nprocs: u64,
+    pub(crate) count: u64,
     pub(crate) tuples: Vec<Tuple>,
     pub(crate) objects: Objects,
-    /// Local client fence requests awaiting completion.
-    pub(crate) waiters: Vec<Message>,
-    /// Local requesters that already contributed: a process fencing the
-    /// same name twice must not count as two of `nprocs` participants.
+}
+
+impl Partial for FenceAcc {
+    fn merge(&mut self, other: FenceAcc) {
+        self.count += other.count;
+        self.tuples.extend(other.tuples);
+        // Objects dedup here: identical (redundant) values merge to one
+        // entry at every hop of the tree.
+        self.objects.extend(other.objects);
+    }
+}
+
+/// This broker's own clients in one fence.
+#[derive(Default)]
+struct Local {
+    nprocs: u64,
+    /// Fence requests awaiting completion.
+    waiters: Vec<Message>,
+    /// Requesters that already contributed: a process fencing the same
+    /// name twice must not count as two of `nprocs` participants.
     contributors: HashSet<Requester>,
-    /// `(source rank, batch id)` of child batches already merged here:
-    /// a transport-duplicated `kvs.fence.up` frame must not double-count
-    /// its contributions and complete the fence early.
-    seen_batches: HashSet<(u32, u64)>,
-    /// A flush window timer is pending.
-    window_armed: bool,
 }
 
 #[derive(Default)]
 pub(crate) struct FenceTree {
-    fences: HashMap<String, FenceAcc>,
+    up: Reduction<String, FenceAcc>,
+    local: HashMap<String, Local>,
     /// Window timer tokens (counted from 1; 0 is the batch window's).
     tokens: HashMap<u64, String>,
     next_token: u64,
-    /// Monotonic id stamped on every flushed batch, so parents can
-    /// recognise (and discard) transport-duplicated batches.
-    next_batch: u64,
 }
 
 impl FenceTree {
@@ -59,57 +66,47 @@ impl FenceTree {
         nprocs: u64,
         requester: Requester,
     ) -> Result<(), u32> {
-        let acc = self.fences.entry(name.to_owned()).or_default();
-        if acc.nprocs != 0 && acc.nprocs != nprocs {
+        let local = self.local.entry(name.to_owned()).or_default();
+        if local.nprocs != 0 && local.nprocs != nprocs {
             return Err(errnum::EINVAL);
         }
         // A duplicate contribution from the same process would complete
         // the fence one real participant early.
-        if !acc.contributors.insert(requester) {
+        if !local.contributors.insert(requester) {
             return Err(errnum::EINVAL);
         }
+        local.nprocs = nprocs;
         Ok(())
     }
 
-    /// Records child batch `(src, batch)`; false if it was merged before.
-    pub(crate) fn note_batch(&mut self, name: &str, src: u32, batch: u64) -> bool {
-        self.fences.entry(name.to_owned()).or_default().seen_batches.insert((src, batch))
+    /// False for a child batch merged before: a transport-duplicated
+    /// `kvs.fence.up` frame must not complete the fence early.
+    pub(crate) fn admit(&mut self, batch: &Value) -> bool {
+        self.up.admit(batch)
     }
 
-    /// Merges `count` contributions into fence `name`. At the tree root
-    /// this returns the whole accumulator once `nprocs` are in; anywhere
-    /// else it arms the flush window (once) and returns `None`.
-    #[allow(clippy::too_many_arguments)]
+    /// Merges `part` into fence `name`. At the tree root this returns
+    /// the total once `nprocs` are in; anywhere else it arms the flush
+    /// window (once) and returns `None`.
     pub(crate) fn contribute(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
-        window_ns: u64,
         name: &str,
-        nprocs: u64,
-        count: u64,
-        tuples: Vec<Tuple>,
-        objects: Objects,
+        part: FenceAcc,
         waiter: Option<Message>,
     ) -> Option<FenceAcc> {
-        let acc = self.fences.entry(name.to_owned()).or_default();
-        if acc.nprocs == 0 {
-            acc.nprocs = nprocs;
+        if let Some(waiter) = waiter {
+            self.local.entry(name.to_owned()).or_default().waiters.push(waiter);
         }
-        acc.count += count;
-        acc.unflushed += count;
-        acc.tuples.extend(tuples);
-        // Objects dedup here: identical (redundant) values merge to one
-        // entry at every hop of the tree.
-        acc.objects.extend(objects);
-        acc.waiters.extend(waiter);
+        let first = self.up.contribute(name.to_owned(), part);
         if ctx.is_root() {
-            return if acc.count >= acc.nprocs { self.fences.remove(name) } else { None };
+            let mut done = self.up.drain(|k, total| k == name && total.count >= total.nprocs);
+            return done.pop().map(|(_, total)| total);
         }
-        if !acc.window_armed {
-            acc.window_armed = true;
+        if first {
             self.next_token += 1;
             self.tokens.insert(self.next_token, name.to_owned());
-            ctx.set_timer(window_ns, self.next_token);
+            ctx.set_timer(WINDOW_NS, self.next_token);
         }
         None
     }
@@ -117,32 +114,21 @@ impl FenceTree {
     /// A window timer fired: send what accumulated one hop up.
     pub(crate) fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, token: u64) {
         let Some(name) = self.tokens.remove(&token) else { return };
-        self.next_batch += 1;
-        let Some(acc) = self.fences.get_mut(&name) else { return };
-        acc.window_armed = false;
-        if acc.unflushed == 0 {
-            return;
-        }
-        let count = std::mem::take(&mut acc.unflushed);
-        let tuples = std::mem::take(&mut acc.tuples);
-        let objects = std::mem::take(&mut acc.objects);
-        // `(src, batch)` lets the parent discard transport duplicates.
-        let payload = Value::from_pairs([
-            ("name", Value::from(name)),
-            ("nprocs", Value::from(acc.nprocs as i64)),
-            ("count", Value::from(count as i64)),
-            ("src", Value::from(ctx.rank().0)),
-            ("batch", Value::from(self.next_batch as i64)),
-            ("tuples", msg::tuples_to_value(&tuples)),
-            ("objects", msg::objects_to_value(&objects)),
-        ]);
-        let _ = ctx.notify_upstream(KvsMethod::FenceUp.topic(), payload);
+        self.up.flush(ctx, &KvsMethod::FenceUp.topic(), &name, |name, part| {
+            Value::from_pairs([
+                ("name", Value::from(name)),
+                ("nprocs", Value::from(part.nprocs as i64)),
+                ("count", Value::from(part.count as i64)),
+                ("tuples", msg::tuples_to_value(&part.tuples)),
+                ("objects", msg::objects_to_value(&part.objects)),
+            ])
+        });
     }
 
     /// The fence completed (or failed) session-wide: hands back the
-    /// local waiters and forgets it.
+    /// local waiters and forgets its roster.
     pub(crate) fn release(&mut self, name: &str) -> Vec<Message> {
-        self.fences.remove(name).map(|acc| acc.waiters).unwrap_or_default()
+        self.local.remove(name).map(|local| local.waiters).unwrap_or_default()
     }
 }
 
@@ -153,8 +139,9 @@ mod tests {
     use flux_broker::Output;
     use flux_wire::Rank;
 
-    fn put(key: &str) -> Vec<Tuple> {
-        vec![(key.to_owned(), None)]
+    /// `count` of `nprocs` contributions writing `key`.
+    fn part(nprocs: u64, count: u64, key: &str) -> FenceAcc {
+        FenceAcc { nprocs, count, tuples: vec![(key.to_owned(), None)], objects: Objects::new() }
     }
 
     #[test]
@@ -162,9 +149,7 @@ mod tests {
         let (_, outs) = with_ctx(2, 3, |ctx| {
             let mut tree = FenceTree::default();
             for key in ["a", "b", "c"] {
-                assert!(tree
-                    .contribute(ctx, 500, "f", 8, 1, put(key), Objects::new(), None)
-                    .is_none());
+                assert!(tree.contribute(ctx, "f", part(8, 1, key), None).is_none());
             }
             tree.on_timer(ctx, 1);
             // Nothing new since the flush: a stray second firing is mute.
@@ -190,32 +175,55 @@ mod tests {
         assert_eq!(tree.enlist("f", 4, b), Ok(()));
         assert_eq!(tree.enlist("f", 4, client(1, Some(Rank(3)))), Ok(()), "a child's client 1");
         assert_eq!(tree.enlist("g", 4, a), Ok(()), "another fence is another roster");
-        let _ = with_ctx(1, 2, move |ctx| {
-            tree.contribute(ctx, 500, "f", 4, 1, Vec::new(), Objects::new(), None);
-            assert_eq!(tree.enlist("f", 5, client(3, None)), Err(errnum::EINVAL));
+        assert_eq!(tree.enlist("f", 5, client(3, None)), Err(errnum::EINVAL));
+    }
+
+    /// The batch one child flushed, as its parent receives it.
+    fn flushed_by(rank: u32, name: &'static str, nprocs: u64, key: &'static str) -> Value {
+        let (_, outs) = with_ctx(rank, 3, move |ctx| {
+            let mut tree = FenceTree::default();
+            tree.contribute(ctx, name, part(nprocs, 1, key), None);
+            tree.on_timer(ctx, 1);
         });
+        messages(&outs)[0].payload.value().clone()
     }
 
     #[test]
     fn duplicate_child_batch_is_ignored() {
         let mut tree = FenceTree::default();
-        assert!(tree.note_batch("f", 3, 1));
-        assert!(!tree.note_batch("f", 3, 1), "same (src, batch) again");
-        assert!(tree.note_batch("f", 3, 2));
-        assert!(tree.note_batch("f", 4, 1));
+        let (one, two) = (flushed_by(1, "f", 2, "a"), flushed_by(2, "f", 2, "b"));
+        assert!(tree.admit(&one));
+        assert!(!tree.admit(&one), "same (src, batch) again");
+        assert!(tree.admit(&two), "batch 1 of another sender");
+        assert!(!tree.admit(&Value::object()), "no stamp: cannot be told from its copy");
+    }
+
+    #[test]
+    fn copy_of_a_completed_fences_last_batch_leaves_nothing_behind() {
+        let (one, two) = (flushed_by(1, "f", 2, "a"), flushed_by(2, "f", 2, "b"));
+        let _ = with_ctx(0, 3, move |ctx| {
+            let mut tree = FenceTree::default();
+            let mut deliver = |tree: &mut FenceTree, batch: &Value| {
+                tree.admit(batch).then(|| tree.contribute(ctx, "f", part(2, 1, "k"), None))
+            };
+            assert!(matches!(deliver(&mut tree, &one), Some(None)), "1 of 2");
+            assert!(matches!(deliver(&mut tree, &two), Some(Some(_))), "2 of 2: complete");
+            // The copy arrives after the fence is forgotten. The record
+            // of its stamp outlives the fence, so it opens nothing.
+            assert!(deliver(&mut tree, &two).is_none(), "refused");
+            assert!(tree.up.drain(|_, _| true).is_empty(), "no accumulator left behind");
+        });
     }
 
     #[test]
     fn root_completes_exactly_at_nprocs() {
         let _ = with_ctx(0, 1, |ctx| {
             let mut tree = FenceTree::default();
-            assert!(tree.contribute(ctx, 500, "f", 5, 2, put("a"), Objects::new(), None).is_none());
-            assert!(tree.contribute(ctx, 500, "f", 5, 2, put("b"), Objects::new(), None).is_none());
-            let done = tree
-                .contribute(ctx, 500, "f", 5, 1, put("c"), Objects::new(), None)
-                .expect("5 of 5");
+            assert!(tree.contribute(ctx, "f", part(5, 2, "a"), None).is_none());
+            assert!(tree.contribute(ctx, "f", part(5, 2, "b"), None).is_none());
+            let done = tree.contribute(ctx, "f", part(5, 1, "c"), None).expect("5 of 5");
             assert_eq!(done.tuples.len(), 3);
-            assert!(tree.release("f").is_empty(), "completion consumed the accumulator");
+            assert!(tree.up.drain(|_, _| true).is_empty(), "completion consumed the total");
         });
     }
 }

@@ -11,7 +11,7 @@
 //! | `kvs.push`         | `{tuples, objects}`                   | internal: a commit batch travelling up the tree |
 //! | `kvs.shard.push`   | `{shard, tuples, objects[, fence]}`   | internal: a rank-addressed commit batch for one shard master (sharded sessions route writes directly, not up the tree) |
 //! | `kvs.fence`        | `{name, nprocs}`                      | collective commit: contributions merge upstream (objects dedup, tuples concatenate); completion is the `kvs.setroot` event naming the fence |
-//! | `kvs.fence.up`     | `{name, nprocs, count, tuples, objects}` | internal: merged fence contributions travelling up |
+//! | `kvs.fence.up`     | `{name, nprocs, count, tuples, objects, src, batch}` | internal: merged fence contributions travelling up, stamped by the reduction |
 //! | `kvs.get`          | `{k}` / `{k, dir:true}`               | recursive lookup with fault-in through the cache chain |
 //! | `kvs.load`         | `{id}`                                | internal: fault one object from the parent cache |
 //! | `kvs.get_version`  | `{}`                                  | current root version |
@@ -32,7 +32,7 @@
 //! | slots | `slots.rs` | per-shard root, version, `wait_version` parking lot; the only root switch |
 //! | master | `authority.rs` | push dedup, the batch window, the applied-fence memo; the one apply |
 //! | coordinator | `coordinator.rs` | the join table of commits and fence fan-outs, part routing |
-//! | fence | `fence.rs` | the tree reduction of fence contributions |
+//! | fence | `fence.rs` | the fence's `flux_broker::reduce::Reduction`, the local roster and waiters |
 //! | reads | `reads.rs`, `watch.rs` | walks, fault-in, load-reply memo, watchers |
 //! | in flight | `inflight.rs` | every RPC this module sends: registered, its answer classified, retried on the heartbeat |
 //!
@@ -65,9 +65,6 @@ use std::sync::Arc;
 pub struct KvsConfig {
     /// Slave-cache entries unused for this many heartbeat epochs expire.
     pub expiry_epochs: u64,
-    /// Fence aggregation window: contributions arriving within this
-    /// window merge into one upstream message (the tree reduction).
-    pub window_ns: u64,
     /// At-most-once dedup of transport-duplicated `kvs.push` requests and
     /// `kvs.fence.up` batches. Always `true` in production configurations;
     /// the model checker's mutation smoke-test sets it to `false` to
@@ -96,7 +93,6 @@ impl Default for KvsConfig {
     fn default() -> Self {
         KvsConfig {
             expiry_epochs: 16,
-            window_ns: 20_000,
             dedup: true,
             batch_window_ns: 5_000,
             batch_max: 64,
@@ -264,10 +260,11 @@ impl KvsModule {
     // ----- fence -----------------------------------------------------------
 
     /// At the tree root a complete fence (`done`) becomes one
-    /// coordinated write set.
+    /// coordinated write set, answered to the root's own waiters.
     fn fence_merged(&mut self, ctx: &mut ModuleCtx<'_>, name: &str, done: Option<FenceAcc>) {
-        if let Some(acc) = done {
-            self.coordinate(ctx, acc.waiters, acc.tuples, acc.objects, Some(name));
+        if let Some(total) = done {
+            let waiters = self.fence.release(name);
+            self.coordinate(ctx, waiters, total.tuples, total.objects, Some(name));
         }
     }
 
@@ -289,9 +286,8 @@ impl KvsModule {
         }
         let pend = self.pending.remove(&requester).unwrap_or_default();
         let (waiter, parked) = ctx.park(msg);
-        let (window, waiter) = (self.cfg.window_ns, Some(waiter));
-        let done =
-            self.fence.contribute(ctx, window, name, nprocs, 1, pend.tuples, pend.objects, waiter);
+        let part = FenceAcc { nprocs, count: 1, tuples: pend.tuples, objects: pend.objects };
+        let done = self.fence.contribute(ctx, name, part, Some(waiter));
         self.fence_merged(ctx, name, done);
         parked
     }
@@ -311,19 +307,13 @@ impl KvsModule {
             // Malformed child batch; merging it would park forever.
             return ctx.one_way(msg);
         }
-        // Idempotence under duplicated frames: each flushed batch is
-        // stamped (src, batch); merge any given batch at most once.
-        if let (true, Some(src), Some(batch)) = (
-            self.cfg.dedup,
-            msg.payload.get("src").and_then(Value::as_uint),
-            msg.payload.get("batch").and_then(Value::as_uint),
-        ) {
-            if !self.fence.note_batch(name, src as u32, batch) {
-                return ctx.one_way(msg);
-            }
+        // Idempotence under duplicated frames: merge any given batch at
+        // most once.
+        if self.cfg.dedup && !self.fence.admit(&msg.payload) {
+            return ctx.one_way(msg);
         }
-        let window = self.cfg.window_ns;
-        let done = self.fence.contribute(ctx, window, name, nprocs, count, tuples, objects, None);
+        let part = FenceAcc { nprocs, count, tuples, objects };
+        let done = self.fence.contribute(ctx, name, part, None);
         self.fence_merged(ctx, name, done);
         ctx.one_way(msg)
     }

@@ -475,7 +475,7 @@ fn interior_caches_populate_on_read_path() {
 #[test]
 fn slave_cache_expires_idle_entries_on_heartbeat() {
     let mut net = TestNet::new(3, 2, |_| {
-        vec![Box::new(KvsModule::with_config(KvsConfig { expiry_epochs: 2, window_ns: 1000, ..KvsConfig::default() }))
+        vec![Box::new(KvsModule::with_config(KvsConfig { expiry_epochs: 2, ..KvsConfig::default() }))
             as Box<dyn CommsModule>]
     });
     let mut c = KvsClient::new(Rank(2), 0);

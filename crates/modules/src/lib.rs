@@ -14,6 +14,13 @@
 //! | [`WexecModule`] | "Remote processes can be launched in bulk, monitored, receive signals, and have standard I/O captured in the KVS." |
 //! | [`ResvcModule`] | "Resources are enumerated in the KVS and allocated when the scheduler runs an application." |
 //!
+//! Four of them (and the KVS fence) reduce something up the tree —
+//! `log.batch`, `mon.up`, `barrier.up`, `wexec.status.up` — and all do it
+//! through the broker's one [`flux_broker::reduce::Reduction`], which
+//! stamps every flushed batch `{src, batch}` and merges each at most
+//! once; the modules own only what they merge, when they flush and what
+//! the root does with the total.
+//!
 //! [`standard_modules`] builds the full Table I set (including the KVS)
 //! for one broker — what a production session loads on every node.
 

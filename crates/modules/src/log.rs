@@ -3,12 +3,14 @@
 //! `log.msg {level, text}` appends to a per-broker circular debug buffer;
 //! entries at or above the forwarding level are batched and flushed
 //! upstream on each heartbeat, merging with other brokers' batches on the
-//! way (the reduction), until they land in the session log at the root.
-//! A `log.fault` event makes every broker dump its circular buffer
-//! upstream — the paper's "circular debug buffer provides log context in
-//! response to a fault event". `log.dump` returns the local buffer
-//! (rank-addressable for debugging); `log.query` returns the root log.
+//! way (a [`flux_broker::reduce::Reduction`] with one key), until they
+//! land in the session log at the root. A `log.fault` event makes every
+//! broker send its circular buffer up the same way at once — the paper's
+//! "circular debug buffer provides log context in response to a fault
+//! event". `log.dump` returns the local buffer (rank-addressable for
+//! debugging); `log.query` returns the root log.
 
+use flux_broker::reduce::{Partial, Reduction};
 use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{Event, LogMethod};
 use flux_value::Value;
@@ -60,6 +62,15 @@ impl LogEntry {
     }
 }
 
+/// Entries on their way to the root.
+struct Batch(Vec<LogEntry>);
+
+impl Partial for Batch {
+    fn merge(&mut self, other: Batch) {
+        self.0.extend(other.0);
+    }
+}
+
 /// Log module tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct LogConfig {
@@ -83,8 +94,8 @@ pub struct LogModule {
     cfg: LogConfig,
     /// Circular debug buffer (all levels).
     ring: VecDeque<LogEntry>,
-    /// Entries awaiting the next heartbeat flush.
-    batch: Vec<LogEntry>,
+    /// Entries awaiting the next flush.
+    batch: Reduction<(), Batch>,
     /// Root only: the session log.
     session_log: VecDeque<LogEntry>,
 }
@@ -100,7 +111,7 @@ impl LogModule {
         LogModule {
             cfg,
             ring: VecDeque::new(),
-            batch: Vec::new(),
+            batch: Reduction::default(),
             session_log: VecDeque::new(),
         }
     }
@@ -114,7 +125,7 @@ impl LogModule {
             if ctx.is_root() {
                 self.root_store(entry);
             } else {
-                self.batch.push(entry);
+                self.batch.contribute((), Batch(vec![entry]));
             }
         }
     }
@@ -130,16 +141,11 @@ impl LogModule {
         Value::Array(entries.map(|e| e.to_value()).collect())
     }
 
+    /// Sends what waits one hop up (nothing ever waits at the root).
     fn flush_batch(&mut self, ctx: &mut ModuleCtx<'_>) {
-        if self.batch.is_empty() || ctx.is_root() {
-            return;
-        }
-        let entries = std::mem::take(&mut self.batch);
-        let payload = Value::from_pairs([(
-            "entries",
-            Self::entries_value(entries.into_iter()),
-        )]);
-        let _ = ctx.notify_upstream(LogMethod::Batch.topic(), payload);
+        self.batch.flush(ctx, &LogMethod::Batch.topic(), &(), |(), Batch(entries)| {
+            Value::from_pairs([("entries", Self::entries_value(entries.into_iter()))])
+        });
     }
 }
 
@@ -180,6 +186,9 @@ impl CommsModule for LogModule {
                 let Some(arr) = msg.payload.get("entries").and_then(Value::as_array) else {
                     return ctx.one_way(msg);
                 };
+                if !self.batch.admit(&msg.payload) {
+                    return ctx.one_way(msg);
+                }
                 let entries: Vec<LogEntry> =
                     arr.iter().filter_map(LogEntry::from_value).collect();
                 if ctx.is_root() {
@@ -187,7 +196,7 @@ impl CommsModule for LogModule {
                         self.root_store(e);
                     }
                 } else {
-                    self.batch.extend(entries);
+                    self.batch.contribute((), Batch(entries));
                 }
                 ctx.one_way(msg)
             }
@@ -230,11 +239,8 @@ impl CommsModule for LogModule {
         // Fault: every broker dumps its debug ring to the root for
         // post-mortem context, regardless of forward level.
         if !ctx.is_root() && !self.ring.is_empty() {
-            let payload = Value::from_pairs([(
-                "entries",
-                Self::entries_value(self.ring.iter().cloned()),
-            )]);
-            let _ = ctx.notify_upstream(LogMethod::Batch.topic(), payload);
+            self.batch.contribute((), Batch(self.ring.iter().cloned().collect()));
+            self.flush_batch(ctx);
         }
     }
 

@@ -4,15 +4,17 @@
 //! (the paper stores the sampling scripts themselves in the KVS; we store
 //! a spec naming a built-in synthetic metric — see the substitution table
 //! in DESIGN.md). Every broker samples on matching heartbeat epochs,
-//! contributions reduce (sum/min/max/count) on their way up the tree, and
-//! the root stores the aggregate back into the KVS under
-//! `mon.data.<name>.e<epoch>`.
+//! contributions reduce (sum/min/max/count, one
+//! [`flux_broker::reduce::Reduction`] keyed by sampler and epoch) on
+//! their way up the tree, and the root stores the aggregate back into
+//! the KVS under `mon.data.<name>.e<epoch>`.
 
+use flux_broker::reduce::{Partial, Reduction};
 use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{keys, KvsMethod, MonMethod};
 use flux_value::Value;
 use flux_wire::{errnum, Message, MsgId};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A sampler specification.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,7 +36,9 @@ impl Agg {
     fn of(v: f64) -> Agg {
         Agg { sum: v, min: v, max: v, count: 1 }
     }
+}
 
+impl Partial for Agg {
     fn merge(&mut self, o: Agg) {
         self.sum += o.sum;
         self.min = self.min.min(o.min);
@@ -70,11 +74,11 @@ enum PendingKind {
 
 /// The monitoring module.
 pub struct MonModule {
-    specs: HashMap<String, Spec>,
+    specs: BTreeMap<String, Spec>,
     /// Directory listing fingerprint from the last refresh.
     listing: HashMap<String, String>,
     /// (name, epoch) → partial aggregate.
-    acc: HashMap<(String, u64), Agg>,
+    acc: Reduction<(String, u64), Agg>,
     pending: HashMap<MsgId, PendingKind>,
     epoch: u64,
     /// Aggregates finalized at the root (for tests/tools).
@@ -85,9 +89,9 @@ impl MonModule {
     /// Creates the module.
     pub fn new() -> MonModule {
         MonModule {
-            specs: HashMap::new(),
+            specs: BTreeMap::new(),
             listing: HashMap::new(),
-            acc: HashMap::new(),
+            acc: Reduction::default(),
             pending: HashMap::new(),
             epoch: 0,
             finalized: 0,
@@ -111,70 +115,48 @@ impl MonModule {
         );
     }
 
-    fn contribute(&mut self, ctx: &mut ModuleCtx<'_>, name: &str, epoch: u64, agg: Agg) {
-        self.acc
-            .entry((name.to_owned(), epoch))
-            .and_modify(|a| a.merge(agg))
-            .or_insert(agg);
-        let _ = ctx; // flushes happen on heartbeats
-    }
-
     fn flush(&mut self, ctx: &mut ModuleCtx<'_>, current_epoch: u64) {
-        // At the root, hold an epoch open long enough for contributions
-        // from the deepest brokers to climb the tree (one flush level per
-        // heartbeat); interiors forward anything older than the current
-        // epoch immediately.
-        let lag = if ctx.is_root() { u64::from(ctx.tree_height()) + 1 } else { 0 };
-        let ready: Vec<((String, u64), Agg)> = {
-            let keys: Vec<(String, u64)> = self
-                .acc
-                .keys()
-                .filter(|(_, e)| e + lag < current_epoch)
-                .cloned()
-                .collect();
-            keys.into_iter()
-                .map(|k| {
-                    let agg = self.acc.remove(&k).expect("key present");
-                    (k, agg)
-                })
-                .collect()
-        };
-        if ready.is_empty() {
-            return;
-        }
-        if ctx.is_root() {
-            // Finalize: store aggregates into the KVS in one commit.
-            for ((name, epoch), agg) in ready {
-                self.finalized += 1;
-                let payload = Value::from_pairs([
-                    ("k", Value::from(keys::mon::data_key(&name, epoch))),
-                    (
-                        "v",
-                        Value::from_pairs([
-                            ("sum", Value::Float(agg.sum)),
-                            ("min", Value::Float(agg.min)),
-                            ("max", Value::Float(agg.max)),
-                            ("count", Value::from(agg.count as i64)),
-                            ("avg", Value::Float(agg.sum / agg.count as f64)),
-                        ]),
-                    ),
-                ]);
-                self.kvs(ctx, KvsMethod::Put, payload, PendingKind::Ignore);
-            }
-            self.kvs(ctx, KvsMethod::Commit, Value::object(), PendingKind::Ignore);
-        } else {
-            for ((name, epoch), agg) in ready {
-                let payload = Value::from_pairs([
+        if !ctx.is_root() {
+            // Interiors forward anything older than the current epoch.
+            let older = |(_, epoch): &(String, u64), _: &Agg| *epoch < current_epoch;
+            self.acc.flush_all(ctx, &MonMethod::Up.topic(), older, |(name, epoch), agg| {
+                Value::from_pairs([
                     ("name", Value::from(name)),
                     ("epoch", Value::from(epoch as i64)),
                     ("sum", Value::Float(agg.sum)),
                     ("min", Value::Float(agg.min)),
                     ("max", Value::Float(agg.max)),
                     ("count", Value::from(agg.count as i64)),
-                ]);
-                let _ = ctx.notify_upstream(MonMethod::Up.topic(), payload);
-            }
+                ])
+            });
+            return;
         }
+        // The root holds an epoch open long enough for contributions
+        // from the deepest brokers to climb the tree (one flush level per
+        // heartbeat), then stores its aggregates in one commit.
+        let lag = u64::from(ctx.tree_height()) + 1;
+        let ready = self.acc.drain(|(_, epoch), _| epoch + lag < current_epoch);
+        if ready.is_empty() {
+            return;
+        }
+        for ((name, epoch), agg) in ready {
+            self.finalized += 1;
+            let payload = Value::from_pairs([
+                ("k", Value::from(keys::mon::data_key(&name, epoch))),
+                (
+                    "v",
+                    Value::from_pairs([
+                        ("sum", Value::Float(agg.sum)),
+                        ("min", Value::Float(agg.min)),
+                        ("max", Value::Float(agg.max)),
+                        ("count", Value::from(agg.count as i64)),
+                        ("avg", Value::Float(agg.sum / agg.count as f64)),
+                    ]),
+                ),
+            ]);
+            self.kvs(ctx, KvsMethod::Put, payload, PendingKind::Ignore);
+        }
+        self.kvs(ctx, KvsMethod::Commit, Value::object(), PendingKind::Ignore);
     }
 }
 
@@ -223,13 +205,13 @@ impl CommsModule for MonModule {
                 ) else {
                     return ctx.one_way(msg);
                 };
-                self.contribute(ctx, &name, epoch, Agg { sum, min, max, count });
+                if self.acc.admit(&msg.payload) {
+                    self.acc.contribute((name, epoch), Agg { sum, min, max, count });
+                }
                 ctx.one_way(msg)
             }
             Some(MonMethod::List) => {
                 let mut specs = flux_value::Map::new();
-                // flux-lint: allow(nondet) — entries are re-keyed into the
-                // ordered flux_value::Map, so the reply encoding is canonical.
                 for (name, spec) in &self.specs {
                     specs.insert(
                         name.clone(),
@@ -303,14 +285,9 @@ impl CommsModule for MonModule {
         self.flush(ctx, epoch);
         // Sample local metrics for this epoch.
         let rank = ctx.rank().0;
-        let samples: Vec<(String, Agg)> = self
-            .specs
-            .iter()
-            .filter(|(_, s)| epoch.is_multiple_of(s.period))
-            .map(|(name, s)| (name.clone(), Agg::of(synth_metric(&s.metric, rank, epoch))))
-            .collect();
-        for (name, agg) in samples {
-            self.contribute(ctx, &name, epoch, agg);
+        for (name, s) in self.specs.iter().filter(|(_, s)| epoch.is_multiple_of(s.period)) {
+            let sample = Agg::of(synth_metric(&s.metric, rank, epoch));
+            self.acc.contribute((name.clone(), epoch), sample);
         }
         // Keep the spec set fresh (cheap: local KVS walk, cached objects).
         self.refresh_specs(ctx);

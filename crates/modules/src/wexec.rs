@@ -3,9 +3,11 @@
 //! `wexec.run {jobid, targets, cmd}` fans out as a session event; every
 //! targeted broker launches the task, captures its standard output into
 //! the KVS under `lwj.<jobid>.<rank>.stdout`, and reports exit status up
-//! the tree (statuses reduce on the way). When all targets have reported,
-//! the root records `lwj.<jobid>.complete` in the KVS and publishes a
-//! `wexec.complete` event. `wexec.kill` signals every task of a job.
+//! the tree (statuses reduce on the way, one
+//! [`flux_broker::reduce::Reduction`] keyed by job). When all targets
+//! have reported, the root records `lwj.<jobid>.complete` in the KVS and
+//! publishes a `wexec.complete` event. `wexec.kill` signals every task of
+//! a job.
 //!
 //! ## Simulated processes
 //!
@@ -23,6 +25,7 @@
 //! The protocol (bulk launch, monitoring, signals, I/O capture in the
 //! KVS) is exactly the paper's; only the process body is synthetic.
 
+use flux_broker::reduce::{Partial, Reduction};
 use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{keys, Event, KvsMethod, WexecMethod};
 use flux_value::Value;
@@ -44,13 +47,27 @@ struct Task {
     cmd: String,
 }
 
+/// Exit statuses of some of a job's tasks, reduced.
+#[derive(Default)]
+struct Status {
+    reported: u64,
+    failed: u64,
+    max_code: i64,
+}
+
+impl Partial for Status {
+    fn merge(&mut self, other: Status) {
+        self.reported += other.reported;
+        self.failed += other.failed;
+        self.max_code = self.max_code.max(other.max_code);
+    }
+}
+
 /// Root-side per-job completion tracking.
 #[derive(Default)]
 struct JobAcc {
     expected: u64,
-    reported: u64,
-    failed: u64,
-    max_code: i64,
+    status: Status,
 }
 
 /// The wexec module.
@@ -60,8 +77,8 @@ pub struct WexecModule {
     next_token: u64,
     /// Root only: job completion accounting.
     jobs: HashMap<u64, JobAcc>,
-    /// Status contributions not yet flushed upstream (slaves).
-    unflushed: HashMap<u64, (u64, u64, i64)>, // jobid → (reported, failed, max_code)
+    /// Status contributions not yet flushed upstream (slaves), by job.
+    unflushed: Reduction<u64, Status>,
 }
 
 impl WexecModule {
@@ -71,7 +88,7 @@ impl WexecModule {
             tasks: HashMap::new(),
             next_token: 0,
             jobs: HashMap::new(),
-            unflushed: HashMap::new(),
+            unflushed: Reduction::default(),
         }
     }
 
@@ -149,42 +166,30 @@ impl WexecModule {
         }
         task.state = TaskState::Exited(code);
         let jobid = task.jobid;
-        self.report_status(ctx, jobid, 1, u64::from(code != 0), code);
+        let status = Status { reported: 1, failed: u64::from(code != 0), max_code: code };
+        self.report_status(ctx, jobid, status);
     }
 
     /// Merge a status contribution and (at the root) check completion.
-    fn report_status(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        jobid: u64,
-        reported: u64,
-        failed: u64,
-        max_code: i64,
-    ) {
+    fn report_status(&mut self, ctx: &mut ModuleCtx<'_>, jobid: u64, status: Status) {
         if ctx.is_root() {
-            let acc = self.jobs.entry(jobid).or_default();
-            acc.reported += reported;
-            acc.failed += failed;
-            acc.max_code = acc.max_code.max(max_code);
+            self.jobs.entry(jobid).or_default().status.merge(status);
             self.check_job_complete(ctx, jobid);
         } else {
-            let e = self.unflushed.entry(jobid).or_insert((0, 0, 0));
-            e.0 += reported;
-            e.1 += failed;
-            e.2 = e.2.max(max_code);
+            self.unflushed.contribute(jobid, status);
         }
     }
 
     fn check_job_complete(&mut self, ctx: &mut ModuleCtx<'_>, jobid: u64) {
         let Some(acc) = self.jobs.get(&jobid) else { return };
-        if acc.expected == 0 || acc.reported < acc.expected {
+        if acc.expected == 0 || acc.status.reported < acc.expected {
             return;
         }
         let acc = self.jobs.remove(&jobid).expect("checked");
         let complete = Value::from_pairs([
             ("ntasks", Value::from(acc.expected as i64)),
-            ("failed", Value::from(acc.failed as i64)),
-            ("max_code", Value::Int(acc.max_code)),
+            ("failed", Value::from(acc.status.failed as i64)),
+            ("max_code", Value::Int(acc.status.max_code)),
         ]);
         let _ = ctx.local_request(
             KvsMethod::Put.topic(),
@@ -271,7 +276,9 @@ impl CommsModule for WexecModule {
                 ) else {
                     return ctx.one_way(msg);
                 };
-                self.report_status(ctx, jobid, reported, failed, max_code);
+                if self.unflushed.admit(&msg.payload) {
+                    self.report_status(ctx, jobid, Status { reported, failed, max_code });
+                }
                 ctx.one_way(msg)
             }
             Some(WexecMethod::Ps) => {
@@ -335,19 +342,17 @@ impl CommsModule for WexecModule {
     }
 
     fn on_heartbeat(&mut self, ctx: &mut ModuleCtx<'_>, _epoch: u64) {
-        // Flush merged status contributions upstream (the reduction).
-        if ctx.is_root() {
-            return;
-        }
-        for (jobid, (reported, failed, max_code)) in std::mem::take(&mut self.unflushed) {
-            let payload = Value::from_pairs([
+        // Merged statuses climb one hop per heartbeat (nothing ever
+        // waits at the root).
+        let topic = WexecMethod::StatusUp.topic();
+        self.unflushed.flush_all(ctx, &topic, |_, _| true, |jobid, status| {
+            Value::from_pairs([
                 ("jobid", Value::from(jobid as i64)),
-                ("reported", Value::from(reported as i64)),
-                ("failed", Value::from(failed as i64)),
-                ("max_code", Value::Int(max_code)),
-            ]);
-            let _ = ctx.notify_upstream(WexecMethod::StatusUp.topic(), payload);
-        }
+                ("reported", Value::from(status.reported as i64)),
+                ("failed", Value::from(status.failed as i64)),
+                ("max_code", Value::Int(status.max_code)),
+            ])
+        });
     }
 
     fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, token: u64) {

@@ -15,7 +15,7 @@
 
 use crate::faults::FaultPlan;
 use crate::live::{LiveClient, PeerSender, SessionBuilder};
-use crate::script::{Op, ScriptClient};
+use crate::script::{Op, Outcome, ScriptClient};
 use crate::sim::SimSession;
 use crate::tcp::TcpSession;
 use crate::threads::ThreadSession;
@@ -156,7 +156,7 @@ impl fmt::Display for TransportKind {
 }
 
 /// Per-script results from a [`ScriptTransport`] run, mirroring the
-/// simulator's [`crate::script::Outcome`] in plain nanoseconds.
+/// simulator's [`Outcome`] in plain nanoseconds.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct ScriptOutcome {
     /// Completion time of each op (ns since the session epoch).
@@ -167,6 +167,17 @@ pub struct ScriptOutcome {
     pub replies: Vec<flux_value::Value>,
     /// True once every op completed.
     pub finished: bool,
+}
+
+impl From<&Outcome> for ScriptOutcome {
+    fn from(o: &Outcome) -> ScriptOutcome {
+        ScriptOutcome {
+            op_done_ns: o.op_done.iter().map(|t| t.as_nanos()).collect(),
+            op_err: o.op_err.clone(),
+            replies: o.replies.clone(),
+            finished: o.finished,
+        }
+    }
 }
 
 /// What a scripted run produced, across all scripts.
@@ -274,18 +285,7 @@ impl ScriptTransport for SimTransport {
             },
         };
         let stats = session.engine().stats();
-        let outcomes = handles
-            .into_iter()
-            .map(|h| {
-                let o = h.borrow();
-                ScriptOutcome {
-                    op_done_ns: o.op_done.iter().map(|t| t.as_nanos()).collect(),
-                    op_err: o.op_err.clone(),
-                    replies: o.replies.clone(),
-                    finished: o.finished,
-                }
-            })
-            .collect();
+        let outcomes = handles.iter().map(|h| ScriptOutcome::from(&*h.borrow())).collect();
         let throughput = session.engine().throughput();
         ScriptReport {
             outcomes,
