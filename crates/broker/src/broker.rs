@@ -103,7 +103,20 @@ impl Core {
         Handled(())
     }
 
+    /// Every error response of this crate and of every module is built
+    /// here, so here the error contract is held: a handler refuses with
+    /// a code its method declares in `flux-proto`; what any RPC may
+    /// answer — the transport's codes, `ENOSYS` — needs no declaration.
     pub(crate) fn respond_err(&mut self, req: &Message, errnum: u32) -> Handled {
+        debug_assert!(
+            errnum == errnum::ENOSYS
+                || flux_proto::TRANSPORT_ERRORS.contains(&errnum)
+                || flux_proto::spec_of(req.header.topic.as_str())
+                    .is_some_and(|spec| spec.declared_errors.contains(&errnum)),
+            "{} refused with errnum {errnum} ({}), which flux-proto does not declare for it",
+            req.header.topic,
+            errnum::strerror(errnum)
+        );
         self.route_response(Message::error_response_to(req, errnum));
         Handled(())
     }

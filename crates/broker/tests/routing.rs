@@ -386,3 +386,50 @@ fn one_way_on_an_rpc_method_trips() {
     let mut c = ClientCore::new(Rank(0), 0);
     net.client_send(Rank(0), 0, c.request(topic("hb.epoch"), Value::object(), 1));
 }
+
+/// Answers every `hb.*` request with one fixed error code, and returns
+/// what the client got for `method`.
+#[cfg(debug_assertions)]
+fn refused_with(method: &str, code: u32) -> Message {
+    struct Refuser(u32);
+    impl CommsModule for Refuser {
+        fn name(&self) -> &'static str {
+            "hb"
+        }
+        fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+            ctx.respond_err(msg, self.0)
+        }
+    }
+    let mut net = TestNet::new(1, 2, move |_| vec![Box::new(Refuser(code))]);
+    let mut c = ClientCore::new(Rank(0), 0);
+    roundtrip(&mut net, Rank(0), 0, c.request(topic(method), Value::object(), 1))
+}
+
+/// `hb.epoch` declares no refusal, so a handler answering it `EPERM`
+/// is caught where the answer is sent, with both named.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "hb.epoch refused with errnum 1 (operation not permitted)")]
+fn an_undeclared_code_on_a_declared_topic_trips() {
+    refused_with("hb.epoch", errnum::EPERM);
+}
+
+/// A topic no table declares has no refusals of its own either.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "hb.nope refused with errnum 22")]
+fn a_handler_code_on_an_undeclared_topic_trips() {
+    refused_with("hb.nope", errnum::EINVAL);
+}
+
+/// What any RPC may answer needs no declaration: the transport's codes
+/// and `ENOSYS`, on a declared topic and on an undeclared one.
+#[test]
+#[cfg(debug_assertions)]
+fn transport_codes_and_enosys_pass_undeclared() {
+    for method in ["hb.epoch", "hb.nope"] {
+        for &code in flux_proto::TRANSPORT_ERRORS.iter().chain(&[errnum::ENOSYS]) {
+            assert_eq!(refused_with(method, code).header.errnum, code, "{method}");
+        }
+    }
+}

@@ -12,7 +12,7 @@
 
 /// One source file, parsed once and shared by every pass. The tree
 /// walk builds one `ParsedFile` per `.rs` file; all passes (token
-/// rules, taint, error-codes, block, hotalloc) read
+/// rules, taint, block, hotalloc) read
 /// from this cache instead of re-blanking and re-extracting per rule.
 pub(crate) struct ParsedFile {
     /// Workspace-relative path with `/` separators.
@@ -242,7 +242,7 @@ pub(crate) fn binding_of(head: &str) -> Option<&str> {
 
 /// Names from `fn_names` that `text` calls (`name(`, `self.name(`,
 /// `Self::name(`).
-pub(crate) fn calls_in(text: &str, fn_names: &std::collections::BTreeSet<String>) -> Vec<String> {
+fn calls_in(text: &str, fn_names: &std::collections::BTreeSet<String>) -> Vec<String> {
     let mut out = Vec::new();
     for name in fn_names {
         let pat = format!("{name}(");
@@ -293,7 +293,7 @@ pub(crate) struct FnDef {
 /// Returns the position just past the delimiter matching the opener at
 /// `open` (any of `(`/`[`/`{`), or `None` if unbalanced. Operates on
 /// blanked text, so every delimiter is structural.
-pub(crate) fn match_delim(bytes: &[u8], open: usize) -> Option<usize> {
+fn match_delim(bytes: &[u8], open: usize) -> Option<usize> {
     let (o, c) = match bytes[open] {
         b'(' => (b'(', b')'),
         b'[' => (b'[', b']'),

@@ -19,15 +19,12 @@
 //!    (hash iteration, wall clock, thread ids, address ordering) may not
 //!    reach the deterministic crates, directly or through the call
 //!    graph, without a justified `allow(nondet)` waiver. See [`taint`].
-//! 6. **error-codes** — each dispatch arm's reachable error codes must
-//!    match the `declared_errors` sets in the flux-proto registry, in
-//!    both directions. See [`errors`].
-//! 7. **block** — blocking-call taint: sleeps, deadline-free channel
+//! 6. **block** — blocking-call taint: sleeps, deadline-free channel
 //!    receives, thread joins, un-deadlined socket reads, and locks held
 //!    across I/O may not appear in (or be reached from) the sans-io
 //!    broker core without a justified `allow(block)` waiver. See
 //!    [`block`].
-//! 8. **hotalloc** — allocation accounting: per-message allocations
+//! 7. **hotalloc** — allocation accounting: per-message allocations
 //!    (`Vec::new`, `clone`, `format!`, fresh `collect`, …) may not
 //!    appear in the designated hot paths (framing chain, sim dispatch,
 //!    kvs batch apply, broker route) without a justified
@@ -41,7 +38,10 @@
 //! lock-order, is gone because its subject is: the workspace has taken
 //! no lock since the reactor replaced the thread-per-link runtime, and
 //! **block**'s lock-held-across-I/O shape is the tripwire should one
-//! come back.
+//! come back. A fourth, which held handlers to their `flux-proto`
+//! `declared_errors` by reading their source, is a run-time check now,
+//! in the one broker function every error response passes through, and
+//! a table test in `flux-modules` that drives every declared refusal.
 //!
 //! A violation is fixed, or waived at its site with a justified
 //! `// flux-lint: allow(...)` comment; there is no out-of-line
@@ -49,7 +49,7 @@
 //!
 //! Rules 1–4 are line rules over *blanked* text (string/char/comment
 //! contents replaced with spaces by [`token::blank`], so a `panic!(`
-//! in an error message can't fire the panic rule). Rules 5–8 are
+//! in an error message can't fire the panic rule). Rules 5–7 are
 //! semantic passes over an AST-lite statement model, sharing one
 //! [`analysis::ParsedFile`] cache per tree walk. The linter has no
 //! dependencies outside the workspace and never touches the network.
@@ -59,7 +59,6 @@
 
 mod analysis;
 mod block;
-mod errors;
 mod hotalloc;
 mod selfmutate;
 mod taint;
@@ -85,8 +84,6 @@ pub enum Rule {
     Header,
     /// Nondeterminism reaching deterministic code without a waiver.
     Nondet,
-    /// Error codes out of conformance with the proto registry.
-    ErrorCodes,
     /// A blocking call or lock-held-across-I/O inside sans-io code.
     Block,
     /// A per-message allocation inside a designated hot path.
@@ -102,7 +99,6 @@ impl Rule {
             Rule::Wildcard => "wildcard",
             Rule::Header => "header",
             Rule::Nondet => "nondet",
-            Rule::ErrorCodes => "error-codes",
             Rule::Block => "block",
             Rule::HotAlloc => "hotalloc",
         }
@@ -114,7 +110,6 @@ impl Rule {
         match self {
             Rule::TopicLiteral | Rule::Panic | Rule::Wildcard | Rule::Header => "line",
             Rule::Nondet => "nondet",
-            Rule::ErrorCodes => "error-codes",
             Rule::Block => "block",
             Rule::HotAlloc => "hotalloc",
         }
@@ -343,7 +338,7 @@ pub struct LintReport {
 /// Lints a whole workspace already read into memory as `(relative
 /// path, raw source)` pairs. All passes share one parsed-file cache:
 /// every source file is blanked, test-stripped, and function-indexed
-/// exactly once, then the per-file rules and the four semantic passes
+/// exactly once, then the per-file rules and the three semantic passes
 /// run over the cache. This is the engine behind [`lint_tree`]
 /// and the `--self-mutate` smoke check.
 pub fn lint_sources(files: &[(String, String)]) -> LintReport {
@@ -367,10 +362,6 @@ pub fn lint_sources(files: &[(String, String)]) -> LintReport {
     let t = std::time::Instant::now();
     violations.extend(taint::check_taint(&parsed));
     timings.push(("nondet", t.elapsed()));
-
-    let t = std::time::Instant::now();
-    violations.extend(errors::check_error_codes(&parsed));
-    timings.push(("error-codes", t.elapsed()));
 
     let t = std::time::Instant::now();
     violations.extend(block::check_block(&parsed));

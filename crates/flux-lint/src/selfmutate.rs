@@ -44,19 +44,6 @@ const MUTATIONS: &[Mutation] = &[
             ))
         },
     },
-    // Error-code conformance: the GetVersion arm answers a malformed
-    // request with EPERM, which no kvs method declares.
-    Mutation {
-        name: "undeclared-errno-in-dispatch-arm",
-        rule: "error-codes",
-        file: "crates/kvs/src/module.rs",
-        apply: |src| {
-            let pat = "Err(()) => ctx.respond_err(msg, errnum::EINVAL),";
-            src.contains(pat).then(|| {
-                src.replacen(pat, "Err(()) => ctx.respond_err(msg, errnum::EPERM),", 1)
-            })
-        },
-    },
     // Blocking calls: a wall-clock sleep dropped into the sim engine
     // (sans-io scope, the future reactor's dispatch substrate).
     Mutation {

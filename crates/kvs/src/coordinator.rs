@@ -26,7 +26,7 @@ use crate::shard;
 use flux_broker::{Handled, ModuleCtx};
 use flux_hash::ObjectId;
 use flux_proto::{Event, KvsMethod};
-use flux_wire::{Message, Payload, Rank};
+use flux_wire::{errnum, Message, Payload, Rank};
 use std::collections::BTreeMap;
 
 /// One part of a join on its way to a master.
@@ -160,8 +160,15 @@ impl Coordinator {
                 self.parts.send_to(ctx, master, KvsMethod::ShardPush, payload, tag);
             }
             None => {
-                if let Err(e) = self.parts.send_up(ctx, KvsMethod::Push, payload, tag) {
-                    self.fail(ctx, key, e);
+                // Cannot occur in a well-formed session: a part is
+                // outstanding only on a broker that does not master its
+                // shard, a one-shard session's master is the tree root,
+                // and every other broker has a parent. Should the healed
+                // tree ever disagree, `send_up`'s own code is only a
+                // "no upstream" placeholder; the committer gets the
+                // refusal `kvs.commit` and `kvs.fence` declare.
+                if self.parts.send_up(ctx, KvsMethod::Push, payload, tag).is_err() {
+                    self.fail(ctx, key, errnum::EINVAL);
                 }
             }
         }
@@ -251,7 +258,6 @@ mod tests {
     use crate::shard::key_on_shard;
     use crate::testutil::{messages, request, with_ctx};
     use flux_value::Value;
-    use flux_wire::errnum;
     use std::sync::Arc;
 
     struct Fixture {
@@ -430,5 +436,23 @@ mod tests {
             .map(|m| (m.header.id, m.header.errnum))
             .collect();
         assert_eq!(failed, vec![(refused_id, errnum::EINVAL)]);
+    }
+
+    /// Not a state a session reaches (the parentless broker is the
+    /// root, and the root masters shard 0); built by hand here: the
+    /// committer must get a code `kvs.commit` declares, not
+    /// `request_upstream`'s "no upstream" placeholder.
+    #[test]
+    fn a_tree_part_with_no_parent_to_climb_to_fails_the_join_with_a_declared_code() {
+        let req = request(KvsMethod::Commit, Value::object());
+        let (f, outs) = with_ctx(0, 3, move |ctx| {
+            let mut f = broker(1, None);
+            f.start(ctx, &req, &["a".to_owned()], None);
+            f
+        });
+        assert!(f.co.joins.is_empty() && f.co.parts.in_flight().is_empty());
+        let answers: Vec<_> = messages(&outs).into_iter().map(|m| m.header.errnum).collect();
+        assert_eq!(answers, vec![errnum::EINVAL]);
+        assert!(KvsMethod::Commit.declared_errors().contains(&answers[0]));
     }
 }

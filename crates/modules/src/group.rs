@@ -63,53 +63,42 @@ impl CommsModule for GroupModule {
     }
 
     fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
-        let Some(name) = msg.payload.get("name").and_then(Value::as_str).map(str::to_owned)
-        else {
-            return ctx.respond_err(msg, errnum::EINVAL);
+        let Some(method) = GroupMethod::from_method(msg.header.topic.method()) else {
+            return ctx.respond_err(msg, errnum::ENOSYS);
         };
+        let name = msg.payload.get("name").and_then(Value::as_str).unwrap_or_default();
         if name.is_empty() || name.contains('.') {
             return ctx.respond_err(msg, errnum::EINVAL);
         }
-        match GroupMethod::from_method(msg.header.topic.method()) {
-            Some(GroupMethod::Join) => {
-                let key = Self::member_key(&name, msg);
-                let put = Value::from_pairs([
-                    ("k", Value::from(key)),
-                    (
-                        "v",
-                        Value::from_pairs([
-                            ("rank", Value::from(msg.header.src.0)),
-                            ("joined_ns", Value::from(ctx.now_ns() as i64)),
-                        ]),
-                    ),
+        let key = match method {
+            GroupMethod::Join | GroupMethod::Leave => Self::member_key(name, msg),
+            GroupMethod::Info => keys::group::dir(name),
+        };
+        let key = match crate::checked_key(key) {
+            Ok(key) => Value::from(key),
+            Err(code) => return ctx.respond_err(msg, code),
+        };
+        let (id, kind): (MsgId, fn(Message) -> PendingKind) = match method {
+            GroupMethod::Join => {
+                let member = Value::from_pairs([
+                    ("rank", Value::from(msg.header.src.0)),
+                    ("joined_ns", Value::from(ctx.now_ns() as i64)),
                 ]);
-                let _ = self.kvs(ctx, KvsMethod::Put, put);
-                let id = self.kvs(ctx, KvsMethod::Commit, Value::object());
-                let (original, parked) = ctx.park(msg);
-                self.pending.insert(id, PendingKind::Commit(original));
-                parked
+                let _ = self.kvs(ctx, KvsMethod::Put, Value::from_pairs([("k", key), ("v", member)]));
+                (self.kvs(ctx, KvsMethod::Commit, Value::object()), PendingKind::Commit)
             }
-            Some(GroupMethod::Leave) => {
-                let key = Self::member_key(&name, msg);
-                let unlink = Value::from_pairs([("k", Value::from(key))]);
-                let _ = self.kvs(ctx, KvsMethod::Unlink, unlink);
-                let id = self.kvs(ctx, KvsMethod::Commit, Value::object());
-                let (original, parked) = ctx.park(msg);
-                self.pending.insert(id, PendingKind::Commit(original));
-                parked
+            GroupMethod::Leave => {
+                let _ = self.kvs(ctx, KvsMethod::Unlink, Value::from_pairs([("k", key)]));
+                (self.kvs(ctx, KvsMethod::Commit, Value::object()), PendingKind::Commit)
             }
-            Some(GroupMethod::Info) => {
-                let get = Value::from_pairs([
-                    ("k", Value::from(keys::group::dir(&name))),
-                    ("dir", Value::Bool(true)),
-                ]);
-                let id = self.kvs(ctx, KvsMethod::Get, get);
-                let (original, parked) = ctx.park(msg);
-                self.pending.insert(id, PendingKind::Listing(original));
-                parked
+            GroupMethod::Info => {
+                let get = Value::from_pairs([("k", key), ("dir", Value::Bool(true))]);
+                (self.kvs(ctx, KvsMethod::Get, get), PendingKind::Listing)
             }
-            None => ctx.respond_err(msg, errnum::ENOSYS),
-        }
+        };
+        let (original, parked) = ctx.park(msg);
+        self.pending.insert(id, kind(original));
+        parked
     }
 
     fn handle_response(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
@@ -126,18 +115,25 @@ impl CommsModule for GroupModule {
             }
             PendingKind::Listing(original) => {
                 if msg.is_error() {
-                    if msg.header.errnum == errnum::ENOENT {
+                    match msg.header.errnum {
                         // Unknown group = empty group.
-                        ctx.respond(
+                        errnum::ENOENT => ctx.respond(
                             &original,
                             Value::from_pairs([
                                 ("size", Value::Int(0)),
                                 ("members", Value::array()),
                             ]),
-                        );
-                    } else {
-                        ctx.respond_err(&original, msg.header.errnum);
-                    }
+                        ),
+                        // The store's own refusal (`ENOTDIR`: something
+                        // other than a membership directory sits at the
+                        // name) is `kvs.get`'s to declare, not ours: to
+                        // this requester the name is not a group's.
+                        code if KvsMethod::Get.declared_errors().contains(&code) => {
+                            ctx.respond_err(&original, errnum::EINVAL)
+                        }
+                        // Anything else is what any RPC can answer.
+                        code => ctx.respond_err(&original, code),
+                    };
                     return;
                 }
                 let members: Vec<Value> = msg

@@ -47,6 +47,17 @@ pub use wexec::WexecModule;
 
 use flux_broker::CommsModule;
 
+/// A KVS key built from a requester's name, checked by the store's own
+/// rule before anything is parked or sent. `Err` is the code `kvs.put`
+/// would have answered: a module that stages the write anyway never
+/// reads that refusal, and the empty commit behind it succeeds.
+pub(crate) fn checked_key(key: String) -> Result<String, u32> {
+    match flux_kvs::validate_key(&key) {
+        Ok(()) => Ok(key),
+        Err(e) => Err(e.errnum()),
+    }
+}
+
 /// The full Table I module set for one broker, in load order.
 pub fn standard_modules() -> Vec<Box<dyn CommsModule>> {
     standard_modules_with_kvs(flux_kvs::KvsConfig::default())

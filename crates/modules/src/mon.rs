@@ -180,15 +180,16 @@ impl CommsModule for MonModule {
                 ) else {
                     return ctx.respond_err(msg, errnum::EINVAL);
                 };
+                let key = match crate::checked_key(keys::mon::sampler_key(name)) {
+                    Ok(key) => key,
+                    Err(code) => return ctx.respond_err(msg, code),
+                };
                 let period = msg.payload.get("period").and_then(Value::as_uint).unwrap_or(1);
                 let spec_val = Value::from_pairs([
                     ("metric", Value::from(metric)),
                     ("period", Value::from(period as i64)),
                 ]);
-                let put = Value::from_pairs([
-                    ("k", Value::from(keys::mon::sampler_key(name))),
-                    ("v", spec_val),
-                ]);
+                let put = Value::from_pairs([("k", Value::from(key)), ("v", spec_val)]);
                 self.kvs(ctx, KvsMethod::Put, put, PendingKind::Ignore);
                 let (original, parked) = ctx.park(msg);
                 self.kvs(ctx, KvsMethod::Commit, Value::object(), PendingKind::AddCommit(original));

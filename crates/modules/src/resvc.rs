@@ -16,25 +16,15 @@ use flux_wire::{errnum, Message};
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 
-/// Per-node synthetic inventory, standing in for hwloc discovery on the
-/// paper's testbed nodes (2× 8-core Xeon E5-2670, 32 GB).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct NodeInventory {
-    /// Cores per node.
-    pub cores: u32,
-    /// Memory per node in GiB.
-    pub mem_gb: u32,
-}
-
-impl Default for NodeInventory {
-    fn default() -> Self {
-        NodeInventory { cores: 16, mem_gb: 32 }
-    }
-}
+/// Cores per node of the synthetic inventory every broker enumerates,
+/// standing in for hwloc discovery on the paper's testbed nodes (2×
+/// 8-core Xeon E5-2670).
+const NODE_CORES: u32 = 16;
+/// Memory per node in GiB, same testbed (32 GB).
+const NODE_MEM_GB: u32 = 32;
 
 /// The resource service module.
 pub struct ResvcModule {
-    inventory: NodeInventory,
     /// Root only: ranks not currently allocated.
     free: BTreeSet<u32>,
     /// Root only: jobid → allocated ranks.
@@ -42,14 +32,9 @@ pub struct ResvcModule {
 }
 
 impl ResvcModule {
-    /// Creates the module with the default inventory.
+    /// Creates the module.
     pub fn new() -> ResvcModule {
-        Self::with_inventory(NodeInventory::default())
-    }
-
-    /// Creates the module with an explicit per-node inventory.
-    pub fn with_inventory(inventory: NodeInventory) -> ResvcModule {
-        ResvcModule { inventory, free: BTreeSet::new(), allocations: HashMap::new() }
+        ResvcModule { free: BTreeSet::new(), allocations: HashMap::new() }
     }
 
     fn handle_alloc(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
@@ -124,8 +109,8 @@ impl CommsModule for ResvcModule {
         // Enumerate this node's resources into the KVS.
         let key = keys::resvc::resource_key(ctx.rank().0);
         let inv = Value::from_pairs([
-            ("cores", Value::from(self.inventory.cores)),
-            ("mem_gb", Value::from(self.inventory.mem_gb)),
+            ("cores", Value::from(NODE_CORES)),
+            ("mem_gb", Value::from(NODE_MEM_GB)),
             ("rank", Value::from(ctx.rank().0)),
         ]);
         let _ = ctx.local_request(

@@ -149,13 +149,10 @@ impl WexecModule {
         if runtime_ns == 0 {
             self.finish_task(ctx, token, code);
         } else {
-            // Exit code is decided at launch for synthetic tasks; kill can
-            // still override it before the timer fires.
-            self.tasks.get_mut(&token).expect("just inserted").state = TaskState::Running;
+            // A task that runs for a while exits 0 when its timer fires
+            // (`fail` has zero runtime and exited above), unless a kill
+            // gets there first.
             ctx.set_timer(runtime_ns, token);
-            // Stash the natural exit code in the command string? No — keep
-            // it simple: synthetic tasks always exit 0 after sleeping; the
-            // `fail` command has zero runtime and exits above.
         }
     }
 

@@ -26,8 +26,11 @@
 //!   a streaming subscription; [`kind_of`] looks it up by topic (the
 //!   broker's `ModuleCtx::one_way` asserts on it).
 //! * Each method's `declared_errors()` — the codes its handler's own
-//!   rejection paths may answer. `flux-lint`'s error-code pass holds the
-//!   handlers to them, and they also drive behaviour: `flux-kvs` treats an
+//!   rejection paths may answer, beside [`TRANSPORT_ERRORS`] and the
+//!   dispatch-level `ENOSYS`. The broker's one error-sending function
+//!   asserts every refusal against them (debug builds, via [`spec_of`]),
+//!   `crates/modules/tests/refusals.rs` drives every row through a
+//!   session, and they also drive behaviour: `flux-kvs` treats an
 //!   answer carrying a declared code as the handler's refusal (final)
 //!   and any other error as lost in transit (retried).
 //! * [`methods`]/[`events`] — the flattened registry, for tools and
@@ -117,24 +120,6 @@ impl Service {
     pub fn from_name(name: &str) -> Option<Service> {
         Service::ALL.iter().copied().find(|s| s.name() == name)
     }
-
-    /// The full declared error surface of one service: the union of its
-    /// methods' [`MethodSpec::declared_errors`] sets plus the
-    /// dispatch-level `ENOSYS` every service answers for an unknown
-    /// method. Sorted and deduplicated — the machine-readable export
-    /// that tools (`flux-lint`'s error-code pass) and conformance tests
-    /// consume.
-    pub fn declared_surface(self) -> Vec<u32> {
-        let mut out = vec![flux_wire::errnum::ENOSYS];
-        for spec in methods() {
-            if spec.service == self {
-                out.extend_from_slice(spec.declared_errors);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
 }
 
 /// One row of the flattened method registry (see [`methods`]).
@@ -147,13 +132,13 @@ pub struct MethodSpec {
     /// Wire behaviour.
     pub kind: MethodKind,
     /// The error numbers this method's handler may put in a response
-    /// header, beyond transport-level failures (`EIO`, `ETIMEDOUT`,
-    /// `EHOSTDOWN`) that any RPC can surface and the dispatch-level
-    /// `ENOSYS` for unknown methods. This is the registry side of the
-    /// module/proto error-code alignment: `flux-lint`'s error-code
-    /// conformance pass checks every handler's rejection paths against
-    /// these sets, in both directions. A sender may rely on them too:
-    /// `flux-kvs` never retries a request refused with a declared code.
+    /// header, beyond the [`TRANSPORT_ERRORS`] any RPC can surface and
+    /// the dispatch-level `ENOSYS` for unknown methods. Held from both
+    /// sides at run time: the broker's `respond_err` asserts (debug
+    /// builds) that a code it sends for this topic is in the set, and
+    /// `crates/modules/tests/refusals.rs` fails on a member no request
+    /// produces. A sender may rely on them too: `flux-kvs` never
+    /// retries a request refused with a declared code.
     pub declared_errors: &'static [u32],
 }
 
@@ -293,8 +278,10 @@ methods! {
 methods! {
     /// `mon` service methods.
     MonMethod : Mon / "mon" {
-        /// Register a sampler spec in the KVS.
-        Add = "add" => Rpc [EINVAL];
+        /// Register a sampler spec in the KVS. The sampler name is a KVS
+        /// key component: one the store would refuse is refused here,
+        /// with the store's code.
+        Add = "add" => Rpc [EINVAL, ENAMETOOLONG];
         /// Partial aggregate climbing the tree.
         Up = "up" => OneWay;
         /// The sampler specs active on this broker.
@@ -305,12 +292,15 @@ methods! {
 methods! {
     /// `group` service methods.
     GroupMethod : Group / "group" {
-        /// Record the requester as a member in the KVS.
-        Join = "join" => Rpc [EINVAL];
+        /// Record the requester as a member in the KVS. Like the other
+        /// two, refuses a name that is not one key component (`EINVAL`)
+        /// or makes a key the store would refuse (`ENAMETOOLONG`).
+        Join = "join" => Rpc [EINVAL, ENAMETOOLONG];
         /// Remove the requester's membership record.
-        Leave = "leave" => Rpc [EINVAL];
-        /// Group size and member list.
-        Info = "info" => Rpc [EINVAL];
+        Leave = "leave" => Rpc [EINVAL, ENAMETOOLONG];
+        /// Group size and member list. `EINVAL` also when what the KVS
+        /// holds under the name is not a membership directory.
+        Info = "info" => Rpc [EINVAL, ENAMETOOLONG];
     }
 }
 
@@ -474,10 +464,16 @@ impl Event {
     }
 }
 
-/// The flattened method registry: every declared method of every
-/// service. Tools (`flux-lint`, `flux-kap table1`) and conformance
-/// tests iterate this.
-pub fn methods() -> Vec<MethodSpec> {
+/// Error numbers the transport itself puts in a response header — the
+/// target rank is down (`EHOSTDOWN`), the request or its answer was
+/// given up on (`ETIMEDOUT`), a frame could not be carried (`EIO`). Any
+/// RPC can surface them, so no method declares them, and that is what
+/// lets a sender read a declared code as the handler's own refusal.
+pub const TRANSPORT_ERRORS: &[u32] =
+    &[flux_wire::errnum::EIO, flux_wire::errnum::ETIMEDOUT, flux_wire::errnum::EHOSTDOWN];
+
+/// Every row of every table, in service order, without collecting.
+fn rows() -> impl Iterator<Item = MethodSpec> {
     CmbMethod::specs()
         .chain(HbMethod::specs())
         .chain(LiveMethod::specs())
@@ -488,13 +484,25 @@ pub fn methods() -> Vec<MethodSpec> {
         .chain(KvsMethod::specs())
         .chain(WexecMethod::specs())
         .chain(ResvcMethod::specs())
-        .collect()
+}
+
+/// The flattened method registry: every declared method of every
+/// service. Tools (`flux-lint`, `flux-kap table1`) and conformance
+/// tests iterate this.
+pub fn methods() -> Vec<MethodSpec> {
+    rows().collect()
+}
+
+/// The registry row of `topic`; `None` if no table declares it. The
+/// broker consults it on every error response of a debug build.
+pub fn spec_of(topic: &str) -> Option<MethodSpec> {
+    rows().find(|spec| spec.topic == topic)
 }
 
 /// The declared wire behaviour of `topic`; `None` if no table declares
 /// it.
 pub fn kind_of(topic: &str) -> Option<MethodKind> {
-    methods().into_iter().find(|spec| spec.topic == topic).map(|spec| spec.kind)
+    spec_of(topic).map(|spec| spec.kind)
 }
 
 /// The flattened event registry.
@@ -671,6 +679,11 @@ mod tests {
             if spec.kind == MethodKind::OneWay {
                 assert!(errs.is_empty(), "{} is one-way but declares errors", spec.topic);
             }
+            // What any RPC can answer is no method's own refusal: a
+            // sender tells refused from lost by membership in this set.
+            for &e in TRANSPORT_ERRORS.iter().chain(&[flux_wire::errnum::ENOSYS]) {
+                assert!(!errs.contains(&e), "{} declares transport-level errnum {e}", spec.topic);
+            }
         }
         // Key-validating methods must declare the key-size rejection.
         for m in [KvsMethod::Put, KvsMethod::Unlink, KvsMethod::Get] {
@@ -679,27 +692,14 @@ mod tests {
     }
 
     #[test]
-    fn every_service_declares_a_nonempty_error_surface() {
-        for &s in Service::ALL {
-            let surface = s.declared_surface();
-            // Dispatch-level ENOSYS makes every surface nonempty; the
-            // per-method sets only add to it.
-            assert!(!surface.is_empty(), "{} declares no error surface", s.name());
-            assert!(
-                surface.contains(&flux_wire::errnum::ENOSYS),
-                "{} must answer unknown methods with ENOSYS",
-                s.name()
-            );
-            // Sorted + deduplicated: the export is canonical.
-            let mut canon = surface.clone();
-            canon.sort_unstable();
-            canon.dedup();
-            assert_eq!(canon, surface, "{} surface is not canonical", s.name());
+    fn spec_of_finds_every_row_and_nothing_else() {
+        for spec in methods() {
+            assert_eq!(spec_of(spec.topic), Some(spec));
+            assert_eq!(kind_of(spec.topic), Some(spec.kind));
         }
-        // Spot-check the unions against the handler ground truth.
-        use flux_wire::errnum::{EAGAIN, EINVAL, ENOENT, ENOSYS};
-        assert_eq!(Service::Hb.declared_surface(), vec![ENOSYS]);
-        assert_eq!(Service::Resvc.declared_surface(), vec![ENOENT, EAGAIN, EINVAL, ENOSYS]);
+        for stranger in ["kvs", "kvs.", "kvs.nope", "nope.get", "hb"] {
+            assert_eq!(spec_of(stranger), None, "{stranger}");
+        }
     }
 
     #[test]

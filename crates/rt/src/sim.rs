@@ -227,28 +227,6 @@ impl SimSession {
         )
     }
 
-    /// Like [`SimSession::new`] with a [`FaultPlan`] applied to every
-    /// broker's links: the plan plays out in virtual time, so the whole
-    /// faulty run is bit-reproducible from the plan's seed.
-    pub fn new_with_faults<F>(
-        size: u32,
-        arity: u32,
-        params: NetParams,
-        plan: &FaultPlan,
-        factory: F,
-    ) -> SimSession
-    where
-        F: Fn(Rank) -> Vec<Box<dyn CommsModule>>,
-    {
-        Self::build(
-            size,
-            params,
-            |r| BrokerConfig::new(r, size).with_arity(arity),
-            factory,
-            Some(plan),
-        )
-    }
-
     /// Like [`SimSession::with_config`] with a [`FaultPlan`] applied to
     /// every broker's links — full per-rank config control (overlay,
     /// heartbeat, arity) under a deterministic fault schedule.

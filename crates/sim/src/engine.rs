@@ -228,14 +228,6 @@ impl Engine {
         }
     }
 
-    /// Borrows an actor, e.g. to inspect its final state after [`Engine::run`].
-    ///
-    /// The actor must be downcast by the caller; typed access is normally
-    /// provided by the harness that created the actor (see flux-rt).
-    pub fn actor_mut(&mut self, a: ActorId) -> &mut dyn Actor {
-        &mut *self.slots[a].actor
-    }
-
     /// Runs until the event queue drains or an actor calls [`Ctx::stop`].
     /// Returns the final virtual time.
     pub fn run(&mut self) -> SimTime {

@@ -117,14 +117,6 @@ impl Value {
         }
     }
 
-    /// Returns a mutable array reference if this is an `Array`.
-    pub fn as_array_mut(&mut self) -> Option<&mut Vec<Value>> {
-        match self {
-            Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
     /// Returns the object map if this is an `Object`.
     pub fn as_object(&self) -> Option<&Map> {
         match self {

@@ -113,11 +113,6 @@ impl Topic {
             None => false,
         }
     }
-
-    /// Number of bytes this topic occupies on the wire.
-    pub fn wire_len(&self) -> usize {
-        self.0.len()
-    }
 }
 
 impl fmt::Display for Topic {
