@@ -69,6 +69,12 @@ const HOT_ROOTS: &[(&str, &str)] = &[
     ("crates/kvs/src/authority.rs", "note_push"),
     ("crates/kvs/src/authority.rs", "accept_push"),
     ("crates/kvs/src/authority.rs", "flush_batch"),
+    // kvs read role: the get, the walk, the load a child asks for
+    ("crates/kvs/src/reads.rs", "lookup"),
+    ("crates/kvs/src/reads.rs", "step_walk"),
+    ("crates/kvs/src/reads.rs", "serve_load"),
+    // simulated script client: one request per op
+    ("crates/rt/src/script.rs", "issue_next"),
     // broker route
     ("crates/broker/src/broker.rs", "send_tree"),
     ("crates/broker/src/broker.rs", "route_response"),

@@ -358,7 +358,7 @@ fn post_checks(
 ) -> Option<Violation> {
     // Transport-layer outcomes: the shape `histories_for` consumes.
     let outcomes: Vec<ScriptOutcome> =
-        handles.iter().map(|h| ScriptOutcome::from(&*h.borrow())).collect();
+        handles.iter().map(|h| ScriptOutcome::from(h.take())).collect();
 
     for (i, outcome) in outcomes.iter().enumerate() {
         if !outcome.finished {

@@ -66,7 +66,7 @@ mod watch;
 pub use master::{apply_tuples, resolve};
 pub use module::{KvsConfig, KvsModule};
 pub use object::{KvsObject, ObjectError};
-pub use path::{key_components, validate_key, KeyError, MAX_KEY_DEPTH, MAX_KEY_LEN};
+pub use path::{validate_key, KeyError, MAX_KEY_DEPTH, MAX_KEY_LEN};
 pub use store::{CacheStats, ObjectCache};
 
 #[cfg(test)]

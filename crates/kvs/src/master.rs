@@ -7,7 +7,7 @@
 //! atomic).
 
 use crate::object::KvsObject;
-use crate::path::key_components;
+use crate::path::validate_key;
 use crate::store::ObjectCache;
 use flux_hash::ObjectId;
 use std::collections::BTreeMap;
@@ -30,8 +30,9 @@ pub fn apply_tuples(cache: &mut ObjectCache, root: ObjectId, tuples: &[Tuple]) -
     // root 8192 times).
     let mut patch = PatchNode::default();
     for (key, id) in tuples {
-        let Ok(components) = key_components(key) else { continue };
-        patch.insert(&components, *id);
+        if validate_key(key).is_ok() {
+            patch.insert(key, *id);
+        }
     }
     rebuild(cache, Some(root), &patch)
 }
@@ -53,25 +54,25 @@ struct PatchNode {
 }
 
 impl PatchNode {
-    fn insert(&mut self, components: &[String], id: Option<ObjectId>) {
-        match components {
-            [] => {
-                // A terminal write supersedes all earlier deeper writes and
-                // detaches from the pre-existing content.
-                self.terminal = Some(id);
-                self.children.clear();
-                self.base_cleared = true;
-            }
-            [first, rest @ ..] => {
-                let child = self.children.entry(first.clone()).or_default();
-                if !rest.is_empty() && child.terminal.is_some() {
-                    // A deeper write after a terminal write at `child`:
-                    // the child becomes a directory built from scratch.
-                    child.terminal = None;
-                }
-                child.insert(rest, id);
-            }
+    /// Records a write of `id` at `path` below this node: the components
+    /// of a validated key, dot-joined (`""` is this node itself).
+    fn insert(&mut self, path: &str, id: Option<ObjectId>) {
+        if path.is_empty() {
+            // A terminal write supersedes all earlier deeper writes and
+            // detaches from the pre-existing content.
+            self.terminal = Some(id);
+            self.children.clear();
+            self.base_cleared = true;
+            return;
         }
+        let (first, rest) = path.split_once('.').unwrap_or((path, ""));
+        let child = self.children.entry(first.to_owned()).or_default();
+        if !rest.is_empty() && child.terminal.is_some() {
+            // A deeper write after a terminal write at `child`: the child
+            // becomes a directory built from scratch.
+            child.terminal = None;
+        }
+        child.insert(rest, id);
     }
 }
 
@@ -127,20 +128,14 @@ fn rebuild(cache: &mut ObjectCache, base: Option<ObjectId>, patch: &PatchNode) -
 /// id bound at the key, or `None` if any component is missing or a
 /// non-directory is traversed.
 pub fn resolve(cache: &mut ObjectCache, root: ObjectId, key: &str) -> Option<ObjectId> {
-    let components = key_components(key).ok()?;
+    validate_key(key).ok()?;
     let mut cur = root;
-    for (i, comp) in components.iter().enumerate() {
+    for name in key.split('.') {
         let obj = cache.get(cur)?;
         let KvsObject::Dir(entries) = &*obj else { return None };
-        let next = entries.get(comp)?;
-        if i == components.len() - 1 {
-            return Some(*next);
-        }
-        cur = *next;
+        cur = *entries.get(name)?;
     }
-    // Empty component list is impossible for a validated key; treat it
-    // as unresolvable rather than panicking in the master's hot path.
-    None
+    Some(cur)
 }
 
 #[cfg(test)]

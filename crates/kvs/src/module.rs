@@ -368,19 +368,9 @@ impl KvsModule {
         self.rep.slots.version(0)
     }
 
-    /// Current root version of one shard (for tests and tools).
-    pub fn shard_version(&self, shard: u32) -> u64 {
-        self.rep.slots.version(shard)
-    }
-
     /// Number of namespace shards this module is configured for.
     pub fn shards(&self) -> u32 {
         self.rep.slots.shards()
-    }
-
-    /// Cache statistics (for tests and tools).
-    pub fn cache_stats(&self) -> crate::store::CacheStats {
-        self.rep.cache.stats()
     }
 
     /// Pushes that went through the master batch path (for tests).

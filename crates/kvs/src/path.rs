@@ -81,24 +81,15 @@ pub fn validate_key(key: &str) -> Result<(), KeyError> {
     Ok(())
 }
 
-/// Splits a validated key into its path components.
-pub fn key_components(key: &str) -> Result<Vec<String>, KeyError> {
-    validate_key(key)?;
-    // flux-lint: allow(hotalloc) — walk state parks these components
-    // across messages (multi-hop slave walks), so they must be owned;
-    // master-side same-message resolution pays one short Vec per key.
-    Ok(key.split('.').map(str::to_owned).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn valid_keys() {
-        assert_eq!(key_components("a").unwrap(), ["a"]);
-        assert_eq!(key_components("a.b.c").unwrap(), ["a", "b", "c"]);
-        assert_eq!(key_components("resource.rank.0").unwrap(), ["resource", "rank", "0"]);
+        for key in ["a", "a.b.c", "resource.rank.0"] {
+            assert_eq!(validate_key(key), Ok(()));
+        }
     }
 
     #[test]

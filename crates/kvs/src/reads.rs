@@ -11,13 +11,19 @@
 //! would violate monotonic reads): every load is in the [`InFlight`]
 //! table, which retries a lost one on the heartbeat and reports only
 //! what the tier above itself refused.
+//!
+//! A walk that the local cache resolves is answered in the call that
+//! started it and owns nothing: it borrows the request and the key.
+//! Only a walk that must fault an object in parks, and only then are
+//! the request and the key copied.
 
 use crate::inflight::{Answer, InFlight};
 use crate::module::{Replica, Requester};
 use crate::msg;
 use crate::object::KvsObject;
-use crate::path::key_components;
+use crate::path::validate_key;
 use crate::shard;
+use crate::store::ObjectCache;
 use crate::watch::Watches;
 use flux_broker::{Handled, ModuleCtx};
 use flux_hash::ObjectId;
@@ -27,16 +33,15 @@ use flux_wire::{errnum, Message, Payload};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One parked lookup walking the hash tree.
+/// One lookup parked on an object being faulted in.
 struct Walk {
     kind: WalkKind,
-    components: Vec<String>,
-    /// Next component index to consume.
-    idx: usize,
+    key: String,
+    /// Bytes of `key` consumed: the components before `pos` lead to `cur`.
+    pos: usize,
     /// Object id to load next.
     cur: ObjectId,
-    /// Directory listing requested instead of a value.
-    want_dir: bool,
+    want: Want,
     /// Shard whose tree this walk descends.
     shard: u32,
 }
@@ -48,18 +53,71 @@ enum WalkKind {
     WatchCheck(u64),
 }
 
+/// What a walk reads at the end of its key.
+#[derive(Clone, Copy)]
+enum Want {
+    /// A get's value.
+    Value,
+    /// A get's directory listing (`dir`).
+    Listing,
+    /// A watch check's: a watched directory's listing is its value.
+    Either,
+}
+
 /// How a walk ended: the reply field and what it holds, or an errnum.
 type WalkEnd = Result<(&'static str, Value), u32>;
 
-/// What `obj` answers to a get (`want_dir`: its listing, else its
-/// value). A watch check accepts `either`: a watched directory's
-/// listing is its value.
-fn resolve(obj: &KvsObject, want_dir: bool, either: bool) -> WalkEnd {
-    match (obj, want_dir || either) {
-        (KvsObject::Val(v), _) if !want_dir => Ok(("v", v.clone())),
-        (KvsObject::Val(_), _) => Err(errnum::ENOTDIR),
-        (KvsObject::Dir(_), false) => Err(errnum::EISDIR),
-        (KvsObject::Dir(entries), true) => Ok(("dir", msg::dir_listing(entries))),
+/// What `obj`, at the end of a walk's key, answers to it.
+fn resolve(obj: &KvsObject, want: Want) -> WalkEnd {
+    match (obj, want) {
+        (KvsObject::Val(v), Want::Value | Want::Either) => Ok(("v", v.clone())),
+        (KvsObject::Val(_), Want::Listing) => Err(errnum::ENOTDIR),
+        (KvsObject::Dir(_), Want::Value) => Err(errnum::EISDIR),
+        (KvsObject::Dir(entries), Want::Listing | Want::Either) => {
+            Ok(("dir", msg::dir_listing(entries)))
+        }
+    }
+}
+
+/// Where a walk through the local cache stopped.
+enum Stop {
+    Done(WalkEnd),
+    /// Object `.0` is not cached; `.1` is how far into the key the walk got.
+    Miss(ObjectId, usize),
+}
+
+/// The walk: descends `key` from byte `pos`, standing on object `cur`,
+/// one directory per component, as far as `cache` reaches.
+fn step_walk(
+    cache: &mut ObjectCache,
+    key: &str,
+    mut pos: usize,
+    mut cur: ObjectId,
+    want: Want,
+) -> Stop {
+    loop {
+        let Some(obj) = cache.get(cur) else { return Stop::Miss(cur, pos) };
+        let rest = &key[pos..];
+        if rest.is_empty() {
+            return Stop::Done(resolve(&obj, want));
+        }
+        let (name, tail) = rest.split_once('.').unwrap_or((rest, ""));
+        cur = match &*obj {
+            KvsObject::Dir(entries) => match entries.get(name) {
+                Some(&next) => next,
+                None => return Stop::Done(Err(errnum::ENOENT)),
+            },
+            KvsObject::Val(_) => return Stop::Done(Err(errnum::ENOTDIR)),
+        };
+        pos = key.len() - tail.len();
+    }
+}
+
+/// Answers a get with how its walk ended.
+fn answer(ctx: &mut ModuleCtx<'_>, req: &Message, end: WalkEnd) -> Handled {
+    match end {
+        Ok(reply) => ctx.respond(req, Value::from_pairs([reply])),
+        Err(e) => ctx.respond_err(req, e),
     }
 }
 
@@ -99,6 +157,8 @@ impl Reads {
     /// Builds (or reuses) the shared `kvs.load` reply payload for `id`.
     fn load_reply(&mut self, id: ObjectId, obj: &KvsObject) -> Payload {
         let build = || Value::from_pairs([("id", id.to_hex().into()), ("obj", obj.to_value())]);
+        // flux-lint: allow(hotalloc) — a `Payload` clone is a refcount
+        // bump: every child is answered with the one memoized reply.
         self.load_replies.entry(id).or_insert_with(|| build().into()).clone()
     }
 
@@ -112,9 +172,23 @@ impl Reads {
         key: &str,
         want_dir: bool,
     ) -> Handled {
-        let (req, parked) = ctx.park(req);
-        self.start_walk(ctx, rep, WalkKind::Get(req), key, want_dir);
-        parked
+        if let Err(e) = validate_key(key) {
+            return ctx.respond_err(req, e.errnum());
+        }
+        let want = if want_dir { Want::Listing } else { Want::Value };
+        let shard = rep.slots.shard_of(key);
+        match step_walk(&mut rep.cache, key, 0, rep.slots.root(shard).0, want) {
+            Stop::Done(end) => answer(ctx, req, end),
+            Stop::Miss(cur, pos) => {
+                let (req, parked) = ctx.park(req);
+                let kind = WalkKind::Get(req);
+                // flux-lint: allow(hotalloc) — a walk that outlives this
+                // call owns its key: one copy per cache miss, beside the
+                // load the miss sends anyway.
+                self.park(ctx, rep, Walk { kind, key: key.to_owned(), pos, cur, want, shard });
+                parked
+            }
+        }
     }
 
     /// A child's (or client's) `kvs.load` of object `id` of `shard`'s
@@ -154,7 +228,7 @@ impl Reads {
         let shard = rep.slots.shard_of(key);
         let (req, parked) = ctx.park(req);
         let id = self.watch.add(req, key, requester, shard);
-        self.start_walk(ctx, rep, WalkKind::WatchCheck(id), key, false);
+        self.check_watch(ctx, rep, id, key);
         parked
     }
 
@@ -163,102 +237,63 @@ impl Reads {
     pub(crate) fn recheck(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica) {
         for shard in rep.slots.take_moved() {
             for (id, key) in self.watch.on_shard(shard) {
-                self.start_walk(ctx, rep, WalkKind::WatchCheck(id), &key, false);
+                self.check_watch(ctx, rep, id, &key);
             }
         }
     }
 
     // ----- walks -----------------------------------------------------------
 
-    fn start_walk(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        rep: &mut Replica,
-        kind: WalkKind,
-        key: &str,
-        want_dir: bool,
-    ) {
-        let components = match key_components(key) {
-            Ok(c) => c,
-            Err(e) => {
-                if let WalkKind::Get(req) = kind {
-                    ctx.respond_err(&req, e.errnum());
-                }
-                return;
-            }
-        };
-        let shard = rep.slots.shard_of(key);
-        let (cur, _) = rep.slots.root(shard);
-        self.next_walk += 1;
-        let id = self.next_walk;
-        self.walks.insert(id, Walk { kind, components, idx: 0, cur, want_dir, shard });
-        self.step_walk(ctx, rep, id);
-    }
-
-    /// Advances a walk until it finishes or parks on a missing object.
-    fn step_walk(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica, walk_id: u64) {
-        loop {
-            let Some(walk) = self.walks.get_mut(&walk_id) else { return };
-            let cur = walk.cur;
-            let Some(obj) = rep.cache.get(cur) else {
-                self.park_walk(ctx, rep, walk_id, cur);
-                return;
-            };
-            if walk.idx == walk.components.len() {
-                let getting = matches!(walk.kind, WalkKind::Get(_));
-                let end = resolve(&obj, walk.want_dir, !getting);
-                self.finish_walk(ctx, walk_id, end);
-                return;
-            }
-            let next = match &*obj {
-                KvsObject::Dir(entries) => {
-                    entries.get(&walk.components[walk.idx]).copied().ok_or(errnum::ENOENT)
-                }
-                KvsObject::Val(_) => Err(errnum::ENOTDIR),
-            };
-            match next {
-                Ok(next) => {
-                    walk.cur = next;
-                    walk.idx += 1;
-                }
-                Err(e) => {
-                    self.finish_walk(ctx, walk_id, Err(e));
-                    return;
-                }
-            }
-        }
-    }
-
-    fn park_walk(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        rep: &mut Replica,
-        walk_id: u64,
-        missing: ObjectId,
-    ) {
-        let Some(shard) = self.walks.get(&walk_id).map(|w| w.shard) else { return };
-        if rep.slots.masters(shard) {
-            // Authoritative store: a miss is a hard ENOENT.
-            self.finish_walk(ctx, walk_id, Err(errnum::ENOENT));
+    /// Walks watcher `id`'s key and reports what it reads. A key that
+    /// fails validation never resolves, so its watcher hears nothing.
+    fn check_watch(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica, id: u64, key: &str) {
+        if validate_key(key).is_err() {
             return;
         }
+        let shard = rep.slots.shard_of(key);
+        let kind = WalkKind::WatchCheck(id);
+        match step_walk(&mut rep.cache, key, 0, rep.slots.root(shard).0, Want::Either) {
+            Stop::Done(end) => self.finish(ctx, kind, end),
+            Stop::Miss(cur, pos) => {
+                let (key, want) = (key.to_owned(), Want::Either);
+                self.park(ctx, rep, Walk { kind, key, pos, cur, want, shard });
+            }
+        }
+    }
+
+    /// Carries a parked walk on from the object that just arrived.
+    fn resume(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica, mut walk: Walk) {
+        match step_walk(&mut rep.cache, &walk.key, walk.pos, walk.cur, walk.want) {
+            Stop::Done(end) => self.finish(ctx, walk.kind, end),
+            Stop::Miss(cur, pos) => {
+                (walk.cur, walk.pos) = (cur, pos);
+                self.park(ctx, rep, walk);
+            }
+        }
+    }
+
+    /// Parks `walk` on the object it found missing and faults that in.
+    fn park(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica, walk: Walk) {
+        if rep.slots.masters(walk.shard) {
+            // Authoritative store: a miss is a hard ENOENT.
+            return self.finish(ctx, walk.kind, Err(errnum::ENOENT));
+        }
+        let (missing, shard) = (walk.cur, walk.shard);
+        self.next_walk += 1;
+        self.walks.insert(self.next_walk, walk);
         let entry = self.load_waiters.entry(missing).or_default();
-        entry.0.push(walk_id);
+        entry.0.push(self.next_walk);
         if entry.0.len() == 1 && entry.1.is_empty() {
             self.request_load(ctx, rep, missing, shard);
         }
     }
 
-    fn finish_walk(&mut self, ctx: &mut ModuleCtx<'_>, walk_id: u64, end: WalkEnd) {
-        let Some(walk) = self.walks.remove(&walk_id) else { return };
-        match (walk.kind, end) {
-            (WalkKind::Get(req), Ok(reply)) => {
-                ctx.respond(&req, Value::from_pairs([reply]));
+    fn finish(&mut self, ctx: &mut ModuleCtx<'_>, kind: WalkKind, end: WalkEnd) {
+        match kind {
+            WalkKind::Get(req) => {
+                answer(ctx, &req, end);
             }
-            (WalkKind::Get(req), Err(e)) => {
-                ctx.respond_err(&req, e);
-            }
-            (WalkKind::WatchCheck(id), end) => self.watch.observe(ctx, id, end.ok().map(|r| r.1)),
+            WalkKind::WatchCheck(id) => self.watch.observe(ctx, id, end.ok().map(|r| r.1)),
         }
     }
 
@@ -274,6 +309,8 @@ impl Reads {
     ) {
         let payload = Payload::from(rep.slots.spelling().load_request(id, shard));
         let tag = (id, shard);
+        // flux-lint: allow(hotalloc) — a `Payload` clone is a refcount
+        // bump, kept for the tree root's rank-addressed fallback below.
         if self.loads.send_up(ctx, KvsMethod::Load, payload.clone(), tag).is_ok() {
             return;
         }
@@ -311,9 +348,10 @@ impl Reads {
             };
         }
         for walk_id in walks {
+            let Some(walk) = self.walks.remove(&walk_id) else { continue };
             match &reply {
-                Ok(_) => self.step_walk(ctx, rep, walk_id),
-                Err(code) => self.finish_walk(ctx, walk_id, Err(*code)),
+                Ok(_) => self.resume(ctx, rep, walk),
+                Err(code) => self.finish(ctx, walk.kind, Err(*code)),
             }
         }
     }
@@ -480,6 +518,58 @@ mod tests {
             assert!(!reads.load_replies.contains_key(&dir.id()), "the reply went with it");
             assert_eq!(Arc::strong_count(&obj), 1, "nothing else pins the object");
         });
+    }
+
+    #[test]
+    fn a_warm_walk_answers_at_once_and_only_a_cold_one_parks() {
+        let seven = KvsObject::Val(Value::Int(7));
+        let (sub, hex7) = (dir_b7(), Value::from(seven.id().to_hex()));
+        let root = KvsObject::Dir([("a".into(), seven.id()), ("d".into(), sub.id())].into());
+        let cases = [
+            ("a", false, Ok(("v", Value::Int(7)))),
+            ("zz", false, Err(errnum::ENOENT)),
+            ("a.b", false, Err(errnum::ENOTDIR)),
+            ("d", false, Err(errnum::EISDIR)),
+            ("d", true, Ok(("dir", Value::from_pairs([("b", hex7)])))),
+        ];
+        for (key, want_dir, expect) in cases {
+            let expect = match expect {
+                Ok((field, v)) => (0, Value::from_pairs([(field, v)])),
+                Err(code) => (code, Value::Null),
+            };
+            // Warm: every object cached. Cold: the root is not.
+            for warm in [true, false] {
+                let get = request(KvsMethod::Get, Value::object());
+                let get_id = get.header.id;
+                let objects = [seven.clone(), sub.clone(), root.clone()];
+                let (_, outs) = with_ctx(2, 3, move |ctx| {
+                    let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
+                    let [seven, sub, root] = objects;
+                    let (root_id, root_value) = (root.id(), root.to_value());
+                    rep.cache.insert(seven);
+                    rep.cache.insert(sub);
+                    if warm {
+                        rep.cache.insert(root);
+                    }
+                    rep.slots.apply_root(ctx, 0, 1, root_id);
+                    reads.lookup(ctx, &mut rep, &get, key, want_dir);
+                    if !warm {
+                        assert_eq!(reads.walks.len(), 1, "{key}: the cold walk parks");
+                        let load = load_in_flight(&reads);
+                        let reply = Message::response_to(&load, load_payload(root_id, root_value));
+                        assert!(reads.handle_response(ctx, &mut rep, &reply));
+                    }
+                    assert!(reads.walks.is_empty() && reads.load_waiters.is_empty(), "{key}");
+                });
+                let msgs = messages(&outs);
+                assert_eq!(loads_sent(&msgs), usize::from(!warm), "{key} warm={warm}");
+                let replies: Vec<_> = msgs.iter().filter(|m| m.header.id == get_id).collect();
+                assert_eq!(replies.len(), 1, "{key} warm={warm}");
+                let (code, payload) = (replies[0].header.errnum, replies[0].payload.value());
+                let got = (code, if code == 0 { payload.clone() } else { Value::Null });
+                assert_eq!(got, expect, "{key} dir={want_dir} warm={warm}");
+            }
+        }
     }
 
     #[test]

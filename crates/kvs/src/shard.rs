@@ -12,24 +12,22 @@
 //! so a commit's partitioning and a reader's routing can never
 //! disagree.
 
-use crate::path::{key_components, KeyError};
+use crate::path::{validate_key, KeyError};
 use flux_hash::ObjectId;
 use flux_wire::Rank;
 
 /// Computes the shard owning `key` among `shards` shards.
 ///
 /// The key is validated first (`EINVAL`/`ENAMETOOLONG` shapes are
-/// rejected, not hashed) and then canonicalized — components re-joined
-/// with `'.'` — before hashing, so only canonical spellings ever reach
-/// the hash. The first four digest bytes, read big-endian, are reduced
-/// modulo `shards`.
+/// rejected, not hashed), so only canonical spellings — non-empty
+/// components joined by single `'.'`s — ever reach the hash. The first
+/// four digest bytes, read big-endian, are reduced modulo `shards`.
 pub fn shard_of_key(key: &str, shards: u32) -> Result<u32, KeyError> {
-    let components = key_components(key)?;
+    validate_key(key)?;
     if shards <= 1 {
         return Ok(0);
     }
-    let canonical = components.join(".");
-    let digest = ObjectId::hash(canonical.as_bytes()).0;
+    let digest = ObjectId::hash(key.as_bytes()).0;
     let h = u32::from_be_bytes([digest[0], digest[1], digest[2], digest[3]]);
     Ok(h % shards)
 }
@@ -139,7 +137,7 @@ mod tests {
         // shard_of_key hashes the validated canonical path — identical
         // to hashing the component join, for every valid key.
         for key in ["a", "a.b", "deep.a.b.c.d"] {
-            let canonical = key_components(key).unwrap().join(".");
+            let canonical = key.split('.').collect::<Vec<_>>().join(".");
             let digest = ObjectId::hash(canonical.as_bytes()).0;
             let h = u32::from_be_bytes([digest[0], digest[1], digest[2], digest[3]]);
             assert_eq!(shard_of_key(key, 5), Ok(h % 5));

@@ -158,11 +158,11 @@ impl ScriptClient {
     }
 
     fn issue_next(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(op) = self.ops.get(self.next).cloned() else {
+        let Some(op) = self.ops.get(self.next) else {
             self.outcome.borrow_mut().finished = true;
             return;
         };
-        if let Op::Pause(ns) = op {
+        if let Op::Pause(ns) = *op {
             ctx.set_timer(SimDuration::from_nanos(ns), self.next as u64);
             return;
         }

@@ -169,12 +169,14 @@ pub struct ScriptOutcome {
     pub finished: bool,
 }
 
-impl From<&Outcome> for ScriptOutcome {
-    fn from(o: &Outcome) -> ScriptOutcome {
+/// Takes the outcome over: the errnum and reply buffers move, only the
+/// timestamps are converted.
+impl From<Outcome> for ScriptOutcome {
+    fn from(o: Outcome) -> ScriptOutcome {
         ScriptOutcome {
             op_done_ns: o.op_done.iter().map(|t| t.as_nanos()).collect(),
-            op_err: o.op_err.clone(),
-            replies: o.replies.clone(),
+            op_err: o.op_err,
+            replies: o.replies,
             finished: o.finished,
         }
     }
@@ -285,7 +287,7 @@ impl ScriptTransport for SimTransport {
             },
         };
         let stats = session.engine().stats();
-        let outcomes = handles.iter().map(|h| ScriptOutcome::from(&*h.borrow())).collect();
+        let outcomes = handles.iter().map(|h| ScriptOutcome::from(h.take())).collect();
         let throughput = session.engine().throughput();
         ScriptReport {
             outcomes,
@@ -396,5 +398,29 @@ impl ScriptTransport for LiveTransport {
             let makespan_ns = epoch.elapsed().as_nanos() as u64;
             ScriptReport { outcomes, makespan_ns, ..ScriptReport::default() }
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flux_value::Value;
+
+    #[test]
+    fn an_outcome_is_handed_over_not_copied() {
+        let outcome = Outcome {
+            op_done: vec![SimTime::from_nanos(5), SimTime::from_nanos(9)],
+            op_err: vec![0, errnum::ENOENT],
+            replies: vec![Value::from_pairs([("v", Value::Int(7))]), Value::Null],
+            finished: true,
+        };
+        let (replies, errs) = (outcome.replies.as_ptr(), outcome.op_err.as_ptr());
+        let handed = ScriptOutcome::from(outcome);
+        assert_eq!(handed.replies.as_ptr(), replies, "the replies' buffer moved, not a copy");
+        assert_eq!(handed.op_err.as_ptr(), errs);
+        assert_eq!(handed.op_done_ns, [5, 9]);
+        assert_eq!(handed.op_err, [0, errnum::ENOENT]);
+        assert_eq!(handed.replies[0].get("v"), Some(&Value::Int(7)));
+        assert!(handed.finished);
     }
 }
