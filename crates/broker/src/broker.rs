@@ -570,6 +570,18 @@ impl Broker {
         out
     }
 
+    /// Runs `f` as module `idx` outside any input, then settles what it
+    /// raised, as [`Broker::handle`] does after a handler.
+    pub(crate) fn run_as_module<R>(
+        &mut self,
+        idx: usize,
+        f: impl FnOnce(&mut ModuleCtx<'_>) -> R,
+    ) -> (R, Vec<Output>) {
+        let out = self.with_module(idx, |_, ctx| f(ctx));
+        self.drain_raised();
+        (out, std::mem::take(&mut self.core.outputs))
+    }
+
     /// Processes locally raised messages (module-originated local requests
     /// and completed module RPC responses) and queued event deliveries
     /// until quiescent.

@@ -238,15 +238,12 @@ impl<'a> ModuleCtx<'a> {
     /// that is not idempotent goes through [`crate::reduce::Reduction`],
     /// which sends with this and lets the receiver tell a copy.
     ///
-    /// Returns `Err(errnum)` at the root where there is no upstream.
-    pub fn notify_upstream(&mut self, topic: Topic, payload: impl Into<Payload>) -> Result<(), u32> {
-        let Some(parent) = self.core.effective_parent() else {
-            return Err(errnum::ENOENT);
-        };
+    /// At the root, where there is no upstream, nothing is sent.
+    pub fn notify_upstream(&mut self, topic: Topic, payload: impl Into<Payload>) {
+        let Some(parent) = self.core.effective_parent() else { return };
         let id = self.core.next_msg_id();
         let msg = Message::request(topic, id, self.core.rank(), payload);
         self.core.send_tree(parent, msg);
-        Ok(())
     }
 
     /// Issues a rank-addressed RPC over the ring plane. The response is

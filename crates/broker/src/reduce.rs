@@ -8,12 +8,12 @@
 //! the total.
 //!
 //! A [`Reduction`] owns what those flows share: the partials waiting for
-//! the next flush, the `(src, batch)` stamp on every flushed message, and
-//! the record of stamps already merged, so a frame the transport
-//! delivers twice counts once. What to merge, when to flush (a
-//! [`WINDOW_NS`] timer for the two collectives, the heartbeat for the
-//! rest) and what the root does with a total stay with the module: it
-//! calls in, nothing is registered here.
+//! the next flush, the `(src, batch)` stamp on every flushed message, the
+//! record of stamps already merged, so a frame the transport delivers
+//! twice counts once, and the [`WINDOW_NS`] timers of the two
+//! collectives. What to merge, when to flush the rest (on the heartbeat)
+//! and what the root does with a total stay with the module: it calls
+//! in, nothing is registered here.
 //!
 //! The record is kept per *sender* and outlives every key. A copy of the
 //! batch that completed a barrier may arrive after the barrier is
@@ -79,27 +79,62 @@ pub struct Reduction<K, P> {
     /// parent's floor down for the rest of the session.
     next_batch: u64,
     seen: HashMap<u64, Seen>,
+    /// Armed window timers by token, counted from 1: a module's token 0
+    /// stays free for a timer of its own.
+    windows: HashMap<u64, K>,
+    next_window: u64,
 }
 
 impl<K, P> Default for Reduction<K, P> {
     fn default() -> Self {
-        Reduction { waiting: BTreeMap::new(), next_batch: 0, seen: HashMap::new() }
+        Reduction {
+            waiting: BTreeMap::new(),
+            next_batch: 0,
+            seen: HashMap::new(),
+            windows: HashMap::new(),
+            next_window: 0,
+        }
     }
 }
 
 impl<K: Ord, P: Partial> Reduction<K, P> {
-    /// Merges `part` into what waits under `key`; true if nothing
-    /// waited there — the caller's cue to arm a flush window.
-    pub fn contribute(&mut self, key: K, part: P) -> bool {
+    /// Merges `part` into what waits under `key`.
+    pub fn contribute(&mut self, key: K, part: P) {
         match self.waiting.entry(key) {
-            Entry::Occupied(mut waiting) => {
-                waiting.get_mut().merge(part);
-                false
-            }
+            Entry::Occupied(mut waiting) => waiting.get_mut().merge(part),
             Entry::Vacant(slot) => {
                 slot.insert(part);
-                true
             }
+        }
+    }
+
+    /// [`Reduction::contribute`] for a collective: off the root, the
+    /// first part under `key` arms a [`WINDOW_NS`] timer, and
+    /// [`Reduction::on_window`] flushes the key when it fires. The root
+    /// arms nothing; its module drains the total.
+    pub fn gather(&mut self, ctx: &mut ModuleCtx<'_>, key: K, part: P)
+    where
+        K: Clone,
+    {
+        if !ctx.is_root() && !self.waiting.contains_key(&key) {
+            self.next_window += 1;
+            self.windows.insert(self.next_window, key.clone());
+            ctx.set_timer(WINDOW_NS, self.next_window);
+        }
+        self.contribute(key, part);
+    }
+
+    /// A timer fired: if it is one of this reduction's windows, flushes
+    /// the key it was armed for, as [`Reduction::flush`] does.
+    pub fn on_window(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        token: u64,
+        topic: &Topic,
+        encode: impl FnOnce(K, P) -> Value,
+    ) {
+        if let Some(key) = self.windows.remove(&token) {
+            self.flush(ctx, topic, &key, encode);
         }
     }
 
@@ -140,7 +175,7 @@ impl<K: Ord, P: Partial> Reduction<K, P> {
         payload.insert("src", Value::from(ctx.rank().0));
         payload.insert("batch", Value::from(self.next_batch as i64));
         // The root has no upstream and never flushes.
-        let _ = ctx.notify_upstream(topic.clone(), payload);
+        ctx.notify_upstream(topic.clone(), payload);
     }
 
     /// True the first time the `(src, batch)` stamp of `payload` is
@@ -160,8 +195,9 @@ impl<K: Ord, P: Partial> Reduction<K, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Broker, BrokerConfig, CommsModule, Handled, Input, Output};
-    use flux_wire::{Message, MsgId, Rank};
+    use crate::testing::with_ctx;
+    use crate::Output;
+    use flux_wire::Rank;
     use proptest::prelude::*;
 
     struct Sum(u64);
@@ -222,55 +258,45 @@ mod tests {
         }
     }
 
-    type Job = Box<dyn FnOnce(&mut ModuleCtx<'_>) + Send>;
-
-    /// Runs its job inside the first request it is handed.
-    struct Probe(Option<Job>);
-
-    impl CommsModule for Probe {
-        fn name(&self) -> &'static str {
-            "probe"
-        }
-        fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
-            if let Some(job) = self.0.take() {
-                job(ctx);
-            }
-            ctx.one_way(msg)
-        }
-    }
-
-    /// What the broker at `rank` sent upstream while `job` ran.
-    fn sent_by(rank: u32, job: impl FnOnce(&mut ModuleCtx<'_>) + Send + 'static) -> Vec<Value> {
-        let probe = Probe(Some(Box::new(job)));
-        let mut broker = Broker::new(BrokerConfig::new(Rank(rank), 3), vec![Box::new(probe)]);
-        broker.start(0);
-        let id = MsgId { origin: Rank(rank), seq: 1 };
-        let kick = Message::request(topic(), id, Rank(rank), Value::object());
-        let outs = broker.handle(0, Input::FromClient { client: 0, msg: kick });
-        outs.iter()
+    /// What `outs` sent to rank 0, and the delays of the timers it set.
+    fn sent_and_timers(outs: &[Output]) -> (Vec<Value>, Vec<u64>) {
+        let sent = outs
+            .iter()
             .filter(|o| matches!(o, Output::ToBroker { to: Rank(0), .. }))
             .filter_map(Output::message)
             .map(|m| m.payload.value().clone())
-            .collect()
+            .collect();
+        let timers = outs
+            .iter()
+            .filter_map(|o| match o {
+                Output::SetTimer { delay_ns, .. } => Some(*delay_ns),
+                _ => None,
+            })
+            .collect();
+        (sent, timers)
+    }
+
+    fn encode(key: &str, sum: Sum) -> Value {
+        Value::from_pairs([("key", Value::from(key)), ("sum", Value::from(sum.0 as i64))])
     }
 
     #[test]
     fn flush_merges_stamps_and_takes_a_batch_id_only_when_it_sends() {
-        let sent = sent_by(2, |ctx| {
+        let (_, outs) = with_ctx(2, 3, |ctx| {
             let mut up: Reduction<&str, Sum> = Reduction::default();
-            let encode = |key: &str, sum: Sum| {
-                Value::from_pairs([("key", Value::from(key)), ("sum", Value::from(sum.0 as i64))])
-            };
-            assert!(up.contribute("b", Sum(1)), "nothing waited: arm a window");
-            assert!(!up.contribute("b", Sum(2)));
-            assert!(up.contribute("a", Sum(5)));
-            up.flush(ctx, &topic(), &"b", encode);
-            up.flush(ctx, &topic(), &"b", encode);
+            up.gather(ctx, "b", Sum(1));
+            up.gather(ctx, "b", Sum(2));
+            up.gather(ctx, "a", Sum(5));
+            // Window 1 is b's: it flushes b alone, once.
+            up.on_window(ctx, 1, &topic(), encode);
+            up.on_window(ctx, 1, &topic(), encode);
             up.flush(ctx, &topic(), &"none", encode);
-            assert!(up.contribute("c", Sum(7)));
+            up.gather(ctx, "c", Sum(7));
             up.flush_all(ctx, &topic(), |_, _| true, encode);
             assert!(up.drain(|_, _| true).is_empty());
         });
+        let (sent, timers) = sent_and_timers(&outs);
+        assert_eq!(timers, [WINDOW_NS; 3], "one window per key that had nothing waiting");
         let read = |v: &Value, k: &str| v.get(k).and_then(Value::as_uint).unwrap();
         let rows: Vec<_> = sent
             .iter()
@@ -287,6 +313,19 @@ mod tests {
     }
 
     #[test]
+    fn the_root_gathers_a_total_and_arms_no_window() {
+        let (total, outs) = with_ctx(0, 3, |ctx| {
+            let mut up: Reduction<&str, Sum> = Reduction::default();
+            up.gather(ctx, "b", Sum(1));
+            up.gather(ctx, "b", Sum(2));
+            up.on_window(ctx, 1, &topic(), encode);
+            up.drain(|_, _| true).pop().map(|(_, sum)| sum.0)
+        });
+        assert_eq!(total, Some(3));
+        assert_eq!(sent_and_timers(&outs), (vec![], vec![]));
+    }
+
+    #[test]
     fn drain_takes_what_is_ready_and_leaves_the_rest() {
         let mut totals: Reduction<u64, Sum> = Reduction::default();
         for (key, n) in [(1, 2), (2, 9), (3, 4), (2, 1)] {
@@ -295,7 +334,7 @@ mod tests {
         let done: Vec<_> =
             totals.drain(|_, s| s.0 >= 4).into_iter().map(|(k, s)| (k, s.0)).collect();
         assert_eq!(done, [(2, 10), (3, 4)]);
-        assert!(!totals.contribute(1, Sum(2)), "key 1 still waits");
-        assert_eq!(totals.drain(|k, _| *k == 1)[0].1 .0, 4);
+        totals.contribute(1, Sum(2));
+        assert_eq!(totals.drain(|k, _| *k == 1)[0].1 .0, 4, "key 1 still waited");
     }
 }

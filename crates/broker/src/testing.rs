@@ -5,12 +5,36 @@
 //! logical timer queue. It exists so protocol logic (broker routing, the
 //! comms modules, the KVS) can be tested exhaustively without either
 //! runtime; the cost-model simulator and the threaded runtime live in
-//! `flux-rt`.
+//! `flux-rt`. [`with_ctx`] is the one-broker case: it hands a closure
+//! the [`ModuleCtx`] that code taking one needs.
 
-use crate::{Broker, BrokerConfig, ClientId, CommsModule, Input, Output};
-use flux_wire::{Message, Rank};
+use crate::{Broker, BrokerConfig, ClientId, CommsModule, Handled, Input, ModuleCtx, Output};
+use flux_wire::{errnum, Message, Rank};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+
+/// Runs `f` as the only module of the broker at `rank` of a `size`-wide
+/// session (default tree, no peers attached: sends surface as outputs),
+/// and hands back what it returned plus everything the broker emitted
+/// on its behalf.
+pub fn with_ctx<R>(rank: u32, size: u32, f: impl FnOnce(&mut ModuleCtx<'_>) -> R) -> (R, Vec<Output>) {
+    let mut broker = Broker::new(BrokerConfig::new(Rank(rank), size), vec![Box::new(Probe)]);
+    broker.start(0);
+    broker.run_as_module(0, f)
+}
+
+/// The module slot [`with_ctx`] runs in; it serves nothing itself.
+struct Probe;
+
+impl CommsModule for Probe {
+    fn name(&self) -> &'static str {
+        "probe"
+    }
+
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+        ctx.respond_err(msg, errnum::ENOSYS)
+    }
+}
 
 /// An in-memory comms session with instantaneous message delivery.
 pub struct TestNet {

@@ -11,9 +11,8 @@
 //! plain text.
 
 /// One source file, parsed once and shared by every pass. The tree
-/// walk builds one `ParsedFile` per `.rs` file; all passes (token
-/// rules, taint, block, hotalloc) read
-/// from this cache instead of re-blanking and re-extracting per rule.
+/// walk builds one `ParsedFile` per `.rs` file; both passes (block,
+/// hotalloc) read from this cache instead of re-blanking and re-extracting per rule.
 pub(crate) struct ParsedFile {
     /// Workspace-relative path with `/` separators.
     pub rel: String,
@@ -53,31 +52,12 @@ pub(crate) fn crate_of(rel: &str) -> &str {
     }
 }
 
-/// A file-scope table shared by the interprocedural passes: a set of
-/// crate `src/` prefixes plus individual files inside otherwise
-/// out-of-scope crates. The nondet pass's deterministic scope and the
-/// block pass's sans-io scope are both instances.
-pub(crate) struct Scope {
-    /// `crates/<name>/src/` prefixes whose whole tree is in scope.
-    pub prefixes: &'static [&'static str],
-    /// Individual in-scope files (workspace-relative).
-    pub files: &'static [&'static str],
-}
-
-impl Scope {
-    /// Is `rel` inside this scope?
-    pub fn contains(&self, rel: &str) -> bool {
-        self.prefixes.iter().any(|p| rel.starts_with(p)) || self.files.contains(&rel)
-    }
-}
-
 /// Waiver lookup on raw lines: `Some(justified?)` if a `// flux-lint:
 /// allow(<rule>)` annotation (the full `token`) covers `line` — on the
 /// line itself or up to `reach` lines above — `None` otherwise.
 /// Justified means real words follow the token: at least 8 alphanumeric
 /// characters of explanation, so `allow(x) — see above` cannot pass as
-/// a justification. Shared by every pass whose waivers are mandatory-
-/// justification (nondet, block, hotalloc).
+/// a justification. Shared by both passes (block, hotalloc).
 pub(crate) fn waiver_status(
     raw_lines: &[&str],
     line: usize,
@@ -103,7 +83,7 @@ pub(crate) fn display_key(key: &str) -> &str {
 }
 
 /// Per-definition function index shared by the interprocedural passes
-/// (nondet, block, hotalloc). Functions are keyed per *definition*
+/// (block, hotalloc). Functions are keyed per *definition*
 /// (`crate::name@file#i`) so trait impls sharing a name — `run_scripts`
 /// on the sim and live transports — never merge their classification. A
 /// call edge resolves to the unique same-file definition if there is
@@ -376,11 +356,11 @@ pub(crate) fn extract_fns(blanked: &str) -> Vec<FnDef> {
     out
 }
 
-/// One statement inside a block: interleaved text segments and brace
-/// blocks (`segs[0] block[0] segs[1] block[1] … segs[n]`).
+/// One statement inside a block: its head text, then its top-level
+/// brace blocks.
 pub(crate) struct Stmt {
-    /// Text segments outside the statement's top-level blocks.
-    pub segs: Vec<String>,
+    /// The text before the statement's first top-level block.
+    head: String,
     /// Byte spans (interiors) of the statement's top-level blocks.
     pub blocks: Vec<(usize, usize)>,
     /// Byte span of the whole statement.
@@ -390,7 +370,7 @@ pub(crate) struct Stmt {
 impl Stmt {
     /// The statement's leading text, trimmed.
     pub fn head(&self) -> &str {
-        self.segs.first().map(|s| s.trim_start()).unwrap_or("")
+        self.head.trim_start()
     }
 
     /// The statement's text with nested top-level block interiors
@@ -420,24 +400,22 @@ pub(crate) fn split_stmts(blanked: &str, span: (usize, usize)) -> Vec<Stmt> {
     let mut out: Vec<Stmt> = Vec::new();
     let mut i = span.0;
     let mut stmt_start = span.0;
-    let mut segs: Vec<String> = Vec::new();
+    // Where the statement's head ends: its first top-level `{`, once seen.
+    let mut head_end: Option<usize> = None;
     let mut blocks: Vec<(usize, usize)> = Vec::new();
-    let mut seg_start = span.0;
 
     let flush = |out: &mut Vec<Stmt>,
-                 segs: &mut Vec<String>,
                  blocks: &mut Vec<(usize, usize)>,
                  stmt_start: &mut usize,
-                 seg_start: &mut usize,
+                 head_end: &mut Option<usize>,
                  end: usize| {
-        let mut segs = std::mem::take(segs);
-        segs.push(blanked[*seg_start..end].to_owned());
         let blocks = std::mem::take(blocks);
-        if !segs.iter().all(|s| s.trim().is_empty()) || !blocks.is_empty() {
-            out.push(Stmt { segs, blocks, full: (*stmt_start, end) });
+        if !blanked[*stmt_start..end].trim().is_empty() {
+            let head = blanked[*stmt_start..head_end.unwrap_or(end)].to_owned();
+            out.push(Stmt { head, blocks, full: (*stmt_start, end) });
         }
         *stmt_start = end;
-        *seg_start = end;
+        *head_end = None;
     };
 
     while i < span.1 {
@@ -451,22 +429,21 @@ pub(crate) fn split_stmts(blanked: &str, span: (usize, usize)) -> Vec<Stmt> {
             }
             b';' => {
                 i += 1;
-                flush(&mut out, &mut segs, &mut blocks, &mut stmt_start, &mut seg_start, i);
+                flush(&mut out, &mut blocks, &mut stmt_start, &mut head_end, i);
             }
             b'{' => {
-                segs.push(blanked[seg_start..i].to_owned());
+                let head = &blanked[stmt_start..*head_end.get_or_insert(i)];
                 let end = match match_delim(bytes, i) {
                     Some(end) => end,
                     None => span.1,
                 };
                 blocks.push((i + 1, end.saturating_sub(1)));
                 i = end;
-                seg_start = i;
                 // Does this block end the statement? Only in statement
                 // position (head starts with a control keyword or the
                 // statement is a bare/label block) and when no `else`
                 // continues it.
-                let head = skip_comment_markers(&segs[0]);
+                let head = skip_comment_markers(head);
                 let control = head.is_empty()
                     || CONTROL.iter().any(|k| {
                         head.starts_with(k)
@@ -478,14 +455,14 @@ pub(crate) fn split_stmts(blanked: &str, span: (usize, usize)) -> Vec<Stmt> {
                 }
                 let else_follows = k + 4 <= span.1 && word_at(bytes, k, "else");
                 if control && !else_follows {
-                    flush(&mut out, &mut segs, &mut blocks, &mut stmt_start, &mut seg_start, i);
+                    flush(&mut out, &mut blocks, &mut stmt_start, &mut head_end, i);
                 }
             }
             _ => i += 1,
         }
     }
     if stmt_start < span.1 {
-        flush(&mut out, &mut segs, &mut blocks, &mut stmt_start, &mut seg_start, span.1);
+        flush(&mut out, &mut blocks, &mut stmt_start, &mut head_end, span.1);
     }
     out
 }

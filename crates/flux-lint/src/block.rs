@@ -54,7 +54,7 @@
 //! ordered-shutdown joins.
 
 use crate::analysis::{
-    binding_of, display_key, line_of, split_stmts, waiver_status, DefIndex, ParsedFile, Scope,
+    binding_of, display_key, line_of, split_stmts, waiver_status, DefIndex, ParsedFile,
 };
 use crate::{Rule, Violation, ALLOW_REACH};
 use std::collections::{BTreeMap, BTreeSet};
@@ -64,25 +64,22 @@ const WAIVER: &str = "flux-lint: allow(block)";
 
 /// The sans-io scope (see the module docs): the broker core's crates
 /// plus the reactor-bound `rt` and `cli` tiers.
-const SANS_IO: Scope = Scope {
-    prefixes: &[
-        "crates/broker/src/",
-        "crates/kvs/src/",
-        "crates/modules/src/",
-        "crates/sim/src/",
-        "crates/wire/src/",
-        "crates/proto/src/",
-        "crates/flux-mc/src/",
-        "crates/kap/src/",
-        "crates/rt/src/",
-        "crates/cli/src/",
-    ],
-    files: &[],
-};
+const SANS_IO: &[&str] = &[
+    "crates/broker/src/",
+    "crates/kvs/src/",
+    "crates/modules/src/",
+    "crates/sim/src/",
+    "crates/wire/src/",
+    "crates/proto/src/",
+    "crates/flux-mc/src/",
+    "crates/kap/src/",
+    "crates/rt/src/",
+    "crates/cli/src/",
+];
 
 /// Is this file inside the sans-io scope?
-pub(crate) fn sans_io_scope(rel: &str) -> bool {
-    SANS_IO.contains(rel)
+fn sans_io_scope(rel: &str) -> bool {
+    SANS_IO.iter().any(|p| rel.starts_with(p))
 }
 
 /// I/O tokens a held lock guard must not span: frame writes/reads,
@@ -112,8 +109,7 @@ struct Source {
     what: String,
 }
 
-/// Per-function blocking classification (same lattice as the nondet
-/// pass: `Clean` / `Tainted` / `Waived`).
+/// Per-function blocking classification: `Clean` / `Tainted` / `Waived`.
 enum State {
     /// No unwaived blocking site; may still block via calls.
     Clean,

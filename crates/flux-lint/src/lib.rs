@@ -15,16 +15,12 @@
 //!    justified by `// flux-lint: allow(wildcard)`.
 //! 4. **header** — every crate root carries `#![forbid(unsafe_code)]`,
 //!    and every library root additionally `#![deny(missing_docs)]`.
-//! 5. **nondet** — determinism-taint analysis: nondeterminism sources
-//!    (hash iteration, wall clock, thread ids, address ordering) may not
-//!    reach the deterministic crates, directly or through the call
-//!    graph, without a justified `allow(nondet)` waiver. See [`taint`].
-//! 6. **block** — blocking-call taint: sleeps, deadline-free channel
+//! 5. **block** — blocking-call taint: sleeps, deadline-free channel
 //!    receives, thread joins, un-deadlined socket reads, and locks held
 //!    across I/O may not appear in (or be reached from) the sans-io
 //!    broker core without a justified `allow(block)` waiver. See
 //!    [`block`].
-//! 7. **hotalloc** — allocation accounting: per-message allocations
+//! 6. **hotalloc** — allocation accounting: per-message allocations
 //!    (`Vec::new`, `clone`, `format!`, fresh `collect`, …) may not
 //!    appear in the designated hot paths (framing chain, sim dispatch,
 //!    kvs batch apply, broker route) without a justified
@@ -41,7 +37,11 @@
 //! come back. A fourth, which held handlers to their `flux-proto`
 //! `declared_errors` by reading their source, is a run-time check now,
 //! in the one broker function every error response passes through, and
-//! a table test in `flux-modules` that drives every declared refusal.
+//! a table test in `flux-modules` that drives every declared refusal. A
+//! fifth, which read the deterministic crates for hash iteration, clocks,
+//! thread ids and address ordering, is executed too: `flux-mc`'s
+//! `determinism` test runs every seeded record in separate processes
+//! and requires them byte-identical.
 //!
 //! A violation is fixed, or waived at its site with a justified
 //! `// flux-lint: allow(...)` comment; there is no out-of-line
@@ -49,7 +49,7 @@
 //!
 //! Rules 1–4 are line rules over *blanked* text (string/char/comment
 //! contents replaced with spaces by [`token::blank`], so a `panic!(`
-//! in an error message can't fire the panic rule). Rules 5–7 are
+//! in an error message can't fire the panic rule). Rules 5–6 are
 //! semantic passes over an AST-lite statement model, sharing one
 //! [`analysis::ParsedFile`] cache per tree walk. The linter has no
 //! dependencies outside the workspace and never touches the network.
@@ -61,7 +61,6 @@ mod analysis;
 mod block;
 mod hotalloc;
 mod selfmutate;
-mod taint;
 pub mod token;
 
 use analysis::ParsedFile;
@@ -82,8 +81,6 @@ pub enum Rule {
     Wildcard,
     /// A crate root missing the agreed lint header.
     Header,
-    /// Nondeterminism reaching deterministic code without a waiver.
-    Nondet,
     /// A blocking call or lock-held-across-I/O inside sans-io code.
     Block,
     /// A per-message allocation inside a designated hot path.
@@ -98,7 +95,6 @@ impl Rule {
             Rule::Panic => "panic",
             Rule::Wildcard => "wildcard",
             Rule::Header => "header",
-            Rule::Nondet => "nondet",
             Rule::Block => "block",
             Rule::HotAlloc => "hotalloc",
         }
@@ -109,7 +105,6 @@ impl Rule {
     pub fn pass(self) -> &'static str {
         match self {
             Rule::TopicLiteral | Rule::Panic | Rule::Wildcard | Rule::Header => "line",
-            Rule::Nondet => "nondet",
             Rule::Block => "block",
             Rule::HotAlloc => "hotalloc",
         }
@@ -338,7 +333,7 @@ pub struct LintReport {
 /// Lints a whole workspace already read into memory as `(relative
 /// path, raw source)` pairs. All passes share one parsed-file cache:
 /// every source file is blanked, test-stripped, and function-indexed
-/// exactly once, then the per-file rules and the three semantic passes
+/// exactly once, then the per-file rules and the two semantic passes
 /// run over the cache. This is the engine behind [`lint_tree`]
 /// and the `--self-mutate` smoke check.
 pub fn lint_sources(files: &[(String, String)]) -> LintReport {
@@ -358,10 +353,6 @@ pub fn lint_sources(files: &[(String, String)]) -> LintReport {
         violations.extend(lint_file(rel, content));
     }
     timings.push(("tokens+headers", t.elapsed()));
-
-    let t = std::time::Instant::now();
-    violations.extend(taint::check_taint(&parsed));
-    timings.push(("nondet", t.elapsed()));
 
     let t = std::time::Instant::now();
     violations.extend(block::check_block(&parsed));

@@ -27,23 +27,6 @@ struct Mutation {
 }
 
 const MUTATIONS: &[Mutation] = &[
-    // Determinism taint: a HashMap iteration feeding output order,
-    // planted in the KVS history plane (deterministic scope).
-    Mutation {
-        name: "hash-iteration-in-det-scope",
-        rule: "nondet",
-        file: "crates/kvs/src/history.rs",
-        apply: |src| {
-            Some(format!(
-                "{src}\n/// Seeded by `flux-lint --self-mutate`: iteration order leaks.\n\
-                 pub fn mutated_dump(m: &HashMap<u64, u64>, out: &mut Vec<u64>) {{\n\
-                 \x20   for (k, _) in m {{\n\
-                 \x20       out.push(*k);\n\
-                 \x20   }}\n\
-                 }}\n"
-            ))
-        },
-    },
     // Blocking calls: a wall-clock sleep dropped into the sim engine
     // (sans-io scope, the future reactor's dispatch substrate).
     Mutation {

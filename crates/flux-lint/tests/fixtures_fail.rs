@@ -50,20 +50,6 @@ fn rule_count(fixture: &str, rel: &str, rule: Rule) -> usize {
 }
 
 #[test]
-fn taint_bad_fixture_fails_the_tree() {
-    // Field iteration, local iteration, wall clock, and an unjustified
-    // waiver: four distinct holes, each its own finding.
-    let n = rule_count("taint_nondet.rs.bad", "crates/kvs/src/fake.rs", Rule::Nondet);
-    assert_eq!(n, 4, "expected all four seeded nondet holes to fire");
-}
-
-#[test]
-fn taint_good_fixture_is_clean() {
-    let n = rule_count("taint_nondet.rs.good", "crates/kvs/src/fake.rs", Rule::Nondet);
-    assert_eq!(n, 0, "the exonerated/waived patterns must stay silent");
-}
-
-#[test]
 fn block_bad_fixture_fails_the_tree() {
     // Sleep, bare recv, thread join, lock-across-write, bare waiver,
     // and an un-deadlined socket read: six distinct blocking shapes.

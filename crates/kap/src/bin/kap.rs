@@ -461,8 +461,6 @@ fn scale_smoke_cmd(args: &[String]) {
             .unwrap_or_else(|| panic!("--ranks must be one of {:?}", bench::SWEEP_RANKS))
     };
     let name = cell.name.clone();
-    // flux-lint: allow(nondet) — wall-clock smoke budget printed to stderr;
-    // never enters the simulated run or its recorded results.
     let start = std::time::Instant::now();
     let run = bench::run_on(cell.transport, &cell.params);
     let wall = start.elapsed();

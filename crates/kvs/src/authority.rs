@@ -199,7 +199,8 @@ impl Authority {
 mod tests {
     use super::*;
     use crate::object::KvsObject;
-    use crate::testutil::{messages, request, with_ctx};
+    use crate::testutil::{messages, request};
+    use flux_broker::testing::with_ctx;
     use flux_proto::KvsMethod;
     use flux_value::Value;
     use std::sync::Arc;

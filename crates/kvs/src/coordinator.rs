@@ -256,7 +256,8 @@ mod tests {
     use super::*;
     use crate::object::KvsObject;
     use crate::shard::key_on_shard;
-    use crate::testutil::{messages, request, with_ctx};
+    use crate::testutil::{messages, request};
+    use flux_broker::testing::with_ctx;
     use flux_value::Value;
     use std::sync::Arc;
 

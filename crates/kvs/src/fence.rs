@@ -11,7 +11,7 @@
 use crate::master::Tuple;
 use crate::module::Requester;
 use crate::msg::{self, Objects};
-use flux_broker::reduce::{Partial, Reduction, WINDOW_NS};
+use flux_broker::reduce::{Partial, Reduction};
 use flux_broker::ModuleCtx;
 use flux_proto::KvsMethod;
 use flux_value::Value;
@@ -52,9 +52,6 @@ struct Local {
 pub(crate) struct FenceTree {
     up: Reduction<String, FenceAcc>,
     local: HashMap<String, Local>,
-    /// Window timer tokens (counted from 1; 0 is the batch window's).
-    tokens: HashMap<u64, String>,
-    next_token: u64,
 }
 
 impl FenceTree {
@@ -98,23 +95,18 @@ impl FenceTree {
         if let Some(waiter) = waiter {
             self.local.entry(name.to_owned()).or_default().waiters.push(waiter);
         }
-        let first = self.up.contribute(name.to_owned(), part);
-        if ctx.is_root() {
-            let mut done = self.up.drain(|k, total| k == name && total.count >= total.nprocs);
-            return done.pop().map(|(_, total)| total);
+        self.up.gather(ctx, name.to_owned(), part);
+        if !ctx.is_root() {
+            return None;
         }
-        if first {
-            self.next_token += 1;
-            self.tokens.insert(self.next_token, name.to_owned());
-            ctx.set_timer(WINDOW_NS, self.next_token);
-        }
-        None
+        let mut done = self.up.drain(|k, total| k == name && total.count >= total.nprocs);
+        done.pop().map(|(_, total)| total)
     }
 
-    /// A window timer fired: send what accumulated one hop up.
+    /// A window timer fired (its tokens count from 1; the batch window's
+    /// is 0): send what accumulated one hop up.
     pub(crate) fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, token: u64) {
-        let Some(name) = self.tokens.remove(&token) else { return };
-        self.up.flush(ctx, &KvsMethod::FenceUp.topic(), &name, |name, part| {
+        self.up.on_window(ctx, token, &KvsMethod::FenceUp.topic(), |name, part| {
             Value::from_pairs([
                 ("name", Value::from(name)),
                 ("nprocs", Value::from(part.nprocs as i64)),
@@ -135,7 +127,8 @@ impl FenceTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{messages, with_ctx};
+    use crate::testutil::messages;
+    use flux_broker::testing::with_ctx;
     use flux_broker::Output;
     use flux_wire::Rank;
 

@@ -140,7 +140,8 @@ pub fn check(histories: &[ClientHistory]) -> Vec<String> {
     // (checked for agreement across clients).
     let mut max_written: HashMap<&str, u64> = HashMap::new();
     let mut fence_keys: HashMap<&str, HashMap<&str, u64>> = HashMap::new();
-    let mut fence_shards: HashMap<&str, BTreeSet<u32>> = HashMap::new();
+    // Ordered: oracle 6a below reports its violations in fence-name order.
+    let mut fence_shards: BTreeMap<&str, BTreeSet<u32>> = BTreeMap::new();
     let mut fence_frontiers: HashMap<&str, BTreeMap<u32, u64>> = HashMap::new();
     for h in histories {
         for ev in &h.events {
@@ -482,14 +483,25 @@ mod tests {
     #[test]
     fn fence_release_missing_shard_contribution_detected() {
         // A client contributed to shard 2 but the release frontier only
-        // covers shards 0 and 1: a partial release.
-        let h = hist(vec![
-            Event::Fenced { name: "f".into(), key: "k".into(), gen: 1, shard: 2 },
-            Event::FenceDone { name: "f".into(), frontier: vec![(0, 1), (1, 1)] },
-        ]);
+        // covers shards 0 and 1: a partial release. Several are reported
+        // in fence-name order, the same in every process.
+        let names = ["a", "b", "c", "d", "e", "f"];
+        let h = hist(
+            names
+                .iter()
+                .flat_map(|&n| {
+                    [
+                        Event::Fenced { name: n.into(), key: format!("{n}.k"), gen: 1, shard: 2 },
+                        Event::FenceDone { name: n.into(), frontier: vec![(0, 1), (1, 1)] },
+                    ]
+                })
+                .collect(),
+        );
         let v = check(&[h]);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].contains("no entry for shard 2"), "{v:?}");
+        assert_eq!(v.len(), names.len(), "{v:?}");
+        for (v, n) in v.iter().zip(names) {
+            assert!(v.starts_with(&format!("fence {n} released with no entry for shard 2")), "{v:?}");
+        }
     }
 
     #[test]

@@ -135,7 +135,8 @@ impl<T: Copy> InFlight<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{request, with_ctx};
+    use crate::testutil::request;
+    use flux_broker::testing::with_ctx;
     use flux_value::Value;
     use flux_wire::errnum;
 

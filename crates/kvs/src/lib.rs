@@ -71,53 +71,15 @@ pub use store::{CacheStats, ObjectCache};
 
 #[cfg(test)]
 mod proptests;
-/// Unit-test scaffolding: a live [`ModuleCtx`] without a session.
-///
-/// The role structs take `&mut ModuleCtx`, which only a broker can
-/// mint. [`with_ctx`] hosts a closure as the sole comms module of one
-/// stand-alone broker, runs it once, and hands back what it returned
-/// plus everything the broker emitted on its behalf.
+/// Unit-test scaffolding beside `flux_broker::testing::with_ctx`, which
+/// hosts a role under test in one stand-alone broker.
 #[cfg(test)]
 pub(crate) mod testutil {
-    use flux_broker::{Broker, BrokerConfig, CommsModule, Handled, Input, ModuleCtx, Output};
+    use flux_broker::Output;
     use flux_proto::KvsMethod;
     use flux_value::Value;
     use flux_wire::{Message, MsgId, Rank};
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::mpsc;
-
-    type Job = Box<dyn FnOnce(&mut ModuleCtx<'_>) + Send>;
-
-    struct Probe(Option<Job>);
-
-    impl CommsModule for Probe {
-        fn name(&self) -> &'static str {
-            "kvs"
-        }
-        fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
-            if let Some(job) = self.0.take() {
-                job(ctx);
-            }
-            ctx.one_way(msg)
-        }
-    }
-
-    /// Runs `f` inside the broker at `rank` of a `size`-wide session
-    /// (binary tree, no peers attached: sends surface as outputs).
-    pub(crate) fn with_ctx<R, F>(rank: u32, size: u32, f: F) -> (R, Vec<Output>)
-    where
-        R: Send + 'static,
-        F: FnOnce(&mut ModuleCtx<'_>) -> R + Send + 'static,
-    {
-        let (tx, rx) = mpsc::channel();
-        let job: Job = Box::new(move |ctx| tx.send(f(ctx)).expect("result receiver alive"));
-        let mut broker = Broker::new(BrokerConfig::new(Rank(rank), size), vec![Box::new(Probe(Some(job)))]);
-        broker.start(0);
-        // A one-way kick: the probe emits nothing of its own.
-        let kick = request(KvsMethod::FenceUp, Value::object());
-        let outs = broker.handle(0, Input::FromClient { client: 0, msg: kick });
-        (rx.recv().expect("probe ran"), outs)
-    }
 
     /// A request as a local client would have sent it: unique id, one
     /// client hop, so `ctx.respond` surfaces as [`Output::ToClient`].

@@ -410,7 +410,8 @@ impl Reads {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{messages, request, with_ctx};
+    use crate::testutil::{messages, request};
+    use flux_broker::testing::with_ctx;
     use flux_wire::MsgId;
 
     /// The one load in flight, as the request the parent would answer.

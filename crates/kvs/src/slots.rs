@@ -165,7 +165,8 @@ impl Slots {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{request, with_ctx};
+    use crate::testutil::request;
+    use flux_broker::testing::with_ctx;
     use flux_proto::KvsMethod;
     use flux_value::Value;
 

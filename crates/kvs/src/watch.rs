@@ -75,7 +75,8 @@ impl Watches {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::{messages, request, with_ctx};
+    use crate::testutil::{messages, request};
+    use flux_broker::testing::with_ctx;
     use flux_wire::Rank;
 
     #[test]

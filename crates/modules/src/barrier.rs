@@ -9,7 +9,7 @@
 //! `kvs.fence` minus the data, and the module the paper's KAP uses for
 //! phase alignment.
 
-use flux_broker::reduce::{Partial, Reduction, WINDOW_NS};
+use flux_broker::reduce::{Partial, Reduction};
 use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{BarrierMethod, Event};
 use flux_value::Value;
@@ -35,9 +35,6 @@ pub struct BarrierModule {
     counts: Reduction<String, Count>,
     /// Parked `barrier.enter` requests by barrier name.
     waiters: HashMap<String, Vec<Message>>,
-    /// Window timers in flight.
-    tokens: HashMap<u64, String>,
-    next_token: u64,
     /// Completed barriers (root only; for tests/tools).
     completed: u64,
 }
@@ -49,20 +46,17 @@ impl BarrierModule {
     }
 
     fn contribute(&mut self, ctx: &mut ModuleCtx<'_>, name: &str, part: Count) {
-        let first = self.counts.contribute(name.to_owned(), part);
-        if ctx.is_root() {
-            for (name, _) in self.counts.drain(|_, total| total.count >= total.nprocs) {
-                self.completed += 1;
-                ctx.publish(
-                    Event::BarrierExit.topic(),
-                    Value::from_pairs([("name", Value::from(name.as_str()))]),
-                );
-                self.release(ctx, &name);
-            }
-        } else if first {
-            self.next_token += 1;
-            self.tokens.insert(self.next_token, name.to_owned());
-            ctx.set_timer(WINDOW_NS, self.next_token);
+        self.counts.gather(ctx, name.to_owned(), part);
+        if !ctx.is_root() {
+            return;
+        }
+        for (name, _) in self.counts.drain(|_, total| total.count >= total.nprocs) {
+            self.completed += 1;
+            ctx.publish(
+                Event::BarrierExit.topic(),
+                Value::from_pairs([("name", Value::from(name.as_str()))]),
+            );
+            self.release(ctx, &name);
         }
     }
 
@@ -121,8 +115,7 @@ impl CommsModule for BarrierModule {
     }
 
     fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, token: u64) {
-        let Some(name) = self.tokens.remove(&token) else { return };
-        self.counts.flush(ctx, &BarrierMethod::Up.topic(), &name, |name, part| {
+        self.counts.on_window(ctx, token, &BarrierMethod::Up.topic(), |name, part| {
             Value::from_pairs([
                 ("name", Value::from(name)),
                 ("nprocs", Value::from(part.nprocs as i64)),

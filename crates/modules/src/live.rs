@@ -81,7 +81,7 @@ impl CommsModule for LiveModule {
         // Child side: hello to the (effective) parent.
         if !ctx.is_root() {
             let payload = Value::from_pairs([("rank", Value::from(ctx.rank().0))]);
-            let _ = ctx.notify_upstream(LiveMethod::Hello.topic(), payload);
+            ctx.notify_upstream(LiveMethod::Hello.topic(), payload);
         }
         // Parent side: check for silent children.
         let miss_limit = u64::from(ctx.config().live_miss_limit);

@@ -134,7 +134,8 @@ pub struct Engine {
     /// Action buffer handed to actor contexts; kept on the engine so its
     /// allocation is reused across every handler invocation.
     actions: Vec<Action>,
-    /// Real time accumulated inside `run*` calls (see [`Throughput`]).
+    /// Real time accumulated inside `run*` calls (see [`Throughput`]);
+    /// diagnostics only, it never feeds a simulated outcome.
     run_wall: std::time::Duration,
 }
 
@@ -245,8 +246,6 @@ impl Engine {
     }
 
     fn run_inner(&mut self, deadline: Option<SimTime>) -> SimTime {
-        // flux-lint: allow(nondet) — run_wall is diagnostics-only accounting,
-        // excluded from record equality and every simulated outcome.
         let wall = std::time::Instant::now();
         while !self.stopped {
             if !self.pop_dispatch(deadline) {
@@ -270,8 +269,6 @@ impl Engine {
     /// the budget; `false` means events were still pending — a protocol
     /// livelock if the caller expected quiescence.
     pub fn run_budgeted(&mut self, budget: u64) -> (SimTime, bool) {
-        // flux-lint: allow(nondet) — run_wall is diagnostics-only accounting,
-        // excluded from record equality and every simulated outcome.
         let wall = std::time::Instant::now();
         let mut left = budget;
         let quiet = loop {
