@@ -255,9 +255,9 @@ impl Core {
             }
         }
         for child in targets {
-            // flux-lint: allow(hotalloc) — Message clones are
-            // header-shallow (Arc'd topic and payload): the per-child
-            // fan-out copy is two refcount bumps, not a payload copy.
+            // Message clones are header-shallow (Arc'd topic and
+            // payload): the per-child fan-out copy is two refcount
+            // bumps, not a payload copy.
             self.outputs.push(Output::ToBroker {
                 plane: Plane::Event,
                 to: child,
@@ -545,10 +545,7 @@ impl Broker {
         // with no scratch list or sort on the event path.
         for (&client, prefixes) in &self.core.client_subs {
             if prefixes.iter().any(|p| topic.matches_prefix(p)) {
-                // flux-lint: allow(hotalloc) — Message clones are
-                // header-shallow: the topic is Arc<str>-backed and the
-                // payload holds an Arc, so each fan-out copy is a pair
-                // of refcount bumps, not a payload copy.
+                // Header-shallow, as in `fan_children`.
                 self.core.outputs.push(Output::ToClient { client, msg: msg.clone() });
             }
         }

@@ -64,8 +64,7 @@ fn wait_job_blocks_until_late_completion() {
     // `sleep 200` finishes 200 ms after launch, so the completion record
     // does not exist when `wait-job` starts: the initial watch snapshot
     // is null and the wait must ride a later watch update (regression
-    // for the old sleep/re-get poll loop, which flux-lint's block pass
-    // now forbids in sans-io code).
+    // for the old sleep/re-get poll loop the watch stream replaced).
     let (stdout, stderr, ok) =
         flux(&["--size", "3", "run", "9", "sleep", "200", ";", "wait-job", "9"]);
     assert!(ok, "stderr: {stderr}");

@@ -1,7 +1,7 @@
 //! Offline static-conformance linter for the workspace.
 //!
-//! `cargo run -p flux-lint` walks `crates/` and enforces the protocol
-//! and panic-hygiene rules described in DESIGN.md §12:
+//! `cargo run -p flux-lint` walks `crates/`, `examples/` and `tests/`
+//! and enforces the line rules described in DESIGN.md §12:
 //!
 //! 1. **topic-literal** — no topic-pattern string literal (a `"` followed
 //!    by a registered service name and a `.`) may appear outside
@@ -14,61 +14,43 @@
 //!    wire crate (protocol decoders must enumerate their domain), unless
 //!    justified by `// flux-lint: allow(wildcard)`.
 //! 4. **header** — every crate root carries `#![forbid(unsafe_code)]`,
-//!    and every library root additionally `#![deny(missing_docs)]`.
-//! 5. **block** — blocking-call taint: sleeps, deadline-free channel
-//!    receives, thread joins, un-deadlined socket reads, and locks held
-//!    across I/O may not appear in (or be reached from) the sans-io
-//!    broker core without a justified `allow(block)` waiver. See
-//!    [`block`].
-//! 6. **hotalloc** — allocation accounting: per-message allocations
-//!    (`Vec::new`, `clone`, `format!`, fresh `collect`, …) may not
-//!    appear in the designated hot paths (framing chain, sim dispatch,
-//!    kvs batch apply, broker route) without a justified
-//!    `allow(hotalloc)` waiver. See [`hotalloc`].
+//!    and every library root additionally `#![deny(missing_docs)]`. The
+//!    one exception is `crates/sys/src/lib.rs`, the audited `unsafe`
+//!    crate: it carries `#![deny(unsafe_op_in_unsafe_fn)]` and
+//!    `#![deny(missing_docs)]` instead, and a `// SAFETY:` comment
+//!    directly above every line that says `unsafe`.
+//! 5. **block** — the crates the sans-io broker core is built from never
+//!    name a thread, a channel, a lock or a socket (`BLOCKING`). What
+//!    they can call lies inside the same scope, so nothing they reach can
+//!    block either; `flux-rt` and the CLI are the I/O tier, outside it.
+//! 6. **unsafe** — the `unsafe` keyword appears in no `.rs` file but
+//!    `crates/sys/src/lib.rs`, tests and examples included.
 //!
-//! Two invariants that used to be rules here are types now, checked by
-//! rustc: every request is answered on every path
-//! (`flux_broker::Handled`, the return type of a request handler), and
-//! every RPC the KVS sends is registered, its answer classified and the
-//! request retried (`flux-kvs`'s `inflight` table). A third rule,
-//! lock-order, is gone because its subject is: the workspace has taken
-//! no lock since the reactor replaced the thread-per-link runtime, and
-//! **block**'s lock-held-across-I/O shape is the tripwire should one
-//! come back. A fourth, which held handlers to their `flux-proto`
-//! `declared_errors` by reading their source, is a run-time check now,
-//! in the one broker function every error response passes through, and
-//! a table test in `flux-modules` that drives every declared refusal. A
-//! fifth, which read the deterministic crates for hash iteration, clocks,
-//! thread ids and address ordering, is executed too: `flux-mc`'s
-//! `determinism` test runs every seeded record in separate processes
-//! and requires them byte-identical.
+//! Invariants that used to be read here are executed now: every request
+//! is answered (`flux_broker::Handled`, a type), every KVS RPC is
+//! registered and retried (`flux-kvs`'s `inflight` table), every refusal
+//! is declared (`Core::respond_err` plus `flux-modules`' `refusals`
+//! test), seeded records are process-independent (`flux-mc`'s
+//! `determinism` test), and the per-message paths allocate what their
+//! budgets say (`flux-rt`'s `alloc_budget` test).
 //!
-//! A violation is fixed, or waived at its site with a justified
-//! `// flux-lint: allow(...)` comment; there is no out-of-line
-//! suppression list.
+//! A panic or wildcard finding is fixed, or waived at its site with a
+//! justified `// flux-lint: allow(...)` comment; the other rules have no
+//! waiver, and there is no out-of-line suppression list.
 //!
-//! Rules 1–4 are line rules over *blanked* text (string/char/comment
-//! contents replaced with spaces by [`token::blank`], so a `panic!(`
-//! in an error message can't fire the panic rule). Rules 5–6 are
-//! semantic passes over an AST-lite statement model, sharing one
-//! [`analysis::ParsedFile`] cache per tree walk. The linter has no
-//! dependencies outside the workspace and never touches the network.
+//! Every rule reads *blanked* text (string/char/comment contents replaced
+//! with spaces by [`token::blank`], so a `panic!(` in an error message
+//! can't fire the panic rule); waivers, `// SAFETY:` arguments and topic
+//! literals are read from raw lines. The linter has no dependencies outside the workspace and
+//! never touches the network.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-mod analysis;
-mod block;
-mod hotalloc;
-mod selfmutate;
 pub mod token;
 
-use analysis::ParsedFile;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
-
-pub use selfmutate::self_mutate;
 
 /// Which lint rule a violation belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -81,10 +63,10 @@ pub enum Rule {
     Wildcard,
     /// A crate root missing the agreed lint header.
     Header,
-    /// A blocking call or lock-held-across-I/O inside sans-io code.
+    /// A thread, channel, lock or socket named in the sans-io core.
     Block,
-    /// A per-message allocation inside a designated hot path.
-    HotAlloc,
+    /// The `unsafe` keyword outside the audited `unsafe` crate.
+    Unsafe,
 }
 
 impl Rule {
@@ -96,17 +78,7 @@ impl Rule {
             Rule::Wildcard => "wildcard",
             Rule::Header => "header",
             Rule::Block => "block",
-            Rule::HotAlloc => "hotalloc",
-        }
-    }
-
-    /// The pass that produces this rule, for machine-readable output:
-    /// `line` for the token rules, the pass name for semantic passes.
-    pub fn pass(self) -> &'static str {
-        match self {
-            Rule::TopicLiteral | Rule::Panic | Rule::Wildcard | Rule::Header => "line",
-            Rule::Block => "block",
-            Rule::HotAlloc => "hotalloc",
+            Rule::Unsafe => "unsafe",
         }
     }
 }
@@ -145,13 +117,52 @@ const NO_WILDCARD: &[&str] = &["crates/wire/src/"];
 const PANIC_TOKENS: &[&str] =
     &[".unwrap()", ".expect(", "panic!(", "unreachable!(", "todo!(", "unimplemented!("];
 
+/// The sans-io scope of the block rule: the `src/` of every crate the
+/// broker core is built from.
+const SANS_IO: &[&str] = &[
+    "crates/value/src/",
+    "crates/hash/src/",
+    "crates/wire/src/",
+    "crates/proto/src/",
+    "crates/topo/src/",
+    "crates/sim/src/",
+    "crates/broker/src/",
+    "crates/kvs/src/",
+    "crates/modules/src/",
+    "crates/core/src/",
+    "crates/pmi/src/",
+    "crates/flux-mc/src/",
+    "crates/kap/src/",
+];
+
+/// What the block rule rejects in the sans-io scope: threads, sleeps,
+/// blocking receives and joins, channels, locks, and sockets.
+const BLOCKING: &[&str] = &[
+    "std::thread",
+    "thread::sleep",
+    ".recv()",
+    ".join()",
+    "mpsc",
+    "Mutex",
+    "RwLock",
+    "Condvar",
+    ".lock()",
+    "std::net",
+    "TcpStream",
+    "TcpListener",
+];
+
+/// The one file allowed `unsafe` (DESIGN.md §6).
+const UNSAFE_HOME: &str = "crates/sys/src/lib.rs";
+
 /// How many lines an `// flux-lint: allow(...)` annotation reaches
 /// forward. Keeps a waiver from silently covering unrelated code.
 const ALLOW_REACH: usize = 10;
 
 /// True if the topic-literal rule applies to this file at all.
 fn topic_rule_applies(rel: &str) -> bool {
-    !rel.starts_with("crates/proto/")
+    rel.starts_with("crates/")
+        && !rel.starts_with("crates/proto/")
         && !rel.starts_with("crates/flux-lint/")
         && !rel.contains("/tests/")
 }
@@ -231,36 +242,66 @@ impl ScanState {
     }
 }
 
+/// True if `line` holds `word` as a whole identifier (so `unsafe` fires
+/// and `unsafe_code` does not).
+fn has_keyword(line: &str, word: &str) -> bool {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(word).any(|(i, _)| {
+        !line[..i].chars().next_back().is_some_and(ident)
+            && !line[i + word.len()..].chars().next().is_some_and(ident)
+    })
+}
+
 /// Lints one file's content as if it lived at workspace-relative path
-/// `rel`: the token rules and header checks only (no parsing needed).
-/// Tests feed it fixture content directly; the semantic passes need the
-/// full tree — see [`lint_sources`].
+/// `rel`. Every rule is per file, so tests feed fixture content straight
+/// in; [`lint_tree`] runs it over the workspace.
 pub fn lint_file(rel: &str, content: &str) -> Vec<Violation> {
     let mut out = Vec::new();
+    let mut flag = |line: usize, rule: Rule, message: String| {
+        out.push(Violation { file: rel.to_owned(), line, rule, message });
+    };
     let services: Vec<&str> = flux_proto::Service::ALL.iter().map(|s| s.name()).collect();
     let topic_scope = topic_rule_applies(rel);
     let panic_scope =
         PANIC_FREE.iter().any(|p| rel.starts_with(p)) && !rel.ends_with("proptests.rs");
     let wildcard_scope =
         NO_WILDCARD.iter().any(|p| rel.starts_with(p)) && !rel.ends_with("proptests.rs");
+    let block_scope = SANS_IO.iter().any(|p| rel.starts_with(p));
+    let unsafe_scope = rel != UNSAFE_HOME;
 
-    // Token rules run over blanked text (strings and comments can't
-    // fire them); waivers and topic literals are read from raw lines.
     let blanked = token::blank(content);
     let mut st = ScanState::new();
     for (idx, (line, bline)) in content.lines().zip(blanked.lines()).enumerate() {
         let lineno = idx + 1;
         if topic_scope {
             if let Some(svc) = line_has_topic_literal(line, &services) {
-                out.push(Violation {
-                    file: rel.to_owned(),
-                    line: lineno,
-                    rule: Rule::TopicLiteral,
-                    message: format!(
+                flag(
+                    lineno,
+                    Rule::TopicLiteral,
+                    format!(
                         "string literal for service `{svc}` — route through flux-proto instead"
                     ),
-                });
+                );
             }
+        }
+        if block_scope {
+            if let Some(tok) = BLOCKING.iter().find(|t| bline.contains(*t)) {
+                flag(
+                    lineno,
+                    Rule::Block,
+                    format!(
+                        "`{tok}` in the sans-io broker core — threads, channels, locks and \
+                         sockets belong to the I/O tier (`flux-rt`)"
+                    ),
+                );
+            }
+        }
+        if unsafe_scope && has_keyword(bline, "unsafe") {
+            flag(
+                lineno,
+                Rule::Unsafe,
+                format!("`unsafe` outside `{UNSAFE_HOME}`, the one audited unsafe crate"),
+            );
         }
         if !(panic_scope || wildcard_scope) {
             continue;
@@ -286,16 +327,15 @@ pub fn lint_file(rel: &str, content: &str) -> Vec<Violation> {
                 } else if st.allow_panic.is_some_and(|l| lineno - l <= ALLOW_REACH) {
                     st.allow_panic = None;
                 } else {
-                    out.push(Violation {
-                        file: rel.to_owned(),
-                        line: lineno,
-                        rule: Rule::Panic,
-                        message: format!(
+                    flag(
+                        lineno,
+                        Rule::Panic,
+                        format!(
                             "`{}` in panic-free code — return an error or justify with \
                              `// flux-lint: allow(panic)`",
                             tok.trim_start_matches('.')
                         ),
-                    });
+                    );
                 }
             }
         }
@@ -305,73 +345,26 @@ pub fn lint_file(rel: &str, content: &str) -> Vec<Violation> {
             } else if st.allow_wildcard.is_some_and(|l| lineno - l <= ALLOW_REACH) {
                 st.allow_wildcard = None;
             } else {
-                out.push(Violation {
-                    file: rel.to_owned(),
-                    line: lineno,
-                    rule: Rule::Wildcard,
-                    message: "`_ =>` arm in a protocol decoder — enumerate the domain or \
-                              justify with `// flux-lint: allow(wildcard)`"
+                flag(
+                    lineno,
+                    Rule::Wildcard,
+                    "`_ =>` arm in a protocol decoder — enumerate the domain or justify with \
+                     `// flux-lint: allow(wildcard)`"
                         .to_owned(),
-                });
+                );
             }
         }
     }
 
-    out.extend(check_headers(rel, content));
+    out.extend(check_headers(rel, content, &blanked));
     out
 }
 
-/// The outcome of one whole-workspace lint: the surviving violations
-/// plus wall time per pass (for `flux-lint --timings`).
-pub struct LintReport {
-    /// Every violation found, sorted by file and line.
-    pub violations: Vec<Violation>,
-    /// `(pass name, wall time)` in execution order.
-    pub timings: Vec<(&'static str, Duration)>,
-}
-
-/// Lints a whole workspace already read into memory as `(relative
-/// path, raw source)` pairs. All passes share one parsed-file cache:
-/// every source file is blanked, test-stripped, and function-indexed
-/// exactly once, then the per-file rules and the two semantic passes
-/// run over the cache. This is the engine behind [`lint_tree`]
-/// and the `--self-mutate` smoke check.
-pub fn lint_sources(files: &[(String, String)]) -> LintReport {
-    let mut timings = Vec::new();
-    let mut violations = Vec::new();
-
-    let t0 = std::time::Instant::now();
-    let parsed: Vec<ParsedFile> = files
-        .iter()
-        .filter(|(rel, _)| rel.contains("/src/"))
-        .map(|(rel, content)| ParsedFile::parse(rel, content))
-        .collect();
-    timings.push(("parse", t0.elapsed()));
-
-    let t = std::time::Instant::now();
-    for (rel, content) in files {
-        violations.extend(lint_file(rel, content));
-    }
-    timings.push(("tokens+headers", t.elapsed()));
-
-    let t = std::time::Instant::now();
-    violations.extend(block::check_block(&parsed));
-    timings.push(("block", t.elapsed()));
-
-    let t = std::time::Instant::now();
-    violations.extend(hotalloc::check_hotalloc(&parsed));
-    timings.push(("hotalloc", t.elapsed()));
-
-    violations.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
-    LintReport { violations, timings }
-}
-
-/// Renders a report as the `flux-lint/v1` machine-readable document
-/// (the `--json` output). One object per violation carrying the pass,
-/// rule, file, line, waiver status, and message, plus per-pass wall
-/// times in milliseconds. Hand-rolled: the schema is flat scalars, so
+/// Renders violations as the `flux-lint/v2` machine-readable document
+/// (the `--json` output): one object per violation carrying its rule,
+/// file, line and message. Hand-rolled: the schema is flat scalars, so
 /// no JSON dependency is warranted.
-pub fn to_json(report: &LintReport) -> String {
+pub fn to_json(violations: &[Violation]) -> String {
     fn esc(s: &str) -> String {
         let mut out = String::with_capacity(s.len() + 2);
         for c in s.chars() {
@@ -387,64 +380,74 @@ pub fn to_json(report: &LintReport) -> String {
         }
         out
     }
-    let mut out = String::from("{\n  \"schema\": \"flux-lint/v1\",\n");
-    out.push_str(&format!("  \"clean\": {},\n", report.violations.is_empty()));
+    let mut out = String::from("{\n  \"schema\": \"flux-lint/v2\",\n");
+    out.push_str(&format!("  \"clean\": {},\n", violations.is_empty()));
     out.push_str("  \"violations\": [");
-    for (i, v) in report.violations.iter().enumerate() {
-        // A justified waiver never reaches the report, so the only
-        // waiver state a violation can carry is "unjustified" (a bare
-        // `allow(..)` demanding its reason).
-        let waiver =
-            if v.message.contains("without a justification") { "unjustified" } else { "none" };
+    for (i, v) in violations.iter().enumerate() {
         out.push_str(if i == 0 { "\n" } else { ",\n" });
         out.push_str(&format!(
-            "    {{\"pass\": \"{}\", \"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \
-             \"waiver\": \"{waiver}\", \"message\": \"{}\"}}",
-            v.rule.pass(),
+            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
             v.rule.name(),
             esc(&v.file),
             v.line,
             esc(&v.message),
         ));
     }
-    out.push_str(if report.violations.is_empty() { "],\n" } else { "\n  ],\n" });
-    out.push_str("  \"timings\": [");
-    for (i, (pass, took)) in report.timings.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"pass\": \"{pass}\", \"ms\": {:.3}}}",
-            took.as_secs_f64() * 1e3
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
+    out.push_str(if violations.is_empty() { "]\n}\n" } else { "\n  ]\n}\n" });
     out
 }
 
-/// Rule 4: crate roots must carry the agreed lint headers.
-fn check_headers(rel: &str, content: &str) -> Vec<Violation> {
+/// Rule 4: crate roots must carry the agreed lint headers; the audited
+/// `unsafe` crate carries its own, and a `// SAFETY:` argument for every
+/// line that says `unsafe`.
+fn check_headers(rel: &str, content: &str, blanked: &str) -> Vec<Violation> {
     let is_lib = rel.ends_with("/src/lib.rs");
     let is_bin = rel.ends_with("/src/main.rs") || rel.contains("/src/bin/");
-    let mut out = Vec::new();
-    if !(is_lib || is_bin) {
-        return out;
-    }
-    if !content.contains("#![forbid(unsafe_code)]") {
-        out.push(Violation {
+    let required: &[&str] = if rel == UNSAFE_HOME {
+        &["#![deny(unsafe_op_in_unsafe_fn)]", "#![deny(missing_docs)]"]
+    } else if is_lib {
+        &["#![forbid(unsafe_code)]", "#![deny(missing_docs)]"]
+    } else if is_bin {
+        &["#![forbid(unsafe_code)]"]
+    } else {
+        &[]
+    };
+    let mut out: Vec<Violation> = required
+        .iter()
+        .filter(|attr| !content.contains(**attr))
+        .map(|attr| Violation {
             file: rel.to_owned(),
             line: 0,
             rule: Rule::Header,
-            message: "crate root is missing `#![forbid(unsafe_code)]`".to_owned(),
-        });
-    }
-    if is_lib && !content.contains("#![deny(missing_docs)]") {
-        out.push(Violation {
-            file: rel.to_owned(),
-            line: 0,
-            rule: Rule::Header,
-            message: "library root is missing `#![deny(missing_docs)]`".to_owned(),
-        });
+            message: format!("crate root is missing `{attr}`"),
+        })
+        .collect();
+    if rel == UNSAFE_HOME {
+        let raw: Vec<&str> = content.lines().collect();
+        for (idx, bline) in blanked.lines().enumerate() {
+            if has_keyword(bline, "unsafe") && !has_safety_comment(&raw, idx) {
+                out.push(Violation {
+                    file: rel.to_owned(),
+                    line: idx + 1,
+                    rule: Rule::Header,
+                    message: "`unsafe` with no `// SAFETY:` comment directly above it".to_owned(),
+                });
+            }
+        }
     }
     out
+}
+
+/// True if line `idx` or the comment and attribute lines directly above
+/// it carry a `// SAFETY:` argument.
+fn has_safety_comment(raw: &[&str], idx: usize) -> bool {
+    raw[idx].contains("// SAFETY:")
+        || raw[..idx]
+            .iter()
+            .rev()
+            .map(|l| l.trim_start())
+            .take_while(|l| l.starts_with("//") || l.starts_with("#["))
+            .any(|l| l.starts_with("// SAFETY:"))
 }
 
 /// Recursively collects `.rs` files under `dir`, skipping fixture and
@@ -467,33 +470,25 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Reads the workspace rooted at `root` into `(relative path, raw
-/// source)` pairs, sorted by path.
-pub fn read_sources(root: &Path) -> std::io::Result<Vec<(String, String)>> {
-    let mut files = Vec::new();
-    collect_rs(&root.join("crates"), &mut files)?;
-    files.sort();
-    let mut sources = Vec::new();
-    for path in &files {
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        sources.push((rel, std::fs::read_to_string(path)?));
-    }
-    Ok(sources)
-}
-
-/// Lints the whole workspace rooted at `root` (the directory holding
-/// `crates/`). Returns the full report including per-pass timings.
-pub fn lint_tree_report(root: &Path) -> std::io::Result<LintReport> {
-    Ok(lint_sources(&read_sources(root)?))
-}
-
-/// Like [`lint_tree_report`], returning the surviving violations only.
+/// Lints every `.rs` file under `crates/`, `examples/` and `tests/` of
+/// the workspace rooted at `root`. Violations come sorted by file and
+/// line.
 pub fn lint_tree(root: &Path) -> std::io::Result<Vec<Violation>> {
-    Ok(lint_tree_report(root)?.violations)
+    let mut files = Vec::new();
+    for dir in ["crates", "examples", "tests"] {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            collect_rs(&dir, &mut files)?;
+        }
+    }
+    files.sort();
+    let mut violations = Vec::new();
+    for path in &files {
+        let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
+        violations.extend(lint_file(&rel, &std::fs::read_to_string(path)?));
+    }
+    violations.sort_by(|a, b| (a.file.as_str(), a.line).cmp(&(b.file.as_str(), b.line)));
+    Ok(violations)
 }
 
 /// The workspace root this linter was built in, for the self-check test
@@ -572,41 +567,72 @@ mod tests {
     }
 
     #[test]
-    fn json_report_matches_the_v1_schema() {
-        let report = LintReport {
-            violations: vec![
-                Violation {
-                    file: "crates/sim/src/demo.rs".to_owned(),
-                    line: 7,
-                    rule: Rule::Block,
-                    message: "blocking sleep (`thread::sleep`) — \"bad\"\nsecond line".to_owned(),
-                },
-                Violation {
-                    file: "crates/wire/src/codec.rs".to_owned(),
-                    line: 12,
-                    rule: Rule::HotAlloc,
-                    message: "`allow(hotalloc)` without a justification".to_owned(),
-                },
-            ],
-            timings: vec![("parse", Duration::from_micros(1500)), ("block", Duration::ZERO)],
-        };
-        let doc = to_json(&report);
-        assert!(doc.contains("\"schema\": \"flux-lint/v1\""), "{doc}");
+    fn block_rule_covers_the_sans_io_core_only() {
+        let src = "fn pump(rx: &Receiver<u8>) -> u8 {\n    rx.recv().unwrap_or(0)\n}\n";
+        let v = lint_file("crates/sim/src/fake.rs", src);
+        assert_eq!(rules(&v), [Rule::Block], "{v:?}");
+        assert!(v[0].message.contains(".recv()"), "{v:?}");
+        // The I/O tier and test directories are outside the scope.
+        for rel in ["crates/rt/src/fake.rs", "crates/sim/tests/fake.rs"] {
+            assert!(lint_file(rel, src).is_empty(), "{rel}");
+        }
+        // Strings and comments never fire.
+        let quiet = "let s = \"a Mutex\"; // std::thread::sleep\n";
+        assert!(lint_file("crates/sim/src/fake.rs", quiet).is_empty());
+    }
+
+    #[test]
+    fn unsafe_rule_fires_everywhere_but_the_sys_crate_root() {
+        let src = "fn f() {\n    unsafe { g() }\n}\n";
+        for rel in
+            ["crates/wire/src/fake.rs", "crates/rt/tests/fake.rs", "examples/fake.rs", "tests/x.rs"]
+        {
+            let v = lint_file(rel, src);
+            assert_eq!(rules(&v), [Rule::Unsafe], "{rel}: {v:?}");
+        }
+        // Lint names and the word in comments or strings are not the keyword.
+        let quiet = "#![forbid(unsafe_code)]\n// unsafe\nlet s = \"unsafe\";\n";
+        assert!(lint_file("crates/wire/src/fake.rs", quiet).is_empty());
+        // The sys crate root may say it, each time under a SAFETY argument.
+        let sys = "#![deny(unsafe_op_in_unsafe_fn)]\n#![deny(missing_docs)]\n\
+                   // SAFETY: forwards to System.\nunsafe impl A for B {}\nunsafe fn bare() {}\n";
+        let v = lint_file("crates/sys/src/lib.rs", sys);
+        assert_eq!(rules(&v), [Rule::Header], "{v:?}");
+        assert_eq!(v[0].line, 5, "{v:?}");
+    }
+
+    #[test]
+    fn json_report_matches_the_v2_schema() {
+        let violations = [
+            Violation {
+                file: "crates/sim/src/demo.rs".to_owned(),
+                line: 7,
+                rule: Rule::Block,
+                message: "`thread::sleep` — \"bad\"\nsecond line".to_owned(),
+            },
+            Violation {
+                file: "crates/wire/src/codec.rs".to_owned(),
+                line: 12,
+                rule: Rule::Unsafe,
+                message: "`unsafe` outside the sys crate".to_owned(),
+            },
+        ];
+        let doc = to_json(&violations);
+        assert!(doc.contains("\"schema\": \"flux-lint/v2\""), "{doc}");
         assert!(doc.contains("\"clean\": false"), "{doc}");
-        // Every violation carries pass, rule, file, line, waiver, message.
+        // Every violation carries rule, file, line and message.
         assert!(
             doc.contains(
-                "\"pass\": \"block\", \"rule\": \"block\", \"file\": \"crates/sim/src/demo.rs\", \
-                 \"line\": 7, \"waiver\": \"none\""
+                "{\"rule\": \"block\", \"file\": \"crates/sim/src/demo.rs\", \"line\": 7, \
+                 \"message\": "
             ),
             "{doc}"
         );
-        assert!(doc.contains("\"waiver\": \"unjustified\""), "{doc}");
+        assert!(doc.contains("\"rule\": \"unsafe\""), "{doc}");
         // Quotes and newlines in messages are escaped, not emitted raw.
         assert!(doc.contains("\\\"bad\\\"\\nsecond line"), "{doc}");
-        assert!(doc.contains("{\"pass\": \"parse\", \"ms\": 1.500}"), "{doc}");
         // An empty report is clean with an empty violations array.
-        let clean = to_json(&LintReport { violations: vec![], timings: vec![] });
+        let clean = to_json(&[]);
         assert!(clean.contains("\"clean\": true"), "{clean}");
         assert!(clean.contains("\"violations\": []"), "{clean}");
     }

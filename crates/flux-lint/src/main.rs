@@ -8,18 +8,10 @@
 //!
 //! Flags:
 //!
-//! * `--timings` — print wall time per pass after the lint result.
-//! * `--json` — emit the `flux-lint/v1` machine-readable document on
+//! * `--json` — emit the `flux-lint/v2` machine-readable document on
 //!   stdout instead of the human diagnostics (exit codes unchanged).
 //! * `--annotate` — also emit one GitHub Actions `::error` workflow
 //!   command per violation, so findings surface inline on the PR diff.
-//! * `--budget-ms <N>` — fail (exit 2) if the summed per-pass wall
-//!   time exceeds `N` milliseconds: the lint stays fast enough to run
-//!   on every push, by construction.
-//! * `--self-mutate` — run the mutation smoke check instead of the
-//!   lint: seed one known violation per semantic pass into an
-//!   in-memory copy of the tree and fail (exit 2) unless every seeded
-//!   violation is caught. Guards CI against the linter itself rotting.
 
 #![forbid(unsafe_code)]
 
@@ -30,63 +22,31 @@ fn main() -> ExitCode {
     let root = std::env::var_os("FLUX_LINT_ROOT")
         .map(PathBuf::from)
         .unwrap_or_else(flux_lint::workspace_root);
-    let mut timings = false;
-    let mut mutate = false;
     let mut json = false;
     let mut annotate = false;
-    let mut budget_ms: Option<u64> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--timings" => timings = true,
-            "--self-mutate" => mutate = true,
             "--json" => json = true,
             "--annotate" => annotate = true,
-            "--budget-ms" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(ms) => budget_ms = Some(ms),
-                None => {
-                    eprintln!("flux-lint: --budget-ms needs a millisecond count");
-                    return ExitCode::from(2);
-                }
-            },
             other => {
-                eprintln!(
-                    "flux-lint: unknown flag `{other}` (try --timings, --json, --annotate, \
-                     --budget-ms <N>, --self-mutate)"
-                );
+                eprintln!("flux-lint: unknown flag `{other}` (try --json, --annotate)");
                 return ExitCode::from(2);
             }
         }
     }
 
-    if mutate {
-        return match flux_lint::self_mutate(&root) {
-            Ok(report) => {
-                for line in report {
-                    println!("flux-lint: {line}");
-                }
-                println!("flux-lint: self-mutate ok");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("flux-lint: self-mutate FAILED: {e}");
-                ExitCode::from(2)
-            }
-        };
-    }
-
-    let report = match flux_lint::lint_tree_report(&root) {
-        Ok(r) => r,
+    let violations = match flux_lint::lint_tree(&root) {
+        Ok(v) => v,
         Err(e) => {
             eprintln!("flux-lint: cannot walk {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
     if json {
-        print!("{}", flux_lint::to_json(&report));
+        print!("{}", flux_lint::to_json(&violations));
     }
     if annotate {
-        for v in &report.violations {
+        for v in &violations {
             // GitHub Actions workflow command: newlines must be %0A to
             // keep the annotation on one command line.
             println!(
@@ -98,32 +58,17 @@ fn main() -> ExitCode {
             );
         }
     }
-    if timings {
-        for (pass, took) in &report.timings {
-            println!("flux-lint: {pass:>15} {:>8.1?}", took);
-        }
-    }
-    if let Some(budget) = budget_ms {
-        let total: std::time::Duration = report.timings.iter().map(|(_, d)| *d).sum();
-        if total.as_millis() > u128::from(budget) {
-            eprintln!(
-                "flux-lint: wall budget exceeded — {:.1?} total against a {budget} ms budget",
-                total
-            );
-            return ExitCode::from(2);
-        }
-    }
-    if report.violations.is_empty() {
+    if violations.is_empty() {
         if !json {
             println!("flux-lint: clean");
         }
         return ExitCode::SUCCESS;
     }
     if !json {
-        for v in &report.violations {
+        for v in &violations {
             eprintln!("{v}");
         }
-        eprintln!("flux-lint: {} violation(s)", report.violations.len());
+        eprintln!("flux-lint: {} violation(s)", violations.len());
     }
     ExitCode::FAILURE
 }

@@ -2,10 +2,10 @@
 //! *contents* of string literals, character literals, and comments
 //! while preserving every line boundary and every structural character.
 //!
-//! The line rules and the semantic analyses all run over blanked text:
-//! a `panic!(` inside a doc comment or an error message can no longer
-//! trigger the panic rule, and brace/paren matching cannot be thrown
-//! off by a stray `{` in a string. Waiver comments
+//! Every rule runs over blanked text: a `panic!(` inside a doc comment
+//! or an error message can no longer trigger the panic rule, and the
+//! test-region brace count cannot be thrown off by a stray `{` in a
+//! string. Waiver comments
 //! (`// flux-lint: allow(...)`) are detected on the *raw* lines, so
 //! blanking never eats a justification.
 

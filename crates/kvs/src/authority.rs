@@ -97,11 +97,8 @@ impl Authority {
     }
 
     fn note_fence_applied(&mut self, name: &str, at: &RootRef) {
-        // flux-lint: allow(hotalloc) — once per collective fence, not
-        // per commit; the applied-fence dedup memo owns its keys.
+        // Once per collective fence, not per commit.
         if self.fence_applied.insert(name.to_owned(), at.clone()).is_none() {
-            // flux-lint: allow(hotalloc) — same: eviction order needs
-            // its own owned copy of the fence name.
             self.fence_applied_order.push_back(name.to_owned());
             if self.fence_applied_order.len() > 64 {
                 if let Some(old) = self.fence_applied_order.pop_front() {

@@ -99,9 +99,8 @@ fn rebuild(cache: &mut ObjectCache, base: Option<ObjectId>, patch: &PatchNode) -
         if child_patch.children.is_empty() {
             match after_terminal {
                 Some(id) => {
-                    // flux-lint: allow(hotalloc) — the rebuilt directory
-                    // owns its entry names; one short-string copy per
-                    // *written* child, amortized over the whole batch.
+                    // The rebuilt directory owns its entry names: one
+                    // short-string copy per *written* child, not per entry.
                     entries.insert(name.clone(), id);
                 }
                 None => {
@@ -115,8 +114,6 @@ fn rebuild(cache: &mut ObjectCache, base: Option<ObjectId>, patch: &PatchNode) -
             // rebuilt from scratch.
             let descend_base = if child_patch.base_cleared { None } else { base_child };
             let new_child = rebuild(cache, descend_base, child_patch);
-            // flux-lint: allow(hotalloc) — as above: the directory owns
-            // its entry names, one copy per written child.
             entries.insert(name.clone(), new_child);
         }
     }

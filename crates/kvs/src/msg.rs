@@ -176,8 +176,6 @@ impl Spelling {
     /// `kvs.setroot` for an ordinary commit applied on `r.shard`.
     pub(crate) fn commit_event(self, r: &RootRef) -> Value {
         let mut m = self.slot_fields(r);
-        // flux-lint: allow(hotalloc) — an empty Vec::new never touches
-        // the allocator (capacity 0).
         m.insert("fences".to_owned(), Value::Array(Vec::new()));
         Value::Object(m)
     }
@@ -223,9 +221,7 @@ pub(crate) fn tuples_from_value(v: Option<&Value>) -> Option<Vec<Tuple>> {
     let arr = v?.as_array()?;
     let mut out = Vec::with_capacity(arr.len());
     for t in arr {
-        // flux-lint: allow(hotalloc) — decodes the wire batch into
-        // the owned tuple list the apply walk consumes; the tuples
-        // outlive the message, so the keys must be owned.
+        // The tuples outlive the message, so their keys are owned.
         let k = t.get("k")?.as_str()?.to_owned();
         let s = match t.get("s") {
             Some(Value::Null) | None => None,
@@ -287,8 +283,6 @@ pub(crate) fn push_payload(
 pub(crate) fn dir_listing(entries: &BTreeMap<String, ObjectId>) -> Value {
     let mut listing = Map::new();
     for (name, child) in entries {
-        // flux-lint: allow(hotalloc) — the listing is a fresh reply
-        // object and owns its names; only `dir` gets build one.
         listing.insert(name.clone(), Value::from(child.to_hex()));
     }
     Value::Object(listing)

@@ -154,15 +154,12 @@ impl KvsObject {
                     .get("e")
                     .and_then(Value::as_object)
                     .ok_or(ObjectError::Malformed)?;
-                // flux-lint: allow(hotalloc) — decodes a wire directory
-                // object into the owned map the cache keeps; the object
-                // outlives the message, so entries must be owned.
+                // The object outlives the message, so its entries are
+                // owned.
                 let mut out = BTreeMap::new();
                 for (name, idv) in entries {
                     let hex = idv.as_str().ok_or(ObjectError::BadReference)?;
                     let id = ObjectId::from_hex(hex).map_err(|_| ObjectError::BadReference)?;
-                    // flux-lint: allow(hotalloc) — owned entry name for
-                    // the decoded directory, as above.
                     out.insert(name.clone(), id);
                 }
                 Ok(KvsObject::Dir(out))

@@ -157,8 +157,8 @@ impl Reads {
     /// Builds (or reuses) the shared `kvs.load` reply payload for `id`.
     fn load_reply(&mut self, id: ObjectId, obj: &KvsObject) -> Payload {
         let build = || Value::from_pairs([("id", id.to_hex().into()), ("obj", obj.to_value())]);
-        // flux-lint: allow(hotalloc) — a `Payload` clone is a refcount
-        // bump: every child is answered with the one memoized reply.
+        // A `Payload` clone is a refcount bump: every child is answered
+        // with the one memoized reply.
         self.load_replies.entry(id).or_insert_with(|| build().into()).clone()
     }
 
@@ -182,9 +182,6 @@ impl Reads {
             Stop::Miss(cur, pos) => {
                 let (req, parked) = ctx.park(req);
                 let kind = WalkKind::Get(req);
-                // flux-lint: allow(hotalloc) — a walk that outlives this
-                // call owns its key: one copy per cache miss, beside the
-                // load the miss sends anyway.
                 self.park(ctx, rep, Walk { kind, key: key.to_owned(), pos, cur, want, shard });
                 parked
             }
@@ -309,8 +306,7 @@ impl Reads {
     ) {
         let payload = Payload::from(rep.slots.spelling().load_request(id, shard));
         let tag = (id, shard);
-        // flux-lint: allow(hotalloc) — a `Payload` clone is a refcount
-        // bump, kept for the tree root's rank-addressed fallback below.
+        // Kept for the tree root's rank-addressed fallback below.
         if self.loads.send_up(ctx, KvsMethod::Load, payload.clone(), tag).is_ok() {
             return;
         }

@@ -408,9 +408,8 @@ impl<L> Session<L> {
             let _ = tx.send(Event::Shutdown);
         }
         for h in self.handles {
-            // flux-lint: allow(block) — ordered teardown: every broker
-            // was just sent Shutdown, so each join only waits for its
-            // thread to drain and exit.
+            // Ordered teardown: every broker was just sent Shutdown, so
+            // each join only waits for its thread to drain and exit.
             let _ = h.join();
         }
     }

@@ -318,9 +318,8 @@ pub fn drive_script(
     for (idx, op) in ops.iter().enumerate() {
         let tag = idx as u64;
         if let Op::Pause(ns) = op {
-            // flux-lint: allow(block) — script drivers run on their own
-            // benchmark-harness threads; Pause *means* wall-clock sleep
-            // (it models client think time between ops).
+            // Script drivers run on their own threads, where Pause
+            // *means* a wall-clock sleep: client think time between ops.
             std::thread::sleep(Duration::from_nanos(*ns));
             out.op_done_ns.push(epoch.elapsed().as_nanos() as u64);
             out.op_err.push(0);
@@ -390,9 +389,8 @@ impl ScriptTransport for LiveTransport {
             // flux-lint: allow(panic) — propagating a driver thread's
             // panic into the harness is the point: a crashed script must
             // fail the benchmark run, not produce a partial report.
-            // flux-lint: allow(block) — harness barrier: run_scripts *is*
-            // the wait for every script driver to finish; nothing else
-            // runs on this thread until they do.
+            // run_scripts *is* the wait for every script driver to
+            // finish; nothing else runs on this thread until they do.
             let outcomes: Vec<ScriptOutcome> =
                 drivers.into_iter().map(|d| d.join().expect("script driver panicked")).collect();
             let makespan_ns = epoch.elapsed().as_nanos() as u64;

@@ -1,0 +1,417 @@
+//! Allocation budgets: how many times each warm per-message operation of
+//! the broker core calls the allocator, pinned exactly.
+//!
+//! The broker core is sans-io so that one code base serves the simulator
+//! at 8192 ranks and the live runtimes; at those rates an allocation on a
+//! per-message path is paid millions of times. This binary installs
+//! `flux_sys::CountingAlloc`, whose counter is per thread, so tests
+//! running in parallel do not see each other. Each row runs its operation
+//! twice to warm it, then [`REPS`] times counted; every repetition must
+//! make the same number of allocations, and that number must equal the
+//! row's budget. Inputs are built and outputs dropped outside the count.
+//! "Warm" means steady state: every request is answered, so no table the
+//! operation touches is still growing.
+//!
+//! A failure names the row, the budget and what was measured. A count
+//! above the budget is a new allocation on that path: remove it, or raise
+//! the budget in the same change that explains why. A count below it is
+//! an improvement: lower the budget to match.
+
+use flux_broker::client::ClientCore;
+use flux_broker::reduce::{Partial, Reduction};
+use flux_broker::{Broker, BrokerConfig, CommsModule, Input, Output, RankOverlay};
+use flux_kvs::{KvsModule, KvsObject};
+use flux_proto::{CmbMethod, Event, KvsMethod};
+use flux_rt::script::{Op, ScriptClient};
+use flux_rt::sim::SimSession;
+use flux_sim::{Actor, ActorId, Ctx, Engine, NetParams};
+use flux_value::Value;
+use flux_wire::frame::{read_frame_into, write_frame_into, MAX_FRAME};
+use flux_wire::{Message, MsgId, Plane, Rank};
+use std::cell::RefCell;
+
+#[global_allocator]
+static ALLOC: flux_sys::CountingAlloc = flux_sys::CountingAlloc;
+
+/// Counted repetitions per row.
+const REPS: usize = 100;
+
+/// Runs `op` on inputs from `next`: twice to warm, then [`REPS`] times
+/// counting only `op`'s allocations, and asserts each count is `budget`.
+fn pin<I, O>(row: &str, budget: u64, mut next: impl FnMut() -> I, mut op: impl FnMut(I) -> O) {
+    for _ in 0..2 {
+        drop(op(next()));
+    }
+    let mut counts = Vec::with_capacity(REPS);
+    for _ in 0..REPS {
+        let input = next();
+        let (out, n) = flux_sys::count(|| op(input));
+        drop(out);
+        counts.push(n);
+    }
+    let measured = counts[0];
+    assert!(
+        counts.iter().all(|&n| n == measured),
+        "allocation budget `{row}`: repetitions disagree, so the row is not warm: {counts:?}"
+    );
+    assert_eq!(
+        measured, budget,
+        "allocation budget `{row}`: expected {budget}, measured {measured}"
+    );
+}
+
+/// A budget that differs between the debug and release profiles: a debug
+/// build re-hashes every object the KVS cache inserts (the store's
+/// content-address `debug_assert`), so the rows that apply a commit
+/// allocate more there.
+fn by_profile(debug: u64, release: u64) -> u64 {
+    if cfg!(debug_assertions) {
+        debug
+    } else {
+        release
+    }
+}
+
+fn started(config: BrokerConfig, modules: Vec<Box<dyn CommsModule>>) -> Broker {
+    let mut broker = Broker::new(config, modules);
+    broker.start(0);
+    broker
+}
+
+fn kvs() -> Vec<Box<dyn CommsModule>> {
+    vec![Box::new(KvsModule::new())]
+}
+
+fn get_payload(key: &str) -> Value {
+    Value::from_pairs([("k", Value::from(key))])
+}
+
+fn put(core: &mut ClientCore, key: &str, val: Value) -> Message {
+    core.request(
+        KvsMethod::Put.topic(),
+        Value::from_pairs([("k", Value::from(key)), ("v", val)]),
+        0,
+    )
+}
+
+/// Hands `msg` to `broker` as client 0's request.
+fn from_client(broker: &mut Broker, msg: Message) -> Vec<Output> {
+    broker.handle(0, Input::FromClient { client: 0, msg })
+}
+
+/// A one-broker session whose `kvs` module masters the store and holds
+/// `bench.k = 42`, committed.
+fn master_with_key(core: &mut ClientCore) -> Broker {
+    let mut broker = started(BrokerConfig::new(Rank(0), 1), kvs());
+    from_client(&mut broker, put(core, "bench.k", Value::Int(42)));
+    let commit = core.request(KvsMethod::Commit.topic(), Value::object(), 0);
+    let reply = from_client(&mut broker, commit);
+    assert!(matches!(&reply[..], [Output::ToClient { msg, .. }] if !msg.is_error()), "{reply:?}");
+    broker
+}
+
+#[test]
+fn wire_framing() {
+    let mut core = ClientCore::new(Rank(0), 0);
+    let msg = core.request(KvsMethod::Get.topic(), get_payload("bench.k"), 0);
+
+    let mut buf = Vec::new();
+    pin("Message::encode_into, reused buffer", 0, || (), |()| msg.encode_into(&mut buf));
+
+    let (mut stream, mut scratch) = (Vec::new(), Vec::new());
+    pin(
+        "write_frame_into, reused scratch",
+        0,
+        || (),
+        |()| {
+            stream.clear();
+            write_frame_into(&mut stream, &msg, MAX_FRAME, &mut scratch)
+        },
+    );
+
+    // The warm-up reads leave `body` holding a frame, so each counted read
+    // is a second frame through one buffer: the decode is all it costs.
+    let mut body = Vec::new();
+    pin(
+        "read_frame_into, second frame through one buffer (kvs.get request)",
+        7,
+        || (),
+        |()| read_frame_into(&mut &stream[..], MAX_FRAME, &mut body),
+    );
+}
+
+/// Bounces one message between two actors until `left` runs out.
+struct Bouncer {
+    serve: Option<Message>,
+    left: u64,
+}
+
+impl Actor for Bouncer {
+    fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+        if let Some(msg) = self.serve.take() {
+            ctx.send(1, msg);
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ActorId, msg: Message) {
+        if self.left > 0 {
+            self.left -= 1;
+            ctx.send(from, msg);
+        }
+    }
+}
+
+#[test]
+fn sim_engine_steady_ping_pong() {
+    let mut engine = Engine::new(NetParams::default());
+    let (a, b) = (engine.add_node(), engine.add_node());
+    let msg = Message::request(
+        CmbMethod::Ping.topic(),
+        MsgId { origin: Rank(0), seq: 1 },
+        Rank(0),
+        Value::object(),
+    );
+    engine.add_actor(a, Box::new(Bouncer { serve: Some(msg), left: u64::MAX }));
+    engine.add_actor(b, Box::new(Bouncer { serve: None, left: u64::MAX }));
+    // 100 events per repetition: 10 000 counted events in all.
+    pin("sim Engine, two-actor ping-pong, per 100 events", 0, || (), |()| engine.run_budgeted(100));
+}
+
+#[test]
+fn kvs_at_the_master() {
+    let mut core = ClientCore::new(Rank(0), 0);
+    // Shared: some rows commit between their counted calls.
+    let master = RefCell::new(master_with_key(&mut core));
+    let ask = |msg| from_client(&mut master.borrow_mut(), msg);
+
+    pin(
+        "kvs.get of a committed key at the rank-0 master",
+        7,
+        || core.request(KvsMethod::Get.topic(), get_payload("bench.k"), 0),
+        ask,
+    );
+    pin(
+        "kvs.get_version at the master",
+        9,
+        || core.request(KvsMethod::GetVersion.topic(), Value::object(), 0),
+        ask,
+    );
+
+    // Each put is committed before the next, so the write-back table
+    // holds at most one tuple and never grows.
+    let mut staged = false;
+    pin(
+        "kvs.put at the master",
+        11,
+        || {
+            if staged {
+                ask(core.request(KvsMethod::Commit.topic(), Value::object(), 0));
+            }
+            staged = true;
+            put(&mut core, "bench.k", Value::Int(42))
+        },
+        ask,
+    );
+    pin(
+        "kvs.commit of one tuple at the master",
+        by_profile(56, 47),
+        || {
+            ask(put(&mut core, "bench.k", Value::Int(42)));
+            core.request(KvsMethod::Commit.topic(), Value::object(), 0)
+        },
+        ask,
+    );
+
+    // A `kvs.load` from child rank 1 for the committed value object.
+    let id = KvsObject::Val(Value::Int(42)).id().to_hex();
+    let load = Value::from_pairs([("id", Value::from(id.as_str()))]);
+    let mut seq = 0;
+    pin(
+        "kvs.load served at the master",
+        3,
+        || {
+            seq += 1;
+            Message::request(
+                KvsMethod::Load.topic(),
+                MsgId { origin: Rank(1), seq },
+                Rank(1),
+                load.clone(),
+            )
+        },
+        |msg| {
+            master
+                .borrow_mut()
+                .handle(0, Input::FromBroker { plane: Plane::Tree, from: Rank(1), msg })
+        },
+    );
+}
+
+#[test]
+fn kvs_push_from_a_child() {
+    // Rank 1 of a two-broker session commits one put: what it sends its
+    // parent is the `kvs.push` every repetition replays, re-decoded from
+    // the wire bytes so that each arrives with a fresh payload.
+    let mut child = started(BrokerConfig::new(Rank(1), 2), kvs());
+    let mut core = ClientCore::new(Rank(1), 0);
+    from_client(&mut child, put(&mut core, "bench.k", Value::Int(42)));
+    let outs = from_client(&mut child, core.request(KvsMethod::Commit.topic(), Value::object(), 0));
+    let topic = KvsMethod::Push.topic();
+    let push = outs
+        .iter()
+        .find_map(|o| match o {
+            Output::ToBroker { msg, .. } if msg.header.topic == topic => Some(msg),
+            _ => None,
+        })
+        .expect("a push");
+    let bytes = push.encode();
+
+    let mut master = started(BrokerConfig::new(Rank(0), 2), kvs());
+    let mut seq = 0;
+    let mut next = || {
+        seq += 1;
+        let (mut msg, _) = Message::decode(&bytes).expect("own encoding decodes");
+        msg.header.id.seq = seq;
+        msg
+    };
+    // The push is parked in the batch window and applied when its timer
+    // fires: one operation is both calls.
+    let mut accept = |msg| {
+        let parked = master.handle(0, Input::FromBroker { plane: Plane::Tree, from: Rank(1), msg });
+        let token = parked.iter().find_map(|o| match o {
+            Output::SetTimer { token, .. } => Some(*token),
+            _ => None,
+        });
+        (master.handle(0, Input::Timer { token: token.expect("the window is armed") }), parked)
+    };
+    // Fill the master's bounded memo of seen push ids, so that recording
+    // one more evicts one instead of growing the table.
+    for _ in 0..4200 {
+        accept(next());
+    }
+    pin(
+        "kvs.push from a child, accepted at the master and flushed by its window",
+        by_profile(64, 55),
+        next,
+        accept,
+    );
+}
+
+#[test]
+fn broker_routing() {
+    let mut core = ClientCore::new(Rank(1), 0);
+
+    let mut local = started(BrokerConfig::new(Rank(0), 1), Vec::new());
+    pin(
+        "cmb.ping answered locally",
+        7,
+        || core.request(CmbMethod::Ping.topic(), Value::object(), 0),
+        |msg| from_client(&mut local, msg),
+    );
+
+    // Rank 1 of seven has no kvs module: the get goes to its parent.
+    let mut relay = started(BrokerConfig::new(Rank(1), 7), Vec::new());
+    pin(
+        "kvs.get routed upstream by a rank with no kvs module",
+        2,
+        || core.request(KvsMethod::Get.topic(), get_payload("bench.k"), 0),
+        |msg| from_client(&mut relay, msg),
+    );
+
+    // The answer to a request that child rank 3 sent through rank 1.
+    let mut seq = 0;
+    pin(
+        "a response routed down",
+        1,
+        || {
+            seq += 1;
+            let mut req = Message::request(
+                KvsMethod::Get.topic(),
+                MsgId { origin: Rank(3), seq },
+                Rank(3),
+                Value::object(),
+            );
+            req.header.hops.push(Rank(3));
+            Message::response_to(&req, Value::object())
+        },
+        |msg| relay.handle(0, Input::FromBroker { plane: Plane::Tree, from: Rank(0), msg }),
+    );
+
+    // A stamped heartbeat from the root, fanned to children 3 and 4.
+    let mut epoch = 0;
+    pin(
+        "an event fanned out to children",
+        4,
+        || {
+            epoch += 1;
+            let payload = Value::from_pairs([("epoch", Value::from(epoch as i64))]);
+            Message::event(
+                Event::Hb.topic(),
+                MsgId { origin: Rank(0), seq: epoch },
+                Rank(0),
+                payload,
+            )
+        },
+        |msg| relay.handle(0, Input::FromBroker { plane: Plane::Event, from: Rank(0), msg }),
+    );
+
+    // A ping for rank 6 passing through rank 1 on the ring.
+    let mut ring =
+        started(BrokerConfig::new(Rank(1), 7).with_rank_overlay(RankOverlay::Ring), Vec::new());
+    pin(
+        "a rank-addressed ring hop",
+        2,
+        || core.request_to(Rank(6), CmbMethod::Ping.topic(), Value::object(), 0),
+        |msg| ring.handle(0, Input::FromBroker { plane: Plane::Ring, from: Rank(0), msg }),
+    );
+}
+
+/// A count merged into a waiting key.
+struct Sum(u64);
+
+impl Partial for Sum {
+    fn merge(&mut self, other: Sum) {
+        self.0 += other.0;
+    }
+}
+
+#[test]
+fn reduction_contribute() {
+    let mut up: Reduction<u64, Sum> = Reduction::default();
+    up.contribute(7, Sum(1));
+    pin("Reduction::contribute into a waiting key", 0, || (), |()| up.contribute(7, Sum(1)));
+}
+
+#[test]
+fn warm_get_sim_script() {
+    // Rank 1's slave cache faults the key in on the first get; after the
+    // warm-up every get is a local hit: four engine events per op (the
+    // request's and the reply's arrive and handle).
+    const WARM: usize = 8;
+    let gets = 3 + REPS;
+    let mut session = SimSession::new(3, 2, NetParams::default(), |_| kvs());
+    let mut ops = vec![Op::Put { key: "bench.k".into(), val: Value::Int(42) }, Op::Commit];
+    ops.extend((0..WARM + gets).map(|_| Op::Get { key: "bench.k".into() }));
+    let total = ops.len();
+    let outcome = ScriptClient::spawn(&mut session, Rank(1), ops);
+    {
+        // What the script records is sized up front: the row counts the
+        // session, not the outcome vectors' growth.
+        let mut out = outcome.borrow_mut();
+        out.op_done.reserve(total);
+        out.op_err.reserve(total);
+        out.replies.reserve(total);
+    }
+    while outcome.borrow().op_done.len() < 2 + WARM {
+        session.engine_mut().run_budgeted(1);
+    }
+    let mut done = 2 + WARM;
+    pin(
+        "warm-get sim script, whole session per op",
+        14,
+        || done += 1,
+        |()| session.engine_mut().run_budgeted(4),
+    );
+    let out = outcome.borrow();
+    assert_eq!(out.op_done.len(), done, "each repetition completed exactly one get");
+    assert!(out.op_err.iter().all(|&e| e == 0), "{:?}", out.op_err);
+}

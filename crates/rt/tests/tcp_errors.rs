@@ -10,11 +10,23 @@ use flux_broker::client::ClientCore;
 use flux_modules::standard_modules;
 use flux_rt::tcp::TcpSession;
 use flux_value::Value;
-use flux_wire::frame::{read_frame, write_frame, MAX_FRAME};
+use flux_wire::frame::{read_frame_into, write_frame_into, MAX_FRAME};
 use flux_wire::{Message, MsgId, Rank, Topic};
 use std::io::{self, Cursor, Write};
 use std::net::TcpStream;
 use std::time::Duration;
+
+/// `sample_msg()` as one length-prefixed frame.
+fn sample_frame() -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_frame_into(&mut frame, &sample_msg(), MAX_FRAME, &mut Vec::new()).unwrap();
+    frame
+}
+
+/// Reads one frame from `bytes`.
+fn read(bytes: &[u8]) -> io::Result<Option<Message>> {
+    read_frame_into(&mut Cursor::new(bytes), MAX_FRAME, &mut Vec::new())
+}
 
 fn sample_msg() -> Message {
     Message::request(
@@ -29,11 +41,9 @@ fn sample_msg() -> Message {
 /// not a hang or a partial message.
 #[test]
 fn mid_frame_disconnect_is_unexpected_eof() {
-    let mut buf = Vec::new();
-    write_frame(&mut buf, &sample_msg(), MAX_FRAME).unwrap();
+    let buf = sample_frame();
     for cut in [1, 3, buf.len() / 2, buf.len() - 1] {
-        let mut r = Cursor::new(&buf[..cut]);
-        let err = read_frame(&mut r, MAX_FRAME).unwrap_err();
+        let err = read(&buf[..cut]).unwrap_err();
         assert_eq!(
             err.kind(),
             io::ErrorKind::UnexpectedEof,
@@ -49,7 +59,7 @@ fn oversized_length_prefix_is_rejected() {
     let len = (MAX_FRAME as u32) + 1;
     let mut buf = len.to_le_bytes().to_vec();
     buf.extend_from_slice(&[0u8; 16]);
-    let err = read_frame(&mut Cursor::new(&buf), MAX_FRAME).unwrap_err();
+    let err = read(&buf).unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     assert!(err.to_string().contains("exceeds cap"), "{err}");
 }
@@ -59,7 +69,7 @@ fn oversized_length_prefix_is_rejected() {
 fn garbage_body_is_invalid_data() {
     let mut buf = 8u32.to_le_bytes().to_vec();
     buf.extend_from_slice(b"notamsg!");
-    let err = read_frame(&mut Cursor::new(&buf), MAX_FRAME).unwrap_err();
+    let err = read(&buf).unwrap_err();
     assert_eq!(err.kind(), io::ErrorKind::InvalidData);
 }
 
@@ -80,9 +90,7 @@ fn session_survives_hostile_peers() {
     {
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(&9999u32.to_le_bytes()).unwrap();
-        let mut frame = Vec::new();
-        write_frame(&mut frame, &sample_msg(), MAX_FRAME).unwrap();
-        let _ = s.write_all(&frame);
+        let _ = s.write_all(&sample_frame());
     }
     // 2. Connection dying two bytes into the handshake.
     {

@@ -22,20 +22,10 @@ use std::io::{self, Read, Write};
 /// corrupt or hostile length prefix cannot trigger a huge allocation.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
-/// Writes `msg` as one length-prefixed frame.
-///
-/// # Errors
-/// Returns any underlying I/O error; `InvalidData` if the encoded
-/// message exceeds `max_frame`.
-pub fn write_frame<W: Write>(w: &mut W, msg: &Message, max_frame: usize) -> io::Result<()> {
-    let mut scratch = Vec::with_capacity(64);
-    write_frame_into(w, msg, max_frame, &mut scratch)
-}
-
 /// Writes `msg` as one length-prefixed frame, encoding into the
-/// caller-held `scratch` buffer. The allocation-lean form: a sender that
-/// frames many messages reuses one buffer instead of allocating per
-/// frame. `scratch` is cleared first; its capacity persists.
+/// caller-held `scratch` buffer: a sender that frames many messages
+/// reuses one buffer instead of allocating per frame. `scratch` is
+/// cleared first; its capacity persists.
 ///
 /// # Errors
 /// Returns any underlying I/O error; `InvalidData` if the encoded
@@ -57,25 +47,15 @@ pub fn write_frame_into<W: Write>(
     w.write_all(scratch)
 }
 
-/// Reads one length-prefixed frame, returning `None` on a clean EOF at a
-/// frame boundary.
+/// Reads one length-prefixed frame using the caller-held `body` buffer
+/// for the frame bytes, returning `None` on a clean EOF at a frame
+/// boundary: a reader loop reuses one buffer across frames instead of
+/// allocating per frame.
 ///
 /// # Errors
 /// `InvalidData` on an oversized length prefix or a body that fails
 /// [`Message::decode`]; `UnexpectedEof` if the stream ends mid-frame;
 /// otherwise the underlying I/O error.
-pub fn read_frame<R: Read>(r: &mut R, max_frame: usize) -> io::Result<Option<Message>> {
-    let mut body = Vec::new();
-    read_frame_into(r, max_frame, &mut body)
-}
-
-/// Reads one length-prefixed frame using the caller-held `body` buffer
-/// for the frame bytes, returning `None` on a clean EOF at a frame
-/// boundary. The allocation-lean form of [`read_frame`]: a reader loop
-/// reuses one buffer across frames instead of allocating per frame.
-///
-/// # Errors
-/// Same contract as [`read_frame`].
 pub fn read_frame_into<R: Read>(
     r: &mut R,
     max_frame: usize,
@@ -169,7 +149,7 @@ impl FrameDecoder {
     /// # Errors
     /// `InvalidData` on an oversized length prefix, an undecodable body,
     /// or trailing bytes inside a frame — same contract as
-    /// [`read_frame`]. After an error the stream is unframeable and the
+    /// [`read_frame_into`]. After an error the stream is unframeable and the
     /// connection should be dropped.
     pub fn next_message(&mut self, max_frame: usize) -> io::Result<Option<Message>> {
         let avail = &self.buf[self.start..];
@@ -209,6 +189,16 @@ mod tests {
     use crate::{MsgId, Rank, Topic};
     use flux_value::Value;
 
+    /// Appends `msg` to `buf` as one frame.
+    fn write(buf: &mut Vec<u8>, msg: &Message) {
+        write_frame_into(buf, msg, MAX_FRAME, &mut Vec::new()).unwrap();
+    }
+
+    /// Reads one frame from `r` into a fresh body buffer.
+    fn read(r: &mut &[u8]) -> io::Result<Option<Message>> {
+        read_frame_into(r, MAX_FRAME, &mut Vec::new())
+    }
+
     fn sample(seq: u64) -> Message {
         Message::request(
             Topic::new("svc.put").unwrap(),
@@ -222,39 +212,39 @@ mod tests {
     fn roundtrip_stream_of_frames() {
         let mut buf = Vec::new();
         for seq in 0..5 {
-            write_frame(&mut buf, &sample(seq), MAX_FRAME).unwrap();
+            write(&mut buf, &sample(seq));
         }
         let mut r = &buf[..];
         for seq in 0..5 {
-            let m = read_frame(&mut r, MAX_FRAME).unwrap().expect("frame");
+            let m = read(&mut r).unwrap().expect("frame");
             assert_eq!(m, sample(seq));
         }
-        assert!(read_frame(&mut r, MAX_FRAME).unwrap().is_none(), "clean EOF");
+        assert!(read(&mut r).unwrap().is_none(), "clean EOF");
     }
 
     #[test]
     fn oversized_length_prefix_is_rejected_without_allocating() {
         let mut buf = Vec::new();
         buf.extend_from_slice(&u32::MAX.to_le_bytes());
-        let err = read_frame(&mut &buf[..], MAX_FRAME).unwrap_err();
+        let err = read(&mut &buf[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
     fn truncated_body_is_unexpected_eof() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &sample(9), MAX_FRAME).unwrap();
+        write(&mut buf, &sample(9));
         buf.truncate(buf.len() - 3);
-        let err = read_frame(&mut &buf[..], MAX_FRAME).unwrap_err();
+        let err = read(&mut &buf[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]
     fn corrupt_body_is_invalid_data() {
         let mut buf = Vec::new();
-        write_frame(&mut buf, &sample(3), MAX_FRAME).unwrap();
+        write(&mut buf, &sample(3));
         buf[4] = 0x00; // stomp the magic byte
-        let err = read_frame(&mut &buf[..], MAX_FRAME).unwrap_err();
+        let err = read(&mut &buf[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -268,7 +258,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.extend_from_slice(&(body.len() as u32).to_le_bytes());
         buf.extend_from_slice(&body);
-        let err = read_frame(&mut &buf[..], MAX_FRAME).unwrap_err();
+        let err = read(&mut &buf[..]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
@@ -279,6 +269,10 @@ mod tests {
         for seq in 0..8 {
             write_frame_into(&mut buf, &sample(seq), MAX_FRAME, &mut scratch).unwrap();
         }
+        // A frame is the length prefix and `Message::encode`'s bytes.
+        let body = sample(0).encode();
+        assert_eq!(buf[..4], (body.len() as u32).to_le_bytes());
+        assert_eq!(buf[4..4 + body.len()], body[..]);
         // One scratch allocation serves every frame on the link.
         let cap = scratch.capacity();
         write_frame_into(&mut buf, &sample(8), MAX_FRAME, &mut scratch).unwrap();
@@ -304,7 +298,7 @@ mod tests {
     fn outgoing_cap_is_enforced() {
         let m = sample(1);
         let mut buf = Vec::new();
-        let err = write_frame(&mut buf, &m, 4).unwrap_err();
+        let err = write_frame_into(&mut buf, &m, 4, &mut Vec::new()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(buf.is_empty(), "nothing written for a rejected frame");
     }
@@ -313,7 +307,7 @@ mod tests {
     fn decoder_reassembles_byte_at_a_time() {
         let mut wire = Vec::new();
         for seq in 0..6 {
-            write_frame(&mut wire, &sample(seq), MAX_FRAME).unwrap();
+            write(&mut wire, &sample(seq));
         }
         let mut dec = FrameDecoder::new();
         let mut got = Vec::new();
@@ -334,11 +328,11 @@ mod tests {
     fn decoder_drains_multiple_frames_from_one_feed() {
         let mut wire = Vec::new();
         for seq in 0..4 {
-            write_frame(&mut wire, &sample(seq), MAX_FRAME).unwrap();
+            write(&mut wire, &sample(seq));
         }
         // One extra partial frame at the tail.
         let mut tail = Vec::new();
-        write_frame(&mut tail, &sample(4), MAX_FRAME).unwrap();
+        write(&mut tail, &sample(4));
         wire.extend_from_slice(&tail[..tail.len() - 2]);
 
         let mut dec = FrameDecoder::new();
@@ -366,7 +360,7 @@ mod tests {
     #[test]
     fn decoder_rejects_corrupt_body() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &sample(2), MAX_FRAME).unwrap();
+        write(&mut wire, &sample(2));
         wire[4] = 0x00; // stomp the magic byte
         let mut dec = FrameDecoder::new();
         dec.feed(&wire);
@@ -377,7 +371,7 @@ mod tests {
     #[test]
     fn decoder_reclaims_consumed_bytes() {
         let mut one = Vec::new();
-        write_frame(&mut one, &sample(0), MAX_FRAME).unwrap();
+        write(&mut one, &sample(0));
 
         // Fully-drained decoders restart at the buffer front: feeding the
         // same frame forever keeps the buffer at one frame's size.

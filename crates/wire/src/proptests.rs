@@ -109,8 +109,8 @@ proptest! {
     /// garbage and reports clean EOF only at a frame boundary.
     #[test]
     fn frame_reader_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
-        let mut r = &bytes[..];
-        if let Ok(None) = crate::frame::read_frame(&mut r, crate::frame::MAX_FRAME) {
+        let (mut r, mut body) = (&bytes[..], Vec::new());
+        if let Ok(None) = crate::frame::read_frame_into(&mut r, crate::frame::MAX_FRAME, &mut body) {
             prop_assert!(bytes.is_empty(), "EOF only at a boundary");
         }
     }
