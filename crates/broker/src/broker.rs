@@ -29,8 +29,6 @@ pub(crate) struct Core {
     outputs: Vec<Output>,
     /// Module-originated RPCs awaiting responses: id → module index.
     pending: HashMap<MsgId, usize>,
-    /// Ids whose modules expect further responses (streaming replies).
-    sticky_pending: HashMap<MsgId, usize>,
     /// Locally raised messages to process after the current dispatch.
     raised: VecDeque<Message>,
     /// Event-plane sequencing (root only).
@@ -147,12 +145,7 @@ impl Core {
             },
             None => {
                 // This broker originated the RPC from a module.
-                if let Some(&idx) = self.pending.get(&msg.header.id) {
-                    if self.sticky_pending.contains_key(&msg.header.id) {
-                        // keep for streaming replies
-                    } else {
-                        self.pending.remove(&msg.header.id);
-                    }
+                if let Some(idx) = self.pending.remove(&msg.header.id) {
                     self.raised.push_back(msg);
                     self.raised_response_module.push_back(idx);
                 }
@@ -162,8 +155,8 @@ impl Core {
     }
 
     /// Forwards a rank-addressed request one hop toward its destination
-    /// on the configured overlay (ring or tree), skipping dead ranks. A
-    /// request addressed to a dead rank fails with EHOSTDOWN.
+    /// on the configured overlay (ring or fully connected), skipping dead
+    /// ranks. A request addressed to a dead rank fails with EHOSTDOWN.
     pub(crate) fn route_ring(&mut self, msg: Message) {
         // Only rank-addressed messages reach here; one without a
         // destination is malformed and dropped rather than trusted.
@@ -184,25 +177,6 @@ impl Core {
                     assert!(guard <= self.config.size, "no live ranks on ring");
                 }
                 next
-            }
-            crate::RankOverlay::Tree => {
-                // Down into the (effective) child subtree holding dst, or
-                // up to the effective parent. Self-healing falls out of
-                // the effective relations.
-                if self.tree.is_ancestor(self.config.rank, dst) {
-                    self.effective_children()
-                        .into_iter()
-                        .find(|&c| self.tree.is_ancestor(c, dst))
-                        .unwrap_or(dst)
-                } else {
-                    // The root is an ancestor of every rank, so a dst not
-                    // below us means we have a parent; if the healed tree
-                    // disagrees, drop rather than mis-route.
-                    match self.effective_parent() {
-                        Some(parent) => parent,
-                        None => return,
-                    }
-                }
             }
             // Liveness was checked above; the destination is reachable
             // in one hop on the fully connected overlay.
@@ -272,17 +246,9 @@ impl Core {
         self.outputs.push(Output::SetTimer { delay_ns, token: owner | token });
     }
 
-    /// Mark an RPC id as expecting multiple responses (streaming).
-    pub(crate) fn expect_more(&mut self, id: MsgId) {
-        if let Some(&idx) = self.pending.get(&id) {
-            self.sticky_pending.insert(id, idx);
-        }
-    }
-
-    /// Forget a streaming RPC id.
+    /// Forgets a module-originated RPC id.
     pub(crate) fn forget_pending(&mut self, id: MsgId) {
         self.pending.remove(&id);
-        self.sticky_pending.remove(&id);
     }
 
 }
@@ -326,7 +292,6 @@ impl Broker {
                 now_ns: 0,
                 outputs: Vec::new(),
                 pending: HashMap::new(),
-                sticky_pending: HashMap::new(),
                 raised: VecDeque::new(),
                 raised_response_module: VecDeque::new(),
                 deliver_queue: VecDeque::new(),

@@ -13,9 +13,6 @@ pub enum RankOverlay {
     /// debugging tools.
     #[default]
     Ring,
-    /// Tree-edge routing (up to the common ancestor, then down): O(log N)
-    /// paths at the cost of one subtree test per hop.
-    Tree,
     /// Fully connected: a rank-addressed RPC goes straight to its
     /// destination in one overlay hop. The right topology when
     /// rank-addressed RPCs are hot-path traffic — sharded-KVS sessions
@@ -41,10 +38,6 @@ pub struct BrokerConfig {
     /// modules synchronize background work to it). Paper default: O(1s);
     /// we default to 100 ms to keep simulations snappy.
     pub hb_period_ns: u64,
-    /// Number of consecutive missed hellos after which the `live` module
-    /// declares a child dead ("after a configurable number of missed
-    /// messages, a liveliness event is issued").
-    pub live_miss_limit: u32,
     /// Topology of the rank-addressed RPC overlay.
     pub rank_overlay: RankOverlay,
 }
@@ -58,12 +51,11 @@ impl BrokerConfig {
             size,
             arity: 2,
             hb_period_ns: 100_000_000,
-            live_miss_limit: 3,
             rank_overlay: RankOverlay::default(),
         }
     }
 
-    /// Same, with tree-routed rank-addressed RPCs instead of the ring.
+    /// Same, with the given rank-addressed overlay instead of the ring.
     pub fn with_rank_overlay(mut self, overlay: RankOverlay) -> BrokerConfig {
         self.rank_overlay = overlay;
         self
@@ -84,7 +76,6 @@ impl BrokerConfig {
         assert!(self.size > 0, "session must have at least one broker");
         assert!(self.rank.0 < self.size, "rank {} out of range 0..{}", self.rank, self.size);
         assert!(self.arity > 0, "arity must be positive");
-        assert!(self.live_miss_limit > 0, "miss limit must be positive");
     }
 }
 
@@ -97,7 +88,7 @@ mod tests {
         BrokerConfig::new(Rank(0), 1).validate();
         BrokerConfig::new(Rank(511), 512).validate();
         BrokerConfig::new(Rank(3), 8).with_arity(16).validate();
-        BrokerConfig::new(Rank(1), 4).with_rank_overlay(RankOverlay::Tree).validate();
+        BrokerConfig::new(Rank(1), 4).with_rank_overlay(RankOverlay::Full).validate();
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl<'a> ModuleCtx<'a> {
         self.core.now_ns
     }
 
-    /// The effective (live) tree parent, `None` at the root.
-    pub fn parent(&self) -> Option<Rank> {
-        self.core.effective_parent()
-    }
-
     /// The effective (live) tree children.
     pub fn children(&self) -> Vec<Rank> {
         self.core.effective_children()
@@ -268,19 +263,12 @@ impl<'a> ModuleCtx<'a> {
         self.core.set_module_timer(self.module_idx, delay_ns, token);
     }
 
-    /// Broker configuration (heartbeat period, liveness limits, …).
+    /// Broker configuration (tree shape, heartbeat period, overlay).
     pub fn config(&self) -> &crate::BrokerConfig {
         self.core.config()
     }
 
-    /// Marks one of this module's RPC ids as expecting multiple responses
-    /// (streaming); pair with [`ModuleCtx::forget_request`].
-    pub fn expect_stream(&mut self, id: MsgId) {
-        self.core.expect_more(id);
-    }
-
-    /// Deregisters an RPC id (streaming or not); later responses for it
-    /// are dropped.
+    /// Deregisters an RPC id; a later response for it is dropped.
     pub fn forget_request(&mut self, id: MsgId) {
         self.core.forget_pending(id);
     }

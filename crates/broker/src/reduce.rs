@@ -10,7 +10,7 @@
 //! A [`Reduction`] owns what those flows share: the partials waiting for
 //! the next flush, the `(src, batch)` stamp on every flushed message, the
 //! record of stamps already merged, so a frame the transport delivers
-//! twice counts once, and the [`WINDOW_NS`] timers of the two
+//! twice counts once, and the `WINDOW_NS` timers of the two
 //! collectives. What to merge, when to flush the rest (on the heartbeat)
 //! and what the root does with a total stay with the module: it calls
 //! in, nothing is registered here.
@@ -28,7 +28,7 @@ use std::collections::{BTreeSet, HashMap};
 
 /// The aggregation window of the two collectives (`barrier.enter`,
 /// `kvs.fence`): contributions arriving within it leave as one message.
-pub const WINDOW_NS: u64 = 20_000;
+const WINDOW_NS: u64 = 20_000;
 
 /// Batches a sender may run ahead of an id that never arrives — a frame
 /// lost for good, or the ids a child spent on the parent it had before
@@ -109,7 +109,7 @@ impl<K: Ord, P: Partial> Reduction<K, P> {
     }
 
     /// [`Reduction::contribute`] for a collective: off the root, the
-    /// first part under `key` arms a [`WINDOW_NS`] timer, and
+    /// first part under `key` arms a `WINDOW_NS` timer, and
     /// [`Reduction::on_window`] flushes the key when it fires. The root
     /// arms nothing; its module drains the total.
     pub fn gather(&mut self, ctx: &mut ModuleCtx<'_>, key: K, part: P)

@@ -54,11 +54,11 @@ impl TestNet {
     where
         F: Fn(Rank) -> Vec<Box<dyn CommsModule>>,
     {
-        Self::with_config(size, arity, |r| BrokerConfig::new(r, size).with_arity(arity), factory)
+        Self::with_config(size, |r| BrokerConfig::new(r, size).with_arity(arity), factory)
     }
 
     /// Like [`TestNet::new`] with full control over per-rank config.
-    pub fn with_config<C, F>(size: u32, _arity: u32, config: C, factory: F) -> TestNet
+    pub fn with_config<C, F>(size: u32, config: C, factory: F) -> TestNet
     where
         C: Fn(Rank) -> BrokerConfig,
         F: Fn(Rank) -> Vec<Box<dyn CommsModule>>,

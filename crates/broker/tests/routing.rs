@@ -3,7 +3,7 @@
 use flux_broker::client::{ClientCore, Delivery};
 use flux_broker::testing::TestNet;
 use flux_broker::{
-    Broker, BrokerConfig, ClientId, CommsModule, Handled, Input, ModuleCtx, Output,
+    Broker, BrokerConfig, ClientId, CommsModule, Handled, Input, ModuleCtx, Output, RankOverlay,
 };
 use flux_value::Value;
 use flux_wire::{errnum, Message, Rank, Topic};
@@ -299,61 +299,59 @@ fn tree_requests_skip_dead_interior_nodes() {
     assert_eq!(resp.payload.get("rank"), Some(&Value::Int(0)));
 }
 
+/// Both overlays the bench cells run: the default ring and, on every
+/// sharded cell, the fully connected one.
+const OVERLAYS: [RankOverlay; 2] = [RankOverlay::Ring, RankOverlay::Full];
+
+fn overlay_net(size: u32, overlay: RankOverlay) -> TestNet {
+    TestNet::with_config(size, move |r| BrokerConfig::new(r, size).with_rank_overlay(overlay), |_| {
+        vec![]
+    })
+}
+
 #[test]
-fn tree_overlay_pings_all_pairs() {
-    use flux_broker::{BrokerConfig, RankOverlay};
+fn rank_overlay_pings_all_pairs() {
     let size = 10u32;
-    let mut net = TestNet::with_config(
-        size,
-        2,
-        |r| BrokerConfig::new(r, size).with_rank_overlay(RankOverlay::Tree),
-        |_| vec![],
-    );
-    for from in 0..size {
-        for to in 0..size {
-            let mut c = ClientCore::new(Rank(from), 0);
-            let req = c.request_to(Rank(to), topic("cmb.ping"), Value::object(), 0);
-            let resp = roundtrip(&mut net, Rank(from), 0, req);
-            assert_eq!(resp.payload.get("pong"), Some(&Value::Int(i64::from(to))), "{from}->{to}");
+    for overlay in OVERLAYS {
+        let mut net = overlay_net(size, overlay);
+        for from in 0..size {
+            for to in 0..size {
+                let mut c = ClientCore::new(Rank(from), 0);
+                let req = c.request_to(Rank(to), topic("cmb.ping"), Value::object(), 0);
+                let resp = roundtrip(&mut net, Rank(from), 0, req);
+                assert_eq!(
+                    resp.payload.get("pong"),
+                    Some(&Value::Int(i64::from(to))),
+                    "{overlay:?} {from}->{to}"
+                );
+            }
         }
     }
 }
 
 #[test]
-fn tree_overlay_routes_around_dead_interior() {
-    use flux_broker::{BrokerConfig, RankOverlay};
-    let size = 15u32;
-    let mut net = TestNet::with_config(
-        size,
-        2,
-        |r| BrokerConfig::new(r, size).with_rank_overlay(RankOverlay::Tree),
-        |_| vec![],
-    );
-    net.kill(Rank(5));
-    net.publish_from_root(topic("live.down"), Value::from_pairs([("rank", Value::Int(5))]));
-    // 11 (orphan of 5) pings 12 (other orphan): the route re-parents
-    // through rank 2 instead of dead rank 5.
-    let req = ClientCore::new(Rank(11), 0).request_to(
-        Rank(12),
-        topic("cmb.ping"),
-        Value::object(),
-        0,
-    );
-    let resp = roundtrip(&mut net, Rank(11), 0, req);
-    assert_eq!(resp.payload.get("pong"), Some(&Value::Int(12)));
+fn rank_overlay_routes_around_dead_interior() {
+    for overlay in OVERLAYS {
+        let mut net = overlay_net(15, overlay);
+        net.kill(Rank(5));
+        net.publish_from_root(topic("live.down"), Value::from_pairs([("rank", Value::Int(5))]));
+        // 11 (orphan of 5) pings 6: the ring passes dead rank 5 on its
+        // way round and must skip it; the full overlay goes straight.
+        let req = ClientCore::new(Rank(11), 0).request_to(
+            Rank(6),
+            topic("cmb.ping"),
+            Value::object(),
+            0,
+        );
+        let resp = roundtrip(&mut net, Rank(11), 0, req);
+        assert_eq!(resp.payload.get("pong"), Some(&Value::Int(6)), "{overlay:?}");
+    }
 }
 
 #[test]
 fn rank_addressed_request_to_dead_rank_fails_ehostdown() {
-    use flux_broker::{BrokerConfig, RankOverlay};
-    for overlay in [RankOverlay::Ring, RankOverlay::Tree] {
-        let size = 8u32;
-        let mut net = TestNet::with_config(
-            size,
-            2,
-            move |r| BrokerConfig::new(r, size).with_rank_overlay(overlay),
-            |_| vec![],
-        );
+    for overlay in OVERLAYS {
+        let mut net = overlay_net(8, overlay);
         net.kill(Rank(6));
         net.publish_from_root(topic("live.down"), Value::from_pairs([("rank", Value::Int(6))]));
         let req = ClientCore::new(Rank(3), 0).request_to(

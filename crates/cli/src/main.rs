@@ -6,7 +6,8 @@
 //! reproduction) and runs one or more sub-commands against it:
 //!
 //! ```text
-//! flux [--size N] [--arity K] [--transport threads|tcp] <command> [; <command>]...
+//! flux [--size N] [--arity K] [--shards N] [--transport threads|tcp] [--faults SEED:SPEC]
+//!      <command> [; <command>]...
 //!
 //! commands:
 //!   start                        wire up the session and ping every rank
@@ -30,25 +31,20 @@
 //!   group join|info|leave <name> group membership
 //!   resvc status|alloc|free ...  resource service
 //!   up                           liveness view
-//!   kap [--json] [--full]        KAP evaluation-harness matrix
 //! ```
-//!
-//! `flux kap` is special: it runs the KAP benchmark harness (producers
-//! `put`/`commit`, fence or `wait_version` sync, consumer `get`s) over
-//! its own transports instead of the hosted session. `--json` emits the
-//! machine-readable `flux-kap-bench/v1` document (the `BENCH_kap.json`
-//! schema); the default is a human summary. `--full` adds the live
-//! threads/tcp cells to the deterministic sim matrix.
 //!
 //! Multiple commands separated by `;` run against the *same* session, so
 //! `flux kvs put a.b 42 ; kvs commit ; kvs get a.b` round-trips.
 //!
 //! `--transport` selects the wire hosting the ephemeral session:
 //! `threads` (in-process channels, the default) or `tcp` (brokers linked
-//! over loopback TCP sockets; `reactor` is an accepted alias — each
-//! broker runs one poll-based reactor thread driving all of its
-//! nonblocking sockets, see DESIGN.md §19). `flux --transport tcp
-//! start` wires up a real-socket session and pings every rank.
+//! over loopback TCP sockets — each broker runs one reactor thread that
+//! scans all of its nonblocking sockets and parks on its command channel
+//! when none is ready, see DESIGN.md §19). `flux --transport tcp start`
+//! wires up a real-socket session and pings every rank.
+//!
+//! `--shards N` splits the KVS namespace by key hash across masters on
+//! ranks `0..N`; a commit then answers with every shard's version.
 //!
 //! `--faults SEED:SPEC` runs the session under a deterministic fault
 //! plan (see `flux_rt::FaultPlan::parse`): e.g.
@@ -358,37 +354,6 @@ fn run_command(cli: &mut Cli, cmd: &[String]) -> Result<String, String> {
     }
 }
 
-/// `flux kap [--json] [--full]`: the KAP evaluation harness, run
-/// directly (the harness drives its own transports).
-fn kap_cmd(args: &[String]) -> ExitCode {
-    let json = args.iter().any(|a| a == "--json");
-    let quick = !args.iter().any(|a| a == "--full");
-    let doc = flux_kap::bench::run_matrix(quick);
-    if json {
-        println!("{}", doc.to_json_pretty());
-        return ExitCode::SUCCESS;
-    }
-    let cells = doc.get("cells").and_then(Value::as_array).map(<[Value]>::len).unwrap_or(0);
-    println!("KAP bench: {cells} cells ({} matrix)", if quick { "quick" } else { "full" });
-    for c in doc.get("cells").and_then(Value::as_array).unwrap_or(&[]) {
-        println!(
-            "  {:<28} makespan {:>10} ns  bytes {:>9}",
-            c.get("name").and_then(Value::as_str).unwrap_or("?"),
-            c.get("makespan_ns").and_then(Value::as_int).unwrap_or(0),
-            c.get("bytes_on_wire").and_then(Value::as_int).unwrap_or(0),
-        );
-    }
-    if let Some(opt) = doc.get("optimization") {
-        println!(
-            "optimization ({}): makespan x{:.3}, {} wire bytes saved",
-            opt.get("cell").and_then(Value::as_str).unwrap_or("?"),
-            opt.get("makespan_speedup").and_then(Value::as_float).unwrap_or(0.0),
-            opt.get("bytes_saved").and_then(Value::as_int).unwrap_or(0),
-        );
-    }
-    ExitCode::SUCCESS
-}
-
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let mut size = 8u32;
@@ -426,10 +391,6 @@ fn main() -> ExitCode {
              [--faults SEED:SPEC] <command> [; <command>]..."
         );
         return ExitCode::from(2);
-    }
-    // The KAP harness drives its own transports; no hosted session.
-    if args[0] == "kap" {
-        return kap_cmd(&args[1..]);
     }
     if size == 0 || arity == 0 {
         eprintln!("flux: --size and --arity must be at least 1");

@@ -104,3 +104,36 @@ fn group_membership_via_cli() {
     assert!(stdout.contains("\"size\":1"), "{stdout}");
     assert!(stdout.contains("\"size\":0"), "{stdout}");
 }
+
+/// Every session flag reaches the hosted session: a 3-ary tree (the
+/// leaf answering `info` sits at depth 1, not the binary tree's 2), two
+/// KVS shards (the commit answers per shard) on the socket transport,
+/// under a delay-only fault plan that slows frames but loses none.
+#[test]
+fn session_flags_shape_the_hosted_session() {
+    let (stdout, stderr, ok) = flux(&[
+        "--transport", "tcp", "--size", "4", "--arity", "3", "--shards", "2", "--faults",
+        "7:delay=0.05/1ms", "start", ";", "kvs", "put", "cli.f", "5", ";", "kvs", "commit", ";",
+        "kvs", "get", "cli.f", ";", "info",
+    ]);
+    assert!(ok, "stderr: {stderr}");
+    assert!(stdout.contains("session of 4 brokers up over tcp"), "{stdout}");
+    assert!(stdout.contains("committed: shard "), "{stdout}");
+    assert!(stdout.contains("\"depth\": 1"), "{stdout}");
+    assert!(stdout.lines().any(|l| l == "5"), "{stdout}");
+}
+
+/// Malformed session flags exit before any session starts.
+#[test]
+fn bad_session_flags_are_refused() {
+    for (args, why) in [
+        (&["--arity", "0", "start"][..], "--size and --arity must be at least 1"),
+        (&["--size", "2", "--shards", "3", "start"][..], "--shards must be 1..=size"),
+        (&["--transport", "reactor", "start"][..], "unknown transport"),
+        (&["--transport", "sim", "start"][..], "runs in virtual time"),
+    ] {
+        let (_, stderr, ok) = flux(args);
+        assert!(!ok, "{args:?} accepted");
+        assert!(stderr.contains(why), "{args:?}: {stderr}");
+    }
+}

@@ -8,43 +8,33 @@
 //! deviation count, which is exactly iterative deepening on the number
 //! of preemptions — shallow (likelier) interleavings first.
 
-use crate::run::{run_schedule, RunConfig, RunOutcome, Violation};
+use crate::run::{run_schedule, RunOutcome, Violation, MAX_EVENTS};
 use crate::scenario::Scenario;
 use crate::trace::{encode_trace, Choice, Schedule};
 use std::collections::VecDeque;
 
-/// Exploration budgets and bounds.
+/// Maximum deviations per schedule: the depth bound, and with it the
+/// preemption bound (every deviation may be a `Pick`).
+const MAX_DEVS: usize = 3;
+/// Maximum `Dup` deviations per schedule.
+const MAX_DUPS: usize = 1;
+/// How far down the eligible frontier a deviation may reach: only
+/// slots `< PICK_WINDOW` are considered. Bounds per-step branching.
+const PICK_WINDOW: usize = 4;
+
+/// Exploration budgets.
 #[derive(Clone, Copy, Debug)]
 pub struct ExploreConfig {
     /// Stop after this many distinct feasible schedules.
     pub max_schedules: usize,
-    /// Maximum total deviations per schedule (depth bound).
-    pub max_devs: usize,
-    /// Maximum `Pick` deviations per schedule (preemption bound).
-    pub max_picks: usize,
-    /// Maximum `Dup` deviations per schedule.
-    pub max_dups: usize,
-    /// How far down the eligible frontier a deviation may reach: only
-    /// slots `< pick_window` are considered. Bounds per-step branching.
-    pub pick_window: usize,
     /// Stop at the first violation (mutation smoke-tests) instead of
     /// exhausting the budget.
     pub stop_at_first: bool,
-    /// Per-schedule run limits.
-    pub run: RunConfig,
 }
 
 impl Default for ExploreConfig {
     fn default() -> Self {
-        ExploreConfig {
-            max_schedules: 10_000,
-            max_devs: 3,
-            max_picks: 3,
-            max_dups: 1,
-            pick_window: 4,
-            stop_at_first: false,
-            run: RunConfig::default(),
-        }
+        ExploreConfig { max_schedules: 10_000, stop_at_first: false }
     }
 }
 
@@ -91,7 +81,7 @@ pub fn explore(scenario: &Scenario, cfg: &ExploreConfig) -> ExploreReport {
         if report.stats.schedules >= cfg.max_schedules {
             break;
         }
-        let out = run_schedule(scenario, &sched, &cfg.run);
+        let out = run_schedule(scenario, &sched, MAX_EVENTS);
         if !out.valid {
             report.stats.invalid += 1;
             continue;
@@ -102,7 +92,7 @@ pub fn explore(scenario: &Scenario, cfg: &ExploreConfig) -> ExploreReport {
         }
 
         if let Some(violation) = out.violation {
-            let schedule = minimize(scenario, &sched, &cfg.run);
+            let schedule = minimize(scenario, &sched);
             let trace = encode_trace(scenario.name, &schedule);
             report.violations.push(FoundViolation { schedule, violation, trace });
             if cfg.stop_at_first {
@@ -113,7 +103,7 @@ pub fn explore(scenario: &Scenario, cfg: &ExploreConfig) -> ExploreReport {
             continue;
         }
 
-        if sched.devs.len() < cfg.max_devs {
+        if sched.devs.len() < MAX_DEVS {
             expand(&sched, &out, cfg, &mut queue, &mut report.stats);
         }
     }
@@ -130,22 +120,19 @@ fn expand(
     stats: &mut ExploreStats,
 ) {
     let first_step = sched.last_step().map_or(0, |s| s + 1);
-    let can_pick = sched.picks() < cfg.max_picks;
-    let can_dup = sched.dups() < cfg.max_dups;
+    let can_dup = sched.dups() < MAX_DUPS;
     for step in first_step..out.steps.len() as u32 {
         let info = &out.steps[step as usize];
-        let window = (info.eligible as usize).min(cfg.pick_window);
-        if can_pick {
-            for n in 1..window {
-                if info.prunable[n] {
-                    stats.pruned += 1;
-                    continue;
-                }
-                if stats.schedules + queue.len() >= cfg.max_schedules {
-                    return;
-                }
-                queue.push_back(sched.extended(step, Choice::Pick(n as u16)));
+        let window = (info.eligible as usize).min(PICK_WINDOW);
+        for n in 1..window {
+            if info.prunable[n] {
+                stats.pruned += 1;
+                continue;
             }
+            if stats.schedules + queue.len() >= cfg.max_schedules {
+                return;
+            }
+            queue.push_back(sched.extended(step, Choice::Pick(n as u16)));
         }
         if can_dup {
             for n in 0..window {
@@ -164,14 +151,14 @@ fn expand(
 /// Greedily minimizes a violating schedule: repeatedly drops any single
 /// deviation whose removal preserves *some* violation. The result is
 /// 1-minimal — removing any remaining deviation yields a clean run.
-pub fn minimize(scenario: &Scenario, sched: &Schedule, run_cfg: &RunConfig) -> Schedule {
+fn minimize(scenario: &Scenario, sched: &Schedule) -> Schedule {
     let mut current = sched.clone();
     loop {
         let mut improved = false;
         for i in 0..current.devs.len() {
             let mut trial = current.clone();
             trial.devs.remove(i);
-            let out = run_schedule(scenario, &trial, run_cfg);
+            let out = run_schedule(scenario, &trial, MAX_EVENTS);
             if out.valid && out.violation.is_some() {
                 current = trial;
                 improved = true;
@@ -186,11 +173,11 @@ pub fn minimize(scenario: &Scenario, sched: &Schedule, run_cfg: &RunConfig) -> S
 
 /// Replays a `FLUX_MC_TRACE` string: decodes it, looks the scenario up
 /// by name, and runs the schedule once.
-pub fn replay_trace(trace: &str, run_cfg: &RunConfig) -> Result<RunOutcome, String> {
+pub fn replay_trace(trace: &str) -> Result<RunOutcome, String> {
     let (name, sched) = crate::trace::decode_trace(trace)?;
     let scenario = Scenario::by_name(&name)
         .ok_or_else(|| format!("trace names unknown scenario {name:?}"))?;
-    let out = run_schedule(&scenario, &sched, run_cfg);
+    let out = run_schedule(&scenario, &sched, MAX_EVENTS);
     if !out.valid {
         return Err(format!("trace {trace:?} is infeasible on scenario {name:?}"));
     }
@@ -202,7 +189,7 @@ mod tests {
     use super::*;
 
     fn small() -> ExploreConfig {
-        ExploreConfig { max_schedules: 200, max_devs: 2, ..ExploreConfig::default() }
+        ExploreConfig { max_schedules: 200, ..ExploreConfig::default() }
     }
 
     #[test]
@@ -216,39 +203,34 @@ mod tests {
 
     #[test]
     fn killing_a_broker_shrinks_the_explored_state_space() {
-        // With max_devs = 1 the explorer enumerates every single-
-        // deviation schedule, so the schedule count directly measures the
-        // number of branching points. Killing the idle leaf broker must
-        // shrink that space: deliveries destined for the dead actor are
-        // no longer listed as pending, so they stop being pickable (and
-        // the exploration stays violation-free — the surviving branch is
-        // unaffected under every remaining interleaving).
-        let cfg = ExploreConfig {
-            max_schedules: 100_000,
-            max_devs: 1,
-            ..ExploreConfig::default()
+        // The default schedule's frontiers are the branching points: each
+        // slot past the first is a one-deviation child. Killing the idle
+        // leaf broker must shrink them: deliveries destined for the dead
+        // actor are no longer listed as pending, so they stop being
+        // pickable (and exploration stays violation-free — the surviving
+        // branch is unaffected under every remaining interleaving).
+        let branching = |scenario: &Scenario| -> usize {
+            let out = run_schedule(scenario, &Schedule::empty(), MAX_EVENTS);
+            assert!(out.violation.is_none(), "{:?}", out.violation);
+            out.steps.iter().map(|s| usize::from(s.eligible) - 1).sum()
         };
         let with_kill = Scenario::kvs_commit_kill();
         let mut without_kill = with_kill.clone();
         without_kill.kill = None;
-        let base = explore(&without_kill, &cfg);
-        let killed = explore(&with_kill, &cfg);
-        assert!(killed.violations.is_empty(), "{:?}", killed.violations);
-        assert!(base.violations.is_empty(), "{:?}", base.violations);
+        let (base, killed) = (branching(&without_kill), branching(&with_kill));
         assert!(
-            killed.stats.schedules < base.stats.schedules,
+            killed < base,
             "dead-target filtering must shrink the schedule space: \
-             {} (kill) vs {} (no kill)",
-            killed.stats.schedules,
-            base.stats.schedules,
+             {killed} (kill) vs {base} (no kill) branching points"
         );
+        let report = explore(&with_kill, &small());
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
     #[test]
     fn replay_of_default_trace_runs() {
-        let out = replay_trace("flux-mc:v1:kvs_commit:-", &RunConfig::default())
-            .expect("replayable");
+        let out = replay_trace("flux-mc:v1:kvs_commit:-").expect("replayable");
         assert!(out.violation.is_none());
-        assert!(replay_trace("flux-mc:v1:unknown:-", &RunConfig::default()).is_err());
+        assert!(replay_trace("flux-mc:v1:unknown:-").is_err());
     }
 }

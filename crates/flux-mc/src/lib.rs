@@ -30,8 +30,8 @@ mod scenario;
 mod trace;
 
 pub use explore::{
-    explore, minimize, replay_trace, ExploreConfig, ExploreReport, ExploreStats, FoundViolation,
+    explore, replay_trace, ExploreConfig, ExploreReport, ExploreStats, FoundViolation,
 };
-pub use run::{run_schedule, RunConfig, RunOutcome, StepInfo, Violation, ViolationKind};
+pub use run::{RunOutcome, StepInfo, Violation, ViolationKind};
 pub use scenario::{ModuleSet, Scenario};
-pub use trace::{decode_trace, encode_trace, Choice, Schedule};
+pub use trace::{Choice, Schedule};

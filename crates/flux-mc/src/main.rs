@@ -2,25 +2,25 @@
 //!
 //! ```text
 //! flux-mc [scenario] [--schedules N] [--stop-at-first]
-//! flux-mc --replay <trace>          # or set FLUX_MC_TRACE
+//! FLUX_MC_TRACE=<trace> flux-mc     # replay the trace a violation printed
 //! flux-mc --list
 //! ```
 
 #![forbid(unsafe_code)]
 
-use flux_mc::{explore, replay_trace, ExploreConfig, RunConfig, Scenario};
+use flux_mc::{explore, replay_trace, ExploreConfig, Scenario};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: flux-mc [scenario] [--schedules N] [--stop-at-first]\n       \
-         flux-mc --replay <trace>\n       flux-mc --list"
+         FLUX_MC_TRACE=<trace> flux-mc\n       flux-mc --list"
     );
     ExitCode::FAILURE
 }
 
 fn replay(trace: &str) -> ExitCode {
-    match replay_trace(trace, &RunConfig::default()) {
+    match replay_trace(trace) {
         Ok(out) => match out.violation {
             Some(v) => {
                 println!("violation reproduced after {} events: {v}", out.events);
@@ -57,18 +57,9 @@ fn main() -> ExitCode {
                 println!("kvs_fence_mutant\nkvs_commit_mutant");
                 return ExitCode::SUCCESS;
             }
-            "--replay" => {
-                let Some(trace) = it.next() else { return usage() };
-                return replay(trace);
-            }
             "--schedules" => {
                 let Some(n) = it.next().and_then(|s| s.parse().ok()) else { return usage() };
                 cfg.max_schedules = n;
-            }
-            "--devs" => {
-                let Some(n) = it.next().and_then(|s| s.parse().ok()) else { return usage() };
-                cfg.max_devs = n;
-                cfg.max_picks = cfg.max_picks.max(n);
             }
             "--stop-at-first" => cfg.stop_at_first = true,
             name if scenario_name.is_none() && !name.starts_with('-') => {

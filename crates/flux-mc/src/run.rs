@@ -35,22 +35,12 @@ use flux_wire::{MsgId, MsgType};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
-/// Tuning knobs for a single schedule run (shared with the explorer).
-#[derive(Clone, Copy, Debug)]
-pub struct RunConfig {
-    /// Abort a schedule after this many engine events: a run that busy
-    /// loops under some interleaving is itself a liveness violation.
-    pub max_events: u64,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        // An unperturbed scenario run takes a few hundred events; two
-        // orders of magnitude of slack separates "slow schedule" from
-        // "livelock" without slowing the explorer down.
-        RunConfig { max_events: 20_000 }
-    }
-}
+/// A schedule is aborted after this many engine events: a run that busy
+/// loops under some interleaving is itself a liveness violation. An
+/// unperturbed scenario run takes a few hundred events; two orders of
+/// magnitude of slack separates "slow schedule" from "livelock" without
+/// slowing the explorer down.
+pub(crate) const MAX_EVENTS: u64 = 20_000;
 
 /// What kind of invariant a schedule violated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -232,8 +222,13 @@ impl ReplyObserver {
     }
 }
 
-/// Runs `scenario` under `schedule` and checks all invariants.
-pub fn run_schedule(scenario: &Scenario, schedule: &Schedule, cfg: &RunConfig) -> RunOutcome {
+/// Runs `scenario` under `schedule` within `max_events` engine events
+/// and checks all invariants.
+pub(crate) fn run_schedule(
+    scenario: &Scenario,
+    schedule: &Schedule,
+    max_events: u64,
+) -> RunOutcome {
     let mut session = scenario.build();
     let handles: Vec<_> = scenario
         .scripts
@@ -270,7 +265,7 @@ pub fn run_schedule(scenario: &Scenario, schedule: &Schedule, cfg: &RunConfig) -
                 break snapshot;
             }
             for seq in auto {
-                if events >= cfg.max_events {
+                if events >= max_events {
                     violation = Some(livelock(events));
                     break 'run;
                 }
@@ -283,7 +278,7 @@ pub fn run_schedule(scenario: &Scenario, schedule: &Schedule, cfg: &RunConfig) -
         if frontier.is_empty() {
             break;
         }
-        if events >= cfg.max_events {
+        if events >= max_events {
             violation = Some(livelock(events));
             break;
         }
@@ -460,7 +455,7 @@ mod tests {
     fn default_schedule_is_clean_on_every_live_scenario() {
         for name in Scenario::clean_names() {
             let scenario = Scenario::by_name(name).expect("known");
-            let out = run_schedule(&scenario, &Schedule::empty(), &RunConfig::default());
+            let out = run_schedule(&scenario, &Schedule::empty(), MAX_EVENTS);
             assert!(out.valid);
             assert!(out.violation.is_none(), "{name}: {:?}", out.violation);
             assert!(!out.steps.is_empty());
@@ -472,14 +467,14 @@ mod tests {
     fn infeasible_deviation_reports_invalid() {
         let scenario = Scenario::kvs_fence();
         let sched = Schedule::empty().extended(0, Choice::Pick(200));
-        let out = run_schedule(&scenario, &sched, &RunConfig::default());
+        let out = run_schedule(&scenario, &sched, MAX_EVENTS);
         assert!(!out.valid);
     }
 
     #[test]
     fn tiny_event_budget_reports_livelock() {
         let scenario = Scenario::kvs_fence();
-        let out = run_schedule(&scenario, &Schedule::empty(), &RunConfig { max_events: 3 });
+        let out = run_schedule(&scenario, &Schedule::empty(), 3);
         assert!(out.valid);
         assert_eq!(out.violation.as_ref().map(|v| v.kind), Some(ViolationKind::Livelock));
     }

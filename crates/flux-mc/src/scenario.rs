@@ -95,7 +95,7 @@ pub struct Scenario {
 impl Scenario {
     /// Builds a fresh session for one schedule run. `NetParams::default`
     /// keeps latencies deterministic; the explorer owns all reordering.
-    pub fn build(&self) -> SimSession {
+    pub(crate) fn build(&self) -> SimSession {
         let modules = self.modules;
         SimSession::new(self.size, self.arity, NetParams::default(), move |_rank| modules.build())
     }
@@ -182,11 +182,11 @@ impl Scenario {
 
     /// Independent commits from two leaf ranks: exercises the push relay
     /// path (commit → push → master apply → response unwind).
-    pub fn kvs_commit() -> Scenario {
+    pub(crate) fn kvs_commit() -> Scenario {
         Self::commit_scenario("kvs_commit", true)
     }
 
-    /// [`Scenario::kvs_commit`] with master-side dedup disabled: a
+    /// The `kvs_commit` scenario with master-side dedup disabled: a
     /// duplicated push frame applies twice and overruns the version.
     pub fn kvs_commit_mutant() -> Scenario {
         Self::commit_scenario("kvs_commit_mutant", false)
@@ -223,7 +223,7 @@ impl Scenario {
     /// the eligible frontier — so schedules only interleave the work that
     /// can still affect the outcome, and the client on the surviving
     /// branch must finish untouched under every remaining interleaving.
-    pub fn kvs_commit_kill() -> Scenario {
+    pub(crate) fn kvs_commit_kill() -> Scenario {
         let c1 = vec![
             Op::Put { key: "mc.kx".into(), val: Value::from(1i64) },
             Op::Commit,
@@ -248,7 +248,7 @@ impl Scenario {
     /// read-your-writes in the history check) must hold whether the two
     /// pushes coalesce into one walk or flush separately — and a batch
     /// applied twice would still overrun the version bound.
-    pub fn kvs_batch() -> Scenario {
+    pub(crate) fn kvs_batch() -> Scenario {
         let c1 = vec![
             Op::Put { key: "mc.bx".into(), val: Value::from(1i64) },
             Op::Commit,

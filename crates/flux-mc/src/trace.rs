@@ -37,12 +37,12 @@ pub struct Schedule {
 
 impl Schedule {
     /// The empty (default) schedule.
-    pub fn empty() -> Schedule {
+    pub(crate) fn empty() -> Schedule {
         Schedule::default()
     }
 
     /// The deviation at `step`, if any.
-    pub fn at(&self, step: u32) -> Option<Choice> {
+    pub(crate) fn at(&self, step: u32) -> Option<Choice> {
         self.devs
             .binary_search_by_key(&step, |d| d.0)
             .ok()
@@ -50,23 +50,18 @@ impl Schedule {
     }
 
     /// The step of the last deviation (`None` for the default schedule).
-    pub fn last_step(&self) -> Option<u32> {
+    pub(crate) fn last_step(&self) -> Option<u32> {
         self.devs.last().map(|d| d.0)
     }
 
     /// Number of duplication deviations.
-    pub fn dups(&self) -> usize {
+    pub(crate) fn dups(&self) -> usize {
         self.devs.iter().filter(|d| matches!(d.1, Choice::Dup(_))).count()
-    }
-
-    /// Number of pick (reordering) deviations.
-    pub fn picks(&self) -> usize {
-        self.devs.iter().filter(|d| matches!(d.1, Choice::Pick(_))).count()
     }
 
     /// This schedule extended with a deviation at `step`, which must be
     /// strictly after the last existing deviation.
-    pub fn extended(&self, step: u32, choice: Choice) -> Schedule {
+    pub(crate) fn extended(&self, step: u32, choice: Choice) -> Schedule {
         debug_assert!(self.last_step().is_none_or(|s| step > s));
         let mut devs = self.devs.clone();
         devs.push((step, choice));
@@ -77,7 +72,7 @@ impl Schedule {
 /// Encodes a violation trace: `flux-mc:v1:<scenario>:<devs>` where
 /// `<devs>` is a comma-separated list of `p@<step>=<n>` / `d@<step>=<n>`
 /// entries, or `-` for the default schedule.
-pub fn encode_trace(scenario: &str, sched: &Schedule) -> String {
+pub(crate) fn encode_trace(scenario: &str, sched: &Schedule) -> String {
     if sched.devs.is_empty() {
         return format!("flux-mc:v1:{scenario}:-");
     }
@@ -94,7 +89,7 @@ pub fn encode_trace(scenario: &str, sched: &Schedule) -> String {
 
 /// Decodes a trace produced by [`encode_trace`] back into a scenario
 /// name and schedule.
-pub fn decode_trace(trace: &str) -> Result<(String, Schedule), String> {
+pub(crate) fn decode_trace(trace: &str) -> Result<(String, Schedule), String> {
     let rest = trace
         .strip_prefix("flux-mc:v1:")
         .ok_or_else(|| format!("not a flux-mc v1 trace: {trace:?}"))?;
@@ -172,7 +167,6 @@ mod tests {
         assert_eq!(s.at(9), Some(Choice::Dup(0)));
         assert_eq!(s.at(5), None);
         assert_eq!(s.last_step(), Some(9));
-        assert_eq!(s.picks(), 1);
         assert_eq!(s.dups(), 1);
     }
 }

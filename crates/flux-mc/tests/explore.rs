@@ -2,17 +2,13 @@
 //! tree stays clean, and the dedup-disabled mutants are caught with a
 //! minimal replayable trace.
 
-use flux_mc::{explore, replay_trace, ExploreConfig, RunConfig, Scenario};
+use flux_mc::{explore, replay_trace, ExploreConfig, Scenario};
 
-/// Schedule budget for the bulk exploration, overridable for deeper
-/// local runs (`FLUX_MC_SCHEDULES=200000 cargo test -p flux-mc --release`).
-fn budget() -> usize {
-    std::env::var("FLUX_MC_SCHEDULES").ok().and_then(|s| s.parse().ok()).unwrap_or(10_000)
-}
-
+/// A deeper run of the same exploration is the binary's:
+/// `cargo run --release -p flux-mc -- kvs_fence --schedules 200000`.
 #[test]
 fn fence_scenario_explores_ten_thousand_clean_schedules() {
-    let budget = budget();
+    let budget = 10_000;
     let cfg = ExploreConfig { max_schedules: budget, ..ExploreConfig::default() };
     let report = explore(&Scenario::kvs_fence(), &cfg);
     for v in &report.violations {
@@ -43,7 +39,7 @@ fn fence_mutant_caught_with_minimal_replayable_trace() {
     assert!(found.trace.starts_with("flux-mc:v1:kvs_fence_mutant:"), "{}", found.trace);
 
     // The trace must replay to a violation on its own.
-    let out = replay_trace(&found.trace, &RunConfig::default()).expect("trace is feasible");
+    let out = replay_trace(&found.trace).expect("trace is feasible");
     assert!(out.violation.is_some(), "minimal trace did not reproduce: {}", found.trace);
 }
 
@@ -52,7 +48,7 @@ fn commit_mutant_caught_and_reproducible() {
     let cfg = ExploreConfig { stop_at_first: true, ..ExploreConfig::default() };
     let report = explore(&Scenario::kvs_commit_mutant(), &cfg);
     let found = report.violations.first().expect("push double-apply mutant must be caught");
-    let out = replay_trace(&found.trace, &RunConfig::default()).expect("trace is feasible");
+    let out = replay_trace(&found.trace).expect("trace is feasible");
     assert!(out.violation.is_some(), "minimal trace did not reproduce: {}", found.trace);
 }
 
@@ -106,7 +102,7 @@ fn shard_watch_scenario_exploration_is_clean() {
 #[test]
 fn replay_trace_from_env() {
     let Ok(trace) = std::env::var("FLUX_MC_TRACE") else { return };
-    let out = replay_trace(&trace, &RunConfig::default()).expect("env trace must be feasible");
+    let out = replay_trace(&trace).expect("env trace must be feasible");
     match out.violation {
         Some(v) => panic!("reproduced after {} events: {v}", out.events),
         None => eprintln!("trace ran clean over {} events", out.events),

@@ -47,7 +47,7 @@ impl ObjectId {
     }
 
     /// A short 8-character prefix for logs, like `git log --oneline`.
-    pub fn short(self) -> String {
+    fn short(self) -> String {
         self.to_hex()[..8].to_owned()
     }
 

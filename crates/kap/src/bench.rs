@@ -9,7 +9,7 @@
 //! regression checks therefore only compare `sim` cells.
 //!
 //! The harness also measures the KVS hot-path optimization directly:
-//! [`optimization_report`] runs the redundant-consumer cell twice — once
+//! the `optimization` section runs the redundant-consumer cell twice — once
 //! with master-side push batching disabled, once with the shipped
 //! defaults — and records the margin.
 
@@ -21,7 +21,7 @@ use flux_value::{Map, Value};
 
 /// Schema tag stamped into every document; bump on breaking layout
 /// changes so the CI smoke fails loudly instead of misreading fields.
-pub const SCHEMA: &str = "flux-kap-bench/v1";
+const SCHEMA: &str = "flux-kap-bench/v1";
 
 /// Runs one configuration on `transport`. Sim sessions pick the
 /// rank-addressed overlay to match the workload: sharded cells route
@@ -34,7 +34,7 @@ pub fn run_on(transport: TransportKind, p: &KapParams) -> KapRun {
         Some(live) => run_kap_full(p, &live),
         None => {
             let overlay = if p.kvs.shards > 1 { RankOverlay::Full } else { RankOverlay::Ring };
-            run_kap_full(p, &SimTransport { net: p.net, overlay, ..SimTransport::default() })
+            run_kap_full(p, &SimTransport { overlay, ..SimTransport::default() })
         }
     }
 }
@@ -65,7 +65,7 @@ fn phase_value(mut lats: Vec<u64>) -> Value {
 }
 
 /// Runs one cell and renders its JSON record.
-pub fn run_cell(cell: &Cell) -> Value {
+fn run_cell(cell: &Cell) -> Value {
     let run = run_on(cell.transport, &cell.params);
     cell_value(cell, &run)
 }
@@ -149,7 +149,7 @@ fn base_params(value_size: usize, redundant: bool) -> KapParams {
 /// The benchmark matrix: (value size × redundancy × transport) cells,
 /// plus one wait_version-sync cell per transport. `quick` restricts to
 /// the deterministic simulator cells — the CI smoke matrix.
-pub fn matrix_cells(quick: bool) -> Vec<Cell> {
+fn matrix_cells(quick: bool) -> Vec<Cell> {
     let transports = if quick {
         vec![TransportKind::Sim]
     } else {
@@ -238,10 +238,10 @@ pub fn scale_sweep_cells() -> Vec<Cell> {
 /// Rank count of the sharded-commit comparison pair: the paper's
 /// mid-sweep scale, large enough that the single master is the
 /// serialization bottleneck.
-pub const SHARD_SCALE_RANKS: u32 = 2048;
+const SHARD_SCALE_RANKS: u32 = 2048;
 
 /// Shard-master count of the sharded comparison cell.
-pub const SHARD_SCALE_SHARDS: u32 = 4;
+const SHARD_SCALE_SHARDS: u32 = 4;
 
 /// The sharded-commit comparison pair at [`SHARD_SCALE_RANKS`] ranks:
 /// every producer issues an independent commit, once against the classic
@@ -250,7 +250,7 @@ pub const SHARD_SCALE_SHARDS: u32 = 4;
 /// the harness pins the sharded cell byte-for-byte and requires its
 /// commit throughput to beat the single-master cell — concurrent pushes
 /// spread across shard masters instead of serializing at the root.
-pub fn shard_scale_cells() -> Vec<Cell> {
+fn shard_scale_cells() -> Vec<Cell> {
     vec![commit_cell(SHARD_SCALE_RANKS, 1), commit_cell(SHARD_SCALE_RANKS, SHARD_SCALE_SHARDS)]
 }
 
@@ -293,7 +293,7 @@ pub fn run_shard_scale() -> Value {
 /// Runs the paper-scale sweep and renders its JSON section. Only in the
 /// full (non-quick) document: the 8192-rank cells are seconds each in
 /// release builds but would dominate debug test time.
-pub fn run_scale_sweep() -> Value {
+fn run_scale_sweep() -> Value {
     let cells: Vec<Value> = scale_sweep_cells().iter().map(run_cell).collect();
     Value::from_pairs([
         (
@@ -307,7 +307,7 @@ pub fn run_scale_sweep() -> Value {
 /// The redundant-consumer margin cell: concurrent per-producer commits
 /// (the push-batching hot path) with redundant values and repeat
 /// consumer reads.
-pub fn margin_params(kvs: KvsConfig) -> KapParams {
+fn margin_params(kvs: KvsConfig) -> KapParams {
     let mut p = KapParams::populated(8, 4);
     p.value_size = 4096;
     p.redundant = true;
@@ -320,7 +320,7 @@ pub fn margin_params(kvs: KvsConfig) -> KapParams {
 
 /// The pre-optimization KVS: no master-side push batching — every push
 /// applies on arrival.
-pub fn baseline_kvs() -> KvsConfig {
+fn baseline_kvs() -> KvsConfig {
     KvsConfig { batch_window_ns: 0, ..KvsConfig::default() }
 }
 
@@ -345,7 +345,7 @@ fn margin_side(kvs: KvsConfig) -> (KapRun, Value) {
 
 /// Runs the redundant-consumer cell against both KVS configurations and
 /// reports the measured optimization margin (deterministic: sim only).
-pub fn optimization_report() -> Value {
+fn optimization_report() -> Value {
     let (base_run, base_v) = margin_side(baseline_kvs());
     let (opt_run, opt_v) = margin_side(KvsConfig::default());
     let speedup = base_run.makespan_ns as f64 / opt_run.makespan_ns.max(1) as f64;

@@ -174,7 +174,7 @@ fn fig4(cfg: &Cfg, layout: DirLayout, label: &str) {
 /// §V-B model check: measured consumer latency vs `log2(C) × T(G)`, and
 /// the G ∝ C linear-growth case.
 fn model_check(cfg: &Cfg) {
-    let _net = NetParams::default();
+    let net = NetParams::default();
     let mut t = Table::new(
         "Model — measured single-directory consumer latency vs log2(C)·T(G)",
         &["consumers", "G", "measured (ms)", "model (ms)", "ratio"],
@@ -187,7 +187,12 @@ fn model_check(cfg: &Cfg) {
         let r = run_kap(&p);
         let c = p.total_procs();
         let g = p.total_objects();
-        let t_g = model::transfer_time_ns(g, p.value_size as u64, 1_300, 305);
+        let t_g = model::transfer_time_ns(
+            g,
+            p.value_size as u64,
+            net.net_latency.as_nanos(),
+            net.net_ns_per_kib,
+        );
         let predicted = model::consumer_latency_model_ns(c, t_g);
         let ratio = r.consumer_ns as f64 / predicted as f64;
         points.push((c as f64, r.consumer_ns as f64 / 1e6));
@@ -224,10 +229,7 @@ fn scaling() {
             .iter()
             .find(|c| c.name == name)
             .unwrap_or_else(|| panic!("sweep cell {name} missing"));
-        let run = flux_kap::run_kap_full(
-            &cell.params,
-            &SimTransport { net: cell.params.net, ..SimTransport::default() },
-        );
+        let run = flux_kap::run_kap_full(&cell.params, &SimTransport::default());
         let sync = run.phases.iter().map(|ph| ph.sync_ns).max().unwrap_or(0);
         let consumer = run.phases.iter().map(|ph| ph.consumer_ns).max().unwrap_or(0);
         (sync, consumer)

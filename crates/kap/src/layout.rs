@@ -14,7 +14,7 @@ pub enum DirLayout {
 
 /// Objects per directory in the split layout (paper: "multiple
 /// directories of at most 128 objects each").
-pub const SPLIT_DIR_OBJECTS: u64 = 128;
+const SPLIT_DIR_OBJECTS: u64 = 128;
 
 /// The KVS key for object `gid` under a layout.
 pub fn key_for(layout: DirLayout, gid: u64) -> String {

@@ -35,6 +35,5 @@ pub mod report;
 mod runner;
 
 pub use runner::{
-    run_kap, run_kap_full, run_kap_on, KapParams, KapResult, KapRun, ProcPhases, ProducerMode,
-    Role, SyncMode,
+    run_kap, run_kap_full, KapParams, KapResult, KapRun, ProcPhases, ProducerMode, SyncMode,
 };

@@ -34,20 +34,6 @@ pub fn consumer_latency_model_ns(consumers: u64, t_g_ns: u64) -> u64 {
     (64 - consumers.max(1).leading_zeros() as u64 - 1).max(1) * t_g_ns
 }
 
-/// The doubling prediction of §V-B: if `G` doubles whenever `C` doubles,
-/// the latency per doubling is `2·T(2G) / 2·T(G)` — i.e. it doubles too
-/// (linear in scale). Returns the predicted latency ratio between scale
-/// `k+1` and scale `k`.
-pub fn doubling_ratio(g_at_k: u64, value_bytes: u64, latency_ns: u64, ns_per_kib: u64) -> f64 {
-    let t1 = transfer_time_ns(g_at_k, value_bytes, latency_ns, ns_per_kib) as f64;
-    let t2 = transfer_time_ns(2 * g_at_k, value_bytes, latency_ns, ns_per_kib) as f64;
-    // One extra tree level (log2 grows by 1) times the bigger transfer.
-    // With log2(C) levels at scale k, latency_k = log2(C)·T(G) and
-    // latency_{k+1} = (log2(C)+1)·T(2G); in the large-G limit the ratio
-    // approaches 2·T(2G)/2·T(G) = T(2G)/T(G) ≈ 2.
-    t2 / t1
-}
-
 /// Least-squares slope of `y` against `x` (for checking linear vs
 /// logarithmic growth in measured sweeps).
 pub fn slope(points: &[(f64, f64)]) -> f64 {
@@ -105,7 +91,10 @@ mod tests {
 
     #[test]
     fn doubling_g_with_scale_doubles_latency() {
-        let ratio = doubling_ratio(100_000, 8, 1300, 305);
+        // §V-B's geometric series: when G doubles with C, each extra tree
+        // level moves twice the bytes, so T(2G) / T(G) → 2 at large G.
+        let t = |g| transfer_time_ns(g, 8, 1300, 305) as f64;
+        let ratio = t(200_000) / t(100_000);
         assert!((1.8..=2.05).contains(&ratio), "ratio {ratio}");
     }
 

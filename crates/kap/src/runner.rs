@@ -3,7 +3,7 @@
 //! The workload is defined once as per-process [`Op`] scripts and runs
 //! against the [`ScriptTransport`] abstraction: [`run_kap`] uses the
 //! simulator (virtual time, the paper's cost model), while
-//! [`run_kap_on`] accepts any transport — e.g. the live loopback-TCP
+//! [`run_kap_full`] accepts any transport — e.g. the live loopback-TCP
 //! runtime — and measures wall-clock phases instead.
 
 use crate::layout::{key_for, value_for, DirLayout};
@@ -12,12 +12,11 @@ use flux_kvs::{KvsConfig, KvsModule};
 use flux_modules::BarrierModule;
 use flux_rt::script::Op;
 use flux_rt::transport::{ScriptReport, ScriptTransport, SimTransport};
-use flux_sim::NetParams;
 use flux_wire::Rank;
 
 /// The role a tester process plays.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Role {
+enum Role {
     /// Writes objects only.
     Producer,
     /// Reads objects only.
@@ -78,8 +77,6 @@ pub struct KapParams {
     pub layout: DirLayout,
     /// Tree plane fan-out (paper evaluates a binary tree).
     pub arity: u32,
-    /// Simulated network parameters.
-    pub net: NetParams,
     /// How producers persist their writes.
     pub producer_mode: ProducerMode,
     /// How consumers synchronize with the producers.
@@ -114,7 +111,6 @@ impl KapParams {
             redundant: false,
             layout: DirLayout::Single,
             arity: 2,
-            net: NetParams::default(),
             producer_mode: ProducerMode::Fence,
             sync_mode: SyncMode::Fence,
             kvs: KvsConfig::default(),
@@ -132,7 +128,7 @@ impl KapParams {
     }
 
     /// The role of global process `gid`.
-    pub fn role_of(&self, gid: u64) -> Role {
+    fn role_of(&self, gid: u64) -> Role {
         let p = gid < self.producers;
         let c = gid < self.consumers;
         match (p, c) {
@@ -147,7 +143,7 @@ impl KapParams {
     ///
     /// # Panics
     /// Panics on inconsistent parameters.
-    pub fn validate(&self) {
+    fn validate(&self) {
         assert!(self.nodes > 0 && self.procs_per_node > 0, "empty session");
         let procs = self.total_procs();
         assert!(self.producers <= procs, "more producers than processes");
@@ -313,15 +309,16 @@ pub(crate) fn assert_completed(report: &ScriptReport) {
 }
 
 /// Runs one KAP configuration to completion on the simulator (the
-/// paper's measurement setup: virtual time, modeled network).
+/// paper's measurement setup: virtual time, the default
+/// [`flux_sim::NetParams`] cost model).
 pub fn run_kap(params: &KapParams) -> KapResult {
-    run_kap_on(params, &SimTransport { net: params.net, ..SimTransport::default() })
+    run_kap_on(params, &SimTransport::default())
 }
 
 /// Runs one KAP configuration on any script-capable transport and
 /// reduces to the paper's metric: maximum phase latency across
 /// processes.
-pub fn run_kap_on(params: &KapParams, transport: &dyn ScriptTransport) -> KapResult {
+fn run_kap_on(params: &KapParams, transport: &dyn ScriptTransport) -> KapResult {
     let run = run_kap_full(params, transport);
     let mut producer_ns = 0u64;
     let mut sync_ns = 0u64;
@@ -465,7 +462,7 @@ mod tests {
         p.producers = 1;
         p.nputs = 4;
         p.naccess = 2;
-        let run = run_kap_full(&p, &SimTransport { net: p.net, ..SimTransport::default() });
+        let run = run_kap_full(&p, &SimTransport::default());
         assert_eq!(run.phases.len(), p.total_procs() as usize);
         // Consumers waited and read: their sync + consumer phases cost time.
         let consumer = run.phases[(p.total_procs() - 1) as usize];

@@ -147,7 +147,7 @@ fn kap_1024_rank_cell_is_deterministic() {
     p.producers = p.total_procs();
     p.consumers = p.total_procs();
     assert_eq!(p.total_procs(), 1024);
-    let transport = SimTransport { net: p.net, ..SimTransport::default() };
+    let transport = SimTransport::default();
     let a = run_kap_full(&p, &transport);
     let b = run_kap_full(&p, &transport);
     assert_eq!(a.makespan_ns, b.makespan_ns);

@@ -81,16 +81,6 @@ impl KvsClient {
         KvsClient { core: ClientCore::new(broker_rank, client_id) }
     }
 
-    /// The underlying protocol core (for mixing in non-KVS requests).
-    pub fn core_mut(&mut self) -> &mut ClientCore {
-        &mut self.core
-    }
-
-    /// Number of outstanding requests.
-    pub fn outstanding_len(&self) -> usize {
-        self.core.outstanding_len()
-    }
-
     /// `kvs_put(key, val)` — asynchronous write-back; the ack returns as
     /// soon as the local broker has cached the object.
     pub fn put(&mut self, key: &str, val: Value, tag: u64) -> Message {
@@ -198,7 +188,7 @@ impl KvsClient {
 /// Decodes a KVS response message into a [`KvsReply`] based on its
 /// topic. The match over [`KvsMethod`] is exhaustive: adding a method to
 /// the registry forces a decoding decision here.
-pub fn decode_reply(msg: &Message) -> KvsReply {
+fn decode_reply(msg: &Message) -> KvsReply {
     if msg.is_error() {
         return KvsReply::Err(msg.header.errnum);
     }

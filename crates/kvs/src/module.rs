@@ -372,17 +372,6 @@ impl KvsModule {
     pub fn shards(&self) -> u32 {
         self.rep.slots.shards()
     }
-
-    /// Pushes that went through the master batch path (for tests).
-    pub fn pushes_batched(&self) -> u64 {
-        self.authority.pushes_batched
-    }
-
-    /// Commits applied at the master; with batching one application may
-    /// cover many pushes (for tests).
-    pub fn commits_applied(&self) -> u64 {
-        self.authority.commits_applied
-    }
 }
 
 impl Default for KvsModule {

@@ -12,20 +12,8 @@
 
 use flux_rt::chaos;
 
-fn seed_range() -> Vec<u64> {
-    if let Ok(one) = std::env::var("FLUX_CHAOS_SEED") {
-        let s = one.parse().expect("FLUX_CHAOS_SEED must be a u64");
-        return vec![s];
-    }
-    let n: u64 = std::env::var("FLUX_CHAOS_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
-    (0..n).collect()
-}
-
 fn sweep(with_kill: bool) {
-    for seed in seed_range() {
+    for seed in chaos::seeds(32) {
         let w = chaos::workload(seed, 100_000_000, with_kill);
         let report = chaos::run_sim(&w);
         let violations = chaos::check_run(&w, &report);
@@ -69,7 +57,7 @@ fn consistency_holds_with_aggressive_batching_under_blackouts() {
         batch_max: 4,
         ..flux_kvs::KvsConfig::default()
     };
-    for seed in seed_range() {
+    for seed in chaos::seeds(32) {
         let w = chaos::workload(seed, 100_000_000, true);
         let report = chaos::run_sim_kvs(&w, cfg);
         let violations = chaos::check_run(&w, &report);
@@ -92,7 +80,7 @@ fn consistency_holds_with_aggressive_batching_under_blackouts() {
 fn sharded_sweep(kill_master: bool) {
     let shards = 4u32;
     let cfg = flux_kvs::KvsConfig { shards, ..flux_kvs::KvsConfig::default() };
-    for seed in seed_range() {
+    for seed in chaos::seeds(32) {
         let w = chaos::shard_workload(seed, shards, 100_000_000, kill_master);
         let report = chaos::run_sim_kvs(&w, cfg);
         let violations = chaos::check_run(&w, &report);
@@ -136,7 +124,7 @@ fn consistency_holds_under_shard_master_kills() {
 /// plan may lose an op outright.
 #[test]
 fn lossless_plans_complete_all_scripts() {
-    for seed in seed_range() {
+    for seed in chaos::seeds(32) {
         let w = chaos::workload(seed, 100_000_000, false);
         if w.plan.drop_ppm > 0 || !w.plan.blackouts.is_empty() || !w.plan.partitions.is_empty() {
             continue;

@@ -22,11 +22,6 @@ impl HbModule {
     pub fn new() -> HbModule {
         HbModule { epoch: 0 }
     }
-
-    /// The last epoch this broker has seen.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
 }
 
 impl Default for HbModule {

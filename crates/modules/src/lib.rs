@@ -30,7 +30,7 @@
 mod barrier;
 mod group;
 mod hb;
-mod live;
+pub mod live;
 mod log;
 mod mon;
 mod resvc;
@@ -40,7 +40,7 @@ pub use barrier::BarrierModule;
 pub use group::GroupModule;
 pub use hb::HbModule;
 pub use live::LiveModule;
-pub use log::{level as log_level, LogEntry, LogModule};
+pub use log::LogModule;
 pub use mon::MonModule;
 pub use resvc::ResvcModule;
 pub use wexec::WexecModule;

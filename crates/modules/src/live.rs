@@ -2,8 +2,8 @@
 //!
 //! On every heartbeat each non-root broker sends a `live.hello` to its
 //! effective tree parent. The parent tracks the epoch of each child's
-//! last hello; once a child has missed `BrokerConfig::live_miss_limit`
-//! consecutive heartbeats, a `live.down` event is published for it.
+//! last hello; once a child has missed [`MISS_LIMIT`] consecutive
+//! heartbeats, a `live.down` event is published for it.
 //! The broker core consumes `live.down`/`live.up` events to update its
 //! liveness view, which re-parents the dead node's subtree — the planes'
 //! self-healing. A hello from a rank previously declared dead produces a
@@ -14,6 +14,12 @@ use flux_proto::{Event, LiveMethod};
 use flux_value::Value;
 use flux_wire::{errnum, Message, Rank};
 use std::collections::HashMap;
+
+/// Consecutive missed hellos after which a child is declared dead. The
+/// paper calls this "a configurable number of missed messages"; nothing
+/// here ever configured another, so it is the one number every session
+/// runs with.
+pub const MISS_LIMIT: u64 = 3;
 
 /// Per-child tracking state at a parent.
 struct ChildState {
@@ -64,7 +70,7 @@ impl CommsModule for LiveModule {
         // partition) — its child bookkeeping is stale, not its children.
         // Refresh every live child's grace to the new epoch and judge
         // nobody this round; genuinely dead children will still miss the
-        // next `miss_limit` consecutive heartbeats.
+        // next `MISS_LIMIT` consecutive heartbeats.
         let deaf = epoch > self.epoch.saturating_add(1);
         // Stale heartbeat (epoch at or behind what we've seen): events
         // can arrive duplicated or reordered under fault injection. Track
@@ -84,7 +90,6 @@ impl CommsModule for LiveModule {
             ctx.notify_upstream(LiveMethod::Hello.topic(), payload);
         }
         // Parent side: check for silent children.
-        let miss_limit = u64::from(ctx.config().live_miss_limit);
         let current = ctx.children();
         // A child adopted since the last heartbeat (its old parent died,
         // or it returned here after a live.up elsewhere) may carry stale
@@ -113,7 +118,7 @@ impl CommsModule for LiveModule {
             if state.reported_down || deaf || stale {
                 continue;
             }
-            if epoch.saturating_sub(state.last_hello_epoch) > miss_limit {
+            if epoch.saturating_sub(state.last_hello_epoch) > MISS_LIMIT {
                 state.reported_down = true;
                 to_report.push(child);
             }

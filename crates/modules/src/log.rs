@@ -17,29 +17,17 @@ use flux_value::Value;
 use flux_wire::{errnum, Message};
 use std::collections::VecDeque;
 
-/// Severity levels, syslog-flavoured: lower is more severe.
-pub mod level {
-    /// Unrecoverable errors.
-    pub const ERR: i64 = 3;
-    /// Warnings.
-    pub const WARN: i64 = 4;
-    /// Informational.
-    pub const INFO: i64 = 6;
-    /// Debug chatter (kept in the circular buffer, not forwarded).
-    pub const DEBUG: i64 = 7;
-}
-
 /// One log record.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LogEntry {
+struct LogEntry {
     /// Originating broker rank.
-    pub rank: u32,
-    /// Severity (see [`level`]).
-    pub level: i64,
+    rank: u32,
+    /// Severity, syslog-flavoured: lower is more severe.
+    level: i64,
     /// Message text.
-    pub text: String,
+    text: String,
     /// Origin timestamp in nanoseconds.
-    pub time_ns: u64,
+    time_ns: u64,
 }
 
 impl LogEntry {
@@ -74,9 +62,12 @@ impl Partial for Batch {
 /// Circular debug buffer capacity per broker (the paper's "circular
 /// debug buffer"; Table I gives no size, this is the seed's).
 const RING_CAPACITY: usize = 256;
+/// syslog's INFO level (lower is more severe): what a `log.msg` naming
+/// no level is logged at.
+const INFO: i64 = 6;
 /// Only entries at or above (numerically ≤) this level forward to the
 /// root on heartbeats; debug chatter stays in the ring.
-const FORWARD_LEVEL: i64 = level::INFO;
+const FORWARD_LEVEL: i64 = INFO;
 /// Root session log capacity (oldest entries drop beyond this); 8 per
 /// broker at the paper's 8192 ranks.
 const ROOT_CAPACITY: usize = 65536;
@@ -152,7 +143,7 @@ impl CommsModule for LogModule {
     fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
         match LogMethod::from_method(msg.header.topic.method()) {
             Some(LogMethod::Msg) => {
-                let level = msg.payload.get("level").and_then(Value::as_int).unwrap_or(level::INFO);
+                let level = msg.payload.get("level").and_then(Value::as_int).unwrap_or(INFO);
                 let Some(text) = msg.payload.get("text").and_then(Value::as_str) else {
                     return ctx.respond_err(msg, errnum::EINVAL);
                 };

@@ -50,7 +50,7 @@ impl Partial for Agg {
 /// Deterministic synthetic metric: stands in for the paper's Linux
 /// sampling scripts (no real /proc in the simulator). Spread and
 /// per-epoch variation make reductions meaningful.
-pub fn synth_metric(metric: &str, rank: u32, epoch: u64) -> f64 {
+fn synth_metric(metric: &str, rank: u32, epoch: u64) -> f64 {
     let seed = metric.bytes().fold(0u64, |a, b| a.wrapping_mul(131).wrapping_add(u64::from(b)));
     let x = seed
         .wrapping_add(u64::from(rank).wrapping_mul(2_654_435_761))

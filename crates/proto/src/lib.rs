@@ -174,12 +174,7 @@ macro_rules! methods {
             pub const ALL: &'static [$enum_name] = &[$($enum_name::$variant,)+];
 
             /// The owning [`Service`].
-            pub const SERVICE: Service = Service::$service;
-
-            /// The method path: everything after the service prefix.
-            pub const fn method(self) -> &'static str {
-                match self { $($enum_name::$variant => $method,)+ }
-            }
+            const SERVICE: Service = Service::$service;
 
             /// The full topic string, `<service>.<method>`.
             pub const fn topic_str(self) -> &'static str {

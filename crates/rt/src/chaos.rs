@@ -26,7 +26,6 @@ use crate::transport::{ScriptOutcome, ScriptReport, ScriptTransport, SimTranspor
 use flux_core::rng::Rng;
 use flux_kvs::history::{ClientHistory, Event};
 use flux_kvs::shard::{key_on_shard, shard_of_key};
-use flux_sim::NetParams;
 use flux_value::Value;
 use flux_wire::{errnum, Rank};
 use std::collections::BTreeMap;
@@ -34,6 +33,19 @@ use std::collections::BTreeMap;
 /// The heartbeat period the chaos generator assumes when converting
 /// epoch windows to nanoseconds (`BrokerConfig` default).
 pub const HB_PERIOD_NS: u64 = 100_000_000;
+
+/// The seeds a seeded sweep runs: the one named by `FLUX_CHAOS_SEED`
+/// (the repro line every sweep assertion prints), else `0..n` for
+/// `n` = `FLUX_CHAOS_SEEDS` (CI pins it), else `0..default_count`.
+pub fn seeds(default_count: u64) -> Vec<u64> {
+    if let Ok(one) = std::env::var("FLUX_CHAOS_SEED") {
+        // flux-lint: allow(panic) — a malformed repro seed must fail the
+        // sweep loudly rather than silently run some other seed.
+        return vec![one.parse().expect("FLUX_CHAOS_SEED must be a u64")];
+    }
+    let n = std::env::var("FLUX_CHAOS_SEEDS").ok().and_then(|v| v.parse().ok());
+    (0..n.unwrap_or(default_count)).collect()
+}
 
 /// A fully-determined chaos experiment.
 #[derive(Debug, Clone)]
@@ -282,7 +294,6 @@ pub fn run_sim(w: &ChaosWorkload) -> ScriptReport {
 /// windows.
 pub fn run_sim_kvs(w: &ChaosWorkload, kvs: flux_kvs::KvsConfig) -> ScriptReport {
     let transport = SimTransport {
-        net: NetParams::default(),
         faults: Some(w.plan.clone()),
         deadline_ns: Some(w.deadline_ns),
         ..SimTransport::default()
@@ -302,11 +313,11 @@ pub fn run_sim_kvs(w: &ChaosWorkload, kvs: flux_kvs::KvsConfig) -> ScriptReport 
 /// simulator records nothing further). The commit reached when the
 /// record ends is conservative — every put staged since the previous
 /// commit becomes [`Event::StagedOnly`].
-pub fn histories(w: &ChaosWorkload, report: &ScriptReport) -> Vec<ClientHistory> {
+fn histories(w: &ChaosWorkload, report: &ScriptReport) -> Vec<ClientHistory> {
     histories_for(&w.scripts, &report.outcomes)
 }
 
-/// The script-to-history mapping behind [`histories`], usable by any
+/// The script-to-history mapping behind [`check_run`], usable by any
 /// driver that ran `scripts` and recorded `outcomes` in the same order
 /// (the chaos suites and the flux-mc model checker share it).
 pub fn histories_for(

@@ -134,14 +134,14 @@ impl FaultPlan {
     }
 
     /// True if `rank` is inside a blackout window at `now_ns`.
-    pub fn blacked_out(&self, rank: Rank, now_ns: u64) -> bool {
+    fn blacked_out(&self, rank: Rank, now_ns: u64) -> bool {
         self.blackouts
             .iter()
             .any(|b| b.rank == rank && b.from_ns <= now_ns && now_ns < b.until_ns)
     }
 
     /// True if an active partition separates `a` from `b` at `now_ns`.
-    pub fn partitioned(&self, a: Rank, b: Rank, now_ns: u64) -> bool {
+    fn partitioned(&self, a: Rank, b: Rank, now_ns: u64) -> bool {
         self.partitions.iter().any(|p| {
             p.from_ns <= now_ns
                 && now_ns < p.until_ns
@@ -151,7 +151,7 @@ impl FaultPlan {
 
     /// True if a message from `from` to `to` at `now_ns` is cut by a
     /// scheduled fault (blackout of either end, or a partition between
-    /// them). Probabilistic faults are separate — see [`LinkFaults::fate`].
+    /// them). Probabilistic faults are separate — see [`LinkFaults::fate_on`].
     pub fn cut(&self, from: Rank, to: Rank, now_ns: u64) -> bool {
         self.blacked_out(from, now_ns)
             || self.blacked_out(to, now_ns)
@@ -297,11 +297,6 @@ impl Fate {
     pub fn intact() -> Fate {
         Fate { copies: vec![0] }
     }
-
-    /// True if no copy is delivered.
-    pub fn dropped(&self) -> bool {
-        self.copies.is_empty()
-    }
 }
 
 /// A sending rank's view of a [`FaultPlan`]: one deterministic random
@@ -326,31 +321,16 @@ fn link_seed(seed: u64, from: Rank, to: Rank) -> u64 {
 }
 
 impl LinkFaults {
-    /// The rank whose outbound traffic this instance governs.
-    pub fn sender(&self) -> Rank {
-        self.from
-    }
-
-    /// The plan this view was derived from.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// True if the sender itself is inside a blackout window: it must
     /// neither send nor process anything (the "crashed" state).
     pub fn silenced(&self, now_ns: u64) -> bool {
         self.plan.blacked_out(self.from, now_ns)
     }
 
-    /// Decides the fate of the next outbound message to `to` at `now_ns`.
-    /// Consumes one slice of the link's random stream; call exactly once
-    /// per message, in send order, for reproducible decisions.
-    pub fn fate(&mut self, now_ns: u64, to: Rank) -> Fate {
-        self.fate_on(Plane::Tree, now_ns, to)
-    }
-
-    /// Like [`LinkFaults::fate`] for a message travelling on `plane`. The
-    /// event plane requires per-link FIFO ordering (its at-most-once
+    /// Decides the fate of the next outbound message to `to` at `now_ns`
+    /// on `plane`. Consumes one slice of the link's random stream; call
+    /// exactly once per message, in send order, for reproducible
+    /// decisions. The event plane requires per-link FIFO ordering (its at-most-once
     /// sequence dedup means a reordered event is lost forever, which
     /// production links — TCP streams — never do), so injected delays are
     /// suppressed there; drops, duplicates, blackouts, and partitions
@@ -401,7 +381,9 @@ mod tests {
         let plan = FaultPlan::new(42).drop(0.2).duplicate(0.1).delay(0.3, 1_000_000);
         let run = || {
             let mut lf = plan.for_sender(Rank(3));
-            (0..200).map(|i| lf.fate(i * 1000, Rank(i as u32 % 5))).collect::<Vec<_>>()
+            (0..200)
+                .map(|i| lf.fate_on(Plane::Tree, i * 1000, Rank(i as u32 % 5)))
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }
@@ -411,12 +393,12 @@ mod tests {
         let plan = FaultPlan::new(7).drop(0.5);
         // Interleaving traffic on link B must not change link A's stream.
         let mut only_a = plan.for_sender(Rank(0));
-        let a_alone: Vec<_> = (0..100).map(|_| only_a.fate(0, Rank(1))).collect();
+        let a_alone: Vec<_> = (0..100).map(|_| only_a.fate_on(Plane::Tree, 0, Rank(1))).collect();
         let mut mixed = plan.for_sender(Rank(0));
         let mut a_mixed = Vec::new();
         for _ in 0..100 {
-            a_mixed.push(mixed.fate(0, Rank(1)));
-            let _ = mixed.fate(0, Rank(2));
+            a_mixed.push(mixed.fate_on(Plane::Tree, 0, Rank(1)));
+            let _ = mixed.fate_on(Plane::Tree, 0, Rank(2));
         }
         assert_eq!(a_alone, a_mixed);
     }
@@ -425,7 +407,7 @@ mod tests {
     fn no_faults_is_always_intact() {
         let mut lf = FaultPlan::new(1).for_sender(Rank(0));
         for i in 0..50 {
-            assert_eq!(lf.fate(i, Rank(1)), Fate::intact());
+            assert_eq!(lf.fate_on(Plane::Tree, i, Rank(1)), Fate::intact());
         }
     }
 
@@ -437,27 +419,28 @@ mod tests {
         assert!(from_victim.silenced(150));
         assert!(!from_victim.silenced(99));
         assert!(!from_victim.silenced(200)); // end exclusive: restarted
-        assert!(to_victim.fate(150, Rank(2)).dropped());
-        assert_eq!(to_victim.fate(250, Rank(2)), Fate::intact());
+        assert!(to_victim.fate_on(Plane::Tree, 150, Rank(2)).copies.is_empty());
+        assert_eq!(to_victim.fate_on(Plane::Tree, 250, Rank(2)), Fate::intact());
     }
 
     #[test]
     fn partition_cuts_only_across_the_boundary() {
         let plan = FaultPlan::new(0).partition(vec![Rank(0), Rank(1)], 0..1000);
         let mut inside = plan.for_sender(Rank(0));
-        assert_eq!(inside.fate(10, Rank(1)), Fate::intact()); // same side
-        assert!(inside.fate(10, Rank(2)).dropped()); // across
+        assert_eq!(inside.fate_on(Plane::Tree, 10, Rank(1)), Fate::intact()); // same side
+        assert!(inside.fate_on(Plane::Tree, 10, Rank(2)).copies.is_empty()); // across
         let mut outside = plan.for_sender(Rank(3));
-        assert!(outside.fate(10, Rank(1)).dropped()); // across, reverse
-        assert_eq!(outside.fate(10, Rank(2)), Fate::intact()); // same side
-        assert_eq!(outside.fate(2000, Rank(1)), Fate::intact()); // healed
+        assert!(outside.fate_on(Plane::Tree, 10, Rank(1)).copies.is_empty()); // across, reverse
+        assert_eq!(outside.fate_on(Plane::Tree, 10, Rank(2)), Fate::intact()); // same side
+        assert_eq!(outside.fate_on(Plane::Tree, 2000, Rank(1)), Fate::intact()); // healed
     }
 
     #[test]
     fn drop_rate_roughly_matches_probability() {
         let plan = FaultPlan::new(99).drop(0.25);
         let mut lf = plan.for_sender(Rank(0));
-        let dropped = (0..4000).filter(|_| lf.fate(0, Rank(1)).dropped()).count();
+        let dropped =
+            (0..4000).filter(|_| lf.fate_on(Plane::Tree, 0, Rank(1)).copies.is_empty()).count();
         assert!((800..1200).contains(&dropped), "dropped {dropped}/4000 at p=0.25");
     }
 

@@ -67,11 +67,6 @@ impl LiveClient {
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
         self.rx.recv_timeout(timeout).ok()
     }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Message> {
-        self.rx.try_recv().ok()
-    }
 }
 
 /// How a broker host reaches its peers — the one point where the live

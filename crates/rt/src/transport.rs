@@ -38,8 +38,7 @@ pub enum TransportKind {
     Sim,
     /// OS threads with channel links.
     Threads,
-    /// OS threads with nonblocking loopback TCP links (also parses as
-    /// `"reactor"`).
+    /// OS threads with nonblocking loopback TCP links.
     Tcp,
 }
 
@@ -81,7 +80,7 @@ impl LiveTransport {
     /// seeded fault schedule that drives a simulator run can wrap the
     /// threads or TCP runtime. The per-op script timeout drops to 2
     /// seconds: lossy links make lost ops routine, and waiting the full
-    /// [`LIVE_OP_TIMEOUT`] for each would stall chaos runs.
+    /// 30-second default for each would stall chaos runs.
     pub fn with_faults(mut self, plan: FaultPlan) -> LiveTransport {
         self.faults = Some(plan);
         self.op_timeout = Duration::from_secs(2);
@@ -139,12 +138,8 @@ impl FromStr for TransportKind {
         match s {
             "sim" => Ok(TransportKind::Sim),
             "threads" => Ok(TransportKind::Threads),
-            // "reactor" names the implementation, "tcp" the wire; the
-            // TCP transport *is* the reactor since ROADMAP item 3 landed.
-            "tcp" | "reactor" => Ok(TransportKind::Tcp),
-            other => {
-                Err(format!("unknown transport {other:?} (want sim, threads, tcp, or reactor)"))
-            }
+            "tcp" => Ok(TransportKind::Tcp),
+            other => Err(format!("unknown transport {other:?} (want sim, threads or tcp)")),
         }
     }
 }
@@ -246,8 +241,8 @@ pub struct SimTransport {
     pub deadline_ns: Option<u64>,
     /// Topology of the rank-addressed RPC overlay. The default ring is
     /// the paper prototype's debugging choice; sharded KVS sessions
-    /// route commit parts rank-addressed on the hot path and should run
-    /// the O(log N) tree overlay instead.
+    /// route commit parts rank-addressed on the hot path and run the
+    /// fully connected overlay instead.
     pub overlay: RankOverlay,
 }
 
@@ -302,7 +297,7 @@ impl ScriptTransport for SimTransport {
 
 /// How long a live script driver waits for any single op's reply before
 /// recording `ETIMEDOUT` and abandoning the script.
-pub const LIVE_OP_TIMEOUT: Duration = Duration::from_secs(30);
+const LIVE_OP_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Drives one op script synchronously over a live client, stamping
 /// completion times relative to `epoch`. Any single op left unanswered

@@ -6,9 +6,10 @@
 //! matching correct with a full window in flight, and survive a broker
 //! blackout mid-pipeline.
 //!
-//! The interleaving fuzzer is seeded (SplitMix64). Reproduce a failing
-//! seed with `FLUX_PIPE_SEED=<seed>`; widen the sweep with
-//! `FLUX_PIPE_SEEDS=<count>` (default 8).
+//! The interleaving fuzzer is seeded (SplitMix64) and reads its seeds
+//! like the chaos sweeps: reproduce a failing seed with
+//! `FLUX_CHAOS_SEED=<seed>`; widen the sweep with
+//! `FLUX_CHAOS_SEEDS=<count>` (default 8).
 
 use flux_broker::client::{ClientCore, Delivery};
 use flux_broker::BrokerConfig;
@@ -167,16 +168,7 @@ fn byte_at_a_time_slow_client_completes_rpcs() {
 /// every seed in the sweep.
 #[test]
 fn pipelined_interleaving_fuzzer() {
-    let seeds: Vec<u64> = match std::env::var("FLUX_PIPE_SEED") {
-        Ok(s) => vec![s.parse().expect("FLUX_PIPE_SEED must be a u64")],
-        Err(_) => {
-            let n: u64 = std::env::var("FLUX_PIPE_SEEDS")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(8);
-            (0..n).collect()
-        }
-    };
+    let seeds = flux_rt::chaos::seeds(8);
     let builder = TcpSession::builder(4, 2, |_| standard_modules());
     let session = builder.start();
 

@@ -43,8 +43,8 @@ impl<K> EventArena<K> {
                 idx
             }
             None => {
-                // A u32 handle caps the arena at 4 G in-flight events;
-                // the engine's event limit trips far earlier.
+                // A u32 handle caps the arena at 4 G in-flight events,
+                // far past any session's memory.
                 let idx = u32::try_from(self.slots.len()).expect("event arena overflow");
                 self.slots.push(Slot { at, seq, kind: Some(kind) });
                 idx

@@ -130,7 +130,6 @@ pub struct Engine {
     now: SimTime,
     stopped: bool,
     stats: EngineStats,
-    event_limit: u64,
     /// Action buffer handed to actor contexts; kept on the engine so its
     /// allocation is reused across every handler invocation.
     actions: Vec<Action>,
@@ -152,16 +151,9 @@ impl Engine {
             now: SimTime::ZERO,
             stopped: false,
             stats: EngineStats::default(),
-            event_limit: u64::MAX,
             actions: Vec::new(),
             run_wall: std::time::Duration::ZERO,
         }
-    }
-
-    /// Caps the number of events processed; exceeding it panics. Useful to
-    /// catch protocol livelock in tests.
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.event_limit = limit;
     }
 
     /// Adds a host. Actors placed on the same node use the IPC cost class.
@@ -189,11 +181,6 @@ impl Engine {
         id
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Counters so far.
     pub fn stats(&self) -> EngineStats {
         self.stats
@@ -212,11 +199,6 @@ impl Engine {
     /// The node an actor is placed on.
     pub fn node_of(&self, a: ActorId) -> NodeId {
         self.slots[a].node
-    }
-
-    /// True if `a` has been killed.
-    pub fn is_dead(&self, a: ActorId) -> bool {
-        self.slots[a].dead
     }
 
     /// Kills an actor from outside the simulation (failure injection
@@ -292,17 +274,9 @@ impl Engine {
         let Some((t, _, idx)) = self.queue.pop_min(until) else { return false };
         let Some(kind) = self.arena.take(idx) else { return true };
         self.now = t;
-        self.count_event();
+        self.stats.events += 1;
         self.dispatch(kind);
         true
-    }
-
-    /// Counts one dispatched event against the livelock limit. Every
-    /// dispatch path (default order *and* controlled scheduling) must go
-    /// through this, so the limit cannot be bypassed.
-    fn count_event(&mut self) {
-        self.stats.events += 1;
-        assert!(self.stats.events <= self.event_limit, "event limit exceeded: livelock?");
     }
 
     // ----- controlled scheduling (model checking) --------------------------
@@ -357,13 +331,13 @@ impl Engine {
     /// so actor-visible timestamps stay sane under reordering). Returns
     /// false if no such entry exists.
     ///
-    /// Counts against the event limit exactly like default-order
-    /// dispatch, so a controlled schedule cannot livelock past it.
+    /// Counts in [`EngineStats::events`] exactly like default-order
+    /// dispatch.
     pub fn dispatch_pending(&mut self, seq: u64) -> bool {
         let Some((t, idx)) = self.queue.remove_seq(seq) else { return false };
         let Some(kind) = self.arena.take(idx) else { return false };
         self.now = self.now.max(t);
-        self.count_event();
+        self.stats.events += 1;
         self.dispatch(kind);
         true
     }
@@ -631,7 +605,6 @@ mod tests {
         eng.run();
         assert!(log.borrow().is_empty());
         assert_eq!(eng.stats().messages_dropped, 5);
-        assert!(eng.is_dead(0));
     }
 
     #[test]
@@ -677,7 +650,6 @@ mod tests {
         let t = eng.run_until(deadline);
         assert_eq!(log.borrow().len(), 2, "all traffic done well before 5s");
         assert_eq!(t, deadline, "drained run must account the idle tail");
-        assert_eq!(eng.now(), deadline);
 
         // Path 2: a pending event beyond the deadline also clamps to the
         // deadline (pre-existing behaviour, kept).
@@ -696,19 +668,6 @@ mod tests {
         // An unbounded run never clamps: it ends at the last event time.
         let end = eng2.run();
         assert_eq!(end, SimTime::from_nanos(60_000_000_000));
-    }
-
-    #[test]
-    #[should_panic(expected = "event limit")]
-    fn event_limit_applies_to_controlled_dispatch() {
-        // Regression: dispatch_pending used to count events without
-        // checking the limit, so a controlled schedule could livelock
-        // straight past it.
-        let (mut eng, _log) = two_node_setup(vec![64; 3]);
-        eng.set_event_limit(2);
-        while let Some(e) = eng.pending_events().first().cloned() {
-            assert!(eng.dispatch_pending(e.seq));
-        }
     }
 
     #[test]
@@ -750,29 +709,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "event limit")]
-    fn event_limit_catches_livelock() {
-        struct PingPong {
-            peer: ActorId,
-        }
-        impl Actor for PingPong {
-            fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-                ctx.send(self.peer, msg(0, 8));
-            }
-            fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ActorId, m: Message) {
-                ctx.send(from, m);
-            }
-        }
-        let mut eng = Engine::new(NetParams::default());
-        let n = eng.add_node();
-        // Two mutually-pinging actors; ids are assigned sequentially.
-        let a = eng.add_actor(n, Box::new(PingPong { peer: 1 }));
-        let _b = eng.add_actor(n, Box::new(PingPong { peer: a }));
-        eng.set_event_limit(1000);
-        eng.run();
-    }
-
-    #[test]
     fn controlled_dispatch_reorders_and_duplicates() {
         let (mut eng, log) = two_node_setup(vec![64; 3]);
         // Drain Start and propagation legs in default order; stop when
@@ -805,14 +741,16 @@ mod tests {
 
     #[test]
     fn controlled_dispatch_keeps_time_monotonic() {
-        let (mut eng, _log) = two_node_setup(vec![64; 2]);
+        let (mut eng, log) = two_node_setup(vec![64; 2]);
         // Dispatch the latest pending event first: the clock advances to
-        // its time and must not rewind when earlier events follow.
+        // its time and must not rewind when earlier events follow, so the
+        // recorder sees delivery times in order.
         while let Some(last) = eng.pending_events().last().cloned() {
-            let before = eng.now();
             assert!(eng.dispatch_pending(last.seq));
-            assert!(eng.now() >= before);
         }
+        let times: Vec<SimTime> = log.borrow().iter().map(|&(_, t)| t).collect();
+        assert_eq!(times.len(), 2);
+        assert!(times.windows(2).all(|w| w[0] <= w[1]), "{times:?}");
     }
 
     #[test]

@@ -29,7 +29,7 @@ impl SimTime {
     ///
     /// # Panics
     /// Panics if `earlier` is later than `self` (a causality bug).
-    pub fn since(self, earlier: SimTime) -> SimDuration {
+    fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.checked_sub(earlier.0).expect("time went backwards"))
     }
 }
@@ -64,23 +64,18 @@ impl SimDuration {
     }
 
     /// As floating-point microseconds (for reporting).
-    pub fn as_micros_f64(self) -> f64 {
+    pub(crate) fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// As floating-point milliseconds (for reporting).
-    pub fn as_millis_f64(self) -> f64 {
+    fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 
     /// As floating-point seconds (for reporting).
-    pub fn as_secs_f64(self) -> f64 {
+    fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000_000.0
-    }
-
-    /// Saturating scalar multiply.
-    pub fn saturating_mul(self, k: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(k))
     }
 }
 
@@ -177,7 +172,7 @@ mod tests {
     #[test]
     fn saturating_behaviour() {
         let huge = SimDuration::from_nanos(u64::MAX);
-        assert_eq!(huge.saturating_mul(2).as_nanos(), u64::MAX);
+        assert_eq!((huge + huge).as_nanos(), u64::MAX);
         assert_eq!((SimTime::from_nanos(u64::MAX) + huge).as_nanos(), u64::MAX);
     }
 }

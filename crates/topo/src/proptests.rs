@@ -21,53 +21,64 @@ proptest! {
         }
     }
 
-    /// Every rank reaches the root, in at most height steps.
+    /// Every rank reaches the root by following `parent`, in exactly
+    /// `depth` steps and at most `height` of them.
     #[test]
     fn all_paths_reach_root(size in 1u32..500, arity in 1u32..8) {
         let t = Tree::new(size, arity);
-        let h = t.height() as usize;
         for r in t.ranks() {
-            let path = t.path_to_root(r);
-            prop_assert_eq!(*path.last().unwrap(), Rank(0));
-            prop_assert!(path.len() <= h + 1);
-            prop_assert_eq!(path.len() as u32, t.depth(r) + 1);
+            let (mut cur, mut steps) = (r, 0u32);
+            while let Some(p) = t.parent(cur) {
+                prop_assert!(p < cur, "parent {} of {} is not closer to the root", p, cur);
+                cur = p;
+                steps += 1;
+            }
+            prop_assert_eq!(cur, Rank(0));
+            prop_assert_eq!(steps, t.depth(r));
+            prop_assert!(steps <= t.height());
         }
     }
 
     /// Each non-root rank appears in exactly one parent's child list:
-    /// subtrees of the root's children partition the non-root ranks.
+    /// the subtrees of the root's children, walked down `children`,
+    /// partition the non-root ranks.
     #[test]
     fn subtrees_partition(size in 2u32..300, arity in 1u32..6) {
         let t = Tree::new(size, arity);
         let mut seen = vec![false; size as usize];
         seen[0] = true;
-        for c in t.children(Rank(0)) {
-            for r in t.subtree(c) {
+        for top in t.children(Rank(0)) {
+            let mut frontier = vec![top];
+            while let Some(r) = frontier.pop() {
                 prop_assert!(!seen[r.index()], "rank {} seen twice", r);
+                prop_assert!(t.is_ancestor(top, r));
                 seen[r.index()] = true;
+                frontier.extend(t.children(r));
             }
         }
         prop_assert!(seen.iter().all(|&b| b));
     }
 
-    /// Ring routing always terminates at the destination with the claimed
-    /// distance.
+    /// Following `next` from any rank visits every other rank once and
+    /// reaches the destination in `(to - from) mod size` hops: the ring
+    /// overlay needs no routing table.
     #[test]
     fn ring_route_correct(size in 1u32..200, from in 0u32..200, to in 0u32..200) {
         let ring = Ring::new(size);
         let from = Rank(from % size);
         let to = Rank(to % size);
-        let route = ring.route(from, to);
-        prop_assert_eq!(route.len() as u32, ring.distance(from, to));
-        if from != to {
-            prop_assert_eq!(*route.last().unwrap(), to);
-        }
-        // Following `next` manually agrees with the route.
-        let mut cur = from;
-        for hop in &route {
+        let mut seen = vec![false; size as usize];
+        let (mut cur, mut hops) = (from, 0u32);
+        while cur != to {
             cur = ring.next(cur);
-            prop_assert_eq!(cur, *hop);
+            prop_assert!(!seen[cur.index()], "rank {} visited twice", cur);
+            seen[cur.index()] = true;
+            hops += 1;
         }
+        prop_assert_eq!(hops, (to.0 + size - from.0) % size);
+        // A full lap returns to the start.
+        let lap = (0..size).fold(from, |r, _| ring.next(r));
+        prop_assert_eq!(lap, from);
     }
 
     /// Self-heal: with arbitrary non-root failures, every live rank's

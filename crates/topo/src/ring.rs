@@ -36,25 +36,6 @@ impl Ring {
         assert!(r.0 < self.size, "rank {r} out of range 0..{}", self.size);
         Rank((r.0 + 1) % self.size)
     }
-
-    /// Forward hop count from `from` to `to`.
-    pub fn distance(&self, from: Rank, to: Rank) -> u32 {
-        assert!(from.0 < self.size && to.0 < self.size, "rank out of range");
-        (to.0 + self.size - from.0) % self.size
-    }
-
-    /// The sequence of ranks a message visits travelling from `from` to
-    /// `to`, excluding `from`, including `to`. Empty when `from == to`.
-    pub fn route(&self, from: Rank, to: Rank) -> Vec<Rank> {
-        let d = self.distance(from, to);
-        let mut out = Vec::with_capacity(d as usize);
-        let mut cur = from;
-        for _ in 0..d {
-            cur = self.next(cur);
-            out.push(cur);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -68,29 +49,39 @@ mod tests {
         assert_eq!(r.next(Rank(3)), Rank(0));
     }
 
+    /// The ranks a message visits from `from` to `to` by `next` hops,
+    /// excluding `from`, including `to`.
+    fn walk(r: &Ring, from: Rank, to: Rank) -> Vec<Rank> {
+        let mut out = Vec::new();
+        let mut cur = from;
+        while cur != to {
+            cur = r.next(cur);
+            out.push(cur);
+        }
+        out
+    }
+
     #[test]
     fn single_node_ring() {
         let r = Ring::new(1);
         assert_eq!(r.next(Rank(0)), Rank(0));
-        assert_eq!(r.distance(Rank(0), Rank(0)), 0);
-        assert!(r.route(Rank(0), Rank(0)).is_empty());
+        assert!(walk(&r, Rank(0), Rank(0)).is_empty());
     }
 
     #[test]
     fn distances() {
         let r = Ring::new(8);
-        assert_eq!(r.distance(Rank(0), Rank(0)), 0);
-        assert_eq!(r.distance(Rank(0), Rank(7)), 7);
-        assert_eq!(r.distance(Rank(7), Rank(0)), 1);
-        assert_eq!(r.distance(Rank(3), Rank(2)), 7);
+        let hops = |from, to| walk(&r, Rank(from), Rank(to)).len();
+        assert_eq!(hops(0, 0), 0);
+        assert_eq!(hops(0, 7), 7);
+        assert_eq!(hops(7, 0), 1);
+        assert_eq!(hops(3, 2), 7);
     }
 
     #[test]
     fn route_ends_at_destination() {
         let r = Ring::new(5);
-        let route = r.route(Rank(3), Rank(1));
-        assert_eq!(route, vec![Rank(4), Rank(0), Rank(1)]);
-        assert_eq!(route.len() as u32, r.distance(Rank(3), Rank(1)));
+        assert_eq!(walk(&r, Rank(3), Rank(1)), vec![Rank(4), Rank(0), Rank(1)]);
     }
 
     #[test]

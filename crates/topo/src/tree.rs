@@ -31,11 +31,6 @@ impl Tree {
         Tree::new(size, 2)
     }
 
-    /// A flat (star) topology: every rank is a direct child of the root.
-    pub fn flat(size: u32) -> Tree {
-        Tree::new(size, size.max(2))
-    }
-
     /// Number of ranks.
     pub fn size(&self) -> u32 {
         self.size
@@ -75,11 +70,6 @@ impl Tree {
             .collect()
     }
 
-    /// True if `r` has no children.
-    pub fn is_leaf(&self, r: Rank) -> bool {
-        u64::from(r.0) * u64::from(self.arity) + 1 >= u64::from(self.size)
-    }
-
     /// Distance from the root (root has depth 0).
     pub fn depth(&self, r: Rank) -> u32 {
         let mut d = 0;
@@ -100,17 +90,6 @@ impl Tree {
         }
     }
 
-    /// The path from `r` up to (and including) the root.
-    pub fn path_to_root(&self, r: Rank) -> Vec<Rank> {
-        let mut path = vec![r];
-        let mut cur = r;
-        while let Some(p) = self.parent(cur) {
-            path.push(p);
-            cur = p;
-        }
-        path
-    }
-
     /// True if `a` is a (non-strict) ancestor of `b`.
     pub fn is_ancestor(&self, a: Rank, b: Rank) -> bool {
         let mut cur = b;
@@ -125,47 +104,9 @@ impl Tree {
         }
     }
 
-    /// All ranks in the subtree rooted at `r` (including `r`), BFS order.
-    pub fn subtree(&self, r: Rank) -> Vec<Rank> {
-        let mut out = vec![r];
-        let mut i = 0;
-        while i < out.len() {
-            let cur = out[i];
-            out.extend(self.children(cur));
-            i += 1;
-        }
-        out
-    }
-
     /// Iterator over all ranks.
     pub fn ranks(&self) -> impl Iterator<Item = Rank> {
         (0..self.size).map(Rank)
-    }
-
-    /// The next hop from `from` toward `to` along tree edges: down into
-    /// the child subtree containing `to` when `to` is below `from`,
-    /// otherwise up to the parent. Returns `None` when already there.
-    ///
-    /// This is the routing rule for a tree-shaped rank-addressed overlay
-    /// (the paper's secondary overlay has configurable topology; the
-    /// prototype used a ring "without routing tables", a tree pays one
-    /// comparison per hop for O(log N) paths).
-    pub fn route_next(&self, from: Rank, to: Rank) -> Option<Rank> {
-        assert!(self.contains(from) && self.contains(to), "ranks in range");
-        if from == to {
-            return None;
-        }
-        if self.is_ancestor(from, to) {
-            // Descend: exactly one child's subtree contains `to`.
-            let child = self
-                .children(from)
-                .into_iter()
-                .find(|&c| self.is_ancestor(c, to))
-                .expect("descendant is under some child");
-            Some(child)
-        } else {
-            Some(self.parent(from).expect("non-ancestor of anything is not the root"))
-        }
     }
 }
 
@@ -183,8 +124,6 @@ mod tests {
         assert_eq!(t.children(Rank(0)), vec![Rank(1), Rank(2)]);
         assert_eq!(t.children(Rank(2)), vec![Rank(5), Rank(6)]);
         assert!(t.children(Rank(3)).is_empty());
-        assert!(t.is_leaf(Rank(3)));
-        assert!(!t.is_leaf(Rank(0)));
     }
 
     #[test]
@@ -220,7 +159,8 @@ mod tests {
 
     #[test]
     fn flat_tree_has_height_one() {
-        let t = Tree::flat(100);
+        // A star: arity at least the number of non-root ranks.
+        let t = Tree::new(100, 99);
         assert_eq!(t.height(), 1);
         assert_eq!(t.children(Rank(0)).len(), 99);
         for r in 1..100 {
@@ -240,7 +180,11 @@ mod tests {
     #[test]
     fn path_and_ancestry() {
         let t = Tree::binary(15);
-        assert_eq!(t.path_to_root(Rank(11)), vec![Rank(11), Rank(5), Rank(2), Rank(0)]);
+        let mut path = vec![Rank(11)];
+        while let Some(p) = t.parent(*path.last().unwrap()) {
+            path.push(p);
+        }
+        assert_eq!(path, vec![Rank(11), Rank(5), Rank(2), Rank(0)]);
         assert!(t.is_ancestor(Rank(0), Rank(11)));
         assert!(t.is_ancestor(Rank(2), Rank(11)));
         assert!(t.is_ancestor(Rank(11), Rank(11)));
@@ -251,56 +195,20 @@ mod tests {
     #[test]
     fn subtree_partitions_tree() {
         let t = Tree::binary(10);
-        let left: Vec<_> = t.subtree(Rank(1));
-        let right: Vec<_> = t.subtree(Rank(2));
+        let under = |top: u32| -> Vec<Rank> {
+            t.ranks().filter(|&r| t.is_ancestor(Rank(top), r)).collect()
+        };
+        let (left, right) = (under(1), under(2));
         assert_eq!(left.len() + right.len() + 1, 10);
         for r in &left {
             assert!(!right.contains(r));
         }
-        assert_eq!(t.subtree(Rank(0)).len(), 10);
+        assert_eq!(under(0).len(), 10);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_rank_panics() {
         Tree::binary(4).parent(Rank(4));
-    }
-}
-
-#[cfg(test)]
-mod route_tests {
-    use super::*;
-
-    #[test]
-    fn route_next_descends_and_climbs() {
-        let t = Tree::binary(15);
-        // 11 -> 6: up 11 -> 5 -> 2, down 2 -> 6.
-        assert_eq!(t.route_next(Rank(11), Rank(6)), Some(Rank(5)));
-        assert_eq!(t.route_next(Rank(5), Rank(6)), Some(Rank(2)));
-        assert_eq!(t.route_next(Rank(2), Rank(6)), Some(Rank(6)));
-        assert_eq!(t.route_next(Rank(6), Rank(6)), None);
-        // Root to a leaf descends directly.
-        assert_eq!(t.route_next(Rank(0), Rank(11)), Some(Rank(2)));
-    }
-
-    #[test]
-    fn route_next_always_reaches_destination() {
-        for (size, arity) in [(1u32, 2u32), (2, 2), (15, 2), (40, 3), (100, 7)] {
-            let t = Tree::new(size, arity);
-            for from in t.ranks() {
-                for to in t.ranks() {
-                    let mut cur = from;
-                    let mut hops = 0;
-                    while let Some(next) = t.route_next(cur, to) {
-                        cur = next;
-                        hops += 1;
-                        assert!(hops <= 2 * t.height() + 2, "loop routing {from}->{to}");
-                    }
-                    assert_eq!(cur, to);
-                    // Path length bounded by depth(from)+depth(to).
-                    assert!(hops <= t.depth(from) + t.depth(to));
-                }
-            }
-        }
     }
 }

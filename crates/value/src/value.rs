@@ -160,34 +160,6 @@ impl Value {
         }
     }
 
-    /// Appends to an array, converting from `Null` like [`Value::insert`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is neither an array nor null.
-    pub fn push(&mut self, value: Value) {
-        if self.is_null() {
-            *self = Value::array();
-        }
-        match self {
-            Value::Array(a) => a.push(value),
-            other => panic!("Value::push on non-array {other:?}"),
-        }
-    }
-
-    /// A short type name for diagnostics: `"null"`, `"bool"`, …
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "int",
-            Value::Float(_) => "float",
-            Value::Str(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
-
     /// Approximate in-memory footprint in bytes; used by KVS cache
     /// accounting and the simulator's transfer-cost model.
     pub fn approx_size(&self) -> usize {
@@ -294,15 +266,6 @@ mod tests {
     }
 
     #[test]
-    fn push_builds_array() {
-        let mut v = Value::Null;
-        v.push(Value::Int(1));
-        v.push(Value::Int(2));
-        assert_eq!(v.get_index(1), Some(&Value::Int(2)));
-        assert_eq!(v.as_array().unwrap().len(), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "non-object")]
     fn insert_into_scalar_panics() {
         let mut v = Value::Int(1);
@@ -331,13 +294,5 @@ mod tests {
         let v = Value::from_pairs([("z", Value::Int(1)), ("a", Value::Int(2))]);
         let keys: Vec<&String> = v.as_object().unwrap().keys().collect();
         assert_eq!(keys, ["a", "z"]);
-    }
-
-    #[test]
-    fn type_names() {
-        assert_eq!(Value::Null.type_name(), "null");
-        assert_eq!(Value::object().type_name(), "object");
-        assert_eq!(Value::array().type_name(), "array");
-        assert_eq!(Value::Float(0.0).type_name(), "float");
     }
 }

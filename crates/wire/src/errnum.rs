@@ -7,14 +7,10 @@
 pub const EPERM: u32 = 1;
 /// No such key / object / rank.
 pub const ENOENT: u32 = 2;
-/// Interrupted (session shutting down).
-pub const EINTR: u32 = 4;
 /// I/O error (transport failure).
 pub const EIO: u32 = 5;
 /// Try again (resource temporarily unavailable).
 pub const EAGAIN: u32 = 11;
-/// Out of memory / cache capacity.
-pub const ENOMEM: u32 = 12;
 /// Invalid argument (malformed payload).
 pub const EINVAL: u32 = 22;
 /// Name too long (KVS key exceeds the length or depth bound).
@@ -29,8 +25,6 @@ pub const EISDIR: u32 = 21;
 pub const ETIMEDOUT: u32 = 110;
 /// Host (rank) is down.
 pub const EHOSTDOWN: u32 = 112;
-/// Stale version (KVS root moved backwards — should never happen).
-pub const ESTALE: u32 = 116;
 
 /// A human-readable description of an error number.
 pub fn strerror(errnum: u32) -> &'static str {
@@ -38,10 +32,8 @@ pub fn strerror(errnum: u32) -> &'static str {
         0 => "success",
         EPERM => "operation not permitted",
         ENOENT => "no such key or object",
-        EINTR => "interrupted",
         EIO => "input/output error",
         EAGAIN => "resource temporarily unavailable",
-        ENOMEM => "out of memory",
         EINVAL => "invalid argument",
         ENAMETOOLONG => "name too long",
         ENOTDIR => "not a directory",
@@ -49,7 +41,6 @@ pub fn strerror(errnum: u32) -> &'static str {
         ENOSYS => "function not implemented",
         ETIMEDOUT => "operation timed out",
         EHOSTDOWN => "host is down",
-        ESTALE => "stale version",
         // flux-lint: allow(wildcard) — errnums are an open u32 domain;
         // unknown codes get a generic string, never silent behavior.
         _ => "unknown error",
@@ -71,8 +62,8 @@ mod tests {
     #[test]
     fn codes_are_distinct() {
         let codes = [
-            EPERM, ENOENT, EINTR, EIO, EAGAIN, ENOMEM, EINVAL, ENAMETOOLONG, ENOSYS, ENOTDIR,
-            EISDIR, ETIMEDOUT, EHOSTDOWN, ESTALE,
+            EPERM, ENOENT, EIO, EAGAIN, EINVAL, ENAMETOOLONG, ENOSYS, ENOTDIR, EISDIR, ETIMEDOUT,
+            EHOSTDOWN,
         ];
         let mut sorted = codes.to_vec();
         sorted.sort_unstable();

@@ -26,7 +26,7 @@ pub enum TopicError {
     EmptyComponent,
     /// A character outside `[a-z0-9_-]` appeared.
     BadChar(char),
-    /// Longer than [`Topic::MAX_LEN`].
+    /// Longer than `Topic::MAX_LEN` (255 bytes).
     TooLong(usize),
 }
 
@@ -45,7 +45,7 @@ impl std::error::Error for TopicError {}
 
 impl Topic {
     /// Maximum accepted topic length in bytes.
-    pub const MAX_LEN: usize = 255;
+    const MAX_LEN: usize = 255;
 
     /// Validates and constructs a topic.
     pub fn new(s: impl Into<String>) -> Result<Topic, TopicError> {

@@ -49,7 +49,7 @@ fn main() {
     session.kill_broker(victim);
     println!("t=0.5s : rank {victim} KILLED (messages to it now vanish)");
 
-    // The live module needs miss_limit (3) heartbeats (100 ms each) to
+    // The live module needs `live::MISS_LIMIT` (3) heartbeats (100 ms each) to
     // declare it dead; give the session 2 virtual seconds.
     session.run_until(SimTime::from_nanos(2_500_000_000));
 

@@ -18,18 +18,6 @@ use flux_rt::chaos;
 use flux_rt::transport::{ScriptTransport, TransportKind};
 use std::time::Duration;
 
-fn seed_range() -> Vec<u64> {
-    if let Ok(one) = std::env::var("FLUX_CHAOS_SEED") {
-        let s = one.parse().expect("FLUX_CHAOS_SEED must be a u64");
-        return vec![s];
-    }
-    let n: u64 = std::env::var("FLUX_CHAOS_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(32);
-    (0..n).collect()
-}
-
 /// Identical (workload, plan) → identical simulator results, including
 /// makespan, event count, and every recorded reply.
 #[test]
@@ -58,7 +46,7 @@ fn sim_chaos_runs_are_deterministic() {
 fn sim_shard_master_blackout_during_fence() {
     let shards = 4u32;
     let cfg = flux_kvs::KvsConfig { shards, ..flux_kvs::KvsConfig::default() };
-    for seed in seed_range() {
+    for seed in chaos::seeds(32) {
         let w = chaos::shard_workload(seed, shards, 100_000_000, true);
         let report = chaos::run_sim_kvs(&w, cfg);
         let violations = chaos::check_run(&w, &report);
@@ -103,7 +91,7 @@ fn sim_shard_master_blackout_during_fence() {
 fn sim_shard_master_blackout_during_commit() {
     let shards = 4u32;
     let cfg = flux_kvs::KvsConfig { shards, ..flux_kvs::KvsConfig::default() };
-    for seed in seed_range() {
+    for seed in chaos::seeds(32) {
         let w = chaos::shard_workload(seed, shards, 100_000_000, true);
         let report = chaos::run_sim_kvs(&w, cfg);
         for ((rank, ops), outcome) in w.scripts.iter().zip(&report.outcomes) {
@@ -125,7 +113,7 @@ fn sim_shard_master_blackout_during_commit() {
 /// A live runtime under the same seeded fault plans: every client
 /// history must pass the consistency checker.
 fn live_chaos_consistency_sweep(kind: TransportKind) {
-    for seed in seed_range() {
+    for seed in chaos::seeds(32) {
         let w = chaos::workload(seed, 2_000_000, false);
         let transport = kind
             .live()

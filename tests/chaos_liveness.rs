@@ -1,13 +1,14 @@
 //! Chaos liveness: kill a mid-tree broker, watch the overlay self-heal.
 //!
 //! A blackout window silences one broker for a span of heartbeat epochs.
-//! The `live` module must publish `live.down` within `live_miss_limit`
-//! epochs, the tree must re-parent the orphaned subtree so RPCs route
-//! around the hole, and when the window ends the broker's hello must
-//! produce `live.up`. Exercised on the simulator (exact virtual-time
+//! The `live` module must publish `live.down` within
+//! `flux_modules::live::MISS_LIMIT` epochs, the tree must re-parent the
+//! orphaned subtree so RPCs route around the hole, and when the window
+//! ends the broker's hello must produce `live.up`. Exercised on the simulator (exact virtual-time
 //! schedule) and the threaded runtime (wall clock, generous margins).
 
 use flux_broker::BrokerConfig;
+use flux_modules::live::MISS_LIMIT;
 use flux_modules::standard_modules;
 use flux_rt::chaos::HB_PERIOD_NS;
 use flux_rt::script::Op;
@@ -68,7 +69,7 @@ fn sim_kill_detects_reroutes_and_recovers() {
     let during = up_list(&obs.replies[1]);
     assert!(
         !during.contains(&5),
-        "rank 5 not reported down by 1.2s (kill epoch 6, miss limit 3); up = {during:?}"
+        "rank 5 not reported down by 1.2s (kill epoch 6, miss limit {MISS_LIMIT}); up = {during:?}"
     );
     assert!(
         during.contains(&2) && during.contains(&11),
@@ -134,7 +135,8 @@ fn threads_kill_detects_reroutes_and_recovers() {
     let during = up_list(&obs.replies[1]);
     assert!(
         !during.contains(&1),
-        "rank 1 not reported down by 650ms (kill at 320ms, miss limit 3 @ 40ms); up = {during:?}"
+        "rank 1 not reported down by 650ms (kill at 320ms, miss limit {MISS_LIMIT} @ 40ms); \
+         up = {during:?}"
     );
     let after = up_list(&obs.replies[3]);
     assert!(after.contains(&1), "rank 1 not re-joined by 1.25s; up = {after:?}");
@@ -191,7 +193,8 @@ fn reactor_tcp_kill_detects_reroutes_and_recovers() {
     let during = up_list(&obs.replies[1]);
     assert!(
         !during.contains(&1),
-        "rank 1 not reported down by 650ms (kill at 320ms, miss limit 3 @ 40ms); up = {during:?}"
+        "rank 1 not reported down by 650ms (kill at 320ms, miss limit {MISS_LIMIT} @ 40ms); \
+         up = {during:?}"
     );
     let after = up_list(&obs.replies[3]);
     assert!(after.contains(&1), "rank 1 not re-joined by 1.25s; up = {after:?}");
