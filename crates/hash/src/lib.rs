@@ -4,9 +4,11 @@
 //!
 //! The ICPP'14 Flux paper content-addresses KVS objects by their SHA1
 //! digest, borrowing the hash-tree design from ZFS and git (§IV-B). This
-//! crate provides a from-scratch [`Sha1`] implementation (FIPS 180-1,
-//! verified against the standard test vectors) and the [`ObjectId`] newtype
-//! the rest of the system uses to reference stored objects.
+//! crate provides [`Sha1`] (FIPS 180-1, verified against the standard
+//! test vectors), compressing on the CPU's SHA instructions through
+//! `flux-sys` where it has them and from scratch elsewhere, and the
+//! [`ObjectId`] newtype the rest of the system uses to reference stored
+//! objects.
 //!
 //! SHA1 is used here exactly as git uses it: as a content fingerprint for
 //! deduplication and addressing inside a trusted session, not as a

@@ -41,4 +41,33 @@ proptest! {
         ext.push(b);
         prop_assert_ne!(d1, ObjectId::hash(&ext));
     }
+
+    /// The hardware compressor over a whole batch equals the portable one
+    /// applied block by block, from any state. Where the CPU has no SHA
+    /// instructions this compares the portable path with itself.
+    #[test]
+    fn hardware_compress_equals_portable(
+        state in (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
+        nblocks in 0usize..17,
+        bytes in prop::collection::vec(any::<u8>(), 1024..1025),
+    ) {
+        let (a, b, c, d, e) = state;
+        let blocks = &bytes.as_chunks::<64>().0[..nblocks];
+        let mut want = [a, b, c, d, e];
+        for block in blocks {
+            Sha1::compress(&mut want, block);
+        }
+        let mut got = [a, b, c, d, e];
+        if !flux_sys::sha1_compress(&mut got, blocks) {
+            NO_HARDWARE.call_once(|| {
+                eprintln!("no SHA instructions: portable path compared with itself")
+            });
+            for block in blocks {
+                Sha1::compress(&mut got, block);
+            }
+        }
+        prop_assert_eq!(got, want);
+    }
 }
+
+static NO_HARDWARE: std::sync::Once = std::sync::Once::new();

@@ -1,9 +1,9 @@
-//! SHA1 (FIPS 180-1) implemented from scratch.
-//!
-//! A straightforward, dependency-free implementation processing 64-byte
-//! blocks with the standard 80-round compression function. Throughput is
-//! more than adequate for KVS content addressing (the simulator charges
-//! virtual time for transfers, not hashing).
+//! SHA1 (FIPS 180-1): buffering and padding here, and the 80-round
+//! compression of 64-byte blocks either on the CPU's SHA instructions
+//! (`flux_sys::sha1_compress`, where the CPU has them) or by the
+//! from-scratch `Sha1::compress` below, the portable path and the tests'
+//! reference. Every KVS put and every object check hashes; on an AMD
+//! EPYC the hardware path runs ≈ 5× the portable one (DESIGN §15).
 
 /// A 20-byte SHA1 digest.
 pub type Digest = [u8; 20];
@@ -53,42 +53,35 @@ impl Sha1 {
         self.len = self.len.wrapping_add(data.len() as u64);
         let mut rest = data;
         if self.buf_len > 0 {
-            let need = 64 - self.buf_len;
-            let take = need.min(rest.len());
+            let take = (64 - self.buf_len).min(rest.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            let block = self.buf;
+            self.compress_blocks(&[block]);
+            self.buf_len = 0;
         }
-        while rest.len() >= 64 {
-            let (block, tail) = rest.split_at(64);
-            self.compress(block.try_into().expect("64-byte block"));
-            rest = tail;
-        }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        let (blocks, tail) = rest.as_chunks::<64>();
+        self.compress_blocks(blocks);
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Finishes the hash and returns the digest.
     pub fn finalize(mut self) -> Digest {
-        let bit_len = self.len.wrapping_mul(8);
-        // Padding: 0x80 then zeros until 8 bytes remain in the block,
-        // then the big-endian bit length.
-        self.update_padding(0x80);
-        while self.buf_len != 56 {
-            self.update_padding(0x00);
-        }
-        let len_bytes = bit_len.to_be_bytes();
-        for &b in &len_bytes {
-            self.update_padding(b);
-        }
-        debug_assert_eq!(self.buf_len, 0);
+        // Padding: 0x80, zeros up to 8 bytes short of a block boundary,
+        // then the big-endian bit length — two blocks when the buffered
+        // tail leaves fewer than 9 bytes free.
+        let n = self.buf_len;
+        let end = if n < 56 { 64 } else { 128 };
+        let mut tail = [0u8; 128];
+        tail[..n].copy_from_slice(&self.buf[..n]);
+        tail[n] = 0x80;
+        tail[end - 8..end].copy_from_slice(&self.len.wrapping_mul(8).to_be_bytes());
+        self.compress_blocks(tail[..end].as_chunks::<64>().0);
         let mut out = [0u8; 20];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
@@ -96,18 +89,19 @@ impl Sha1 {
         out
     }
 
-    /// Pushes one padding byte without advancing the message length.
-    fn update_padding(&mut self, byte: u8) {
-        self.buf[self.buf_len] = byte;
-        self.buf_len += 1;
-        if self.buf_len == 64 {
-            let block = self.buf;
-            self.compress(&block);
-            self.buf_len = 0;
+    /// Compresses whole blocks: on the CPU's SHA instructions in one call
+    /// where it has them, otherwise one block at a time by
+    /// [`Sha1::compress`].
+    fn compress_blocks(&mut self, blocks: &[[u8; 64]]) {
+        if !flux_sys::sha1_compress(&mut self.state, blocks) {
+            for block in blocks {
+                Self::compress(&mut self.state, block);
+            }
         }
     }
 
-    fn compress(&mut self, block: &[u8; 64]) {
+    /// The portable compression function: one 64-byte block into `state`.
+    pub(crate) fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
         let mut w = [0u32; 80];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
@@ -116,7 +110,7 @@ impl Sha1 {
             w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
         for (i, &wi) in w.iter().enumerate() {
             let (f, k) = match i {
                 0..=19 => ((b & c) | (!b & d), 0x5A82_7999),
@@ -137,11 +131,11 @@ impl Sha1 {
             a = tmp;
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
     }
 }
 

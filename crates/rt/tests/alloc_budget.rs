@@ -20,6 +20,7 @@
 use flux_broker::client::ClientCore;
 use flux_broker::reduce::{Partial, Reduction};
 use flux_broker::{Broker, BrokerConfig, CommsModule, Input, Output, RankOverlay};
+use flux_hash::{ObjectId, Sha1};
 use flux_kvs::{KvsModule, KvsObject};
 use flux_proto::{CmbMethod, Event, KvsMethod};
 use flux_rt::script::{Op, ScriptClient};
@@ -379,6 +380,23 @@ fn reduction_contribute() {
     let mut up: Reduction<u64, Sum> = Reduction::default();
     up.contribute(7, Sum(1));
     pin("Reduction::contribute into a waiting key", 0, || (), |()| up.contribute(7, Sum(1)));
+}
+
+#[test]
+fn hashing() {
+    let value = vec![0x5a_u8; 4096];
+    pin("ObjectId::hash of a 4 KiB buffer", 0, || (), |()| ObjectId::hash(&value));
+    pin(
+        "Sha1::update fed 1-, 63- and 65-byte pieces",
+        0,
+        Sha1::new,
+        |mut h| {
+            for piece in [&value[..1], &value[1..64], &value[64..129]] {
+                h.update(piece);
+            }
+            h.finalize()
+        },
+    );
 }
 
 #[test]
