@@ -7,7 +7,7 @@ use crate::module::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{Event, Service};
 use flux_topo::{LiveSet, Ring, Tree};
 use flux_value::Value;
-use flux_wire::{errnum, Message, MsgId, MsgType, Payload, Plane, Rank, Topic};
+use flux_wire::{errnum, IdMap, Message, MsgId, MsgType, Payload, Plane, Rank, Topic};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Timer-token namespace: the top 16 bits identify the owner (0 = broker
@@ -28,7 +28,8 @@ pub(crate) struct Core {
     /// Outputs accumulated during the current handle() call.
     outputs: Vec<Output>,
     /// Module-originated RPCs awaiting responses: id → module index.
-    pending: HashMap<MsgId, usize>,
+    /// This broker minted every id.
+    pending: IdMap<MsgId, usize>,
     /// Locally raised messages to process after the current dispatch.
     raised: VecDeque<Message>,
     /// Event-plane sequencing (root only).
@@ -291,7 +292,7 @@ impl Broker {
                 seq: 0,
                 now_ns: 0,
                 outputs: Vec::new(),
-                pending: HashMap::new(),
+                pending: IdMap::default(),
                 raised: VecDeque::new(),
                 raised_response_module: VecDeque::new(),
                 deliver_queue: VecDeque::new(),
@@ -345,6 +346,19 @@ impl Broker {
         self.core.publish(topic, payload);
         self.drain_raised();
         std::mem::take(&mut self.core.outputs)
+    }
+
+    /// Hands back a `Vec` that [`Broker::handle`] (or `start`, or
+    /// `publish`) returned, once the runtime has drained it. The next call
+    /// fills it again, so a warm broker allocates no output buffer per
+    /// input. Whatever the `Vec` still holds is dropped.
+    pub fn recycle(&mut self, mut outputs: Vec<Output>) {
+        // Between calls the broker's own buffer is the empty one every
+        // call leaves behind.
+        if self.core.outputs.is_empty() && self.core.outputs.capacity() < outputs.capacity() {
+            outputs.clear();
+            self.core.outputs = outputs;
+        }
     }
 
     /// Processes one input and returns the effects to perform.

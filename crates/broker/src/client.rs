@@ -8,8 +8,7 @@
 //! (a sim actor, a thread).
 
 use flux_value::Value;
-use flux_wire::{Message, MsgId, Rank, Topic};
-use std::collections::HashMap;
+use flux_wire::{IdMap, Message, MsgId, Rank, Topic};
 
 /// How an incoming message relates to this client's state.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,9 +38,10 @@ pub struct ClientCore {
     origin: Rank,
     seq_base: u64,
     seq: u64,
-    outstanding: HashMap<MsgId, u64>,
+    /// Keyed by ids this client minted, as is `streaming`.
+    outstanding: IdMap<MsgId, u64>,
     /// Tags whose requests expect multiple responses (`kvs.watch`).
-    streaming: HashMap<MsgId, u64>,
+    streaming: IdMap<MsgId, u64>,
 }
 
 impl ClientCore {
@@ -53,8 +53,8 @@ impl ClientCore {
             // 2^24 clients per broker, 2^40 requests per client: plenty.
             seq_base: u64::from(client_id) << 40,
             seq: 0,
-            outstanding: HashMap::new(),
-            streaming: HashMap::new(),
+            outstanding: IdMap::default(),
+            streaming: IdMap::default(),
         }
     }
 

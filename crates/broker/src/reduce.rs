@@ -22,9 +22,9 @@
 
 use crate::ModuleCtx;
 use flux_value::Value;
-use flux_wire::Topic;
+use flux_wire::{IdMap, Topic};
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 /// The aggregation window of the two collectives (`barrier.enter`,
 /// `kvs.fence`): contributions arriving within it leave as one message.
@@ -78,10 +78,11 @@ pub struct Reduction<K, P> {
     /// Taken only when a message is sent: a skipped id would hold the
     /// parent's floor down for the rest of the session.
     next_batch: u64,
-    seen: HashMap<u64, Seen>,
+    /// By sender rank, as stamped by that broker.
+    seen: IdMap<u64, Seen>,
     /// Armed window timers by token, counted from 1: a module's token 0
     /// stays free for a timer of its own.
-    windows: HashMap<u64, K>,
+    windows: IdMap<u64, K>,
     next_window: u64,
 }
 
@@ -90,8 +91,8 @@ impl<K, P> Default for Reduction<K, P> {
         Reduction {
             waiting: BTreeMap::new(),
             next_batch: 0,
-            seen: HashMap::new(),
-            windows: HashMap::new(),
+            seen: IdMap::default(),
+            windows: IdMap::default(),
             next_window: 0,
         }
     }

@@ -2,13 +2,26 @@
 
 use crate::sha1::{Digest, Sha1};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A content address: the SHA1 digest of an object's canonical encoding.
 ///
 /// Ordered and hashable so it can key maps; displayed as 40 hex digits like
 /// git object names.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ObjectId(pub Digest);
+
+/// Feeds the digest to the hasher as three whole words, not twenty
+/// bytes behind a length prefix: every byte still counts, so `Hash`
+/// agrees with the derived `Eq`.
+impl Hash for ObjectId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let d = &self.0;
+        state.write_u64(u64::from_le_bytes([d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7]]));
+        state.write_u64(u64::from_le_bytes([d[8], d[9], d[10], d[11], d[12], d[13], d[14], d[15]]));
+        state.write_u32(u32::from_le_bytes([d[16], d[17], d[18], d[19]]));
+    }
+}
 
 /// Error returned by [`ObjectId::from_hex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,12 +51,13 @@ impl ObjectId {
 
     /// The 40-character lowercase hex form.
     pub fn to_hex(self) -> String {
-        let mut s = String::with_capacity(40);
-        for b in self.0 {
-            s.push(HEX[(b >> 4) as usize] as char);
-            s.push(HEX[(b & 0xf) as usize] as char);
+        let mut out = [0u8; 40];
+        for (pair, b) in out.chunks_exact_mut(2).zip(self.0) {
+            pair[0] = HEX[usize::from(b >> 4)];
+            pair[1] = HEX[usize::from(b & 0xf)];
         }
-        s
+        // Every byte is an ASCII hex digit, so nothing is replaced.
+        String::from_utf8_lossy(&out).into_owned()
     }
 
     /// A short 8-character prefix for logs, like `git log --oneline`.
@@ -51,7 +65,7 @@ impl ObjectId {
         self.to_hex()[..8].to_owned()
     }
 
-    /// Parses the 40-character hex form.
+    /// Parses the 40-character hex form, either case.
     pub fn from_hex(s: &str) -> Result<ObjectId, HexError> {
         let bytes = s.as_bytes();
         if bytes.len() != 40 {
@@ -59,8 +73,13 @@ impl ObjectId {
         }
         let mut out = [0u8; 20];
         for (i, pair) in bytes.chunks_exact(2).enumerate() {
-            let hi = unhex(pair[0]).ok_or(HexError::BadDigit(2 * i))?;
-            let lo = unhex(pair[1]).ok_or(HexError::BadDigit(2 * i + 1))?;
+            let (hi, lo) = (UNHEX[usize::from(pair[0])], UNHEX[usize::from(pair[1])]);
+            if hi == NOT_HEX {
+                return Err(HexError::BadDigit(2 * i));
+            }
+            if lo == NOT_HEX {
+                return Err(HexError::BadDigit(2 * i + 1));
+            }
             out[i] = (hi << 4) | lo;
         }
         Ok(ObjectId(out))
@@ -69,14 +88,21 @@ impl ObjectId {
 
 const HEX: &[u8; 16] = b"0123456789abcdef";
 
-fn unhex(c: u8) -> Option<u8> {
-    match c {
-        b'0'..=b'9' => Some(c - b'0'),
-        b'a'..=b'f' => Some(c - b'a' + 10),
-        b'A'..=b'F' => Some(c - b'A' + 10),
-        _ => None,
+/// [`UNHEX`]'s entry for a byte that is not a hex digit.
+const NOT_HEX: u8 = 0xff;
+
+/// Each byte's hex-digit value, or [`NOT_HEX`]: one load per digit
+/// instead of a range match.
+const UNHEX: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut i = 0;
+    while i < 16 {
+        table[HEX[i] as usize] = i as u8;
+        table[HEX[i].to_ascii_uppercase() as usize] = i as u8;
+        i += 1;
     }
-}
+    table
+};
 
 impl From<Digest> for ObjectId {
     fn from(d: Digest) -> Self {
@@ -116,6 +142,26 @@ mod tests {
         let mut s = ObjectId::hash(b"x").to_hex();
         s.replace_range(10..11, "g");
         assert_eq!(ObjectId::from_hex(&s), Err(HexError::BadDigit(10)));
+    }
+
+    #[test]
+    fn the_digit_table_accepts_exactly_the_hex_digits() {
+        let base = ObjectId::hash(b"x").to_hex();
+        for c in 0..=127u8 {
+            for pos in [6, 7] {
+                let mut s = base.clone().into_bytes();
+                s[pos] = c;
+                let s = String::from_utf8(s).expect("ascii");
+                let got = ObjectId::from_hex(&s);
+                if c.is_ascii_hexdigit() {
+                    let v = if c.is_ascii_digit() { c - b'0' } else { (c | 0x20) - b'a' + 10 };
+                    let byte = got.expect("a hex digit").0[pos / 2];
+                    assert_eq!(if pos % 2 == 0 { byte >> 4 } else { byte & 0xf }, v);
+                } else {
+                    assert_eq!(got, Err(HexError::BadDigit(pos)), "{c}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@ use crate::module::{KvsConfig, Replica};
 use crate::msg::{self, Objects, RootRef};
 use flux_broker::{Handled, ModuleCtx};
 use flux_proto::Event;
-use flux_wire::{errnum, Message, MsgId};
-use std::collections::{HashMap, HashSet, VecDeque};
+use flux_wire::{errnum, IdSet, Message, MsgId};
+use std::collections::{HashMap, VecDeque};
 
 /// Timer token of the batch window. Every firing flushes whatever is
 /// parked, so one token serves all windows; fence windows count from 1.
@@ -27,14 +27,14 @@ type ParkedPush = (Message, Vec<Tuple>, Objects);
 pub(crate) struct Authority {
     /// Recently handled push request ids, so a transport-duplicated
     /// push frame is applied (and relayed) at most once. Bounded FIFO.
-    seen_pushes: HashSet<MsgId>,
+    seen_pushes: IdSet<MsgId>,
     seen_push_order: VecDeque<MsgId>,
     /// Parked pushes awaiting one coalesced hash-tree walk.
     batch: Vec<ParkedPush>,
     /// Request ids parked in `batch`: a duplicate whose original is
     /// still parked is dropped (the parked copy carries the reply
     /// obligation) rather than answered with the pre-apply version.
-    batch_ids: HashSet<MsgId>,
+    batch_ids: IdSet<MsgId>,
     /// A batch window timer is pending.
     batch_armed: bool,
     /// Applied fence parts: fence name → the root they produced. A
@@ -82,7 +82,7 @@ impl Authority {
     ) -> RootRef {
         let shard = rep.slots.mine().unwrap_or(0);
         for (id, obj) in objects {
-            rep.cache.insert_with_id(id, obj);
+            rep.cache.insert_with_id(id, obj, None);
         }
         let (root, version) = rep.slots.root(shard);
         let root = apply_tuples(&mut rep.cache, root, tuples);

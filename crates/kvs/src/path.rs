@@ -68,12 +68,22 @@ pub fn validate_key(key: &str) -> Result<(), KeyError> {
     if key.len() > MAX_KEY_LEN {
         return Err(KeyError::TooLong(key.len()));
     }
-    let mut depth = 0usize;
-    for component in key.split('.') {
-        if component.is_empty() {
-            return Err(KeyError::EmptyComponent);
+    // One byte pass, as `step_walk` reads the key: a component is empty
+    // where a `.` opens the key, follows another `.`, or closes the key.
+    let mut depth = 1usize;
+    let mut after_dot = true;
+    for b in key.bytes() {
+        let dot = b == b'.';
+        if dot {
+            if after_dot {
+                return Err(KeyError::EmptyComponent);
+            }
+            depth += 1;
         }
-        depth += 1;
+        after_dot = dot;
+    }
+    if after_dot {
+        return Err(KeyError::EmptyComponent);
     }
     if depth > MAX_KEY_DEPTH {
         return Err(KeyError::TooDeep(depth));
@@ -101,6 +111,28 @@ mod tests {
         assert_eq!(validate_key("."), Err(KeyError::EmptyComponent));
         assert_eq!(validate_key(".."), Err(KeyError::EmptyComponent));
         assert!(matches!(validate_key(&"x".repeat(2000)), Err(KeyError::TooLong(2000))));
+    }
+
+    #[test]
+    fn the_byte_pass_agrees_with_splitting_on_every_short_key() {
+        let by_split = |key: &str| {
+            if key.is_empty() {
+                return Err(KeyError::Empty);
+            }
+            let parts: Vec<&str> = key.split('.').collect();
+            if parts.iter().any(|p| p.is_empty()) {
+                return Err(KeyError::EmptyComponent);
+            }
+            Ok(())
+        };
+        // Every key of up to 8 characters over `a` and `.`.
+        for len in 0..=8 {
+            for bits in 0u32..1 << len {
+                let key: String =
+                    (0..len).map(|i| if bits >> i & 1 == 1 { '.' } else { 'a' }).collect();
+                assert_eq!(validate_key(&key), by_split(&key), "{key:?}");
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use flux_broker::{Handled, ModuleCtx};
 use flux_hash::ObjectId;
 use flux_proto::KvsMethod;
 use flux_value::Value;
-use flux_wire::{errnum, Message, Payload};
+use flux_wire::{errnum, IdMap, Message, Payload};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -101,7 +101,11 @@ fn step_walk(
         if rest.is_empty() {
             return Stop::Done(resolve(&obj, want));
         }
-        let (name, tail) = rest.split_once('.').unwrap_or((rest, ""));
+        // A byte search: `.` is ASCII, so the offset is a char boundary.
+        let (name, tail) = match rest.bytes().position(|b| b == b'.') {
+            Some(dot) => (&rest[..dot], &rest[dot + 1..]),
+            None => (rest, ""),
+        };
         cur = match &*obj {
             KvsObject::Dir(entries) => match entries.get(name) {
                 Some(&next) => next,
@@ -123,21 +127,24 @@ fn answer(ctx: &mut ModuleCtx<'_>, req: &Message, end: WalkEnd) -> Handled {
 
 /// What a `kvs.load` reply payload holds: the object decoded from its
 /// `obj` field, under the content address computed from that decoding
-/// (never the `id` the sender wrote beside it). `None` is a malformed
-/// `obj`. This is the view kept in the payload's memo slot, so brokers
-/// handed one payload decode and hash it once between them.
-type Loaded = Option<(ObjectId, Arc<KvsObject>)>;
+/// (never the `id` the sender wrote beside it), and its `approx_size`
+/// for the cache's accounting. `None` is a malformed `obj`. This is the
+/// view kept in the payload's memo slot, so brokers handed one payload
+/// decode, hash and size it once between them.
+type Loaded = Option<(ObjectId, Arc<KvsObject>, usize)>;
 
 fn decode_load_reply(payload: &Value) -> Loaded {
     let obj = KvsObject::from_value(payload.get("obj")?).ok()?;
-    Some((obj.id(), Arc::new(obj)))
+    let (id, size) = (obj.id(), obj.approx_size());
+    Some((id, Arc::new(obj), size))
 }
 
 #[derive(Default)]
 pub(crate) struct Reads {
-    walks: HashMap<u64, Walk>,
+    walks: IdMap<u64, Walk>,
     next_walk: u64,
     /// Object id → (walks parked on it, child `kvs.load` requests for it).
+    /// The id is what a child asked for, so this map keeps `RandomState`.
     load_waiters: HashMap<ObjectId, (Vec<u64>, Vec<Message>)>,
     /// Outstanding load RPCs, tagged (object id, shard whose tree wants
     /// it). The waiters of a load lost in transit stay parked.
@@ -149,7 +156,7 @@ pub(crate) struct Reads {
     /// answering every child with a fresh `to_value` of the same
     /// directory) into one build plus refcount bumps. An entry lives as
     /// long as its object's cache entry ([`Reads::on_heartbeat`]).
-    load_replies: HashMap<ObjectId, Payload>,
+    load_replies: IdMap<ObjectId, Payload>,
     pub(crate) watch: Watches,
 }
 
@@ -325,11 +332,11 @@ impl Reads {
         ctx: &mut ModuleCtx<'_>,
         rep: &mut Replica,
         id: ObjectId,
-        loaded: Result<Arc<KvsObject>, u32>,
+        loaded: Result<(Arc<KvsObject>, usize), u32>,
     ) {
         // Read-path caching at every level of the chain: this is what
         // lets C consumers share log2(C) transfers (Fig. 4 model).
-        let why_not = loaded.map(|obj| rep.cache.insert_with_id(id, obj)).err();
+        let why_not = loaded.map(|(obj, size)| rep.cache.insert_with_id(id, obj, Some(size))).err();
         let Some((walks, requests)) = self.load_waiters.remove(&id) else { return };
         // One shared reply payload answers every child waiting on this id.
         let reply = rep
@@ -372,7 +379,7 @@ impl Reads {
             // once for every broker handed this same payload; the
             // comparison with the id *this* broker asked for is its own.
             Answer::Ok => match &*msg.payload.memo(decode_load_reply) {
-                Some((hashed, obj)) if *hashed == id => Ok(Arc::clone(obj)),
+                Some((hashed, obj, size)) if *hashed == id => Ok((Arc::clone(obj), *size)),
                 _ => Err(errnum::ENOENT),
             },
         };

@@ -7,7 +7,8 @@
 
 use crate::object::KvsObject;
 use flux_hash::ObjectId;
-use std::collections::HashMap;
+use flux_wire::IdMap;
+use std::collections::hash_map::Entry as Slot;
 use std::sync::Arc;
 
 /// Cache occupancy and traffic counters.
@@ -33,7 +34,9 @@ struct Entry {
 
 /// A content-addressed object cache.
 pub struct ObjectCache {
-    map: HashMap<ObjectId, Entry>,
+    /// Keyed by ids this broker hashed itself (a loaded object is checked
+    /// against its id before it is inserted).
+    map: IdMap<ObjectId, Entry>,
     stats: CacheStats,
     epoch: u64,
 }
@@ -42,7 +45,7 @@ impl ObjectCache {
     /// Creates an empty cache pre-seeded with the session's initial empty
     /// root directory (every broker derives the same id for it).
     pub fn new() -> ObjectCache {
-        let mut c = ObjectCache { map: HashMap::new(), stats: CacheStats::default(), epoch: 0 };
+        let mut c = ObjectCache { map: IdMap::default(), stats: CacheStats::default(), epoch: 0 };
         c.insert(KvsObject::empty_dir());
         c
     }
@@ -50,25 +53,26 @@ impl ObjectCache {
     /// Inserts an object, returning its content address. Idempotent.
     pub fn insert(&mut self, obj: KvsObject) -> ObjectId {
         let id = obj.id();
-        self.insert_with_id(id, Arc::new(obj));
+        self.insert_with_id(id, Arc::new(obj), None);
         id
     }
 
     /// Inserts an object whose id the caller already computed, sharing
     /// the caller's allocation: brokers that decoded one payload together
-    /// hold one object together.
+    /// hold one object together. `size` is the object's `approx_size`
+    /// when the caller has it; `None` measures it here. Either way an id
+    /// already held costs one lookup and nothing else.
     ///
     /// # Panics
     /// In debug builds, panics if `id` does not match the content.
-    pub fn insert_with_id(&mut self, id: ObjectId, obj: Arc<KvsObject>) {
+    pub fn insert_with_id(&mut self, id: ObjectId, obj: Arc<KvsObject>, size: Option<usize>) {
         debug_assert_eq!(id, obj.id(), "content address mismatch");
-        let epoch = self.epoch;
-        let size = obj.approx_size();
-        self.map.entry(id).or_insert_with(|| {
+        if let Slot::Vacant(slot) = self.map.entry(id) {
+            let size = size.unwrap_or_else(|| obj.approx_size());
             self.stats.entries += 1;
             self.stats.bytes += size;
-            Entry { obj, size, last_used_epoch: epoch }
-        });
+            slot.insert(Entry { obj, size, last_used_epoch: self.epoch });
+        }
     }
 
     /// Looks up an object, refreshing its last-used epoch on hit.
@@ -151,6 +155,18 @@ mod tests {
         let s = c.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 1);
+    }
+
+    #[test]
+    fn a_held_id_keeps_its_first_size_and_a_given_size_is_taken() {
+        let mut c = ObjectCache::new();
+        let before = c.stats().bytes;
+        let o = obj("sized");
+        let (id, real) = (o.id(), o.approx_size());
+        c.insert_with_id(id, Arc::new(o.clone()), Some(real));
+        assert_eq!(c.stats().bytes, before + real);
+        c.insert_with_id(id, Arc::new(o), Some(1_000_000));
+        assert_eq!(c.stats().bytes, before + real, "a held id is not re-sized");
     }
 
     #[test]

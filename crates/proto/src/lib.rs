@@ -48,6 +48,7 @@
 #![deny(missing_docs)]
 
 use flux_wire::Topic;
+use std::sync::OnceLock;
 
 /// How a declared method behaves on the wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -151,6 +152,15 @@ pub struct EventSpec {
     pub topic: &'static str,
 }
 
+/// Validates one table's topics, once per process: `topic()` hands out
+/// clones of these, so a hop pays a reference-count bump for its topic,
+/// not a validation and an allocation.
+fn interned(topics: impl Iterator<Item = &'static str>) -> Vec<Topic> {
+    // Cannot panic: every topic_str is a declared literal, validated by
+    // the registry conformance test.
+    topics.map(Topic::from_static).collect()
+}
+
 /// Declares one service's method table: the enum, dispatch lookup,
 /// topic construction, declared error sets, and registry rows. An
 /// optional `[ERRNO, ...]` suffix after the kind names the
@@ -195,11 +205,15 @@ macro_rules! methods {
                 }
             }
 
-            /// The validated [`Topic`] for this method.
+            /// The validated [`Topic`] for this method: a clone of the
+            /// process-wide one, built on this table's first call.
             pub fn topic(self) -> Topic {
-                // Cannot panic: every topic_str is a declared literal,
-                // validated by the registry conformance test.
-                Topic::from_static(self.topic_str())
+                static TOPICS: OnceLock<Vec<Topic>> = OnceLock::new();
+                // Variants carry no explicit discriminants, so `self as
+                // usize` is the variant's index in `ALL`.
+                TOPICS.get_or_init(|| interned(Self::ALL.iter().map(|m| m.topic_str())))
+                    [self as usize]
+                    .clone()
             }
 
             /// Looks a method path up, as returned by [`Topic::method`].
@@ -446,11 +460,12 @@ impl Event {
         }
     }
 
-    /// The validated [`Topic`] for this event.
+    /// The validated [`Topic`] for this event: a clone of the
+    /// process-wide one, built on the first call.
     pub fn topic(self) -> Topic {
-        // Cannot panic: every topic_str is a declared literal,
-        // validated by the registry conformance test.
-        Topic::from_static(self.topic_str())
+        static TOPICS: OnceLock<Vec<Topic>> = OnceLock::new();
+        TOPICS.get_or_init(|| interned(Event::ALL.iter().map(|e| e.topic_str())))[self as usize]
+            .clone()
     }
 
     /// Matches a delivered event topic against the registry.
@@ -627,6 +642,26 @@ mod tests {
         for e in Event::ALL {
             assert_eq!(Event::from_topic_str(e.topic().as_str()), Some(*e));
         }
+    }
+
+    #[test]
+    fn every_interned_topic_equals_a_fresh_one() {
+        fn check(pairs: impl Iterator<Item = (Topic, &'static str)>) {
+            for (interned, text) in pairs {
+                assert_eq!(interned, Topic::new(text).expect("declared topic"), "{text}");
+            }
+        }
+        check(CmbMethod::ALL.iter().map(|m| (m.topic(), m.topic_str())));
+        check(HbMethod::ALL.iter().map(|m| (m.topic(), m.topic_str())));
+        check(LiveMethod::ALL.iter().map(|m| (m.topic(), m.topic_str())));
+        check(LogMethod::ALL.iter().map(|m| (m.topic(), m.topic_str())));
+        check(MonMethod::ALL.iter().map(|m| (m.topic(), m.topic_str())));
+        check(GroupMethod::ALL.iter().map(|m| (m.topic(), m.topic_str())));
+        check(BarrierMethod::ALL.iter().map(|m| (m.topic(), m.topic_str())));
+        check(KvsMethod::ALL.iter().map(|m| (m.topic(), m.topic_str())));
+        check(WexecMethod::ALL.iter().map(|m| (m.topic(), m.topic_str())));
+        check(ResvcMethod::ALL.iter().map(|m| (m.topic(), m.topic_str())));
+        check(Event::ALL.iter().map(|e| (e.topic(), e.topic_str())));
     }
 
     #[test]

@@ -195,9 +195,10 @@ impl<L: PeerSender> BrokerHost<L> {
         }
     }
 
-    fn absorb(&mut self, outs: Vec<Output>) {
+    /// Performs `outs`, then hands the drained `Vec` back to the broker.
+    fn absorb(&mut self, mut outs: Vec<Output>) {
         let now_ns = self.now_ns();
-        for out in outs {
+        for out in outs.drain(..) {
             match out {
                 Output::ToBroker { plane, to, msg } => {
                     self.send_to_broker(now_ns, plane, to, msg)
@@ -221,6 +222,7 @@ impl<L: PeerSender> BrokerHost<L> {
                 }
             }
         }
+        self.broker.recycle(outs);
     }
 
     /// Fires every due timer. (Timers run even during a blackout —

@@ -112,9 +112,10 @@ struct BrokerActor {
 }
 
 impl BrokerActor {
-    fn absorb(&mut self, ctx: &mut Ctx<'_>, outs: Vec<Output>) {
+    /// Performs `outs`, then hands the drained `Vec` back to the broker.
+    fn absorb(&mut self, ctx: &mut Ctx<'_>, mut outs: Vec<Output>) {
         let now_ns = ctx.now().as_nanos();
-        for out in outs {
+        for out in outs.drain(..) {
             match out {
                 Output::ToBroker { plane, to, msg } => {
                     let target = self.book.borrow().broker_of(to);
@@ -147,6 +148,7 @@ impl BrokerActor {
                 }
             }
         }
+        self.broker.recycle(outs);
     }
 
     /// True if this broker is inside a blackout window: it processes

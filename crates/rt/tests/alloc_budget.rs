@@ -135,7 +135,7 @@ fn wire_framing() {
     let mut body = Vec::new();
     pin(
         "read_frame_into, second frame through one buffer (kvs.get request)",
-        7,
+        6,
         || (),
         |()| read_frame_into(&mut &stream[..], MAX_FRAME, &mut body),
     );
@@ -187,7 +187,7 @@ fn kvs_at_the_master() {
 
     pin(
         "kvs.get of a committed key at the rank-0 master",
-        7,
+        6,
         || core.request(KvsMethod::Get.topic(), get_payload("bench.k"), 0),
         ask,
     );
@@ -215,7 +215,7 @@ fn kvs_at_the_master() {
     );
     pin(
         "kvs.commit of one tuple at the master",
-        by_profile(56, 47),
+        by_profile(54, 45),
         || {
             ask(put(&mut core, "bench.k", Value::Int(42)));
             core.request(KvsMethod::Commit.topic(), Value::object(), 0)
@@ -291,7 +291,7 @@ fn kvs_push_from_a_child() {
     }
     pin(
         "kvs.push from a child, accepted at the master and flushed by its window",
-        by_profile(64, 55),
+        by_profile(62, 53),
         next,
         accept,
     );
@@ -383,6 +383,12 @@ fn reduction_contribute() {
 }
 
 #[test]
+fn registry_topic() {
+    // Interned: a clone of the process-wide topic, a reference-count bump.
+    pin("KvsMethod::Get.topic(), warm", 0, || (), |()| KvsMethod::Get.topic());
+}
+
+#[test]
 fn hashing() {
     let value = vec![0x5a_u8; 4096];
     pin("ObjectId::hash of a 4 KiB buffer", 0, || (), |()| ObjectId::hash(&value));
@@ -425,7 +431,7 @@ fn warm_get_sim_script() {
     let mut done = 2 + WARM;
     pin(
         "warm-get sim script, whole session per op",
-        14,
+        9,
         || done += 1,
         |()| session.engine_mut().run_budgeted(4),
     );

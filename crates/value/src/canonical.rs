@@ -230,16 +230,14 @@ fn decode_one(cur: &mut Cursor<'_>, depth: u32) -> Result<Value, DecodeError> {
         tag::OBJECT => {
             let len = cur.varint()? as usize;
             let mut m = Map::new();
-            let mut last_key: Option<String> = None;
             for _ in 0..len {
                 let k = cur.string()?;
-                if let Some(prev) = &last_key {
-                    if *prev >= k {
-                        return Err(DecodeError::UnsortedKeys);
-                    }
+                // Keys arrive strictly ascending, so the map's last key is
+                // the previous one: no copy of it is kept.
+                if m.last_key_value().is_some_and(|(prev, _)| *prev >= k) {
+                    return Err(DecodeError::UnsortedKeys);
                 }
                 let v = decode_one(cur, depth + 1)?;
-                last_key = Some(k.clone());
                 m.insert(k, v);
             }
             Value::Object(m)

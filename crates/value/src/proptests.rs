@@ -1,6 +1,6 @@
 //! Property-based tests for parse/serialize/canonical-encode round-trips.
 
-use crate::Value;
+use crate::{Map, Value};
 use proptest::prelude::*;
 
 /// Strategy producing arbitrary [`Value`]s, recursively.
@@ -78,6 +78,17 @@ proptest! {
     #[test]
     fn decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
         let _ = Value::decode_canonical(&bytes);
+    }
+
+    /// `from_pairs` builds exactly the object `BTreeMap::from_iter` does,
+    /// a repeated key keeping its last value. Keys come from a two-letter
+    /// alphabet so most cases repeat one.
+    #[test]
+    fn from_pairs_equals_collect(
+        pairs in prop::collection::vec(("[ab]{0,2}", arb_value()), 0..12)
+    ) {
+        let collected: Map = pairs.iter().cloned().collect();
+        prop_assert_eq!(Value::from_pairs(pairs), Value::Object(collected));
     }
 
     /// approx_size is at least 1 and bounded by a generous multiple of the

@@ -47,7 +47,8 @@ impl Value {
         Value::Array(Vec::new())
     }
 
-    /// Convenience constructor: an object from an iterator of pairs.
+    /// Convenience constructor: an object from an iterator of pairs. A
+    /// repeated key keeps its last value, as `BTreeMap::from_iter` does.
     ///
     /// ```
     /// use flux_value::Value;
@@ -59,7 +60,14 @@ impl Value {
         K: Into<String>,
         I: IntoIterator<Item = (K, Value)>,
     {
-        Value::Object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        // Inserting one by one: `collect` would stage the pairs in a
+        // sorted `Vec` first, which costs more than it saves for the one
+        // to four fields of a protocol payload.
+        let mut map = Map::new();
+        for (k, v) in pairs {
+            map.insert(k.into(), v);
+        }
+        Value::Object(map)
     }
 
     /// Returns `true` if this is `Value::Null`.

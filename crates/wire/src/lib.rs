@@ -16,7 +16,8 @@
 //!   (event bus, request/response tree, rank-addressed ring),
 //! * a binary codec ([`Message::encode`] / [`Message::decode`]) with framed,
 //!   self-delimiting messages, used by both runtimes,
-//! * [`errnum`] — POSIX-flavoured error numbers carried by responses.
+//! * [`errnum`] — POSIX-flavoured error numbers carried by responses,
+//! * [`IdMap`] / [`IdSet`] — hash tables for computed or broker-minted ids.
 //!
 //! Requests are routed *upstream* in the tree to the first comms module
 //! matching the topic; responses retrace the recorded hops in reverse
@@ -48,11 +49,13 @@
 mod codec;
 pub mod errnum;
 pub mod frame;
+mod idmap;
 mod message;
 mod rank;
 mod topic;
 
 pub use codec::WireError;
+pub use idmap::{IdHasher, IdMap, IdSet};
 pub use message::{Header, Message, MsgId, MsgType, Payload, Plane};
 pub use rank::Rank;
 pub use topic::{Topic, TopicError};
