@@ -26,7 +26,7 @@
 //! [`Input`] and appends [`Output`]s describing what the runtime should
 //! transmit or schedule. The same broker code therefore runs unmodified on
 //! the deterministic simulator (`flux-sim`, virtual time, 8192 ranks) and
-//! on the threaded runtime (`flux-rt`, real channels and wall clocks).
+//! on the live runtime (`flux-rt`, loopback TCP sockets and wall clocks).
 //!
 //! ## Self-healing
 //!

@@ -2,11 +2,11 @@
 //!
 //! Paper §IV-A: *"A flux utility wraps command line access to about two
 //! dozen modular Flux sub-commands."* This binary hosts an ephemeral
-//! threaded comms session (there are no long-running daemons in the
-//! reproduction) and runs one or more sub-commands against it:
+//! comms session over loopback TCP (there are no long-running daemons in
+//! the reproduction) and runs one or more sub-commands against it:
 //!
 //! ```text
-//! flux [--size N] [--arity K] [--shards N] [--transport threads|tcp] [--faults SEED:SPEC]
+//! flux [--size N] [--arity K] [--shards N] [--faults SEED:SPEC]
 //!      <command> [; <command>]...
 //!
 //! commands:
@@ -36,12 +36,12 @@
 //! Multiple commands separated by `;` run against the *same* session, so
 //! `flux kvs put a.b 42 ; kvs commit ; kvs get a.b` round-trips.
 //!
-//! `--transport` selects the wire hosting the ephemeral session:
-//! `threads` (in-process channels, the default) or `tcp` (brokers linked
-//! over loopback TCP sockets — each broker runs one reactor thread that
-//! scans all of its nonblocking sockets and parks on its command channel
-//! when none is ready, see DESIGN.md §19). `flux --transport tcp start`
-//! wires up a real-socket session and pings every rank.
+//! The session's brokers are linked over loopback TCP sockets, as the
+//! paper's are: each broker runs one reactor thread that scans all of
+//! its nonblocking sockets and parks on its command channel when none is
+//! ready (DESIGN.md §19). `flux start` wires up the session and pings
+//! every rank. A flag whose value is missing or not a number is refused
+//! (exit 2, with the usage line) before any session starts.
 //!
 //! `--shards N` splits the KVS namespace by key hash across masters on
 //! ranks `0..N`; a commit then answers with every shard's version.
@@ -75,7 +75,6 @@ struct Cli {
     core: ClientCore,
     tag: u64,
     size: u32,
-    transport: TransportKind,
 }
 
 impl Cli {
@@ -179,8 +178,8 @@ fn run_command(cli: &mut Cli, cmd: &[String]) -> Result<String, String> {
                     .map_err(|e| format!("rank {r} unreachable: {e}"))?;
             }
             Ok(format!(
-                "session of {} brokers up over {} (all ranks answered ping)",
-                cli.size, cli.transport
+                "session of {} brokers up over tcp (all ranks answered ping)",
+                cli.size
             ))
         }
         ["info"] => {
@@ -354,69 +353,62 @@ fn run_command(cli: &mut Cli, cmd: &[String]) -> Result<String, String> {
     }
 }
 
+const USAGE: &str = "usage: flux [--size N] [--arity K] [--shards N] [--faults SEED:SPEC] \
+                     <command> [; <command>]...";
+
+/// Refuses a malformed command line before any session starts.
+fn refuse(why: &str) -> ExitCode {
+    eprintln!("flux: {why}\n{USAGE}");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut size = 8u32;
-    let mut arity = 2u32;
-    let mut shards = 1u32;
-    let mut transport = TransportKind::Threads;
+    let (mut size, mut arity, mut shards) = (8u32, 2u32, 1u32);
     let mut faults: Option<String> = None;
     while let Some(flag) = args.first().filter(|a| a.starts_with("--")).cloned() {
         args.remove(0);
-        match flag.as_str() {
-            "--size" => size = args.remove(0).parse().unwrap_or(8),
-            "--arity" => arity = args.remove(0).parse().unwrap_or(2),
-            "--shards" => shards = args.remove(0).parse().unwrap_or(1),
-            "--transport" => match args.remove(0).parse() {
-                Ok(t) => transport = t,
-                Err(e) => {
-                    eprintln!("flux: {e}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--faults" => faults = Some(args.remove(0)),
+        let number = match flag.as_str() {
+            "--size" => &mut size,
+            "--arity" => &mut arity,
+            "--shards" => &mut shards,
+            "--faults" if !args.is_empty() => {
+                faults = Some(args.remove(0));
+                continue;
+            }
+            "--faults" => return refuse("--faults needs a SEED:SPEC value"),
             "--help" => {
                 eprintln!("see `flux` module docs; e.g. flux kvs put a.b 42 \\; kvs commit \\; kvs get a.b");
                 return ExitCode::SUCCESS;
             }
-            other => {
-                eprintln!("unknown flag {other}");
-                return ExitCode::from(2);
-            }
-        }
+            other => return refuse(&format!("unknown flag {other}")),
+        };
+        let Some(Ok(n)) = args.first().map(|v| v.parse::<u32>()) else {
+            return refuse(&format!("{flag} needs a number"));
+        };
+        *number = n;
+        args.remove(0);
     }
     if args.is_empty() {
-        eprintln!(
-            "usage: flux [--size N] [--arity K] [--shards N] [--transport threads|tcp] \
-             [--faults SEED:SPEC] <command> [; <command>]..."
-        );
-        return ExitCode::from(2);
+        return refuse("no command given");
     }
     if size == 0 || arity == 0 {
-        eprintln!("flux: --size and --arity must be at least 1");
-        return ExitCode::from(2);
+        return refuse("--size and --arity must be at least 1");
     }
     if shards == 0 || shards > size {
-        eprintln!("flux: --shards must be 1..=size (shard masters live on ranks 0..shards)");
-        return ExitCode::from(2);
+        return refuse("--shards must be 1..=size (shard masters live on ranks 0..shards)");
     }
 
-    // Host an ephemeral session over the chosen transport; attach at the
-    // last rank (a leaf).
-    let Some(mut live) = transport.live() else {
-        eprintln!("flux: the sim transport runs in virtual time; use threads or tcp");
-        return ExitCode::from(2);
-    };
+    // Host an ephemeral session over loopback TCP; attach at the last
+    // rank (a leaf).
+    let mut live = TransportKind::Tcp.live().expect("tcp is a live transport");
     if let Some(flag) = faults {
         // Epoch windows in the spec are scaled by the default heartbeat
         // period (the CLI does not override broker configs).
         let hb = flux_broker::BrokerConfig::new(Rank(0), size).hb_period_ns;
         match FaultPlan::parse_flag(&flag, hb) {
             Ok(plan) => live = live.with_faults(plan),
-            Err(e) => {
-                eprintln!("flux: {e}");
-                return ExitCode::from(2);
-            }
+            Err(e) => return refuse(&e.to_string()),
         }
     }
     let factory = move |_: Rank| {
@@ -430,7 +422,7 @@ fn main() -> ExitCode {
     live.with_session(size, arity, &factory, &[leaf], |mut clients| {
         let conn = clients.pop().expect("with_session attaches one client per requested rank");
         let core = ClientCore::new(leaf, conn.client_id);
-        let mut cli = Cli { conn, core, tag: 0, size, transport };
+        let mut cli = Cli { conn, core, tag: 0, size };
 
         let mut status = ExitCode::SUCCESS;
         for cmd in args.split(|a| a == ";") {

@@ -5,7 +5,7 @@
 //!
 //! Simulator cells run in virtual time and are bit-for-bit reproducible:
 //! the same parameters always produce the same JSON. Live cells
-//! (`threads`, `tcp`) measure wall-clock latencies and vary run to run;
+//! (`tcp`) measure wall-clock latencies and vary run to run;
 //! regression checks therefore only compare `sim` cells.
 //!
 //! The harness also measures the KVS hot-path optimization directly:
@@ -153,7 +153,7 @@ fn matrix_cells(quick: bool) -> Vec<Cell> {
     let transports = if quick {
         vec![TransportKind::Sim]
     } else {
-        vec![TransportKind::Sim, TransportKind::Threads, TransportKind::Tcp]
+        vec![TransportKind::Sim, TransportKind::Tcp]
     };
     let mut cells = Vec::new();
     for &t in &transports {
@@ -383,7 +383,7 @@ pub fn run_matrix(quick: bool) -> Value {
                 Value::Array(if quick {
                     vec![Value::from("sim")]
                 } else {
-                    vec![Value::from("sim"), Value::from("threads"), Value::from("tcp")]
+                    vec![Value::from("sim"), Value::from("tcp")]
                 }),
             ),
         ]),
@@ -530,7 +530,7 @@ mod tests {
         assert_eq!(cells.len(), 7);
         assert!(cells.iter().all(|c| c.transport == TransportKind::Sim));
         let full = matrix_cells(false);
-        assert_eq!(full.len(), 21, "3 transports x 7 cells");
+        assert_eq!(full.len(), 14, "2 transports x 7 cells");
     }
 
     #[test]

@@ -339,7 +339,7 @@ fn run_kap_on(params: &KapParams, transport: &dyn ScriptTransport) -> KapResult 
 }
 
 /// Runs one KAP configuration on any script-capable transport — the
-/// simulator, OS threads, or loopback TCP — and reports every process's
+/// simulator or loopback TCP — and reports every process's
 /// phase latencies. Live transports report wall-clock latencies and zero
 /// engine events/bytes.
 pub fn run_kap_full(params: &KapParams, transport: &dyn ScriptTransport) -> KapRun {
@@ -553,12 +553,10 @@ mod tests {
         p.procs_per_node = 2;
         p.producers = p.total_procs();
         p.consumers = p.total_procs();
-        for kind in [TransportKind::Threads, TransportKind::Tcp] {
-            let transport = kind.live().expect("a live transport kind");
-            let r = run_kap_on(&p, &transport);
-            assert!(r.makespan_ns > 0, "{} ran", transport.name());
-            assert_eq!(r.events, 0, "live transports have no engine stats");
-        }
+        let transport = TransportKind::Tcp.live().expect("tcp is a live transport");
+        let r = run_kap_on(&p, &transport);
+        assert!(r.makespan_ns > 0, "tcp ran");
+        assert_eq!(r.events, 0, "live transports have no engine stats");
     }
 
     #[test]

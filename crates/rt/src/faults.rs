@@ -12,13 +12,13 @@
 //! stream per `(seed, from, to)` link, so the fate of the nth message on
 //! a link is a pure function of the plan and the link — not of timing,
 //! thread interleaving, or traffic on other links. On the simulator this
-//! makes whole chaos runs bit-reproducible; on the live runtimes the
+//! makes whole chaos runs bit-reproducible; on the live runtime the
 //! per-link decision *sequence* is identical even though wall-clock
 //! arrival times are not.
 //!
 //! Windows (blackouts, partitions) are expressed in nanoseconds since
 //! the session epoch: virtual time on the simulator, wall time on the
-//! live runtimes. Helpers convert heartbeat-epoch windows using the
+//! live runtime. Helpers convert heartbeat-epoch windows using the
 //! session's `hb_period_ns`.
 
 use flux_core::rng::Rng;

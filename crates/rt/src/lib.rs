@@ -7,26 +7,22 @@
 //!   actor per attached client process, the paper's cost model on every
 //!   link. This is where paper-scale runs (512 nodes × 16 processes)
 //!   happen, measured in virtual time.
-//! * [`threads::ThreadSession`] — the same brokers on real OS threads
-//!   connected by std mpsc channels, measured in wall-clock time. Used
-//!   by integration tests and small live demos; it demonstrates that the
-//!   protocol stack is runtime-agnostic (nothing in broker/module/KVS
-//!   code knows which runtime it is on).
-//! * [`tcp::TcpSession`] — the brokers wired over real loopback TCP
-//!   sockets carrying length-prefixed `flux-wire` frames, every socket
-//!   nonblocking (the `reactor` module behind [`tcp`]): pooled
-//!   broker→broker links, pipelined socket clients, jittered nonblocking
-//!   connect retry. The closest analogue of the prototype's ØMQ TCP
-//!   overlay.
+//! * [`tcp::TcpSession`] — the same brokers on real OS threads, one per
+//!   broker, wired over real loopback TCP sockets carrying
+//!   length-prefixed `flux-wire` frames, every socket nonblocking (the
+//!   `reactor` module behind [`tcp`]): pooled broker→broker links,
+//!   pipelined socket clients, jittered nonblocking connect retry. The
+//!   closest analogue of the prototype's ØMQ TCP overlay, measured in
+//!   wall-clock time; it shows that the protocol stack is
+//!   runtime-agnostic (nothing in broker/module/KVS code knows which
+//!   runtime it is on).
 //!
-//! The two live runtimes are one: one thread per broker running the one
-//! host loop, one [`Session`] / [`SessionBuilder`] pair, and a link
-//! (channel | nonblocking socket) that is the only thing they differ in.
-//! The [`transport`] module selects among them at runtime:
-//! [`transport::LiveTransport`] is a live runtime as a value (link, fault
-//! plan, op timeout), and [`transport::ScriptTransport`] runs scripted
-//! client workloads on any of the three runtimes, including the
-//! simulator.
+//! The live runtime is one host loop and one [`Session`] /
+//! [`SessionBuilder`] pair over one socket link. The [`transport`]
+//! module selects between the runtimes: [`transport::LiveTransport`] is
+//! the live runtime as a value (fault plan, op timeout), and
+//! [`transport::ScriptTransport`] runs scripted client workloads on
+//! either, the simulator included.
 //!
 //! All runtimes load arbitrary [`flux_broker::CommsModule`] sets, attach
 //! any number of clients per broker, and reconstruct message planes from
@@ -35,8 +31,8 @@
 //!
 //! Fault injection ([`faults::FaultPlan`]) rides below all of this: the
 //! simulator applies a plan natively in virtual time, and the live
-//! runtimes apply the same plan per broker host, so one seeded fault
-//! schedule drives chaos tests on every backend (see [`chaos`]).
+//! runtime applies the same plan per broker host, so one seeded fault
+//! schedule drives chaos tests on both backends (see [`chaos`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -47,7 +43,6 @@ pub(crate) mod reactor;
 pub mod script;
 pub mod sim;
 pub mod tcp;
-pub mod threads;
 pub mod transport;
 
 pub use faults::FaultPlan;

@@ -1,22 +1,19 @@
-//! The one live (wall-clock) host.
+//! The live (wall-clock) host.
 //!
-//! [`threads::ThreadSession`](crate::threads::ThreadSession) and
-//! [`tcp::TcpSession`](crate::tcp::TcpSession) differ only in how broker
-//! output reaches a peer broker — an in-process channel vs. a loopback
-//! TCP link. That difference is the [`PeerSender`] link; everything else
-//! lives here, once: the per-broker event loop with its timer heap
-//! ([`BrokerHost::run`]), the session scaffolding ([`SessionBuilder`] →
-//! [`Session`]), the client attachment model (clients are in-process and
-//! talk to their local broker over a channel, the moral equivalent of
-//! the prototype's IPC sockets), and the event type flowing into a
-//! broker thread.
+//! [`tcp::TcpSession`](crate::tcp::TcpSession) is this module's
+//! [`Session`]: one thread per broker, each running the event loop
+//! ([`BrokerHost::run`]) with its timer heap and fault-delay heap over
+//! that broker's nonblocking socket link ([`ReactorPeers`]), plus the
+//! session scaffolding ([`SessionBuilder`] → [`Session`]) and the client
+//! attachment model (in-process clients talk to their local broker over
+//! a channel, the moral equivalent of the prototype's IPC sockets).
 
 use crate::faults::{FaultPlan, LinkFaults};
 use crate::plane_of;
+use crate::reactor::ReactorPeers;
 use flux_broker::{Broker, BrokerConfig, ClientId, CommsModule, Input, Output};
 use flux_wire::{Message, Plane, Rank};
 use std::collections::BinaryHeap;
-use std::marker::PhantomData;
 use std::net::SocketAddr;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::{Duration, Instant};
@@ -43,10 +40,9 @@ pub(crate) enum Event {
 
 /// A client connection to a broker in a live session.
 ///
-/// Clients are in-process on every live transport: they exchange
-/// messages with their local broker over a channel (the prototype's
-/// local IPC socket), while broker↔broker traffic rides the transport's
-/// own links.
+/// In-process clients exchange messages with their local broker over a
+/// channel (the prototype's local IPC socket), while broker↔broker
+/// traffic rides the socket link.
 pub struct LiveClient {
     /// The rank this client is attached to.
     pub rank: Rank,
@@ -67,52 +63,6 @@ impl LiveClient {
     pub fn recv_timeout(&self, timeout: Duration) -> Option<Message> {
         self.rx.recv_timeout(timeout).ok()
     }
-}
-
-/// How a broker host reaches its peers — the one point where the live
-/// runtimes differ. A link carries broker→broker output, may own socket
-/// clients, and tells the host loop when its sockets made progress and
-/// how long it may sleep when they did not.
-pub(crate) trait PeerSender: Sized + Send + 'static {
-    /// Wires one link per rank for a session about to start: rank `r`'s
-    /// host is fed through `senders[r]` and has `channel_clients[r]`
-    /// channel-attached clients (link-owned clients are numbered above
-    /// them). Also returns the addresses the session listens on — none
-    /// for an in-process link.
-    fn wire(
-        senders: &[Sender<Event>],
-        channel_clients: &[ClientId],
-    ) -> (Vec<SocketAddr>, Vec<Self>);
-
-    /// Delivers `msg` to the broker at `to`. `plane` is the plane the
-    /// message travels on: links that pool several connections per peer
-    /// pin the event plane to one of them to preserve its per-link FIFO
-    /// contract.
-    fn send_to(&mut self, to: Rank, plane: Plane, msg: Message);
-
-    /// Delivers a broker→client message to a link-owned client
-    /// connection (a socket client); channel-attached clients are
-    /// handled by the host itself before this hook is consulted. A link
-    /// that owns no clients has nowhere to send it.
-    fn deliver_client(&mut self, _client: ClientId, _msg: Message) {}
-
-    /// One readiness pass over the link's sockets: inbound frames land in
-    /// `batch`. Returns whether any I/O progressed — never, for a link
-    /// with no sockets.
-    fn poll_io(&mut self, _batch: &mut Vec<Event>) -> bool {
-        false
-    }
-
-    /// How long the host may park in its channel after `idle_streak`
-    /// consecutive passes without progress. A link with no sockets has
-    /// nothing to poll for, so only the channel (or a deadline) wakes it.
-    fn park_budget(&self, _idle_streak: u32) -> Duration {
-        Duration::from_millis(250)
-    }
-
-    /// Called once when the host's event loop exits, before the thread
-    /// terminates (e.g. to flush and close sockets).
-    fn close(&mut self) {}
 }
 
 /// A fault-delayed outbound message awaiting release. Ordered by
@@ -153,10 +103,10 @@ impl Ord for Delayed {
 /// fault stream (drop/dup/delay), inbound traffic is discarded while
 /// this rank is inside a blackout window, and delayed copies sit in
 /// `delayed` until their release time.
-pub(crate) struct BrokerHost<L: PeerSender> {
+pub(crate) struct BrokerHost {
     broker: Broker,
     rx: Receiver<Event>,
-    link: L,
+    link: ReactorPeers,
     clients: Vec<Sender<Message>>,
     epoch: Instant,
     timers: BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
@@ -165,7 +115,7 @@ pub(crate) struct BrokerHost<L: PeerSender> {
     delay_seq: u64,
 }
 
-impl<L: PeerSender> BrokerHost<L> {
+impl BrokerHost {
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
@@ -211,8 +161,7 @@ impl<L: PeerSender> BrokerHost<L> {
                     if let Some(tx) = self.clients.get(client as usize) {
                         let _ = tx.send(msg);
                     } else {
-                        // Not channel-attached: a link-owned client
-                        // connection (socket client).
+                        // Not channel-attached: a socket client.
                         self.link.deliver_client(client, msg);
                     }
                 }
@@ -288,11 +237,10 @@ impl<L: PeerSender> BrokerHost<L> {
         batch.drain(..).all(|ev| self.handle_event(ev))
     }
 
-    /// The event loop, one for every link: due timers and fault releases,
-    /// then the command channel (local clients, shutdown), then one
-    /// readiness pass over the link's sockets; it parks in the channel —
-    /// which doubles as the timer/fault-release alarm — only when a full
-    /// pass moved nothing.
+    /// The event loop: due timers and fault releases, then the command
+    /// channel (local clients, shutdown), then one readiness pass over
+    /// the link's sockets; it parks in the channel — which doubles as the
+    /// timer/fault-release alarm — only when a full pass moved nothing.
     pub(crate) fn run(mut self) {
         let outs = self.broker.start(self.now_ns());
         self.absorb(outs);
@@ -356,29 +304,25 @@ struct Seat {
 }
 
 /// A live session being assembled: override configs, attach clients,
-/// then [`start`](SessionBuilder::start). `L` is the link the brokers
-/// will be wired over; see the [`ThreadSession`](crate::threads) and
-/// [`TcpSession`](crate::tcp) aliases.
-pub struct SessionBuilder<L> {
+/// then [`start`](SessionBuilder::start).
+pub struct SessionBuilder {
     seats: Vec<Seat>,
     senders: Vec<Sender<Event>>,
     faults: Option<FaultPlan>,
-    link: PhantomData<fn() -> L>,
 }
 
 /// A running live session: one thread per broker, each hosting the
-/// sans-io [`Broker`] in the one event loop over a link of type `L`.
-pub struct Session<L> {
-    pub(crate) addrs: Vec<SocketAddr>,
+/// sans-io [`Broker`] in the event loop over its socket link.
+pub struct Session {
+    addrs: Vec<SocketAddr>,
     senders: Vec<Sender<Event>>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    link: PhantomData<fn() -> L>,
 }
 
-impl<L> Session<L> {
+impl Session {
     /// Starts building a session of `size` brokers with tree `arity`;
     /// `factory` produces each rank's modules.
-    pub fn builder<F>(size: u32, arity: u32, factory: F) -> SessionBuilder<L>
+    pub fn builder<F>(size: u32, arity: u32, factory: F) -> SessionBuilder
     where
         F: Fn(Rank) -> Vec<Box<dyn CommsModule>>,
     {
@@ -389,7 +333,7 @@ impl<L> Session<L> {
                 (tx, Seat { config, modules: factory(Rank(r)), rx, clients: Vec::new() })
             })
             .unzip();
-        SessionBuilder { seats, senders, faults: None, link: PhantomData }
+        SessionBuilder { seats, senders, faults: None }
     }
 
     /// Session size in brokers.
@@ -397,9 +341,15 @@ impl<L> Session<L> {
         self.senders.len() as u32
     }
 
+    /// The loopback address each rank's broker listens on. Socket
+    /// clients connect here (see [`crate::tcp::connect_socket_client`]).
+    pub fn addrs(&self) -> &[SocketAddr] {
+        &self.addrs
+    }
+
     /// Stops every broker thread and joins it. Each host closes its link
-    /// on the way out (a socket link flushes what it can without
-    /// blocking; socket clients observe EOF).
+    /// on the way out: it flushes what it can without blocking, and
+    /// socket clients observe EOF.
     pub fn shutdown(self) {
         for tx in &self.senders {
             let _ = tx.send(Event::Shutdown);
@@ -412,7 +362,7 @@ impl<L> Session<L> {
     }
 }
 
-impl<L> SessionBuilder<L> {
+impl SessionBuilder {
     /// Overrides one rank's broker config (e.g. a faster heartbeat).
     pub fn set_config(&mut self, rank: Rank, config: BrokerConfig) -> &mut Self {
         self.seats[rank.index()].config = config;
@@ -434,21 +384,17 @@ impl<L> SessionBuilder<L> {
         clients.push(tx);
         LiveClient { rank, client_id, tx: self.senders[rank.index()].clone(), rx }
     }
-}
 
-// The set of links is closed, so the bound stays crate-private.
-#[allow(private_bounds)]
-impl<L: PeerSender> SessionBuilder<L> {
-    /// Wires the links, then launches one thread per broker. The session
-    /// epoch (t = 0) is shared.
+    /// Binds every rank's listener, then launches one thread per broker.
+    /// The session epoch (t = 0) is shared.
     ///
     /// # Panics
-    /// Panics if a link cannot be wired (a loopback listener cannot be
-    /// bound) or a thread cannot be spawned.
-    pub fn start(self) -> Session<L> {
+    /// Panics if a loopback listener cannot be bound or a thread cannot
+    /// be spawned.
+    pub fn start(self) -> Session {
         let channel_clients: Vec<ClientId> =
             self.seats.iter().map(|s| s.clients.len() as ClientId).collect();
-        let (addrs, links) = L::wire(&self.senders, &channel_clients);
+        let (addrs, links) = ReactorPeers::wire(&channel_clients);
         let epoch = Instant::now();
         let handles = self
             .seats
@@ -476,19 +422,27 @@ impl<L: PeerSender> SessionBuilder<L> {
                     .expect("spawn broker thread")
             })
             .collect();
-        Session { addrs, senders: self.senders, handles, link: PhantomData }
+        Session { addrs, senders: self.senders, handles }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::threads::ChannelPeers;
+    use flux_proto::CmbMethod;
+    use flux_value::Value;
+    use flux_wire::MsgId;
 
     #[test]
     fn a_pending_timer_bounds_the_park_not_the_idle_budget() {
-        let (tx, rx) = channel();
-        let link = ChannelPeers::wire(&[tx], &[0]).1.remove(0);
+        let (_tx, rx) = channel();
+        let link = ReactorPeers::wire(&[0]).1.remove(0);
+        let ms = Duration::from_millis;
+        // The link's backoff: 1 ms after one idle pass, doubling per pass
+        // to the 10 ms ceiling (reached at streak 5, held beyond it).
+        let budgets = [1, 2, 3, 4, 5, 20].map(|streak| link.park_budget(streak));
+        assert_eq!(budgets, [ms(1), ms(2), ms(4), ms(8), ms(10), ms(10)]);
+
         let now = Instant::now();
         let mut host = BrokerHost {
             broker: Broker::new(BrokerConfig::new(Rank(0), 1), Vec::new()),
@@ -501,12 +455,20 @@ mod tests {
             delayed: BinaryHeap::new(),
             delay_seq: 0,
         };
-        // Nothing scheduled: only the channel can wake a socketless host.
-        assert_eq!(host.park_timeout(1, now), Duration::from_millis(250));
-        host.timers.push(std::cmp::Reverse((now + Duration::from_millis(40), 7)));
-        assert_eq!(host.park_timeout(1, now), Duration::from_millis(40));
-        assert_eq!(host.park_timeout(9, now), Duration::from_millis(40));
-        // An overdue timer means no park at all.
-        assert_eq!(host.park_timeout(1, now + Duration::from_secs(1)), Duration::ZERO);
+        // Nothing scheduled: the idle budget alone bounds the park.
+        assert_eq!(host.park_timeout(5, now), ms(10));
+        // A timer due before the budget runs out bounds the park; the
+        // budget still wins when it is the shorter of the two.
+        host.timers.push(std::cmp::Reverse((now + ms(3), 7)));
+        assert_eq!(host.park_timeout(5, now), ms(3));
+        assert_eq!(host.park_timeout(1, now), ms(1));
+        // So does a fault-delayed release due sooner still.
+        let id = MsgId { origin: Rank(0), seq: 1 };
+        let msg = Message::request(CmbMethod::Ping.topic(), id, Rank(0), Value::Null);
+        let plane = Plane::Tree;
+        host.delayed.push(Delayed { at: now + ms(2), seq: 1, to: Rank(0), plane, msg });
+        assert_eq!(host.park_timeout(5, now), ms(2));
+        // Overdue scheduled work means no park at all.
+        assert_eq!(host.park_timeout(5, now + Duration::from_secs(1)), Duration::ZERO);
     }
 }

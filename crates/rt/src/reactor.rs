@@ -1,19 +1,18 @@
 //! The nonblocking socket link behind [`crate::tcp`]: every socket of
 //! one broker, readiness discovered by level-triggered scanning from the
-//! shared host loop ([`crate::live`]).
+//! host loop ([`crate::live`]).
 //!
 //! ## Shape
 //!
-//! `#![forbid(unsafe_code)]` rules out a raw `poll(2)`/`epoll` wrapper,
-//! so the link uses the portable safe equivalent: every stream and the
-//! listener run with `set_nonblocking(true)`, and each readiness pass of
-//! the host loop drains whatever is ready — `WouldBlock` means "move
-//! on". When a full pass makes no progress the host parks in the
-//! broker's command channel for this link's [`park_budget`], which backs
-//! off adaptively so an idle broker costs a few wakeups per second while
-//! an active one spins at full rate.
-//!
-//! [`park_budget`]: crate::live::PeerSender::park_budget
+//! There is no readiness wait yet — a `poll(2)` declared in `flux-sys`,
+//! the workspace's one audited `unsafe` crate, is ROADMAP 3(b) — so the
+//! link scans: every stream and the listener run with
+//! `set_nonblocking(true)`, and each readiness pass of the host loop
+//! drains whatever is ready — `WouldBlock` means "move on". When a full
+//! pass makes no progress the host parks in the broker's command channel
+//! for [`ReactorPeers::park_budget`], which backs off adaptively so an
+//! idle broker costs a few wakeups per second while an active one spins
+//! at full rate.
 //!
 //! ## State machines
 //!
@@ -37,7 +36,7 @@
 //! and reconnects follow the nonblocking `RetrySchedule` (jittered
 //! exponential backoff, never a sleep).
 
-use crate::live::{Event, PeerSender};
+use crate::live::Event;
 use crate::tcp::{RetrySchedule, CLIENT_HELLO, RETRY};
 use flux_broker::ClientId;
 use flux_core::rng::Rng;
@@ -46,7 +45,6 @@ use flux_wire::{Message, Plane, Rank};
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::mpsc::Sender;
 use std::time::{Duration, Instant};
 
 /// Per-attempt connect timeout.
@@ -241,7 +239,7 @@ impl Uplink {
 /// All sockets of one broker: the listener, accepted connections
 /// (broker links and socket clients), and the per-destination outbound
 /// pools — the socket link of [`crate::tcp::TcpSession`].
-pub struct ReactorPeers {
+pub(crate) struct ReactorPeers {
     size: u32,
     addrs: Vec<SocketAddr>,
     listener: TcpListener,
@@ -316,10 +314,10 @@ impl ReactorPeers {
         Ok((addrs, links))
     }
 
-    /// Queues `msg` on the pool slot for `(to, plane)`. Event-plane
-    /// traffic is pinned to slot 0 (per-link FIFO); everything else
-    /// round-robins the remaining slots.
-    fn queue_to(&mut self, to: Rank, plane: Plane, msg: &Message) {
+    /// Delivers `msg` to the broker at `to`, queued on the pool slot for
+    /// `(to, plane)`: event-plane traffic is pinned to slot 0 (per-link
+    /// FIFO); everything else round-robins the remaining slots.
+    pub(crate) fn send_to(&mut self, to: Rank, plane: Plane, msg: Message) {
         let pool_len = self.uplinks[to.index()].len();
         let slot = if pool_len == 1 || matches!(plane, Plane::Event) {
             0
@@ -338,7 +336,7 @@ impl ReactorPeers {
         if link.out.len() - link.sent > MAX_OUTBUF {
             return; // backpressure: peer too far behind, drop the frame
         }
-        let _ = frame::write_frame_into(&mut link.out, msg, frame::MAX_FRAME, &mut self.scratch);
+        let _ = frame::write_frame_into(&mut link.out, &msg, frame::MAX_FRAME, &mut self.scratch);
         let _ = link.flush();
     }
 
@@ -512,21 +510,21 @@ impl ReactorPeers {
         }
         progress
     }
-}
 
-impl PeerSender for ReactorPeers {
-    fn wire(_: &[Sender<Event>], channel_clients: &[ClientId]) -> (Vec<SocketAddr>, Vec<Self>) {
+    /// Wires one link per rank for a session about to start: rank `r`
+    /// numbers its socket clients from `channel_clients[r]`, above its
+    /// channel-attached ones. Also returns the address each rank listens
+    /// on.
+    pub(crate) fn wire(channel_clients: &[ClientId]) -> (Vec<SocketAddr>, Vec<ReactorPeers>) {
         // flux-lint: allow(panic) — session construction: without a bound
         // nonblocking loopback listener per rank there is no session to
         // run; `SessionBuilder::start` documents the panic.
         ReactorPeers::bind_all(channel_clients).expect("bind a loopback listener per rank")
     }
 
-    fn send_to(&mut self, to: Rank, plane: Plane, msg: Message) {
-        self.queue_to(to, plane, &msg);
-    }
-
-    fn deliver_client(&mut self, client: ClientId, msg: Message) {
+    /// Delivers a broker→client message to a socket client (the host
+    /// serves channel-attached clients itself).
+    pub(crate) fn deliver_client(&mut self, client: ClientId, msg: Message) {
         // A client that disconnected (or never existed) has nowhere for
         // the reply to go.
         let Some(&slot) = self.client_conn.get(&client) else { return };
@@ -538,9 +536,10 @@ impl PeerSender for ReactorPeers {
         }
     }
 
-    /// Due reconnects, accepts, reads (decoded frames land in `batch`),
-    /// and write flushes.
-    fn poll_io(&mut self, batch: &mut Vec<Event>) -> bool {
+    /// One readiness pass over the link's sockets: due reconnects,
+    /// accepts, reads (decoded frames land in `batch`), and write
+    /// flushes. Returns whether any I/O progressed.
+    pub(crate) fn poll_io(&mut self, batch: &mut Vec<Event>) -> bool {
         let mut progress = false;
         progress |= self.service_uplinks();
         progress |= self.accept_ready();
@@ -549,13 +548,16 @@ impl PeerSender for ReactorPeers {
         progress
     }
 
-    /// The poll interval, backed off exponentially to the idle ceiling.
-    fn park_budget(&self, idle_streak: u32) -> Duration {
+    /// How long the host may park after `idle_streak` consecutive passes
+    /// without progress: the poll interval, backed off exponentially to
+    /// the idle ceiling.
+    pub(crate) fn park_budget(&self, idle_streak: u32) -> Duration {
         POLL_INTERVAL.saturating_mul(1u32 << idle_streak.min(10)).min(MAX_POLL_INTERVAL)
     }
 
-    /// Closes every socket (best-effort final flush first).
-    fn close(&mut self) {
+    /// Closes every socket (best-effort final flush first) once the host
+    /// loop exits.
+    pub(crate) fn close(&mut self) {
         for pool in &mut self.uplinks {
             for link in pool {
                 link.flush();

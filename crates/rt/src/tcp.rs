@@ -1,6 +1,6 @@
-//! Comms sessions over real loopback TCP sockets: the shared host loop
-//! and session scaffolding of [`crate::live`] over the nonblocking
-//! socket link ([`crate::reactor`]).
+//! Comms sessions over real loopback TCP sockets — the live runtime: the
+//! host loop and session scaffolding of [`crate::live`] over the
+//! nonblocking socket link ([`crate::reactor`]).
 //!
 //! The closest live analogue of the prototype's ØMQ TCP overlay: one
 //! thread per rank hosting the sans-io [`flux_broker::Broker`] and every
@@ -34,7 +34,6 @@
 //! thread is joined before `shutdown()` returns.
 
 use crate::live::Session;
-use crate::reactor::ReactorPeers;
 use flux_broker::ClientId;
 use flux_core::rng::Rng;
 use std::io::{self, Read, Write};
@@ -154,15 +153,7 @@ pub fn connect_socket_client(
 /// [`start`](crate::SessionBuilder::start). In-process clients attach on
 /// the builder; socket clients connect to [`addrs`](TcpSession::addrs)
 /// after start and are assigned ids above the channel-attached range.
-pub type TcpSession = Session<ReactorPeers>;
-
-impl TcpSession {
-    /// The loopback address each rank's broker listens on. Socket
-    /// clients connect here (see [`connect_socket_client`]).
-    pub fn addrs(&self) -> &[SocketAddr] {
-        &self.addrs
-    }
-}
+pub type TcpSession = Session;
 
 #[cfg(test)]
 mod tests {

@@ -1,11 +1,11 @@
 //! Runtime-selectable transports.
 //!
-//! * [`TransportKind`] names a runtime (`sim`, `threads`, `tcp`) on CLI
-//!   flags and in bench documents.
-//! * [`LiveTransport`] is the one value for a *live* (wall-clock)
-//!   runtime: which link hosts the session, an optional fault plan, and
-//!   the per-op script timeout. [`LiveTransport::with_session`] is where
-//!   the link is selected.
+//! * [`TransportKind`] names a runtime (`sim`, `tcp`) in bench
+//!   documents.
+//! * [`LiveTransport`] is the one value for the live (wall-clock)
+//!   runtime: the fault plan its loopback-TCP sessions run under and the
+//!   per-op script timeout. [`LiveTransport::with_session`] hosts one
+//!   session around a closure.
 //! * [`ScriptTransport`] — runs a batch of scripted client workloads
 //!   ([`Op`] sequences) to completion and reports per-op results. Both
 //!   [`SimTransport`] (virtual time) and [`LiveTransport`] (each script
@@ -14,40 +14,33 @@
 //!   over real sockets.
 
 use crate::faults::FaultPlan;
-use crate::live::{LiveClient, PeerSender, SessionBuilder};
+use crate::live::LiveClient;
 use crate::script::{Op, Outcome, ScriptClient};
 use crate::sim::SimSession;
 use crate::tcp::TcpSession;
-use crate::threads::ThreadSession;
 use flux_broker::client::{ClientCore, Delivery};
 use flux_broker::{BrokerConfig, CommsModule, RankOverlay};
 use flux_sim::{NetParams, SimTime};
 use flux_wire::{errnum, Rank};
-use std::fmt;
-use std::str::FromStr;
 use std::time::{Duration, Instant};
 
 /// The per-rank module factory every transport consumes.
 pub type ModuleFactory<'a> = &'a (dyn Fn(Rank) -> Vec<Box<dyn CommsModule>> + 'a);
 
-/// Which runtime hosts a session. Parsed from CLI flags and test
-/// environment variables.
+/// Which runtime hosts a session, as bench documents name it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TransportKind {
     /// Discrete-event simulator, virtual time.
     Sim,
-    /// OS threads with channel links.
-    Threads,
     /// OS threads with nonblocking loopback TCP links.
     Tcp,
 }
 
 impl TransportKind {
-    /// Stable name used on the command line and in bench documents.
+    /// Stable name used in bench documents.
     pub fn name(self) -> &'static str {
         match self {
             TransportKind::Sim => "sim",
-            TransportKind::Threads => "threads",
             TransportKind::Tcp => "tcp",
         }
     }
@@ -55,32 +48,27 @@ impl TransportKind {
     /// The live transport for this kind, or `None` for the simulator
     /// (which runs in virtual time and has no live session form).
     pub fn live(self) -> Option<LiveTransport> {
-        (self != TransportKind::Sim).then_some(LiveTransport {
-            kind: self,
-            faults: None,
-            op_timeout: LIVE_OP_TIMEOUT,
-        })
+        (self == TransportKind::Tcp)
+            .then_some(LiveTransport { faults: None, op_timeout: LIVE_OP_TIMEOUT })
     }
 }
 
-/// A live (wall-clock) runtime as a value: the link that hosts the
-/// session ([`TransportKind::Threads`] or [`TransportKind::Tcp`]), the
-/// fault plan its sessions run under, and how long a script driver waits
+/// The live (wall-clock) runtime as a value: the fault plan its
+/// loopback-TCP sessions run under, and how long a script driver waits
 /// for any single op's reply before recording `ETIMEDOUT`. Built by
 /// [`TransportKind::live`].
 #[derive(Clone, Debug)]
 pub struct LiveTransport {
-    kind: TransportKind,
     faults: Option<FaultPlan>,
     op_timeout: Duration,
 }
 
 impl LiveTransport {
     /// Runs every session this transport opens under `plan`, so the same
-    /// seeded fault schedule that drives a simulator run can wrap the
-    /// threads or TCP runtime. The per-op script timeout drops to 2
-    /// seconds: lossy links make lost ops routine, and waiting the full
-    /// 30-second default for each would stall chaos runs.
+    /// seeded fault schedule that drives a simulator run can wrap the TCP
+    /// runtime. The per-op script timeout drops to 2 seconds: lossy links
+    /// make lost ops routine, and waiting the full 30-second default for
+    /// each would stall chaos runs.
     pub fn with_faults(mut self, plan: FaultPlan) -> LiveTransport {
         self.faults = Some(plan);
         self.op_timeout = Duration::from_secs(2);
@@ -93,10 +81,10 @@ impl LiveTransport {
         self
     }
 
-    /// Hosts one session of `size` brokers with tree `arity` over this
-    /// transport's link: attaches one client per entry of `ranks`,
-    /// starts the session, hands the clients to `body`, and shuts the
-    /// session down when `body` returns.
+    /// Hosts one loopback-TCP session of `size` brokers with tree
+    /// `arity`: attaches one client per entry of `ranks`, starts the
+    /// session, hands the clients to `body`, and shuts the session down
+    /// when `body` returns.
     pub fn with_session<R>(
         &self,
         size: u32,
@@ -105,21 +93,7 @@ impl LiveTransport {
         ranks: &[Rank],
         body: impl FnOnce(Vec<LiveClient>) -> R,
     ) -> R {
-        match self.kind {
-            TransportKind::Tcp => self.host(TcpSession::builder(size, arity, factory), ranks, body),
-            // `TransportKind::live` builds no `Sim` value.
-            TransportKind::Threads | TransportKind::Sim => {
-                self.host(ThreadSession::builder(size, arity, factory), ranks, body)
-            }
-        }
-    }
-
-    fn host<L: PeerSender, R>(
-        &self,
-        mut builder: SessionBuilder<L>,
-        ranks: &[Rank],
-        body: impl FnOnce(Vec<LiveClient>) -> R,
-    ) -> R {
+        let mut builder = TcpSession::builder(size, arity, factory);
         if let Some(plan) = &self.faults {
             builder.set_faults(plan);
         }
@@ -128,25 +102,6 @@ impl LiveTransport {
         let result = body(clients);
         session.shutdown();
         result
-    }
-}
-
-impl FromStr for TransportKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "sim" => Ok(TransportKind::Sim),
-            "threads" => Ok(TransportKind::Threads),
-            "tcp" => Ok(TransportKind::Tcp),
-            other => Err(format!("unknown transport {other:?} (want sim, threads or tcp)")),
-        }
-    }
-}
-
-impl fmt::Display for TransportKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
     }
 }
 
@@ -214,7 +169,7 @@ impl PartialEq for ScriptReport {
 /// Runs batches of scripted clients to completion. The abstraction the
 /// KAP runner targets: one workload definition, any runtime.
 pub trait ScriptTransport {
-    /// Short name ("sim", "threads", "tcp").
+    /// Short name ("sim", "tcp").
     fn name(&self) -> &'static str;
 
     /// Builds a session, runs every `(rank, ops)` script against it, and
@@ -354,7 +309,7 @@ pub fn drive_script(
 
 impl ScriptTransport for LiveTransport {
     fn name(&self) -> &'static str {
-        self.kind.name()
+        TransportKind::Tcp.name()
     }
 
     fn run_scripts(

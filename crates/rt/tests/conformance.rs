@@ -1,18 +1,18 @@
-//! Transport-conformance battery: one set of checks, every runtime.
+//! Transport-conformance battery: one set of checks, both runtimes.
 //!
 //! Each `check_*` function drives a full behavioural scenario —
 //! handshake + rank-addressed RPC, KVS put/commit/get + barrier, watch
 //! streams, a 32-deep pipelined request window, a 16-broker fence, the
-//! stale-read guard, ordered shutdown under load — against a
-//! [`LiveTransport`], or any [`ScriptTransport`] for the two scripted
-//! scenarios, which therefore also run on the simulator. A link that
-//! passes the battery is interchangeable with the other for every
-//! workload in the tree; the last test runs one script on all three
-//! runtimes and demands the same answers.
+//! stale-read guard, ordered shutdown under load — against the live
+//! loopback-TCP [`LiveTransport`], or any [`ScriptTransport`] for the two
+//! scripted scenarios, which therefore also run on the simulator. The
+//! last test runs one script on both runtimes, at one shard and at two,
+//! and demands the same answers.
 
 use flux_broker::client::{ClientCore, Delivery};
 use flux_broker::CommsModule;
 use flux_kvs::msg::decode_cut;
+use flux_kvs::KvsConfig;
 use flux_modules::{standard_modules, BarrierModule};
 use flux_proto::{BarrierMethod, CmbMethod, KvsMethod};
 use flux_rt::script::Op;
@@ -345,57 +345,49 @@ fn check_ordered_shutdown_under_load(t: &LiveTransport) {
     });
 }
 
-/// The seven checks as a `mod $name` of `#[test]`s against the live
-/// transport of `$kind`.
-macro_rules! live_battery {
-    ($name:ident, $kind:expr) => {
-        mod $name {
-            use super::*;
+/// The seven checks on the live transport.
+mod reactor_tcp {
+    use super::*;
 
-            fn live() -> LiveTransport {
-                $kind.live().expect("a live transport kind")
-            }
+    fn live() -> LiveTransport {
+        TransportKind::Tcp.live().expect("tcp is a live transport")
+    }
 
-            #[test]
-            fn handshake_rpc() {
-                check_handshake_rpc(&live());
-            }
+    #[test]
+    fn handshake_rpc() {
+        check_handshake_rpc(&live());
+    }
 
-            #[test]
-            fn put_commit_get_and_barrier() {
-                check_put_commit_get_and_barrier(&live());
-            }
+    #[test]
+    fn put_commit_get_and_barrier() {
+        check_put_commit_get_and_barrier(&live());
+    }
 
-            #[test]
-            fn watch_streams() {
-                check_watch_streams(&live());
-            }
+    #[test]
+    fn watch_streams() {
+        check_watch_streams(&live());
+    }
 
-            #[test]
-            fn pipelined_rpcs() {
-                check_pipelined_rpcs(&live());
-            }
+    #[test]
+    fn pipelined_rpcs() {
+        check_pipelined_rpcs(&live());
+    }
 
-            #[test]
-            fn sixteen_broker_fence() {
-                check_sixteen_broker_fence(&live());
-            }
+    #[test]
+    fn sixteen_broker_fence() {
+        check_sixteen_broker_fence(&live());
+    }
 
-            #[test]
-            fn no_stale_reads() {
-                check_no_stale_reads(&live());
-            }
+    #[test]
+    fn no_stale_reads() {
+        check_no_stale_reads(&live());
+    }
 
-            #[test]
-            fn ordered_shutdown_under_load() {
-                check_ordered_shutdown_under_load(&live());
-            }
-        }
-    };
+    #[test]
+    fn ordered_shutdown_under_load() {
+        check_ordered_shutdown_under_load(&live());
+    }
 }
-
-live_battery!(threads, TransportKind::Threads);
-live_battery!(reactor_tcp, TransportKind::Tcp);
 
 mod sim {
     use super::*;
@@ -411,34 +403,50 @@ mod sim {
     }
 }
 
-/// Cross-transport agreement (ROADMAP 5(b) in miniature): one
-/// single-writer script must be answered identically on the simulator,
-/// over channels and over sockets — the same errors, the same commit cut
-/// (root reference and version; object ids are content hashes, so equal
-/// roots mean equal trees) and the same values read back.
+/// Cross-transport agreement (ROADMAP 5(a) in miniature): one
+/// single-writer script must be answered identically on the simulator
+/// and over sockets — the same errors, the same commit cut (root
+/// references and versions; object ids are content hashes, so equal
+/// roots mean equal trees) and the same values read back. At two shards
+/// the keys land on both masters, so the commit answers with a two-root
+/// frontier.
 #[test]
-fn one_script_agrees_on_sim_threads_and_tcp() {
+fn one_script_agrees_on_sim_and_tcp() {
     let script = vec![
         Op::Put { key: "x.a".into(), val: Value::Int(7) },
         Op::Put { key: "x.b.c".into(), val: Value::from("seven") },
+        Op::Put { key: "y.d".into(), val: Value::Bool(true) },
         Op::Commit,
         Op::Get { key: "x.a".into() },
         Op::Get { key: "x.b.c".into() },
+        Op::Get { key: "y.d".into() },
         Op::Get { key: "x.missing".into() },
     ];
-    let run = |t: &dyn ScriptTransport| {
-        let report = t.run_scripts(4, 2, &kvs_modules, vec![(Rank(3), script.clone())]);
-        let o = &report.outcomes[0];
-        assert!(o.finished, "{}: unfinished", t.name());
-        let cut = decode_cut(&o.replies[2]);
-        assert!(!cut.roots[0].root.is_empty(), "{}: commit reply names no root", t.name());
-        (o.op_err.clone(), cut, o.replies[3..].to_vec())
-    };
-    let sim = run(&SimTransport::default());
-    assert_eq!(sim.0[..5], [0, 0, 0, 0, 0], "sim: {:?}", sim.0);
-    assert_ne!(sim.0[5], 0, "sim: a missing key is an error");
-    for kind in [TransportKind::Threads, TransportKind::Tcp] {
-        let live = kind.live().expect("a live transport kind");
-        assert_eq!(run(&live), sim, "{kind} disagrees with the simulator");
+    for shards in [1u32, 2] {
+        let modules = move |_: Rank| {
+            let config = KvsConfig { shards, ..KvsConfig::default() };
+            vec![
+                Box::new(flux_kvs::KvsModule::with_config(config)) as Box<dyn CommsModule>,
+                Box::new(BarrierModule::new()),
+            ]
+        };
+        let run = |t: &dyn ScriptTransport| {
+            let report = t.run_scripts(4, 2, &modules, vec![(Rank(3), script.clone())]);
+            let o = &report.outcomes[0];
+            assert!(o.finished, "{} at {shards} shard(s): unfinished", t.name());
+            let cut = decode_cut(&o.replies[3]);
+            assert_eq!(cut.roots.len(), shards as usize, "{}: one root per shard", t.name());
+            assert!(
+                cut.roots.iter().all(|r| r.version == 1 && !r.root.is_empty()),
+                "{}: every shard committed once: {cut:?}",
+                t.name()
+            );
+            (o.op_err.clone(), cut, o.replies[4..].to_vec())
+        };
+        let sim = run(&SimTransport::default());
+        assert_eq!(sim.0[..7], [0; 7], "sim at {shards} shard(s): {:?}", sim.0);
+        assert_ne!(sim.0[7], 0, "sim: a missing key is an error");
+        let tcp = TransportKind::Tcp.live().expect("tcp is a live transport");
+        assert_eq!(run(&tcp), sim, "tcp disagrees with the simulator at {shards} shard(s)");
     }
 }

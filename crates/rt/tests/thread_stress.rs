@@ -1,11 +1,11 @@
-//! Threaded-runtime stress: many concurrent client threads hammering one
-//! session; the wall-clock runtime must preserve the same semantics the
-//! simulator proves.
+//! Live-runtime stress: many concurrent client threads hammering one
+//! loopback-TCP session; the wall-clock runtime must preserve the same
+//! semantics the simulator proves.
 
 use flux_broker::CommsModule;
 use flux_kvs::client::{KvsClient, KvsDelivery, KvsReply};
 use flux_modules::BarrierModule;
-use flux_rt::threads::ThreadSession;
+use flux_rt::tcp::TcpSession;
 use flux_value::Value;
 use flux_wire::Rank;
 use std::time::Duration;
@@ -19,7 +19,7 @@ const TIMEOUT: Duration = Duration::from_secs(20);
 fn concurrent_fence_and_cross_reads() {
     let nodes = 8u32;
     let procs = 24u64;
-    let mut builder = ThreadSession::builder(nodes, 2, |_| {
+    let mut builder = TcpSession::builder(nodes, 2, |_| {
         vec![
             Box::new(flux_kvs::KvsModule::new()) as Box<dyn CommsModule>,
             Box::new(BarrierModule::new()),
@@ -36,7 +36,7 @@ fn concurrent_fence_and_cross_reads() {
         .map(|(g, conn)| {
             std::thread::spawn(move || {
                 let mut kvs = KvsClient::new(conn.rank, conn.client_id);
-                let reply = |conn: &flux_rt::threads::ThreadClient,
+                let reply = |conn: &flux_rt::LiveClient,
                              kvs: &mut KvsClient|
                  -> KvsReply {
                     let msg = conn.recv_timeout(TIMEOUT).expect("reply in time");
@@ -73,7 +73,7 @@ fn commit_storm_serializes_at_master() {
     let nodes = 4u32;
     let writers = 8u64;
     let per_writer = 5u64;
-    let mut builder = ThreadSession::builder(nodes, 2, |_| {
+    let mut builder = TcpSession::builder(nodes, 2, |_| {
         // batch_window_ns = 0: each push applies immediately, so the
         // per-push distinct-version property below is exact.
         vec![Box::new(flux_kvs::KvsModule::with_config(flux_kvs::KvsConfig {
@@ -132,7 +132,7 @@ fn commit_storm_coalesces_with_batching() {
     let nodes = 4u32;
     let writers = 8u64;
     let per_writer = 5u64;
-    let mut builder = ThreadSession::builder(nodes, 2, |_| {
+    let mut builder = TcpSession::builder(nodes, 2, |_| {
         vec![Box::new(flux_kvs::KvsModule::new()) as Box<dyn CommsModule>]
     });
     let conns: Vec<_> = (0..writers)

@@ -2,8 +2,8 @@
 //!
 //! * The simulator is fully deterministic: the same (workload, fault
 //!   plan) pair must produce bit-identical reports run-to-run.
-//! * The threaded runtime runs the same seeded workloads under the same
-//!   fault plans via `LiveTransport::with_faults`; wall-clock timing
+//! * The live (TCP) runtime runs the same seeded workloads under the
+//!   same fault plans via `LiveTransport::with_faults`; wall-clock timing
 //!   varies, but every observed history must still satisfy the
 //!   consistency checker.
 //!
@@ -110,41 +110,29 @@ fn sim_shard_master_blackout_during_commit() {
     }
 }
 
-/// A live runtime under the same seeded fault plans: every client
-/// history must pass the consistency checker.
-fn live_chaos_consistency_sweep(kind: TransportKind) {
+/// The live runtime under the same seeded fault plans: drops, dups,
+/// delays, and blackouts ride real loopback sockets through the
+/// nonblocking state machines, and every observed client history must
+/// still satisfy the consistency oracle.
+#[test]
+fn reactor_tcp_chaos_consistency_sweep() {
     for seed in chaos::seeds(32) {
         let w = chaos::workload(seed, 2_000_000, false);
-        let transport = kind
+        let transport = TransportKind::Tcp
             .live()
-            .expect("a live transport kind")
+            .expect("tcp is a live transport")
             .with_faults(w.plan.clone())
             .with_op_timeout(Duration::from_millis(200));
-        let name = transport.name();
         let report =
             transport.run_scripts(w.size, w.arity, &|_| standard_modules(), w.scripts.clone());
         let violations = chaos::check_run(&w, &report);
         assert!(
             violations.is_empty(),
-            "seed {seed} violated consistency on {name}; repro with \
+            "seed {seed} violated consistency on tcp; repro with \
              `FLUX_CHAOS_SEED={seed} cargo test -p flux-bench --test chaos_kvs`\n\
              plan: {}\nviolations:\n  {}",
             w.plan,
             violations.join("\n  ")
         );
     }
-}
-
-#[test]
-fn threads_chaos_consistency_sweep() {
-    live_chaos_consistency_sweep(TransportKind::Threads);
-}
-
-/// The poll-based reactor under the identical seeded fault plans: drops,
-/// dups, delays, and blackouts ride real loopback sockets through the
-/// nonblocking state machines, and every observed history must still
-/// satisfy the consistency oracle.
-#[test]
-fn reactor_tcp_chaos_consistency_sweep() {
-    live_chaos_consistency_sweep(TransportKind::Tcp);
 }

@@ -5,7 +5,7 @@
 //! `flux_modules::live::MISS_LIMIT` epochs, the tree must re-parent the
 //! orphaned subtree so RPCs route around the hole, and when the window
 //! ends the broker's hello must produce `live.up`. Exercised on the simulator (exact virtual-time
-//! schedule) and the threaded runtime (wall clock, generous margins).
+//! schedule) and the TCP runtime (wall clock, generous margins).
 
 use flux_broker::BrokerConfig;
 use flux_modules::live::MISS_LIMIT;
@@ -13,7 +13,6 @@ use flux_modules::standard_modules;
 use flux_rt::chaos::HB_PERIOD_NS;
 use flux_rt::script::Op;
 use flux_rt::tcp::TcpSession;
-use flux_rt::threads::ThreadSession;
 use flux_rt::transport::{drive_script, ScriptTransport, SimTransport};
 use flux_rt::FaultPlan;
 use flux_value::Value;
@@ -92,68 +91,12 @@ fn sim_kill_detects_reroutes_and_recovers() {
     );
 }
 
-/// Threaded runtime: 7 brokers, arity 2, heartbeats at 40ms. Rank 1
+/// The live runtime: 7 brokers, arity 2, heartbeats at 40ms. Rank 1
 /// (children 3, 4) is blacked out for epochs [8, 24) = [320ms, 960ms).
 /// Same assertions as the simulator variant, with wall-clock margins of
-/// several epochs around every probe.
-#[test]
-fn threads_kill_detects_reroutes_and_recovers() {
-    const HB: u64 = 40_000_000;
-    let plan = FaultPlan::new(0xF2).kill_epochs(Rank(1), 8..24, HB);
-    let mut builder = ThreadSession::builder(7, 2, |_| standard_modules());
-    for r in 0..7 {
-        let mut cfg = BrokerConfig::new(Rank(r), 7).with_arity(2);
-        cfg.hb_period_ns = HB;
-        builder.set_config(Rank(r), cfg);
-    }
-    builder.set_faults(&plan);
-    let observer = builder.attach_client(Rank(0));
-    let worker = builder.attach_client(Rank(3));
-    let session = builder.start();
-    let epoch = Instant::now();
-
-    let obs_ops = vec![
-        Op::Pause(650_000_000),
-        status_op(),
-        Op::Pause(600_000_000),
-        status_op(),
-    ];
-    let wk_ops = vec![
-        Op::Pause(550_000_000),
-        Op::Put { key: "chaos.reroute".into(), val: Value::from(9i64) },
-        Op::Commit,
-        Op::Get { key: "chaos.reroute".into() },
-    ];
-    let timeout = Duration::from_secs(10);
-    let h_obs = std::thread::spawn(move || drive_script(&observer, &obs_ops, epoch, timeout));
-    let h_wk = std::thread::spawn(move || drive_script(&worker, &wk_ops, epoch, timeout));
-    let obs = h_obs.join().expect("observer driver panicked");
-    let wk = h_wk.join().expect("worker driver panicked");
-    session.shutdown();
-
-    assert!(obs.finished, "observer stalled: {:?}", obs.op_err);
-    let during = up_list(&obs.replies[1]);
-    assert!(
-        !during.contains(&1),
-        "rank 1 not reported down by 650ms (kill at 320ms, miss limit {MISS_LIMIT} @ 40ms); \
-         up = {during:?}"
-    );
-    let after = up_list(&obs.replies[3]);
-    assert!(after.contains(&1), "rank 1 not re-joined by 1.25s; up = {after:?}");
-
-    assert!(wk.finished, "worker stalled mid-blackout: {:?}", wk.op_err);
-    assert_eq!(
-        wk.op_err,
-        vec![0, 0, 0, 0],
-        "put/commit/get from the orphaned subtree must re-route and succeed"
-    );
-    assert_eq!(wk.replies[3].get("v").and_then(Value::as_uint), Some(9));
-}
-
-/// The reactor runtime: same scenario as the threads variant — rank 1
-/// blacked out for epochs [8, 24) at a 40ms heartbeat — but every
-/// heartbeat, re-parent, and re-routed RPC crosses real loopback sockets
-/// through the nonblocking reactor state machines.
+/// several epochs around every probe; every heartbeat, re-parent and
+/// re-routed RPC crosses real loopback sockets through the nonblocking
+/// reactor state machines.
 #[test]
 fn reactor_tcp_kill_detects_reroutes_and_recovers() {
     const HB: u64 = 40_000_000;

@@ -7,7 +7,6 @@ use flux_modules::standard_modules;
 use flux_rt::script::{Op, ScriptClient};
 use flux_rt::sim::SimSession;
 use flux_rt::tcp::TcpSession;
-use flux_rt::threads::ThreadSession;
 use flux_rt::transport::{ScriptTransport, TransportKind};
 use flux_sim::{NetParams, SimTime};
 use flux_value::Value;
@@ -94,44 +93,9 @@ fn standard_session_lifecycle_in_virtual_time() {
     );
 }
 
-/// The same broker + module code on OS threads, interoperating with a
-/// rank-addressed ping over the ring.
-#[test]
-fn threaded_session_with_standard_modules() {
-    let mut builder = ThreadSession::builder(6, 2, |_| standard_modules());
-    let client = builder.attach_client(Rank(4));
-    let session = builder.start();
-    let timeout = Duration::from_secs(10);
-
-    let mut core = ClientCore::new(Rank(4), client.client_id);
-    // Rank-addressed ping across the ring.
-    client.send(core.request_to(Rank(2), Topic::from_static("cmb.ping"), Value::object(), 1));
-    let pong = client.recv_timeout(timeout).expect("pong");
-    assert_eq!(pong.payload.get("pong"), Some(&Value::Int(2)));
-
-    // KVS round trip.
-    client.send(core.request(
-        Topic::from_static("kvs.put"),
-        Value::from_pairs([("k", Value::from("th.k")), ("v", Value::from("v"))]),
-        2,
-    ));
-    assert!(!client.recv_timeout(timeout).expect("ack").is_error());
-    client.send(core.request(Topic::from_static("kvs.commit"), Value::object(), 3));
-    assert!(!client.recv_timeout(timeout).expect("commit").is_error());
-    client.send(core.request(
-        Topic::from_static("kvs.get"),
-        Value::from_pairs([("k", Value::from("th.k"))]),
-        4,
-    ));
-    let got = client.recv_timeout(timeout).expect("get");
-    assert_eq!(got.payload.get("v"), Some(&Value::from("v")));
-
-    session.shutdown();
-}
-
-/// The same stack again, but with brokers wired over real loopback TCP
-/// sockets: a rank-addressed ping proves the ring, then a KVS round trip
-/// proves tree routing and write-back over the sockets.
+/// The same broker + module code on OS threads wired over real loopback
+/// TCP sockets: a rank-addressed ping proves the ring, then a KVS round
+/// trip proves tree routing and write-back over the sockets.
 #[test]
 fn tcp_session_with_standard_modules() {
     let mut builder = TcpSession::builder(6, 2, |_| standard_modules());

@@ -5,7 +5,7 @@ use flux_modules::BarrierModule;
 use flux_pmi::{bootstrap_ops, BootstrapOp, Pmi, PmiDelivery, PmiReply};
 use flux_rt::script::{Op, ScriptClient};
 use flux_rt::sim::SimSession;
-use flux_rt::threads::ThreadSession;
+use flux_rt::tcp::TcpSession;
 use flux_sim::NetParams;
 use flux_value::Value;
 use flux_wire::Rank;
@@ -53,13 +53,13 @@ fn sim_bootstrap_128_processes() {
     }
 }
 
-/// Four threaded processes use the typed [`Pmi`] API directly, blocking
-/// on real channels.
+/// Four threaded processes use the typed [`Pmi`] API directly against a
+/// loopback-TCP session, each blocking on its client channel.
 #[test]
 fn threaded_bootstrap_with_typed_pmi() {
     let nodes = 4u32;
     let procs = 4u64;
-    let mut builder = ThreadSession::builder(nodes, 2, |_| {
+    let mut builder = TcpSession::builder(nodes, 2, |_| {
         vec![Box::new(KvsModule::new()), Box::new(BarrierModule::new())]
     });
     let clients: Vec<_> = (0..procs)
