@@ -440,7 +440,7 @@ impl Broker {
         };
         match target {
             Target::Builtin => builtin::handle(self, msg),
-            Target::Module(idx) => self.with_module(idx, |m, ctx| m.handle_request(ctx, &msg)),
+            Target::Module(idx) => self.with_module(idx, |m, ctx| m.handle_request(ctx, msg)),
             // Rank-addressed request reached its target but nothing serves
             // the topic here.
             Target::Forward if msg.header.dst.is_some() => {

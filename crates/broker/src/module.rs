@@ -26,7 +26,7 @@ use flux_wire::{errnum, Message, MsgId, Payload, Rank, Topic};
 ///
 /// A handler with a branch that falls through does not compile:
 ///
-/// ```compile_fail
+/// ```compile_fail,E0308
 /// use flux_broker::{CommsModule, Handled, ModuleCtx};
 /// use flux_wire::{errnum, Message};
 /// struct Gate(bool);
@@ -34,9 +34,9 @@ use flux_wire::{errnum, Message, MsgId, Payload, Rank, Topic};
 ///     fn name(&self) -> &'static str {
 ///         "gate"
 ///     }
-///     fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+///     fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
 ///         if self.0 {
-///             return ctx.respond(msg, flux_value::Value::object());
+///             return ctx.respond(&msg, flux_value::Value::object());
 ///         }
 ///     }
 /// }
@@ -52,18 +52,18 @@ use flux_wire::{errnum, Message, MsgId, Payload, Rank, Topic};
 ///     fn name(&self) -> &'static str {
 ///         "gate"
 ///     }
-///     fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+///     fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
 ///         if self.0 {
-///             return ctx.respond(msg, flux_value::Value::object());
+///             return ctx.respond(&msg, flux_value::Value::object());
 ///         }
-///         ctx.respond_err(msg, errnum::EAGAIN)
+///         ctx.respond_err(&msg, errnum::EAGAIN)
 ///     }
 /// }
 /// ```
 ///
 /// And no code outside this crate can forge one:
 ///
-/// ```compile_fail
+/// ```compile_fail,E0423
 /// let forged = flux_broker::Handled(());
 /// ```
 pub struct Handled(pub(crate) ());
@@ -90,9 +90,10 @@ pub trait CommsModule: Send {
     /// Called once when the broker starts.
     fn on_start(&mut self, _ctx: &mut ModuleCtx<'_>) {}
 
-    /// A request addressed to this module. The [`Handled`] it returns
-    /// is the proof that `msg` was disposed of on the path taken.
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled;
+    /// A request addressed to this module, handed over: the module owns
+    /// it, so parking or forwarding it is a move. The [`Handled`] it
+    /// returns is the proof that `msg` was disposed of on the path taken.
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled;
 
     /// The response to an RPC this module issued via
     /// [`ModuleCtx::request_upstream`] or [`ModuleCtx::request_to_rank`].
@@ -178,18 +179,16 @@ impl<'a> ModuleCtx<'a> {
     /// does for a topic no local module serves: the same request climbs
     /// on, and the reply unwinds through its hop stack without coming
     /// back to this module. At the root the requester gets `ENOSYS`.
-    pub fn forward_upstream(&mut self, req: &Message) -> Handled {
-        let mut fwd = req.clone();
+    pub fn forward_upstream(&mut self, mut req: Message) -> Handled {
         // A rank-addressed request has arrived; from here it climbs.
-        fwd.header.dst = None;
-        self.core.forward_upstream(fwd)
+        req.header.dst = None;
+        self.core.forward_upstream(req)
     }
 
-    /// Takes `req` over for a later reply: the proof comes only together
-    /// with the owned copy to keep (header-shallow: the topic and the
-    /// payload are shared, not copied).
-    pub fn park(&self, req: &Message) -> (Message, Handled) {
-        (req.clone(), Handled(()))
+    /// Keeps `req` for a later reply: the proof comes only together with
+    /// the request, handed back to be stored.
+    pub fn park(&self, req: Message) -> (Message, Handled) {
+        (req, Handled(()))
     }
 
     /// Disposes of a request that is never answered: a one-way

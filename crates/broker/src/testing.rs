@@ -31,8 +31,8 @@ impl CommsModule for Probe {
         "probe"
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
-        ctx.respond_err(msg, errnum::ENOSYS)
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
+        ctx.respond_err(&msg, errnum::ENOSYS)
     }
 }
 

@@ -16,12 +16,12 @@ impl CommsModule for Echo {
         "echo"
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         let payload = Value::from_pairs([
             ("rank", Value::from(ctx.rank().0)),
             ("echo", msg.payload.value().clone()),
         ]);
-        ctx.respond(msg, payload)
+        ctx.respond(&msg, payload)
     }
 }
 
@@ -33,9 +33,9 @@ impl CommsModule for Bell {
         "bell"
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         ctx.publish(Topic::from_static("bell.rung"), msg.payload.clone());
-        ctx.respond(msg, Value::object())
+        ctx.respond(&msg, Value::object())
     }
 }
 
@@ -376,8 +376,8 @@ fn one_way_on_an_rpc_method_trips() {
         fn name(&self) -> &'static str {
             "hb"
         }
-        fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
-            ctx.one_way(msg)
+        fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
+            ctx.one_way(&msg)
         }
     }
     let mut net = TestNet::new(1, 2, |_| vec![Box::new(Mute)]);
@@ -394,8 +394,8 @@ fn refused_with(method: &str, code: u32) -> Message {
         fn name(&self) -> &'static str {
             "hb"
         }
-        fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
-            ctx.respond_err(msg, self.0)
+        fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
+            ctx.respond_err(&msg, self.0)
         }
     }
     let mut net = TestNet::new(1, 2, move |_| vec![Box::new(Refuser(code))]);

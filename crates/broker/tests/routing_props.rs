@@ -17,8 +17,8 @@ impl CommsModule for Echo {
         "echo"
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
-        ctx.respond(msg, Value::from_pairs([("rank", Value::from(ctx.rank().0))]))
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
+        ctx.respond(&msg, Value::from_pairs([("rank", Value::from(ctx.rank().0))]))
     }
 }
 
@@ -103,9 +103,9 @@ proptest! {
             fn name(&self) -> &'static str {
                 "bell"
             }
-            fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+            fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
                 ctx.publish(Topic::from_static("bell.rang"), msg.payload.clone());
-                ctx.respond(msg, Value::object())
+                ctx.respond(&msg, Value::object())
             }
         }
         let mut net = TestNet::new(size, arity, |_| vec![Box::new(Bell) as Box<dyn CommsModule>]);

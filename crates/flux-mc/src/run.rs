@@ -60,9 +60,10 @@ pub enum ViolationKind {
     /// The observed store version exceeds the scenario's expected number
     /// of root applies: some batch applied more than once.
     VersionOverrun,
-    /// A fence completed without making a participant's write-back set
-    /// visible: a post-fence read missed a fenced key.
-    FenceIncomplete,
+    /// A sync point completed without making the writes it covers
+    /// visible: a read after a fence, or after a wait for a version,
+    /// missed a key ([`crate::Scenario::post_sync`]).
+    SyncIncomplete,
 }
 
 /// An invariant violation found on one schedule.
@@ -415,28 +416,31 @@ fn post_checks(
         }
     }
 
-    if !scenario.post_fence.is_empty() {
+    if !scenario.post_sync.is_empty() {
+        use flux_rt::script::Op;
         for (i, outcome) in outcomes.iter().enumerate() {
             let ops = &scenario.scripts[i].1;
-            let fence_done = ops.iter().enumerate().find_map(|(j, op)| {
-                matches!(op, flux_rt::script::Op::Fence { .. })
-                    .then(|| outcome.op_err.get(j).copied() == Some(0))
-                    .filter(|ok| *ok)
-                    .map(|_| j)
+            let synced = ops.iter().enumerate().find_map(|(j, op)| {
+                let what = match op {
+                    Op::Fence { .. } => "fence",
+                    Op::WaitVersion(_) => "wait for a version",
+                    _ => return None,
+                };
+                (outcome.op_err.get(j).copied() == Some(0)).then_some((j, what))
             });
-            let Some(fence_at) = fence_done else { continue };
-            for (j, op) in ops.iter().enumerate().skip(fence_at + 1) {
-                let flux_rt::script::Op::Get { key } = op else { continue };
-                let Some(expect) = scenario.post_fence.get(key) else { continue };
+            let Some((sync_at, what)) = synced else { continue };
+            for (j, op) in ops.iter().enumerate().skip(sync_at + 1) {
+                let Op::Get { key } = op else { continue };
+                let Some(expect) = scenario.post_sync.get(key) else { continue };
                 let Some(err) = outcome.op_err.get(j) else { continue };
                 let observed = (*err == 0).then(|| outcome.replies[j].get("v").cloned());
                 if observed.as_ref().and_then(|v| v.as_ref()) != Some(expect) {
                     return Some(Violation {
-                        kind: ViolationKind::FenceIncomplete,
+                        kind: ViolationKind::SyncIncomplete,
                         detail: format!(
-                            "script {i} read {key:?} after its fence completed and saw \
-                             {observed:?} instead of {expect:?}: the fence finished without \
-                             all contributions"
+                            "script {i} read {key:?} after its {what} completed and saw \
+                             {observed:?} instead of {expect:?}: the {what} finished before \
+                             the writes it covers were visible"
                         ),
                     });
                 }

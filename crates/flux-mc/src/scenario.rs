@@ -86,10 +86,12 @@ pub struct Scenario {
     /// Total KVS root commits the scenario performs when every fence and
     /// commit applies exactly once (0 = skip the version-overrun check).
     pub expected_applies: u64,
-    /// Key → value that any successful post-fence `Get` must observe
-    /// (the fence barrier guarantees visibility of all participants'
-    /// write-back sets).
-    pub post_fence: BTreeMap<String, Value>,
+    /// Key → value that any successful `Get` after a script's sync point
+    /// must observe. The sync point is the script's first successful
+    /// `Fence` (the fence barrier guarantees visibility of all
+    /// participants' write-back sets) or `WaitVersion` (the version it
+    /// waited for covers these writes).
+    pub post_sync: BTreeMap<String, Value>,
 }
 
 impl Scenario {
@@ -111,6 +113,7 @@ impl Scenario {
             "kvs_batch" => Some(Self::kvs_batch()),
             "kvs_shard_fence" => Some(Self::kvs_shard_fence()),
             "kvs_shard_watch" => Some(Self::kvs_shard_watch()),
+            "kvs_load_chain" => Some(Self::kvs_load_chain()),
             "barrier" => Some(Self::barrier()),
             _ => None,
         }
@@ -126,6 +129,7 @@ impl Scenario {
             "kvs_batch",
             "kvs_shard_fence",
             "kvs_shard_watch",
+            "kvs_load_chain",
             "barrier",
         ]
     }
@@ -163,9 +167,9 @@ impl Scenario {
                 Op::GetVersion,
             ]
         };
-        let mut post_fence = BTreeMap::new();
+        let mut post_sync = BTreeMap::new();
         for i in 0..NPROCS as usize {
-            post_fence.insert(key(i), Value::from(1i64));
+            post_sync.insert(key(i), Value::from(1i64));
         }
         Scenario {
             name,
@@ -175,7 +179,7 @@ impl Scenario {
             scripts: (0..NPROCS as usize).map(|i| (Rank(1 + (i as u32 % 2)), script(i))).collect(),
             // One fence = one root apply covering all write-back sets.
             expected_applies: 1,
-            post_fence,
+            post_sync,
             kill: None,
         }
     }
@@ -212,7 +216,7 @@ impl Scenario {
             modules: ModuleSet::Kvs { dedup, batch: false, shards: 1 },
             scripts: vec![(Rank(1), c1), (Rank(2), c2)],
             expected_applies: 2,
-            post_fence: BTreeMap::new(),
+            post_sync: BTreeMap::new(),
             kill: None,
         }
     }
@@ -238,7 +242,7 @@ impl Scenario {
             scripts: vec![(Rank(1), c1)],
             kill: Some((Rank(2), 2)),
             expected_applies: 1,
-            post_fence: BTreeMap::new(),
+            post_sync: BTreeMap::new(),
         }
     }
 
@@ -268,7 +272,7 @@ impl Scenario {
             modules: ModuleSet::Kvs { dedup: true, batch: true, shards: 1 },
             scripts: vec![(Rank(1), c1), (Rank(2), c2)],
             expected_applies: 2,
-            post_fence: BTreeMap::new(),
+            post_sync: BTreeMap::new(),
             kill: None,
         }
     }
@@ -293,9 +297,9 @@ impl Scenario {
                 Op::Get { key: key(s) },
             ]
         };
-        let mut post_fence = BTreeMap::new();
+        let mut post_sync = BTreeMap::new();
         for s in 0..SHARDS {
-            post_fence.insert(key(s), Value::from(1i64));
+            post_sync.insert(key(s), Value::from(1i64));
         }
         Scenario {
             name: "kvs_shard_fence",
@@ -306,7 +310,7 @@ impl Scenario {
             // Frontier replies carry per-shard versions, not a single
             // top-level `version`, so the overrun bound does not apply.
             expected_applies: 0,
-            post_fence,
+            post_sync,
             kill: None,
         }
     }
@@ -343,7 +347,43 @@ impl Scenario {
             modules: ModuleSet::Kvs { dedup: true, batch: false, shards: SHARDS },
             scripts: vec![(Rank(2), watcher), (Rank(3), writer)],
             expected_applies: 0,
-            post_fence: BTreeMap::new(),
+            post_sync: BTreeMap::new(),
+            kill: None,
+        }
+    }
+
+    /// The interior hop of the slave-cache chain, in a one-shard
+    /// session: a writer on rank 2 commits two keys, and readers on rank
+    /// 1 and on rank 3 (rank 1's child) wait for that version, then get
+    /// both keys. Both readers fault the same objects in, so two faults
+    /// of one object meet at rank 1, which serves its child's forwarded
+    /// `kvs.load` and its own walk's in both orders.
+    pub fn kvs_load_chain() -> Scenario {
+        let (a, b) = ("mc.lc.a", "mc.lc.b");
+        let writer = vec![
+            Op::Put { key: a.into(), val: Value::from(1i64) },
+            Op::Put { key: b.into(), val: Value::from(2i64) },
+            Op::Commit,
+        ];
+        let reader = |probes: usize| {
+            let mut ops = vec![Op::WaitVersion(1)];
+            ops.extend((0..probes).map(|_| Op::GetVersion));
+            ops.extend([Op::Get { key: a.into() }, Op::Get { key: b.into() }]);
+            ops
+        };
+        Scenario {
+            name: "kvs_load_chain",
+            size: 4,
+            arity: 2,
+            modules: ModuleSet::Kvs { dedup: true, batch: false, shards: 1 },
+            // The setroot event reaches rank 1 a hop before rank 3. Two
+            // version probes hold rank 1's own walk back that long, so
+            // the default schedule has the child's load arrive first on
+            // some objects and the walk first on others; the explorer's
+            // deviations swap them.
+            scripts: vec![(Rank(2), writer), (Rank(1), reader(2)), (Rank(3), reader(0))],
+            expected_applies: 1,
+            post_sync: BTreeMap::from([(a.into(), Value::from(1i64)), (b.into(), Value::from(2i64))]),
             kill: None,
         }
     }
@@ -365,7 +405,7 @@ impl Scenario {
             modules: ModuleSet::KvsBarrier { dedup: true, batch: false },
             scripts: vec![(Rank(1), ops(1)), (Rank(2), ops(2))],
             expected_applies: 0,
-            post_fence: BTreeMap::new(),
+            post_sync: BTreeMap::new(),
             kill: None,
         }
     }
@@ -386,6 +426,7 @@ mod tests {
             "kvs_batch",
             "kvs_shard_fence",
             "kvs_shard_watch",
+            "kvs_load_chain",
             "barrier",
         ] {
             let s = Scenario::by_name(name).expect("known scenario");

@@ -8,7 +8,7 @@
 //!
 //! * `kap`: `flux_kap::bench::run_matrix(true)`, the sim cells
 //!   `BENCH_kap.json` pins, as JSON;
-//! * `mc.<scenario>`: the six CI flux-mc scenarios at a reduced budget,
+//! * `mc.<scenario>`: the seven CI flux-mc scenarios at a reduced budget,
 //!   each its schedule / pruned / frontier / invalid / violation
 //!   counts, plus the minimal trace `kvs_fence_mutant` is caught with;
 //! * `chaos.<run>`: `flux_rt::chaos` sim runs with and without a kill,
@@ -44,8 +44,15 @@ const END: &str = "=== determinism records end ===";
 
 /// The CI explorations (`.github/workflows/ci.yml`), each at this many
 /// schedules instead of CI's thousands.
-const SCENARIOS: [&str; 6] =
-    ["kvs_fence", "kvs_commit", "barrier", "kvs_batch", "kvs_shard_fence", "kvs_shard_watch"];
+const SCENARIOS: [&str; 7] = [
+    "kvs_fence",
+    "kvs_commit",
+    "barrier",
+    "kvs_batch",
+    "kvs_shard_fence",
+    "kvs_shard_watch",
+    "kvs_load_chain",
+];
 const SCHEDULES: usize = 400;
 
 /// Chaos seeds, each run with and without a broker kill, at the sim

@@ -114,14 +114,14 @@ impl Authority {
         ctx: &mut ModuleCtx<'_>,
         cfg: &KvsConfig,
         rep: &mut Replica,
-        msg: &Message,
+        msg: Message,
         fence: Option<&str>,
     ) -> Handled {
         let shard = rep.slots.mine().unwrap_or(0);
         if let Some(at) = fence.and_then(|name| self.fence_applied.get(name)) {
             // A coordinator retry of an already-applied fence part:
             // re-answer the recorded result, never double-apply.
-            return ctx.respond(msg, rep.slots.spelling().version_reply(at));
+            return ctx.respond(&msg, rep.slots.spelling().version_reply(at));
         }
         if cfg.dedup && !self.note_push(msg.header.id) {
             if self.batch_ids.contains(&msg.header.id) {
@@ -129,24 +129,24 @@ impl Authority {
                 // comes with the flush. Answering the duplicate now would
                 // expose the pre-apply version (a read-your-writes
                 // violation for the committer).
-                return ctx.drop_duplicate(msg);
+                return ctx.drop_duplicate(&msg);
             }
             // Re-answer with the current version: the response to the
             // first copy may itself have been lost in transit.
-            return rep.slots.respond_version(ctx, shard, msg);
+            return rep.slots.respond_version(ctx, shard, &msg);
         }
         let (Some(tuples), Some(objects)) = (
             msg::tuples_from_value(msg.payload.get("tuples")),
             msg::objects_from_value(msg.payload.get("objects")),
         ) else {
-            return ctx.respond_err(msg, errnum::EINVAL);
+            return ctx.respond_err(&msg, errnum::EINVAL);
         };
         if fence.is_some() || cfg.batch_window_ns == 0 {
             // Fence parts never wait in the window (their coordinator
             // holds every waiter until all parts land); a zero window
             // turns batching off.
             self.apply(ctx, rep, &tuples, objects, fence);
-            return rep.slots.respond_version(ctx, shard, msg);
+            return rep.slots.respond_version(ctx, shard, &msg);
         }
         // Park the push: concurrent pushes inside the window share one
         // hash-tree walk, one version bump, and one setroot broadcast.
@@ -228,7 +228,7 @@ mod tests {
     impl Fixture {
         fn push(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
             let fence = msg.payload.get("fence").and_then(Value::as_str);
-            self.auth.accept_push(ctx, &self.cfg, &mut self.rep, msg, fence);
+            self.auth.accept_push(ctx, &self.cfg, &mut self.rep, msg.clone(), fence);
         }
     }
 

@@ -127,10 +127,11 @@ impl Coordinator {
         &mut self,
         ctx: &mut ModuleCtx<'_>,
         rep: &mut Replica,
-        msg: &Message,
+        msg: Message,
     ) -> Handled {
+        let payload = msg.payload.clone();
         let (waiter, parked) = ctx.park(msg);
-        let outstanding = BTreeMap::from([(0, Part { to: None, payload: msg.payload.clone() })]);
+        let outstanding = BTreeMap::from([(0, Part { to: None, payload })]);
         let join = Join { waiters: vec![waiter], outstanding, ..Join::default() };
         self.launch(ctx, rep, join);
         parked

@@ -44,12 +44,12 @@
 
 use crate::authority::{Authority, BATCH_TOKEN};
 use crate::coordinator::Coordinator;
-use crate::fence::{FenceAcc, FenceTree};
+use crate::fence::{self, FenceAcc, FenceTree};
 use crate::master::Tuple;
 use crate::msg::{self, Objects};
 use crate::object::KvsObject;
 use crate::path::validate_key;
-use crate::reads::Reads;
+use crate::reads::{self, Reads};
 use crate::slots::Slots;
 use crate::store::ObjectCache;
 use flux_broker::{CommsModule, Handled, ModuleCtx};
@@ -221,8 +221,8 @@ impl KvsModule {
         );
     }
 
-    fn handle_commit(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
-        let pend = self.pending.remove(&requester_of(msg)).unwrap_or_default();
+    fn handle_commit(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
+        let pend = self.pending.remove(&requester_of(&msg)).unwrap_or_default();
         let (waiter, parked) = ctx.park(msg);
         self.coordinate(ctx, vec![waiter], pend.tuples, pend.objects, None);
         parked
@@ -231,13 +231,13 @@ impl KvsModule {
     /// `kvs.push`, the tree-routed batch of a one-shard session: it is
     /// for shard 0, and a broker that does not master shard 0 passes it
     /// one hop further up.
-    fn handle_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+    fn handle_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         if !self.rep.slots.masters(0) {
             if self.cfg.dedup && !self.authority.note_push(msg.header.id) {
                 // A transport duplicate at a relay: the first copy's
                 // forwarded request already carries the response
                 // obligation.
-                return ctx.drop_duplicate(msg);
+                return ctx.drop_duplicate(&msg);
             }
             return self.coordinator.relay(ctx, &mut self.rep, msg);
         }
@@ -246,14 +246,16 @@ impl KvsModule {
 
     /// `kvs.shard.push`, a rank-addressed batch for the shard this
     /// broker masters.
-    fn handle_shard_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+    fn handle_shard_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         let shard = msg.payload.get("shard").and_then(Value::as_uint);
         if shard.is_none() || shard != self.rep.slots.mine().map(u64::from) {
             // Batches addressed to a non-master rank are rejected, not
             // silently applied to the wrong tree.
-            return ctx.respond_err(msg, errnum::EINVAL);
+            return ctx.respond_err(&msg, errnum::EINVAL);
         }
-        let fence = msg.payload.get("fence").and_then(Value::as_str);
+        // A second handle on the payload, so `msg` can move on.
+        let payload = msg.payload.clone();
+        let fence = payload.get("fence").and_then(Value::as_str);
         self.authority.accept_push(ctx, &self.cfg, &mut self.rep, msg, fence)
     }
 
@@ -264,93 +266,88 @@ impl KvsModule {
     fn fence_merged(&mut self, ctx: &mut ModuleCtx<'_>, name: &str, done: Option<FenceAcc>) {
         if let Some(total) = done {
             let waiters = self.fence.release(name);
-            self.coordinate(ctx, waiters, total.tuples, total.objects, Some(name));
+            let (tuples, objects) = total.decode();
+            self.coordinate(ctx, waiters, tuples, objects, Some(name));
         }
     }
 
-    fn handle_fence(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+    fn handle_fence(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
+        // A second handle on the payload, so `msg` can be parked.
+        let payload = msg.payload.clone();
         let (Some(name), Some(nprocs)) = (
-            msg.payload.get("name").and_then(Value::as_str),
-            msg.payload.get("nprocs").and_then(Value::as_uint),
+            payload.get("name").and_then(Value::as_str),
+            payload.get("nprocs").and_then(Value::as_uint),
         ) else {
-            return ctx.respond_err(msg, errnum::EINVAL);
+            return ctx.respond_err(&msg, errnum::EINVAL);
         };
         // nprocs == 0 can never be satisfied: the caller would hang
         // forever, so reject it up front.
         if nprocs == 0 {
-            return ctx.respond_err(msg, errnum::EINVAL);
+            return ctx.respond_err(&msg, errnum::EINVAL);
         }
-        let requester = requester_of(msg);
+        let requester = requester_of(&msg);
         if let Err(e) = self.fence.enlist(name, nprocs, requester) {
-            return ctx.respond_err(msg, e);
+            return ctx.respond_err(&msg, e);
         }
         let pend = self.pending.remove(&requester).unwrap_or_default();
         let (waiter, parked) = ctx.park(msg);
-        let part = FenceAcc { nprocs, count: 1, tuples: pend.tuples, objects: pend.objects };
+        let part = FenceAcc::local(nprocs, &pend.tuples, &pend.objects);
         let done = self.fence.contribute(ctx, name, part, Some(waiter));
         self.fence_merged(ctx, name, done);
         parked
     }
 
-    fn handle_fence_up(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
-        let (Some(name), Some(nprocs), Some(count), Some(tuples), Some(objects)) = (
-            msg.payload.get("name").and_then(Value::as_str),
-            msg.payload.get("nprocs").and_then(Value::as_uint),
-            msg.payload.get("count").and_then(Value::as_uint),
-            msg::tuples_from_value(msg.payload.get("tuples")),
-            msg::objects_from_value(msg.payload.get("objects")),
-        ) else {
-            // One-way message: nothing to answer; drop.
-            return ctx.one_way(msg);
-        };
-        if nprocs == 0 {
-            // Malformed child batch; merging it would park forever.
-            return ctx.one_way(msg);
-        }
-        // Idempotence under duplicated frames: merge any given batch at
-        // most once.
+    fn handle_fence_up(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
+        // One-way: a batch that is malformed, or was merged before (a
+        // transport duplicate must not complete the fence early), is
+        // dropped unanswered.
+        let handled = ctx.one_way(&msg);
+        let Some((nprocs, count)) = fence::check(&msg.payload) else { return handled };
         if self.cfg.dedup && !self.fence.admit(&msg.payload) {
-            return ctx.one_way(msg);
+            return handled;
         }
-        let part = FenceAcc { nprocs, count, tuples, objects };
-        let done = self.fence.contribute(ctx, name, part, None);
-        self.fence_merged(ctx, name, done);
-        ctx.one_way(msg)
+        let (name, part) = fence::take(msg.payload, nprocs, count);
+        let done = self.fence.contribute(ctx, &name, part, None);
+        self.fence_merged(ctx, &name, done);
+        handled
     }
 
     // ----- reads -----------------------------------------------------------
 
-    fn handle_get(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
-        let Some(key) = msg.payload.get("k").and_then(Value::as_str) else {
-            return ctx.respond_err(msg, errnum::EINVAL);
+    fn handle_get(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
+        // A second handle on the payload, so `msg` can be parked.
+        let payload = msg.payload.clone();
+        let Some(key) = payload.get("k").and_then(Value::as_str) else {
+            return ctx.respond_err(&msg, errnum::EINVAL);
         };
-        let want_dir = msg.payload.get("dir").and_then(Value::as_bool).unwrap_or(false);
+        let want_dir = payload.get("dir").and_then(Value::as_bool).unwrap_or(false);
         self.reads.lookup(ctx, &mut self.rep, msg, key, want_dir)
     }
 
-    fn handle_load(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
-        let id =
-            msg.payload.get("id").and_then(Value::as_str).and_then(|h| ObjectId::from_hex(h).ok());
-        let (Some(id), Ok(shard)) = (id, self.shard_param(msg)) else {
-            return ctx.respond_err(msg, errnum::EINVAL);
+    fn handle_load(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
+        let (Some(id), Ok(shard)) = (reads::load_id(&msg.payload), self.shard_param(&msg)) else {
+            return ctx.respond_err(&msg, errnum::EINVAL);
         };
         self.reads.serve_load(ctx, &mut self.rep, msg, id, shard)
     }
 
-    fn handle_wait_version(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+    fn handle_wait_version(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         let (Some(target), Ok(shard)) =
-            (msg.payload.get("version").and_then(Value::as_uint), self.shard_param(msg))
+            (msg.payload.get("version").and_then(Value::as_uint), self.shard_param(&msg))
         else {
-            return ctx.respond_err(msg, errnum::EINVAL);
+            return ctx.respond_err(&msg, errnum::EINVAL);
         };
         self.rep.slots.wait_version(ctx, shard, target, msg)
     }
 
-    fn handle_watch(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
-        let Some(key) = msg.payload.get("k").and_then(Value::as_str) else {
-            return ctx.respond_err(msg, errnum::EINVAL);
+    fn handle_watch(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
+        // A second handle on the payload, so `msg` can be parked.
+        let payload = msg.payload.clone();
+        let Some(key) = payload.get("k").and_then(Value::as_str) else {
+            return ctx.respond_err(&msg, errnum::EINVAL);
         };
-        self.reads.watch(ctx, &mut self.rep, msg, key, requester_of(msg))
+        let requester = requester_of(&msg);
+        self.reads.watch(ctx, &mut self.rep, msg, key, requester)
     }
 
     fn handle_unwatch(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
@@ -397,10 +394,10 @@ impl CommsModule for KvsModule {
         self.rep.slots.start(self.cfg.shards, (rank < self.cfg.shards).then_some(rank));
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         let handled = match KvsMethod::from_method(msg.header.topic.method()) {
-            Some(KvsMethod::Put) => self.handle_put(ctx, msg, false),
-            Some(KvsMethod::Unlink) => self.handle_put(ctx, msg, true),
+            Some(KvsMethod::Put) => self.handle_put(ctx, &msg, false),
+            Some(KvsMethod::Unlink) => self.handle_put(ctx, &msg, true),
             Some(KvsMethod::Commit) => self.handle_commit(ctx, msg),
             Some(KvsMethod::Push) => self.handle_push(ctx, msg),
             Some(KvsMethod::ShardPush) => self.handle_shard_push(ctx, msg),
@@ -408,13 +405,13 @@ impl CommsModule for KvsModule {
             Some(KvsMethod::FenceUp) => self.handle_fence_up(ctx, msg),
             Some(KvsMethod::Get) => self.handle_get(ctx, msg),
             Some(KvsMethod::Load) => self.handle_load(ctx, msg),
-            Some(KvsMethod::GetVersion) => match self.shard_param(msg) {
-                Ok(shard) => self.rep.slots.respond_version(ctx, shard, msg),
-                Err(()) => ctx.respond_err(msg, errnum::EINVAL),
+            Some(KvsMethod::GetVersion) => match self.shard_param(&msg) {
+                Ok(shard) => self.rep.slots.respond_version(ctx, shard, &msg),
+                Err(()) => ctx.respond_err(&msg, errnum::EINVAL),
             },
             Some(KvsMethod::WaitVersion) => self.handle_wait_version(ctx, msg),
             Some(KvsMethod::Watch) => self.handle_watch(ctx, msg),
-            Some(KvsMethod::Unwatch) => self.handle_unwatch(ctx, msg),
+            Some(KvsMethod::Unwatch) => self.handle_unwatch(ctx, &msg),
             Some(KvsMethod::Stats) => {
                 let s = self.rep.cache.stats();
                 let mut pairs = vec![
@@ -429,9 +426,9 @@ impl CommsModule for KvsModule {
                 ];
                 let shards = self.rep.slots.spelling().shards();
                 pairs.extend(shards.map(|n| ("shards", Value::from(n as i64))));
-                ctx.respond(msg, Value::from_pairs(pairs))
+                ctx.respond(&msg, Value::from_pairs(pairs))
             }
-            None => ctx.respond_err(msg, errnum::ENOSYS),
+            None => ctx.respond_err(&msg, errnum::ENOSYS),
         };
         self.reads.recheck(ctx, &mut self.rep);
         handled

@@ -199,57 +199,85 @@ impl Spelling {
         }
         Value::Object(m)
     }
+
+    /// True if `v` is exactly [`Spelling::load_request`]`(id, shard)`,
+    /// told without building it: no other field, lowercase hex, and a
+    /// `shard` field exactly when this spelling has one.
+    pub(crate) fn is_load_request(self, v: &Value, id: ObjectId, shard: u32) -> bool {
+        let Some(m) = v.as_object() else { return false };
+        let hex_is_id = |h: &str| {
+            !h.bytes().any(|b| b.is_ascii_uppercase()) && ObjectId::from_hex(h) == Ok(id)
+        };
+        let id_ok = m.get("id").and_then(Value::as_str).is_some_and(hex_is_id);
+        let shard_ok = match self {
+            Spelling::Single => m.len() == 1,
+            Spelling::Sharded(_) => {
+                m.len() == 2 && m.get("shard") == Some(&Value::from(shard as i64))
+            }
+        };
+        id_ok && shard_ok
+    }
 }
 
 // ----- tuple batches -------------------------------------------------------
 
+/// One `{k, s}` tuple: key `k` bound to object `s`, or unlinked (`null`).
+pub(crate) fn tuple_value(k: &str, id: Option<ObjectId>) -> Value {
+    Value::from_pairs([
+        ("k", Value::from(k)),
+        ("s", id.map(|i| Value::from(i.to_hex())).unwrap_or(Value::Null)),
+    ])
+}
+
 pub(crate) fn tuples_to_value(tuples: &[Tuple]) -> Value {
-    Value::Array(
-        tuples
-            .iter()
-            .map(|(k, id)| {
-                Value::from_pairs([
-                    ("k", Value::from(k.as_str())),
-                    ("s", id.map(|i| Value::from(i.to_hex())).unwrap_or(Value::Null)),
-                ])
-            })
-            .collect(),
-    )
+    Value::Array(tuples.iter().map(|(k, id)| tuple_value(k, *id)).collect())
+}
+
+/// Reads one `{k, s}` tuple, borrowing its key: `None` unless `k` is a
+/// string and `s` is `null`, absent or a hex object id.
+pub(crate) fn tuple_of(t: &Value) -> Option<(&str, Option<ObjectId>)> {
+    let k = t.get("k")?.as_str()?;
+    let s = match t.get("s") {
+        Some(Value::Null) | None => None,
+        Some(sv) => Some(ObjectId::from_hex(sv.as_str()?).ok()?),
+    };
+    Some((k, s))
 }
 
 pub(crate) fn tuples_from_value(v: Option<&Value>) -> Option<Vec<Tuple>> {
     let arr = v?.as_array()?;
     let mut out = Vec::with_capacity(arr.len());
     for t in arr {
+        let (k, s) = tuple_of(t)?;
         // The tuples outlive the message, so their keys are owned.
-        let k = t.get("k")?.as_str()?.to_owned();
-        let s = match t.get("s") {
-            Some(Value::Null) | None => None,
-            Some(sv) => Some(ObjectId::from_hex(sv.as_str()?).ok()?),
-        };
-        out.push((k, s));
+        out.push((k.to_owned(), s));
     }
     Some(out)
 }
 
-pub(crate) fn objects_to_value(objects: &Objects) -> Value {
+/// An object manifest as a batch spells it: hex id → embedded object.
+pub(crate) fn objects_map(objects: &Objects) -> Map {
     let mut m = Map::new();
     for (id, obj) in objects {
         m.insert(id.to_hex(), obj.to_value());
     }
-    Value::Object(m)
+    m
+}
+
+/// Reads one manifest entry, verifying its content address: `None`
+/// unless `hex` is an object id and `objv` decodes to the object that
+/// hashes to it.
+pub(crate) fn object_of(hex: &str, objv: &Value) -> Option<(ObjectId, KvsObject)> {
+    let id = ObjectId::from_hex(hex).ok()?;
+    let obj = KvsObject::from_value(objv).ok()?;
+    (obj.id() == id).then_some((id, obj))
 }
 
 /// Decodes an object manifest, verifying every content address.
 pub(crate) fn objects_from_value(v: Option<&Value>) -> Option<Objects> {
-    let m = v?.as_object()?;
     let mut out = BTreeMap::new();
-    for (hex, objv) in m {
-        let id = ObjectId::from_hex(hex).ok()?;
-        let obj = KvsObject::from_value(objv).ok()?;
-        if obj.id() != id {
-            return None;
-        }
+    for (hex, objv) in v?.as_object()? {
+        let (id, obj) = object_of(hex, objv)?;
         out.insert(id, Arc::new(obj));
     }
     Some(out)
@@ -266,7 +294,7 @@ pub(crate) fn push_payload(
 ) -> Value {
     let mut m = Map::from([
         ("tuples".to_owned(), tuples_to_value(tuples)),
-        ("objects".to_owned(), objects_to_value(objects)),
+        ("objects".to_owned(), Value::Object(objects_map(objects))),
     ]);
     if let Some(s) = shard {
         m.insert("shard".to_owned(), Value::from(s as i64));

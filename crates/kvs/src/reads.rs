@@ -13,9 +13,18 @@
 //! what the tier above itself refused.
 //!
 //! A walk that the local cache resolves is answered in the call that
-//! started it and owns nothing: it borrows the request and the key.
-//! Only a walk that must fault an object in parks, and only then are
-//! the request and the key copied.
+//! started it and owns nothing beyond the request it was handed. Only a
+//! walk that must fault an object in parks: the request moves into the
+//! walk and the key is copied.
+//!
+//! A child's `kvs.load` that misses here is parked, and the load this
+//! broker sends up for it is the child's own payload when that payload
+//! is exactly the request this broker would build
+//! ([`msg::Spelling::is_load_request`]): nothing is rebuilt, and the id
+//! parsed here rides on in the payload's memo slot ([`load_id`]) for
+//! every tier above. Any other payload, a walk's miss and a heartbeat
+//! retry send a freshly built request, so what travels upstream is the
+//! same either way.
 
 use crate::inflight::{Answer, InFlight};
 use crate::module::{Replica, Requester};
@@ -139,6 +148,17 @@ fn decode_load_reply(payload: &Value) -> Loaded {
     Some((id, Arc::new(obj), size))
 }
 
+/// The object a `kvs.load` request asks for (`None`: no hex `id`). A
+/// tier that forwards the request stores its parse in the payload's
+/// memo slot ([`Reads::serve_load`]), and every tier above reads that;
+/// a request answered where it first lands is parsed without a memo.
+pub(crate) fn load_id(payload: &Payload) -> Option<ObjectId> {
+    match payload.memoized::<Option<ObjectId>>() {
+        Some(id) => *id,
+        None => payload.get("id").and_then(Value::as_str).and_then(|h| ObjectId::from_hex(h).ok()),
+    }
+}
+
 #[derive(Default)]
 pub(crate) struct Reads {
     walks: IdMap<u64, Walk>,
@@ -175,17 +195,17 @@ impl Reads {
         &mut self,
         ctx: &mut ModuleCtx<'_>,
         rep: &mut Replica,
-        req: &Message,
+        req: Message,
         key: &str,
         want_dir: bool,
     ) -> Handled {
         if let Err(e) = validate_key(key) {
-            return ctx.respond_err(req, e.errnum());
+            return ctx.respond_err(&req, e.errnum());
         }
         let want = if want_dir { Want::Listing } else { Want::Value };
         let shard = rep.slots.shard_of(key);
         match step_walk(&mut rep.cache, key, 0, rep.slots.root(shard).0, want) {
-            Stop::Done(end) => answer(ctx, req, end),
+            Stop::Done(end) => answer(ctx, &req, end),
             Stop::Miss(cur, pos) => {
                 let (req, parked) = ctx.park(req);
                 let kind = WalkKind::Get(req);
@@ -196,27 +216,40 @@ impl Reads {
     }
 
     /// A child's (or client's) `kvs.load` of object `id` of `shard`'s
-    /// tree; `shard` was validated by the dispatcher.
+    /// tree; `shard` was validated by the dispatcher. The first miss on
+    /// `id` sends the request's own payload up when it is the one this
+    /// broker would build (module docs).
     pub(crate) fn serve_load(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
         rep: &mut Replica,
-        req: &Message,
+        req: Message,
         id: ObjectId,
         shard: u32,
     ) -> Handled {
         if let Some(obj) = rep.cache.get(id) {
             let payload = self.load_reply(id, &obj);
-            return ctx.respond(req, payload);
+            return ctx.respond(&req, payload);
         }
         if rep.slots.masters(shard) {
-            return ctx.respond_err(req, errnum::ENOENT);
+            return ctx.respond_err(&req, errnum::ENOENT);
         }
-        let (req, parked) = ctx.park(req);
         let entry = self.load_waiters.entry(id).or_default();
+        let first = entry.0.is_empty() && entry.1.is_empty();
+        let ask = first.then(|| {
+            let spelling = rep.slots.spelling();
+            if !spelling.is_load_request(&req.payload, id, shard) {
+                return Payload::from(spelling.load_request(id, shard));
+            }
+            // `id` is this payload's own parse ([`load_id`]): kept in its
+            // memo, the tiers above read it instead of parsing again.
+            req.payload.memo(|_| Some(id));
+            req.payload.clone()
+        });
+        let (req, parked) = ctx.park(req);
         entry.1.push(req);
-        if entry.0.is_empty() && entry.1.len() == 1 {
-            self.request_load(ctx, rep, id, shard);
+        if let Some(ask) = ask {
+            self.send_load(ctx, rep, id, shard, ask);
         }
         parked
     }
@@ -225,7 +258,7 @@ impl Reads {
         &mut self,
         ctx: &mut ModuleCtx<'_>,
         rep: &mut Replica,
-        req: &Message,
+        req: Message,
         key: &str,
         requester: Requester,
     ) -> Handled {
@@ -312,6 +345,19 @@ impl Reads {
         shard: u32,
     ) {
         let payload = Payload::from(rep.slots.spelling().load_request(id, shard));
+        self.send_load(ctx, rep, id, shard, payload);
+    }
+
+    /// Sends `payload`, the `kvs.load` request for object `id` of
+    /// `shard`'s tree, to the next tier.
+    fn send_load(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        rep: &mut Replica,
+        id: ObjectId,
+        shard: u32,
+        payload: Payload,
+    ) {
         let tag = (id, shard);
         // Kept for the tree root's rank-addressed fallback below.
         if self.loads.send_up(ctx, KvsMethod::Load, payload.clone(), tag).is_ok() {
@@ -413,9 +459,12 @@ impl Reads {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::module::KvsModule;
+    use crate::msg::Spelling;
     use crate::testutil::{messages, request};
     use flux_broker::testing::with_ctx;
-    use flux_wire::MsgId;
+    use flux_broker::CommsModule;
+    use flux_wire::{MsgId, MsgType};
 
     /// The one load in flight, as the request the parent would answer.
     fn load_in_flight(reads: &Reads) -> Message {
@@ -448,7 +497,7 @@ mod tests {
         let (cached, outs) = with_ctx(2, 3, move |ctx| {
             let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
             rep.slots.apply_root(ctx, 0, 1, want);
-            reads.lookup(ctx, &mut rep, &get, "b", false);
+            reads.lookup(ctx, &mut rep, get, "b", false);
             let reply = Message::response_to(&load_in_flight(&reads), payload);
             assert!(reads.handle_response(ctx, &mut rep, &reply));
             rep.cache.get(want)
@@ -503,7 +552,7 @@ mod tests {
         with_ctx(2, 3, move |ctx| {
             let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
             rep.slots.apply_root(ctx, 0, 1, dir.id());
-            reads.lookup(ctx, &mut rep, &get, "b", false);
+            reads.lookup(ctx, &mut rep, get, "b", false);
             let reply = Message::response_to(
                 &load_in_flight(&reads),
                 load_payload(dir.id(), dir.to_value()),
@@ -556,7 +605,7 @@ mod tests {
                         rep.cache.insert(root);
                     }
                     rep.slots.apply_root(ctx, 0, 1, root_id);
-                    reads.lookup(ctx, &mut rep, &get, key, want_dir);
+                    reads.lookup(ctx, &mut rep, get, key, want_dir);
                     if !warm {
                         assert_eq!(reads.walks.len(), 1, "{key}: the cold walk parks");
                         let load = load_in_flight(&reads);
@@ -587,7 +636,7 @@ mod tests {
             let (_, outs) = with_ctx(2, 3, move |ctx| {
                 let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
                 rep.slots.apply_root(ctx, 0, 1, ObjectId::hash(b"a root this slave never saw"));
-                reads.lookup(ctx, &mut rep, &get, "a.b", false);
+                reads.lookup(ctx, &mut rep, get, "a.b", false);
                 let mut answer = |reads: &mut Reads, ctx: &mut ModuleCtx<'_>, code| {
                     let reply = Message::error_response_to(&load_in_flight(reads), code);
                     assert!(reads.handle_response(ctx, &mut rep, &reply));
@@ -607,6 +656,99 @@ mod tests {
         }
     }
 
+    /// A child's `kvs.load` of `id` carrying `payload`.
+    fn child_load(payload: &Payload) -> Message {
+        let mut load = request(KvsMethod::Load, Value::object());
+        load.payload = payload.clone();
+        load
+    }
+
+    /// What a one-shard broker on `rank` (of 4, arity 2) sends upstream
+    /// when it misses on the child load `payload`.
+    fn forwarded_by(rank: u32, payload: &Payload) -> Payload {
+        let load = child_load(payload);
+        let (_, outs) = with_ctx(rank, 4, move |ctx| {
+            let mut kvs = KvsModule::new();
+            kvs.on_start(ctx);
+            kvs.handle_request(ctx, load);
+        });
+        let sent: Vec<&Message> =
+            messages(&outs).into_iter().filter(|m| m.header.msg_type == MsgType::Request).collect();
+        assert_eq!((sent.len(), loads_sent(&sent)), (1, 1), "{outs:?}");
+        sent[0].payload.clone()
+    }
+
+    /// The parse of a `kvs.load` request kept in `payload`'s memo slot.
+    fn memo_of(payload: &Payload) -> Option<Arc<Option<ObjectId>>> {
+        payload.memoized::<Option<ObjectId>>()
+    }
+
+    #[test]
+    fn a_missed_child_load_climbs_on_as_the_childs_own_payload() {
+        let id = dir_b7().id();
+        let ask = Payload::from(Spelling::of(1).load_request(id, 0));
+        assert!(memo_of(&ask).is_none());
+        let sent = forwarded_by(1, &ask);
+        assert_eq!(sent, ask);
+        let parsed = memo_of(&ask).expect("the forwarding tier kept its parse");
+        assert_eq!(*parsed, Some(id));
+        assert!(Arc::ptr_eq(&memo_of(&sent).expect("memo"), &parsed), "the child's own payload");
+    }
+
+    #[test]
+    fn a_child_load_with_another_spelling_is_sent_on_rebuilt() {
+        let id = dir_b7().id();
+        let canonical = Spelling::of(1).load_request(id, 0);
+        let mut extra = canonical.clone();
+        extra.insert("x", Value::from(1i64));
+        let upper = Value::from_pairs([("id", Value::from(id.to_hex().to_uppercase()))]);
+        for odd in [extra, upper] {
+            let ask = Payload::from(odd);
+            assert_eq!(load_id(&ask), Some(id), "{ask:?} asks for the same object");
+            let sent = forwarded_by(1, &ask);
+            assert_eq!(sent, canonical, "{ask:?}");
+            let fresh = memo_of(&ask).is_none() && memo_of(&sent).is_none();
+            assert!(fresh, "{ask:?}: a fresh payload");
+        }
+    }
+
+    #[test]
+    fn brokers_handed_one_load_request_parse_its_id_once() {
+        let id = dir_b7().id();
+        let ask = Payload::from(Spelling::of(1).load_request(id, 0));
+        // Rank 3 misses and forwards; its parent, rank 1, is handed the
+        // same payload and misses too.
+        let from_leaf = forwarded_by(3, &ask);
+        let parsed = memo_of(&ask).expect("rank 3 kept its parse");
+        let from_interior = forwarded_by(1, &from_leaf);
+        assert!(Arc::ptr_eq(&memo_of(&from_interior).expect("memo"), &parsed), "one parse");
+        // The tier above reads the memo, not the hex: a payload whose
+        // memo names another object (a broken build, never a real one)
+        // is sent on as a fresh request for the memo's object.
+        let other = KvsObject::Val(Value::Int(8)).id();
+        let misread = Payload::from(Spelling::of(1).load_request(id, 0));
+        misread.memo(|_| Some(other));
+        assert_eq!(forwarded_by(1, &misread), Spelling::of(1).load_request(other, 0));
+    }
+
+    #[test]
+    fn is_load_request_accepts_exactly_what_load_request_builds() {
+        let id = dir_b7().id();
+        for (spelling, shard) in [(Spelling::of(1), 0), (Spelling::of(4), 2)] {
+            let built = spelling.load_request(id, shard);
+            assert!(spelling.is_load_request(&built, id, shard));
+            assert!(!spelling.is_load_request(&built, KvsObject::empty_dir().id(), shard));
+            let mut extra = built.clone();
+            extra.insert("x", Value::Null);
+            assert!(!spelling.is_load_request(&extra, id, shard));
+        }
+        let sharded = Spelling::of(4).load_request(id, 2);
+        assert!(!Spelling::of(4).is_load_request(&sharded, id, 1), "another shard");
+        assert!(!Spelling::of(1).is_load_request(&sharded, id, 2), "another spelling");
+        let single = Spelling::of(1).load_request(id, 0);
+        assert!(!Spelling::of(4).is_load_request(&single, id, 0), "no shard field");
+    }
+
     #[test]
     fn a_load_that_is_never_answered_is_sent_again_after_two_heartbeats() {
         let get = request(KvsMethod::Get, Value::object());
@@ -617,7 +759,7 @@ mod tests {
             rep.cache.insert(KvsObject::Val(Value::Int(7)));
             rep.slots.apply_root(ctx, 0, 1, dir.id());
             let mut reads = Reads::default();
-            reads.lookup(ctx, &mut rep, &get, "b", false);
+            reads.lookup(ctx, &mut rep, get, "b", false);
             let first = load_in_flight(&reads);
             reads.on_heartbeat(ctx, &mut rep);
             assert_eq!(load_in_flight(&reads).header.id, first.header.id, "one beat: left alone");

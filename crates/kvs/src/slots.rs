@@ -149,7 +149,7 @@ impl Slots {
         ctx: &mut ModuleCtx<'_>,
         shard: u32,
         target: u64,
-        req: &Message,
+        req: Message,
     ) -> Handled {
         match self.slots.get_mut(shard as usize) {
             Some(slot) if slot.version < target => {
@@ -157,7 +157,7 @@ impl Slots {
                 slot.waiters.push((target, req));
                 parked
             }
-            _ => self.respond_version(ctx, shard, req),
+            _ => self.respond_version(ctx, shard, &req),
         }
     }
 }
@@ -195,8 +195,8 @@ mod tests {
         let (soon_id, later_id) = (soon.header.id, later.header.id);
         let (_, outs) = with_ctx(0, 1, move |ctx| {
             let mut slots = Slots::new(1);
-            slots.wait_version(ctx, 0, 1, &soon);
-            slots.wait_version(ctx, 0, 5, &later);
+            slots.wait_version(ctx, 0, 1, soon);
+            slots.wait_version(ctx, 0, 5, later);
             assert!(slots.apply_root(ctx, 0, 1, ObjectId::hash(b"new")));
         });
         let answered: Vec<_> =

@@ -76,14 +76,16 @@ impl CommsModule for BarrierModule {
         vec![Event::BarrierExit.topic_str().to_owned()]
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
-        let name = msg.payload.get("name").and_then(Value::as_str);
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
+        // A second handle on the payload, so `msg` can be parked.
+        let payload = msg.payload.clone();
+        let name = payload.get("name").and_then(Value::as_str);
         // `nprocs` 0 can never be met: refused at entry, dropped on the way up.
-        let nprocs = msg.payload.get("nprocs").and_then(Value::as_uint).filter(|&n| n > 0);
+        let nprocs = payload.get("nprocs").and_then(Value::as_uint).filter(|&n| n > 0);
         match BarrierMethod::from_method(msg.header.topic.method()) {
             Some(BarrierMethod::Enter) => {
                 let (Some(name), Some(nprocs)) = (name, nprocs) else {
-                    return ctx.respond_err(msg, errnum::EINVAL);
+                    return ctx.respond_err(&msg, errnum::EINVAL);
                 };
                 let (waiter, parked) = ctx.park(msg);
                 self.waiters.entry(name.to_owned()).or_default().push(waiter);
@@ -99,9 +101,9 @@ impl CommsModule for BarrierModule {
                         self.contribute(ctx, name, Count { nprocs, count });
                     }
                 }
-                ctx.one_way(msg)
+                ctx.one_way(&msg)
             }
-            None => ctx.respond_err(msg, errnum::ENOSYS),
+            None => ctx.respond_err(&msg, errnum::ENOSYS),
         }
     }
 

@@ -62,21 +62,21 @@ impl CommsModule for GroupModule {
         "group"
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         let Some(method) = GroupMethod::from_method(msg.header.topic.method()) else {
-            return ctx.respond_err(msg, errnum::ENOSYS);
+            return ctx.respond_err(&msg, errnum::ENOSYS);
         };
         let name = msg.payload.get("name").and_then(Value::as_str).unwrap_or_default();
         if name.is_empty() || name.contains('.') {
-            return ctx.respond_err(msg, errnum::EINVAL);
+            return ctx.respond_err(&msg, errnum::EINVAL);
         }
         let key = match method {
-            GroupMethod::Join | GroupMethod::Leave => Self::member_key(name, msg),
+            GroupMethod::Join | GroupMethod::Leave => Self::member_key(name, &msg),
             GroupMethod::Info => keys::group::dir(name),
         };
         let key = match crate::checked_key(key) {
             Ok(key) => Value::from(key),
-            Err(code) => return ctx.respond_err(msg, code),
+            Err(code) => return ctx.respond_err(&msg, code),
         };
         let (id, kind): (MsgId, fn(Message) -> PendingKind) = match method {
             GroupMethod::Join => {

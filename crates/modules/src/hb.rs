@@ -60,13 +60,13 @@ impl CommsModule for HbModule {
         self.epoch = self.epoch.max(epoch);
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         match HbMethod::from_method(msg.header.topic.method()) {
             Some(HbMethod::Epoch) => ctx.respond(
-                msg,
+                &msg,
                 Value::from_pairs([("epoch", Value::from(self.epoch as i64))]),
             ),
-            None => ctx.respond_err(msg, errnum::ENOSYS),
+            None => ctx.respond_err(&msg, errnum::ENOSYS),
         }
     }
 }

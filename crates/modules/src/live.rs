@@ -132,14 +132,14 @@ impl CommsModule for LiveModule {
         }
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         match LiveMethod::from_method(msg.header.topic.method()) {
             Some(LiveMethod::Hello) => {
                 let Some(rank) = msg.payload.get("rank").and_then(Value::as_uint) else {
-                    return ctx.one_way(msg); // malformed hellos are dropped
+                    return ctx.one_way(&msg); // malformed hellos are dropped
                 };
                 if rank >= u64::from(ctx.size()) {
-                    return ctx.one_way(msg); // hello from a rank outside the session
+                    return ctx.one_way(&msg); // hello from a rank outside the session
                 }
                 let rank = Rank(rank as u32);
                 let epoch = self.epoch;
@@ -156,7 +156,7 @@ impl CommsModule for LiveModule {
                         Value::from_pairs([("rank", Value::from(rank.0))]),
                     );
                 }
-                ctx.one_way(msg)
+                ctx.one_way(&msg)
             }
             Some(LiveMethod::Status) => {
                 // Local liveness view for tools.
@@ -166,14 +166,14 @@ impl CommsModule for LiveModule {
                     .map(Value::from)
                     .collect();
                 ctx.respond(
-                    msg,
+                    &msg,
                     Value::from_pairs([
                         ("up", Value::Array(up)),
                         ("downs_reported", Value::from(self.downs_reported as i64)),
                     ]),
                 )
             }
-            None => ctx.respond_err(msg, errnum::ENOSYS),
+            None => ctx.respond_err(&msg, errnum::ENOSYS),
         }
     }
 }

@@ -140,12 +140,12 @@ impl CommsModule for LogModule {
         vec![Event::LogFault.topic_str().to_owned()]
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         match LogMethod::from_method(msg.header.topic.method()) {
             Some(LogMethod::Msg) => {
                 let level = msg.payload.get("level").and_then(Value::as_int).unwrap_or(INFO);
                 let Some(text) = msg.payload.get("text").and_then(Value::as_str) else {
-                    return ctx.respond_err(msg, errnum::EINVAL);
+                    return ctx.respond_err(&msg, errnum::EINVAL);
                 };
                 let entry = LogEntry {
                     rank: ctx.rank().0,
@@ -154,16 +154,16 @@ impl CommsModule for LogModule {
                     time_ns: ctx.now_ns(),
                 };
                 self.append(ctx, entry);
-                ctx.respond(msg, Value::object())
+                ctx.respond(&msg, Value::object())
             }
             Some(LogMethod::Batch) => {
                 // Merged entries climbing the tree (one-way). Interior
                 // brokers re-batch; the root stores.
                 let Some(arr) = msg.payload.get("entries").and_then(Value::as_array) else {
-                    return ctx.one_way(msg);
+                    return ctx.one_way(&msg);
                 };
                 if !self.batch.admit(&msg.payload) {
-                    return ctx.one_way(msg);
+                    return ctx.one_way(&msg);
                 }
                 let entries: Vec<LogEntry> =
                     arr.iter().filter_map(LogEntry::from_value).collect();
@@ -174,12 +174,12 @@ impl CommsModule for LogModule {
                 } else {
                     self.batch.contribute((), Batch(entries));
                 }
-                ctx.one_way(msg)
+                ctx.one_way(&msg)
             }
             Some(LogMethod::Dump) => {
                 // Local circular buffer (rank-addressable for debugging).
                 ctx.respond(
-                    msg,
+                    &msg,
                     Value::from_pairs([(
                         "entries",
                         Self::entries_value(self.ring.iter().cloned()),
@@ -196,7 +196,7 @@ impl CommsModule for LogModule {
                         .filter(|e| e.level <= min_level)
                         .cloned();
                     ctx.respond(
-                        msg,
+                        &msg,
                         Value::from_pairs([("entries", Self::entries_value(entries))]),
                     )
                 } else {
@@ -204,7 +204,7 @@ impl CommsModule for LogModule {
                     ctx.forward_upstream(msg)
                 }
             }
-            None => ctx.respond_err(msg, errnum::ENOSYS),
+            None => ctx.respond_err(&msg, errnum::ENOSYS),
         }
     }
 

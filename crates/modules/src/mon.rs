@@ -171,18 +171,18 @@ impl CommsModule for MonModule {
         "mon"
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         match MonMethod::from_method(msg.header.topic.method()) {
             Some(MonMethod::Add) => {
                 let (Some(name), Some(metric)) = (
                     msg.payload.get("name").and_then(Value::as_str),
                     msg.payload.get("metric").and_then(Value::as_str),
                 ) else {
-                    return ctx.respond_err(msg, errnum::EINVAL);
+                    return ctx.respond_err(&msg, errnum::EINVAL);
                 };
                 let key = match crate::checked_key(keys::mon::sampler_key(name)) {
                     Ok(key) => key,
-                    Err(code) => return ctx.respond_err(msg, code),
+                    Err(code) => return ctx.respond_err(&msg, code),
                 };
                 let period = msg.payload.get("period").and_then(Value::as_uint).unwrap_or(1);
                 let spec_val = Value::from_pairs([
@@ -204,12 +204,12 @@ impl CommsModule for MonModule {
                     msg.payload.get("max").and_then(Value::as_float),
                     msg.payload.get("count").and_then(Value::as_uint),
                 ) else {
-                    return ctx.one_way(msg);
+                    return ctx.one_way(&msg);
                 };
                 if self.acc.admit(&msg.payload) {
                     self.acc.contribute((name, epoch), Agg { sum, min, max, count });
                 }
-                ctx.one_way(msg)
+                ctx.one_way(&msg)
             }
             Some(MonMethod::List) => {
                 let mut specs = flux_value::Map::new();
@@ -222,9 +222,9 @@ impl CommsModule for MonModule {
                         ]),
                     );
                 }
-                ctx.respond(msg, Value::from_pairs([("samplers", Value::Object(specs))]))
+                ctx.respond(&msg, Value::from_pairs([("samplers", Value::Object(specs))]))
             }
-            None => ctx.respond_err(msg, errnum::ENOSYS),
+            None => ctx.respond_err(&msg, errnum::ENOSYS),
         }
     }
 

@@ -131,22 +131,22 @@ impl CommsModule for ResvcModule {
         }
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         // The root's instance holds the free set; every other one passes
         // a known method on.
         match ResvcMethod::from_method(msg.header.topic.method()) {
             Some(_) if !ctx.is_root() => ctx.forward_upstream(msg),
-            Some(ResvcMethod::Alloc) => self.handle_alloc(ctx, msg),
-            Some(ResvcMethod::Free) => self.handle_free(ctx, msg),
+            Some(ResvcMethod::Alloc) => self.handle_alloc(ctx, &msg),
+            Some(ResvcMethod::Free) => self.handle_free(ctx, &msg),
             Some(ResvcMethod::Status) => ctx.respond(
-                msg,
+                &msg,
                 Value::from_pairs([
                     ("free", Value::from(self.free.len())),
                     ("total", Value::from(ctx.size())),
                     ("allocated_jobs", Value::from(self.allocations.len())),
                 ]),
             ),
-            None => ctx.respond_err(msg, errnum::ENOSYS),
+            None => ctx.respond_err(&msg, errnum::ENOSYS),
         }
     }
 }

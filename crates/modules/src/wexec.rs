@@ -220,7 +220,7 @@ impl CommsModule for WexecModule {
         ]
     }
 
-    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
+    fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         match WexecMethod::from_method(msg.header.topic.method()) {
             Some(WexecMethod::Run) => {
                 let (Some(jobid), Some(cmd), Some(targets)) = (
@@ -228,12 +228,12 @@ impl CommsModule for WexecModule {
                     msg.payload.get("cmd").and_then(Value::as_str),
                     msg.payload.get("targets"),
                 ) else {
-                    return ctx.respond_err(msg, errnum::EINVAL);
+                    return ctx.respond_err(&msg, errnum::EINVAL);
                 };
                 let ntasks = match targets {
                     Value::Str(s) if s == "all" => u64::from(ctx.size()),
                     Value::Array(a) => a.len() as u64,
-                    _ => return ctx.respond_err(msg, errnum::EINVAL),
+                    _ => return ctx.respond_err(&msg, errnum::EINVAL),
                 };
                 // Fan out as an event; every broker (including this one)
                 // sees it in the session total order.
@@ -247,7 +247,7 @@ impl CommsModule for WexecModule {
                     ]),
                 );
                 ctx.respond(
-                    msg,
+                    &msg,
                     Value::from_pairs([
                         ("jobid", Value::from(jobid as i64)),
                         ("ntasks", Value::from(ntasks as i64)),
@@ -256,13 +256,13 @@ impl CommsModule for WexecModule {
             }
             Some(WexecMethod::Kill) => {
                 let Some(jobid) = msg.payload.get("jobid").and_then(Value::as_uint) else {
-                    return ctx.respond_err(msg, errnum::EINVAL);
+                    return ctx.respond_err(&msg, errnum::EINVAL);
                 };
                 ctx.publish(
                     Event::WexecKill.topic(),
                     Value::from_pairs([("jobid", Value::from(jobid as i64))]),
                 );
-                ctx.respond(msg, Value::object())
+                ctx.respond(&msg, Value::object())
             }
             Some(WexecMethod::StatusUp) => {
                 let (Some(jobid), Some(reported), Some(failed), Some(max_code)) = (
@@ -271,12 +271,12 @@ impl CommsModule for WexecModule {
                     msg.payload.get("failed").and_then(Value::as_uint),
                     msg.payload.get("max_code").and_then(Value::as_int),
                 ) else {
-                    return ctx.one_way(msg);
+                    return ctx.one_way(&msg);
                 };
                 if self.unflushed.admit(&msg.payload) {
                     self.report_status(ctx, jobid, Status { reported, failed, max_code });
                 }
-                ctx.one_way(msg)
+                ctx.one_way(&msg)
             }
             Some(WexecMethod::Ps) => {
                 let running: Vec<Value> = self
@@ -290,9 +290,9 @@ impl CommsModule for WexecModule {
                         ])
                     })
                     .collect();
-                ctx.respond(msg, Value::from_pairs([("tasks", Value::Array(running))]))
+                ctx.respond(&msg, Value::from_pairs([("tasks", Value::Array(running))]))
             }
-            None => ctx.respond_err(msg, errnum::ENOSYS),
+            None => ctx.respond_err(&msg, errnum::ENOSYS),
         }
     }
 

@@ -215,7 +215,7 @@ fn kvs_at_the_master() {
     );
     pin(
         "kvs.commit of one tuple at the master",
-        by_profile(54, 45),
+        by_profile(53, 44),
         || {
             ask(put(&mut core, "bench.k", Value::Int(42)));
             core.request(KvsMethod::Commit.topic(), Value::object(), 0)
@@ -291,9 +291,88 @@ fn kvs_push_from_a_child() {
     }
     pin(
         "kvs.push from a child, accepted at the master and flushed by its window",
-        by_profile(62, 53),
+        by_profile(61, 52),
         next,
         accept,
+    );
+}
+
+#[test]
+fn kvs_load_forwarded_by_an_interior_broker() {
+    // Rank 1 of four caches nothing, so a `kvs.load` from its child rank 3
+    // misses there, is parked, and climbs on to rank 0. Outside the count
+    // rank 0 refuses it, which answers the child and empties rank 1's
+    // waiter table: every repetition is a first miss on the object.
+    let relay = RefCell::new(started(BrokerConfig::new(Rank(1), 4), kvs()));
+    let id = KvsObject::Val(Value::Int(42)).id().to_hex();
+    let load = Value::from_pairs([("id", Value::from(id.as_str()))]);
+    let topic = KvsMethod::Load.topic();
+    let sent = RefCell::new(Vec::new());
+    let mut seq = 0;
+    pin(
+        "kvs.load from child rank 3, a miss forwarded by interior rank 1",
+        4,
+        || {
+            let forwarded = sent.take().into_iter().find_map(|out| match out {
+                Output::ToBroker { msg, .. } if msg.header.topic == topic => Some(msg),
+                _ => None,
+            });
+            if let Some(up) = forwarded {
+                let msg = Message::error_response_to(&up, flux_wire::errnum::ENOENT);
+                let from_parent = Input::FromBroker { plane: Plane::Tree, from: Rank(0), msg };
+                relay.borrow_mut().handle(0, from_parent);
+            } else {
+                assert_eq!(seq, 0, "every miss is forwarded");
+            }
+            seq += 1;
+            let id = MsgId { origin: Rank(3), seq };
+            Message::request(topic.clone(), id, Rank(3), load.clone())
+        },
+        |msg| {
+            let from_child = Input::FromBroker { plane: Plane::Tree, from: Rank(3), msg };
+            sent.replace(relay.borrow_mut().handle(0, from_child))
+        },
+    );
+}
+
+#[test]
+fn kvs_fence_up_merged_at_an_interior_broker() {
+    // Rank 1 of four receives one contribution from its child rank 3 —
+    // a tuple and the value object it names, stamped with the next batch
+    // id — merges it, and sends it on when the window it armed fires.
+    let mut relay = started(BrokerConfig::new(Rank(1), 4), kvs());
+    let obj = KvsObject::Val(Value::Int(42));
+    let hex = obj.id().to_hex();
+    let mut batch = 0;
+    let next = || {
+        batch += 1;
+        let tuple =
+            Value::from_pairs([("k", Value::from("bench.k")), ("s", Value::from(hex.as_str()))]);
+        let payload = Value::from_pairs([
+            ("name", Value::from("bench.fence")),
+            ("nprocs", Value::from(64i64)),
+            ("count", Value::from(1i64)),
+            ("tuples", Value::Array(vec![tuple])),
+            ("objects", Value::from_pairs([(hex.as_str(), obj.to_value())])),
+            ("src", Value::from(3u32)),
+            ("batch", Value::from(batch as i64)),
+        ]);
+        let id = MsgId { origin: Rank(3), seq: batch };
+        Message::request(KvsMethod::FenceUp.topic(), id, Rank(3), payload)
+    };
+    let merge = |msg| {
+        let merged = relay.handle(0, Input::FromBroker { plane: Plane::Tree, from: Rank(3), msg });
+        let token = merged.iter().find_map(|o| match o {
+            Output::SetTimer { token, .. } => Some(*token),
+            _ => None,
+        });
+        (relay.handle(0, Input::Timer { token: token.expect("the window is armed") }), merged)
+    };
+    pin(
+        "kvs.fence.up from child rank 3, merged at interior rank 1 and flushed by its window",
+        17,
+        next,
+        merge,
     );
 }
 

@@ -162,6 +162,13 @@ impl Payload {
         let held = self.inner.memo.get_or_init(|| Arc::clone(&built) as _);
         Arc::clone(held).downcast().unwrap_or(built)
     }
+
+    /// The memo slot's `T` if a holder stored one, without building it:
+    /// for a reader that would rather decode for itself than allocate a
+    /// memo nobody else may read.
+    pub fn memoized<T: Any + Send + Sync>(&self) -> Option<Arc<T>> {
+        Arc::clone(self.inner.memo.get()?).downcast().ok()
+    }
 }
 
 impl From<Value> for Payload {
@@ -361,6 +368,7 @@ mod tests {
         let m = Message::event(topic("hb"), id(0, 1), Rank(0), Value::Int(7));
         let bare = m.clone();
         let (bare_debug, bare_size) = (format!("{bare:?}"), bare.wire_size());
+        assert!(m.payload.memoized::<Option<i64>>().is_none(), "nothing stored yet");
         let first = m.payload.memo(|v| v.as_int().map(|n| n * 2));
         assert_eq!(*first, Some(14));
         // A clone shares the slot: its build never runs.
@@ -369,6 +377,8 @@ mod tests {
         // The first type stored wins; another type builds un-memoized.
         assert_eq!(*m.payload.memo(|_| "other"), "other");
         assert!(Arc::ptr_eq(&first, &m.payload.memo(|_| None::<i64>)));
+        assert!(Arc::ptr_eq(&first, &m.payload.memoized::<Option<i64>>().expect("stored")));
+        assert!(m.payload.memoized::<&str>().is_none(), "another type reads nothing");
         // Identity ignores the slot.
         let fresh = Message::event(topic("hb"), id(0, 1), Rank(0), Value::Int(7));
         assert_eq!(m, fresh);
