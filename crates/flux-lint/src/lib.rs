@@ -118,7 +118,7 @@ const PANIC_TOKENS: &[&str] =
     &[".unwrap()", ".expect(", "panic!(", "unreachable!(", "todo!(", "unimplemented!("];
 
 /// The sans-io scope of the block rule: the `src/` of every crate the
-/// broker core is built from.
+/// broker core is built from, and the socket link's protocol core.
 const SANS_IO: &[&str] = &[
     "crates/value/src/",
     "crates/hash/src/",
@@ -133,6 +133,7 @@ const SANS_IO: &[&str] = &[
     "crates/pmi/src/",
     "crates/flux-mc/src/",
     "crates/kap/src/",
+    "crates/rt/src/link.rs",
 ];
 
 /// What the block rule rejects in the sans-io scope: threads, sleeps,
@@ -569,10 +570,14 @@ mod tests {
     #[test]
     fn block_rule_covers_the_sans_io_core_only() {
         let src = "fn pump(rx: &Receiver<u8>) -> u8 {\n    rx.recv().unwrap_or(0)\n}\n";
-        let v = lint_file("crates/sim/src/fake.rs", src);
-        assert_eq!(rules(&v), [Rule::Block], "{v:?}");
-        assert!(v[0].message.contains(".recv()"), "{v:?}");
-        // The I/O tier and test directories are outside the scope.
+        for rel in ["crates/sim/src/fake.rs", "crates/rt/src/link.rs"] {
+            let v = lint_file(rel, src);
+            assert_eq!(rules(&v), [Rule::Block], "{rel}: {v:?}");
+            assert!(v[0].message.contains(".recv()"), "{v:?}");
+        }
+        let socket = "fn dial(addr: SocketAddr) -> Option<TcpStream> {\n    None\n}\n";
+        assert_eq!(rules(&lint_file("crates/rt/src/link.rs", socket)), [Rule::Block]);
+        // The rest of the I/O tier and test directories are outside the scope.
         for rel in ["crates/rt/src/fake.rs", "crates/sim/tests/fake.rs"] {
             assert!(lint_file(rel, src).is_empty(), "{rel}");
         }

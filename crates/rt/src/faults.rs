@@ -330,12 +330,14 @@ impl LinkFaults {
     /// Decides the fate of the next outbound message to `to` at `now_ns`
     /// on `plane`. Consumes one slice of the link's random stream; call
     /// exactly once per message, in send order, for reproducible
-    /// decisions. The event plane requires per-link FIFO ordering (its at-most-once
-    /// sequence dedup means a reordered event is lost forever, which
-    /// production links — TCP streams — never do), so injected delays are
-    /// suppressed there; drops, duplicates, blackouts, and partitions
-    /// still apply. Consumes the same random draws on every plane, so a
-    /// link's stream does not depend on the plane mix of its traffic.
+    /// decisions. Every plane is FIFO per link (one connection per
+    /// ordered broker pair), so an injected delay is the only reorder —
+    /// made here, above the link. The event plane cannot take one (its
+    /// at-most-once sequence dedup loses a reordered event forever), so
+    /// delays are suppressed there; drops, duplicates, blackouts, and
+    /// partitions still apply. Consumes the same random draws on every
+    /// plane, so a link's stream does not depend on the plane mix of its
+    /// traffic.
     pub fn fate_on(&mut self, plane: Plane, now_ns: u64, to: Rank) -> Fate {
         let ordered = matches!(plane, Plane::Event);
         if self.plan.cut(self.from, to, now_ns) {

@@ -9,13 +9,14 @@
 //!   happen, measured in virtual time.
 //! * [`tcp::TcpSession`] — the same brokers on real OS threads, one per
 //!   broker, wired over real loopback TCP sockets carrying
-//!   length-prefixed `flux-wire` frames, every socket nonblocking (the
-//!   `reactor` module behind [`tcp`]): pooled broker→broker links,
-//!   pipelined socket clients, jittered nonblocking connect retry. The
-//!   closest analogue of the prototype's ØMQ TCP overlay, measured in
-//!   wall-clock time; it shows that the protocol stack is
-//!   runtime-agnostic (nothing in broker/module/KVS code knows which
-//!   runtime it is on).
+//!   length-prefixed `flux-wire` frames, every socket nonblocking: one
+//!   connection per ordered broker pair, pipelined socket clients,
+//!   jittered connect retry. The link's protocol state is the sans-io
+//!   `link` module, which the `reactor` module behind [`tcp`] drives
+//!   over the sockets. The closest analogue of the prototype's ØMQ TCP
+//!   overlay, measured in wall-clock time; it shows that the protocol
+//!   stack is runtime-agnostic (nothing in broker/module/KVS code knows
+//!   which runtime it is on).
 //!
 //! The live runtime is one host loop and one [`Session`] /
 //! [`SessionBuilder`] pair over one socket link. The [`transport`]
@@ -38,6 +39,7 @@
 #![deny(missing_docs)]
 pub mod chaos;
 pub mod faults;
+pub(crate) mod link;
 pub(crate) mod live;
 pub(crate) mod reactor;
 pub mod script;

@@ -72,7 +72,6 @@ struct Delayed {
     at: Instant,
     seq: u64,
     to: Rank,
-    plane: Plane,
     msg: Message,
 }
 
@@ -126,19 +125,18 @@ impl BrokerHost {
 
     fn send_to_broker(&mut self, now_ns: u64, plane: Plane, to: Rank, msg: Message) {
         let Some(f) = &mut self.faults else {
-            self.link.send_to(to, plane, msg);
+            self.link.send_to(to, msg);
             return;
         };
         for &extra in &f.fate_on(plane, now_ns, to).copies {
             if extra == 0 {
-                self.link.send_to(to, plane, msg.clone());
+                self.link.send_to(to, msg.clone());
             } else {
                 self.delay_seq += 1;
                 self.delayed.push(Delayed {
                     at: Instant::now() + Duration::from_nanos(extra),
                     seq: self.delay_seq,
                     to,
-                    plane,
                     msg: msg.clone(),
                 });
             }
@@ -150,9 +148,7 @@ impl BrokerHost {
         let now_ns = self.now_ns();
         for out in outs.drain(..) {
             match out {
-                Output::ToBroker { plane, to, msg } => {
-                    self.send_to_broker(now_ns, plane, to, msg)
-                }
+                Output::ToBroker { plane, to, msg } => self.send_to_broker(now_ns, plane, to, msg),
                 Output::ToClient { client, msg } => {
                     // A blacked-out broker cannot answer its clients.
                     if self.silenced(now_ns) {
@@ -197,7 +193,7 @@ impl BrokerHost {
                 break;
             }
             let Some(d) = self.delayed.pop() else { break };
-            self.link.send_to(d.to, d.plane, d.msg);
+            self.link.send_to(d.to, d.msg);
         }
     }
 
@@ -350,14 +346,24 @@ impl Session {
     /// Stops every broker thread and joins it. Each host closes its link
     /// on the way out: it flushes what it can without blocking, and
     /// socket clients observe EOF.
+    ///
+    /// # Panics
+    /// Re-raises the first panic of a broker thread, once every thread
+    /// is joined.
     pub fn shutdown(self) {
         for tx in &self.senders {
             let _ = tx.send(Event::Shutdown);
         }
+        // Ordered teardown: every broker was just sent Shutdown, so each
+        // join only waits for its thread to drain and exit.
+        let mut panic = None;
         for h in self.handles {
-            // Ordered teardown: every broker was just sent Shutdown, so
-            // each join only waits for its thread to drain and exit.
-            let _ = h.join();
+            if let Err(payload) = h.join() {
+                panic.get_or_insert(payload);
+            }
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
         }
     }
 }
@@ -465,8 +471,7 @@ mod tests {
         // So does a fault-delayed release due sooner still.
         let id = MsgId { origin: Rank(0), seq: 1 };
         let msg = Message::request(CmbMethod::Ping.topic(), id, Rank(0), Value::Null);
-        let plane = Plane::Tree;
-        host.delayed.push(Delayed { at: now + ms(2), seq: 1, to: Rank(0), plane, msg });
+        host.delayed.push(Delayed { at: now + ms(2), seq: 1, to: Rank(0), msg });
         assert_eq!(host.park_timeout(5, now), ms(2));
         // Overdue scheduled work means no park at all.
         assert_eq!(host.park_timeout(5, now + Duration::from_secs(1)), Duration::ZERO);

@@ -4,9 +4,11 @@
 //! Frame-level decoding errors are asserted directly against
 //! `flux_wire::frame`; then a real two-broker `TcpSession` is abused
 //! with garbage handshakes, mid-frame disconnects, and an oversized
-//! length prefix, and must keep serving clients throughout.
+//! length prefix, and must keep serving clients throughout. A broker
+//! thread that does crash is not lost: `shutdown` re-raises its panic.
 
 use flux_broker::client::ClientCore;
+use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_modules::standard_modules;
 use flux_rt::tcp::TcpSession;
 use flux_value::Value;
@@ -136,4 +138,33 @@ fn session_survives_hostile_peers() {
     assert_eq!(got.payload.get("v"), Some(&Value::from("ok")));
 
     session.shutdown();
+}
+
+/// A module that panics on every request.
+struct Boom;
+
+impl CommsModule for Boom {
+    fn name(&self) -> &'static str {
+        "boom"
+    }
+
+    fn handle_request(&mut self, _ctx: &mut ModuleCtx<'_>, _msg: Message) -> Handled {
+        panic!("boom: a module bug");
+    }
+}
+
+/// A broker thread's panic does not vanish at teardown: `shutdown` joins
+/// every thread, then re-raises it.
+#[test]
+fn a_broker_thread_panic_resurfaces_at_shutdown() {
+    let mut builder = TcpSession::builder(1, 2, |_| vec![Box::new(Boom) as Box<dyn CommsModule>]);
+    let client = builder.attach_client(Rank(0));
+    let session = builder.start();
+    let mut core = ClientCore::new(Rank(0), client.client_id);
+    client.send(core.request(Topic::from_static("boom.now"), Value::object(), 1));
+    // The broker thread dies handling it, so no reply ever comes.
+    assert!(client.recv_timeout(Duration::from_secs(10)).is_none());
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| session.shutdown()));
+    let payload = outcome.expect_err("shutdown re-raises the broker thread's panic");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom: a module bug"));
 }
