@@ -61,7 +61,7 @@ use flux_proto::{
     keys, BarrierMethod, CmbMethod, GroupMethod, KvsMethod, LiveMethod, LogMethod, MonMethod,
     ResvcMethod, WexecMethod,
 };
-use flux_rt::transport::TransportKind;
+use flux_rt::transport::LiveTransport;
 use flux_rt::{FaultPlan, LiveClient};
 use flux_value::Value;
 use flux_wire::{Message, Rank, Topic};
@@ -401,7 +401,7 @@ fn main() -> ExitCode {
 
     // Host an ephemeral session over loopback TCP; attach at the last
     // rank (a leaf).
-    let mut live = TransportKind::Tcp.live().expect("tcp is a live transport");
+    let mut live = LiveTransport::default();
     if let Some(flag) = faults {
         // Epoch windows in the spec are scaled by the default heartbeat
         // period (the CLI does not override broker configs).

@@ -36,10 +36,12 @@
 pub mod instance;
 pub mod jobspec;
 pub mod resource;
-pub mod rng;
 pub mod sched;
 pub mod spec;
 pub mod workload;
+
+/// The seeded PRNG, re-exported from its home in `flux-sim`.
+pub use flux_sim::rng;
 
 pub use instance::{GrowError, Instance, InstanceConfig, JobEvent, JobId, JobState};
 pub use jobspec::{Elasticity, JobSpec};

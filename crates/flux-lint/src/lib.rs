@@ -19,10 +19,11 @@
 //!    crate: it carries `#![deny(unsafe_op_in_unsafe_fn)]` and
 //!    `#![deny(missing_docs)]` instead, and a `// SAFETY:` comment
 //!    directly above every line that says `unsafe`.
-//! 5. **block** — the crates the sans-io broker core is built from never
-//!    name a thread, a channel, a lock or a socket (`BLOCKING`). What
-//!    they can call lies inside the same scope, so nothing they reach can
-//!    block either; `flux-rt` and the CLI are the I/O tier, outside it.
+//! 5. **block** — the crates the sans-io broker core is built from, and
+//!    flux-rt's sans-io files (`SANS_IO`), never name a thread, a channel,
+//!    a lock or a socket (`BLOCKING`). What they can call lies inside the
+//!    same scope, so nothing they reach can block either; the rest of
+//!    `flux-rt` and the CLI are the I/O tier, outside it.
 //! 6. **unsafe** — the `unsafe` keyword appears in no `.rs` file but
 //!    `crates/sys/src/lib.rs`, tests and examples included.
 //!
@@ -118,7 +119,9 @@ const PANIC_TOKENS: &[&str] =
     &[".unwrap()", ".expect(", "panic!(", "unreachable!(", "todo!(", "unimplemented!("];
 
 /// The sans-io scope of the block rule: the `src/` of every crate the
-/// broker core is built from, and the socket link's protocol core.
+/// broker core is built from, and flux-rt's sans-io files: the socket
+/// link's protocol core, the script interpreter, the simulator session,
+/// and fault injection and its chaos checks.
 const SANS_IO: &[&str] = &[
     "crates/value/src/",
     "crates/hash/src/",
@@ -134,6 +137,10 @@ const SANS_IO: &[&str] = &[
     "crates/flux-mc/src/",
     "crates/kap/src/",
     "crates/rt/src/link.rs",
+    "crates/rt/src/script.rs",
+    "crates/rt/src/sim.rs",
+    "crates/rt/src/faults.rs",
+    "crates/rt/src/chaos.rs",
 ];
 
 /// What the block rule rejects in the sans-io scope: threads, sleeps,
@@ -291,8 +298,8 @@ pub fn lint_file(rel: &str, content: &str) -> Vec<Violation> {
                     lineno,
                     Rule::Block,
                     format!(
-                        "`{tok}` in the sans-io broker core — threads, channels, locks and \
-                         sockets belong to the I/O tier (`flux-rt`)"
+                        "`{tok}` in sans-io code — threads, channels, locks and sockets \
+                         belong to the I/O tier (`flux-rt`'s drivers)"
                     ),
                 );
             }
@@ -570,7 +577,15 @@ mod tests {
     #[test]
     fn block_rule_covers_the_sans_io_core_only() {
         let src = "fn pump(rx: &Receiver<u8>) -> u8 {\n    rx.recv().unwrap_or(0)\n}\n";
-        for rel in ["crates/sim/src/fake.rs", "crates/rt/src/link.rs"] {
+        let sans_io = [
+            "crates/sim/src/fake.rs",
+            "crates/rt/src/link.rs",
+            "crates/rt/src/script.rs",
+            "crates/rt/src/sim.rs",
+            "crates/rt/src/faults.rs",
+            "crates/rt/src/chaos.rs",
+        ];
+        for rel in sans_io {
             let v = lint_file(rel, src);
             assert_eq!(rules(&v), [Rule::Block], "{rel}: {v:?}");
             assert!(v[0].message.contains(".recv()"), "{v:?}");
@@ -578,7 +593,15 @@ mod tests {
         let socket = "fn dial(addr: SocketAddr) -> Option<TcpStream> {\n    None\n}\n";
         assert_eq!(rules(&lint_file("crates/rt/src/link.rs", socket)), [Rule::Block]);
         // The rest of the I/O tier and test directories are outside the scope.
-        for rel in ["crates/rt/src/fake.rs", "crates/sim/tests/fake.rs"] {
+        let io = [
+            "crates/rt/src/fake.rs",
+            "crates/rt/src/transport.rs",
+            "crates/rt/src/live.rs",
+            "crates/rt/src/reactor.rs",
+            "crates/rt/src/tcp.rs",
+            "crates/sim/tests/fake.rs",
+        ];
+        for rel in io {
             assert!(lint_file(rel, src).is_empty(), "{rel}");
         }
         // Strings and comments never fire.

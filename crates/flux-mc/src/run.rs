@@ -353,8 +353,7 @@ fn post_checks(
     observer: &ReplyObserver,
 ) -> Option<Violation> {
     // Transport-layer outcomes: the shape `histories_for` consumes.
-    let outcomes: Vec<ScriptOutcome> =
-        handles.iter().map(|h| ScriptOutcome::from(h.take())).collect();
+    let outcomes: Vec<ScriptOutcome> = handles.iter().map(|h| h.take()).collect();
 
     for (i, outcome) in outcomes.iter().enumerate() {
         if !outcome.finished {

@@ -16,7 +16,7 @@
 use crate::runner::{run_kap_full, KapParams, KapRun, ProducerMode, SyncMode};
 use flux_broker::RankOverlay;
 use flux_kvs::KvsConfig;
-use flux_rt::transport::{SimTransport, TransportKind};
+use flux_rt::transport::{LiveTransport, SimTransport, TransportKind};
 use flux_value::{Map, Value};
 
 /// Schema tag stamped into every document; bump on breaking layout
@@ -30,9 +30,9 @@ const SCHEMA: &str = "flux-kap-bench/v1";
 /// tree-edge relaying would funnel every cross-subtree commit part
 /// through the root broker's send path.
 pub fn run_on(transport: TransportKind, p: &KapParams) -> KapRun {
-    match transport.live() {
-        Some(live) => run_kap_full(p, &live),
-        None => {
+    match transport {
+        TransportKind::Tcp => run_kap_full(p, &LiveTransport::default()),
+        TransportKind::Sim => {
             let overlay = if p.kvs.shards > 1 { RankOverlay::Full } else { RankOverlay::Ring };
             run_kap_full(p, &SimTransport { overlay, ..SimTransport::default() })
         }

@@ -548,12 +548,12 @@ mod tests {
 
     #[test]
     fn same_workload_runs_on_live_transports() {
-        use flux_rt::transport::TransportKind;
+        use flux_rt::transport::LiveTransport;
         let mut p = KapParams::fully_populated(2);
         p.procs_per_node = 2;
         p.producers = p.total_procs();
         p.consumers = p.total_procs();
-        let transport = TransportKind::Tcp.live().expect("tcp is a live transport");
+        let transport = LiveTransport::default();
         let r = run_kap_on(&p, &transport);
         assert!(r.makespan_ns > 0, "tcp ran");
         assert_eq!(r.events, 0, "live transports have no engine stats");

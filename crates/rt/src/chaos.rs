@@ -23,7 +23,7 @@
 use crate::faults::FaultPlan;
 use crate::script::Op;
 use crate::transport::{ScriptOutcome, ScriptReport, ScriptTransport, SimTransport};
-use flux_core::rng::Rng;
+use flux_sim::rng::Rng;
 use flux_kvs::history::{ClientHistory, Event};
 use flux_kvs::shard::{key_on_shard, shard_of_key};
 use flux_value::Value;

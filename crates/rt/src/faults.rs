@@ -21,7 +21,7 @@
 //! live runtime. Helpers convert heartbeat-epoch windows using the
 //! session's `hb_period_ns`.
 
-use flux_core::rng::Rng;
+use flux_sim::rng::Rng;
 use flux_wire::{Plane, Rank};
 use std::fmt;
 use std::ops::Range;

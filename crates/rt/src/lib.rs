@@ -23,7 +23,10 @@
 //! module selects between the runtimes: [`transport::LiveTransport`] is
 //! the live runtime as a value (fault plan, op timeout), and
 //! [`transport::ScriptTransport`] runs scripted client workloads on
-//! either, the simulator included.
+//! either, the simulator included. Every script, on either runtime, runs
+//! on the one sans-io interpreter [`script::Script`]; the simulator's
+//! actor and the live runtime's thread only move its messages and keep
+//! its clock.
 //!
 //! All runtimes load arbitrary [`flux_broker::CommsModule`] sets, attach
 //! any number of clients per broker, and reconstruct message planes from

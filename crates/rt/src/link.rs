@@ -23,7 +23,7 @@
 use crate::live::Event;
 use crate::tcp::CLIENT_HELLO;
 use flux_broker::ClientId;
-use flux_core::rng::Rng;
+use flux_sim::rng::Rng;
 use flux_wire::frame::{self, FrameDecoder};
 use flux_wire::{Message, Rank};
 use std::collections::HashMap;

@@ -23,7 +23,7 @@
 use crate::link::{ConnId, LinkCore};
 use crate::live::Event;
 use flux_broker::ClientId;
-use flux_core::rng::Rng;
+use flux_sim::rng::Rng;
 use flux_wire::{Message, Rank};
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};

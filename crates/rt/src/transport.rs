@@ -9,19 +9,19 @@
 //! * [`ScriptTransport`] — runs a batch of scripted client workloads
 //!   ([`Op`] sequences) to completion and reports per-op results. Both
 //!   [`SimTransport`] (virtual time) and [`LiveTransport`] (each script
-//!   on its own thread) implement it. The KAP benchmark runner is written
-//!   against this trait, so the same workload runs on the simulator or
-//!   over real sockets.
+//!   on its own thread, through [`drive_script`]) implement it over the
+//!   one [`Script`] interpreter. The KAP runner is written against this
+//!   trait, so one workload runs on the simulator or over real sockets.
 
 use crate::faults::FaultPlan;
 use crate::live::LiveClient;
-use crate::script::{Op, Outcome, ScriptClient};
+use crate::script::{Op, Script, ScriptClient, Step};
 use crate::sim::SimSession;
 use crate::tcp::TcpSession;
-use flux_broker::client::{ClientCore, Delivery};
+use flux_broker::client::ClientCore;
 use flux_broker::{BrokerConfig, CommsModule, RankOverlay};
 use flux_sim::{NetParams, SimTime};
-use flux_wire::{errnum, Rank};
+use flux_wire::Rank;
 use std::time::{Duration, Instant};
 
 /// The per-rank module factory every transport consumes.
@@ -44,34 +44,30 @@ impl TransportKind {
             TransportKind::Tcp => "tcp",
         }
     }
-
-    /// The live transport for this kind, or `None` for the simulator
-    /// (which runs in virtual time and has no live session form).
-    pub fn live(self) -> Option<LiveTransport> {
-        (self == TransportKind::Tcp)
-            .then_some(LiveTransport { faults: None, op_timeout: LIVE_OP_TIMEOUT })
-    }
 }
 
 /// The live (wall-clock) runtime as a value: the fault plan its
 /// loopback-TCP sessions run under, and how long a script driver waits
-/// for any single op's reply before recording `ETIMEDOUT`. Built by
-/// [`TransportKind::live`].
+/// for any single op's reply before recording `ETIMEDOUT`. The default
+/// runs fault-free with a 30-second op timeout.
 #[derive(Clone, Debug)]
 pub struct LiveTransport {
     faults: Option<FaultPlan>,
     op_timeout: Duration,
 }
 
+impl Default for LiveTransport {
+    fn default() -> LiveTransport {
+        LiveTransport { faults: None, op_timeout: Duration::from_secs(30) }
+    }
+}
+
 impl LiveTransport {
     /// Runs every session this transport opens under `plan`, so the same
     /// seeded fault schedule that drives a simulator run can wrap the TCP
-    /// runtime. The per-op script timeout drops to 2 seconds: lossy links
-    /// make lost ops routine, and waiting the full 30-second default for
-    /// each would stall chaos runs.
+    /// runtime. The op timeout is [`LiveTransport::with_op_timeout`]'s.
     pub fn with_faults(mut self, plan: FaultPlan) -> LiveTransport {
         self.faults = Some(plan);
-        self.op_timeout = Duration::from_secs(2);
         self
     }
 
@@ -105,8 +101,7 @@ impl LiveTransport {
     }
 }
 
-/// Per-script results from a [`ScriptTransport`] run, mirroring the
-/// simulator's [`Outcome`] in plain nanoseconds.
+/// What one script recorded, on any transport: [`Script`] writes it.
 #[derive(Debug, Default, Clone, PartialEq)]
 pub struct ScriptOutcome {
     /// Completion time of each op (ns since the session epoch).
@@ -117,19 +112,6 @@ pub struct ScriptOutcome {
     pub replies: Vec<flux_value::Value>,
     /// True once every op completed.
     pub finished: bool,
-}
-
-/// Takes the outcome over: the errnum and reply buffers move, only the
-/// timestamps are converted.
-impl From<Outcome> for ScriptOutcome {
-    fn from(o: Outcome) -> ScriptOutcome {
-        ScriptOutcome {
-            op_done_ns: o.op_done.iter().map(|t| t.as_nanos()).collect(),
-            op_err: o.op_err,
-            replies: o.replies,
-            finished: o.finished,
-        }
-    }
 }
 
 /// What a scripted run produced, across all scripts.
@@ -228,16 +210,12 @@ impl ScriptTransport for SimTransport {
             .collect();
         let end = match self.deadline_ns {
             Some(ns) => session.run_until(SimTime::from_nanos(ns)),
-            // Unbudgeted quiescence runs cannot livelock-error; fall back
-            // to the error's timestamp rather than panicking if they ever
-            // could.
-            None => match session.run_until_quiet(None) {
-                Ok(t) => t,
-                Err(e) => e.at,
-            },
+            // An unbudgeted run cannot livelock-error; if it ever did, its
+            // timestamp still ends the run.
+            None => session.run_until_quiet(None).unwrap_or_else(|e| e.at),
         };
         let stats = session.engine().stats();
-        let outcomes = handles.iter().map(|h| ScriptOutcome::from(h.take())).collect();
+        let outcomes = handles.iter().map(|h| h.take()).collect();
         let throughput = session.engine().throughput();
         ScriptReport {
             outcomes,
@@ -250,61 +228,46 @@ impl ScriptTransport for SimTransport {
     }
 }
 
-/// How long a live script driver waits for any single op's reply before
-/// recording `ETIMEDOUT` and abandoning the script.
-const LIVE_OP_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Drives one op script synchronously over a live client, stamping
-/// completion times relative to `epoch`. Any single op left unanswered
-/// for `op_timeout` records `ETIMEDOUT` and abandons the script.
+/// Drives one op script synchronously over a live client: the live
+/// driver of [`Script`], stamping completion times in wall-clock ns since
+/// `epoch`. Any single op left unanswered for `op_timeout` abandons the
+/// script with `ETIMEDOUT`.
 pub fn drive_script(
     client: &LiveClient,
     ops: &[Op],
     epoch: Instant,
     op_timeout: Duration,
 ) -> ScriptOutcome {
-    let mut core = ClientCore::new(client.rank, client.client_id);
+    let mut script = Script::new(ClientCore::new(client.rank, client.client_id), ops.to_vec());
     let mut out = ScriptOutcome::default();
-    for (idx, op) in ops.iter().enumerate() {
-        let tag = idx as u64;
-        if let Op::Pause(ns) = op {
-            // Script drivers run on their own threads, where Pause
+    let now_ns = || epoch.elapsed().as_nanos() as u64;
+    let mut step = script.issue(&mut out);
+    loop {
+        step = match step {
+            Step::Done => return out,
+            // Script drivers run on their own threads, where a pause
             // *means* a wall-clock sleep: client think time between ops.
-            std::thread::sleep(Duration::from_nanos(*ns));
-            out.op_done_ns.push(epoch.elapsed().as_nanos() as u64);
-            out.op_err.push(0);
-            out.replies.push(flux_value::Value::Null);
-            continue;
-        }
-        client.send(op.to_request(&mut core, tag));
-        let deadline = Instant::now() + op_timeout;
-        let reply = loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                break None;
+            Step::Pause(ns) => {
+                std::thread::sleep(Duration::from_nanos(ns));
+                script.paused(now_ns(), &mut out)
             }
-            let Some(msg) = client.recv_timeout(left) else { continue };
-            match core.deliver(msg) {
-                Delivery::Response { tag: t, msg } if t == tag => break Some(msg),
-                Delivery::Response { .. } | Delivery::Event(_) | Delivery::Unmatched(_) => continue,
+            Step::Send(msg) => {
+                client.send(msg);
+                let deadline = Instant::now() + op_timeout;
+                loop {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        script.abandon(now_ns(), &mut out);
+                        return out;
+                    }
+                    let Some(msg) = client.recv_timeout(left) else { continue };
+                    if let Some(next) = script.deliver(msg, now_ns(), &mut out) {
+                        break next;
+                    }
+                }
             }
         };
-        match reply {
-            Some(msg) => {
-                out.op_done_ns.push(epoch.elapsed().as_nanos() as u64);
-                out.op_err.push(msg.header.errnum);
-                out.replies.push(msg.payload.into_value());
-            }
-            None => {
-                out.op_done_ns.push(epoch.elapsed().as_nanos() as u64);
-                out.op_err.push(errnum::ETIMEDOUT);
-                out.replies.push(flux_value::Value::Null);
-                return out; // abandoned: finished stays false
-            }
-        }
     }
-    out.finished = true;
-    out
 }
 
 impl ScriptTransport for LiveTransport {
@@ -346,29 +309,5 @@ impl ScriptTransport for LiveTransport {
             let makespan_ns = epoch.elapsed().as_nanos() as u64;
             ScriptReport { outcomes, makespan_ns, ..ScriptReport::default() }
         })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use flux_value::Value;
-
-    #[test]
-    fn an_outcome_is_handed_over_not_copied() {
-        let outcome = Outcome {
-            op_done: vec![SimTime::from_nanos(5), SimTime::from_nanos(9)],
-            op_err: vec![0, errnum::ENOENT],
-            replies: vec![Value::from_pairs([("v", Value::Int(7))]), Value::Null],
-            finished: true,
-        };
-        let (replies, errs) = (outcome.replies.as_ptr(), outcome.op_err.as_ptr());
-        let handed = ScriptOutcome::from(outcome);
-        assert_eq!(handed.replies.as_ptr(), replies, "the replies' buffer moved, not a copy");
-        assert_eq!(handed.op_err.as_ptr(), errs);
-        assert_eq!(handed.op_done_ns, [5, 9]);
-        assert_eq!(handed.op_err, [0, errnum::ENOENT]);
-        assert_eq!(handed.replies[0].get("v"), Some(&Value::Int(7)));
-        assert!(handed.finished);
     }
 }

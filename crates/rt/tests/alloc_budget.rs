@@ -500,11 +500,11 @@ fn warm_get_sim_script() {
         // What the script records is sized up front: the row counts the
         // session, not the outcome vectors' growth.
         let mut out = outcome.borrow_mut();
-        out.op_done.reserve(total);
+        out.op_done_ns.reserve(total);
         out.op_err.reserve(total);
         out.replies.reserve(total);
     }
-    while outcome.borrow().op_done.len() < 2 + WARM {
+    while outcome.borrow().op_done_ns.len() < 2 + WARM {
         session.engine_mut().run_budgeted(1);
     }
     let mut done = 2 + WARM;
@@ -515,6 +515,6 @@ fn warm_get_sim_script() {
         |()| session.engine_mut().run_budgeted(4),
     );
     let out = outcome.borrow();
-    assert_eq!(out.op_done.len(), done, "each repetition completed exactly one get");
+    assert_eq!(out.op_done_ns.len(), done, "each repetition completed exactly one get");
     assert!(out.op_err.iter().all(|&e| e == 0), "{:?}", out.op_err);
 }

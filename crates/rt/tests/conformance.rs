@@ -16,7 +16,7 @@ use flux_kvs::KvsConfig;
 use flux_modules::{standard_modules, BarrierModule};
 use flux_proto::{BarrierMethod, CmbMethod, KvsMethod};
 use flux_rt::script::Op;
-use flux_rt::transport::{LiveTransport, ScriptTransport, SimTransport, TransportKind};
+use flux_rt::transport::{LiveTransport, ScriptTransport, SimTransport};
 use flux_rt::LiveClient;
 use flux_value::Value;
 use flux_wire::{Message, Rank, Topic};
@@ -350,7 +350,7 @@ mod reactor_tcp {
     use super::*;
 
     fn live() -> LiveTransport {
-        TransportKind::Tcp.live().expect("tcp is a live transport")
+        LiveTransport::default()
     }
 
     #[test]
@@ -446,7 +446,7 @@ fn one_script_agrees_on_sim_and_tcp() {
         let sim = run(&SimTransport::default());
         assert_eq!(sim.0[..7], [0; 7], "sim at {shards} shard(s): {:?}", sim.0);
         assert_ne!(sim.0[7], 0, "sim: a missing key is an error");
-        let tcp = TransportKind::Tcp.live().expect("tcp is a live transport");
+        let tcp = LiveTransport::default();
         assert_eq!(run(&tcp), sim, "tcp disagrees with the simulator at {shards} shard(s)");
     }
 }

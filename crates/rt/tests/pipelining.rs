@@ -13,7 +13,7 @@
 
 use flux_broker::client::{ClientCore, Delivery};
 use flux_broker::BrokerConfig;
-use flux_core::rng::Rng;
+use flux_sim::rng::Rng;
 use flux_modules::standard_modules;
 use flux_rt::tcp::{connect_socket_client, TcpSession};
 use flux_rt::FaultPlan;

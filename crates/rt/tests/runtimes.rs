@@ -68,7 +68,7 @@ fn sim_fence_synchronizes_all_writers() {
         let want = i64::try_from((r + 1) % size as usize).unwrap();
         assert_eq!(o.replies[2].get("v"), Some(&Value::Int(want)), "rank {r}");
         // The fence completes strictly after the put.
-        assert!(o.op_done[1] > o.op_done[0]);
+        assert!(o.op_done_ns[1] > o.op_done_ns[0]);
     }
 }
 
@@ -91,7 +91,7 @@ fn sim_is_deterministic() {
         let end = s.run_until_quiet(Some(5_000_000)).expect("no livelock");
         let times: Vec<Vec<u64>> = outs
             .iter()
-            .map(|o| o.borrow().op_done.iter().map(|t| t.as_nanos()).collect())
+            .map(|o| o.borrow().op_done_ns.clone())
             .collect();
         (end, times, s.engine().stats())
     };

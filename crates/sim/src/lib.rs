@@ -78,6 +78,7 @@ mod arena;
 mod engine;
 mod net;
 mod queue;
+pub mod rng;
 mod time;
 
 pub use actor::{Actor, ActorId, Ctx, NodeId};

@@ -61,8 +61,8 @@ fn main() {
             let want = format!("endpoint://node/{peer}");
             assert_eq!(reply.get("v").and_then(|v| v.as_str()), Some(want.as_str()));
         }
-        fence_done_max = fence_done_max.max(o.op_done[1].as_nanos());
-        wireup_done_max = wireup_done_max.max(o.op_done.last().unwrap().as_nanos());
+        fence_done_max = fence_done_max.max(o.op_done_ns[1]);
+        wireup_done_max = wireup_done_max.max(*o.op_done_ns.last().unwrap());
     }
 
     println!("{procs} MPI processes on {nodes} nodes bootstrapped over PMI:");

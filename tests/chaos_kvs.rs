@@ -15,7 +15,7 @@
 
 use flux_modules::standard_modules;
 use flux_rt::chaos;
-use flux_rt::transport::{ScriptTransport, TransportKind};
+use flux_rt::transport::{LiveTransport, ScriptTransport};
 use std::time::Duration;
 
 /// Identical (workload, plan) → identical simulator results, including
@@ -118,9 +118,7 @@ fn sim_shard_master_blackout_during_commit() {
 fn reactor_tcp_chaos_consistency_sweep() {
     for seed in chaos::seeds(32) {
         let w = chaos::workload(seed, 2_000_000, false);
-        let transport = TransportKind::Tcp
-            .live()
-            .expect("tcp is a live transport")
+        let transport = LiveTransport::default()
             .with_faults(w.plan.clone())
             .with_op_timeout(Duration::from_millis(200));
         let report =

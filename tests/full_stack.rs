@@ -7,7 +7,7 @@ use flux_modules::standard_modules;
 use flux_rt::script::{Op, ScriptClient};
 use flux_rt::sim::SimSession;
 use flux_rt::tcp::TcpSession;
-use flux_rt::transport::{ScriptTransport, TransportKind};
+use flux_rt::transport::{LiveTransport, ScriptTransport};
 use flux_sim::{NetParams, SimTime};
 use flux_value::Value;
 use flux_wire::{Rank, Topic};
@@ -147,7 +147,7 @@ fn tcp_session_16_brokers_full_kvs_cycle() {
             )
         })
         .collect();
-    let tcp = TransportKind::Tcp.live().expect("tcp is a live transport");
+    let tcp = LiveTransport::default();
     let report = tcp.run_scripts(size, 2, &|_| standard_modules(), scripts);
     assert_eq!(report.outcomes.len(), size as usize);
     for (r, out) in report.outcomes.iter().enumerate() {
