@@ -4,8 +4,8 @@
 //! [`Output`]s back in as [`Input`]s with instantaneous delivery and a
 //! logical timer queue. It exists so protocol logic (broker routing, the
 //! comms modules, the KVS) can be tested exhaustively without either
-//! runtime; the cost-model simulator and the threaded runtime live in
-//! `flux-rt`. [`with_ctx`] is the one-broker case: it hands a closure
+//! runtime; the cost-model simulator and the live (socket) runtime live
+//! in `flux-rt`. [`with_ctx`] is the one-broker case: it hands a closure
 //! the [`ModuleCtx`] that code taking one needs.
 
 use crate::{Broker, BrokerConfig, ClientId, CommsModule, Handled, Input, ModuleCtx, Output};

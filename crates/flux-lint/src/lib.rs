@@ -120,8 +120,8 @@ const PANIC_TOKENS: &[&str] =
 
 /// The sans-io scope of the block rule: the `src/` of every crate the
 /// broker core is built from, and flux-rt's sans-io files: the socket
-/// link's protocol core, the script interpreter, the simulator session,
-/// and fault injection and its chaos checks.
+/// link's protocol core, the script interpreter, the broker host, the
+/// simulator session, and fault injection and its chaos checks.
 const SANS_IO: &[&str] = &[
     "crates/value/src/",
     "crates/hash/src/",
@@ -138,6 +138,7 @@ const SANS_IO: &[&str] = &[
     "crates/kap/src/",
     "crates/rt/src/link.rs",
     "crates/rt/src/script.rs",
+    "crates/rt/src/host.rs",
     "crates/rt/src/sim.rs",
     "crates/rt/src/faults.rs",
     "crates/rt/src/chaos.rs",
@@ -581,6 +582,7 @@ mod tests {
             "crates/sim/src/fake.rs",
             "crates/rt/src/link.rs",
             "crates/rt/src/script.rs",
+            "crates/rt/src/host.rs",
             "crates/rt/src/sim.rs",
             "crates/rt/src/faults.rs",
             "crates/rt/src/chaos.rs",

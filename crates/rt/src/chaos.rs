@@ -15,7 +15,8 @@
 //!   [`Event::StagedOnly`] (it may or may not have applied).
 //! * **Duplicates** are safe end-to-end: the broker event plane dedups
 //!   by sequence number, `kvs.push` and fence batches dedup by id, and
-//!   script clients ignore mismatched response tags.
+//!   a script's `ClientCore` classifies a second copy of a reply as
+//!   `Unmatched`, which the script skips.
 //! * **Fences** require every participant to arrive, so the generator
 //!   only emits fence rounds for loss-free styles; a single dropped
 //!   contribution would otherwise stall all clients.

@@ -7,7 +7,7 @@
 //! for a window — the model of a crashed-then-restarted broker) and
 //! *partitions* (a rank set is cut off from the rest for a window).
 //!
-//! The plan is pure data; each sending broker derives a [`LinkFaults`]
+//! The plan is pure data; each sending broker derives a `LinkFaults`
 //! from it. Link decisions are drawn from an independent SplitMix64
 //! stream per `(seed, from, to)` link, so the fate of the nth message on
 //! a link is a pure function of the plan and the link — not of timing,
@@ -29,7 +29,7 @@ use std::ops::Range;
 /// One scheduled total-silence window for a rank: all of its inbound and
 /// outbound traffic is dropped while `from_ns <= now < until_ns`. This is
 /// how the fault layer models "kill broker at epoch A, restart at B" —
-/// identical semantics on all three runtimes, no actor teardown needed.
+/// identical semantics on both runtimes, no actor teardown needed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Blackout {
     /// The silenced rank.
@@ -152,7 +152,7 @@ impl FaultPlan {
     /// True if a message from `from` to `to` at `now_ns` is cut by a
     /// scheduled fault (blackout of either end, or a partition between
     /// them). Probabilistic faults are separate — see [`LinkFaults::fate_on`].
-    pub fn cut(&self, from: Rank, to: Rank, now_ns: u64) -> bool {
+    pub(crate) fn cut(&self, from: Rank, to: Rank, now_ns: u64) -> bool {
         self.blacked_out(from, now_ns)
             || self.blacked_out(to, now_ns)
             || self.partitioned(from, to, now_ns)
@@ -160,7 +160,7 @@ impl FaultPlan {
 
     /// The per-sender view of this plan, used by one broker (or client
     /// host) to decide the fate of each outbound message.
-    pub fn for_sender(&self, from: Rank) -> LinkFaults {
+    pub(crate) fn for_sender(&self, from: Rank) -> LinkFaults {
         LinkFaults { from, plan: self.clone(), links: Vec::new() }
     }
 
@@ -286,15 +286,15 @@ fn parse_epoch_window(s: &str) -> Result<(u64, u64), String> {
 /// The fate of one outbound message: how many copies to deliver and the
 /// extra in-flight delay of each. Empty = dropped.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Fate {
+pub(crate) struct Fate {
     /// Extra delay (ns) per delivered copy; empty means the message is
     /// dropped.
-    pub copies: Vec<u64>,
+    pub(crate) copies: Vec<u64>,
 }
 
 impl Fate {
     /// A fate that delivers the message untouched.
-    pub fn intact() -> Fate {
+    pub(crate) fn intact() -> Fate {
         Fate { copies: vec![0] }
     }
 }
@@ -302,7 +302,7 @@ impl Fate {
 /// A sending rank's view of a [`FaultPlan`]: one deterministic random
 /// stream per destination link, consulted for every outbound message.
 #[derive(Clone, Debug)]
-pub struct LinkFaults {
+pub(crate) struct LinkFaults {
     from: Rank,
     plan: FaultPlan,
     /// Per-destination streams, indexed by destination rank; grown
@@ -323,7 +323,7 @@ fn link_seed(seed: u64, from: Rank, to: Rank) -> u64 {
 impl LinkFaults {
     /// True if the sender itself is inside a blackout window: it must
     /// neither send nor process anything (the "crashed" state).
-    pub fn silenced(&self, now_ns: u64) -> bool {
+    pub(crate) fn silenced(&self, now_ns: u64) -> bool {
         self.plan.blacked_out(self.from, now_ns)
     }
 
@@ -338,7 +338,7 @@ impl LinkFaults {
     /// partitions still apply. Consumes the same random draws on every
     /// plane, so a link's stream does not depend on the plane mix of its
     /// traffic.
-    pub fn fate_on(&mut self, plane: Plane, now_ns: u64, to: Rank) -> Fate {
+    pub(crate) fn fate_on(&mut self, plane: Plane, now_ns: u64, to: Rank) -> Fate {
         let ordered = matches!(plane, Plane::Event);
         if self.plan.cut(self.from, to, now_ns) {
             return Fate::default();

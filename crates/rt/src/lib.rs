@@ -18,30 +18,34 @@
 //!   stack is runtime-agnostic (nothing in broker/module/KVS code knows
 //!   which runtime it is on).
 //!
-//! The live runtime is one host loop and one [`Session`] /
-//! [`SessionBuilder`] pair over one socket link. The [`transport`]
-//! module selects between the runtimes: [`transport::LiveTransport`] is
-//! the live runtime as a value (fault plan, op timeout), and
-//! [`transport::ScriptTransport`] runs scripted client workloads on
-//! either, the simulator included. Every script, on either runtime, runs
+//! Both runtimes host each broker through one sans-io `host::Host`: it
+//! applies the fault plan's broker-side rules and turns the broker's
+//! outputs into effects (send, reply, timer), and the simulator's actor
+//! and the live runtime's thread only carry them out. The live runtime
+//! is one host loop and one [`Session`] / [`SessionBuilder`] pair over
+//! one socket link. The [`transport`] module selects between the
+//! runtimes: [`transport::LiveTransport`] is the live runtime as a value
+//! (fault plan, op timeout), and [`transport::ScriptTransport`] runs
+//! scripted client workloads on either, the simulator included. Every script, on either runtime, runs
 //! on the one sans-io interpreter [`script::Script`]; the simulator's
 //! actor and the live runtime's thread only move its messages and keep
 //! its clock.
 //!
-//! All runtimes load arbitrary [`flux_broker::CommsModule`] sets, attach
-//! any number of clients per broker, and reconstruct message planes from
-//! message shape (events → event plane, rank-addressed → ring, otherwise
+//! Both runtimes load arbitrary [`flux_broker::CommsModule`] sets, attach
+//! any number of clients per broker, and (in the host) reconstruct
+//! message planes from message shape (events → event plane, rank-addressed → ring, otherwise
 //! tree), so the wire behaviour matches the paper's three-plane wire-up.
 //!
 //! Fault injection ([`faults::FaultPlan`]) rides below all of this: the
-//! simulator applies a plan natively in virtual time, and the live
-//! runtime applies the same plan per broker host, so one seeded fault
-//! schedule drives chaos tests on both backends (see [`chaos`]).
+//! one broker host applies a plan on both runtimes, in virtual time on
+//! the simulator and in wall time on the live runtime, so one seeded
+//! fault schedule drives chaos tests on both backends (see [`chaos`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 pub mod chaos;
 pub mod faults;
+pub(crate) mod host;
 pub(crate) mod link;
 pub(crate) mod live;
 pub(crate) mod reactor;
@@ -52,17 +56,3 @@ pub mod transport;
 
 pub use faults::FaultPlan;
 pub use live::{LiveClient, Session, SessionBuilder};
-
-use flux_wire::{Message, MsgType, Plane};
-
-/// Infers the plane a message travelled on from its shape: events use the
-/// event plane, rank-addressed requests/responses the ring, the rest the
-/// tree. (The sans-io broker only branches on message type and direction,
-/// so this reconstruction is exact.)
-pub(crate) fn plane_of(msg: &Message) -> Plane {
-    match msg.header.msg_type {
-        MsgType::Event => Plane::Event,
-        _ if msg.header.dst.is_some() => Plane::Ring,
-        _ => Plane::Tree,
-    }
-}

@@ -2,9 +2,8 @@
 //! without a socket or a clock.
 
 use super::*;
-use crate::plane_of;
 use flux_value::Value;
-use flux_wire::{MsgId, Plane, Topic};
+use flux_wire::{MsgId, MsgType, Topic};
 use proptest::prelude::*;
 
 const NS: Duration = Duration::from_nanos(1);
@@ -329,9 +328,11 @@ proptest! {
         for m in &sent {
             prop_assert_eq!(tx.send_to(Rank(1), m), Some(out));
         }
-        let planes = [Plane::Event, Plane::Tree, Plane::Ring];
+        // Each kind has one plane's shape: an event, a request up the
+        // tree, a rank-addressed (ring) request.
         for (m, &(kind, _)) in sent.iter().zip(&sends) {
-            prop_assert_eq!(plane_of(m), planes[usize::from(kind)]);
+            prop_assert_eq!(m.header.msg_type == MsgType::Event, kind == 0);
+            prop_assert_eq!(m.header.dst.is_some(), kind == 2);
         }
         let inbound = rx.accepted(t0);
         let mut batch = Vec::new();

@@ -2,18 +2,19 @@
 //!
 //! [`tcp::TcpSession`](crate::tcp::TcpSession) is this module's
 //! [`Session`]: one thread per broker, each running the event loop
-//! ([`BrokerHost::run`]) with its timer heap and fault-delay heap over
-//! that broker's nonblocking socket link ([`ReactorPeers`]), plus the
+//! ([`BrokerHost::run`]) over the sans-io [`Host`], with one
+//! time-ordered queue of timer fires and fault-delayed sends, over that
+//! broker's nonblocking socket link ([`ReactorPeers`]), plus the
 //! session scaffolding ([`SessionBuilder`] → [`Session`]) and the client
 //! attachment model (in-process clients talk to their local broker over
 //! a channel, the moral equivalent of the prototype's IPC sockets).
 
-use crate::faults::{FaultPlan, LinkFaults};
-use crate::plane_of;
+use crate::faults::FaultPlan;
+use crate::host::{Effect, Host};
 use crate::reactor::ReactorPeers;
-use flux_broker::{Broker, BrokerConfig, ClientId, CommsModule, Input, Output};
-use flux_wire::{Message, Plane, Rank};
-use std::collections::BinaryHeap;
+use flux_broker::{Broker, BrokerConfig, ClientId, CommsModule};
+use flux_wire::{Message, Rank};
+use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::time::{Duration, Instant};
@@ -65,165 +66,101 @@ impl LiveClient {
     }
 }
 
-/// A fault-delayed outbound message awaiting release. Ordered by
-/// `(at, seq)` so the host's `BinaryHeap` acts as a min-heap with FIFO
-/// tie-breaking.
-struct Delayed {
-    at: Instant,
-    seq: u64,
-    to: Rank,
-    msg: Message,
+/// What the loop owes later: a timer fire or a fault-delayed send.
+enum Owed {
+    Timer(u64),
+    Send(Rank, Message),
 }
 
-impl PartialEq for Delayed {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for Delayed {}
-impl PartialOrd for Delayed {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Delayed {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reversed: the earliest release time is the heap maximum.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// The per-thread broker event loop: services due timers from a local
-/// heap, drains its channel and its link's sockets, and otherwise sleeps
-/// in `recv_timeout` until traffic arrives, so a broker thread is quiet
-/// when the session is quiet (the low-noise design goal).
-///
-/// With `faults` set, every outbound broker message consults the link's
-/// fault stream (drop/dup/delay), inbound traffic is discarded while
-/// this rank is inside a blackout window, and delayed copies sit in
-/// `delayed` until their release time.
+/// The per-thread broker event loop, a driver over the sans-io [`Host`]:
+/// it services what has come due, drains its channel and its link's
+/// sockets, and otherwise sleeps in `recv_timeout` until traffic
+/// arrives, so a broker thread is quiet when the session is quiet (the
+/// low-noise design goal).
 pub(crate) struct BrokerHost {
-    broker: Broker,
+    host: Host,
     rx: Receiver<Event>,
+    io: Io,
+}
+
+/// The loop's side of every [`Effect`].
+struct Io {
     link: ReactorPeers,
     clients: Vec<Sender<Message>>,
     epoch: Instant,
-    timers: BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
-    faults: Option<LinkFaults>,
-    delayed: BinaryHeap<Delayed>,
-    delay_seq: u64,
+    /// Everything owed later, keyed by `(due, seq)`: earliest first,
+    /// FIFO among equal instants.
+    due: BTreeMap<(Instant, u64), Owed>,
+    seq: u64,
 }
 
-impl BrokerHost {
+impl Io {
     fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    fn silenced(&self, now_ns: u64) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.silenced(now_ns))
+    fn owe(&mut self, delay_ns: u64, owed: Owed) {
+        self.seq += 1;
+        self.due.insert((Instant::now() + Duration::from_nanos(delay_ns), self.seq), owed);
     }
 
-    fn send_to_broker(&mut self, now_ns: u64, plane: Plane, to: Rank, msg: Message) {
-        let Some(f) = &mut self.faults else {
-            self.link.send_to(to, msg);
-            return;
-        };
-        for &extra in &f.fate_on(plane, now_ns, to).copies {
-            if extra == 0 {
-                self.link.send_to(to, msg.clone());
-            } else {
-                self.delay_seq += 1;
-                self.delayed.push(Delayed {
-                    at: Instant::now() + Duration::from_nanos(extra),
-                    seq: self.delay_seq,
-                    to,
-                    msg: msg.clone(),
-                });
-            }
-        }
-    }
-
-    /// Performs `outs`, then hands the drained `Vec` back to the broker.
-    fn absorb(&mut self, mut outs: Vec<Output>) {
-        let now_ns = self.now_ns();
-        for out in outs.drain(..) {
-            match out {
-                Output::ToBroker { plane, to, msg } => self.send_to_broker(now_ns, plane, to, msg),
-                Output::ToClient { client, msg } => {
-                    // A blacked-out broker cannot answer its clients.
-                    if self.silenced(now_ns) {
-                        continue;
-                    }
-                    if let Some(tx) = self.clients.get(client as usize) {
-                        let _ = tx.send(msg);
-                    } else {
-                        // Not channel-attached: a socket client.
-                        self.link.deliver_client(client, msg);
-                    }
-                }
-                Output::SetTimer { delay_ns, token } => {
-                    let at = Instant::now() + Duration::from_nanos(delay_ns);
-                    self.timers.push(std::cmp::Reverse((at, token)));
+    /// Carries out one of the host's effects: an undelayed send goes to
+    /// the link at once, a delayed one and a timer onto the queue.
+    fn apply(&mut self, effect: Effect) {
+        match effect {
+            Effect::Send { to, msg, delay_ns: 0 } => self.link.send_to(to, msg),
+            Effect::Send { to, msg, delay_ns } => self.owe(delay_ns, Owed::Send(to, msg)),
+            Effect::Reply { client, msg } => {
+                if let Some(tx) = self.clients.get(client as usize) {
+                    let _ = tx.send(msg);
+                } else {
+                    // Not channel-attached: a socket client.
+                    self.link.deliver_client(client, msg);
                 }
             }
+            Effect::Timer { delay_ns, token } => self.owe(delay_ns, Owed::Timer(token)),
         }
-        self.broker.recycle(outs);
     }
+}
 
-    /// Fires every due timer. (Timers run even during a blackout —
-    /// `absorb` suppresses their outputs — so periodic re-arm chains
-    /// survive a simulated crash/restart.)
-    fn service_timers(&mut self) {
+impl BrokerHost {
+    /// Fires every due timer and releases every due delayed send, in
+    /// due order.
+    fn service_due(&mut self) {
         let now = Instant::now();
-        while let Some(&std::cmp::Reverse((at, token))) = self.timers.peek() {
-            if at > now {
+        while let Some(entry) = self.io.due.first_entry() {
+            if entry.key().0 > now {
                 break;
             }
-            self.timers.pop();
-            let now_ns = self.now_ns();
-            let outs = self.broker.handle(now_ns, Input::Timer { token });
-            self.absorb(outs);
-        }
-    }
-
-    /// Releases fault-delayed messages that have come due.
-    fn release_delayed(&mut self) {
-        while let Some(d) = self.delayed.peek() {
-            if d.at > Instant::now() {
-                break;
+            match entry.remove() {
+                Owed::Send(to, msg) => self.io.link.send_to(to, msg),
+                Owed::Timer(token) => {
+                    let now_ns = self.io.now_ns();
+                    self.host.timer(now_ns, token, |e| self.io.apply(e));
+                }
             }
-            let Some(d) = self.delayed.pop() else { break };
-            self.link.send_to(d.to, d.msg);
         }
     }
 
     /// How long to park at `now` after `idle_streak` passes without
-    /// progress: until the next scheduled work (timer fire or delayed
-    /// release), but never past the link's poll budget.
+    /// progress: until the queue's next due entry (a timer or a delayed
+    /// send), but never past the link's poll budget.
     fn park_timeout(&self, idle_streak: u32, now: Instant) -> Duration {
-        let budget = self.link.park_budget(idle_streak);
-        let timer = self.timers.peek().map(|&std::cmp::Reverse((at, _))| at);
-        let release = self.delayed.peek().map(|d| d.at);
-        match timer.into_iter().chain(release).min() {
-            Some(at) => at.saturating_duration_since(now).min(budget),
+        let budget = self.io.link.park_budget(idle_streak);
+        match self.io.due.first_key_value() {
+            Some((&(at, _), _)) => at.saturating_duration_since(now).min(budget),
             None => budget,
         }
     }
 
-    /// Feeds one event into the broker; returns `false` on `Shutdown`.
+    /// Feeds one event into the host; returns `false` on `Shutdown`.
     fn handle_event(&mut self, ev: Event) -> bool {
-        let now_ns = self.now_ns();
-        let input = match ev {
+        let now_ns = self.io.now_ns();
+        let sink = |e| self.io.apply(e);
+        match ev {
             Event::Shutdown => return false,
-            Event::FromBroker { from, msg } => {
-                Input::FromBroker { plane: plane_of(&msg), from, msg }
-            }
-            Event::FromClient { client, msg } => Input::FromClient { client, msg },
-        };
-        // Crashed: inbound traffic is lost, local clients get no service.
-        if !self.silenced(now_ns) {
-            let outs = self.broker.handle(now_ns, input);
-            self.absorb(outs);
+            Event::FromBroker { from, msg } => self.host.on_broker(now_ns, from, msg, sink),
+            Event::FromClient { client, msg } => self.host.on_client(now_ns, client, msg, sink),
         }
         true
     }
@@ -233,18 +170,17 @@ impl BrokerHost {
         batch.drain(..).all(|ev| self.handle_event(ev))
     }
 
-    /// The event loop: due timers and fault releases, then the command
+    /// The event loop: due timers and delayed sends, then the command
     /// channel (local clients, shutdown), then one readiness pass over
     /// the link's sockets; it parks in the channel — which doubles as the
     /// timer/fault-release alarm — only when a full pass moved nothing.
     pub(crate) fn run(mut self) {
-        let outs = self.broker.start(self.now_ns());
-        self.absorb(outs);
+        let now_ns = self.io.now_ns();
+        self.host.start(now_ns, |e| self.io.apply(e));
         let mut batch: Vec<Event> = Vec::new();
         let mut idle_streak: u32 = 0;
         'outer: loop {
-            self.service_timers();
-            self.release_delayed();
+            self.service_due();
             let mut channel_work = false;
             loop {
                 match self.rx.try_recv() {
@@ -258,7 +194,7 @@ impl BrokerHost {
                     Err(TryRecvError::Disconnected) => break 'outer,
                 }
             }
-            let io_progress = self.link.poll_io(&mut batch);
+            let io_progress = self.io.link.poll_io(&mut batch);
             let had_frames = !batch.is_empty();
             if !self.handle_batch(&mut batch) {
                 break;
@@ -266,7 +202,7 @@ impl BrokerHost {
             if had_frames || channel_work {
                 // Replies produced this pass should hit the wire now, not
                 // a park later.
-                self.link.poll_io(&mut batch);
+                self.io.link.poll_io(&mut batch);
                 if !self.handle_batch(&mut batch) {
                     break;
                 }
@@ -287,7 +223,7 @@ impl BrokerHost {
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        self.link.close();
+        self.io.link.close();
     }
 }
 
@@ -377,7 +313,7 @@ impl SessionBuilder {
 
     /// Applies a fault-injection plan to every broker's links.
     pub fn set_faults(&mut self, plan: &FaultPlan) -> &mut Self {
-        self.faults = Some(plan.clone()).filter(|p| !p.is_empty());
+        self.faults = Some(plan.clone());
         self
     }
 
@@ -409,15 +345,9 @@ impl SessionBuilder {
             .enumerate()
             .map(|(idx, (seat, link))| {
                 let host = BrokerHost {
-                    broker: Broker::new(seat.config, seat.modules),
+                    host: Host::new(Broker::new(seat.config, seat.modules), self.faults.as_ref()),
                     rx: seat.rx,
-                    link,
-                    clients: seat.clients,
-                    epoch,
-                    timers: BinaryHeap::new(),
-                    faults: self.faults.as_ref().map(|p| p.for_sender(Rank::from(idx))),
-                    delayed: BinaryHeap::new(),
-                    delay_seq: 0,
+                    io: Io { link, clients: seat.clients, epoch, due: BTreeMap::new(), seq: 0 },
                 };
                 std::thread::Builder::new()
                     .name(format!("flux-broker-{idx}"))
@@ -450,28 +380,20 @@ mod tests {
         assert_eq!(budgets, [ms(1), ms(2), ms(4), ms(8), ms(10), ms(10)]);
 
         let now = Instant::now();
-        let mut host = BrokerHost {
-            broker: Broker::new(BrokerConfig::new(Rank(0), 1), Vec::new()),
-            rx,
-            link,
-            clients: Vec::new(),
-            epoch: now,
-            timers: BinaryHeap::new(),
-            faults: None,
-            delayed: BinaryHeap::new(),
-            delay_seq: 0,
-        };
-        // Nothing scheduled: the idle budget alone bounds the park.
+        let host = Host::new(Broker::new(BrokerConfig::new(Rank(0), 1), Vec::new()), None);
+        let io = Io { link, clients: Vec::new(), epoch: now, due: BTreeMap::new(), seq: 0 };
+        let mut host = BrokerHost { host, rx, io };
+        // Nothing owed: the idle budget alone bounds the park.
         assert_eq!(host.park_timeout(5, now), ms(10));
         // A timer due before the budget runs out bounds the park; the
         // budget still wins when it is the shorter of the two.
-        host.timers.push(std::cmp::Reverse((now + ms(3), 7)));
+        host.io.due.insert((now + ms(3), 1), Owed::Timer(7));
         assert_eq!(host.park_timeout(5, now), ms(3));
         assert_eq!(host.park_timeout(1, now), ms(1));
-        // So does a fault-delayed release due sooner still.
+        // So does a fault-delayed send due sooner still, in the same queue.
         let id = MsgId { origin: Rank(0), seq: 1 };
         let msg = Message::request(CmbMethod::Ping.topic(), id, Rank(0), Value::Null);
-        host.delayed.push(Delayed { at: now + ms(2), seq: 1, to: Rank(0), msg });
+        host.io.due.insert((now + ms(2), 2), Owed::Send(Rank(0), msg));
         assert_eq!(host.park_timeout(5, now), ms(2));
         // Overdue scheduled work means no park at all.
         assert_eq!(host.park_timeout(5, now + Duration::from_secs(1)), Duration::ZERO);

@@ -1,8 +1,8 @@
 //! Comms sessions on the discrete-event simulator.
 
-use crate::faults::{FaultPlan, LinkFaults};
-use crate::plane_of;
-use flux_broker::{Broker, BrokerConfig, ClientId, CommsModule, Input, Output};
+use crate::faults::FaultPlan;
+use crate::host::{Effect, Host};
+use flux_broker::{Broker, BrokerConfig, ClientId, CommsModule};
 use flux_sim::{Actor, ActorId, Ctx, Engine, NetParams, SimDuration, SimTime};
 use flux_wire::{Message, Rank};
 use std::cell::RefCell;
@@ -101,94 +101,52 @@ impl std::fmt::Display for Livelock {
 
 impl std::error::Error for Livelock {}
 
-/// The actor hosting one broker.
+/// The actor hosting one broker: a driver over its [`Host`].
 struct BrokerActor {
-    broker: Broker,
+    host: Host,
     book: Rc<RefCell<AddressBook>>,
-    /// Fault injection for this broker's outbound links (and its own
-    /// blackout state), when the session carries a [`FaultPlan`].
-    faults: Option<LinkFaults>,
-    started: bool,
 }
 
-impl BrokerActor {
-    /// Performs `outs`, then hands the drained `Vec` back to the broker.
-    fn absorb(&mut self, ctx: &mut Ctx<'_>, mut outs: Vec<Output>) {
-        let now_ns = ctx.now().as_nanos();
-        for out in outs.drain(..) {
-            match out {
-                Output::ToBroker { plane, to, msg } => {
-                    let target = self.book.borrow().broker_of(to);
-                    let Some(target) = target else { continue };
-                    match &mut self.faults {
-                        None => ctx.send(target, msg),
-                        Some(f) => {
-                            for &extra in &f.fate_on(plane, now_ns, to).copies {
-                                ctx.send_delayed(
-                                    target,
-                                    msg.clone(),
-                                    SimDuration::from_nanos(extra),
-                                );
-                            }
-                        }
-                    }
-                }
-                Output::ToClient { client, msg } => {
-                    // A blacked-out broker cannot answer its clients.
-                    if self.faults.as_ref().is_some_and(|f| f.silenced(now_ns)) {
-                        continue;
-                    }
-                    let target = self.book.borrow().client_of(ctx.self_id(), client);
-                    if let Some(target) = target {
-                        ctx.send(target, msg);
-                    }
-                }
-                Output::SetTimer { delay_ns, token } => {
-                    ctx.set_timer(SimDuration::from_nanos(delay_ns), token);
-                }
+/// Carries out one of the host's effects as an engine action. A send to
+/// an unregistered (killed) rank is dropped.
+fn perform(ctx: &mut Ctx<'_>, book: &AddressBook, effect: Effect) {
+    match effect {
+        Effect::Send { to, msg, delay_ns } => {
+            if let Some(target) = book.broker_of(to) {
+                ctx.send_delayed(target, msg, SimDuration::from_nanos(delay_ns));
             }
         }
-        self.broker.recycle(outs);
-    }
-
-    /// True if this broker is inside a blackout window: it processes
-    /// nothing, exactly like a crashed process (its state freezes until
-    /// the window ends — the restart model).
-    fn silenced(&self, now_ns: u64) -> bool {
-        self.faults.as_ref().is_some_and(|f| f.silenced(now_ns))
+        Effect::Reply { client, msg } => {
+            if let Some(target) = book.client_of(ctx.self_id(), client) {
+                ctx.send(target, msg);
+            }
+        }
+        Effect::Timer { delay_ns, token } => {
+            ctx.set_timer(SimDuration::from_nanos(delay_ns), token);
+        }
     }
 }
 
 impl Actor for BrokerActor {
     fn on_start(&mut self, ctx: &mut Ctx<'_>) {
-        debug_assert!(!self.started);
-        self.started = true;
-        let outs = self.broker.start(ctx.now().as_nanos());
-        self.absorb(ctx, outs);
+        let book = self.book.borrow();
+        self.host.start(ctx.now().as_nanos(), |e| perform(ctx, &book, e));
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<'_>, from: ActorId, msg: Message) {
-        if self.silenced(ctx.now().as_nanos()) {
-            return;
+        let now_ns = ctx.now().as_nanos();
+        let book = self.book.borrow();
+        let sink = |e| perform(ctx, &book, e);
+        match book.peer_of(from) {
+            Some(PeerKind::Broker(rank)) => self.host.on_broker(now_ns, rank, msg, sink),
+            Some(PeerKind::Client(client)) => self.host.on_client(now_ns, client, msg, sink),
+            None => {} // unknown sender (killed and unregistered)
         }
-        let kind = self.book.borrow().peer_of(from);
-        let input = match kind {
-            Some(PeerKind::Broker(rank)) => {
-                Input::FromBroker { plane: plane_of(&msg), from: rank, msg }
-            }
-            Some(PeerKind::Client(client)) => Input::FromClient { client, msg },
-            None => return, // unknown sender (killed and unregistered)
-        };
-        let outs = self.broker.handle(ctx.now().as_nanos(), input);
-        self.absorb(ctx, outs);
     }
 
-    // Timers still run during a blackout (absorb suppresses their
-    // outputs): skipping them would break the re-arm chains periodic
-    // modules rely on, leaving a revived broker with dead timers.
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        let outs = self.broker.handle(ctx.now().as_nanos(), Input::Timer { token });
-        self.absorb(ctx, outs);
+        let book = self.book.borrow();
+        self.host.timer(ctx.now().as_nanos(), token, |e| perform(ctx, &book, e));
     }
 }
 
@@ -198,14 +156,18 @@ impl Actor for BrokerActor {
 /// # Example
 ///
 /// ```
+/// use flux_rt::script::{Op, ScriptClient};
 /// use flux_rt::sim::SimSession;
 /// use flux_sim::NetParams;
+/// use flux_wire::Rank;
 ///
 /// let mut session = SimSession::new(8, 2, NetParams::default(), |_rank| {
 ///     vec![Box::new(flux_kvs::KvsModule::new()) as Box<dyn flux_broker::CommsModule>]
 /// });
+/// let outcome = ScriptClient::spawn(&mut session, Rank(5), vec![Op::GetVersion]);
 /// session.run_until_quiet(None).expect("unbounded runs cannot livelock");
-/// assert!(session.engine().stats().messages_delivered > 0 || true);
+/// assert!(outcome.borrow().finished);
+/// assert!(session.engine().stats().messages_delivered > 0);
 /// ```
 pub struct SimSession {
     engine: Engine,
@@ -226,36 +188,13 @@ impl SimSession {
             params,
             |r| BrokerConfig::new(r, size).with_arity(arity),
             factory,
+            None,
         )
     }
 
-    /// Like [`SimSession::with_config`] with a [`FaultPlan`] applied to
-    /// every broker's links — full per-rank config control (overlay,
-    /// heartbeat, arity) under a deterministic fault schedule.
-    pub fn with_config_and_faults<C, F>(
-        size: u32,
-        params: NetParams,
-        config: C,
-        factory: F,
-        plan: &FaultPlan,
-    ) -> SimSession
-    where
-        C: Fn(Rank) -> BrokerConfig,
-        F: Fn(Rank) -> Vec<Box<dyn CommsModule>>,
-    {
-        Self::build(size, params, config, factory, Some(plan))
-    }
-
-    /// Like [`SimSession::new`] with full per-rank config control.
-    pub fn with_config<C, F>(size: u32, params: NetParams, config: C, factory: F) -> SimSession
-    where
-        C: Fn(Rank) -> BrokerConfig,
-        F: Fn(Rank) -> Vec<Box<dyn CommsModule>>,
-    {
-        Self::build(size, params, config, factory, None)
-    }
-
-    fn build<C, F>(
+    /// Like [`SimSession::new`] with full per-rank config control, and
+    /// `faults` applied to every broker's links.
+    pub fn with_config<C, F>(
         size: u32,
         params: NetParams,
         config: C,
@@ -271,16 +210,9 @@ impl SimSession {
         for r in 0..size {
             let rank = Rank(r);
             let node = engine.add_node();
-            let broker = Broker::new(config(rank), factory(rank));
-            let actor = engine.add_actor(
-                node,
-                Box::new(BrokerActor {
-                    broker,
-                    book: Rc::clone(&book),
-                    faults: faults.filter(|p| !p.is_empty()).map(|p| p.for_sender(rank)),
-                    started: false,
-                }),
-            );
+            let host = Host::new(Broker::new(config(rank), factory(rank)), faults);
+            let actor =
+                engine.add_actor(node, Box::new(BrokerActor { host, book: Rc::clone(&book) }));
             book.borrow_mut().register_broker(actor, rank);
         }
         SimSession { engine, book, size, next_client: HashMap::new() }

@@ -198,12 +198,8 @@ impl ScriptTransport for SimTransport {
         let overlay = self.overlay;
         let config =
             move |r: Rank| BrokerConfig::new(r, size).with_arity(arity).with_rank_overlay(overlay);
-        let mut session = match &self.faults {
-            Some(plan) => {
-                SimSession::with_config_and_faults(size, self.net, config, factory, plan)
-            }
-            None => SimSession::with_config(size, self.net, config, factory),
-        };
+        let mut session =
+            SimSession::with_config(size, self.net, config, factory, self.faults.as_ref());
         let handles: Vec<_> = scripts
             .into_iter()
             .map(|(rank, ops)| ScriptClient::spawn(&mut session, rank, ops))
