@@ -13,7 +13,7 @@
 //!   over its own grant; parents never reach into a child's queue.
 //! * **Parental consent** — [`Instance::request_grow`] and
 //!   [`Instance::shrink_child`] route every elastic change through the
-//!   parent, which applies its policy and its own free capacity.
+//!   parent, which grants a grow only from its own free capacity.
 //!
 //! Instances advance on a shared virtual clock ([`Instance::advance`]):
 //! jobs complete when their walltime elapses, schedulers run, and
@@ -84,8 +84,6 @@ pub enum GrowError {
     UnknownChild,
     /// Not enough free nodes or power at the parent right now.
     Insufficient,
-    /// The parent's policy refuses elastic changes.
-    PolicyDenied,
 }
 
 /// Instance construction parameters.
@@ -97,31 +95,18 @@ pub struct InstanceConfig {
     pub nodes: u32,
     /// Power grant in watts.
     pub power_w: u64,
-    /// Whether this instance consents to children growing.
-    pub allow_grow: bool,
 }
 
 impl InstanceConfig {
     /// A grant of `nodes` nodes with a generous default power envelope
-    /// (500 W/node) and grow consent enabled.
+    /// (500 W/node).
     pub fn new(name: impl Into<String>, nodes: u32) -> InstanceConfig {
-        InstanceConfig {
-            name: name.into(),
-            nodes,
-            power_w: u64::from(nodes) * 500,
-            allow_grow: true,
-        }
+        InstanceConfig { name: name.into(), nodes, power_w: u64::from(nodes) * 500 }
     }
 
     /// Overrides the power grant.
     pub fn with_power(mut self, watts: u64) -> InstanceConfig {
         self.power_w = watts;
-        self
-    }
-
-    /// Disables grow consent (strict parent).
-    pub fn deny_grow(mut self) -> InstanceConfig {
-        self.allow_grow = false;
         self
     }
 }
@@ -135,7 +120,9 @@ pub struct Instance {
     grant_power_w: u64,
     used_nodes: u32,
     used_power_w: u64,
-    allow_grow: bool,
+    /// Watts of `grant_power_w` above the last [`Instance::cap_power`]
+    /// cap, held only while running work still draws them.
+    power_over_cap_w: u64,
     scheduler: Box<dyn Scheduler>,
     queue: VecDeque<PendingJob>,
     running: Vec<RunningJob>,
@@ -154,7 +141,7 @@ impl Instance {
             grant_power_w: config.power_w,
             used_nodes: 0,
             used_power_w: 0,
-            allow_grow: config.allow_grow,
+            power_over_cap_w: 0,
             scheduler,
             queue: VecDeque::new(),
             running: Vec::new(),
@@ -290,15 +277,13 @@ impl Instance {
         );
         self.used_nodes -= child.grant_nodes;
         self.used_power_w -= child.grant_power_w;
+        self.settle_power();
         Some(child)
     }
 
     /// Parental consent: a child asks to grow by `nodes` nodes and
     /// `power_w` watts. On success the child's grant expands.
     pub fn request_grow(&mut self, id: JobId, nodes: u32, power_w: u64) -> Result<(), GrowError> {
-        if !self.allow_grow {
-            return Err(GrowError::PolicyDenied);
-        }
         if nodes > self.free_nodes() || power_w > self.free_power_w() {
             return Err(GrowError::Insufficient);
         }
@@ -333,15 +318,25 @@ impl Instance {
         child.grant_power_w -= power_w;
         self.used_nodes -= nodes;
         self.used_power_w -= power_w;
+        self.settle_power();
         Ok(())
     }
 
-    /// Reduces this instance's own power grant (e.g. a site-wide cap
-    /// arriving from above). Power is the most elastic resource: the cap
-    /// applies immediately to future scheduling; running jobs keep their
-    /// draw (`free_power_w` saturates at zero until they end).
-    pub fn cap_power(&mut self, new_grant_w: u64) {
-        self.grant_power_w = new_grant_w.max(self.used_power_w);
+    /// Sets this instance's own power grant to `cap_w` (e.g. a site-wide
+    /// cap arriving from above). Power is the most elastic resource: the
+    /// cap applies immediately to future scheduling. Running work keeps
+    /// its draw, so a cap below the draw holds the grant at the draw and
+    /// lowers it toward the cap as that power frees up.
+    pub fn cap_power(&mut self, cap_w: u64) {
+        self.grant_power_w = cap_w.max(self.used_power_w);
+        self.power_over_cap_w = self.grant_power_w - cap_w;
+    }
+
+    /// Gives up freed watts that are held above the cap.
+    fn settle_power(&mut self) {
+        let drop = self.power_over_cap_w.min(self.free_power_w());
+        self.grant_power_w -= drop;
+        self.power_over_cap_w -= drop;
     }
 
     /// Advances virtual time to `to_ns`: completes due jobs, recurses into
@@ -380,8 +375,6 @@ impl Instance {
                 let r = self.running.swap_remove(i);
                 self.used_nodes -= r.nodes;
                 self.used_power_w -= r.power_w;
-                // cap_power may have shrunk the grant below usage; keep
-                // the invariant grant >= used.
                 self.history.push(JobEvent {
                     id: r.id,
                     spec: r.spec,
@@ -395,6 +388,7 @@ impl Instance {
                 i += 1;
             }
         }
+        self.settle_power();
         // Children advance on the same clock.
         for (_, child) in &mut self.children {
             child.advance(to_ns);
@@ -603,17 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn grow_denied_by_policy() {
-        let mut parent = Instance::root(
-            InstanceConfig::new("strict", 8).deny_grow(),
-            Box::new(Fcfs),
-        );
-        let child_id =
-            parent.spawn_child(InstanceConfig::new("c", 2), Box::new(Fcfs)).unwrap();
-        assert_eq!(parent.request_grow(child_id, 1, 0), Err(GrowError::PolicyDenied));
-    }
-
-    #[test]
     fn shrink_returns_unused_capacity_only() {
         let mut parent = inst(8);
         let child_id =
@@ -644,6 +627,35 @@ mod tests {
         i.advance(1);
         assert_eq!(i.running_len(), 8);
         assert_eq!(i.drain(), 101);
+    }
+
+    #[test]
+    fn power_cap_below_the_draw_binds_once_the_draw_ends() {
+        let mut i = Instance::root(
+            InstanceConfig::new("capped", 8).with_power(1_400),
+            Box::new(Fcfs),
+        );
+        for k in 0..8 {
+            i.submit(JobSpec::rigid(format!("p{k}"), 1, 100));
+        }
+        assert_eq!(i.running_len(), 4);
+        i.cap_power(700);
+        assert_eq!(i.grant_power_w(), 1_400, "running jobs keep their draw");
+        i.advance(100);
+        assert_eq!(i.grant_power_w(), 700, "the grant falls to the cap");
+        assert_eq!(i.running_len(), 2, "the next starts fit in 700 W");
+        i.check_invariants();
+    }
+
+    #[test]
+    fn power_held_above_the_cap_falls_when_a_child_closes() {
+        let mut parent = inst(8);
+        let child = parent.spawn_child(InstanceConfig::new("c", 4), Box::new(Fcfs)).unwrap();
+        parent.cap_power(1_000);
+        assert_eq!(parent.grant_power_w(), 2_000, "the lease keeps its watts");
+        parent.close_child(child).unwrap();
+        assert_eq!(parent.grant_power_w(), 1_000);
+        parent.check_invariants();
     }
 
     #[test]

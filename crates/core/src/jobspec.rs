@@ -1,8 +1,9 @@
 //! Job specifications.
 
-/// How elastic a job's allocation is (paper §II, challenge 3: "rigid vs
+/// How elastic a job's size is (paper §II, challenge 3: "rigid vs
 /// moldable vs malleable scheduling against different workload and
-/// resource types").
+/// resource types"). A running job's size is fixed; only a child
+/// instance's grant grows or shrinks.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Elasticity {
     /// Exactly `nodes`, fixed at submission.
@@ -10,14 +11,6 @@ pub enum Elasticity {
     /// The scheduler may pick any size in `[min, max]` at start time, but
     /// it is fixed afterwards.
     Moldable {
-        /// Smallest acceptable node count.
-        min: u32,
-        /// Largest useful node count.
-        max: u32,
-    },
-    /// The allocation may grow and shrink within `[min, max]` while the
-    /// job runs (subject to parental consent).
-    Malleable {
         /// Smallest acceptable node count.
         min: u32,
         /// Largest useful node count.
@@ -60,13 +53,6 @@ impl JobSpec {
         self
     }
 
-    /// Makes the job malleable within `[min, max]` nodes.
-    pub fn malleable(mut self, min: u32, max: u32) -> JobSpec {
-        assert!(min <= self.nodes && self.nodes <= max, "nominal size within bounds");
-        self.elasticity = Elasticity::Malleable { min, max };
-        self
-    }
-
     /// Makes the job moldable within `[min, max]` nodes.
     pub fn moldable(mut self, min: u32, max: u32) -> JobSpec {
         assert!(min <= max, "bounds ordered");
@@ -88,7 +74,7 @@ impl JobSpec {
         assert!(self.walltime_ns > 0, "job {:?} requests zero walltime", self.name);
         match self.elasticity {
             Elasticity::Rigid => {}
-            Elasticity::Moldable { min, max } | Elasticity::Malleable { min, max } => {
+            Elasticity::Moldable { min, max } => {
                 assert!(min >= 1 && min <= max, "job {:?} has bad bounds", self.name);
             }
         }
@@ -109,21 +95,15 @@ mod tests {
 
     #[test]
     fn builders_compose() {
-        let s = JobSpec::rigid("uq", 8, 5_000).with_power(200).malleable(2, 16);
+        let s = JobSpec::rigid("uq", 8, 5_000).with_power(200).moldable(2, 16);
         s.validate();
         assert_eq!(s.power_at(16), 3200);
-        assert_eq!(s.elasticity, Elasticity::Malleable { min: 2, max: 16 });
+        assert_eq!(s.elasticity, Elasticity::Moldable { min: 2, max: 16 });
     }
 
     #[test]
     #[should_panic(expected = "zero nodes")]
     fn zero_nodes_rejected() {
         JobSpec::rigid("bad", 0, 1).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "within bounds")]
-    fn malleable_bounds_must_include_nominal() {
-        let _ = JobSpec::rigid("bad", 10, 1).malleable(1, 5);
     }
 }

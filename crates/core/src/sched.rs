@@ -50,12 +50,10 @@ pub trait Scheduler: Send {
 }
 
 /// The node count a spec starts with given free capacity (moldable jobs
-/// shrink to fit; rigid/malleable start at nominal).
+/// shrink to fit; rigid jobs start at nominal).
 fn start_size(spec: &JobSpec, free_nodes: u32) -> Option<u32> {
     match spec.elasticity {
-        Elasticity::Rigid | Elasticity::Malleable { .. } => {
-            (spec.nodes <= free_nodes).then_some(spec.nodes)
-        }
+        Elasticity::Rigid => (spec.nodes <= free_nodes).then_some(spec.nodes),
         Elasticity::Moldable { min, max } => {
             let n = free_nodes.min(max);
             (n >= min).then_some(n)

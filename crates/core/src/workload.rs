@@ -55,18 +55,6 @@ impl Workload {
             .collect()
     }
 
-    /// Malleable scale-bridging jobs that can shrink under pressure.
-    pub fn malleable_batch(&mut self, count: usize, walltime_ns: u64) -> Vec<JobSpec> {
-        (0..count)
-            .map(|_| {
-                let nominal = self.rng.gen_range(2..=8);
-                let name = self.next_name("mall");
-                JobSpec::rigid(name, nominal, walltime_ns)
-                    .with_power(250)
-                    .malleable(1, nominal * 2)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -103,19 +91,6 @@ mod tests {
         for j in &jobs {
             j.validate();
             assert!(j.nodes <= 64);
-        }
-    }
-
-    #[test]
-    fn malleable_batch_bounds_contain_nominal() {
-        for j in Workload::seeded(3).malleable_batch(50, 500) {
-            j.validate();
-            match j.elasticity {
-                crate::jobspec::Elasticity::Malleable { min, max } => {
-                    assert!(min <= j.nodes && j.nodes <= max);
-                }
-                other => panic!("expected malleable, got {other:?}"),
-            }
         }
     }
 }

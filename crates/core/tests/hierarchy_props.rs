@@ -71,10 +71,7 @@ proptest! {
                     let ids = root.child_ids();
                     if let Some(&id) = ids.get(child % ids.len().max(1)) {
                         let r = root.request_grow(id, nodes, u64::from(nodes) * 100);
-                        prop_assert!(matches!(
-                            r,
-                            Ok(()) | Err(GrowError::Insufficient) | Err(GrowError::PolicyDenied)
-                        ));
+                        prop_assert!(matches!(r, Ok(()) | Err(GrowError::Insufficient)));
                     }
                 }
                 Action::Shrink { child, nodes } => {

@@ -6,8 +6,8 @@
 //! application." Allocation requests (`resvc.alloc {jobid, nnodes}`)
 //! route to the root instance, which maintains the free set, records the
 //! allocation under `lwj.<jobid>.ranks`, and answers with the granted
-//! ranks. `resvc.free {jobid}` returns them. The Flux framework layer
-//! (flux-core) drives this interface from its schedulers.
+//! ranks. `resvc.free {jobid}` returns them. Its callers are the `flux
+//! resvc` sub-command and tests; flux-core's schedulers do not drive it.
 
 use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{keys, KvsMethod, ResvcMethod};

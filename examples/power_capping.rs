@@ -6,49 +6,41 @@
 //! cargo run --example power_capping
 //! ```
 //!
-//! A center instance models its machines with the generalized resource
-//! model, leases two cluster partitions, and then takes a site-wide power
-//! cut. The cut propagates down the hierarchy as grant reductions;
-//! schedulers immediately stop starting work the budget no longer covers,
-//! and throughput recovers when the cap lifts.
+//! A center instance leases two cluster partitions and then takes a
+//! site-wide power cut. The cut propagates down the hierarchy as grant
+//! reductions; schedulers immediately stop starting work the budget no
+//! longer covers, and throughput recovers when the cap lifts.
 
-use flux_core::{
-    Fcfs, Instance, InstanceConfig, JobSpec, ResourceKind, ResourcePool, Workload,
-};
+use flux_core::{Fcfs, Instance, InstanceConfig, JobSpec, Workload};
+
+// The center: two clusters (nodes), a site power budget and its cut.
+const ZIN_NODES: u32 = 64;
+const CAB_NODES: u32 = 32;
+const SITE_POWER_W: u64 = 80_000;
+const SITE_CAP_W: u64 = 40_000;
 
 fn running_watts(i: &Instance) -> u64 {
     i.grant_power_w() - i.free_power_w()
 }
 
 fn main() {
-    // The generalized resource model describes the center.
-    let mut pool = ResourcePool::new();
-    let (center_res, clusters) =
-        pool.build_center(&[("zin", 4, 16), ("cab", 2, 16)], 80_000, 500_000);
-    let zin_nodes = clusters[0].1.len() as u32;
-    let cab_nodes = clusters[1].1.len() as u32;
     println!(
-        "center model: {} resources, {} nodes, site budget {} W, fs {} MB/s",
-        pool.len(),
-        pool.find_kind(center_res, &ResourceKind::Node).len(),
-        80_000,
-        pool.total_capacity(center_res, &ResourceKind::Filesystem),
+        "center: zin {ZIN_NODES} nodes, cab {CAB_NODES} nodes, site budget {SITE_POWER_W} W"
     );
 
-    // The framework layer manages it as an instance hierarchy.
     let mut center = Instance::root(
-        InstanceConfig::new("center", zin_nodes + cab_nodes).with_power(80_000),
+        InstanceConfig::new("center", ZIN_NODES + CAB_NODES).with_power(SITE_POWER_W),
         Box::new(Fcfs),
     );
     let zin = center
         .spawn_child(
-            InstanceConfig::new("zin", zin_nodes).with_power(40_000),
+            InstanceConfig::new("zin", ZIN_NODES).with_power(40_000),
             Box::new(Fcfs),
         )
         .unwrap();
     let cab = center
         .spawn_child(
-            InstanceConfig::new("cab", cab_nodes).with_power(20_000),
+            InstanceConfig::new("cab", CAB_NODES).with_power(20_000),
             Box::new(Fcfs),
         )
         .unwrap();
@@ -70,19 +62,20 @@ fn main() {
         running_watts(center.child(cab).unwrap())
     );
 
-    // Site emergency: the budget halves. The center reclaims headroom
-    // from its children (only unused watts can move — elasticity is
-    // cooperative) and re-caps them.
+    // Site emergency: the budget halves. The center reclaims all unused
+    // headroom from its children (only unused watts can move — elasticity
+    // is cooperative) and re-caps itself.
     let zin_free = center.child(zin).unwrap().free_power_w();
     let cab_free = center.child(cab).unwrap().free_power_w();
-    center.shrink_child(zin, 0, zin_free * 3 / 4).expect("reclaim zin headroom");
-    center.shrink_child(cab, 0, cab_free * 3 / 4).expect("reclaim cab headroom");
-    center.cap_power(40_000);
+    center.shrink_child(zin, 0, zin_free).expect("reclaim zin headroom");
+    center.shrink_child(cab, 0, cab_free).expect("reclaim cab headroom");
+    center.cap_power(SITE_CAP_W);
     println!(
         "CAP    : site 80 kW -> 40 kW; zin grant {:>6} W, cab grant {:>6} W",
         center.child(zin).unwrap().grant_power_w(),
         center.child(cab).unwrap().grant_power_w()
     );
+    assert!(center.grant_power_w() <= SITE_CAP_W, "the center holds the site cap");
 
     center.advance(40_000);
     center.check_invariants();
@@ -95,7 +88,7 @@ fn main() {
     );
 
     // The emergency passes: grow the children back (parental consent).
-    center.cap_power(80_000);
+    center.cap_power(SITE_POWER_W);
     center.request_grow(zin, 0, 20_000).expect("regrow zin");
     center.request_grow(cab, 0, 8_000).expect("regrow cab");
     center.advance(70_000);
