@@ -28,7 +28,8 @@ pub(crate) struct Core {
     /// Outputs accumulated during the current handle() call.
     outputs: Vec<Output>,
     /// Module-originated RPCs awaiting responses: id → module index.
-    /// This broker minted every id.
+    /// A module relaying a request sends it on under the id it arrived
+    /// with, so not every id here was minted by this broker.
     pending: IdMap<MsgId, usize>,
     /// Locally raised messages to process after the current dispatch.
     raised: VecDeque<Message>,
@@ -246,12 +247,6 @@ impl Core {
         let owner = (module_idx as u64 + 1) << TOKEN_OWNER_SHIFT;
         self.outputs.push(Output::SetTimer { delay_ns, token: owner | token });
     }
-
-    /// Forgets a module-originated RPC id.
-    pub(crate) fn forget_pending(&mut self, id: MsgId) {
-        self.pending.remove(&id);
-    }
-
 }
 
 /// A comms session broker. See the crate docs for the model.

@@ -96,7 +96,8 @@ pub trait CommsModule: Send {
     fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled;
 
     /// The response to an RPC this module issued via
-    /// [`ModuleCtx::request_upstream`] or [`ModuleCtx::request_to_rank`].
+    /// [`ModuleCtx::request`], [`ModuleCtx::request_upstream`] or
+    /// [`ModuleCtx::request_to_rank`].
     fn handle_response(&mut self, _ctx: &mut ModuleCtx<'_>, _msg: &Message) {}
 
     /// An event matching one of this module's subscriptions.
@@ -209,22 +210,10 @@ impl<'a> ModuleCtx<'a> {
         Handled(())
     }
 
-    /// Issues an RPC to this module's counterpart on the upstream path.
-    /// The request starts at the effective parent (it does not match
-    /// locally), and the response is delivered to
-    /// [`CommsModule::handle_response`].
-    ///
-    /// Returns the request id for correlating the response, or an
-    /// `Err(errnum)` at the root where there is no upstream.
+    /// Issues an RPC, under a fresh id, to this module's counterpart on
+    /// the upstream path: [`ModuleCtx::request`] with no `id` or `to`.
     pub fn request_upstream(&mut self, topic: Topic, payload: impl Into<Payload>) -> Result<MsgId, u32> {
-        let Some(parent) = self.core.effective_parent() else {
-            return Err(errnum::ENOENT);
-        };
-        let id = self.core.next_msg_id();
-        let msg = Message::request(topic, id, self.core.rank(), payload);
-        self.core.register_pending(id, self.module_idx);
-        self.core.send_tree(parent, msg);
-        Ok(id)
+        self.request(None, None, topic, payload)
     }
 
     /// Sends a one-way request upstream (no response expected, nothing
@@ -240,14 +229,40 @@ impl<'a> ModuleCtx<'a> {
         self.core.send_tree(parent, msg);
     }
 
-    /// Issues a rank-addressed RPC over the ring plane. The response is
-    /// delivered to [`CommsModule::handle_response`].
+    /// Issues a rank-addressed RPC over the ring plane, under a fresh id.
     pub fn request_to_rank(&mut self, to: Rank, topic: Topic, payload: impl Into<Payload>) -> MsgId {
         let id = self.core.next_msg_id();
-        let msg = Message::request_to(topic, id, self.core.rank(), to, payload);
-        self.core.register_pending(id, self.module_idx);
-        self.core.route_ring(msg);
+        // Only an upstream send can be refused.
+        let _ = self.request(Some(id), Some(to), topic, payload);
         id
+    }
+
+    /// Sends this module's RPC `id` (`None`: a fresh one) up the tree
+    /// from the effective parent (`to` = `None`) or rank-addressed to
+    /// `to`; the response comes to [`CommsModule::handle_response`]. A
+    /// retry, or a relay, passes the id its request already has, so the
+    /// handler can tell a repeat from a new request. Returns the id, or
+    /// `Err(ENOENT)` upstream at the root.
+    pub fn request(
+        &mut self,
+        id: Option<MsgId>,
+        to: Option<Rank>,
+        topic: Topic,
+        payload: impl Into<Payload>,
+    ) -> Result<MsgId, u32> {
+        let parent = match to {
+            Some(_) => None,
+            None => Some(self.core.effective_parent().ok_or(errnum::ENOENT)?),
+        };
+        let id = id.unwrap_or_else(|| self.core.next_msg_id());
+        let mut msg = Message::request(topic, id, self.core.rank(), payload);
+        msg.header.dst = to;
+        self.core.register_pending(id, self.module_idx);
+        match parent {
+            Some(parent) => self.core.send_tree(parent, msg),
+            None => self.core.route_ring(msg),
+        }
+        Ok(id)
     }
 
     /// Publishes an event session-wide. Events are sequenced through the
@@ -265,11 +280,6 @@ impl<'a> ModuleCtx<'a> {
     /// Broker configuration (tree shape, heartbeat period, overlay).
     pub fn config(&self) -> &crate::BrokerConfig {
         self.core.config()
-    }
-
-    /// Deregisters an RPC id; a later response for it is dropped.
-    pub fn forget_request(&mut self, id: MsgId) {
-        self.core.forget_pending(id);
     }
 
     /// Submits a locally originated request into this broker's routing

@@ -49,11 +49,29 @@ pub(crate) struct Authority {
     pub(crate) pushes_batched: u64,
 }
 
+/// The one rule, at a master and at a relay alike, for a push id seen
+/// before: a duplicate, or a retry from any hop along any path. While
+/// the first copy is `pending` here, it carries the reply obligation,
+/// and an answer now would predate the push (a read-your-writes
+/// violation): the copy is dropped. Otherwise the first answer may have
+/// been lost on the way down, and the copy gets this broker's current
+/// version, which includes the push.
+pub(crate) fn repeated_push(
+    ctx: &mut ModuleCtx<'_>,
+    rep: &Replica,
+    msg: &Message,
+    pending: bool,
+) -> Handled {
+    if pending {
+        return ctx.drop_duplicate(msg);
+    }
+    rep.slots.respond_version(ctx, rep.slots.mine().unwrap_or(0), msg)
+}
+
 impl Authority {
     /// Records a push request id; returns false if it was already seen
-    /// (a transport-level duplicate — the fault layer can duplicate
-    /// frames, and a late duplicate re-applying an old batch after newer
-    /// commits would silently rewind keys).
+    /// (a duplicate or a retry — a late copy re-applying an old batch
+    /// after newer commits would silently rewind keys).
     pub(crate) fn note_push(&mut self, id: MsgId) -> bool {
         if !self.seen_pushes.insert(id) {
             return false;
@@ -124,16 +142,9 @@ impl Authority {
             return ctx.respond(&msg, rep.slots.spelling().version_reply(at));
         }
         if cfg.dedup && !self.note_push(msg.header.id) {
-            if self.batch_ids.contains(&msg.header.id) {
-                // The original is still parked in the batch; its reply
-                // comes with the flush. Answering the duplicate now would
-                // expose the pre-apply version (a read-your-writes
-                // violation for the committer).
-                return ctx.drop_duplicate(&msg);
-            }
-            // Re-answer with the current version: the response to the
-            // first copy may itself have been lost in transit.
-            return rep.slots.respond_version(ctx, shard, &msg);
+            // Pending while the original is parked in the batch.
+            let pending = self.batch_ids.contains(&msg.header.id);
+            return repeated_push(ctx, rep, &msg, pending);
         }
         let (Some(tuples), Some(objects)) = (
             msg::tuples_from_value(msg.payload.get("tuples")),
@@ -313,5 +324,41 @@ mod tests {
         assert_eq!(msgs.len(), 2);
         assert_eq!(msgs[0].payload, msgs[1].payload);
         assert_eq!(msgs[0].payload.get("shard"), Some(&Value::Int(1)));
+    }
+
+    /// The relay half of [`repeated_push`]: a one-shard broker below the
+    /// root sends a push on under the id it arrived with, drops a repeat
+    /// while that relay waits, and answers a repeat after it with the
+    /// root the relay's answer made it adopt.
+    #[test]
+    fn a_relay_drops_a_repeat_while_it_waits_and_answers_one_after_with_its_version() {
+        use crate::module::KvsModule;
+        use flux_broker::CommsModule;
+        use flux_wire::MsgType;
+        let first = push("a", 1);
+        let id = first.header.id;
+        let (_, outs) = with_ctx(1, 3, move |ctx| {
+            let mut kvs = KvsModule::new();
+            kvs.on_start(ctx);
+            kvs.handle_request(ctx, first.clone());
+            kvs.handle_request(ctx, first.clone());
+            let mut relayed = first.clone();
+            relayed.header.hops.clear();
+            let root = KvsObject::Val(Value::Int(3)).id().to_hex();
+            let at = RootRef { shard: 0, version: 3, root };
+            let ack = Message::response_to(&relayed, msg::Spelling::of(1).version_reply(&at));
+            kvs.handle_response(ctx, &ack);
+            kvs.handle_request(ctx, first);
+        });
+        let seen: Vec<_> = messages(&outs)
+            .into_iter()
+            .map(|m| (m.header.msg_type, m.header.id, m.payload.get("version").cloned()))
+            .collect();
+        let answered = (MsgType::Response, id, Some(Value::Int(3)));
+        assert_eq!(
+            seen,
+            vec![(MsgType::Request, id, None), answered.clone(), answered],
+            "relayed once under its own id; the waiting relay's repeat dropped"
+        );
     }
 }

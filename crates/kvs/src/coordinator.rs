@@ -5,7 +5,8 @@
 //! part this broker masters, send every other part toward its master,
 //! collect the acknowledged roots into a frontier, and answer once it is
 //! complete. One [`Join`] table serves both; a relayed `kvs.push` is a
-//! join whose single part arrived already encoded.
+//! join whose single part arrived already encoded, and goes on under
+//! the id it arrived with.
 //!
 //! How a remote part travels is this file's one selection
 //! ([`Coordinator::route`]), keyed on the session's shard count. With
@@ -15,7 +16,10 @@
 //! rank-addressed to its master as `kvs.shard.push`. Either way the
 //! part is in the [`InFlight`] table until it is acknowledged: a part a
 //! master refuses fails the join, a part lost on the way goes out again
-//! on the heartbeat.
+//! on the heartbeat under its own id. A part keeps that id from the
+//! committer to the master, so the master, and every relay on the way,
+//! knows a retry from any hop along any path for the push it already
+//! has ([`crate::authority::repeated_push`]).
 
 use crate::authority::Authority;
 use crate::inflight::{Answer, InFlight};
@@ -26,11 +30,12 @@ use crate::shard;
 use flux_broker::{Handled, ModuleCtx};
 use flux_hash::ObjectId;
 use flux_proto::{Event, KvsMethod};
-use flux_wire::{errnum, Message, Payload, Rank};
-use std::collections::BTreeMap;
+use flux_wire::{errnum, Message, MsgId, Payload, Rank};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// One part of a join on its way to a master.
 struct Part {
+    shard: u32,
     /// `Some(master)`: rank-addressed `kvs.shard.push`; `None`:
     /// `kvs.push` up the tree.
     to: Option<Rank>,
@@ -45,8 +50,8 @@ struct Join {
     fence: Option<String>,
     /// shard → root acknowledged so far.
     frontier: BTreeMap<u32, RootRef>,
-    /// shard → part not yet acknowledged.
-    outstanding: BTreeMap<u32, Part>,
+    /// Shards whose part is not yet acknowledged.
+    outstanding: BTreeSet<u32>,
 }
 
 #[derive(Default)]
@@ -72,7 +77,7 @@ impl Coordinator {
         } else {
             (None, None)
         };
-        Part { to, payload: msg::push_payload(tag, fence, tuples, objects).into() }
+        Part { shard, to, payload: msg::push_payload(tag, fence, tuples, objects).into() }
     }
 
     /// Coordinates one write set: `waiters` are answered with the cut it
@@ -110,69 +115,64 @@ impl Coordinator {
             .collect();
         drop(objects);
         let mut join = Join { waiters, fence: fence.map(str::to_owned), ..Join::default() };
+        let mut remote = Vec::new();
         for (s, part, objs) in parts {
             if rep.slots.masters(s) {
                 join.frontier.insert(s, authority.apply(ctx, rep, &part, objs, fence));
             } else {
-                join.outstanding.insert(s, Self::route(rep.slots.shards(), s, fence, &part, &objs));
+                remote.push(Self::route(rep.slots.shards(), s, fence, &part, &objs));
             }
         }
-        self.launch(ctx, rep, join);
+        self.launch(ctx, rep, join, None, remote);
     }
 
-    /// Relays a `kvs.push` one hop further up the tree; the answer's
-    /// root is adopted here before it unwinds to `msg`'s sender, so
-    /// every broker on the path is at least as new as the committer.
+    /// Relays a `kvs.push` one hop further up the tree, under the id it
+    /// arrived with; the answer's root is adopted here before it unwinds
+    /// to `msg`'s sender, so every broker on the path is at least as new
+    /// as the committer.
     pub(crate) fn relay(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
         rep: &mut Replica,
         msg: Message,
     ) -> Handled {
-        let payload = msg.payload.clone();
+        let (id, payload) = (msg.header.id, msg.payload.clone());
         let (waiter, parked) = ctx.park(msg);
-        let outstanding = BTreeMap::from([(0, Part { to: None, payload })]);
-        let join = Join { waiters: vec![waiter], outstanding, ..Join::default() };
-        self.launch(ctx, rep, join);
+        let join = Join { waiters: vec![waiter], ..Join::default() };
+        self.launch(ctx, rep, join, Some(id), vec![Part { shard: 0, to: None, payload }]);
         parked
     }
 
-    fn launch(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica, join: Join) {
-        self.next_join += 1;
-        let key = self.next_join;
-        let shards: Vec<u32> = join.outstanding.keys().copied().collect();
-        self.joins.insert(key, join);
-        for s in shards {
-            self.send(ctx, key, s);
-        }
-        self.finish_if_complete(ctx, rep, key);
+    /// Whether the `kvs.push` this broker relays under `id` still waits
+    /// for its answer.
+    pub(crate) fn relaying(&self, id: MsgId) -> bool {
+        self.parts.contains(id)
     }
 
-    /// (Re-)sends one part, if its join still waits on it. Masters
-    /// answer a duplicated fence part from their memo, and re-applying an
-    /// identical commit part onto the same tree yields the same root.
-    fn send(&mut self, ctx: &mut ModuleCtx<'_>, key: u64, shard: u32) {
-        let Some(part) = self.joins.get(&key).and_then(|j| j.outstanding.get(&shard)) else {
-            return;
-        };
-        let (payload, tag) = (part.payload.clone(), (key, shard));
-        match part.to {
-            Some(master) => {
-                self.parts.send_to(ctx, master, KvsMethod::ShardPush, payload, tag);
-            }
-            None => {
-                // Cannot occur in a well-formed session: a part is
-                // outstanding only on a broker that does not master its
-                // shard, a one-shard session's master is the tree root,
-                // and every other broker has a parent. Should the healed
-                // tree ever disagree, `send_up`'s own code is only a
-                // "no upstream" placeholder; the committer gets the
-                // refusal `kvs.commit` and `kvs.fence` declare.
-                if self.parts.send_up(ctx, KvsMethod::Push, payload, tag).is_err() {
-                    self.fail(ctx, key, errnum::EINVAL);
-                }
+    /// Files `join` and sends its remote `parts` (under `id` for a relay,
+    /// else under fresh ids).
+    fn launch(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        rep: &mut Replica,
+        mut join: Join,
+        id: Option<MsgId>,
+        parts: Vec<Part>,
+    ) {
+        self.next_join += 1;
+        let key = self.next_join;
+        join.outstanding = parts.iter().map(|p| p.shard).collect();
+        self.joins.insert(key, join);
+        for Part { shard, to, payload } in parts {
+            let method = if to.is_some() { KvsMethod::ShardPush } else { KvsMethod::Push };
+            if self.parts.send(ctx, id, to, method, payload, (key, shard)).is_err() {
+                // No parent: never in a well-formed session, where the
+                // root masters a one-shard session's one shard. The
+                // committer gets a refusal its method declares.
+                return self.fail(ctx, key, errnum::EINVAL);
             }
         }
+        self.finish_if_complete(ctx, rep, key);
     }
 
     /// Claims `msg` if it answers a part; returns whether it did.
@@ -190,7 +190,8 @@ impl Coordinator {
             // errored commit as staged-uncertain).
             Answer::Refused(code) => self.fail(ctx, key, code),
             // E.g. the master is blacked out. The join stays pending —
-            // never answered with a missing shard.
+            // never answered with a missing shard — and the part goes
+            // out again on the heartbeat.
             Answer::Lost => {}
             Answer::Ok => {
                 let ack =
@@ -228,11 +229,13 @@ impl Coordinator {
         }
     }
 
-    /// Fails join `key` with `errnum`. Waiters of a fence parked on
-    /// other brokers are failed through the broadcast, mirroring the
-    /// release path.
+    /// Fails join `key` with `errnum`, and takes its other parts out of
+    /// the table: nothing is sent again for a join that no longer waits.
+    /// Waiters of a fence parked on other brokers are failed through the
+    /// broadcast, mirroring the release path.
     fn fail(&mut self, ctx: &mut ModuleCtx<'_>, key: u64, errnum: u32) {
         let Some(join) = self.joins.remove(&key) else { return };
+        self.parts.retain(|&(k, _)| k != key);
         for req in &join.waiters {
             ctx.respond_err(req, errnum);
         }
@@ -241,14 +244,10 @@ impl Coordinator {
         }
     }
 
-    /// Re-sends what the table's sweep says is due: parts whose answer
-    /// was lost or that were already in flight at the previous
-    /// heartbeat. A part merely in flight is left alone for one more
-    /// period, so a healthy commit is applied once.
+    /// The heartbeat: parts whose answer was lost, or that were already
+    /// in flight at the previous beat, go out again under their own ids.
     pub(crate) fn on_heartbeat(&mut self, ctx: &mut ModuleCtx<'_>) {
-        for (key, shard) in self.parts.sweep(ctx) {
-            self.send(ctx, key, shard);
-        }
+        self.parts.sweep(ctx);
     }
 }
 
@@ -260,6 +259,7 @@ mod tests {
     use crate::testutil::{messages, request};
     use flux_broker::testing::with_ctx;
     use flux_value::Value;
+    use flux_wire::MsgType;
     use std::sync::Arc;
 
     struct Fixture {
@@ -401,42 +401,46 @@ mod tests {
             request(KvsMethod::Commit, Value::object()),
         );
         let refused_id = refused.header.id;
-        let keys = vec![key_on_shard("co.k", 1, 2)];
-        let (_, outs) = with_ctx(0, 3, move |ctx| {
-            let mut f = broker(2, Some(0));
-            for (req, code) in [(&retried, errnum::EHOSTDOWN), (&refused, errnum::EINVAL)] {
-                f.start(ctx, req, &keys, None);
-                let (id, (key, _)) = f.co.parts.in_flight()[0];
+        let keys: Vec<String> = (1..3).map(|s| key_on_shard("co.k", s, 3)).collect();
+        let (lost, outs) = with_ctx(0, 4, move |ctx| {
+            let mut f = broker(3, Some(0));
+            let answer = |f: &mut Fixture, ctx: &mut ModuleCtx<'_>, id, code| {
                 let mut push = request(KvsMethod::ShardPush, Value::object());
                 push.header.id = id;
-                assert!(f.co.handle_response(
-                    ctx,
-                    &mut f.rep,
-                    &Message::error_response_to(&push, code)
-                ));
-                assert_eq!(f.co.joins.contains_key(&key), code != errnum::EINVAL);
-                assert!(f.co.parts.in_flight().is_empty());
-            }
-            // The transiently failed part goes out again on the next
-            // heartbeat — and only once: merely in flight, it then waits
-            // a full period before it counts as lost.
-            f.co.on_heartbeat(ctx);
-            let ids = |f: &Fixture| -> Vec<_> {
+                let reply = Message::error_response_to(&push, code);
+                assert!(f.co.handle_response(ctx, &mut f.rep, &reply));
+            };
+            let in_flight = |f: &Fixture| -> Vec<_> {
                 f.co.parts.in_flight().into_iter().map(|(id, _)| id).collect()
             };
-            let first = ids(&f);
-            assert_eq!(first.len(), 1, "re-sent");
-            f.co.on_heartbeat(ctx);
-            assert_eq!(ids(&f), first, "in flight for less than a period: left alone");
-            f.co.on_heartbeat(ctx);
-            assert_eq!(ids(&f).len(), 1);
-            assert_ne!(ids(&f), first, "in flight for a whole period: re-sent");
+            f.start(ctx, &retried, &keys[..1], None);
+            let lost = in_flight(&f)[0];
+            answer(&mut f, ctx, lost, errnum::EHOSTDOWN);
+            assert_eq!(f.co.joins.len(), 1, "a lost part leaves its join waiting");
+            assert_eq!(in_flight(&f), [lost], "and stays in the table");
+            f.start(ctx, &refused, &keys, None);
+            let parts = in_flight(&f);
+            assert_eq!(parts.len(), 3);
+            answer(&mut f, ctx, parts[2], errnum::EINVAL);
+            assert_eq!(f.co.joins.len(), 1, "a refused part fails its join");
+            assert_eq!(in_flight(&f), [lost], "and takes the join's other part out of the table");
+            // The lost part goes out again at the next heartbeat, under
+            // its own id; merely in flight after that, it waits a full
+            // period before it goes out again.
+            for _ in 0..3 {
+                f.co.on_heartbeat(ctx);
+            }
+            lost
         });
-        let failed: Vec<_> = messages(&outs)
-            .into_iter()
-            .filter(|m| m.is_error())
-            .map(|m| (m.header.id, m.header.errnum))
-            .collect();
+        let msgs = messages(&outs);
+        let sends_of = |id| {
+            msgs.iter()
+                .filter(|m| m.header.id == id && m.header.msg_type == MsgType::Request)
+                .count()
+        };
+        assert_eq!(sends_of(lost), 3, "sent, re-sent at beats 1 and 3");
+        let failed: Vec<_> =
+            msgs.iter().filter(|m| m.is_error()).map(|m| (m.header.id, m.header.errnum)).collect();
         assert_eq!(failed, vec![(refused_id, errnum::EINVAL)]);
     }
 

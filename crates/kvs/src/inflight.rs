@@ -4,24 +4,27 @@
 //! to a master, a `kvs.load` faulting an object in — can be refused by
 //! the handler that gets it, bounce off a blacked-out rank, or vanish
 //! with a dropped frame. One table keeps the three promises that make
-//! each of those a delay or an error, never a hang; its two senders are
-//! this crate's only callers of `request_upstream` and `request_to_rank`:
+//! each of those a delay or an error, never a hang; [`InFlight::send`]
+//! is this crate's only caller of `ModuleCtx::request`:
 //!
-//! 1. **Registered as sent.** [`InFlight::send_up`] and
-//!    [`InFlight::send_to`] file the request id under the owner's tag in
-//!    the same call that sends, so every answer can be claimed.
+//! 1. **Registered as sent.** [`InFlight::send`] files the request, its
+//!    route and its payload under the owner's tag in the same call that
+//!    sends, so every answer can be claimed and every retry rebuilt.
 //! 2. **Classified once.** [`InFlight::claim`] sorts an answer by the
 //!    proto registry: an error the method *declares* is the handler's
 //!    own rejection, which a retry would only repeat
 //!    ([`Answer::Refused`]); any other error is the transport's
 //!    ([`Answer::Lost`]).
-//! 3. **Retried on the heartbeat, within a budget.**
-//!    [`InFlight::sweep`] hands back the tags whose answer was lost and
-//!    those still unanswered a whole period after the previous beat saw
-//!    them in flight; a request merely in flight is left alone for one
-//!    more period, so a healthy one is sent once.
+//! 3. **Retried on the heartbeat.** [`InFlight::sweep`] sends again
+//!    each request whose answer was lost and each one still unanswered
+//!    a whole period after the previous beat saw it in flight; a
+//!    request merely in flight is left alone for one more period, so a
+//!    healthy one is sent once. A retry is the same request under its
+//!    original id, so the handler tells it from a new one (the master
+//!    applies a commit part once), and an answer to any copy is claimed.
 //!
-//! Owners keep only what a tag means and how to rebuild its payload.
+//! Owners keep only what a tag means; a request they no longer want
+//! leaves the table through [`InFlight::retain`].
 
 use flux_broker::ModuleCtx;
 use flux_proto::KvsMethod;
@@ -36,93 +39,91 @@ pub(crate) enum Answer {
     /// it again would be rejected again.
     Refused(u32),
     /// It, or its answer, was lost on the way (`EHOSTDOWN`, a timeout,
-    /// …): the tag comes back from the next [`InFlight::sweep`].
+    /// …): the next [`InFlight::sweep`] sends it again.
     Lost,
 }
 
 struct Sent<T> {
     tag: T,
     method: KvsMethod,
-    /// Already in flight at the previous heartbeat.
-    stale: bool,
+    /// `Some(rank)`: rank-addressed; `None`: up the tree.
+    to: Option<Rank>,
+    payload: Payload,
+    /// Due at the next heartbeat: its answer was lost, or it was already
+    /// in flight at the previous beat.
+    due: bool,
 }
 
 pub(crate) struct InFlight<T> {
-    /// Ordered by request id, which is send order: the sweep's output
-    /// must not depend on hash order.
+    /// Ordered by request id: the order of the sweep's sends must not
+    /// depend on hash order.
     sent: BTreeMap<MsgId, Sent<T>>,
-    /// Tags whose answer was [`Answer::Lost`], in the order it was.
-    lost: Vec<T>,
 }
 
 impl<T> Default for InFlight<T> {
     fn default() -> Self {
-        InFlight { sent: BTreeMap::new(), lost: Vec::new() }
+        InFlight { sent: BTreeMap::new() }
     }
 }
 
 impl<T: Copy> InFlight<T> {
-    /// Sends `method` one hop up the tree; `Err` at the root, which has
-    /// no upstream.
-    pub(crate) fn send_up(
+    /// Sends `method` up the tree (`to` = `None`) or rank-addressed to
+    /// `to`, under `id` — a relay's, the one its request arrived with —
+    /// or a fresh one. `Err` upstream at the root, which has no parent.
+    pub(crate) fn send(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
+        id: Option<MsgId>,
+        to: Option<Rank>,
         method: KvsMethod,
         payload: Payload,
         tag: T,
     ) -> Result<(), u32> {
-        let id = ctx.request_upstream(method.topic(), payload)?;
-        self.sent.insert(id, Sent { tag, method, stale: false });
+        let id = ctx.request(id, to, method.topic(), payload.clone())?;
+        self.sent.insert(id, Sent { tag, method, to, payload, due: false });
         Ok(())
     }
 
-    /// Sends `method` rank-addressed to `to`.
-    pub(crate) fn send_to(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        to: Rank,
-        method: KvsMethod,
-        payload: Payload,
-        tag: T,
-    ) {
-        let id = ctx.request_to_rank(to, method.topic(), payload);
-        self.sent.insert(id, Sent { tag, method, stale: false });
-    }
-
-    /// Claims `msg` if it answers a request of this table.
+    /// Claims `msg` if it answers a request of this table. A lost one
+    /// stays filed, due at the next heartbeat.
     pub(crate) fn claim(&mut self, msg: &Message) -> Option<(T, Answer)> {
-        let Sent { tag, method, .. } = self.sent.remove(&msg.header.id)?;
-        let code = msg.header.errnum;
+        let sent = self.sent.get_mut(&msg.header.id)?;
+        let (tag, code) = (sent.tag, msg.header.errnum);
         let answer = if !msg.is_error() {
             Answer::Ok
-        } else if method.declared_errors().contains(&code) {
+        } else if sent.method.declared_errors().contains(&code) {
             Answer::Refused(code)
         } else {
-            self.lost.push(tag);
-            Answer::Lost
+            sent.due = true;
+            return Some((tag, Answer::Lost));
         };
+        self.sent.remove(&msg.header.id);
         Some((tag, answer))
     }
 
-    /// The heartbeat: the tags to send again, if their owners still want
-    /// them. A request swept as stale is forgotten first, so a late
-    /// answer to the old copy is dropped by the broker. The exception is
-    /// a `kvs.push`: it climbs hop by hop, every hop a sender with a
-    /// table of its own, so a copy in flight belongs to the next hop and
-    /// is never repeated from here.
-    pub(crate) fn sweep(&mut self, ctx: &mut ModuleCtx<'_>) -> Vec<T> {
-        let mut due = std::mem::take(&mut self.lost);
-        self.sent.retain(|id, sent| {
-            let swept = sent.stale;
-            if swept {
-                ctx.forget_request(*id);
-                due.push(sent.tag);
-            } else {
-                sent.stale = sent.method != KvsMethod::Push;
+    /// The heartbeat: sends every due request again, as itself, and
+    /// marks the rest due for the next beat.
+    pub(crate) fn sweep(&mut self, ctx: &mut ModuleCtx<'_>) {
+        for (id, sent) in &mut self.sent {
+            if sent.due {
+                // The route was sendable when the request was first
+                // sent, and a broker's rank never changes: this cannot
+                // be refused.
+                let _ = ctx.request(Some(*id), sent.to, sent.method.topic(), sent.payload.clone());
             }
-            !swept
-        });
-        due
+            sent.due = !sent.due;
+        }
+    }
+
+    /// Keeps only the requests whose tag `keep` accepts; an answer to
+    /// one dropped here is no longer claimed.
+    pub(crate) fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        self.sent.retain(|_, sent| keep(&sent.tag));
+    }
+
+    /// Whether request `id` is in flight.
+    pub(crate) fn contains(&self, id: MsgId) -> bool {
+        self.sent.contains_key(&id)
     }
 
     /// `(request id, tag)` of everything in flight, in send order.
@@ -135,13 +136,14 @@ impl<T: Copy> InFlight<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::testutil::request;
+    use crate::testutil::{messages, request};
     use flux_broker::testing::with_ctx;
     use flux_value::Value;
     use flux_wire::errnum;
 
-    /// An error answer to the request `id` of `method`.
-    fn refusal(method: KvsMethod, id: MsgId, code: u32) -> Message {
+    /// The answer to the request `id` of `method`: an error with `code`,
+    /// or a success for 0.
+    fn answer(method: KvsMethod, id: MsgId, code: u32) -> Message {
         let mut req = request(method, Value::object());
         req.header.id = id;
         Message::error_response_to(&req, code)
@@ -154,46 +156,85 @@ mod tests {
             let mut tag = 0u32;
             let mut round_trip = |ctx: &mut ModuleCtx<'_>, method: KvsMethod, code: u32| {
                 tag += 1;
-                if method == KvsMethod::Push {
-                    table.send_up(ctx, method, Value::object().into(), tag).expect("has a parent");
-                } else {
-                    table.send_to(ctx, Rank(1), method, Value::object().into(), tag);
-                }
+                let to = (method != KvsMethod::Push).then_some(Rank(1));
+                table
+                    .send(ctx, None, to, method, Value::object().into(), tag)
+                    .expect("has a parent");
                 let (id, _) = table.in_flight()[0];
-                let claimed = table.claim(&refusal(method, id, code)).expect("registered");
+                let claimed = table.claim(&answer(method, id, code)).expect("registered");
                 assert_eq!(claimed.0, tag);
-                assert!(table.in_flight().is_empty(), "claimed once");
-                (claimed.1, table.sweep(ctx) == [tag])
+                let kept = table.in_flight() == [(id, tag)];
+                table.retain(|_| false);
+                (claimed.1, kept)
             };
             for method in [KvsMethod::Push, KvsMethod::ShardPush, KvsMethod::Load] {
                 assert!(!method.declared_errors().is_empty());
                 for &code in method.declared_errors() {
-                    let (answer, due) = round_trip(ctx, method, code);
+                    let (answer, kept) = round_trip(ctx, method, code);
                     assert!(matches!(answer, Answer::Refused(c) if c == code), "{method:?} {code}");
-                    assert!(!due, "a refused request is not retried");
+                    assert!(!kept, "a refused request is not retried");
                 }
                 for code in [errnum::EHOSTDOWN, errnum::ETIMEDOUT, errnum::EIO] {
-                    let (answer, due) = round_trip(ctx, method, code);
+                    let (answer, kept) = round_trip(ctx, method, code);
                     assert!(matches!(answer, Answer::Lost), "{method:?} {code}");
-                    assert!(due, "a lost request is due at the next beat");
+                    assert!(kept, "a lost request stays filed for the next beat");
                 }
             }
         });
     }
 
+    /// The requests of `outs`, as `(topic, id)`.
+    fn sends(outs: &[flux_broker::Output]) -> Vec<(String, MsgId)> {
+        messages(outs).iter().map(|m| (m.header.topic.as_str().to_owned(), m.header.id)).collect()
+    }
+
     #[test]
-    fn a_request_is_stale_after_a_whole_period_in_flight_except_a_tree_push() {
-        let _ = with_ctx(2, 4, |ctx| {
+    fn a_request_in_flight_for_a_whole_period_is_sent_again_under_its_own_id() {
+        let (ids, outs) = with_ctx(2, 4, |ctx| {
             let mut table = InFlight::default();
-            table.send_up(ctx, KvsMethod::Push, Value::object().into(), "push").expect("parent");
-            table.send_up(ctx, KvsMethod::Load, Value::object().into(), "load").expect("parent");
-            table.send_to(ctx, Rank(0), KvsMethod::ShardPush, Value::object().into(), "part");
-            let load_id = table.in_flight()[1].0;
-            assert!(table.sweep(ctx).is_empty(), "first beat: merely in flight");
-            assert_eq!(table.sweep(ctx), ["load", "part"], "second beat: send order");
-            assert_eq!(table.in_flight().len(), 1, "only the push stays registered");
-            assert!(table.claim(&refusal(KvsMethod::Load, load_id, 0)).is_none(), "forgotten");
-            assert!(table.sweep(ctx).is_empty());
+            let to_root = Some(Rank(0));
+            table.send(ctx, None, None, KvsMethod::Push, Value::object().into(), "push").unwrap();
+            table.send(ctx, None, None, KvsMethod::Load, Value::object().into(), "load").unwrap();
+            table
+                .send(ctx, None, to_root, KvsMethod::ShardPush, Value::object().into(), "part")
+                .unwrap();
+            let ids: Vec<MsgId> = table.in_flight().into_iter().map(|(id, _)| id).collect();
+            table.sweep(ctx);
+            table.sweep(ctx);
+            assert_eq!(table.in_flight().len(), 3, "nothing leaves the table unanswered");
+            let reply = answer(KvsMethod::Load, ids[1], 0);
+            assert!(
+                matches!(table.claim(&reply), Some(("load", Answer::Ok))),
+                "the old id answers"
+            );
+            ids
         });
+        let mut expected: Vec<(String, MsgId)> =
+            [KvsMethod::Push, KvsMethod::Load, KvsMethod::ShardPush]
+                .iter()
+                .zip(&ids)
+                .map(|(m, id)| (m.topic_str().to_owned(), *id))
+                .collect();
+        // First beat: merely in flight. Second beat: all three again, as
+        // themselves, in send order.
+        expected.extend(expected.clone());
+        assert_eq!(sends(&outs), expected);
+    }
+
+    #[test]
+    fn a_lost_answer_is_sent_again_at_the_next_beat_under_its_own_id() {
+        let (id, outs) = with_ctx(2, 4, |ctx| {
+            let mut table = InFlight::default();
+            table
+                .send(ctx, None, Some(Rank(0)), KvsMethod::Load, Value::object().into(), ())
+                .unwrap();
+            let id = table.in_flight()[0].0;
+            let lost = answer(KvsMethod::Load, id, errnum::EHOSTDOWN);
+            assert!(matches!(table.claim(&lost), Some(((), Answer::Lost))));
+            table.sweep(ctx);
+            id
+        });
+        let load = KvsMethod::Load.topic_str().to_owned();
+        assert_eq!(sends(&outs), [(load.clone(), id), (load, id)]);
     }
 }

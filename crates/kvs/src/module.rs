@@ -42,7 +42,7 @@
 //! (`coordinator.rs`) and which of the two wire spellings is spoken
 //! (`msg.rs`).
 
-use crate::authority::{Authority, BATCH_TOKEN};
+use crate::authority::{self, Authority, BATCH_TOKEN};
 use crate::coordinator::Coordinator;
 use crate::fence::{self, FenceAcc, FenceTree};
 use crate::master::Tuple;
@@ -234,10 +234,9 @@ impl KvsModule {
     fn handle_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         if !self.rep.slots.masters(0) {
             if self.cfg.dedup && !self.authority.note_push(msg.header.id) {
-                // A transport duplicate at a relay: the first copy's
-                // forwarded request already carries the response
-                // obligation.
-                return ctx.drop_duplicate(&msg);
+                // Pending while this broker's relay of it is unanswered.
+                let pending = self.coordinator.relaying(msg.header.id);
+                return authority::repeated_push(ctx, &self.rep, &msg, pending);
             }
             return self.coordinator.relay(ctx, &mut self.rep, msg);
         }

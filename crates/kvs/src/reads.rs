@@ -22,9 +22,9 @@
 //! is exactly the request this broker would build
 //! ([`msg::Spelling::is_load_request`]): nothing is rebuilt, and the id
 //! parsed here rides on in the payload's memo slot ([`load_id`]) for
-//! every tier above. Any other payload, a walk's miss and a heartbeat
-//! retry send a freshly built request, so what travels upstream is the
-//! same either way.
+//! every tier above. Any other payload and a walk's miss send a freshly
+//! built request, so what travels upstream is the same either way. A
+//! heartbeat retry sends the same request again under its own id.
 
 use crate::inflight::{Answer, InFlight};
 use crate::module::{Replica, Requester};
@@ -321,7 +321,8 @@ impl Reads {
         let entry = self.load_waiters.entry(missing).or_default();
         entry.0.push(self.next_walk);
         if entry.0.len() == 1 && entry.1.is_empty() {
-            self.request_load(ctx, rep, missing, shard);
+            let payload = Payload::from(rep.slots.spelling().load_request(missing, shard));
+            self.send_load(ctx, rep, missing, shard, payload);
         }
     }
 
@@ -336,20 +337,9 @@ impl Reads {
 
     // ----- fault-in --------------------------------------------------------
 
-    /// Faults object `id` of `shard`'s tree in from the next tier.
-    fn request_load(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        rep: &mut Replica,
-        id: ObjectId,
-        shard: u32,
-    ) {
-        let payload = Payload::from(rep.slots.spelling().load_request(id, shard));
-        self.send_load(ctx, rep, id, shard, payload);
-    }
-
     /// Sends `payload`, the `kvs.load` request for object `id` of
-    /// `shard`'s tree, to the next tier.
+    /// `shard`'s tree, to the next tier: the parent, or from the tree
+    /// root, the last cache tier, the shard's master.
     fn send_load(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
@@ -358,17 +348,15 @@ impl Reads {
         shard: u32,
         payload: Payload,
     ) {
-        let tag = (id, shard);
-        // Kept for the tree root's rank-addressed fallback below.
-        if self.loads.send_up(ctx, KvsMethod::Load, payload.clone(), tag).is_ok() {
-            return;
-        }
-        // No parent: this is the tree root, the last cache tier.
-        if rep.slots.masters(shard) {
-            self.complete_load(ctx, rep, id, Err(errnum::ENOENT));
-            return;
-        }
-        self.loads.send_to(ctx, shard::master_of(shard), KvsMethod::Load, payload, tag);
+        let to = if !ctx.is_root() {
+            None
+        } else if rep.slots.masters(shard) {
+            return self.complete_load(ctx, rep, id, Err(errnum::ENOENT));
+        } else {
+            Some(shard::master_of(shard))
+        };
+        // Only an upstream send from the root can be refused.
+        let _ = self.loads.send(ctx, None, to, KvsMethod::Load, payload, (id, shard));
     }
 
     /// Resolves a load with the object, or with the code that says why
@@ -443,16 +431,12 @@ impl Reads {
     /// Runs after the cache expired its idle entries. Drops the reply
     /// payload of every object the cache no longer holds — a payload pins
     /// a serialized copy of its object and, in its memo slot, the decoded
-    /// object itself. Then re-issues the loads the table's sweep says are
-    /// due — lost in transit, or unanswered for a whole heartbeat period —
-    /// for objects somebody still waits on.
+    /// object itself. Then the table sends again the loads that are due —
+    /// lost in transit, or unanswered for a whole heartbeat period; each
+    /// is a load somebody still waits on, since only its answer ends it.
     pub(crate) fn on_heartbeat(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica) {
         self.load_replies.retain(|id, _| rep.cache.contains(*id));
-        for (id, shard) in self.loads.sweep(ctx) {
-            if self.load_waiters.contains_key(&id) {
-                self.request_load(ctx, rep, id, shard);
-            }
-        }
+        self.loads.sweep(ctx);
     }
 }
 
@@ -754,29 +738,33 @@ mod tests {
         let get = request(KvsMethod::Get, Value::object());
         let get_id = get.header.id;
         let dir = dir_b7();
-        let (_, outs) = with_ctx(2, 3, move |ctx| {
+        let (load_id, outs) = with_ctx(2, 3, move |ctx| {
             let mut rep = Replica::new(1);
             rep.cache.insert(KvsObject::Val(Value::Int(7)));
             rep.slots.apply_root(ctx, 0, 1, dir.id());
             let mut reads = Reads::default();
             reads.lookup(ctx, &mut rep, get, "b", false);
             let first = load_in_flight(&reads);
-            reads.on_heartbeat(ctx, &mut rep);
-            assert_eq!(load_in_flight(&reads).header.id, first.header.id, "one beat: left alone");
-            reads.on_heartbeat(ctx, &mut rep);
-            let second = load_in_flight(&reads);
-            assert_ne!(second.header.id, first.header.id, "two beats: sent again");
-            let reply = |to: &Message| {
-                let obj = Value::from_pairs([("obj", dir.to_value())]);
-                Message::response_to(to, obj)
-            };
-            assert!(!reads.handle_response(ctx, &mut rep, &reply(&first)), "old id forgotten");
-            assert_eq!(reads.walks.len(), 1);
-            assert!(reads.handle_response(ctx, &mut rep, &reply(&second)));
+            // One beat: merely in flight. Two: sent again. Three: merely
+            // in flight again.
+            for _ in 0..3 {
+                reads.on_heartbeat(ctx, &mut rep);
+            }
+            assert_eq!(load_in_flight(&reads).header.id, first.header.id, "sent again as itself");
+            let reply = Message::response_to(&first, Value::from_pairs([("obj", dir.to_value())]));
+            assert!(reads.handle_response(ctx, &mut rep, &reply), "an answer to either copy");
             assert!(reads.walks.is_empty() && reads.loads.in_flight().is_empty());
+            assert!(
+                !reads.handle_response(ctx, &mut rep, &reply),
+                "the other copy's is not claimed"
+            );
+            first.header.id
         });
         let msgs = messages(&outs);
-        assert_eq!(loads_sent(&msgs), 2, "exactly one re-send");
+        let loads: Vec<&Message> =
+            msgs.iter().copied().filter(|m| m.header.msg_type == MsgType::Request).collect();
+        assert_eq!(loads_sent(&loads), 2, "exactly one re-send");
+        assert!(loads.iter().all(|m| m.header.id == load_id), "under the first id");
         let replies: Vec<_> = msgs.iter().filter(|m| m.header.id == get_id).collect();
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].payload.get("v"), Some(&Value::Int(7)));

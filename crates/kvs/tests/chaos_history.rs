@@ -1,6 +1,7 @@
 //! Chaos consistency sweep: random KVS workloads under random fault
 //! plans on the deterministic simulator, checked with the per-client
-//! history checker (`flux_kvs::history`).
+//! history checker (`flux_kvs::history`) for safety and with
+//! `chaos::stalls` for liveness.
 //!
 //! Every experiment is reproducible from its seed:
 //!
@@ -10,39 +11,128 @@
 //!
 //! `FLUX_CHAOS_SEEDS=<n>` widens the sweep (default 32 per variant).
 
-use flux_rt::chaos;
+use flux_rt::chaos::{self, ChaosWorkload};
+use flux_rt::script::Op;
+use flux_rt::transport::ScriptReport;
 
-fn sweep(with_kill: bool) {
-    for seed in chaos::seeds(32) {
-        let w = chaos::workload(seed, 100_000_000, with_kill);
-        let report = chaos::run_sim(&w);
-        let violations = chaos::check_run(&w, &report);
+/// One slice of the sweep: a workload generator and a KVS
+/// configuration.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Slice {
+    /// One shard, random faults.
+    Faults,
+    /// One shard, random faults plus a broker blackout.
+    Kills,
+    /// One shard, an aggressive batching window, a broker blackout.
+    Batching,
+    /// Four shards, random faults.
+    Sharded,
+    /// Four shards, random faults plus a shard-master blackout.
+    ShardKills,
+}
+
+/// The runs, per slice, known to leave a script unfinished, every one of
+/// them on a `kvs.fence`: a dropped `kvs.setroot` event leaves fence
+/// waiters parked, and the event plane has no repair yet. The list only
+/// shrinks: a run on it must still stall, and only on fences, and a run
+/// that starts finishing must be taken off. It holds no seed of the CI
+/// window, `0..64`; these are the stalls of `FLUX_CHAOS_SEEDS=1000`.
+const STALLS_ALLOWED: &[(Slice, &[u64])] = &[
+    (Slice::Faults, &[128]),
+    (Slice::Kills, &[125, 241, 247, 700, 722, 728, 730]),
+    (Slice::Batching, &[125, 241, 247, 722, 728, 730]),
+    (
+        Slice::ShardKills,
+        &[
+            64, 91, 112, 123, 170, 203, 223, 247, 253, 273, 307, 322, 377, 412, 418, 426, 430, 466,
+            479, 572, 581, 711, 745, 755, 788, 804, 806, 893, 973,
+        ],
+    ),
+];
+
+fn stall_allowed(slice: Slice, seed: u64) -> bool {
+    STALLS_ALLOWED.iter().any(|(s, seeds)| *s == slice && seeds.contains(&seed))
+}
+
+/// Judges one run: no history violation, and no unfinished script
+/// unless the run is on [`STALLS_ALLOWED`]. Returns the stalled scripts.
+fn judge(slice: Slice, w: &ChaosWorkload, report: &ScriptReport) -> usize {
+    let seed = w.seed;
+    let repro = format!(
+        "repro with `FLUX_CHAOS_SEED={seed} cargo test -p flux-kvs --test chaos_history`\nplan: {}",
+        w.plan
+    );
+    let violations = chaos::check_run(w, report);
+    assert!(
+        violations.is_empty(),
+        "{slice:?} seed {seed} violated consistency; {repro}\nviolations:\n  {}",
+        violations.join("\n  ")
+    );
+    // Sanity: the sweep must actually observe traffic, or the checker
+    // is vacuously satisfied.
+    let recorded: usize = report.outcomes.iter().map(|o| o.op_err.len()).sum();
+    assert!(recorded > 0, "{slice:?} seed {seed} recorded no ops at all");
+    let stalls = chaos::stalls(w, report);
+    let lines: Vec<String> = stalls.iter().map(ToString::to_string).collect();
+    let lines = lines.join("\n  ");
+    if stall_allowed(slice, seed) {
         assert!(
-            violations.is_empty(),
-            "seed {seed} (with_kill={with_kill}) violated consistency; repro with \
-             `FLUX_CHAOS_SEED={seed} cargo test -p flux-kvs --test chaos_history`\n\
-             plan: {}\nviolations:\n  {}",
-            w.plan,
-            violations.join("\n  ")
+            !stalls.is_empty(),
+            "{slice:?} seed {seed} now finishes every script: take it off STALLS_ALLOWED"
         );
-        // Sanity: the sweep must actually observe traffic, or the checker
-        // is vacuously satisfied.
-        let recorded: usize = report.outcomes.iter().map(|o| o.op_err.len()).sum();
         assert!(
-            recorded > 0,
-            "seed {seed} (with_kill={with_kill}) recorded no ops at all"
+            stalls.iter().all(|s| matches!(s.op, Op::Fence { .. })),
+            "{slice:?} seed {seed} is allowed to stall on a fence only; {repro}\nstalls:\n  {}",
+            lines
+        );
+    } else {
+        assert!(
+            stalls.is_empty(),
+            "{slice:?} seed {seed} left scripts unfinished; {repro}\nstalls:\n  {}",
+            lines
         );
     }
+    stalls.len()
+}
+
+/// Runs `slice` on `seed` and judges it; returns the stalled scripts.
+fn run(slice: Slice, seed: u64) -> usize {
+    let shards = 4u32;
+    let (w, kvs) = match slice {
+        Slice::Faults | Slice::Kills => (
+            chaos::workload(seed, 100_000_000, slice == Slice::Kills),
+            flux_kvs::KvsConfig::default(),
+        ),
+        Slice::Batching => (
+            chaos::workload(seed, 100_000_000, true),
+            flux_kvs::KvsConfig {
+                batch_window_ns: 200_000, // park pushes much longer than default
+                batch_max: 4,
+                ..flux_kvs::KvsConfig::default()
+            },
+        ),
+        Slice::Sharded | Slice::ShardKills => (
+            chaos::shard_workload(seed, shards, 100_000_000, slice == Slice::ShardKills),
+            flux_kvs::KvsConfig { shards, ..flux_kvs::KvsConfig::default() },
+        ),
+    };
+    judge(slice, &w, &chaos::run_sim_kvs(&w, kvs))
+}
+
+/// Runs `slice` over the sweep's seeds and prints its stall count.
+fn sweep(slice: Slice) {
+    let stalled: usize = chaos::seeds(32).into_iter().map(|seed| run(slice, seed)).sum();
+    println!("{slice:?}: {stalled} stalled scripts, each an allowed fence");
 }
 
 #[test]
 fn consistency_holds_under_random_faults() {
-    sweep(false);
+    sweep(Slice::Faults);
 }
 
 #[test]
 fn consistency_holds_under_broker_kills() {
-    sweep(true);
+    sweep(Slice::Kills);
 }
 
 /// The hot-path-optimization slice: an aggressive commit-batching
@@ -52,24 +142,7 @@ fn consistency_holds_under_broker_kills() {
 /// read-your-writes or monotonic-reads violation here.
 #[test]
 fn consistency_holds_with_aggressive_batching_under_blackouts() {
-    let cfg = flux_kvs::KvsConfig {
-        batch_window_ns: 200_000, // park pushes much longer than default
-        batch_max: 4,
-        ..flux_kvs::KvsConfig::default()
-    };
-    for seed in chaos::seeds(32) {
-        let w = chaos::workload(seed, 100_000_000, true);
-        let report = chaos::run_sim_kvs(&w, cfg);
-        let violations = chaos::check_run(&w, &report);
-        assert!(
-            violations.is_empty(),
-            "seed {seed} (batching, blackout) violated consistency; repro with \
-             `FLUX_CHAOS_SEED={seed} cargo test -p flux-kvs --test chaos_history`\n\
-             plan: {}\nviolations:\n  {}",
-            w.plan,
-            violations.join("\n  ")
-        );
-    }
+    sweep(Slice::Batching);
 }
 
 /// The sharded multi-master slice: 4 shard masters, scripted clients on
@@ -77,69 +150,31 @@ fn consistency_holds_with_aggressive_batching_under_blackouts() {
 /// without blacking out one shard master mid-run, and checked with the
 /// extended cross-shard oracle (per-shard monotonic versions, fence
 /// frontier agreement, no partial fence release).
-fn sharded_sweep(kill_master: bool) {
-    let shards = 4u32;
-    let cfg = flux_kvs::KvsConfig { shards, ..flux_kvs::KvsConfig::default() };
-    for seed in chaos::seeds(32) {
-        let w = chaos::shard_workload(seed, shards, 100_000_000, kill_master);
-        let report = chaos::run_sim_kvs(&w, cfg);
-        let violations = chaos::check_run(&w, &report);
-        assert!(
-            violations.is_empty(),
-            "seed {seed} (sharded, kill_master={kill_master}) violated the cross-shard \
-             oracle; repro with `FLUX_CHAOS_SEED={seed} cargo test -p flux-kvs --test \
-             chaos_history`\nplan: {}\nviolations:\n  {}",
-            w.plan,
-            violations.join("\n  ")
-        );
-        let recorded: usize = report.outcomes.iter().map(|o| o.op_err.len()).sum();
-        assert!(recorded > 0, "seed {seed} (sharded) recorded no ops at all");
-        // Without a blackout the base plan is lossless: the cross-shard
-        // fence must release and every script must run to completion.
-        if !kill_master {
-            for (i, o) in report.outcomes.iter().enumerate() {
-                assert!(
-                    o.finished,
-                    "seed {seed}: sharded lossless run left script {i} unfinished \
-                     ({} of {} ops)",
-                    o.op_err.len(),
-                    w.scripts[i].1.len()
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn consistency_holds_when_sharded() {
-    sharded_sweep(false);
+    sweep(Slice::Sharded);
 }
 
 #[test]
 fn consistency_holds_under_shard_master_kills() {
-    sharded_sweep(true);
+    sweep(Slice::ShardKills);
 }
 
-/// Loss-free seeds must complete every script: nothing in a dup/delay
-/// plan may lose an op outright.
+/// Runs in which a commit part's retry went out under a new id, so its
+/// master could not tell it from a new part and applied it beside the
+/// slow original, rewinding a key a client had already read back. They
+/// lie past the CI window, so they are pinned here.
 #[test]
-fn lossless_plans_complete_all_scripts() {
-    for seed in chaos::seeds(32) {
-        let w = chaos::workload(seed, 100_000_000, false);
-        if w.plan.drop_ppm > 0 || !w.plan.blackouts.is_empty() || !w.plan.partitions.is_empty() {
-            continue;
-        }
-        let report = chaos::run_sim(&w);
-        for (i, o) in report.outcomes.iter().enumerate() {
-            assert!(
-                o.finished,
-                "seed {seed}: lossless plan {} left script {i} unfinished \
-                 ({} of {} ops); repro with `FLUX_CHAOS_SEED={seed} cargo test -p \
-                 flux-kvs --test chaos_history`",
-                w.plan,
-                o.op_err.len(),
-                w.scripts[i].1.len()
-            );
-        }
+fn a_retried_commit_part_is_applied_once() {
+    let runs = [(Slice::ShardKills, 201), (Slice::ShardKills, 317), (Slice::Sharded, 398)];
+    for (slice, seed) in runs {
+        run(slice, seed);
+    }
+}
+
+#[test]
+fn the_stall_allowlist_holds_no_seed_of_the_ci_window() {
+    for (slice, seeds) in STALLS_ALLOWED {
+        assert!(seeds.iter().all(|&seed| seed >= 64), "{slice:?}: {seeds:?}");
     }
 }

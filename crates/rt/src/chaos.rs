@@ -9,10 +9,13 @@
 //!
 //! Fault-style notes (why the generator is shaped the way it is):
 //!
-//! * **Drops and blackouts** stall requests (there is no retransmit
-//!   layer), so scripts may record only a prefix of their ops — the
-//!   history mapping treats an unanswered commit as
-//!   [`Event::StagedOnly`] (it may or may not have applied).
+//! * **Drops and blackouts** delay requests: there is no retransmit
+//!   layer, but the KVS sends its own requests again on the heartbeat,
+//!   and [`stalls`] holds a run to finishing every script. A script
+//!   that stalls anyway (a fence whose release event was dropped)
+//!   records only a prefix of its ops — the history mapping treats an
+//!   unanswered commit as [`Event::StagedOnly`] (it may or may not have
+//!   applied).
 //! * **Duplicates** are safe end-to-end: the broker event plane dedups
 //!   by sequence number, `kvs.push` and fence batches dedup by id, and
 //!   a script's `ClientCore` classifies a second copy of a reply as
@@ -452,6 +455,45 @@ fn acked(reply: &Value) -> Acked {
 /// Convenience: run the mapping and the checker in one step.
 pub fn check_run(w: &ChaosWorkload, report: &ScriptReport) -> Vec<String> {
     flux_kvs::history::check(&histories(w, report))
+}
+
+/// A script that had not finished when its run ended.
+#[derive(Debug, Clone)]
+pub struct Stall {
+    /// Its index in the workload's scripts.
+    pub script: usize,
+    /// The rank it ran on.
+    pub rank: Rank,
+    /// The index of the op it stopped on.
+    pub at: usize,
+    /// That op: the one whose answer never came.
+    pub op: Op,
+}
+
+impl std::fmt::Display for Stall {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let Stall { script, rank, at, op } = self;
+        write!(f, "script {script} on rank {} stopped at op {at}: {op:?}", rank.0)
+    }
+}
+
+/// The liveness verdict of a simulator run, beside [`check_run`]'s
+/// safety verdict: every script unfinished at the workload's deadline
+/// ([`ChaosWorkload::deadline_ns`], past every pause and fault window),
+/// with the op it stopped on. A fault that heals leaves no request
+/// hanging, so the list is empty.
+pub fn stalls(w: &ChaosWorkload, report: &ScriptReport) -> Vec<Stall> {
+    w.scripts
+        .iter()
+        .zip(&report.outcomes)
+        .enumerate()
+        .filter(|(_, (_, o))| !o.finished)
+        .map(|(script, ((rank, ops), o))| {
+            // The simulator records nothing past the op that hung.
+            let at = o.op_err.len();
+            Stall { script, rank: *rank, at, op: ops[at].clone() }
+        })
+        .collect()
 }
 
 #[cfg(test)]

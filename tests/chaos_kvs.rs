@@ -84,9 +84,10 @@ fn sim_shard_master_blackout_during_fence() {
 /// coordinated on the committer's own broker — here always a slave rank,
 /// never the tree root — which sends each part rank-addressed to its
 /// master and must re-send, from there, the parts the blackout
-/// swallowed. A script may end early on a fence or a read whose tree
-/// path crossed the victim while it was down; it must never end on a
-/// commit, and whatever was answered must satisfy the history oracle.
+/// swallowed. Every script must finish, and whatever was answered must
+/// satisfy the history oracle. (Past the CI window some seeds still
+/// stall on a fence, whose release event has no repair yet; the
+/// `chaos_history` sweep keeps the list.)
 #[test]
 fn sim_shard_master_blackout_during_commit() {
     let shards = 4u32;
@@ -94,20 +95,71 @@ fn sim_shard_master_blackout_during_commit() {
     for seed in chaos::seeds(32) {
         let w = chaos::shard_workload(seed, shards, 100_000_000, true);
         let report = chaos::run_sim_kvs(&w, cfg);
-        for ((rank, ops), outcome) in w.scripts.iter().zip(&report.outcomes) {
-            let stalled_on = (!outcome.finished).then(|| &ops[outcome.op_err.len()]);
-            assert!(
-                !matches!(stalled_on, Some(flux_rt::script::Op::Commit)),
-                "seed {seed}: the commit at op {} of the script on {rank:?} was never answered; \
-                 repro with `FLUX_CHAOS_SEED={seed} cargo test -p flux-bench --test chaos_kvs`\n\
-                 plan: {}",
-                outcome.op_err.len(),
-                w.plan
-            );
-        }
+        let stalls: Vec<String> =
+            chaos::stalls(&w, &report).iter().map(ToString::to_string).collect();
+        assert!(
+            stalls.is_empty(),
+            "seed {seed}: scripts left unfinished; repro with `FLUX_CHAOS_SEED={seed} cargo test \
+             -p flux-bench --test chaos_kvs`\nplan: {}\nstalls:\n  {}",
+            w.plan,
+            stalls.join("\n  ")
+        );
         let violations = chaos::check_run(&w, &report);
         assert!(violations.is_empty(), "seed {seed}: {}\nplan: {}", violations.join("\n  "), w.plan);
     }
+}
+
+/// A one-shard commit whose relay is blacked out after it forwarded the
+/// push: the master's answer dies at the relay. The committer sends the
+/// push again, under its own id, to the parent the healed tree gives it
+/// (the master), which knows the id and answers with the version the
+/// push made; the relay, back up, sends its copy again under the same
+/// id and is answered the same way. The commit is answered, and it is
+/// applied once.
+#[test]
+fn sim_relay_blackout_after_forwarding_a_push() {
+    use flux_rt::faults::{Blackout, FaultPlan};
+    use flux_rt::script::Op;
+    use flux_rt::transport::SimTransport;
+    use flux_value::Value;
+    use flux_wire::Rank;
+    const MS: u64 = 1_000_000;
+    // Ranks 3 and 4 hang below rank 1 at arity 2. The master holds the
+    // push in a 1 ms batch window, so at 0.1 ms after the commit the
+    // push has left rank 1 and its answer has not come back.
+    let cfg = flux_kvs::KvsConfig { batch_window_ns: MS, ..flux_kvs::KvsConfig::default() };
+    let start = 200 * MS;
+    let mut plan = FaultPlan::new(1);
+    let (from_ns, until_ns) = (start + MS / 10, start + 1_000 * MS);
+    plan.blackouts.push(Blackout { rank: Rank(1), from_ns, until_ns });
+    let ops = vec![
+        Op::Pause(start),
+        Op::GetVersion,
+        Op::Put { key: "a".into(), val: Value::from(1i64) },
+        Op::Commit,
+        Op::Pause(1_500 * MS),
+        Op::Get { key: "a".into() },
+        Op::GetVersion,
+    ];
+    let transport = SimTransport {
+        faults: Some(plan),
+        deadline_ns: Some(4_000 * MS),
+        ..SimTransport::default()
+    };
+    let report = transport.run_scripts(
+        7,
+        2,
+        &|_| flux_modules::standard_modules_with_kvs(cfg),
+        vec![(Rank(3), ops)],
+    );
+    let outcome = &report.outcomes[0];
+    assert!(outcome.finished, "the commit was never answered: {outcome:?}");
+    assert!(outcome.op_err.iter().all(|&e| e == 0), "{outcome:?}");
+    let version = |op: usize| outcome.replies[op].get("version").and_then(Value::as_uint);
+    let before = version(1).expect("a version");
+    assert_eq!(version(3), Some(before + 1), "the commit made one version");
+    assert_eq!(outcome.replies[5].get("v"), Some(&Value::from(1i64)));
+    assert_eq!(version(6), Some(before + 1), "and the relay's copy did not make another");
 }
 
 /// The live runtime under the same seeded fault plans: drops, dups,
