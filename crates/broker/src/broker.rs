@@ -7,7 +7,7 @@ use crate::module::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{Event, Service};
 use flux_topo::{LiveSet, Ring, Tree};
 use flux_value::Value;
-use flux_wire::{errnum, IdMap, Message, MsgId, MsgType, Payload, Plane, Rank, Topic};
+use flux_wire::{errnum, IdMap, Message, MsgId, MsgType, Payload, Rank, Topic};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Timer-token namespace: the top 16 bits identify the owner (0 = broker
@@ -92,7 +92,7 @@ impl Core {
     }
 
     pub(crate) fn send_tree(&mut self, to: Rank, msg: Message) {
-        self.outputs.push(Output::ToBroker { plane: Plane::Tree, to, msg });
+        self.outputs.push(Output::ToBroker { to, msg });
     }
 
     /// Answers `req`; with [`Core::respond_err`] and
@@ -139,11 +139,7 @@ impl Core {
         match msg.header.hops.pop() {
             Some(hop) => match hop.as_client_hop() {
                 Some(client) => self.outputs.push(Output::ToClient { client, msg }),
-                None => {
-                    let plane =
-                        if msg.header.dst.is_some() { Plane::Ring } else { Plane::Tree };
-                    self.outputs.push(Output::ToBroker { plane, to: hop, msg });
-                }
+                None => self.outputs.push(Output::ToBroker { to: hop, msg }),
             },
             None => {
                 // This broker originated the RPC from a module.
@@ -184,7 +180,7 @@ impl Core {
             // in one hop on the fully connected overlay.
             crate::RankOverlay::Full => dst,
         };
-        self.outputs.push(Output::ToBroker { plane: Plane::Ring, to: next, msg });
+        self.outputs.push(Output::ToBroker { to: next, msg });
     }
 
     /// Publishes an event: root-sequenced, total-ordered session-wide.
@@ -198,7 +194,7 @@ impl Core {
             // healed tree momentarily disagrees, drop the publication
             // (events are retried by their publishers' protocols).
             let Some(parent) = self.effective_parent() else { return };
-            self.outputs.push(Output::ToBroker { plane: Plane::Event, to: parent, msg });
+            self.outputs.push(Output::ToBroker { to: parent, msg });
         }
     }
 
@@ -234,11 +230,7 @@ impl Core {
             // Message clones are header-shallow (Arc'd topic and
             // payload): the per-child fan-out copy is two refcount
             // bumps, not a payload copy.
-            self.outputs.push(Output::ToBroker {
-                plane: Plane::Event,
-                to: child,
-                msg: msg.clone(),
-            });
+            self.outputs.push(Output::ToBroker { to: child, msg: msg.clone() });
         }
     }
 
@@ -372,14 +364,14 @@ impl Broker {
                     self.route_request(msg);
                 }
             }
-            Input::FromBroker { plane, from, msg } => match msg.header.msg_type {
+            Input::FromBroker { from, msg, .. } => match msg.header.msg_type {
                 MsgType::Request => {
                     let mut msg = msg;
                     msg.header.hops.push(from);
                     self.route_request(msg);
                 }
                 MsgType::Response => self.core.route_response(msg),
-                MsgType::Event => self.handle_event_arrival(plane, from, msg),
+                MsgType::Event => self.handle_event_arrival(from, msg),
             },
             Input::Timer { token } => {
                 let owner = (token >> TOKEN_OWNER_SHIFT) as usize;
@@ -448,7 +440,7 @@ impl Broker {
     /// Event-plane arrivals: upward-travelling publications head for the
     /// root; stamped events fan down, get delivered to subscribed modules
     /// and clients, and drive the heartbeat hook.
-    fn handle_event_arrival(&mut self, _plane: Plane, from: Rank, msg: Message) {
+    fn handle_event_arrival(&mut self, from: Rank, msg: Message) {
         let from_upstream = self.core.tree.is_ancestor(from, self.core.rank());
         if from_upstream && from != self.core.rank() {
             // Stamped event travelling downward.
@@ -463,7 +455,7 @@ impl Broker {
             // Raw publication still climbing; relay toward the root. As
             // in `publish`, a missing parent during healing drops it.
             let Some(parent) = self.core.effective_parent() else { return };
-            self.core.outputs.push(Output::ToBroker { plane: Plane::Event, to: parent, msg });
+            self.core.outputs.push(Output::ToBroker { to: parent, msg });
         }
     }
 

@@ -9,9 +9,11 @@ pub type ClientId = u32;
 /// One unit of work for [`crate::Broker::handle`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Input {
-    /// A message arrived from a peer broker on the given plane.
+    /// A message arrived from a peer broker.
     FromBroker {
-        /// Which overlay plane delivered it.
+        /// Which overlay plane delivered it. Nothing reads it: the
+        /// broker branches on the message's type and direction, which
+        /// [`Message::plane`] reads the plane from.
         plane: Plane,
         /// The sending broker's rank (the immediate hop, not the origin).
         from: Rank,
@@ -35,11 +37,9 @@ pub enum Input {
 /// An effect the runtime must perform on the broker's behalf.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Output {
-    /// Transmit `msg` to broker `to` on `plane`.
+    /// Transmit `msg` to broker `to`, on the plane [`Message::plane`]
+    /// reads from its shape.
     ToBroker {
-        /// Which overlay plane to use (affects runtime bookkeeping only;
-        /// delivery semantics are identical).
-        plane: Plane,
         /// Destination broker rank.
         to: Rank,
         /// The message.

@@ -181,11 +181,11 @@ impl TestNet {
     fn absorb(&mut self, from: Rank, outs: Vec<Output>) {
         for out in outs {
             match out {
-                Output::ToBroker { plane, to, msg } => {
+                Output::ToBroker { to, msg } => {
                     if self.dead.contains(&to) {
                         continue;
                     }
-                    self.queue.push_back((to, Input::FromBroker { plane, from, msg }));
+                    self.queue.push_back((to, Input::FromBroker { plane: msg.plane(), from, msg }));
                 }
                 Output::ToClient { client, msg } => {
                     self.client_inbox.entry((from, client)).or_default().push_back(msg);

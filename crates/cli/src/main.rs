@@ -56,6 +56,7 @@
 #![forbid(unsafe_code)]
 
 use flux_broker::client::{ClientCore, Delivery};
+use flux_kvs::msg;
 use flux_modules::{standard_modules, standard_modules_with_kvs};
 use flux_proto::{
     keys, BarrierMethod, CmbMethod, GroupMethod, KvsMethod, LiveMethod, LogMethod, MonMethod,
@@ -96,11 +97,7 @@ impl Cli {
     /// parks in `recv_timeout` instead of a sleep/re-get loop.
     fn wait_key(&mut self, key: &str) -> Result<Value, String> {
         self.tag += 1;
-        let req = self.core.request(
-            KvsMethod::Watch.topic(),
-            Value::from_pairs([("k", Value::from(key))]),
-            self.tag,
-        );
+        let req = self.core.request(KvsMethod::Watch.topic(), msg::key(key), self.tag);
         let watch_id = req.header.id;
         self.core.expect_stream(watch_id);
         self.conn.send(req);
@@ -120,9 +117,9 @@ impl Cli {
                             msg.header.errnum
                         ));
                     }
-                    let v = msg.payload.get("v").cloned().unwrap_or(Value::Null);
-                    if v != Value::Null {
-                        break Ok(v);
+                    let (_, v) = msg::watch_update(&msg.payload);
+                    if *v != Value::Null {
+                        break Ok(v.clone());
                     }
                     // Initial snapshot of a missing key — keep waiting.
                 }
@@ -131,10 +128,7 @@ impl Cli {
         };
         // Tear down the stream and the broker-side watcher either way.
         self.core.cancel(watch_id);
-        let _ = self.rpc(
-            KvsMethod::Unwatch.topic(),
-            Value::from_pairs([("k", Value::from(key))]),
-        );
+        let _ = self.rpc(KvsMethod::Unwatch.topic(), msg::key(key));
         result
     }
 
@@ -197,35 +191,30 @@ fn run_command(cli: &mut Cli, cmd: &[String]) -> Result<String, String> {
             ))
         }
         ["kvs", "put", key, json] => {
-            let payload = Value::from_pairs([("k", Value::from(*key)), ("v", parse_json_arg(json))]);
-            cli.rpc(KvsMethod::Put.topic(), payload)?;
+            cli.rpc(KvsMethod::Put.topic(), msg::put(key, parse_json_arg(json)))?;
             Ok(format!("{key} staged (commit to publish)"))
         }
         ["kvs", "get", key] => {
-            let m = cli.rpc(KvsMethod::Get.topic(), Value::from_pairs([("k", Value::from(*key))]))?;
-            Ok(m.payload.get("v").cloned().unwrap_or(Value::Null).to_json_pretty())
+            let m = cli.rpc(KvsMethod::Get.topic(), msg::key(key))?;
+            Ok(msg::value(&m.payload).unwrap_or(&Value::Null).to_json_pretty())
         }
         ["kvs", "dir", key] => {
-            let m = cli.rpc(
-                KvsMethod::Get.topic(),
-                Value::from_pairs([("k", Value::from(*key)), ("dir", Value::Bool(true))]),
-            )?;
-            let listing = m.payload.get("dir").cloned().unwrap_or(Value::object());
-            let names: Vec<String> = listing
-                .as_object()
+            let m = cli.rpc(KvsMethod::Get.topic(), msg::dir(key))?;
+            let names: Vec<String> = msg::listing(&m.payload)
+                .and_then(Value::as_object)
                 .map(|o| o.keys().cloned().collect())
                 .unwrap_or_default();
             Ok(names.join("\n"))
         }
         ["kvs", "unlink", key] => {
-            cli.rpc(KvsMethod::Unlink.topic(), Value::from_pairs([("k", Value::from(*key))]))?;
+            cli.rpc(KvsMethod::Unlink.topic(), msg::key(key))?;
             Ok(format!("{key} unlink staged"))
         }
         ["kvs", "commit"] => {
             let m = cli.rpc(KvsMethod::Commit.topic(), Value::object())?;
             // An N-shard session answers with the per-shard frontier
             // instead of a single version/root pair.
-            let cut = flux_kvs::msg::decode_cut(&m.payload);
+            let cut = msg::decode_cut(&m.payload);
             if cut.shards.is_some() {
                 let slots: Vec<String> =
                     cut.roots.iter().map(|r| format!("shard {} version {}", r.shard, r.version)).collect();

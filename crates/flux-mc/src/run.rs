@@ -30,7 +30,6 @@ use flux_rt::script::ScriptClient;
 use flux_rt::sim::SimSession;
 use flux_rt::transport::ScriptOutcome;
 use flux_sim::{ActorId, PendingEvent, PendingKind};
-use flux_value::Value;
 use flux_wire::{MsgId, MsgType};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -399,7 +398,7 @@ fn post_checks(
                 if !versioned {
                     continue;
                 }
-                if let Some(v) = reply.get("version").and_then(Value::as_uint) {
+                if let Some(v) = flux_kvs::msg::decode_cut(reply).version() {
                     if v > scenario.expected_applies {
                         return Some(Violation {
                             kind: ViolationKind::VersionOverrun,
@@ -432,7 +431,8 @@ fn post_checks(
                 let Op::Get { key } = op else { continue };
                 let Some(expect) = scenario.post_sync.get(key) else { continue };
                 let Some(err) = outcome.op_err.get(j) else { continue };
-                let observed = (*err == 0).then(|| outcome.replies[j].get("v").cloned());
+                let observed =
+                    (*err == 0).then(|| flux_kvs::msg::value(&outcome.replies[j]).cloned());
                 if observed.as_ref().and_then(|v| v.as_ref()) != Some(expect) {
                     return Some(Violation {
                         kind: ViolationKind::SyncIncomplete,

@@ -329,7 +329,7 @@ impl Scenario {
         let watcher = vec![
             Op::Request {
                 topic: flux_proto::KvsMethod::Watch.topic(),
-                payload: Value::from_pairs([("k", Value::from(k1.as_str()))]),
+                payload: flux_kvs::msg::key(&k1),
             },
             Op::WaitVersion(1),
             Op::Get { key: k0.clone() },

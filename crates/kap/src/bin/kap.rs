@@ -368,12 +368,7 @@ fn table1() {
         BarrierMethod::Enter.topic(),
         Value::from_pairs([("name", Value::from("smoke")), ("nprocs", Value::Int(1))]),
     );
-    check(
-        "kvs",
-        "put",
-        KvsMethod::Put.topic(),
-        Value::from_pairs([("k", Value::from("smoke.k")), ("v", Value::Int(1))]),
-    );
+    check("kvs", "put", KvsMethod::Put.topic(), flux_kvs::msg::put("smoke.k", Value::Int(1)));
     check(
         "wexec",
         "run echo",

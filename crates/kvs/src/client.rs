@@ -1,4 +1,4 @@
-//! Client-side KVS operations.
+//! Client-side KVS operations, in two forms.
 //!
 //! [`KvsClient`] wraps a [`flux_broker::client::ClientCore`] with typed
 //! request builders and response decoding for every KVS operation the
@@ -7,12 +7,90 @@
 //! `dir` and `stats`). It is sans-io like everything else: builders
 //! return [`Message`]s for the runtime to transmit; incoming messages are
 //! classified with [`KvsClient::deliver`].
+//!
+//! [`Op`] is one step of a scripted client (`flux_rt::script` runs a
+//! `Vec<Op>`; the KAP benchmark, the PMI bootstrap and the examples are
+//! written as such scripts). Both build their payloads through
+//! [`crate::msg`].
 
+use crate::msg;
 use flux_broker::client::{ClientCore, Delivery};
 use flux_broker::ClientId;
+use flux_proto::{BarrierMethod, KvsMethod};
 use flux_value::Value;
-use flux_proto::KvsMethod;
-use flux_wire::{Message, MsgId, Rank};
+use flux_wire::{Message, MsgId, Rank, Topic};
+
+/// One scripted operation.
+#[derive(Debug, Clone)]
+pub enum Op {
+    /// `kvs.put key = val`.
+    Put {
+        /// Key.
+        key: String,
+        /// Value.
+        val: Value,
+    },
+    /// `kvs.commit`.
+    Commit,
+    /// `kvs.fence name nprocs`.
+    Fence {
+        /// Fence name.
+        name: String,
+        /// Participant count.
+        nprocs: u64,
+    },
+    /// `kvs.get key`.
+    Get {
+        /// Key.
+        key: String,
+    },
+    /// `kvs.get_version`.
+    GetVersion,
+    /// `kvs.wait_version v`.
+    WaitVersion(u64),
+    /// `barrier.enter name nprocs`.
+    Barrier {
+        /// Barrier name.
+        name: String,
+        /// Participant count.
+        nprocs: u64,
+    },
+    /// An arbitrary request.
+    Request {
+        /// Topic.
+        topic: Topic,
+        /// Payload.
+        payload: Value,
+    },
+    /// Wait this many nanoseconds before the next op (virtual time on
+    /// the simulator, wall time on live transports). Lets a workload
+    /// span heartbeat epochs, so scheduled faults (blackouts,
+    /// partitions) genuinely interleave with its traffic.
+    Pause(u64),
+}
+
+impl Op {
+    /// Builds the request message for this op (tagged `tag`), using
+    /// `core` for id allocation.
+    pub fn to_request(&self, core: &mut ClientCore, tag: u64) -> Message {
+        let (topic, payload) = match self {
+            Op::Put { key, val } => (KvsMethod::Put.topic(), msg::put(key, val.clone())),
+            Op::Commit => (KvsMethod::Commit.topic(), Value::object()),
+            Op::Fence { name, nprocs } => (KvsMethod::Fence.topic(), msg::fence(name, *nprocs)),
+            Op::Get { key } => (KvsMethod::Get.topic(), msg::key(key)),
+            Op::GetVersion => (KvsMethod::GetVersion.topic(), msg::version(None, None)),
+            Op::WaitVersion(v) => (KvsMethod::WaitVersion.topic(), msg::version(Some(*v), None)),
+            Op::Barrier { name, nprocs } => {
+                (BarrierMethod::Enter.topic(), msg::fence(name, *nprocs))
+            }
+            Op::Request { topic, payload } => (topic.clone(), payload.clone()),
+            // flux-lint: allow(panic) — an API misuse (a script driver
+            // turns a Pause into a timer), not a runtime input.
+            Op::Pause(_) => panic!("Op::Pause has no wire request; script drivers handle it"),
+        };
+        core.request(topic, payload, tag)
+    }
+}
 
 /// A decoded KVS reply.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,14 +162,12 @@ impl KvsClient {
     /// `kvs_put(key, val)` — asynchronous write-back; the ack returns as
     /// soon as the local broker has cached the object.
     pub fn put(&mut self, key: &str, val: Value, tag: u64) -> Message {
-        let payload = Value::from_pairs([("k", Value::from(key)), ("v", val)]);
-        self.core.request(KvsMethod::Put.topic(), payload, tag)
+        self.core.request(KvsMethod::Put.topic(), msg::put(key, val), tag)
     }
 
     /// Queues an unlink of `key`.
     pub fn unlink(&mut self, key: &str, tag: u64) -> Message {
-        let payload = Value::from_pairs([("k", Value::from(key))]);
-        self.core.request(KvsMethod::Unlink.topic(), payload, tag)
+        self.core.request(KvsMethod::Unlink.topic(), msg::key(key), tag)
     }
 
     /// `kvs_commit()` — synchronously flush this client's puts; the reply
@@ -103,49 +179,38 @@ impl KvsClient {
     /// `kvs_fence(name, nprocs)` — collective commit across `nprocs`
     /// participants.
     pub fn fence(&mut self, name: &str, nprocs: u64, tag: u64) -> Message {
-        let payload = Value::from_pairs([
-            ("name", Value::from(name)),
-            ("nprocs", Value::from(nprocs as i64)),
-        ]);
-        self.core.request(KvsMethod::Fence.topic(), payload, tag)
+        self.core.request(KvsMethod::Fence.topic(), msg::fence(name, nprocs), tag)
     }
 
     /// `kvs_get(key)`.
     pub fn get(&mut self, key: &str, tag: u64) -> Message {
-        let payload = Value::from_pairs([("k", Value::from(key))]);
-        self.core.request(KvsMethod::Get.topic(), payload, tag)
+        self.core.request(KvsMethod::Get.topic(), msg::key(key), tag)
     }
 
     /// Directory listing of `key`.
     pub fn get_dir(&mut self, key: &str, tag: u64) -> Message {
-        let payload =
-            Value::from_pairs([("k", Value::from(key)), ("dir", Value::Bool(true))]);
-        self.core.request(KvsMethod::Get.topic(), payload, tag)
+        self.core.request(KvsMethod::Get.topic(), msg::dir(key), tag)
     }
 
     /// `kvs_get_version()`.
     pub fn get_version(&mut self, tag: u64) -> Message {
-        self.core.request(KvsMethod::GetVersion.topic(), Value::object(), tag)
+        self.core.request(KvsMethod::GetVersion.topic(), msg::version(None, None), tag)
     }
 
     /// `kvs_get_version` against one shard's version stream.
     pub fn get_version_shard(&mut self, shard: u32, tag: u64) -> Message {
-        let payload = Value::from_pairs([("shard", Value::from(shard as i64))]);
-        self.core.request(KvsMethod::GetVersion.topic(), payload, tag)
+        self.core.request(KvsMethod::GetVersion.topic(), msg::version(None, Some(shard)), tag)
     }
 
     /// `kvs_wait_version(v)` — replies once the store reaches version `v`.
     pub fn wait_version(&mut self, version: u64, tag: u64) -> Message {
-        let payload = Value::from_pairs([("version", Value::from(version as i64))]);
+        let payload = msg::version(Some(version), None);
         self.core.request(KvsMethod::WaitVersion.topic(), payload, tag)
     }
 
     /// `kvs_wait_version(v)` against one shard's version stream.
     pub fn wait_version_shard(&mut self, version: u64, shard: u32, tag: u64) -> Message {
-        let payload = Value::from_pairs([
-            ("version", Value::from(version as i64)),
-            ("shard", Value::from(shard as i64)),
-        ]);
+        let payload = msg::version(Some(version), Some(shard));
         self.core.request(KvsMethod::WaitVersion.topic(), payload, tag)
     }
 
@@ -153,8 +218,7 @@ impl KvsClient {
     /// then one update per change. Returns the message and its id (pass
     /// the id to [`KvsClient::unwatch`] bookkeeping if needed).
     pub fn watch(&mut self, key: &str, tag: u64) -> (Message, MsgId) {
-        let payload = Value::from_pairs([("k", Value::from(key))]);
-        let msg = self.core.request(KvsMethod::Watch.topic(), payload, tag);
+        let msg = self.core.request(KvsMethod::Watch.topic(), msg::key(key), tag);
         let id = msg.header.id;
         self.core.expect_stream(id);
         (msg, id)
@@ -164,8 +228,7 @@ impl KvsClient {
     /// locally by passing the watch id).
     pub fn unwatch(&mut self, key: &str, watch_id: MsgId, tag: u64) -> Message {
         self.core.cancel(watch_id);
-        let payload = Value::from_pairs([("k", Value::from(key))]);
-        self.core.request(KvsMethod::Unwatch.topic(), payload, tag)
+        self.core.request(KvsMethod::Unwatch.topic(), msg::key(key), tag)
     }
 
     /// KVS cache statistics from the local broker.
@@ -204,7 +267,7 @@ fn decode_reply(msg: &Message) -> KvsReply {
         ) => {
             // N-shard commits and fences answer with a per-shard
             // frontier instead of one version.
-            let cut = crate::msg::decode_cut(&msg.payload);
+            let cut = msg::decode_cut(&msg.payload);
             if let Some(shards) = cut.shards {
                 let entries = cut.roots.into_iter().map(|r| (r.shard, r.version, r.root)).collect();
                 return KvsReply::Frontier { shards, entries };
@@ -212,17 +275,14 @@ fn decode_reply(msg: &Message) -> KvsReply {
             let only = cut.roots.into_iter().next().unwrap_or_default();
             KvsReply::Version { version: only.version, root: only.root }
         }
-        Some(KvsMethod::Get) => {
-            if let Some(dir) = msg.payload.get("dir") {
-                KvsReply::Dir(dir.clone())
-            } else {
-                KvsReply::Value(msg.payload.get("v").cloned().unwrap_or(Value::Null))
-            }
-        }
-        Some(KvsMethod::Watch) => KvsReply::WatchUpdate {
-            key: msg.payload.get("k").and_then(Value::as_str).unwrap_or_default().to_owned(),
-            value: msg.payload.get("v").cloned().unwrap_or(Value::Null),
+        Some(KvsMethod::Get) => match msg::listing(&msg.payload) {
+            Some(dir) => KvsReply::Dir(dir.clone()),
+            None => KvsReply::Value(msg::value(&msg.payload).cloned().unwrap_or(Value::Null)),
         },
+        Some(KvsMethod::Watch) => {
+            let (key, value) = msg::watch_update(&msg.payload);
+            KvsReply::WatchUpdate { key: key.to_owned(), value: value.clone() }
+        }
         // Internal transfers carry their payload through raw.
         Some(KvsMethod::Stats | KvsMethod::Load | KvsMethod::FenceUp) => {
             KvsReply::Stats(msg.payload.value().clone())
@@ -236,19 +296,86 @@ fn decode_reply(msg: &Message) -> KvsReply {
 mod tests {
     use super::*;
 
+    /// Every client request, however it is built — by [`KvsClient`], by
+    /// an [`Op`] where one exists, or by the bare [`msg`] builder — is
+    /// one literal, and the first two encode to the same wire bytes.
     #[test]
-    fn builders_emit_expected_topics() {
-        let mut c = KvsClient::new(Rank(3), 1);
-        let topic_of = |m: KvsMethod| m.topic_str();
-        assert_eq!(c.put("a.b", Value::Int(1), 0).header.topic.as_str(), topic_of(KvsMethod::Put));
-        assert_eq!(c.unlink("a.b", 0).header.topic.as_str(), topic_of(KvsMethod::Unlink));
-        assert_eq!(c.commit(0).header.topic.as_str(), topic_of(KvsMethod::Commit));
-        assert_eq!(c.fence("f", 4, 0).header.topic.as_str(), topic_of(KvsMethod::Fence));
-        assert_eq!(c.get("a.b", 0).header.topic.as_str(), topic_of(KvsMethod::Get));
-        assert_eq!(c.get_version(0).header.topic.as_str(), topic_of(KvsMethod::GetVersion));
-        assert_eq!(c.wait_version(3, 0).header.topic.as_str(), topic_of(KvsMethod::WaitVersion));
-        let (w, _) = c.watch("a.b", 0);
-        assert_eq!(w.header.topic.as_str(), topic_of(KvsMethod::Watch));
+    fn every_request_is_one_literal_however_it_is_built() {
+        type Build = fn(&mut KvsClient) -> Message;
+        let seven = || Value::Int(7);
+        let rows: Vec<(KvsMethod, &str, Value, Build, Option<Op>)> = vec![
+            (
+                KvsMethod::Put,
+                r#"{"k":"a.b","v":7}"#,
+                msg::put("a.b", seven()),
+                |c| c.put("a.b", Value::Int(7), 0),
+                Some(Op::Put { key: "a.b".into(), val: seven() }),
+            ),
+            (KvsMethod::Unlink, r#"{"k":"a.b"}"#, msg::key("a.b"), |c| c.unlink("a.b", 0), None),
+            (KvsMethod::Commit, "{}", Value::object(), |c| c.commit(0), Some(Op::Commit)),
+            (
+                KvsMethod::Fence,
+                r#"{"name":"f","nprocs":4}"#,
+                msg::fence("f", 4),
+                |c| c.fence("f", 4, 0),
+                Some(Op::Fence { name: "f".into(), nprocs: 4 }),
+            ),
+            (
+                KvsMethod::Get,
+                r#"{"k":"a.b"}"#,
+                msg::key("a.b"),
+                |c| c.get("a.b", 0),
+                Some(Op::Get { key: "a.b".into() }),
+            ),
+            (KvsMethod::Get, r#"{"dir":true,"k":"a"}"#, msg::dir("a"), |c| c.get_dir("a", 0), None),
+            (
+                KvsMethod::GetVersion,
+                "{}",
+                msg::version(None, None),
+                |c| c.get_version(0),
+                Some(Op::GetVersion),
+            ),
+            (
+                KvsMethod::GetVersion,
+                r#"{"shard":2}"#,
+                msg::version(None, Some(2)),
+                |c| c.get_version_shard(2, 0),
+                None,
+            ),
+            (
+                KvsMethod::WaitVersion,
+                r#"{"version":3}"#,
+                msg::version(Some(3), None),
+                |c| c.wait_version(3, 0),
+                Some(Op::WaitVersion(3)),
+            ),
+            (
+                KvsMethod::WaitVersion,
+                r#"{"shard":2,"version":3}"#,
+                msg::version(Some(3), Some(2)),
+                |c| c.wait_version_shard(3, 2, 0),
+                None,
+            ),
+            (KvsMethod::Watch, r#"{"k":"a.b"}"#, msg::key("a.b"), |c| c.watch("a.b", 0).0, None),
+            (
+                KvsMethod::Unwatch,
+                r#"{"k":"a.b"}"#,
+                msg::key("a.b"),
+                |c| c.unwatch("a.b", MsgId { origin: Rank(3), seq: 1 }, 0),
+                None,
+            ),
+            (KvsMethod::Stats, "{}", Value::object(), |c| c.stats(0), None),
+        ];
+        for (method, literal, built, build, op) in rows {
+            assert_eq!(built.to_json(), literal, "{method:?}: msg");
+            let sent = build(&mut KvsClient::new(Rank(3), 1));
+            assert_eq!(sent.header.topic, method.topic(), "{method:?}: KvsClient topic");
+            assert_eq!(sent.payload.to_json(), literal, "{method:?}: KvsClient");
+            if let Some(op) = op {
+                let scripted = op.to_request(&mut ClientCore::new(Rank(3), 1), 0);
+                assert_eq!(scripted.encode(), sent.encode(), "{method:?}: Op");
+            }
+        }
     }
 
     #[test]

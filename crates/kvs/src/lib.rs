@@ -22,7 +22,7 @@
 //! * **monotonic reads** — root references are versioned and never
 //!   applied out of order.
 //!
-//! ## API (client-side, see [`client::KvsClient`])
+//! ## API (client-side, see [`client::KvsClient`] and [`client::Op`])
 //!
 //! `put` (asynchronous write-back), `commit` (synchronous flush +
 //! root switch), `fence` (collective commit: contributions are merged
@@ -31,7 +31,8 @@
 //! paper's Fig. 3 redundancy behaviour), `get` (recursive lookup with
 //! fault-in through the slave-cache chain — whole objects only, which is
 //! the Fig. 4 single-directory effect), `get_version`, `wait_version`,
-//! `watch`, `unlink`, and `dir`.
+//! `watch`, `unlink`, and `dir`. A scripted client is a `Vec<client::Op>`
+//! (`flux_rt::script` runs one on either runtime).
 //!
 //! ## Layout
 //!
@@ -42,7 +43,10 @@
 //! roots), `authority` (the master's apply), `coordinator` (commit and
 //! fence fan-out), `fence` (the tree reduction), `reads` and `watch`
 //! (lookups, fault-in, watchers) — and [`msg`] is the only code that
-//! knows the wire shapes. The module's own docs hold the role map.
+//! knows the wire shapes, the client protocol's as well as the internal
+//! ones: every client builds its requests and reads its replies there,
+//! and the module parses requests there. The module's own docs hold the
+//! role map.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

@@ -24,8 +24,9 @@
 //! `0..shards`, one hash-tree root / version stream / batching window
 //! each; see [`crate::shard`]). The paper's single master is the
 //! one-shard case — one slot, mastered by the tree root — and runs the
-//! same code as N shards. This file only decodes requests and routes
-//! them to the role structs that own the state:
+//! same code as N shards. This file only validates requests, read
+//! through [`crate::msg`]'s borrowing readers, and routes them to the
+//! role structs that own the state:
 //!
 //! | role | file | owns |
 //! |------|------|------|
@@ -168,19 +169,17 @@ impl KvsModule {
 
     /// Parses an optional `shard` request parameter (absent → 0).
     fn shard_param(&self, msg: &Message) -> Result<u32, ()> {
-        match msg.payload.get("shard") {
+        match msg::shard_of(&msg.payload)? {
             None => Ok(0),
-            Some(v) => match v.as_uint() {
-                Some(s) if s < u64::from(self.rep.slots.shards()) => Ok(s as u32),
-                _ => Err(()),
-            },
+            Some(s) if s < u64::from(self.rep.slots.shards()) => Ok(s as u32),
+            Some(_) => Err(()),
         }
     }
 
     // ----- writes ----------------------------------------------------------
 
     fn handle_put(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message, unlink: bool) -> Handled {
-        let Some(key) = msg.payload.get("k").and_then(Value::as_str) else {
+        let Some(key) = msg::key_of(&msg.payload) else {
             return ctx.respond_err(msg, errnum::EINVAL);
         };
         if let Err(e) = validate_key(key) {
@@ -192,7 +191,7 @@ impl KvsModule {
         if unlink {
             pend.tuples.push((key.to_owned(), None));
         } else {
-            let val = msg.payload.get("v").cloned().unwrap_or(Value::Null);
+            let val = msg::value(&msg.payload).cloned().unwrap_or(Value::Null);
             let obj = KvsObject::Val(val);
             let id = obj.id();
             pend.objects.insert(id, Arc::new(obj));
@@ -246,7 +245,7 @@ impl KvsModule {
     /// `kvs.shard.push`, a rank-addressed batch for the shard this
     /// broker masters.
     fn handle_shard_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
-        let shard = msg.payload.get("shard").and_then(Value::as_uint);
+        let shard = msg::shard_of(&msg.payload).ok().flatten();
         if shard.is_none() || shard != self.rep.slots.mine().map(u64::from) {
             // Batches addressed to a non-master rank are rejected, not
             // silently applied to the wrong tree.
@@ -254,7 +253,7 @@ impl KvsModule {
         }
         // A second handle on the payload, so `msg` can move on.
         let payload = msg.payload.clone();
-        let fence = payload.get("fence").and_then(Value::as_str);
+        let fence = msg::push_fence(&payload);
         self.authority.accept_push(ctx, &self.cfg, &mut self.rep, msg, fence)
     }
 
@@ -273,10 +272,7 @@ impl KvsModule {
     fn handle_fence(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         // A second handle on the payload, so `msg` can be parked.
         let payload = msg.payload.clone();
-        let (Some(name), Some(nprocs)) = (
-            payload.get("name").and_then(Value::as_str),
-            payload.get("nprocs").and_then(Value::as_uint),
-        ) else {
+        let Some((name, nprocs)) = msg::fence_of(&payload) else {
             return ctx.respond_err(&msg, errnum::EINVAL);
         };
         // nprocs == 0 can never be satisfied: the caller would hang
@@ -316,10 +312,10 @@ impl KvsModule {
     fn handle_get(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         // A second handle on the payload, so `msg` can be parked.
         let payload = msg.payload.clone();
-        let Some(key) = payload.get("k").and_then(Value::as_str) else {
+        let Some(key) = msg::key_of(&payload) else {
             return ctx.respond_err(&msg, errnum::EINVAL);
         };
-        let want_dir = payload.get("dir").and_then(Value::as_bool).unwrap_or(false);
+        let want_dir = msg::wants_dir(&payload);
         self.reads.lookup(ctx, &mut self.rep, msg, key, want_dir)
     }
 
@@ -332,7 +328,7 @@ impl KvsModule {
 
     fn handle_wait_version(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         let (Some(target), Ok(shard)) =
-            (msg.payload.get("version").and_then(Value::as_uint), self.shard_param(&msg))
+            (msg::target_version(&msg.payload), self.shard_param(&msg))
         else {
             return ctx.respond_err(&msg, errnum::EINVAL);
         };
@@ -342,7 +338,7 @@ impl KvsModule {
     fn handle_watch(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         // A second handle on the payload, so `msg` can be parked.
         let payload = msg.payload.clone();
-        let Some(key) = payload.get("k").and_then(Value::as_str) else {
+        let Some(key) = msg::key_of(&payload) else {
             return ctx.respond_err(&msg, errnum::EINVAL);
         };
         let requester = requester_of(&msg);
@@ -350,7 +346,7 @@ impl KvsModule {
     }
 
     fn handle_unwatch(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) -> Handled {
-        let Some(key) = msg.payload.get("k").and_then(Value::as_str) else {
+        let Some(key) = msg::key_of(&msg.payload) else {
             return ctx.respond_err(msg, errnum::EINVAL);
         };
         self.reads.watch.remove(key, requester_of(msg));
@@ -412,20 +408,14 @@ impl CommsModule for KvsModule {
             Some(KvsMethod::Watch) => self.handle_watch(ctx, msg),
             Some(KvsMethod::Unwatch) => self.handle_unwatch(ctx, &msg),
             Some(KvsMethod::Stats) => {
-                let s = self.rep.cache.stats();
-                let mut pairs = vec![
-                    ("entries", Value::from(s.entries)),
-                    ("bytes", Value::from(s.bytes)),
-                    ("hits", Value::from(s.hits as i64)),
-                    ("misses", Value::from(s.misses as i64)),
-                    ("expired", Value::from(s.expired as i64)),
-                    ("version", Value::from(self.rep.slots.version(0) as i64)),
-                    ("commits", Value::from(self.authority.commits_applied as i64)),
-                    ("pushes_batched", Value::from(self.authority.pushes_batched as i64)),
-                ];
-                let shards = self.rep.slots.spelling().shards();
-                pairs.extend(shards.map(|n| ("shards", Value::from(n as i64))));
-                ctx.respond(&msg, Value::from_pairs(pairs))
+                let stats = msg::stats_reply(
+                    &self.rep.cache.stats(),
+                    self.rep.slots.version(0),
+                    self.authority.commits_applied,
+                    self.authority.pushes_batched,
+                    self.rep.slots.spelling().shards(),
+                );
+                ctx.respond(&msg, stats)
             }
             None => ctx.respond_err(&msg, errnum::ENOSYS),
         };

@@ -1,8 +1,11 @@
-//! The KVS wire vocabulary — the one module that knows how a root
-//! reference, a frontier, a `kvs.setroot` event, a tuple batch or a load
-//! request is spelled. The role structs encode through it;
-//! [`crate::client`], the chaos harness in `flux-rt` and the CLI decode
-//! through it.
+//! The KVS wire vocabulary — the one module that knows how a client
+//! request or reply, a root reference, a frontier, a `kvs.setroot`
+//! event, a tuple batch or a load request is spelled. Every client
+//! builds its requests here ([`put`], [`key`], [`dir`], [`fence`],
+//! [`version`]; `kvs.commit` and `kvs.stats` take `{}`) and reads its
+//! replies here ([`value`], [`listing`], [`watch_update`],
+//! [`decode_cut`]); the module parses requests through the borrowing
+//! readers beside them, and the role structs encode through the rest.
 //!
 //! A session speaks one of two spellings (`Spelling`), fixed when the
 //! module starts. With one shard a root reference is the paper's bare
@@ -18,6 +21,7 @@
 use crate::master::Tuple;
 use crate::object::KvsObject;
 use crate::shard;
+use crate::store::CacheStats;
 use flux_hash::ObjectId;
 use flux_value::{Map, Value};
 use std::collections::BTreeMap;
@@ -25,6 +29,128 @@ use std::sync::Arc;
 
 /// Value objects travelling with a tuple batch, by content address.
 pub(crate) type Objects = BTreeMap<ObjectId, Arc<KvsObject>>;
+
+// ----- client requests -----------------------------------------------------
+
+/// `kvs.put {k, v}`: stage `val` under `key`.
+pub fn put(key: &str, val: Value) -> Value {
+    Value::from_pairs([("k", Value::from(key)), ("v", val)])
+}
+
+/// `{k}`: the request of `kvs.get`, `kvs.unlink`, `kvs.watch` and
+/// `kvs.unwatch`, which name one key and nothing else.
+pub fn key(key: &str) -> Value {
+    Value::from_pairs([("k", Value::from(key))])
+}
+
+/// `kvs.get {k, dir: true}`: the directory listing of `key`.
+pub fn dir(key: &str) -> Value {
+    Value::from_pairs([("k", Value::from(key)), ("dir", Value::Bool(true))])
+}
+
+/// `kvs.fence {name, nprocs}`: `nprocs` participants commit as one.
+/// `barrier.enter` has the same shape.
+pub fn fence(name: &str, nprocs: u64) -> Value {
+    Value::from_pairs([("name", Value::from(name)), ("nprocs", Value::from(nprocs as i64))])
+}
+
+/// `kvs.get_version` (no `version`) or `kvs.wait_version {version}`,
+/// against `shard`'s version stream (`None`: shard 0's, unstated).
+pub fn version(version: Option<u64>, shard: Option<u32>) -> Value {
+    let mut m = Map::new();
+    if let Some(v) = version {
+        m.insert("version".to_owned(), Value::from(v as i64));
+    }
+    if let Some(s) = shard {
+        m.insert("shard".to_owned(), Value::from(s as i64));
+    }
+    Value::Object(m)
+}
+
+// ----- request readers (borrowing: the module allocates nothing here) ------
+
+/// The key a `{k, …}` request names.
+pub(crate) fn key_of(req: &Value) -> Option<&str> {
+    req.get("k")?.as_str()
+}
+
+/// True if a `kvs.get` asks for the listing.
+pub(crate) fn wants_dir(req: &Value) -> bool {
+    req.get("dir").and_then(Value::as_bool).unwrap_or(false)
+}
+
+/// `(name, nprocs)` of a fence request.
+pub(crate) fn fence_of(req: &Value) -> Option<(&str, u64)> {
+    Some((req.get("name")?.as_str()?, req.get("nprocs")?.as_uint()?))
+}
+
+/// The target of a `kvs.wait_version`.
+pub(crate) fn target_version(req: &Value) -> Option<u64> {
+    req.get("version")?.as_uint()
+}
+
+/// The shard a request names: `Ok(None)` if it names none, `Err` if the
+/// field is not a count.
+pub(crate) fn shard_of(req: &Value) -> Result<Option<u64>, ()> {
+    req.get("shard").map(|v| v.as_uint().ok_or(())).transpose()
+}
+
+/// The fence a `kvs.shard.push` batch is part of.
+pub(crate) fn push_fence(req: &Value) -> Option<&str> {
+    req.get("fence")?.as_str()
+}
+
+// ----- client replies ------------------------------------------------------
+
+/// The field of a `kvs.get` reply that holds the value.
+pub(crate) const VALUE: &str = "v";
+/// The field of a `kvs.get {dir}` reply that holds the listing.
+pub(crate) const LISTING: &str = "dir";
+
+/// A `kvs.watch` update: `key` now holds `val` (`Null`: it is gone). It
+/// has a put's shape, `{k, v}`.
+pub(crate) fn watch_reply(key: &str, val: Value) -> Value {
+    put(key, val)
+}
+
+/// The `v` of a `kvs.get` reply, a watch update or a `kvs.put` request.
+pub fn value(payload: &Value) -> Option<&Value> {
+    payload.get(VALUE)
+}
+
+/// The name → SHA1-hex listing of a `kvs.get {dir}` reply.
+pub fn listing(reply: &Value) -> Option<&Value> {
+    reply.get(LISTING)
+}
+
+/// A `kvs.watch` update: the watched key and its value (`Null` once the
+/// key is gone).
+pub fn watch_update(reply: &Value) -> (&str, &Value) {
+    let key = reply.get("k").and_then(Value::as_str).unwrap_or_default();
+    (key, value(reply).unwrap_or(&Value::Null))
+}
+
+/// The `kvs.stats` reply: `shards` is stated by N-shard sessions only.
+pub(crate) fn stats_reply(
+    s: &CacheStats,
+    version: u64,
+    commits: u64,
+    pushes_batched: u64,
+    shards: Option<u32>,
+) -> Value {
+    let mut pairs = vec![
+        ("entries", Value::from(s.entries)),
+        ("bytes", Value::from(s.bytes)),
+        ("hits", Value::from(s.hits as i64)),
+        ("misses", Value::from(s.misses as i64)),
+        ("expired", Value::from(s.expired as i64)),
+        ("version", Value::from(version as i64)),
+        ("commits", Value::from(commits as i64)),
+        ("pushes_batched", Value::from(pushes_batched as i64)),
+    ];
+    pairs.extend(shards.map(|n| ("shards", Value::from(n as i64))));
+    Value::from_pairs(pairs)
+}
 
 /// One slot's root reference as replies and events carry it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -68,6 +194,16 @@ pub fn decode_cut(payload: &Value) -> Cut {
             roots: entries.iter().map(root_ref).collect(),
         },
         None => Cut { shards: None, roots: vec![root_ref(payload)] },
+    }
+}
+
+impl Cut {
+    /// The version of a one-root reply; `None` for a frontier.
+    pub fn version(&self) -> Option<u64> {
+        match self.shards {
+            Some(_) => None,
+            None => Some(self.roots.first().map_or(0, |r| r.version)),
+        }
     }
 }
 

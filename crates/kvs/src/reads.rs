@@ -79,11 +79,11 @@ type WalkEnd = Result<(&'static str, Value), u32>;
 /// What `obj`, at the end of a walk's key, answers to it.
 fn resolve(obj: &KvsObject, want: Want) -> WalkEnd {
     match (obj, want) {
-        (KvsObject::Val(v), Want::Value | Want::Either) => Ok(("v", v.clone())),
+        (KvsObject::Val(v), Want::Value | Want::Either) => Ok((msg::VALUE, v.clone())),
         (KvsObject::Val(_), Want::Listing) => Err(errnum::ENOTDIR),
         (KvsObject::Dir(_), Want::Value) => Err(errnum::EISDIR),
         (KvsObject::Dir(entries), Want::Listing | Want::Either) => {
-            Ok(("dir", msg::dir_listing(entries)))
+            Ok((msg::LISTING, msg::dir_listing(entries)))
         }
     }
 }

@@ -9,6 +9,7 @@
 //! for free.
 
 use crate::module::Requester;
+use crate::msg;
 use flux_broker::ModuleCtx;
 use flux_value::Value;
 use flux_wire::Message;
@@ -63,11 +64,7 @@ impl Watches {
         let Some(w) = self.watchers.get_mut(&id) else { return };
         if w.last != now {
             w.last = now.clone();
-            let update = Value::from_pairs([
-                ("k", Value::from(w.key.as_str())),
-                ("v", now.unwrap_or(Value::Null)),
-            ]);
-            ctx.respond(&w.req, update);
+            ctx.respond(&w.req, msg::watch_reply(&w.key, now.unwrap_or(Value::Null)));
         }
     }
 }

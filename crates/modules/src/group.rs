@@ -7,6 +7,7 @@
 //! size with the `barrier` module (`group.info` reports the size).
 
 use flux_broker::{CommsModule, Handled, ModuleCtx};
+use flux_kvs::msg;
 use flux_proto::{keys, GroupMethod, KvsMethod};
 use flux_value::Value;
 use flux_wire::{errnum, Message, MsgId};
@@ -75,7 +76,7 @@ impl CommsModule for GroupModule {
             GroupMethod::Info => keys::group::dir(name),
         };
         let key = match crate::checked_key(key) {
-            Ok(key) => Value::from(key),
+            Ok(key) => key,
             Err(code) => return ctx.respond_err(&msg, code),
         };
         let (id, kind): (MsgId, fn(Message) -> PendingKind) = match method {
@@ -84,16 +85,15 @@ impl CommsModule for GroupModule {
                     ("rank", Value::from(msg.header.src.0)),
                     ("joined_ns", Value::from(ctx.now_ns() as i64)),
                 ]);
-                let _ = self.kvs(ctx, KvsMethod::Put, Value::from_pairs([("k", key), ("v", member)]));
+                let _ = self.kvs(ctx, KvsMethod::Put, msg::put(&key, member));
                 (self.kvs(ctx, KvsMethod::Commit, Value::object()), PendingKind::Commit)
             }
             GroupMethod::Leave => {
-                let _ = self.kvs(ctx, KvsMethod::Unlink, Value::from_pairs([("k", key)]));
+                let _ = self.kvs(ctx, KvsMethod::Unlink, msg::key(&key));
                 (self.kvs(ctx, KvsMethod::Commit, Value::object()), PendingKind::Commit)
             }
             GroupMethod::Info => {
-                let get = Value::from_pairs([("k", key), ("dir", Value::Bool(true))]);
-                (self.kvs(ctx, KvsMethod::Get, get), PendingKind::Listing)
+                (self.kvs(ctx, KvsMethod::Get, msg::dir(&key)), PendingKind::Listing)
             }
         };
         let (original, parked) = ctx.park(msg);
@@ -108,8 +108,9 @@ impl CommsModule for GroupModule {
                 if msg.is_error() {
                     ctx.respond_err(&original, msg.header.errnum);
                 } else {
-                    let version =
-                        msg.payload.get("version").cloned().unwrap_or(Value::Null);
+                    // An N-shard commit answers a frontier: no one version.
+                    let version = msg::decode_cut(&msg.payload).version();
+                    let version = version.map_or(Value::Null, |v| Value::from(v as i64));
                     ctx.respond(&original, Value::from_pairs([("version", version)]));
                 }
             }
@@ -136,9 +137,7 @@ impl CommsModule for GroupModule {
                     };
                     return;
                 }
-                let members: Vec<Value> = msg
-                    .payload
-                    .get("dir")
+                let members: Vec<Value> = msg::listing(&msg.payload)
                     .and_then(Value::as_object)
                     .map(|m| m.keys().map(|k| Value::from(k.as_str())).collect())
                     .unwrap_or_default();

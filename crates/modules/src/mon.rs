@@ -11,6 +11,7 @@
 
 use flux_broker::reduce::{Partial, Reduction};
 use flux_broker::{CommsModule, Handled, ModuleCtx};
+use flux_kvs::msg;
 use flux_proto::{keys, KvsMethod, MonMethod};
 use flux_value::Value;
 use flux_wire::{errnum, Message, MsgId};
@@ -104,15 +105,7 @@ impl MonModule {
     }
 
     fn refresh_specs(&mut self, ctx: &mut ModuleCtx<'_>) {
-        self.kvs(
-            ctx,
-            KvsMethod::Get,
-            Value::from_pairs([
-                ("k", Value::from(keys::mon::SAMPLERS_DIR)),
-                ("dir", Value::Bool(true)),
-            ]),
-            PendingKind::DirListing,
-        );
+        self.kvs(ctx, KvsMethod::Get, msg::dir(keys::mon::SAMPLERS_DIR), PendingKind::DirListing);
     }
 
     fn flush(&mut self, ctx: &mut ModuleCtx<'_>, current_epoch: u64) {
@@ -141,20 +134,15 @@ impl MonModule {
         }
         for ((name, epoch), agg) in ready {
             self.finalized += 1;
-            let payload = Value::from_pairs([
-                ("k", Value::from(keys::mon::data_key(&name, epoch))),
-                (
-                    "v",
-                    Value::from_pairs([
-                        ("sum", Value::Float(agg.sum)),
-                        ("min", Value::Float(agg.min)),
-                        ("max", Value::Float(agg.max)),
-                        ("count", Value::from(agg.count as i64)),
-                        ("avg", Value::Float(agg.sum / agg.count as f64)),
-                    ]),
-                ),
+            let data = Value::from_pairs([
+                ("sum", Value::Float(agg.sum)),
+                ("min", Value::Float(agg.min)),
+                ("max", Value::Float(agg.max)),
+                ("count", Value::from(agg.count as i64)),
+                ("avg", Value::Float(agg.sum / agg.count as f64)),
             ]);
-            self.kvs(ctx, KvsMethod::Put, payload, PendingKind::Ignore);
+            let put = msg::put(&keys::mon::data_key(&name, epoch), data);
+            self.kvs(ctx, KvsMethod::Put, put, PendingKind::Ignore);
         }
         self.kvs(ctx, KvsMethod::Commit, Value::object(), PendingKind::Ignore);
     }
@@ -189,8 +177,7 @@ impl CommsModule for MonModule {
                     ("metric", Value::from(metric)),
                     ("period", Value::from(period as i64)),
                 ]);
-                let put = Value::from_pairs([("k", Value::from(key)), ("v", spec_val)]);
-                self.kvs(ctx, KvsMethod::Put, put, PendingKind::Ignore);
+                self.kvs(ctx, KvsMethod::Put, msg::put(&key, spec_val), PendingKind::Ignore);
                 let (original, parked) = ctx.park(msg);
                 self.kvs(ctx, KvsMethod::Commit, Value::object(), PendingKind::AddCommit(original));
                 parked
@@ -244,17 +231,14 @@ impl CommsModule for MonModule {
                     // No samplers registered yet.
                     return;
                 }
-                let Some(listing) = msg.payload.get("dir").and_then(Value::as_object) else {
+                let Some(listing) = msg::listing(&msg.payload).and_then(Value::as_object) else {
                     return;
                 };
                 for (name, idv) in listing {
                     let hex = idv.as_str().unwrap_or_default().to_owned();
                     if self.listing.get(name) != Some(&hex) {
                         self.listing.insert(name.clone(), hex);
-                        let get = Value::from_pairs([(
-                            "k",
-                            Value::from(keys::mon::sampler_key(name)),
-                        )]);
+                        let get = msg::key(&keys::mon::sampler_key(name));
                         self.kvs(ctx, KvsMethod::Get, get, PendingKind::SpecFetch(name.clone()));
                     }
                 }
@@ -263,7 +247,7 @@ impl CommsModule for MonModule {
                 if msg.is_error() {
                     return;
                 }
-                let v = msg.payload.get("v");
+                let v = msg::value(&msg.payload);
                 let metric = v
                     .and_then(|v| v.get("metric"))
                     .and_then(Value::as_str)

@@ -10,6 +10,7 @@
 //! resvc` sub-command and tests; flux-core's schedulers do not drive it.
 
 use flux_broker::{CommsModule, Handled, ModuleCtx};
+use flux_kvs::msg;
 use flux_proto::{keys, KvsMethod, ResvcMethod};
 use flux_value::Value;
 use flux_wire::{errnum, Message};
@@ -59,13 +60,8 @@ impl ResvcModule {
         // Record the allocation in the KVS for provenance.
         let ranks_val =
             Value::Array(granted.iter().map(|&r| Value::from(r)).collect());
-        let _ = ctx.local_request(
-            KvsMethod::Put.topic(),
-            Value::from_pairs([
-                ("k", Value::from(keys::lwj::ranks_key(jobid))),
-                ("v", ranks_val.clone()),
-            ]),
-        );
+        let put = msg::put(&keys::lwj::ranks_key(jobid), ranks_val.clone());
+        let _ = ctx.local_request(KvsMethod::Put.topic(), put);
         let _ = ctx.local_request(KvsMethod::Commit.topic(), Value::object());
         ctx.respond(
             msg,
@@ -85,10 +81,8 @@ impl ResvcModule {
             return ctx.respond_err(msg, errnum::ENOENT);
         };
         self.free.extend(ranks);
-        let _ = ctx.local_request(
-            KvsMethod::Unlink.topic(),
-            Value::from_pairs([("k", Value::from(keys::lwj::ranks_key(jobid)))]),
-        );
+        let unlink = msg::key(&keys::lwj::ranks_key(jobid));
+        let _ = ctx.local_request(KvsMethod::Unlink.topic(), unlink);
         let _ = ctx.local_request(KvsMethod::Commit.topic(), Value::object());
         ctx.respond(msg, Value::object())
     }
@@ -113,19 +107,11 @@ impl CommsModule for ResvcModule {
             ("mem_gb", Value::from(NODE_MEM_GB)),
             ("rank", Value::from(ctx.rank().0)),
         ]);
-        let _ = ctx.local_request(
-            KvsMethod::Put.topic(),
-            Value::from_pairs([("k", Value::from(key)), ("v", inv)]),
-        );
+        let _ = ctx.local_request(KvsMethod::Put.topic(), msg::put(&key, inv));
         // The enumeration lands with a collective fence across all
         // brokers, so `resource.*` is complete once the fence resolves.
-        let _ = ctx.local_request(
-            KvsMethod::Fence.topic(),
-            Value::from_pairs([
-                ("name", Value::from(keys::resvc::ENUMERATE_FENCE)),
-                ("nprocs", Value::from(i64::from(ctx.size() as i32))),
-            ]),
-        );
+        let fence = msg::fence(keys::resvc::ENUMERATE_FENCE, u64::from(ctx.size()));
+        let _ = ctx.local_request(KvsMethod::Fence.topic(), fence);
         if ctx.is_root() {
             self.free = (0..ctx.size()).collect();
         }

@@ -27,10 +27,11 @@
 
 use flux_broker::reduce::{Partial, Reduction};
 use flux_broker::{CommsModule, Handled, ModuleCtx};
+use flux_kvs::msg;
 use flux_proto::{keys, Event, KvsMethod, WexecMethod};
 use flux_value::Value;
 use flux_wire::{errnum, Message, Rank};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 /// A local task's lifecycle.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,6 +129,16 @@ impl WexecModule {
         }
     }
 
+    /// True if `ranks` names at least one broker of a session `size`
+    /// wide and none twice. Each listed broker launches once, so the job
+    /// completes after `ranks.len()` reports; any other list leaves it
+    /// waiting forever.
+    fn launchable(ranks: &[Value], size: u64) -> bool {
+        let mut listed = BTreeSet::new();
+        !ranks.is_empty()
+            && ranks.iter().all(|r| r.as_uint().is_some_and(|r| r < size && listed.insert(r)))
+    }
+
     fn launch(&mut self, ctx: &mut ModuleCtx<'_>, jobid: u64, cmd: &str) {
         let (runtime_ns, stdout, code) = Self::interpret(cmd, ctx.rank());
         self.next_token += 1;
@@ -140,10 +151,7 @@ impl WexecModule {
             // Standard I/O captured in the KVS (paper, Table I). Written
             // back lazily: the job-completion commit flushes it.
             let key = keys::lwj::stdout_key(jobid, ctx.rank().0);
-            let _ = ctx.local_request(
-                KvsMethod::Put.topic(),
-                Value::from_pairs([("k", Value::from(key)), ("v", Value::from(out))]),
-            );
+            let _ = ctx.local_request(KvsMethod::Put.topic(), msg::put(&key, Value::from(out)));
             let _ = ctx.local_request(KvsMethod::Commit.topic(), Value::object());
         }
         if runtime_ns == 0 {
@@ -188,13 +196,8 @@ impl WexecModule {
             ("failed", Value::from(acc.status.failed as i64)),
             ("max_code", Value::Int(acc.status.max_code)),
         ]);
-        let _ = ctx.local_request(
-            KvsMethod::Put.topic(),
-            Value::from_pairs([
-                ("k", Value::from(keys::lwj::complete_key(jobid))),
-                ("v", complete.clone()),
-            ]),
-        );
+        let put = msg::put(&keys::lwj::complete_key(jobid), complete.clone());
+        let _ = ctx.local_request(KvsMethod::Put.topic(), put);
         let _ = ctx.local_request(KvsMethod::Commit.topic(), Value::object());
         let mut payload = complete;
         payload.insert("jobid", Value::from(jobid as i64));
@@ -230,9 +233,10 @@ impl CommsModule for WexecModule {
                 ) else {
                     return ctx.respond_err(&msg, errnum::EINVAL);
                 };
+                let size = u64::from(ctx.size());
                 let ntasks = match targets {
-                    Value::Str(s) if s == "all" => u64::from(ctx.size()),
-                    Value::Array(a) => a.len() as u64,
+                    Value::Str(s) if s == "all" => size,
+                    Value::Array(a) if Self::launchable(a, size) => a.len() as u64,
                     _ => return ctx.respond_err(&msg, errnum::EINVAL),
                 };
                 // Fan out as an event; every broker (including this one)

@@ -13,17 +13,18 @@
 //! `barrier`, `get`) with keys namespaced per job under
 //! `pmi.<jobid>.<rank>.<key>`. Like the rest of flux-rs it is sans-io:
 //! builders return [`flux_wire::Message`]s for the runtime to transmit
-//! and [`Pmi::deliver`] decodes what comes back.
+//! and [`Pmi::deliver`] decodes what comes back as the KVS client's
+//! [`KvsDelivery`]: PMI adds key names, not a protocol.
 //!
-//! [`bootstrap_ops`] emits the canonical MPI wire-up exchange as a script
-//! for simulator clients: put your business card, fence with all ranks,
-//! read your peers' cards.
-
+//! [`bootstrap_ops`] emits the canonical MPI wire-up exchange as a
+//! `flux_kvs` client script (`Vec<Op>`, which `flux_rt::script` runs on
+//! either runtime): put your business card, fence with all ranks, read
+//! your peers' cards.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 use flux_broker::ClientId;
-use flux_kvs::client::{KvsClient, KvsDelivery, KvsReply};
+use flux_kvs::client::{KvsClient, KvsDelivery, Op};
 use flux_value::Value;
 use flux_wire::{Message, Rank};
 
@@ -35,33 +36,6 @@ pub struct Pmi {
     pub grank: u64,
     /// Application size in processes.
     pub size: u64,
-}
-
-/// A decoded PMI reply.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PmiReply {
-    /// `put` acknowledged.
-    PutOk,
-    /// `fence` (commit + barrier) complete; all puts are visible.
-    FenceOk,
-    /// `get` result.
-    Value(Value),
-    /// The operation failed.
-    Err(u32),
-}
-
-/// Classified delivery for a PMI client.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PmiDelivery {
-    /// Reply to the request issued under this tag.
-    Reply {
-        /// Caller-chosen tag.
-        tag: u64,
-        /// Decoded reply.
-        reply: PmiReply,
-    },
-    /// Something else (event / stale response).
-    Other(Message),
 }
 
 impl Pmi {
@@ -102,72 +76,37 @@ impl Pmi {
         self.kvs.get(&k, tag)
     }
 
-    /// Classifies an incoming message.
-    pub fn deliver(&mut self, msg: Message) -> PmiDelivery {
-        match self.kvs.deliver(msg) {
-            KvsDelivery::Reply { tag, reply } => {
-                let reply = match reply {
-                    KvsReply::Ack => PmiReply::PutOk,
-                    KvsReply::Version { .. } => PmiReply::FenceOk,
-                    KvsReply::Value(v) => PmiReply::Value(v),
-                    KvsReply::Err(e) => PmiReply::Err(e),
-                    // Dir listings / watch updates / stats never come back
-                    // for PMI-issued requests.
-                    _ => PmiReply::Err(flux_wire::errnum::EINVAL),
-                };
-                PmiDelivery::Reply { tag, reply }
-            }
-            KvsDelivery::Event(m) | KvsDelivery::Unmatched(m) => PmiDelivery::Other(m),
-        }
+    /// Classifies an incoming message. PMI has no replies of its own: a
+    /// put is answered `KvsReply::Ack`, a fence `KvsReply::Version` (on
+    /// a sharded KVS, `KvsReply::Frontier`) and a get `KvsReply::Value`.
+    pub fn deliver(&mut self, msg: Message) -> KvsDelivery {
+        self.kvs.deliver(msg)
     }
 }
 
-/// The canonical bootstrap exchange as simulator script ops: publish this
+/// The canonical bootstrap exchange as a client script: publish this
 /// process's business card, fence with everyone, then read `fanout`
 /// peers' cards (ring neighbours — each process contacts the next few
 /// ranks, the usual wire-up pattern).
-pub fn bootstrap_ops(jobid: &str, grank: u64, size: u64, fanout: u64) -> Vec<BootstrapOp> {
-    let mut ops = vec![BootstrapOp::Put {
+pub fn bootstrap_ops(jobid: &str, grank: u64, size: u64, fanout: u64) -> Vec<Op> {
+    let mut ops = vec![Op::Put {
         key: format!("pmi.{jobid}.{grank}.card"),
         val: Value::from(format!("endpoint://node/{grank}")),
     }];
-    ops.push(BootstrapOp::Fence { name: format!("pmi.{jobid}"), nprocs: size });
+    ops.push(Op::Fence { name: format!("pmi.{jobid}"), nprocs: size });
     for i in 1..=fanout.min(size.saturating_sub(1)) {
         let peer = (grank + i) % size;
-        ops.push(BootstrapOp::Get { key: format!("pmi.{jobid}.{peer}.card") });
+        ops.push(Op::Get { key: format!("pmi.{jobid}.{peer}.card") });
     }
     ops
-}
-
-/// A runtime-agnostic description of one bootstrap step. `flux-rt`'s
-/// `ScriptClient` ops mirror these exactly; the conversion lives with the
-/// caller to keep this crate free of runtime dependencies.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BootstrapOp {
-    /// Publish a value.
-    Put {
-        /// Full KVS key.
-        key: String,
-        /// The business card.
-        val: Value,
-    },
-    /// Collective fence.
-    Fence {
-        /// Fence name.
-        name: String,
-        /// Participants.
-        nprocs: u64,
-    },
-    /// Read a peer's value.
-    Get {
-        /// Full KVS key.
-        key: String,
-    },
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flux_broker::testing::TestNet;
+    use flux_kvs::client::KvsReply;
+    use flux_kvs::{KvsConfig, KvsModule};
 
     #[test]
     fn keys_are_namespaced_per_rank_and_job() {
@@ -189,30 +128,82 @@ mod tests {
     #[test]
     fn deliver_decodes_lifecycle() {
         let mut p = Pmi::new("j", 0, 2, Rank(0), 0);
+        let reply = |tag, reply| KvsDelivery::Reply { tag, reply };
         let put = p.put("card", Value::from("c"), 1);
         let ack = Message::response_to(&put, Value::object());
-        assert_eq!(p.deliver(ack), PmiDelivery::Reply { tag: 1, reply: PmiReply::PutOk });
+        assert_eq!(p.deliver(ack), reply(1, KvsReply::Ack));
         let fence = p.fence(2);
         let done = Message::response_to(
             &fence,
             Value::from_pairs([("version", Value::Int(1)), ("root", Value::from("ab"))]),
         );
-        assert_eq!(p.deliver(done), PmiDelivery::Reply { tag: 2, reply: PmiReply::FenceOk });
+        let version = KvsReply::Version { version: 1, root: "ab".into() };
+        assert_eq!(p.deliver(done), reply(2, version));
         let get = p.get(1, "card", 3);
         let val = Message::response_to(&get, Value::from_pairs([("v", Value::from("peer"))]));
-        assert_eq!(
-            p.deliver(val),
-            PmiDelivery::Reply { tag: 3, reply: PmiReply::Value(Value::from("peer")) }
-        );
+        assert_eq!(p.deliver(val), reply(3, KvsReply::Value(Value::from("peer"))));
+    }
+
+    /// Sends one request per process (process `g` on broker `g + 2`),
+    /// runs timers until each is answered, and returns each delivery.
+    fn round(
+        net: &mut TestNet,
+        procs: &mut [Pmi],
+        ask: impl Fn(&mut Pmi) -> Message,
+    ) -> Vec<KvsDelivery> {
+        let at = |p: &Pmi| Rank(p.grank as u32 + 2);
+        for p in procs.iter_mut() {
+            let req = ask(p);
+            net.client_send(at(p), 0, req);
+        }
+        let mut replies = vec![Vec::new(); procs.len()];
+        loop {
+            for (p, r) in procs.iter().zip(&mut replies) {
+                r.extend(net.take_client_msgs(at(p), 0));
+            }
+            if replies.iter().all(|r| !r.is_empty()) || !net.fire_next_timer() {
+                break;
+            }
+        }
+        let answered = procs.iter_mut().zip(replies).map(|(p, mut r)| {
+            assert_eq!(r.len(), 1, "one reply each");
+            p.deliver(r.remove(0))
+        });
+        answered.collect()
+    }
+
+    /// Two processes on a 2-shard KVS: the fence answers a frontier, and
+    /// that is a success, not a refusal.
+    #[test]
+    fn put_fence_get_on_a_sharded_kvs() {
+        let cfg = KvsConfig { shards: 2, ..KvsConfig::default() };
+        let mut net = TestNet::new(4, 2, |_| vec![Box::new(KvsModule::with_config(cfg))]);
+        let mut procs: Vec<Pmi> =
+            (0..2).map(|g| Pmi::new("sh", g, 2, Rank(g as u32 + 2), 0)).collect();
+        for d in round(&mut net, &mut procs, |p| p.put("card", Value::from(p.grank as i64), 1)) {
+            assert_eq!(d, KvsDelivery::Reply { tag: 1, reply: KvsReply::Ack });
+        }
+        for d in round(&mut net, &mut procs, |p| p.fence(2)) {
+            let frontier = matches!(
+                d,
+                KvsDelivery::Reply { tag: 2, reply: KvsReply::Frontier { shards: 2, .. } }
+            );
+            assert!(frontier, "{d:?}");
+        }
+        let got = round(&mut net, &mut procs, |p| p.get(1 - p.grank, "card", 3));
+        for (g, d) in got.into_iter().enumerate() {
+            let peer = Value::from(1 - g as i64);
+            assert_eq!(d, KvsDelivery::Reply { tag: 3, reply: KvsReply::Value(peer) });
+        }
     }
 
     #[test]
     fn bootstrap_ops_shape() {
         let ops = bootstrap_ops("mpi1", 2, 8, 3);
         assert_eq!(ops.len(), 1 + 1 + 3);
-        assert!(matches!(&ops[0], BootstrapOp::Put { key, .. } if key == "pmi.mpi1.2.card"));
-        assert!(matches!(&ops[1], BootstrapOp::Fence { nprocs: 8, .. }));
-        assert!(matches!(&ops[2], BootstrapOp::Get { key } if key == "pmi.mpi1.3.card"));
+        assert!(matches!(&ops[0], Op::Put { key, .. } if key == "pmi.mpi1.2.card"));
+        assert!(matches!(&ops[1], Op::Fence { nprocs: 8, .. }));
+        assert!(matches!(&ops[2], Op::Get { key } if key == "pmi.mpi1.3.card"));
         // Fanout clamps for tiny jobs.
         let tiny = bootstrap_ops("t", 0, 1, 5);
         assert_eq!(tiny.len(), 2);

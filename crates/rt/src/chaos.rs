@@ -28,6 +28,7 @@ use crate::faults::FaultPlan;
 use crate::script::Op;
 use crate::transport::{ScriptOutcome, ScriptReport, ScriptTransport, SimTransport};
 use flux_sim::rng::Rng;
+use flux_kvs::msg;
 use flux_kvs::history::{ClientHistory, Event};
 use flux_kvs::shard::{key_on_shard, shard_of_key};
 use flux_value::Value;
@@ -377,7 +378,7 @@ pub fn histories_for(
                     }
                     match outcome.op_err[i] {
                         0 => {
-                            let gen = outcome.replies[i].get("v").and_then(Value::as_uint);
+                            let gen = msg::value(&outcome.replies[i]).and_then(Value::as_uint);
                             events.push(Event::Read { key: key.clone(), gen });
                         }
                         e if e == errnum::ENOENT => {
@@ -443,7 +444,7 @@ enum Acked {
 
 /// Decodes a reply through the KVS codec, the one owner of its shapes.
 fn acked(reply: &Value) -> Acked {
-    let cut = flux_kvs::msg::decode_cut(reply);
+    let cut = msg::decode_cut(reply);
     match cut.shards {
         Some(shards) => {
             Acked::Frontier(shards, cut.roots.iter().map(|r| (r.shard, r.version)).collect())
@@ -481,7 +482,8 @@ impl std::fmt::Display for Stall {
 /// safety verdict: every script unfinished at the workload's deadline
 /// ([`ChaosWorkload::deadline_ns`], past every pause and fault window),
 /// with the op it stopped on. A fault that heals leaves no request
-/// hanging, so the list is empty.
+/// hanging, so the list is empty. On a live transport a stall is the
+/// script its driver abandoned.
 pub fn stalls(w: &ChaosWorkload, report: &ScriptReport) -> Vec<Stall> {
     w.scripts
         .iter()
@@ -489,8 +491,12 @@ pub fn stalls(w: &ChaosWorkload, report: &ScriptReport) -> Vec<Stall> {
         .enumerate()
         .filter(|(_, (_, o))| !o.finished)
         .map(|(script, ((rank, ops), o))| {
-            // The simulator records nothing past the op that hung.
-            let at = o.op_err.len();
+            // The simulator records nothing past the op that hung; a
+            // live driver records the op it gave up on as `ETIMEDOUT`.
+            let at = match o.op_err.last() {
+                Some(&errnum::ETIMEDOUT) => o.op_err.len() - 1,
+                _ => o.op_err.len(),
+            };
             Stall { script, rank: *rank, at, op: ops[at].clone() }
         })
         .collect()

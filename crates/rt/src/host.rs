@@ -12,7 +12,7 @@
 
 use crate::faults::{FaultPlan, LinkFaults};
 use flux_broker::{Broker, ClientId, Input, Output};
-use flux_wire::{Message, MsgType, Plane, Rank};
+use flux_wire::{Message, Rank};
 
 /// One thing the host asks its driver to do.
 #[derive(Debug)]
@@ -25,18 +25,6 @@ pub(crate) enum Effect {
     Reply { client: ClientId, msg: Message },
     /// Call [`Host::timer`] with `token` after `delay_ns`.
     Timer { delay_ns: u64, token: u64 },
-}
-
-/// Infers the plane a message travelled on from its shape: events use the
-/// event plane, rank-addressed requests/responses the ring, the rest the
-/// tree. (The sans-io broker only branches on message type and direction,
-/// so this reconstruction is exact.)
-pub(crate) fn plane_of(msg: &Message) -> Plane {
-    match msg.header.msg_type {
-        MsgType::Event => Plane::Event,
-        _ if msg.header.dst.is_some() => Plane::Ring,
-        _ => Plane::Tree,
-    }
 }
 
 /// A broker and its rank's fault stream, driven by time and input.
@@ -60,7 +48,7 @@ impl Host {
         self.perform(now_ns, outs, sink);
     }
 
-    /// Feeds a message from broker `from`; its plane is rebuilt from its
+    /// Feeds a message from broker `from`; its plane is read from its
     /// shape.
     pub(crate) fn on_broker(
         &mut self,
@@ -69,7 +57,7 @@ impl Host {
         msg: Message,
         sink: impl FnMut(Effect),
     ) {
-        self.input(now_ns, Input::FromBroker { plane: plane_of(&msg), from, msg }, sink);
+        self.input(now_ns, Input::FromBroker { plane: msg.plane(), from, msg }, sink);
     }
 
     /// Feeds a message from the local client `client`.
@@ -112,10 +100,10 @@ impl Host {
     fn perform(&mut self, now_ns: u64, mut outs: Vec<Output>, mut sink: impl FnMut(Effect)) {
         for out in outs.drain(..) {
             match out {
-                Output::ToBroker { plane, to, msg } => match &mut self.faults {
+                Output::ToBroker { to, msg } => match &mut self.faults {
                     None => sink(Effect::Send { to, msg, delay_ns: 0 }),
                     Some(f) => {
-                        for &delay_ns in &f.fate_on(plane, now_ns, to).copies {
+                        for &delay_ns in &f.fate_on(msg.plane(), now_ns, to).copies {
                             sink(Effect::Send { to, msg: msg.clone(), delay_ns });
                         }
                     }
@@ -139,7 +127,7 @@ mod tests {
     use flux_broker::client::ClientCore;
     use flux_broker::{BrokerConfig, CommsModule, Handled, ModuleCtx};
     use flux_value::Value;
-    use flux_wire::{MsgId, Topic};
+    use flux_wire::{MsgId, Plane, Topic};
 
     const TICK: u64 = 1_000;
 
@@ -317,7 +305,7 @@ mod tests {
             .filter_map(|e| match e {
                 Effect::Send { to, msg, delay_ns } => {
                     assert_eq!(*to, Rank(0));
-                    Some((plane_of(msg), *delay_ns))
+                    Some((msg.plane(), *delay_ns))
                 }
                 _ => None,
             })
@@ -358,14 +346,5 @@ mod tests {
             matches!(sent[..], [(Plane::Tree, tree), (Plane::Event, 0)] if tree > 0),
             "{sent:?}"
         );
-    }
-
-    #[test]
-    fn the_plane_is_rebuilt_from_the_message_shape() {
-        let id = MsgId { origin: Rank(0), seq: 1 };
-        let topic = || Topic::from_static("probe.ask");
-        assert_eq!(plane_of(&Message::event(topic(), id, Rank(0), Value::Null)), Plane::Event);
-        assert_eq!(plane_of(&Message::request(topic(), id, Rank(0), Value::Null)), Plane::Tree);
-        assert_eq!(plane_of(&ring_request()), Plane::Ring);
     }
 }

@@ -13,105 +13,13 @@ use crate::transport::ScriptOutcome;
 use flux_broker::client::{ClientCore, Delivery};
 use flux_sim::{Actor, ActorId, Ctx, SimDuration};
 use flux_value::Value;
-use flux_proto::{BarrierMethod, KvsMethod};
-use flux_wire::{errnum, Message, Rank, Topic};
+use flux_wire::{errnum, Message, Rank};
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// One scripted operation.
-#[derive(Debug, Clone)]
-pub enum Op {
-    /// `kvs.put key = val`.
-    Put {
-        /// Key.
-        key: String,
-        /// Value.
-        val: Value,
-    },
-    /// `kvs.commit`.
-    Commit,
-    /// `kvs.fence name nprocs`.
-    Fence {
-        /// Fence name.
-        name: String,
-        /// Participant count.
-        nprocs: u64,
-    },
-    /// `kvs.get key`.
-    Get {
-        /// Key.
-        key: String,
-    },
-    /// `kvs.get_version`.
-    GetVersion,
-    /// `kvs.wait_version v`.
-    WaitVersion(u64),
-    /// `barrier.enter name nprocs`.
-    Barrier {
-        /// Barrier name.
-        name: String,
-        /// Participant count.
-        nprocs: u64,
-    },
-    /// An arbitrary request.
-    Request {
-        /// Topic.
-        topic: Topic,
-        /// Payload.
-        payload: Value,
-    },
-    /// Wait this many nanoseconds before the next op (virtual time on
-    /// the simulator, wall time on live transports). Lets a workload
-    /// span heartbeat epochs, so scheduled faults (blackouts,
-    /// partitions) genuinely interleave with its traffic.
-    Pause(u64),
-}
-
-impl Op {
-    /// Builds the request message for this op (tagged `tag`), using
-    /// `core` for id allocation. [`Script`] is its one caller.
-    pub fn to_request(&self, core: &mut ClientCore, tag: u64) -> Message {
-        match self {
-            Op::Put { key, val } => core.request(
-                KvsMethod::Put.topic(),
-                Value::from_pairs([("k", Value::from(key.as_str())), ("v", val.clone())]),
-                tag,
-            ),
-            Op::Commit => core.request(KvsMethod::Commit.topic(), Value::object(), tag),
-            Op::Fence { name, nprocs } => core.request(
-                KvsMethod::Fence.topic(),
-                Value::from_pairs([
-                    ("name", Value::from(name.as_str())),
-                    ("nprocs", Value::from(*nprocs as i64)),
-                ]),
-                tag,
-            ),
-            Op::Get { key } => core.request(
-                KvsMethod::Get.topic(),
-                Value::from_pairs([("k", Value::from(key.as_str()))]),
-                tag,
-            ),
-            Op::GetVersion => core.request(KvsMethod::GetVersion.topic(), Value::object(), tag),
-            Op::WaitVersion(v) => core.request(
-                KvsMethod::WaitVersion.topic(),
-                Value::from_pairs([("version", Value::from(*v as i64))]),
-                tag,
-            ),
-            Op::Barrier { name, nprocs } => core.request(
-                BarrierMethod::Enter.topic(),
-                Value::from_pairs([
-                    ("name", Value::from(name.as_str())),
-                    ("nprocs", Value::from(*nprocs as i64)),
-                ]),
-                tag,
-            ),
-            Op::Request { topic, payload } => core.request(topic.clone(), payload.clone(), tag),
-            // flux-lint: allow(panic) — an API misuse (`Script::issue`
-            // turns a Pause into `Step::Pause`), not a runtime input.
-            Op::Pause(_) => panic!("Op::Pause has no wire request; script drivers handle it"),
-        }
-    }
-}
+/// The op vocabulary lives beside `KvsClient` in `flux-kvs`; this path
+/// stays for the code that names it here.
+pub use flux_kvs::client::Op;
 
 /// What a [`Script`] asks of its driver next.
 #[derive(Debug)]
@@ -250,6 +158,7 @@ impl Actor for ScriptClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flux_proto::KvsMethod;
     use flux_wire::MsgId;
 
     fn script(ops: Vec<Op>) -> (Script, ScriptOutcome) {

@@ -291,6 +291,17 @@ impl Message {
         }
     }
 
+    /// The plane this message travels on, read from its shape: events
+    /// use the event plane, rank-addressed requests and their responses
+    /// the ring, the rest the tree.
+    pub fn plane(&self) -> Plane {
+        match (self.header.msg_type, self.header.dst) {
+            (MsgType::Event, _) => Plane::Event,
+            (MsgType::Request | MsgType::Response, Some(_)) => Plane::Ring,
+            (MsgType::Request | MsgType::Response, None) => Plane::Tree,
+        }
+    }
+
     /// True if this is a response carrying an error.
     pub fn is_error(&self) -> bool {
         self.header.msg_type == MsgType::Response && self.header.errnum != 0
@@ -352,6 +363,16 @@ mod tests {
     fn rank_addressed_request() {
         let m = Message::request_to(topic("ping"), id(1, 1), Rank(1), Rank(5), Value::Null);
         assert_eq!(m.header.dst, Some(Rank(5)));
+    }
+
+    #[test]
+    fn the_plane_is_rebuilt_from_the_message_shape() {
+        let t = || topic("probe.ask");
+        let ring = Message::request_to(t(), id(0, 1), Rank(0), Rank(2), Value::Null);
+        assert_eq!(Message::event(t(), id(0, 1), Rank(0), Value::Null).plane(), Plane::Event);
+        assert_eq!(Message::request(t(), id(0, 1), Rank(0), Value::Null).plane(), Plane::Tree);
+        assert_eq!(ring.plane(), Plane::Ring);
+        assert_eq!(Message::response_to(&ring, Value::Null).plane(), Plane::Ring);
     }
 
     #[test]

@@ -14,21 +14,11 @@
 
 use flux_kvs::KvsModule;
 use flux_modules::BarrierModule;
-use flux_pmi::{bootstrap_ops, BootstrapOp};
-use flux_rt::script::{Op, ScriptClient};
+use flux_pmi::bootstrap_ops;
+use flux_rt::script::ScriptClient;
 use flux_rt::sim::SimSession;
 use flux_sim::NetParams;
 use flux_wire::Rank;
-
-fn to_script(ops: Vec<BootstrapOp>) -> Vec<Op> {
-    ops.into_iter()
-        .map(|op| match op {
-            BootstrapOp::Put { key, val } => Op::Put { key, val },
-            BootstrapOp::Fence { name, nprocs } => Op::Fence { name, nprocs },
-            BootstrapOp::Get { key } => Op::Get { key },
-        })
-        .collect()
-}
 
 fn main() {
     let nodes = 16u32;
@@ -42,7 +32,7 @@ fn main() {
     let outcomes: Vec<_> = (0..procs)
         .map(|grank| {
             let node = Rank((grank % u64::from(nodes)) as u32);
-            let script = to_script(bootstrap_ops("mpi-demo", grank, procs, fanout));
+            let script = bootstrap_ops("mpi-demo", grank, procs, fanout);
             ScriptClient::spawn(&mut session, node, script)
         })
         .collect();
@@ -59,7 +49,7 @@ fn main() {
         for (i, reply) in o.replies[2..].iter().enumerate() {
             let peer = (grank as u64 + 1 + i as u64) % procs;
             let want = format!("endpoint://node/{peer}");
-            assert_eq!(reply.get("v").and_then(|v| v.as_str()), Some(want.as_str()));
+            assert_eq!(flux_kvs::msg::value(reply).and_then(|v| v.as_str()), Some(want.as_str()));
         }
         fence_done_max = fence_done_max.max(o.op_done_ns[1]);
         wireup_done_max = wireup_done_max.max(*o.op_done_ns.last().unwrap());

@@ -168,6 +168,7 @@ fn sim_relay_blackout_after_forwarding_a_push() {
 /// still satisfy the consistency oracle.
 #[test]
 fn reactor_tcp_chaos_consistency_sweep() {
+    let mut stalled = 0;
     for seed in chaos::seeds(32) {
         let w = chaos::workload(seed, 2_000_000, false);
         let transport = LiveTransport::default()
@@ -184,5 +185,9 @@ fn reactor_tcp_chaos_consistency_sweep() {
             w.plan,
             violations.join("\n  ")
         );
+        stalled += chaos::stalls(&w, &report).len();
     }
+    // Printed, not asserted: the 200 ms op timeout is shorter than the
+    // KVS retry window, so a faulted op can time out before its retry.
+    println!("tcp: {stalled} stalled scripts");
 }
