@@ -51,4 +51,4 @@ pub mod reduce;
 pub use broker::Broker;
 pub use config::{BrokerConfig, RankOverlay};
 pub use io::{ClientId, Input, Output};
-pub use module::{CommsModule, Handled, ModuleCtx};
+pub use module::{requester_of, CommsModule, Handled, ModuleCtx, Requester};

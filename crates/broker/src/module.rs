@@ -68,6 +68,19 @@ use flux_wire::{errnum, Message, MsgId, Payload, Rank, Topic};
 /// ```
 pub struct Handled(pub(crate) ());
 
+/// Who sent a request, unique wherever a module sits in the tree: the
+/// client connection (absent for a module's own request) and the broker
+/// it is attached to (absent when it is this one). A client id alone is
+/// unique only among one broker's clients.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct Requester(pub Option<Rank>, pub Option<Rank>);
+
+/// The [`Requester`] of `msg`.
+pub fn requester_of(msg: &Message) -> Requester {
+    let mut hops = msg.header.hops.iter().copied();
+    Requester(hops.next(), hops.next())
+}
+
 /// A service plugin loaded into a broker.
 ///
 /// All handlers receive a [`ModuleCtx`] through which they reply, issue

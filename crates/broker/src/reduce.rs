@@ -1,4 +1,4 @@
-//! Tree reductions.
+//! Tree reductions, and the collectives that count on one.
 //!
 //! The tree plane carries "RPCs, barriers, and reductions" (paper
 //! §IV-A). A reduction is the flow behind `barrier.up`, `kvs.fence.up`,
@@ -10,23 +10,30 @@
 //! A [`Reduction`] owns what those flows share: the partials waiting for
 //! the next flush, the `(src, batch)` stamp on every flushed message, the
 //! record of stamps already merged, so a frame the transport delivers
-//! twice counts once, and the `WINDOW_NS` timers of the two
-//! collectives. What to merge, when to flush the rest (on the heartbeat)
-//! and what the root does with a total stay with the module: it calls
-//! in, nothing is registered here.
+//! twice counts once. What to merge, when to flush (on the heartbeat,
+//! or a collective's window) and what the root does with a total stay
+//! with the caller: it calls in, nothing is registered here.
 //!
 //! The record is kept per *sender* and outlives every key. A copy of the
 //! batch that completed a barrier may arrive after the barrier is
 //! forgotten, and a per-key record forgotten with it would let that copy
 //! open — and count toward — the next barrier of the same name.
+//!
+//! A [`Collective`] is the reduction of `barrier.enter` and `kvs.fence`,
+//! which answer nobody before all `nprocs` have entered: it keeps each
+//! broker's roster of entries, refuses those that would release anyone
+//! early, flushes what arrives within `WINDOW_NS` as one message and
+//! hands the root the total once its count reaches `nprocs`. The
+//! barrier's tally carries nothing more (`Collective<()>`), the fence's
+//! its write set.
 
-use crate::ModuleCtx;
+use crate::{requester_of, Handled, ModuleCtx, Requester};
 use flux_value::Value;
-use flux_wire::{IdMap, Topic};
+use flux_wire::{errnum, IdMap, Message, Payload, Topic};
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-/// The aggregation window of the two collectives (`barrier.enter`,
+/// The aggregation window of the collectives (`barrier.enter`,
 /// `kvs.fence`): contributions arriving within it leave as one message.
 const WINDOW_NS: u64 = 20_000;
 
@@ -40,6 +47,11 @@ const MAX_AHEAD: usize = 1024;
 pub trait Partial {
     /// Folds `other` into `self`.
     fn merge(&mut self, other: Self);
+}
+
+/// The part of a collective that carries nothing beside its count.
+impl Partial for () {
+    fn merge(&mut self, (): ()) {}
 }
 
 /// The batch ids of one sender merged so far: every id up to `floor`,
@@ -80,21 +92,11 @@ pub struct Reduction<K, P> {
     next_batch: u64,
     /// By sender rank, as stamped by that broker.
     seen: IdMap<u64, Seen>,
-    /// Armed window timers by token, counted from 1: a module's token 0
-    /// stays free for a timer of its own.
-    windows: IdMap<u64, K>,
-    next_window: u64,
 }
 
 impl<K, P> Default for Reduction<K, P> {
     fn default() -> Self {
-        Reduction {
-            waiting: BTreeMap::new(),
-            next_batch: 0,
-            seen: IdMap::default(),
-            windows: IdMap::default(),
-            next_window: 0,
-        }
+        Reduction { waiting: BTreeMap::new(), next_batch: 0, seen: IdMap::default() }
     }
 }
 
@@ -106,36 +108,6 @@ impl<K: Ord, P: Partial> Reduction<K, P> {
             Entry::Vacant(slot) => {
                 slot.insert(part);
             }
-        }
-    }
-
-    /// [`Reduction::contribute`] for a collective: off the root, the
-    /// first part under `key` arms a `WINDOW_NS` timer, and
-    /// [`Reduction::on_window`] flushes the key when it fires. The root
-    /// arms nothing; its module drains the total.
-    pub fn gather(&mut self, ctx: &mut ModuleCtx<'_>, key: K, part: P)
-    where
-        K: Clone,
-    {
-        if !ctx.is_root() && !self.waiting.contains_key(&key) {
-            self.next_window += 1;
-            self.windows.insert(self.next_window, key.clone());
-            ctx.set_timer(WINDOW_NS, self.next_window);
-        }
-        self.contribute(key, part);
-    }
-
-    /// A timer fired: if it is one of this reduction's windows, flushes
-    /// the key it was armed for, as [`Reduction::flush`] does.
-    pub fn on_window(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        token: u64,
-        topic: &Topic,
-        encode: impl FnOnce(K, P) -> Value,
-    ) {
-        if let Some(key) = self.windows.remove(&token) {
-            self.flush(ctx, topic, &key, encode);
         }
     }
 
@@ -193,14 +165,171 @@ impl<K: Ord, P: Partial> Reduction<K, P> {
     }
 }
 
+/// Entries into one collective and the part they carry: what climbs
+/// the tree and, at the root, the session-wide total.
+struct Tally<P> {
+    nprocs: u64,
+    count: u64,
+    part: P,
+}
+
+impl<P: Partial> Partial for Tally<P> {
+    fn merge(&mut self, other: Tally<P>) {
+        self.count += other.count;
+        self.part.merge(other.part);
+    }
+}
+
+/// This broker's own entries into one collective, parked until it
+/// completes.
+#[derive(Default)]
+struct Roster {
+    nprocs: u64,
+    entered: HashSet<Requester>,
+    waiters: Vec<Message>,
+}
+
+/// A collective the root counted complete.
+pub struct Done<P> {
+    /// Its name.
+    pub name: String,
+    /// What every entry carried, merged.
+    pub part: P,
+    /// The root's own entries, released: the caller answers them.
+    pub waiters: Vec<Message>,
+}
+
+/// One counting collective at one broker: the local roster and a
+/// [`Reduction`] of the tallies, both by name.
+#[derive(Default)]
+pub struct Collective<P> {
+    tallies: Reduction<String, Tally<P>>,
+    rosters: HashMap<String, Roster>,
+    /// Armed window timers by token, counted from 1: a module's token 0
+    /// stays free for a timer of its own.
+    windows: IdMap<u64, String>,
+    next_window: u64,
+}
+
+/// The `name` and `nprocs` of an entry or a batch; `nprocs` 0 is never
+/// met.
+fn named(v: &Value) -> Option<(&str, u64)> {
+    Some((v.get("name")?.as_str()?, v.get("nprocs")?.as_uint().filter(|&n| n > 0)?))
+}
+
+impl<P: Partial> Collective<P> {
+    /// A local `{name, nprocs}` entry, parked until the collective
+    /// completes; `part` gives what its requester carries in. Refused
+    /// with `EINVAL`: no name or `nprocs`, `nprocs` 0, a second entry by
+    /// the same requester, and an `nprocs` other than an earlier entry's
+    /// here — each would release everyone early, or never. At the root
+    /// an entry may complete the collective.
+    pub fn enter(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        msg: Message,
+        part: impl FnOnce(Requester) -> P,
+    ) -> (Handled, Option<Done<P>>) {
+        let requester = requester_of(&msg);
+        let Some((name, nprocs)) = named(&msg.payload) else {
+            return (ctx.respond_err(&msg, errnum::EINVAL), None);
+        };
+        let name = name.to_owned();
+        let roster = self.rosters.entry(name.clone()).or_default();
+        if (roster.nprocs != 0 && roster.nprocs != nprocs) || !roster.entered.insert(requester) {
+            return (ctx.respond_err(&msg, errnum::EINVAL), None);
+        }
+        roster.nprocs = nprocs;
+        let (waiter, parked) = ctx.park(msg);
+        roster.waiters.push(waiter);
+        (parked, self.gather(ctx, name, Tally { nprocs, count: 1, part: part(requester) }))
+    }
+
+    /// A child's one-way batch. It is dropped unless its `name`,
+    /// `nprocs` (not 0) and `count` read and `sound` accepts the rest,
+    /// and, with `dedup`, when it copies a batch merged before: a frame
+    /// the transport delivers twice counts once. `take` moves the part
+    /// out of a batch that merges. At the root a batch may complete the
+    /// collective.
+    pub fn arrive(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        msg: Message,
+        dedup: bool,
+        sound: impl FnOnce(&Value) -> bool,
+        take: impl FnOnce(Payload) -> P,
+    ) -> (Handled, Option<Done<P>>) {
+        let handled = ctx.one_way(&msg);
+        let batch = &msg.payload;
+        let count = batch.get("count").and_then(Value::as_uint);
+        let (Some((name, nprocs)), Some(count)) = (named(batch), count) else {
+            return (handled, None);
+        };
+        if !sound(batch) || (dedup && !self.tallies.admit(batch)) {
+            return (handled, None);
+        }
+        let name = name.to_owned();
+        (handled, self.gather(ctx, name, Tally { nprocs, count, part: take(msg.payload) }))
+    }
+
+    /// Off the root, the first tally under `name` arms a window; the root
+    /// arms none, and drains a total once it is complete.
+    fn gather(&mut self, ctx: &mut ModuleCtx<'_>, name: String, t: Tally<P>) -> Option<Done<P>> {
+        if !ctx.is_root() {
+            if !self.tallies.waiting.contains_key(&name) {
+                self.next_window += 1;
+                self.windows.insert(self.next_window, name.clone());
+                ctx.set_timer(WINDOW_NS, self.next_window);
+            }
+            self.tallies.contribute(name, t);
+            return None;
+        }
+        self.tallies.contribute(name, t);
+        // At most one is ready: whatever completed another drained it.
+        let (name, total) = self.tallies.drain(|_, t| t.count >= t.nprocs).pop()?;
+        let waiters = self.release(&name);
+        Some(Done { name, part: total.part, waiters })
+    }
+
+    /// A timer fired: if it is one of this collective's windows, sends
+    /// what gathered under its name one hop up on `topic`, as `{name,
+    /// nprocs, count}` plus the fields `spell` writes for the part.
+    pub fn on_window(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        token: u64,
+        topic: &Topic,
+        spell: impl FnOnce(P, &mut Value),
+    ) {
+        let Some(name) = self.windows.remove(&token) else { return };
+        self.tallies.flush(ctx, topic, &name, |name, tally| {
+            let mut batch = Value::from_pairs([
+                ("name", Value::from(name)),
+                ("nprocs", Value::from(tally.nprocs as i64)),
+                ("count", Value::from(tally.count as i64)),
+            ]);
+            spell(tally.part, &mut batch);
+            batch
+        });
+    }
+
+    /// The collective `name` completed, or failed, session-wide: forgets
+    /// this broker's roster and hands back its waiters.
+    pub fn release(&mut self, name: &str) -> Vec<Message> {
+        self.rosters.remove(name).map(|roster| roster.waiters).unwrap_or_default()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testing::with_ctx;
     use crate::Output;
-    use flux_wire::Rank;
+    use flux_proto::BarrierMethod;
+    use flux_wire::{MsgId, Rank};
     use proptest::prelude::*;
 
+    #[derive(Default)]
     struct Sum(u64);
 
     impl Partial for Sum {
@@ -285,19 +414,18 @@ mod tests {
     fn flush_merges_stamps_and_takes_a_batch_id_only_when_it_sends() {
         let (_, outs) = with_ctx(2, 3, |ctx| {
             let mut up: Reduction<&str, Sum> = Reduction::default();
-            up.gather(ctx, "b", Sum(1));
-            up.gather(ctx, "b", Sum(2));
-            up.gather(ctx, "a", Sum(5));
-            // Window 1 is b's: it flushes b alone, once.
-            up.on_window(ctx, 1, &topic(), encode);
-            up.on_window(ctx, 1, &topic(), encode);
+            up.contribute("b", Sum(1));
+            up.contribute("b", Sum(2));
+            up.contribute("a", Sum(5));
+            // b alone, once.
+            up.flush(ctx, &topic(), &"b", encode);
+            up.flush(ctx, &topic(), &"b", encode);
             up.flush(ctx, &topic(), &"none", encode);
-            up.gather(ctx, "c", Sum(7));
+            up.contribute("c", Sum(7));
             up.flush_all(ctx, &topic(), |_, _| true, encode);
             assert!(up.drain(|_, _| true).is_empty());
         });
-        let (sent, timers) = sent_and_timers(&outs);
-        assert_eq!(timers, [WINDOW_NS; 3], "one window per key that had nothing waiting");
+        let (sent, _) = sent_and_timers(&outs);
         let read = |v: &Value, k: &str| v.get(k).and_then(Value::as_uint).unwrap();
         let rows: Vec<_> = sent
             .iter()
@@ -313,16 +441,54 @@ mod tests {
         assert_eq!(admitted, 3);
     }
 
+    /// Client `client`'s entry into collective `name` of `nprocs`.
+    fn entry(name: &str, client: u32, nprocs: i64) -> Message {
+        let payload =
+            Value::from_pairs([("name", Value::from(name)), ("nprocs", Value::from(nprocs))]);
+        let id = MsgId { origin: Rank(9), seq: client.into() };
+        let mut msg = Message::request(BarrierMethod::Enter.topic(), id, Rank(9), payload);
+        msg.header.hops.push(Rank::client_hop(client));
+        msg
+    }
+
+    fn spell(sum: Sum, batch: &mut Value) {
+        batch.insert("sum", Value::from(sum.0 as i64));
+    }
+
+    #[test]
+    fn off_the_root_each_waiting_name_arms_one_window_that_flushes_it_once() {
+        let (_, outs) = with_ctx(2, 3, |ctx| {
+            let mut up: Collective<Sum> = Collective::default();
+            up.enter(ctx, entry("b", 1, 8), |_| Sum(1));
+            up.enter(ctx, entry("b", 2, 8), |_| Sum(2));
+            up.enter(ctx, entry("a", 1, 8), |_| Sum(5));
+            // Window 1 is b's: it flushes b alone, once.
+            up.on_window(ctx, 1, &topic(), spell);
+            up.on_window(ctx, 1, &topic(), spell);
+            up.enter(ctx, entry("b", 3, 8), |_| Sum(7));
+            up.on_window(ctx, 3, &topic(), spell);
+            up.on_window(ctx, 2, &topic(), spell);
+        });
+        let (sent, timers) = sent_and_timers(&outs);
+        assert_eq!(timers, [WINDOW_NS; 3], "one window per name that had nothing waiting");
+        let read = |v: &Value, k: &str| v.get(k).and_then(Value::as_uint).unwrap();
+        let name = |v: &Value| v.get("name").and_then(Value::as_str).unwrap().to_owned();
+        let rows: Vec<_> =
+            sent.iter().map(|v| (name(v), read(v, "count"), read(v, "sum"))).collect();
+        assert_eq!(rows, [("b".into(), 2, 3), ("b".into(), 1, 7), ("a".into(), 1, 5)]);
+        assert!(sent.iter().all(|v| read(v, "nprocs") == 8));
+    }
+
     #[test]
     fn the_root_gathers_a_total_and_arms_no_window() {
         let (total, outs) = with_ctx(0, 3, |ctx| {
-            let mut up: Reduction<&str, Sum> = Reduction::default();
-            up.gather(ctx, "b", Sum(1));
-            up.gather(ctx, "b", Sum(2));
-            up.on_window(ctx, 1, &topic(), encode);
-            up.drain(|_, _| true).pop().map(|(_, sum)| sum.0)
+            let mut up: Collective<Sum> = Collective::default();
+            assert!(up.enter(ctx, entry("b", 1, 2), |_| Sum(1)).1.is_none());
+            up.on_window(ctx, 1, &topic(), spell);
+            let done = up.enter(ctx, entry("b", 2, 2), |_| Sum(2)).1.expect("2 of 2");
+            (done.name, done.part.0, done.waiters.len())
         });
-        assert_eq!(total, Some(3));
+        assert_eq!(total, ("b".to_owned(), 3, 2));
         assert_eq!(sent_and_timers(&outs), (vec![], vec![]));
     }
 

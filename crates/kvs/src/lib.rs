@@ -41,12 +41,13 @@
 //! one-shard case of the same code. [`KvsModule`] is a dispatcher over
 //! role structs that each own one piece of state — `slots` (per-shard
 //! roots), `authority` (the master's apply), `coordinator` (commit and
-//! fence fan-out), `fence` (the tree reduction), `reads` and `watch`
-//! (lookups, fault-in, watchers) — and [`msg`] is the only code that
-//! knows the wire shapes, the client protocol's as well as the internal
-//! ones: every client builds its requests and reads its replies there,
-//! and the module parses requests there. The module's own docs hold the
-//! role map.
+//! fence fan-out), `fence` (the write set a fence carries up the tree),
+//! `reads` and `watch` (lookups, fault-in, watchers) — and [`msg`] is
+//! the only code that knows the wire shapes, the client protocol's as
+//! well as the internal ones: every client builds its requests and reads
+//! its replies there, and the module parses requests there, save the
+//! fence's `{name, nprocs, count}`, which the broker's collective spells
+//! for the barrier too. The module's own docs hold the role map.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

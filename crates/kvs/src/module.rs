@@ -33,7 +33,7 @@
 //! | slots | `slots.rs` | per-shard root, version, `wait_version` parking lot; the only root switch |
 //! | master | `authority.rs` | push dedup, the batch window, the applied-fence memo; the one apply |
 //! | coordinator | `coordinator.rs` | the join table of commits and fence fan-outs, part routing |
-//! | fence | `fence.rs` | the fence's `flux_broker::reduce::Reduction`, the local roster and waiters |
+//! | fence | `fence.rs` | the write set a fence's `flux_broker::reduce::Collective` carries up the tree |
 //! | reads | `reads.rs`, `watch.rs` | walks, fault-in, load-reply memo, watchers |
 //! | in flight | `inflight.rs` | every RPC this module sends: registered, its answer classified, retried on the heartbeat |
 //!
@@ -45,7 +45,7 @@
 
 use crate::authority::{self, Authority, BATCH_TOKEN};
 use crate::coordinator::Coordinator;
-use crate::fence::{self, FenceAcc, FenceTree};
+use crate::fence::{self, FenceAcc};
 use crate::master::Tuple;
 use crate::msg::{self, Objects};
 use crate::object::KvsObject;
@@ -53,11 +53,12 @@ use crate::path::validate_key;
 use crate::reads::{self, Reads};
 use crate::slots::Slots;
 use crate::store::ObjectCache;
-use flux_broker::{CommsModule, Handled, ModuleCtx};
+use flux_broker::reduce::{Collective, Done};
+use flux_broker::{requester_of, CommsModule, Handled, ModuleCtx, Requester};
 use flux_hash::ObjectId;
 use flux_proto::{Event, KvsMethod};
 use flux_value::Value;
-use flux_wire::{errnum, Message, Payload, Rank};
+use flux_wire::{errnum, Message, Payload};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -102,20 +103,6 @@ impl Default for KvsConfig {
     }
 }
 
-/// Who sent a request, unique wherever this instance sits in the tree:
-/// the bottom hop entry (the client connection; absent for module-local
-/// requests) and the broker that connection is attached to (absent when
-/// it is this one). A client id alone is unique only among one broker's
-/// clients, and an instance loaded at a shallow tree depth serves the
-/// clients of every broker below it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub(crate) struct Requester(pub(crate) Option<Rank>, pub(crate) Option<Rank>);
-
-fn requester_of(msg: &Message) -> Requester {
-    let mut hops = msg.header.hops.iter().copied();
-    Requester(hops.next(), hops.next())
-}
-
 /// Per-requester write-back state (puts not yet committed/fenced).
 #[derive(Default)]
 struct PendingWrites {
@@ -143,7 +130,7 @@ pub struct KvsModule {
     rep: Replica,
     authority: Authority,
     coordinator: Coordinator,
-    fence: FenceTree,
+    fence: Collective<FenceAcc>,
     reads: Reads,
     pending: HashMap<Requester, PendingWrites>,
 }
@@ -161,7 +148,7 @@ impl KvsModule {
             rep: Replica::new(cfg.shards),
             authority: Authority::default(),
             coordinator: Coordinator::default(),
-            fence: FenceTree::default(),
+            fence: Collective::default(),
             reads: Reads::default(),
             pending: HashMap::new(),
         }
@@ -259,51 +246,29 @@ impl KvsModule {
 
     // ----- fence -----------------------------------------------------------
 
-    /// At the tree root a complete fence (`done`) becomes one
-    /// coordinated write set, answered to the root's own waiters.
-    fn fence_merged(&mut self, ctx: &mut ModuleCtx<'_>, name: &str, done: Option<FenceAcc>) {
-        if let Some(total) = done {
-            let waiters = self.fence.release(name);
-            let (tuples, objects) = total.decode();
-            self.coordinate(ctx, waiters, tuples, objects, Some(name));
+    /// At the tree root a complete fence becomes one coordinated write
+    /// set, answered to the root's own waiters.
+    fn fence_done(&mut self, ctx: &mut ModuleCtx<'_>, done: Option<Done<FenceAcc>>) {
+        if let Some(Done { name, part, waiters }) = done {
+            let (tuples, objects) = part.decode();
+            self.coordinate(ctx, waiters, tuples, objects, Some(&name));
         }
     }
 
     fn handle_fence(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
-        // A second handle on the payload, so `msg` can be parked.
-        let payload = msg.payload.clone();
-        let Some((name, nprocs)) = msg::fence_of(&payload) else {
-            return ctx.respond_err(&msg, errnum::EINVAL);
-        };
-        // nprocs == 0 can never be satisfied: the caller would hang
-        // forever, so reject it up front.
-        if nprocs == 0 {
-            return ctx.respond_err(&msg, errnum::EINVAL);
-        }
-        let requester = requester_of(&msg);
-        if let Err(e) = self.fence.enlist(name, nprocs, requester) {
-            return ctx.respond_err(&msg, e);
-        }
-        let pend = self.pending.remove(&requester).unwrap_or_default();
-        let (waiter, parked) = ctx.park(msg);
-        let part = FenceAcc::local(nprocs, &pend.tuples, &pend.objects);
-        let done = self.fence.contribute(ctx, name, part, Some(waiter));
-        self.fence_merged(ctx, name, done);
-        parked
+        let pending = &mut self.pending;
+        let (handled, done) = self.fence.enter(ctx, msg, |requester| {
+            let pend = pending.remove(&requester).unwrap_or_default();
+            FenceAcc::local(&pend.tuples, &pend.objects)
+        });
+        self.fence_done(ctx, done);
+        handled
     }
 
     fn handle_fence_up(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
-        // One-way: a batch that is malformed, or was merged before (a
-        // transport duplicate must not complete the fence early), is
-        // dropped unanswered.
-        let handled = ctx.one_way(&msg);
-        let Some((nprocs, count)) = fence::check(&msg.payload) else { return handled };
-        if self.cfg.dedup && !self.fence.admit(&msg.payload) {
-            return handled;
-        }
-        let (name, part) = fence::take(msg.payload, nprocs, count);
-        let done = self.fence.contribute(ctx, &name, part, None);
-        self.fence_merged(ctx, &name, done);
+        let (handled, done) =
+            self.fence.arrive(ctx, msg, self.cfg.dedup, fence::sound, fence::take);
+        self.fence_done(ctx, done);
         handled
     }
 
@@ -476,7 +441,7 @@ impl CommsModule for KvsModule {
         if token == BATCH_TOKEN {
             self.authority.flush_batch(ctx, &mut self.rep);
         } else {
-            self.fence.on_timer(ctx, token);
+            self.fence.on_window(ctx, token, &KvsMethod::FenceUp.topic(), fence::spell);
         }
         self.reads.recheck(ctx, &mut self.rep);
     }

@@ -6,6 +6,10 @@
 //! replies here ([`value`], [`listing`], [`watch_update`],
 //! [`decode_cut`]); the module parses requests through the borrowing
 //! readers beside them, and the role structs encode through the rest.
+//! The exception is the fence, a collective: the `{name, nprocs}` of
+//! `kvs.fence` and the `{name, nprocs, count}` of `kvs.fence.up` are
+//! read and written by `flux_broker::reduce::Collective`, which spells
+//! `barrier.enter` and `barrier.up` the same way.
 //!
 //! A session speaks one of two spellings (`Spelling`), fixed when the
 //! module starts. With one shard a root reference is the paper's bare
@@ -77,11 +81,6 @@ pub(crate) fn key_of(req: &Value) -> Option<&str> {
 /// True if a `kvs.get` asks for the listing.
 pub(crate) fn wants_dir(req: &Value) -> bool {
     req.get("dir").and_then(Value::as_bool).unwrap_or(false)
-}
-
-/// `(name, nprocs)` of a fence request.
-pub(crate) fn fence_of(req: &Value) -> Option<(&str, u64)> {
-    Some((req.get("name")?.as_str()?, req.get("nprocs")?.as_uint()?))
 }
 
 /// The target of a `kvs.wait_version`.

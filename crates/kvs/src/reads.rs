@@ -27,7 +27,8 @@
 //! heartbeat retry sends the same request again under its own id.
 
 use crate::inflight::{Answer, InFlight};
-use crate::module::{Replica, Requester};
+use crate::module::Replica;
+use flux_broker::Requester;
 use crate::msg;
 use crate::object::KvsObject;
 use crate::path::validate_key;

@@ -8,7 +8,7 @@
 //! child hashes cascade upward — the paper's directory-watch semantics
 //! for free.
 
-use crate::module::Requester;
+use flux_broker::Requester;
 use crate::msg;
 use flux_broker::ModuleCtx;
 use flux_value::Value;

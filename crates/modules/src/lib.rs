@@ -19,7 +19,9 @@
 //! through the broker's one [`flux_broker::reduce::Reduction`], which
 //! stamps every flushed batch `{src, batch}` and merges each at most
 //! once; the modules own only what they merge, when they flush and what
-//! the root does with the total.
+//! the root does with the total. The barrier owns less: it is the
+//! broker's [`flux_broker::reduce::Collective`], as `kvs.fence` is, with
+//! nothing to merge beside the count.
 //!
 //! [`standard_modules`] builds the full Table I set (including the KVS)
 //! for one broker — what a production session loads on every node.

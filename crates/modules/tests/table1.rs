@@ -5,7 +5,7 @@ use flux_broker::client::ClientCore;
 use flux_broker::testing::TestNet;
 use flux_modules::standard_modules;
 use flux_value::Value;
-use flux_wire::{Message, Rank, Topic};
+use flux_wire::{errnum, Message, Rank, Topic};
 
 fn net(size: u32) -> TestNet {
     TestNet::new(size, 2, |_| standard_modules())
@@ -113,6 +113,46 @@ fn two_sequential_barriers_with_same_name() {
             assert_eq!(msgs.len(), 1, "round {round} rank {r}");
         }
     }
+}
+
+/// `barrier.enter {name, nprocs}` from `client`.
+fn enter(client: &mut ClientCore, name: &str, nprocs: i64, tag: u64) -> Message {
+    let payload = Value::from_pairs([("name", Value::from(name)), ("nprocs", Value::from(nprocs))]);
+    client.request(topic("barrier.enter"), payload, tag)
+}
+
+#[test]
+fn a_process_entering_a_barrier_twice_is_refused_and_still_waits_for_another() {
+    let mut net = net(7);
+    let mut twice = ClientCore::new(Rank(5), 0);
+    let (first, again) = (enter(&mut twice, "b", 2, 1), enter(&mut twice, "b", 2, 2));
+    let (first_id, again_id) = (first.header.id, again.header.id);
+    net.client_send(Rank(5), 0, first);
+    net.client_send(Rank(5), 0, again);
+    let msgs = pump(&mut net, Rank(5), 0, 2, 200);
+    // Counted, the second entry would release both: one process early.
+    assert_eq!(msgs.len(), 1, "{msgs:?}");
+    assert_eq!((msgs[0].header.id, msgs[0].header.errnum), (again_id, errnum::EINVAL));
+    let mut other = ClientCore::new(Rank(2), 0);
+    net.client_send(Rank(2), 0, enter(&mut other, "b", 2, 1));
+    for (rank, id) in [(Rank(5), Some(first_id)), (Rank(2), None)] {
+        let msgs = pump(&mut net, rank, 0, 1, 500);
+        assert_eq!(msgs.len(), 1, "rank {rank} released once");
+        assert!(!msgs[0].is_error());
+        assert!(id.is_none_or(|id| msgs[0].header.id == id), "the first entry is the one released");
+    }
+}
+
+#[test]
+fn a_barrier_entry_that_disagrees_on_nprocs_is_refused() {
+    let mut net = net(7);
+    let mut clients = [ClientCore::new(Rank(3), 0), ClientCore::new(Rank(3), 1)];
+    net.client_send(Rank(3), 0, enter(&mut clients[0], "b", 2, 1));
+    net.client_send(Rank(3), 1, enter(&mut clients[1], "b", 3, 1));
+    let refused = pump(&mut net, Rank(3), 1, 1, 200);
+    assert_eq!(refused.len(), 1);
+    assert_eq!(refused[0].header.errnum, errnum::EINVAL);
+    assert!(pump(&mut net, Rank(3), 0, 1, 200).is_empty(), "1 of 2 entered: still parked");
 }
 
 #[test]
