@@ -25,10 +25,12 @@
 //! early, flushes what arrives within `WINDOW_NS` as one message and
 //! hands the root the total once its count reaches `nprocs`. The
 //! barrier's tally carries nothing more (`Collective<()>`), the fence's
-//! its write set.
+//! its write set. Entries at different brokers may still disagree on
+//! `nprocs`: the tally where they meet is marked, the mark climbs with
+//! it, and the root fails the collective instead of counting to either.
 
 use crate::{requester_of, Handled, ModuleCtx, Requester};
-use flux_value::Value;
+use flux_value::{Map, Value};
 use flux_wire::{errnum, IdMap, Message, Payload, Topic};
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -165,16 +167,23 @@ impl<K: Ord, P: Partial> Reduction<K, P> {
     }
 }
 
+/// The field a flushed batch carries, as `true`, when the entries it
+/// counts disagree on `nprocs`; absent otherwise.
+const DISAGREE: &str = "nprocs_disagree";
+
 /// Entries into one collective and the part they carry: what climbs
 /// the tree and, at the root, the session-wide total.
 struct Tally<P> {
     nprocs: u64,
     count: u64,
+    /// Some of the entries counted here disagree on `nprocs`.
+    disagree: bool,
     part: P,
 }
 
 impl<P: Partial> Partial for Tally<P> {
     fn merge(&mut self, other: Tally<P>) {
+        self.disagree |= other.disagree || other.nprocs != self.nprocs;
         self.count += other.count;
         self.part.merge(other.part);
     }
@@ -189,7 +198,7 @@ struct Roster {
     waiters: Vec<Message>,
 }
 
-/// A collective the root counted complete.
+/// A collective the root counted complete, or failed.
 pub struct Done<P> {
     /// Its name.
     pub name: String,
@@ -197,6 +206,10 @@ pub struct Done<P> {
     pub part: P,
     /// The root's own entries, released: the caller answers them.
     pub waiters: Vec<Message>,
+    /// `Some(EINVAL)` when its entries disagreed on `nprocs`: the
+    /// collective failed, `part` is not to be acted on, and every waiter,
+    /// here and at the other brokers, is refused with this code.
+    pub failed: Option<u32>,
 }
 
 /// One counting collective at one broker: the local roster and a
@@ -242,13 +255,15 @@ impl<P: Partial> Collective<P> {
         roster.nprocs = nprocs;
         let (waiter, parked) = ctx.park(msg);
         roster.waiters.push(waiter);
-        (parked, self.gather(ctx, name, Tally { nprocs, count: 1, part: part(requester) }))
+        let tally = Tally { nprocs, count: 1, disagree: false, part: part(requester) };
+        (parked, self.gather(ctx, name, tally))
     }
 
-    /// A child's one-way batch. It is dropped unless its `name`,
-    /// `nprocs` (not 0) and `count` read and `sound` accepts the rest,
-    /// and, with `dedup`, when it copies a batch merged before: a frame
-    /// the transport delivers twice counts once. `take` moves the part
+    /// A child's one-way batch, with its mark if it has one. It is
+    /// dropped unless its `name`, `nprocs` (not 0) and `count` read and
+    /// `sound` accepts the rest, and, with `dedup`, when it copies a
+    /// batch merged before: a frame the transport delivers twice counts
+    /// once. `take` moves the part
     /// out of a batch that merges. At the root a batch may complete the
     /// collective.
     pub fn arrive(
@@ -269,11 +284,13 @@ impl<P: Partial> Collective<P> {
             return (handled, None);
         }
         let name = name.to_owned();
-        (handled, self.gather(ctx, name, Tally { nprocs, count, part: take(msg.payload) }))
+        let disagree = batch.get(DISAGREE).and_then(Value::as_bool) == Some(true);
+        let tally = Tally { nprocs, count, disagree, part: take(msg.payload) };
+        (handled, self.gather(ctx, name, tally))
     }
 
     /// Off the root, the first tally under `name` arms a window; the root
-    /// arms none, and drains a total once it is complete.
+    /// arms none, and drains a total once it is complete or marked.
     fn gather(&mut self, ctx: &mut ModuleCtx<'_>, name: String, t: Tally<P>) -> Option<Done<P>> {
         if !ctx.is_root() {
             if !self.tallies.waiting.contains_key(&name) {
@@ -286,14 +303,17 @@ impl<P: Partial> Collective<P> {
         }
         self.tallies.contribute(name, t);
         // At most one is ready: whatever completed another drained it.
-        let (name, total) = self.tallies.drain(|_, t| t.count >= t.nprocs).pop()?;
+        let (name, total) =
+            self.tallies.drain(|_, t| t.disagree || t.count >= t.nprocs).pop()?;
         let waiters = self.release(&name);
-        Some(Done { name, part: total.part, waiters })
+        let failed = total.disagree.then_some(errnum::EINVAL);
+        Some(Done { name, part: total.part, waiters, failed })
     }
 
     /// A timer fired: if it is one of this collective's windows, sends
     /// what gathered under its name one hop up on `topic`, as `{name,
-    /// nprocs, count}` plus the fields `spell` writes for the part.
+    /// nprocs, count}`, the mark if it is set, and the fields `spell`
+    /// writes for the part.
     pub fn on_window(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
@@ -303,11 +323,15 @@ impl<P: Partial> Collective<P> {
     ) {
         let Some(name) = self.windows.remove(&token) else { return };
         self.tallies.flush(ctx, topic, &name, |name, tally| {
-            let mut batch = Value::from_pairs([
-                ("name", Value::from(name)),
-                ("nprocs", Value::from(tally.nprocs as i64)),
-                ("count", Value::from(tally.count as i64)),
-            ]);
+            // Sized once for every field: these, the mark, the part's
+            // (a fence writes two) and the stamp.
+            let mut batch = Value::Object(Map::with_capacity(8));
+            batch.insert("name", Value::from(name));
+            batch.insert("nprocs", Value::from(tally.nprocs as i64));
+            batch.insert("count", Value::from(tally.count as i64));
+            if tally.disagree {
+                batch.insert(DISAGREE, Value::Bool(true));
+            }
             spell(tally.part, &mut batch);
             batch
         });
@@ -486,10 +510,66 @@ mod tests {
             assert!(up.enter(ctx, entry("b", 1, 2), |_| Sum(1)).1.is_none());
             up.on_window(ctx, 1, &topic(), spell);
             let done = up.enter(ctx, entry("b", 2, 2), |_| Sum(2)).1.expect("2 of 2");
-            (done.name, done.part.0, done.waiters.len())
+            (done.name, done.part.0, done.waiters.len(), done.failed)
         });
-        assert_eq!(total, ("b".to_owned(), 3, 2));
+        assert_eq!(total, ("b".to_owned(), 3, 2, None));
         assert_eq!(sent_and_timers(&outs), (vec![], vec![]));
+    }
+
+    /// Child `src`'s first batch for collective `name`: `count` entries
+    /// of `nprocs`, marked when `disagree`.
+    fn batch(src: u32, name: &str, nprocs: i64, count: i64, disagree: bool) -> Message {
+        let mut payload = Value::from_pairs([
+            ("name", Value::from(name)),
+            ("nprocs", Value::from(nprocs)),
+            ("count", Value::from(count)),
+            ("src", Value::from(src)),
+            ("batch", Value::from(1i64)),
+        ]);
+        if disagree {
+            payload.insert(DISAGREE, Value::Bool(true));
+        }
+        let id = MsgId { origin: Rank(src), seq: 1 };
+        Message::request(BarrierMethod::Up.topic(), id, Rank(src), payload)
+    }
+
+    #[test]
+    fn entries_that_disagree_on_nprocs_are_marked_and_the_mark_climbs() {
+        let (_, outs) = with_ctx(1, 7, |ctx| {
+            let mut up: Collective<()> = Collective::default();
+            // Agreeing tallies flush unmarked.
+            up.enter(ctx, entry("a", 1, 4), |_| ());
+            up.arrive(ctx, batch(3, "a", 4, 1, false), true, |_| true, |_| ());
+            up.on_window(ctx, 1, &topic(), |(), _| {});
+            // Two children that disagree, and a marked batch alone.
+            up.arrive(ctx, batch(4, "b", 2, 1, false), true, |_| true, |_| ());
+            up.arrive(ctx, batch(5, "b", 3, 1, false), true, |_| true, |_| ());
+            up.on_window(ctx, 2, &topic(), |(), _| {});
+            up.arrive(ctx, batch(6, "c", 5, 2, true), true, |_| true, |_| ());
+            up.on_window(ctx, 3, &topic(), |(), _| {});
+        });
+        let (sent, _) = sent_and_timers(&outs);
+        let marks: Vec<_> = sent
+            .iter()
+            .map(|v| {
+                let name = v.get("name").and_then(Value::as_str).unwrap().to_owned();
+                (name, v.get(DISAGREE).cloned())
+            })
+            .collect();
+        let marked = Some(Value::Bool(true));
+        assert_eq!(marks, [("a".into(), None), ("b".into(), marked.clone()), ("c".into(), marked)]);
+    }
+
+    #[test]
+    fn the_root_fails_a_marked_collective_before_it_counts_to_either_nprocs() {
+        let (done, _) = with_ctx(0, 7, |ctx| {
+            let mut up: Collective<()> = Collective::default();
+            assert!(up.enter(ctx, entry("m", 1, 3), |_| ()).1.is_none());
+            let done = up.arrive(ctx, batch(1, "m", 3, 1, true), true, |_| true, |_| ()).1;
+            let done = done.expect("a marked tally is drained at once");
+            (done.name, done.waiters.len(), done.failed)
+        });
+        assert_eq!(done, ("m".to_owned(), 1, Some(errnum::EINVAL)));
     }
 
     #[test]

@@ -247,11 +247,22 @@ impl KvsModule {
     // ----- fence -----------------------------------------------------------
 
     /// At the tree root a complete fence becomes one coordinated write
-    /// set, answered to the root's own waiters.
+    /// set, answered to the root's own waiters. A failed one is refused
+    /// to them and announced as failed, as the coordinator fails a fence
+    /// a master refused.
     fn fence_done(&mut self, ctx: &mut ModuleCtx<'_>, done: Option<Done<FenceAcc>>) {
-        if let Some(Done { name, part, waiters }) = done {
-            let (tuples, objects) = part.decode();
-            self.coordinate(ctx, waiters, tuples, objects, Some(&name));
+        match done {
+            Some(Done { name, waiters, failed: Some(code), .. }) => {
+                for req in &waiters {
+                    ctx.respond_err(req, code);
+                }
+                ctx.publish(Event::KvsSetroot.topic(), msg::fence_failed_event(&name, code));
+            }
+            Some(Done { name, part, waiters, failed: None }) => {
+                let (tuples, objects) = part.decode();
+                self.coordinate(ctx, waiters, tuples, objects, Some(&name));
+            }
+            None => {}
         }
     }
 

@@ -1,9 +1,9 @@
 //! The KVS wire vocabulary — the one module that knows how a client
 //! request or reply, a root reference, a frontier, a `kvs.setroot`
-//! event, a tuple batch or a load request is spelled. Every client
-//! builds its requests here ([`put`], [`key`], [`dir`], [`fence`],
-//! [`version`]; `kvs.commit` and `kvs.stats` take `{}`) and reads its
-//! replies here ([`value`], [`listing`], [`watch_update`],
+//! event, a tuple batch or a load request and its reply is spelled.
+//! Every client builds its requests here ([`put`], [`key`], [`dir`],
+//! [`fence`], [`version`]; `kvs.commit` and `kvs.stats` take `{}`) and
+//! reads its replies here ([`value`], [`listing`], [`watch_update`],
 //! [`decode_cut`]); the module parses requests through the borrowing
 //! readers beside them, and the role structs encode through the rest.
 //! The exception is the fence, a collective: the `{name, nprocs}` of
@@ -326,9 +326,10 @@ impl Spelling {
         Value::Object(m)
     }
 
-    /// `kvs.load` request for object `id` of `shard`'s tree.
+    /// `kvs.load` request for object `id` of `shard`'s tree: `{id}`, or
+    /// `{id, shard}` in a sharded session.
     pub(crate) fn load_request(self, id: ObjectId, shard: u32) -> Value {
-        let mut m = Map::from([("id".to_owned(), Value::from(id.to_hex()))]);
+        let mut m = Map::from([(LOAD_ID.to_owned(), Value::from(id.to_hex()))]);
         if let Spelling::Sharded(_) = self {
             m.insert("shard".to_owned(), Value::from(shard as i64));
         }
@@ -343,7 +344,7 @@ impl Spelling {
         let hex_is_id = |h: &str| {
             !h.bytes().any(|b| b.is_ascii_uppercase()) && ObjectId::from_hex(h) == Ok(id)
         };
-        let id_ok = m.get("id").and_then(Value::as_str).is_some_and(hex_is_id);
+        let id_ok = m.get(LOAD_ID).and_then(Value::as_str).is_some_and(hex_is_id);
         let shard_ok = match self {
             Spelling::Single => m.len() == 1,
             Spelling::Sharded(_) => {
@@ -352,6 +353,29 @@ impl Spelling {
         };
         id_ok && shard_ok
     }
+}
+
+/// The field of a `kvs.load` request, and of its reply, naming the object.
+const LOAD_ID: &str = "id";
+/// The field of a `kvs.load` reply carrying the object.
+const LOAD_OBJ: &str = "obj";
+
+/// The object a `kvs.load` request asks for (`None`: no hex `id`).
+pub(crate) fn load_request_id(req: &Value) -> Option<ObjectId> {
+    ObjectId::from_hex(req.get(LOAD_ID)?.as_str()?).ok()
+}
+
+/// The `kvs.load` reply `{id, obj}`: `obj`, an object's
+/// [`KvsObject::to_value`], said to be object `id`.
+pub(crate) fn load_reply(id: ObjectId, obj: Value) -> Value {
+    Value::from_pairs([(LOAD_ID, Value::from(id.to_hex())), (LOAD_OBJ, obj)])
+}
+
+/// The object a `kvs.load` reply carries (`None`: no well-formed
+/// `obj`). The `id` beside it is not read: a reader trusts only the
+/// address it computes from the object.
+pub(crate) fn load_reply_object(reply: &Value) -> Option<KvsObject> {
+    KvsObject::from_value(reply.get(LOAD_OBJ)?).ok()
 }
 
 // ----- tuple batches -------------------------------------------------------
@@ -472,8 +496,30 @@ mod tests {
             s.commit_event(&r(0, 4, "ab")).to_json(),
             r#"{"fences":[],"root":"ab","version":4}"#
         );
-        let id = ObjectId::hash(b"x");
-        assert_eq!(s.load_request(id, 0).to_json(), format!(r#"{{"id":"{}"}}"#, id.to_hex()));
+    }
+
+    #[test]
+    fn load_request_and_reply_are_the_pinned_bytes_and_read_back() {
+        let obj = KvsObject::Val(Value::Int(9));
+        let id = obj.id();
+        let hex = id.to_hex();
+        let reply = format!(r#"{{"id":"{hex}","obj":{{"t":"val","v":9}}}}"#);
+        let table = [
+            (Spelling::of(1).load_request(id, 0), format!(r#"{{"id":"{hex}"}}"#)),
+            (Spelling::of(4).load_request(id, 2), format!(r#"{{"id":"{hex}","shard":2}}"#)),
+            (load_reply(id, obj.to_value()), reply),
+        ];
+        for (built, literal) in &table {
+            assert_eq!(built.to_json(), *literal);
+            assert_eq!(load_request_id(built), Some(id), "{literal}");
+        }
+        assert_eq!(load_reply_object(&table[2].0), Some(obj));
+        for request in [r#"{}"#, r#"{"id":"zz"}"#, r#"{"id":9}"#] {
+            assert_eq!(load_request_id(&Value::parse(request).unwrap()), None, "{request}");
+        }
+        for reply in [r#"{}"#, r#"{"obj":{"t":"nope"}}"#, &format!(r#"{{"id":"{hex}"}}"#)] {
+            assert_eq!(load_reply_object(&Value::parse(reply).unwrap()), None, "{reply}");
+        }
     }
 
     #[test]

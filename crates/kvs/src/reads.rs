@@ -144,7 +144,7 @@ fn answer(ctx: &mut ModuleCtx<'_>, req: &Message, end: WalkEnd) -> Handled {
 type Loaded = Option<(ObjectId, Arc<KvsObject>, usize)>;
 
 fn decode_load_reply(payload: &Value) -> Loaded {
-    let obj = KvsObject::from_value(payload.get("obj")?).ok()?;
+    let obj = msg::load_reply_object(payload)?;
     let (id, size) = (obj.id(), obj.approx_size());
     Some((id, Arc::new(obj), size))
 }
@@ -156,7 +156,7 @@ fn decode_load_reply(payload: &Value) -> Loaded {
 pub(crate) fn load_id(payload: &Payload) -> Option<ObjectId> {
     match payload.memoized::<Option<ObjectId>>() {
         Some(id) => *id,
-        None => payload.get("id").and_then(Value::as_str).and_then(|h| ObjectId::from_hex(h).ok()),
+        None => msg::load_request_id(payload),
     }
 }
 
@@ -184,7 +184,7 @@ pub(crate) struct Reads {
 impl Reads {
     /// Builds (or reuses) the shared `kvs.load` reply payload for `id`.
     fn load_reply(&mut self, id: ObjectId, obj: &KvsObject) -> Payload {
-        let build = || Value::from_pairs([("id", id.to_hex().into()), ("obj", obj.to_value())]);
+        let build = || msg::load_reply(id, obj.to_value());
         // A `Payload` clone is a refcount bump: every child is answered
         // with the one memoized reply.
         self.load_replies.entry(id).or_insert_with(|| build().into()).clone()
@@ -470,7 +470,7 @@ mod tests {
 
     /// The `kvs.load` reply a parent builds: `obj`, said to be object `id`.
     fn load_payload(id: ObjectId, obj: Value) -> Payload {
-        Value::from_pairs([("id", id.to_hex().into()), ("obj", obj)]).into()
+        msg::load_reply(id, obj).into()
     }
 
     /// One slave broker gets `b` under root `want`, faults the root in
@@ -752,7 +752,7 @@ mod tests {
                 reads.on_heartbeat(ctx, &mut rep);
             }
             assert_eq!(load_in_flight(&reads).header.id, first.header.id, "sent again as itself");
-            let reply = Message::response_to(&first, Value::from_pairs([("obj", dir.to_value())]));
+            let reply = Message::response_to(&first, msg::load_reply(dir.id(), dir.to_value()));
             assert!(reads.handle_response(ctx, &mut rep, &reply), "an answer to either copy");
             assert!(reads.walks.is_empty() && reads.loads.in_flight().is_empty());
             assert!(

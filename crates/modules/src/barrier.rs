@@ -6,14 +6,17 @@
 //! up the tree — each broker merges the entries of one short window into
 //! one `barrier.up {name, nprocs, count, src, batch}` — and when the
 //! root's count reaches `nprocs`, it publishes a `barrier.exit` event;
-//! every broker then releases its local waiters. The barrier is a
+//! every broker then releases its local waiters. Entries at different
+//! brokers that disagree on `nprocs` fail the barrier instead: the
+//! root's `barrier.exit` then carries `errnum` (`EINVAL`), and every
+//! waiter is refused with it. The barrier is a
 //! [`flux_broker::reduce::Collective`] that carries nothing beside its
 //! count: `kvs.fence` is the same collective carrying a write set. KAP
 //! uses the barrier for phase alignment.
 
 use flux_broker::reduce::{Collective, Done};
 use flux_broker::{CommsModule, Handled, ModuleCtx};
-use flux_proto::{BarrierMethod, Event};
+use flux_proto::{BarrierMethod, Event, BARRIER_EXIT_ERRNUM};
 use flux_value::Value;
 use flux_wire::{errnum, Message};
 
@@ -30,14 +33,27 @@ impl BarrierModule {
     }
 }
 
-/// At the root, a complete barrier: announced to every broker, and its
-/// waiters here released.
+/// At the root, a complete or failed barrier: announced to every
+/// broker, and its waiters here released.
 fn exit(ctx: &mut ModuleCtx<'_>, done: Option<Done<()>>) {
-    if let Some(Done { name, waiters, .. }) = done {
-        ctx.publish(Event::BarrierExit.topic(), named(&name));
-        for req in waiters {
-            ctx.respond(&req, named(&name));
+    if let Some(Done { name, waiters, failed, .. }) = done {
+        let mut event = named(&name);
+        if let Some(code) = failed {
+            event.insert(BARRIER_EXIT_ERRNUM, Value::from(code));
         }
+        ctx.publish(Event::BarrierExit.topic(), event);
+        answer(ctx, waiters, &name, failed);
+    }
+}
+
+/// Answers each of `waiters`: `{name}`, or the code the barrier failed
+/// with.
+fn answer(ctx: &mut ModuleCtx<'_>, waiters: Vec<Message>, name: &str, failed: Option<u32>) {
+    for req in waiters {
+        match failed {
+            Some(code) => ctx.respond_err(&req, code),
+            None => ctx.respond(&req, named(name)),
+        };
     }
 }
 
@@ -70,9 +86,9 @@ impl CommsModule for BarrierModule {
             return;
         }
         if let Some(name) = msg.payload.get("name").and_then(Value::as_str) {
-            for req in self.barriers.release(name) {
-                ctx.respond(&req, named(name));
-            }
+            let failed = msg.payload.get(BARRIER_EXIT_ERRNUM).and_then(Value::as_uint);
+            let failed = failed.and_then(|code| u32::try_from(code).ok());
+            answer(ctx, self.barriers.release(name), name, failed);
         }
     }
 

@@ -12,7 +12,7 @@ use flux_broker::client::ClientCore;
 use flux_broker::testing::TestNet;
 use flux_broker::CommsModule;
 use flux_kvs::{msg, KvsModule};
-use flux_modules::BarrierModule;
+use flux_modules::{standard_modules, BarrierModule};
 use flux_proto::{BarrierMethod, KvsMethod};
 use flux_value::Value;
 use flux_wire::{errnum, Message, MsgId, Rank, Topic};
@@ -139,6 +139,43 @@ fn check(case: &Case, topic: Topic) -> Result<(), TestCaseError> {
         }
     }
     Ok(())
+}
+
+/// Two processes that disagree on `nprocs` enter at different brokers of
+/// a seven-broker session, so their entries first meet at the root. The
+/// root fails the collective instead of counting to either value: both
+/// are refused with `EINVAL`, and the fence applies nothing.
+#[test]
+fn entries_that_disagree_on_nprocs_across_brokers_fail_the_collective() {
+    for topic in [BarrierMethod::Enter.topic(), KvsMethod::Fence.topic()] {
+        let fence = topic == KvsMethod::Fence.topic();
+        let mut net = TestNet::new(7, 2, |_| standard_modules());
+        let mut clients = [ClientCore::new(Rank(3), 0), ClientCore::new(Rank(6), 1)];
+        if fence {
+            for who in 0..2 {
+                let put = msg::put(&format!("p.{who}"), Value::from(who as i64));
+                let reply = rpc(&mut net, &mut clients, who, KvsMethod::Put.topic(), put);
+                assert!(!reply.is_error(), "put {who}: {reply:?}");
+            }
+        }
+        for (who, nprocs) in [(0, 2), (1, 3)] {
+            let entry = clients[who].request(topic.clone(), msg::fence("m", nprocs), 0);
+            net.client_send(clients[who].origin(), who as u32, entry);
+        }
+        settle(&mut net);
+        for (who, client) in clients.iter().enumerate() {
+            let replies = net.take_client_msgs(client.origin(), who as u32);
+            let codes: Vec<u32> = replies.iter().map(|r| r.header.errnum).collect();
+            assert_eq!(codes, [errnum::EINVAL], "{topic}: participant {who}");
+        }
+        if fence {
+            for who in 0..2 {
+                let get = msg::key(&format!("p.{who}"));
+                let reply = rpc(&mut net, &mut clients, who, KvsMethod::Get.topic(), get);
+                assert_eq!(reply.header.errnum, errnum::ENOENT, "p.{who} was not committed");
+            }
+        }
+    }
 }
 
 proptest! {

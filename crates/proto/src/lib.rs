@@ -407,7 +407,8 @@ pub enum Event {
     LiveUp,
     /// A new KVS root: version, root hash, resolved fences.
     KvsSetroot,
-    /// A named barrier completed; waiters release.
+    /// A named barrier completed, or the root failed it
+    /// ([`BARRIER_EXIT_ERRNUM`]); waiters release.
     BarrierExit,
     /// Bulk-launch fan-out: every targeted broker starts the job.
     WexecRun,
@@ -473,6 +474,12 @@ impl Event {
         Event::ALL.iter().copied().find(|e| e.topic_str() == s)
     }
 }
+
+/// The field of a `barrier.exit` event for a barrier the root failed
+/// instead of completing, because its entries disagreed on `nprocs`: the
+/// code every waiter is refused with. A completed barrier is announced
+/// as `{name}`, a failed one as `{name, errnum}`.
+pub const BARRIER_EXIT_ERRNUM: &str = "errnum";
 
 /// Error numbers the transport itself puts in a response header — the
 /// target rank is down (`EHOSTDOWN`), the request or its answer was

@@ -12,10 +12,14 @@
 //! "Warm" means steady state: every request is answered, so no table the
 //! operation touches is still growing.
 //!
+//! The rows that build payload objects also pin the bytes their
+//! allocations ask for ([`pin_bytes`]): an object that goes back to
+//! costing more than its entries fails there while its count stays.
+//!
 //! A failure names the row, the budget and what was measured. A count
 //! above the budget is a new allocation on that path: remove it, or raise
 //! the budget in the same change that explains why. A count below it is
-//! an improvement: lower the budget to match.
+//! an improvement: lower the budget to match. Bytes are read the same way.
 
 use flux_broker::client::ClientCore;
 use flux_broker::reduce::{Partial, Reduction};
@@ -25,6 +29,7 @@ use flux_kvs::{KvsModule, KvsObject};
 use flux_proto::{CmbMethod, Event, KvsMethod};
 use flux_rt::script::{Op, ScriptClient};
 use flux_rt::sim::SimSession;
+use flux_sys::Allocs;
 use flux_sim::{Actor, ActorId, Ctx, Engine, NetParams};
 use flux_value::Value;
 use flux_wire::frame::{read_frame_into, write_frame_into, MAX_FRAME};
@@ -38,8 +43,9 @@ static ALLOC: flux_sys::CountingAlloc = flux_sys::CountingAlloc;
 const REPS: usize = 100;
 
 /// Runs `op` on inputs from `next`: twice to warm, then [`REPS`] times
-/// counting only `op`'s allocations, and asserts each count is `budget`.
-fn pin<I, O>(row: &str, budget: u64, mut next: impl FnMut() -> I, mut op: impl FnMut(I) -> O) {
+/// counting only `op`'s allocations, and returns what each repetition
+/// measured, having asserted they all agree.
+fn measure<I, O>(row: &str, mut next: impl FnMut() -> I, mut op: impl FnMut(I) -> O) -> Allocs {
     for _ in 0..2 {
         drop(op(next()));
     }
@@ -55,10 +61,29 @@ fn pin<I, O>(row: &str, budget: u64, mut next: impl FnMut() -> I, mut op: impl F
         counts.iter().all(|&n| n == measured),
         "allocation budget `{row}`: repetitions disagree, so the row is not warm: {counts:?}"
     );
+    measured
+}
+
+/// [`measure`]s `op` and asserts each repetition allocates `budget` times.
+fn pin<I, O>(row: &str, budget: u64, next: impl FnMut() -> I, op: impl FnMut(I) -> O) {
+    let measured = measure(row, next, op).calls;
     assert_eq!(
         measured, budget,
         "allocation budget `{row}`: expected {budget}, measured {measured}"
     );
+}
+
+/// [`pin`], and the bytes those allocations ask for pinned as well.
+fn pin_bytes<I, O>(
+    row: &str,
+    budget: u64,
+    bytes: u64,
+    next: impl FnMut() -> I,
+    op: impl FnMut(I) -> O,
+) {
+    let Allocs { calls, bytes: asked } = measure(row, next, op);
+    assert_eq!(calls, budget, "allocation budget `{row}`: expected {budget}, measured {calls}");
+    assert_eq!(asked, bytes, "allocation bytes `{row}`: expected {bytes}, measured {asked}");
 }
 
 /// A budget that differs between the debug and release profiles: a debug
@@ -133,9 +158,10 @@ fn wire_framing() {
     // The warm-up reads leave `body` holding a frame, so each counted read
     // is a second frame through one buffer: the decode is all it costs.
     let mut body = Vec::new();
-    pin(
+    pin_bytes(
         "read_frame_into, second frame through one buffer (kvs.get request)",
         6,
+        183,
         || (),
         |()| read_frame_into(&mut &stream[..], MAX_FRAME, &mut body),
     );
@@ -185,15 +211,17 @@ fn kvs_at_the_master() {
     let master = RefCell::new(master_with_key(&mut core));
     let ask = |msg| from_client(&mut master.borrow_mut(), msg);
 
-    pin(
+    pin_bytes(
         "kvs.get of a committed key at the rank-0 master",
         6,
+        549,
         || core.request(KvsMethod::Get.topic(), get_payload("bench.k"), 0),
         ask,
     );
-    pin(
+    pin_bytes(
         "kvs.get_version at the master",
         9,
+        807,
         || core.request(KvsMethod::GetVersion.topic(), Value::object(), 0),
         ask,
     );
@@ -227,9 +255,10 @@ fn kvs_at_the_master() {
     let id = KvsObject::Val(Value::Int(42)).id().to_hex();
     let load = Value::from_pairs([("id", Value::from(id.as_str()))]);
     let mut seq = 0;
-    pin(
+    pin_bytes(
         "kvs.load served at the master",
         3,
+        404,
         || {
             seq += 1;
             Message::request(
@@ -368,9 +397,10 @@ fn kvs_fence_up_merged_at_an_interior_broker() {
         });
         (relay.handle(0, Input::Timer { token: token.expect("the window is armed") }), merged)
     };
-    pin(
+    pin_bytes(
         "kvs.fence.up from child rank 3, merged at interior rank 1 and flushed by its window",
         17,
+        1403,
         next,
         merge,
     );
@@ -381,9 +411,10 @@ fn broker_routing() {
     let mut core = ClientCore::new(Rank(1), 0);
 
     let mut local = started(BrokerConfig::new(Rank(0), 1), Vec::new());
-    pin(
+    pin_bytes(
         "cmb.ping answered locally",
         7,
+        726,
         || core.request(CmbMethod::Ping.topic(), Value::object(), 0),
         |msg| from_client(&mut local, msg),
     );
@@ -508,13 +539,43 @@ fn warm_get_sim_script() {
         session.engine_mut().run_budgeted(1);
     }
     let mut done = 2 + WARM;
-    pin(
+    pin_bytes(
         "warm-get sim script, whole session per op",
         9,
+        317,
         || done += 1,
         |()| session.engine_mut().run_budgeted(4),
     );
     let out = outcome.borrow();
     assert_eq!(out.op_done_ns.len(), done, "each repetition completed exactly one get");
     assert!(out.op_err.iter().all(|&e| e == 0), "{:?}", out.op_err);
+}
+
+#[test]
+fn hostile_length_prefix() {
+    // A canonical object, then an array, whose length prefix claims 2^40
+    // entries, followed by one well-formed entry: decoding fails
+    // `Truncated` after that entry, having sized the container by the
+    // bytes that follow the prefix, not by the claim.
+    let mut object = vec![0x07];
+    flux_value::write_varint(&mut object, 1 << 40);
+    object.extend([1, b'a', 0x00]);
+    let mut array = vec![0x06];
+    flux_value::write_varint(&mut array, 1 << 40);
+    array.push(0x00);
+    for (row, bytes, calls, asked) in [
+        ("canonical object claiming 2^40 entries, one present", &object, 2, 57),
+        ("canonical array claiming 2^40 elements, one present", &array, 1, 32),
+    ] {
+        pin_bytes(
+            row,
+            calls,
+            asked,
+            || (),
+            |()| {
+                let err = Value::decode_canonical(bytes).expect_err("claims more than it holds");
+                assert_eq!(err, flux_value::DecodeError::Truncated);
+            },
+        );
+    }
 }

@@ -4,7 +4,8 @@
 //! holds two things, each behind a safe interface:
 //!
 //! - [`CountingAlloc`] is a global allocator that forwards to
-//!   [`System`] and counts, per thread, every call that obtains memory.
+//!   [`System`] and counts, per thread, every call that obtains memory
+//!   and the bytes those calls ask for.
 //!   It is installed in exactly one test binary (`flux-rt`'s
 //!   `alloc_budget`), which pins allocations per warm operation.
 //! - [`sha1_compress`] runs SHA1's compression function on the CPU's
@@ -21,18 +22,32 @@ use std::cell::Cell;
 thread_local! {
     /// Const-initialized and free of destructors, so reading or bumping
     /// it never allocates and never re-enters the allocator.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<Allocs> = const { Cell::new(Allocs { calls: 0, bytes: 0 }) };
+}
+
+/// What the allocator was asked for on one thread.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Allocs {
+    /// `alloc`, `alloc_zeroed` and `realloc` calls.
+    pub calls: u64,
+    /// The bytes those calls asked for: each allocation's size, and the
+    /// new size of each `realloc`.
+    pub bytes: u64,
 }
 
 /// Counts `alloc`, `alloc_zeroed` and `realloc` calls on the calling
-/// thread, then forwards them to [`System`]. Install it with
+/// thread and sums the bytes they ask for, then forwards them to
+/// [`System`]. Install it with
 /// `#[global_allocator] static A: flux_sys::CountingAlloc = flux_sys::CountingAlloc;`.
 pub struct CountingAlloc;
 
-fn bump() {
+fn bump(bytes: usize) {
     // During thread teardown the slot may be gone: such an allocation
     // goes uncounted rather than aborting the process.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = ALLOCATIONS.try_with(|n| {
+        let Allocs { calls, bytes: sum } = n.get();
+        n.set(Allocs { calls: calls + 1, bytes: sum + bytes as u64 });
+    });
 }
 
 // SAFETY: every method passes its arguments unchanged to `System`, which
@@ -41,14 +56,14 @@ fn bump() {
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: the caller's obligations on `layout` are `System::alloc`'s.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: forwarded under this method's own contract.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: the caller's obligations on `layout` are `System::alloc_zeroed`'s.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: forwarded under this method's own contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -61,19 +76,20 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     // SAFETY: `ptr` came from this allocator, hence from `System`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         // SAFETY: forwarded under this method's own contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
-/// Runs `f` and returns its result with the number of allocations it
-/// made on this thread. Always zero unless [`CountingAlloc`] is the
-/// global allocator.
-pub fn count<R>(f: impl FnOnce() -> R) -> (R, u64) {
+/// Runs `f` and returns its result with the allocations it made on this
+/// thread and the bytes they asked for. Always zero unless
+/// [`CountingAlloc`] is the global allocator.
+pub fn count<R>(f: impl FnOnce() -> R) -> (R, Allocs) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (out, ALLOCATIONS.with(Cell::get) - before)
+    let after = ALLOCATIONS.with(Cell::get);
+    (out, Allocs { calls: after.calls - before.calls, bytes: after.bytes - before.bytes })
 }
 
 /// Applies SHA1's compression function (FIPS 180-1) to `state` once per

@@ -194,6 +194,14 @@ impl<'a> Cursor<'a> {
         Ok(v)
     }
 
+    /// How many of `claimed` elements, each at least `min_bytes` long,
+    /// the unread input can hold: a container is sized from its length
+    /// prefix, but a hostile prefix reserves no more than the input.
+    fn room(&self, claimed: u64, min_bytes: usize) -> usize {
+        let left = (self.bytes.len() - self.pos) / min_bytes;
+        usize::try_from(claimed).map_or(left, |n| n.min(left))
+    }
+
     fn string(&mut self) -> Result<String, DecodeError> {
         let len = self.varint()? as usize;
         let raw = self.take(len)?;
@@ -220,16 +228,17 @@ fn decode_one(cur: &mut Cursor<'_>, depth: u32) -> Result<Value, DecodeError> {
         }
         tag::STR => Value::Str(cur.string()?),
         tag::ARRAY => {
-            let len = cur.varint()? as usize;
-            let mut a = Vec::new();
+            let len = cur.varint()?;
+            let mut a = Vec::with_capacity(cur.room(len, 1));
             for _ in 0..len {
                 a.push(decode_one(cur, depth + 1)?);
             }
             Value::Array(a)
         }
         tag::OBJECT => {
-            let len = cur.varint()? as usize;
-            let mut m = Map::new();
+            let len = cur.varint()?;
+            // An entry is at least a key length and a value tag.
+            let mut m = Map::with_capacity(cur.room(len, 2));
             for _ in 0..len {
                 let k = cur.string()?;
                 // Keys arrive strictly ascending, so the map's last key is
@@ -238,7 +247,7 @@ fn decode_one(cur: &mut Cursor<'_>, depth: u32) -> Result<Value, DecodeError> {
                     return Err(DecodeError::UnsortedKeys);
                 }
                 let v = decode_one(cur, depth + 1)?;
-                m.insert(k, v);
+                m.push_last(k, v);
             }
             Value::Object(m)
         }
@@ -337,6 +346,18 @@ mod tests {
         buf.extend([1, b'a', 0x00]);
         buf.extend([1, b'a', 0x00]);
         assert_eq!(Value::decode_canonical(&buf), Err(DecodeError::UnsortedKeys));
+    }
+
+    #[test]
+    fn a_length_prefix_claiming_more_than_the_input_holds_is_truncated() {
+        // 2^40 entries claimed, one present: the container is sized by
+        // the bytes left (a reservation of 2^40 entries would abort).
+        for (tag, entry) in [(tag::OBJECT, &[1, b'a', tag::NULL][..]), (tag::ARRAY, &[tag::NULL])] {
+            let mut buf = vec![tag];
+            write_varint(&mut buf, 1 << 40);
+            buf.extend_from_slice(entry);
+            assert_eq!(Value::decode_canonical(&buf), Err(DecodeError::Truncated));
+        }
     }
 
     /// `[[[…]]]` nested `n` deep, as raw bytes (each level is tag + len 1,

@@ -11,7 +11,7 @@
 //! therefore provides:
 //!
 //! * [`Value`] — an owned JSON value with deterministic object ordering
-//!   (objects are `BTreeMap`s),
+//!   (an object is a [`Map`], its entries in one key-sorted vector),
 //! * a JSON text parser ([`Value::parse`]) and serializer
 //!   ([`Value::to_json`], [`Value::to_json_pretty`]),
 //! * a canonical binary encoding ([`Value::encode_canonical`] /
@@ -33,13 +33,15 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 mod canonical;
+pub mod map;
 mod parse;
 mod ser;
 mod value;
 
 pub use canonical::{read_varint, write_varint, DecodeError};
 pub use parse::ParseError;
-pub use value::{Map, Value};
+pub use map::Map;
+pub use value::Value;
 
 #[cfg(test)]
 mod proptests;

@@ -132,11 +132,13 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.expect(b'{')?;
-        let mut map = Map::new();
+        // The members in text order; the map sorts them once at the end,
+        // a repeated key keeping its last value.
+        let mut members = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
+            return Ok(Value::Object(Map::new()));
         }
         loop {
             self.skip_ws();
@@ -148,11 +150,11 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let val = self.value(depth + 1)?;
-            map.insert(key, val);
+            members.push((key, val));
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(map)),
+                Some(b'}') => return Ok(Value::Object(members.into_iter().collect())),
                 _ => return Err(self.err("expected ',' or '}' in object")),
             }
         }

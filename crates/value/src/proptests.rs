@@ -2,6 +2,7 @@
 
 use crate::{Map, Value};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Strategy producing arbitrary [`Value`]s, recursively.
 ///
@@ -21,7 +22,8 @@ pub fn arb_value() -> impl Strategy<Value = Value> {
     leaf.prop_recursive(4, 48, 6, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..6).prop_map(Value::Array),
-            prop::collection::btree_map(".{0,8}", inner, 0..6).prop_map(Value::Object),
+            prop::collection::btree_map(".{0,8}", inner, 0..6)
+                .prop_map(|m| Value::Object(m.into_iter().collect())),
         ]
     })
 }
@@ -99,5 +101,74 @@ proptest! {
         prop_assert!(sz >= 1);
         let enc = v.encode_canonical().len();
         prop_assert!(sz <= 16 * (enc + 16));
+    }
+}
+
+/// One operation of a random sequence run on a [`Map`] and on a
+/// `BTreeMap` model.
+#[derive(Debug, Clone)]
+enum MapOp {
+    Insert(String, i64),
+    Remove(String),
+    Extend(Vec<(String, i64)>),
+    /// Keeps the entries whose value is not `r` modulo 3.
+    Retain(i64),
+    /// Sets the value if the key has one, inserts its negation otherwise.
+    Entry(String, i64),
+    Get(String),
+}
+
+fn map_ops() -> impl Strategy<Value = Vec<MapOp>> {
+    // Keys from a small alphabet, so operations keep meeting each other.
+    let key = "[a-e]{0,2}";
+    let op = prop_oneof![
+        (key, any::<i64>()).prop_map(|(k, v)| MapOp::Insert(k, v)),
+        key.prop_map(MapOp::Remove),
+        prop::collection::vec((key, any::<i64>()), 0..8).prop_map(MapOp::Extend),
+        (0i64..3).prop_map(MapOp::Retain),
+        (key, any::<i64>()).prop_map(|(k, v)| MapOp::Entry(k, v)),
+        key.prop_map(MapOp::Get),
+    ];
+    prop::collection::vec(op, 0..64)
+}
+
+proptest! {
+    // The default configuration, so that `PROPTEST_CASES` widens it.
+
+    /// `Map` keeps the contents and the iteration order of a
+    /// `BTreeMap<String, Value>` through any sequence of operations, and
+    /// answers each the way it does.
+    #[test]
+    fn map_matches_a_btreemap_model(ops in map_ops()) {
+        let mut map = Map::new();
+        let mut model: BTreeMap<String, Value> = BTreeMap::new();
+        for op in ops {
+            match op {
+                MapOp::Insert(k, v) => {
+                    prop_assert_eq!(map.insert(k.clone(), v.into()), model.insert(k, v.into()));
+                }
+                MapOp::Remove(k) => prop_assert_eq!(map.remove(&k), model.remove(&k)),
+                MapOp::Extend(pairs) => {
+                    let pairs = pairs.into_iter().map(|(k, v)| (k, Value::from(v)));
+                    map.extend(pairs.clone());
+                    model.extend(pairs);
+                }
+                MapOp::Retain(r) => {
+                    let keep = |v: &mut Value| v.as_int().is_some_and(|i| i.rem_euclid(3) != r);
+                    map.retain(|_, v| keep(v));
+                    model.retain(|_, v| keep(v));
+                }
+                MapOp::Entry(k, v) => {
+                    let set = |x: &mut Value| *x = Value::Int(v);
+                    let neg = Value::Int(v.wrapping_neg());
+                    let got = map.entry(k.clone()).and_modify(set).or_insert(neg.clone()).clone();
+                    let want = model.entry(k).and_modify(set).or_insert(neg).clone();
+                    prop_assert_eq!(got, want);
+                }
+                MapOp::Get(k) => prop_assert_eq!(map.get(&k), model.get(&k)),
+            }
+            prop_assert_eq!(map.len(), model.len());
+            prop_assert!(map.iter().eq(model.iter()), "{:?} != {:?}", map, model);
+        }
     }
 }

@@ -1,13 +1,7 @@
 //! The [`Value`] enum and its accessors/constructors.
 
-use std::collections::BTreeMap;
+use crate::Map;
 use std::fmt;
-
-/// The map type used for JSON objects.
-///
-/// A `BTreeMap` rather than a hash map: object iteration order is part of
-/// the canonical encoding, so it must be deterministic.
-pub type Map = BTreeMap<String, Value>;
 
 /// An owned JSON value.
 ///
@@ -48,7 +42,8 @@ impl Value {
     }
 
     /// Convenience constructor: an object from an iterator of pairs. A
-    /// repeated key keeps its last value, as `BTreeMap::from_iter` does.
+    /// repeated key keeps its last value, as `collect` into a [`Map`]
+    /// does.
     ///
     /// ```
     /// use flux_value::Value;
@@ -60,14 +55,9 @@ impl Value {
         K: Into<String>,
         I: IntoIterator<Item = (K, Value)>,
     {
-        // Inserting one by one: `collect` would stage the pairs in a
-        // sorted `Vec` first, which costs more than it saves for the one
-        // to four fields of a protocol payload.
-        let mut map = Map::new();
-        for (k, v) in pairs {
-            map.insert(k.into(), v);
-        }
-        Value::Object(map)
+        // `collect` sizes the entries from the size hint and sorts them
+        // only if they arrive out of order.
+        Value::Object(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 
     /// Returns `true` if this is `Value::Null`.

@@ -19,7 +19,8 @@ fn arb_value() -> impl Strategy<Value = Value> {
     leaf.prop_recursive(3, 24, 4, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
-            prop::collection::btree_map("[a-z]{1,6}", inner, 0..4).prop_map(Value::Object),
+            prop::collection::btree_map("[a-z]{1,6}", inner, 0..4)
+                .prop_map(|m| Value::Object(m.into_iter().collect())),
         ]
     })
 }
