@@ -119,13 +119,14 @@ impl<K: Ord, P: Partial> Reduction<K, P> {
     }
 
     /// Sends what waits under `key`, if anything, one hop up on `topic`
-    /// as the object `encode` returns plus the stamp.
-    pub fn flush(
+    /// as an object of the fields `encode` returns plus the stamp. The
+    /// fields' size hint sizes the object.
+    pub fn flush<F: IntoIterator<Item = (&'static str, Value)>>(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
         topic: &Topic,
         key: &K,
-        encode: impl FnOnce(K, P) -> Value,
+        encode: impl FnOnce(K, P) -> F,
     ) {
         if let Some((key, part)) = self.waiting.remove_entry(key) {
             self.send(ctx, topic, encode(key, part));
@@ -133,24 +134,32 @@ impl<K: Ord, P: Partial> Reduction<K, P> {
     }
 
     /// [`Reduction::flush`] for every key `ready` accepts, in key order.
-    pub fn flush_all(
+    pub fn flush_all<F: IntoIterator<Item = (&'static str, Value)>>(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
         topic: &Topic,
         ready: impl FnMut(&K, &P) -> bool,
-        mut encode: impl FnMut(K, P) -> Value,
+        mut encode: impl FnMut(K, P) -> F,
     ) {
         for (key, part) in self.drain(ready) {
             self.send(ctx, topic, encode(key, part));
         }
     }
 
-    fn send(&mut self, ctx: &mut ModuleCtx<'_>, topic: &Topic, mut payload: Value) {
+    /// Builds the stamped object, allocated once for the fields and the
+    /// stamp, and sends it.
+    fn send<F>(&mut self, ctx: &mut ModuleCtx<'_>, topic: &Topic, fields: F)
+    where
+        F: IntoIterator<Item = (&'static str, Value)>,
+    {
         self.next_batch += 1;
-        payload.insert("src", Value::from(ctx.rank().0));
-        payload.insert("batch", Value::from(self.next_batch as i64));
+        let fields = fields.into_iter();
+        let mut stamped = Map::with_capacity(fields.size_hint().0 + 2);
+        let batch = Value::from(self.next_batch as i64);
+        let stamp = [("src", Value::from(ctx.rank().0)), ("batch", batch)];
+        stamped.extend(fields.chain(stamp).map(|(k, v)| (k.to_owned(), v)));
         // The root has no upstream and never flushes.
-        ctx.notify_upstream(topic.clone(), payload);
+        ctx.notify_upstream(topic.clone(), Value::Object(stamped));
     }
 
     /// True the first time the `(src, batch)` stamp of `payload` is
@@ -313,27 +322,23 @@ impl<P: Partial> Collective<P> {
     /// A timer fired: if it is one of this collective's windows, sends
     /// what gathered under its name one hop up on `topic`, as `{name,
     /// nprocs, count}`, the mark if it is set, and the fields `spell`
-    /// writes for the part.
-    pub fn on_window(
+    /// returns for the part.
+    pub fn on_window<F: IntoIterator<Item = (&'static str, Value)>>(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
         token: u64,
         topic: &Topic,
-        spell: impl FnOnce(P, &mut Value),
+        spell: impl FnOnce(P) -> F,
     ) {
         let Some(name) = self.windows.remove(&token) else { return };
         self.tallies.flush(ctx, topic, &name, |name, tally| {
-            // Sized once for every field: these, the mark, the part's
-            // (a fence writes two) and the stamp.
-            let mut batch = Value::Object(Map::with_capacity(8));
-            batch.insert("name", Value::from(name));
-            batch.insert("nprocs", Value::from(tally.nprocs as i64));
-            batch.insert("count", Value::from(tally.count as i64));
-            if tally.disagree {
-                batch.insert(DISAGREE, Value::Bool(true));
-            }
-            spell(tally.part, &mut batch);
-            batch
+            let counted = [
+                ("name", Value::from(name)),
+                ("nprocs", Value::from(tally.nprocs as i64)),
+                ("count", Value::from(tally.count as i64)),
+            ];
+            let mark = tally.disagree.then_some((DISAGREE, Value::Bool(true)));
+            counted.into_iter().chain(mark).chain(spell(tally.part))
         });
     }
 
@@ -430,8 +435,8 @@ mod tests {
         (sent, timers)
     }
 
-    fn encode(key: &str, sum: Sum) -> Value {
-        Value::from_pairs([("key", Value::from(key)), ("sum", Value::from(sum.0 as i64))])
+    fn encode(key: &str, sum: Sum) -> [(&'static str, Value); 2] {
+        [("key", Value::from(key)), ("sum", Value::from(sum.0 as i64))]
     }
 
     #[test]
@@ -475,8 +480,8 @@ mod tests {
         msg
     }
 
-    fn spell(sum: Sum, batch: &mut Value) {
-        batch.insert("sum", Value::from(sum.0 as i64));
+    fn spell(sum: Sum) -> [(&'static str, Value); 1] {
+        [("sum", Value::from(sum.0 as i64))]
     }
 
     #[test]
@@ -540,13 +545,13 @@ mod tests {
             // Agreeing tallies flush unmarked.
             up.enter(ctx, entry("a", 1, 4), |_| ());
             up.arrive(ctx, batch(3, "a", 4, 1, false), true, |_| true, |_| ());
-            up.on_window(ctx, 1, &topic(), |(), _| {});
+            up.on_window(ctx, 1, &topic(), |()| []);
             // Two children that disagree, and a marked batch alone.
             up.arrive(ctx, batch(4, "b", 2, 1, false), true, |_| true, |_| ());
             up.arrive(ctx, batch(5, "b", 3, 1, false), true, |_| true, |_| ());
-            up.on_window(ctx, 2, &topic(), |(), _| {});
+            up.on_window(ctx, 2, &topic(), |()| []);
             up.arrive(ctx, batch(6, "c", 5, 2, true), true, |_| true, |_| ());
-            up.on_window(ctx, 3, &topic(), |(), _| {});
+            up.on_window(ctx, 3, &topic(), |()| []);
         });
         let (sent, _) = sent_and_timers(&outs);
         let marks: Vec<_> = sent

@@ -220,7 +220,7 @@ fn fig1_wireup_grows_with_size_and_a_wider_tree_is_faster() {
         .iter()
         .map(|&size| (ablate::wireup_ns(size, 2), ablate::wireup_ns(size, 16)))
         .collect();
-    assert_eq!(cells, [(102_336, 40_366), (152_292, 61_484), (203_146, 72_596)]);
+    assert_eq!(cells, [(102_229, 40_208), (152_135, 61_325), (202_906, 72_329)]);
     assert!(cells.windows(2).all(|w| w[1].0 > w[0].0 && w[1].1 > w[0].1), "{cells:?}");
     assert!(cells.iter().all(|(binary, wide)| wide < binary), "{cells:?}");
 }
@@ -234,7 +234,7 @@ fn a1_fence_falls_and_consumer_rises_with_arity() {
         .map(|&arity| ablate::arity_cell(32, 4, arity))
         .map(|r| (r.sync_ns, r.consumer_ns))
         .collect();
-    assert_eq!(cells, [(162_181, 159_140), (131_008, 165_647), (106_842, 211_098)]);
+    assert_eq!(cells, [(160_280, 156_720), (129_305, 161_050), (105_034, 194_412)]);
     assert!(cells.windows(2).all(|w| w[1].0 < w[0].0 && w[1].1 > w[0].1), "{cells:?}");
 }
 
@@ -245,6 +245,6 @@ fn a1_fence_falls_and_consumer_rises_with_arity() {
 fn a3_completes_at_every_depth_with_an_interior_optimum() {
     let ns: Vec<u64> =
         ablate::PLACEMENTS.iter().map(|&d| ablate::placement_makespan_ns(32, 4, d)).collect();
-    assert_eq!(ns, [257_184, 207_763, 191_995, 228_760]);
+    assert_eq!(ns, [254_446, 203_921, 188_530, 227_114]);
     assert!(ns[2] < ns[0] && ns[2] < ns[3], "{ns:?}");
 }

@@ -89,10 +89,9 @@ pub(crate) fn take(batch: Payload) -> FenceAcc {
     }
 }
 
-/// Writes the write set into the batch a window flushes.
-pub(crate) fn spell(part: FenceAcc, batch: &mut Value) {
-    batch.insert("tuples", Value::Array(part.tuples));
-    batch.insert("objects", Value::Object(part.objects));
+/// The write set's fields in the batch a window flushes.
+pub(crate) fn spell(part: FenceAcc) -> [(&'static str, Value); 2] {
+    [("tuples", Value::Array(part.tuples)), ("objects", Value::Object(part.objects))]
 }
 
 #[cfg(test)]

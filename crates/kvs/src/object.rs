@@ -1,7 +1,7 @@
 //! KVS objects: values and directories.
 
 use flux_hash::ObjectId;
-use flux_value::{Map, Value};
+use flux_value::{varint_len, Map, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -112,18 +112,26 @@ impl KvsObject {
 
     /// The content address: SHA1 of the canonical encoding.
     pub fn id(&self) -> ObjectId {
-        ObjectId::hash(&self.encode())
+        self.id_and_len().0
     }
 
-    /// Approximate in-memory/wire size in bytes (drives cache accounting
-    /// and the simulator's transfer costs — a directory with G entries is
-    /// ~50·G bytes, which is what makes single-directory `kvs_get` heavy
-    /// at scale, Fig. 4a).
-    pub fn approx_size(&self) -> usize {
-        match self {
-            KvsObject::Val(v) => 1 + v.approx_size(),
+    /// The content address and the length of the encoding, from one
+    /// encoding: what the cache files an object under and charges for it.
+    pub fn id_and_len(&self) -> (ObjectId, usize) {
+        let bytes = self.encode();
+        (ObjectId::hash(&bytes), bytes.len())
+    }
+
+    /// Length of [`KvsObject::encode`]'s output, summed without encoding.
+    /// A directory entry costs its name, the name's length prefix and a
+    /// 20-byte id: a directory grows with its entries, which is what
+    /// makes a single-directory `kvs_get` heavy at scale (Fig. 4a).
+    pub fn encoded_len(&self) -> usize {
+        1 + match self {
+            KvsObject::Val(v) => v.encoded_len(),
             KvsObject::Dir(entries) => {
-                1 + entries.keys().map(|name| name.len() + 28).sum::<usize>()
+                let entry = |name: &String| varint_len(name.len() as u64) + name.len() + 20;
+                varint_len(entries.len() as u64) + entries.keys().map(entry).sum::<usize>()
             }
         }
     }
@@ -172,6 +180,7 @@ impl KvsObject {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn dir(pairs: &[(&str, &[u8])]) -> KvsObject {
         KvsObject::Dir(
@@ -257,14 +266,26 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dir_size_scales_with_entries() {
-        let small = dir(&[("a", b"1")]);
-        let entries: Vec<(String, ObjectId)> =
-            (0..1000).map(|i| (format!("k{i:04}"), ObjectId::hash(b"v"))).collect();
-        let big = KvsObject::Dir(entries.into_iter().collect());
-        assert!(big.approx_size() > 100 * small.approx_size());
-        // ~33 bytes/entry at minimum.
-        assert!(big.approx_size() >= 1000 * 30);
+    /// Values, and directories of up to 200 entries under names of up to
+    /// 40 characters: every length prefix reaches two bytes.
+    fn arb_object() -> impl Strategy<Value = KvsObject> {
+        let entry = (".{0,40}", any::<u64>())
+            .prop_map(|(name, seed)| (name, ObjectId::hash(&seed.to_le_bytes())));
+        let dir = prop::collection::vec(entry, 0..200).prop_map(BTreeMap::from_iter);
+        prop_oneof![".{0,200}".prop_map(|s| KvsObject::Val(s.into())), dir.prop_map(KvsObject::Dir)]
+    }
+
+    proptest! {
+        // The default configuration, so that `PROPTEST_CASES` widens it.
+
+        /// `encoded_len`, the size the cache charges, is exactly the
+        /// length of the encoding the id hashes, and `id_and_len` agrees
+        /// with both.
+        #[test]
+        fn encoded_len_equals_encode_len(obj in arb_object()) {
+            let len = obj.encode().len();
+            prop_assert_eq!(obj.encoded_len(), len);
+            prop_assert_eq!(obj.id_and_len(), (obj.id(), len));
+        }
     }
 }

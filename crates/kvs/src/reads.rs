@@ -137,15 +137,16 @@ fn answer(ctx: &mut ModuleCtx<'_>, req: &Message, end: WalkEnd) -> Handled {
 
 /// What a `kvs.load` reply payload holds: the object decoded from its
 /// `obj` field, under the content address computed from that decoding
-/// (never the `id` the sender wrote beside it), and its `approx_size`
-/// for the cache's accounting. `None` is a malformed `obj`. This is the
-/// view kept in the payload's memo slot, so brokers handed one payload
-/// decode, hash and size it once between them.
+/// (never the `id` the sender wrote beside it), and its encoded length
+/// for the cache's accounting, both taken from one encoding. `None` is
+/// a malformed `obj`. This is the view kept in the payload's memo slot,
+/// so brokers handed one payload decode, hash and size it once between
+/// them.
 type Loaded = Option<(ObjectId, Arc<KvsObject>, usize)>;
 
 fn decode_load_reply(payload: &Value) -> Loaded {
     let obj = msg::load_reply_object(payload)?;
-    let (id, size) = (obj.id(), obj.approx_size());
+    let (id, size) = obj.id_and_len();
     Some((id, Arc::new(obj), size))
 }
 

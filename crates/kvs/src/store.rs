@@ -16,7 +16,7 @@ use std::sync::Arc;
 pub struct CacheStats {
     /// Objects currently resident.
     pub entries: usize,
-    /// Sum of approximate object sizes resident.
+    /// Sum of the resident objects' encoded lengths.
     pub bytes: usize,
     /// Lookup hits since creation.
     pub hits: u64,
@@ -52,14 +52,14 @@ impl ObjectCache {
 
     /// Inserts an object, returning its content address. Idempotent.
     pub fn insert(&mut self, obj: KvsObject) -> ObjectId {
-        let id = obj.id();
-        self.insert_with_id(id, Arc::new(obj), None);
+        let (id, size) = obj.id_and_len();
+        self.insert_with_id(id, Arc::new(obj), Some(size));
         id
     }
 
     /// Inserts an object whose id the caller already computed, sharing
     /// the caller's allocation: brokers that decoded one payload together
-    /// hold one object together. `size` is the object's `approx_size`
+    /// hold one object together. `size` is the object's encoded length
     /// when the caller has it; `None` measures it here. Either way an id
     /// already held costs one lookup and nothing else.
     ///
@@ -68,7 +68,7 @@ impl ObjectCache {
     pub fn insert_with_id(&mut self, id: ObjectId, obj: Arc<KvsObject>, size: Option<usize>) {
         debug_assert_eq!(id, obj.id(), "content address mismatch");
         if let Slot::Vacant(slot) = self.map.entry(id) {
-            let size = size.unwrap_or_else(|| obj.approx_size());
+            let size = size.unwrap_or_else(|| obj.encoded_len());
             self.stats.entries += 1;
             self.stats.bytes += size;
             slot.insert(Entry { obj, size, last_used_epoch: self.epoch });
@@ -162,7 +162,7 @@ mod tests {
         let mut c = ObjectCache::new();
         let before = c.stats().bytes;
         let o = obj("sized");
-        let (id, real) = (o.id(), o.approx_size());
+        let (id, real) = o.id_and_len();
         c.insert_with_id(id, Arc::new(o.clone()), Some(real));
         assert_eq!(c.stats().bytes, before + real);
         c.insert_with_id(id, Arc::new(o), Some(1_000_000));
@@ -207,12 +207,19 @@ mod tests {
 
     #[test]
     fn bytes_accounting_tracks_content() {
+        // `bytes` is the sum of the held objects' encodings, the empty
+        // root's included, however each was inserted.
         let mut c = ObjectCache::new();
-        let before = c.stats().bytes;
-        c.insert(obj(&"x".repeat(1000)));
-        assert!(c.stats().bytes >= before + 1000);
+        let entries = (0..200).map(|i| (format!("k{i}"), ObjectId::hash(b"v")));
+        let objs = [obj(&"x".repeat(1000)), obj(""), KvsObject::Dir(entries.collect())];
+        let id = c.insert(objs[0].clone());
+        for o in &objs[1..] {
+            c.insert_with_id(o.id(), Arc::new(o.clone()), None);
+        }
+        let held = |c: &ObjectCache| c.map.values().map(|e| e.obj.encode().len()).sum::<usize>();
+        assert_eq!((c.stats().bytes, c.map.len()), (held(&c), 4));
         c.set_epoch(100);
-        c.expire(1, &[]);
-        assert!(c.stats().bytes < 100);
+        c.expire(1, &[id]);
+        assert_eq!((c.stats().bytes, c.map.len()), (held(&c), 1), "expiry gives back the same");
     }
 }

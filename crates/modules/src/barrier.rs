@@ -93,6 +93,6 @@ impl CommsModule for BarrierModule {
     }
 
     fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, token: u64) {
-        self.barriers.on_window(ctx, token, &BarrierMethod::Up.topic(), |(), _| {});
+        self.barriers.on_window(ctx, token, &BarrierMethod::Up.topic(), |()| []);
     }
 }

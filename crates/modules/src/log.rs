@@ -120,7 +120,7 @@ impl LogModule {
     /// Sends what waits one hop up (nothing ever waits at the root).
     fn flush_batch(&mut self, ctx: &mut ModuleCtx<'_>) {
         self.batch.flush(ctx, &LogMethod::Batch.topic(), &(), |(), Batch(entries)| {
-            Value::from_pairs([("entries", Self::entries_value(entries.into_iter()))])
+            [("entries", Self::entries_value(entries.into_iter()))]
         });
     }
 }

@@ -113,14 +113,14 @@ impl MonModule {
             // Interiors forward anything older than the current epoch.
             let older = |(_, epoch): &(String, u64), _: &Agg| *epoch < current_epoch;
             self.acc.flush_all(ctx, &MonMethod::Up.topic(), older, |(name, epoch), agg| {
-                Value::from_pairs([
+                [
                     ("name", Value::from(name)),
                     ("epoch", Value::from(epoch as i64)),
                     ("sum", Value::Float(agg.sum)),
                     ("min", Value::Float(agg.min)),
                     ("max", Value::Float(agg.max)),
                     ("count", Value::from(agg.count as i64)),
-                ])
+                ]
             });
             return;
         }

@@ -347,12 +347,12 @@ impl CommsModule for WexecModule {
         // waits at the root).
         let topic = WexecMethod::StatusUp.topic();
         self.unflushed.flush_all(ctx, &topic, |_, _| true, |jobid, status| {
-            Value::from_pairs([
+            [
                 ("jobid", Value::from(jobid as i64)),
                 ("reported", Value::from(status.reported as i64)),
                 ("failed", Value::from(status.failed as i64)),
                 ("max_code", Value::Int(status.max_code)),
-            ])
+            ]
         });
     }
 

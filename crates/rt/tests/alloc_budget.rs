@@ -26,7 +26,8 @@ use flux_broker::reduce::{Partial, Reduction};
 use flux_broker::{Broker, BrokerConfig, CommsModule, Input, Output, RankOverlay};
 use flux_hash::{ObjectId, Sha1};
 use flux_kvs::{KvsModule, KvsObject};
-use flux_proto::{CmbMethod, Event, KvsMethod};
+use flux_modules::LogModule;
+use flux_proto::{CmbMethod, Event, KvsMethod, LogMethod};
 use flux_rt::script::{Op, ScriptClient};
 use flux_rt::sim::SimSession;
 use flux_sys::Allocs;
@@ -400,9 +401,39 @@ fn kvs_fence_up_merged_at_an_interior_broker() {
     pin_bytes(
         "kvs.fence.up from child rank 3, merged at interior rank 1 and flushed by its window",
         17,
-        1403,
+        1347,
         next,
         merge,
+    );
+}
+
+#[test]
+fn log_batch_flushed_at_an_interior_broker() {
+    // Rank 1 of four merges a one-entry `log.batch` from its child rank 3
+    // and sends it on at the next heartbeat: the stamped batch is one
+    // allocation, sized for its field and the stamp together.
+    let mut relay = started(BrokerConfig::new(Rank(1), 4), vec![Box::new(LogModule::new())]);
+    let entry = Value::parse(r#"{"level":6,"rank":3,"text":"bench","time_ns":0}"#).expect("json");
+    let mut seq = 0;
+    let next = || {
+        seq += 1;
+        let (entries, n) = (Value::Array(vec![entry.clone()]), Value::from(seq as i64));
+        let batch = [("entries", entries), ("src", Value::from(3u32)), ("batch", n.clone())];
+        let (up, beat) = (MsgId { origin: Rank(3), seq }, MsgId { origin: Rank(0), seq });
+        let epoch = Value::from_pairs([("epoch", n)]);
+        let hb = Message::event(Event::Hb.topic(), beat, Rank(0), epoch);
+        (Message::request(LogMethod::Batch.topic(), up, Rank(3), Value::from_pairs(batch)), hb)
+    };
+    pin_bytes(
+        "log.batch from child rank 3, merged at interior rank 1 and flushed by the heartbeat",
+        18,
+        1165,
+        next,
+        |(batch, hb)| {
+            let at = |plane, from, msg| Input::FromBroker { plane, from: Rank(from), msg };
+            let merged = relay.handle(0, at(Plane::Tree, 3, batch));
+            (relay.handle(0, at(Plane::Event, 0, hb)), merged)
+        },
     );
 }
 

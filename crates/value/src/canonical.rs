@@ -74,9 +74,29 @@ impl std::error::Error for DecodeError {}
 impl Value {
     /// Encodes to the canonical binary form.
     pub fn encode_canonical(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.approx_size() + 16);
+        let mut out = Vec::with_capacity(self.encoded_len());
         encode_into(self, &mut out);
         out
+    }
+
+    /// Length of the canonical encoding, summed without writing it: the
+    /// bytes this value adds to a frame or a KVS object, and so what the
+    /// KVS cache and the simulator's cost model charge for it. Mirrors
+    /// `encode_into` arm for arm.
+    pub fn encoded_len(&self) -> usize {
+        let text = |s: &str| varint_len(s.len() as u64) + s.len();
+        1 + match self {
+            Value::Null | Value::Bool(_) => 0,
+            Value::Int(_) | Value::Float(_) => 8,
+            Value::Str(s) => text(s),
+            Value::Array(a) => {
+                varint_len(a.len() as u64) + a.iter().map(Value::encoded_len).sum::<usize>()
+            }
+            Value::Object(m) => {
+                varint_len(m.len() as u64)
+                    + m.iter().map(|(k, v)| text(k) + v.encoded_len()).sum::<usize>()
+            }
+        }
     }
 
     /// Appends the canonical encoding to `out` (avoids intermediate
@@ -116,6 +136,12 @@ pub fn write_varint(out: &mut Vec<u8>, mut v: u64) {
         }
         out.push(byte | 0x80);
     }
+}
+
+/// Number of bytes [`write_varint`] writes for `v`.
+pub fn varint_len(v: u64) -> usize {
+    // One byte per started group of 7 bits; 0 still takes a byte.
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 /// Reads an unsigned LEB128 varint from the front of `bytes`, returning
@@ -302,12 +328,12 @@ mod tests {
 
     #[test]
     fn varint_edge_cases() {
-        for v in [0u64, 1, 127, 128, 16383, 16384, u64::MAX] {
+        for v in [0u64, 1, 127, 128, 16383, 16384, 1 << 62, 1 << 63, u64::MAX] {
             let mut buf = Vec::new();
             write_varint(&mut buf, v);
             let (back, n) = read_varint(&buf).unwrap();
             assert_eq!(back, v);
-            assert_eq!(n, buf.len());
+            assert_eq!((n, varint_len(v)), (buf.len(), buf.len()));
         }
     }
 

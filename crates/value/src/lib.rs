@@ -38,7 +38,7 @@ mod parse;
 mod ser;
 mod value;
 
-pub use canonical::{read_varint, write_varint, DecodeError};
+pub use canonical::{read_varint, varint_len, write_varint, DecodeError};
 pub use parse::ParseError;
 pub use map::Map;
 pub use value::Value;

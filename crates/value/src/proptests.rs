@@ -92,16 +92,6 @@ proptest! {
         let collected: Map = pairs.iter().cloned().collect();
         prop_assert_eq!(Value::from_pairs(pairs), Value::Object(collected));
     }
-
-    /// approx_size is at least 1 and bounded by a generous multiple of the
-    /// canonical encoding length (sanity for cache accounting).
-    #[test]
-    fn approx_size_sane(v in arb_value()) {
-        let sz = v.approx_size();
-        prop_assert!(sz >= 1);
-        let enc = v.encode_canonical().len();
-        prop_assert!(sz <= 16 * (enc + 16));
-    }
 }
 
 /// One operation of a random sequence run on a [`Map`] and on a
@@ -134,6 +124,23 @@ fn map_ops() -> impl Strategy<Value = Vec<MapOp>> {
 
 proptest! {
     // The default configuration, so that `PROPTEST_CASES` widens it.
+
+    /// `encoded_len`, the size the cache and the simulator charge, is
+    /// exactly the length of the canonical encoding.
+    #[test]
+    fn encoded_len_equals_encode_len(v in arb_value(), n in 0usize..300) {
+        // From 128 on a length prefix takes two bytes: `n` entries under
+        // keys `n` bytes long, `n` copies of `v`, a string of `n`.
+        let key = |i: usize| format!("{i:0n$}");
+        let wide = Value::from_pairs([
+            ("a", Value::Object((0..n).map(|i| (key(i), v.clone())).collect())),
+            ("b", Value::Array(vec![v.clone(); n])),
+            ("c", Value::from(key(0))),
+        ]);
+        for v in [v, wide] {
+            prop_assert_eq!(v.encoded_len(), v.encode_canonical().len());
+        }
+    }
 
     /// `Map` keeps the contents and the iteration order of a
     /// `BTreeMap<String, Value>` through any sequence of operations, and

@@ -20,7 +20,7 @@
 //! (as a TCP transport would produce) decodes without external framing.
 
 use crate::{Header, Message, MsgId, MsgType, Rank, Topic};
-use flux_value::{DecodeError, Value};
+use flux_value::{varint_len, DecodeError, Value};
 use std::fmt;
 
 const MAGIC: u8 = 0xFC;
@@ -79,16 +79,6 @@ pub(crate) fn header_wire_len(h: &Header) -> usize {
     n
 }
 
-/// Encoded length of a LEB128 varint (mirrors `flux_value::write_varint`).
-fn varint_len(mut v: u64) -> usize {
-    let mut n = 1;
-    while v >= 0x80 {
-        v >>= 7;
-        n += 1;
-    }
-    n
-}
-
 pub(crate) fn encode_header(h: &Header, out: &mut Vec<u8>) {
     out.push(MAGIC);
     out.push(VERSION);
@@ -116,7 +106,7 @@ pub(crate) fn encode_header(h: &Header, out: &mut Vec<u8>) {
 impl Message {
     /// Encodes to the framed binary form.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.payload.approx_size());
+        let mut out = Vec::with_capacity(self.wire_size());
         self.encode_into(&mut out);
         out
     }

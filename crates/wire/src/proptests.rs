@@ -116,3 +116,14 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    // The default configuration, so that `PROPTEST_CASES` widens it.
+
+    /// `wire_size`, which the simulator charges per send, is exactly the
+    /// number of bytes `encode` writes.
+    #[test]
+    fn wire_size_equals_encode_len(m in arb_message()) {
+        prop_assert_eq!(m.wire_size(), m.encode().len());
+    }
+}
