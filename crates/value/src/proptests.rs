@@ -92,6 +92,16 @@ proptest! {
         let collected: Map = pairs.iter().cloned().collect();
         prop_assert_eq!(Value::from_pairs(pairs), Value::Object(collected));
     }
+
+    /// approx_size is at least 1 and bounded by a generous multiple of the
+    /// canonical encoding length (sanity for cache accounting).
+    #[test]
+    fn approx_size_sane(v in arb_value()) {
+        let sz = v.approx_size();
+        prop_assert!(sz >= 1);
+        let enc = v.encode_canonical().len();
+        prop_assert!(sz <= 16 * (enc + 16));
+    }
 }
 
 /// One operation of a random sequence run on a [`Map`] and on a

@@ -159,7 +159,8 @@ impl Value {
     }
 
     /// [`Value::encoded_len`] under its former name, kept for the one
-    /// benchmark probe that still calls it.
+    /// benchmark probe that still calls it; `approx_size_sane` and
+    /// `approx_size_is_monotone_in_content` still hold it.
     #[doc(hidden)]
     pub fn approx_size(&self) -> usize {
         self.encoded_len()
@@ -265,6 +266,15 @@ mod tests {
         assert_eq!(Value::from(vec![1i64, 2]), Value::Array(vec![Value::Int(1), Value::Int(2)]));
         assert_eq!(Value::from(None::<i64>), Value::Null);
         assert_eq!(Value::from(Some(7i64)), Value::Int(7));
+    }
+
+    #[test]
+    fn approx_size_is_monotone_in_content() {
+        let small = Value::from("ab");
+        let big = Value::from("abcdefgh");
+        assert!(big.approx_size() > small.approx_size());
+        let arr = Value::from(vec![1i64; 100]);
+        assert!(arr.approx_size() >= 800);
     }
 
     #[test]
