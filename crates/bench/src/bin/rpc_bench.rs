@@ -10,8 +10,6 @@
 //! full acceptance matrix runs (1k/4k clients — minutes, not seconds).
 //! Output goes to `PATH` or stdout.
 
-#![forbid(unsafe_code)]
-
 use flux_bench::rpc;
 
 fn main() {

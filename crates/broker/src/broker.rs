@@ -524,9 +524,11 @@ impl Broker {
         idx: usize,
         f: impl FnOnce(&mut dyn CommsModule, &mut ModuleCtx<'_>) -> R,
     ) -> R {
-        // flux-lint: allow(panic) — module re-entry is a broker bug, not
-        // an input condition; continuing with a vanished module would
-        // silently drop its traffic.
+        #[expect(
+            clippy::expect_used,
+            reason = "module re-entry is a broker bug, not an input condition; continuing \
+                      with a vanished module would silently drop its traffic"
+        )]
         let mut m = self.modules[idx].take().expect("module re-entered");
         let out = f(&mut *m, &mut ModuleCtx { core: &mut self.core, module_idx: idx });
         self.modules[idx] = Some(m);
@@ -561,10 +563,11 @@ impl Broker {
             match msg.header.msg_type {
                 MsgType::Request => self.route_request(msg),
                 MsgType::Response => {
-                    // flux-lint: allow(panic) — raised and
-                    // raised_response_module are pushed in lockstep by
-                    // Core::raise; divergence is memory corruption, not
-                    // load.
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "raised and raised_response_module are pushed in lockstep by \
+                                  Core::raise; divergence is memory corruption, not load"
+                    )]
                     let idx = self
                         .core
                         .raised_response_module
@@ -572,8 +575,11 @@ impl Broker {
                         .expect("response raised with module idx");
                     self.with_module(idx, |m, ctx| m.handle_response(ctx, &msg));
                 }
-                // flux-lint: allow(panic) — Core::raise never queues
-                // events; this arm existing at all is a local logic bug.
+                #[expect(
+                    clippy::unreachable,
+                    reason = "Core::raise never queues events; this arm existing at all is a \
+                              local logic bug"
+                )]
                 MsgType::Event => unreachable!("events are not raised"),
             }
         }

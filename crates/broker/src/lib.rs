@@ -36,9 +36,18 @@
 //! how the planes "self-heal when interior nodes fail". Root failure ends
 //! the session, as in the paper's prototype.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 mod broker;
 pub mod testing;
 mod builtin;

@@ -53,8 +53,6 @@
 //! heartbeat epochs 6..14. The same `SEED:SPEC` reproduces the same
 //! per-link fault decisions run to run.
 
-#![forbid(unsafe_code)]
-
 use flux_broker::client::{ClientCore, Delivery};
 use flux_kvs::msg;
 use flux_modules::{standard_modules, standard_modules_with_kvs};

@@ -26,9 +26,6 @@
 //! system) and drives none of the run-time substrate — brokers, KVS,
 //! `resvc`, `wexec` — in the sibling crates.
 
-
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 pub mod instance;
 pub mod jobspec;
 pub mod sched;

@@ -6,14 +6,9 @@
 //! parent and can be overridden with the `FLUX_LINT_ROOT` environment
 //! variable.
 //!
-//! Flags:
-//!
-//! * `--json` — emit the `flux-lint/v2` machine-readable document on
-//!   stdout instead of the human diagnostics (exit codes unchanged).
-//! * `--annotate` — also emit one GitHub Actions `::error` workflow
-//!   command per violation, so findings surface inline on the PR diff.
-
-#![forbid(unsafe_code)]
+//! The one flag, `--annotate`, also emits one GitHub Actions `::error`
+//! workflow command per violation, so findings surface inline on the PR
+//! diff.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -22,14 +17,12 @@ fn main() -> ExitCode {
     let root = std::env::var_os("FLUX_LINT_ROOT")
         .map(PathBuf::from)
         .unwrap_or_else(flux_lint::workspace_root);
-    let mut json = false;
     let mut annotate = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
-            "--json" => json = true,
             "--annotate" => annotate = true,
             other => {
-                eprintln!("flux-lint: unknown flag `{other}` (try --json, --annotate)");
+                eprintln!("flux-lint: unknown flag `{other}` (try --annotate)");
                 return ExitCode::from(2);
             }
         }
@@ -42,9 +35,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if json {
-        print!("{}", flux_lint::to_json(&violations));
-    }
     if annotate {
         for v in &violations {
             // GitHub Actions workflow command: newlines must be %0A to
@@ -59,16 +49,12 @@ fn main() -> ExitCode {
         }
     }
     if violations.is_empty() {
-        if !json {
-            println!("flux-lint: clean");
-        }
+        println!("flux-lint: clean");
         return ExitCode::SUCCESS;
     }
-    if !json {
-        for v in &violations {
-            eprintln!("{v}");
-        }
-        eprintln!("flux-lint: {} violation(s)", violations.len());
+    for v in &violations {
+        eprintln!("{v}");
     }
+    eprintln!("flux-lint: {} violation(s)", violations.len());
     ExitCode::FAILURE
 }

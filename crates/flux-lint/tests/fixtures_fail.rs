@@ -30,24 +30,6 @@ fn topic_literal_fixture_fails_the_tree() {
 }
 
 #[test]
-fn panic_fixture_fails_the_tree() {
-    let v = plant_and_lint("panic_unwrap.rs.bad", "crates/kvs/src/fake.rs");
-    assert!(v.iter().any(|x| x.rule == Rule::Panic), "{v:?}");
-}
-
-#[test]
-fn wildcard_fixture_fails_the_tree() {
-    let v = plant_and_lint("wildcard_match.rs.bad", "crates/wire/src/fake.rs");
-    assert!(v.iter().any(|x| x.rule == Rule::Wildcard), "{v:?}");
-}
-
-#[test]
-fn missing_header_fixture_fails_the_tree() {
-    let v = plant_and_lint("missing_header.rs.bad", "crates/fake/src/lib.rs");
-    assert_eq!(v.iter().filter(|x| x.rule == Rule::Header).count(), 2, "{v:?}");
-}
-
-#[test]
 fn block_bad_fixture_fails_the_tree() {
     // Sleep, bare recv, thread join, a lock across a write, a sleep under
     // a bare waiver, an un-deadlined socket read: each function's span
@@ -72,20 +54,4 @@ fn block_bad_fixture_fails_the_tree() {
             "no block finding in the function at line {start}: {v:?}"
         );
     }
-}
-
-#[test]
-fn unsafe_fixture_fails_the_tree() {
-    let v = plant_and_lint("unsafe_block.rs.bad", "crates/kvs/tests/fake.rs");
-    assert_eq!(v.iter().filter(|x| x.rule == Rule::Unsafe).count(), 1, "{v:?}");
-}
-
-#[test]
-fn unsafe_home_fixture_fails_the_header_rule() {
-    // Two missing deny attributes and one `unsafe` item with no SAFETY
-    // argument; the sys crate root owes no `forbid(unsafe_code)`.
-    let v = plant_and_lint("unsafe_home.rs.bad", "crates/sys/src/lib.rs");
-    let rules: Vec<Rule> = v.iter().map(|x| x.rule).collect();
-    assert_eq!(rules, [Rule::Header; 3], "{v:?}");
-    assert_eq!(v[2].line, 11, "{v:?}");
 }

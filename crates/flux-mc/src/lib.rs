@@ -21,9 +21,6 @@
 //! See `DESIGN.md` §13 for the exploration algorithm and its reduction
 //! rules.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 mod explore;
 mod run;
 mod scenario;

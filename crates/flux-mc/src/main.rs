@@ -6,8 +6,6 @@
 //! flux-mc --list
 //! ```
 
-#![forbid(unsafe_code)]
-
 use flux_mc::{explore, replay_trace, ExploreConfig, Scenario};
 use std::process::ExitCode;
 

@@ -30,9 +30,6 @@
 //! assert_eq!(ObjectId::from(h.finalize()), id);
 //! ```
 
-
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 mod object_id;
 mod sha1;
 

@@ -18,8 +18,6 @@
 //! committed reference (schema + ≤2× makespan on sim cells) and exits
 //! non-zero on failure — the CI bench-smoke job.
 
-#![forbid(unsafe_code)]
-
 use flux_kap::ablate;
 use flux_kap::bench;
 use flux_kap::layout::DirLayout;

@@ -24,9 +24,6 @@
 //! values (Fig. 3), and single- vs multi-directory key layouts of at most
 //! 128 objects per directory (Fig. 4).
 
-
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 pub mod ablate;
 pub mod bench;
 pub mod layout;

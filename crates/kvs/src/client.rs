@@ -84,8 +84,11 @@ impl Op {
                 (BarrierMethod::Enter.topic(), msg::fence(name, *nprocs))
             }
             Op::Request { topic, payload } => (topic.clone(), payload.clone()),
-            // flux-lint: allow(panic) — an API misuse (a script driver
-            // turns a Pause into a timer), not a runtime input.
+            #[expect(
+                clippy::panic,
+                reason = "an API misuse (a script driver turns a Pause into a timer), \
+                          not a runtime input"
+            )]
             Op::Pause(_) => panic!("Op::Pause has no wire request; script drivers handle it"),
         };
         core.request(topic, payload, tag)

@@ -49,8 +49,18 @@
 //! fence's `{name, nprocs, count}`, which the broker's collective spells
 //! for the barrier too. The module's own docs hold the role map.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 mod authority;
 pub mod client;
 mod coordinator;

@@ -67,6 +67,11 @@ pub fn partition_tuples(
 
 /// Picks a key of the form `{prefix}{i}` landing on `shard` (for tests
 /// and scenario builders that need keys with a known placement).
+#[expect(
+    clippy::panic,
+    reason = "test/scenario helper; 10k draws missing a shard of a uniform hash means the \
+              hash itself is broken"
+)]
 pub fn key_on_shard(prefix: &str, shard: u32, shards: u32) -> String {
     for i in 0..10_000u32 {
         let k = format!("{prefix}{i}");
@@ -74,8 +79,6 @@ pub fn key_on_shard(prefix: &str, shard: u32, shards: u32) -> String {
             return k;
         }
     }
-    // flux-lint: allow(panic) — test/scenario helper; 10k draws missing
-    // a shard of a uniform hash means the hash itself is broken.
     panic!("no key with prefix {prefix} lands on shard {shard}/{shards}")
 }
 

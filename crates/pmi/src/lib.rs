@@ -21,8 +21,6 @@
 //! either runtime): put your business card, fence with all ranks, read
 //! your peers' cards.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 use flux_broker::ClientId;
 use flux_kvs::client::{KvsClient, KvsDelivery, Op};
 use flux_value::Value;

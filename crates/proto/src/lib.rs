@@ -44,9 +44,6 @@
 //! new table + [`Service`] variant), then handle the new enum variant at
 //! every `match` the compiler flags. See DESIGN.md §12.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 use flux_wire::Topic;
 use std::sync::OnceLock;
 

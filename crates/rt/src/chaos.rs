@@ -44,8 +44,11 @@ pub const HB_PERIOD_NS: u64 = 100_000_000;
 /// `n` = `FLUX_CHAOS_SEEDS` (CI pins it), else `0..default_count`.
 pub fn seeds(default_count: u64) -> Vec<u64> {
     if let Ok(one) = std::env::var("FLUX_CHAOS_SEED") {
-        // flux-lint: allow(panic) — a malformed repro seed must fail the
-        // sweep loudly rather than silently run some other seed.
+        #[expect(
+            clippy::expect_used,
+            reason = "a malformed repro seed must fail the sweep loudly rather than \
+                      silently run some other seed"
+        )]
         return vec![one.parse().expect("FLUX_CHAOS_SEED must be a u64")];
     }
     let n = std::env::var("FLUX_CHAOS_SEEDS").ok().and_then(|v| v.parse().ok());
@@ -115,9 +118,11 @@ pub fn workload(seed: u64, time_scale_ns: u64, with_kill: bool) -> ChaosWorkload
     };
     let mut window_end_ns = 0u64;
     if with_kill {
-        // flux-lint: allow(panic) — test-harness scenario generator; the
-        // caller guarantees size > nclients, and a bad plan should fail
-        // the chaos suite loudly.
+        #[expect(
+            clippy::expect_used,
+            reason = "test-harness scenario generator; the caller guarantees size > \
+                      nclients, and a bad plan should fail the chaos suite loudly"
+        )]
         let victim = *ranks[nclients..]
             .iter()
             .min()

@@ -41,8 +41,18 @@
 //! the simulator and in wall time on the live runtime, so one seeded
 //! fault schedule drives chaos tests on both backends (see [`chaos`]).
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod chaos;
 pub mod faults;
 pub(crate) mod host;

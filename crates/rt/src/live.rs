@@ -338,6 +338,11 @@ impl SessionBuilder {
             self.seats.iter().map(|s| s.clients.len() as ClientId).collect();
         let (addrs, links) = ReactorPeers::wire(&channel_clients);
         let epoch = Instant::now();
+        #[expect(
+            clippy::expect_used,
+            reason = "setup-time thread spawn, covered by the documented `# Panics` contract: \
+                      a session that cannot start has nothing to degrade to"
+        )]
         let handles = self
             .seats
             .into_iter()
@@ -352,9 +357,6 @@ impl SessionBuilder {
                 std::thread::Builder::new()
                     .name(format!("flux-broker-{idx}"))
                     .spawn(move || host.run())
-                    // flux-lint: allow(panic) — setup-time thread spawn,
-                    // covered by the documented `# Panics` contract: a
-                    // session that cannot start has nothing to degrade to.
                     .expect("spawn broker thread")
             })
             .collect();

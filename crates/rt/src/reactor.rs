@@ -115,10 +115,12 @@ impl ReactorPeers {
     /// numbers its socket clients from `channel_clients[r]`, above its
     /// channel-attached ones. Also returns the address each rank listens
     /// on.
+    #[expect(
+        clippy::expect_used,
+        reason = "session construction: without a bound nonblocking loopback listener per \
+                  rank there is no session to run; `SessionBuilder::start` documents the panic"
+    )]
     pub(crate) fn wire(channel_clients: &[ClientId]) -> (Vec<SocketAddr>, Vec<ReactorPeers>) {
-        // flux-lint: allow(panic) — session construction: without a bound
-        // nonblocking loopback listener per rank there is no session to
-        // run; `SessionBuilder::start` documents the panic.
         ReactorPeers::bind_all(channel_clients).expect("bind a loopback listener per rank")
     }
 

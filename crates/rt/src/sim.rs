@@ -238,9 +238,12 @@ impl SimSession {
     /// # Panics
     ///
     /// Panics if `rank` is outside the session or its broker was killed.
+    #[expect(
+        clippy::expect_used,
+        reason = "an out-of-session or killed rank is caller error; drivers check \
+                  `is_broker_actor` first"
+    )]
     pub fn broker_actor(&self, rank: Rank) -> ActorId {
-        // flux-lint: allow(panic) — an out-of-session or killed rank is
-        // caller error; drivers check `is_broker_actor` first.
         self.book.borrow().broker_of(rank).expect("no live broker for rank")
     }
 

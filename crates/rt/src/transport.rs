@@ -282,6 +282,10 @@ impl ScriptTransport for LiveTransport {
         let op_timeout = self.op_timeout;
         self.with_session(size, arity, factory, &ranks, |clients| {
             let epoch = Instant::now();
+            #[expect(
+                clippy::expect_used,
+                reason = "benchmark-harness setup; failing to spawn a driver invalidates the run"
+            )]
             let drivers: Vec<_> = clients
                 .into_iter()
                 .zip(scripts)
@@ -289,17 +293,17 @@ impl ScriptTransport for LiveTransport {
                     std::thread::Builder::new()
                         .name(format!("flux-script-{}", client.rank.0))
                         .spawn(move || drive_script(&client, &ops, epoch, op_timeout))
-                        // flux-lint: allow(panic) — benchmark-harness
-                        // setup; failing to spawn a driver invalidates the
-                        // run.
                         .expect("spawn script driver")
                 })
                 .collect();
-            // flux-lint: allow(panic) — propagating a driver thread's
-            // panic into the harness is the point: a crashed script must
-            // fail the benchmark run, not produce a partial report.
             // run_scripts *is* the wait for every script driver to
             // finish; nothing else runs on this thread until they do.
+            #[expect(
+                clippy::expect_used,
+                reason = "propagating a driver thread's panic into the harness is the point: \
+                          a crashed script must fail the benchmark run, not produce a partial \
+                          report"
+            )]
             let outcomes: Vec<ScriptOutcome> =
                 drivers.into_iter().map(|d| d.join().expect("script driver panicked")).collect();
             let makespan_ns = epoch.elapsed().as_nanos() as u64;

@@ -70,9 +70,6 @@
 //! assert!(end.as_nanos() > 0);
 //! ```
 
-
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 mod actor;
 mod arena;
 mod engine;

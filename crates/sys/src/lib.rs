@@ -1,7 +1,9 @@
-//! The one crate of the workspace allowed `unsafe`; `flux-lint`'s
-//! `unsafe` rule keeps the keyword out of every other file. Each
-//! `unsafe` item below carries the argument for its soundness. It
-//! holds two things, each behind a safe interface:
+//! The one crate of the workspace allowed `unsafe`; every other crate
+//! inherits `unsafe_code = "forbid"` from the workspace manifest. This
+//! crate's own manifest denies `unsafe_op_in_unsafe_fn`, `missing_docs`
+//! and `clippy::undocumented_unsafe_blocks`, so each `unsafe` block and
+//! `unsafe impl` below carries the argument for its soundness. It holds
+//! two things, each behind a safe interface:
 //!
 //! - [`CountingAlloc`] is a global allocator that forwards to
 //!   [`System`] and counts, per thread, every call that obtains memory
@@ -12,9 +14,6 @@
 //!   SHA instructions where the CPU has them, and reports `false`
 //!   elsewhere so that `flux-hash` runs its portable compressor. It is
 //!   why shipped binaries link this crate: `flux-hash` depends on it.
-
-#![deny(unsafe_op_in_unsafe_fn)]
-#![deny(missing_docs)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

@@ -29,9 +29,6 @@
 //! assert_eq!(t.depth(Rank(6)), 2);
 //! ```
 
-
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 mod live;
 mod ring;
 mod tree;

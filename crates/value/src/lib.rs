@@ -29,9 +29,6 @@
 //! assert_eq!(Value::decode_canonical(&bytes).unwrap(), v);
 //! ```
 
-
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 mod canonical;
 pub mod map;
 mod parse;

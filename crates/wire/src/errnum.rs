@@ -41,8 +41,6 @@ pub fn strerror(errnum: u32) -> &'static str {
         ENOSYS => "function not implemented",
         ETIMEDOUT => "operation timed out",
         EHOSTDOWN => "host is down",
-        // flux-lint: allow(wildcard) — errnums are an open u32 domain;
-        // unknown codes get a generic string, never silent behavior.
         _ => "unknown error",
     }
 }

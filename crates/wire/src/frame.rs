@@ -156,8 +156,7 @@ impl FrameDecoder {
         if avail.len() < 4 {
             return Ok(None);
         }
-        // flux-lint: allow(panic) — the length check above guarantees
-        // four bytes; a shorter slice is unreachable.
+        #[expect(clippy::expect_used, reason = "the length check above guarantees four bytes")]
         let len_raw: [u8; 4] = avail[..4].try_into().expect("four length bytes");
         let len = u32::from_le_bytes(len_raw) as usize;
         if len > max_frame {

@@ -43,9 +43,19 @@
 //! assert_eq!(back.header.topic.service(), "store");
 //! ```
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![deny(clippy::wildcard_enum_match_arm, clippy::match_wildcard_for_single_variants)]
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
 mod codec;
 pub mod errnum;
 pub mod frame;

@@ -45,8 +45,6 @@ impl MsgType {
             1 => Some(MsgType::Request),
             2 => Some(MsgType::Response),
             3 => Some(MsgType::Event),
-            // flux-lint: allow(wildcard) — matching an open byte domain:
-            // every unknown value maps to a decode error, not a behavior.
             _ => None,
         }
     }

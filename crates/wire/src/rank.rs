@@ -71,9 +71,12 @@ impl From<u32> for Rank {
 impl From<usize> for Rank {
     /// # Panics
     /// Panics if `v` exceeds `u32::MAX` — sessions are bounded well below that.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract; ranks index in-process session vectors whose \
+                  sizes never approach u32::MAX"
+    )]
     fn from(v: usize) -> Self {
-        // flux-lint: allow(panic) — documented contract; ranks index
-        // in-process session vectors whose sizes never approach u32::MAX.
         Rank(u32::try_from(v).expect("rank fits in u32"))
     }
 }

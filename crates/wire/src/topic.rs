@@ -73,10 +73,12 @@ impl Topic {
     ///
     /// # Panics
     /// Panics if the literal is not a valid topic.
+    #[expect(
+        clippy::panic,
+        reason = "documented contract for compile-time literals; the flux-proto registry \
+                  is the only production caller and its round-trip tests exercise them"
+    )]
     pub fn from_static(s: &'static str) -> Topic {
-        // flux-lint: allow(panic) — documented contract for compile-time
-        // literals; the flux-proto registry is the only production caller
-        // and its literals are exercised by its own round-trip tests.
         Topic::new(s).unwrap_or_else(|e| panic!("invalid static topic {s:?}: {e}"))
     }
 
