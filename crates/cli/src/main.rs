@@ -210,16 +210,14 @@ fn run_command(cli: &mut Cli, cmd: &[String]) -> Result<String, String> {
         }
         ["kvs", "commit"] => {
             let m = cli.rpc(KvsMethod::Commit.topic(), Value::object())?;
-            // An N-shard session answers with the per-shard frontier
-            // instead of a single version/root pair.
+            // The frontier: the root each shard the commit touched reached.
             let cut = msg::decode_cut(&m.payload);
-            if cut.shards.is_some() {
-                let slots: Vec<String> =
-                    cut.roots.iter().map(|r| format!("shard {} version {}", r.shard, r.version)).collect();
-                return Ok(format!("committed: {}", slots.join(", ")));
-            }
-            let at = cut.roots.first().cloned().unwrap_or_default();
-            Ok(format!("committed: version {} root {}", at.version, at.root))
+            let slots: Vec<String> = cut
+                .roots
+                .iter()
+                .map(|r| format!("shard {} version {} root {}", r.shard, r.version, r.root))
+                .collect();
+            Ok(format!("committed: {}", slots.join(", ")))
         }
         ["kvs", "version"] => {
             let m = cli.rpc(KvsMethod::GetVersion.topic(), Value::object())?;

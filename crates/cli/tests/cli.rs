@@ -23,8 +23,8 @@ fn kvs_roundtrip_via_cli() {
     assert!(ok, "stderr: {stderr}");
     assert!(stdout.contains("cli.x staged"), "{stdout}");
     // The exact version races with resvc's startup enumeration fence
-    // (which also commits), so only the shape is asserted.
-    assert!(stdout.contains("committed: version"), "{stdout}");
+    // (which also commits), so only the shape is asserted: one shard, shard 0.
+    assert!(stdout.contains("committed: shard 0 version "), "{stdout}");
     assert!(stdout.trim_end().ends_with("42"), "{stdout}");
 }
 

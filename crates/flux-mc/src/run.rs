@@ -378,40 +378,8 @@ fn post_checks(
         return Some(Violation { kind: ViolationKind::History, detail: errs.join("; ") });
     }
 
-    if scenario.expected_applies > 0 {
-        for (i, outcome) in outcomes.iter().enumerate() {
-            for (op, (err, reply)) in scenario.scripts[i]
-                .1
-                .iter()
-                .zip(outcome.op_err.iter().zip(outcome.replies.iter()))
-            {
-                if *err != 0 {
-                    continue;
-                }
-                let versioned = matches!(
-                    op,
-                    flux_rt::script::Op::Commit
-                        | flux_rt::script::Op::GetVersion
-                        | flux_rt::script::Op::WaitVersion(_)
-                        | flux_rt::script::Op::Fence { .. }
-                );
-                if !versioned {
-                    continue;
-                }
-                if let Some(v) = flux_kvs::msg::decode_cut(reply).version() {
-                    if v > scenario.expected_applies {
-                        return Some(Violation {
-                            kind: ViolationKind::VersionOverrun,
-                            detail: format!(
-                                "script {i} observed version {v} > {} expected root applies: \
-                                 some batch applied twice",
-                                scenario.expected_applies
-                            ),
-                        });
-                    }
-                }
-            }
-        }
+    if let Some(v) = version_overrun(scenario, &outcomes) {
+        return Some(v);
     }
 
     if !scenario.post_sync.is_empty() {
@@ -450,6 +418,40 @@ fn post_checks(
     None
 }
 
+/// The version-overrun oracle: no root that a versioned reply names —
+/// every entry of a commit's or fence's frontier, the one root of a
+/// version probe — is past the scenario's bound on root applies per
+/// shard. A root past it means some batch applied twice.
+fn version_overrun(scenario: &Scenario, outcomes: &[ScriptOutcome]) -> Option<Violation> {
+    use flux_kvs::msg;
+    use flux_rt::script::Op;
+    if scenario.expected_applies == 0 {
+        return None;
+    }
+    for (i, outcome) in outcomes.iter().enumerate() {
+        let ops = scenario.scripts[i].1.iter();
+        for (op, (&err, reply)) in ops.zip(outcome.op_err.iter().zip(&outcome.replies)) {
+            let roots = match op {
+                _ if err != 0 => continue,
+                Op::Commit | Op::Fence { .. } => msg::decode_cut(reply).roots,
+                Op::GetVersion | Op::WaitVersion(_) => vec![msg::decode_root(reply)],
+                _ => continue,
+            };
+            if let Some(r) = roots.iter().find(|r| r.version > scenario.expected_applies) {
+                return Some(Violation {
+                    kind: ViolationKind::VersionOverrun,
+                    detail: format!(
+                        "script {i} observed shard {} at version {} > {} expected root \
+                         applies per shard: some batch applied twice",
+                        r.shard, r.version, scenario.expected_applies
+                    ),
+                });
+            }
+        }
+    }
+    None
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,6 +474,42 @@ mod tests {
         let sched = Schedule::empty().extended(0, Choice::Pick(200));
         let out = run_schedule(&scenario, &sched, MAX_EVENTS);
         assert!(!out.valid);
+    }
+
+    /// A fence's frontier reply is read entry by entry: shard 1 at
+    /// version 2 overruns a bound of one apply per shard, shard 1 at
+    /// version 1 does not.
+    #[test]
+    fn a_frontier_entry_past_the_bound_is_a_version_overrun() {
+        use flux_kvs::msg::{cut_reply, RootRef};
+        let scenario = Scenario::kvs_shard_fence();
+        assert_eq!(scenario.expected_applies, 1);
+        let fence_reply = |v1| {
+            let at = |shard, version| RootRef { shard, version, root: "aa".into() };
+            cut_reply(2, &[at(0, 1), at(1, v1)])
+        };
+        let outcomes = |v1| -> Vec<ScriptOutcome> {
+            scenario
+                .scripts
+                .iter()
+                .map(|(_, ops)| ScriptOutcome {
+                    op_done_ns: vec![1; ops.len()],
+                    op_err: vec![0; ops.len()],
+                    replies: ops
+                        .iter()
+                        .map(|op| match op {
+                            flux_rt::script::Op::Fence { .. } => fence_reply(v1),
+                            _ => flux_value::Value::Null,
+                        })
+                        .collect(),
+                    finished: true,
+                })
+                .collect()
+        };
+        assert!(version_overrun(&scenario, &outcomes(1)).is_none());
+        let overrun = version_overrun(&scenario, &outcomes(2)).expect("overrun");
+        assert_eq!(overrun.kind, ViolationKind::VersionOverrun);
+        assert!(overrun.detail.contains("shard 1 at version 2"), "{overrun}");
     }
 
     #[test]

@@ -83,8 +83,9 @@ pub struct Scenario {
     /// point deterministic across replays. The victim must host no
     /// scripts (its clients could never finish) and must not be the root.
     pub kill: Option<(Rank, u32)>,
-    /// Total KVS root commits the scenario performs when every fence and
-    /// commit applies exactly once (0 = skip the version-overrun check).
+    /// Root applies each shard sees when every fence and commit applies
+    /// exactly once: no versioned reply may name a root past it (0 =
+    /// skip the version-overrun check).
     pub expected_applies: u64,
     /// Key → value that any successful `Get` after a script's sync point
     /// must observe. The sync point is the script's first successful
@@ -307,9 +308,8 @@ impl Scenario {
             arity: 2,
             modules: ModuleSet::Kvs { dedup: true, batch: false, shards: SHARDS },
             scripts: vec![(Rank(2), script(0)), (Rank(3), script(1))],
-            // Frontier replies carry per-shard versions, not a single
-            // top-level `version`, so the overrun bound does not apply.
-            expected_applies: 0,
+            // One fence: each shard applies its part once.
+            expected_applies: 1,
             post_sync,
             kill: None,
         }
@@ -346,7 +346,8 @@ impl Scenario {
             arity: 2,
             modules: ModuleSet::Kvs { dedup: true, batch: false, shards: SHARDS },
             scripts: vec![(Rank(2), watcher), (Rank(3), writer)],
-            expected_applies: 0,
+            // One commit touching both shards: one apply on each.
+            expected_applies: 1,
             post_sync: BTreeMap::new(),
             kill: None,
         }

@@ -109,7 +109,10 @@ impl Authority {
         let new = rep.slots.root_ref(shard);
         match fence {
             Some(name) => self.note_fence_applied(name, &new),
-            None => ctx.publish(Event::KvsSetroot.topic(), rep.slots.spelling().commit_event(&new)),
+            None => ctx.publish(
+                Event::KvsSetroot.topic(),
+                msg::setroot_event(std::slice::from_ref(&new), None),
+            ),
         }
         new
     }
@@ -139,7 +142,7 @@ impl Authority {
         if let Some(at) = fence.and_then(|name| self.fence_applied.get(name)) {
             // A coordinator retry of an already-applied fence part:
             // re-answer the recorded result, never double-apply.
-            return ctx.respond(&msg, rep.slots.spelling().version_reply(at));
+            return ctx.respond(&msg, msg::version_reply(at));
         }
         if cfg.dedup && !self.note_push(msg.header.id) {
             // Pending while the original is parked in the batch.
@@ -219,7 +222,7 @@ mod tests {
         let objects = Objects::from([(id, Arc::new(obj))]);
         request(
             KvsMethod::Push,
-            msg::push_payload(None, None, &[(key.to_owned(), Some(id))], &objects),
+            msg::push_payload(0, None, &[(key.to_owned(), Some(id))], &objects),
         )
     }
 
@@ -305,7 +308,7 @@ mod tests {
         let obj = KvsObject::Val(Value::Int(5));
         let id = obj.id();
         let objects = Objects::from([(id, Arc::new(obj))]);
-        let part = msg::push_payload(Some(1), Some("f"), &[("k".to_owned(), Some(id))], &objects);
+        let part = msg::push_payload(1, Some("f"), &[("k".to_owned(), Some(id))], &objects);
         let (first, retry) =
             (request(KvsMethod::ShardPush, part.clone()), request(KvsMethod::ShardPush, part));
         let (f, outs) = with_ctx(1, 2, move |ctx| {
@@ -346,7 +349,7 @@ mod tests {
             relayed.header.hops.clear();
             let root = KvsObject::Val(Value::Int(3)).id().to_hex();
             let at = RootRef { shard: 0, version: 3, root };
-            let ack = Message::response_to(&relayed, msg::Spelling::of(1).version_reply(&at));
+            let ack = Message::response_to(&relayed, msg::version_reply(&at));
             kvs.handle_response(ctx, &ack);
             kvs.handle_request(ctx, first);
         });

@@ -13,7 +13,7 @@
 //! written as such scripts). Both build their payloads through
 //! [`crate::msg`].
 
-use crate::msg;
+use crate::msg::{self, RootRef};
 use flux_broker::client::{ClientCore, Delivery};
 use flux_broker::ClientId;
 use flux_proto::{BarrierMethod, KvsMethod};
@@ -100,13 +100,8 @@ impl Op {
 pub enum KvsReply {
     /// `put`/`unlink`/`unwatch` acknowledgement.
     Ack,
-    /// `commit`/`fence`/`get_version`/`wait_version`: the root version.
-    Version {
-        /// Monotonic store version.
-        version: u64,
-        /// Root reference (hex) at that version.
-        root: String,
-    },
+    /// `get_version`/`wait_version`: one shard's root reference.
+    Version(RootRef),
     /// `get`: the value bound at the key.
     Value(Value),
     /// `get` with `dir`: a name → SHA1-hex listing.
@@ -121,14 +116,13 @@ pub enum KvsReply {
     },
     /// `stats` payload, raw.
     Stats(Value),
-    /// Sharded `commit`/`fence`: the consistent per-shard frontier the
+    /// `commit`/`fence`: the consistent per-shard frontier the
     /// operation observed.
     Frontier {
         /// Total shard count of the session.
         shards: u32,
-        /// `(shard, version, root hex)` per shard the operation touched,
-        /// in shard order.
-        entries: Vec<(u32, u64, String)>,
+        /// The root of each shard the operation touched, in shard order.
+        frontier: Vec<RootRef>,
     },
     /// The operation failed with this error number.
     Err(u32),
@@ -260,24 +254,13 @@ fn decode_reply(msg: &Message) -> KvsReply {
     }
     match KvsMethod::from_method(msg.header.topic.method()) {
         Some(KvsMethod::Put | KvsMethod::Unlink | KvsMethod::Unwatch) => KvsReply::Ack,
-        Some(
-            KvsMethod::Commit
-            | KvsMethod::Fence
-            | KvsMethod::GetVersion
-            | KvsMethod::WaitVersion
-            | KvsMethod::Push
-            | KvsMethod::ShardPush,
-        ) => {
-            // N-shard commits and fences answer with a per-shard
-            // frontier instead of one version.
+        Some(KvsMethod::Commit | KvsMethod::Fence) => {
             let cut = msg::decode_cut(&msg.payload);
-            if let Some(shards) = cut.shards {
-                let entries = cut.roots.into_iter().map(|r| (r.shard, r.version, r.root)).collect();
-                return KvsReply::Frontier { shards, entries };
-            }
-            let only = cut.roots.into_iter().next().unwrap_or_default();
-            KvsReply::Version { version: only.version, root: only.root }
+            KvsReply::Frontier { shards: cut.shards, frontier: cut.roots }
         }
+        Some(
+            KvsMethod::GetVersion | KvsMethod::WaitVersion | KvsMethod::Push | KvsMethod::ShardPush,
+        ) => KvsReply::Version(msg::decode_root(&msg.payload)),
         Some(KvsMethod::Get) => match msg::listing(&msg.payload) {
             Some(dir) => KvsReply::Dir(dir.clone()),
             None => KvsReply::Value(msg::value(&msg.payload).cloned().unwrap_or(Value::Null)),
@@ -381,24 +364,23 @@ mod tests {
         }
     }
 
+    /// The method picks the decoder: the same root reference is a
+    /// `Version` as a `get_version` reply and one entry of a commit's
+    /// `Frontier`.
     #[test]
     fn decode_version_reply() {
         let mut c = KvsClient::new(Rank(0), 0);
-        let req = c.commit(9);
-        let resp = Message::response_to(
-            &req,
-            Value::from_pairs([
-                ("version", Value::Int(4)),
-                ("root", Value::from("abcd")),
-            ]),
+        let at = RootRef { shard: 2, version: 4, root: "abcd".into() };
+        let probe = c.get_version_shard(2, 8);
+        let resp = Message::response_to(&probe, msg::version_reply(&at));
+        assert_eq!(
+            c.deliver(resp),
+            KvsDelivery::Reply { tag: 8, reply: KvsReply::Version(at.clone()) }
         );
-        match c.deliver(resp) {
-            KvsDelivery::Reply { tag: 9, reply: KvsReply::Version { version, root } } => {
-                assert_eq!(version, 4);
-                assert_eq!(root, "abcd");
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        let commit = c.commit(9);
+        let resp = Message::response_to(&commit, msg::cut_reply(4, std::slice::from_ref(&at)));
+        let frontier = KvsReply::Frontier { shards: 4, frontier: vec![at] };
+        assert_eq!(c.deliver(resp), KvsDelivery::Reply { tag: 9, reply: frontier });
     }
 
     #[test]

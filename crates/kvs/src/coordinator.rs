@@ -9,7 +9,8 @@
 //! the id it arrived with.
 //!
 //! How a remote part travels is this file's one selection
-//! ([`Coordinator::route`]), keyed on the session's shard count. With
+//! ([`Coordinator::route`]), keyed on the session's shard count; the
+//! part's bytes are the same either way. With
 //! one shard it climbs the tree as `kvs.push`, every hop adopting the
 //! new root on the unwind — the paper's design, and on a ring overlay
 //! the only route that is not O(ranks) hops. With N shards it goes
@@ -48,6 +49,9 @@ struct Join {
     waiters: Vec<Message>,
     /// The fence this join completes; `None` for a commit.
     fence: Option<String>,
+    /// A relayed `kvs.push`: its waiter is the push's sender, answered
+    /// with the one root the part produced, as a master answers a push.
+    relay: bool,
     /// shard → root acknowledged so far.
     frontier: BTreeMap<u32, RootRef>,
     /// Shards whose part is not yet acknowledged.
@@ -63,8 +67,7 @@ pub(crate) struct Coordinator {
 }
 
 impl Coordinator {
-    /// Selection 1 (module docs): where a part for `shard` goes and how
-    /// its batch is spelled on that route.
+    /// The one selection (module docs): where a part for `shard` goes.
     fn route(
         shards: u32,
         shard: u32,
@@ -72,12 +75,8 @@ impl Coordinator {
         tuples: &[Tuple],
         objects: &Objects,
     ) -> Part {
-        let (to, tag) = if shard::sharded(shards) {
-            (Some(shard::master_of(shard)), Some(shard))
-        } else {
-            (None, None)
-        };
-        Part { shard, to, payload: msg::push_payload(tag, fence, tuples, objects).into() }
+        let to = shard::sharded(shards).then(|| shard::master_of(shard));
+        Part { shard, to, payload: msg::push_payload(shard, fence, tuples, objects).into() }
     }
 
     /// Coordinates one write set: `waiters` are answered with the cut it
@@ -138,7 +137,7 @@ impl Coordinator {
     ) -> Handled {
         let (id, payload) = (msg.header.id, msg.payload.clone());
         let (waiter, parked) = ctx.park(msg);
-        let join = Join { waiters: vec![waiter], ..Join::default() };
+        let join = Join { waiters: vec![waiter], relay: true, ..Join::default() };
         self.launch(ctx, rep, join, Some(id), vec![Part { shard: 0, to: None, payload }]);
         parked
     }
@@ -194,8 +193,7 @@ impl Coordinator {
             // out again on the heartbeat.
             Answer::Lost => {}
             Answer::Ok => {
-                let ack =
-                    msg::decode_cut(&msg.payload).roots.into_iter().next().unwrap_or_default();
+                let ack = msg::decode_root(&msg.payload);
                 if let Ok(root) = ObjectId::from_hex(&ack.root) {
                     // Read-your-writes: adopt the new root before any
                     // waiter can be answered.
@@ -213,7 +211,8 @@ impl Coordinator {
 
     /// Every part acknowledged: a fence is announced with one
     /// `kvs.setroot` carrying the whole cut (every broker adopts it,
-    /// then releases its own waiters), and the local waiters get the cut.
+    /// then releases its own waiters), and the local waiters get the cut
+    /// (a relay's waiter, its part's root).
     fn finish_if_complete(&mut self, ctx: &mut ModuleCtx<'_>, rep: &Replica, key: u64) {
         if self.joins.get(&key).is_some_and(|j| !j.outstanding.is_empty()) {
             return;
@@ -221,9 +220,13 @@ impl Coordinator {
         let Some(join) = self.joins.remove(&key) else { return };
         let cut: Vec<RootRef> = join.frontier.into_values().collect();
         if let Some(name) = &join.fence {
-            ctx.publish(Event::KvsSetroot.topic(), rep.slots.spelling().fence_event(&cut, name));
+            ctx.publish(Event::KvsSetroot.topic(), msg::setroot_event(&cut, Some(name)));
         }
-        let reply = Payload::from(rep.slots.spelling().cut_reply(&cut));
+        let reply = match (join.relay, cut.first()) {
+            (true, Some(at)) => msg::version_reply(at),
+            _ => msg::cut_reply(rep.slots.shards(), &cut),
+        };
+        let reply = Payload::from(reply);
         for req in &join.waiters {
             ctx.respond(req, reply.clone());
         }
@@ -323,7 +326,7 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_commit_is_one_untagged_push_up_the_tree() {
+    fn one_shard_commit_is_one_push_up_the_tree() {
         let req = request(KvsMethod::Commit, Value::object());
         let keys = vec!["a.b".to_owned(), "c".to_owned()];
         let (f, outs) = with_ctx(2, 3, move |ctx| {
@@ -336,7 +339,7 @@ mod tests {
         assert_eq!(sent.len(), 1);
         assert_eq!(sent[0].header.topic.as_str(), KvsMethod::Push.topic_str());
         assert_eq!(sent[0].header.dst, None, "tree-routed");
-        assert!(sent[0].payload.get("shard").is_none());
+        assert_eq!(sent[0].payload.get("shard"), Some(&Value::Int(0)));
         assert_eq!(msg::tuples_from_value(sent[0].payload.get("tuples")).map(|t| t.len()), Some(2));
     }
 
@@ -389,7 +392,7 @@ mod tests {
             .find(|m| m.header.id == req_id)
             .expect("committer answered");
         let cut = msg::decode_cut(&reply.payload);
-        assert_eq!(cut.shards, Some(3));
+        assert_eq!(cut.shards, 3);
         let order: Vec<_> = cut.roots.iter().map(|r| (r.shard, r.version)).collect();
         assert_eq!(order, vec![(0, 10), (1, 11), (2, 12)]);
     }

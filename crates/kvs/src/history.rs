@@ -18,14 +18,16 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Event {
     /// A commit acknowledged by the session: every generation of `key`
-    /// up to and including `gen` written by this client is durable, and
-    /// the store version was `version` when it applied.
+    /// up to and including `gen` written by this client is durable on
+    /// `shard`, whose version was `version` when it applied.
     Committed {
         /// The key written.
         key: String,
         /// Highest generation of `key` covered by this commit.
         gen: u64,
-        /// Store version reported by the commit response.
+        /// Shard owning `key`.
+        shard: u32,
+        /// That shard's version reported by the commit frontier.
         version: u64,
     },
     /// A write whose commit outcome is unknown (the response was lost or
@@ -44,28 +46,9 @@ pub enum Event {
         /// Observed generation, or `None` if the key was absent.
         gen: Option<u64>,
     },
-    /// An observation of the store version (e.g. `kvs.version`).
+    /// An observation of one shard's version stream (a
+    /// `kvs.get_version` probe, or a frontier entry).
     Version {
-        /// The observed version.
-        v: u64,
-    },
-    /// A commit acknowledged by a sharded session: every generation of
-    /// `key` up to and including `gen` written by this client is durable
-    /// on `shard`, whose version was `version` when it applied. The
-    /// unsharded [`Event::Committed`] is exactly this with `shard == 0`.
-    CommittedSharded {
-        /// The key written.
-        key: String,
-        /// Highest generation of `key` covered by this commit.
-        gen: u64,
-        /// Shard owning `key`.
-        shard: u32,
-        /// That shard's version reported by the commit frontier.
-        version: u64,
-    },
-    /// An observation of one shard's version stream (e.g. a sharded
-    /// `kvs.get_version` probe).
-    ShardVersion {
         /// The shard observed.
         shard: u32,
         /// The observed version.
@@ -121,8 +104,7 @@ pub struct ClientHistory {
 ///    go backwards, and a key never vanishes after being observed.
 /// 4. **Monotonic versions**: per client and per shard, the sequence of
 ///    observed versions (commit responses, frontiers, and explicit
-///    version probes) never decreases. Unsharded events count against
-///    shard 0.
+///    version probes) never decreases.
 /// 5. **Fence frontier agreement**: every client observing the release
 ///    of a given fence observes the *same* per-shard version frontier.
 /// 6. **No partial fence release**: a fence's release frontier covers
@@ -146,9 +128,7 @@ pub fn check(histories: &[ClientHistory]) -> Vec<String> {
     for h in histories {
         for ev in &h.events {
             match ev {
-                Event::Committed { key, gen, .. }
-                | Event::CommittedSharded { key, gen, .. }
-                | Event::StagedOnly { key, gen } => {
+                Event::Committed { key, gen, .. } | Event::StagedOnly { key, gen } => {
                     let e = max_written.entry(key.as_str()).or_insert(0);
                     *e = (*e).max(*gen);
                 }
@@ -203,7 +183,7 @@ pub fn check(histories: &[ClientHistory]) -> Vec<String> {
         // key → last gen this client observed via a read.
         let mut last_read: HashMap<&str, u64> = HashMap::new();
         // shard → highest version this client observed on that shard's
-        // stream. Unsharded events count against shard 0.
+        // stream.
         let mut shard_versions: HashMap<u32, u64> = HashMap::new();
         let mut bump_version =
             |shard: u32, v: u64, what: &str, i: usize, violations: &mut Vec<String>| {
@@ -219,12 +199,7 @@ pub fn check(histories: &[ClientHistory]) -> Vec<String> {
             };
         for (i, ev) in h.events.iter().enumerate() {
             match ev {
-                Event::Committed { key, gen, version } => {
-                    bump_version(0, *version, &format!("commit of {key}#{gen}"), i, &mut violations);
-                    let e = floor.entry(key.as_str()).or_insert(0);
-                    *e = (*e).max(*gen);
-                }
-                Event::CommittedSharded { key, gen, shard, version } => {
+                Event::Committed { key, gen, shard, version } => {
                     bump_version(
                         *shard,
                         *version,
@@ -236,10 +211,7 @@ pub fn check(histories: &[ClientHistory]) -> Vec<String> {
                     *e = (*e).max(*gen);
                 }
                 Event::StagedOnly { .. } => {}
-                Event::Version { v } => {
-                    bump_version(0, *v, "version probe", i, &mut violations);
-                }
-                Event::ShardVersion { shard, v } => {
+                Event::Version { shard, v } => {
                     bump_version(*shard, *v, "version probe", i, &mut violations);
                 }
                 Event::Fenced { key, gen, .. } => {
@@ -349,10 +321,10 @@ mod tests {
     fn clean_history_passes() {
         let h = hist(vec![
             Event::Read { key: "k".into(), gen: None },
-            Event::Committed { key: "k".into(), gen: 1, version: 5 },
+            Event::Committed { key: "k".into(), gen: 1, shard: 0, version: 5 },
             Event::Read { key: "k".into(), gen: Some(1) },
-            Event::Committed { key: "k".into(), gen: 2, version: 7 },
-            Event::Version { v: 7 },
+            Event::Committed { key: "k".into(), gen: 2, shard: 0, version: 7 },
+            Event::Version { shard: 0, v: 7 },
             Event::Read { key: "k".into(), gen: Some(2) },
         ]);
         assert!(check(&[h]).is_empty());
@@ -376,7 +348,7 @@ mod tests {
     #[test]
     fn read_your_writes_violation_detected() {
         let stale = hist(vec![
-            Event::Committed { key: "k".into(), gen: 2, version: 3 },
+            Event::Committed { key: "k".into(), gen: 2, shard: 0, version: 3 },
             Event::Read { key: "k".into(), gen: Some(1) },
         ]);
         let v = check(&[stale]);
@@ -384,7 +356,7 @@ mod tests {
         assert!(v[0].contains("read-your-writes"), "{v:?}");
 
         let absent = hist(vec![
-            Event::Committed { key: "k".into(), gen: 1, version: 3 },
+            Event::Committed { key: "k".into(), gen: 1, shard: 0, version: 3 },
             Event::Read { key: "k".into(), gen: None },
         ]);
         assert!(!check(&[absent]).is_empty());
@@ -395,8 +367,8 @@ mod tests {
         let writer = ClientHistory {
             client: "w".into(),
             events: vec![
-                Event::Committed { key: "k".into(), gen: 1, version: 1 },
-                Event::Committed { key: "k".into(), gen: 2, version: 2 },
+                Event::Committed { key: "k".into(), gen: 1, shard: 0, version: 1 },
+                Event::Committed { key: "k".into(), gen: 2, shard: 0, version: 2 },
             ],
         };
         let reader = ClientHistory {
@@ -421,7 +393,7 @@ mod tests {
 
     #[test]
     fn version_regression_detected() {
-        let h = hist(vec![Event::Version { v: 9 }, Event::Version { v: 4 }]);
+        let h = hist(vec![Event::Version { shard: 0, v: 9 }, Event::Version { shard: 0, v: 4 }]);
         let v = check(&[h]);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("version 4 after version 9"), "{v:?}");
@@ -432,16 +404,13 @@ mod tests {
         // Shard 1 at version 9 then shard 0 at version 2 is fine —
         // streams are per shard. Shard 1 regressing is not.
         let ok = hist(vec![
-            Event::ShardVersion { shard: 1, v: 9 },
-            Event::ShardVersion { shard: 0, v: 2 },
-            Event::CommittedSharded { key: "k".into(), gen: 1, shard: 0, version: 3 },
+            Event::Version { shard: 1, v: 9 },
+            Event::Version { shard: 0, v: 2 },
+            Event::Committed { key: "k".into(), gen: 1, shard: 0, version: 3 },
         ]);
         assert!(check(&[ok]).is_empty());
 
-        let bad = hist(vec![
-            Event::ShardVersion { shard: 1, v: 9 },
-            Event::ShardVersion { shard: 1, v: 4 },
-        ]);
+        let bad = hist(vec![Event::Version { shard: 1, v: 9 }, Event::Version { shard: 1, v: 4 }]);
         let v = check(&[bad]);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("shard 1 at version 4"), "{v:?}");
@@ -450,7 +419,7 @@ mod tests {
     #[test]
     fn sharded_commit_gives_read_your_writes() {
         let stale = hist(vec![
-            Event::CommittedSharded { key: "k".into(), gen: 2, shard: 3, version: 1 },
+            Event::Committed { key: "k".into(), gen: 2, shard: 3, version: 1 },
             Event::Read { key: "k".into(), gen: Some(1) },
         ]);
         let v = check(&[stale]);

@@ -7,18 +7,18 @@
 //! |--------------------|---------------------------------------|-----------|
 //! | `kvs.put`          | `{k, v}`                              | write-back: store value object locally, queue `(key, SHA1)` tuple |
 //! | `kvs.unlink`       | `{k}`                                 | queue an unlink tuple |
-//! | `kvs.commit`       | `{}`                                  | flush the caller's tuples+objects to the master; response carries the new `(version, root)`, applied locally before the caller is answered (read-your-writes) |
-//! | `kvs.push`         | `{tuples, objects}`                   | internal: a commit batch travelling up the tree |
-//! | `kvs.shard.push`   | `{shard, tuples, objects[, fence]}`   | internal: a rank-addressed commit batch for one shard master (sharded sessions route writes directly, not up the tree) |
-//! | `kvs.fence`        | `{name, nprocs}`                      | collective commit: contributions merge upstream (objects dedup, tuples concatenate); completion is the `kvs.setroot` event naming the fence |
+//! | `kvs.commit`       | `{}`                                  | flush the caller's tuples+objects to the masters; response is the cut it observed, `{shards, frontier: [{shard, version, root}…]}`, applied locally before the caller is answered (read-your-writes) |
+//! | `kvs.push`         | `{shard, tuples, objects}`            | internal: a commit batch travelling up the tree (one-shard sessions); answered `{shard, version, root}` |
+//! | `kvs.shard.push`   | `{shard, tuples, objects[, fence]}`   | internal: a rank-addressed commit batch for one shard master (sharded sessions route writes directly, not up the tree); answered `{shard, version, root}` |
+//! | `kvs.fence`        | `{name, nprocs}`                      | collective commit: contributions merge upstream (objects dedup, tuples concatenate); completion is the `kvs.setroot` event `{frontier, fences}` naming the fence, and the caller gets `{shards, frontier}` |
 //! | `kvs.fence.up`     | `{name, nprocs, count, tuples, objects, src, batch}` | internal: merged fence contributions travelling up, stamped by the reduction |
 //! | `kvs.get`          | `{k}` / `{k, dir:true}`               | recursive lookup with fault-in through the cache chain |
-//! | `kvs.load`         | `{id}`                                | internal: fault one object from the parent cache |
-//! | `kvs.get_version`  | `{}`                                  | current root version |
-//! | `kvs.wait_version` | `{version}`                           | respond once the root version reaches the target (causal consistency) |
+//! | `kvs.load`         | `{id, shard}`                         | internal: fault one object of `shard`'s tree from the parent cache |
+//! | `kvs.get_version`  | `{[shard]}`                           | that shard's `{shard, version, root}` (no `shard`: shard 0) |
+//! | `kvs.wait_version` | `{version[, shard]}`                  | respond `{shard, version, root}` once the shard's version reaches the target (causal consistency) |
 //! | `kvs.watch`        | `{k}`                                 | respond now and on every change of `k` (streaming) |
 //! | `kvs.unwatch`      | `{k}`                                 | cancel this requester's watch |
-//! | `kvs.stats`        | `{}`                                  | cache statistics (tooling) |
+//! | `kvs.stats`        | `{}`                                  | cache statistics and the session's `shards` (tooling) |
 //!
 //! The namespace is split by key hash across `shards` masters (ranks
 //! `0..shards`, one hash-tree root / version stream / batching window
@@ -38,10 +38,9 @@
 //! | in flight | `inflight.rs` | every RPC this module sends: registered, its answer classified, retried on the heartbeat |
 //!
 //! [`crate::msg`] is the only code that knows how any of it is spelled
-//! on the wire. The shard count decides two things and nothing else: how
-//! a write part travels to a master that is not this broker
-//! (`coordinator.rs`) and which of the two wire spellings is spoken
-//! (`msg.rs`).
+//! on the wire, one shape per message kind whatever the shard count. The
+//! shard count decides one thing: how a write part travels to a master
+//! that is not this broker (`coordinator.rs`).
 
 use crate::authority::{self, Authority, BATCH_TOKEN};
 use crate::coordinator::Coordinator;
@@ -226,6 +225,11 @@ impl KvsModule {
             }
             return self.coordinator.relay(ctx, &mut self.rep, msg);
         }
+        if self.shard_param(&msg) != Ok(0) {
+            // A batch for another shard is refused, not applied to
+            // shard 0's tree.
+            return ctx.respond_err(&msg, errnum::EINVAL);
+        }
         self.authority.accept_push(ctx, &self.cfg, &mut self.rep, msg, None)
     }
 
@@ -389,7 +393,7 @@ impl CommsModule for KvsModule {
                     self.rep.slots.version(0),
                     self.authority.commits_applied,
                     self.authority.pushes_batched,
-                    self.rep.slots.spelling().shards(),
+                    self.rep.slots.shards(),
                 );
                 ctx.respond(&msg, stats)
             }
@@ -428,7 +432,7 @@ impl CommsModule for KvsModule {
             }
         }
         if !ev.fences.is_empty() {
-            let reply = Payload::from(self.rep.slots.spelling().cut_reply(&ev.roots));
+            let reply = Payload::from(msg::cut_reply(self.rep.slots.shards(), &ev.roots));
             for req in ev.fences.iter().flat_map(|name| self.fence.release(name)) {
                 ctx.respond(&req, reply.clone());
             }

@@ -4,27 +4,29 @@
 //! Every client builds its requests here ([`put`], [`key`], [`dir`],
 //! [`fence`], [`version`]; `kvs.commit` and `kvs.stats` take `{}`) and
 //! reads its replies here ([`value`], [`listing`], [`watch_update`],
-//! [`decode_cut`]); the module parses requests through the borrowing
-//! readers beside them, and the role structs encode through the rest.
+//! [`decode_root`], [`decode_cut`]); the module parses requests through
+//! the borrowing readers beside them, and the role structs encode
+//! through the rest.
 //! The exception is the fence, a collective: the `{name, nprocs}` of
 //! `kvs.fence` and the `{name, nprocs, count}` of `kvs.fence.up` are
 //! read and written by `flux_broker::reduce::Collective`, which spells
 //! `barrier.enter` and `barrier.up` the same way.
 //!
-//! A session speaks one of two spellings (`Spelling`), fixed when the
-//! module starts. With one shard a root reference is the paper's bare
-//! `{version, root}` and a commit is announced as
-//! `{version, root, fences}`. With N shards every slot-scoped message
-//! also names its `shard`, a commit or fence answers the whole cut it
-//! observed (`{shards: N, frontier: [{shard, version, root}…]}`) and a
-//! fence completes with one combined event
-//! (`{shards: [{shard, version, root}…], fences}`). The shapes are kept
-//! apart because every committed benchmark cell pins the one-shard
-//! bytes; decoding is shape-driven and needs no spelling.
+//! Every message has one shape per kind, whatever the shard count. A
+//! root reference is `{shard, version, root}`: the `get_version` /
+//! `wait_version` reply and a master's answer to a push. A commit or
+//! fence answers the whole cut it observed as
+//! `{shards: N, frontier: [{shard, version, root}…]}`, every
+//! `kvs.setroot` is `{frontier, fences}` (or, for a fence the
+//! coordinator gave up, `{fences_failed, errnum}`), `kvs.load` is
+//! `{id, shard}`, and both push topics carry
+//! `{shard, tuples, objects[, fence]}`. `shards` is always the count.
+//! A reader picks its decoder by method ([`decode_root`] or
+//! [`decode_cut`]), not by payload shape. Client requests stay lenient:
+//! they are outside input, so one that names no `shard` reads as shard 0.
 
 use crate::master::Tuple;
 use crate::object::KvsObject;
-use crate::shard;
 use crate::store::CacheStats;
 use flux_hash::ObjectId;
 use flux_value::{Map, Value};
@@ -129,15 +131,15 @@ pub fn watch_update(reply: &Value) -> (&str, &Value) {
     (key, value(reply).unwrap_or(&Value::Null))
 }
 
-/// The `kvs.stats` reply: `shards` is stated by N-shard sessions only.
+/// The `kvs.stats` reply.
 pub(crate) fn stats_reply(
     s: &CacheStats,
     version: u64,
     commits: u64,
     pushes_batched: u64,
-    shards: Option<u32>,
+    shards: u32,
 ) -> Value {
-    let mut pairs = vec![
+    Value::from_pairs([
         ("entries", Value::from(s.entries)),
         ("bytes", Value::from(s.bytes)),
         ("hits", Value::from(s.hits as i64)),
@@ -146,15 +148,14 @@ pub(crate) fn stats_reply(
         ("version", Value::from(version as i64)),
         ("commits", Value::from(commits as i64)),
         ("pushes_batched", Value::from(pushes_batched as i64)),
-    ];
-    pairs.extend(shards.map(|n| ("shards", Value::from(n as i64))));
-    Value::from_pairs(pairs)
+        ("shards", Value::from(shards as i64)),
+    ])
 }
 
 /// One slot's root reference as replies and events carry it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RootRef {
-    /// Shard the root belongs to (0 in a one-shard session).
+    /// Shard the root belongs to.
     pub shard: u32,
     /// That shard's store version.
     pub version: u64,
@@ -162,19 +163,19 @@ pub struct RootRef {
     pub root: String,
 }
 
-/// A decoded `commit`/`fence`/`get_version`/`wait_version` reply or
-/// `kvs.setroot` event body.
+/// A decoded `commit` / `fence` reply: the cut the operation observed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cut {
-    /// Session shard count, stated by frontier replies only: `Some`
-    /// marks the N-shard reply shape, `None` a bare root reference (or
-    /// an event, whose `roots` are all a reader needs).
-    pub shards: Option<u32>,
-    /// The root references, in message order (shard order for lists).
+    /// Session shard count.
+    pub shards: u32,
+    /// The root references, in shard order.
     pub roots: Vec<RootRef>,
 }
 
-fn root_ref(v: &Value) -> RootRef {
+/// Decodes one root reference: a `get_version` / `wait_version` reply,
+/// a push acknowledgement or a frontier entry. Lenient like every reply
+/// decoder here: absent fields read as `0` / `""`.
+pub fn decode_root(v: &Value) -> RootRef {
     RootRef {
         shard: v.get("shard").and_then(Value::as_uint).unwrap_or(0) as u32,
         version: v.get("version").and_then(Value::as_uint).unwrap_or(0),
@@ -182,28 +183,15 @@ fn root_ref(v: &Value) -> RootRef {
     }
 }
 
-/// Decodes the root references of a reply or event payload. Lenient
-/// like every reply decoder here: absent fields read as `0` / `""`.
-pub fn decode_cut(payload: &Value) -> Cut {
-    let count = payload.get("shards");
-    let list = payload.get("frontier").or(count).and_then(Value::as_array);
-    match list {
-        Some(entries) => Cut {
-            shards: count.and_then(Value::as_uint).map(|n| n as u32),
-            roots: entries.iter().map(root_ref).collect(),
-        },
-        None => Cut { shards: None, roots: vec![root_ref(payload)] },
-    }
+fn frontier_of(payload: &Value) -> Vec<RootRef> {
+    let entries = payload.get("frontier").and_then(Value::as_array);
+    entries.map(|e| e.iter().map(decode_root).collect()).unwrap_or_default()
 }
 
-impl Cut {
-    /// The version of a one-root reply; `None` for a frontier.
-    pub fn version(&self) -> Option<u64> {
-        match self.shards {
-            Some(_) => None,
-            None => Some(self.roots.first().map_or(0, |r| r.version)),
-        }
-    }
+/// Decodes a `commit` / `fence` reply.
+pub fn decode_cut(payload: &Value) -> Cut {
+    let shards = payload.get("shards").and_then(Value::as_uint).unwrap_or(0) as u32;
+    Cut { shards, roots: frontier_of(payload) }
 }
 
 /// A decoded `kvs.setroot` event.
@@ -231,7 +219,7 @@ pub(crate) fn decode_setroot(payload: &Value) -> Setroot<'_> {
             failed: Some(code.unwrap_or(u64::from(flux_wire::errnum::EINVAL)) as u32),
         };
     }
-    Setroot { roots: decode_cut(payload).roots, fences: names(payload.get("fences")), failed: None }
+    Setroot { roots: frontier_of(payload), fences: names(payload.get("fences")), failed: None }
 }
 
 /// Announces that fence `name` failed with `errnum` at the coordinator.
@@ -242,117 +230,48 @@ pub(crate) fn fence_failed_event(name: &str, errnum: u32) -> Value {
     ])
 }
 
-fn root_fields(r: &RootRef, tagged: bool) -> Map {
-    let mut m = Map::new();
-    m.insert("version".to_owned(), Value::from(r.version as i64));
-    m.insert("root".to_owned(), Value::from(r.root.as_str()));
-    if tagged {
-        m.insert("shard".to_owned(), Value::from(r.shard as i64));
-    }
-    m
+/// One slot's `{shard, version, root}`: the `get_version` /
+/// `wait_version` reply and the acknowledgement of a push.
+pub fn version_reply(r: &RootRef) -> Value {
+    Value::from_pairs([
+        ("root", Value::from(r.root.as_str())),
+        ("shard", Value::from(r.shard as i64)),
+        ("version", Value::from(r.version as i64)),
+    ])
 }
 
-fn frontier_entries(cut: &[RootRef]) -> Value {
-    Value::Array(cut.iter().map(|r| Value::Object(root_fields(r, true))).collect())
+fn frontier(cut: &[RootRef]) -> Value {
+    Value::Array(cut.iter().map(version_reply).collect())
 }
 
-/// Which of the two spellings this session speaks (module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) enum Spelling {
-    /// One shard: the paper's single-master shapes.
-    #[default]
-    Single,
-    /// This many shards: shard-tagged references and frontier lists.
-    Sharded(u32),
+/// The cut a commit or fence observed, in shard order, in a session
+/// `shards` wide.
+pub fn cut_reply(shards: u32, cut: &[RootRef]) -> Value {
+    Value::from_pairs([("frontier", frontier(cut)), ("shards", Value::from(shards as i64))])
 }
 
-impl Spelling {
-    /// The spelling of a session `shards` wide (after the start-up
-    /// clamp) — the codec's one selection.
-    pub(crate) fn of(shards: u32) -> Spelling {
-        if shard::sharded(shards) {
-            Spelling::Sharded(shards)
-        } else {
-            Spelling::Single
-        }
-    }
+/// `kvs.setroot` announcing the roots `cut`: an ordinary commit's one
+/// root (no fence), or the whole cut that completes fence `name`. Every
+/// broker adopts all listed roots, then releases its local waiters.
+pub(crate) fn setroot_event(cut: &[RootRef], fence: Option<&str>) -> Value {
+    let fences = fence.into_iter().map(Value::from).collect();
+    Value::from_pairs([("fences", Value::Array(fences)), ("frontier", frontier(cut))])
+}
 
-    /// The shard count an N-shard session advertises (`kvs.stats`).
-    pub(crate) fn shards(self) -> Option<u32> {
-        match self {
-            Spelling::Single => None,
-            Spelling::Sharded(n) => Some(n),
-        }
-    }
+/// `kvs.load {id, shard}`: object `id` of `shard`'s tree.
+pub(crate) fn load_request(id: ObjectId, shard: u32) -> Value {
+    Value::from_pairs([(LOAD_ID, Value::from(id.to_hex())), ("shard", Value::from(shard as i64))])
+}
 
-    fn slot_fields(self, r: &RootRef) -> Map {
-        root_fields(r, matches!(self, Spelling::Sharded(_)))
-    }
-
-    /// One slot's `(version, root)`: the `get_version`/`wait_version`
-    /// reply and the acknowledgement of a push.
-    pub(crate) fn version_reply(self, r: &RootRef) -> Value {
-        Value::Object(self.slot_fields(r))
-    }
-
-    /// The cut a commit or fence observed, in shard order.
-    pub(crate) fn cut_reply(self, cut: &[RootRef]) -> Value {
-        match self {
-            Spelling::Single => {
-                Value::Object(self.slot_fields(cut.first().unwrap_or(&RootRef::default())))
-            }
-            Spelling::Sharded(n) => Value::from_pairs([
-                ("shards", Value::from(n as i64)),
-                ("frontier", frontier_entries(cut)),
-            ]),
-        }
-    }
-
-    /// `kvs.setroot` for an ordinary commit applied on `r.shard`.
-    pub(crate) fn commit_event(self, r: &RootRef) -> Value {
-        let mut m = self.slot_fields(r);
-        m.insert("fences".to_owned(), Value::Array(Vec::new()));
-        Value::Object(m)
-    }
-
-    /// `kvs.setroot` completing fence `name` at the cut `cut`: every
-    /// broker adopts all listed roots, then releases its local waiters.
-    pub(crate) fn fence_event(self, cut: &[RootRef], name: &str) -> Value {
-        let mut m = match self {
-            Spelling::Single => self.slot_fields(cut.first().unwrap_or(&RootRef::default())),
-            Spelling::Sharded(_) => Map::from([("shards".to_owned(), frontier_entries(cut))]),
-        };
-        m.insert("fences".to_owned(), Value::Array(vec![Value::from(name)]));
-        Value::Object(m)
-    }
-
-    /// `kvs.load` request for object `id` of `shard`'s tree: `{id}`, or
-    /// `{id, shard}` in a sharded session.
-    pub(crate) fn load_request(self, id: ObjectId, shard: u32) -> Value {
-        let mut m = Map::from([(LOAD_ID.to_owned(), Value::from(id.to_hex()))]);
-        if let Spelling::Sharded(_) = self {
-            m.insert("shard".to_owned(), Value::from(shard as i64));
-        }
-        Value::Object(m)
-    }
-
-    /// True if `v` is exactly [`Spelling::load_request`]`(id, shard)`,
-    /// told without building it: no other field, lowercase hex, and a
-    /// `shard` field exactly when this spelling has one.
-    pub(crate) fn is_load_request(self, v: &Value, id: ObjectId, shard: u32) -> bool {
-        let Some(m) = v.as_object() else { return false };
-        let hex_is_id = |h: &str| {
-            !h.bytes().any(|b| b.is_ascii_uppercase()) && ObjectId::from_hex(h) == Ok(id)
-        };
-        let id_ok = m.get(LOAD_ID).and_then(Value::as_str).is_some_and(hex_is_id);
-        let shard_ok = match self {
-            Spelling::Single => m.len() == 1,
-            Spelling::Sharded(_) => {
-                m.len() == 2 && m.get("shard") == Some(&Value::from(shard as i64))
-            }
-        };
-        id_ok && shard_ok
-    }
+/// True if `v` is exactly [`load_request`]`(id, shard)`, told without
+/// building it: no other field, lowercase hex.
+pub(crate) fn is_load_request(v: &Value, id: ObjectId, shard: u32) -> bool {
+    let Some(m) = v.as_object() else { return false };
+    let hex_is_id =
+        |h: &str| !h.bytes().any(|b| b.is_ascii_uppercase()) && ObjectId::from_hex(h) == Ok(id);
+    m.len() == 2
+        && m.get(LOAD_ID).and_then(Value::as_str).is_some_and(hex_is_id)
+        && m.get("shard") == Some(&Value::from(shard as i64))
 }
 
 /// The field of a `kvs.load` request, and of its reply, naming the object.
@@ -442,22 +361,20 @@ pub(crate) fn objects_from_value(v: Option<&Value>) -> Option<Objects> {
     Some(out)
 }
 
-/// A commit batch for one master: `kvs.push` carries no `shard` (it
-/// climbs the tree to the only master), `kvs.shard.push` names it;
-/// `fence` marks a part of a collective fence.
+/// A commit batch for `shard`'s master, whichever route it takes
+/// (`kvs.push` up the tree or `kvs.shard.push` to the master); `fence`
+/// marks a part of a collective fence.
 pub(crate) fn push_payload(
-    shard: Option<u32>,
+    shard: u32,
     fence: Option<&str>,
     tuples: &[Tuple],
     objects: &Objects,
 ) -> Value {
     let mut m = Map::from([
-        ("tuples".to_owned(), tuples_to_value(tuples)),
         ("objects".to_owned(), Value::Object(objects_map(objects))),
+        ("shard".to_owned(), Value::from(shard as i64)),
+        ("tuples".to_owned(), tuples_to_value(tuples)),
     ]);
-    if let Some(s) = shard {
-        m.insert("shard".to_owned(), Value::from(s as i64));
-    }
     if let Some(name) = fence {
         m.insert("fence".to_owned(), Value::from(name));
     }
@@ -483,18 +400,26 @@ mod tests {
         RootRef { shard, version, root: root.to_owned() }
     }
 
+    /// The bytes a one-shard session puts on the wire, written out in
+    /// full: the single master's shapes are the general ones, shard 0
+    /// named like any other.
     #[test]
     fn one_shard_shapes_are_the_pinned_bytes() {
-        let s = Spelling::of(1);
-        assert_eq!(s.version_reply(&r(0, 4, "ab")).to_json(), r#"{"root":"ab","version":4}"#);
-        assert_eq!(s.cut_reply(&[r(0, 4, "ab")]).to_json(), r#"{"root":"ab","version":4}"#);
+        let at = r(0, 4, "ab");
+        let cut = [at.clone()];
+        let entry = r#"{"root":"ab","shard":0,"version":4}"#;
+        assert_eq!(version_reply(&at).to_json(), entry);
         assert_eq!(
-            s.fence_event(&[r(0, 4, "ab")], "f").to_json(),
-            r#"{"fences":["f"],"root":"ab","version":4}"#
+            cut_reply(1, &cut).to_json(),
+            r#"{"frontier":[{"root":"ab","shard":0,"version":4}],"shards":1}"#
         );
         assert_eq!(
-            s.commit_event(&r(0, 4, "ab")).to_json(),
-            r#"{"fences":[],"root":"ab","version":4}"#
+            setroot_event(&cut, Some("f")).to_json(),
+            r#"{"fences":["f"],"frontier":[{"root":"ab","shard":0,"version":4}]}"#
+        );
+        assert_eq!(
+            setroot_event(&cut, None).to_json(),
+            r#"{"fences":[],"frontier":[{"root":"ab","shard":0,"version":4}]}"#
         );
     }
 
@@ -505,15 +430,14 @@ mod tests {
         let hex = id.to_hex();
         let reply = format!(r#"{{"id":"{hex}","obj":{{"t":"val","v":9}}}}"#);
         let table = [
-            (Spelling::of(1).load_request(id, 0), format!(r#"{{"id":"{hex}"}}"#)),
-            (Spelling::of(4).load_request(id, 2), format!(r#"{{"id":"{hex}","shard":2}}"#)),
+            (load_request(id, 0), format!(r#"{{"id":"{hex}","shard":0}}"#)),
             (load_reply(id, obj.to_value()), reply),
         ];
         for (built, literal) in &table {
             assert_eq!(built.to_json(), *literal);
             assert_eq!(load_request_id(built), Some(id), "{literal}");
         }
-        assert_eq!(load_reply_object(&table[2].0), Some(obj));
+        assert_eq!(load_reply_object(&table[1].0), Some(obj));
         for request in [r#"{}"#, r#"{"id":"zz"}"#, r#"{"id":9}"#] {
             assert_eq!(load_request_id(&Value::parse(request).unwrap()), None, "{request}");
         }
@@ -522,33 +446,57 @@ mod tests {
         }
     }
 
+    /// Each shape is one literal, values aside, at one shard and at
+    /// four: only the values a session of that width fills in differ.
+    /// Every shape decodes back to what built it.
     #[test]
     fn every_shape_round_trips() {
-        let cut = vec![r(0, 3, "aa"), r(2, 7, "cc")];
-        for shards in [1u32, 4] {
-            let s = Spelling::of(shards);
-            let one = decode_cut(&s.version_reply(&cut[1]));
-            assert!(one.shards.is_none());
-            let want = if shards == 1 { r(0, 7, "cc") } else { cut[1].clone() };
-            assert_eq!(one.roots, vec![want]);
-
-            let whole = decode_cut(&s.cut_reply(&cut));
-            let event = s.fence_event(&cut, "f");
-            let ev = decode_setroot(&event);
-            assert_eq!(ev.fences, vec!["f"]);
-            assert_eq!(ev.failed, None);
-            if shards == 1 {
-                assert_eq!(whole.roots, vec![cut[0].clone()]);
-                assert_eq!(ev.roots, vec![cut[0].clone()]);
-            } else {
-                assert_eq!(whole.shards, Some(4));
-                assert_eq!(whole.roots, cut);
-                assert_eq!(ev.roots, cut);
+        let id = KvsObject::Val(Value::Int(9)).id();
+        let hex = id.to_hex();
+        for (shards, cut) in [(1, vec![r(0, 3, "aa")]), (4, vec![r(0, 3, "aa"), r(2, 7, "cc")])] {
+            let cut = &cut[..];
+            let at = cut.last().unwrap();
+            let s = at.shard;
+            let entry = |r: &RootRef| {
+                format!(r#"{{"root":"{}","shard":{},"version":{}}}"#, r.root, r.shard, r.version)
+            };
+            let entries = cut.iter().map(entry).collect::<Vec<_>>().join(",");
+            let table = [
+                (version_reply(at), entry(at)),
+                (
+                    cut_reply(shards, cut),
+                    format!(r#"{{"frontier":[{entries}],"shards":{shards}}}"#),
+                ),
+                (
+                    setroot_event(cut, Some("f")),
+                    format!(r#"{{"fences":["f"],"frontier":[{entries}]}}"#),
+                ),
+                (
+                    setroot_event(&cut[..1], None),
+                    format!(r#"{{"fences":[],"frontier":[{}]}}"#, entry(&cut[0])),
+                ),
+                (load_request(id, s), format!(r#"{{"id":"{hex}","shard":{s}}}"#)),
+                (
+                    push_payload(s, Some("f"), &[], &Objects::new()),
+                    format!(r#"{{"fence":"f","objects":{{}},"shard":{s},"tuples":[]}}"#),
+                ),
+                (
+                    stats_reply(&CacheStats::default(), 7, 1, 0, shards),
+                    format!(
+                        r#"{{"bytes":0,"commits":1,"entries":0,"expired":0,"hits":0,"misses":0,"pushes_batched":0,"shards":{shards},"version":7}}"#
+                    ),
+                ),
+            ];
+            for (built, literal) in &table {
+                assert_eq!(built.to_json(), *literal, "{shards} shards");
             }
-            let commit = s.commit_event(&cut[1]);
-            let ev = decode_setroot(&commit);
-            assert!(ev.fences.is_empty());
-            assert_eq!(ev.roots[0].version, 7);
+            assert_eq!(decode_root(&table[0].0), *at);
+            assert_eq!(decode_cut(&table[1].0), Cut { shards, roots: cut.to_vec() });
+            let ev = decode_setroot(&table[2].0);
+            assert_eq!((ev.roots, ev.fences, ev.failed), (cut.to_vec(), vec!["f"], None));
+            let ev = decode_setroot(&table[3].0);
+            assert_eq!((ev.roots, ev.fences.len()), (vec![cut[0].clone()], 0));
+            assert!(is_load_request(&table[4].0, id, s));
         }
         let failed = fence_failed_event("f", 22);
         let failed = decode_setroot(&failed);
@@ -562,9 +510,9 @@ mod tests {
         let id = obj.id();
         let tuples: Vec<Tuple> = vec![("a.b".to_owned(), Some(id)), ("gone".to_owned(), None)];
         let objects: Objects = BTreeMap::from([(id, Arc::new(obj))]);
-        let plain = push_payload(None, None, &tuples, &objects);
-        assert!(plain.get("shard").is_none() && plain.get("fence").is_none());
-        let tagged = push_payload(Some(3), Some("f"), &tuples, &objects);
+        let plain = push_payload(0, None, &tuples, &objects);
+        assert!(plain.get("fence").is_none());
+        let tagged = push_payload(3, Some("f"), &tuples, &objects);
         assert_eq!(tagged.get("shard").and_then(Value::as_uint), Some(3));
         assert_eq!(tagged.get("fence").and_then(Value::as_str), Some("f"));
         for p in [&plain, &tagged] {

@@ -20,7 +20,7 @@
 //! A child's `kvs.load` that misses here is parked, and the load this
 //! broker sends up for it is the child's own payload when that payload
 //! is exactly the request this broker would build
-//! ([`msg::Spelling::is_load_request`]): nothing is rebuilt, and the id
+//! ([`msg::is_load_request`]): nothing is rebuilt, and the id
 //! parsed here rides on in the payload's memo slot ([`load_id`]) for
 //! every tier above. Any other payload and a walk's miss send a freshly
 //! built request, so what travels upstream is the same either way. A
@@ -239,9 +239,8 @@ impl Reads {
         let entry = self.load_waiters.entry(id).or_default();
         let first = entry.0.is_empty() && entry.1.is_empty();
         let ask = first.then(|| {
-            let spelling = rep.slots.spelling();
-            if !spelling.is_load_request(&req.payload, id, shard) {
-                return Payload::from(spelling.load_request(id, shard));
+            if !msg::is_load_request(&req.payload, id, shard) {
+                return Payload::from(msg::load_request(id, shard));
             }
             // `id` is this payload's own parse ([`load_id`]): kept in its
             // memo, the tiers above read it instead of parsing again.
@@ -323,7 +322,7 @@ impl Reads {
         let entry = self.load_waiters.entry(missing).or_default();
         entry.0.push(self.next_walk);
         if entry.0.len() == 1 && entry.1.is_empty() {
-            let payload = Payload::from(rep.slots.spelling().load_request(missing, shard));
+            let payload = Payload::from(msg::load_request(missing, shard));
             self.send_load(ctx, rep, missing, shard, payload);
         }
     }
@@ -446,7 +445,6 @@ impl Reads {
 mod tests {
     use super::*;
     use crate::module::KvsModule;
-    use crate::msg::Spelling;
     use crate::testutil::{messages, request};
     use flux_broker::testing::with_ctx;
     use flux_broker::CommsModule;
@@ -672,7 +670,7 @@ mod tests {
     #[test]
     fn a_missed_child_load_climbs_on_as_the_childs_own_payload() {
         let id = dir_b7().id();
-        let ask = Payload::from(Spelling::of(1).load_request(id, 0));
+        let ask = Payload::from(msg::load_request(id, 0));
         assert!(memo_of(&ask).is_none());
         let sent = forwarded_by(1, &ask);
         assert_eq!(sent, ask);
@@ -684,7 +682,7 @@ mod tests {
     #[test]
     fn a_child_load_with_another_spelling_is_sent_on_rebuilt() {
         let id = dir_b7().id();
-        let canonical = Spelling::of(1).load_request(id, 0);
+        let canonical = msg::load_request(id, 0);
         let mut extra = canonical.clone();
         extra.insert("x", Value::from(1i64));
         let upper = Value::from_pairs([("id", Value::from(id.to_hex().to_uppercase()))]);
@@ -701,7 +699,7 @@ mod tests {
     #[test]
     fn brokers_handed_one_load_request_parse_its_id_once() {
         let id = dir_b7().id();
-        let ask = Payload::from(Spelling::of(1).load_request(id, 0));
+        let ask = Payload::from(msg::load_request(id, 0));
         // Rank 3 misses and forwards; its parent, rank 1, is handed the
         // same payload and misses too.
         let from_leaf = forwarded_by(3, &ask);
@@ -712,27 +710,25 @@ mod tests {
         // memo names another object (a broken build, never a real one)
         // is sent on as a fresh request for the memo's object.
         let other = KvsObject::Val(Value::Int(8)).id();
-        let misread = Payload::from(Spelling::of(1).load_request(id, 0));
+        let misread = Payload::from(msg::load_request(id, 0));
         misread.memo(|_| Some(other));
-        assert_eq!(forwarded_by(1, &misread), Spelling::of(1).load_request(other, 0));
+        assert_eq!(forwarded_by(1, &misread), msg::load_request(other, 0));
     }
 
     #[test]
     fn is_load_request_accepts_exactly_what_load_request_builds() {
         let id = dir_b7().id();
-        for (spelling, shard) in [(Spelling::of(1), 0), (Spelling::of(4), 2)] {
-            let built = spelling.load_request(id, shard);
-            assert!(spelling.is_load_request(&built, id, shard));
-            assert!(!spelling.is_load_request(&built, KvsObject::empty_dir().id(), shard));
+        for shard in [0, 2] {
+            let built = msg::load_request(id, shard);
+            assert!(msg::is_load_request(&built, id, shard));
+            assert!(!msg::is_load_request(&built, KvsObject::empty_dir().id(), shard));
+            assert!(!msg::is_load_request(&built, id, shard + 1), "another shard");
             let mut extra = built.clone();
             extra.insert("x", Value::Null);
-            assert!(!spelling.is_load_request(&extra, id, shard));
+            assert!(!msg::is_load_request(&extra, id, shard));
         }
-        let sharded = Spelling::of(4).load_request(id, 2);
-        assert!(!Spelling::of(4).is_load_request(&sharded, id, 1), "another shard");
-        assert!(!Spelling::of(1).is_load_request(&sharded, id, 2), "another spelling");
-        let single = Spelling::of(1).load_request(id, 0);
-        assert!(!Spelling::of(4).is_load_request(&single, id, 0), "no shard field");
+        let bare = Value::from_pairs([("id", Value::from(id.to_hex()))]);
+        assert!(!msg::is_load_request(&bare, id, 0), "no shard field");
     }
 
     #[test]

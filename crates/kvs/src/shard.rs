@@ -33,9 +33,9 @@ pub fn shard_of_key(key: &str, shards: u32) -> Result<u32, KeyError> {
 }
 
 /// Whether a session `shards` wide has more than the paper's single
-/// master. Exactly two things depend on the answer: how a write part
-/// reaches a master on another broker, and which wire spelling the
-/// session speaks ([`crate::msg`]).
+/// master. One thing depends on the answer: how a write part reaches a
+/// master on another broker (`Coordinator::route`). Every message is
+/// spelled the same either way ([`crate::msg`]).
 pub fn sharded(shards: u32) -> bool {
     shards > 1
 }

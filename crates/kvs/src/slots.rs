@@ -6,7 +6,7 @@
 //! slot this broker masters (`rank < shards`; the tree root in a
 //! one-shard session), if any, is the authoritative copy.
 
-use crate::msg::{RootRef, Spelling};
+use crate::msg::{self, RootRef};
 use crate::object::KvsObject;
 use crate::shard;
 use flux_broker::{Handled, ModuleCtx};
@@ -24,7 +24,6 @@ struct Slot {
 pub(crate) struct Slots {
     slots: Vec<Slot>,
     mine: Option<u32>,
-    spelling: Spelling,
     /// Shards whose root moved since [`Slots::take_moved`]: their
     /// watchers are re-checked once the current handler is done.
     moved: Vec<u32>,
@@ -46,15 +45,10 @@ impl Slots {
                 (0..shards).map(|_| Slot { version: 0, root, waiters: Vec::new() }).collect();
         }
         self.mine = mine;
-        self.spelling = Spelling::of(shards);
     }
 
     pub(crate) fn shards(&self) -> u32 {
         self.slots.len() as u32
-    }
-
-    pub(crate) fn spelling(&self) -> Spelling {
-        self.spelling
     }
 
     /// The shard this broker masters, if any.
@@ -119,7 +113,7 @@ impl Slots {
             let (ready, rest): (Vec<_>, Vec<_>) =
                 std::mem::take(&mut slot.waiters).into_iter().partition(|(v, _)| *v <= version);
             slot.waiters = rest;
-            let reply = self.spelling.version_reply(&self.root_ref(shard));
+            let reply = msg::version_reply(&self.root_ref(shard));
             for (_, req) in ready {
                 ctx.respond(&req, reply.clone());
             }
@@ -133,14 +127,14 @@ impl Slots {
         std::mem::take(&mut self.moved)
     }
 
-    /// Answers `req` with `shard`'s current `(version, root)`.
+    /// Answers `req` with `shard`'s current `{shard, version, root}`.
     pub(crate) fn respond_version(
         &self,
         ctx: &mut ModuleCtx<'_>,
         shard: u32,
         req: &Message,
     ) -> Handled {
-        ctx.respond(req, self.spelling.version_reply(&self.root_ref(shard)))
+        ctx.respond(req, msg::version_reply(&self.root_ref(shard)))
     }
 
     /// Answers `req` once `shard` reaches version `target`.

@@ -75,12 +75,16 @@ proptest! {
                 let rank = Rank(w + 1);
                 let m = pump_one(&mut net, rank, 0);
                 match clients[w as usize].deliver(m) {
-                    KvsDelivery::Reply { reply: KvsReply::Version { version, .. }, .. } => {
-                        histories[w as usize].events.push(Event::Committed {
-                            key: format!("bp.w{w}"),
-                            gen: round,
-                            version,
-                        });
+                    KvsDelivery::Reply { reply: KvsReply::Frontier { frontier, .. }, .. } => {
+                        prop_assert_eq!(frontier.len(), 1, "one shard: {:?}", frontier);
+                        for at in frontier {
+                            histories[w as usize].events.push(Event::Committed {
+                                key: format!("bp.w{w}"),
+                                gen: round,
+                                shard: at.shard,
+                                version: at.version,
+                            });
+                        }
                     }
                     other => prop_assert!(false, "commit reply {other:?}"),
                 }
@@ -113,8 +117,8 @@ proptest! {
             let probe = obs.get_version(10 + pass);
             net.client_send(Rank(1), 9, probe);
             match obs.deliver(pump_one(&mut net, Rank(1), 9)) {
-                KvsDelivery::Reply { reply: KvsReply::Version { version, .. }, .. } => {
-                    oh.events.push(Event::Version { v: version });
+                KvsDelivery::Reply { reply: KvsReply::Version(at), .. } => {
+                    oh.events.push(Event::Version { shard: at.shard, v: at.version });
                 }
                 other => prop_assert!(false, "probe {other:?}"),
             }

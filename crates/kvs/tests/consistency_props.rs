@@ -66,15 +66,15 @@ proptest! {
                 net.client_send(Rank(r), 0, commit);
                 let m = one_reply(&mut net, Rank(r), 0);
                 match writers[r as usize].deliver(m) {
-                    KvsDelivery::Reply { reply: KvsReply::Version { version, .. }, .. } => {
-                        commit_versions.push(version);
+                    KvsDelivery::Reply { reply: KvsReply::Frontier { frontier, .. }, .. } => {
+                        commit_versions.push(frontier[0].version);
                     }
                     other => prop_assert!(false, "commit reply {other:?}"),
                 }
             } else {
                 let probe = observer.get_version(3);
                 match reply(&mut net, &mut observer, observer_rank, 7, probe) {
-                    KvsReply::Version { version, .. } => observed.push(version),
+                    KvsReply::Version(at) => observed.push(at.version),
                     other => prop_assert!(false, "probe reply {other:?}"),
                 }
             }
@@ -106,7 +106,9 @@ proptest! {
             net.client_send(wr, 2, commit);
             let m = one_reply(&mut net, wr, 2);
             let version = match w.deliver(m) {
-                KvsDelivery::Reply { reply: KvsReply::Version { version, .. }, .. } => version,
+                KvsDelivery::Reply { reply: KvsReply::Frontier { frontier, .. }, .. } => {
+                    frontier[0].version
+                }
                 other => {
                     prop_assert!(false, "{other:?}");
                     unreachable!()
@@ -116,7 +118,7 @@ proptest! {
             let mut r = KvsClient::new(rr, 3);
             let wait = r.wait_version(version, 1);
             let rep = reply(&mut net, &mut r, rr, 3, wait);
-            let waited_ok = matches!(rep, KvsReply::Version { version: v, .. } if v >= version);
+            let waited_ok = matches!(rep, KvsReply::Version(at) if at.version >= version);
             prop_assert!(waited_ok, "wait_version returned too early");
             let get = r.get(&key, 2);
             let rep = reply(&mut net, &mut r, rr, 3, get);
@@ -154,7 +156,7 @@ proptest! {
                     unreachable!()
                 }
             };
-            prop_assert!(matches!(rep, KvsReply::Version { .. }), "{rep:?}");
+            prop_assert!(matches!(rep, KvsReply::Frontier { .. }), "{rep:?}");
         }
         // Every key visible from rank 0.
         let mut probe = KvsClient::new(Rank(0), 9);

@@ -8,6 +8,7 @@
 use flux_broker::testing::TestNet;
 use flux_broker::CommsModule;
 use flux_kvs::client::{KvsClient, KvsDelivery, KvsReply};
+use flux_kvs::msg::RootRef;
 use flux_kvs::{KvsConfig, KvsModule};
 use flux_value::Value;
 use flux_wire::{errnum, Message, Rank, Topic};
@@ -32,6 +33,18 @@ fn pump_for(net: &mut TestNet, rank: Rank, cid: u32, want: usize, sink: &mut Vec
 }
 
 /// Sends one request (built by `f`) and decodes the single reply.
+/// The version a one-shard session's commit or fence reply gives shard
+/// 0, the one shard; `None` for any other reply.
+fn committed(reply: &KvsReply) -> Option<u64> {
+    match reply {
+        KvsReply::Frontier { shards: 1, frontier } => match frontier.as_slice() {
+            [at] if at.shard == 0 => Some(at.version),
+            _ => None,
+        },
+        _ => None,
+    }
+}
+
 fn rpc<F>(net: &mut TestNet, rank: Rank, cid: u32, c: &mut KvsClient, f: F) -> KvsReply
 where
     F: FnOnce(&mut KvsClient) -> Message,
@@ -53,8 +66,7 @@ fn put_commit_get_across_brokers() {
     let mut w = KvsClient::new(Rank(5), 0);
     assert_eq!(rpc(&mut net, Rank(5), 0, &mut w, |w| w.put("a.b.c", Value::Int(42), 1)), KvsReply::Ack);
     let commit = rpc(&mut net, Rank(5), 0, &mut w, |w| w.commit(2));
-    let KvsReply::Version { version, .. } = commit else { panic!("{commit:?}") };
-    assert_eq!(version, 1);
+    assert_eq!(committed(&commit), Some(1), "{commit:?}");
 
     // Another rank reads it (fault-in through the chain).
     let mut r = KvsClient::new(Rank(6), 0);
@@ -82,12 +94,8 @@ fn read_your_writes_at_committing_broker() {
     let mut net = net(15);
     let mut c = KvsClient::new(Rank(11), 0);
     let _ = rpc(&mut net, Rank(11), 0, &mut c, |c| c.put("ryw.key", Value::from("mine"), 1));
-    let KvsReply::Version { version, .. } =
-        rpc(&mut net, Rank(11), 0, &mut c, |c| c.commit(2))
-    else {
-        panic!("commit failed")
-    };
-    assert_eq!(version, 1);
+    let commit = rpc(&mut net, Rank(11), 0, &mut c, |c| c.commit(2));
+    assert_eq!(committed(&commit), Some(1), "{commit:?}");
     assert_eq!(
         rpc(&mut net, Rank(11), 0, &mut c, |c| c.get("ryw.key", 3)),
         KvsReply::Value(Value::from("mine"))
@@ -101,13 +109,11 @@ fn causal_consistency_via_wait_version() {
     let mut net = net(15);
     let mut a = KvsClient::new(Rank(7), 0);
     let _ = rpc(&mut net, Rank(7), 0, &mut a, |a| a.put("causal.x", Value::Int(9), 1));
-    let KvsReply::Version { version, .. } = rpc(&mut net, Rank(7), 0, &mut a, |a| a.commit(2))
-    else {
-        panic!("commit failed")
-    };
+    let commit = rpc(&mut net, Rank(7), 0, &mut a, |a| a.commit(2));
+    let version = committed(&commit).expect("commit failed");
 
     let mut b = KvsClient::new(Rank(14), 0);
-    let KvsReply::Version { version: seen, .. } =
+    let KvsReply::Version(RootRef { version: seen, .. }) =
         rpc(&mut net, Rank(14), 0, &mut b, |b| b.wait_version(version, 3))
     else {
         panic!("wait failed")
@@ -126,21 +132,19 @@ fn monotonic_versions_across_commits() {
     let mut last = 0;
     for i in 0..5 {
         let _ = rpc(&mut net, Rank(3), 0, &mut c, |c| c.put("mono.k", Value::Int(i), 1));
-        let KvsReply::Version { version, .. } = rpc(&mut net, Rank(3), 0, &mut c, |c| c.commit(2))
-        else {
-            panic!("commit failed")
-        };
+        let commit = rpc(&mut net, Rank(3), 0, &mut c, |c| c.commit(2));
+        let version = committed(&commit).expect("commit failed");
         assert!(version > last, "version must advance: {version} after {last}");
         last = version;
     }
     // get_version at a third-party rank is <= master's but never regresses.
     let mut o = KvsClient::new(Rank(6), 0);
-    let KvsReply::Version { version: v1, .. } =
+    let KvsReply::Version(RootRef { version: v1, .. }) =
         rpc(&mut net, Rank(6), 0, &mut o, |o| o.get_version(9))
     else {
         panic!()
     };
-    let KvsReply::Version { version: v2, .. } =
+    let KvsReply::Version(RootRef { version: v2, .. }) =
         rpc(&mut net, Rank(6), 0, &mut o, |o| o.get_version(10))
     else {
         panic!()
@@ -188,7 +192,7 @@ fn fence_collects_all_participants() {
             KvsDelivery::Reply { reply, .. } => reply,
             other => panic!("{other:?}"),
         };
-        assert!(matches!(reply, KvsReply::Version { version: 1, .. }), "{reply:?}");
+        assert_eq!(committed(&reply), Some(1), "{reply:?}");
     }
     // All keys visible everywhere.
     for r in 0..size {
@@ -311,7 +315,7 @@ fn duplicate_fence_contribution_does_not_double_count() {
         assert_eq!(got.len(), 1);
         match client.deliver(got.remove(0)) {
             KvsDelivery::Reply { reply, .. } => {
-                assert!(matches!(reply, KvsReply::Version { .. }), "{reply:?}");
+                assert!(matches!(reply, KvsReply::Frontier { .. }), "{reply:?}");
             }
             other => panic!("{other:?}"),
         }
@@ -385,12 +389,8 @@ fn watch_streams_changes_to_remote_rank() {
     let mut writer = KvsClient::new(Rank(3), 0);
     for (i, v) in [(1i64, "first"), (2, "second")] {
         let _ = rpc(&mut net, Rank(3), 0, &mut writer, |writer| writer.put("w.key", Value::from(v), 1));
-        let KvsReply::Version { version, .. } =
-            rpc(&mut net, Rank(3), 0, &mut writer, |writer| writer.commit(2))
-        else {
-            panic!()
-        };
-        assert_eq!(version as i64, i);
+        let commit = rpc(&mut net, Rank(3), 0, &mut writer, |writer| writer.commit(2));
+        assert_eq!(committed(&commit), Some(i as u64), "{commit:?}");
     }
     // The watcher sees both updates, in order.
     let mut updates = Vec::new();
@@ -702,8 +702,9 @@ fn commit_across_a_shard_master_blackout_is_answered_wherever_it_was_issued() {
         pump_for(&mut net, issuer, 0, 1, &mut msgs);
         assert_eq!(msgs.len(), 1, "commit issued at {issuer:?} must be answered after the restart");
         match c.deliver(msgs.remove(0)) {
-            KvsDelivery::Reply { reply: KvsReply::Frontier { shards: 2, entries }, .. } => {
-                assert_eq!(entries.iter().map(|e| (e.0, e.1)).collect::<Vec<_>>(), vec![(1, 1)]);
+            KvsDelivery::Reply { reply: KvsReply::Frontier { shards: 2, frontier }, .. } => {
+                let at: Vec<_> = frontier.iter().map(|r| (r.shard, r.version)).collect();
+                assert_eq!(at, [(1, 1)]);
             }
             other => panic!("unexpected delivery {other:?}"),
         }
@@ -732,12 +733,12 @@ fn a_commit_in_flight_for_less_than_a_heartbeat_is_sent_and_applied_once() {
         let KvsReply::Stats(s) = rpc(&mut net, Rank(1), 1, &mut probe, |p| p.stats(1)) else { panic!() };
         let stat = |k: &str| s.get(k).and_then(Value::as_int);
         assert_eq!((stat("pushes_batched"), stat("commits")), (Some(1), Some(1)), "issued at {issuer:?}: {s:?}");
-        let KvsReply::Version { version, .. } =
+        let KvsReply::Version(at) =
             rpc(&mut net, Rank(1), 1, &mut probe, |p| p.get_version_shard(1, 2))
         else {
             panic!()
         };
-        assert_eq!(version, 1);
+        assert_eq!((at.shard, at.version), (1, 1));
     }
 }
 
@@ -761,7 +762,7 @@ fn an_instance_serving_two_brokers_clients_keeps_them_apart() {
     assert_eq!(rpc(&mut net, rb, 0, &mut b, |b| b.put("pl.b", Value::Int(4), 1)), KvsReply::Ack);
     // One process's commit publishes its own write-back set only.
     let commit = rpc(&mut net, ra, 0, &mut a, |a| a.commit(2));
-    assert!(matches!(commit, KvsReply::Version { version: 1, .. }), "{commit:?}");
+    assert_eq!(committed(&commit), Some(1), "{commit:?}");
     assert_eq!(
         rpc(&mut net, ra, 0, &mut a, |a| a.get("pl.b", 3)),
         KvsReply::Err(errnum::ENOENT),
@@ -777,7 +778,7 @@ fn an_instance_serving_two_brokers_clients_keeps_them_apart() {
         pump_for(&mut net, rank, 0, 1, &mut done);
         assert_eq!(done.len(), 1, "{rank:?}'s fence completes");
         match c.deliver(done.remove(0)) {
-            KvsDelivery::Reply { reply: KvsReply::Version { version: 2, .. }, .. } => {}
+            KvsDelivery::Reply { reply, .. } if committed(&reply) == Some(2) => {}
             other => panic!("{rank:?}: {other:?}"),
         }
     }

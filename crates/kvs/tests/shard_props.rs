@@ -14,6 +14,7 @@ use flux_broker::testing::TestNet;
 use flux_broker::CommsModule;
 use flux_kvs::client::{KvsClient, KvsDelivery, KvsReply};
 use flux_kvs::history::{check, ClientHistory, Event};
+use flux_kvs::msg::RootRef;
 use flux_kvs::shard::shard_of_key;
 use flux_kvs::{KvsConfig, KvsModule};
 use flux_value::Value;
@@ -42,7 +43,7 @@ fn writer_keys(salt: u32, w: u32) -> Vec<String> {
 }
 
 /// Records a commit/fence reply's frontier into `events`: one
-/// `CommittedSharded` (or `Fenced`) per key plus the per-shard version
+/// `Committed` (or `Fenced`) per key plus the per-shard version
 /// observations the frontier implies.
 #[allow(clippy::too_many_arguments)]
 fn record_frontier(
@@ -50,10 +51,10 @@ fn record_frontier(
     keys: &[String],
     gen: u64,
     shards: u32,
-    entries: &[(u32, u64, String)],
+    frontier: &[RootRef],
     fence: Option<&str>,
 ) {
-    let fmap: HashMap<u32, u64> = entries.iter().map(|(s, v, _)| (*s, *v)).collect();
+    let fmap: HashMap<u32, u64> = frontier.iter().map(|r| (r.shard, r.version)).collect();
     for key in keys {
         let shard = shard_of_key(key, shards).unwrap();
         let version = *fmap.get(&shard).expect("frontier covers every written shard");
@@ -64,7 +65,7 @@ fn record_frontier(
                 gen,
                 shard,
             }),
-            None => events.push(Event::CommittedSharded {
+            None => events.push(Event::Committed {
                 key: key.clone(),
                 gen,
                 shard,
@@ -75,11 +76,11 @@ fn record_frontier(
     if let Some(name) = fence {
         events.push(Event::FenceDone {
             name: name.to_owned(),
-            frontier: entries.iter().map(|(s, v, _)| (*s, *v)).collect(),
+            frontier: frontier.iter().map(|r| (r.shard, r.version)).collect(),
         });
     } else {
-        for (s, v, _) in entries {
-            events.push(Event::ShardVersion { shard: *s, v: *v });
+        for r in frontier {
+            events.push(Event::Version { shard: r.shard, v: r.version });
         }
     }
 }
@@ -136,22 +137,13 @@ proptest! {
                 let m = pump_one(&mut net, rank, 0);
                 match clients[w as usize].deliver(m) {
                     KvsDelivery::Reply {
-                        reply: KvsReply::Frontier { shards: n, entries }, ..
+                        reply: KvsReply::Frontier { shards: n, frontier }, ..
                     } => {
-                        prop_assert!(shards > 1, "frontier reply from unsharded session");
                         prop_assert_eq!(n, shards);
                         record_frontier(
                             &mut histories[w as usize].events,
-                            &keys, round, shards, &entries, None,
+                            &keys, round, shards, &frontier, None,
                         );
-                    }
-                    KvsDelivery::Reply { reply: KvsReply::Version { version, .. }, .. } => {
-                        prop_assert!(shards == 1, "bare version reply from sharded session");
-                        for key in &keys {
-                            histories[w as usize].events.push(Event::Committed {
-                                key: key.clone(), gen: round, version,
-                            });
-                        }
                     }
                     other => prop_assert!(false, "commit reply {other:?}"),
                 }
@@ -188,10 +180,11 @@ proptest! {
                 let probe = obs.get_version_shard(s, 10 + pass);
                 net.client_send(Rank(base), 9, probe);
                 match obs.deliver(pump_one(&mut net, Rank(base), 9)) {
-                    KvsDelivery::Reply { reply: KvsReply::Version { version, .. }, .. } => {
-                        oh.events.push(Event::ShardVersion { shard: s, v: version });
+                    KvsDelivery::Reply { reply: KvsReply::Version(at), .. } => {
+                        prop_assert_eq!(at.shard, s);
+                        oh.events.push(Event::Version { shard: s, v: at.version });
                         let e = seen.entry(s).or_insert(0);
-                        *e = (*e).max(version);
+                        *e = (*e).max(at.version);
                     }
                     other => prop_assert!(false, "probe {other:?}"),
                 }
@@ -218,9 +211,11 @@ proptest! {
             let wait = obs.wait_version_shard(*v, *s, 30);
             net.client_send(Rank(base), 9, wait);
             match obs.deliver(pump_one(&mut net, Rank(base), 9)) {
-                KvsDelivery::Reply { reply: KvsReply::Version { version, .. }, .. } => {
+                KvsDelivery::Reply { reply: KvsReply::Version(at), .. } => {
+                    let version = at.version;
                     prop_assert!(version >= *v, "wait_version({v}) answered {version}");
-                    oh.events.push(Event::ShardVersion { shard: *s, v: version });
+                    prop_assert_eq!(at.shard, *s);
+                    oh.events.push(Event::Version { shard: *s, v: version });
                 }
                 other => prop_assert!(false, "wait_version {other:?}"),
             }
@@ -228,19 +223,14 @@ proptest! {
         histories.push(oh);
         let violations = check(&histories);
         prop_assert!(violations.is_empty(), "{violations:?}");
-        // The shard-0 master advertises the shard count exactly when the
-        // session is sharded.
+        // The shard-0 master advertises the shard count.
         let mut probe = KvsClient::new(Rank(0), 5);
         let st = probe.stats(1);
         net.client_send(Rank(0), 5, st);
         match probe.deliver(pump_one(&mut net, Rank(0), 5)) {
             KvsDelivery::Reply { reply: KvsReply::Stats(s), .. } => {
                 let advertised = s.get("shards").and_then(Value::as_uint);
-                if shards > 1 {
-                    prop_assert_eq!(advertised, Some(u64::from(shards)));
-                } else {
-                    prop_assert_eq!(advertised, None);
-                }
+                prop_assert_eq!(advertised, Some(u64::from(shards)));
             }
             other => prop_assert!(false, "stats {other:?}"),
         }
@@ -284,32 +274,19 @@ proptest! {
             let fence = c.fence("sp.fence", u64::from(writers), 2);
             net.client_send(rank, 0, fence);
         }
-        let mut release_frontier: Option<Vec<(u32, u64, String)>> = None;
+        let mut release_frontier: Option<Vec<RootRef>> = None;
         for w in 0..writers {
             let rank = Rank(base + w);
             let keys = writer_keys(salt, w);
             let m = pump_one(&mut net, rank, 0);
             match clients[w as usize].deliver(m) {
-                KvsDelivery::Reply { reply: KvsReply::Frontier { shards: n, entries }, .. } => {
-                    prop_assert!(shards > 1);
+                KvsDelivery::Reply { reply: KvsReply::Frontier { shards: n, frontier }, .. } => {
                     prop_assert_eq!(n, shards);
                     record_frontier(
                         &mut histories[w as usize].events,
-                        &keys, 1, shards, &entries, Some("sp.fence"),
+                        &keys, 1, shards, &frontier, Some("sp.fence"),
                     );
-                    release_frontier.get_or_insert(entries);
-                }
-                KvsDelivery::Reply { reply: KvsReply::Version { version, .. }, .. } => {
-                    prop_assert!(shards == 1);
-                    for key in &keys {
-                        histories[w as usize].events.push(Event::Fenced {
-                            name: "sp.fence".into(), key: key.clone(), gen: 1, shard: 0,
-                        });
-                    }
-                    histories[w as usize].events.push(Event::FenceDone {
-                        name: "sp.fence".into(),
-                        frontier: vec![(0, version)],
-                    });
+                    release_frontier.get_or_insert(frontier);
                 }
                 other => prop_assert!(false, "fence reply {other:?}"),
             }
@@ -318,10 +295,10 @@ proptest! {
         // an observer that has seen the release must find all fenced keys.
         let mut obs = KvsClient::new(Rank(base), 9);
         let mut oh = ClientHistory { client: "observer".into(), events: Vec::new() };
-        if let Some(entries) = &release_frontier {
+        if let Some(frontier) = &release_frontier {
             oh.events.push(Event::FenceDone {
                 name: "sp.fence".into(),
-                frontier: entries.iter().map(|(s, v, _)| (*s, *v)).collect(),
+                frontier: frontier.iter().map(|r| (r.shard, r.version)).collect(),
             });
         }
         for w in 0..writers {

@@ -7,7 +7,7 @@
 //! size with the `barrier` module (`group.info` reports the size).
 
 use flux_broker::{CommsModule, Handled, ModuleCtx};
-use flux_kvs::msg;
+use flux_kvs::{msg, shard};
 use flux_proto::{keys, GroupMethod, KvsMethod};
 use flux_value::Value;
 use flux_wire::{errnum, Message, MsgId};
@@ -15,8 +15,8 @@ use std::collections::HashMap;
 
 /// What an outstanding internal KVS request was for.
 enum PendingKind {
-    /// Join/leave commit: answer the original request.
-    Commit(Message),
+    /// Join/leave commit of the member key: answer the original request.
+    Commit(Message, String),
     /// Listing fetch for `group.info`: answer with the member set.
     Listing(Message),
 }
@@ -79,38 +79,43 @@ impl CommsModule for GroupModule {
             Ok(key) => key,
             Err(code) => return ctx.respond_err(&msg, code),
         };
-        let (id, kind): (MsgId, fn(Message) -> PendingKind) = match method {
+        let id = match method {
             GroupMethod::Join => {
                 let member = Value::from_pairs([
                     ("rank", Value::from(msg.header.src.0)),
                     ("joined_ns", Value::from(ctx.now_ns() as i64)),
                 ]);
                 let _ = self.kvs(ctx, KvsMethod::Put, msg::put(&key, member));
-                (self.kvs(ctx, KvsMethod::Commit, Value::object()), PendingKind::Commit)
+                self.kvs(ctx, KvsMethod::Commit, Value::object())
             }
             GroupMethod::Leave => {
                 let _ = self.kvs(ctx, KvsMethod::Unlink, msg::key(&key));
-                (self.kvs(ctx, KvsMethod::Commit, Value::object()), PendingKind::Commit)
+                self.kvs(ctx, KvsMethod::Commit, Value::object())
             }
-            GroupMethod::Info => {
-                (self.kvs(ctx, KvsMethod::Get, msg::dir(&key)), PendingKind::Listing)
-            }
+            GroupMethod::Info => self.kvs(ctx, KvsMethod::Get, msg::dir(&key)),
         };
         let (original, parked) = ctx.park(msg);
-        self.pending.insert(id, kind(original));
+        let kind = match method {
+            GroupMethod::Join | GroupMethod::Leave => PendingKind::Commit(original, key),
+            GroupMethod::Info => PendingKind::Listing(original),
+        };
+        self.pending.insert(id, kind);
         parked
     }
 
     fn handle_response(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
         let Some(kind) = self.pending.remove(&msg.header.id) else { return };
         match kind {
-            PendingKind::Commit(original) => {
+            PendingKind::Commit(original, key) => {
                 if msg.is_error() {
                     ctx.respond_err(&original, msg.header.errnum);
                 } else {
-                    // An N-shard commit answers a frontier: no one version.
-                    let version = msg::decode_cut(&msg.payload).version();
-                    let version = version.map_or(Value::Null, |v| Value::from(v as i64));
+                    // The commit's cut holds the root of the shard that
+                    // holds the member key, at the version it reached.
+                    let cut = msg::decode_cut(&msg.payload);
+                    let shard = shard::shard_of_key(&key, cut.shards).unwrap_or(0);
+                    let at = cut.roots.iter().find(|r| r.shard == shard);
+                    let version = at.map_or(Value::Null, |r| Value::from(r.version as i64));
                     ctx.respond(&original, Value::from_pairs([("version", version)]));
                 }
             }

@@ -124,12 +124,12 @@ fn check(case: &Case, topic: Topic) -> Result<(), TestCaseError> {
         let reply = &inbox[0];
         prop_assert_eq!(Some(reply.header.id), firsts[who], "participant {}: its entry", who);
         prop_assert!(!reply.is_error(), "participant {}: {:?}", who, reply);
-        cuts.push(msg::decode_cut(&reply.payload).version());
+        cuts.push(msg::decode_cut(&reply.payload));
     }
     if fence {
         // One commit in the session: the fence's cut is version 1, and
         // what every participant reads now is what that cut holds.
-        prop_assert!(cuts.iter().all(|&v| v == Some(1)), "{:?}", cuts);
+        prop_assert!(cuts.iter().all(|c| c.roots.iter().map(|r| r.version).eq([1])), "{:?}", cuts);
         for who in 0..n {
             for key in 0..n {
                 let get = msg::key(&format!("p.{key}"));

@@ -315,6 +315,36 @@ fn group_join_info_leave() {
     assert_eq!(resp.payload.get("size"), Some(&Value::Int(0)));
 }
 
+/// On a 2-shard KVS a join or leave answers the version its commit gave
+/// the shard holding the member key — the version that shard's own
+/// `kvs.get_version` then reads.
+#[test]
+fn group_join_and_leave_answer_the_member_shards_version() {
+    let kvs = flux_kvs::KvsConfig { shards: 2, ..flux_kvs::KvsConfig::default() };
+    let mut net = TestNet::new(4, 2, move |_| {
+        let modules: Vec<Box<dyn flux_broker::CommsModule>> = vec![
+            Box::new(flux_modules::GroupModule::new()),
+            Box::new(flux_kvs::KvsModule::with_config(kvs)),
+        ];
+        modules
+    });
+    for (tag, (rank, method)) in
+        [(2u32, "group.join"), (3, "group.join"), (2, "group.leave")].into_iter().enumerate()
+    {
+        let mut c = ClientCore::new(Rank(rank), 0);
+        let name = Value::from_pairs([("name", Value::from("tools"))]);
+        let resp = rpc(&mut net, Rank(rank), 0, c.request(topic(method), name, tag as u64));
+        let version = resp.payload.get("version").and_then(Value::as_int);
+        let key = format!("groups.tools.r{rank}-c0");
+        let shard = flux_kvs::shard::shard_of_key(&key, 2).unwrap();
+        let probe =
+            c.request(topic("kvs.get_version"), flux_kvs::msg::version(None, Some(shard)), 9);
+        let at = flux_kvs::msg::decode_root(&rpc(&mut net, Rank(rank), 0, probe).payload);
+        assert!(version.is_some_and(|v| v >= 1), "{method} from {rank}: {resp:?}");
+        assert_eq!(version, Some(at.version as i64), "{method} from {rank}: shard {shard}");
+    }
+}
+
 #[test]
 fn wexec_bulk_launch_captures_stdout_and_completes() {
     let size = 7u32;

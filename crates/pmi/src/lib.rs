@@ -75,8 +75,8 @@ impl Pmi {
     }
 
     /// Classifies an incoming message. PMI has no replies of its own: a
-    /// put is answered `KvsReply::Ack`, a fence `KvsReply::Version` (on
-    /// a sharded KVS, `KvsReply::Frontier`) and a get `KvsReply::Value`.
+    /// put is answered `KvsReply::Ack`, a fence `KvsReply::Frontier`
+    /// (whatever the shard count) and a get `KvsReply::Value`.
     pub fn deliver(&mut self, msg: Message) -> KvsDelivery {
         self.kvs.deliver(msg)
     }
@@ -104,6 +104,7 @@ mod tests {
     use super::*;
     use flux_broker::testing::TestNet;
     use flux_kvs::client::KvsReply;
+    use flux_kvs::msg::{self, RootRef};
     use flux_kvs::{KvsConfig, KvsModule};
 
     #[test]
@@ -131,12 +132,10 @@ mod tests {
         let ack = Message::response_to(&put, Value::object());
         assert_eq!(p.deliver(ack), reply(1, KvsReply::Ack));
         let fence = p.fence(2);
-        let done = Message::response_to(
-            &fence,
-            Value::from_pairs([("version", Value::Int(1)), ("root", Value::from("ab"))]),
-        );
-        let version = KvsReply::Version { version: 1, root: "ab".into() };
-        assert_eq!(p.deliver(done), reply(2, version));
+        let at = RootRef { shard: 0, version: 1, root: "ab".into() };
+        let done = Message::response_to(&fence, msg::cut_reply(1, std::slice::from_ref(&at)));
+        let frontier = KvsReply::Frontier { shards: 1, frontier: vec![at] };
+        assert_eq!(p.deliver(done), reply(2, frontier));
         let get = p.get(1, "card", 3);
         let val = Message::response_to(&get, Value::from_pairs([("v", Value::from("peer"))]));
         assert_eq!(p.deliver(val), reply(3, KvsReply::Value(Value::from("peer"))));

@@ -350,31 +350,19 @@ pub fn histories_for(
                     let ok = recorded && outcome.op_err[i] == 0;
                     let acked = ok.then(|| acked(&outcome.replies[i]));
                     for (key, gen) in staged.drain(..) {
-                        events.push(match &acked {
-                            // N-shard reply: the key committed on its
-                            // shard at that shard's frontier version.
-                            Some(Acked::Frontier(shards, fmap)) => {
-                                match shard_of_key(&key, *shards)
-                                    .ok()
-                                    .and_then(|s| fmap.get(&s).map(|v| (s, *v)))
-                                {
-                                    Some((shard, v)) => Event::CommittedSharded {
-                                        key,
-                                        gen,
-                                        shard,
-                                        version: v,
-                                    },
-                                    None => Event::StagedOnly { key, gen },
-                                }
-                            }
-                            Some(Acked::Version(v)) => Event::Committed { key, gen, version: *v },
+                        // The key committed on its shard at that shard's
+                        // frontier version.
+                        let at = acked.as_ref().and_then(|a| {
+                            let shard = shard_of_key(&key, a.shards).ok()?;
+                            a.versions.get(&shard).map(|&version| (shard, version))
+                        });
+                        events.push(match at {
+                            Some((shard, version)) => Event::Committed { key, gen, shard, version },
                             None => Event::StagedOnly { key, gen },
                         });
                     }
-                    if let Some(Acked::Frontier(_, fmap)) = &acked {
-                        for (s, v) in fmap {
-                            events.push(Event::ShardVersion { shard: *s, v: *v });
-                        }
+                    for (&shard, &v) in acked.iter().flat_map(|a| &a.versions) {
+                        events.push(Event::Version { shard, v });
                     }
                 }
                 Op::Get { key } => {
@@ -393,9 +381,8 @@ pub fn histories_for(
                     }
                 }
                 Op::GetVersion if recorded && outcome.op_err[i] == 0 => {
-                    if let Acked::Version(v) = acked(&outcome.replies[i]) {
-                        events.push(Event::Version { v });
-                    }
+                    let at = msg::decode_root(&outcome.replies[i]);
+                    events.push(Event::Version { shard: at.shard, v: at.version });
                 }
                 Op::Fence { name, .. } => {
                     // A successful fence commits the caller's staged
@@ -412,14 +399,12 @@ pub fn histories_for(
                         // The release names the cut every contribution
                         // landed in: each is fenced on its owning shard,
                         // and the frontier must agree across all clients.
-                        let (shards, frontier) = match acked(&outcome.replies[i]) {
-                            Acked::Frontier(shards, fmap) => (shards, fmap.into_iter().collect()),
-                            Acked::Version(v) => (1, vec![(0, v)]),
-                        };
+                        let Acked { shards, versions } = acked(&outcome.replies[i]);
                         for (key, gen) in staged.drain(..) {
                             let shard = shard_of_key(&key, shards).unwrap_or(0);
                             events.push(Event::Fenced { name: name.clone(), key, gen, shard });
                         }
+                        let frontier = versions.into_iter().collect();
                         events.push(Event::FenceDone { name: name.clone(), frontier });
                     }
                 }
@@ -439,23 +424,17 @@ pub fn histories_for(
     out
 }
 
-/// What a successful commit / fence / get_version reply acknowledges.
-enum Acked {
-    /// N-shard session: `(total shard count, shard → version)`.
-    Frontier(u32, BTreeMap<u32, u64>),
-    /// One-shard session (or one slot's `get_version`): the version.
-    Version(u64),
+/// What a successful commit or fence reply acknowledges: the session's
+/// shard count and the version each shard it touched reached.
+struct Acked {
+    shards: u32,
+    versions: BTreeMap<u32, u64>,
 }
 
 /// Decodes a reply through the KVS codec, the one owner of its shapes.
 fn acked(reply: &Value) -> Acked {
     let cut = msg::decode_cut(reply);
-    match cut.shards {
-        Some(shards) => {
-            Acked::Frontier(shards, cut.roots.iter().map(|r| (r.shard, r.version)).collect())
-        }
-        None => Acked::Version(cut.roots.first().map_or(0, |r| r.version)),
-    }
+    Acked { shards: cut.shards, versions: cut.roots.iter().map(|r| (r.shard, r.version)).collect() }
 }
 
 /// Convenience: run the mapping and the checker in one step.
@@ -637,10 +616,10 @@ mod tests {
         assert_eq!(
             h[0].events,
             vec![
-                Event::CommittedSharded { key: key_a.clone(), gen: 1, shard: 1, version: 3 },
-                Event::CommittedSharded { key: key_b.clone(), gen: 1, shard: 2, version: 5 },
-                Event::ShardVersion { shard: 1, v: 3 },
-                Event::ShardVersion { shard: 2, v: 5 },
+                Event::Committed { key: key_a.clone(), gen: 1, shard: 1, version: 3 },
+                Event::Committed { key: key_b.clone(), gen: 1, shard: 2, version: 5 },
+                Event::Version { shard: 1, v: 3 },
+                Event::Version { shard: 2, v: 5 },
                 Event::Fenced { name: "fm.f".into(), key: key_a, gen: 2, shard: 1 },
                 Event::FenceDone { name: "fm.f".into(), frontier: vec![(1, 4), (2, 5)] },
             ]
@@ -673,7 +652,7 @@ mod tests {
                 op_err: vec![0, 0, 0, 0, errnum::ETIMEDOUT],
                 replies: vec![
                     Value::Null,
-                    Value::from_pairs([("version", Value::from(7i64))]),
+                    msg::cut_reply(1, &[msg::RootRef { shard: 0, version: 7, root: "aa".into() }]),
                     Value::from_pairs([("v", Value::from(1i64))]),
                     Value::Null,
                     Value::Null,
@@ -686,7 +665,8 @@ mod tests {
         assert_eq!(
             h[0].events,
             vec![
-                Event::Committed { key: "k".into(), gen: 1, version: 7 },
+                Event::Committed { key: "k".into(), gen: 1, shard: 0, version: 7 },
+                Event::Version { shard: 0, v: 7 },
                 Event::Read { key: "k".into(), gen: Some(1) },
                 Event::StagedOnly { key: "k".into(), gen: 2 },
             ]

@@ -221,8 +221,8 @@ fn kvs_at_the_master() {
     );
     pin_bytes(
         "kvs.get_version at the master",
-        9,
-        807,
+        10,
+        756,
         || core.request(KvsMethod::GetVersion.topic(), Value::object(), 0),
         ask,
     );
@@ -244,7 +244,7 @@ fn kvs_at_the_master() {
     );
     pin(
         "kvs.commit of one tuple at the master",
-        by_profile(53, 44),
+        by_profile(62, 53),
         || {
             ask(put(&mut core, "bench.k", Value::Int(42)));
             core.request(KvsMethod::Commit.topic(), Value::object(), 0)
@@ -254,7 +254,7 @@ fn kvs_at_the_master() {
 
     // A `kvs.load` from child rank 1 for the committed value object.
     let id = KvsObject::Val(Value::Int(42)).id().to_hex();
-    let load = Value::from_pairs([("id", Value::from(id.as_str()))]);
+    let load = Value::from_pairs([("id", Value::from(id.as_str())), ("shard", Value::from(0i64))]);
     let mut seq = 0;
     pin_bytes(
         "kvs.load served at the master",
@@ -321,7 +321,7 @@ fn kvs_push_from_a_child() {
     }
     pin(
         "kvs.push from a child, accepted at the master and flushed by its window",
-        by_profile(61, 52),
+        by_profile(66, 57),
         next,
         accept,
     );
@@ -335,7 +335,7 @@ fn kvs_load_forwarded_by_an_interior_broker() {
     // waiter table: every repetition is a first miss on the object.
     let relay = RefCell::new(started(BrokerConfig::new(Rank(1), 4), kvs()));
     let id = KvsObject::Val(Value::Int(42)).id().to_hex();
-    let load = Value::from_pairs([("id", Value::from(id.as_str()))]);
+    let load = Value::from_pairs([("id", Value::from(id.as_str())), ("shard", Value::from(0i64))]);
     let topic = KvsMethod::Load.topic();
     let sent = RefCell::new(Vec::new());
     let mut seq = 0;

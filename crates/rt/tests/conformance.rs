@@ -110,7 +110,7 @@ fn check_put_commit_get_and_barrier(t: &LiveTransport) {
         let commit =
             rpc(writer, &mut wc, KvsMethod::Commit.topic(), Value::object(), 2, "commit reply");
         assert!(!commit.is_error(), "{}: commit", t.name());
-        let version = commit.payload.get("version").and_then(Value::as_uint).unwrap_or(0);
+        let version = decode_cut(&commit.payload).roots.first().map_or(0, |r| r.version);
         assert!(version >= 1, "{}: commit version {version}", t.name());
 
         let mut rc = ClientCore::new(Rank(2), reader.client_id);

@@ -48,7 +48,7 @@ fn concurrent_fence_and_cross_reads() {
                 conn.send(kvs.put(&format!("stress.k{g}"), Value::Int(g as i64), 1));
                 assert_eq!(reply(&conn, &mut kvs), KvsReply::Ack);
                 conn.send(kvs.fence("stress", procs, 2));
-                assert!(matches!(reply(&conn, &mut kvs), KvsReply::Version { .. }));
+                assert!(matches!(reply(&conn, &mut kvs), KvsReply::Frontier { .. }));
                 let peer = (g as u64 + 7) % procs;
                 conn.send(kvs.get(&format!("stress.k{peer}"), 3));
                 assert_eq!(
@@ -100,8 +100,8 @@ fn commit_storm_serializes_at_master() {
                     let msg = conn.recv_timeout(TIMEOUT).expect("commit reply");
                     match kvs.deliver(msg) {
                         KvsDelivery::Reply {
-                            reply: KvsReply::Version { version, .. }, ..
-                        } => versions.push(version),
+                            reply: KvsReply::Frontier { frontier, .. }, ..
+                        } => versions.push(frontier[0].version),
                         other => panic!("writer {g}: {other:?}"),
                     }
                 }
@@ -155,8 +155,8 @@ fn commit_storm_coalesces_with_batching() {
                     let msg = conn.recv_timeout(TIMEOUT).expect("commit reply");
                     match kvs.deliver(msg) {
                         KvsDelivery::Reply {
-                            reply: KvsReply::Version { version, .. }, ..
-                        } => versions.push(version),
+                            reply: KvsReply::Frontier { frontier, .. }, ..
+                        } => versions.push(frontier[0].version),
                         other => panic!("writer {g}: {other:?}"),
                     }
                 }

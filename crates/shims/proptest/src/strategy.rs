@@ -179,7 +179,7 @@ impl Arbitrary for f64 {
 
 impl Arbitrary for char {
     fn arbitrary(rng: &mut TestRng) -> char {
-        char::from_u32(rng.below(0xD800 as u64) as u32).unwrap_or('a')
+        char::from_u32(rng.below(0xD800_u64) as u32).unwrap_or('a')
     }
 }
 

@@ -79,11 +79,9 @@ fn main() {
     let w = writer.borrow();
     let r = reader.borrow();
     assert!(w.finished && r.finished, "scripts completed");
-    println!("writer on r5: commit -> version {}", w.replies[2].get("version").unwrap());
-    println!(
-        "reader on r3: demo.greeting = {}",
-        r.replies[1].get("v").unwrap()
-    );
+    let commit = flux_kvs::msg::decode_cut(&w.replies[2]);
+    println!("writer on r5: commit -> version {}", commit.roots[0].version);
+    println!("reader on r3: demo.greeting = {}", r.replies[1].get("v").unwrap());
     println!("reader on r3: demo.coords   = {}", r.replies[2].get("v").unwrap());
     println!(
         "reader on r3: store version  = {}",

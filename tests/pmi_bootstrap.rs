@@ -72,7 +72,7 @@ fn threaded_bootstrap_with_typed_pmi() {
                 }
                 conn.send(pmi.fence(2));
                 match pmi.deliver(conn.recv_timeout(timeout).expect("fence")) {
-                    KvsDelivery::Reply { reply: KvsReply::Version { .. }, .. } => {}
+                    KvsDelivery::Reply { reply: KvsReply::Frontier { .. }, .. } => {}
                     other => panic!("rank {g}: {other:?}"),
                 }
                 let peer = (g as u64 + 1) % procs;
