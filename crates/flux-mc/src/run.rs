@@ -498,8 +498,8 @@ mod tests {
                     replies: ops
                         .iter()
                         .map(|op| match op {
-                            flux_rt::script::Op::Fence { .. } => fence_reply(v1),
-                            _ => flux_value::Value::Null,
+                            flux_rt::script::Op::Fence { .. } => fence_reply(v1).into(),
+                            _ => flux_value::Value::Null.into(),
                         })
                         .collect(),
                     finished: true,

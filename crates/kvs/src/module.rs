@@ -447,7 +447,7 @@ impl CommsModule for KvsModule {
         if self.rep.slots.mine().is_none() {
             self.rep.cache.expire(self.cfg.expiry_epochs, &self.rep.slots.roots());
         }
-        self.reads.on_heartbeat(ctx, &mut self.rep);
+        self.reads.on_heartbeat(ctx);
         self.coordinator.on_heartbeat(ctx);
         self.reads.recheck(ctx, &mut self.rep);
     }

@@ -108,6 +108,16 @@ pub(crate) const VALUE: &str = "v";
 /// The field of a `kvs.get {dir}` reply that holds the listing.
 pub(crate) const LISTING: &str = "dir";
 
+/// The `kvs.get` reply a stored object answers with: a value object's
+/// `{v}`, a directory's `{dir}` listing. It depends on the object alone,
+/// so a broker builds it once per object and shares it.
+pub(crate) fn get_reply(obj: &KvsObject) -> Value {
+    match obj {
+        KvsObject::Val(v) => Value::from_pairs([(VALUE, v.clone())]),
+        KvsObject::Dir(entries) => Value::from_pairs([(LISTING, dir_listing(entries))]),
+    }
+}
+
 /// A `kvs.watch` update: `key` now holds `val` (`Null`: it is gone). It
 /// has a put's shape, `{k, v}`.
 pub(crate) fn watch_reply(key: &str, val: Value) -> Value {

@@ -4,10 +4,16 @@
 //! evict entries unused for a configurable number of heartbeat epochs
 //! ("Unused slave object cache entries are expired after a period of
 //! disuse to save memory").
+//!
+//! Beside each object an entry keeps the replies built from it
+//! ([`ObjectCache::reply`]). An object is immutable and named by its
+//! content, so a reply built from it is the same for every reader and
+//! can never go stale; it is built once, shared by reference, and
+//! dropped with the entry.
 
 use crate::object::KvsObject;
 use flux_hash::ObjectId;
-use flux_wire::IdMap;
+use flux_wire::{IdMap, Payload};
 use std::collections::hash_map::Entry as Slot;
 use std::sync::Arc;
 
@@ -26,10 +32,21 @@ pub struct CacheStats {
     pub expired: u64,
 }
 
+/// A reply a broker builds from one held object ([`ObjectCache::reply`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Reply {
+    /// The `kvs.load` reply, `{id, obj}`.
+    Load,
+    /// The `kvs.get` reply: a value object's `{v}`, a directory's `{dir}`.
+    Get,
+}
+
 struct Entry {
     obj: Arc<KvsObject>,
     size: usize,
     last_used_epoch: u64,
+    /// The replies built from `obj` so far, by [`Reply`].
+    replies: [Option<Payload>; 2],
 }
 
 /// A content-addressed object cache.
@@ -71,7 +88,7 @@ impl ObjectCache {
             let size = size.unwrap_or_else(|| obj.encoded_len());
             self.stats.entries += 1;
             self.stats.bytes += size;
-            slot.insert(Entry { obj, size, last_used_epoch: self.epoch });
+            slot.insert(Entry { obj, size, last_used_epoch: self.epoch, replies: [None, None] });
         }
     }
 
@@ -88,6 +105,21 @@ impl ObjectCache {
                 None
             }
         }
+    }
+
+    /// The `kind` reply to held object `id`: built from the object by
+    /// `build` the first time, a reference-count bump of that one
+    /// payload every time after. `None` if `id` is not held. It neither
+    /// refreshes the entry nor counts a hit: the caller has just looked
+    /// the object up.
+    pub(crate) fn reply(
+        &mut self,
+        id: ObjectId,
+        kind: Reply,
+        build: impl FnOnce(&KvsObject) -> Payload,
+    ) -> Option<Payload> {
+        let e = self.map.get_mut(&id)?;
+        Some(e.replies[kind as usize].get_or_insert_with(|| build(&e.obj)).clone())
     }
 
     /// True if the object is resident (does not refresh last-used).

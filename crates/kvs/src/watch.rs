@@ -59,12 +59,13 @@ impl Watches {
             .collect()
     }
 
-    /// Watcher `id`'s key now resolves to `now` (`None`: missing).
-    pub(crate) fn observe(&mut self, ctx: &mut ModuleCtx<'_>, id: u64, now: Option<Value>) {
+    /// Watcher `id`'s key now resolves to `now` (`None`: missing). Only
+    /// a change is copied.
+    pub(crate) fn observe(&mut self, ctx: &mut ModuleCtx<'_>, id: u64, now: Option<&Value>) {
         let Some(w) = self.watchers.get_mut(&id) else { return };
-        if w.last != now {
-            w.last = now.clone();
-            ctx.respond(&w.req, msg::watch_reply(&w.key, now.unwrap_or(Value::Null)));
+        if w.last.as_ref() != now {
+            w.last = now.cloned();
+            ctx.respond(&w.req, msg::watch_reply(&w.key, now.cloned().unwrap_or(Value::Null)));
         }
     }
 }
@@ -87,12 +88,12 @@ mod tests {
             assert_eq!(w.on_shard(1), vec![(id, "a.b".to_owned())]);
             w.observe(ctx, id, None); // initial snapshot: missing
             w.observe(ctx, id, None); // unchanged
-            w.observe(ctx, id, Some(Value::Int(1)));
-            w.observe(ctx, id, Some(Value::Int(1))); // unchanged
+            w.observe(ctx, id, Some(&Value::Int(1)));
+            w.observe(ctx, id, Some(&Value::Int(1))); // unchanged
             w.remove("a.b", Requester(Some(Rank::client_hop(8)), None)); // someone else's
-            w.observe(ctx, id, Some(Value::Int(2)));
+            w.observe(ctx, id, Some(&Value::Int(2)));
             w.remove("a.b", me);
-            w.observe(ctx, id, Some(Value::Int(3)));
+            w.observe(ctx, id, Some(&Value::Int(3)));
         });
         let seen: Vec<_> = messages(&outs).iter().map(|m| m.payload.get("v").cloned()).collect();
         assert_eq!(seen, vec![Some(Value::Null), Some(Value::Int(1)), Some(Value::Int(2))]);

@@ -490,6 +490,7 @@ pub fn stalls(w: &ChaosWorkload, report: &ScriptReport) -> Vec<Stall> {
 mod tests {
     use super::*;
     use crate::transport::ScriptOutcome;
+    use flux_wire::Payload;
 
     #[test]
     fn workload_is_deterministic() {
@@ -601,13 +602,9 @@ mod tests {
             outcomes: vec![ScriptOutcome {
                 op_done_ns: vec![1, 2, 3, 4, 5],
                 op_err: vec![0, 0, 0, 0, 0],
-                replies: vec![
-                    Value::Null,
-                    Value::Null,
-                    frontier(3, 5),
-                    Value::Null,
-                    frontier(4, 5),
-                ],
+                replies: [Value::Null, Value::Null, frontier(3, 5), Value::Null, frontier(4, 5)]
+                    .map(Payload::from)
+                    .into(),
                 finished: true,
             }],
             ..ScriptReport::default()
@@ -650,13 +647,15 @@ mod tests {
             outcomes: vec![ScriptOutcome {
                 op_done_ns: vec![1, 2, 3, 4, 5],
                 op_err: vec![0, 0, 0, 0, errnum::ETIMEDOUT],
-                replies: vec![
+                replies: [
                     Value::Null,
                     msg::cut_reply(1, &[msg::RootRef { shard: 0, version: 7, root: "aa".into() }]),
                     Value::from_pairs([("v", Value::from(1i64))]),
                     Value::Null,
                     Value::Null,
-                ],
+                ]
+                .map(Payload::from)
+                .into(),
                 finished: false,
             }],
             ..ScriptReport::default()

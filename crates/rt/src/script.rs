@@ -13,7 +13,7 @@ use crate::transport::ScriptOutcome;
 use flux_broker::client::{ClientCore, Delivery};
 use flux_sim::{Actor, ActorId, Ctx, SimDuration};
 use flux_value::Value;
-use flux_wire::{errnum, Message, Rank};
+use flux_wire::{errnum, Message, Payload, Rank};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -60,19 +60,22 @@ impl Script {
     }
 
     /// Takes a message from the broker, arrived at `now_ns`: records the
-    /// current op's reply and issues the next op. Anything else returns
-    /// `None` and changes nothing: an event, or a response the client
-    /// core does not match, such as a copy of a reply it handed over.
+    /// current op's reply and issues the next op. The reply's payload is
+    /// recorded as handed over, so a reply the broker shares among its
+    /// readers (a stored object's get reply, a fence's release) is kept
+    /// by reference, never copied. Anything else returns `None` and
+    /// changes nothing: an event, or a response the client core does not
+    /// match, such as a copy of a reply it handed over.
     pub fn deliver(&mut self, msg: Message, now_ns: u64, out: &mut ScriptOutcome) -> Option<Step> {
         let Delivery::Response { tag, msg } = self.core.deliver(msg) else { return None };
-        record(out, now_ns, msg.header.errnum, msg.payload.into_value());
+        record(out, now_ns, msg.header.errnum, msg.payload);
         Some(self.advance(Some(tag), out))
     }
 
     /// The current op, a pause, elapsed at `now_ns`: records
     /// `(now_ns, 0, Null)` and issues the next op.
     pub fn paused(&mut self, now_ns: u64, out: &mut ScriptOutcome) -> Step {
-        record(out, now_ns, 0, Value::Null);
+        record(out, now_ns, 0, Value::Null.into());
         self.advance(None, out)
     }
 
@@ -80,7 +83,7 @@ impl Script {
     /// consumes the script, so nothing more is issued and `out.finished`
     /// stays false.
     pub fn abandon(self, now_ns: u64, out: &mut ScriptOutcome) {
-        record(out, now_ns, errnum::ETIMEDOUT, Value::Null);
+        record(out, now_ns, errnum::ETIMEDOUT, Value::Null.into());
     }
 
     /// Moves past op `next`, whose reply (`tag`) or elapsed pause
@@ -97,7 +100,7 @@ impl Script {
     }
 }
 
-fn record(out: &mut ScriptOutcome, now_ns: u64, errnum: u32, reply: Value) {
+fn record(out: &mut ScriptOutcome, now_ns: u64, errnum: u32, reply: Payload) {
     out.op_done_ns.push(now_ns);
     out.op_err.push(errnum);
     out.replies.push(reply);
@@ -192,6 +195,22 @@ mod tests {
         match s.core.deliver(Message::response_to(&second, Value::Null)) {
             Delivery::Response { tag, .. } => assert_eq!(tag, 1, "op 1 is tagged 1"),
             other => panic!("op 1's reply is not matched: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn scripts_handed_one_shared_reply_record_it_without_a_copy() {
+        // A broker answers every read of one stored object with one
+        // payload: each script keeps a reference to it, not its own copy
+        // of the 512-byte value.
+        let shared = Payload::from(Value::from_pairs([("v", Value::from("x".repeat(512)))]));
+        for client in [0, 1] {
+            let mut s = Script::new(ClientCore::new(Rank(1), client), vec![get()]);
+            let mut out = ScriptOutcome::default();
+            let req = sent(Some(s.issue(&mut out)));
+            let done = s.deliver(Message::response_to(&req, shared.clone()), 10, &mut out);
+            assert!(matches!(done, Some(Step::Done)), "{done:?}");
+            assert!(std::ptr::eq(out.replies[0].value(), shared.value()), "client {client}");
         }
     }
 

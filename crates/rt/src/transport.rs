@@ -108,8 +108,10 @@ pub struct ScriptOutcome {
     pub op_done_ns: Vec<u64>,
     /// Error number per op (0 = success).
     pub op_err: Vec<u32>,
-    /// Raw reply payloads per op.
-    pub replies: Vec<flux_value::Value>,
+    /// Reply payload per op, as the broker handed it over: a reply that
+    /// many clients share is kept by reference, not copied (a pause or an
+    /// abandoned op records `Null`).
+    pub replies: Vec<flux_wire::Payload>,
     /// True once every op completed.
     pub finished: bool,
 }

@@ -214,8 +214,8 @@ fn kvs_at_the_master() {
 
     pin_bytes(
         "kvs.get of a committed key at the rank-0 master",
-        6,
-        549,
+        3,
+        404,
         || core.request(KvsMethod::Get.topic(), get_payload("bench.k"), 0),
         ask,
     );
@@ -546,15 +546,16 @@ fn hashing() {
     );
 }
 
-#[test]
-fn warm_get_sim_script() {
-    // Rank 1's slave cache faults the key in on the first get; after the
-    // warm-up every get is a local hit: four engine events per op (the
-    // request's and the reply's arrive and handle).
+/// Pins one warm get of `bench.k = val` by client rank 1 of a
+/// three-broker sim session, the whole session counted per op. Rank 1's
+/// slave cache faults the key in on the first get; after the warm-up
+/// every get is a local hit: four engine events per op (the request's
+/// and the reply's arrive and handle).
+fn warm_gets(row: &str, val: Value, calls: u64, bytes: u64) {
     const WARM: usize = 8;
     let gets = 3 + REPS;
     let mut session = SimSession::new(3, 2, NetParams::default(), |_| kvs());
-    let mut ops = vec![Op::Put { key: "bench.k".into(), val: Value::Int(42) }, Op::Commit];
+    let mut ops = vec![Op::Put { key: "bench.k".into(), val }, Op::Commit];
     ops.extend((0..WARM + gets).map(|_| Op::Get { key: "bench.k".into() }));
     let total = ops.len();
     let outcome = ScriptClient::spawn(&mut session, Rank(1), ops);
@@ -570,16 +571,24 @@ fn warm_get_sim_script() {
         session.engine_mut().run_budgeted(1);
     }
     let mut done = 2 + WARM;
-    pin_bytes(
-        "warm-get sim script, whole session per op",
-        9,
-        317,
-        || done += 1,
-        |()| session.engine_mut().run_budgeted(4),
-    );
+    pin_bytes(row, calls, bytes, || done += 1, |()| session.engine_mut().run_budgeted(4));
     let out = outcome.borrow();
     assert_eq!(out.op_done_ns.len(), done, "each repetition completed exactly one get");
     assert!(out.op_err.iter().all(|&e| e == 0), "{:?}", out.op_err);
+}
+
+#[test]
+fn warm_get_sim_script() {
+    warm_gets("warm-get sim script, whole session per op", Value::Int(42), 6, 172);
+}
+
+#[test]
+fn warm_get_sim_script_of_a_512_byte_value() {
+    // Every get is answered with the value's one shared reply and the
+    // script records that reply by reference: the bytes are the
+    // `Int` row's, with no 512-byte copy per op.
+    let val = Value::from("x".repeat(512));
+    warm_gets("warm-get sim script, 512-byte value, whole session per op", val, 6, 172);
 }
 
 #[test]

@@ -67,7 +67,7 @@ fn sim_shard_master_blackout_during_fence() {
             .filter_map(|((_, ops), o)| {
                 ops.iter().position(|op| matches!(op, flux_rt::script::Op::Fence { .. }))
                     .filter(|&fi| fi < o.op_err.len() && o.op_err[fi] == 0)
-                    .map(|fi| &o.replies[fi])
+                    .map(|fi| o.replies[fi].value())
             })
             .collect();
         for pair in fence_replies.windows(2) {
