@@ -28,8 +28,6 @@ pub(crate) struct Core {
     /// Outputs accumulated during the current handle() call.
     outputs: Vec<Output>,
     /// Module-originated RPCs awaiting responses: id → module index.
-    /// A module relaying a request sends it on under the id it arrived
-    /// with, so not every id here was minted by this broker.
     pending: IdMap<MsgId, usize>,
     /// Locally raised messages to process after the current dispatch.
     raised: VecDeque<Message>,

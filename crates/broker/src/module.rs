@@ -217,8 +217,8 @@ impl<'a> ModuleCtx<'a> {
     }
 
     /// Drops a transport duplicate of a request whose first copy still
-    /// carries the reply obligation (parked, or forwarded and awaiting
-    /// its answer). Answering the copy too would reply twice, or early.
+    /// carries the reply obligation (parked, awaiting its answer).
+    /// Answering the copy too would reply twice, or early.
     pub fn drop_duplicate(&self, _req: &Message) -> Handled {
         Handled(())
     }
@@ -253,8 +253,8 @@ impl<'a> ModuleCtx<'a> {
     /// Sends this module's RPC `id` (`None`: a fresh one) up the tree
     /// from the effective parent (`to` = `None`) or rank-addressed to
     /// `to`; the response comes to [`CommsModule::handle_response`]. A
-    /// retry, or a relay, passes the id its request already has, so the
-    /// handler can tell a repeat from a new request. Returns the id, or
+    /// retry passes the id its request already has, so the handler can
+    /// tell a repeat from a new request. Returns the id, or
     /// `Err(ENOENT)` upstream at the root.
     pub fn request(
         &mut self,

@@ -185,8 +185,10 @@ impl Scenario {
         }
     }
 
-    /// Independent commits from two leaf ranks: exercises the push relay
-    /// path (commit → push → master apply → response unwind).
+    /// Independent commits from ranks 2 and 3 of a 4-broker, arity-2
+    /// tree: commit → push → master apply → response unwind, where rank
+    /// 3's push is forwarded by interior rank 1 and its answer unwinds
+    /// through it.
     pub(crate) fn kvs_commit() -> Scenario {
         Self::commit_scenario("kvs_commit", true)
     }
@@ -212,10 +214,10 @@ impl Scenario {
         ];
         Scenario {
             name,
-            size: 3,
+            size: 4,
             arity: 2,
             modules: ModuleSet::Kvs { dedup, batch: false, shards: 1 },
-            scripts: vec![(Rank(1), c1), (Rank(2), c2)],
+            scripts: vec![(Rank(2), c1), (Rank(3), c2)],
             expected_applies: 2,
             post_sync: BTreeMap::new(),
             kill: None,

@@ -2,11 +2,13 @@
 //! masters.
 //!
 //! Every commit batch — a committer's local part, a `kvs.push` that
-//! climbed the tree, a rank-addressed `kvs.shard.push`, a fence part —
-//! ends in [`Authority::apply`]: one hash-tree walk, one version bump,
-//! one root switch. Around it sit the three at-most-once guards a lossy,
+//! climbed the tree or came rank-addressed, a fence part — ends in
+//! [`Authority::apply`]: one hash-tree walk, one version bump, one root
+//! switch. Around it sit the three at-most-once guards a lossy,
 //! duplicating transport needs: request-id dedup, the batch window that
 //! coalesces concurrent pushes, and the memo of applied fence parts.
+//! They are the push's far end; its near end, the committer's in-flight
+//! table, re-sends it, and no broker in between keeps anything.
 
 use crate::master::{apply_tuples, Tuple};
 use crate::module::{KvsConfig, Replica};
@@ -26,7 +28,8 @@ type ParkedPush = (Message, Vec<Tuple>, Objects);
 #[derive(Default)]
 pub(crate) struct Authority {
     /// Recently handled push request ids, so a transport-duplicated
-    /// push frame is applied (and relayed) at most once. Bounded FIFO.
+    /// push frame, or a committer's retry, is applied at most once.
+    /// Bounded FIFO.
     seen_pushes: IdSet<MsgId>,
     seen_push_order: VecDeque<MsgId>,
     /// Parked pushes awaiting one coalesced hash-tree walk.
@@ -49,30 +52,11 @@ pub(crate) struct Authority {
     pub(crate) pushes_batched: u64,
 }
 
-/// The one rule, at a master and at a relay alike, for a push id seen
-/// before: a duplicate, or a retry from any hop along any path. While
-/// the first copy is `pending` here, it carries the reply obligation,
-/// and an answer now would predate the push (a read-your-writes
-/// violation): the copy is dropped. Otherwise the first answer may have
-/// been lost on the way down, and the copy gets this broker's current
-/// version, which includes the push.
-pub(crate) fn repeated_push(
-    ctx: &mut ModuleCtx<'_>,
-    rep: &Replica,
-    msg: &Message,
-    pending: bool,
-) -> Handled {
-    if pending {
-        return ctx.drop_duplicate(msg);
-    }
-    rep.slots.respond_version(ctx, rep.slots.mine().unwrap_or(0), msg)
-}
-
 impl Authority {
     /// Records a push request id; returns false if it was already seen
     /// (a duplicate or a retry — a late copy re-applying an old batch
     /// after newer commits would silently rewind keys).
-    pub(crate) fn note_push(&mut self, id: MsgId) -> bool {
+    fn note_push(&mut self, id: MsgId) -> bool {
         if !self.seen_pushes.insert(id) {
             return false;
         }
@@ -145,9 +129,17 @@ impl Authority {
             return ctx.respond(&msg, msg::version_reply(at));
         }
         if cfg.dedup && !self.note_push(msg.header.id) {
-            // Pending while the original is parked in the batch.
-            let pending = self.batch_ids.contains(&msg.header.id);
-            return repeated_push(ctx, rep, &msg, pending);
+            // A push id seen before: a duplicate, or a retry along any
+            // path. While the first copy is parked in the batch it
+            // carries the reply obligation, and an answer now would
+            // predate the push (a read-your-writes violation): the copy
+            // is dropped. Otherwise the first answer may have been lost
+            // on the way down, and the copy gets the current version,
+            // which includes the push.
+            if self.batch_ids.contains(&msg.header.id) {
+                return ctx.drop_duplicate(&msg);
+            }
+            return rep.slots.respond_version(ctx, shard, &msg);
         }
         let (Some(tuples), Some(objects)) = (
             msg::tuples_from_value(msg.payload.get("tuples")),
@@ -310,7 +302,7 @@ mod tests {
         let objects = Objects::from([(id, Arc::new(obj))]);
         let part = msg::push_payload(1, Some("f"), &[("k".to_owned(), Some(id))], &objects);
         let (first, retry) =
-            (request(KvsMethod::ShardPush, part.clone()), request(KvsMethod::ShardPush, part));
+            (request(KvsMethod::Push, part.clone()), request(KvsMethod::Push, part));
         let (f, outs) = with_ctx(1, 2, move |ctx| {
             let mut f = master(64);
             f.rep.slots.start(2, Some(1));
@@ -327,41 +319,5 @@ mod tests {
         assert_eq!(msgs.len(), 2);
         assert_eq!(msgs[0].payload, msgs[1].payload);
         assert_eq!(msgs[0].payload.get("shard"), Some(&Value::Int(1)));
-    }
-
-    /// The relay half of [`repeated_push`]: a one-shard broker below the
-    /// root sends a push on under the id it arrived with, drops a repeat
-    /// while that relay waits, and answers a repeat after it with the
-    /// root the relay's answer made it adopt.
-    #[test]
-    fn a_relay_drops_a_repeat_while_it_waits_and_answers_one_after_with_its_version() {
-        use crate::module::KvsModule;
-        use flux_broker::CommsModule;
-        use flux_wire::MsgType;
-        let first = push("a", 1);
-        let id = first.header.id;
-        let (_, outs) = with_ctx(1, 3, move |ctx| {
-            let mut kvs = KvsModule::new();
-            kvs.on_start(ctx);
-            kvs.handle_request(ctx, first.clone());
-            kvs.handle_request(ctx, first.clone());
-            let mut relayed = first.clone();
-            relayed.header.hops.clear();
-            let root = KvsObject::Val(Value::Int(3)).id().to_hex();
-            let at = RootRef { shard: 0, version: 3, root };
-            let ack = Message::response_to(&relayed, msg::version_reply(&at));
-            kvs.handle_response(ctx, &ack);
-            kvs.handle_request(ctx, first);
-        });
-        let seen: Vec<_> = messages(&outs)
-            .into_iter()
-            .map(|m| (m.header.msg_type, m.header.id, m.payload.get("version").cloned()))
-            .collect();
-        let answered = (MsgType::Response, id, Some(Value::Int(3)));
-        assert_eq!(
-            seen,
-            vec![(MsgType::Request, id, None), answered.clone(), answered],
-            "relayed once under its own id; the waiting relay's repeat dropped"
-        );
     }
 }

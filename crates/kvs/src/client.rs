@@ -258,9 +258,9 @@ fn decode_reply(msg: &Message) -> KvsReply {
             let cut = msg::decode_cut(&msg.payload);
             KvsReply::Frontier { shards: cut.shards, frontier: cut.roots }
         }
-        Some(
-            KvsMethod::GetVersion | KvsMethod::WaitVersion | KvsMethod::Push | KvsMethod::ShardPush,
-        ) => KvsReply::Version(msg::decode_root(&msg.payload)),
+        Some(KvsMethod::GetVersion | KvsMethod::WaitVersion | KvsMethod::Push) => {
+            KvsReply::Version(msg::decode_root(&msg.payload))
+        }
         Some(KvsMethod::Get) => match msg::listing(&msg.payload) {
             Some(dir) => KvsReply::Dir(dir.clone()),
             None => KvsReply::Value(msg::value(&msg.payload).cloned().unwrap_or(Value::Null)),

@@ -4,23 +4,20 @@
 //! tree root) are the same job: split the write set by shard, apply the
 //! part this broker masters, send every other part toward its master,
 //! collect the acknowledged roots into a frontier, and answer once it is
-//! complete. One [`Join`] table serves both; a relayed `kvs.push` is a
-//! join whose single part arrived already encoded, and goes on under
-//! the id it arrived with.
+//! complete. One [`Join`] table serves both.
 //!
 //! How a remote part travels is this file's one selection
 //! ([`Coordinator::route`]), keyed on the session's shard count; the
-//! part's bytes are the same either way. With
-//! one shard it climbs the tree as `kvs.push`, every hop adopting the
-//! new root on the unwind — the paper's design, and on a ring overlay
-//! the only route that is not O(ranks) hops. With N shards it goes
-//! rank-addressed to its master as `kvs.shard.push`. Either way the
-//! part is in the [`InFlight`] table until it is acknowledged: a part a
-//! master refuses fails the join, a part lost on the way goes out again
-//! on the heartbeat under its own id. A part keeps that id from the
-//! committer to the master, so the master, and every relay on the way,
-//! knows a retry from any hop along any path for the push it already
-//! has ([`crate::authority::repeated_push`]).
+//! part is the same `kvs.push` either way. With one shard it climbs the
+//! tree, forwarded by every broker on the way like any request no local
+//! module serves, and its answer unwinds past them — the paper's
+//! design, and on a ring overlay the only route that is not O(ranks)
+//! hops. With N shards it goes rank-addressed to its master. Either way
+//! the part is in the [`InFlight`] table here, at its one end, until it
+//! is acknowledged: a part a master refuses fails the join, a part lost
+//! on the way goes out again on the heartbeat under its own id, and the
+//! master, at the other end, knows that id from any path
+//! ([`Authority::accept_push`]). The brokers in between keep nothing.
 
 use crate::authority::Authority;
 use crate::inflight::{Answer, InFlight};
@@ -28,17 +25,16 @@ use crate::master::Tuple;
 use crate::module::Replica;
 use crate::msg::{self, Objects, RootRef};
 use crate::shard;
-use flux_broker::{Handled, ModuleCtx};
+use flux_broker::ModuleCtx;
 use flux_hash::ObjectId;
 use flux_proto::{Event, KvsMethod};
-use flux_wire::{errnum, Message, MsgId, Payload, Rank};
+use flux_wire::{errnum, Message, Payload, Rank};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One part of a join on its way to a master.
 struct Part {
     shard: u32,
-    /// `Some(master)`: rank-addressed `kvs.shard.push`; `None`:
-    /// `kvs.push` up the tree.
+    /// `Some(master)`: rank-addressed; `None`: up the tree.
     to: Option<Rank>,
     payload: Payload,
 }
@@ -49,9 +45,6 @@ struct Join {
     waiters: Vec<Message>,
     /// The fence this join completes; `None` for a commit.
     fence: Option<String>,
-    /// A relayed `kvs.push`: its waiter is the push's sender, answered
-    /// with the one root the part produced, as a master answers a push.
-    relay: bool,
     /// shard → root acknowledged so far.
     frontier: BTreeMap<u32, RootRef>,
     /// Shards whose part is not yet acknowledged.
@@ -122,49 +115,12 @@ impl Coordinator {
                 remote.push(Self::route(rep.slots.shards(), s, fence, &part, &objs));
             }
         }
-        self.launch(ctx, rep, join, None, remote);
-    }
-
-    /// Relays a `kvs.push` one hop further up the tree, under the id it
-    /// arrived with; the answer's root is adopted here before it unwinds
-    /// to `msg`'s sender, so every broker on the path is at least as new
-    /// as the committer.
-    pub(crate) fn relay(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        rep: &mut Replica,
-        msg: Message,
-    ) -> Handled {
-        let (id, payload) = (msg.header.id, msg.payload.clone());
-        let (waiter, parked) = ctx.park(msg);
-        let join = Join { waiters: vec![waiter], relay: true, ..Join::default() };
-        self.launch(ctx, rep, join, Some(id), vec![Part { shard: 0, to: None, payload }]);
-        parked
-    }
-
-    /// Whether the `kvs.push` this broker relays under `id` still waits
-    /// for its answer.
-    pub(crate) fn relaying(&self, id: MsgId) -> bool {
-        self.parts.contains(id)
-    }
-
-    /// Files `join` and sends its remote `parts` (under `id` for a relay,
-    /// else under fresh ids).
-    fn launch(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        rep: &mut Replica,
-        mut join: Join,
-        id: Option<MsgId>,
-        parts: Vec<Part>,
-    ) {
         self.next_join += 1;
         let key = self.next_join;
-        join.outstanding = parts.iter().map(|p| p.shard).collect();
+        join.outstanding = remote.iter().map(|p| p.shard).collect();
         self.joins.insert(key, join);
-        for Part { shard, to, payload } in parts {
-            let method = if to.is_some() { KvsMethod::ShardPush } else { KvsMethod::Push };
-            if self.parts.send(ctx, id, to, method, payload, (key, shard)).is_err() {
+        for Part { shard, to, payload } in remote {
+            if self.parts.send(ctx, to, KvsMethod::Push, payload, (key, shard)).is_err() {
                 // No parent: never in a well-formed session, where the
                 // root masters a one-shard session's one shard. The
                 // committer gets a refusal its method declares.
@@ -211,8 +167,7 @@ impl Coordinator {
 
     /// Every part acknowledged: a fence is announced with one
     /// `kvs.setroot` carrying the whole cut (every broker adopts it,
-    /// then releases its own waiters), and the local waiters get the cut
-    /// (a relay's waiter, its part's root).
+    /// then releases its own waiters), and the local waiters get the cut.
     fn finish_if_complete(&mut self, ctx: &mut ModuleCtx<'_>, rep: &Replica, key: u64) {
         if self.joins.get(&key).is_some_and(|j| !j.outstanding.is_empty()) {
             return;
@@ -222,11 +177,7 @@ impl Coordinator {
         if let Some(name) = &join.fence {
             ctx.publish(Event::KvsSetroot.topic(), msg::setroot_event(&cut, Some(name)));
         }
-        let reply = match (join.relay, cut.first()) {
-            (true, Some(at)) => msg::version_reply(at),
-            _ => msg::cut_reply(rep.slots.shards(), &cut),
-        };
-        let reply = Payload::from(reply);
+        let reply = Payload::from(msg::cut_reply(rep.slots.shards(), &cut));
         for req in &join.waiters {
             ctx.respond(req, reply.clone());
         }
@@ -355,7 +306,7 @@ mod tests {
         assert_eq!(f.rep.slots.version(1), 1, "the locally mastered part applied inline");
         let pushes: Vec<_> = messages(&outs)
             .into_iter()
-            .filter(|m| m.header.topic.as_str() == KvsMethod::ShardPush.topic_str())
+            .filter(|m| m.header.topic.as_str() == KvsMethod::Push.topic_str())
             .collect();
         let routed: Vec<_> = pushes
             .iter()
@@ -380,7 +331,7 @@ mod tests {
                 f.co.parts.in_flight().into_iter().map(|(id, (_, s))| (s, id)).collect();
             assert!(ids.is_sorted(), "sent in shard order");
             for (shard, id) in ids.into_iter().rev() {
-                let mut push = request(KvsMethod::ShardPush, Value::object());
+                let mut push = request(KvsMethod::Push, Value::object());
                 push.header.id = id;
                 assert!(f.co.handle_response(ctx, &mut f.rep, &ack(&push, u64::from(shard) + 10)));
             }
@@ -408,7 +359,7 @@ mod tests {
         let (lost, outs) = with_ctx(0, 4, move |ctx| {
             let mut f = broker(3, Some(0));
             let answer = |f: &mut Fixture, ctx: &mut ModuleCtx<'_>, id, code| {
-                let mut push = request(KvsMethod::ShardPush, Value::object());
+                let mut push = request(KvsMethod::Push, Value::object());
                 push.header.id = id;
                 let reply = Message::error_response_to(&push, code);
                 assert!(f.co.handle_response(ctx, &mut f.rep, &reply));

@@ -68,18 +68,17 @@ impl<T> Default for InFlight<T> {
 
 impl<T: Copy> InFlight<T> {
     /// Sends `method` up the tree (`to` = `None`) or rank-addressed to
-    /// `to`, under `id` — a relay's, the one its request arrived with —
-    /// or a fresh one. `Err` upstream at the root, which has no parent.
+    /// `to`, under a fresh id. `Err` upstream at the root, which has no
+    /// parent.
     pub(crate) fn send(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
-        id: Option<MsgId>,
         to: Option<Rank>,
         method: KvsMethod,
         payload: Payload,
         tag: T,
     ) -> Result<(), u32> {
-        let id = ctx.request(id, to, method.topic(), payload.clone())?;
+        let id = ctx.request(None, to, method.topic(), payload.clone())?;
         self.sent.insert(id, Sent { tag, method, to, payload, due: false });
         Ok(())
     }
@@ -121,11 +120,6 @@ impl<T: Copy> InFlight<T> {
         self.sent.retain(|_, sent| keep(&sent.tag));
     }
 
-    /// Whether request `id` is in flight.
-    pub(crate) fn contains(&self, id: MsgId) -> bool {
-        self.sent.contains_key(&id)
-    }
-
     /// `(request id, tag)` of everything in flight, in send order.
     #[cfg(test)]
     pub(crate) fn in_flight(&self) -> Vec<(MsgId, T)> {
@@ -154,12 +148,9 @@ mod tests {
         let _ = with_ctx(2, 4, |ctx| {
             let mut table = InFlight::default();
             let mut tag = 0u32;
-            let mut round_trip = |ctx: &mut ModuleCtx<'_>, method: KvsMethod, code: u32| {
+            let mut round_trip = |ctx: &mut ModuleCtx<'_>, (method, to), code: u32| {
                 tag += 1;
-                let to = (method != KvsMethod::Push).then_some(Rank(1));
-                table
-                    .send(ctx, None, to, method, Value::object().into(), tag)
-                    .expect("has a parent");
+                table.send(ctx, to, method, Value::object().into(), tag).expect("has a parent");
                 let (id, _) = table.in_flight()[0];
                 let claimed = table.claim(&answer(method, id, code)).expect("registered");
                 assert_eq!(claimed.0, tag);
@@ -167,15 +158,18 @@ mod tests {
                 table.retain(|_| false);
                 (claimed.1, kept)
             };
-            for method in [KvsMethod::Push, KvsMethod::ShardPush, KvsMethod::Load] {
+            let up_the_tree = (KvsMethod::Push, None);
+            let addressed = |method| (method, Some(Rank(1)));
+            for route in [up_the_tree, addressed(KvsMethod::Push), addressed(KvsMethod::Load)] {
+                let method: KvsMethod = route.0;
                 assert!(!method.declared_errors().is_empty());
                 for &code in method.declared_errors() {
-                    let (answer, kept) = round_trip(ctx, method, code);
+                    let (answer, kept) = round_trip(ctx, route, code);
                     assert!(matches!(answer, Answer::Refused(c) if c == code), "{method:?} {code}");
                     assert!(!kept, "a refused request is not retried");
                 }
                 for code in [errnum::EHOSTDOWN, errnum::ETIMEDOUT, errnum::EIO] {
-                    let (answer, kept) = round_trip(ctx, method, code);
+                    let (answer, kept) = round_trip(ctx, route, code);
                     assert!(matches!(answer, Answer::Lost), "{method:?} {code}");
                     assert!(kept, "a lost request stays filed for the next beat");
                 }
@@ -193,11 +187,9 @@ mod tests {
         let (ids, outs) = with_ctx(2, 4, |ctx| {
             let mut table = InFlight::default();
             let to_root = Some(Rank(0));
-            table.send(ctx, None, None, KvsMethod::Push, Value::object().into(), "push").unwrap();
-            table.send(ctx, None, None, KvsMethod::Load, Value::object().into(), "load").unwrap();
-            table
-                .send(ctx, None, to_root, KvsMethod::ShardPush, Value::object().into(), "part")
-                .unwrap();
+            table.send(ctx, None, KvsMethod::Push, Value::object().into(), "push").unwrap();
+            table.send(ctx, None, KvsMethod::Load, Value::object().into(), "load").unwrap();
+            table.send(ctx, to_root, KvsMethod::Push, Value::object().into(), "part").unwrap();
             let ids: Vec<MsgId> = table.in_flight().into_iter().map(|(id, _)| id).collect();
             table.sweep(ctx);
             table.sweep(ctx);
@@ -210,7 +202,7 @@ mod tests {
             ids
         });
         let mut expected: Vec<(String, MsgId)> =
-            [KvsMethod::Push, KvsMethod::Load, KvsMethod::ShardPush]
+            [KvsMethod::Push, KvsMethod::Load, KvsMethod::Push]
                 .iter()
                 .zip(&ids)
                 .map(|(m, id)| (m.topic_str().to_owned(), *id))
@@ -225,9 +217,7 @@ mod tests {
     fn a_lost_answer_is_sent_again_at_the_next_beat_under_its_own_id() {
         let (id, outs) = with_ctx(2, 4, |ctx| {
             let mut table = InFlight::default();
-            table
-                .send(ctx, None, Some(Rank(0)), KvsMethod::Load, Value::object().into(), ())
-                .unwrap();
+            table.send(ctx, Some(Rank(0)), KvsMethod::Load, Value::object().into(), ()).unwrap();
             let id = table.in_flight()[0].0;
             let lost = answer(KvsMethod::Load, id, errnum::EHOSTDOWN);
             assert!(matches!(table.claim(&lost), Some(((), Answer::Lost))));

@@ -8,8 +8,7 @@
 //! | `kvs.put`          | `{k, v}`                              | write-back: store value object locally, queue `(key, SHA1)` tuple |
 //! | `kvs.unlink`       | `{k}`                                 | queue an unlink tuple |
 //! | `kvs.commit`       | `{}`                                  | flush the caller's tuples+objects to the masters; response is the cut it observed, `{shards, frontier: [{shard, version, root}…]}`, applied locally before the caller is answered (read-your-writes) |
-//! | `kvs.push`         | `{shard, tuples, objects}`            | internal: a commit batch travelling up the tree (one-shard sessions); answered `{shard, version, root}` |
-//! | `kvs.shard.push`   | `{shard, tuples, objects[, fence]}`   | internal: a rank-addressed commit batch for one shard master (sharded sessions route writes directly, not up the tree); answered `{shard, version, root}` |
+//! | `kvs.push`         | `{shard, tuples, objects[, fence]}`   | internal: a commit batch for one shard master, forwarded up the tree (one shard) or rank-addressed (N shards); answered `{shard, version, root}` |
 //! | `kvs.fence`        | `{name, nprocs}`                      | collective commit: contributions merge upstream (objects dedup, tuples concatenate); completion is the `kvs.setroot` event `{frontier, fences}` naming the fence, and the caller gets `{shards, frontier}` |
 //! | `kvs.fence.up`     | `{name, nprocs, count, tuples, objects, src, batch}` | internal: merged fence contributions travelling up, stamped by the reduction |
 //! | `kvs.get`          | `{k}` / `{k, dir:true}`               | recursive lookup with fault-in through the cache chain |
@@ -42,7 +41,7 @@
 //! shard count decides one thing: how a write part travels to a master
 //! that is not this broker (`coordinator.rs`).
 
-use crate::authority::{self, Authority, BATCH_TOKEN};
+use crate::authority::{Authority, BATCH_TOKEN};
 use crate::coordinator::Coordinator;
 use crate::fence::{self, FenceAcc};
 use crate::master::Tuple;
@@ -213,39 +212,23 @@ impl KvsModule {
         parked
     }
 
-    /// `kvs.push`, the tree-routed batch of a one-shard session: it is
-    /// for shard 0, and a broker that does not master shard 0 passes it
-    /// one hop further up.
+    /// `kvs.push`, a batch for one shard: applied at that shard's
+    /// master. Below the root, a broker that is not the master passes a
+    /// push climbing the tree one hop further up, and its answer unwinds
+    /// past this module. Anything else — at the root, or at a rank it
+    /// was addressed to — is refused, not applied to the wrong tree.
     fn handle_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
-        if !self.rep.slots.masters(0) {
-            if self.cfg.dedup && !self.authority.note_push(msg.header.id) {
-                // Pending while this broker's relay of it is unanswered.
-                let pending = self.coordinator.relaying(msg.header.id);
-                return authority::repeated_push(ctx, &self.rep, &msg, pending);
-            }
-            return self.coordinator.relay(ctx, &mut self.rep, msg);
-        }
-        if self.shard_param(&msg) != Ok(0) {
-            // A batch for another shard is refused, not applied to
-            // shard 0's tree.
-            return ctx.respond_err(&msg, errnum::EINVAL);
-        }
-        self.authority.accept_push(ctx, &self.cfg, &mut self.rep, msg, None)
-    }
-
-    /// `kvs.shard.push`, a rank-addressed batch for the shard this
-    /// broker masters.
-    fn handle_shard_push(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
         let shard = msg::shard_of(&msg.payload).ok().flatten();
-        if shard.is_none() || shard != self.rep.slots.mine().map(u64::from) {
-            // Batches addressed to a non-master rank are rejected, not
-            // silently applied to the wrong tree.
-            return ctx.respond_err(&msg, errnum::EINVAL);
+        if shard.is_some() && shard == self.rep.slots.mine().map(u64::from) {
+            // A second handle on the payload, so `msg` can move on.
+            let payload = msg.payload.clone();
+            let fence = msg::push_fence(&payload);
+            return self.authority.accept_push(ctx, &self.cfg, &mut self.rep, msg, fence);
         }
-        // A second handle on the payload, so `msg` can move on.
-        let payload = msg.payload.clone();
-        let fence = msg::push_fence(&payload);
-        self.authority.accept_push(ctx, &self.cfg, &mut self.rep, msg, fence)
+        if msg.header.dst.is_none() && !ctx.is_root() {
+            return ctx.forward_upstream(msg);
+        }
+        ctx.respond_err(&msg, errnum::EINVAL)
     }
 
     // ----- fence -----------------------------------------------------------
@@ -375,7 +358,6 @@ impl CommsModule for KvsModule {
             Some(KvsMethod::Unlink) => self.handle_put(ctx, &msg, true),
             Some(KvsMethod::Commit) => self.handle_commit(ctx, msg),
             Some(KvsMethod::Push) => self.handle_push(ctx, msg),
-            Some(KvsMethod::ShardPush) => self.handle_shard_push(ctx, msg),
             Some(KvsMethod::Fence) => self.handle_fence(ctx, msg),
             Some(KvsMethod::FenceUp) => self.handle_fence_up(ctx, msg),
             Some(KvsMethod::Get) => self.handle_get(ctx, msg),

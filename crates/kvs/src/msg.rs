@@ -96,7 +96,7 @@ pub(crate) fn shard_of(req: &Value) -> Result<Option<u64>, ()> {
     req.get("shard").map(|v| v.as_uint().ok_or(())).transpose()
 }
 
-/// The fence a `kvs.shard.push` batch is part of.
+/// The fence a `kvs.push` batch is part of.
 pub(crate) fn push_fence(req: &Value) -> Option<&str> {
     req.get("fence")?.as_str()
 }
@@ -371,9 +371,9 @@ pub(crate) fn objects_from_value(v: Option<&Value>) -> Option<Objects> {
     Some(out)
 }
 
-/// A commit batch for `shard`'s master, whichever route it takes
-/// (`kvs.push` up the tree or `kvs.shard.push` to the master); `fence`
-/// marks a part of a collective fence.
+/// A `kvs.push` batch for `shard`'s master, whichever route it takes
+/// (up the tree or rank-addressed); `fence` marks a part of a collective
+/// fence.
 pub(crate) fn push_payload(
     shard: u32,
     fence: Option<&str>,

@@ -361,7 +361,7 @@ impl Reads {
             Some(shard::master_of(shard))
         };
         // Only an upstream send from the root can be refused.
-        let _ = self.loads.send(ctx, None, to, KvsMethod::Load, payload, (id, shard));
+        let _ = self.loads.send(ctx, to, KvsMethod::Load, payload, (id, shard));
     }
 
     /// Resolves a load: with the object, once the cache holds it, or

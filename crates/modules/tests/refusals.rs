@@ -75,9 +75,10 @@ fn cases() -> Vec<(&'static str, u32, Case)> {
         ("kvs.put", ENAMETOOLONG, refused([("k", long_name())])),
         ("kvs.unlink", EINVAL, refused([])),
         ("kvs.unlink", ENAMETOOLONG, refused([("k", long_name())])),
-        ("kvs.commit", EINVAL, Case::RelayOf(&["kvs.push", "kvs.shard.push"])),
+        ("kvs.commit", EINVAL, Case::RelayOf(&["kvs.push"])),
         ("kvs.push", EINVAL, refused([("tuples", n(1))])),
-        ("kvs.shard.push", EINVAL, refused([("shard", n(3))])),
+        // A batch for a shard no broker on its path masters.
+        ("kvs.push", EINVAL, refused([("shard", n(3))])),
         ("kvs.fence", EINVAL, refused([("name", s("f")), ("nprocs", n(0))])),
         ("kvs.get", EINVAL, refused([])),
         ("kvs.get", ENAMETOOLONG, refused([("k", long_name())])),

@@ -332,13 +332,11 @@ methods! {
         /// Fails only on malformed batches (upstream transport errors are
         /// relayed verbatim).
         Commit = "commit" => Rpc [EINVAL];
-        /// Internal: a commit batch climbing the tree to the master.
+        /// Internal: a commit batch for one shard's master, climbing the
+        /// tree (one shard) or rank-addressed (N shards). Rejects
+        /// malformed batches, and a batch that reaches the tree root or
+        /// its addressed rank without reaching its shard's master.
         Push = "push" => Rpc [EINVAL];
-        /// Internal: a rank-addressed commit batch for one shard master
-        /// (sharded sessions route writes directly, not up the tree).
-        /// Additionally rejects batches addressed to a rank that does not
-        /// master the named shard.
-        ShardPush = "shard.push" => Rpc [EINVAL];
         /// Collective commit: resolves once `nprocs` have entered.
         /// Rejects malformed, zero-proc, mismatched-count, and duplicate
         /// contributions.

@@ -366,6 +366,49 @@ fn kvs_load_forwarded_by_an_interior_broker() {
 }
 
 #[test]
+fn kvs_push_forwarded_by_an_interior_broker() {
+    // Rank 3 of four commits one put: what it sends its parent, rank 1,
+    // is the `kvs.push` every repetition replays, re-decoded from the
+    // wire bytes under a fresh id. Rank 1 masters no shard, so the push
+    // climbs on to rank 0 as it came, and nothing is filed at rank 1.
+    let mut child = started(BrokerConfig::new(Rank(3), 4), kvs());
+    let mut core = ClientCore::new(Rank(3), 0);
+    from_client(&mut child, put(&mut core, "bench.k", Value::Int(42)));
+    let outs = from_client(&mut child, core.request(KvsMethod::Commit.topic(), Value::object(), 0));
+    let topic = KvsMethod::Push.topic();
+    let push = outs
+        .iter()
+        .find_map(|o| match o {
+            Output::ToBroker { to: Rank(1), msg } if msg.header.topic == topic => Some(msg),
+            _ => None,
+        })
+        .expect("a push to the parent");
+    let bytes = push.encode();
+
+    let mut interior = started(BrokerConfig::new(Rank(1), 4), kvs());
+    let mut seq = 0;
+    pin_bytes(
+        "kvs.push from child rank 3, forwarded by interior rank 1",
+        2,
+        400,
+        || {
+            seq += 1;
+            let (mut msg, _) = Message::decode(&bytes).expect("own encoding decodes");
+            msg.header.id.seq = seq;
+            msg
+        },
+        |msg| {
+            let up = interior.handle(0, Input::FromBroker { plane: Plane::Tree, from: Rank(3), msg });
+            assert!(
+                matches!(&up[..], [Output::ToBroker { to: Rank(0), msg }] if msg.header.topic == topic),
+                "forwarded as it came: {up:?}"
+            );
+            up
+        },
+    );
+}
+
+#[test]
 fn kvs_fence_up_merged_at_an_interior_broker() {
     // Rank 1 of four receives one contribution from its child rank 3 —
     // a tuple and the value object it names, stamped with the next batch
