@@ -83,8 +83,9 @@ impl Authority {
         fence: Option<&str>,
     ) -> RootRef {
         let shard = rep.slots.mine().unwrap_or(0);
-        for (id, obj) in objects {
-            rep.cache.insert_with_id(id, obj, None);
+        // Value objects: the bytes a put encoded or a push carried.
+        for (id, bytes) in objects {
+            rep.cache.insert_bytes(id, bytes, None);
         }
         let (root, version) = rep.slots.root(shard);
         let root = apply_tuples(&mut rep.cache, root, tuples);
@@ -206,12 +207,11 @@ mod tests {
     use flux_broker::testing::with_ctx;
     use flux_proto::KvsMethod;
     use flux_value::Value;
-    use std::sync::Arc;
 
     fn push(key: &str, val: i64) -> Message {
         let obj = KvsObject::Val(Value::Int(val));
         let id = obj.id();
-        let objects = Objects::from([(id, Arc::new(obj))]);
+        let objects = Objects::from([(id, obj.encode().into())]);
         request(
             KvsMethod::Push,
             msg::push_payload(0, None, &[(key.to_owned(), Some(id))], &objects),
@@ -299,7 +299,7 @@ mod tests {
     fn fence_parts_apply_quietly_once_and_retries_read_the_memo() {
         let obj = KvsObject::Val(Value::Int(5));
         let id = obj.id();
-        let objects = Objects::from([(id, Arc::new(obj))]);
+        let objects = Objects::from([(id, obj.encode().into())]);
         let part = msg::push_payload(1, Some("f"), &[("k".to_owned(), Some(id))], &objects);
         let (first, retry) =
             (request(KvsMethod::Push, part.clone()), request(KvsMethod::Push, part));

@@ -214,7 +214,6 @@ mod tests {
     use flux_broker::testing::with_ctx;
     use flux_value::Value;
     use flux_wire::MsgType;
-    use std::sync::Arc;
 
     struct Fixture {
         co: Coordinator,
@@ -237,7 +236,7 @@ mod tests {
             .map(|(i, k)| {
                 let obj = KvsObject::Val(Value::Int(i as i64));
                 let id = obj.id();
-                objects.insert(id, Arc::new(obj));
+                objects.insert(id, obj.encode().into());
                 (k.clone(), Some(id))
             })
             .collect();

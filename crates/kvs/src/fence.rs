@@ -54,20 +54,20 @@ impl FenceAcc {
 
     /// The write set decoded for the coordinator, at the tree root.
     /// Every element was checked on receipt or spelled here, so none is
-    /// left out.
+    /// left out and no object is hashed again; each keeps its bytes.
     pub(crate) fn decode(&self) -> (Vec<Tuple>, Objects) {
         let tuples = self.tuples.iter().filter_map(msg::tuple_of);
-        let objects = self.objects.iter().filter_map(|(hex, v)| msg::object_of(hex, v));
+        let objects = self.objects.iter().filter_map(|(hex, v)| msg::manifest_entry(hex, v));
         (
             tuples.map(|(k, s)| (k.to_owned(), s)).collect(),
-            objects.map(|(id, obj)| (id, Arc::new(obj))).collect(),
+            objects.map(|(id, bytes)| (id, Arc::clone(bytes))).collect(),
         )
     }
 }
 
 /// Checks the write set of a child's `kvs.fence.up` batch before
 /// anything of it merges: every tuple's shape and hex id, every
-/// object's content address.
+/// object's content address, the hash of the bytes it came as.
 pub(crate) fn sound(batch: &Value) -> bool {
     let tuples = batch.get("tuples").and_then(Value::as_array);
     let objects = batch.get("objects").and_then(Value::as_object);
@@ -337,7 +337,7 @@ mod tests {
                 (format!("own{rank}"), Some(own_id)),
             ];
             let objects: Objects =
-                [(shared_id, Arc::new(shared.clone())), (own_id, Arc::new(own))].into();
+                [(shared_id, shared.encode().into()), (own_id, own.encode().into())].into();
             (tuples, objects)
         };
         let enter = |fence: &mut Collective<FenceAcc>, ctx: &mut ModuleCtx<'_>, rank| {

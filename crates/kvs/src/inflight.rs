@@ -4,8 +4,11 @@
 //! to a master, a `kvs.load` faulting an object in — can be refused by
 //! the handler that gets it, bounce off a blacked-out rank, or vanish
 //! with a dropped frame. One table keeps the three promises that make
-//! each of those a delay or an error, never a hang; [`InFlight::send`]
-//! is this crate's only caller of `ModuleCtx::request`:
+//! each of those a delay or an error, never a hang. [`InFlight::send`]
+//! and [`InFlight::sweep`] are this crate's only callers of
+//! `ModuleCtx::request`, and neither sends a request the table has not
+//! filed: `send` files it in the call that sends it, before any answer
+//! can arrive, and `sweep` sends again only what is already filed.
 //!
 //! 1. **Registered as sent.** [`InFlight::send`] files the request, its
 //!    route and its payload under the owner's tag in the same call that

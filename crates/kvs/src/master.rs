@@ -81,12 +81,10 @@ impl PatchNode {
 fn rebuild(cache: &mut ObjectCache, base: Option<ObjectId>, patch: &PatchNode) -> ObjectId {
     // Start from the existing directory if there is one; a value (or a
     // missing object) in the way is replaced by an empty directory.
-    let mut entries: BTreeMap<String, ObjectId> = match base.and_then(|id| cache.get(id)) {
-        Some(obj) => match &*obj {
-            KvsObject::Dir(e) => e.clone(),
-            KvsObject::Val(_) => BTreeMap::new(),
-        },
-        None => BTreeMap::new(),
+    let base = base.and_then(|id| cache.lookup(id)).flatten();
+    let mut entries: BTreeMap<String, ObjectId> = match base.as_deref() {
+        Some(KvsObject::Dir(e)) => e.clone(),
+        _ => BTreeMap::new(),
     };
     for (name, child_patch) in &patch.children {
         // A terminal assignment at the child level.
@@ -128,8 +126,8 @@ pub fn resolve(cache: &mut ObjectCache, root: ObjectId, key: &str) -> Option<Obj
     validate_key(key).ok()?;
     let mut cur = root;
     for name in key.split('.') {
-        let obj = cache.get(cur)?;
-        let KvsObject::Dir(entries) = &*obj else { return None };
+        let view = cache.lookup(cur).flatten()?;
+        let KvsObject::Dir(entries) = &*view else { return None };
         cur = *entries.get(name)?;
     }
     Some(cur)

@@ -46,7 +46,7 @@ use crate::coordinator::Coordinator;
 use crate::fence::{self, FenceAcc};
 use crate::master::Tuple;
 use crate::msg::{self, Objects};
-use crate::object::KvsObject;
+use crate::object;
 use crate::path::validate_key;
 use crate::reads::{self, Reads};
 use crate::slots::Slots;
@@ -176,10 +176,12 @@ impl KvsModule {
         if unlink {
             pend.tuples.push((key.to_owned(), None));
         } else {
-            let val = msg::value(&msg.payload).cloned().unwrap_or(Value::Null);
-            let obj = KvsObject::Val(val);
-            let id = obj.id();
-            pend.objects.insert(id, Arc::new(obj));
+            // The value object's bytes, encoded once: the push, the
+            // master's cache and every load reply share them.
+            let val = msg::value(&msg.payload).unwrap_or(&Value::Null);
+            let bytes: Arc<[u8]> = object::encode_val(val).into();
+            let id = ObjectId::hash(&bytes);
+            pend.objects.insert(id, bytes);
             pend.tuples.push((key.to_owned(), Some(id)));
         }
         ctx.respond(msg, Value::object())

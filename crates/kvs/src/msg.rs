@@ -21,20 +21,24 @@
 //! coordinator gave up, `{fences_failed, errnum}`), `kvs.load` is
 //! `{id, shard}`, and both push topics carry
 //! `{shard, tuples, objects[, fence]}`. `shards` is always the count.
+//! An object travels as its canonical bytes, one byte-string value: the
+//! `obj` of a `kvs.load` reply and each entry of an `objects` manifest
+//! (`crate::object`).
 //! A reader picks its decoder by method ([`decode_root`] or
 //! [`decode_cut`]), not by payload shape. Client requests stay lenient:
 //! they are outside input, so one that names no `shard` reads as shard 0.
 
 use crate::master::Tuple;
-use crate::object::KvsObject;
+use crate::object::{self, KvsObject};
 use crate::store::CacheStats;
 use flux_hash::ObjectId;
 use flux_value::{Map, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Value objects travelling with a tuple batch, by content address.
-pub(crate) type Objects = BTreeMap<ObjectId, Arc<KvsObject>>;
+/// Value objects travelling with a tuple batch, as their canonical
+/// bytes, by content address.
+pub(crate) type Objects = BTreeMap<ObjectId, Arc<[u8]>>;
 
 // ----- client requests -----------------------------------------------------
 
@@ -108,14 +112,16 @@ pub(crate) const VALUE: &str = "v";
 /// The field of a `kvs.get {dir}` reply that holds the listing.
 pub(crate) const LISTING: &str = "dir";
 
-/// The `kvs.get` reply a stored object answers with: a value object's
-/// `{v}`, a directory's `{dir}` listing. It depends on the object alone,
-/// so a broker builds it once per object and shares it.
-pub(crate) fn get_reply(obj: &KvsObject) -> Value {
-    match obj {
-        KvsObject::Val(v) => Value::from_pairs([(VALUE, v.clone())]),
-        KvsObject::Dir(entries) => Value::from_pairs([(LISTING, dir_listing(entries))]),
-    }
+/// The `kvs.get` reply a stored object answers with: a directory's
+/// `{dir}` listing, read from its `view`, or a value object's `{v}`,
+/// decoded from its `bytes` (`None` if they hold no value). It depends
+/// on the object alone, so a broker builds it once per object and
+/// shares it.
+pub(crate) fn get_reply(bytes: &[u8], view: Option<&KvsObject>) -> Option<Value> {
+    Some(match view {
+        Some(KvsObject::Dir(entries)) => Value::from_pairs([(LISTING, dir_listing(entries))]),
+        _ => Value::from_pairs([(VALUE, object::value_of(bytes)?)]),
+    })
 }
 
 /// A `kvs.watch` update: `key` now holds `val` (`Null`: it is gone). It
@@ -294,17 +300,18 @@ pub(crate) fn load_request_id(req: &Value) -> Option<ObjectId> {
     ObjectId::from_hex(req.get(LOAD_ID)?.as_str()?).ok()
 }
 
-/// The `kvs.load` reply `{id, obj}`: `obj`, an object's
-/// [`KvsObject::to_value`], said to be object `id`.
+/// The `kvs.load` reply `{id, obj}`: `obj`, an object's bytes as
+/// [`KvsObject::to_value`] embeds them, said to be object `id`.
 pub(crate) fn load_reply(id: ObjectId, obj: Value) -> Value {
     Value::from_pairs([(LOAD_ID, Value::from(id.to_hex())), (LOAD_OBJ, obj)])
 }
 
-/// The object a `kvs.load` reply carries (`None`: no well-formed
-/// `obj`). The `id` beside it is not read: a reader trusts only the
-/// address it computes from the object.
-pub(crate) fn load_reply_object(reply: &Value) -> Option<KvsObject> {
-    KvsObject::from_value(reply.get(LOAD_OBJ)?).ok()
+/// The bytes a `kvs.load` reply carries as its object (`None`: `obj`
+/// is not a byte string). Nothing is checked here, and the `id` beside
+/// them is not read: a reader trusts only the address it computes from
+/// the bytes ([`object::receive`]).
+pub(crate) fn load_reply_object(reply: &Value) -> Option<&Arc<[u8]>> {
+    reply.get(LOAD_OBJ)?.as_bytes()
 }
 
 // ----- tuple batches -------------------------------------------------------
@@ -343,30 +350,33 @@ pub(crate) fn tuples_from_value(v: Option<&Value>) -> Option<Vec<Tuple>> {
     Some(out)
 }
 
-/// An object manifest as a batch spells it: hex id → embedded object.
+/// An object manifest as a batch spells it: hex id → the object's
+/// bytes, shared with `objects`.
 pub(crate) fn objects_map(objects: &Objects) -> Map {
-    let mut m = Map::new();
-    for (id, obj) in objects {
-        m.insert(id.to_hex(), obj.to_value());
-    }
-    m
+    objects.iter().map(|(id, bytes)| (id.to_hex(), Value::Bytes(Arc::clone(bytes)))).collect()
+}
+
+/// Reads one manifest entry as spelled, unchecked: `None` unless `hex`
+/// is an object id and `objv` a byte string.
+pub(crate) fn manifest_entry<'a>(hex: &str, objv: &'a Value) -> Option<(ObjectId, &'a Arc<[u8]>)> {
+    Some((ObjectId::from_hex(hex).ok()?, objv.as_bytes()?))
 }
 
 /// Reads one manifest entry, verifying its content address: `None`
-/// unless `hex` is an object id and `objv` decodes to the object that
-/// hashes to it.
-pub(crate) fn object_of(hex: &str, objv: &Value) -> Option<(ObjectId, KvsObject)> {
-    let id = ObjectId::from_hex(hex).ok()?;
-    let obj = KvsObject::from_value(objv).ok()?;
-    (obj.id() == id).then_some((id, obj))
+/// unless `objv` is a well-formed value object whose bytes hash to the
+/// id `hex` names.
+pub(crate) fn object_of<'a>(hex: &str, objv: &'a Value) -> Option<(ObjectId, &'a Arc<[u8]>)> {
+    let (id, bytes) = manifest_entry(hex, objv)?;
+    (object::value_id(bytes)? == id).then_some((id, bytes))
 }
 
-/// Decodes an object manifest, verifying every content address.
+/// Reads an object manifest, verifying every content address. The
+/// bytes are the payload's, shared.
 pub(crate) fn objects_from_value(v: Option<&Value>) -> Option<Objects> {
     let mut out = BTreeMap::new();
     for (hex, objv) in v?.as_object()? {
-        let (id, obj) = object_of(hex, objv)?;
-        out.insert(id, Arc::new(obj));
+        let (id, bytes) = object_of(hex, objv)?;
+        out.insert(id, Arc::clone(bytes));
     }
     Some(out)
 }
@@ -438,7 +448,9 @@ mod tests {
         let obj = KvsObject::Val(Value::Int(9));
         let id = obj.id();
         let hex = id.to_hex();
-        let reply = format!(r#"{{"id":"{hex}","obj":{{"t":"val","v":9}}}}"#);
+        // `obj` is the object's canonical bytes, which JSON text writes
+        // as hex: `V`, the integer tag, 9 as eight little-endian bytes.
+        let reply = format!(r#"{{"id":"{hex}","obj":"56030900000000000000"}}"#);
         let table = [
             (load_request(id, 0), format!(r#"{{"id":"{hex}","shard":0}}"#)),
             (load_reply(id, obj.to_value()), reply),
@@ -447,7 +459,7 @@ mod tests {
             assert_eq!(built.to_json(), *literal);
             assert_eq!(load_request_id(built), Some(id), "{literal}");
         }
-        assert_eq!(load_reply_object(&table[1].0), Some(obj));
+        assert_eq!(load_reply_object(&table[1].0).map(|b| b.to_vec()), Some(obj.encode()));
         for request in [r#"{}"#, r#"{"id":"zz"}"#, r#"{"id":9}"#] {
             assert_eq!(load_request_id(&Value::parse(request).unwrap()), None, "{request}");
         }
@@ -519,7 +531,7 @@ mod tests {
         let obj = KvsObject::Val(Value::Int(9));
         let id = obj.id();
         let tuples: Vec<Tuple> = vec![("a.b".to_owned(), Some(id)), ("gone".to_owned(), None)];
-        let objects: Objects = BTreeMap::from([(id, Arc::new(obj))]);
+        let objects: Objects = BTreeMap::from([(id, obj.encode().into())]);
         let plain = push_payload(0, None, &tuples, &objects);
         assert!(plain.get("fence").is_none());
         let tagged = push_payload(3, Some("f"), &tuples, &objects);
@@ -527,12 +539,22 @@ mod tests {
         assert_eq!(tagged.get("fence").and_then(Value::as_str), Some("f"));
         for p in [&plain, &tagged] {
             assert_eq!(tuples_from_value(p.get("tuples")), Some(tuples.clone()));
-            assert_eq!(objects_from_value(p.get("objects")), Some(objects.clone()));
+            let read = objects_from_value(p.get("objects")).expect("sound");
+            assert!(Arc::ptr_eq(&read[&id], &objects[&id]), "the batch's bytes, shared");
         }
         let forged = Value::from_pairs([(
             ObjectId::hash(b"claimed").to_hex(),
             KvsObject::Val(Value::Int(9)).to_value(),
         )]);
         assert_eq!(objects_from_value(Some(&forged)), None);
+        // One byte of the object changed: it no longer hashes to its id.
+        let mut flipped = objects[&id].to_vec();
+        flipped[3] ^= 0x01;
+        let flipped = Value::from_pairs([(id.to_hex(), Value::Bytes(flipped.into()))]);
+        assert_eq!(objects_from_value(Some(&flipped)), None);
+        // A directory, named by its own hash: a batch carries values only.
+        let dir = KvsObject::empty_dir();
+        let dir = Value::from_pairs([(dir.id().to_hex(), dir.to_value())]);
+        assert_eq!(objects_from_value(Some(&dir)), None);
     }
 }

@@ -1,9 +1,17 @@
 //! KVS objects: values and directories.
+//!
+//! An object is its canonical bytes ([`KvsObject::encode`]), and its
+//! name is their SHA1, as a git object's is. Every tier stores, serves
+//! and passes on those bytes as one `Arc<[u8]>`, embedded in a payload
+//! as a [`Value::Bytes`] ([`KvsObject::to_value`]). A receiver checks
+//! an object by hashing the slice it got ([`value_id`], [`receive`]);
+//! only a directory is decoded, once, into the view a walk reads.
 
 use flux_hash::ObjectId;
-use flux_value::{varint_len, Map, Value};
+use flux_value::{varint_len, Value};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A stored object: either a JSON value or a directory mapping names to
 /// other objects by their SHA1 reference (paper §IV-B: "A directory is an
@@ -22,20 +30,22 @@ pub enum KvsObject {
 pub enum ObjectError {
     /// Payload was not a recognizable object encoding.
     Malformed,
-    /// A directory entry's SHA1 reference failed to parse.
-    BadReference,
 }
 
 impl fmt::Display for ObjectError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ObjectError::Malformed => write!(f, "malformed KVS object"),
-            ObjectError::BadReference => write!(f, "bad SHA1 reference in directory"),
         }
     }
 }
 
 impl std::error::Error for ObjectError {}
+
+/// The decoded view a held object keeps beside its bytes: a
+/// directory's, shared by reference. A value keeps none (`None`); it is
+/// read from its bytes.
+pub(crate) type View = Option<Arc<KvsObject>>;
 
 impl KvsObject {
     /// An empty directory (the initial root of every session).
@@ -54,13 +64,10 @@ impl KvsObject {
     /// *looks* like a directory listing cannot collide with one.
     pub fn encode(&self) -> Vec<u8> {
         match self {
-            KvsObject::Val(v) => {
-                let mut out = vec![b'V'];
-                v.encode_canonical_into(&mut out);
-                out
-            }
+            KvsObject::Val(v) => encode_val(v),
             KvsObject::Dir(entries) => {
-                let mut out = vec![b'D'];
+                let mut out = Vec::with_capacity(self.encoded_len());
+                out.push(b'D');
                 flux_value::write_varint(&mut out, entries.len() as u64);
                 for (name, id) in entries {
                     flux_value::write_varint(&mut out, name.len() as u64);
@@ -72,7 +79,9 @@ impl KvsObject {
         }
     }
 
-    /// Decodes the canonical byte encoding.
+    /// Decodes the canonical byte encoding. A directory's names must
+    /// ascend strictly, as `encode` writes them, so a decoded directory
+    /// encodes back to the bytes it came from.
     pub fn decode(bytes: &[u8]) -> Result<KvsObject, ObjectError> {
         match bytes.first() {
             Some(b'V') => Value::decode_canonical(&bytes[1..])
@@ -96,6 +105,9 @@ impl KvsObject {
                         .map_err(|_| ObjectError::Malformed)?
                         .to_owned();
                     pos += nlen;
+                    if entries.last_key_value().is_some_and(|(prev, _)| *prev >= name) {
+                        return Err(ObjectError::Malformed);
+                    }
                     let mut digest = [0u8; 20];
                     digest.copy_from_slice(&bytes[pos..pos + 20]);
                     pos += 20;
@@ -112,14 +124,7 @@ impl KvsObject {
 
     /// The content address: SHA1 of the canonical encoding.
     pub fn id(&self) -> ObjectId {
-        self.id_and_len().0
-    }
-
-    /// The content address and the length of the encoding, from one
-    /// encoding: what the cache files an object under and charges for it.
-    pub fn id_and_len(&self) -> (ObjectId, usize) {
-        let bytes = self.encode();
-        (ObjectId::hash(&bytes), bytes.len())
+        ObjectId::hash(&self.encode())
     }
 
     /// Length of [`KvsObject::encode`]'s output, summed without encoding.
@@ -136,45 +141,53 @@ impl KvsObject {
         }
     }
 
-    /// Embeds the object in a JSON payload (for `kvs.load` responses and
-    /// fence/commit object manifests).
+    /// Embeds the object in a payload as its canonical bytes, the form
+    /// a `kvs.load` reply and a batch's object manifest carry.
     pub fn to_value(&self) -> Value {
-        match self {
-            KvsObject::Val(v) => {
-                Value::from_pairs([("t", Value::from("val")), ("v", v.clone())])
-            }
-            KvsObject::Dir(entries) => {
-                let mut m = Map::new();
-                for (name, id) in entries {
-                    m.insert(name.clone(), Value::from(id.to_hex()));
-                }
-                Value::from_pairs([("t", Value::from("dir")), ("e", Value::Object(m))])
-            }
-        }
+        Value::Bytes(self.encode().into())
     }
 
-    /// Parses the [`KvsObject::to_value`] embedding.
+    /// Decodes the [`KvsObject::to_value`] embedding.
     pub fn from_value(v: &Value) -> Result<KvsObject, ObjectError> {
-        match v.get("t").and_then(Value::as_str) {
-            Some("val") => Ok(KvsObject::Val(v.get("v").cloned().unwrap_or(Value::Null))),
-            Some("dir") => {
-                let entries = v
-                    .get("e")
-                    .and_then(Value::as_object)
-                    .ok_or(ObjectError::Malformed)?;
-                // The object outlives the message, so its entries are
-                // owned.
-                let mut out = BTreeMap::new();
-                for (name, idv) in entries {
-                    let hex = idv.as_str().ok_or(ObjectError::BadReference)?;
-                    let id = ObjectId::from_hex(hex).map_err(|_| ObjectError::BadReference)?;
-                    out.insert(name.clone(), id);
-                }
-                Ok(KvsObject::Dir(out))
-            }
-            _ => Err(ObjectError::Malformed),
-        }
+        KvsObject::decode(v.as_bytes().ok_or(ObjectError::Malformed)?)
     }
+}
+
+/// The canonical bytes of the value object holding `v`, encoded from a
+/// borrow: what `kvs.put` stores.
+pub(crate) fn encode_val(v: &Value) -> Vec<u8> {
+    let mut out = Vec::with_capacity(1 + v.encoded_len());
+    out.push(b'V');
+    v.encode_canonical_into(&mut out);
+    out
+}
+
+/// Checks bytes received as a value object, a batch's manifest entry:
+/// their address, if they are one well-formed value object. Nothing is
+/// decoded. A batch carries the value objects its puts made, so a
+/// directory there is malformed.
+pub(crate) fn value_id(bytes: &[u8]) -> Option<ObjectId> {
+    let (b'V', body) = bytes.split_first()? else { return None };
+    Value::check_canonical(body).ok()?;
+    Some(ObjectId::hash(bytes))
+}
+
+/// Checks bytes received as any object, a `kvs.load` reply's: their
+/// address, and a directory's view decoded from them. `None` if they are
+/// not a well-formed object.
+pub(crate) fn receive(bytes: &[u8]) -> Option<(ObjectId, View)> {
+    if bytes.first() == Some(&b'D') {
+        let dir = KvsObject::decode(bytes).ok()?;
+        return Some((ObjectId::hash(bytes), Some(Arc::new(dir))));
+    }
+    Some((value_id(bytes)?, None))
+}
+
+/// The value a value object's bytes hold: what its `kvs.get` reply
+/// carries.
+pub(crate) fn value_of(bytes: &[u8]) -> Option<Value> {
+    let (b'V', body) = bytes.split_first()? else { return None };
+    Value::decode_canonical(body).ok()
 }
 
 #[cfg(test)]
@@ -239,7 +252,9 @@ mod tests {
             KvsObject::empty_dir(),
             dir(&[("n1", b"a"), ("n2", b"b")]),
         ] {
-            let back = KvsObject::from_value(&obj.to_value()).unwrap();
+            let embedded = obj.to_value();
+            assert_eq!(embedded.as_bytes().map(|b| b.to_vec()), Some(obj.encode()));
+            let back = KvsObject::from_value(&embedded).unwrap();
             assert_eq!(back, obj);
             assert_eq!(back.id(), obj.id());
         }
@@ -248,12 +263,40 @@ mod tests {
     #[test]
     fn from_value_rejects_garbage() {
         assert!(KvsObject::from_value(&Value::Null).is_err());
-        assert!(KvsObject::from_value(&Value::from_pairs([("t", Value::from("x"))])).is_err());
-        let bad_ref = Value::from_pairs([
-            ("t", Value::from("dir")),
-            ("e", Value::from_pairs([("n", Value::from("nothex"))])),
-        ]);
-        assert_eq!(KvsObject::from_value(&bad_ref), Err(ObjectError::BadReference));
+        // The hex of an object's bytes is text, not the object.
+        let hex = Value::from(KvsObject::empty_dir().id().to_hex());
+        assert_eq!(KvsObject::from_value(&hex), Err(ObjectError::Malformed));
+        let bytes = |b: &[u8]| Value::Bytes(b.into());
+        assert_eq!(KvsObject::from_value(&bytes(b"X")), Err(ObjectError::Malformed));
+    }
+
+    #[test]
+    fn received_bytes_are_checked_and_only_a_directory_is_decoded() {
+        let val = KvsObject::Val(Value::from("v"));
+        let sub = dir(&[("a", b"1"), ("b", b"2")]);
+        let (val_bytes, dir_bytes) = (val.encode(), sub.encode());
+        assert_eq!(value_id(&val_bytes), Some(val.id()));
+        assert_eq!(receive(&val_bytes), Some((val.id(), None)));
+        assert_eq!(value_of(&val_bytes), Some(Value::from("v")));
+        assert_eq!(receive(&dir_bytes), Some((sub.id(), Some(Arc::new(sub.clone())))));
+        assert_eq!(value_id(&dir_bytes), None, "a manifest carries values only");
+        assert_eq!(value_of(&dir_bytes), None);
+        // Any byte changed: another address, or not an object at all.
+        for bytes in [&val_bytes, &dir_bytes] {
+            for at in 0..bytes.len() {
+                let mut flipped = bytes.clone();
+                flipped[at] ^= 0x01;
+                let id = ObjectId::hash(bytes);
+                assert_ne!(receive(&flipped).map(|(got, _)| got), Some(id), "byte {at}");
+            }
+        }
+        // Names out of order: not the canonical bytes of any directory.
+        let mut swapped = vec![b'D', 2];
+        for name in [b'b', b'a'] {
+            swapped.extend([1, name]);
+            swapped.extend(ObjectId::hash(b"x").0);
+        }
+        assert_eq!(receive(&swapped), None);
     }
 
     #[test]
@@ -278,14 +321,13 @@ mod tests {
     proptest! {
         // The default configuration, so that `PROPTEST_CASES` widens it.
 
-        /// `encoded_len`, the size the cache charges, is exactly the
-        /// length of the encoding the id hashes, and `id_and_len` agrees
-        /// with both.
+        /// `encoded_len` is exactly the length of the encoding the id
+        /// hashes, and the cache holds, and the encoding decodes back.
         #[test]
         fn encoded_len_equals_encode_len(obj in arb_object()) {
-            let len = obj.encode().len();
-            prop_assert_eq!(obj.encoded_len(), len);
-            prop_assert_eq!(obj.id_and_len(), (obj.id(), len));
+            let bytes = obj.encode();
+            prop_assert_eq!(obj.encoded_len(), bytes.len());
+            prop_assert_eq!(KvsObject::decode(&bytes), Ok(obj));
         }
     }
 }

@@ -17,10 +17,12 @@
 //! walk that must fault an object in parks: the request moves into the
 //! walk and the key is copied.
 //!
-//! A walk ends on the object it found. Objects are immutable and
+//! A walk reads a directory's decoded view and a value's tag alone, and
+//! ends on the object it found. Objects are immutable and
 //! content-addressed, so every reply built from one — its `kvs.get`
-//! reply (`{v}` for a value, `{dir}` for a directory) and its
-//! `kvs.load` reply — is the same for every reader: it is built once,
+//! reply (`{v}` decoded from a value's bytes, `{dir}` for a directory)
+//! and its `kvs.load` reply, the held bytes themselves — is the same
+//! for every reader: it is built once,
 //! kept beside the object in its cache entry ([`ObjectCache::reply`])
 //! and handed to every later reader as a reference-count bump of that
 //! one payload. A reply cannot go stale (its key is the content) and
@@ -40,7 +42,7 @@ use crate::inflight::{Answer, InFlight};
 use crate::module::Replica;
 use flux_broker::Requester;
 use crate::msg;
-use crate::object::KvsObject;
+use crate::object::{self, KvsObject, View};
 use crate::path::validate_key;
 use crate::shard;
 use crate::store::{ObjectCache, Reply};
@@ -84,26 +86,32 @@ enum Want {
     Either,
 }
 
-/// How a walk ended: the object at the end of its key, or an errnum.
-type WalkEnd = Result<(ObjectId, Arc<KvsObject>), u32>;
+/// How a walk ended: the object at the end of its key and its view, or
+/// an errnum.
+type WalkEnd = Result<(ObjectId, View), u32>;
 
 /// The reply to a walk that wanted `want` and ended as `end`: the
 /// found object's one get reply, built on first use and shared by every
 /// later read of that object ([`ObjectCache::reply`]), or the errnum
 /// that says why there is none.
 fn get_reply(cache: &mut ObjectCache, end: WalkEnd, want: Want) -> Result<Payload, u32> {
-    let (id, obj) = end?;
-    match (&*obj, want) {
-        (KvsObject::Val(_), Want::Listing) => Err(errnum::ENOTDIR),
-        (KvsObject::Dir(_), Want::Value) => Err(errnum::EISDIR),
-        _ => cache.reply(id, Reply::Get, |obj| msg::get_reply(obj).into()).ok_or(errnum::ENOENT),
+    let (id, view) = end?;
+    match (view.is_some(), want) {
+        (false, Want::Listing) => Err(errnum::ENOTDIR),
+        (true, Want::Value) => Err(errnum::EISDIR),
+        _ => cache
+            .reply(id, Reply::Get, |bytes, view| msg::get_reply(bytes, view).map(Payload::from))
+            .ok_or(errnum::ENOENT),
     }
 }
 
 /// `id`'s one `kvs.load` reply, built on first use and shared by every
-/// child that asks after; `None` if the cache does not hold `id`.
+/// child that asks after; `None` if the cache does not hold `id`. It
+/// carries the held bytes themselves: nothing is encoded.
 fn load_reply(cache: &mut ObjectCache, id: ObjectId) -> Option<Payload> {
-    cache.reply(id, Reply::Load, |obj| msg::load_reply(id, obj.to_value()).into())
+    cache.reply(id, Reply::Load, |bytes, _| {
+        Some(msg::load_reply(id, Value::Bytes(Arc::clone(bytes))).into())
+    })
 }
 
 /// Where a walk through the local cache stopped.
@@ -117,22 +125,22 @@ enum Stop {
 /// one directory per component, as far as `cache` reaches.
 fn step_walk(cache: &mut ObjectCache, key: &str, mut pos: usize, mut cur: ObjectId) -> Stop {
     loop {
-        let Some(obj) = cache.get(cur) else { return Stop::Miss(cur, pos) };
+        let Some(view) = cache.lookup(cur) else { return Stop::Miss(cur, pos) };
         let rest = &key[pos..];
         if rest.is_empty() {
-            return Stop::Done(Ok((cur, obj)));
+            return Stop::Done(Ok((cur, view)));
         }
         // A byte search: `.` is ASCII, so the offset is a char boundary.
         let (name, tail) = match rest.bytes().position(|b| b == b'.') {
             Some(dot) => (&rest[..dot], &rest[dot + 1..]),
             None => (rest, ""),
         };
-        cur = match &*obj {
-            KvsObject::Dir(entries) => match entries.get(name) {
+        cur = match view.as_deref() {
+            Some(KvsObject::Dir(entries)) => match entries.get(name) {
                 Some(&next) => next,
                 None => return Stop::Done(Err(errnum::ENOENT)),
             },
-            KvsObject::Val(_) => return Stop::Done(Err(errnum::ENOTDIR)),
+            _ => return Stop::Done(Err(errnum::ENOTDIR)),
         };
         pos = key.len() - tail.len();
     }
@@ -146,19 +154,27 @@ fn answer(ctx: &mut ModuleCtx<'_>, req: &Message, reply: Result<Payload, u32>) -
     }
 }
 
-/// What a `kvs.load` reply payload holds: the object decoded from its
-/// `obj` field, under the content address computed from that decoding
-/// (never the `id` the sender wrote beside it), and its encoded length
-/// for the cache's accounting, both taken from one encoding. `None` is
-/// a malformed `obj`. This is the view kept in the payload's memo slot,
-/// so brokers handed one payload decode, hash and size it once between
-/// them.
-type Loaded = Option<(ObjectId, Arc<KvsObject>, usize)>;
+/// What a `kvs.load` reply payload holds: the bytes of its `obj`, the
+/// content address they hash to (never the `id` the sender wrote beside
+/// them) and, for a directory, the view decoded from them. `None` is a
+/// malformed `obj`. This is kept in the payload's memo slot, so brokers
+/// handed one payload check, hash and decode it once between them.
+type Loaded = Option<(ObjectId, Arc<[u8]>, View)>;
 
 fn decode_load_reply(payload: &Value) -> Loaded {
-    let obj = msg::load_reply_object(payload)?;
-    let (id, size) = obj.id_and_len();
-    Some((id, Arc::new(obj), size))
+    let bytes = msg::load_reply_object(payload)?;
+    let (id, view) = object::receive(bytes)?;
+    Some((id, Arc::clone(bytes), view))
+}
+
+/// Files `item` on a waiter list, sized for one on its first: nearly
+/// every object is waited on once per broker, where a first `push`
+/// would reserve four.
+fn push_one<T>(list: &mut Vec<T>, item: T) {
+    if list.capacity() == 0 {
+        list.reserve_exact(1);
+    }
+    list.push(item);
 }
 
 /// The object a `kvs.load` request asks for (`None`: no hex `id`). A
@@ -224,7 +240,7 @@ impl Reads {
         id: ObjectId,
         shard: u32,
     ) -> Handled {
-        if let Some(payload) = rep.cache.get(id).and_then(|_| load_reply(&mut rep.cache, id)) {
+        if let Some(payload) = rep.cache.lookup(id).and_then(|_| load_reply(&mut rep.cache, id)) {
             return ctx.respond(&req, payload);
         }
         if rep.slots.masters(shard) {
@@ -242,7 +258,7 @@ impl Reads {
             req.payload.clone()
         });
         let (req, parked) = ctx.park(req);
-        entry.1.push(req);
+        push_one(&mut entry.1, req);
         if let Some(ask) = ask {
             self.send_load(ctx, rep, id, shard, ask);
         }
@@ -317,7 +333,7 @@ impl Reads {
         self.next_walk += 1;
         self.walks.insert(self.next_walk, walk);
         let entry = self.load_waiters.entry(missing).or_default();
-        entry.0.push(self.next_walk);
+        push_one(&mut entry.0, self.next_walk);
         if entry.0.len() == 1 && entry.1.is_empty() {
             let payload = Payload::from(msg::load_request(missing, shard));
             self.send_load(ctx, rep, missing, shard, payload);
@@ -377,7 +393,7 @@ impl Reads {
         // One shared reply payload answers every child waiting on this id.
         let reply = rep
             .cache
-            .get(id)
+            .lookup(id)
             .and_then(|_| load_reply(&mut rep.cache, id))
             .ok_or(loaded.err().unwrap_or(errnum::ENOENT));
         for req in requests {
@@ -411,21 +427,20 @@ impl Reads {
             // read the request (`EINVAL`); asking again changes neither.
             Answer::Refused(code) => Err(code),
             // Verify the content address before trusting a loaded
-            // object. The decode and the hash are the payload's, made
-            // once for every broker handed this same payload; the
-            // comparison with the id *this* broker asked for is its own.
+            // object. The check, the hash and a directory's decode are
+            // the payload's, made once for every broker handed this same
+            // payload; the comparison with the id *this* broker asked
+            // for is its own.
             Answer::Ok => match &*msg.payload.memo(decode_load_reply) {
-                Some((hashed, obj, size)) if *hashed == id => {
+                Some((hashed, bytes, view)) if *hashed == id => {
                     // Read-path caching at every level of the chain: this
                     // is what lets C consumers share log2(C) transfers
-                    // (Fig. 4 model).
-                    rep.cache.insert_with_id(id, Arc::clone(obj), Some(*size));
+                    // (Fig. 4 model). The cache holds the payload's bytes.
+                    rep.cache.insert_bytes(id, Arc::clone(bytes), view.clone());
                     // The upstream reply payload is exactly the reply this
                     // broker would build for its own children: it becomes
-                    // the object's load reply, so the object is serialized
-                    // once session-wide (at the master), not once per
-                    // level of the cache chain.
-                    rep.cache.reply(id, Reply::Load, |_| msg.payload.clone());
+                    // the object's load reply.
+                    rep.cache.reply(id, Reply::Load, |_, _| Some(msg.payload.clone()));
                     Ok(())
                 }
                 _ => Err(errnum::ENOENT),
@@ -518,9 +533,15 @@ mod tests {
         let forged = load_payload(a, other.to_value());
         let malformed = load_payload(a, Value::from_pairs([("t", "nope".into())]));
         let absent = Payload::from(Value::from_pairs([("id", a.to_hex().into())]));
-        for bad in [&forged, &malformed, &absent] {
+        // `a`'s own bytes with any one byte changed.
+        let flipped = (0..dir_b7().encode().len()).map(|at| {
+            let mut bytes = dir_b7().encode();
+            bytes[at] ^= 0x01;
+            load_payload(a, Value::Bytes(bytes.into()))
+        });
+        for bad in [forged, malformed, absent].into_iter().chain(flipped) {
             for _broker in 0..2 {
-                assert_eq!(slave_handed(a, bad), refused);
+                assert_eq!(slave_handed(a, &bad), refused);
             }
         }
         // A valid reply for `b`: whoever asked for `a` is refused, before
@@ -529,6 +550,55 @@ mod tests {
         assert_eq!(slave_handed(a, &for_b), refused);
         assert_eq!(slave_handed(b, &for_b).1.as_deref(), Some(&other));
         assert_eq!(slave_handed(a, &for_b), refused);
+    }
+
+    #[test]
+    fn a_faulted_in_object_is_held_as_the_reply_payloads_bytes_and_a_value_keeps_no_view() {
+        let (seven, dir) = (KvsObject::Val(Value::Int(7)), dir_b7());
+        let get = request(KvsMethod::Get, Value::object());
+        let get_id = get.header.id;
+        let (_, outs) = with_ctx(2, 3, move |ctx| {
+            let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
+            rep.slots.apply_root(ctx, 0, 1, dir.id());
+            reads.lookup(ctx, &mut rep, get, "b", false);
+            // The walk faults in the root directory, then the value.
+            for obj in [&dir, &seven] {
+                let payload = load_payload(obj.id(), obj.to_value());
+                let reply = Message::response_to(&load_in_flight(&reads), payload.clone());
+                assert!(reads.handle_response(ctx, &mut rep, &reply));
+                let carried = msg::load_reply_object(&payload).expect("bytes");
+                let held = rep.cache.bytes(obj.id()).expect("held");
+                assert!(Arc::ptr_eq(held, carried), "the payload's bytes, not a copy");
+            }
+            assert_eq!(rep.cache.lookup(seven.id()), Some(None), "a value keeps no view");
+            assert_eq!(rep.cache.lookup(dir.id()), Some(Some(Arc::new(dir))));
+        });
+        let answer = messages(&outs).into_iter().find(|m| m.header.id == get_id);
+        assert_eq!(answer.expect("answered").payload.get("v"), Some(&Value::Int(7)));
+    }
+
+    #[test]
+    fn a_master_serves_a_load_from_the_bytes_a_push_brought() {
+        use crate::authority::Authority;
+        use crate::module::KvsConfig;
+        let seven = KvsObject::Val(Value::Int(7));
+        let id = seven.id();
+        let bytes: Arc<[u8]> = seven.encode().into();
+        let objects = msg::Objects::from([(id, Arc::clone(&bytes))]);
+        let part = msg::push_payload(0, None, &[("k".to_owned(), Some(id))], &objects);
+        let push = request(KvsMethod::Push, part);
+        let load = request(KvsMethod::Load, msg::load_request(id, 0));
+        let load_id = load.header.id;
+        let (_, outs) = with_ctx(0, 2, move |ctx| {
+            let (mut rep, mut authority) = (Replica::new(1), Authority::default());
+            rep.slots.start(1, Some(0));
+            let cfg = KvsConfig { batch_window_ns: 0, ..KvsConfig::default() };
+            authority.accept_push(ctx, &cfg, &mut rep, push, None);
+            Reads::default().serve_load(ctx, &mut rep, load, id, 0);
+        });
+        let reply = messages(&outs).into_iter().find(|m| m.header.id == load_id).expect("served");
+        let served = msg::load_reply_object(&reply.payload).expect("bytes");
+        assert!(Arc::ptr_eq(served, &bytes), "the put's bytes, through the push and the cache");
     }
 
     #[test]

@@ -5,13 +5,18 @@
 //! ("Unused slave object cache entries are expired after a period of
 //! disuse to save memory").
 //!
+//! An entry holds an object as its canonical bytes, one `Arc<[u8]>`
+//! shared with the payload that brought it or the code that encoded it,
+//! and, for a directory only, the decoded view walks read. A value is
+//! never decoded here: its one decoded form is its `kvs.get` reply.
+//!
 //! Beside each object an entry keeps the replies built from it
 //! ([`ObjectCache::reply`]). An object is immutable and named by its
 //! content, so a reply built from it is the same for every reader and
 //! can never go stale; it is built once, shared by reference, and
 //! dropped with the entry.
 
-use crate::object::KvsObject;
+use crate::object::{KvsObject, View};
 use flux_hash::ObjectId;
 use flux_wire::{IdMap, Payload};
 use std::collections::hash_map::Entry as Slot;
@@ -42,10 +47,12 @@ pub(crate) enum Reply {
 }
 
 struct Entry {
-    obj: Arc<KvsObject>,
-    size: usize,
+    /// The canonical bytes, hashed to the entry's id.
+    bytes: Arc<[u8]>,
+    /// A directory's decoded view; `None` for a value.
+    view: View,
     last_used_epoch: u64,
-    /// The replies built from `obj` so far, by [`Reply`].
+    /// The replies built from the object so far, by [`Reply`].
     replies: [Option<Payload>; 2],
 }
 
@@ -67,59 +74,90 @@ impl ObjectCache {
         c
     }
 
-    /// Inserts an object, returning its content address. Idempotent.
+    /// Inserts an object this broker built, returning its content
+    /// address. Idempotent. The object is encoded once: the cache holds
+    /// those bytes, and a directory keeps `obj` as its view.
     pub fn insert(&mut self, obj: KvsObject) -> ObjectId {
-        let (id, size) = obj.id_and_len();
-        self.insert_with_id(id, Arc::new(obj), Some(size));
+        let bytes: Arc<[u8]> = obj.encode().into();
+        let id = ObjectId::hash(&bytes);
+        let view = obj.is_dir().then(|| Arc::new(obj));
+        self.insert_bytes(id, bytes, view);
         id
     }
 
-    /// Inserts an object whose id the caller already computed, sharing
-    /// the caller's allocation: brokers that decoded one payload together
-    /// hold one object together. `size` is the object's encoded length
-    /// when the caller has it; `None` measures it here. Either way an id
-    /// already held costs one lookup and nothing else.
+    /// Inserts the object `bytes` under `id`, their hash, sharing the
+    /// caller's allocations: the bytes a payload carried are the bytes
+    /// held, and brokers handed one payload hold one directory view
+    /// together. `view` is a directory's decoded view, `None` for a
+    /// value. An id already held costs one lookup and nothing else.
     ///
     /// # Panics
-    /// In debug builds, panics if `id` does not match the content.
-    pub fn insert_with_id(&mut self, id: ObjectId, obj: Arc<KvsObject>, size: Option<usize>) {
-        debug_assert_eq!(id, obj.id(), "content address mismatch");
+    /// In debug builds, panics if `id` is not the hash of `bytes`, or
+    /// if `view` is missing for a directory or present for a value.
+    pub(crate) fn insert_bytes(&mut self, id: ObjectId, bytes: Arc<[u8]>, view: View) {
+        debug_assert_eq!(id, ObjectId::hash(&bytes), "content address mismatch");
+        debug_assert_eq!(view.is_some(), bytes.first() == Some(&b'D'), "a view iff a directory");
         if let Slot::Vacant(slot) = self.map.entry(id) {
-            let size = size.unwrap_or_else(|| obj.encoded_len());
             self.stats.entries += 1;
-            self.stats.bytes += size;
-            slot.insert(Entry { obj, size, last_used_epoch: self.epoch, replies: [None, None] });
+            self.stats.bytes += bytes.len();
+            slot.insert(Entry { bytes, view, last_used_epoch: self.epoch, replies: [None, None] });
         }
     }
 
-    /// Looks up an object, refreshing its last-used epoch on hit.
+    /// The entry for `id`, its last-used epoch refreshed, counted as a
+    /// hit or a miss.
+    fn touch(&mut self, id: ObjectId) -> Option<&Entry> {
+        let Some(e) = self.map.get_mut(&id) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        e.last_used_epoch = self.epoch;
+        self.stats.hits += 1;
+        Some(e)
+    }
+
+    /// Looks up an object for a walk, refreshing its last-used epoch on
+    /// hit: `Some` of its view if it is held (a directory's, shared;
+    /// `None` for a value).
+    pub(crate) fn lookup(&mut self, id: ObjectId) -> Option<View> {
+        self.touch(id).map(|e| e.view.clone())
+    }
+
+    /// Looks up an object, refreshing its last-used epoch on hit. A
+    /// directory is its shared view; a value is decoded from its bytes
+    /// on every call (the module's own reads decode a value once, into
+    /// its get reply).
     pub fn get(&mut self, id: ObjectId) -> Option<Arc<KvsObject>> {
-        match self.map.get_mut(&id) {
-            Some(e) => {
-                e.last_used_epoch = self.epoch;
-                self.stats.hits += 1;
-                Some(Arc::clone(&e.obj))
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        let e = self.touch(id)?;
+        match &e.view {
+            Some(dir) => Some(Arc::clone(dir)),
+            None => KvsObject::decode(&e.bytes).ok().map(Arc::new),
         }
     }
 
-    /// The `kind` reply to held object `id`: built from the object by
-    /// `build` the first time, a reference-count bump of that one
-    /// payload every time after. `None` if `id` is not held. It neither
-    /// refreshes the entry nor counts a hit: the caller has just looked
-    /// the object up.
+    /// The `kind` reply to held object `id`: built by `build` from the
+    /// object's bytes and view the first time, a reference-count bump of
+    /// that one payload every time after. `None` if `id` is not held or
+    /// `build` finds nothing to reply. It neither refreshes the entry
+    /// nor counts a hit: the caller has just looked the object up.
     pub(crate) fn reply(
         &mut self,
         id: ObjectId,
         kind: Reply,
-        build: impl FnOnce(&KvsObject) -> Payload,
+        build: impl FnOnce(&Arc<[u8]>, Option<&KvsObject>) -> Option<Payload>,
     ) -> Option<Payload> {
         let e = self.map.get_mut(&id)?;
-        Some(e.replies[kind as usize].get_or_insert_with(|| build(&e.obj)).clone())
+        let slot = &mut e.replies[kind as usize];
+        if slot.is_none() {
+            *slot = Some(build(&e.bytes, e.view.as_deref())?);
+        }
+        slot.clone()
+    }
+
+    /// The bytes held for `id` (does not refresh it).
+    #[cfg(test)]
+    pub(crate) fn bytes(&self, id: ObjectId) -> Option<&Arc<[u8]>> {
+        self.map.get(&id).map(|e| &e.bytes)
     }
 
     /// True if the object is resident (does not refresh last-used).
@@ -143,7 +181,7 @@ impl ObjectCache {
                 true
             } else {
                 stats.entries -= 1;
-                stats.bytes -= e.size;
+                stats.bytes -= e.bytes.len();
                 stats.expired += 1;
                 false
             }
@@ -190,15 +228,21 @@ mod tests {
     }
 
     #[test]
-    fn a_held_id_keeps_its_first_size_and_a_given_size_is_taken() {
+    fn a_held_id_keeps_its_first_bytes_and_only_a_directory_a_view() {
         let mut c = ObjectCache::new();
         let before = c.stats().bytes;
-        let o = obj("sized");
-        let (id, real) = o.id_and_len();
-        c.insert_with_id(id, Arc::new(o.clone()), Some(real));
-        assert_eq!(c.stats().bytes, before + real);
-        c.insert_with_id(id, Arc::new(o), Some(1_000_000));
-        assert_eq!(c.stats().bytes, before + real, "a held id is not re-sized");
+        let bytes: Arc<[u8]> = obj("sized").encode().into();
+        let id = ObjectId::hash(&bytes);
+        c.insert_bytes(id, Arc::clone(&bytes), None);
+        assert_eq!(c.stats().bytes, before + bytes.len());
+        c.insert_bytes(id, obj("sized").encode().into(), None);
+        assert!(Arc::ptr_eq(c.bytes(id).unwrap(), &bytes), "a held id keeps its first bytes");
+        assert_eq!(c.stats().bytes, before + bytes.len());
+        assert_eq!(c.lookup(id), Some(None), "a value keeps no view");
+        let dir = KvsObject::Dir([("a".to_owned(), id)].into());
+        let dir_id = c.insert(dir.clone());
+        assert_eq!(c.lookup(dir_id), Some(Some(Arc::new(dir))));
+        assert_eq!(*c.get(id).unwrap(), obj("sized"), "a value is decoded for `get`");
     }
 
     #[test]
@@ -246,12 +290,16 @@ mod tests {
         let objs = [obj(&"x".repeat(1000)), obj(""), KvsObject::Dir(entries.collect())];
         let id = c.insert(objs[0].clone());
         for o in &objs[1..] {
-            c.insert_with_id(o.id(), Arc::new(o.clone()), None);
+            c.insert(o.clone());
         }
-        let held = |c: &ObjectCache| c.map.values().map(|e| e.obj.encode().len()).sum::<usize>();
-        assert_eq!((c.stats().bytes, c.map.len()), (held(&c), 4));
+        let encoded = |c: &mut ObjectCache, id| c.get(id).map_or(0, |o| o.encode().len());
+        let held = |c: &mut ObjectCache| {
+            let ids: Vec<ObjectId> = c.map.keys().copied().collect();
+            ids.into_iter().map(|id| encoded(c, id)).sum::<usize>()
+        };
+        assert_eq!((c.stats().bytes, c.map.len()), (held(&mut c), 4));
         c.set_epoch(100);
         c.expire(1, &[id]);
-        assert_eq!((c.stats().bytes, c.map.len()), (held(&c), 1), "expiry gives back the same");
+        assert_eq!((c.stats().bytes, c.map.len()), (held(&mut c), 1), "expiry gives back the same");
     }
 }

@@ -144,7 +144,10 @@ fn wrong_value_in_dirty_object_manifest_is_rejected() {
     let mut net = net(3);
     let bogus_id = flux_hash::ObjectId::hash(b"claimed").to_hex();
     let obj = flux_kvs::KvsObject::Val(Value::from("actual")).to_value();
+    // It names shard 0, so the master reads it: without a shard it
+    // would be refused for that alone.
     let push = Value::from_pairs([
+        ("shard", Value::Int(0)),
         (
             "tuples",
             Value::Array(vec![Value::from_pairs([
@@ -175,4 +178,74 @@ fn load_with_an_out_of_range_shard_fails_einval() {
     assert_eq!(resp.header.errnum, errnum::EINVAL);
     let resp = rpc(&mut net, Rank(3), req(Rank(3), "kvs.load", load(1)));
     assert_eq!(resp.header.errnum, errnum::ENOENT, "in range: the master knows it is absent");
+}
+
+/// The value object `"actual"`: its id in hex, and its canonical bytes
+/// with byte `flip` changed (`None`: as they are).
+fn value_object(flip: Option<usize>) -> (String, Value) {
+    let obj = flux_kvs::KvsObject::Val(Value::from("actual"));
+    let mut bytes = obj.encode();
+    if let Some(at) = flip {
+        bytes[at] ^= 0x01;
+    }
+    (obj.id().to_hex(), Value::Bytes(bytes.into()))
+}
+
+/// The write set binding `key` to [`value_object`]`(flip)`.
+fn write_set(key: &str, flip: Option<usize>) -> [(&'static str, Value); 2] {
+    let (hex, obj) = value_object(flip);
+    let tuple = Value::from_pairs([("k", Value::from(key)), ("s", Value::from(hex.as_str()))]);
+    [("tuples", Value::Array(vec![tuple])), ("objects", Value::from_pairs([(hex.as_str(), obj)]))]
+}
+
+fn get(net: &mut TestNet, key: &str) -> Message {
+    rpc(net, Rank(2), req(Rank(2), "kvs.get", Value::from_pairs([("k", Value::from(key))])))
+}
+
+#[test]
+fn a_pushed_object_with_any_byte_changed_is_refused() {
+    // The master hashes the bytes it was sent against the id the push
+    // names beside them: one byte off, and nothing is applied.
+    let mut net = net(3);
+    // One client, so every push has an id of its own: the master answers
+    // a repeated push id from its dedup memo, unread.
+    let mut client = ClientCore::new(Rank(0), 0);
+    let len = value_object(None).1.as_bytes().map_or(0, |b| b.len());
+    for flip in (0..len).map(Some).chain([None]) {
+        let mut push = Value::from_pairs(write_set("pushed", flip));
+        push.insert("shard", Value::Int(0));
+        let push = client.request(Topic::new("kvs.push").unwrap(), push, 0);
+        let resp = rpc(&mut net, Rank(0), push);
+        let expect = if flip.is_some() { errnum::EINVAL } else { 0 };
+        assert_eq!(resp.header.errnum, expect, "byte {flip:?} changed: {resp:?}");
+        if flip.is_some() {
+            assert_eq!(get(&mut net, "pushed").header.errnum, errnum::ENOENT);
+        }
+    }
+    assert_eq!(get(&mut net, "pushed").payload.get("v"), Some(&Value::from("actual")));
+}
+
+#[test]
+fn a_fence_batch_with_an_object_byte_changed_is_dropped() {
+    // The tree root checks a child's batch before it counts: a changed
+    // object byte drops the whole batch, and the fence waits for a sound
+    // one under the same stamp.
+    let mut net = net(3);
+    let batch = |flip| {
+        let mut batch = Value::from_pairs(write_set("fenced", flip));
+        for (field, v) in [("name", Value::from("f")), ("nprocs", 2.into()), ("count", 1.into())] {
+            batch.insert(field, v);
+        }
+        batch.insert("src", Value::Int(1));
+        batch.insert("batch", Value::Int(1));
+        req(Rank(0), "kvs.fence.up", batch)
+    };
+    let fence = Value::from_pairs([("name", Value::from("f")), ("nprocs", Value::Int(2))]);
+    net.client_send(Rank(0), 0, batch(Some(5)));
+    net.client_send(Rank(0), 0, req(Rank(0), "kvs.fence", fence));
+    while net.fire_next_timer() {}
+    assert!(net.take_client_msgs(Rank(0), 0).is_empty(), "1 of 2: the fence waits");
+    let resp = rpc(&mut net, Rank(0), batch(None));
+    assert_eq!(resp.header.errnum, 0, "2 of 2: the fence completes: {resp:?}");
+    assert_eq!(get(&mut net, "fenced").payload.get("v"), Some(&Value::from("actual")));
 }

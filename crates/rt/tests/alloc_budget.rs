@@ -87,18 +87,6 @@ fn pin_bytes<I, O>(
     assert_eq!(asked, bytes, "allocation bytes `{row}`: expected {bytes}, measured {asked}");
 }
 
-/// A budget that differs between the debug and release profiles: a debug
-/// build re-hashes every object the KVS cache inserts (the store's
-/// content-address `debug_assert`), so the rows that apply a commit
-/// allocate more there.
-fn by_profile(debug: u64, release: u64) -> u64 {
-    if cfg!(debug_assertions) {
-        debug
-    } else {
-        release
-    }
-}
-
 fn started(config: BrokerConfig, modules: Vec<Box<dyn CommsModule>>) -> Broker {
     let mut broker = Broker::new(config, modules);
     broker.start(0);
@@ -232,7 +220,7 @@ fn kvs_at_the_master() {
     let mut staged = false;
     pin(
         "kvs.put at the master",
-        11,
+        9,
         || {
             if staged {
                 ask(core.request(KvsMethod::Commit.topic(), Value::object(), 0));
@@ -244,7 +232,7 @@ fn kvs_at_the_master() {
     );
     pin(
         "kvs.commit of one tuple at the master",
-        by_profile(62, 53),
+        51,
         || {
             ask(put(&mut core, "bench.k", Value::Int(42)));
             core.request(KvsMethod::Commit.topic(), Value::object(), 0)
@@ -268,6 +256,32 @@ fn kvs_at_the_master() {
                 Rank(1),
                 load.clone(),
             )
+        },
+        |msg| {
+            master
+                .borrow_mut()
+                .handle(0, Input::FromBroker { plane: Plane::Tree, from: Rank(1), msg })
+        },
+    );
+
+    // The first `kvs.load` of a value just committed: the master builds
+    // the object's one load reply. Outside the count, each repetition
+    // commits a 512-byte value of its own.
+    let mut fresh = 0;
+    pin_bytes(
+        "kvs.load of a new 512-byte value, the reply built at the master",
+        8,
+        649,
+        || {
+            fresh += 1;
+            let val = Value::from(format!("{fresh:0512}"));
+            ask(put(&mut core, "bench.fresh", val.clone()));
+            ask(core.request(KvsMethod::Commit.topic(), Value::object(), 0));
+            let id = KvsObject::Val(val).id().to_hex();
+            let load =
+                Value::from_pairs([("id", Value::from(id.as_str())), ("shard", Value::from(0i64))]);
+            let id = MsgId { origin: Rank(1), seq: 1_000_000 + fresh };
+            Message::request(KvsMethod::Load.topic(), id, Rank(1), load)
         },
         |msg| {
             master
@@ -321,7 +335,7 @@ fn kvs_push_from_a_child() {
     }
     pin(
         "kvs.push from a child, accepted at the master and flushed by its window",
-        by_profile(66, 57),
+        51,
         next,
         accept,
     );
@@ -443,8 +457,8 @@ fn kvs_fence_up_merged_at_an_interior_broker() {
     };
     pin_bytes(
         "kvs.fence.up from child rank 3, merged at interior rank 1 and flushed by its window",
-        17,
-        1347,
+        14,
+        1322,
         next,
         merge,
     );

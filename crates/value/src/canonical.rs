@@ -9,12 +9,16 @@
 //! * integers are 8-byte little-endian two's complement,
 //! * floats are 8-byte little-endian IEEE 754 bit patterns (so `-0.0` and
 //!   `0.0` encode differently, and every NaN bit pattern is preserved),
-//! * each value is prefixed by a one-byte tag.
+//! * each value is prefixed by a one-byte tag,
+//! * a byte string ([`Value::Bytes`]) is its length and its bytes,
+//!   verbatim: a KVS object embedded in a payload is exactly the bytes
+//!   its address hashes.
 //!
 //! The encoding is self-delimiting, so it can be embedded in larger frames.
 
 use crate::{Map, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Value tags in the canonical encoding.
 mod tag {
@@ -26,6 +30,7 @@ mod tag {
     pub const STR: u8 = 0x05;
     pub const ARRAY: u8 = 0x06;
     pub const OBJECT: u8 = 0x07;
+    pub const BYTES: u8 = 0x08;
 }
 
 /// An error produced while decoding the canonical encoding.
@@ -89,6 +94,7 @@ impl Value {
             Value::Null | Value::Bool(_) => 0,
             Value::Int(_) | Value::Float(_) => 8,
             Value::Str(s) => text(s),
+            Value::Bytes(b) => varint_len(b.len() as u64) + b.len(),
             Value::Array(a) => {
                 varint_len(a.len() as u64) + a.iter().map(Value::encoded_len).sum::<usize>()
             }
@@ -114,6 +120,19 @@ impl Value {
             return Err(DecodeError::TrailingBytes);
         }
         Ok(v)
+    }
+
+    /// Checks that `bytes` are exactly one value's canonical encoding
+    /// without building the value: the same verdict, error for error, as
+    /// [`Value::decode_canonical`], and no allocation. What a receiver
+    /// runs on bytes it stores or passes on as they came.
+    pub fn check_canonical(bytes: &[u8]) -> Result<(), DecodeError> {
+        let mut cur = Cursor { bytes, pos: 0 };
+        skip_one(&mut cur, 0)?;
+        if cur.pos != bytes.len() {
+            return Err(DecodeError::TrailingBytes);
+        }
+        Ok(())
     }
 
     /// Decodes one value from the front of `bytes`, returning it and the
@@ -179,6 +198,11 @@ fn encode_into(v: &Value, out: &mut Vec<u8>) {
             write_varint(out, s.len() as u64);
             out.extend_from_slice(s.as_bytes());
         }
+        Value::Bytes(b) => {
+            out.push(tag::BYTES);
+            write_varint(out, b.len() as u64);
+            out.extend_from_slice(b);
+        }
         Value::Array(a) => {
             out.push(tag::ARRAY);
             write_varint(out, a.len() as u64);
@@ -228,10 +252,18 @@ impl<'a> Cursor<'a> {
         usize::try_from(claimed).map_or(left, |n| n.min(left))
     }
 
-    fn string(&mut self) -> Result<String, DecodeError> {
+    /// A length-prefixed run of bytes.
+    fn run(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.varint()? as usize;
-        let raw = self.take(len)?;
-        std::str::from_utf8(raw).map(str::to_owned).map_err(|_| DecodeError::BadUtf8)
+        self.take(len)
+    }
+
+    fn str(&mut self) -> Result<&'a str, DecodeError> {
+        std::str::from_utf8(self.run()?).map_err(|_| DecodeError::BadUtf8)
+    }
+
+    fn string(&mut self) -> Result<String, DecodeError> {
+        self.str().map(str::to_owned)
     }
 }
 
@@ -253,6 +285,7 @@ fn decode_one(cur: &mut Cursor<'_>, depth: u32) -> Result<Value, DecodeError> {
             Value::Float(f64::from_bits(u64::from_le_bytes(raw)))
         }
         tag::STR => Value::Str(cur.string()?),
+        tag::BYTES => Value::Bytes(Arc::from(cur.run()?)),
         tag::ARRAY => {
             let len = cur.varint()?;
             let mut a = Vec::with_capacity(cur.room(len, 1));
@@ -281,6 +314,43 @@ fn decode_one(cur: &mut Cursor<'_>, depth: u32) -> Result<Value, DecodeError> {
     })
 }
 
+/// [`decode_one`]'s checks, in its order, with nothing built.
+fn skip_one(cur: &mut Cursor<'_>, depth: u32) -> Result<(), DecodeError> {
+    if depth > MAX_DEPTH {
+        return Err(DecodeError::TooDeep);
+    }
+    match cur.take(1)?[0] {
+        tag::NULL | tag::FALSE | tag::TRUE => {}
+        tag::INT | tag::FLOAT => {
+            cur.take(8)?;
+        }
+        tag::STR => {
+            cur.str()?;
+        }
+        tag::BYTES => {
+            cur.run()?;
+        }
+        tag::ARRAY => {
+            for _ in 0..cur.varint()? {
+                skip_one(cur, depth + 1)?;
+            }
+        }
+        tag::OBJECT => {
+            let mut prev = None;
+            for _ in 0..cur.varint()? {
+                let k = cur.str()?;
+                if prev.is_some_and(|p| p >= k) {
+                    return Err(DecodeError::UnsortedKeys);
+                }
+                prev = Some(k);
+                skip_one(cur, depth + 1)?;
+            }
+        }
+        other => return Err(DecodeError::BadTag(other)),
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -302,6 +372,19 @@ mod tests {
         roundtrip(Value::Float(-1.5e300));
         roundtrip(Value::from("hello ∆ world"));
         roundtrip(Value::from(""));
+        roundtrip(Value::Bytes(Arc::from(&b""[..])));
+        roundtrip(Value::Bytes(Arc::from(&[0u8, 0xff, b'V'][..])));
+    }
+
+    #[test]
+    fn bytes_are_carried_verbatim_under_their_own_tag() {
+        let raw = [b'V', 0x03, 0xff];
+        let enc = Value::Bytes(Arc::from(&raw[..])).encode_canonical();
+        assert_eq!(enc, [&[tag::BYTES, 3][..], &raw].concat());
+        // The same bytes as a string are another value.
+        assert_ne!(Value::from("abc").encode_canonical()[1..], enc[1..]);
+        assert_eq!(Value::check_canonical(&enc), Ok(()));
+        assert_eq!(Value::check_canonical(&enc[..4]), Err(DecodeError::Truncated));
     }
 
     #[test]
@@ -367,11 +450,13 @@ mod tests {
         buf.extend([1, b'b', 0x00]);
         buf.extend([1, b'a', 0x00]);
         assert_eq!(Value::decode_canonical(&buf), Err(DecodeError::UnsortedKeys));
+        assert_eq!(Value::check_canonical(&buf), Err(DecodeError::UnsortedKeys));
         // Duplicate keys are likewise non-canonical.
         let mut buf = vec![0x07, 2];
         buf.extend([1, b'a', 0x00]);
         buf.extend([1, b'a', 0x00]);
         assert_eq!(Value::decode_canonical(&buf), Err(DecodeError::UnsortedKeys));
+        assert_eq!(Value::check_canonical(&buf), Err(DecodeError::UnsortedKeys));
     }
 
     #[test]
@@ -403,6 +488,7 @@ mod tests {
         // what a 20 KB hostile frame would do to a broker thread.
         let deep = nested_array_bytes(10_000);
         assert_eq!(Value::decode_canonical(&deep), Err(DecodeError::TooDeep));
+        assert_eq!(Value::check_canonical(&deep), Err(DecodeError::TooDeep));
         // Sane nesting still decodes.
         let ok = nested_array_bytes(MAX_DEPTH as usize);
         assert!(Value::decode_canonical(&ok).is_ok());

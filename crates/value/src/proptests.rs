@@ -10,7 +10,20 @@ use std::collections::BTreeMap;
 /// infinities, so text round-trips only hold on the finite subset (the
 /// canonical encoding round-trips all bit patterns and is tested separately).
 pub fn arb_value() -> impl Strategy<Value = Value> {
-    let leaf = prop_oneof![
+    tree(json_leaf())
+}
+
+/// Strategy producing values of every variant, [`Value::Bytes`]
+/// included: what the canonical encoding carries. JSON text has no byte
+/// strings (it writes them as hex, which parses back as a string), so
+/// the text round trips draw from [`arb_value`] instead.
+fn arb_canonical_value() -> impl Strategy<Value = Value> {
+    let bytes = prop::collection::vec(any::<u8>(), 0..24).prop_map(|b| Value::Bytes(b.into()));
+    tree(prop_oneof![json_leaf(), bytes])
+}
+
+fn json_leaf() -> impl Strategy<Value = Value> {
+    prop_oneof![
         Just(Value::Null),
         any::<bool>().prop_map(Value::Bool),
         any::<i64>().prop_map(Value::Int),
@@ -18,7 +31,11 @@ pub fn arb_value() -> impl Strategy<Value = Value> {
         prop::num::f64::NORMAL.prop_map(Value::Float),
         Just(Value::Float(0.0)),
         ".{0,12}".prop_map(Value::from),
-    ];
+    ]
+}
+
+/// Arrays and objects of `leaf`s, nested up to four deep.
+fn tree(leaf: impl Strategy<Value = Value> + 'static) -> impl Strategy<Value = Value> {
     leaf.prop_recursive(4, 48, 6, |inner| {
         prop_oneof![
             prop::collection::vec(inner.clone(), 0..6).prop_map(Value::Array),
@@ -49,7 +66,7 @@ proptest! {
 
     /// Canonical encoding round-trip: decode(encode(v)) == v.
     #[test]
-    fn canonical_roundtrip(v in arb_value()) {
+    fn canonical_roundtrip(v in arb_canonical_value()) {
         let enc = v.encode_canonical();
         let back = Value::decode_canonical(&enc).unwrap();
         prop_assert_eq!(back, v);
@@ -60,7 +77,7 @@ proptest! {
     /// equal values, via decode determinism + roundtrip; here we check the
     /// contrapositive pairwise.)
     #[test]
-    fn canonical_injective(a in arb_value(), b in arb_value()) {
+    fn canonical_injective(a in arb_canonical_value(), b in arb_canonical_value()) {
         let ea = a.encode_canonical();
         let eb = b.encode_canonical();
         if a == b {
@@ -80,6 +97,26 @@ proptest! {
     #[test]
     fn decoder_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..128)) {
         let _ = Value::decode_canonical(&bytes);
+    }
+
+    /// `check_canonical` gives `decode_canonical`'s verdict, error for
+    /// error: on an encoding, on each cut of it, with one byte of it
+    /// changed, and on arbitrary bytes.
+    #[test]
+    fn check_agrees_with_decode(
+        v in arb_canonical_value(),
+        at in any::<usize>(),
+        flip in 1u8..=255,
+        noise in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let enc = v.encode_canonical();
+        let mut changed = enc.clone();
+        changed[at % enc.len()] ^= flip;
+        let cut = &enc[..at % enc.len()];
+        for bytes in [&enc[..], cut, &changed, &noise] {
+            let decoded = Value::decode_canonical(bytes).map(drop);
+            prop_assert_eq!(Value::check_canonical(bytes), decoded, "{:?}", bytes);
+        }
     }
 
     /// `from_pairs` builds exactly the object `BTreeMap::from_iter` does,
@@ -138,14 +175,15 @@ proptest! {
     /// `encoded_len`, the size the cache and the simulator charge, is
     /// exactly the length of the canonical encoding.
     #[test]
-    fn encoded_len_equals_encode_len(v in arb_value(), n in 0usize..300) {
+    fn encoded_len_equals_encode_len(v in arb_canonical_value(), n in 0usize..300) {
         // From 128 on a length prefix takes two bytes: `n` entries under
-        // keys `n` bytes long, `n` copies of `v`, a string of `n`.
+        // keys `n` bytes long, `n` copies of `v`, a string and bytes of `n`.
         let key = |i: usize| format!("{i:0n$}");
         let wide = Value::from_pairs([
             ("a", Value::Object((0..n).map(|i| (key(i), v.clone())).collect())),
             ("b", Value::Array(vec![v.clone(); n])),
             ("c", Value::from(key(0))),
+            ("d", Value::Bytes(vec![7; n].into())),
         ]);
         for v in [v, wide] {
             prop_assert_eq!(v.encoded_len(), v.encode_canonical().len());

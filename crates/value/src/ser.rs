@@ -8,7 +8,8 @@ impl Value {
     ///
     /// Floats that are finite round-trip through Rust's shortest-repr
     /// formatting; non-finite floats (which JSON cannot represent) are
-    /// emitted as `null`, matching common JSON library behaviour.
+    /// emitted as `null`, matching common JSON library behaviour. Bytes
+    /// are written as a lowercase hex string.
     ///
     /// ```
     /// use flux_value::Value;
@@ -39,6 +40,13 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize)
         }
         Value::Float(x) => write_float(out, *x),
         Value::Str(s) => write_string(out, s),
+        Value::Bytes(b) => {
+            out.push('"');
+            for byte in b.iter() {
+                let _ = write!(out, "{byte:02x}");
+            }
+            out.push('"');
+        }
         Value::Array(a) => {
             if a.is_empty() {
                 out.push_str("[]");
@@ -135,6 +143,17 @@ mod tests {
         assert_eq!(Value::from("a\"b").to_json(), r#""a\"b""#);
         assert_eq!(Value::array().to_json(), "[]");
         assert_eq!(Value::object().to_json(), "{}");
+    }
+
+    #[test]
+    fn bytes_are_a_lowercase_hex_string() {
+        let bytes = |b: &[u8]| Value::Bytes(std::sync::Arc::from(b));
+        let b = bytes(&[0x00, 0xab, b'V', 0xff]);
+        assert_eq!(b.to_json(), r#""00ab56ff""#);
+        assert_eq!(b.to_json_pretty(), r#""00ab56ff""#);
+        assert_eq!(bytes(&[]).to_json(), "\"\"");
+        // Text has no byte strings: the hex parses back as a string.
+        assert_eq!(Value::parse(&b.to_json()).unwrap(), Value::from("00ab56ff"));
     }
 
     #[test]

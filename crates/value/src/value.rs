@@ -2,6 +2,7 @@
 
 use crate::Map;
 use std::fmt;
+use std::sync::Arc;
 
 /// An owned JSON value.
 ///
@@ -10,6 +11,11 @@ use std::fmt;
 /// literal without a fraction or exponent parses to `Int` when it fits in
 /// `i64`, and to `Float` otherwise, matching the behaviour HPC tooling
 /// expects for ranks, counts, and sizes.
+///
+/// [`Value::Bytes`] is the one variant JSON text has no literal for: a
+/// byte string shared by reference, which the canonical encoding carries
+/// verbatim and JSON text renders as lowercase hex. It is how a KVS
+/// object travels as the bytes its address hashes.
 #[derive(Debug, Clone, PartialEq)]
 #[derive(Default)]
 pub enum Value {
@@ -28,6 +34,10 @@ pub enum Value {
     Array(Vec<Value>),
     /// A key→value object with deterministic (sorted) key order.
     Object(Map),
+    /// A byte string, shared by reference: a clone is a reference-count
+    /// bump. JSON text renders it as a lowercase hex string, which
+    /// parses back as a [`Value::Str`].
+    Bytes(Arc<[u8]>),
 }
 
 impl Value {
@@ -103,6 +113,14 @@ impl Value {
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Returns the shared bytes if this is `Bytes`.
+    pub fn as_bytes(&self) -> Option<&Arc<[u8]>> {
+        match self {
+            Value::Bytes(b) => Some(b),
             _ => None,
         }
     }
@@ -241,6 +259,9 @@ mod tests {
         assert_eq!(Value::Int(2).as_float(), Some(2.0));
         assert_eq!(Value::from("hi").as_str(), Some("hi"));
         assert!(Value::Bool(true).as_str().is_none());
+        let bytes: Arc<[u8]> = Arc::from(&b"ab"[..]);
+        assert!(Arc::ptr_eq(Value::Bytes(Arc::clone(&bytes)).as_bytes().unwrap(), &bytes));
+        assert!(Value::from("ab").as_bytes().is_none());
     }
 
     #[test]
