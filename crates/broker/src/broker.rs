@@ -368,7 +368,7 @@ impl Broker {
                     msg.header.hops.push(from);
                     self.route_request(msg);
                 }
-                MsgType::Response => self.core.route_response(msg),
+                MsgType::Response => self.pass_response(msg),
                 MsgType::Event => self.handle_event_arrival(from, msg),
             },
             Input::Timer { token } => {
@@ -386,6 +386,19 @@ impl Broker {
         }
         self.drain_raised();
         std::mem::take(&mut self.core.outputs)
+    }
+
+    /// Routes a response from another broker one step down its hop
+    /// stack. One passing through to a request this broker passed on is
+    /// first shown to the local module serving its topic, if any
+    /// ([`CommsModule::handle_passing_response`]).
+    fn pass_response(&mut self, msg: Message) {
+        if !msg.header.hops.is_empty() {
+            if let Some(&idx) = self.names.get(msg.header.topic.service()) {
+                self.with_module(idx, |m, ctx| m.handle_passing_response(ctx, &msg));
+            }
+        }
+        self.core.route_response(msg);
     }
 
     /// Routes a request: ring-addressed requests travel the ring; others

@@ -18,6 +18,7 @@ use flux_wire::{errnum, Message, MsgId, Payload, Rank, Topic};
 /// what it was given. Only [`ModuleCtx`] hands one out, through
 /// [`respond`](ModuleCtx::respond), [`respond_err`](ModuleCtx::respond_err),
 /// [`forward_upstream`](ModuleCtx::forward_upstream),
+/// [`forward_to_rank`](ModuleCtx::forward_to_rank),
 /// [`park`](ModuleCtx::park), [`one_way`](ModuleCtx::one_way) and
 /// [`drop_duplicate`](ModuleCtx::drop_duplicate).
 ///
@@ -113,6 +114,14 @@ pub trait CommsModule: Send {
     /// [`ModuleCtx::request_to_rank`].
     fn handle_response(&mut self, _ctx: &mut ModuleCtx<'_>, _msg: &Message) {}
 
+    /// A response arriving from another broker on its way down a hop
+    /// stack, to a request of this module's service that this broker
+    /// passed on ([`ModuleCtx::forward_upstream`],
+    /// [`ModuleCtx::forward_to_rank`], or the routing of a topic no
+    /// module here serves). The module may read it; the broker routes it
+    /// on after the call.
+    fn handle_passing_response(&mut self, _ctx: &mut ModuleCtx<'_>, _msg: &Message) {}
+
     /// An event matching one of this module's subscriptions.
     fn handle_event(&mut self, _ctx: &mut ModuleCtx<'_>, _msg: &Message) {}
 
@@ -197,6 +206,16 @@ impl<'a> ModuleCtx<'a> {
         // A rank-addressed request has arrived; from here it climbs.
         req.header.dst = None;
         self.core.forward_upstream(req)
+    }
+
+    /// Passes `req` on rank-addressed to `to` over the ring plane, as the
+    /// broker routes any request addressed there: its reply unwinds
+    /// through the hop stack, past this module. A dead `to` answers
+    /// `EHOSTDOWN`.
+    pub fn forward_to_rank(&mut self, to: Rank, mut req: Message) -> Handled {
+        req.header.dst = Some(to);
+        self.core.route_ring(req);
+        Handled(())
     }
 
     /// Keeps `req` for a later reply: the proof comes only together with

@@ -189,11 +189,11 @@ fn run_command(cli: &mut Cli, cmd: &[String]) -> Result<String, String> {
             ))
         }
         ["kvs", "put", key, json] => {
-            cli.rpc(KvsMethod::Put.topic(), msg::put(key, parse_json_arg(json)))?;
+            cli.rpc(KvsMethod::Put.topic(), msg::put(*key, parse_json_arg(json)))?;
             Ok(format!("{key} staged (commit to publish)"))
         }
         ["kvs", "get", key] => {
-            let m = cli.rpc(KvsMethod::Get.topic(), msg::key(key))?;
+            let m = cli.rpc(KvsMethod::Get.topic(), msg::key(*key))?;
             Ok(msg::value(&m.payload).unwrap_or(&Value::Null).to_json_pretty())
         }
         ["kvs", "dir", key] => {
@@ -205,7 +205,7 @@ fn run_command(cli: &mut Cli, cmd: &[String]) -> Result<String, String> {
             Ok(names.join("\n"))
         }
         ["kvs", "unlink", key] => {
-            cli.rpc(KvsMethod::Unlink.topic(), msg::key(key))?;
+            cli.rpc(KvsMethod::Unlink.topic(), msg::key(*key))?;
             Ok(format!("{key} unlink staged"))
         }
         ["kvs", "commit"] => {

@@ -188,6 +188,7 @@ fn model_check(cfg: &Cfg) {
         let t_g = model::transfer_time_ns(
             g,
             p.value_size as u64,
+            model::dir_entry_bytes(g, p.value_size),
             net.net_latency.as_nanos(),
             net.net_ns_per_kib,
         );

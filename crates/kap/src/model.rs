@@ -15,18 +15,38 @@
 //! latency becomes linear — "the only way to gain true logarithmic
 //! scaling is when G stays constant regardless of scale."
 
-/// `T(G)`: time to move `G` objects of `value_bytes` each over one hop,
-/// under a latency + bandwidth cost model (the directory object itself
-/// dominates when values are small — `dir_entry_bytes ≈ 50` per entry).
+use crate::layout::{value_for, DirLayout};
+use flux_kvs::KvsObject;
+use std::collections::BTreeMap;
+
+/// `T(G)`: time to move `G` objects of `value_bytes` each, and their
+/// directory at `dir_entry_bytes` per entry, over one hop, under a
+/// latency + bandwidth cost model (the directory object itself dominates
+/// when values are small).
 pub fn transfer_time_ns(
     g_objects: u64,
     value_bytes: u64,
+    dir_entry_bytes: u64,
     per_hop_latency_ns: u64,
     ns_per_kib: u64,
 ) -> u64 {
-    let dir_entry_bytes = 50;
     let bytes = g_objects * (value_bytes + dir_entry_bytes);
     per_hop_latency_ns + bytes * ns_per_kib / 1024
+}
+
+/// Bytes per entry of the one directory the single-layout KAP run writes
+/// for `g_objects` values of `value_size` bytes: the directory's encoded
+/// length ([`KvsObject::encoded_len`], what the wire carries) over its
+/// entry count.
+pub fn dir_entry_bytes(g_objects: u64, value_size: usize) -> u64 {
+    let entries: BTreeMap<String, _> = (0..g_objects)
+        .map(|gid| {
+            let key = crate::layout::key_for(DirLayout::Single, gid);
+            let name = key.rsplit('.').next().unwrap_or(&key).to_owned();
+            (name, KvsObject::Val(value_for(gid, value_size, false)).id())
+        })
+        .collect();
+    KvsObject::Dir(entries).encoded_len() as u64 / g_objects.max(1)
 }
 
 /// The paper's consumer-phase model: `log2(C) × T(G)`.
@@ -71,11 +91,21 @@ mod tests {
 
     #[test]
     fn transfer_time_scales_with_payload() {
-        let small = transfer_time_ns(10, 8, 1300, 305);
-        let big = transfer_time_ns(10, 32768, 1300, 305);
+        let small = transfer_time_ns(10, 8, 31, 1300, 305);
+        let big = transfer_time_ns(10, 32768, 31, 1300, 305);
         assert!(big > 50 * small);
-        let more = transfer_time_ns(100, 8, 1300, 305);
+        let more = transfer_time_ns(100, 8, 31, 1300, 305);
         assert!(more > small);
+    }
+
+    #[test]
+    fn a_directory_entry_costs_what_its_encoding_does() {
+        // A 20-byte id, a name `k<gid>` and their framing: 20-odd
+        // bytes, growing by one with each digit of the gid.
+        let small = dir_entry_bytes(10, 8);
+        assert!((20..=32).contains(&small), "{small}");
+        assert!(dir_entry_bytes(8192, 8) > small);
+        assert_eq!(dir_entry_bytes(64, 8), dir_entry_bytes(64, 4096), "ids are fixed width");
     }
 
     #[test]
@@ -93,7 +123,7 @@ mod tests {
     fn doubling_g_with_scale_doubles_latency() {
         // §V-B's geometric series: when G doubles with C, each extra tree
         // level moves twice the bytes, so T(2G) / T(G) → 2 at large G.
-        let t = |g| transfer_time_ns(g, 8, 1300, 305) as f64;
+        let t = |g| transfer_time_ns(g, 8, 31, 1300, 305) as f64;
         let ratio = t(200_000) / t(100_000);
         assert!((1.8..=2.05).contains(&ratio), "ratio {ratio}");
     }

@@ -71,19 +71,26 @@ pub enum Op {
 
 impl Op {
     /// Builds the request message for this op (tagged `tag`), using
-    /// `core` for id allocation.
+    /// `core` for id allocation; the op is left as it was.
     pub fn to_request(&self, core: &mut ClientCore, tag: u64) -> Message {
+        self.clone().into_request(core, tag)
+    }
+
+    /// Builds the request message for this op, consuming it: its key or
+    /// name, a put's value and an arbitrary request's payload move into
+    /// the message instead of being copied.
+    pub fn into_request(self, core: &mut ClientCore, tag: u64) -> Message {
         let (topic, payload) = match self {
-            Op::Put { key, val } => (KvsMethod::Put.topic(), msg::put(key, val.clone())),
+            Op::Put { key, val } => (KvsMethod::Put.topic(), msg::put(key, val)),
             Op::Commit => (KvsMethod::Commit.topic(), Value::object()),
-            Op::Fence { name, nprocs } => (KvsMethod::Fence.topic(), msg::fence(name, *nprocs)),
+            Op::Fence { name, nprocs } => (KvsMethod::Fence.topic(), msg::fence(name, nprocs)),
             Op::Get { key } => (KvsMethod::Get.topic(), msg::key(key)),
             Op::GetVersion => (KvsMethod::GetVersion.topic(), msg::version(None, None)),
-            Op::WaitVersion(v) => (KvsMethod::WaitVersion.topic(), msg::version(Some(*v), None)),
+            Op::WaitVersion(v) => (KvsMethod::WaitVersion.topic(), msg::version(Some(v), None)),
             Op::Barrier { name, nprocs } => {
-                (BarrierMethod::Enter.topic(), msg::fence(name, *nprocs))
+                (BarrierMethod::Enter.topic(), msg::fence(name, nprocs))
             }
-            Op::Request { topic, payload } => (topic.clone(), payload.clone()),
+            Op::Request { topic, payload } => (topic, payload),
             #[expect(
                 clippy::panic,
                 reason = "an API misuse (a script driver turns a Pause into a timer), \

@@ -46,6 +46,22 @@ pub(crate) enum Answer {
     Lost,
 }
 
+impl Answer {
+    /// What `msg`, an answer to a `method` request, means, by the proto
+    /// registry: the same verdict for an answer this table claims and
+    /// for one passing a broker that forwarded the request.
+    pub(crate) fn of(method: KvsMethod, msg: &Message) -> Answer {
+        let code = msg.header.errnum;
+        if !msg.is_error() {
+            Answer::Ok
+        } else if method.declared_errors().contains(&code) {
+            Answer::Refused(code)
+        } else {
+            Answer::Lost
+        }
+    }
+}
+
 struct Sent<T> {
     tag: T,
     method: KvsMethod,
@@ -90,16 +106,12 @@ impl<T: Copy> InFlight<T> {
     /// stays filed, due at the next heartbeat.
     pub(crate) fn claim(&mut self, msg: &Message) -> Option<(T, Answer)> {
         let sent = self.sent.get_mut(&msg.header.id)?;
-        let (tag, code) = (sent.tag, msg.header.errnum);
-        let answer = if !msg.is_error() {
-            Answer::Ok
-        } else if sent.method.declared_errors().contains(&code) {
-            Answer::Refused(code)
-        } else {
+        let (tag, answer) = (sent.tag, Answer::of(sent.method, msg));
+        if matches!(answer, Answer::Lost) {
             sent.due = true;
-            return Some((tag, Answer::Lost));
-        };
-        self.sent.remove(&msg.header.id);
+        } else {
+            self.sent.remove(&msg.header.id);
+        }
         Some((tag, answer))
     }
 

@@ -394,6 +394,12 @@ impl CommsModule for KvsModule {
         self.reads.recheck(ctx, &mut self.rep);
     }
 
+    fn handle_passing_response(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+        if self.reads.passing_reply(ctx, &mut self.rep, msg) {
+            self.reads.recheck(ctx, &mut self.rep);
+        }
+    }
+
     fn handle_event(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
         if msg.header.topic.as_str() != Event::KvsSetroot.topic_str() {
             return;

@@ -42,15 +42,16 @@ pub(crate) type Objects = BTreeMap<ObjectId, Arc<[u8]>>;
 
 // ----- client requests -----------------------------------------------------
 
-/// `kvs.put {k, v}`: stage `val` under `key`.
-pub fn put(key: &str, val: Value) -> Value {
-    Value::from_pairs([("k", Value::from(key)), ("v", val)])
+/// `kvs.put {k, v}`: stage `val` under `key`. An owned key or value
+/// moves into the request.
+pub fn put(key: impl Into<String>, val: Value) -> Value {
+    Value::from_pairs([("k", Value::Str(key.into())), ("v", val)])
 }
 
 /// `{k}`: the request of `kvs.get`, `kvs.unlink`, `kvs.watch` and
 /// `kvs.unwatch`, which name one key and nothing else.
-pub fn key(key: &str) -> Value {
-    Value::from_pairs([("k", Value::from(key))])
+pub fn key(key: impl Into<String>) -> Value {
+    Value::from_pairs([("k", Value::Str(key.into()))])
 }
 
 /// `kvs.get {k, dir: true}`: the directory listing of `key`.
@@ -60,8 +61,8 @@ pub fn dir(key: &str) -> Value {
 
 /// `kvs.fence {name, nprocs}`: `nprocs` participants commit as one.
 /// `barrier.enter` has the same shape.
-pub fn fence(name: &str, nprocs: u64) -> Value {
-    Value::from_pairs([("name", Value::from(name)), ("nprocs", Value::from(nprocs as i64))])
+pub fn fence(name: impl Into<String>, nprocs: u64) -> Value {
+    Value::from_pairs([("name", Value::Str(name.into())), ("nprocs", Value::from(nprocs as i64))])
 }
 
 /// `kvs.get_version` (no `version`) or `kvs.wait_version {version}`,
@@ -277,17 +278,6 @@ pub(crate) fn setroot_event(cut: &[RootRef], fence: Option<&str>) -> Value {
 /// `kvs.load {id, shard}`: object `id` of `shard`'s tree.
 pub(crate) fn load_request(id: ObjectId, shard: u32) -> Value {
     Value::from_pairs([(LOAD_ID, Value::from(id.to_hex())), ("shard", Value::from(shard as i64))])
-}
-
-/// True if `v` is exactly [`load_request`]`(id, shard)`, told without
-/// building it: no other field, lowercase hex.
-pub(crate) fn is_load_request(v: &Value, id: ObjectId, shard: u32) -> bool {
-    let Some(m) = v.as_object() else { return false };
-    let hex_is_id =
-        |h: &str| !h.bytes().any(|b| b.is_ascii_uppercase()) && ObjectId::from_hex(h) == Ok(id);
-    m.len() == 2
-        && m.get(LOAD_ID).and_then(Value::as_str).is_some_and(hex_is_id)
-        && m.get("shard") == Some(&Value::from(shard as i64))
 }
 
 /// The field of a `kvs.load` request, and of its reply, naming the object.
@@ -518,7 +508,7 @@ mod tests {
             assert_eq!((ev.roots, ev.fences, ev.failed), (cut.to_vec(), vec!["f"], None));
             let ev = decode_setroot(&table[3].0);
             assert_eq!((ev.roots, ev.fences.len()), (vec![cut[0].clone()], 0));
-            assert!(is_load_request(&table[4].0, id, s));
+            assert_eq!(load_request_id(&table[4].0), Some(id));
         }
         let failed = fence_failed_event("f", 22);
         let failed = decode_setroot(&failed);

@@ -8,9 +8,9 @@
 //! rank-addressed to the shard's master when the root does not master
 //! that shard itself. The authoritative copy never faults: a miss there
 //! is `ENOENT`. A transport failure is never reported as `ENOENT` (that
-//! would violate monotonic reads): every load is in the [`InFlight`]
-//! table, which retries a lost one on the heartbeat and reports only
-//! what the tier above itself refused.
+//! would violate monotonic reads): a walk's own load is in the
+//! [`InFlight`] table, which retries a lost one on the heartbeat and
+//! reports only what the tier above itself refused.
 //!
 //! A walk that the local cache resolves is answered in the call that
 //! started it and owns nothing beyond the request it was handed. Only a
@@ -29,14 +29,30 @@
 //! lives exactly as long as the object's cache entry. A watch check
 //! reads its value out of the same shared get reply.
 //!
-//! A child's `kvs.load` that misses here is parked, and the load this
-//! broker sends up for it is the child's own payload when that payload
-//! is exactly the request this broker would build
-//! ([`msg::is_load_request`]): nothing is rebuilt, and the id
-//! parsed here rides on in the payload's memo slot ([`load_id`]) for
-//! every tier above. Any other payload and a walk's miss send a freshly
-//! built request, so what travels upstream is the same either way. A
-//! heartbeat retry sends the same request again under its own id.
+//! A child's `kvs.load` that misses here is forwarded as it came, by
+//! the route a walk's own load takes, and its hop stack carries the
+//! answer back; this broker keeps only a record, request id → object
+//! (`forwarded`). The id parsed here rides on in the payload's memo slot
+//! ([`load_id`]) for every tier above. While a request for an object is
+//! in flight from here (forwarded, or a walk's own), later requests and
+//! walks for it wait behind it. The answer to a forwarded request passes
+//! this broker on its way down ([`Reads::passing_reply`]): checked, it
+//! is cached and answers what waited, so every tier still caches and
+//! shares one transfer. The retry rules:
+//!
+//! - a repeat of a forwarded request (same id) is forwarded again: it,
+//!   or its answer, was lost above;
+//! - a repeat of a parked request takes the parked copy's place;
+//! - a refusal its method declares passing down answers the parked
+//!   requests and walks with it; a transport error leaves them parked,
+//!   for the child's repeat;
+//! - a forwarded record unanswered for two heartbeats is dropped, and on
+//!   that heartbeat an object with no request in flight that is still
+//!   waited on gets one (objects in id order): a parked walk's own load,
+//!   or else the first parked request, forwarded.
+//!
+//! The waiter and record tables give their memory back once they drain
+//! below a quarter of their capacity.
 
 use crate::inflight::{Answer, InFlight};
 use crate::module::Replica;
@@ -51,8 +67,9 @@ use flux_broker::{Handled, ModuleCtx};
 use flux_hash::ObjectId;
 use flux_proto::KvsMethod;
 use flux_value::Value;
-use flux_wire::{errnum, IdMap, Message, Payload};
+use flux_wire::{errnum, IdMap, Message, MsgId, Payload, Rank};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hash};
 use std::sync::Arc;
 
 /// One lookup parked on an object being faulted in.
@@ -177,6 +194,16 @@ fn push_one<T>(list: &mut Vec<T>, item: T) {
     list.push(item);
 }
 
+/// Gives a drained table's memory back: once fewer than a quarter of
+/// its slots are used, it shrinks to fit. A wave of loads leaves no
+/// peak-sized table behind, and the quarter keeps a table that
+/// shrinks and grows again from doing so on every entry.
+fn shrink_drained<K: Eq + Hash, V, S: BuildHasher>(table: &mut HashMap<K, V, S>) {
+    if table.len() < table.capacity() / 4 {
+        table.shrink_to_fit();
+    }
+}
+
 /// The object a `kvs.load` request asks for (`None`: no hex `id`). A
 /// tier that forwards the request stores its parse in the payload's
 /// memo slot ([`Reads::serve_load`]), and every tier above reads that;
@@ -188,16 +215,75 @@ pub(crate) fn load_id(payload: &Payload) -> Option<ObjectId> {
     }
 }
 
+/// The next tier for a load of `shard`'s tree from a broker that does
+/// not master it: the parent (`None`), or from the tree root, the
+/// shard's master.
+fn load_route(ctx: &ModuleCtx<'_>, shard: u32) -> Option<Rank> {
+    ctx.is_root().then(|| shard::master_of(shard))
+}
+
+/// Passes a child's `kvs.load` on to the next tier, as it came.
+fn forward_load(ctx: &mut ModuleCtx<'_>, req: Message, shard: u32) -> Handled {
+    match load_route(ctx, shard) {
+        None => ctx.forward_upstream(req),
+        Some(master) => ctx.forward_to_rank(master, req),
+    }
+}
+
+/// What waits here for one object to arrive.
+#[derive(Default)]
+struct Waiting {
+    /// Walks parked on it; each has a request for it in flight.
+    walks: Vec<u64>,
+    /// Child `kvs.load` requests parked behind the request in flight.
+    requests: Vec<Message>,
+    /// The shard whose tree asked for it first: where a request sent
+    /// for it on the heartbeat goes.
+    shard: u32,
+    /// A child's request for it was forwarded from here and is still
+    /// on record (`Reads::forwarded`).
+    forwarded: bool,
+}
+
+impl Waiting {
+    /// Whether a request for the object is in flight from here: a
+    /// forwarded child's, or a parked walk's own.
+    fn in_flight(&self) -> bool {
+        self.forwarded || !self.walks.is_empty()
+    }
+}
+
+/// The waiters of object `id`, filed under `shard` when the first
+/// arrives.
+fn waiting_on(
+    table: &mut HashMap<ObjectId, Waiting>,
+    id: ObjectId,
+    shard: u32,
+) -> &mut Waiting {
+    table.entry(id).or_insert_with(|| Waiting { shard, ..Waiting::default() })
+}
+
+/// A child's `kvs.load` forwarded from here and not yet answered.
+struct Forward {
+    /// The object it asks for.
+    id: ObjectId,
+    /// Heartbeats it has gone unanswered.
+    beats: u8,
+}
+
 #[derive(Default)]
 pub(crate) struct Reads {
     walks: IdMap<u64, Walk>,
     next_walk: u64,
-    /// Object id → (walks parked on it, child `kvs.load` requests for it).
-    /// The id is what a child asked for, so this map keeps `RandomState`.
-    load_waiters: HashMap<ObjectId, (Vec<u64>, Vec<Message>)>,
-    /// Outstanding load RPCs, tagged (object id, shard whose tree wants
-    /// it). The waiters of a load lost in transit stay parked.
-    loads: InFlight<(ObjectId, u32)>,
+    /// Object id → what waits here for it. The id is what a child asked
+    /// for, so this map keeps `RandomState`.
+    load_waiters: HashMap<ObjectId, Waiting>,
+    /// Child loads forwarded from here, by request id. The id is a
+    /// peer's, so this map keeps `RandomState` too.
+    forwarded: HashMap<MsgId, Forward>,
+    /// This broker's own load RPCs, tagged with the object. The waiters
+    /// of a load lost in transit stay parked.
+    loads: InFlight<ObjectId>,
     pub(crate) watch: Watches,
 }
 
@@ -229,9 +315,8 @@ impl Reads {
     }
 
     /// A child's (or client's) `kvs.load` of object `id` of `shard`'s
-    /// tree; `shard` was validated by the dispatcher. The first miss on
-    /// `id` sends the request's own payload up when it is the one this
-    /// broker would build (module docs).
+    /// tree; `shard` was validated by the dispatcher. A miss is forwarded
+    /// or waits behind the request in flight (module docs).
     pub(crate) fn serve_load(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
@@ -246,23 +331,22 @@ impl Reads {
         if rep.slots.masters(shard) {
             return ctx.respond_err(&req, errnum::ENOENT);
         }
-        let entry = self.load_waiters.entry(id).or_default();
-        let first = entry.0.is_empty() && entry.1.is_empty();
-        let ask = first.then(|| {
-            if !msg::is_load_request(&req.payload, id, shard) {
-                return Payload::from(msg::load_request(id, shard));
-            }
-            // `id` is this payload's own parse ([`load_id`]): kept in its
-            // memo, the tiers above read it instead of parsing again.
-            req.payload.memo(|_| Some(id));
-            req.payload.clone()
-        });
-        let (req, parked) = ctx.park(req);
-        push_one(&mut entry.1, req);
-        if let Some(ask) = ask {
-            self.send_load(ctx, rep, id, shard, ask);
+        if self.forwarded.contains_key(&req.header.id) {
+            return forward_load(ctx, req, shard);
         }
-        parked
+        let waiting = waiting_on(&mut self.load_waiters, id, shard);
+        waiting.requests.retain(|parked| parked.header.id != req.header.id);
+        if waiting.in_flight() {
+            let (req, parked) = ctx.park(req);
+            push_one(&mut waiting.requests, req);
+            return parked;
+        }
+        waiting.forwarded = true;
+        self.forwarded.insert(req.header.id, Forward { id, beats: 0 });
+        // `id` is this payload's own parse ([`load_id`]): kept in its
+        // memo, the tiers above read it instead of parsing again.
+        req.payload.memo(|_| Some(id));
+        forward_load(ctx, req, shard)
     }
 
     pub(crate) fn watch(
@@ -323,7 +407,8 @@ impl Reads {
         }
     }
 
-    /// Parks `walk` on the object it found missing and faults that in.
+    /// Parks `walk` on the object it found missing and, unless a request
+    /// for that object is already in flight, faults it in.
     fn park(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica, walk: Walk) {
         if rep.slots.masters(walk.shard) {
             // Authoritative store: a miss is a hard ENOENT.
@@ -332,11 +417,11 @@ impl Reads {
         let (missing, shard) = (walk.cur, walk.shard);
         self.next_walk += 1;
         self.walks.insert(self.next_walk, walk);
-        let entry = self.load_waiters.entry(missing).or_default();
-        push_one(&mut entry.0, self.next_walk);
-        if entry.0.len() == 1 && entry.1.is_empty() {
-            let payload = Payload::from(msg::load_request(missing, shard));
-            self.send_load(ctx, rep, missing, shard, payload);
+        let waiting = waiting_on(&mut self.load_waiters, missing, shard);
+        let ask = !waiting.in_flight();
+        push_one(&mut waiting.walks, self.next_walk);
+        if ask {
+            self.send_load(ctx, missing, shard);
         }
     }
 
@@ -358,30 +443,39 @@ impl Reads {
 
     // ----- fault-in --------------------------------------------------------
 
-    /// Sends `payload`, the `kvs.load` request for object `id` of
-    /// `shard`'s tree, to the next tier: the parent, or from the tree
-    /// root, the last cache tier, the shard's master.
-    fn send_load(
-        &mut self,
-        ctx: &mut ModuleCtx<'_>,
-        rep: &mut Replica,
-        id: ObjectId,
-        shard: u32,
-        payload: Payload,
-    ) {
-        let to = if !ctx.is_root() {
-            None
-        } else if rep.slots.masters(shard) {
-            return self.complete_load(ctx, rep, id, Err(errnum::ENOENT));
-        } else {
-            Some(shard::master_of(shard))
-        };
-        // Only an upstream send from the root can be refused.
-        let _ = self.loads.send(ctx, to, KvsMethod::Load, payload, (id, shard));
+    /// Sends this broker's own `kvs.load` of object `id` of `shard`'s
+    /// tree to the next tier.
+    fn send_load(&mut self, ctx: &mut ModuleCtx<'_>, id: ObjectId, shard: u32) {
+        let payload = Payload::from(msg::load_request(id, shard));
+        // Only an upstream send from the root can be refused, and the
+        // root sends rank-addressed.
+        let _ = self.loads.send(ctx, load_route(ctx, shard), KvsMethod::Load, payload, id);
     }
 
-    /// Resolves a load: with the object, once the cache holds it, or
-    /// with `loaded`'s code that says why there is none.
+    /// Takes `payload`, a `kvs.load` reply to a request for `id`, into
+    /// the cache: `Err(ENOENT)` unless it carries `id`'s bytes. The
+    /// check, the hash and a directory's decode are the payload's, made
+    /// once for every broker handed this same payload; the comparison
+    /// with the id *this* broker asked for is its own.
+    fn accept(rep: &mut Replica, id: ObjectId, payload: &Payload) -> Result<(), u32> {
+        match &*payload.memo(decode_load_reply) {
+            Some((hashed, bytes, view)) if *hashed == id => {
+                // Read-path caching at every level of the chain: this is
+                // what lets C consumers share log2(C) transfers (Fig. 4
+                // model). The cache holds the payload's bytes.
+                rep.cache.insert_bytes(id, Arc::clone(bytes), view.clone());
+                // The reply payload is exactly the reply this broker
+                // would build for its own children: it becomes the
+                // object's load reply.
+                rep.cache.reply(id, Reply::Load, |_, _| Some(payload.clone()));
+                Ok(())
+            }
+            _ => Err(errnum::ENOENT),
+        }
+    }
+
+    /// Resolves object `id`'s waiters: with the object, once the cache
+    /// holds it, or with `loaded`'s code that says why there is none.
     fn complete_load(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
@@ -389,20 +483,21 @@ impl Reads {
         id: ObjectId,
         loaded: Result<(), u32>,
     ) {
-        let Some((walks, requests)) = self.load_waiters.remove(&id) else { return };
+        let Some(waiting) = self.load_waiters.remove(&id) else { return };
+        shrink_drained(&mut self.load_waiters);
         // One shared reply payload answers every child waiting on this id.
         let reply = rep
             .cache
             .lookup(id)
             .and_then(|_| load_reply(&mut rep.cache, id))
             .ok_or(loaded.err().unwrap_or(errnum::ENOENT));
-        for req in requests {
+        for req in waiting.requests {
             match &reply {
                 Ok(payload) => ctx.respond(&req, payload.clone()),
                 Err(code) => ctx.respond_err(&req, *code),
             };
         }
-        for walk_id in walks {
+        for walk_id in waiting.walks {
             let Some(walk) = self.walks.remove(&walk_id) else { continue };
             match &reply {
                 Ok(_) => self.resume(ctx, rep, walk),
@@ -411,14 +506,15 @@ impl Reads {
         }
     }
 
-    /// Claims `msg` if it answers a load; returns whether it did.
+    /// Claims `msg` if it answers this broker's own load; returns whether
+    /// it did.
     pub(crate) fn handle_response(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
         rep: &mut Replica,
         msg: &Message,
     ) -> bool {
-        let Some(((id, _), answer)) = self.loads.claim(msg) else { return false };
+        let Some((id, answer)) = self.loads.claim(msg) else { return false };
         let loaded = match answer {
             // Lost in transit, not absent: the waiters stay parked and
             // the heartbeat tries again.
@@ -426,35 +522,77 @@ impl Reads {
             // The tier above has no such object (`ENOENT`) or cannot
             // read the request (`EINVAL`); asking again changes neither.
             Answer::Refused(code) => Err(code),
-            // Verify the content address before trusting a loaded
-            // object. The check, the hash and a directory's decode are
-            // the payload's, made once for every broker handed this same
-            // payload; the comparison with the id *this* broker asked
-            // for is its own.
-            Answer::Ok => match &*msg.payload.memo(decode_load_reply) {
-                Some((hashed, bytes, view)) if *hashed == id => {
-                    // Read-path caching at every level of the chain: this
-                    // is what lets C consumers share log2(C) transfers
-                    // (Fig. 4 model). The cache holds the payload's bytes.
-                    rep.cache.insert_bytes(id, Arc::clone(bytes), view.clone());
-                    // The upstream reply payload is exactly the reply this
-                    // broker would build for its own children: it becomes
-                    // the object's load reply.
-                    rep.cache.reply(id, Reply::Load, |_, _| Some(msg.payload.clone()));
-                    Ok(())
-                }
-                _ => Err(errnum::ENOENT),
-            },
+            Answer::Ok => Self::accept(rep, id, &msg.payload),
         };
         self.complete_load(ctx, rep, id, loaded);
         true
     }
 
-    /// Sends again the loads that are due: lost in transit, or
-    /// unanswered for a whole heartbeat period. Each is a load somebody
-    /// still waits on, since only its answer ends it.
+    /// Reads `msg` if it answers a child's load forwarded from here, on
+    /// its way down to that child; returns whether it did. Its verdict
+    /// is the one [`Reads::handle_response`] gives this broker's own,
+    /// except that a transport error is the child's to retry: the record
+    /// stays, and so does everything parked behind it.
+    pub(crate) fn passing_reply(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        rep: &mut Replica,
+        msg: &Message,
+    ) -> bool {
+        let Some(fwd) = self.forwarded.get(&msg.header.id) else { return false };
+        let id = fwd.id;
+        let loaded = match Answer::of(KvsMethod::Load, msg) {
+            Answer::Lost => return true,
+            Answer::Refused(code) => Err(code),
+            Answer::Ok => Self::accept(rep, id, &msg.payload),
+        };
+        self.forwarded.remove(&msg.header.id);
+        shrink_drained(&mut self.forwarded);
+        self.complete_load(ctx, rep, id, loaded);
+        true
+    }
+
+    /// The heartbeat: sends again this broker's own loads that are due
+    /// (lost in transit, or unanswered for a whole period), and drops the
+    /// forwarded records unanswered for two beats. An object still
+    /// waited on whose record went gets a new request (module docs).
     pub(crate) fn on_heartbeat(&mut self, ctx: &mut ModuleCtx<'_>) {
         self.loads.sweep(ctx);
+        let mut dropped = Vec::new();
+        self.forwarded.retain(|_, fwd| {
+            fwd.beats += 1;
+            let keep = fwd.beats < 2;
+            if !keep {
+                dropped.push(fwd.id);
+            }
+            keep
+        });
+        shrink_drained(&mut self.forwarded);
+        // In id order: what is sent must not depend on hash order.
+        dropped.sort_unstable();
+        for id in dropped {
+            self.ask_again(ctx, id);
+        }
+    }
+
+    /// Object `id`'s forwarded record was dropped: whatever still waits
+    /// on it gets a request in flight again, a parked walk's own load, or
+    /// else the first parked child request, forwarded.
+    fn ask_again(&mut self, ctx: &mut ModuleCtx<'_>, id: ObjectId) {
+        let Some(waiting) = self.load_waiters.get_mut(&id) else { return };
+        waiting.forwarded = false;
+        let shard = waiting.shard;
+        if !waiting.walks.is_empty() {
+            self.send_load(ctx, id, shard);
+        } else if waiting.requests.is_empty() {
+            self.load_waiters.remove(&id);
+            shrink_drained(&mut self.load_waiters);
+        } else {
+            let req = waiting.requests.remove(0);
+            waiting.forwarded = true;
+            self.forwarded.insert(req.header.id, Forward { id, beats: 0 });
+            forward_load(ctx, req, shard);
+        }
     }
 }
 
@@ -465,7 +603,7 @@ mod tests {
     use crate::testutil::{messages, request};
     use flux_broker::testing::with_ctx;
     use flux_broker::CommsModule;
-    use flux_wire::{MsgId, MsgType};
+    use flux_wire::MsgType;
 
     /// The one load in flight, as the request the parent would answer.
     fn load_in_flight(reads: &Reads) -> Message {
@@ -845,55 +983,187 @@ mod tests {
     }
 
     #[test]
-    fn a_child_load_with_another_spelling_is_sent_on_rebuilt() {
+    fn the_root_forwards_a_load_of_a_shard_it_does_not_master_to_that_master() {
+        use crate::module::KvsConfig;
         let id = dir_b7().id();
-        let canonical = msg::load_request(id, 0);
-        let mut extra = canonical.clone();
-        extra.insert("x", Value::from(1i64));
-        let upper = Value::from_pairs([("id", Value::from(id.to_hex().to_uppercase()))]);
-        for odd in [extra, upper] {
-            let ask = Payload::from(odd);
-            assert_eq!(load_id(&ask), Some(id), "{ask:?} asks for the same object");
-            let sent = forwarded_by(1, &ask);
-            assert_eq!(sent, canonical, "{ask:?}");
-            let fresh = memo_of(&ask).is_none() && memo_of(&sent).is_none();
-            assert!(fresh, "{ask:?}: a fresh payload");
+        let load = child_load(&Payload::from(msg::load_request(id, 1)));
+        let load_id = load.header.id;
+        let (_, outs) = with_ctx(0, 4, move |ctx| {
+            let mut kvs = KvsModule::with_config(KvsConfig { shards: 2, ..KvsConfig::default() });
+            kvs.on_start(ctx);
+            kvs.handle_request(ctx, load);
+        });
+        let sent: Vec<&Message> = messages(&outs);
+        assert_eq!(sent.len(), 1, "{outs:?}");
+        assert_eq!((sent[0].header.id, sent[0].header.dst), (load_id, Some(Rank(1))));
+    }
+
+    /// A child's `kvs.load` of `obj`, as rank 3 sends it.
+    fn child_ask(obj: &KvsObject) -> Message {
+        child_load(&Payload::from(msg::load_request(obj.id(), 0)))
+    }
+
+    /// The loads `outs` sends upstream, by request id.
+    fn loads_up(outs: &[flux_broker::Output]) -> Vec<MsgId> {
+        let msgs = messages(outs);
+        let up = msgs.iter().filter(|m| m.header.msg_type == MsgType::Request);
+        up.filter(|m| m.header.topic == KvsMethod::Load.topic()).map(|m| m.header.id).collect()
+    }
+
+    /// The errnums `outs` answers request `id` with, in order.
+    fn answers(outs: &[flux_broker::Output], id: MsgId) -> Vec<u32> {
+        let msgs = messages(outs);
+        let replies = msgs.iter().filter(|m| m.header.msg_type == MsgType::Response);
+        replies.filter(|m| m.header.id == id).map(|m| m.header.errnum).collect()
+    }
+
+    /// The answer to `ask` from above, as it passes this broker.
+    fn from_above(ask: &Message, obj: &KvsObject) -> Message {
+        Message::response_to(ask, load_payload(obj.id(), obj.to_value()))
+    }
+
+    #[test]
+    fn a_forwarded_load_leaves_one_record_and_a_repeat_of_it_is_forwarded_again() {
+        let dir = dir_b7();
+        let ask = child_ask(&dir);
+        let (a, reply) = (ask.header.id, from_above(&ask, &dir));
+        let (_, outs) = with_ctx(1, 4, |ctx| {
+            let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
+            reads.serve_load(ctx, &mut rep, ask.clone(), dir.id(), 0);
+            assert_eq!(reads.forwarded.len(), 1, "one record");
+            assert!(reads.load_waiters[&dir.id()].requests.is_empty(), "nothing parked");
+            assert!(reads.loads.in_flight().is_empty(), "no load of this broker's own");
+            reads.serve_load(ctx, &mut rep, ask, dir.id(), 0);
+            assert_eq!(reads.forwarded.len(), 1, "the repeat is the same request");
+            assert!(reads.passing_reply(ctx, &mut rep, &reply));
+            assert!(reads.forwarded.is_empty() && reads.load_waiters.is_empty());
+            assert!(rep.cache.contains(dir.id()), "the tier caches what passes");
+        });
+        assert_eq!(loads_up(&outs), [a, a], "forwarded, then forwarded again");
+        assert!(answers(&outs, a).is_empty(), "the answer is the one from above");
+    }
+
+    #[test]
+    fn a_repeat_of_a_parked_request_takes_the_parked_copys_place() {
+        let dir = dir_b7();
+        let (first, second) = (child_ask(&dir), child_ask(&dir));
+        let (a, b, reply) = (first.header.id, second.header.id, from_above(&first, &dir));
+        let (_, outs) = with_ctx(1, 4, |ctx| {
+            let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
+            reads.serve_load(ctx, &mut rep, first, dir.id(), 0);
+            for _ in 0..2 {
+                reads.serve_load(ctx, &mut rep, second.clone(), dir.id(), 0);
+                assert_eq!(reads.load_waiters[&dir.id()].requests.len(), 1, "one copy parked");
+            }
+            assert!(reads.passing_reply(ctx, &mut rep, &reply));
+        });
+        assert_eq!(loads_up(&outs), [a], "only the first request climbs");
+        assert_eq!(answers(&outs, b), [0], "the parked request is answered once");
+    }
+
+    #[test]
+    fn a_declared_refusal_passing_down_answers_what_waits_and_a_transport_error_does_not() {
+        let dir = dir_b7();
+        for refusal in [errnum::ENOENT, errnum::EINVAL] {
+            let (first, second) = (child_ask(&dir), child_ask(&dir));
+            let b = second.header.id;
+            let get = request(KvsMethod::Get, Value::object());
+            let get_id = get.header.id;
+            let (_, outs) = with_ctx(1, 4, |ctx| {
+                let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
+                rep.slots.apply_root(ctx, 0, 1, dir.id());
+                reads.serve_load(ctx, &mut rep, first.clone(), dir.id(), 0);
+                reads.serve_load(ctx, &mut rep, second, dir.id(), 0);
+                reads.lookup(ctx, &mut rep, get, "b", false);
+                let lost = Message::error_response_to(&first, errnum::EHOSTDOWN);
+                assert!(reads.passing_reply(ctx, &mut rep, &lost));
+                assert_eq!(reads.forwarded.len(), 1, "the record stays for the child's repeat");
+                assert_eq!(reads.walks.len(), 1);
+                let refused = Message::error_response_to(&first, refusal);
+                assert!(reads.passing_reply(ctx, &mut rep, &refused));
+                assert!(reads.forwarded.is_empty() && reads.load_waiters.is_empty());
+                assert!(reads.walks.is_empty() && reads.loads.in_flight().is_empty());
+            });
+            assert_eq!(answers(&outs, b), [refusal], "the parked request");
+            assert_eq!(answers(&outs, get_id), [refusal], "the walk behind it");
+            assert_eq!(loads_up(&outs).len(), 1, "the walk sent nothing of its own");
         }
     }
 
     #[test]
-    fn brokers_handed_one_load_request_parse_its_id_once() {
-        let id = dir_b7().id();
-        let ask = Payload::from(msg::load_request(id, 0));
-        // Rank 3 misses and forwards; its parent, rank 1, is handed the
-        // same payload and misses too.
-        let from_leaf = forwarded_by(3, &ask);
-        let parsed = memo_of(&ask).expect("rank 3 kept its parse");
-        let from_interior = forwarded_by(1, &from_leaf);
-        assert!(Arc::ptr_eq(&memo_of(&from_interior).expect("memo"), &parsed), "one parse");
-        // The tier above reads the memo, not the hex: a payload whose
-        // memo names another object (a broken build, never a real one)
-        // is sent on as a fresh request for the memo's object.
-        let other = KvsObject::Val(Value::Int(8)).id();
-        let misread = Payload::from(msg::load_request(id, 0));
-        misread.memo(|_| Some(other));
-        assert_eq!(forwarded_by(1, &misread), msg::load_request(other, 0));
+    fn a_record_unanswered_for_two_beats_is_dropped_and_what_still_waits_asks_again() {
+        // Root {a: x, b: y, c: z} is cached; x, y and z are not. Children
+        // ask for all three; walks wait behind x and y, a second child
+        // request behind z, and nothing else behind the first.
+        let (x, y, z) = (KvsObject::Val(Value::Int(1)), dir_b7(), KvsObject::Val(Value::Int(2)));
+        let names = [("a", x.id()), ("b", y.id()), ("c", z.id())];
+        let root = KvsObject::Dir(names.iter().map(|(n, id)| ((*n).to_owned(), *id)).collect());
+        let asks: Vec<Message> = [&x, &y, &z].map(child_ask).into();
+        let parked = child_ask(&z);
+        let gets = [(); 2].map(|()| request(KvsMethod::Get, Value::object()));
+        let forwarded: Vec<MsgId> = asks.iter().map(|m| m.header.id).collect();
+        let parked_id = parked.header.id;
+        let (own, outs) = with_ctx(1, 4, |ctx| {
+            let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
+            let root_id = root.id();
+            rep.cache.insert(root);
+            rep.slots.apply_root(ctx, 0, 1, root_id);
+            for (ask, obj) in asks.into_iter().zip([&x, &y, &z]) {
+                reads.serve_load(ctx, &mut rep, ask, obj.id(), 0);
+            }
+            reads.serve_load(ctx, &mut rep, parked, z.id(), 0);
+            let [get_a, get_b] = gets;
+            reads.lookup(ctx, &mut rep, get_b, "b", false);
+            reads.lookup(ctx, &mut rep, get_a, "a", false);
+            reads.on_heartbeat(ctx);
+            assert_eq!(reads.forwarded.len(), 3, "one beat: still on record");
+            reads.on_heartbeat(ctx);
+            let own: Vec<ObjectId> =
+                reads.loads.in_flight().into_iter().map(|(_, id)| id).collect();
+            assert_eq!(reads.forwarded.len(), 1, "z's parked request, forwarded in its turn");
+            assert_eq!(reads.walks.len(), 2, "the walks wait on their own loads");
+            own
+        });
+        let mut sorted = [x.id(), y.id()];
+        sorted.sort_unstable();
+        assert_eq!(own, sorted, "the walks' own loads, in id order");
+        let up = loads_up(&outs);
+        assert_eq!(&up[..3], forwarded, "the children's requests, forwarded on arrival");
+        assert_eq!(up[3..].iter().filter(|id| **id == parked_id).count(), 1);
+        assert_eq!(up.len(), 6, "then two own loads and the parked request");
     }
 
     #[test]
-    fn is_load_request_accepts_exactly_what_load_request_builds() {
-        let id = dir_b7().id();
-        for shard in [0, 2] {
-            let built = msg::load_request(id, shard);
-            assert!(msg::is_load_request(&built, id, shard));
-            assert!(!msg::is_load_request(&built, KvsObject::empty_dir().id(), shard));
-            assert!(!msg::is_load_request(&built, id, shard + 1), "another shard");
-            let mut extra = built.clone();
-            extra.insert("x", Value::Null);
-            assert!(!msg::is_load_request(&extra, id, shard));
-        }
-        let bare = Value::from_pairs([("id", Value::from(id.to_hex()))]);
-        assert!(!msg::is_load_request(&bare, id, 0), "no shard field");
+    fn a_record_with_nothing_behind_it_leaves_no_waiter_entry_when_dropped() {
+        let dir = dir_b7();
+        with_ctx(1, 4, |ctx| {
+            let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
+            reads.serve_load(ctx, &mut rep, child_ask(&dir), dir.id(), 0);
+            reads.on_heartbeat(ctx);
+            reads.on_heartbeat(ctx);
+            assert!(reads.forwarded.is_empty() && reads.load_waiters.is_empty());
+            assert!(reads.loads.in_flight().is_empty(), "nobody here wants it");
+        });
+    }
+
+    #[test]
+    fn drained_tables_give_their_memory_back() {
+        let objects: Vec<KvsObject> = (0..64).map(|i| KvsObject::Val(Value::Int(i))).collect();
+        let asks: Vec<Message> = objects.iter().map(child_ask).collect();
+        with_ctx(1, 4, |ctx| {
+            let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
+            for (ask, obj) in asks.iter().zip(&objects) {
+                reads.serve_load(ctx, &mut rep, ask.clone(), obj.id(), 0);
+            }
+            let peak = (reads.forwarded.capacity(), reads.load_waiters.capacity());
+            assert!(peak.0 >= 64 && peak.1 >= 64);
+            for (ask, obj) in asks.iter().zip(&objects).skip(2) {
+                assert!(reads.passing_reply(ctx, &mut rep, &from_above(ask, obj)));
+            }
+            assert_eq!((reads.forwarded.len(), reads.load_waiters.len()), (2, 2));
+            assert!(reads.forwarded.capacity() < peak.0 / 4, "{}", reads.forwarded.capacity());
+            assert!(reads.load_waiters.capacity() < peak.1 / 4);
+        });
     }
 
     #[test]

@@ -44,8 +44,8 @@ const STALLS_ALLOWED: &[(Slice, &[u64])] = &[
     (
         Slice::ShardKills,
         &[
-            64, 91, 112, 123, 170, 203, 223, 247, 253, 273, 307, 322, 377, 412, 418, 426, 430, 466,
-            479, 572, 581, 711, 745, 755, 788, 804, 806, 893, 973,
+            64, 112, 123, 170, 203, 223, 247, 253, 273, 307, 322, 377, 412, 418, 426, 430, 466, 479,
+            572, 581, 711, 745, 755, 788, 804, 893, 973,
         ],
     ),
 ];

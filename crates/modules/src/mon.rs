@@ -141,7 +141,7 @@ impl MonModule {
                 ("count", Value::from(agg.count as i64)),
                 ("avg", Value::Float(agg.sum / agg.count as f64)),
             ]);
-            let put = msg::put(&keys::mon::data_key(&name, epoch), data);
+            let put = msg::put(keys::mon::data_key(&name, epoch), data);
             self.kvs(ctx, KvsMethod::Put, put, PendingKind::Ignore);
         }
         self.kvs(ctx, KvsMethod::Commit, Value::object(), PendingKind::Ignore);
@@ -238,7 +238,7 @@ impl CommsModule for MonModule {
                     let hex = idv.as_str().unwrap_or_default().to_owned();
                     if self.listing.get(name) != Some(&hex) {
                         self.listing.insert(name.clone(), hex);
-                        let get = msg::key(&keys::mon::sampler_key(name));
+                        let get = msg::key(keys::mon::sampler_key(name));
                         self.kvs(ctx, KvsMethod::Get, get, PendingKind::SpecFetch(name.clone()));
                     }
                 }

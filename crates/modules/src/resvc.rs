@@ -60,7 +60,7 @@ impl ResvcModule {
         // Record the allocation in the KVS for provenance.
         let ranks_val =
             Value::Array(granted.iter().map(|&r| Value::from(r)).collect());
-        let put = msg::put(&keys::lwj::ranks_key(jobid), ranks_val.clone());
+        let put = msg::put(keys::lwj::ranks_key(jobid), ranks_val.clone());
         let _ = ctx.local_request(KvsMethod::Put.topic(), put);
         let _ = ctx.local_request(KvsMethod::Commit.topic(), Value::object());
         ctx.respond(
@@ -81,7 +81,7 @@ impl ResvcModule {
             return ctx.respond_err(msg, errnum::ENOENT);
         };
         self.free.extend(ranks);
-        let unlink = msg::key(&keys::lwj::ranks_key(jobid));
+        let unlink = msg::key(keys::lwj::ranks_key(jobid));
         let _ = ctx.local_request(KvsMethod::Unlink.topic(), unlink);
         let _ = ctx.local_request(KvsMethod::Commit.topic(), Value::object());
         ctx.respond(msg, Value::object())

@@ -196,7 +196,7 @@ impl WexecModule {
             ("failed", Value::from(acc.status.failed as i64)),
             ("max_code", Value::Int(acc.status.max_code)),
         ]);
-        let put = msg::put(&keys::lwj::complete_key(jobid), complete.clone());
+        let put = msg::put(keys::lwj::complete_key(jobid), complete.clone());
         let _ = ctx.local_request(KvsMethod::Put.topic(), put);
         let _ = ctx.local_request(KvsMethod::Commit.topic(), Value::object());
         let mut payload = complete;

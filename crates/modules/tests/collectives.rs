@@ -90,7 +90,7 @@ fn check(case: &Case, topic: Topic) -> Result<(), TestCaseError> {
         case.ranks.iter().enumerate().map(|(i, &r)| ClientCore::new(Rank(r), i as u32)).collect();
     if fence {
         for who in 0..n {
-            let put = msg::put(&format!("p.{who}"), Value::from(who as i64));
+            let put = msg::put(format!("p.{who}"), Value::from(who as i64));
             let reply = rpc(&mut net, &mut clients, who, KvsMethod::Put.topic(), put);
             prop_assert!(!reply.is_error(), "put {}: {:?}", who, reply);
         }
@@ -132,7 +132,7 @@ fn check(case: &Case, topic: Topic) -> Result<(), TestCaseError> {
         prop_assert!(cuts.iter().all(|c| c.roots.iter().map(|r| r.version).eq([1])), "{:?}", cuts);
         for who in 0..n {
             for key in 0..n {
-                let get = msg::key(&format!("p.{key}"));
+                let get = msg::key(format!("p.{key}"));
                 let reply = rpc(&mut net, &mut clients, who, KvsMethod::Get.topic(), get);
                 prop_assert_eq!(msg::value(&reply.payload), Some(&Value::from(key as i64)));
             }
@@ -153,7 +153,7 @@ fn entries_that_disagree_on_nprocs_across_brokers_fail_the_collective() {
         let mut clients = [ClientCore::new(Rank(3), 0), ClientCore::new(Rank(6), 1)];
         if fence {
             for who in 0..2 {
-                let put = msg::put(&format!("p.{who}"), Value::from(who as i64));
+                let put = msg::put(format!("p.{who}"), Value::from(who as i64));
                 let reply = rpc(&mut net, &mut clients, who, KvsMethod::Put.topic(), put);
                 assert!(!reply.is_error(), "put {who}: {reply:?}");
             }
@@ -170,7 +170,7 @@ fn entries_that_disagree_on_nprocs_across_brokers_fail_the_collective() {
         }
         if fence {
             for who in 0..2 {
-                let get = msg::key(&format!("p.{who}"));
+                let get = msg::key(format!("p.{who}"));
                 let reply = rpc(&mut net, &mut clients, who, KvsMethod::Get.topic(), get);
                 assert_eq!(reply.header.errnum, errnum::ENOENT, "p.{who} was not committed");
             }

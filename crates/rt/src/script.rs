@@ -35,27 +35,33 @@ pub enum Step {
 /// The one interpreter of an op script, shared by both drivers.
 pub struct Script {
     core: ClientCore,
-    ops: Vec<Op>,
-    /// Index of the op in flight; `ops.len()` once every op completed.
+    /// The ops not yet issued: each is consumed by its request.
+    ops: std::vec::IntoIter<Op>,
+    /// Index of the op in flight; the op count once every op completed.
     next: usize,
+    /// Whether the op in flight is a pause.
+    pausing: bool,
 }
 
 impl Script {
     /// A script that issues `ops` through `core`, starting at op 0.
     pub fn new(core: ClientCore, ops: Vec<Op>) -> Script {
-        Script { core, ops, next: 0 }
+        Script { core, ops: ops.into_iter(), next: 0, pausing: false }
     }
 
     /// Issues the current op: its request, tagged with its index, or its
-    /// pause. Once the ops run out, marks `out` finished.
+    /// pause. The op moves into its request, so neither its key nor a
+    /// put's value is copied. Once the ops run out, marks `out` finished.
     pub fn issue(&mut self, out: &mut ScriptOutcome) -> Step {
-        match self.ops.get(self.next) {
+        let op = self.ops.next();
+        self.pausing = matches!(op, Some(Op::Pause(_)));
+        match op {
             None => {
                 out.finished = true;
                 Step::Done
             }
-            Some(Op::Pause(ns)) => Step::Pause(*ns),
-            Some(op) => Step::Send(op.to_request(&mut self.core, self.next as u64)),
+            Some(Op::Pause(ns)) => Step::Pause(ns),
+            Some(op) => Step::Send(op.into_request(&mut self.core, self.next as u64)),
         }
     }
 
@@ -93,8 +99,7 @@ impl Script {
         // pause, the driver's only timer. A duplicated response never
         // gets here: the client core hands a reply over once and
         // classifies any later copy as unmatched.
-        let pausing = matches!(self.ops.get(self.next), Some(Op::Pause(_)));
-        debug_assert!(tag.map_or(pausing, |t| t == self.next as u64), "one op in flight");
+        debug_assert!(tag.map_or(self.pausing, |t| t == self.next as u64), "one op in flight");
         self.next += 1;
         self.issue(out)
     }
@@ -212,6 +217,17 @@ mod tests {
             assert!(matches!(done, Some(Step::Done)), "{done:?}");
             assert!(std::ptr::eq(out.replies[0].value(), shared.value()), "client {client}");
         }
+    }
+
+    #[test]
+    fn a_put_moves_its_value_into_the_request_without_a_copy() {
+        let val = Value::from("x".repeat(512));
+        let Value::Str(held) = &val else { unreachable!("a string") };
+        let held = held.as_ptr();
+        let (mut s, mut out) = script(vec![Op::Put { key: "a.b".into(), val }]);
+        let req = sent(Some(s.issue(&mut out)));
+        let Some(Value::Str(carried)) = req.payload.get("v") else { panic!("{req:?}") };
+        assert!(std::ptr::eq(carried.as_ptr(), held), "the op's own bytes, moved");
     }
 
     #[test]

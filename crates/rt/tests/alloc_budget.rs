@@ -344,9 +344,10 @@ fn kvs_push_from_a_child() {
 #[test]
 fn kvs_load_forwarded_by_an_interior_broker() {
     // Rank 1 of four caches nothing, so a `kvs.load` from its child rank 3
-    // misses there, is parked, and climbs on to rank 0. Outside the count
-    // rank 0 refuses it, which answers the child and empties rank 1's
-    // waiter table: every repetition is a first miss on the object.
+    // misses there and climbs on to rank 0 as it came, leaving one record
+    // at rank 1. Outside the count rank 0 refuses it, and the refusal
+    // passing rank 1 on its way down empties rank 1's tables: every
+    // repetition is a first miss on the object.
     let relay = RefCell::new(started(BrokerConfig::new(Rank(1), 4), kvs()));
     let id = KvsObject::Val(Value::Int(42)).id().to_hex();
     let load = Value::from_pairs([("id", Value::from(id.as_str())), ("shard", Value::from(0i64))]);
@@ -355,7 +356,7 @@ fn kvs_load_forwarded_by_an_interior_broker() {
     let mut seq = 0;
     pin(
         "kvs.load from child rank 3, a miss forwarded by interior rank 1",
-        4,
+        3,
         || {
             let forwarded = sent.take().into_iter().find_map(|out| match out {
                 Output::ToBroker { msg, .. } if msg.header.topic == topic => Some(msg),
@@ -636,7 +637,7 @@ fn warm_gets(row: &str, val: Value, calls: u64, bytes: u64) {
 
 #[test]
 fn warm_get_sim_script() {
-    warm_gets("warm-get sim script, whole session per op", Value::Int(42), 6, 172);
+    warm_gets("warm-get sim script, whole session per op", Value::Int(42), 5, 165);
 }
 
 #[test]
@@ -645,7 +646,7 @@ fn warm_get_sim_script_of_a_512_byte_value() {
     // script records that reply by reference: the bytes are the
     // `Int` row's, with no 512-byte copy per op.
     let val = Value::from("x".repeat(512));
-    warm_gets("warm-get sim script, 512-byte value, whole session per op", val, 6, 172);
+    warm_gets("warm-get sim script, 512-byte value, whole session per op", val, 5, 165);
 }
 
 #[test]

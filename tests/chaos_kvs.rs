@@ -163,6 +163,51 @@ fn sim_relay_blackout_after_forwarding_a_push() {
     assert_eq!(version(6), Some(before + 1), "and the relay's copy did not make another");
 }
 
+/// The read-side twin: a `kvs.load` from rank 3 misses at its parent,
+/// rank 1, which forwards it to the master and is blacked out before
+/// the answer, an 8192-entry directory, gets back: the answer dies
+/// there. Rank 1 holds nothing to re-send; rank 3 sends its load again,
+/// under its own id, to the parent the healed tree gives it, and the get
+/// is answered with the value.
+#[test]
+fn sim_relay_blackout_after_forwarding_a_load() {
+    use flux_rt::faults::{Blackout, FaultPlan};
+    use flux_rt::script::Op;
+    use flux_rt::transport::SimTransport;
+    use flux_value::Value;
+    use flux_wire::Rank;
+    const MS: u64 = 1_000_000;
+    // Ranks 3 and 4 hang below rank 1 at arity 2; rank 2's client
+    // writes the directory and commits well before `start`. Rank 1
+    // forwards rank 3's load of the directory 3.4 us after `start`, and
+    // the answer reaches it at 83.7 us: the blackout falls between.
+    let start = 200 * MS;
+    let mut plan = FaultPlan::new(1);
+    let (from_ns, until_ns) = (start + 40_000, start + 1_000 * MS);
+    plan.blackouts.push(Blackout { rank: Rank(1), from_ns, until_ns });
+    let mut writer: Vec<Op> =
+        (0..8192).map(|i| Op::Put { key: format!("d.k{i}"), val: Value::from(i as i64) }).collect();
+    writer.push(Op::Commit);
+    let reader = vec![Op::Pause(start), Op::Get { key: "d.k5".into() }];
+    let transport = SimTransport {
+        faults: Some(plan),
+        deadline_ns: Some(4_000 * MS),
+        ..SimTransport::default()
+    };
+    let report = transport.run_scripts(
+        7,
+        2,
+        &|_| flux_modules::standard_modules(),
+        vec![(Rank(2), writer), (Rank(3), reader)],
+    );
+    let outcome = &report.outcomes[1];
+    assert!(outcome.finished, "the get was never answered: {outcome:?}");
+    assert_eq!(outcome.op_err, [0, 0], "{outcome:?}");
+    assert_eq!(outcome.replies[1].get("v"), Some(&Value::from(5i64)));
+    let took = outcome.op_done_ns[1] - start;
+    assert!(took > 2 * chaos::HB_PERIOD_NS, "answered by the retry, not the lost one: {took} ns");
+}
+
 /// The live runtime under the same seeded fault plans: drops, dups,
 /// delays, and blackouts ride real loopback sockets through the
 /// nonblocking state machines, and every observed client history must
