@@ -34,7 +34,7 @@ pub(crate) struct Core {
     /// Event-plane sequencing (root only).
     event_seq: u64,
     /// Last event sequence seen (all brokers; delivery-order check).
-    last_event_seq: u64,
+    pub(crate) last_event_seq: u64,
     /// Per-client event subscriptions: topic prefixes.
     // Ordered map: event fan-out to clients iterates this directly, so
     // delivery order must be deterministic (ascending client id).
@@ -246,6 +246,8 @@ pub struct Broker {
     modules: Vec<Option<Box<dyn CommsModule>>>,
     names: HashMap<&'static str, usize>,
     subs: Vec<(usize, String)>,
+    /// The response topics a module looks at in passing, with its slot.
+    passing: Vec<(Topic, usize)>,
     started: bool,
 }
 
@@ -261,12 +263,14 @@ impl Broker {
         let live = LiveSet::new(config.size);
         let mut names = HashMap::new();
         let mut subs = Vec::new();
+        let mut passing = Vec::new();
         for (i, m) in modules.iter().enumerate() {
             let prev = names.insert(m.name(), i);
             assert!(prev.is_none(), "duplicate module {}", m.name());
             for s in m.subscriptions() {
                 subs.push((i, s));
             }
+            passing.extend(m.passing_responses().into_iter().map(|t| (t, i)));
         }
         Broker {
             core: Core {
@@ -288,6 +292,7 @@ impl Broker {
             modules: modules.into_iter().map(Some).collect(),
             names,
             subs,
+            passing,
             started: false,
         }
     }
@@ -389,12 +394,12 @@ impl Broker {
     }
 
     /// Routes a response from another broker one step down its hop
-    /// stack. One passing through to a request this broker passed on is
-    /// first shown to the local module serving its topic, if any
+    /// stack. One passing through on a topic a local module looks at in
+    /// passing is first shown to it
     /// ([`CommsModule::handle_passing_response`]).
     fn pass_response(&mut self, msg: Message) {
         if !msg.header.hops.is_empty() {
-            if let Some(&idx) = self.names.get(msg.header.topic.service()) {
+            if let Some(&(_, idx)) = self.passing.iter().find(|(t, _)| *t == msg.header.topic) {
                 self.with_module(idx, |m, ctx| m.handle_passing_response(ctx, &msg));
             }
         }

@@ -101,6 +101,13 @@ pub trait CommsModule: Send {
         Vec::new()
     }
 
+    /// The topics of the responses this module wants shown to
+    /// [`CommsModule::handle_passing_response`]; any other response
+    /// passes this broker without a look.
+    fn passing_responses(&self) -> Vec<Topic> {
+        Vec::new()
+    }
+
     /// Called once when the broker starts.
     fn on_start(&mut self, _ctx: &mut ModuleCtx<'_>) {}
 
@@ -114,9 +121,10 @@ pub trait CommsModule: Send {
     /// [`ModuleCtx::request_to_rank`].
     fn handle_response(&mut self, _ctx: &mut ModuleCtx<'_>, _msg: &Message) {}
 
-    /// A response arriving from another broker on its way down a hop
-    /// stack, to a request of this module's service that this broker
-    /// passed on ([`ModuleCtx::forward_upstream`],
+    /// A response on one of the module's
+    /// [`CommsModule::passing_responses`] topics, arriving from another
+    /// broker on its way down a hop stack: the answer to a request this
+    /// broker passed on ([`ModuleCtx::forward_upstream`],
     /// [`ModuleCtx::forward_to_rank`], or the routing of a topic no
     /// module here serves). The module may read it; the broker routes it
     /// on after the call.
@@ -163,6 +171,12 @@ impl<'a> ModuleCtx<'a> {
     /// Current time in nanoseconds (virtual or real depending on runtime).
     pub fn now_ns(&self) -> u64 {
         self.core.now_ns
+    }
+
+    /// The sequence number of the newest event this broker delivered:
+    /// events are numbered in one session-wide order at the root.
+    pub fn last_event_seq(&self) -> u64 {
+        self.core.last_event_seq
     }
 
     /// The effective (live) tree children.

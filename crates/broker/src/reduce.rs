@@ -28,12 +28,26 @@
 //! its write set. Entries at different brokers may still disagree on
 //! `nprocs`: the tally where they meet is marked, the mark climbs with
 //! it, and the root fails the collective instead of counting to either.
+//!
+//! A batch is one-way: one lost for good — flushed to a broker that is
+//! blacked out, say — would leave the root short forever. So the root
+//! watches every collective it holds short of its count, and once that
+//! count has not moved for [`RECOUNT_AFTER`] heartbeats it publishes an
+//! ask, `{name, round}` on the caller's topic. Every broker with entries
+//! in it answers with all of them (its roster keeps a copy of what they
+//! carry) and its rank; the brokers on the way pass the answer on,
+//! unmerged, to the root. The root keeps each broker's latest answer of
+//! this collective's rounds, and the answers plus its own entries may
+//! complete the collective as the tree's tally would: an answer stands
+//! for everything its broker counted, so a lost, repeated or late one
+//! never counts twice. A tree batch a recount no longer needed is
+//! absorbed when it arrives instead of opening the name again.
 
 use crate::{requester_of, Handled, ModuleCtx, Requester};
 use flux_value::{Map, Value};
 use flux_wire::{errnum, IdMap, Message, Payload, Topic};
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 /// The aggregation window of the collectives (`barrier.enter`,
 /// `kvs.fence`): contributions arriving within it leave as one message.
@@ -44,6 +58,27 @@ const WINDOW_NS: u64 = 20_000;
 /// the tree healed around a dead broker — before that id is given up,
 /// which bounds [`Seen::above`].
 const MAX_AHEAD: usize = 1024;
+
+/// Heartbeats the root lets a collective's count stand still before it
+/// asks every broker to count its entries again.
+const RECOUNT_AFTER: u32 = 2;
+
+/// Each further ask waits twice as long as the one before, up to
+/// `RECOUNT_AFTER << MAX_BACKOFF` heartbeats: a collective that is
+/// merely slow costs little.
+const MAX_BACKOFF: u32 = 5;
+
+/// Collectives a recount completed that the root remembers, to absorb
+/// the tree batches still owed to them.
+const SETTLED_KEPT: usize = 64;
+
+/// The field that marks a batch as a broker's answer to a recount, the
+/// round it answers.
+const ROUND: &str = "round";
+
+/// The field of a parked roster's report: the newest event its broker
+/// had delivered before the roster's first entry.
+const SINCE: &str = "since";
 
 /// What a reduction merges.
 pub trait Partial {
@@ -201,10 +236,34 @@ impl<P: Partial> Partial for Tally<P> {
 /// This broker's own entries into one collective, parked until it
 /// completes.
 #[derive(Default)]
-struct Roster {
+struct Roster<P> {
     nprocs: u64,
     entered: HashSet<Requester>,
     waiters: Vec<Message>,
+    /// What the entries carry, merged: a copy, for a recount.
+    kept: P,
+    /// Heartbeats since an entry arrived or the roster was last reported.
+    idle: u32,
+    /// The newest event delivered here before the first entry: an end
+    /// announced after it is this roster's to heed.
+    since: u64,
+}
+
+/// The root's watch over one collective still short of its count.
+#[derive(Default)]
+struct Watch<P> {
+    /// Entries counted at the last heartbeat, by the tree's tally and
+    /// by the answers together.
+    seen: u64,
+    /// Heartbeats since `seen` last moved or the last ask.
+    idle: u32,
+    /// Asks published so far.
+    asks: u32,
+    /// The first round asked for this collective; 0 before any. An
+    /// answer to an older round is of an earlier collective of the name.
+    first: u64,
+    /// Each broker's latest answer, by rank: all its entries.
+    answers: BTreeMap<u32, Tally<P>>,
 }
 
 /// A collective the root counted complete, or failed.
@@ -226,11 +285,21 @@ pub struct Done<P> {
 #[derive(Default)]
 pub struct Collective<P> {
     tallies: Reduction<String, Tally<P>>,
-    rosters: HashMap<String, Roster>,
+    rosters: HashMap<String, Roster<P>>,
     /// Armed window timers by token, counted from 1: a module's token 0
     /// stays free for a timer of its own.
     windows: IdMap<u64, String>,
     next_window: u64,
+    /// At the root: a watch per collective short of its count.
+    watches: BTreeMap<String, Watch<P>>,
+    /// At the root: the last recount round asked, session-wide.
+    round: u64,
+    /// At the root: collectives a recount completed, each with the
+    /// entries the tree's batches still owe it; oldest first.
+    settled: VecDeque<(String, u64)>,
+    /// At the root: the event that announced each collective's end,
+    /// by name, oldest first; published again for a broker still parked.
+    announced: VecDeque<(String, Message)>,
 }
 
 /// The `name` and `nprocs` of an entry or a batch; `nprocs` 0 is never
@@ -239,7 +308,7 @@ fn named(v: &Value) -> Option<(&str, u64)> {
     Some((v.get("name")?.as_str()?, v.get("nprocs")?.as_uint().filter(|&n| n > 0)?))
 }
 
-impl<P: Partial> Collective<P> {
+impl<P: Partial + Clone + Default> Collective<P> {
     /// A local `{name, nprocs}` entry, parked until the collective
     /// completes; `part` gives what its requester carries in. Refused
     /// with `EINVAL`: no name or `nprocs`, `nprocs` 0, a second entry by
@@ -262,17 +331,23 @@ impl<P: Partial> Collective<P> {
             return (ctx.respond_err(&msg, errnum::EINVAL), None);
         }
         roster.nprocs = nprocs;
+        roster.idle = 0;
+        if roster.entered.len() == 1 {
+            roster.since = ctx.last_event_seq();
+        }
         let (waiter, parked) = ctx.park(msg);
         roster.waiters.push(waiter);
-        let tally = Tally { nprocs, count: 1, disagree: false, part: part(requester) };
+        let part = part(requester);
+        roster.kept.merge(part.clone());
+        let tally = Tally { nprocs, count: 1, disagree: false, part };
         (parked, self.gather(ctx, name, tally))
     }
 
-    /// A child's one-way batch, with its mark if it has one. It is
-    /// dropped unless its `name`, `nprocs` (not 0) and `count` read and
-    /// `sound` accepts the rest, and, with `dedup`, when it copies a
-    /// batch merged before: a frame the transport delivers twice counts
-    /// once. `take` moves the part
+    /// A child's one-way batch, with its mark if it has one, or a
+    /// broker's answer to a recount. It is dropped unless its `name`,
+    /// `nprocs` (not 0) and `count` read and `sound` accepts the rest,
+    /// and, with `dedup`, when it copies a batch merged before: a frame
+    /// the transport delivers twice counts once. `take` moves the part
     /// out of a batch that merges. At the root a batch may complete the
     /// collective.
     pub fn arrive(
@@ -283,6 +358,9 @@ impl<P: Partial> Collective<P> {
         sound: impl FnOnce(&Value) -> bool,
         take: impl FnOnce(Payload) -> P,
     ) -> (Handled, Option<Done<P>>) {
+        if msg.payload.get(ROUND).is_some() {
+            return self.answer(ctx, msg, sound, take);
+        }
         let handled = ctx.one_way(&msg);
         let batch = &msg.payload;
         let count = batch.get("count").and_then(Value::as_uint);
@@ -292,6 +370,9 @@ impl<P: Partial> Collective<P> {
         if !sound(batch) || (dedup && !self.tallies.admit(batch)) {
             return (handled, None);
         }
+        if ctx.is_root() && self.owed(name, count) {
+            return (handled, None);
+        }
         let name = name.to_owned();
         let disagree = batch.get(DISAGREE).and_then(Value::as_bool) == Some(true);
         let tally = Tally { nprocs, count, disagree, part: take(msg.payload) };
@@ -299,7 +380,8 @@ impl<P: Partial> Collective<P> {
     }
 
     /// Off the root, the first tally under `name` arms a window; the root
-    /// arms none, and drains a total once it is complete or marked.
+    /// arms none, and drains a total once it is complete or marked, or
+    /// once a recount under way is.
     fn gather(&mut self, ctx: &mut ModuleCtx<'_>, name: String, t: Tally<P>) -> Option<Done<P>> {
         if !ctx.is_root() {
             if !self.tallies.waiting.contains_key(&name) {
@@ -310,13 +392,227 @@ impl<P: Partial> Collective<P> {
             self.tallies.contribute(name, t);
             return None;
         }
-        self.tallies.contribute(name, t);
+        self.tallies.contribute(name.clone(), t);
         // At most one is ready: whatever completed another drained it.
-        let (name, total) =
-            self.tallies.drain(|_, t| t.disagree || t.count >= t.nprocs).pop()?;
+        match self.tallies.drain(|_, t| t.disagree || t.count >= t.nprocs).pop() {
+            Some((name, total)) => {
+                self.watches.remove(&name);
+                Some(self.done(name, total))
+            }
+            None => self.recounted(&name),
+        }
+    }
+
+    /// At the root: the collective `name` ends with `total`.
+    fn done(&mut self, name: String, total: Tally<P>) -> Done<P> {
         let waiters = self.release(&name);
         let failed = total.disagree.then_some(errnum::EINVAL);
-        Some(Done { name, part: total.part, waiters, failed })
+        Done { name, part: total.part, waiters, failed }
+    }
+
+    /// On each heartbeat, at the root: publishes on `ask` a recount,
+    /// `{name, round}`, of each collective whose count has stood still
+    /// for [`RECOUNT_AFTER`] heartbeats, and asks again, backing off, as
+    /// long as it does. Off the root: reports each roster parked that long one hop
+    /// up on `up`, as `{name, nprocs, count, round: 0, src, since}`, so a
+    /// root that announced the collective's end after event `since`
+    /// announces it again.
+    pub fn on_heartbeat(&mut self, ctx: &mut ModuleCtx<'_>, ask: &Topic, up: &Topic) {
+        if !ctx.is_root() {
+            // Name order: the reports leave in one order every run.
+            let mut parked: Vec<_> = (self.rosters.iter_mut())
+                .filter(|(_, r)| !r.entered.is_empty())
+                .filter_map(|(name, r)| {
+                    r.idle += 1;
+                    (r.idle >= RECOUNT_AFTER).then(|| {
+                        r.idle = 0;
+                        (name.clone(), r.nprocs, r.entered.len(), r.since)
+                    })
+                })
+                .collect();
+            parked.sort_unstable();
+            for (name, nprocs, count, since) in parked {
+                let report = [
+                    ("name", Value::from(name)),
+                    ("nprocs", Value::from(nprocs as i64)),
+                    ("count", Value::from(count as i64)),
+                    (ROUND, Value::from(0i64)),
+                    ("src", Value::from(ctx.rank().0)),
+                    (SINCE, Value::from(since as i64)),
+                ];
+                ctx.notify_upstream(up.clone(), Value::from_pairs(report));
+            }
+            return;
+        }
+        let Collective { tallies, watches, round, .. } = self;
+        for (name, tally) in &tallies.waiting {
+            let watch = match watches.get_mut(name) {
+                Some(watch) => watch,
+                None => watches.entry(name.clone()).or_default(),
+            };
+            let seen = tally.count + watch.answers.values().map(|a| a.count).sum::<u64>();
+            if seen != watch.seen {
+                (watch.seen, watch.idle) = (seen, 0);
+                continue;
+            }
+            watch.idle += 1;
+            if watch.idle < RECOUNT_AFTER << watch.asks.min(MAX_BACKOFF) {
+                continue;
+            }
+            (watch.idle, watch.asks) = (0, watch.asks + 1);
+            *round += 1;
+            if watch.first == 0 {
+                watch.first = *round;
+            }
+            let pairs = [("name", Value::from(name.as_str())), (ROUND, Value::from(*round as i64))];
+            ctx.publish(ask.clone(), Value::from_pairs(pairs));
+        }
+    }
+
+    /// The root's ask to recount (`{name, round}`): off the root, a
+    /// broker with entries in `name` sends all of them one hop up on
+    /// `topic`, as `{name, nprocs, count, round, src}` and the fields
+    /// `spell` returns for what they carry. The brokers on the way pass
+    /// the answer on to the root unmerged.
+    pub fn on_ask<F: IntoIterator<Item = (&'static str, Value)>>(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        ask: &Value,
+        topic: &Topic,
+        spell: impl FnOnce(P) -> F,
+    ) {
+        let name = ask.get("name").and_then(Value::as_str);
+        let (Some(name), Some(round)) = (name, ask.get(ROUND).and_then(Value::as_uint)) else {
+            return;
+        };
+        let Some(roster) = self.rosters.get(name).filter(|r| !r.entered.is_empty()) else {
+            return;
+        };
+        if ctx.is_root() {
+            return;
+        }
+        let counted = [
+            ("name", Value::from(name)),
+            ("nprocs", Value::from(roster.nprocs as i64)),
+            ("count", Value::from(roster.entered.len() as i64)),
+            (ROUND, Value::from(round as i64)),
+            ("src", Value::from(ctx.rank().0)),
+        ];
+        let fields = counted.into_iter().chain(spell(roster.kept.clone()));
+        let answer: Map = fields.map(|(k, v)| (k.to_owned(), v)).collect();
+        ctx.notify_upstream(topic.clone(), Value::Object(answer));
+    }
+
+    /// At the root: the delivered `event` announced the end of the
+    /// collective `name`. It is kept, the last [`SETTLED_KEPT`] of
+    /// them, to be published again should a broker report a roster of
+    /// that name parked since before it: the broker missed it.
+    pub fn announced(&mut self, ctx: &ModuleCtx<'_>, name: &str, event: &Message) {
+        if !ctx.is_root() {
+            return;
+        }
+        self.announced.retain(|(n, _)| n != name);
+        self.announced.push_back((name.to_owned(), event.clone()));
+        if self.announced.len() > SETTLED_KEPT {
+            self.announced.pop_front();
+        }
+    }
+
+    /// A broker's answer to a recount, or its report of a parked roster
+    /// (round 0): passed on off the root. At the root an answer replaces
+    /// that broker's earlier one if it counts more, and only while a
+    /// recount of the name is under way and the round is one of its own;
+    /// it may complete the collective. A report of a collective whose
+    /// end was announced has the announcement published again.
+    fn answer(
+        &mut self,
+        ctx: &mut ModuleCtx<'_>,
+        msg: Message,
+        sound: impl FnOnce(&Value) -> bool,
+        take: impl FnOnce(Payload) -> P,
+    ) -> (Handled, Option<Done<P>>) {
+        if !ctx.is_root() {
+            return (ctx.forward_upstream(msg), None);
+        }
+        let handled = ctx.one_way(&msg);
+        let a = &msg.payload;
+        let uint = |field: &str| a.get(field).and_then(Value::as_uint);
+        let (Some((name, nprocs)), Some(count), Some(round), Some(src)) =
+            (named(a), uint("count"), uint(ROUND), uint("src"))
+        else {
+            return (handled, None);
+        };
+        if round == 0 {
+            let since = uint(SINCE).unwrap_or(u64::MAX);
+            let missed = self.announced.iter().find(|(n, _)| n == name);
+            if let Some((_, event)) = missed.filter(|(_, e)| e.header.id.seq > since) {
+                ctx.publish(event.header.topic.clone(), event.payload.clone());
+            }
+            return (handled, None);
+        }
+        let Some(watch) = self.watches.get(name).filter(|w| w.first > 0 && round >= w.first)
+        else {
+            return (handled, None);
+        };
+        let src = src as u32;
+        if count == 0 || watch.answers.get(&src).is_some_and(|t| t.count >= count) || !sound(a) {
+            return (handled, None);
+        }
+        let name = name.to_owned();
+        let tally = Tally { nprocs, count, disagree: false, part: take(msg.payload) };
+        if let Some(watch) = self.watches.get_mut(&name) {
+            watch.answers.insert(src, tally);
+        }
+        (handled, self.recounted(&name))
+    }
+
+    /// At the root: `name` ended by its recount, if the answers and the
+    /// root's own entries together complete it or disagree on `nprocs`.
+    /// The tree's tally is dropped and what it still lacked is owed.
+    fn recounted(&mut self, name: &str) -> Option<Done<P>> {
+        let watch = self.watches.get(name).filter(|w| w.first > 0)?;
+        let own = self.rosters.get(name).filter(|r| !r.entered.is_empty());
+        let mut counts = (watch.answers.values().map(|a| (a.nprocs, a.count)))
+            .chain(own.map(|r| (r.nprocs, r.entered.len() as u64)));
+        let (nprocs, mut count) = counts.next()?;
+        let mut disagree = false;
+        for (n, c) in counts {
+            disagree |= n != nprocs;
+            count += c;
+        }
+        if !disagree && count < nprocs {
+            return None;
+        }
+        let watch = self.watches.remove(name)?;
+        let tree = self.tallies.waiting.remove(name).map_or(0, |t| t.count);
+        if count > tree {
+            self.settled.push_back((name.to_owned(), count - tree));
+            if self.settled.len() > SETTLED_KEPT {
+                self.settled.pop_front();
+            }
+        }
+        let own = self.rosters.get_mut(name).filter(|r| !r.entered.is_empty()).map(|r| Tally {
+            nprocs: r.nprocs,
+            count: r.entered.len() as u64,
+            disagree: false,
+            part: std::mem::take(&mut r.kept),
+        });
+        let mut tallies = own.into_iter().chain(watch.answers.into_values());
+        let mut total = tallies.next()?;
+        tallies.for_each(|t| total.merge(t));
+        Some(self.done(name.to_owned(), total))
+    }
+
+    /// At the root: true if a tree batch of `count` entries of `name` is
+    /// owed to a collective its recount completed; it is absorbed.
+    fn owed(&mut self, name: &str, count: u64) -> bool {
+        let Some(at) = self.settled.iter().position(|(n, _)| n == name) else { return false };
+        let owed = &mut self.settled[at].1;
+        *owed = owed.saturating_sub(count);
+        if *owed == 0 {
+            self.settled.remove(at);
+        }
+        true
     }
 
     /// A timer fired: if it is one of this collective's windows, sends
@@ -358,7 +654,7 @@ mod tests {
     use flux_wire::{MsgId, Rank};
     use proptest::prelude::*;
 
-    #[derive(Default)]
+    #[derive(Default, Clone)]
     struct Sum(u64);
 
     impl Partial for Sum {
@@ -575,6 +871,142 @@ mod tests {
             (done.name, done.waiters.len(), done.failed)
         });
         assert_eq!(done, ("m".to_owned(), 1, Some(errnum::EINVAL)));
+    }
+
+    fn ask() -> Topic {
+        Topic::from_static("probe.recount")
+    }
+
+    /// Broker `src`'s answer to round `round` of a recount of `name`
+    /// (round 0: its report of a parked roster): `count` entries of
+    /// `nprocs` carrying `sum`.
+    fn answer(src: u32, name: &str, nprocs: i64, count: i64, round: i64, sum: i64) -> Message {
+        let payload = Value::from_pairs([
+            ("name", Value::from(name)),
+            ("nprocs", Value::from(nprocs)),
+            ("count", Value::from(count)),
+            (ROUND, Value::from(round)),
+            ("src", Value::from(src)),
+            ("sum", Value::from(sum)),
+        ]);
+        let id = MsgId { origin: Rank(src), seq: 7 };
+        Message::request(topic(), id, Rank(src), payload)
+    }
+
+    fn take_sum(p: Payload) -> Sum {
+        Sum(p.get("sum").and_then(Value::as_uint).unwrap_or(0))
+    }
+
+    /// The payloads `outs` sent on `topic` to rank `to`.
+    fn sent_on(outs: &[Output], to: u32, topic: &Topic) -> Vec<Value> {
+        outs.iter()
+            .filter(|o| matches!(o, Output::ToBroker { to: t, .. } if *t == Rank(to)))
+            .filter_map(Output::message)
+            .filter(|m| m.header.topic == *topic)
+            .map(|m| m.payload.value().clone())
+            .collect()
+    }
+
+    #[test]
+    fn a_count_that_stands_still_is_recounted_and_each_entry_counts_once() {
+        let (done, outs) = with_ctx(0, 7, |ctx| {
+            let mut up: Collective<Sum> = Collective::default();
+            let hb = |up: &mut Collective<Sum>, ctx: &mut ModuleCtx<'_>| {
+                (0..=RECOUNT_AFTER).for_each(|_| up.on_heartbeat(ctx, &ask(), &topic()));
+            };
+            // "e": broker 1's entry arrives, broker 2's batch of two is
+            // lost; the root asks (round 1) and the answers complete it.
+            let arrive = |up: &mut Collective<Sum>, ctx: &mut ModuleCtx<'_>, m| {
+                up.arrive(ctx, m, true, |_| true, take_sum).1
+            };
+            assert!(arrive(&mut up, ctx, batch(1, "e", 3, 1, false)).is_none());
+            hb(&mut up, ctx);
+            assert!(arrive(&mut up, ctx, answer(1, "e", 3, 1, 1, 10)).is_none());
+            assert!(arrive(&mut up, ctx, answer(1, "e", 3, 1, 1, 10)).is_none(), "a copy");
+            let e = arrive(&mut up, ctx, answer(2, "e", 3, 2, 1, 20)).expect("3 of 3");
+            // The lost batch turns up late: owed, absorbed, no name opens.
+            let mut late = batch(2, "e", 3, 2, false);
+            late.payload = Value::from_pairs([
+                ("name", Value::from("e")),
+                ("nprocs", Value::from(3i64)),
+                ("count", Value::from(2i64)),
+                ("src", Value::from(2u32)),
+                ("batch", Value::from(2i64)),
+            ])
+            .into();
+            assert!(arrive(&mut up, ctx, late).is_none());
+            hb(&mut up, ctx);
+            // "f" stands still too: round 2. An answer to round 1 is of an
+            // earlier collective of the name, and is not counted.
+            assert!(arrive(&mut up, ctx, batch(3, "f", 2, 1, false)).is_none());
+            hb(&mut up, ctx);
+            assert!(arrive(&mut up, ctx, answer(4, "f", 2, 1, 1, 5)).is_none(), "stale round");
+            assert!(arrive(&mut up, ctx, answer(4, "f", 2, 1, 0, 5)).is_none(), "a report");
+            assert!(arrive(&mut up, ctx, answer(3, "f", 2, 1, 2, 7)).is_none(), "1 of 2");
+            let f = arrive(&mut up, ctx, answer(4, "f", 2, 1, 2, 8)).expect("2 of 2");
+            ((e.name, e.part.0, e.failed), (f.name, f.part.0))
+        });
+        assert_eq!(done, (("e".to_owned(), 30, None), ("f".to_owned(), 15)));
+        let rounds: Vec<_> = sent_on(&outs, 1, &ask())
+            .iter()
+            .map(|v| {
+                let name = v.get("name").and_then(Value::as_str).unwrap().to_owned();
+                (name, v.get(ROUND).and_then(Value::as_uint).unwrap())
+            })
+            .collect();
+        assert_eq!(rounds, [("e".to_owned(), 1), ("f".to_owned(), 2)], "one ask each");
+    }
+
+    #[test]
+    fn off_the_root_a_broker_answers_with_all_its_entries_and_reports_them_parked() {
+        let (_, outs) = with_ctx(2, 7, |ctx| {
+            let mut up: Collective<Sum> = Collective::default();
+            up.enter(ctx, entry("f", 1, 5), |_| Sum(1));
+            up.enter(ctx, entry("f", 2, 5), |_| Sum(2));
+            up.on_window(ctx, 1, &topic(), spell);
+            for name in ["f", "g"] {
+                let asked = Value::from_pairs([("name", Value::from(name)), (ROUND, 4i64.into())]);
+                up.on_ask(ctx, &asked, &topic(), spell);
+            }
+            // A child's answer passes on to the root as it came.
+            up.arrive(ctx, answer(5, "f", 5, 1, 4, 9), true, |_| true, take_sum);
+            (0..RECOUNT_AFTER).for_each(|_| up.on_heartbeat(ctx, &ask(), &topic()));
+        });
+        let read = |v: &Value, k: &str| v.get(k).and_then(Value::as_uint);
+        let rows: Vec<_> = sent_on(&outs, 0, &topic())
+            .iter()
+            .map(|v| (read(v, "src"), read(v, "count"), read(v, ROUND), read(v, "sum")))
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (Some(2), Some(2), None, Some(3)),    // the window's flush
+                (Some(2), Some(2), Some(4), Some(3)), // the answer: both entries
+                (Some(5), Some(1), Some(4), Some(9)), // the child's, unmerged
+                (Some(2), Some(2), Some(0), None),    // parked: reported
+            ]
+        );
+    }
+
+    #[test]
+    fn a_report_of_a_parked_roster_has_the_root_announce_the_end_again() {
+        let (_, outs) = with_ctx(0, 7, |ctx| {
+            let mut up: Collective<Sum> = Collective::default();
+            let id = MsgId { origin: Rank(0), seq: 3 };
+            let exit = Value::from_pairs([("name", Value::from("f"))]);
+            let event = Message::event(Topic::from_static("probe.exit"), id, Rank(0), exit);
+            up.announced(ctx, "f", &event);
+            for (name, since) in [("f", 2), ("g", 2), ("f", 3)] {
+                let mut report = answer(4, name, 2, 1, 0, 0);
+                let mut fields = report.payload.value().clone();
+                fields.insert(SINCE, Value::from(since));
+                report.payload = fields.into();
+                up.arrive(ctx, report, true, |_| true, take_sum);
+            }
+        });
+        // Only the roster parked since before event 3 missed it.
+        let again = sent_on(&outs, 1, &Topic::from_static("probe.exit"));
+        assert_eq!(again, [Value::from_pairs([("name", Value::from("f"))])]);
     }
 
     #[test]

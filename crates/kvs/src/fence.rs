@@ -24,7 +24,7 @@ use flux_wire::Payload;
 use std::sync::Arc;
 
 /// The write set of some of a fence's entries.
-#[derive(Default)]
+#[derive(Default, Clone)]
 pub(crate) struct FenceAcc {
     /// `{k, s}` tuples in arrival order, as a batch spells them.
     pub(crate) tuples: Vec<Value>,

@@ -10,7 +10,7 @@
 //! | `kvs.commit`       | `{}`                                  | flush the caller's tuples+objects to the masters; response is the cut it observed, `{shards, frontier: [{shard, version, root}…]}`, applied locally before the caller is answered (read-your-writes) |
 //! | `kvs.push`         | `{shard, tuples, objects[, fence]}`   | internal: a commit batch for one shard master, forwarded up the tree (one shard) or rank-addressed (N shards); answered `{shard, version, root}` |
 //! | `kvs.fence`        | `{name, nprocs}`                      | collective commit: contributions merge upstream (objects dedup, tuples concatenate); completion is the `kvs.setroot` event `{frontier, fences}` naming the fence, and the caller gets `{shards, frontier}` |
-//! | `kvs.fence.up`     | `{name, nprocs, count, tuples, objects, src, batch}` | internal: merged fence contributions travelling up, stamped by the reduction |
+//! | `kvs.fence.up`     | `{name, nprocs, count, tuples, objects, src, batch}` | internal: merged fence contributions travelling up, stamped by the reduction; with `round` instead of `batch`, one broker's answer to a recount, carried to the root unmerged; `{name, nprocs, count, src, round: 0, since}`, its report of entries parked too long |
 //! | `kvs.get`          | `{k}` / `{k, dir:true}`               | recursive lookup with fault-in through the cache chain |
 //! | `kvs.load`         | `{id, shard}`                         | internal: fault one object of `shard`'s tree from the parent cache |
 //! | `kvs.get_version`  | `{[shard]}`                           | that shard's `{shard, version, root}` (no `shard`: shard 0) |
@@ -18,6 +18,10 @@
 //! | `kvs.watch`        | `{k}`                                 | respond now and on every change of `k` (streaming) |
 //! | `kvs.unwatch`      | `{k}`                                 | cancel this requester's watch |
 //! | `kvs.stats`        | `{}`                                  | cache statistics and the session's `shards` (tooling) |
+//!
+//! Events: `kvs.setroot` (a new root, the fences it completes) and
+//! `kvs.fence.recount` `{name, round}`, the root's ask to count a fence
+//! whose count stood still again ([`flux_broker::reduce`]).
 //!
 //! The namespace is split by key hash across `shards` masters (ranks
 //! `0..shards`, one hash-tree root / version stream / batching window
@@ -56,7 +60,7 @@ use flux_broker::{requester_of, CommsModule, Handled, ModuleCtx, Requester};
 use flux_hash::ObjectId;
 use flux_proto::{Event, KvsMethod};
 use flux_value::Value;
-use flux_wire::{errnum, Message, Payload};
+use flux_wire::{errnum, Message, Payload, Topic};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -343,7 +347,11 @@ impl CommsModule for KvsModule {
     }
 
     fn subscriptions(&self) -> Vec<String> {
-        vec![Event::KvsSetroot.topic_str().to_owned()]
+        [Event::KvsSetroot, Event::KvsFenceRecount].map(|e| e.topic_str().to_owned()).into()
+    }
+
+    fn passing_responses(&self) -> Vec<Topic> {
+        vec![KvsMethod::Load.topic()]
     }
 
     fn on_start(&mut self, ctx: &mut ModuleCtx<'_>) {
@@ -401,10 +409,18 @@ impl CommsModule for KvsModule {
     }
 
     fn handle_event(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+        if msg.header.topic.as_str() == Event::KvsFenceRecount.topic_str() {
+            let up = KvsMethod::FenceUp.topic();
+            self.fence.on_ask(ctx, &msg.payload, &up, fence::spell);
+            return;
+        }
         if msg.header.topic.as_str() != Event::KvsSetroot.topic_str() {
             return;
         }
         let ev = msg::decode_setroot(&msg.payload);
+        for name in &ev.fences {
+            self.fence.announced(ctx, name, msg);
+        }
         if let Some(code) = ev.failed {
             // The coordinator gave the fence up (a master refused its
             // part): fail the local waiters with its code instead of
@@ -439,6 +455,8 @@ impl CommsModule for KvsModule {
         }
         self.reads.on_heartbeat(ctx);
         self.coordinator.on_heartbeat(ctx);
+        let (ask, up) = (Event::KvsFenceRecount.topic(), KvsMethod::FenceUp.topic());
+        self.fence.on_heartbeat(ctx, &ask, &up);
         self.reads.recheck(ctx, &mut self.rep);
     }
 

@@ -194,13 +194,18 @@ fn push_one<T>(list: &mut Vec<T>, item: T) {
     list.push(item);
 }
 
+/// Slots a drained table keeps: loads that trickle in one at a time
+/// would otherwise free the table and allocate it again for each one.
+const DRAINED_KEEPS: usize = 16;
+
 /// Gives a drained table's memory back: once fewer than a quarter of
-/// its slots are used, it shrinks to fit. A wave of loads leaves no
-/// peak-sized table behind, and the quarter keeps a table that
-/// shrinks and grows again from doing so on every entry.
+/// its slots are used, it shrinks, to no fewer than [`DRAINED_KEEPS`].
+/// A wave of loads leaves no peak-sized table behind, and the quarter
+/// keeps a table that shrinks and grows again from doing so on every
+/// entry.
 fn shrink_drained<K: Eq + Hash, V, S: BuildHasher>(table: &mut HashMap<K, V, S>) {
-    if table.len() < table.capacity() / 4 {
-        table.shrink_to_fit();
+    if table.capacity() > DRAINED_KEEPS && table.len() < table.capacity() / 4 {
+        table.shrink_to(DRAINED_KEEPS);
     }
 }
 
@@ -980,6 +985,11 @@ mod tests {
         let parsed = memo_of(&ask).expect("the forwarding tier kept its parse");
         assert_eq!(*parsed, Some(id));
         assert!(Arc::ptr_eq(&memo_of(&sent).expect("memo"), &parsed), "the child's own payload");
+        // Two tiers: the second reuses the first one's parse.
+        let ask = Payload::from(msg::load_request(id, 0));
+        let sent = forwarded_by(1, &forwarded_by(3, &ask));
+        let parsed = memo_of(&ask).expect("the first tier's parse");
+        assert!(Arc::ptr_eq(&memo_of(&sent).expect("memo"), &parsed), "one parse, two tiers");
     }
 
     #[test]
@@ -1148,7 +1158,7 @@ mod tests {
 
     #[test]
     fn drained_tables_give_their_memory_back() {
-        let objects: Vec<KvsObject> = (0..64).map(|i| KvsObject::Val(Value::Int(i))).collect();
+        let objects: Vec<KvsObject> = (0..256).map(|i| KvsObject::Val(Value::Int(i))).collect();
         let asks: Vec<Message> = objects.iter().map(child_ask).collect();
         with_ctx(1, 4, |ctx| {
             let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
@@ -1156,13 +1166,19 @@ mod tests {
                 reads.serve_load(ctx, &mut rep, ask.clone(), obj.id(), 0);
             }
             let peak = (reads.forwarded.capacity(), reads.load_waiters.capacity());
-            assert!(peak.0 >= 64 && peak.1 >= 64);
+            assert!(peak.0 >= 256 && peak.1 >= 256);
             for (ask, obj) in asks.iter().zip(&objects).skip(2) {
                 assert!(reads.passing_reply(ctx, &mut rep, &from_above(ask, obj)));
             }
             assert_eq!((reads.forwarded.len(), reads.load_waiters.len()), (2, 2));
             assert!(reads.forwarded.capacity() < peak.0 / 4, "{}", reads.forwarded.capacity());
             assert!(reads.load_waiters.capacity() < peak.1 / 4);
+            // Drained, each keeps a few slots for the next load.
+            for (ask, obj) in asks.iter().zip(&objects).take(2) {
+                assert!(reads.passing_reply(ctx, &mut rep, &from_above(ask, obj)));
+            }
+            assert!(reads.forwarded.capacity() >= DRAINED_KEEPS);
+            assert!(reads.load_waiters.capacity() >= DRAINED_KEEPS);
         });
     }
 

@@ -9,10 +9,13 @@
 //! every broker then releases its local waiters. Entries at different
 //! brokers that disagree on `nprocs` fail the barrier instead: the
 //! root's `barrier.exit` then carries `errnum` (`EINVAL`), and every
-//! waiter is refused with it. The barrier is a
-//! [`flux_broker::reduce::Collective`] that carries nothing beside its
-//! count: `kvs.fence` is the same collective carrying a write set. KAP
-//! uses the barrier for phase alignment.
+//! waiter is refused with it. A count that stands still at the root is
+//! recounted (`barrier.recount {name, round}`, answered on
+//! `barrier.up`), and a broker whose entries stay parked reports them,
+//! so the root publishes a `barrier.exit` it missed again. The barrier
+//! is a [`flux_broker::reduce::Collective`] that carries nothing beside
+//! its count: `kvs.fence` is the same collective carrying a write set.
+//! KAP uses the barrier for phase alignment.
 
 use flux_broker::reduce::{Collective, Done};
 use flux_broker::{CommsModule, Handled, ModuleCtx};
@@ -68,7 +71,7 @@ impl CommsModule for BarrierModule {
     }
 
     fn subscriptions(&self) -> Vec<String> {
-        vec![Event::BarrierExit.topic_str().to_owned()]
+        [Event::BarrierExit, Event::BarrierRecount].map(|e| e.topic_str().to_owned()).into()
     }
 
     fn handle_request(&mut self, ctx: &mut ModuleCtx<'_>, msg: Message) -> Handled {
@@ -82,10 +85,15 @@ impl CommsModule for BarrierModule {
     }
 
     fn handle_event(&mut self, ctx: &mut ModuleCtx<'_>, msg: &Message) {
+        if msg.header.topic.as_str() == Event::BarrierRecount.topic_str() {
+            self.barriers.on_ask(ctx, &msg.payload, &BarrierMethod::Up.topic(), |()| []);
+            return;
+        }
         if msg.header.topic.as_str() != Event::BarrierExit.topic_str() {
             return;
         }
         if let Some(name) = msg.payload.get("name").and_then(Value::as_str) {
+            self.barriers.announced(ctx, name, msg);
             let failed = msg.payload.get(BARRIER_EXIT_ERRNUM).and_then(Value::as_uint);
             let failed = failed.and_then(|code| u32::try_from(code).ok());
             answer(ctx, self.barriers.release(name), name, failed);
@@ -94,5 +102,10 @@ impl CommsModule for BarrierModule {
 
     fn on_timer(&mut self, ctx: &mut ModuleCtx<'_>, token: u64) {
         self.barriers.on_window(ctx, token, &BarrierMethod::Up.topic(), |()| []);
+    }
+
+    fn on_heartbeat(&mut self, ctx: &mut ModuleCtx<'_>, _epoch: u64) {
+        let (ask, up) = (Event::BarrierRecount.topic(), BarrierMethod::Up.topic());
+        self.barriers.on_heartbeat(ctx, &ask, &up);
     }
 }

@@ -402,9 +402,15 @@ pub enum Event {
     LiveUp,
     /// A new KVS root: version, root hash, resolved fences.
     KvsSetroot,
+    /// The root asks every broker to count its entries into a fence
+    /// again, `{name, round}`: the fence's count stood still.
+    KvsFenceRecount,
     /// A named barrier completed, or the root failed it
     /// ([`BARRIER_EXIT_ERRNUM`]); waiters release.
     BarrierExit,
+    /// The root asks every broker to count its entries into a barrier
+    /// again, `{name, round}`: the barrier's count stood still.
+    BarrierRecount,
     /// Bulk-launch fan-out: every targeted broker starts the job.
     WexecRun,
     /// Signal fan-out to every task of a job.
@@ -422,7 +428,9 @@ impl Event {
         Event::LiveDown,
         Event::LiveUp,
         Event::KvsSetroot,
+        Event::KvsFenceRecount,
         Event::BarrierExit,
+        Event::BarrierRecount,
         Event::WexecRun,
         Event::WexecKill,
         Event::WexecComplete,
@@ -434,8 +442,8 @@ impl Event {
         match self {
             Event::Hb => Service::Hb,
             Event::LiveDown | Event::LiveUp => Service::Live,
-            Event::KvsSetroot => Service::Kvs,
-            Event::BarrierExit => Service::Barrier,
+            Event::KvsSetroot | Event::KvsFenceRecount => Service::Kvs,
+            Event::BarrierExit | Event::BarrierRecount => Service::Barrier,
             Event::WexecRun | Event::WexecKill | Event::WexecComplete => Service::Wexec,
             Event::LogFault => Service::Log,
         }
@@ -448,7 +456,9 @@ impl Event {
             Event::LiveDown => "live.down",
             Event::LiveUp => "live.up",
             Event::KvsSetroot => "kvs.setroot",
+            Event::KvsFenceRecount => "kvs.fence.recount",
             Event::BarrierExit => "barrier.exit",
+            Event::BarrierRecount => "barrier.recount",
             Event::WexecRun => "wexec.run",
             Event::WexecKill => "wexec.kill",
             Event::WexecComplete => "wexec.complete",

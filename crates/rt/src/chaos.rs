@@ -11,18 +11,19 @@
 //!
 //! * **Drops and blackouts** delay requests: there is no retransmit
 //!   layer, but the KVS sends its own requests again on the heartbeat,
-//!   and [`stalls`] holds a run to finishing every script. A script
-//!   that stalls anyway (a fence whose release event was dropped)
-//!   records only a prefix of its ops — the history mapping treats an
-//!   unanswered commit as [`Event::StagedOnly`] (it may or may not have
-//!   applied).
+//!   a fence's count is recounted when it stands still, and [`stalls`]
+//!   holds a run to finishing every script. A script that stalls
+//!   anyway records only a prefix of its ops — the history mapping
+//!   treats an unanswered commit as [`Event::StagedOnly`] (it may or
+//!   may not have applied).
 //! * **Duplicates** are safe end-to-end: the broker event plane dedups
 //!   by sequence number, `kvs.push` and fence batches dedup by id, and
 //!   a script's `ClientCore` classifies a second copy of a reply as
 //!   `Unmatched`, which the script skips.
 //! * **Fences** require every participant to arrive, so the generator
-//!   only emits fence rounds for loss-free styles; a single dropped
-//!   contribution would otherwise stall all clients.
+//!   only emits fence rounds for loss-free styles, blackouts aside: a
+//!   contribution lost in a blackout is recounted, but no sweep yet
+//!   holds fences to that under random drops.
 
 use crate::faults::FaultPlan;
 use crate::script::Op;
