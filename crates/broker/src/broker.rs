@@ -93,7 +93,7 @@ impl Core {
         self.outputs.push(Output::ToBroker { to, msg });
     }
 
-    /// Answers `req`; with [`Core::respond_err`] and
+    /// Answers `req`; with [`Core::refuse`] and
     /// [`Core::forward_upstream`] the only ways this crate disposes of a
     /// request, for modules and the builtin service alike.
     pub(crate) fn respond(&mut self, req: &Message, payload: impl Into<Payload>) -> Handled {
@@ -101,21 +101,28 @@ impl Core {
         Handled(())
     }
 
-    /// Every error response of this crate and of every module is built
+    /// Refuses `req` with `errnum` and the bare `{errstr}` ([`Core::refuse`]).
+    pub(crate) fn respond_err(&mut self, req: &Message, errnum: u32) -> Handled {
+        self.refuse(Message::error_response_to(req, errnum))
+    }
+
+    /// Every error response of this crate and of every module is sent
     /// here, so here the error contract is held: a handler refuses with
     /// a code its method declares in `flux-proto`; what any RPC may
     /// answer — the transport's codes, `ENOSYS` — needs no declaration.
-    pub(crate) fn respond_err(&mut self, req: &Message, errnum: u32) -> Handled {
+    /// `resp` carries its request's topic.
+    pub(crate) fn refuse(&mut self, resp: Message) -> Handled {
+        let errnum = resp.header.errnum;
         debug_assert!(
             errnum == errnum::ENOSYS
                 || flux_proto::TRANSPORT_ERRORS.contains(&errnum)
-                || flux_proto::spec_of(req.header.topic.as_str())
+                || flux_proto::spec_of(resp.header.topic.as_str())
                     .is_some_and(|spec| spec.declared_errors.contains(&errnum)),
             "{} refused with errnum {errnum} ({}), which flux-proto does not declare for it",
-            req.header.topic,
+            resp.header.topic,
             errnum::strerror(errnum)
         );
-        self.route_response(Message::error_response_to(req, errnum));
+        self.route_response(resp);
         Handled(())
     }
 

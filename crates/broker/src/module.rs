@@ -212,6 +212,18 @@ impl<'a> ModuleCtx<'a> {
         self.core.respond_err(req, errnum)
     }
 
+    /// Sends an error response to `req` whose payload says more than its
+    /// code: `payload` in place of `{errstr}`. The code is held to the
+    /// contract [`ModuleCtx::respond_err`] keeps.
+    pub fn respond_err_with(
+        &mut self,
+        req: &Message,
+        errnum: u32,
+        payload: impl Into<Payload>,
+    ) -> Handled {
+        self.core.refuse(Message::error_response_with(req, errnum, payload))
+    }
+
     /// Passes `req` on to the effective parent, exactly as the broker
     /// does for a topic no local module serves: the same request climbs
     /// on, and the reply unwinds through its hop stack without coming

@@ -26,7 +26,7 @@
 //! Invariants that used to be read here are executed now: every request
 //! is answered (`flux_broker::Handled`, a type), every KVS RPC is
 //! registered and retried (`flux-kvs`'s `inflight` table), every refusal
-//! is declared (`Core::respond_err` plus `flux-modules`' `refusals`
+//! is declared (`Core::refuse` plus `flux-modules`' `refusals`
 //! test), seeded records are process-independent (`flux-mc`'s
 //! `determinism` test), and the per-message paths allocate what their
 //! budgets say (`flux-rt`'s `alloc_budget` test).

@@ -234,7 +234,7 @@ fn a1_fence_falls_and_consumer_rises_with_arity() {
         .map(|&arity| ablate::arity_cell(32, 4, arity))
         .map(|r| (r.sync_ns, r.consumer_ns))
         .collect();
-    assert_eq!(cells, [(160_280, 151_521), (129_288, 154_416), (105_057, 176_097)]);
+    assert_eq!(cells, [(160_280, 149_011), (129_288, 152_723), (105_057, 173_373)]);
     assert!(cells.windows(2).all(|w| w[1].0 < w[0].0 && w[1].1 > w[0].1), "{cells:?}");
 }
 
@@ -245,6 +245,6 @@ fn a1_fence_falls_and_consumer_rises_with_arity() {
 fn a3_completes_at_every_depth_with_an_interior_optimum() {
     let ns: Vec<u64> =
         ablate::PLACEMENTS.iter().map(|&d| ablate::placement_makespan_ns(32, 4, d)).collect();
-    assert_eq!(ns, [256_107, 203_320, 187_832, 222_918]);
+    assert_eq!(ns, [256_107, 202_801, 186_185, 221_322]);
     assert!(ns[2] < ns[0] && ns[2] < ns[3], "{ns:?}");
 }

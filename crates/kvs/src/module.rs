@@ -12,7 +12,7 @@
 //! | `kvs.fence`        | `{name, nprocs}`                      | collective commit: contributions merge upstream (objects dedup, tuples concatenate); completion is the `kvs.setroot` event `{frontier, fences}` naming the fence, and the caller gets `{shards, frontier}` |
 //! | `kvs.fence.up`     | `{name, nprocs, count, tuples, objects, src, batch}` | internal: merged fence contributions travelling up, stamped by the reduction; with `round` instead of `batch`, one broker's answer to a recount, carried to the root unmerged; `{name, nprocs, count, src, round: 0, since}`, its report of entries parked too long |
 //! | `kvs.get`          | `{k}` / `{k, dir:true}`               | recursive lookup with fault-in through the cache chain |
-//! | `kvs.load`         | `{id, shard}`                         | internal: fault one object of `shard`'s tree from the parent cache |
+//! | `kvs.load`         | `{id, shard}`                         | internal: fault one object of `shard`'s tree from the parent cache; answered `{obj}`, the object's bytes alone (its address is what they hash to), and a master's `ENOENT` is `{errstr, id}`, naming the object |
 //! | `kvs.get_version`  | `{[shard]}`                           | that shard's `{shard, version, root}` (no `shard`: shard 0) |
 //! | `kvs.wait_version` | `{version[, shard]}`                  | respond `{shard, version, root}` once the shard's version reaches the target (causal consistency) |
 //! | `kvs.watch`        | `{k}`                                 | respond now and on every change of `k` (streaming) |

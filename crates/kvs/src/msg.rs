@@ -33,6 +33,7 @@ use crate::object::{self, KvsObject};
 use crate::store::CacheStats;
 use flux_hash::ObjectId;
 use flux_value::{Map, Value};
+use flux_wire::errnum;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -280,26 +281,35 @@ pub(crate) fn load_request(id: ObjectId, shard: u32) -> Value {
     Value::from_pairs([(LOAD_ID, Value::from(id.to_hex())), ("shard", Value::from(shard as i64))])
 }
 
-/// The field of a `kvs.load` request, and of its reply, naming the object.
+/// The field of a `kvs.load` request, and of a refusal of one, naming
+/// the object.
 const LOAD_ID: &str = "id";
 /// The field of a `kvs.load` reply carrying the object.
 const LOAD_OBJ: &str = "obj";
 
-/// The object a `kvs.load` request asks for (`None`: no hex `id`).
-pub(crate) fn load_request_id(req: &Value) -> Option<ObjectId> {
-    ObjectId::from_hex(req.get(LOAD_ID)?.as_str()?).ok()
+/// The object a `kvs.load` request asks for, or a refusal of one names
+/// (`None`: no hex `id`).
+pub(crate) fn load_id(payload: &Value) -> Option<ObjectId> {
+    ObjectId::from_hex(payload.get(LOAD_ID)?.as_str()?).ok()
 }
 
-/// The `kvs.load` reply `{id, obj}`: `obj`, an object's bytes as
-/// [`KvsObject::to_value`] embeds them, said to be object `id`.
-pub(crate) fn load_reply(id: ObjectId, obj: Value) -> Value {
-    Value::from_pairs([(LOAD_ID, Value::from(id.to_hex())), (LOAD_OBJ, obj)])
+/// The `kvs.load` reply `{obj}`: `obj`, an object's bytes as
+/// [`KvsObject::to_value`] embeds them. Its address is not written: a
+/// reader computes it from the bytes.
+pub(crate) fn load_reply(obj: Value) -> Value {
+    Value::from_pairs([(LOAD_OBJ, obj)])
+}
+
+/// The refusal of a `kvs.load` of object `id`, `{errstr, id}`: each
+/// tier it passes on its way down reads which object it refuses.
+pub(crate) fn load_refusal(id: ObjectId, errnum: u32) -> Value {
+    let errstr = Value::from(errnum::strerror(errnum));
+    Value::from_pairs([("errstr", errstr), (LOAD_ID, Value::from(id.to_hex()))])
 }
 
 /// The bytes a `kvs.load` reply carries as its object (`None`: `obj`
-/// is not a byte string). Nothing is checked here, and the `id` beside
-/// them is not read: a reader trusts only the address it computes from
-/// the bytes ([`object::receive`]).
+/// is not a byte string). Nothing is checked here: a reader trusts only
+/// the address it computes from the bytes ([`object::receive`]).
 pub(crate) fn load_reply_object(reply: &Value) -> Option<&Arc<[u8]>> {
     reply.get(LOAD_OBJ)?.as_bytes()
 }
@@ -440,18 +450,20 @@ mod tests {
         let hex = id.to_hex();
         // `obj` is the object's canonical bytes, which JSON text writes
         // as hex: `V`, the integer tag, 9 as eight little-endian bytes.
-        let reply = format!(r#"{{"id":"{hex}","obj":"56030900000000000000"}}"#);
+        let reply = load_reply(obj.to_value());
+        assert_eq!(reply.to_json(), r#"{"obj":"56030900000000000000"}"#);
+        assert_eq!(load_reply_object(&reply).map(|b| b.to_vec()), Some(obj.encode()));
+        let refusal = r#"{"errstr":"no such key or object","id":"#;
         let table = [
             (load_request(id, 0), format!(r#"{{"id":"{hex}","shard":0}}"#)),
-            (load_reply(id, obj.to_value()), reply),
+            (load_refusal(id, 2), format!(r#"{refusal}"{hex}"}}"#)),
         ];
         for (built, literal) in &table {
             assert_eq!(built.to_json(), *literal);
-            assert_eq!(load_request_id(built), Some(id), "{literal}");
+            assert_eq!(load_id(built), Some(id), "{literal}");
         }
-        assert_eq!(load_reply_object(&table[1].0).map(|b| b.to_vec()), Some(obj.encode()));
         for request in [r#"{}"#, r#"{"id":"zz"}"#, r#"{"id":9}"#] {
-            assert_eq!(load_request_id(&Value::parse(request).unwrap()), None, "{request}");
+            assert_eq!(load_id(&Value::parse(request).unwrap()), None, "{request}");
         }
         for reply in [r#"{}"#, r#"{"obj":{"t":"nope"}}"#, &format!(r#"{{"id":"{hex}"}}"#)] {
             assert_eq!(load_reply_object(&Value::parse(reply).unwrap()), None, "{reply}");
@@ -508,7 +520,7 @@ mod tests {
             assert_eq!((ev.roots, ev.fences, ev.failed), (cut.to_vec(), vec!["f"], None));
             let ev = decode_setroot(&table[3].0);
             assert_eq!((ev.roots, ev.fences.len()), (vec![cut[0].clone()], 0));
-            assert_eq!(load_request_id(&table[4].0), Some(id));
+            assert_eq!(load_id(&table[4].0), Some(id));
         }
         let failed = fence_failed_event("f", 22);
         let failed = decode_setroot(&failed);

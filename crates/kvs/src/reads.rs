@@ -31,27 +31,36 @@
 //!
 //! A child's `kvs.load` that misses here is forwarded as it came, by
 //! the route a walk's own load takes, and its hop stack carries the
-//! answer back; this broker keeps only a record, request id → object
-//! (`forwarded`). The id parsed here rides on in the payload's memo slot
-//! ([`load_id`]) for every tier above. While a request for an object is
-//! in flight from here (forwarded, or a walk's own), later requests and
-//! walks for it wait behind it. The answer to a forwarded request passes
-//! this broker on its way down ([`Reads::passing_reply`]): checked, it
-//! is cached and answers what waited, so every tier still caches and
-//! shares one transfer. The retry rules:
+//! answer back; this broker keeps one marker per object in flight
+//! (`markers`: the forwarded request's id, its heartbeats, its shard).
+//! The id parsed here rides on in the payload's memo slot ([`load_id`])
+//! for every tier above. While a request for an object is in flight
+//! from here (forwarded, or a walk's own), later requests and walks for
+//! it wait behind it (`waiters`, filed only for an object something
+//! waits on). Answers passing this broker on their way down
+//! ([`Reads::passing_reply`]) are matched by the object they carry,
+//! whichever request they answer: a success by the address its bytes
+//! hash to (the payload's memo, made once per payload), a refusal by
+//! the `id` it names (`{errstr, id}`, [`msg::load_refusal`]). So an
+//! answer carrying an object this broker waits on is cached and answers
+//! everything waiting here on it, every tier still caches and shares
+//! one transfer, and no answer path scans a table. The retry rules:
 //!
 //! - a repeat of a forwarded request (same id) is forwarded again: it,
 //!   or its answer, was lost above;
 //! - a repeat of a parked request takes the parked copy's place;
 //! - a refusal its method declares passing down answers the parked
-//!   requests and walks with it; a transport error leaves them parked,
-//!   for the child's repeat;
-//! - a forwarded record unanswered for two heartbeats is dropped, and on
-//!   that heartbeat an object with no request in flight that is still
-//!   waited on gets one (objects in id order): a parked walk's own load,
-//!   or else the first parked request, forwarded.
+//!   requests and walks of the object it names; a transport error leaves
+//!   them parked, for the child's repeat;
+//! - a forged or malformed answer matches nothing it does not carry: it
+//!   is never turned into `ENOENT` here. What it left waiting asks again
+//!   when the marker lapses, as after a lost transfer;
+//! - a marker unanswered for two heartbeats lapses, and on that
+//!   heartbeat an object still waited on gets a request in flight again
+//!   (objects in id order): a parked walk's own load, or else the first
+//!   parked request, forwarded.
 //!
-//! The waiter and record tables give their memory back once they drain
+//! The marker and waiter tables give their memory back once they drain
 //! below a quarter of their capacity.
 
 use crate::inflight::{Answer, InFlight};
@@ -127,8 +136,20 @@ fn get_reply(cache: &mut ObjectCache, end: WalkEnd, want: Want) -> Result<Payloa
 /// carries the held bytes themselves: nothing is encoded.
 fn load_reply(cache: &mut ObjectCache, id: ObjectId) -> Option<Payload> {
     cache.reply(id, Reply::Load, |bytes, _| {
-        Some(msg::load_reply(id, Value::Bytes(Arc::clone(bytes))).into())
+        Some(msg::load_reply(Value::Bytes(Arc::clone(bytes))).into())
     })
+}
+
+/// Refuses `req`, a `kvs.load` of object `id`, with `code`, naming the
+/// object: every tier the refusal passes on its way down matches it to
+/// what waits there.
+fn refuse_load(
+    ctx: &mut ModuleCtx<'_>,
+    req: &Message,
+    id: ObjectId,
+    code: u32,
+) -> Handled {
+    ctx.respond_err_with(req, code, msg::load_refusal(id, code))
 }
 
 /// Where a walk through the local cache stopped.
@@ -172,16 +193,27 @@ fn answer(ctx: &mut ModuleCtx<'_>, req: &Message, reply: Result<Payload, u32>) -
 }
 
 /// What a `kvs.load` reply payload holds: the bytes of its `obj`, the
-/// content address they hash to (never the `id` the sender wrote beside
-/// them) and, for a directory, the view decoded from them. `None` is a
-/// malformed `obj`. This is kept in the payload's memo slot, so brokers
-/// handed one payload check, hash and decode it once between them.
-type Loaded = Option<(ObjectId, Arc<[u8]>, View)>;
+/// content address they hash to and, for a directory, the view decoded
+/// from them. This is kept in the payload's memo slot, so brokers handed
+/// one payload check, hash and decode it once between them.
+type Loaded = (ObjectId, Arc<[u8]>, View);
 
-fn decode_load_reply(payload: &Value) -> Loaded {
+/// The payload's [`Loaded`] (`None`: a malformed `obj`).
+fn decode_load_reply(payload: &Value) -> Option<Loaded> {
     let bytes = msg::load_reply_object(payload)?;
     let (id, view) = object::receive(bytes)?;
     Some((id, Arc::clone(bytes), view))
+}
+
+/// Caches `loaded`, what `payload`, a `kvs.load` reply, carries.
+fn keep(rep: &mut Replica, payload: &Payload, (id, bytes, view): &Loaded) {
+    // Read-path caching at every level of the chain: this is what lets C
+    // consumers share log2(C) transfers (Fig. 4 model). The cache holds
+    // the payload's bytes.
+    rep.cache.insert_bytes(*id, Arc::clone(bytes), view.clone());
+    // The reply carries nothing but the object: it is exactly the reply
+    // this broker would build for its own children.
+    rep.cache.reply(*id, Reply::Load, |_, _| Some(payload.clone()));
 }
 
 /// Files `item` on a waiter list, sized for one on its first: nearly
@@ -216,7 +248,7 @@ fn shrink_drained<K: Eq + Hash, V, S: BuildHasher>(table: &mut HashMap<K, V, S>)
 pub(crate) fn load_id(payload: &Payload) -> Option<ObjectId> {
     match payload.memoized::<Option<ObjectId>>() {
         Some(id) => *id,
-        None => msg::load_request_id(payload),
+        None => msg::load_id(payload),
     }
 }
 
@@ -235,6 +267,18 @@ fn forward_load(ctx: &mut ModuleCtx<'_>, req: Message, shard: u32) -> Handled {
     }
 }
 
+/// A child's `kvs.load` of one object, forwarded from here and not yet
+/// answered.
+struct Marker {
+    /// The forwarded request's id: a repeat of it is forwarded again.
+    req: MsgId,
+    /// Heartbeats it has gone unanswered.
+    beats: u8,
+    /// The shard whose tree it asks of: where a request sent for the
+    /// object when the marker lapses goes.
+    shard: u32,
+}
+
 /// What waits here for one object to arrive.
 #[derive(Default)]
 struct Waiting {
@@ -242,50 +286,18 @@ struct Waiting {
     walks: Vec<u64>,
     /// Child `kvs.load` requests parked behind the request in flight.
     requests: Vec<Message>,
-    /// The shard whose tree asked for it first: where a request sent
-    /// for it on the heartbeat goes.
-    shard: u32,
-    /// A child's request for it was forwarded from here and is still
-    /// on record (`Reads::forwarded`).
-    forwarded: bool,
-}
-
-impl Waiting {
-    /// Whether a request for the object is in flight from here: a
-    /// forwarded child's, or a parked walk's own.
-    fn in_flight(&self) -> bool {
-        self.forwarded || !self.walks.is_empty()
-    }
-}
-
-/// The waiters of object `id`, filed under `shard` when the first
-/// arrives.
-fn waiting_on(
-    table: &mut HashMap<ObjectId, Waiting>,
-    id: ObjectId,
-    shard: u32,
-) -> &mut Waiting {
-    table.entry(id).or_insert_with(|| Waiting { shard, ..Waiting::default() })
-}
-
-/// A child's `kvs.load` forwarded from here and not yet answered.
-struct Forward {
-    /// The object it asks for.
-    id: ObjectId,
-    /// Heartbeats it has gone unanswered.
-    beats: u8,
 }
 
 #[derive(Default)]
 pub(crate) struct Reads {
     walks: IdMap<u64, Walk>,
     next_walk: u64,
-    /// Object id → what waits here for it. The id is what a child asked
-    /// for, so this map keeps `RandomState`.
-    load_waiters: HashMap<ObjectId, Waiting>,
-    /// Child loads forwarded from here, by request id. The id is a
-    /// peer's, so this map keeps `RandomState` too.
-    forwarded: HashMap<MsgId, Forward>,
+    /// Object id → the child's request forwarded from here for it. The
+    /// id is what a child asked for, so this map keeps `RandomState`.
+    markers: HashMap<ObjectId, Marker>,
+    /// Object id → what waits here for it, for an object something
+    /// waits on only; `RandomState` too.
+    waiters: HashMap<ObjectId, Waiting>,
     /// This broker's own load RPCs, tagged with the object. The waiters
     /// of a load lost in transit stay parked.
     loads: InFlight<ObjectId>,
@@ -334,24 +346,30 @@ impl Reads {
             return ctx.respond(&req, payload);
         }
         if rep.slots.masters(shard) {
-            return ctx.respond_err(&req, errnum::ENOENT);
+            return refuse_load(ctx, &req, id, errnum::ENOENT);
         }
-        if self.forwarded.contains_key(&req.header.id) {
-            return forward_load(ctx, req, shard);
+        let repeat = self.markers.get(&id).is_some_and(|m| m.req == req.header.id);
+        if !repeat {
+            if self.in_flight(id) {
+                let waiting = self.waiters.entry(id).or_default();
+                waiting.requests.retain(|parked| parked.header.id != req.header.id);
+                let (req, parked) = ctx.park(req);
+                push_one(&mut waiting.requests, req);
+                return parked;
+            }
+            self.markers.insert(id, Marker { req: req.header.id, beats: 0, shard });
         }
-        let waiting = waiting_on(&mut self.load_waiters, id, shard);
-        waiting.requests.retain(|parked| parked.header.id != req.header.id);
-        if waiting.in_flight() {
-            let (req, parked) = ctx.park(req);
-            push_one(&mut waiting.requests, req);
-            return parked;
-        }
-        waiting.forwarded = true;
-        self.forwarded.insert(req.header.id, Forward { id, beats: 0 });
         // `id` is this payload's own parse ([`load_id`]): kept in its
         // memo, the tiers above read it instead of parsing again.
         req.payload.memo(|_| Some(id));
         forward_load(ctx, req, shard)
+    }
+
+    /// Whether a request for object `id` is in flight from here: a
+    /// forwarded child's, or a parked walk's own.
+    fn in_flight(&self, id: ObjectId) -> bool {
+        self.markers.contains_key(&id)
+            || self.waiters.get(&id).is_some_and(|waiting| !waiting.walks.is_empty())
     }
 
     pub(crate) fn watch(
@@ -420,11 +438,10 @@ impl Reads {
             return self.finish(ctx, walk.kind, Err(errnum::ENOENT));
         }
         let (missing, shard) = (walk.cur, walk.shard);
+        let ask = !self.in_flight(missing);
         self.next_walk += 1;
         self.walks.insert(self.next_walk, walk);
-        let waiting = waiting_on(&mut self.load_waiters, missing, shard);
-        let ask = !waiting.in_flight();
-        push_one(&mut waiting.walks, self.next_walk);
+        push_one(&mut self.waiters.entry(missing).or_default().walks, self.next_walk);
         if ask {
             self.send_load(ctx, missing, shard);
         }
@@ -457,30 +474,9 @@ impl Reads {
         let _ = self.loads.send(ctx, load_route(ctx, shard), KvsMethod::Load, payload, id);
     }
 
-    /// Takes `payload`, a `kvs.load` reply to a request for `id`, into
-    /// the cache: `Err(ENOENT)` unless it carries `id`'s bytes. The
-    /// check, the hash and a directory's decode are the payload's, made
-    /// once for every broker handed this same payload; the comparison
-    /// with the id *this* broker asked for is its own.
-    fn accept(rep: &mut Replica, id: ObjectId, payload: &Payload) -> Result<(), u32> {
-        match &*payload.memo(decode_load_reply) {
-            Some((hashed, bytes, view)) if *hashed == id => {
-                // Read-path caching at every level of the chain: this is
-                // what lets C consumers share log2(C) transfers (Fig. 4
-                // model). The cache holds the payload's bytes.
-                rep.cache.insert_bytes(id, Arc::clone(bytes), view.clone());
-                // The reply payload is exactly the reply this broker
-                // would build for its own children: it becomes the
-                // object's load reply.
-                rep.cache.reply(id, Reply::Load, |_, _| Some(payload.clone()));
-                Ok(())
-            }
-            _ => Err(errnum::ENOENT),
-        }
-    }
-
     /// Resolves object `id`'s waiters: with the object, once the cache
-    /// holds it, or with `loaded`'s code that says why there is none.
+    /// holds it, or with `loaded`'s code that says why there is none. A
+    /// marker for `id` goes with them.
     fn complete_load(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
@@ -488,8 +484,11 @@ impl Reads {
         id: ObjectId,
         loaded: Result<(), u32>,
     ) {
-        let Some(waiting) = self.load_waiters.remove(&id) else { return };
-        shrink_drained(&mut self.load_waiters);
+        if self.markers.remove(&id).is_some() {
+            shrink_drained(&mut self.markers);
+        }
+        let Some(waiting) = self.waiters.remove(&id) else { return };
+        shrink_drained(&mut self.waiters);
         // One shared reply payload answers every child waiting on this id.
         let reply = rep
             .cache
@@ -499,7 +498,7 @@ impl Reads {
         for req in waiting.requests {
             match &reply {
                 Ok(payload) => ctx.respond(&req, payload.clone()),
-                Err(code) => ctx.respond_err(&req, *code),
+                Err(code) => refuse_load(ctx, &req, id, *code),
             };
         }
         for walk_id in waiting.walks {
@@ -512,7 +511,7 @@ impl Reads {
     }
 
     /// Claims `msg` if it answers this broker's own load; returns whether
-    /// it did.
+    /// it did. A success is checked against the id this broker asked for.
     pub(crate) fn handle_response(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
@@ -527,77 +526,94 @@ impl Reads {
             // The tier above has no such object (`ENOENT`) or cannot
             // read the request (`EINVAL`); asking again changes neither.
             Answer::Refused(code) => Err(code),
-            Answer::Ok => Self::accept(rep, id, &msg.payload),
+            Answer::Ok => match &*msg.payload.memo(decode_load_reply) {
+                Some(loaded) if loaded.0 == id => {
+                    keep(rep, &msg.payload, loaded);
+                    Ok(())
+                }
+                _ => Err(errnum::ENOENT),
+            },
         };
         self.complete_load(ctx, rep, id, loaded);
         true
     }
 
-    /// Reads `msg` if it answers a child's load forwarded from here, on
-    /// its way down to that child; returns whether it did. Its verdict
-    /// is the one [`Reads::handle_response`] gives this broker's own,
-    /// except that a transport error is the child's to retry: the record
-    /// stays, and so does everything parked behind it.
+    /// Reads `msg`, a `kvs.load` answer on its way down past this
+    /// broker, and resolves what waits here on the object it carries
+    /// (module docs); returns whether it did. A transport error is the
+    /// child's to retry, and an answer that carries nothing waited on
+    /// here, or nothing at all, changes nothing.
     pub(crate) fn passing_reply(
         &mut self,
         ctx: &mut ModuleCtx<'_>,
         rep: &mut Replica,
         msg: &Message,
     ) -> bool {
-        let Some(fwd) = self.forwarded.get(&msg.header.id) else { return false };
-        let id = fwd.id;
-        let loaded = match Answer::of(KvsMethod::Load, msg) {
-            Answer::Lost => return true,
-            Answer::Refused(code) => Err(code),
-            Answer::Ok => Self::accept(rep, id, &msg.payload),
+        // Nothing waits here: the answer is not even decoded.
+        if self.markers.is_empty() && self.waiters.is_empty() {
+            return false;
+        }
+        let wanted = |reads: &Reads, id| {
+            reads.markers.contains_key(&id) || reads.waiters.contains_key(&id)
         };
-        self.forwarded.remove(&msg.header.id);
-        shrink_drained(&mut self.forwarded);
+        let (id, loaded) = match Answer::of(KvsMethod::Load, msg) {
+            Answer::Lost => return false,
+            Answer::Refused(code) => match msg::load_id(&msg.payload) {
+                Some(id) if wanted(self, id) => (id, Err(code)),
+                _ => return false,
+            },
+            Answer::Ok => match &*msg.payload.memo(decode_load_reply) {
+                Some(loaded) if wanted(self, loaded.0) => {
+                    keep(rep, &msg.payload, loaded);
+                    (loaded.0, Ok(()))
+                }
+                _ => return false,
+            },
+        };
         self.complete_load(ctx, rep, id, loaded);
         true
     }
 
     /// The heartbeat: sends again this broker's own loads that are due
-    /// (lost in transit, or unanswered for a whole period), and drops the
-    /// forwarded records unanswered for two beats. An object still
-    /// waited on whose record went gets a new request (module docs).
+    /// (lost in transit, or unanswered for a whole period), and lapses
+    /// the markers unanswered for two beats. An object still waited on
+    /// whose marker lapsed gets a new request (module docs).
     pub(crate) fn on_heartbeat(&mut self, ctx: &mut ModuleCtx<'_>) {
         self.loads.sweep(ctx);
-        let mut dropped = Vec::new();
-        self.forwarded.retain(|_, fwd| {
-            fwd.beats += 1;
-            let keep = fwd.beats < 2;
+        let mut lapsed = Vec::new();
+        self.markers.retain(|&id, marker| {
+            marker.beats += 1;
+            let keep = marker.beats < 2;
             if !keep {
-                dropped.push(fwd.id);
+                lapsed.push((id, marker.shard));
             }
             keep
         });
-        shrink_drained(&mut self.forwarded);
+        shrink_drained(&mut self.markers);
         // In id order: what is sent must not depend on hash order.
-        dropped.sort_unstable();
-        for id in dropped {
-            self.ask_again(ctx, id);
+        lapsed.sort_unstable();
+        for (id, shard) in lapsed {
+            self.ask_again(ctx, id, shard);
         }
     }
 
-    /// Object `id`'s forwarded record was dropped: whatever still waits
-    /// on it gets a request in flight again, a parked walk's own load, or
-    /// else the first parked child request, forwarded.
-    fn ask_again(&mut self, ctx: &mut ModuleCtx<'_>, id: ObjectId) {
-        let Some(waiting) = self.load_waiters.get_mut(&id) else { return };
-        waiting.forwarded = false;
-        let shard = waiting.shard;
+    /// Object `id`'s marker lapsed: whatever still waits on it gets a
+    /// request in flight again, a parked walk's own load, or else the
+    /// first parked child request, forwarded.
+    fn ask_again(&mut self, ctx: &mut ModuleCtx<'_>, id: ObjectId, shard: u32) {
+        let Some(waiting) = self.waiters.get_mut(&id) else { return };
         if !waiting.walks.is_empty() {
-            self.send_load(ctx, id, shard);
-        } else if waiting.requests.is_empty() {
-            self.load_waiters.remove(&id);
-            shrink_drained(&mut self.load_waiters);
-        } else {
-            let req = waiting.requests.remove(0);
-            waiting.forwarded = true;
-            self.forwarded.insert(req.header.id, Forward { id, beats: 0 });
-            forward_load(ctx, req, shard);
+            return self.send_load(ctx, id, shard);
         }
+        // Only parked requests wait: the first is forwarded in its turn.
+        let requests = &mut waiting.requests;
+        let Some(req) = (!requests.is_empty()).then(|| requests.remove(0)) else { return };
+        if requests.is_empty() {
+            self.waiters.remove(&id);
+            shrink_drained(&mut self.waiters);
+        }
+        self.markers.insert(id, Marker { req: req.header.id, beats: 0, shard });
+        forward_load(ctx, req, shard);
     }
 }
 
@@ -627,9 +643,9 @@ mod tests {
         KvsObject::Dir([("b".to_owned(), KvsObject::Val(Value::Int(7)).id())].into())
     }
 
-    /// The `kvs.load` reply a parent builds: `obj`, said to be object `id`.
-    fn load_payload(id: ObjectId, obj: Value) -> Payload {
-        msg::load_reply(id, obj).into()
+    /// The `kvs.load` reply a parent builds for `obj`.
+    fn load_payload(obj: &KvsObject) -> Payload {
+        msg::load_reply(obj.to_value()).into()
     }
 
     /// One slave broker gets `b` under root `want`, faults the root in
@@ -653,7 +669,7 @@ mod tests {
     #[test]
     fn brokers_handed_one_load_reply_share_one_decoded_object() {
         let dir = dir_b7();
-        let payload = load_payload(dir.id(), dir.to_value());
+        let payload = load_payload(&dir);
         let (_, a) = slave_handed(dir.id(), &payload);
         let (_, b) = slave_handed(dir.id(), &payload);
         let (a, b) = (a.expect("cached"), b.expect("cached"));
@@ -672,24 +688,23 @@ mod tests {
         let other = KvsObject::Val(Value::Int(8));
         let (a, b) = (dir_b7().id(), other.id());
         let refused = (Some(errnum::ENOENT), None);
-        // Forged (said to be `a`, hashes to `b`), malformed, absent.
-        let forged = load_payload(a, other.to_value());
-        let malformed = load_payload(a, Value::from_pairs([("t", "nope".into())]));
-        let absent = Payload::from(Value::from_pairs([("id", a.to_hex().into())]));
+        // Malformed, absent.
+        let malformed = Payload::from(msg::load_reply(Value::from_pairs([("t", "nope".into())])));
+        let absent = Payload::from(Value::object());
         // `a`'s own bytes with any one byte changed.
         let flipped = (0..dir_b7().encode().len()).map(|at| {
             let mut bytes = dir_b7().encode();
             bytes[at] ^= 0x01;
-            load_payload(a, Value::Bytes(bytes.into()))
+            Payload::from(msg::load_reply(Value::Bytes(bytes.into())))
         });
-        for bad in [forged, malformed, absent].into_iter().chain(flipped) {
+        for bad in [malformed, absent].into_iter().chain(flipped) {
             for _broker in 0..2 {
                 assert_eq!(slave_handed(a, &bad), refused);
             }
         }
         // A valid reply for `b`: whoever asked for `a` is refused, before
         // and after the broker that asked for `b` accepted the payload.
-        let for_b = load_payload(b, other.to_value());
+        let for_b = load_payload(&other);
         assert_eq!(slave_handed(a, &for_b), refused);
         assert_eq!(slave_handed(b, &for_b).1.as_deref(), Some(&other));
         assert_eq!(slave_handed(a, &for_b), refused);
@@ -706,7 +721,7 @@ mod tests {
             reads.lookup(ctx, &mut rep, get, "b", false);
             // The walk faults in the root directory, then the value.
             for obj in [&dir, &seven] {
-                let payload = load_payload(obj.id(), obj.to_value());
+                let payload = load_payload(obj);
                 let reply = Message::response_to(&load_in_flight(&reads), payload.clone());
                 assert!(reads.handle_response(ctx, &mut rep, &reply));
                 let carried = msg::load_reply_object(&payload).expect("bytes");
@@ -752,10 +767,7 @@ mod tests {
             let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
             rep.slots.apply_root(ctx, 0, 1, dir.id());
             reads.lookup(ctx, &mut rep, get, "b", false);
-            let reply = Message::response_to(
-                &load_in_flight(&reads),
-                load_payload(dir.id(), dir.to_value()),
-            );
+            let reply = Message::response_to(&load_in_flight(&reads), load_payload(&dir));
             assert!(reads.handle_response(ctx, &mut rep, &reply));
             drop(reply);
             let obj = rep.cache.get(dir.id()).expect("cached");
@@ -890,7 +902,7 @@ mod tests {
                 let (_, outs) = with_ctx(2, 3, move |ctx| {
                     let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
                     let [seven, sub, root] = objects;
-                    let (root_id, root_value) = (root.id(), root.to_value());
+                    let (root_id, root_reply) = (root.id(), load_payload(&root));
                     rep.cache.insert(seven);
                     rep.cache.insert(sub);
                     if warm {
@@ -901,10 +913,10 @@ mod tests {
                     if !warm {
                         assert_eq!(reads.walks.len(), 1, "{key}: the cold walk parks");
                         let load = load_in_flight(&reads);
-                        let reply = Message::response_to(&load, load_payload(root_id, root_value));
+                        let reply = Message::response_to(&load, root_reply);
                         assert!(reads.handle_response(ctx, &mut rep, &reply));
                     }
-                    assert!(reads.walks.is_empty() && reads.load_waiters.is_empty(), "{key}");
+                    assert!(reads.walks.is_empty() && reads.waiters.is_empty(), "{key}");
                 });
                 let msgs = messages(&outs);
                 assert_eq!(loads_sent(&msgs), usize::from(!warm), "{key} warm={warm}");
@@ -937,7 +949,7 @@ mod tests {
                 answer(&mut reads, ctx, errnum::EHOSTDOWN);
                 assert_eq!(reads.walks.len(), 1, "still parked, and asked again");
                 answer(&mut reads, ctx, refusal);
-                assert!(reads.walks.is_empty() && reads.load_waiters.is_empty());
+                assert!(reads.walks.is_empty() && reads.waiters.is_empty());
                 assert!(reads.loads.in_flight().is_empty(), "a refused load is not re-sent");
             });
             let msgs = messages(&outs);
@@ -1027,9 +1039,20 @@ mod tests {
         replies.filter(|m| m.header.id == id).map(|m| m.header.errnum).collect()
     }
 
-    /// The answer to `ask` from above, as it passes this broker.
+    /// The answer to `ask` from above, carrying `obj`, as it passes this
+    /// broker.
     fn from_above(ask: &Message, obj: &KvsObject) -> Message {
-        Message::response_to(ask, load_payload(obj.id(), obj.to_value()))
+        Message::response_to(ask, load_payload(obj))
+    }
+
+    /// The master's refusal of `ask`, naming `obj`.
+    fn refused_above(ask: &Message, obj: &KvsObject, code: u32) -> Message {
+        Message::error_response_with(ask, code, msg::load_refusal(obj.id(), code))
+    }
+
+    /// Whether nothing is in flight from, or waits at, this broker.
+    fn drained(reads: &Reads) -> bool {
+        reads.markers.is_empty() && reads.waiters.is_empty() && reads.walks.is_empty()
     }
 
     #[test]
@@ -1040,13 +1063,14 @@ mod tests {
         let (_, outs) = with_ctx(1, 4, |ctx| {
             let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
             reads.serve_load(ctx, &mut rep, ask.clone(), dir.id(), 0);
-            assert_eq!(reads.forwarded.len(), 1, "one record");
-            assert!(reads.load_waiters[&dir.id()].requests.is_empty(), "nothing parked");
+            assert_eq!(reads.markers.len(), 1, "one marker");
+            assert!(reads.waiters.is_empty(), "nothing waits: nothing filed");
             assert!(reads.loads.in_flight().is_empty(), "no load of this broker's own");
             reads.serve_load(ctx, &mut rep, ask, dir.id(), 0);
-            assert_eq!(reads.forwarded.len(), 1, "the repeat is the same request");
+            assert_eq!(reads.markers[&dir.id()].req, a, "the repeat is the same request");
+            assert!(reads.waiters.is_empty());
             assert!(reads.passing_reply(ctx, &mut rep, &reply));
-            assert!(reads.forwarded.is_empty() && reads.load_waiters.is_empty());
+            assert!(drained(&reads));
             assert!(rep.cache.contains(dir.id()), "the tier caches what passes");
         });
         assert_eq!(loads_up(&outs), [a, a], "forwarded, then forwarded again");
@@ -1063,12 +1087,84 @@ mod tests {
             reads.serve_load(ctx, &mut rep, first, dir.id(), 0);
             for _ in 0..2 {
                 reads.serve_load(ctx, &mut rep, second.clone(), dir.id(), 0);
-                assert_eq!(reads.load_waiters[&dir.id()].requests.len(), 1, "one copy parked");
+                assert_eq!(reads.waiters[&dir.id()].requests.len(), 1, "one copy parked");
             }
             assert!(reads.passing_reply(ctx, &mut rep, &reply));
         });
         assert_eq!(loads_up(&outs), [a], "only the first request climbs");
         assert_eq!(answers(&outs, b), [0], "the parked request is answered once");
+    }
+
+    #[test]
+    fn an_answer_carrying_an_object_answers_its_waiters_whichever_request_it_answers() {
+        // Three children ask for the directory: the first request climbs,
+        // the others park. Its marker lapses, and the second climbs in
+        // its turn; then the first one's late answer passes.
+        let dir = dir_b7();
+        let [first, second, third] = [(); 3].map(|()| child_ask(&dir));
+        let (a, b, c) = (first.header.id, second.header.id, third.header.id);
+        let (late, on_time) = (from_above(&first, &dir), from_above(&second, &dir));
+        let (_, outs) = with_ctx(1, 4, |ctx| {
+            let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
+            for ask in [first, second, third] {
+                reads.serve_load(ctx, &mut rep, ask, dir.id(), 0);
+            }
+            reads.on_heartbeat(ctx);
+            reads.on_heartbeat(ctx);
+            assert_eq!(reads.markers[&dir.id()].req, b, "the second request, forwarded");
+            assert!(reads.passing_reply(ctx, &mut rep, &late), "it carries what waits here");
+            assert!(drained(&reads));
+            assert!(!reads.passing_reply(ctx, &mut rep, &on_time), "nothing waits any more");
+        });
+        assert_eq!(loads_up(&outs), [a, b]);
+        assert_eq!(answers(&outs, c), [0], "the third, answered by the first one's answer");
+        assert!(answers(&outs, b).is_empty(), "its answer is the one from above");
+    }
+
+    #[test]
+    fn a_forged_answer_serves_the_object_it_carries_and_never_refuses_the_one_asked_for() {
+        // `x` and `y` are each asked for twice: one request of each
+        // climbs, one parks. The answer to `x`'s request carries `y`.
+        let (x, y) = (dir_b7(), KvsObject::Val(Value::Int(8)));
+        let (ask_x, parked_x) = (child_ask(&x), child_ask(&x));
+        let (ask_y, parked_y) = (child_ask(&y), child_ask(&y));
+        let forged = from_above(&ask_x, &y);
+        let (px, py) = (parked_x.header.id, parked_y.header.id);
+        let (_, outs) = with_ctx(1, 4, |ctx| {
+            let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
+            for (ask, obj) in [(ask_x, &x), (parked_x, &x), (ask_y, &y), (parked_y, &y)] {
+                reads.serve_load(ctx, &mut rep, ask, obj.id(), 0);
+            }
+            assert!(reads.passing_reply(ctx, &mut rep, &forged));
+            assert!(rep.cache.contains(y.id()) && !rep.cache.contains(x.id()));
+            assert_eq!((reads.markers.len(), reads.waiters.len()), (1, 1), "x still waits");
+            // The marker lapses, and `x`'s parked request asks again.
+            reads.on_heartbeat(ctx);
+            reads.on_heartbeat(ctx);
+            assert_eq!(reads.markers[&x.id()].req, px);
+            assert!(reads.waiters.is_empty());
+        });
+        assert_eq!(answers(&outs, py), [0], "y's waiter, served by what the answer carries");
+        assert!(answers(&outs, px).is_empty(), "x's waiter is never refused");
+        assert_eq!(loads_up(&outs).last(), Some(&px), "it asks again after the lapse");
+    }
+
+    #[test]
+    fn an_answer_read_off_the_wire_is_matched_by_the_object_it_carries() {
+        // A fresh payload, decoded from the bytes: no memo is shared with
+        // the broker that built it.
+        let dir = dir_b7();
+        let (first, second) = (child_ask(&dir), child_ask(&dir));
+        let b = second.header.id;
+        let (reply, _) = Message::decode(&from_above(&first, &dir).encode()).expect("round trip");
+        let (_, outs) = with_ctx(1, 4, |ctx| {
+            let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
+            reads.serve_load(ctx, &mut rep, first, dir.id(), 0);
+            reads.serve_load(ctx, &mut rep, second, dir.id(), 0);
+            assert!(reads.passing_reply(ctx, &mut rep, &reply));
+            assert!(drained(&reads));
+        });
+        assert_eq!(answers(&outs, b), [0]);
     }
 
     #[test]
@@ -1086,18 +1182,39 @@ mod tests {
                 reads.serve_load(ctx, &mut rep, second, dir.id(), 0);
                 reads.lookup(ctx, &mut rep, get, "b", false);
                 let lost = Message::error_response_to(&first, errnum::EHOSTDOWN);
-                assert!(reads.passing_reply(ctx, &mut rep, &lost));
-                assert_eq!(reads.forwarded.len(), 1, "the record stays for the child's repeat");
+                assert!(!reads.passing_reply(ctx, &mut rep, &lost));
+                // A refusal naming no object matches nothing.
+                let bare = Message::error_response_to(&first, refusal);
+                assert!(!reads.passing_reply(ctx, &mut rep, &bare));
+                assert_eq!(reads.markers.len(), 1, "the marker stays for the child's repeat");
                 assert_eq!(reads.walks.len(), 1);
-                let refused = Message::error_response_to(&first, refusal);
-                assert!(reads.passing_reply(ctx, &mut rep, &refused));
-                assert!(reads.forwarded.is_empty() && reads.load_waiters.is_empty());
-                assert!(reads.walks.is_empty() && reads.loads.in_flight().is_empty());
+                assert!(reads.passing_reply(ctx, &mut rep, &refused_above(&first, &dir, refusal)));
+                assert!(drained(&reads) && reads.loads.in_flight().is_empty());
             });
             assert_eq!(answers(&outs, b), [refusal], "the parked request");
             assert_eq!(answers(&outs, get_id), [refusal], "the walk behind it");
             assert_eq!(loads_up(&outs).len(), 1, "the walk sent nothing of its own");
+            // What this tier answers names the object too, for the tiers below.
+            let msgs = messages(&outs);
+            let parked = msgs.iter().find(|m| m.header.id == b).expect("answered");
+            assert_eq!(msg::load_id(&parked.payload), Some(dir.id()));
         }
+    }
+
+    #[test]
+    fn the_master_refuses_a_load_naming_the_object() {
+        let dir = dir_b7();
+        let ask = child_ask(&dir);
+        let a = ask.header.id;
+        let (_, outs) = with_ctx(0, 4, |ctx| {
+            let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
+            rep.slots.start(1, Some(0));
+            reads.serve_load(ctx, &mut rep, ask, dir.id(), 0);
+        });
+        assert_eq!(answers(&outs, a), [errnum::ENOENT]);
+        let msgs = messages(&outs);
+        let refusal = msgs.iter().find(|m| m.header.id == a).expect("refused");
+        assert_eq!(refusal.payload.value(), &msg::load_refusal(dir.id(), errnum::ENOENT));
     }
 
     #[test]
@@ -1126,12 +1243,14 @@ mod tests {
             reads.lookup(ctx, &mut rep, get_b, "b", false);
             reads.lookup(ctx, &mut rep, get_a, "a", false);
             reads.on_heartbeat(ctx);
-            assert_eq!(reads.forwarded.len(), 3, "one beat: still on record");
+            assert_eq!(reads.markers.len(), 3, "one beat: still in flight");
             reads.on_heartbeat(ctx);
             let own: Vec<ObjectId> =
                 reads.loads.in_flight().into_iter().map(|(_, id)| id).collect();
-            assert_eq!(reads.forwarded.len(), 1, "z's parked request, forwarded in its turn");
+            assert_eq!(reads.markers.len(), 1, "z's parked request, forwarded in its turn");
+            assert_eq!(reads.markers[&z.id()].req, parked_id);
             assert_eq!(reads.walks.len(), 2, "the walks wait on their own loads");
+            assert_eq!(reads.waiters.len(), 2, "z's waiter left with its request");
             own
         });
         let mut sorted = [x.id(), y.id()];
@@ -1151,34 +1270,38 @@ mod tests {
             reads.serve_load(ctx, &mut rep, child_ask(&dir), dir.id(), 0);
             reads.on_heartbeat(ctx);
             reads.on_heartbeat(ctx);
-            assert!(reads.forwarded.is_empty() && reads.load_waiters.is_empty());
+            assert!(drained(&reads));
             assert!(reads.loads.in_flight().is_empty(), "nobody here wants it");
         });
     }
 
     #[test]
     fn drained_tables_give_their_memory_back() {
+        // Each object is asked for twice: one request climbs and leaves a
+        // marker, the other parks.
         let objects: Vec<KvsObject> = (0..256).map(|i| KvsObject::Val(Value::Int(i))).collect();
         let asks: Vec<Message> = objects.iter().map(child_ask).collect();
         with_ctx(1, 4, |ctx| {
             let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
             for (ask, obj) in asks.iter().zip(&objects) {
                 reads.serve_load(ctx, &mut rep, ask.clone(), obj.id(), 0);
+                reads.serve_load(ctx, &mut rep, child_ask(obj), obj.id(), 0);
             }
-            let peak = (reads.forwarded.capacity(), reads.load_waiters.capacity());
+            let peak = (reads.markers.capacity(), reads.waiters.capacity());
             assert!(peak.0 >= 256 && peak.1 >= 256);
             for (ask, obj) in asks.iter().zip(&objects).skip(2) {
                 assert!(reads.passing_reply(ctx, &mut rep, &from_above(ask, obj)));
             }
-            assert_eq!((reads.forwarded.len(), reads.load_waiters.len()), (2, 2));
-            assert!(reads.forwarded.capacity() < peak.0 / 4, "{}", reads.forwarded.capacity());
-            assert!(reads.load_waiters.capacity() < peak.1 / 4);
+            assert_eq!((reads.markers.len(), reads.waiters.len()), (2, 2));
+            assert!(reads.markers.capacity() < peak.0 / 4, "{}", reads.markers.capacity());
+            assert!(reads.waiters.capacity() < peak.1 / 4);
             // Drained, each keeps a few slots for the next load.
             for (ask, obj) in asks.iter().zip(&objects).take(2) {
                 assert!(reads.passing_reply(ctx, &mut rep, &from_above(ask, obj)));
             }
-            assert!(reads.forwarded.capacity() >= DRAINED_KEEPS);
-            assert!(reads.load_waiters.capacity() >= DRAINED_KEEPS);
+            assert!(drained(&reads));
+            assert!(reads.markers.capacity() >= DRAINED_KEEPS);
+            assert!(reads.waiters.capacity() >= DRAINED_KEEPS);
         });
     }
 
@@ -1200,7 +1323,7 @@ mod tests {
                 reads.on_heartbeat(ctx);
             }
             assert_eq!(load_in_flight(&reads).header.id, first.header.id, "sent again as itself");
-            let reply = Message::response_to(&first, msg::load_reply(dir.id(), dir.to_value()));
+            let reply = Message::response_to(&first, load_payload(&dir));
             assert!(reads.handle_response(ctx, &mut rep, &reply), "an answer to either copy");
             assert!(reads.walks.is_empty() && reads.loads.in_flight().is_empty());
             assert!(

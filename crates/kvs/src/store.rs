@@ -40,7 +40,7 @@ pub struct CacheStats {
 /// A reply a broker builds from one held object ([`ObjectCache::reply`]).
 #[derive(Clone, Copy)]
 pub(crate) enum Reply {
-    /// The `kvs.load` reply, `{id, obj}`.
+    /// The `kvs.load` reply, `{obj}`.
     Load,
     /// The `kvs.get` reply: a value object's `{v}`, a directory's `{dir}`.
     Get,

@@ -34,6 +34,9 @@ pub struct Pmi {
     pub grank: u64,
     /// Application size in processes.
     pub size: u64,
+    /// Fences this process has entered: each of a job's fences is a
+    /// collective of its own, named by its ordinal.
+    fences: u64,
 }
 
 impl Pmi {
@@ -48,7 +51,8 @@ impl Pmi {
         client_id: ClientId,
     ) -> Pmi {
         assert!(size > 0 && grank < size, "rank {grank} outside 0..{size}");
-        Pmi { kvs: KvsClient::new(broker_rank, client_id), jobid: jobid.into(), grank, size }
+        let kvs = KvsClient::new(broker_rank, client_id);
+        Pmi { kvs, jobid: jobid.into(), grank, size, fences: 0 }
     }
 
     fn key_of(&self, grank: u64, key: &str) -> String {
@@ -62,9 +66,13 @@ impl Pmi {
     }
 
     /// `PMI_KVS_Commit + PMI_Barrier` — the Flux KVS fuses both into
-    /// `kvs_fence` across all `size` processes.
+    /// `kvs_fence` across all `size` processes. The `n`th fence of the
+    /// job is `pmi.<jobid>.<n>`: a fence name the KVS has completed
+    /// answers that completion's cut again, so a job's later fence must
+    /// not reuse an earlier one's.
     pub fn fence(&mut self, tag: u64) -> Message {
-        let name = format!("pmi.{}", self.jobid);
+        let name = format!("pmi.{}.{}", self.jobid, self.fences);
+        self.fences += 1;
         self.kvs.fence(&name, self.size, tag)
     }
 
@@ -120,8 +128,10 @@ mod tests {
     fn fence_covers_all_processes() {
         let mut p = Pmi::new("j", 0, 64, Rank(0), 0);
         let f = p.fence(1);
-        assert_eq!(f.payload.get("name"), Some(&Value::from("pmi.j")));
+        assert_eq!(f.payload.get("name"), Some(&Value::from("pmi.j.0")));
         assert_eq!(f.payload.get("nprocs"), Some(&Value::Int(64)));
+        let again = p.fence(2);
+        assert_eq!(again.payload.get("name"), Some(&Value::from("pmi.j.1")), "a fence of its own");
     }
 
     #[test]
@@ -191,6 +201,36 @@ mod tests {
         for (g, d) in got.into_iter().enumerate() {
             let peer = Value::from(1 - g as i64);
             assert_eq!(d, KvsDelivery::Reply { tag: 3, reply: KvsReply::Value(peer) });
+        }
+    }
+
+    /// A job that fences twice on a 2-shard KVS: the second fence
+    /// commits the second round of puts, and every peer reads them.
+    #[test]
+    fn a_second_fence_commits_the_second_round_of_puts() {
+        let cfg = KvsConfig { shards: 2, ..KvsConfig::default() };
+        let mut net = TestNet::new(4, 2, |_| vec![Box::new(KvsModule::with_config(cfg))]);
+        let mut procs: Vec<Pmi> =
+            (0..2).map(|g| Pmi::new("twice", g, 2, Rank(g as u32 + 2), 0)).collect();
+        let mut versions = Vec::new();
+        for (round_no, card) in ["card1", "card2"].into_iter().enumerate() {
+            let tag = 10 * round_no as u64;
+            let put = |p: &mut Pmi| p.put(card, Value::from(p.grank as i64), tag + 1);
+            for d in round(&mut net, &mut procs, put) {
+                assert_eq!(d, KvsDelivery::Reply { tag: tag + 1, reply: KvsReply::Ack });
+            }
+            for d in round(&mut net, &mut procs, |p| p.fence(tag + 2)) {
+                let KvsDelivery::Reply { reply: KvsReply::Frontier { frontier, .. }, .. } = d else {
+                    panic!("{d:?}")
+                };
+                versions.push(frontier.iter().map(|at| at.version).collect::<Vec<_>>());
+            }
+        }
+        assert!(versions[2].iter().zip(&versions[0]).all(|(second, first)| second > first));
+        let got = round(&mut net, &mut procs, |p| p.get(1 - p.grank, "card2", 30));
+        for (g, d) in got.into_iter().enumerate() {
+            let peer = Value::from(1 - g as i64);
+            assert_eq!(d, KvsDelivery::Reply { tag: 30, reply: KvsReply::Value(peer) });
         }
     }
 

@@ -270,8 +270,8 @@ fn kvs_at_the_master() {
     let mut fresh = 0;
     pin_bytes(
         "kvs.load of a new 512-byte value, the reply built at the master",
-        8,
-        649,
+        6,
+        551,
         || {
             fresh += 1;
             let val = Value::from(format!("{fresh:0512}"));
@@ -344,10 +344,11 @@ fn kvs_push_from_a_child() {
 #[test]
 fn kvs_load_forwarded_by_an_interior_broker() {
     // Rank 1 of four caches nothing, so a `kvs.load` from its child rank 3
-    // misses there and climbs on to rank 0 as it came, leaving one record
-    // at rank 1. Outside the count rank 0 refuses it, and the refusal
-    // passing rank 1 on its way down empties rank 1's tables: every
-    // repetition is a first miss on the object.
+    // misses there and climbs on to rank 0 as it came, leaving one marker
+    // at rank 1. Outside the count rank 0 refuses it as a master does,
+    // naming the object, and the refusal passing rank 1 on its way down
+    // empties rank 1's tables: every repetition is a first miss on the
+    // object.
     let relay = RefCell::new(started(BrokerConfig::new(Rank(1), 4), kvs()));
     let id = KvsObject::Val(Value::Int(42)).id().to_hex();
     let load = Value::from_pairs([("id", Value::from(id.as_str())), ("shard", Value::from(0i64))]);
@@ -363,7 +364,12 @@ fn kvs_load_forwarded_by_an_interior_broker() {
                 _ => None,
             });
             if let Some(up) = forwarded {
-                let msg = Message::error_response_to(&up, flux_wire::errnum::ENOENT);
+                let enoent = flux_wire::errnum::ENOENT;
+                let refusal = Value::from_pairs([
+                    ("errstr", Value::from(flux_wire::errnum::strerror(enoent))),
+                    ("id", Value::from(id.as_str())),
+                ]);
+                let msg = Message::error_response_with(&up, enoent, refusal);
                 let from_parent = Input::FromBroker { plane: Plane::Tree, from: Rank(0), msg };
                 relay.borrow_mut().handle(0, from_parent);
             } else {

@@ -265,10 +265,15 @@ impl Message {
 
     /// Builds an error response to `req` with the given error number.
     pub fn error_response_to(req: &Message, errnum: u32) -> Message {
-        let mut m = Message::response_to(
-            req,
-            Value::from_pairs([("errstr", Value::from(errnum::strerror(errnum)))]),
-        );
+        let errstr = Value::from_pairs([("errstr", Value::from(errnum::strerror(errnum)))]);
+        Message::error_response_with(req, errnum, errstr)
+    }
+
+    /// Builds an error response to `req` with the given error number and
+    /// `payload` in place of the bare `{errstr}`: a refusal that says
+    /// more than its code.
+    pub fn error_response_with(req: &Message, errnum: u32, payload: impl Into<Payload>) -> Message {
+        let mut m = Message::response_to(req, payload);
         m.header.errnum = errnum;
         m
     }
