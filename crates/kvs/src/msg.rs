@@ -116,10 +116,10 @@ pub(crate) const LISTING: &str = "dir";
 
 /// The `kvs.get` reply a stored object answers with: a directory's
 /// `{dir}` listing, read from its `view`, or a value object's `{v}`,
-/// decoded from its `bytes` (`None` if they hold no value). It depends
-/// on the object alone, so a broker builds it once per object and
-/// shares it.
-pub(crate) fn get_reply(bytes: &[u8], view: Option<&KvsObject>) -> Option<Value> {
+/// decoded from its `bytes` with its strings left in them (`None` if
+/// they hold no value). It depends on the object alone, so a broker
+/// builds it once per object and shares it.
+pub(crate) fn get_reply(bytes: &Arc<[u8]>, view: Option<&KvsObject>) -> Option<Value> {
     Some(match view {
         Some(KvsObject::Dir(entries)) => Value::from_pairs([(LISTING, dir_listing(entries))]),
         _ => Value::from_pairs([(VALUE, object::value_of(bytes)?)]),

@@ -184,10 +184,11 @@ pub(crate) fn receive(bytes: &[u8]) -> Option<(ObjectId, View)> {
 }
 
 /// The value a value object's bytes hold: what its `kvs.get` reply
-/// carries.
-pub(crate) fn value_of(bytes: &[u8]) -> Option<Value> {
-    let (b'V', body) = bytes.split_first()? else { return None };
-    Value::decode_canonical(body).ok()
+/// carries. Its strings are views of `bytes`, so the value costs its
+/// text once, in the bytes the cache already holds.
+pub(crate) fn value_of(bytes: &Arc<[u8]>) -> Option<Value> {
+    let (b'V', _) = bytes.split_first()? else { return None };
+    Value::decode_canonical_shared(bytes, 1).ok()
 }
 
 #[cfg(test)]
@@ -277,10 +278,10 @@ mod tests {
         let (val_bytes, dir_bytes) = (val.encode(), sub.encode());
         assert_eq!(value_id(&val_bytes), Some(val.id()));
         assert_eq!(receive(&val_bytes), Some((val.id(), None)));
-        assert_eq!(value_of(&val_bytes), Some(Value::from("v")));
+        assert_eq!(value_of(&val_bytes.as_slice().into()), Some(Value::from("v")));
         assert_eq!(receive(&dir_bytes), Some((sub.id(), Some(Arc::new(sub.clone())))));
         assert_eq!(value_id(&dir_bytes), None, "a manifest carries values only");
-        assert_eq!(value_of(&dir_bytes), None);
+        assert_eq!(value_of(&dir_bytes.as_slice().into()), None);
         // Any byte changed: another address, or not an object at all.
         for bytes in [&val_bytes, &dir_bytes] {
             for at in 0..bytes.len() {

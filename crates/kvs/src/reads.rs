@@ -20,9 +20,9 @@
 //! A walk reads a directory's decoded view and a value's tag alone, and
 //! ends on the object it found. Objects are immutable and
 //! content-addressed, so every reply built from one — its `kvs.get`
-//! reply (`{v}` decoded from a value's bytes, `{dir}` for a directory)
-//! and its `kvs.load` reply, the held bytes themselves — is the same
-//! for every reader: it is built once,
+//! reply (`{v}` decoded from a value's bytes, its strings views of
+//! them; `{dir}` for a directory) and its `kvs.load` reply, the held
+//! bytes themselves — is the same for every reader: it is built once,
 //! kept beside the object in its cache entry ([`ObjectCache::reply`])
 //! and handed to every later reader as a reference-count bump of that
 //! one payload. A reply cannot go stale (its key is the content) and
@@ -231,13 +231,17 @@ fn push_one<T>(list: &mut Vec<T>, item: T) {
 const DRAINED_KEEPS: usize = 16;
 
 /// Gives a drained table's memory back: once fewer than a quarter of
-/// its slots are used, it shrinks, to no fewer than [`DRAINED_KEEPS`].
-/// A wave of loads leaves no peak-sized table behind, and the quarter
-/// keeps a table that shrinks and grows again from doing so on every
-/// entry.
+/// its slots are used, it shrinks to twice its entries, and to no fewer
+/// than [`DRAINED_KEEPS`]. A wave of loads leaves no peak-sized table
+/// behind, and the quarter keeps a table that shrinks and grows again
+/// from doing so on every entry. The shrunk table is half empty: shrunk
+/// to its entries alone it would be full, grow again on the next one,
+/// and fill with the tombstones later removals leave, which
+/// `capacity` does not count (so a drained table could read fewer than
+/// [`DRAINED_KEEPS`] slots and never shrink again).
 fn shrink_drained<K: Eq + Hash, V, S: BuildHasher>(table: &mut HashMap<K, V, S>) {
     if table.capacity() > DRAINED_KEEPS && table.len() < table.capacity() / 4 {
-        table.shrink_to(DRAINED_KEEPS);
+        table.shrink_to((2 * table.len()).max(DRAINED_KEEPS));
     }
 }
 
@@ -875,6 +879,30 @@ mod tests {
         let (framed, _) = Message::decode(&framed.encode()).expect("round trip");
         assert_eq!(framed.payload, shared);
         assert!(!one_allocation(&[shared, framed.payload]));
+    }
+
+    #[test]
+    fn a_get_replys_string_is_a_view_of_the_cached_objects_bytes() {
+        let text = KvsObject::Val(Value::from("x".repeat(512)));
+        let root = KvsObject::Dir([("s".to_owned(), text.id())].into());
+        let (get, root_id) = (request(KvsMethod::Get, Value::object()), root.id());
+        let (mut reads, mut rep) = (Reads::default(), Replica::new(1));
+        rep.cache.insert(text.clone());
+        rep.cache.insert(root);
+        let (_, outs) = with_ctx(2, 3, |ctx| {
+            rep.slots.apply_root(ctx, 0, 1, root_id);
+            reads.lookup(ctx, &mut rep, get.clone(), "s", false);
+        });
+        let reply = &messages(&outs)[0].payload;
+        let held = rep.cache.bytes(text.id()).expect("cached");
+        let Some(Value::StrView(v)) = msg::value(reply) else { panic!("{reply:?}") };
+        assert!(Arc::ptr_eq(v.buf(), held), "the reply's text is the held bytes");
+        assert_eq!(v.as_str(), "x".repeat(512));
+        // Off a socket the reply's string is its own.
+        let framed = Message::response_to(&get, reply.clone());
+        let (framed, _) = Message::decode(&framed.encode()).expect("round trip");
+        assert!(matches!(msg::value(&framed.payload), Some(Value::Str(_))));
+        assert_eq!(framed.payload, *reply);
     }
 
     #[test]

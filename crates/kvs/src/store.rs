@@ -8,7 +8,9 @@
 //! An entry holds an object as its canonical bytes, one `Arc<[u8]>`
 //! shared with the payload that brought it or the code that encoded it,
 //! and, for a directory only, the decoded view walks read. A value is
-//! never decoded here: its one decoded form is its `kvs.get` reply.
+//! decoded only into a reply or for [`ObjectCache::get`], and then its
+//! strings are views of the held bytes: a string value costs its text
+//! once, however many replies share it.
 //!
 //! Beside each object an entry keeps the replies built from it
 //! ([`ObjectCache::reply`]). An object is immutable and named by its
@@ -16,7 +18,7 @@
 //! can never go stale; it is built once, shared by reference, and
 //! dropped with the entry.
 
-use crate::object::{KvsObject, View};
+use crate::object::{self, KvsObject, View};
 use flux_hash::ObjectId;
 use flux_wire::{IdMap, Payload};
 use std::collections::hash_map::Entry as Slot;
@@ -125,13 +127,13 @@ impl ObjectCache {
 
     /// Looks up an object, refreshing its last-used epoch on hit. A
     /// directory is its shared view; a value is decoded from its bytes
-    /// on every call (the module's own reads decode a value once, into
-    /// its get reply).
+    /// on every call, its strings views of them, so no text is copied
+    /// (the module's own reads decode a value once, into its get reply).
     pub fn get(&mut self, id: ObjectId) -> Option<Arc<KvsObject>> {
         let e = self.touch(id)?;
         match &e.view {
             Some(dir) => Some(Arc::clone(dir)),
-            None => KvsObject::decode(&e.bytes).ok().map(Arc::new),
+            None => object::value_of(&e.bytes).map(|v| Arc::new(KvsObject::Val(v))),
         }
     }
 

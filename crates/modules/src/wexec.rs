@@ -121,7 +121,7 @@ impl WexecModule {
 
     fn targeted(targets: &Value, rank: Rank) -> bool {
         match targets {
-            Value::Str(s) if s == "all" => true,
+            t if t.as_str() == Some("all") => true,
             Value::Array(ranks) => {
                 ranks.iter().any(|r| r.as_uint() == Some(u64::from(rank.0)))
             }
@@ -235,7 +235,7 @@ impl CommsModule for WexecModule {
                 };
                 let size = u64::from(ctx.size());
                 let ntasks = match targets {
-                    Value::Str(s) if s == "all" => size,
+                    t if t.as_str() == Some("all") => size,
                     Value::Array(a) if Self::launchable(a, size) => a.len() as u64,
                     _ => return ctx.respond_err(&msg, errnum::EINVAL),
                 };
@@ -387,5 +387,30 @@ mod tests {
         assert!(WexecModule::targeted(&some, Rank(3)));
         assert!(!WexecModule::targeted(&some, Rank(2)));
         assert!(!WexecModule::targeted(&Value::Null, Rank(0)));
+    }
+
+    #[test]
+    fn an_all_target_decoded_as_a_view_runs_on_every_rank() {
+        let run = Value::from_pairs([
+            ("cmd", Value::from("echo hi")),
+            ("jobid", Value::Int(1)),
+            ("targets", Value::from("all")),
+        ]);
+        let buf: std::sync::Arc<[u8]> = run.encode_canonical().into();
+        let run = Value::decode_canonical_shared(&buf, 0).expect("own encoding decodes");
+        let targets = run.get("targets").expect("targets");
+        assert!(matches!(targets, Value::StrView(_)), "{targets:?} is a view");
+        assert!(WexecModule::targeted(targets, Rank(3)));
+        let req = Message::request(
+            WexecMethod::Run.topic(),
+            flux_wire::MsgId { origin: Rank(0), seq: 1 },
+            Rank(0),
+            run,
+        );
+        let (_, outs) = flux_broker::testing::with_ctx(0, 4, |ctx| {
+            WexecModule::new().handle_request(ctx, req);
+        });
+        let ntasks = outs.iter().filter_map(|o| o.message()).find_map(|m| m.payload.get("ntasks"));
+        assert_eq!(ntasks, Some(&Value::Int(4)), "{outs:?}");
     }
 }

@@ -222,12 +222,11 @@ mod tests {
     #[test]
     fn a_put_moves_its_value_into_the_request_without_a_copy() {
         let val = Value::from("x".repeat(512));
-        let Value::Str(held) = &val else { unreachable!("a string") };
-        let held = held.as_ptr();
+        let held = val.as_str().map(str::as_ptr);
         let (mut s, mut out) = script(vec![Op::Put { key: "a.b".into(), val }]);
         let req = sent(Some(s.issue(&mut out)));
-        let Some(Value::Str(carried)) = req.payload.get("v") else { panic!("{req:?}") };
-        assert!(std::ptr::eq(carried.as_ptr(), held), "the op's own bytes, moved");
+        let carried = req.payload.get("v").and_then(Value::as_str).map(str::as_ptr);
+        assert!(held.is_some() && carried == held, "the op's own bytes, moved");
     }
 
     #[test]

@@ -289,6 +289,23 @@ fn kvs_at_the_master() {
                 .handle(0, Input::FromBroker { plane: Plane::Tree, from: Rank(1), msg })
         },
     );
+
+    // Its twin: the first `kvs.get` of a value just committed builds the
+    // object's one get reply, whose string is a view of the held bytes,
+    // not a 512-byte copy (a copy read 7 calls, 1061 bytes).
+    pin_bytes(
+        "kvs.get of a new 512-byte value, the reply built at the master",
+        6,
+        549,
+        || {
+            fresh += 1;
+            let val = Value::from(format!("{fresh:0512}"));
+            ask(put(&mut core, "bench.fresh", val));
+            ask(core.request(KvsMethod::Commit.topic(), Value::object(), 0));
+            core.request(KvsMethod::Get.topic(), get_payload("bench.fresh"), 0)
+        },
+        ask,
+    );
 }
 
 #[test]

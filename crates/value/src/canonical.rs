@@ -16,6 +16,7 @@
 //!
 //! The encoding is self-delimiting, so it can be embedded in larger frames.
 
+use crate::value::StrView;
 use crate::{Map, Value};
 use std::fmt;
 use std::sync::Arc;
@@ -89,18 +90,19 @@ impl Value {
     /// KVS cache and the simulator's cost model charge for it. Mirrors
     /// `encode_into` arm for arm.
     pub fn encoded_len(&self) -> usize {
-        let text = |s: &str| varint_len(s.len() as u64) + s.len();
+        let text = |len: usize| varint_len(len as u64) + len;
         1 + match self {
             Value::Null | Value::Bool(_) => 0,
             Value::Int(_) | Value::Float(_) => 8,
-            Value::Str(s) => text(s),
+            Value::Str(s) => text(s.len()),
+            Value::StrView(s) => text(s.as_bytes().len()),
             Value::Bytes(b) => varint_len(b.len() as u64) + b.len(),
             Value::Array(a) => {
                 varint_len(a.len() as u64) + a.iter().map(Value::encoded_len).sum::<usize>()
             }
             Value::Object(m) => {
                 varint_len(m.len() as u64)
-                    + m.iter().map(|(k, v)| text(k) + v.encoded_len()).sum::<usize>()
+                    + m.iter().map(|(k, v)| text(k.len()) + v.encoded_len()).sum::<usize>()
             }
         }
     }
@@ -114,9 +116,22 @@ impl Value {
     /// Decodes a value from the canonical binary form, requiring the input
     /// to be exactly one value.
     pub fn decode_canonical(bytes: &[u8]) -> Result<Value, DecodeError> {
-        let mut cur = Cursor { bytes, pos: 0 };
+        let mut cur = Cursor { bytes, pos: 0, shared: None };
         let v = decode_one(&mut cur, 0)?;
         if cur.pos != bytes.len() {
+            return Err(DecodeError::TrailingBytes);
+        }
+        Ok(v)
+    }
+
+    /// Decodes `buf[from..]` as [`Value::decode_canonical`] does, with
+    /// its checks, except that every string is a [`Value::StrView`] of
+    /// `buf`: the value shares the buffer it was read from instead of
+    /// copying its text. Object keys are owned.
+    pub fn decode_canonical_shared(buf: &Arc<[u8]>, from: usize) -> Result<Value, DecodeError> {
+        let mut cur = Cursor { bytes: buf, pos: from, shared: Some(buf) };
+        let v = decode_one(&mut cur, 0)?;
+        if cur.pos != buf.len() {
             return Err(DecodeError::TrailingBytes);
         }
         Ok(v)
@@ -127,7 +142,7 @@ impl Value {
     /// [`Value::decode_canonical`], and no allocation. What a receiver
     /// runs on bytes it stores or passes on as they came.
     pub fn check_canonical(bytes: &[u8]) -> Result<(), DecodeError> {
-        let mut cur = Cursor { bytes, pos: 0 };
+        let mut cur = Cursor { bytes, pos: 0, shared: None };
         skip_one(&mut cur, 0)?;
         if cur.pos != bytes.len() {
             return Err(DecodeError::TrailingBytes);
@@ -138,7 +153,7 @@ impl Value {
     /// Decodes one value from the front of `bytes`, returning it and the
     /// number of bytes consumed.
     pub fn decode_canonical_prefix(bytes: &[u8]) -> Result<(Value, usize), DecodeError> {
-        let mut cur = Cursor { bytes, pos: 0 };
+        let mut cur = Cursor { bytes, pos: 0, shared: None };
         let v = decode_one(&mut cur, 0)?;
         Ok((v, cur.pos))
     }
@@ -193,11 +208,8 @@ fn encode_into(v: &Value, out: &mut Vec<u8>) {
             out.push(tag::FLOAT);
             out.extend_from_slice(&x.to_bits().to_le_bytes());
         }
-        Value::Str(s) => {
-            out.push(tag::STR);
-            write_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
+        Value::Str(s) => encode_text(s.as_bytes(), out),
+        Value::StrView(s) => encode_text(s.as_bytes(), out),
         Value::Bytes(b) => {
             out.push(tag::BYTES);
             write_varint(out, b.len() as u64);
@@ -222,9 +234,17 @@ fn encode_into(v: &Value, out: &mut Vec<u8>) {
     }
 }
 
+fn encode_text(s: &[u8], out: &mut Vec<u8>) {
+    out.push(tag::STR);
+    write_varint(out, s.len() as u64);
+    out.extend_from_slice(s);
+}
+
 struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// `bytes` as a shared buffer, when strings are decoded as views of it.
+    shared: Option<&'a Arc<[u8]>>,
 }
 
 impl<'a> Cursor<'a> {
@@ -265,6 +285,14 @@ impl<'a> Cursor<'a> {
     fn string(&mut self) -> Result<String, DecodeError> {
         self.str().map(str::to_owned)
     }
+
+    /// A string value: a view of the shared buffer if there is one,
+    /// an owned copy otherwise.
+    fn text(&mut self) -> Result<Value, DecodeError> {
+        let s = self.str()?;
+        let view = self.shared.and_then(|buf| StrView::new(buf, self.pos - s.len(), s.len()));
+        Ok(view.map_or_else(|| Value::Str(s.to_owned()), Value::StrView))
+    }
 }
 
 fn decode_one(cur: &mut Cursor<'_>, depth: u32) -> Result<Value, DecodeError> {
@@ -284,7 +312,7 @@ fn decode_one(cur: &mut Cursor<'_>, depth: u32) -> Result<Value, DecodeError> {
             let raw: [u8; 8] = cur.take(8)?.try_into().expect("len checked");
             Value::Float(f64::from_bits(u64::from_le_bytes(raw)))
         }
-        tag::STR => Value::Str(cur.string()?),
+        tag::STR => cur.text()?,
         tag::BYTES => Value::Bytes(Arc::from(cur.run()?)),
         tag::ARRAY => {
             let len = cur.varint()?;
@@ -495,6 +523,26 @@ mod tests {
         // One past the limit is the boundary.
         let over = nested_array_bytes(MAX_DEPTH as usize + 2);
         assert_eq!(Value::decode_canonical(&over), Err(DecodeError::TooDeep));
+    }
+
+    #[test]
+    fn a_shared_decode_views_every_string_in_its_buffer_and_owns_keys() {
+        let v = Value::parse(r#"{"k":["ab",1,{"x":"cd"}],"s":""}"#).unwrap();
+        let buf: Arc<[u8]> = [&b"V"[..], &v.encode_canonical()].concat().into();
+        let shared = Value::decode_canonical_shared(&buf, 1).unwrap();
+        assert_eq!(shared, v);
+        let view = |v: &Value| match v {
+            Value::StrView(s) => Arc::ptr_eq(s.buf(), &buf).then(|| s.as_str().to_owned()),
+            _ => None,
+        };
+        let list = shared.get("k").and_then(Value::as_array).unwrap();
+        assert_eq!(view(&list[0]).as_deref(), Some("ab"));
+        assert_eq!(view(list[2].get("x").unwrap()).as_deref(), Some("cd"));
+        assert_eq!(view(shared.get("s").unwrap()).as_deref(), Some(""));
+        assert_eq!(Value::decode_canonical_shared(&buf, 0), Err(DecodeError::BadTag(b'V')));
+        for past in [buf.len(), buf.len() + 1] {
+            assert_eq!(Value::decode_canonical_shared(&buf, past), Err(DecodeError::Truncated));
+        }
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   ([`Value::to_json`], [`Value::to_json_pretty`]),
 //! * a canonical binary encoding ([`Value::encode_canonical`] /
 //!   [`Value::decode_canonical`]) that is injective on values and is what
-//!   the KVS hashes.
+//!   the KVS hashes, and a decoder whose strings are views of the buffer
+//!   they were read from ([`Value::decode_canonical_shared`]).
 //!
 //! # Example
 //!
@@ -38,7 +39,7 @@ mod value;
 pub use canonical::{read_varint, varint_len, write_varint, DecodeError};
 pub use parse::ParseError;
 pub use map::Map;
-pub use value::Value;
+pub use value::{StrView, Value};
 
 #[cfg(test)]
 mod proptests;

@@ -3,6 +3,7 @@
 use crate::{Map, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Strategy producing arbitrary [`Value`]s, recursively.
 ///
@@ -116,6 +117,38 @@ proptest! {
         for bytes in [&enc[..], cut, &changed, &noise] {
             let decoded = Value::decode_canonical(bytes).map(drop);
             prop_assert_eq!(Value::check_canonical(bytes), decoded, "{:?}", bytes);
+        }
+    }
+
+    /// A value decoded with views of its buffer is the owned decode in
+    /// every respect but memory: equal both ways, the same JSON text,
+    /// `encoded_len`, canonical bytes and `Debug`. Behind a prefix it
+    /// skips, and on a cut or changed encoding, the shared decoder gives
+    /// the owned one's verdict.
+    #[test]
+    fn a_shared_decode_is_the_owned_decode(
+        v in arb_canonical_value(),
+        prefix in prop::collection::vec(any::<u8>(), 0..8),
+        at in any::<usize>(),
+        flip in 1u8..=255,
+    ) {
+        let enc = v.encode_canonical();
+        let buf: Arc<[u8]> = [&prefix[..], &enc].concat().into();
+        let shared = Value::decode_canonical_shared(&buf, prefix.len()).unwrap();
+        let owned = Value::decode_canonical(&enc).unwrap();
+        prop_assert_eq!(&shared, &owned);
+        prop_assert_eq!(&owned, &shared);
+        prop_assert_eq!(shared.to_json(), owned.to_json());
+        prop_assert_eq!(shared.to_json_pretty(), owned.to_json_pretty());
+        prop_assert_eq!(shared.encoded_len(), owned.encoded_len());
+        prop_assert_eq!(shared.encode_canonical(), enc.clone());
+        prop_assert_eq!(format!("{shared:?}"), format!("{owned:?}"));
+        let mut changed = enc.clone();
+        changed[at % enc.len()] ^= flip;
+        for bytes in [&enc[..at % enc.len()], &changed] {
+            let owned = Value::decode_canonical(bytes);
+            let shared = Value::decode_canonical_shared(&Arc::from(bytes), 0);
+            prop_assert_eq!(shared, owned, "{:?}", bytes);
         }
     }
 

@@ -40,6 +40,7 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, level: usize)
         }
         Value::Float(x) => write_float(out, *x),
         Value::Str(s) => write_string(out, s),
+        Value::StrView(s) => write_string(out, s.as_str()),
         Value::Bytes(b) => {
             out.push('"');
             for byte in b.iter() {

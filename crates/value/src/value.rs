@@ -16,8 +16,12 @@ use std::sync::Arc;
 /// byte string shared by reference, which the canonical encoding carries
 /// verbatim and JSON text renders as lowercase hex. It is how a KVS
 /// object travels as the bytes its address hashes.
-#[derive(Debug, Clone, PartialEq)]
-#[derive(Default)]
+///
+/// [`Value::StrView`] is a string decoded in place
+/// ([`Value::decode_canonical_shared`]): it reads as, compares equal to
+/// and encodes exactly as the [`Value::Str`] holding the same text, and
+/// differs only in where its bytes live.
+#[derive(Clone, Default)]
 pub enum Value {
     /// JSON `null`.
     #[default]
@@ -30,6 +34,9 @@ pub enum Value {
     Float(f64),
     /// A UTF-8 string.
     Str(String),
+    /// A UTF-8 string that is a slice of a shared buffer: a string the
+    /// shared decoder read, still in the bytes it was read from.
+    StrView(StrView),
     /// An ordered array of values.
     Array(Vec<Value>),
     /// A key→value object with deterministic (sorted) key order.
@@ -109,10 +116,21 @@ impl Value {
         }
     }
 
-    /// Returns the string slice if this is a `Str`.
+    /// Returns the string slice if this is a `Str` or a `StrView`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
+            Value::StrView(s) => Some(s.as_str()),
+            _ => None,
+        }
+    }
+
+    /// The UTF-8 bytes of a `Str` or a `StrView`, read without a check:
+    /// what equality compares.
+    pub(crate) fn text_bytes(&self) -> Option<&[u8]> {
+        match self {
+            Value::Str(s) => Some(s.as_bytes()),
+            Value::StrView(s) => Some(s.as_bytes()),
             _ => None,
         }
     }
@@ -182,6 +200,78 @@ impl Value {
     #[doc(hidden)]
     pub fn approx_size(&self) -> usize {
         self.encoded_len()
+    }
+}
+
+/// A string decoded in place: `len` bytes of `buf` from `start`, checked
+/// as UTF-8 when they were decoded. A clone is a reference-count bump,
+/// and the buffer lives as long as any view into it.
+#[derive(Clone)]
+pub struct StrView {
+    buf: Arc<[u8]>,
+    start: u32,
+    len: u32,
+}
+
+impl StrView {
+    /// A view of `buf[start..start + len]`, which the caller has checked
+    /// is UTF-8; `None` if `start` or `len` does not fit a `u32`.
+    pub(crate) fn new(buf: &Arc<[u8]>, start: usize, len: usize) -> Option<StrView> {
+        let (start, len) = (start.try_into().ok()?, len.try_into().ok()?);
+        Some(StrView { buf: Arc::clone(buf), start, len })
+    }
+
+    /// The viewed bytes.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        let start = self.start as usize;
+        &self.buf[start..start + self.len as usize]
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(self.as_bytes()).expect("checked as UTF-8 when decoded")
+    }
+
+    /// The buffer the text is a slice of.
+    pub fn buf(&self) -> &Arc<[u8]> {
+        &self.buf
+    }
+}
+
+impl PartialEq for Value {
+    /// Structural equality, a view equal to the `Str` of the same text.
+    fn eq(&self, other: &Value) -> bool {
+        if let (Some(a), Some(b)) = (self.text_bytes(), other.text_bytes()) {
+            return a == b;
+        }
+        match (self, other) {
+            (Value::Null, Value::Null) => true,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Int(a), Value::Int(b)) => a == b,
+            (Value::Float(a), Value::Float(b)) => a == b,
+            (Value::Array(a), Value::Array(b)) => a == b,
+            (Value::Object(a), Value::Object(b)) => a == b,
+            (Value::Bytes(a), Value::Bytes(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl fmt::Debug for Value {
+    /// What `derive(Debug)` writes, a view written as the `Str` of the
+    /// same text.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Null => f.write_str("Null"),
+            Value::Bool(b) => f.debug_tuple("Bool").field(b).finish(),
+            Value::Int(i) => f.debug_tuple("Int").field(i).finish(),
+            Value::Float(x) => f.debug_tuple("Float").field(x).finish(),
+            Value::Str(s) => f.debug_tuple("Str").field(s).finish(),
+            Value::StrView(s) => f.debug_tuple("Str").field(&s.as_str()).finish(),
+            Value::Array(a) => f.debug_tuple("Array").field(a).finish(),
+            Value::Object(m) => f.debug_tuple("Object").field(m).finish(),
+            Value::Bytes(b) => f.debug_tuple("Bytes").field(b).finish(),
+        }
     }
 }
 
@@ -296,6 +386,28 @@ mod tests {
         assert!(big.approx_size() > small.approx_size());
         let arr = Value::from(vec![1i64; 100]);
         assert!(arr.approx_size() >= 800);
+    }
+
+    #[test]
+    fn a_value_is_four_words() {
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+    }
+
+    #[test]
+    fn a_view_reads_compares_and_prints_as_its_string() {
+        let buf: Arc<[u8]> = Arc::from(&b"xhi\"y"[..]);
+        let view = Value::StrView(StrView::new(&buf, 1, 4).unwrap());
+        let owned = Value::from("hi\"y");
+        assert_eq!(view.as_str(), Some("hi\"y"));
+        assert_eq!(view, owned);
+        assert_eq!(owned, view);
+        assert_ne!(view, Value::from("hi"));
+        assert_ne!(view, Value::Bytes(Arc::from(&b"hi\"y"[..])));
+        assert_eq!(format!("{view:?}"), format!("{owned:?}"));
+        assert_eq!(format!("{view:#?}"), format!("{owned:#?}"));
+        assert_eq!(view.to_json(), owned.to_json());
+        let Value::StrView(s) = &view else { unreachable!("a view") };
+        assert!(Arc::ptr_eq(s.buf(), &buf));
     }
 
     #[test]
