@@ -45,9 +45,9 @@
 
 use crate::{requester_of, Handled, ModuleCtx, Requester};
 use flux_value::{Map, Value};
-use flux_wire::{errnum, IdMap, Message, Payload, Topic};
+use flux_wire::{errnum, IdMap, IdSet, Message, Payload, PeerMap, Topic};
 use std::collections::btree_map::{BTreeMap, Entry};
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// The aggregation window of the collectives (`barrier.enter`,
 /// `kvs.fence`): contributions arriving within it leave as one message.
@@ -238,7 +238,7 @@ impl<P: Partial> Partial for Tally<P> {
 #[derive(Default)]
 struct Roster<P> {
     nprocs: u64,
-    entered: HashSet<Requester>,
+    entered: IdSet<Requester>,
     waiters: Vec<Message>,
     /// What the entries carry, merged: a copy, for a recount.
     kept: P,
@@ -285,7 +285,7 @@ pub struct Done<P> {
 #[derive(Default)]
 pub struct Collective<P> {
     tallies: Reduction<String, Tally<P>>,
-    rosters: HashMap<String, Roster<P>>,
+    rosters: PeerMap<String, Roster<P>>,
     /// Armed window timers by token, counted from 1: a module's token 0
     /// stays free for a timer of its own.
     windows: IdMap<u64, String>,

@@ -7,7 +7,8 @@
 //! and names the first line that differs. The records are:
 //!
 //! * `kap`: `flux_kap::bench::run_matrix(true)`, the sim cells
-//!   `BENCH_kap.json` pins, as JSON;
+//!   `BENCH_kap.json` pins, as JSON, each with its heap (this binary
+//!   installs `flux_sys::CountingAlloc`);
 //! * `mc.<scenario>`: the seven CI flux-mc scenarios at a reduced budget,
 //!   each its schedule / pruned / frontier / invalid / violation
 //!   counts, plus the minimal trace `kvs_fence_mutant` is caught with;
@@ -15,8 +16,10 @@
 //!   and one with four shard masters, each with its history verdict.
 //!
 //! A leak of process state into a record diverges because the children
-//! differ in it: `RandomState` keys differ per process by construction;
-//! child *i* holds *i* allocations of distinct sizes, heap- and
+//! differ in it: `RandomState` keys differ per process by construction
+//! (a simulated session seeds `flux_wire::IdMap` and `PeerMap` from its
+//! own seed, so their order is the same in every child and this test
+//! does not see it); child *i* holds *i* allocations of distinct sizes, heap- and
 //! mmap-sized, so later addresses shift even with ASLR off; and child
 //! *i* spawns *i* threads before the one that computes its records, so
 //! thread ids differ too. A leak that reaches no record is invisible here.
@@ -29,6 +32,10 @@ use flux_kvs::KvsConfig;
 use flux_mc::{explore, ExploreConfig, Scenario};
 use flux_rt::chaos;
 use std::process::{Command, Stdio};
+
+/// Counts each kap cell's heap, so the `kap` record carries it.
+#[global_allocator]
+static ALLOC: flux_sys::CountingAlloc = flux_sys::CountingAlloc;
 
 /// Tells a re-run of this binary that it is child number `<value>`.
 const CHILD_VAR: &str = "FLUX_DETERMINISM_CHILD";

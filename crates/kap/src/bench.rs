@@ -4,7 +4,10 @@
 //! `BENCH_kap.json` document CI smokes against.
 //!
 //! Simulator cells run in virtual time and are bit-for-bit reproducible:
-//! the same parameters always produce the same JSON. Live cells
+//! the same parameters always produce the same JSON. That includes each
+//! sim cell's `heap` (its peak live bytes, allocator calls and bytes
+//! asked for, [`flux_sys::heap`]) where `flux_sys::CountingAlloc` is the
+//! global allocator, as in the `kap` binary; elsewhere it reads 0. Live cells
 //! (`tcp`) measure wall-clock latencies and vary run to run;
 //! regression checks therefore only compare `sim` cells.
 //!
@@ -64,13 +67,20 @@ fn phase_value(mut lats: Vec<u64>) -> Value {
     ])
 }
 
-/// Runs one cell and renders its JSON record.
-fn run_cell(cell: &Cell) -> Value {
-    let run = run_on(cell.transport, &cell.params);
-    cell_value(cell, &run)
+/// Runs one cell on this thread, and reads the heap the run used. The
+/// process-wide topic tables are built first: they are not the cell's.
+pub fn run_counted(cell: &Cell) -> (KapRun, flux_sys::Heap) {
+    flux_proto::intern_topics();
+    flux_sys::heap(|| run_on(cell.transport, &cell.params))
 }
 
-fn cell_value(cell: &Cell, run: &KapRun) -> Value {
+/// Runs one cell and renders its JSON record.
+fn run_cell(cell: &Cell) -> Value {
+    let (run, heap) = run_counted(cell);
+    cell_value(cell, &run, heap)
+}
+
+fn cell_value(cell: &Cell, run: &KapRun, heap: flux_sys::Heap) -> Value {
     let p = &cell.params;
     // Sharded cells carry the shard count; classic cells stay
     // byte-identical to pre-sharding documents.
@@ -133,6 +143,18 @@ fn cell_value(cell: &Cell, run: &KapRun) -> Value {
     ];
     if shards > 1 {
         pairs.push(("shards", Value::from(i64::from(shards))));
+    }
+    // Live cells run threads: their heap is neither whole nor repeatable.
+    if cell.transport == TransportKind::Sim {
+        let count = |n: u64| Value::from(n as i64);
+        pairs.push((
+            "heap",
+            Value::from_pairs([
+                ("peak_bytes", count(heap.peak_bytes)),
+                ("calls", count(heap.calls)),
+                ("bytes", count(heap.bytes)),
+            ]),
+        ));
     }
     Value::from_pairs(pairs)
 }

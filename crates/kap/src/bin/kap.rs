@@ -27,6 +27,9 @@ use flux_kap::{run_kap, KapParams};
 use flux_rt::transport::SimTransport;
 use flux_sim::NetParams;
 
+#[global_allocator]
+static ALLOC: flux_sys::CountingAlloc = flux_sys::CountingAlloc;
+
 /// The value sizes of the paper's sweeps (bytes).
 const VSIZES: [usize; 7] = [8, 32, 128, 512, 2048, 8192, 32768];
 
@@ -458,15 +461,18 @@ fn scale_smoke_cmd(args: &[String]) {
     };
     let name = cell.name.clone();
     let start = std::time::Instant::now();
-    let run = bench::run_on(cell.transport, &cell.params);
+    let (run, heap) = bench::run_counted(&cell);
     let wall = start.elapsed();
     eprintln!(
         "scale-smoke {name}: wall {wall:.2?} (engine {:.2?}), {} events, \
-         {:.0} events/s, makespan {:.1} ms",
+         {:.0} events/s, makespan {:.1} ms, heap peak {} B ({} allocations, {} B asked)",
         std::time::Duration::from_nanos(run.wall_ns),
         run.events,
         run.events_per_sec,
         run.makespan_ns as f64 / 1e6,
+        heap.peak_bytes,
+        heap.calls,
+        heap.bytes,
     );
     if wall.as_secs() >= budget_secs {
         eprintln!("scale-smoke: {wall:.2?} exceeds the {budget_secs}s budget");

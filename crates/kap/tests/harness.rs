@@ -2,7 +2,8 @@
 //!
 //! * determinism — the sim-only matrix is byte-identical run to run;
 //! * schema — the committed `BENCH_kap.json` golden file validates, and
-//!   a fresh run matches its deterministic cells' exact numbers;
+//!   a fresh run matches its deterministic cells' exact numbers, their
+//!   heap included (this binary counts it as `kap` does);
 //! * regression — a fresh quick run stays within 2× of the golden file
 //!   (the same gate the CI bench-smoke job applies);
 //! * figures — the `--quick` cells of `kap fig1` and `kap ablate` are
@@ -12,6 +13,9 @@ use flux_kap::{ablate, bench};
 use flux_kap::{run_kap_full, KapParams};
 use flux_rt::transport::SimTransport;
 use flux_value::Value;
+
+#[global_allocator]
+static ALLOC: flux_sys::CountingAlloc = flux_sys::CountingAlloc;
 
 fn golden() -> Value {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kap.json");
@@ -202,7 +206,7 @@ fn golden_sim_cells_reproduce_exactly() {
             .iter()
             .find(|c| c.get("name").and_then(Value::as_str) == Some(name))
             .unwrap_or_else(|| panic!("cell {name} missing from fresh run"));
-        for field in ["makespan_ns", "bytes_on_wire", "events", "phases"] {
+        for field in ["makespan_ns", "bytes_on_wire", "events", "phases", "heap"] {
             assert_eq!(
                 c.get(field),
                 r.get(field),

@@ -15,8 +15,8 @@ use crate::module::{KvsConfig, Replica};
 use crate::msg::{self, Objects, RootRef};
 use flux_broker::{Handled, ModuleCtx};
 use flux_proto::Event;
-use flux_wire::{errnum, IdSet, Message, MsgId};
-use std::collections::{HashMap, VecDeque};
+use flux_wire::{errnum, IdSet, Message, MsgId, PeerMap};
+use std::collections::VecDeque;
 
 /// Timer token of the batch window. Every firing flushes whatever is
 /// parked, so one token serves all windows; fence windows count from 1.
@@ -44,7 +44,7 @@ pub(crate) struct Authority {
     /// coordinator retry (its first push or our reply was lost in a
     /// blackout window) is answered from here instead of
     /// double-applying. Bounded FIFO.
-    fence_applied: HashMap<String, RootRef>,
+    fence_applied: PeerMap<String, RootRef>,
     fence_applied_order: VecDeque<String>,
     /// Applies performed; with batching one covers many pushes.
     pub(crate) commits_applied: u64,
@@ -85,7 +85,7 @@ impl Authority {
         let shard = rep.slots.mine().unwrap_or(0);
         // Value objects: the bytes a put encoded or a push carried.
         for (id, bytes) in objects {
-            rep.cache.insert_bytes(id, bytes, None);
+            rep.cache.insert_bytes(id, bytes);
         }
         let (root, version) = rep.slots.root(shard);
         let root = apply_tuples(&mut rep.cache, root, tuples);

@@ -81,8 +81,8 @@ impl PatchNode {
 fn rebuild(cache: &mut ObjectCache, base: Option<ObjectId>, patch: &PatchNode) -> ObjectId {
     // Start from the existing directory if there is one; a value (or a
     // missing object) in the way is replaced by an empty directory.
-    let base = base.and_then(|id| cache.lookup(id)).flatten();
-    let mut entries: BTreeMap<String, ObjectId> = match base.as_deref() {
+    let base = base.and_then(|id| cache.lookup(id));
+    let mut entries: BTreeMap<String, ObjectId> = match base.as_ref().and_then(|b| b.dir()) {
         Some(KvsObject::Dir(e)) => e.clone(),
         _ => BTreeMap::new(),
     };
@@ -126,8 +126,8 @@ pub fn resolve(cache: &mut ObjectCache, root: ObjectId, key: &str) -> Option<Obj
     validate_key(key).ok()?;
     let mut cur = root;
     for name in key.split('.') {
-        let view = cache.lookup(cur).flatten()?;
-        let KvsObject::Dir(entries) = &*view else { return None };
+        let held = cache.lookup(cur)?;
+        let Some(KvsObject::Dir(entries)) = held.dir() else { return None };
         cur = *entries.get(name)?;
     }
     Some(cur)

@@ -60,8 +60,7 @@ use flux_broker::{requester_of, CommsModule, Handled, ModuleCtx, Requester};
 use flux_hash::ObjectId;
 use flux_proto::{Event, KvsMethod};
 use flux_value::Value;
-use flux_wire::{errnum, Message, Payload, Topic};
-use std::collections::HashMap;
+use flux_wire::{errnum, IdMap, Message, Payload, Topic};
 use std::sync::Arc;
 
 /// KVS tuning knobs.
@@ -134,7 +133,10 @@ pub struct KvsModule {
     coordinator: Coordinator,
     fence: Collective<FenceAcc>,
     reads: Reads,
-    pending: HashMap<Requester, PendingWrites>,
+    pending: IdMap<Requester, PendingWrites>,
+    /// `{}`, the one payload every `kvs.put` and `kvs.unwatch` is
+    /// answered with.
+    ack: Payload,
 }
 
 impl KvsModule {
@@ -152,7 +154,8 @@ impl KvsModule {
             coordinator: Coordinator::default(),
             fence: Collective::default(),
             reads: Reads::default(),
-            pending: HashMap::new(),
+            pending: IdMap::default(),
+            ack: Value::object().into(),
         }
     }
 
@@ -188,7 +191,7 @@ impl KvsModule {
             pend.objects.insert(id, bytes);
             pend.tuples.push((key.to_owned(), Some(id)));
         }
-        ctx.respond(msg, Value::object())
+        ctx.respond(msg, self.ack.clone())
     }
 
     /// Hands a write set to the coordinator; `waiters` get the cut.
@@ -319,7 +322,7 @@ impl KvsModule {
             return ctx.respond_err(msg, errnum::EINVAL);
         };
         self.reads.watch.remove(key, requester_of(msg));
-        ctx.respond(msg, Value::object())
+        ctx.respond(msg, self.ack.clone())
     }
 
     // ----- introspection ---------------------------------------------------

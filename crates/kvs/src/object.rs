@@ -42,11 +42,6 @@ impl fmt::Display for ObjectError {
 
 impl std::error::Error for ObjectError {}
 
-/// The decoded view a held object keeps beside its bytes: a
-/// directory's, shared by reference. A value keeps none (`None`); it is
-/// read from its bytes.
-pub(crate) type View = Option<Arc<KvsObject>>;
-
 impl KvsObject {
     /// An empty directory (the initial root of every session).
     pub fn empty_dir() -> KvsObject {
@@ -173,12 +168,13 @@ pub(crate) fn value_id(bytes: &[u8]) -> Option<ObjectId> {
 }
 
 /// Checks bytes received as any object, a `kvs.load` reply's: their
-/// address, and a directory's view decoded from them. `None` if they are
-/// not a well-formed object.
-pub(crate) fn receive(bytes: &[u8]) -> Option<(ObjectId, View)> {
+/// address, and a directory's view decoded from them (`None` for a
+/// value, which is read from its bytes). `None` if they are not a
+/// well-formed object.
+pub(crate) fn receive(bytes: &[u8]) -> Option<(ObjectId, Option<KvsObject>)> {
     if bytes.first() == Some(&b'D') {
         let dir = KvsObject::decode(bytes).ok()?;
-        return Some((ObjectId::hash(bytes), Some(Arc::new(dir))));
+        return Some((ObjectId::hash(bytes), Some(dir)));
     }
     Some((value_id(bytes)?, None))
 }
@@ -279,7 +275,7 @@ mod tests {
         assert_eq!(value_id(&val_bytes), Some(val.id()));
         assert_eq!(receive(&val_bytes), Some((val.id(), None)));
         assert_eq!(value_of(&val_bytes.as_slice().into()), Some(Value::from("v")));
-        assert_eq!(receive(&dir_bytes), Some((sub.id(), Some(Arc::new(sub.clone())))));
+        assert_eq!(receive(&dir_bytes), Some((sub.id(), Some(sub.clone()))));
         assert_eq!(value_id(&dir_bytes), None, "a manifest carries values only");
         assert_eq!(value_of(&dir_bytes.as_slice().into()), None);
         // Any byte changed: another address, or not an object at all.

@@ -15,19 +15,24 @@
 //! A walk that the local cache resolves is answered in the call that
 //! started it and owns nothing beyond the request it was handed. Only a
 //! walk that must fault an object in parks: the request moves into the
-//! walk and the key is copied.
+//! walk and the key is copied, and the walk itself is filed in the
+//! waiter list of the object it waits on (`waiters`), so it has no id
+//! and no table of its own. When the object arrives, the walks in its
+//! list resume in the order they parked.
 //!
 //! A walk reads a directory's decoded view and a value's tag alone, and
-//! ends on the object it found. Objects are immutable and
-//! content-addressed, so every reply built from one — its `kvs.get`
-//! reply (`{v}` decoded from a value's bytes, its strings views of
-//! them; `{dir}` for a directory) and its `kvs.load` reply, the held
-//! bytes themselves — is the same for every reader: it is built once,
-//! kept beside the object in its cache entry ([`ObjectCache::reply`])
-//! and handed to every later reader as a reference-count bump of that
-//! one payload. A reply cannot go stale (its key is the content) and
-//! lives exactly as long as the object's cache entry. A watch check
-//! reads its value out of the same shared get reply.
+//! ends on the held object it found ([`Held`]). Objects are immutable
+//! and content-addressed, so every reply built from one is the same for
+//! every reader. Its `kvs.get` reply (`{v}` decoded from a value's
+//! bytes, its strings views of them; `{dir}` for a directory) is built
+//! once and kept in the held object, which every tier a load payload
+//! reached shares. Its `kvs.load` reply is this broker's, kept in the
+//! cache entry: the payload that brought the object, or the held bytes
+//! wrapped at the master ([`ObjectCache::load_reply`]). Every later
+//! reader gets a reference-count bump of that one payload. A reply
+//! cannot go stale (its key is the content) and lives as long as the
+//! held object or the cache entry that keeps it. A watch check reads
+//! its value out of the same shared get reply.
 //!
 //! A child's `kvs.load` that misses here is forwarded as it came, by
 //! the route a walk's own load takes, and its hop stack carries the
@@ -61,24 +66,22 @@
 //!   parked request, forwarded.
 //!
 //! The marker and waiter tables give their memory back once they drain
-//! below a quarter of their capacity.
+//! below a quarter of the most entries they held since they last did.
 
 use crate::inflight::{Answer, InFlight};
 use crate::module::Replica;
 use flux_broker::Requester;
 use crate::msg;
-use crate::object::{self, KvsObject, View};
+use crate::object::{self, KvsObject};
 use crate::path::validate_key;
 use crate::shard;
-use crate::store::{ObjectCache, Reply};
+use crate::store::{Held, ObjectCache};
 use crate::watch::Watches;
 use flux_broker::{Handled, ModuleCtx};
 use flux_hash::ObjectId;
 use flux_proto::KvsMethod;
 use flux_value::Value;
-use flux_wire::{errnum, IdMap, Message, MsgId, Payload, Rank};
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash};
+use flux_wire::{errnum, Message, MsgId, Payload, PeerMap, Rank};
 use std::sync::Arc;
 
 /// One lookup parked on an object being faulted in.
@@ -112,32 +115,29 @@ enum Want {
     Either,
 }
 
-/// How a walk ended: the object at the end of its key and its view, or
-/// an errnum.
-type WalkEnd = Result<(ObjectId, View), u32>;
+/// How a walk ended: the object at the end of its key, or an errnum.
+type WalkEnd = Result<Arc<Held>, u32>;
 
 /// The reply to a walk that wanted `want` and ended as `end`: the
 /// found object's one get reply, built on first use and shared by every
-/// later read of that object ([`ObjectCache::reply`]), or the errnum
-/// that says why there is none.
-fn get_reply(cache: &mut ObjectCache, end: WalkEnd, want: Want) -> Result<Payload, u32> {
-    let (id, view) = end?;
-    match (view.is_some(), want) {
+/// later read of that object ([`Held::get_reply`]), or the errnum that
+/// says why there is none.
+fn get_reply(end: WalkEnd, want: Want) -> Result<Payload, u32> {
+    let held = end?;
+    match (held.dir().is_some(), want) {
         (false, Want::Listing) => Err(errnum::ENOTDIR),
         (true, Want::Value) => Err(errnum::EISDIR),
-        _ => cache
-            .reply(id, Reply::Get, |bytes, view| msg::get_reply(bytes, view).map(Payload::from))
+        _ => held
+            .get_reply(|bytes, dir| msg::get_reply(bytes, dir).map(Payload::from))
             .ok_or(errnum::ENOENT),
     }
 }
 
-/// `id`'s one `kvs.load` reply, built on first use and shared by every
-/// child that asks after; `None` if the cache does not hold `id`. It
-/// carries the held bytes themselves: nothing is encoded.
+/// `id`'s `kvs.load` reply here, shared by every child that asks;
+/// `None` if the cache does not hold `id`. Built from the held bytes
+/// when no payload brought them: nothing is encoded.
 fn load_reply(cache: &mut ObjectCache, id: ObjectId) -> Option<Payload> {
-    cache.reply(id, Reply::Load, |bytes, _| {
-        Some(msg::load_reply(Value::Bytes(Arc::clone(bytes))).into())
-    })
+    cache.load_reply(id, |bytes| msg::load_reply(Value::Bytes(Arc::clone(bytes))).into())
 }
 
 /// Refuses `req`, a `kvs.load` of object `id`, with `code`, naming the
@@ -163,17 +163,17 @@ enum Stop {
 /// one directory per component, as far as `cache` reaches.
 fn step_walk(cache: &mut ObjectCache, key: &str, mut pos: usize, mut cur: ObjectId) -> Stop {
     loop {
-        let Some(view) = cache.lookup(cur) else { return Stop::Miss(cur, pos) };
+        let Some(held) = cache.lookup(cur) else { return Stop::Miss(cur, pos) };
         let rest = &key[pos..];
         if rest.is_empty() {
-            return Stop::Done(Ok((cur, view)));
+            return Stop::Done(Ok(held));
         }
         // A byte search: `.` is ASCII, so the offset is a char boundary.
         let (name, tail) = match rest.bytes().position(|b| b == b'.') {
             Some(dot) => (&rest[..dot], &rest[dot + 1..]),
             None => (rest, ""),
         };
-        cur = match view.as_deref() {
+        cur = match held.dir() {
             Some(KvsObject::Dir(entries)) => match entries.get(name) {
                 Some(&next) => next,
                 None => return Stop::Done(Err(errnum::ENOENT)),
@@ -192,28 +192,28 @@ fn answer(ctx: &mut ModuleCtx<'_>, req: &Message, reply: Result<Payload, u32>) -
     }
 }
 
-/// What a `kvs.load` reply payload holds: the bytes of its `obj`, the
-/// content address they hash to and, for a directory, the view decoded
-/// from them. This is kept in the payload's memo slot, so brokers handed
-/// one payload check, hash and decode it once between them.
-type Loaded = (ObjectId, Arc<[u8]>, View);
+/// What a `kvs.load` reply payload holds: the content address its
+/// `obj` bytes hash to, and the held object made of them (the bytes
+/// themselves and, for a directory, the view decoded from them). This
+/// is kept in the payload's memo slot, so brokers handed one payload
+/// check, hash and decode it once between them, and cache one object.
+type Loaded = (ObjectId, Arc<Held>);
 
 /// The payload's [`Loaded`] (`None`: a malformed `obj`).
 fn decode_load_reply(payload: &Value) -> Option<Loaded> {
     let bytes = msg::load_reply_object(payload)?;
-    let (id, view) = object::receive(bytes)?;
-    Some((id, Arc::clone(bytes), view))
+    let (id, dir) = object::receive(bytes)?;
+    Some((id, Held::new(Arc::clone(bytes), dir)))
 }
 
 /// Caches `loaded`, what `payload`, a `kvs.load` reply, carries.
-fn keep(rep: &mut Replica, payload: &Payload, (id, bytes, view): &Loaded) {
+fn keep(rep: &mut Replica, payload: &Payload, (id, held): &Loaded) {
     // Read-path caching at every level of the chain: this is what lets C
     // consumers share log2(C) transfers (Fig. 4 model). The cache holds
-    // the payload's bytes.
-    rep.cache.insert_bytes(*id, Arc::clone(bytes), view.clone());
-    // The reply carries nothing but the object: it is exactly the reply
-    // this broker would build for its own children.
-    rep.cache.reply(*id, Reply::Load, |_, _| Some(payload.clone()));
+    // the payload's held object, and answers its own children's loads
+    // with the payload itself: it carries nothing but the object, so it
+    // is exactly the reply this broker would build.
+    rep.cache.insert_held(*id, Arc::clone(held), Some(payload.clone()));
 }
 
 /// Files `item` on a waiter list, sized for one on its first: nearly
@@ -230,18 +230,68 @@ fn push_one<T>(list: &mut Vec<T>, item: T) {
 /// would otherwise free the table and allocate it again for each one.
 const DRAINED_KEEPS: usize = 16;
 
-/// Gives a drained table's memory back: once fewer than a quarter of
-/// its slots are used, it shrinks to twice its entries, and to no fewer
-/// than [`DRAINED_KEEPS`]. A wave of loads leaves no peak-sized table
-/// behind, and the quarter keeps a table that shrinks and grows again
-/// from doing so on every entry. The shrunk table is half empty: shrunk
-/// to its entries alone it would be full, grow again on the next one,
-/// and fill with the tombstones later removals leave, which
-/// `capacity` does not count (so a drained table could read fewer than
-/// [`DRAINED_KEEPS`] slots and never shrink again).
-fn shrink_drained<K: Eq + Hash, V, S: BuildHasher>(table: &mut HashMap<K, V, S>) {
-    if table.capacity() > DRAINED_KEEPS && table.len() < table.capacity() / 4 {
-        table.shrink_to((2 * table.len()).max(DRAINED_KEEPS));
+/// A table keyed by object that gives its memory back once drained,
+/// with the most entries it held since it last did. Entries go in
+/// through [`Table::insert`] and [`Table::file`], which keep the mark;
+/// everything else is the map's own.
+struct Table<V> {
+    map: PeerMap<ObjectId, V>,
+    /// The most entries since the table was last shrunk: what its
+    /// buckets were sized for. `capacity` cannot say: it counts the
+    /// slots still free to fill, and every tombstone a removal leaves
+    /// takes one away, so a table drained by removals reads nearly full.
+    high: usize,
+}
+
+impl<V> Default for Table<V> {
+    fn default() -> Self {
+        Table { map: PeerMap::default(), high: 0 }
+    }
+}
+
+impl<V> std::ops::Deref for Table<V> {
+    type Target = PeerMap<ObjectId, V>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.map
+    }
+}
+
+impl<V> std::ops::DerefMut for Table<V> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.map
+    }
+}
+
+impl<V> Table<V> {
+    /// Inserts `value` for `id`.
+    fn insert(&mut self, id: ObjectId, value: V) {
+        self.map.insert(id, value);
+        self.high = self.high.max(self.map.len());
+    }
+
+    /// The entry for `id`, made empty if there is none.
+    fn file(&mut self, id: ObjectId) -> &mut V
+    where
+        V: Default,
+    {
+        let len = self.map.len() + usize::from(!self.map.contains_key(&id));
+        self.high = self.high.max(len);
+        self.map.entry(id).or_default()
+    }
+
+    /// Gives a drained table's memory back: once it holds fewer than a
+    /// quarter of its high-water mark, it shrinks to twice its entries,
+    /// and to no fewer than [`DRAINED_KEEPS`]. A wave of loads leaves
+    /// no peak-sized table behind, and the quarter keeps a table that
+    /// shrinks and grows again from doing so on every entry. The shrunk
+    /// table is half empty: shrunk to its entries alone it would be
+    /// full and grow again on the next one.
+    fn shrink_drained(&mut self) {
+        if self.high > DRAINED_KEEPS && self.map.len() < self.high / 4 {
+            self.map.shrink_to((2 * self.map.len()).max(DRAINED_KEEPS));
+            self.high = self.map.len();
+        }
     }
 }
 
@@ -286,22 +336,21 @@ struct Marker {
 /// What waits here for one object to arrive.
 #[derive(Default)]
 struct Waiting {
-    /// Walks parked on it; each has a request for it in flight.
-    walks: Vec<u64>,
+    /// Walks parked on it, in the order they parked; a request for it
+    /// is in flight.
+    walks: Vec<Walk>,
     /// Child `kvs.load` requests parked behind the request in flight.
     requests: Vec<Message>,
 }
 
 #[derive(Default)]
 pub(crate) struct Reads {
-    walks: IdMap<u64, Walk>,
-    next_walk: u64,
-    /// Object id → the child's request forwarded from here for it. The
-    /// id is what a child asked for, so this map keeps `RandomState`.
-    markers: HashMap<ObjectId, Marker>,
+    /// Object id → the child's request forwarded from here for it. A
+    /// child chooses the id, so the table is a `PeerMap`.
+    markers: Table<Marker>,
     /// Object id → what waits here for it, for an object something
-    /// waits on only; `RandomState` too.
-    waiters: HashMap<ObjectId, Waiting>,
+    /// waits on only.
+    waiters: Table<Waiting>,
     /// This broker's own load RPCs, tagged with the object. The waiters
     /// of a load lost in transit stay parked.
     loads: InFlight<ObjectId>,
@@ -325,7 +374,7 @@ impl Reads {
         let want = if want_dir { Want::Listing } else { Want::Value };
         let shard = rep.slots.shard_of(key);
         match step_walk(&mut rep.cache, key, 0, rep.slots.root(shard).0) {
-            Stop::Done(end) => answer(ctx, &req, get_reply(&mut rep.cache, end, want)),
+            Stop::Done(end) => answer(ctx, &req, get_reply(end, want)),
             Stop::Miss(cur, pos) => {
                 let (req, parked) = ctx.park(req);
                 let kind = WalkKind::Get(req);
@@ -355,7 +404,7 @@ impl Reads {
         let repeat = self.markers.get(&id).is_some_and(|m| m.req == req.header.id);
         if !repeat {
             if self.in_flight(id) {
-                let waiting = self.waiters.entry(id).or_default();
+                let waiting = self.waiters.file(id);
                 waiting.requests.retain(|parked| parked.header.id != req.header.id);
                 let (req, parked) = ctx.park(req);
                 push_one(&mut waiting.requests, req);
@@ -412,7 +461,7 @@ impl Reads {
         let shard = rep.slots.shard_of(key);
         let kind = WalkKind::WatchCheck(id);
         match step_walk(&mut rep.cache, key, 0, rep.slots.root(shard).0) {
-            Stop::Done(end) => self.finish(ctx, kind, get_reply(&mut rep.cache, end, Want::Either)),
+            Stop::Done(end) => self.finish(ctx, kind, get_reply(end, Want::Either)),
             Stop::Miss(cur, pos) => {
                 let (key, want) = (key.to_owned(), Want::Either);
                 self.park(ctx, rep, Walk { kind, key, pos, cur, want, shard });
@@ -424,7 +473,7 @@ impl Reads {
     fn resume(&mut self, ctx: &mut ModuleCtx<'_>, rep: &mut Replica, mut walk: Walk) {
         match step_walk(&mut rep.cache, &walk.key, walk.pos, walk.cur) {
             Stop::Done(end) => {
-                let reply = get_reply(&mut rep.cache, end, walk.want);
+                let reply = get_reply(end, walk.want);
                 self.finish(ctx, walk.kind, reply);
             }
             Stop::Miss(cur, pos) => {
@@ -443,9 +492,7 @@ impl Reads {
         }
         let (missing, shard) = (walk.cur, walk.shard);
         let ask = !self.in_flight(missing);
-        self.next_walk += 1;
-        self.walks.insert(self.next_walk, walk);
-        push_one(&mut self.waiters.entry(missing).or_default().walks, self.next_walk);
+        push_one(&mut self.waiters.file(missing).walks, walk);
         if ask {
             self.send_load(ctx, missing, shard);
         }
@@ -489,10 +536,10 @@ impl Reads {
         loaded: Result<(), u32>,
     ) {
         if self.markers.remove(&id).is_some() {
-            shrink_drained(&mut self.markers);
+            self.markers.shrink_drained();
         }
         let Some(waiting) = self.waiters.remove(&id) else { return };
-        shrink_drained(&mut self.waiters);
+        self.waiters.shrink_drained();
         // One shared reply payload answers every child waiting on this id.
         let reply = rep
             .cache
@@ -505,8 +552,7 @@ impl Reads {
                 Err(code) => refuse_load(ctx, &req, id, *code),
             };
         }
-        for walk_id in waiting.walks {
-            let Some(walk) = self.walks.remove(&walk_id) else { continue };
+        for walk in waiting.walks {
             match &reply {
                 Ok(_) => self.resume(ctx, rep, walk),
                 Err(code) => self.finish(ctx, walk.kind, Err(*code)),
@@ -593,7 +639,7 @@ impl Reads {
             }
             keep
         });
-        shrink_drained(&mut self.markers);
+        self.markers.shrink_drained();
         // In id order: what is sent must not depend on hash order.
         lapsed.sort_unstable();
         for (id, shard) in lapsed {
@@ -614,7 +660,7 @@ impl Reads {
         let Some(req) = (!requests.is_empty()).then(|| requests.remove(0)) else { return };
         if requests.is_empty() {
             self.waiters.remove(&id);
-            shrink_drained(&mut self.waiters);
+            self.waiters.shrink_drained();
         }
         self.markers.insert(id, Marker { req: req.header.id, beats: 0, shard });
         forward_load(ctx, req, shard);
@@ -639,6 +685,11 @@ mod tests {
         load
     }
 
+    /// The walks parked here, in every object's waiter list.
+    fn parked_walks(reads: &Reads) -> usize {
+        reads.waiters.values().map(|waiting| waiting.walks.len()).sum()
+    }
+
     fn loads_sent(msgs: &[&Message]) -> usize {
         msgs.iter().filter(|m| m.header.topic.as_str() == KvsMethod::Load.topic_str()).count()
     }
@@ -654,8 +705,9 @@ mod tests {
 
     /// One slave broker gets `b` under root `want`, faults the root in
     /// and is answered with `payload`. Returns the errnum its get was
-    /// answered with (if it was) and what its cache holds under `want`.
-    fn slave_handed(want: ObjectId, payload: &Payload) -> (Option<u32>, Option<Arc<KvsObject>>) {
+    /// answered with (if it was) and the object its cache holds under
+    /// `want`.
+    fn slave_held(want: ObjectId, payload: &Payload) -> (Option<u32>, Option<Arc<Held>>) {
         let get = request(KvsMethod::Get, Value::object());
         let (get_id, payload) = (get.header.id, payload.clone());
         let (cached, outs) = with_ctx(2, 3, move |ctx| {
@@ -664,26 +716,32 @@ mod tests {
             reads.lookup(ctx, &mut rep, get, "b", false);
             let reply = Message::response_to(&load_in_flight(&reads), payload);
             assert!(reads.handle_response(ctx, &mut rep, &reply));
-            rep.cache.get(want)
+            rep.cache.held(want).cloned()
         });
         let answer = messages(&outs).into_iter().find(|m| m.header.id == get_id);
         (answer.map(|m| m.header.errnum), cached)
+    }
+
+    /// [`slave_held`], the held object decoded.
+    fn slave_handed(want: ObjectId, payload: &Payload) -> (Option<u32>, Option<KvsObject>) {
+        let (code, held) = slave_held(want, payload);
+        (code, held.map(|h| KvsObject::decode(h.bytes()).expect("held bytes decode")))
     }
 
     #[test]
     fn brokers_handed_one_load_reply_share_one_decoded_object() {
         let dir = dir_b7();
         let payload = load_payload(&dir);
-        let (_, a) = slave_handed(dir.id(), &payload);
-        let (_, b) = slave_handed(dir.id(), &payload);
+        let (_, a) = slave_held(dir.id(), &payload);
+        let (_, b) = slave_held(dir.id(), &payload);
         let (a, b) = (a.expect("cached"), b.expect("cached"));
-        assert_eq!(*a, dir);
+        assert_eq!(a.dir(), Some(&dir));
         assert!(Arc::ptr_eq(&a, &b), "one allocation serves both caches");
         // The same reply read off a socket is a fresh payload: that
         // broker decodes and hashes for itself.
         let framed = Message::response_to(&request(KvsMethod::Load, Value::object()), payload);
         let (framed, _) = Message::decode(&framed.encode()).expect("round trip");
-        let (_, c) = slave_handed(dir.id(), &framed.payload);
+        let (_, c) = slave_held(dir.id(), &framed.payload);
         assert!(!Arc::ptr_eq(&a, &c.expect("cached")));
     }
 
@@ -710,7 +768,7 @@ mod tests {
         // and after the broker that asked for `b` accepted the payload.
         let for_b = load_payload(&other);
         assert_eq!(slave_handed(a, &for_b), refused);
-        assert_eq!(slave_handed(b, &for_b).1.as_deref(), Some(&other));
+        assert_eq!(slave_handed(b, &for_b).1, Some(other));
         assert_eq!(slave_handed(a, &for_b), refused);
     }
 
@@ -732,8 +790,9 @@ mod tests {
                 let held = rep.cache.bytes(obj.id()).expect("held");
                 assert!(Arc::ptr_eq(held, carried), "the payload's bytes, not a copy");
             }
-            assert_eq!(rep.cache.lookup(seven.id()), Some(None), "a value keeps no view");
-            assert_eq!(rep.cache.lookup(dir.id()), Some(Some(Arc::new(dir))));
+            let view = |id| rep.cache.held(id).expect("held").dir().cloned();
+            assert_eq!(view(seven.id()), None, "a value keeps no view");
+            assert_eq!(view(dir.id()), Some(dir));
         });
         let answer = messages(&outs).into_iter().find(|m| m.header.id == get_id);
         assert_eq!(answer.expect("answered").payload.get("v"), Some(&Value::Int(7)));
@@ -774,9 +833,9 @@ mod tests {
             let reply = Message::response_to(&load_in_flight(&reads), load_payload(&dir));
             assert!(reads.handle_response(ctx, &mut rep, &reply));
             drop(reply);
-            let obj = rep.cache.get(dir.id()).expect("cached");
+            let obj = Arc::clone(rep.cache.held(dir.id()).expect("cached"));
             // The payload is the object's load reply, kept in its cache
-            // entry, and its memo holds the decoded object.
+            // entry, and its memo holds the held object.
             assert_eq!(Arc::strong_count(&obj), 3, "the cache, the reply's memo, this test");
             // The root moves on and the directory idles past its expiry.
             rep.slots.apply_root(ctx, 0, 2, KvsObject::empty_dir().id());
@@ -939,12 +998,12 @@ mod tests {
                     rep.slots.apply_root(ctx, 0, 1, root_id);
                     reads.lookup(ctx, &mut rep, get, key, want_dir);
                     if !warm {
-                        assert_eq!(reads.walks.len(), 1, "{key}: the cold walk parks");
+                        assert_eq!(parked_walks(&reads), 1, "{key}: the cold walk parks");
                         let load = load_in_flight(&reads);
                         let reply = Message::response_to(&load, root_reply);
                         assert!(reads.handle_response(ctx, &mut rep, &reply));
                     }
-                    assert!(reads.walks.is_empty() && reads.waiters.is_empty(), "{key}");
+                    assert!(reads.waiters.is_empty(), "{key}");
                 });
                 let msgs = messages(&outs);
                 assert_eq!(loads_sent(&msgs), usize::from(!warm), "{key} warm={warm}");
@@ -975,9 +1034,9 @@ mod tests {
                     reads.on_heartbeat(ctx);
                 };
                 answer(&mut reads, ctx, errnum::EHOSTDOWN);
-                assert_eq!(reads.walks.len(), 1, "still parked, and asked again");
+                assert_eq!(parked_walks(&reads), 1, "still parked, and asked again");
                 answer(&mut reads, ctx, refusal);
-                assert!(reads.walks.is_empty() && reads.waiters.is_empty());
+                assert!(reads.waiters.is_empty());
                 assert!(reads.loads.in_flight().is_empty(), "a refused load is not re-sent");
             });
             let msgs = messages(&outs);
@@ -1080,7 +1139,7 @@ mod tests {
 
     /// Whether nothing is in flight from, or waits at, this broker.
     fn drained(reads: &Reads) -> bool {
-        reads.markers.is_empty() && reads.waiters.is_empty() && reads.walks.is_empty()
+        reads.markers.is_empty() && reads.waiters.is_empty()
     }
 
     #[test]
@@ -1215,7 +1274,7 @@ mod tests {
                 let bare = Message::error_response_to(&first, refusal);
                 assert!(!reads.passing_reply(ctx, &mut rep, &bare));
                 assert_eq!(reads.markers.len(), 1, "the marker stays for the child's repeat");
-                assert_eq!(reads.walks.len(), 1);
+                assert_eq!(parked_walks(&reads), 1);
                 assert!(reads.passing_reply(ctx, &mut rep, &refused_above(&first, &dir, refusal)));
                 assert!(drained(&reads) && reads.loads.in_flight().is_empty());
             });
@@ -1277,7 +1336,7 @@ mod tests {
                 reads.loads.in_flight().into_iter().map(|(_, id)| id).collect();
             assert_eq!(reads.markers.len(), 1, "z's parked request, forwarded in its turn");
             assert_eq!(reads.markers[&z.id()].req, parked_id);
-            assert_eq!(reads.walks.len(), 2, "the walks wait on their own loads");
+            assert_eq!(parked_walks(&reads), 2, "the walks wait on their own loads");
             assert_eq!(reads.waiters.len(), 2, "z's waiter left with its request");
             own
         });
@@ -1334,6 +1393,32 @@ mod tests {
     }
 
     #[test]
+    fn a_table_drained_by_removals_alone_gives_its_buckets_back() {
+        // A fixed seed: where the tombstones fall is the same every run.
+        let outer = flux_wire::seed_id_hashers(Some(1));
+        let ids: Vec<ObjectId> = (0..896u64).map(|i| ObjectId::hash(&i.to_le_bytes())).collect();
+        let mut table = Table::<u64>::default();
+        // The same table left alone: its buckets stay peak-sized.
+        let mut kept: PeerMap<ObjectId, u64> = PeerMap::default();
+        for (n, id) in (0..).zip(&ids) {
+            table.insert(*id, n);
+            kept.insert(*id, n);
+        }
+        let peak = table.capacity();
+        for id in &ids[2..] {
+            table.remove(id);
+            table.shrink_drained();
+            kept.remove(id);
+        }
+        flux_wire::seed_id_hashers(outer);
+        assert_eq!(table.len(), 2);
+        assert!(table.capacity() < 2 * DRAINED_KEEPS, "{} of {peak} kept", table.capacity());
+        // Why the mark: the tombstones hide most of the untouched table's
+        // buckets from `capacity`.
+        assert!(kept.capacity() < peak / 2, "{} of {peak}", kept.capacity());
+    }
+
+    #[test]
     fn a_load_that_is_never_answered_is_sent_again_after_two_heartbeats() {
         let get = request(KvsMethod::Get, Value::object());
         let get_id = get.header.id;
@@ -1353,7 +1438,7 @@ mod tests {
             assert_eq!(load_in_flight(&reads).header.id, first.header.id, "sent again as itself");
             let reply = Message::response_to(&first, load_payload(&dir));
             assert!(reads.handle_response(ctx, &mut rep, &reply), "an answer to either copy");
-            assert!(reads.walks.is_empty() && reads.loads.in_flight().is_empty());
+            assert!(reads.waiters.is_empty() && reads.loads.in_flight().is_empty());
             assert!(
                 !reads.handle_response(ctx, &mut rep, &reply),
                 "the other copy's is not claimed"

@@ -5,24 +5,35 @@
 //! ("Unused slave object cache entries are expired after a period of
 //! disuse to save memory").
 //!
-//! An entry holds an object as its canonical bytes, one `Arc<[u8]>`
-//! shared with the payload that brought it or the code that encoded it,
-//! and, for a directory only, the decoded view walks read. A value is
-//! decoded only into a reply or for [`ObjectCache::get`], and then its
-//! strings are views of the held bytes: a string value costs its text
-//! once, however many replies share it.
+//! An entry points at one shared [`Held`] object: its canonical bytes,
+//! one `Arc<[u8]>` shared with the payload that brought them or the code
+//! that encoded them; for a directory only, the decoded view walks read;
+//! and its `kvs.get` reply once built. A value is decoded only into that
+//! reply or for [`ObjectCache::get`], and then its strings are views of
+//! the held bytes: a string value costs its text once, however many
+//! replies share it.
 //!
-//! Beside each object an entry keeps the replies built from it
-//! ([`ObjectCache::reply`]). An object is immutable and named by its
-//! content, so a reply built from it is the same for every reader and
-//! can never go stale; it is built once, shared by reference, and
-//! dropped with the entry.
+//! An object a `kvs.load` reply brought is the held object kept in that
+//! payload's memo, so every tier the payload reaches caches the one
+//! `Held` (in the DES, every broker of the session), and a value's get
+//! reply is built once between them. An object is immutable and named
+//! by its content, so a reply built from it is the same for every reader
+//! and can never go stale.
+//!
+//! Beside the held object an entry keeps this broker's `kvs.load`
+//! reply ([`ObjectCache::load_reply`]): the payload that brought the
+//! object, or one built from the bytes at the master. It stays per
+//! broker and outside the held object: the payload's memo holds the
+//! held object, so the held object holding the payload would be a
+//! cycle, and a reply rebuilt from the bytes would make every child
+//! decode the directory again. A slot is the id and three words (48
+//! bytes).
 
-use crate::object::{self, KvsObject, View};
+use crate::object::{self, KvsObject};
 use flux_hash::ObjectId;
 use flux_wire::{IdMap, Payload};
 use std::collections::hash_map::Entry as Slot;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Cache occupancy and traffic counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -39,23 +50,54 @@ pub struct CacheStats {
     pub expired: u64,
 }
 
-/// A reply a broker builds from one held object ([`ObjectCache::reply`]).
-#[derive(Clone, Copy)]
-pub(crate) enum Reply {
-    /// The `kvs.load` reply, `{obj}`.
-    Load,
+/// One object as the caches hold it, shared by every cache it reached.
+pub(crate) struct Held {
+    /// The canonical bytes, hashed to the object's id.
+    bytes: Arc<[u8]>,
+    /// A directory's decoded view; `None` for a value.
+    dir: Option<KvsObject>,
     /// The `kvs.get` reply: a value object's `{v}`, a directory's `{dir}`.
-    Get,
+    get: OnceLock<Payload>,
+}
+
+impl Held {
+    /// Holds `bytes`, and `dir`, their decoded view if they are a
+    /// directory.
+    pub(crate) fn new(bytes: Arc<[u8]>, dir: Option<KvsObject>) -> Arc<Held> {
+        Arc::new(Held { bytes, dir, get: OnceLock::new() })
+    }
+
+    /// The canonical bytes.
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> &Arc<[u8]> {
+        &self.bytes
+    }
+
+    /// A directory's view; `None` for a value.
+    pub(crate) fn dir(&self) -> Option<&KvsObject> {
+        self.dir.as_ref()
+    }
+
+    /// The object's `kvs.get` reply: built by `build` from its bytes and
+    /// view the first time, a reference-count bump of that one payload
+    /// every time after. `None` if `build` finds nothing to reply.
+    pub(crate) fn get_reply(
+        &self,
+        build: impl FnOnce(&Arc<[u8]>, Option<&KvsObject>) -> Option<Payload>,
+    ) -> Option<Payload> {
+        if let Some(reply) = self.get.get() {
+            return Some(reply.clone());
+        }
+        let reply = build(&self.bytes, self.dir.as_ref())?;
+        Some(self.get.get_or_init(|| reply).clone())
+    }
 }
 
 struct Entry {
-    /// The canonical bytes, hashed to the entry's id.
-    bytes: Arc<[u8]>,
-    /// A directory's decoded view; `None` for a value.
-    view: View,
+    held: Arc<Held>,
+    /// This broker's `kvs.load` reply, once it has one.
+    load: Option<Payload>,
     last_used_epoch: u64,
-    /// The replies built from the object so far, by [`Reply`].
-    replies: [Option<Payload>; 2],
 }
 
 /// A content-addressed object cache.
@@ -82,84 +124,88 @@ impl ObjectCache {
     pub fn insert(&mut self, obj: KvsObject) -> ObjectId {
         let bytes: Arc<[u8]> = obj.encode().into();
         let id = ObjectId::hash(&bytes);
-        let view = obj.is_dir().then(|| Arc::new(obj));
-        self.insert_bytes(id, bytes, view);
+        if !self.map.contains_key(&id) {
+            let dir = obj.is_dir().then_some(obj);
+            self.insert_held(id, Held::new(bytes, dir), None);
+        }
         id
     }
 
-    /// Inserts the object `bytes` under `id`, their hash, sharing the
-    /// caller's allocations: the bytes a payload carried are the bytes
-    /// held, and brokers handed one payload hold one directory view
-    /// together. `view` is a directory's decoded view, `None` for a
-    /// value. An id already held costs one lookup and nothing else.
-    ///
-    /// # Panics
-    /// In debug builds, panics if `id` is not the hash of `bytes`, or
-    /// if `view` is missing for a directory or present for a value.
-    pub(crate) fn insert_bytes(&mut self, id: ObjectId, bytes: Arc<[u8]>, view: View) {
-        debug_assert_eq!(id, ObjectId::hash(&bytes), "content address mismatch");
-        debug_assert_eq!(view.is_some(), bytes.first() == Some(&b'D'), "a view iff a directory");
-        if let Slot::Vacant(slot) = self.map.entry(id) {
-            self.stats.entries += 1;
-            self.stats.bytes += bytes.len();
-            slot.insert(Entry { bytes, view, last_used_epoch: self.epoch, replies: [None, None] });
+    /// Inserts the value object `bytes` under `id`, their hash, sharing
+    /// the caller's allocation: the bytes a push carried are the bytes
+    /// held. An id already held costs one lookup and nothing else.
+    pub(crate) fn insert_bytes(&mut self, id: ObjectId, bytes: Arc<[u8]>) {
+        if !self.map.contains_key(&id) {
+            self.insert_held(id, Held::new(bytes, None), None);
         }
     }
 
-    /// The entry for `id`, its last-used epoch refreshed, counted as a
-    /// hit or a miss.
-    fn touch(&mut self, id: ObjectId) -> Option<&Entry> {
+    /// Inserts `held` under `id`, its bytes' hash, with `load`, the
+    /// payload that brought it, as this broker's `kvs.load` reply (`None`:
+    /// built from the bytes when first asked for). An id already held
+    /// keeps what it holds.
+    ///
+    /// # Panics
+    /// In debug builds, panics if `id` is not the hash of the bytes, or
+    /// if the view is missing for a directory or present for a value.
+    pub(crate) fn insert_held(&mut self, id: ObjectId, held: Arc<Held>, load: Option<Payload>) {
+        debug_assert_eq!(id, ObjectId::hash(&held.bytes), "content address mismatch");
+        let is_dir = held.bytes.first() == Some(&b'D');
+        debug_assert_eq!(held.dir.is_some(), is_dir, "a view iff a directory");
+        if let Slot::Vacant(slot) = self.map.entry(id) {
+            self.stats.entries += 1;
+            self.stats.bytes += held.bytes.len();
+            slot.insert(Entry { held, load, last_used_epoch: self.epoch });
+        }
+    }
+
+    /// Looks up an object for a walk, refreshing its last-used epoch and
+    /// counting a hit or a miss: the held object, shared.
+    pub(crate) fn lookup(&mut self, id: ObjectId) -> Option<Arc<Held>> {
         let Some(e) = self.map.get_mut(&id) else {
             self.stats.misses += 1;
             return None;
         };
         e.last_used_epoch = self.epoch;
         self.stats.hits += 1;
-        Some(e)
+        Some(Arc::clone(&e.held))
     }
 
-    /// Looks up an object for a walk, refreshing its last-used epoch on
-    /// hit: `Some` of its view if it is held (a directory's, shared;
-    /// `None` for a value).
-    pub(crate) fn lookup(&mut self, id: ObjectId) -> Option<View> {
-        self.touch(id).map(|e| e.view.clone())
-    }
-
-    /// Looks up an object, refreshing its last-used epoch on hit. A
-    /// directory is its shared view; a value is decoded from its bytes
-    /// on every call, its strings views of them, so no text is copied
-    /// (the module's own reads decode a value once, into its get reply).
+    /// Looks up an object, refreshing its last-used epoch on hit. It is
+    /// decoded for the caller: a directory is a copy of its view, and a
+    /// value's strings are views of its bytes, so no text is copied. The
+    /// module's own reads use the held object and its shared replies.
     pub fn get(&mut self, id: ObjectId) -> Option<Arc<KvsObject>> {
-        let e = self.touch(id)?;
-        match &e.view {
-            Some(dir) => Some(Arc::clone(dir)),
-            None => object::value_of(&e.bytes).map(|v| Arc::new(KvsObject::Val(v))),
+        let held = self.lookup(id)?;
+        match &held.dir {
+            Some(dir) => Some(Arc::new(dir.clone())),
+            None => object::value_of(&held.bytes).map(|v| Arc::new(KvsObject::Val(v))),
         }
     }
 
-    /// The `kind` reply to held object `id`: built by `build` from the
-    /// object's bytes and view the first time, a reference-count bump of
-    /// that one payload every time after. `None` if `id` is not held or
-    /// `build` finds nothing to reply. It neither refreshes the entry
+    /// Held object `id`'s `kvs.load` reply: the payload that brought it,
+    /// or else built from its bytes the first time and shared every time
+    /// after. `None` if `id` is not held. It neither refreshes the entry
     /// nor counts a hit: the caller has just looked the object up.
-    pub(crate) fn reply(
+    pub(crate) fn load_reply(
         &mut self,
         id: ObjectId,
-        kind: Reply,
-        build: impl FnOnce(&Arc<[u8]>, Option<&KvsObject>) -> Option<Payload>,
+        build: impl FnOnce(&Arc<[u8]>) -> Payload,
     ) -> Option<Payload> {
         let e = self.map.get_mut(&id)?;
-        let slot = &mut e.replies[kind as usize];
-        if slot.is_none() {
-            *slot = Some(build(&e.bytes, e.view.as_deref())?);
-        }
-        slot.clone()
+        Some(e.load.get_or_insert_with(|| build(&e.held.bytes)).clone())
+    }
+
+    /// The object held for `id` (does not refresh it).
+    #[cfg(test)]
+    pub(crate) fn held(&self, id: ObjectId) -> Option<&Arc<Held>> {
+        self.map.get(&id).map(|e| &e.held)
     }
 
     /// The bytes held for `id` (does not refresh it).
     #[cfg(test)]
     pub(crate) fn bytes(&self, id: ObjectId) -> Option<&Arc<[u8]>> {
-        self.map.get(&id).map(|e| &e.bytes)
+        self.held(id).map(|h| h.bytes())
     }
 
     /// True if the object is resident (does not refresh last-used).
@@ -183,7 +229,7 @@ impl ObjectCache {
                 true
             } else {
                 stats.entries -= 1;
-                stats.bytes -= e.bytes.len();
+                stats.bytes -= e.held.bytes.len();
                 stats.expired += 1;
                 false
             }
@@ -235,16 +281,36 @@ mod tests {
         let before = c.stats().bytes;
         let bytes: Arc<[u8]> = obj("sized").encode().into();
         let id = ObjectId::hash(&bytes);
-        c.insert_bytes(id, Arc::clone(&bytes), None);
+        c.insert_bytes(id, Arc::clone(&bytes));
         assert_eq!(c.stats().bytes, before + bytes.len());
-        c.insert_bytes(id, obj("sized").encode().into(), None);
+        c.insert_bytes(id, obj("sized").encode().into());
         assert!(Arc::ptr_eq(c.bytes(id).unwrap(), &bytes), "a held id keeps its first bytes");
         assert_eq!(c.stats().bytes, before + bytes.len());
-        assert_eq!(c.lookup(id), Some(None), "a value keeps no view");
+        assert!(c.lookup(id).unwrap().dir().is_none(), "a value keeps no view");
         let dir = KvsObject::Dir([("a".to_owned(), id)].into());
         let dir_id = c.insert(dir.clone());
-        assert_eq!(c.lookup(dir_id), Some(Some(Arc::new(dir))));
+        assert_eq!(c.lookup(dir_id).unwrap().dir(), Some(&dir));
         assert_eq!(*c.get(id).unwrap(), obj("sized"), "a value is decoded for `get`");
+        assert_eq!(*c.get(dir_id).unwrap(), dir, "a directory is its view");
+    }
+
+    #[test]
+    fn a_slot_is_an_id_and_three_words() {
+        // The held object, the load reply and the epoch.
+        assert_eq!(std::mem::size_of::<(ObjectId, Entry)>(), 48);
+    }
+
+    #[test]
+    fn a_get_reply_is_built_once_per_held_object() {
+        let held = Held::new(obj("once").encode().into(), None);
+        let build = |_: &Arc<[u8]>, _: Option<&KvsObject>| Some(Payload::from(Value::Int(1)));
+        let first = held.get_reply(build).unwrap();
+        let again = held.get_reply(|_, _| panic!("built twice")).unwrap();
+        assert!(std::ptr::eq(first.value(), again.value()));
+        // Nothing to reply is not remembered.
+        let other = Held::new(obj("none").encode().into(), None);
+        assert!(other.get_reply(|_, _| None).is_none());
+        assert!(other.get_reply(build).is_some());
     }
 
     #[test]

@@ -812,3 +812,41 @@ fn unwatch_cancels_only_the_watch_of_the_client_that_asked() {
     }
     assert!(net.take_client_msgs(ra, 0).is_empty(), "rank 3's client 0 cancelled");
 }
+
+/// One `kvs.load` reply faulted through two tiers of a simulated
+/// session: the interior broker and the leaf below it cache the object
+/// the payload carries, decoded once, so a get at either is answered
+/// with the one get reply built from it. A later child of the interior
+/// broker is answered with that same load payload, not one rebuilt from
+/// the bytes, so its get reply is the same payload too.
+#[test]
+fn a_load_reply_through_several_tiers_is_one_held_object() {
+    use flux_rt::script::{Op, ScriptClient};
+    use flux_rt::sim::SimSession;
+    use flux_sim::NetParams;
+
+    let mut session = SimSession::new(7, 2, NetParams::default(), |_| {
+        vec![Box::new(KvsModule::new()) as Box<dyn CommsModule>]
+    });
+    let val = Value::from("x".repeat(64));
+    let write = vec![Op::Put { key: "a.b".into(), val: val.clone() }, Op::Commit];
+    let writer = ScriptClient::spawn(&mut session, Rank(0), write);
+    session.run_until_quiet(None).expect("unbudgeted");
+    assert!(writer.borrow().finished);
+    // Rank 3 faults the value in through rank 1, then rank 1 and its
+    // other child, rank 4, read it.
+    let replies: Vec<_> = [3, 1, 4]
+        .map(|rank| {
+            let ops = vec![Op::Get { key: "a.b".into() }];
+            let get = ScriptClient::spawn(&mut session, Rank(rank), ops);
+            session.run_until_quiet(None).expect("unbudgeted");
+            let out = get.borrow();
+            assert_eq!(out.op_err, [0], "rank {rank}");
+            out.replies[0].clone()
+        })
+        .into();
+    assert_eq!(replies[0].get("v"), Some(&val));
+    for (rank, reply) in [1, 4].iter().zip(&replies[1..]) {
+        assert!(std::ptr::eq(reply.value(), replies[0].value()), "rank {rank}: one get reply");
+    }
+}

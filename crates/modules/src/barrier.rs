@@ -21,7 +21,7 @@ use flux_broker::reduce::{Collective, Done};
 use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_proto::{BarrierMethod, Event, BARRIER_EXIT_ERRNUM};
 use flux_value::Value;
-use flux_wire::{errnum, Message};
+use flux_wire::{errnum, Message, Payload};
 
 /// The barrier module.
 #[derive(Default)]
@@ -49,14 +49,18 @@ fn exit(ctx: &mut ModuleCtx<'_>, done: Option<Done<()>>) {
     }
 }
 
-/// Answers each of `waiters`: `{name}`, or the code the barrier failed
-/// with.
+/// Answers each of `waiters`: all with one `{name}` payload, or with
+/// the code the barrier failed with.
 fn answer(ctx: &mut ModuleCtx<'_>, waiters: Vec<Message>, name: &str, failed: Option<u32>) {
-    for req in waiters {
-        match failed {
-            Some(code) => ctx.respond_err(&req, code),
-            None => ctx.respond(&req, named(name)),
-        };
+    if let Some(code) = failed {
+        for req in waiters {
+            ctx.respond_err(&req, code);
+        }
+    } else if !waiters.is_empty() {
+        let released = Payload::from(named(name));
+        for req in waiters {
+            ctx.respond(&req, released.clone());
+        }
     }
 }
 

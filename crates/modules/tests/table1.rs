@@ -115,6 +115,30 @@ fn two_sequential_barriers_with_same_name() {
     }
 }
 
+#[test]
+fn one_release_hands_every_local_waiter_one_payload() {
+    const K: u32 = 4;
+    let size = 3u32;
+    let mut net = net(size);
+    for r in 0..size {
+        for cid in 0..K {
+            let mut client = ClientCore::new(Rank(r), cid);
+            net.client_send(Rank(r), cid, enter(&mut client, "shared", i64::from(size * K), 1));
+        }
+    }
+    // The root releases its waiters on completion, the others on the
+    // `barrier.exit` event: each answers its K with one `{name}`.
+    for r in 0..size {
+        let released: Vec<Message> =
+            (0..K).flat_map(|cid| pump(&mut net, Rank(r), cid, 1, 500)).collect();
+        assert_eq!(released.len(), K as usize, "rank {r}");
+        assert_eq!(released[0].payload.get("name"), Some(&Value::from("shared")));
+        for msg in &released[1..] {
+            assert!(std::ptr::eq(msg.payload.value(), released[0].payload.value()), "rank {r}");
+        }
+    }
+}
+
 /// `barrier.enter {name, nprocs}` from `client`.
 fn enter(client: &mut ClientCore, name: &str, nprocs: i64, tag: u64) -> Message {
     let payload = Value::from_pairs([("name", Value::from(name)), ("nprocs", Value::from(nprocs))]);

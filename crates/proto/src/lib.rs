@@ -527,6 +527,26 @@ pub fn kind_of(topic: &str) -> Option<MethodKind> {
     spec_of(topic).map(|spec| spec.kind)
 }
 
+/// Builds every table's process-wide topics ([`KvsMethod::topic`],
+/// [`Event::topic`], ...) now. A run whose heap is counted calls it
+/// first, so its count never includes tables that whichever run came
+/// first in the process would otherwise build.
+pub fn intern_topics() {
+    let _ = [
+        CmbMethod::ALL[0].topic(),
+        HbMethod::ALL[0].topic(),
+        LiveMethod::ALL[0].topic(),
+        LogMethod::ALL[0].topic(),
+        MonMethod::ALL[0].topic(),
+        GroupMethod::ALL[0].topic(),
+        BarrierMethod::ALL[0].topic(),
+        KvsMethod::ALL[0].topic(),
+        WexecMethod::ALL[0].topic(),
+        ResvcMethod::ALL[0].topic(),
+        Event::ALL[0].topic(),
+    ];
+}
+
 /// The flattened event registry.
 pub fn events() -> Vec<EventSpec> {
     Event::ALL

@@ -174,6 +174,8 @@ pub struct SimSession {
     book: Rc<RefCell<AddressBook>>,
     size: u32,
     next_client: HashMap<Rank, ClientId>,
+    /// The thread's id-hasher seed before this session set its own.
+    outer_seed: Option<u64>,
 }
 
 impl SimSession {
@@ -194,6 +196,11 @@ impl SimSession {
 
     /// Like [`SimSession::new`] with full per-rank config control, and
     /// `faults` applied to every broker's links.
+    ///
+    /// The session's seed is the fault plan's (0 without one). While the
+    /// session lives, every id table built on this thread hashes from it
+    /// ([`flux_wire::seed_id_hashers`]), so the session's tables grow
+    /// alike in every process.
     pub fn with_config<C, F>(
         size: u32,
         params: NetParams,
@@ -205,6 +212,7 @@ impl SimSession {
         C: Fn(Rank) -> BrokerConfig,
         F: Fn(Rank) -> Vec<Box<dyn CommsModule>>,
     {
+        let outer_seed = flux_wire::seed_id_hashers(Some(faults.map_or(0, |f| f.seed)));
         let mut engine = Engine::new(params);
         let book = Rc::new(RefCell::new(AddressBook::default()));
         for r in 0..size {
@@ -215,7 +223,7 @@ impl SimSession {
                 engine.add_actor(node, Box::new(BrokerActor { host, book: Rc::clone(&book) }));
             book.borrow_mut().register_broker(actor, rank);
         }
-        SimSession { engine, book, size, next_client: HashMap::new() }
+        SimSession { engine, book, size, next_client: HashMap::new(), outer_seed }
     }
 
     /// Session size in brokers.
@@ -314,5 +322,11 @@ impl SimSession {
     /// Runs until the given virtual deadline.
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
         self.engine.run_until(deadline)
+    }
+}
+
+impl Drop for SimSession {
+    fn drop(&mut self) {
+        flux_wire::seed_id_hashers(self.outer_seed);
     }
 }

@@ -26,8 +26,8 @@ use flux_broker::reduce::{Partial, Reduction};
 use flux_broker::{Broker, BrokerConfig, CommsModule, Input, Output, RankOverlay};
 use flux_hash::{ObjectId, Sha1};
 use flux_kvs::{KvsModule, KvsObject};
-use flux_modules::LogModule;
-use flux_proto::{CmbMethod, Event, KvsMethod, LogMethod};
+use flux_modules::{BarrierModule, LogModule};
+use flux_proto::{BarrierMethod, CmbMethod, Event, KvsMethod, LogMethod};
 use flux_rt::script::{Op, ScriptClient};
 use flux_rt::sim::SimSession;
 use flux_sys::Allocs;
@@ -220,7 +220,7 @@ fn kvs_at_the_master() {
     let mut staged = false;
     pin(
         "kvs.put at the master",
-        9,
+        8,
         || {
             if staged {
                 ask(core.request(KvsMethod::Commit.topic(), Value::object(), 0));
@@ -232,7 +232,7 @@ fn kvs_at_the_master() {
     );
     pin(
         "kvs.commit of one tuple at the master",
-        51,
+        49,
         || {
             ask(put(&mut core, "bench.k", Value::Int(42)));
             core.request(KvsMethod::Commit.topic(), Value::object(), 0)
@@ -352,7 +352,7 @@ fn kvs_push_from_a_child() {
     }
     pin(
         "kvs.push from a child, accepted at the master and flushed by its window",
-        51,
+        49,
         next,
         accept,
     );
@@ -516,6 +516,37 @@ fn log_batch_flushed_at_an_interior_broker() {
             (relay.handle(0, at(Plane::Event, 0, hb)), merged)
         },
     );
+}
+
+#[test]
+fn barrier_release_at_a_slave() {
+    // Rank 1 of two holds 16 local entries of one barrier; the root's
+    // `barrier.exit` releases them all with one `{name}` payload (a
+    // payload per waiter read 83 calls).
+    const WAITERS: u32 = 16;
+    let barrier: Vec<Box<dyn CommsModule>> = vec![Box::new(BarrierModule::new())];
+    let slave = RefCell::new(started(BrokerConfig::new(Rank(1), 2), barrier));
+    let mut cores: Vec<ClientCore> =
+        (0..WAITERS).map(|cid| ClientCore::new(Rank(1), cid)).collect();
+    let name = Value::from_pairs([("name", Value::from("bench"))]);
+    let enter = Value::from_pairs([("name", Value::from("bench")), ("nprocs", Value::from(32))]);
+    let mut seq = 0;
+    let mut next = || {
+        for (cid, core) in (0..).zip(&mut cores) {
+            let msg = core.request(BarrierMethod::Enter.topic(), enter.clone(), 0);
+            slave.borrow_mut().handle(0, Input::FromClient { client: cid, msg });
+        }
+        seq += 1;
+        let id = MsgId { origin: Rank(0), seq };
+        Message::event(Event::BarrierExit.topic(), id, Rank(0), name.clone())
+    };
+    let release = |msg| {
+        slave.borrow_mut().handle(0, Input::FromBroker { plane: Plane::Event, from: Rank(0), msg })
+    };
+    pin_bytes("barrier.exit releasing 16 local waiters at a slave", 23, 2905, &mut next, release);
+    let released = release(next());
+    let answers = released.iter().filter(|o| matches!(o, Output::ToClient { .. })).count();
+    assert_eq!(answers, WAITERS as usize, "{released:?}");
 }
 
 #[test]

@@ -6,10 +6,12 @@
 //! two things, each behind a safe interface:
 //!
 //! - [`CountingAlloc`] is a global allocator that forwards to
-//!   [`System`] and counts, per thread, every call that obtains memory
-//!   and the bytes those calls ask for.
-//!   It is installed in exactly one test binary (`flux-rt`'s
-//!   `alloc_budget`), which pins allocations per warm operation.
+//!   [`System`] and counts, per thread, every call that obtains memory,
+//!   the bytes those calls ask for, and the bytes live and their peak.
+//!   Three binaries install it: `flux-rt`'s `alloc_budget` test, which
+//!   pins allocations per warm operation ([`count`]), and `kap` with its
+//!   `harness` test and the flux-mc `determinism` test, which record
+//!   each simulated KAP cell's heap ([`heap`]).
 //! - [`sha1_compress`] runs SHA1's compression function on the CPU's
 //!   SHA instructions where the CPU has them, and reports `false`
 //!   elsewhere so that `flux-hash` runs its portable compressor. It is
@@ -21,7 +23,21 @@ use std::cell::Cell;
 thread_local! {
     /// Const-initialized and free of destructors, so reading or bumping
     /// it never allocates and never re-enters the allocator.
-    static ALLOCATIONS: Cell<Allocs> = const { Cell::new(Allocs { calls: 0, bytes: 0 }) };
+    static COUNTS: Cell<Counts> =
+        const { Cell::new(Counts { calls: 0, bytes: 0, live: 0, peak: 0 }) };
+}
+
+/// One thread's running totals.
+#[derive(Clone, Copy)]
+struct Counts {
+    calls: u64,
+    bytes: u64,
+    /// Bytes allocated on this thread minus bytes freed on it: memory
+    /// freed on another thread than the one that took it moves both
+    /// threads' figures, so only a one-thread run reads it exactly.
+    live: i64,
+    /// The highest `live` since [`heap`] last reset it.
+    peak: i64,
 }
 
 /// What the allocator was asked for on one thread.
@@ -35,17 +51,25 @@ pub struct Allocs {
 }
 
 /// Counts `alloc`, `alloc_zeroed` and `realloc` calls on the calling
-/// thread and sums the bytes they ask for, then forwards them to
-/// [`System`]. Install it with
+/// thread, sums the bytes they ask for and tracks the bytes live, then
+/// forwards every call to [`System`]. Install it with
 /// `#[global_allocator] static A: flux_sys::CountingAlloc = flux_sys::CountingAlloc;`.
 pub struct CountingAlloc;
 
-fn bump(bytes: usize) {
-    // During thread teardown the slot may be gone: such an allocation
-    // goes uncounted rather than aborting the process.
-    let _ = ALLOCATIONS.try_with(|n| {
-        let Allocs { calls, bytes: sum } = n.get();
-        n.set(Allocs { calls: calls + 1, bytes: sum + bytes as u64 });
+/// Records one call that takes `taken` bytes (0 for a free) and gives
+/// back `freed`.
+fn bump(taken: usize, freed: usize) {
+    // During thread teardown the slot may be gone: such a call goes
+    // uncounted rather than aborting the process.
+    let _ = COUNTS.try_with(|n| {
+        let mut c = n.get();
+        if taken > 0 {
+            c.calls += 1;
+            c.bytes += taken as u64;
+        }
+        c.live += taken as i64 - freed as i64;
+        c.peak = c.peak.max(c.live);
+        n.set(c);
     });
 }
 
@@ -55,27 +79,28 @@ fn bump(bytes: usize) {
 unsafe impl GlobalAlloc for CountingAlloc {
     // SAFETY: the caller's obligations on `layout` are `System::alloc`'s.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
+        bump(layout.size(), 0);
         // SAFETY: forwarded under this method's own contract.
         unsafe { System.alloc(layout) }
     }
 
     // SAFETY: the caller's obligations on `layout` are `System::alloc_zeroed`'s.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump(layout.size());
+        bump(layout.size(), 0);
         // SAFETY: forwarded under this method's own contract.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     // SAFETY: `ptr` came from this allocator, hence from `System`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        bump(0, layout.size());
         // SAFETY: forwarded under this method's own contract.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     // SAFETY: `ptr` came from this allocator, hence from `System`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump(new_size);
+        bump(new_size, layout.size());
         // SAFETY: forwarded under this method's own contract.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -85,10 +110,43 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// thread and the bytes they asked for. Always zero unless
 /// [`CountingAlloc`] is the global allocator.
 pub fn count<R>(f: impl FnOnce() -> R) -> (R, Allocs) {
-    let before = ALLOCATIONS.with(Cell::get);
+    let (out, heap) = heap(f);
+    (out, Allocs { calls: heap.calls, bytes: heap.bytes })
+}
+
+/// What one run asked of the allocator on one thread ([`heap`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Heap {
+    /// The most bytes live at once during the run, above those live when
+    /// it started.
+    pub peak_bytes: u64,
+    /// `alloc`, `alloc_zeroed` and `realloc` calls.
+    pub calls: u64,
+    /// The bytes those calls asked for.
+    pub bytes: u64,
+}
+
+/// Runs `f` and returns its result with its [`Heap`] on this thread.
+/// Nested runs each read their own peak. Always zero unless
+/// [`CountingAlloc`] is the global allocator.
+pub fn heap<R>(f: impl FnOnce() -> R) -> (R, Heap) {
+    let before = COUNTS.with(|n| {
+        let c = n.get();
+        n.set(Counts { peak: c.live, ..c });
+        c
+    });
     let out = f();
-    let after = ALLOCATIONS.with(Cell::get);
-    (out, Allocs { calls: after.calls - before.calls, bytes: after.bytes - before.bytes })
+    let after = COUNTS.with(|n| {
+        let c = n.get();
+        n.set(Counts { peak: c.peak.max(before.peak), ..c });
+        c
+    });
+    let heap = Heap {
+        peak_bytes: (after.peak - before.live).max(0) as u64,
+        calls: after.calls - before.calls,
+        bytes: after.bytes - before.bytes,
+    };
+    (out, heap)
 }
 
 /// Applies SHA1's compression function (FIPS 180-1) to `state` once per
@@ -184,6 +242,25 @@ fn sha1_compress_x86(state: &mut [u32; 5], blocks: &[[u8; 64]]) {
 
 #[cfg(test)]
 mod tests {
+    #[global_allocator]
+    static ALLOC: super::CountingAlloc = super::CountingAlloc;
+
+    #[test]
+    fn a_run_reads_its_own_peak_above_what_was_live() {
+        let held = vec![0u8; 4096];
+        let ((), outer) = super::heap(|| {
+            let first = vec![0u8; 1000];
+            drop(first);
+            let ((), inner) = super::heap(|| drop(vec![0u8; 300]));
+            assert_eq!(inner, super::Heap { peak_bytes: 300, calls: 1, bytes: 300 });
+            let mut grown = Vec::<u8>::with_capacity(100);
+            grown.reserve_exact(400);
+            drop(grown);
+        });
+        assert_eq!(outer, super::Heap { peak_bytes: 1000, calls: 4, bytes: 1800 });
+        drop(held);
+    }
+
     /// A dispatcher that silently falls back fails here, not only in a
     /// benchmark.
     #[test]

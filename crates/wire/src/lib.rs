@@ -65,7 +65,7 @@ mod rank;
 mod topic;
 
 pub use codec::WireError;
-pub use idmap::{IdHasher, IdMap, IdSet};
+pub use idmap::{seed_id_hashers, IdHasher, IdMap, IdSet, PeerHasher, PeerKeyed, PeerMap};
 pub use message::{Header, Message, MsgId, MsgType, Payload, Plane};
 pub use rank::Rank;
 pub use topic::{Topic, TopicError};
