@@ -126,6 +126,7 @@ impl ClientCore {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
 mod tests {
     use super::*;
 

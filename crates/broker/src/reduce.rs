@@ -646,6 +646,7 @@ impl<P: Partial + Clone + Default> Collective<P> {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
 mod tests {
     use super::*;
     use crate::testing::with_ctx;

@@ -1,5 +1,7 @@
 //! Broker routing semantics, exercised over an in-memory session.
 
+#![allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
+
 use flux_broker::client::{ClientCore, Delivery};
 use flux_broker::testing::TestNet;
 use flux_broker::{

@@ -2,6 +2,8 @@
 //! placements, and request mixes always produce exactly one response per
 //! request, delivered to the right client.
 
+#![allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
+
 use flux_broker::client::ClientCore;
 use flux_broker::testing::TestNet;
 use flux_broker::{CommsModule, Handled, ModuleCtx};

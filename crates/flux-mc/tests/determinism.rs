@@ -28,6 +28,8 @@
 //! records: `FLUX_DETERMINISM_CHILD=0 <test binary> --exact
 //! seeded_records_are_byte_identical_across_processes --nocapture`.
 
+#![allow(clippy::disallowed_methods, reason = "a test of the I/O tier drives threads and sockets")]
+
 use flux_kvs::KvsConfig;
 use flux_mc::{explore, ExploreConfig, Scenario};
 use flux_rt::chaos;

@@ -5,6 +5,8 @@
 //! redundancy deduplication), fault-in through the cache chain, watches,
 //! and the three §IV-B consistency properties.
 
+#![allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
+
 use flux_broker::testing::TestNet;
 use flux_broker::CommsModule;
 use flux_kvs::client::{KvsClient, KvsDelivery, KvsReply};

@@ -2,6 +2,8 @@
 //! and unknown methods all produce a single, specific error response —
 //! never a hang or a panic.
 
+#![allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
+
 use flux_broker::client::ClientCore;
 use flux_broker::testing::TestNet;
 use flux_broker::CommsModule;

@@ -2,6 +2,8 @@
 //! and `reported_down` bookkeeping across a kill → revive → re-kill
 //! cycle.
 
+#![allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
+
 use flux_broker::client::ClientCore;
 use flux_broker::testing::TestNet;
 use flux_broker::CommsModule;

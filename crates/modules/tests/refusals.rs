@@ -8,6 +8,8 @@
 //! handler answers a code its row lacks — is the assertion in the
 //! broker's `respond_err`, which every reply sent here passes through.
 
+#![allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
+
 use flux_broker::client::ClientCore;
 use flux_broker::testing::TestNet;
 use flux_modules::standard_modules;

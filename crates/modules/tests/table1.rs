@@ -1,6 +1,8 @@
 //! Table I end-to-end: every prototyped comms module exercised over a
 //! full session (the `kvs` column is covered in flux-kvs's own tests).
 
+#![allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
+
 use flux_broker::client::ClientCore;
 use flux_broker::testing::TestNet;
 use flux_modules::standard_modules;

@@ -7,10 +7,11 @@
 //! namespace the session protocol uses is declared **here** — and only
 //! here. The rest of the workspace routes through these enums, so a typo
 //! in a topic is a compile error and an unhandled method is an
-//! exhaustiveness error, not a silently dropped message. `flux-lint`
-//! enforces the "only here" part: a string literal that looks like a
-//! `<service>.<method>` topic anywhere outside this crate (and tests)
-//! fails the lint pass.
+//! exhaustiveness error, not a silently dropped message. Clippy
+//! enforces the "only here" part: outside this crate and `flux-wire`, a
+//! call to `Topic::new` or `Topic::from_static` fails
+//! `clippy::disallowed_methods` (the `clippy/` tier files), tests
+//! excepted.
 //!
 //! ## Layout
 //!
@@ -509,8 +510,7 @@ fn rows() -> impl Iterator<Item = MethodSpec> {
 }
 
 /// The flattened method registry: every declared method of every
-/// service. Tools (`flux-lint`, `flux-kap table1`) and conformance
-/// tests iterate this.
+/// service. `flux-kap table1` and the conformance tests iterate this.
 pub fn methods() -> Vec<MethodSpec> {
     rows().collect()
 }

@@ -1,9 +1,9 @@
 //! Registry exhaustiveness: every declared method and event topic
 //! round-trips through its dispatch entry point, the aggregate
-//! registries cover exactly the per-enum declarations, and no topic
-//! string literal exists anywhere outside `crates/proto` and test
-//! directories (the flux-lint topic rule, promoted to a unit test here
-//! so registry drift fails in `cargo test`, not just in the lint job).
+//! registries cover exactly the per-enum declarations, and every
+//! declared topic names a registered service. That no topic is built
+//! outside the registry is clippy's `disallowed_methods` rule on
+//! `Topic::new` / `Topic::from_static` (the `clippy/` tier files).
 
 use flux_proto::{
     events, methods, BarrierMethod, CmbMethod, Event, GroupMethod, HbMethod, KvsMethod,
@@ -95,21 +95,4 @@ fn every_topic_names_a_registered_service() {
             spec.topic
         );
     }
-}
-
-/// The flux-lint self-check as a tier-1 test: no topic string literal
-/// outside `crates/proto` and test directories, and no other lint
-/// violation anywhere. Keeps the conformance pass enforced even where
-/// CI isn't running the dedicated lint job.
-#[test]
-fn workspace_has_no_stray_topic_literals() {
-    let root = flux_lint::workspace_root();
-    let violations = flux_lint::lint_tree(&root).expect("walk workspace");
-    assert!(violations.is_empty(), "lint violations:\n{}", {
-        let mut s = String::new();
-        for v in &violations {
-            s.push_str(&format!("  {v}\n"));
-        }
-        s
-    });
 }

@@ -122,6 +122,7 @@ impl Host {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
 mod tests {
     use super::*;
     use flux_broker::client::ClientCore;

@@ -1,6 +1,8 @@
 //! `LinkCore` on synthetic instants: every limit path of the socket link
 //! without a socket or a clock.
 
+#![allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
+
 use super::*;
 use flux_value::Value;
 use flux_wire::{MsgId, MsgType, Topic};

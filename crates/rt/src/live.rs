@@ -9,6 +9,8 @@
 //! attachment model (in-process clients talk to their local broker over
 //! a channel, the moral equivalent of the prototype's IPC sockets).
 
+#![expect(clippy::disallowed_types, clippy::disallowed_methods, reason = "the I/O tier")]
+
 use crate::faults::FaultPlan;
 use crate::host::{Effect, Host};
 use crate::reactor::ReactorPeers;

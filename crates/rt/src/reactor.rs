@@ -20,6 +20,8 @@
 //! call: `TcpStream::connect_timeout` holds the host thread for up to
 //! [`CONNECT_TIMEOUT`], and on loopback it returns at once.
 
+#![expect(clippy::disallowed_types, reason = "the I/O tier")]
+
 use crate::link::{ConnId, LinkCore};
 use crate::live::Event;
 use flux_broker::ClientId;

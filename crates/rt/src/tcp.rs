@@ -35,6 +35,8 @@
 //! thread is joined before `shutdown()` returns; a broker thread that
 //! panicked re-raises its panic there.
 
+#![expect(clippy::disallowed_types, reason = "the I/O tier")]
+
 use crate::live::Session;
 use flux_broker::ClientId;
 use std::io::{self, Read, Write};

@@ -13,6 +13,8 @@
 //!   one [`Script`] interpreter. The KAP runner is written against this
 //!   trait, so one workload runs on the simulator or over real sockets.
 
+#![expect(clippy::disallowed_types, clippy::disallowed_methods, reason = "the I/O tier")]
+
 use crate::faults::FaultPlan;
 use crate::live::LiveClient;
 use crate::script::{Op, Script, ScriptClient, Step};

@@ -11,6 +11,12 @@
 //! `FLUX_CHAOS_SEED=<seed>`; widen the sweep with
 //! `FLUX_CHAOS_SEEDS=<count>` (default 8).
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a test of the I/O tier drives threads and sockets"
+)]
+
 use flux_broker::client::{ClientCore, Delivery};
 use flux_broker::BrokerConfig;
 use flux_sim::rng::Rng;

@@ -10,6 +10,8 @@
 //! two with a dedup of the wrong lifetime and three with none — read on
 //! the same case.
 
+#![allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
+
 use flux_broker::CommsModule;
 use flux_kvs::KvsModule;
 use flux_modules::{BarrierModule, HbModule, LogModule, MonModule, WexecModule};

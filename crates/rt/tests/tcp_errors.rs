@@ -7,6 +7,12 @@
 //! length prefix, and must keep serving clients throughout. A broker
 //! thread that does crash is not lost: `shutdown` re-raises its panic.
 
+#![allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a test of the I/O tier drives threads and sockets"
+)]
+
 use flux_broker::client::ClientCore;
 use flux_broker::{CommsModule, Handled, ModuleCtx};
 use flux_modules::standard_modules;

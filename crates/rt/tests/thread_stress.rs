@@ -2,6 +2,8 @@
 //! loopback-TCP session; the wall-clock runtime must preserve the same
 //! semantics the simulator proves.
 
+#![allow(clippy::disallowed_methods, reason = "a test of the I/O tier drives threads and sockets")]
+
 use flux_broker::CommsModule;
 use flux_kvs::client::{KvsClient, KvsDelivery, KvsReply};
 use flux_modules::BarrierModule;

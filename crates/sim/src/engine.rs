@@ -474,6 +474,7 @@ impl Engine {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
 mod tests {
     use super::*;
     use crate::time::SimDuration;

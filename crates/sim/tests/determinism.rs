@@ -1,6 +1,8 @@
 //! Engine-level property tests: determinism, FIFO delivery, and cost
 //! monotonicity under randomized traffic.
 
+#![allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
+
 use flux_sim::{Actor, ActorId, Ctx, Engine, NetParams, SimDuration, SimTime};
 use flux_value::Value;
 use flux_wire::{Message, MsgId, Rank, Topic};

@@ -8,7 +8,7 @@
 //! - [`CountingAlloc`] is a global allocator that forwards to
 //!   [`System`] and counts, per thread, every call that obtains memory,
 //!   the bytes those calls ask for, and the bytes live and their peak.
-//!   Three binaries install it: `flux-rt`'s `alloc_budget` test, which
+//!   Four binaries install it: `flux-rt`'s `alloc_budget` test, which
 //!   pins allocations per warm operation ([`count`]), and `kap` with its
 //!   `harness` test and the flux-mc `determinism` test, which record
 //!   each simulated KAP cell's heap ([`heap`]).

@@ -7,6 +7,8 @@
 //! ends the broker's hello must produce `live.up`. Exercised on the simulator (exact virtual-time
 //! schedule) and the TCP runtime (wall clock, generous margins).
 
+#![allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
+
 use flux_broker::BrokerConfig;
 use flux_modules::live::MISS_LIMIT;
 use flux_modules::standard_modules;

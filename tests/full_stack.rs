@@ -1,6 +1,8 @@
 //! Cross-crate integration: the full module stack, both runtimes, and
 //! the framework layer driving the substrate's resource service.
 
+#![allow(clippy::disallowed_methods, reason = "a test builds its topics directly")]
+
 use flux_broker::client::ClientCore;
 use flux_core::{Fcfs, Instance, InstanceConfig, JobSpec, JobState};
 use flux_modules::standard_modules;
