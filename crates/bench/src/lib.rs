@@ -2,7 +2,8 @@
 //!
 //! Host of the runnable examples in the repository's `examples/`, the
 //! cross-crate integration tests in `tests/`, and the `rpc_bench`
-//! socket harness ([`rpc`], `BENCH_rpc.json`).
+//! socket harness ([`rpc`], `BENCH_rpc.json`), and the lexer the
+//! workspace's source scans read ([`token`]).
 //!
 //! The repository measures with two more harnesses, split by clock:
 //! the `kap` binary (flux-kap) owns every virtual-time figure and
@@ -10,3 +11,4 @@
 //! wall-clock.
 
 pub mod rpc;
+pub mod token;
